@@ -7,13 +7,13 @@
 //! `fc_reuse/changed_*` and `conv_reuse/changed_*` series.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use reuse_core::conv::Conv2dReuseState;
+use reuse_core::conv::{Conv2dPack, Conv2dReuseState};
 use reuse_core::fc::FcReuseState;
-use reuse_core::lstm::LstmReuseState;
+use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_nn::{init::Rng64, Activation, Conv2dLayer, FullyConnected, LstmCell};
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::Conv2dSpec;
-use reuse_tensor::{Shape, Tensor};
+use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
 fn quantizer() -> LinearQuantizer {
     LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap()
@@ -47,8 +47,12 @@ fn bench_fc(c: &mut Criterion) {
             BenchmarkId::new("reuse_changed", format!("{:.0}%", fraction * 100.0)),
             &fraction,
             |b, &fraction| {
+                let serial = ParallelConfig::serial();
                 let mut state = FcReuseState::new(&layer);
-                state.execute(&layer, &q, &base).unwrap();
+                let mut out = Vec::new();
+                state
+                    .execute_into(&serial, &layer, &q, &base, &mut out)
+                    .unwrap();
                 let variants: Vec<Vec<f32>> = (0..8)
                     .map(|_| perturb(&base, fraction, q.step(), &mut rng))
                     .collect();
@@ -63,7 +67,7 @@ fn bench_fc(c: &mut Criterion) {
                     };
                     i += 1;
                     state
-                        .execute(&layer, &q, std::hint::black_box(input))
+                        .execute_into(&serial, &layer, &q, std::hint::black_box(input), &mut out)
                         .unwrap()
                 })
             },
@@ -99,19 +103,20 @@ fn bench_conv(c: &mut Criterion) {
             BenchmarkId::new("reuse_changed", format!("{:.0}%", fraction * 100.0)),
             &fraction,
             |b, &fraction| {
+                let serial = ParallelConfig::serial();
+                let pack = Conv2dPack::new(&layer);
                 let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-                state.execute(&layer, &q, &base_t).unwrap();
-                let variant = Tensor::from_vec(
-                    in_shape.clone(),
-                    perturb(&base, fraction, q.step(), &mut rng),
-                )
-                .unwrap();
+                let mut out = Vec::new();
+                state
+                    .execute_into_packed(&serial, &layer, &pack, &q, &base, &mut out)
+                    .unwrap();
+                let variant = perturb(&base, fraction, q.step(), &mut rng);
                 let mut i = 0;
                 b.iter(|| {
-                    let input = if i % 2 == 0 { &variant } else { &base_t };
+                    let input = std::hint::black_box(if i % 2 == 0 { &variant } else { &base });
                     i += 1;
                     state
-                        .execute(&layer, &q, std::hint::black_box(input))
+                        .execute_into_packed(&serial, &layer, &pack, &q, input, &mut out)
                         .unwrap()
                 })
             },
@@ -134,11 +139,14 @@ fn bench_lstm(c: &mut Criterion) {
         b.iter(|| cell.step(std::hint::black_box(&base), &state).unwrap())
     });
     group.bench_function("reuse_step_stable_input", |b| {
-        let mut state = LstmReuseState::new(&cell);
-        state.step(&cell, &q, &q, &base).unwrap();
+        let serial = ParallelConfig::serial();
+        let pack = LstmGatePack::new(&cell);
+        let mut state = LstmReuseState::new_shared(&cell);
+        let mut h = Vec::new();
         b.iter(|| {
+            let x = std::hint::black_box(&base);
             state
-                .step(&cell, &q, &q, std::hint::black_box(&base))
+                .step_into_packed(&serial, &cell, &pack, &q, &q, x, &mut h)
                 .unwrap()
         })
     });

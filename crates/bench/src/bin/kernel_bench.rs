@@ -21,9 +21,10 @@
 //! Only the ns/iter and GFLOP/s columns vary with the machine; the JSON
 //! header records the active and detected SIMD level plus the CPU feature
 //! flags so numbers are never compared across ISAs by accident. Forward
-//! rows use the layer's analytic FLOP count; reuse-correction rows (at
-//! ~10% changed inputs) use the MACs the correction actually performed,
-//! read from the execution stats.
+//! rows use the layer's analytic FLOP count; the FC and LSTM
+//! reuse-correction rows (at ~10% changed inputs) use the MACs the
+//! correction actually performed, read from the execution stats. (The conv
+//! correction has one walk, hence no pair; the repository benchmark times it.)
 //!
 //! An engine-level pair is also measured: the same steady-state frames with
 //! telemetry off and on, reporting the overhead of the recording path and
@@ -52,9 +53,8 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use reuse_core::conv::{Conv2dReuseState, Conv3dReuseState};
 use reuse_core::fc::FcReuseState;
-use reuse_core::lstm::LstmReuseState;
+use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
@@ -592,8 +592,7 @@ fn main() -> ExitCode {
         let in_shape = Shape::d3(24, 31, 98);
         let mut rng = Rng64::new(4);
         let base = random_input(in_shape.volume(), &mut rng);
-        let base_t = Tensor::from_vec(in_shape.clone(), base.clone()).unwrap();
-        let serial = ParallelConfig::serial();
+        let base_t = Tensor::from_vec(in_shape, base).unwrap();
         rows.push(bench_triple(
             "autopilot_conv2_24x31x98/forward",
             spec.flops(31, 98),
@@ -606,44 +605,6 @@ fn main() -> ExitCode {
             },
             |cfg| {
                 black_box(layer.forward_linear_with(cfg, black_box(&base_t)).unwrap());
-            },
-        ));
-
-        let variant = perturb(&base, 0.1, q.step(), &mut rng);
-        let mut naive_out = Vec::new();
-        let mut out = Vec::new();
-        let correction_flops = {
-            let mut probe = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-            probe
-                .execute_into(&serial, &layer, &q, &base, &mut out)
-                .unwrap();
-            let stats = probe
-                .execute_into(&serial, &layer, &q, &variant, &mut out)
-                .unwrap();
-            2 * stats.macs_performed
-        };
-        let mut naive_state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let (mut i, mut j) = (0usize, 0usize);
-        rows.push(bench_triple(
-            "autopilot_conv2_24x31x98/reuse_10pct",
-            correction_flops,
-            &parallel,
-            || {
-                let input = if i.is_multiple_of(2) { &variant } else { &base };
-                i += 1;
-                naive_state
-                    .execute_into_naive(&serial, &layer, &q, black_box(input), &mut naive_out)
-                    .unwrap();
-                black_box(&naive_out);
-            },
-            |cfg| {
-                let input = if j.is_multiple_of(2) { &variant } else { &base };
-                j += 1;
-                state
-                    .execute_into(cfg, &layer, &q, black_box(input), &mut out)
-                    .unwrap();
-                black_box(&out);
             },
         ));
     }
@@ -664,8 +625,7 @@ fn main() -> ExitCode {
         let in_shape = Shape::d4(32, 4, 14, 14);
         let mut rng = Rng64::new(6);
         let base = random_input(in_shape.volume(), &mut rng);
-        let base_t = Tensor::from_vec(in_shape.clone(), base.clone()).unwrap();
-        let serial = ParallelConfig::serial();
+        let base_t = Tensor::from_vec(in_shape, base).unwrap();
         rows.push(bench_triple(
             "c3d_conv3_32x4x14x14/forward",
             spec.flops(4, 14, 14),
@@ -680,44 +640,6 @@ fn main() -> ExitCode {
                 black_box(layer.forward_linear_with(cfg, black_box(&base_t)).unwrap());
             },
         ));
-
-        let variant = perturb(&base, 0.1, q.step(), &mut rng);
-        let mut naive_out = Vec::new();
-        let mut out = Vec::new();
-        let correction_flops = {
-            let mut probe = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-            probe
-                .execute_into(&serial, &layer, &q, &base, &mut out)
-                .unwrap();
-            let stats = probe
-                .execute_into(&serial, &layer, &q, &variant, &mut out)
-                .unwrap();
-            2 * stats.macs_performed
-        };
-        let mut naive_state = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let mut state = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let (mut i, mut j) = (0usize, 0usize);
-        rows.push(bench_triple(
-            "c3d_conv3_32x4x14x14/reuse_10pct",
-            correction_flops,
-            &parallel,
-            || {
-                let input = if i.is_multiple_of(2) { &variant } else { &base };
-                i += 1;
-                naive_state
-                    .execute_into_naive(&serial, &layer, &q, black_box(input), &mut naive_out)
-                    .unwrap();
-                black_box(&naive_out);
-            },
-            |cfg| {
-                let input = if j.is_multiple_of(2) { &variant } else { &base };
-                j += 1;
-                state
-                    .execute_into(cfg, &layer, &q, black_box(input), &mut out)
-                    .unwrap();
-                black_box(&out);
-            },
-        ));
     }
 
     // EESEN LSTM cell geometry: 640 inputs, 320 cell.
@@ -729,18 +651,19 @@ fn main() -> ExitCode {
         let serial = ParallelConfig::serial();
         let mut naive_h = Vec::new();
         let mut h_out = Vec::new();
+        let pack = LstmGatePack::new(&cell);
         let correction_flops = {
-            let mut probe = LstmReuseState::new(&cell);
+            let mut probe = LstmReuseState::new_shared(&cell);
             probe
-                .step_into(&serial, &cell, &q, &q, &base, &mut h_out)
+                .step_into_packed(&serial, &cell, &pack, &q, &q, &base, &mut h_out)
                 .unwrap();
             let stats = probe
-                .step_into(&serial, &cell, &q, &q, &variant, &mut h_out)
+                .step_into_packed(&serial, &cell, &pack, &q, &q, &variant, &mut h_out)
                 .unwrap();
             2 * stats.macs_performed
         };
-        let mut naive_state = LstmReuseState::new(&cell);
-        let mut state = LstmReuseState::new(&cell);
+        let mut naive_state = LstmReuseState::new_shared(&cell);
+        let mut state = LstmReuseState::new_shared(&cell);
         let (mut i, mut j) = (0usize, 0usize);
         rows.push(bench_triple(
             "eesen_lstm_640x320/reuse_step_10pct",
@@ -758,7 +681,7 @@ fn main() -> ExitCode {
                 let input = if j.is_multiple_of(2) { &variant } else { &base };
                 j += 1;
                 state
-                    .step_into(cfg, &cell, &q, &q, black_box(input), &mut h_out)
+                    .step_into_packed(cfg, &cell, &pack, &q, &q, black_box(input), &mut h_out)
                     .unwrap();
                 black_box(&h_out);
             },

@@ -23,14 +23,15 @@ impl Conv2dLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] when the weight or bias tensors do
-    /// not match the spec.
+    /// Returns [`NnError`] when the spec is degenerate (a zero channel count,
+    /// kernel extent or stride) or the weight or bias tensors do not match it.
     pub fn new(
         spec: Conv2dSpec,
         weights: Tensor,
         bias: Tensor,
         activation: Activation,
     ) -> Result<Self, NnError> {
+        spec.geometry()?;
         if weights.shape() != &spec.weight_shape() {
             return Err(NnError::InvalidConfig {
                 context: format!(
@@ -157,14 +158,15 @@ impl Conv3dLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] when the weight or bias tensors do
-    /// not match the spec.
+    /// Returns [`NnError`] when the spec is degenerate (a zero channel count,
+    /// kernel extent or stride) or the weight or bias tensors do not match it.
     pub fn new(
         spec: Conv3dSpec,
         weights: Tensor,
         bias: Tensor,
         activation: Activation,
     ) -> Result<Self, NnError> {
+        spec.geometry()?;
         if weights.shape() != &spec.weight_shape() {
             return Err(NnError::InvalidConfig {
                 context: format!(

@@ -382,7 +382,8 @@ pub fn from_str(text: &str) -> Result<Network, SerializeError> {
                     .get(6)
                     .and_then(|t| act_from(t))
                     .ok_or_else(|| bad("bad activation".into()))?;
-                let w = r.floats(spec.weight_shape().volume())?;
+                let geometry = spec.geometry().map_err(|e| bad(e.to_string()))?;
+                let w = r.floats(geometry.weight_volume())?;
                 let b = r.floats(spec.out_channels)?;
                 let weights = Tensor::from_vec(spec.weight_shape(), w).map_err(NnError::from)?;
                 let bias =
@@ -403,7 +404,8 @@ pub fn from_str(text: &str) -> Result<Network, SerializeError> {
                     .get(7)
                     .and_then(|t| act_from(t))
                     .ok_or_else(|| bad("bad activation".into()))?;
-                let w = r.floats(spec.weight_shape().volume())?;
+                let geometry = spec.geometry().map_err(|e| bad(e.to_string()))?;
+                let w = r.floats(geometry.weight_volume())?;
                 let b = r.floats(spec.out_channels)?;
                 let weights = Tensor::from_vec(spec.weight_shape(), w).map_err(NnError::from)?;
                 let bias =
@@ -495,6 +497,27 @@ mod tests {
             back.forward_flat(&x).unwrap().as_slice(),
             net.forward_flat(&x).unwrap().as_slice()
         );
+    }
+
+    #[test]
+    fn degenerate_conv_geometry_is_rejected_not_a_panic() {
+        // Stride 0 used to divide by zero and a zero kernel extent to panic
+        // in `weight_shape`, before any parameter was read.
+        for (shape, layer) in [
+            ("1 4 4", "conv2d conv1 1 2 3 3 0 1 relu"),
+            ("1 4 4", "conv2d conv1 1 2 0 3 1 1 relu"),
+            ("1 4 4 4", "conv3d conv1 1 2 3 3 3 0 1 relu"),
+            ("1 4 4 4", "conv3d conv1 1 2 3 0 3 1 1 relu"),
+        ] {
+            let text = format!(
+                "reuse-dnn-model v{FORMAT_VERSION}\nname m\ninput {shape}\nlayer {layer}\n"
+            );
+            let err = from_str(&text).unwrap_err();
+            assert!(
+                matches!(err, SerializeError::BadLine { .. }),
+                "{layer}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -7,43 +7,101 @@
 //! unchanged, the entire fan-out of computations and weight fetches is
 //! skipped.
 //!
-//! The correction pass is cache-blocked: pass 1 quantizes the frame and
-//! diffs the codes through [`LinearQuantizer::diff_codes_into`] (which
-//! dispatches to the runtime-selected SIMD quantize/compare kernels — both
-//! bit-exact at every [`reuse_tensor::SimdLevel`]), then precomputes each
-//! changed input's geometry (channel weight offset, padded coordinates,
-//! affected output ranges) into a reusable scratch list; pass 2 walks the
-//! outputs **filter-tile-outer, delta-inner** — a worker owns a tile of
-//! `FILTER_TILE` filters' output planes, which stay cache-resident while
-//! every delta streams through them, so each delta's geometry is computed
-//! once per tile instead of once per filter. Both paths read the
-//! lazily-built `[in_c, k.., out_c]` weight transpose: it makes one tap's
-//! weights for a tile of filters a single contiguous load. Pass 2 is a
-//! deliberately scalar scatter walk (its access pattern is irregular), and
-//! each output element receives its delta corrections in changed-list
-//! (input) order, so results are bit-identical to the original scattered
-//! walk — kept as a `#[doc(hidden)]` naive oracle — at every SIMD level.
+//! One mechanism, so one of everything: [`ConvReuseState`] corrects layers of
+//! either rank through [`reuse_tensor::conv::ConvGeometry`] (a 2D layer is
+//! the depth-1 case), against one [`ConvPack`] — the immutable
+//! `[in_c, kd, kh, kw, out_c]` weight transpose the model builds once and
+//! every stream shares. States hold only per-stream data.
+//!
+//! Pass 1 quantizes the frame and diffs the codes through
+//! [`LinearQuantizer::diff_codes_into`] (SIMD-dispatched, bit-exact at every
+//! [`reuse_tensor::SimdLevel`]), then records each changed input's geometry
+//! (channel weight offset, padded coordinates, affected output ranges from a
+//! per-axis table) in a reusable scratch list. Pass 2 walks that list once
+//! per worker, **delta-outer, filter-inner**: for each affected output
+//! position the transpose makes the tap's weights for all of the worker's
+//! filters one contiguous row. It is a deliberately scalar scatter walk, and
+//! every output element receives its corrections in changed-list (input)
+//! order, so results are identical at every SIMD level and thread count.
 
 use reuse_nn::{Conv2dLayer, Conv3dLayer};
 use reuse_quant::{LinearQuantizer, QuantCode};
-use reuse_tensor::parallel::{parallel_for_mut, parallel_for_mut_cost};
-use reuse_tensor::{ParallelConfig, Shape, Tensor};
+use reuse_tensor::conv::{conv_forward_with, ConvGeometry};
+use reuse_tensor::parallel::parallel_for_mut_cost;
+use reuse_tensor::{ParallelConfig, Shape, TensorError};
 
+use crate::layer::ExecStats;
 use crate::ReuseError;
 
-/// Activity counters of one convolution execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvExecStats {
-    /// Inputs read.
-    pub n_inputs: u64,
-    /// Inputs whose index changed.
-    pub n_changed: u64,
-    /// MACs a from-scratch execution performs.
-    pub macs_total: u64,
-    /// MACs actually performed.
-    pub macs_performed: u64,
-    /// Whether this was the state-initializing from-scratch execution.
-    pub from_scratch: bool,
+/// A convolutional layer of either rank, seen as what the correction needs:
+/// its rank-generic geometry and its flat parameters.
+pub trait ConvLayer {
+    /// Spatial rank of the layer's inputs: 2 for `[c, h, w]`, 3 for
+    /// `[c, d, h, w]`.
+    const RANK: usize;
+
+    /// The layer's validated geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] when the layer's spec is degenerate.
+    fn geometry(&self) -> Result<ConvGeometry, TensorError>;
+
+    /// Flat `[out_c, in_c, (kd,) kh, kw]` filter weights.
+    fn weights(&self) -> &[f32];
+
+    /// Per-filter biases.
+    fn bias(&self) -> &[f32];
+}
+
+impl ConvLayer for Conv2dLayer {
+    const RANK: usize = 2;
+
+    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+        self.spec().geometry()
+    }
+
+    fn weights(&self) -> &[f32] {
+        Conv2dLayer::weights(self).as_slice()
+    }
+
+    fn bias(&self) -> &[f32] {
+        Conv2dLayer::bias(self).as_slice()
+    }
+}
+
+impl ConvLayer for Conv3dLayer {
+    const RANK: usize = 3;
+
+    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+        self.spec().geometry()
+    }
+
+    fn weights(&self) -> &[f32] {
+        Conv3dLayer::weights(self).as_slice()
+    }
+
+    fn bias(&self) -> &[f32] {
+        Conv3dLayer::bias(self).as_slice()
+    }
+}
+
+/// References forward, so a caller holding a `&&Conv2dLayer` (a `match` on
+/// borrowed enum fields) passes it as it did to the rank-specific states.
+impl<T: ConvLayer> ConvLayer for &T {
+    const RANK: usize = T::RANK;
+
+    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+        T::geometry(self)
+    }
+
+    fn weights(&self) -> &[f32] {
+        T::weights(self)
+    }
+
+    fn bias(&self) -> &[f32] {
+        T::bias(self)
+    }
 }
 
 /// The output-position range `[lo, hi)` whose receptive field covers input
@@ -61,26 +119,10 @@ fn affected_range(y: usize, k: usize, s: usize, p: usize, n: usize) -> (usize, u
     (lo.min(n), hi.min(n))
 }
 
-/// Filters corrected together per pass-2 tile. Each delta's output-range
-/// geometry is computed once and applied to this many filters' planes
-/// (whose weights for one tap sit contiguously in the transpose), and the
-/// four `+=` chains give the CPU independent FP-add streams — the same ILP
-/// rationale as the packed forward tiles.
-const FILTER_TILE: usize = 4;
-
-/// Deltas walked together through all filter tiles before moving to the
-/// next group. A dense frame's scratch list is far larger than L1, and the
-/// tiled walk re-streams it once per tile; blocking keeps the group (~11
-/// KiB) cache-hot across every re-stream. Groups are processed in list
-/// order and each tile walks a group in list order, so per-output delta
-/// order — and therefore bit-identity — is unchanged.
-const DELTA_BLOCK: usize = 128;
-
 /// One changed input's correction, with its geometry precomputed in pass 1
-/// so the per-filter pass 2 does no division or range math: the channel's
-/// weight-block offset `wc = c·kd·kh·kw`, the padded coordinates (so the
-/// kernel tap for output `o` is `coord + pad − o·stride`), and the affected
-/// output ranges.
+/// so pass 2 does no division or range math: the channel's weight-block
+/// offset `wc = c·kd·kh·kw`, the padded coordinates (so the kernel tap for
+/// output `o` is `coord + pad − o·stride`), and the affected output ranges.
 #[derive(Debug, Clone, Copy)]
 struct ConvDelta {
     delta: f32,
@@ -88,31 +130,40 @@ struct ConvDelta {
     zp: usize,
     yp: usize,
     xp: usize,
-    oz_lo: usize,
-    oz_hi: usize,
-    oy_lo: usize,
-    oy_hi: usize,
-    ox_lo: usize,
-    ox_hi: usize,
+    oz: (usize, usize),
+    oy: (usize, usize),
+    ox: (usize, usize),
 }
 
-/// The immutable `[in_c, kh, kw, out_c]` weight transpose of a 2D
-/// convolutional layer, packed once so every stream's correction pass can
-/// share one copy (it lives in `CompiledModel`, not in per-stream state).
-/// Built by the same routine as the per-state lazy transpose, so corrections
-/// through a pack are bit-identical to the standalone path.
+/// The immutable `[in_c, kd, kh, kw, out_c]` weight transpose of a
+/// convolutional layer (`kd = 1` for 2D), packed once so every stream's
+/// correction pass shares one copy (it lives in `CompiledModel`, not in
+/// per-stream state).
 #[derive(Debug, Clone)]
-pub struct Conv2dPack {
+pub struct ConvPack {
     w_t: Vec<f32>,
 }
 
-impl Conv2dPack {
-    /// Packs a layer's weights into the shared correction transpose.
-    pub fn new(layer: &Conv2dLayer) -> Self {
-        let spec = layer.spec();
-        Conv2dPack {
-            w_t: transpose_2d(layer.weights().as_slice(), spec.out_channels, spec),
+/// [`ConvPack`] under its rank-specific name.
+pub type Conv2dPack = ConvPack;
+/// [`ConvPack`] under its rank-specific name.
+pub type Conv3dPack = ConvPack;
+
+impl ConvPack {
+    /// Packs a layer's weights into the shared correction transpose: the
+    /// `[out_c, taps]` filter matrix becomes `[taps, out_c]`, so one tap's
+    /// weights for every filter are contiguous.
+    pub fn new<L: ConvLayer>(layer: &L) -> Self {
+        let w = layer.weights();
+        let fc = layer.bias().len();
+        let taps = w.len() / fc;
+        let mut w_t = vec![0.0f32; w.len()];
+        for (f, filter) in w.chunks(taps).enumerate() {
+            for (t, &v) in filter.iter().enumerate() {
+                w_t[t * fc + f] = v;
+            }
         }
+        ConvPack { w_t }
     }
 
     /// Bytes occupied by the packed transpose.
@@ -121,77 +172,71 @@ impl Conv2dPack {
     }
 }
 
-/// The immutable `[in_c, kd, kh, kw, out_c]` weight transpose of a 3D
-/// convolutional layer; see [`Conv2dPack`].
+/// Buffered per-stream state of one convolutional layer (either rank)
+/// between executions.
 #[derive(Debug, Clone)]
-pub struct Conv3dPack {
-    w_t: Vec<f32>,
-}
-
-impl Conv3dPack {
-    /// Packs a layer's weights into the shared correction transpose.
-    pub fn new(layer: &Conv3dLayer) -> Self {
-        let spec = layer.spec();
-        Conv3dPack {
-            w_t: transpose_3d(layer.weights().as_slice(), spec.out_channels, spec),
-        }
-    }
-
-    /// Bytes occupied by the packed transpose.
-    pub fn bytes(&self) -> u64 {
-        (self.w_t.len() * 4) as u64
-    }
-}
-
-/// Buffered state of one 2D convolutional layer between executions.
-#[derive(Debug, Clone)]
-pub struct Conv2dReuseState {
+pub struct ConvReuseState {
+    geometry: ConvGeometry,
+    /// Input extents `[d, h, w]` (`d = 1` for 2D layers).
+    in_dhw: [usize; 3],
+    /// Output extents `[od, oh, ow]`.
+    out_dhw: [usize; 3],
+    /// [`affected_range`] of every input coordinate, the `d`, `h` and `w`
+    /// axes back to back: tabulated once so pass 1 divides only to split the
+    /// flat index (per-delta range divisions cost as much as a small
+    /// fan-out's MACs).
+    fanout: Vec<(usize, usize)>,
     prev_codes: Vec<QuantCode>,
     prev_linear: Vec<f32>,
-    /// Lazily-built `[in_c, kh, kw, out_c]` weight transpose shared by both
-    /// correction paths: the blocked walk reads one tap's tile of filters
-    /// as a contiguous load, the naive oracle walks it filter-inner.
-    w_t: Option<Vec<f32>>,
     /// Scratch list of precomputed per-delta corrections, collected
-    /// serially in input order and applied per output-filter panel;
-    /// capacity is reserved up front so steady-state frames never allocate.
+    /// serially in input order; capacity for the worst case (every input
+    /// changes) is reserved up front so steady-state frames never allocate.
     deltas: Vec<ConvDelta>,
     /// Scratch: this frame's fresh codes during the diff pass.
     scratch_codes: Vec<QuantCode>,
     /// Scratch: `(input index, centroid delta)` pairs from the diff pass.
     changed: Vec<(u32, f32)>,
-    in_shape: Shape,
-    out_shape: Shape,
     initialized: bool,
 }
 
-impl Conv2dReuseState {
-    /// Creates state for a layer processing inputs of shape `in_shape`.
+/// [`ConvReuseState`] under its rank-specific name.
+pub type Conv2dReuseState = ConvReuseState;
+/// [`ConvReuseState`] under its rank-specific name.
+pub type Conv3dReuseState = ConvReuseState;
+
+impl ConvReuseState {
+    /// Creates state for a layer processing inputs of shape `in_shape`
+    /// (`[c, h, w]` for a 2D layer, `[c, d, h, w]` for a 3D one).
     ///
     /// # Errors
     ///
     /// Returns [`ReuseError`] when `in_shape` is incompatible with the layer.
-    pub fn new(layer: &Conv2dLayer, in_shape: &Shape) -> Result<Self, ReuseError> {
+    pub fn new<L: ConvLayer>(layer: &L, in_shape: &Shape) -> Result<Self, ReuseError> {
+        let geometry = layer.geometry()?;
         let d = in_shape.dims();
-        if d.len() != 3 || d[0] != layer.spec().in_channels {
+        if d.len() != L::RANK + 1 || d[0] != geometry.in_channels() {
             return Err(ReuseError::InvalidConfig {
-                context: format!("conv2d state input shape {in_shape} incompatible"),
+                context: format!("conv{}d state input shape {in_shape} incompatible", L::RANK),
             });
         }
-        let spec = layer.spec();
-        let (oh, ow) = spec.output_hw(d[1], d[2])?;
-        let out_shape = Shape::d3(spec.out_channels, oh, ow);
-        Ok(Conv2dReuseState {
+        let mut in_dhw = [1; 3];
+        in_dhw[3 - L::RANK..].copy_from_slice(&d[1..]);
+        let out_dhw = geometry.output_dhw(in_dhw)?;
+        let (k, s, p) = (geometry.kernel(), geometry.stride(), geometry.pad());
+        let fanout = (0..3)
+            .flat_map(|a| (0..in_dhw[a]).map(move |y| affected_range(y, k[a], s, p[a], out_dhw[a])))
+            .collect();
+        let n_in = in_shape.volume();
+        Ok(ConvReuseState {
+            geometry,
+            in_dhw,
+            out_dhw,
+            fanout,
             prev_codes: Vec::new(),
             prev_linear: Vec::new(),
-            w_t: None,
-            // Worst case every input changes; reserving up front keeps
-            // steady-state execution allocation-free.
-            deltas: Vec::with_capacity(in_shape.volume()),
-            scratch_codes: Vec::with_capacity(in_shape.volume()),
-            changed: Vec::with_capacity(in_shape.volume()),
-            in_shape: in_shape.clone(),
-            out_shape,
+            deltas: Vec::with_capacity(n_in),
+            scratch_codes: Vec::with_capacity(n_in),
+            changed: Vec::with_capacity(n_in),
             initialized: false,
         })
     }
@@ -211,11 +256,16 @@ impl Conv2dReuseState {
         self.initialized = false;
     }
 
+    fn in_volume(&self) -> usize {
+        self.geometry.in_channels() * self.in_dhw.iter().product::<usize>()
+    }
+
     /// Extra storage: one byte per input index plus four bytes per buffered
     /// output (Table III accounting; for CNNs these live in main memory
     /// between executions with one block staged on-chip).
     pub fn storage_bytes(&self) -> u64 {
-        (self.in_shape.volume() + 4 * self.out_shape.volume()) as u64
+        let out_volume = self.geometry.out_channels() * self.out_dhw.iter().product::<usize>();
+        (self.in_volume() + 4 * out_volume) as u64
     }
 
     /// The buffered linear (pre-activation) outputs of the last execution
@@ -235,140 +285,52 @@ impl Conv2dReuseState {
     }
 
     /// Executes the layer, reusing buffered results where quantized inputs
-    /// are unchanged. Returns the linear (pre-activation) output.
+    /// are unchanged: clears `out` and writes the linear (pre-activation)
+    /// feature maps (`[out_c, (od,) oh, ow]`, flattened) into it.
+    /// Allocation-free once initialized.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when the input shape disagrees with the state.
-    pub fn execute(
-        &mut self,
-        layer: &Conv2dLayer,
-        quantizer: &LinearQuantizer,
-        input: &Tensor,
-    ) -> Result<(Tensor, ConvExecStats), ReuseError> {
-        self.execute_with(&ParallelConfig::serial(), layer, quantizer, input)
-    }
-
-    /// [`Self::execute`] with an explicit parallelism budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when the input shape disagrees with the state.
-    pub fn execute_with(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv2dLayer,
-        quantizer: &LinearQuantizer,
-        input: &Tensor,
-    ) -> Result<(Tensor, ConvExecStats), ReuseError> {
-        if input.shape() != &self.in_shape {
-            return Err(ReuseError::InvalidConfig {
-                context: format!(
-                    "conv2d input {} != state shape {}",
-                    input.shape(),
-                    self.in_shape
-                ),
-            });
-        }
-        let mut out = Vec::new();
-        let stats = self.execute_into(config, layer, quantizer, input.as_slice(), &mut out)?;
-        Ok((Tensor::from_vec(self.out_shape.clone(), out)?, stats))
-    }
-
-    /// Allocation-free core of [`Self::execute`]: clears `out` and writes
-    /// the linear feature maps (`[out_c, oh, ow]`, flattened) into it.
-    ///
-    /// Changed inputs are diffed serially (precomputing each delta's
-    /// geometry); corrections are applied filter-outer/delta-inner with
-    /// each worker owning whole output feature maps and streaming every
-    /// delta through one filter's L1-resident weight block at a time. Every
+    /// `input` is the flat row-major data of the state's input shape; `pack`
+    /// must be the [`ConvPack`] built from `layer`. Changed inputs are
+    /// diffed serially (precomputing each delta's geometry); corrections are
+    /// applied with each worker owning whole output feature maps. Every
     /// output accumulates its deltas in input order, so the result is
-    /// bit-identical to serial execution and to the unblocked
-    /// [`Self::execute_into_naive`] walk. Correction frames below the
+    /// bit-identical to serial execution. Correction frames below the
     /// config's inline-FLOP threshold run inline with no thread spawns.
     ///
-    /// `input` is the flat row-major `[in_c, h, w]` data; only its length is
-    /// checked (the shape-checked entry points are [`Self::execute`] /
-    /// [`Self::execute_with`]).
-    ///
     /// # Errors
     ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
-    pub fn execute_into(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv2dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, None, false)
-    }
-
-    /// [`Self::execute_into`] reading the weight transpose from a shared
-    /// [`Conv2dPack`] instead of the state's lazily-built copy, so many
-    /// per-stream states can correct against one packed model. Bit-identical
-    /// to [`Self::execute_into`] (same transpose contents, same walk).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
+    /// Returns [`ReuseError`] when `input` has the wrong length, or when
+    /// `layer` or `pack` do not have the weight volume of the layer the
+    /// state was built for.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_into_packed(
+    pub fn execute_into_packed<L: ConvLayer>(
         &mut self,
         config: &ParallelConfig,
-        layer: &Conv2dLayer,
-        pack: &Conv2dPack,
+        layer: &L,
+        pack: &ConvPack,
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, Some(&pack.w_t), false)
-    }
-
-    /// [`Self::execute_into`] with the original scattered correction walk
-    /// over the `[in_c, kh, kw, out_c]` weight transpose (built lazily on
-    /// first use). Bit-identity oracle and `kernel_bench` baseline for the
-    /// blocked path; not for production use.
-    #[doc(hidden)]
-    pub fn execute_into_naive(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv2dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, None, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_into_impl(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv2dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-        shared_w_t: Option<&[f32]>,
-        naive: bool,
-    ) -> Result<ConvExecStats, ReuseError> {
-        if input.len() != self.in_shape.volume() {
+    ) -> Result<ExecStats, ReuseError> {
+        let g = self.geometry;
+        let (in_dhw, n_in) = (self.in_dhw, self.in_volume());
+        if input.len() != n_in {
+            return Err(ReuseError::InvalidConfig {
+                context: format!("conv input length {} != state volume {n_in}", input.len()),
+            });
+        }
+        let volume = g.weight_volume();
+        if layer.weights().len() != volume || pack.w_t.len() != volume {
             return Err(ReuseError::InvalidConfig {
                 context: format!(
-                    "conv2d input length {} != state volume {}",
-                    input.len(),
-                    self.in_shape.volume()
+                    "conv layer ({} weights) or pack ({}) does not match the state's {volume}",
+                    layer.weights().len(),
+                    pack.w_t.len()
                 ),
             });
         }
-        let spec = *layer.spec();
-        let idims = self.in_shape.dims();
-        let (h, w) = (idims[1], idims[2]);
-        let odims = self.out_shape.dims();
-        let (fc, oh, ow) = (odims[0], odims[1], odims[2]);
-        let macs_total = spec.flops(h, w) / 2;
-        let n_in = self.in_shape.volume() as u64;
+        let macs_total = g.flops(in_dhw) / 2;
+        let n_in = n_in as u64;
 
         if !self.initialized {
             quantizer.quantize_slice_into(input, &mut self.prev_codes);
@@ -377,13 +339,18 @@ impl Conv2dReuseState {
                 .iter()
                 .map(|&c| quantizer.centroid(c))
                 .collect();
-            let qin = Tensor::from_vec(self.in_shape.clone(), centroids)?;
-            let linear = layer.forward_linear_with(config, &qin)?;
-            self.prev_linear = linear.into_vec();
+            self.prev_linear = conv_forward_with(
+                config,
+                &g,
+                in_dhw,
+                &centroids,
+                layer.weights(),
+                layer.bias(),
+            )?;
             self.initialized = true;
             out.clear();
             out.extend_from_slice(&self.prev_linear);
-            return Ok(ConvExecStats {
+            return Ok(ExecStats {
                 n_inputs: n_in,
                 n_changed: n_in,
                 macs_total,
@@ -401,455 +368,59 @@ impl Conv2dReuseState {
             &mut self.scratch_codes,
             &mut self.changed,
         );
+        let fc = g.out_channels();
+        let [d, h, w] = in_dhw;
+        let [od, oh, ow] = self.out_dhw;
+        let [kd, kh, kw] = g.kernel();
+        let [pd, ph, pw] = g.pad();
+        let s = g.stride();
+        let k_vol = kd * kh * kw;
+        let (fz, fyx) = self.fanout.split_at(d);
+        let (fy, fx) = fyx.split_at(h);
         let mut macs = 0u64;
-        let (kh, kw, s, p) = (spec.kh, spec.kw, spec.stride, spec.pad);
-        let k_plane = kh * kw;
-        let Self {
-            deltas, changed, ..
-        } = self;
-        deltas.clear();
-        for &(idx, delta) in changed.iter() {
-            let idx = idx as usize;
-            let c = idx / (h * w);
-            let y = (idx / w) % h;
-            let xw = idx % w;
-            let (oy_lo, oy_hi) = affected_range(y, kh, s, p, oh);
-            let (ox_lo, ox_hi) = affected_range(xw, kw, s, p, ow);
-            macs += ((oy_hi - oy_lo) * (ox_hi - ox_lo) * fc) as u64;
-            deltas.push(ConvDelta {
-                delta,
-                wc: c * k_plane,
-                zp: 0,
-                yp: y + p,
-                xp: xw + p,
-                oz_lo: 0,
-                oz_hi: 1,
-                oy_lo,
-                oy_hi,
-                ox_lo,
-                ox_hi,
-            });
-        }
-
-        // Pass 2 (parallel over output feature maps).
-        let o_plane = oh * ow;
-        let Self {
-            w_t,
-            deltas,
-            prev_linear,
-            ..
-        } = self;
-        let deltas: &[ConvDelta] = deltas;
-        let w_t: &[f32] = match shared_w_t {
-            Some(shared) => shared,
-            None => w_t.get_or_insert_with(|| transpose_2d(layer.weights().as_slice(), fc, &spec)),
-        };
-        if naive {
-            // Original scattered walk over the [c, ky, kx, f] transpose.
-            parallel_for_mut(config, prev_linear, o_plane, |offset, chunk| {
-                let first_f = offset / o_plane;
-                let n_f = chunk.len() / o_plane;
-                for d in deltas {
-                    for oy in d.oy_lo..d.oy_hi {
-                        let ky = d.yp - oy * s;
-                        for ox in d.ox_lo..d.ox_hi {
-                            let kx = d.xp - ox * s;
-                            let wrow = &w_t[(d.wc + ky * kw + kx) * fc + first_f..][..n_f];
-                            let obase = oy * ow + ox;
-                            // Output layout is [f, oy, ox]; f stride is oh*ow.
-                            for (f, &wv) in wrow.iter().enumerate() {
-                                chunk[f * o_plane + obase] += d.delta * wv;
-                            }
-                        }
-                    }
-                }
-            });
-        } else {
-            // Blocked walk: filter-tile-outer, delta-inner. A tile of
-            // [`FILTER_TILE`] output planes stays cache-resident while
-            // every delta streams through it, each delta's precomputed
-            // geometry amortized over the tile; the [c, ky, kx, f]
-            // transpose makes the tile's weights for one tap a single
-            // contiguous load.
-            let one = |plane: &mut [f32], f: usize, group: &[ConvDelta]| {
-                for d in group {
-                    for oy in d.oy_lo..d.oy_hi {
-                        let ky = d.yp - oy * s;
-                        let wrow = d.wc + ky * kw;
-                        let orow = oy * ow;
-                        for ox in d.ox_lo..d.ox_hi {
-                            let kx = d.xp - ox * s;
-                            plane[orow + ox] += d.delta * w_t[(wrow + kx) * fc + f];
-                        }
-                    }
-                }
-            };
-            parallel_for_mut_cost(config, prev_linear, o_plane, 2 * macs, |offset, chunk| {
-                for group in deltas.chunks(DELTA_BLOCK) {
-                    let mut f = offset / o_plane;
-                    for tile in chunk.chunks_mut(FILTER_TILE * o_plane) {
-                        if tile.len() == FILTER_TILE * o_plane {
-                            let (p0, rest) = tile.split_at_mut(o_plane);
-                            let (p1, rest) = rest.split_at_mut(o_plane);
-                            let (p2, p3) = rest.split_at_mut(o_plane);
-                            for d in group {
-                                for oy in d.oy_lo..d.oy_hi {
-                                    let ky = d.yp - oy * s;
-                                    let wrow = d.wc + ky * kw;
-                                    let orow = oy * ow;
-                                    for ox in d.ox_lo..d.ox_hi {
-                                        let wt =
-                                            &w_t[(wrow + d.xp - ox * s) * fc + f..][..FILTER_TILE];
-                                        let oi = orow + ox;
-                                        p0[oi] += d.delta * wt[0];
-                                        p1[oi] += d.delta * wt[1];
-                                        p2[oi] += d.delta * wt[2];
-                                        p3[oi] += d.delta * wt[3];
-                                    }
-                                }
-                            }
-                            f += FILTER_TILE;
-                        } else {
-                            for plane in tile.chunks_mut(o_plane) {
-                                one(plane, f, group);
-                                f += 1;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        out.clear();
-        out.extend_from_slice(&self.prev_linear);
-        Ok(ConvExecStats {
-            n_inputs: n_in,
-            n_changed: self.deltas.len() as u64,
-            macs_total,
-            macs_performed: macs,
-            from_scratch: false,
-        })
-    }
-}
-
-/// Builds the `[in_c, kh, kw, out_c]` transpose of `[out_c, in_c, kh, kw]`
-/// weights (the naive-oracle correction layout).
-fn transpose_2d(w: &[f32], fc: usize, spec: &reuse_tensor::conv::Conv2dSpec) -> Vec<f32> {
-    let (cc, kh, kw) = (spec.in_channels, spec.kh, spec.kw);
-    let mut w_t = vec![0.0f32; w.len()];
-    for f in 0..fc {
-        for c in 0..cc {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let src = ((f * cc + c) * kh + ky) * kw + kx;
-                    let dst = ((c * kh + ky) * kw + kx) * fc + f;
-                    w_t[dst] = w[src];
-                }
-            }
-        }
-    }
-    w_t
-}
-
-/// Buffered state of one 3D convolutional layer between executions.
-#[derive(Debug, Clone)]
-pub struct Conv3dReuseState {
-    prev_codes: Vec<QuantCode>,
-    prev_linear: Vec<f32>,
-    /// Lazily-built `[in_c, kd, kh, kw, out_c]` weight transpose shared by
-    /// both correction paths (see [`Conv2dReuseState`]).
-    w_t: Option<Vec<f32>>,
-    /// Precomputed per-delta scratch; see [`Conv2dReuseState`].
-    deltas: Vec<ConvDelta>,
-    /// Scratch: this frame's fresh codes during the diff pass.
-    scratch_codes: Vec<QuantCode>,
-    /// Scratch: `(input index, centroid delta)` pairs from the diff pass.
-    changed: Vec<(u32, f32)>,
-    in_shape: Shape,
-    out_shape: Shape,
-    initialized: bool,
-}
-
-impl Conv3dReuseState {
-    /// Creates state for a layer processing inputs of shape `in_shape`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `in_shape` is incompatible with the layer.
-    pub fn new(layer: &Conv3dLayer, in_shape: &Shape) -> Result<Self, ReuseError> {
-        let d = in_shape.dims();
-        if d.len() != 4 || d[0] != layer.spec().in_channels {
-            return Err(ReuseError::InvalidConfig {
-                context: format!("conv3d state input shape {in_shape} incompatible"),
-            });
-        }
-        let spec = layer.spec();
-        let (od, oh, ow) = spec.output_dhw(d[1], d[2], d[3])?;
-        let out_shape = Shape::d4(spec.out_channels, od, oh, ow);
-        Ok(Conv3dReuseState {
-            prev_codes: Vec::new(),
-            prev_linear: Vec::new(),
-            w_t: None,
-            deltas: Vec::with_capacity(in_shape.volume()),
-            scratch_codes: Vec::with_capacity(in_shape.volume()),
-            changed: Vec::with_capacity(in_shape.volume()),
-            in_shape: in_shape.clone(),
-            out_shape,
-            initialized: false,
-        })
-    }
-
-    /// Whether the first (from-scratch) execution has happened.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
-    /// Drops buffered state.
-    pub fn reset(&mut self) {
-        self.prev_codes.clear();
-        self.prev_linear.clear();
         self.deltas.clear();
-        self.scratch_codes.clear();
-        self.changed.clear();
-        self.initialized = false;
-    }
-
-    /// Extra storage bytes (indices + buffered outputs), as in Table III.
-    pub fn storage_bytes(&self) -> u64 {
-        (self.in_shape.volume() + 4 * self.out_shape.volume()) as u64
-    }
-
-    /// The buffered linear (pre-activation) outputs of the last execution
-    /// (empty before initialization). Read by the drift watchdog.
-    pub fn buffered_linear(&self) -> &[f32] {
-        &self.prev_linear
-    }
-
-    /// Replaces the buffered state with externally computed values; see
-    /// [`Conv2dReuseState::adopt_baseline`].
-    pub fn adopt_baseline(&mut self, quantizer: &LinearQuantizer, input: &[f32], linear: &[f32]) {
-        quantizer.quantize_slice_into(input, &mut self.prev_codes);
-        self.prev_linear.clear();
-        self.prev_linear.extend_from_slice(linear);
-        self.initialized = true;
-    }
-
-    /// Executes the layer, reusing buffered results where quantized inputs
-    /// are unchanged. Returns the linear (pre-activation) output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when the input shape disagrees with the state.
-    pub fn execute(
-        &mut self,
-        layer: &Conv3dLayer,
-        quantizer: &LinearQuantizer,
-        input: &Tensor,
-    ) -> Result<(Tensor, ConvExecStats), ReuseError> {
-        self.execute_with(&ParallelConfig::serial(), layer, quantizer, input)
-    }
-
-    /// [`Self::execute`] with an explicit parallelism budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when the input shape disagrees with the state.
-    pub fn execute_with(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv3dLayer,
-        quantizer: &LinearQuantizer,
-        input: &Tensor,
-    ) -> Result<(Tensor, ConvExecStats), ReuseError> {
-        if input.shape() != &self.in_shape {
-            return Err(ReuseError::InvalidConfig {
-                context: format!(
-                    "conv3d input {} != state shape {}",
-                    input.shape(),
-                    self.in_shape
-                ),
-            });
-        }
-        let mut out = Vec::new();
-        let stats = self.execute_into(config, layer, quantizer, input.as_slice(), &mut out)?;
-        Ok((Tensor::from_vec(self.out_shape.clone(), out)?, stats))
-    }
-
-    /// Allocation-free core of [`Self::execute`]; see
-    /// [`Conv2dReuseState::execute_into`] for the blocked two-pass scheme.
-    /// Workers own whole output volumes, so results are bit-identical to
-    /// serial and to [`Self::execute_into_naive`].
-    ///
-    /// `input` is the flat row-major `[in_c, d, h, w]` data; only its length
-    /// is checked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
-    pub fn execute_into(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv3dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, None, false)
-    }
-
-    /// [`Self::execute_into`] reading the weight transpose from a shared
-    /// [`Conv3dPack`]; see [`Conv2dReuseState::execute_into_packed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_into_packed(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv3dLayer,
-        pack: &Conv3dPack,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, Some(&pack.w_t), false)
-    }
-
-    /// [`Self::execute_into`] with the original scattered correction walk
-    /// (lazily-built weight transpose); the bit-identity oracle and
-    /// `kernel_bench` baseline. Not for production use.
-    #[doc(hidden)]
-    pub fn execute_into_naive(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv3dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ConvExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, None, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_into_impl(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &Conv3dLayer,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-        out: &mut Vec<f32>,
-        shared_w_t: Option<&[f32]>,
-        naive: bool,
-    ) -> Result<ConvExecStats, ReuseError> {
-        if input.len() != self.in_shape.volume() {
-            return Err(ReuseError::InvalidConfig {
-                context: format!(
-                    "conv3d input length {} != state volume {}",
-                    input.len(),
-                    self.in_shape.volume()
-                ),
-            });
-        }
-        let spec = *layer.spec();
-        let idims = self.in_shape.dims();
-        let (d, h, w) = (idims[1], idims[2], idims[3]);
-        let odims = self.out_shape.dims();
-        let (fc, od, oh, ow) = (odims[0], odims[1], odims[2], odims[3]);
-        let macs_total = spec.flops(d, h, w) / 2;
-        let n_in = self.in_shape.volume() as u64;
-
-        if !self.initialized {
-            quantizer.quantize_slice_into(input, &mut self.prev_codes);
-            let centroids: Vec<f32> = self
-                .prev_codes
-                .iter()
-                .map(|&c| quantizer.centroid(c))
-                .collect();
-            let qin = Tensor::from_vec(self.in_shape.clone(), centroids)?;
-            let linear = layer.forward_linear_with(config, &qin)?;
-            self.prev_linear = linear.into_vec();
-            self.initialized = true;
-            out.clear();
-            out.extend_from_slice(&self.prev_linear);
-            return Ok(ConvExecStats {
-                n_inputs: n_in,
-                n_changed: n_in,
-                macs_total,
-                macs_performed: macs_total,
-                from_scratch: true,
-            });
-        }
-
-        // Pass 1 (serial): quantize and diff the codes (dispatched,
-        // bit-exact at every SIMD level), then precompute each delta's
-        // geometry and the MAC count of the correction in input order.
-        quantizer.diff_codes_into(
-            input,
-            &mut self.prev_codes,
-            &mut self.scratch_codes,
-            &mut self.changed,
-        );
-        let mut macs = 0u64;
-        let (kd, kh, kw, s, p) = (spec.kd, spec.kh, spec.kw, spec.stride, spec.pad);
-        let k_plane = kh * kw;
-        let k_vol = kd * k_plane;
-        let o_plane = oh * ow;
-        let o_vol = od * o_plane;
-        let Self {
-            deltas, changed, ..
-        } = self;
-        deltas.clear();
-        for &(idx, delta) in changed.iter() {
-            let idx = idx as usize;
-            let c = idx / (d * h * w);
-            let z = (idx / (h * w)) % d;
-            let y = (idx / w) % h;
-            let xw = idx % w;
-            let (oz_lo, oz_hi) = affected_range(z, kd, s, p, od);
-            let (oy_lo, oy_hi) = affected_range(y, kh, s, p, oh);
-            let (ox_lo, ox_hi) = affected_range(xw, kw, s, p, ow);
-            macs += ((oz_hi - oz_lo) * (oy_hi - oy_lo) * (ox_hi - ox_lo) * fc) as u64;
-            deltas.push(ConvDelta {
+        for &(idx, delta) in &self.changed {
+            // Three 32-bit divisions split the index; the ranges are looked up.
+            let (row, x) = (idx / w as u32, (idx % w as u32) as usize);
+            let (vol, y) = (row / h as u32, (row % h as u32) as usize);
+            let (c, z) = ((vol / d as u32) as usize, (vol % d as u32) as usize);
+            let (oz, oy, ox) = (fz[z], fy[y], fx[x]);
+            macs += ((oz.1 - oz.0) * (oy.1 - oy.0) * (ox.1 - ox.0) * fc) as u64;
+            self.deltas.push(ConvDelta {
                 delta,
                 wc: c * k_vol,
-                zp: z + p,
-                yp: y + p,
-                xp: xw + p,
-                oz_lo,
-                oz_hi,
-                oy_lo,
-                oy_hi,
-                ox_lo,
-                ox_hi,
+                zp: z + pd,
+                yp: y + ph,
+                xp: x + pw,
+                oz,
+                oy,
+                ox,
             });
         }
 
-        // Pass 2 (parallel over output volumes).
-        let Self {
-            w_t,
-            deltas,
-            prev_linear,
-            ..
-        } = self;
-        let deltas: &[ConvDelta] = deltas;
-        let w_t: &[f32] = match shared_w_t {
-            Some(shared) => shared,
-            None => w_t.get_or_insert_with(|| transpose_3d(layer.weights().as_slice(), fc, &spec)),
-        };
-        if naive {
-            // Original scattered walk over the [c, kz, ky, kx, f] transpose.
-            parallel_for_mut(config, prev_linear, o_vol, |offset, chunk| {
+        // Pass 2 (parallel over output feature maps): the scattered walk
+        // over the [c, kz, ky, kx, f] transpose. Output layout is
+        // [f, oz, oy, ox]; the f stride is one filter's output volume.
+        let o_vol = od * oh * ow;
+        let deltas: &[ConvDelta] = &self.deltas;
+        let w_t: &[f32] = &pack.w_t;
+        parallel_for_mut_cost(
+            config,
+            &mut self.prev_linear,
+            o_vol,
+            2 * macs,
+            |offset, chunk| {
                 let first_f = offset / o_vol;
                 let n_f = chunk.len() / o_vol;
                 for dl in deltas {
-                    for oz in dl.oz_lo..dl.oz_hi {
+                    for oz in dl.oz.0..dl.oz.1 {
                         let kz = dl.zp - oz * s;
-                        for oy in dl.oy_lo..dl.oy_hi {
+                        for oy in dl.oy.0..dl.oy.1 {
                             let ky = dl.yp - oy * s;
-                            for ox in dl.ox_lo..dl.ox_hi {
+                            let wbase = dl.wc + (kz * kh + ky) * kw;
+                            for ox in dl.ox.0..dl.ox.1 {
                                 let kx = dl.xp - ox * s;
-                                let wrow = &w_t
-                                    [(dl.wc + kz * k_plane + ky * kw + kx) * fc + first_f..][..n_f];
+                                let wrow = &w_t[(wbase + kx) * fc + first_f..][..n_f];
                                 let obase = (oz * oh + oy) * ow + ox;
                                 for (f, &wv) in wrow.iter().enumerate() {
                                     chunk[f * o_vol + obase] += dl.delta * wv;
@@ -858,72 +429,11 @@ impl Conv3dReuseState {
                         }
                     }
                 }
-            });
-        } else {
-            // Blocked walk: filter-tile-outer, delta-inner; tile volumes
-            // stay cache-resident and one tap's tile weights are a single
-            // contiguous load (see Conv2dReuseState::execute_into).
-            let one = |vol: &mut [f32], f: usize, group: &[ConvDelta]| {
-                for dl in group {
-                    for oz in dl.oz_lo..dl.oz_hi {
-                        let kz = dl.zp - oz * s;
-                        let wz = dl.wc + kz * k_plane;
-                        let oplane = oz * o_plane;
-                        for oy in dl.oy_lo..dl.oy_hi {
-                            let ky = dl.yp - oy * s;
-                            let wrow = wz + ky * kw;
-                            let orow = oplane + oy * ow;
-                            for ox in dl.ox_lo..dl.ox_hi {
-                                let kx = dl.xp - ox * s;
-                                vol[orow + ox] += dl.delta * w_t[(wrow + kx) * fc + f];
-                            }
-                        }
-                    }
-                }
-            };
-            parallel_for_mut_cost(config, prev_linear, o_vol, 2 * macs, |offset, chunk| {
-                for group in deltas.chunks(DELTA_BLOCK) {
-                    let mut f = offset / o_vol;
-                    for tile in chunk.chunks_mut(FILTER_TILE * o_vol) {
-                        if tile.len() == FILTER_TILE * o_vol {
-                            let (v0, rest) = tile.split_at_mut(o_vol);
-                            let (v1, rest) = rest.split_at_mut(o_vol);
-                            let (v2, v3) = rest.split_at_mut(o_vol);
-                            for dl in group {
-                                for oz in dl.oz_lo..dl.oz_hi {
-                                    let kz = dl.zp - oz * s;
-                                    let wz = dl.wc + kz * k_plane;
-                                    let oplane = oz * o_plane;
-                                    for oy in dl.oy_lo..dl.oy_hi {
-                                        let ky = dl.yp - oy * s;
-                                        let wrow = wz + ky * kw;
-                                        let orow = oplane + oy * ow;
-                                        for ox in dl.ox_lo..dl.ox_hi {
-                                            let wt = &w_t[(wrow + dl.xp - ox * s) * fc + f..]
-                                                [..FILTER_TILE];
-                                            let oi = orow + ox;
-                                            v0[oi] += dl.delta * wt[0];
-                                            v1[oi] += dl.delta * wt[1];
-                                            v2[oi] += dl.delta * wt[2];
-                                            v3[oi] += dl.delta * wt[3];
-                                        }
-                                    }
-                                }
-                            }
-                            f += FILTER_TILE;
-                        } else {
-                            for vol in tile.chunks_mut(o_vol) {
-                                one(vol, f, group);
-                                f += 1;
-                            }
-                        }
-                    }
-                }
-            });
-        }
+            },
+        );
         out.clear();
         out.extend_from_slice(&self.prev_linear);
-        Ok(ConvExecStats {
+        Ok(ExecStats {
             n_inputs: n_in,
             n_changed: self.deltas.len() as u64,
             macs_total,
@@ -933,33 +443,13 @@ impl Conv3dReuseState {
     }
 }
 
-/// Builds the `[in_c, kd, kh, kw, out_c]` transpose of
-/// `[out_c, in_c, kd, kh, kw]` weights (naive-oracle layout).
-fn transpose_3d(w: &[f32], fc: usize, spec: &reuse_tensor::conv::Conv3dSpec) -> Vec<f32> {
-    let (cc, kd, kh, kw) = (spec.in_channels, spec.kd, spec.kh, spec.kw);
-    let mut w_t = vec![0.0f32; w.len()];
-    for f in 0..fc {
-        for c in 0..cc {
-            for kz in 0..kd {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let src = (((f * cc + c) * kd + kz) * kh + ky) * kw + kx;
-                        let dst = (((c * kd + kz) * kh + ky) * kw + kx) * fc + f;
-                        w_t[dst] = w[src];
-                    }
-                }
-            }
-        }
-    }
-    w_t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reuse_nn::{init::Rng64, Activation};
     use reuse_quant::InputRange;
     use reuse_tensor::conv::{Conv2dSpec, Conv3dSpec};
+    use reuse_tensor::Tensor;
 
     fn q() -> LinearQuantizer {
         LinearQuantizer::new(InputRange::new(-1.0, 1.0), 32).unwrap()
@@ -977,106 +467,7 @@ mod tests {
         Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(21))
     }
 
-    fn oracle2d(layer: &Conv2dLayer, q: &LinearQuantizer, input: &Tensor) -> Vec<f32> {
-        let centroids = q.quantized_values(input.as_slice());
-        let t = Tensor::from_vec(input.shape().clone(), centroids).unwrap();
-        layer.forward_linear(&t).unwrap().into_vec()
-    }
-
-    fn rand_input(shape: Shape, seed: u64) -> Tensor {
-        let mut rng = Rng64::new(seed);
-        Tensor::from_fn(shape, |_| rng.uniform(0.9))
-    }
-
-    #[test]
-    fn affected_range_stride1_interior() {
-        // k=3, s=1, p=0, n=6: input y=3 is covered by outputs 1,2,3.
-        assert_eq!(affected_range(3, 3, 1, 0, 6), (1, 4));
-        // Border input y=0 only covered by output 0.
-        assert_eq!(affected_range(0, 3, 1, 0, 6), (0, 1));
-    }
-
-    #[test]
-    fn affected_range_with_padding() {
-        // k=3, s=1, p=1, n=6 (same conv on a 6-long input):
-        // y=0 covered by outputs 0 and 1 (and the padded -1 position).
-        assert_eq!(affected_range(0, 3, 1, 1, 6), (0, 2));
-        assert_eq!(affected_range(5, 3, 1, 1, 6), (4, 6));
-    }
-
-    #[test]
-    fn affected_range_stride2() {
-        // k=5, s=2, p=0: input y=6 covered by oy with 2oy<=6<=2oy+4
-        // -> oy in {1,2,3}.
-        assert_eq!(affected_range(6, 5, 2, 0, 10), (1, 4));
-    }
-
-    #[test]
-    fn fanout_sums_to_total_macs_without_padding() {
-        // Without padding every from-scratch MAC corresponds to exactly one
-        // (input, output, filter) triple, so sum of fan-outs == total MACs.
-        let layer = layer2d(1, 0);
-        let in_shape = Shape::d3(2, 6, 6);
-        let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let a = rand_input(in_shape.clone(), 1);
-        state.execute(&layer, &q(), &a).unwrap();
-        // Shift every input by three steps: every code changes, so the
-        // correction performs the full fan-out of every input.
-        let shift = 3.0 * q().step();
-        let b = reuse_tensor::ops::map(&a, |v| v + shift);
-        let (_, stats) = state.execute(&layer, &q(), &b).unwrap();
-        assert_eq!(stats.n_changed, stats.n_inputs);
-        assert_eq!(stats.macs_performed, stats.macs_total);
-    }
-
-    #[test]
-    fn incremental_matches_oracle_2d() {
-        for (stride, pad) in [(1usize, 0usize), (1, 1), (2, 0), (2, 1)] {
-            let layer = layer2d(stride, pad);
-            let in_shape = Shape::d3(2, 7, 7);
-            let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-            let a = rand_input(in_shape.clone(), 2);
-            let (out0, s0) = state.execute(&layer, &q(), &a).unwrap();
-            assert!(s0.from_scratch);
-            let expect0 = oracle2d(&layer, &q(), &a);
-            for (x, y) in out0.as_slice().iter().zip(expect0.iter()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-            // Perturb a few pixels heavily.
-            let mut bdata = a.as_slice().to_vec();
-            bdata[5] = -bdata[5] + 0.3;
-            bdata[40] = 0.77;
-            bdata[90] = -0.9;
-            let b = Tensor::from_vec(in_shape.clone(), bdata).unwrap();
-            let (out1, s1) = state.execute(&layer, &q(), &b).unwrap();
-            assert!(!s1.from_scratch);
-            assert!(s1.n_changed >= 2, "stride {stride} pad {pad}");
-            assert!(s1.macs_performed < s1.macs_total);
-            let expect1 = oracle2d(&layer, &q(), &b);
-            for (x, y) in out1.as_slice().iter().zip(expect1.iter()) {
-                assert!(
-                    (x - y).abs() < 1e-3,
-                    "stride {stride} pad {pad}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn identical_input_is_free_2d() {
-        let layer = layer2d(1, 1);
-        let in_shape = Shape::d3(2, 5, 5);
-        let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let a = rand_input(in_shape, 3);
-        let (o1, _) = state.execute(&layer, &q(), &a).unwrap();
-        let (o2, stats) = state.execute(&layer, &q(), &a).unwrap();
-        assert_eq!(stats.macs_performed, 0);
-        assert_eq!(stats.n_changed, 0);
-        assert_eq!(o1.as_slice(), o2.as_slice());
-    }
-
-    #[test]
-    fn incremental_matches_oracle_3d() {
+    fn layer3d() -> Conv3dLayer {
         let spec = Conv3dSpec {
             in_channels: 2,
             out_channels: 2,
@@ -1086,114 +477,172 @@ mod tests {
             stride: 1,
             pad: 1,
         };
-        let layer = Conv3dLayer::random(spec, Activation::Identity, &mut Rng64::new(5));
-        let in_shape = Shape::d4(2, 4, 5, 5);
-        let mut state = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let a = rand_input(in_shape.clone(), 6);
-        state.execute(&layer, &q(), &a).unwrap();
-        let mut bdata = a.as_slice().to_vec();
-        bdata[17] = 0.9;
-        bdata[100] = -0.6;
-        let b = Tensor::from_vec(in_shape, bdata).unwrap();
-        let (out, stats) = state.execute(&layer, &q(), &b).unwrap();
-        assert!(stats.n_changed >= 1);
-        let centroids = q().quantized_values(b.as_slice());
-        let qb = Tensor::from_vec(b.shape().clone(), centroids).unwrap();
-        let expect = layer.forward_linear(&qb).unwrap();
-        for (x, y) in out.as_slice().iter().zip(expect.as_slice().iter()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+        Conv3dLayer::random(spec, Activation::Identity, &mut Rng64::new(5))
+    }
+
+    /// A state with its pack, stepping through the one production entry
+    /// point under the serial config.
+    struct Harness<'l, L: ConvLayer> {
+        layer: &'l L,
+        pack: ConvPack,
+        state: ConvReuseState,
+    }
+
+    impl<'l, L: ConvLayer> Harness<'l, L> {
+        fn new(layer: &'l L, in_shape: &Shape) -> Self {
+            Harness {
+                layer,
+                pack: ConvPack::new(layer),
+                state: ConvReuseState::new(layer, in_shape).unwrap(),
+            }
+        }
+
+        fn step(&mut self, input: &[f32]) -> Result<(Vec<f32>, ExecStats), ReuseError> {
+            let mut out = Vec::new();
+            let stats = self.state.execute_into_packed(
+                &ParallelConfig::serial(),
+                self.layer,
+                &self.pack,
+                &q(),
+                input,
+                &mut out,
+            )?;
+            Ok((out, stats))
+        }
+    }
+
+    /// From-scratch forward on the quantized input: the correctness oracle.
+    fn oracle(layer: &impl ConvLayer, dhw: [usize; 3], input: &[f32]) -> Vec<f32> {
+        let centroids = q().quantized_values(input);
+        reuse_tensor::conv::conv_forward_naive(
+            &layer.geometry().unwrap(),
+            dhw,
+            &centroids,
+            layer.weights(),
+            layer.bias(),
+        )
+        .unwrap()
+    }
+
+    fn rand_input(shape: &Shape, seed: u64) -> Vec<f32> {
+        let mut rng = Rng64::new(seed);
+        Tensor::from_fn(shape.clone(), |_| rng.uniform(0.9)).into_vec()
+    }
+
+    fn assert_close(got: &[f32], want: &[f32], tol: f32, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (x, y) in got.iter().zip(want) {
+            assert!((x - y).abs() < tol, "{what}: {x} vs {y}");
         }
     }
 
     #[test]
-    fn blocked_correction_matches_naive_walk_bitwise_2d() {
+    fn affected_range_covers_the_receptive_fields() {
+        // k=3, s=1, p=0, n=6: input y=3 is covered by outputs 1,2,3; the
+        // border input y=0 only by output 0.
+        assert_eq!(affected_range(3, 3, 1, 0, 6), (1, 4));
+        assert_eq!(affected_range(0, 3, 1, 0, 6), (0, 1));
+        // k=3, s=1, p=1, n=6 (same conv on a 6-long input): y=0 is covered
+        // by outputs 0 and 1 (and the padded -1 position).
+        assert_eq!(affected_range(0, 3, 1, 1, 6), (0, 2));
+        assert_eq!(affected_range(5, 3, 1, 1, 6), (4, 6));
+        // k=5, s=2, p=0: input y=6 is covered by oy with 2oy<=6<=2oy+4,
+        // i.e. oy in {1,2,3}.
+        assert_eq!(affected_range(6, 5, 2, 0, 10), (1, 4));
+    }
+
+    #[test]
+    fn fanout_sums_to_total_macs_without_padding() {
+        // Without padding every from-scratch MAC corresponds to exactly one
+        // (input, output, filter) triple, so sum of fan-outs == total MACs.
+        let layer = layer2d(1, 0);
+        let in_shape = Shape::d3(2, 6, 6);
+        let mut h = Harness::new(&layer, &in_shape);
+        let a = rand_input(&in_shape, 1);
+        h.step(&a).unwrap();
+        // Shift every input by three steps: every code changes, so the
+        // correction performs the full fan-out of every input.
+        let shift = 3.0 * q().step();
+        let b: Vec<f32> = a.iter().map(|v| v + shift).collect();
+        let (_, stats) = h.step(&b).unwrap();
+        assert_eq!(stats.n_changed, stats.n_inputs);
+        assert_eq!(stats.macs_performed, stats.macs_total);
+    }
+
+    #[test]
+    fn incremental_matches_oracle_2d() {
         for (stride, pad) in [(1usize, 0usize), (1, 1), (2, 0), (2, 1)] {
+            let what = format!("stride {stride} pad {pad}");
             let layer = layer2d(stride, pad);
             let in_shape = Shape::d3(2, 7, 7);
-            let mut blocked = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-            let mut naive = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-            let cfg = ParallelConfig::serial();
-            let mut data = rand_input(in_shape.clone(), 11).into_vec();
-            let mut rng = Rng64::new(23);
-            let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
-            for _ in 0..12 {
-                for _ in 0..8 {
-                    let i = (rng.next_u64() % data.len() as u64) as usize;
-                    data[i] = (data[i] + rng.uniform(0.6)).clamp(-1.0, 1.0);
-                }
-                let sb = blocked
-                    .execute_into(&cfg, &layer, &q(), &data, &mut out_b)
-                    .unwrap();
-                let sn = naive
-                    .execute_into_naive(&cfg, &layer, &q(), &data, &mut out_n)
-                    .unwrap();
-                assert_eq!(sb, sn, "stride {stride} pad {pad}");
-                let bb: Vec<u32> = out_b.iter().map(|v| v.to_bits()).collect();
-                let nb: Vec<u32> = out_n.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bb, nb, "stride {stride} pad {pad}");
-            }
+            let mut h = Harness::new(&layer, &in_shape);
+            let a = rand_input(&in_shape, 2);
+            let (out0, s0) = h.step(&a).unwrap();
+            assert!(s0.from_scratch);
+            assert_close(&out0, &oracle(&layer, [1, 7, 7], &a), 1e-4, &what);
+            // Perturb a few pixels heavily.
+            let mut b = a.clone();
+            b[5] = -b[5] + 0.3;
+            b[40] = 0.77;
+            b[90] = -0.9;
+            let (out1, s1) = h.step(&b).unwrap();
+            assert!(!s1.from_scratch);
+            assert!(s1.n_changed >= 2, "{what}");
+            assert!(s1.macs_performed < s1.macs_total);
+            assert_close(&out1, &oracle(&layer, [1, 7, 7], &b), 1e-3, &what);
         }
     }
 
     #[test]
-    fn blocked_correction_matches_naive_walk_bitwise_3d() {
-        let spec = Conv3dSpec {
-            in_channels: 2,
-            out_channels: 3,
-            kd: 3,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let layer = Conv3dLayer::random(spec, Activation::Identity, &mut Rng64::new(9));
+    fn identical_input_is_free_2d() {
+        let layer = layer2d(1, 1);
+        let in_shape = Shape::d3(2, 5, 5);
+        let mut h = Harness::new(&layer, &in_shape);
+        let a = rand_input(&in_shape, 3);
+        let (o1, _) = h.step(&a).unwrap();
+        let (o2, stats) = h.step(&a).unwrap();
+        assert_eq!(stats.macs_performed, 0);
+        assert_eq!(stats.n_changed, 0);
+        assert_eq!(o1, o2);
+    }
+
+    #[test]
+    fn incremental_matches_oracle_3d() {
+        let layer = layer3d();
         let in_shape = Shape::d4(2, 4, 5, 5);
-        let mut blocked = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let mut naive = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let cfg = ParallelConfig::serial();
-        let mut data = rand_input(in_shape.clone(), 31).into_vec();
-        let mut rng = Rng64::new(37);
-        let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
-        for _ in 0..10 {
-            for _ in 0..10 {
-                let i = (rng.next_u64() % data.len() as u64) as usize;
-                data[i] = (data[i] + rng.uniform(0.6)).clamp(-1.0, 1.0);
-            }
-            let sb = blocked
-                .execute_into(&cfg, &layer, &q(), &data, &mut out_b)
-                .unwrap();
-            let sn = naive
-                .execute_into_naive(&cfg, &layer, &q(), &data, &mut out_n)
-                .unwrap();
-            assert_eq!(sb, sn);
-            let bb: Vec<u32> = out_b.iter().map(|v| v.to_bits()).collect();
-            let nb: Vec<u32> = out_n.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bb, nb);
-        }
+        let mut h = Harness::new(&layer, &in_shape);
+        let a = rand_input(&in_shape, 6);
+        h.step(&a).unwrap();
+        let mut b = a.clone();
+        b[17] = 0.9;
+        b[100] = -0.6;
+        let (out, stats) = h.step(&b).unwrap();
+        assert!(stats.n_changed >= 1);
+        assert_close(&out, &oracle(&layer, [4, 5, 5], &b), 1e-3, "3d");
     }
 
     #[test]
     fn reset_and_storage() {
         let layer = layer2d(1, 0);
         let in_shape = Shape::d3(2, 6, 6);
-        let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
+        let mut h = Harness::new(&layer, &in_shape);
         // out: 3 x 4 x 4.
-        assert_eq!(state.storage_bytes(), (2 * 36 + 4 * 3 * 16) as u64);
-        let a = rand_input(in_shape, 7);
-        state.execute(&layer, &q(), &a).unwrap();
-        assert!(state.is_initialized());
-        state.reset();
-        assert!(!state.is_initialized());
+        assert_eq!(h.state.storage_bytes(), (2 * 36 + 4 * 3 * 16) as u64);
+        h.step(&rand_input(&in_shape, 7)).unwrap();
+        assert!(h.state.is_initialized());
+        h.state.reset();
+        assert!(!h.state.is_initialized());
     }
 
     #[test]
     fn wrong_shape_rejected() {
         let layer = layer2d(1, 0);
-        let state = Conv2dReuseState::new(&layer, &Shape::d3(3, 6, 6));
-        assert!(state.is_err());
-        let mut ok = Conv2dReuseState::new(&layer, &Shape::d3(2, 6, 6)).unwrap();
-        assert!(ok
-            .execute(&layer, &q(), &Tensor::zeros(Shape::d3(2, 5, 5)))
-            .is_err());
+        assert!(ConvReuseState::new(&layer, &Shape::d3(3, 6, 6)).is_err());
+        // A 2D layer does not take a [c, d, h, w] input, nor a 3D layer a
+        // [c, h, w] one.
+        assert!(ConvReuseState::new(&layer, &Shape::d4(2, 1, 6, 6)).is_err());
+        assert!(ConvReuseState::new(&layer3d(), &Shape::d3(2, 6, 6)).is_err());
+        let mut ok = Harness::new(&layer, &Shape::d3(2, 6, 6));
+        assert!(ok.step(&[0.0; 2 * 5 * 5]).is_err());
     }
 }

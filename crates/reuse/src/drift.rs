@@ -63,13 +63,15 @@ pub fn measure_fc_drift(
     let mut max_abs_error = Vec::new();
     let mut last_error = 0.0f64;
     let mut last_mag = 1.0f64;
+    let serial = reuse_tensor::ParallelConfig::serial();
+    let mut incremental = Vec::new();
     for (t, input) in inputs.iter().enumerate() {
-        let (incremental, _) = state.execute(layer, quantizer, input)?;
+        state.execute_into(&serial, layer, quantizer, input, &mut incremental)?;
         if t > 0 && t % checkpoint_every.max(1) == 0 {
             let centroids = quantizer.quantized_values(input);
             let t_in = Tensor::from_slice_1d(&centroids)?;
             let scratch = layer.forward_linear(&t_in)?;
-            let err = max_abs_diff(incremental.as_slice(), scratch.as_slice());
+            let err = max_abs_diff(&incremental, scratch.as_slice());
             max_abs_error.push(err);
             last_error = err as f64;
             last_mag = scratch.max_abs().max(1e-9) as f64;

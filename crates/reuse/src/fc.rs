@@ -16,6 +16,7 @@ use reuse_tensor::block::apply_deltas_rows;
 use reuse_tensor::parallel::parallel_for_mut;
 use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
+use crate::layer::ExecStats;
 use crate::ReuseError;
 
 /// Buffered state of one FC layer between executions.
@@ -33,21 +34,6 @@ pub struct FcReuseState {
     /// Scratch: this frame's fresh codes during the diff pass.
     scratch_codes: Vec<QuantCode>,
     initialized: bool,
-}
-
-/// Activity counters of one FC execution, fed into metrics and traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FcExecStats {
-    /// Inputs read.
-    pub n_inputs: u64,
-    /// Inputs whose index changed (== `n_inputs` on the first execution).
-    pub n_changed: u64,
-    /// MACs a from-scratch execution performs.
-    pub macs_total: u64,
-    /// MACs actually performed.
-    pub macs_performed: u64,
-    /// Whether this was the state-initializing from-scratch execution.
-    pub from_scratch: bool,
 }
 
 impl FcReuseState {
@@ -103,40 +89,10 @@ impl FcReuseState {
     }
 
     /// Executes the layer on `input`, reusing the previous execution's
-    /// results where the quantized inputs are unchanged. Returns the linear
-    /// (pre-activation) output; the caller applies the activation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
-    pub fn execute(
-        &mut self,
-        layer: &FullyConnected,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-    ) -> Result<(Tensor, FcExecStats), ReuseError> {
-        self.execute_with(&ParallelConfig::serial(), layer, quantizer, input)
-    }
-
-    /// [`Self::execute`] with an explicit parallelism budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `input` has the wrong length.
-    pub fn execute_with(
-        &mut self,
-        config: &ParallelConfig,
-        layer: &FullyConnected,
-        quantizer: &LinearQuantizer,
-        input: &[f32],
-    ) -> Result<(Tensor, FcExecStats), ReuseError> {
-        let mut out = Vec::new();
-        let stats = self.execute_into(config, layer, quantizer, input, &mut out)?;
-        Ok((Tensor::from_vec(Shape::d1(layer.n_out()), out)?, stats))
-    }
-
-    /// Allocation-free core of [`Self::execute`]: clears `out` and writes
-    /// the `n_out` linear outputs into it, reusing its capacity.
+    /// results where the quantized inputs are unchanged: clears `out` and
+    /// writes the `n_out` linear (pre-activation) outputs into it, reusing
+    /// its capacity; the caller applies the activation. Allocation-free
+    /// once initialized.
     ///
     /// Changed inputs are detected serially (updating the code buffer in
     /// input order), then the whole batch of `(i, Δc)` deltas is applied
@@ -163,7 +119,7 @@ impl FcReuseState {
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
-    ) -> Result<FcExecStats, ReuseError> {
+    ) -> Result<ExecStats, ReuseError> {
         self.execute_into_impl(config, layer, quantizer, input, out, false)
     }
 
@@ -179,7 +135,7 @@ impl FcReuseState {
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
-    ) -> Result<FcExecStats, ReuseError> {
+    ) -> Result<ExecStats, ReuseError> {
         self.execute_into_impl(config, layer, quantizer, input, out, true)
     }
 
@@ -191,7 +147,7 @@ impl FcReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
         naive: bool,
-    ) -> Result<FcExecStats, ReuseError> {
+    ) -> Result<ExecStats, ReuseError> {
         let n_in = layer.n_in();
         let n_out = layer.n_out();
         if input.len() != n_in {
@@ -218,7 +174,7 @@ impl FcReuseState {
             self.initialized = true;
             out.clear();
             out.extend_from_slice(&self.prev_linear);
-            return Ok(FcExecStats {
+            return Ok(ExecStats {
                 n_inputs: n_in as u64,
                 n_changed: n_in as u64,
                 macs_total,
@@ -261,7 +217,7 @@ impl FcReuseState {
         }
         out.clear();
         out.extend_from_slice(&self.prev_linear);
-        Ok(FcExecStats {
+        Ok(ExecStats {
             n_inputs: n_in as u64,
             n_changed: self.changed.len() as u64,
             macs_total,
@@ -283,6 +239,17 @@ mod tests {
         (layer, q)
     }
 
+    fn exec(
+        state: &mut FcReuseState,
+        layer: &FullyConnected,
+        q: &LinearQuantizer,
+        input: &[f32],
+    ) -> Result<(Vec<f32>, ExecStats), ReuseError> {
+        let mut out = Vec::new();
+        let stats = state.execute_into(&ParallelConfig::serial(), layer, q, input, &mut out)?;
+        Ok((out, stats))
+    }
+
     /// From-scratch execution on quantized inputs, the correctness oracle.
     fn oracle(layer: &FullyConnected, q: &LinearQuantizer, input: &[f32]) -> Vec<f32> {
         let centroids = q.quantized_values(input);
@@ -295,7 +262,7 @@ mod tests {
         let (layer, q) = setup();
         let mut state = FcReuseState::new(&layer);
         let input = [0.3f32, -0.5, 0.9, 0.0, 0.1, -0.99];
-        let (out, stats) = state.execute(&layer, &q, &input).unwrap();
+        let (out, stats) = exec(&mut state, &layer, &q, &input).unwrap();
         assert!(stats.from_scratch);
         assert_eq!(stats.n_changed, 6);
         assert_eq!(stats.macs_performed, 24);
@@ -310,8 +277,8 @@ mod tests {
         let (layer, q) = setup();
         let mut state = FcReuseState::new(&layer);
         let input = [0.3f32, -0.5, 0.9, 0.0, 0.1, -0.99];
-        let (out1, _) = state.execute(&layer, &q, &input).unwrap();
-        let (out2, stats) = state.execute(&layer, &q, &input).unwrap();
+        let (out1, _) = exec(&mut state, &layer, &q, &input).unwrap();
+        let (out2, stats) = exec(&mut state, &layer, &q, &input).unwrap();
         assert!(!stats.from_scratch);
         assert_eq!(stats.n_changed, 0);
         assert_eq!(stats.macs_performed, 0);
@@ -323,10 +290,10 @@ mod tests {
         let (layer, q) = setup();
         let mut state = FcReuseState::new(&layer);
         let input = [0.31f32, -0.52, 0.88, 0.01, 0.12, -0.97];
-        state.execute(&layer, &q, &input).unwrap();
+        exec(&mut state, &layer, &q, &input).unwrap();
         // Perturb each value by much less than half a step: codes unchanged.
         let nudged: Vec<f32> = input.iter().map(|v| v + q.step() * 0.05).collect();
-        let (_, stats) = state.execute(&layer, &q, &nudged).unwrap();
+        let (_, stats) = exec(&mut state, &layer, &q, &nudged).unwrap();
         // Most codes unchanged (a value can sit on a rounding boundary).
         assert!(stats.n_changed <= 1, "changed {}", stats.n_changed);
     }
@@ -337,8 +304,8 @@ mod tests {
         let mut state = FcReuseState::new(&layer);
         let a = [0.3f32, -0.5, 0.9, 0.0, 0.1, -0.99];
         let b = [0.3f32, 0.5, 0.9, -0.4, 0.1, 0.2]; // 3 inputs changed a lot
-        state.execute(&layer, &q, &a).unwrap();
-        let (out, stats) = state.execute(&layer, &q, &b).unwrap();
+        exec(&mut state, &layer, &q, &a).unwrap();
+        let (out, stats) = exec(&mut state, &layer, &q, &b).unwrap();
         assert!(stats.n_changed >= 3);
         let expect = oracle(&layer, &q, &b);
         for (x, y) in out.as_slice().iter().zip(expect.iter()) {
@@ -356,7 +323,7 @@ mod tests {
             for v in &mut input {
                 *v = (*v + rng.uniform(0.1)).clamp(-1.0, 1.0);
             }
-            let (out, _) = state.execute(&layer, &q, &input).unwrap();
+            let (out, _) = exec(&mut state, &layer, &q, &input).unwrap();
             let expect = oracle(&layer, &q, &input);
             for (x, y) in out.as_slice().iter().zip(expect.iter()) {
                 assert!((x - y).abs() < 1e-3, "step {step}: {x} vs {y}");
@@ -402,11 +369,11 @@ mod tests {
         let (layer, q) = setup();
         let mut state = FcReuseState::new(&layer);
         let input = [0.1f32; 6];
-        state.execute(&layer, &q, &input).unwrap();
+        exec(&mut state, &layer, &q, &input).unwrap();
         assert!(state.is_initialized());
         state.reset();
         assert!(!state.is_initialized());
-        let (_, stats) = state.execute(&layer, &q, &input).unwrap();
+        let (_, stats) = exec(&mut state, &layer, &q, &input).unwrap();
         assert!(stats.from_scratch);
     }
 
@@ -422,6 +389,6 @@ mod tests {
     fn wrong_length_rejected() {
         let (layer, q) = setup();
         let mut state = FcReuseState::new(&layer);
-        assert!(state.execute(&layer, &q, &[0.0; 5]).is_err());
+        assert!(exec(&mut state, &layer, &q, &[0.0; 5]).is_err());
     }
 }

@@ -15,9 +15,9 @@ use reuse_nn::{Layer, LayerKind};
 use reuse_quant::LinearQuantizer;
 use reuse_tensor::ParallelConfig;
 
-use crate::conv::{Conv2dReuseState, Conv3dReuseState, ConvExecStats};
-use crate::fc::{FcExecStats, FcReuseState};
-use crate::lstm::{LstmExecStats, LstmReuseState};
+use crate::conv::ConvReuseState;
+use crate::fc::FcReuseState;
+use crate::lstm::LstmReuseState;
 use crate::model::CompiledWeights;
 use crate::trace::TraceKind;
 use crate::ReuseError;
@@ -51,8 +51,9 @@ pub struct StepCtx<'a> {
     pub quantizer_h: Option<&'a LinearQuantizer>,
 }
 
-/// Normalized per-execution stats shared by all layer families.
-#[derive(Debug, Clone, Copy)]
+/// Per-execution activity counters, the one stats type every layer family's
+/// state returns; fed into metrics, telemetry and traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Inputs inspected this execution (x plus h for recurrent cells).
     pub n_inputs: u64,
@@ -64,42 +65,6 @@ pub struct ExecStats {
     pub macs_performed: u64,
     /// Whether this execution initialized state from scratch.
     pub from_scratch: bool,
-}
-
-impl From<FcExecStats> for ExecStats {
-    fn from(s: FcExecStats) -> Self {
-        ExecStats {
-            n_inputs: s.n_inputs,
-            n_changed: s.n_changed,
-            macs_total: s.macs_total,
-            macs_performed: s.macs_performed,
-            from_scratch: s.from_scratch,
-        }
-    }
-}
-
-impl From<ConvExecStats> for ExecStats {
-    fn from(s: ConvExecStats) -> Self {
-        ExecStats {
-            n_inputs: s.n_inputs,
-            n_changed: s.n_changed,
-            macs_total: s.macs_total,
-            macs_performed: s.macs_performed,
-            from_scratch: s.from_scratch,
-        }
-    }
-}
-
-impl From<LstmExecStats> for ExecStats {
-    fn from(s: LstmExecStats) -> Self {
-        ExecStats {
-            n_inputs: s.n_inputs,
-            n_changed: s.n_changed,
-            macs_total: s.macs_total,
-            macs_performed: s.macs_performed,
-            from_scratch: s.from_scratch,
-        }
-    }
 }
 
 impl ExecStats {
@@ -266,9 +231,7 @@ impl ReuseLayer for FcReuseState {
         let Layer::FullyConnected(fc) = ctx.layer else {
             return Err(wrong_layer("fully-connected"));
         };
-        Ok(self
-            .execute_into(ctx.parallel, fc, require_qx(ctx)?, input, out)?
-            .into())
+        self.execute_into(ctx.parallel, fc, require_qx(ctx)?, input, out)
     }
 
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
@@ -295,7 +258,7 @@ impl ReuseLayer for FcReuseState {
     }
 }
 
-impl ReuseLayer for Conv2dReuseState {
+impl ReuseLayer for ConvReuseState {
     fn kind(&self) -> LayerKind {
         LayerKind::Conv
     }
@@ -306,72 +269,35 @@ impl ReuseLayer for Conv2dReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        let (Layer::Conv2d(c), CompiledWeights::Conv2d(pack)) = (ctx.layer, ctx.weights) else {
-            return Err(wrong_layer("conv2d"));
+        let CompiledWeights::Conv(pack) = ctx.weights else {
+            return Err(wrong_layer("conv"));
         };
-        Ok(self
-            .execute_into_packed(ctx.parallel, c, pack, require_qx(ctx)?, input, out)?
-            .into())
+        let q = require_qx(ctx)?;
+        match ctx.layer {
+            Layer::Conv2d(c) => self.execute_into_packed(ctx.parallel, c, pack, q, input, out),
+            Layer::Conv3d(c) => self.execute_into_packed(ctx.parallel, c, pack, q, input, out),
+            _ => Err(wrong_layer("conv")),
+        }
     }
 
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
-        Conv2dReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
+        ConvReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
     }
 
     fn buffered_linear(&self) -> &[f32] {
-        Conv2dReuseState::buffered_linear(self)
+        ConvReuseState::buffered_linear(self)
     }
 
     fn is_initialized(&self) -> bool {
-        Conv2dReuseState::is_initialized(self)
+        ConvReuseState::is_initialized(self)
     }
 
     fn reset(&mut self, _layer: &Layer) {
-        Conv2dReuseState::reset(self);
+        ConvReuseState::reset(self);
     }
 
     fn storage_bytes(&self, _layer: &Layer) -> u64 {
-        Conv2dReuseState::storage_bytes(self)
-    }
-}
-
-impl ReuseLayer for Conv3dReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn correct(
-        &mut self,
-        ctx: &StepCtx<'_>,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
-        let (Layer::Conv3d(c), CompiledWeights::Conv3d(pack)) = (ctx.layer, ctx.weights) else {
-            return Err(wrong_layer("conv3d"));
-        };
-        Ok(self
-            .execute_into_packed(ctx.parallel, c, pack, require_qx(ctx)?, input, out)?
-            .into())
-    }
-
-    fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
-        Conv3dReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
-    }
-
-    fn buffered_linear(&self) -> &[f32] {
-        Conv3dReuseState::buffered_linear(self)
-    }
-
-    fn is_initialized(&self) -> bool {
-        Conv3dReuseState::is_initialized(self)
-    }
-
-    fn reset(&mut self, _layer: &Layer) {
-        Conv3dReuseState::reset(self);
-    }
-
-    fn storage_bytes(&self, _layer: &Layer) -> u64 {
-        Conv3dReuseState::storage_bytes(self)
+        ConvReuseState::storage_bytes(self)
     }
 }
 
@@ -396,9 +322,7 @@ impl ReuseLayer for LstmReuseState {
         let qh = ctx.quantizer_h.ok_or_else(|| ReuseError::WrongApi {
             context: "lstm step without a hidden-state quantizer".into(),
         })?;
-        Ok(self
-            .step_into_packed(ctx.parallel, cell, pack, require_qx(ctx)?, qh, input, out)?
-            .into())
+        self.step_into_packed(ctx.parallel, cell, pack, require_qx(ctx)?, qh, input, out)
     }
 
     fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
@@ -435,8 +359,8 @@ pub struct BiLstmReuseState {
 }
 
 impl BiLstmReuseState {
-    /// Creates both directional states with empty gate packs (corrections
-    /// go through the model's shared [`CompiledWeights::BiLstm`]).
+    /// Creates both directional states (corrections go through the model's
+    /// shared [`CompiledWeights::BiLstm`]).
     pub fn new(layer: &reuse_nn::BiLstmLayer) -> Self {
         BiLstmReuseState {
             fwd: LstmReuseState::new_shared(layer.forward_cell()),
@@ -489,7 +413,7 @@ impl ReuseLayer for BiLstmReuseState {
         out.resize(n, Vec::new());
         spans.clear();
         spans.resize(n, 0);
-        let mut fwd_stats: Vec<ExecStats> = Vec::with_capacity(n);
+        stats.clear();
         let mut h = Vec::new();
         for (t, x) in xs.iter().enumerate() {
             let span = span_start(timed);
@@ -505,9 +429,8 @@ impl ReuseLayer for BiLstmReuseState {
             spans[t] += span_elapsed_ns(span);
             out[t].resize(2 * d, 0.0);
             out[t][..d].copy_from_slice(&h);
-            fwd_stats.push(s.into());
+            stats.push(s);
         }
-        let mut bwd_stats: Vec<Option<ExecStats>> = vec![None; n];
         for (t, x) in xs.iter().enumerate().rev() {
             let span = span_start(timed);
             let s = self.bwd.step_into_packed(
@@ -521,11 +444,7 @@ impl ReuseLayer for BiLstmReuseState {
             )?;
             spans[t] += span_elapsed_ns(span);
             out[t][d..].copy_from_slice(&h);
-            bwd_stats[t] = Some(s.into());
-        }
-        stats.clear();
-        for t in 0..n {
-            stats.push(fwd_stats[t].merge(bwd_stats[t].expect("filled for every t")));
+            stats[t] = stats[t].merge(s);
         }
         Ok(())
     }
@@ -636,10 +555,10 @@ pub(crate) fn build_state(
     match layer {
         Layer::FullyConnected(fc) => Some(Box::new(FcReuseState::new(fc))),
         Layer::Conv2d(c) => Some(Box::new(
-            Conv2dReuseState::new(c, in_shape).expect("validated at network build"),
+            ConvReuseState::new(c, in_shape).expect("validated at network build"),
         )),
         Layer::Conv3d(c) => Some(Box::new(
-            Conv3dReuseState::new(c, in_shape).expect("validated at network build"),
+            ConvReuseState::new(c, in_shape).expect("validated at network build"),
         )),
         Layer::Lstm(cell) => Some(Box::new(LstmReuseState::new_shared(cell))),
         Layer::BiLstm(l) => Some(Box::new(BiLstmReuseState::new(l))),

@@ -21,27 +21,16 @@ use reuse_tensor::block::apply_deltas_rows;
 use reuse_tensor::parallel::parallel_for_mut;
 use reuse_tensor::ParallelConfig;
 
+use crate::layer::ExecStats;
 use crate::ReuseError;
-
-/// Activity counters of one LSTM cell step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LstmExecStats {
-    /// Inputs compared (feed-forward + recurrent; counted once, not per gate).
-    pub n_inputs: u64,
-    /// Inputs whose index changed.
-    pub n_changed: u64,
-    /// MACs a from-scratch step performs (all four gates).
-    pub macs_total: u64,
-    /// MACs actually performed.
-    pub macs_performed: u64,
-    /// Whether this was the state-initializing from-scratch step.
-    pub from_scratch: bool,
-}
 
 /// The immutable combined four-gate weight matrices of one LSTM cell,
 /// packed once so every stream's correction pass can share one copy (it
 /// lives in `CompiledModel`, not in per-stream state). Column `g·d + u` is
-/// gate `g`, unit `u` — the layout the batched row walk corrects against.
+/// gate `g`, unit `u`: the layout matches the `[NUM_GATES × d]`
+/// pre-activation buffer, so one batched row walk corrects all four gates —
+/// the "one comparison pays four gates" property of the paper, with the gate
+/// loop folded into the row.
 #[derive(Debug, Clone)]
 pub struct LstmGatePack {
     /// All four gates' feed-forward weights, row-major `[n_in, NUM_GATES·d]`.
@@ -90,45 +79,16 @@ pub struct LstmReuseState {
     changed_h: Vec<(u32, f32)>,
     /// Scratch: fresh codes during the diff pass (shared by x and h).
     scratch_codes: Vec<QuantCode>,
-    /// All four gates' feed-forward weights combined into one row-major
-    /// `[n_in, NUM_GATES·d]` matrix (column `g·d + u` is gate `g`, unit
-    /// `u`), built once at construction. Its column layout matches the
-    /// `[NUM_GATES × d]` pre-activation buffer, so one batched row walk
-    /// corrects all four gates — the "one comparison pays four gates"
-    /// property of the paper, with the gate loop folded into the row.
-    combined_x: Vec<f32>,
-    /// Same combined matrix for the recurrent weights (`[d, NUM_GATES·d]`).
-    combined_h: Vec<f32>,
     /// Recurrent (h, c) state carried between timesteps.
     state: LstmState,
     initialized: bool,
 }
 
 impl LstmReuseState {
-    /// Creates empty state for a cell. Combines the eight gate weight
-    /// matrices into the two four-gate matrices here (once,
-    /// pre-steady-state) so every later correction is allocation-free.
-    pub fn new(cell: &LstmCell) -> Self {
-        let pack = LstmGatePack::new(cell);
-        let (n_in, d) = (cell.n_in(), cell.cell_dim());
-        LstmReuseState {
-            prev_x_codes: Vec::with_capacity(n_in),
-            prev_h_codes: Vec::with_capacity(d),
-            prev_pre: Vec::new(),
-            changed_x: Vec::with_capacity(n_in),
-            changed_h: Vec::with_capacity(d),
-            scratch_codes: Vec::with_capacity(n_in.max(d)),
-            combined_x: pack.combined_x,
-            combined_h: pack.combined_h,
-            state: LstmState::zeros(d),
-            initialized: false,
-        }
-    }
-
-    /// Creates state that carries **no** private combined weight matrices:
-    /// corrections must go through [`Self::step_into_packed`] with a shared
-    /// [`LstmGatePack`]. This is what per-stream sessions use — N streams
-    /// share one pack instead of rebuilding `O(params)` copies each.
+    /// Creates empty per-stream state for a cell. The state carries no
+    /// weights: corrections go through [`Self::step_into_packed`] with the
+    /// cell's shared [`LstmGatePack`], so N streams share one pack instead
+    /// of holding `O(params)` copies each.
     pub fn new_shared(cell: &LstmCell) -> Self {
         let (n_in, d) = (cell.n_in(), cell.cell_dim());
         LstmReuseState {
@@ -138,8 +98,6 @@ impl LstmReuseState {
             changed_x: Vec::with_capacity(n_in),
             changed_h: Vec::with_capacity(d),
             scratch_codes: Vec::with_capacity(n_in.max(d)),
-            combined_x: Vec::new(),
-            combined_h: Vec::new(),
             state: LstmState::zeros(d),
             initialized: false,
         }
@@ -180,47 +138,12 @@ impl LstmReuseState {
     }
 
     /// Runs one timestep on feed-forward input `x`, reusing unchanged
-    /// inputs. Returns the new hidden output `h_t`.
+    /// inputs: clears `h_out` and writes the new hidden output `h_t` into
+    /// it. Allocation-free once initialized. `pack` must be the
+    /// [`LstmGatePack`] built from `cell`.
     ///
     /// Both `x` and the recurrent input `h_{t-1}` are quantized with the
-    /// provided quantizers; the correction updates the pre-activations of
-    /// all four gates at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `x` has the wrong length.
-    pub fn step(
-        &mut self,
-        cell: &LstmCell,
-        x_quantizer: &LinearQuantizer,
-        h_quantizer: &LinearQuantizer,
-        x: &[f32],
-    ) -> Result<(Vec<f32>, LstmExecStats), ReuseError> {
-        self.step_with(&ParallelConfig::serial(), cell, x_quantizer, h_quantizer, x)
-    }
-
-    /// [`Self::step`] with an explicit parallelism budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `x` has the wrong length.
-    pub fn step_with(
-        &mut self,
-        config: &ParallelConfig,
-        cell: &LstmCell,
-        x_quantizer: &LinearQuantizer,
-        h_quantizer: &LinearQuantizer,
-        x: &[f32],
-    ) -> Result<(Vec<f32>, LstmExecStats), ReuseError> {
-        let mut h_out = Vec::new();
-        let stats = self.step_into(config, cell, x_quantizer, h_quantizer, x, &mut h_out)?;
-        Ok((h_out, stats))
-    }
-
-    /// Allocation-free core of [`Self::step`]: clears `h_out` and writes the
-    /// new hidden output `h_t` into it.
-    ///
-    /// Changed x and h inputs are diffed serially, then the corrections are
+    /// provided quantizers and diffed serially, then the corrections are
     /// applied through the combined four-gate matrices in delta batches:
     /// every output accumulates all x deltas then all h deltas in input
     /// order — the same per-output order as the naive scattered row walk
@@ -232,37 +155,8 @@ impl LstmReuseState {
     ///
     /// # Errors
     ///
-    /// Returns [`ReuseError`] when `x` has the wrong length.
-    pub fn step_into(
-        &mut self,
-        config: &ParallelConfig,
-        cell: &LstmCell,
-        x_quantizer: &LinearQuantizer,
-        h_quantizer: &LinearQuantizer,
-        x: &[f32],
-        h_out: &mut Vec<f32>,
-    ) -> Result<LstmExecStats, ReuseError> {
-        self.step_into_impl(
-            config,
-            cell,
-            x_quantizer,
-            h_quantizer,
-            x,
-            h_out,
-            None,
-            false,
-        )
-    }
-
-    /// [`Self::step_into`] correcting through a shared [`LstmGatePack`]
-    /// instead of the state's private combined matrices, so many per-stream
-    /// states can share one packed copy of the gate weights. Bit-identical
-    /// to [`Self::step_into`] (same combined layout, same walk). Required
-    /// for states built with [`Self::new_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] when `x` has the wrong length.
+    /// Returns [`ReuseError`] when `x` has the wrong length or `pack` was
+    /// not built from a cell of `cell`'s dimensions.
     #[allow(clippy::too_many_arguments)]
     pub fn step_into_packed(
         &mut self,
@@ -273,22 +167,25 @@ impl LstmReuseState {
         h_quantizer: &LinearQuantizer,
         x: &[f32],
         h_out: &mut Vec<f32>,
-    ) -> Result<LstmExecStats, ReuseError> {
-        self.step_into_impl(
-            config,
-            cell,
-            x_quantizer,
-            h_quantizer,
-            x,
-            h_out,
-            Some(pack),
-            false,
-        )
+    ) -> Result<ExecStats, ReuseError> {
+        let (n_in, d) = (cell.n_in(), cell.cell_dim());
+        let width = NUM_GATES * d;
+        if pack.combined_x.len() != n_in * width || pack.combined_h.len() != d * width {
+            return Err(ReuseError::InvalidConfig {
+                context: format!(
+                    "lstm gate pack ({} + {} weights) does not match a {n_in}->{d} cell",
+                    pack.combined_x.len(),
+                    pack.combined_h.len()
+                ),
+            });
+        }
+        self.step_into_impl(config, cell, x_quantizer, h_quantizer, x, h_out, Some(pack))
     }
 
-    /// [`Self::step_into`] through the pre-blocking scattered row walk.
-    /// Kept as the bit-identity oracle for tests and as the before-side of
-    /// the kernel benchmarks; not part of the supported API.
+    /// [`Self::step_into_packed`] through the pre-blocking scattered row
+    /// walk over the cell's own weight matrices (no pack). Kept as the
+    /// bit-identity oracle for tests and as the before-side of the kernel
+    /// benchmarks; not part of the supported API.
     ///
     /// # Errors
     ///
@@ -302,10 +199,12 @@ impl LstmReuseState {
         h_quantizer: &LinearQuantizer,
         x: &[f32],
         h_out: &mut Vec<f32>,
-    ) -> Result<LstmExecStats, ReuseError> {
-        self.step_into_impl(config, cell, x_quantizer, h_quantizer, x, h_out, None, true)
+    ) -> Result<ExecStats, ReuseError> {
+        self.step_into_impl(config, cell, x_quantizer, h_quantizer, x, h_out, None)
     }
 
+    /// One timestep; `pack` selects the batched walk over the combined
+    /// matrices, `None` the reference walk over the cell's raw weights.
     #[allow(clippy::too_many_arguments)]
     fn step_into_impl(
         &mut self,
@@ -316,8 +215,7 @@ impl LstmReuseState {
         x: &[f32],
         h_out: &mut Vec<f32>,
         pack: Option<&LstmGatePack>,
-        naive: bool,
-    ) -> Result<LstmExecStats, ReuseError> {
+    ) -> Result<ExecStats, ReuseError> {
         let n_in = cell.n_in();
         let d = cell.cell_dim();
         if x.len() != n_in {
@@ -349,7 +247,7 @@ impl LstmReuseState {
             self.initialized = true;
             h_out.clear();
             h_out.extend_from_slice(&self.state.h);
-            return Ok(LstmExecStats {
+            return Ok(ExecStats {
                 n_inputs,
                 n_changed: n_inputs,
                 macs_total,
@@ -381,7 +279,14 @@ impl LstmReuseState {
         // FMA-fused under AVX2).
         let changed_x: &[(u32, f32)] = &self.changed_x;
         let changed_h: &[(u32, f32)] = &self.changed_h;
-        if naive {
+        if let Some(pack) = pack {
+            // Delta-batched walk over the combined four-gate matrices:
+            // DELTA_BATCH changed rows streamed together per pass, all
+            // gates corrected in one sweep per source.
+            let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
+            apply_deltas_rows(config, &pack.combined_x, width, changed_x, pre);
+            apply_deltas_rows(config, &pack.combined_h, width, changed_h, pre);
+        } else {
             // Scattered row walk over the raw weight matrices; a chunk may
             // span gate boundaries, so walk its per-gate segments.
             parallel_for_mut(config, &mut self.prev_pre, 1, |offset, chunk| {
@@ -411,23 +316,12 @@ impl LstmReuseState {
                     }
                 }
             });
-        } else {
-            // Delta-batched walk over the combined four-gate matrices:
-            // DELTA_BATCH changed rows streamed together per pass, all
-            // gates corrected in one sweep per source.
-            let width = NUM_GATES * d;
-            let (cx, ch) = match pack {
-                Some(p) => (&p.combined_x[..], &p.combined_h[..]),
-                None => (&self.combined_x[..], &self.combined_h[..]),
-            };
-            apply_deltas_rows(config, cx, width, changed_x, &mut self.prev_pre);
-            apply_deltas_rows(config, ch, width, changed_h, &mut self.prev_pre);
         }
         let changed = (self.changed_x.len() + self.changed_h.len()) as u64;
         cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
         h_out.clear();
         h_out.extend_from_slice(&self.state.h);
-        Ok(LstmExecStats {
+        Ok(ExecStats {
             n_inputs,
             n_changed: changed,
             macs_total,
@@ -468,11 +362,45 @@ mod tests {
     use reuse_nn::init::Rng64;
     use reuse_quant::InputRange;
 
-    fn setup() -> (LstmCell, LinearQuantizer, LinearQuantizer) {
-        let cell = LstmCell::random(5, 3, &mut Rng64::new(31));
-        let xq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let hq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        (cell, xq, hq)
+    /// A cell with its pack and quantizers, stepping per-stream state
+    /// through the production entry point under the serial config.
+    struct Harness {
+        cell: LstmCell,
+        pack: LstmGatePack,
+        xq: LinearQuantizer,
+        hq: LinearQuantizer,
+        state: LstmReuseState,
+    }
+
+    impl Harness {
+        fn new(cell: LstmCell) -> Self {
+            let q = || LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
+            Harness {
+                pack: LstmGatePack::new(&cell),
+                state: LstmReuseState::new_shared(&cell),
+                xq: q(),
+                hq: q(),
+                cell,
+            }
+        }
+
+        fn step(&mut self, x: &[f32]) -> Result<(Vec<f32>, ExecStats), ReuseError> {
+            let mut h = Vec::new();
+            let stats = self.state.step_into_packed(
+                &ParallelConfig::serial(),
+                &self.cell,
+                &self.pack,
+                &self.xq,
+                &self.hq,
+                x,
+                &mut h,
+            )?;
+            Ok((h, stats))
+        }
+    }
+
+    fn setup() -> Harness {
+        Harness::new(LstmCell::random(5, 3, &mut Rng64::new(31)))
     }
 
     fn sequence(len: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -491,13 +419,12 @@ mod tests {
 
     #[test]
     fn incremental_matches_quantized_scratch_over_sequence() {
-        let (cell, xq, hq) = setup();
+        let mut h = setup();
         let xs = sequence(40, 7);
-        let oracle = quantized_scratch_sequence(&cell, &xq, &hq, &xs).unwrap();
-        let mut state = LstmReuseState::new(&cell);
+        let oracle = quantized_scratch_sequence(&h.cell, &h.xq, &h.hq, &xs).unwrap();
         for (t, x) in xs.iter().enumerate() {
-            let (h, _) = state.step(&cell, &xq, &hq, x).unwrap();
-            for (a, b) in h.iter().zip(oracle[t].iter()) {
+            let (out, _) = h.step(x).unwrap();
+            for (a, b) in out.iter().zip(oracle[t].iter()) {
                 assert!((a - b).abs() < 1e-3, "t={t}: {a} vs {b}");
             }
         }
@@ -505,12 +432,11 @@ mod tests {
 
     #[test]
     fn first_step_is_scratch_then_incremental() {
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
-        let (_, s0) = state.step(&cell, &xq, &hq, &[0.1; 5]).unwrap();
+        let mut h = setup();
+        let (_, s0) = h.step(&[0.1; 5]).unwrap();
         assert!(s0.from_scratch);
         assert_eq!(s0.macs_performed, s0.macs_total);
-        let (_, s1) = state.step(&cell, &xq, &hq, &[0.1; 5]).unwrap();
+        let (_, s1) = h.step(&[0.1; 5]).unwrap();
         assert!(!s1.from_scratch);
         // x unchanged; only h inputs that crossed a cluster boundary cost.
         assert!(s1.macs_performed < s1.macs_total);
@@ -520,12 +446,11 @@ mod tests {
     fn constant_input_converges_to_full_reuse() {
         // With a constant input the hidden state converges, so eventually
         // neither x nor h codes change and steps become free.
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
+        let mut h = setup();
         let x = [0.3f32, -0.2, 0.1, 0.0, 0.25];
         let mut last = 0;
         for _ in 0..50 {
-            let (_, s) = state.step(&cell, &xq, &hq, &x).unwrap();
+            let (_, s) = h.step(&x).unwrap();
             last = s.macs_performed;
         }
         assert_eq!(last, 0, "steady state should be fully reused");
@@ -533,25 +458,21 @@ mod tests {
 
     #[test]
     fn shared_gate_comparison_counts_inputs_once() {
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
-        let (_, s) = state.step(&cell, &xq, &hq, &[0.0; 5]).unwrap();
+        let (_, s) = setup().step(&[0.0; 5]).unwrap();
         // inputs = n_in + cell_dim, NOT multiplied by 4 gates.
         assert_eq!(s.n_inputs, 5 + 3);
     }
 
     #[test]
     fn changed_input_costs_four_gates() {
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
-        state.step(&cell, &xq, &hq, &[0.0; 5]).unwrap();
+        let mut h = setup();
         // Freeze h by re-stepping until stable, then flip one x input.
-        for _ in 0..30 {
-            state.step(&cell, &xq, &hq, &[0.0; 5]).unwrap();
+        for _ in 0..31 {
+            h.step(&[0.0; 5]).unwrap();
         }
         let mut x = [0.0f32; 5];
         x[2] = 0.9;
-        let (_, s) = state.step(&cell, &xq, &hq, &x).unwrap();
+        let (_, s) = h.step(&x).unwrap();
         // The one changed x input costs 4 gates × cell_dim MACs (plus any h
         // drift, which is zero at the fixed point).
         assert_eq!(s.macs_performed % (4 * 3) as u64, 0);
@@ -567,25 +488,21 @@ mod tests {
         // comparison — a ULP difference could in principle flip a cluster
         // boundary, so only the hidden outputs are compared (within FMA
         // tolerance), not the per-step stats.
-        let cell = LstmCell::random(13, 11, &mut Rng64::new(5));
-        let xq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let hq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let mut blocked = LstmReuseState::new(&cell);
-        let mut naive = LstmReuseState::new(&cell);
+        let mut blocked = Harness::new(LstmCell::random(13, 11, &mut Rng64::new(5)));
+        let mut naive = LstmReuseState::new_shared(&blocked.cell);
         let cfg = ParallelConfig::serial();
         let bit_exact = reuse_tensor::simd::is_bit_exact();
         let mut rng = Rng64::new(17);
         let mut frame = vec![0.0f32; 13];
-        let (mut hb, mut hn) = (Vec::new(), Vec::new());
+        let mut hn = Vec::new();
         for step in 0..25 {
             for v in &mut frame {
                 *v = (*v + rng.uniform(0.2)).clamp(-1.0, 1.0);
             }
-            let sb = blocked
-                .step_into(&cfg, &cell, &xq, &hq, &frame, &mut hb)
-                .unwrap();
+            let (hb, sb) = blocked.step(&frame).unwrap();
+            let (cell, xq, hq) = (&blocked.cell, &blocked.xq, &blocked.hq);
             let sn = naive
-                .step_into_naive(&cfg, &cell, &xq, &hq, &frame, &mut hn)
+                .step_into_naive(&cfg, cell, xq, hq, &frame, &mut hn)
                 .unwrap();
             if bit_exact {
                 assert_eq!(sb, sn);
@@ -600,28 +517,24 @@ mod tests {
 
     #[test]
     fn reset_starts_over() {
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
-        state.step(&cell, &xq, &hq, &[0.5; 5]).unwrap();
-        state.reset(&cell);
-        assert!(!state.is_initialized());
-        assert_eq!(state.state().h, vec![0.0; 3]);
-        let (_, s) = state.step(&cell, &xq, &hq, &[0.5; 5]).unwrap();
+        let mut h = setup();
+        h.step(&[0.5; 5]).unwrap();
+        h.state.reset(&h.cell);
+        assert!(!h.state.is_initialized());
+        assert_eq!(h.state.state().h, vec![0.0; 3]);
+        let (_, s) = h.step(&[0.5; 5]).unwrap();
         assert!(s.from_scratch);
     }
 
     #[test]
     fn storage_accounting() {
-        let (cell, _, _) = setup();
-        let state = LstmReuseState::new(&cell);
+        let h = setup();
         // x indices (5) + h indices (3) + 4 gates × 3 preacts × 4 bytes.
-        assert_eq!(state.storage_bytes(&cell), 5 + 3 + 48);
+        assert_eq!(h.state.storage_bytes(&h.cell), 5 + 3 + 48);
     }
 
     #[test]
     fn wrong_length_rejected() {
-        let (cell, xq, hq) = setup();
-        let mut state = LstmReuseState::new(&cell);
-        assert!(state.step(&cell, &xq, &hq, &[0.0; 4]).is_err());
+        assert!(setup().step(&[0.0; 4]).is_err());
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use reuse_nn::{Layer, LayerKind, Network};
 
-use crate::conv::{Conv2dPack, Conv3dPack};
+use crate::conv::ConvPack;
 use crate::lstm::LstmGatePack;
 use crate::policy::{LayerPolicy, ReusePolicy, StaticPolicy};
 use crate::session::ReuseSession;
@@ -27,10 +27,9 @@ pub enum CompiledWeights {
     /// Fully-connected: corrections walk the network's own row-major
     /// weights — nothing to pack.
     Fc,
-    /// Conv2d: the `[in_c, kh, kw, out_c]` weight transpose.
-    Conv2d(Conv2dPack),
-    /// Conv3d: the `[in_c, kd, kh, kw, out_c]` weight transpose.
-    Conv3d(Conv3dPack),
+    /// Conv2d/Conv3d: the `[in_c, kd, kh, kw, out_c]` weight transpose
+    /// (`kd = 1` for 2D).
+    Conv(ConvPack),
     /// LSTM: the combined four-gate `[rows, 4*d]` matrices.
     Lstm(LstmGatePack),
     /// BiLSTM: one combined gate pack per direction.
@@ -48,8 +47,8 @@ impl CompiledWeights {
     fn new(layer: &Layer) -> Option<Self> {
         match layer {
             Layer::FullyConnected(_) => Some(CompiledWeights::Fc),
-            Layer::Conv2d(c) => Some(CompiledWeights::Conv2d(Conv2dPack::new(c))),
-            Layer::Conv3d(c) => Some(CompiledWeights::Conv3d(Conv3dPack::new(c))),
+            Layer::Conv2d(c) => Some(CompiledWeights::Conv(ConvPack::new(c))),
+            Layer::Conv3d(c) => Some(CompiledWeights::Conv(ConvPack::new(c))),
             Layer::Lstm(cell) => Some(CompiledWeights::Lstm(LstmGatePack::new(cell))),
             Layer::BiLstm(l) => Some(CompiledWeights::BiLstm {
                 fwd: LstmGatePack::new(l.forward_cell()),
@@ -64,8 +63,7 @@ impl CompiledWeights {
     pub fn bytes(&self) -> u64 {
         match self {
             CompiledWeights::Fc => 0,
-            CompiledWeights::Conv2d(p) => p.bytes(),
-            CompiledWeights::Conv3d(p) => p.bytes(),
+            CompiledWeights::Conv(p) => p.bytes(),
             CompiledWeights::Lstm(p) => p.bytes(),
             CompiledWeights::BiLstm { fwd, bwd } => fwd.bytes() + bwd.bytes(),
             CompiledWeights::Passthrough => 0,

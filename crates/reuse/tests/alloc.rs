@@ -5,20 +5,38 @@
 //! primed), `execute_into` with the serial config must not allocate at all:
 //! intermediates come from the engine's recycling pool and per-layer scratch
 //! (changed lists, quantized codes, buffered outputs) is reused in place.
+//!
+//! The count is per thread: the harness runs these tests on parallel
+//! threads, and a process-wide counter would charge each test with the
+//! others' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use reuse_core::{ReuseConfig, ReuseEngine};
 use reuse_nn::{init::Rng64, Activation, NetworkBuilder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and `Drop`-free, so touching it from inside the
+    // allocator neither allocates nor runs a lazy initialiser.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs during thread-local teardown.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,7 +73,7 @@ fn steady_state_execute_into_is_allocation_free() {
         engine.execute_into(&frame, &mut out).unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..10 {
         // Drift a few inputs in place so the incremental path does real
         // correction work, not just the all-reused fast case.
@@ -66,7 +84,7 @@ fn steady_state_execute_into_is_allocation_free() {
         engine.execute_into(&frame, &mut out).unwrap();
         assert_eq!(out.len(), 10);
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
         "steady-state frames allocated {allocations} times"
@@ -95,7 +113,7 @@ fn steady_state_with_telemetry_is_allocation_free() {
         engine.execute_into(&frame, &mut out).unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..10 {
         for _ in 0..8 {
             let i = (rng.next_u64() % 32) as usize;
@@ -104,7 +122,7 @@ fn steady_state_with_telemetry_is_allocation_free() {
         engine.execute_into(&frame, &mut out).unwrap();
         assert_eq!(out.len(), 10);
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
         "telemetry-on steady-state frames allocated {allocations} times"
@@ -154,7 +172,7 @@ fn session_steady_state_execute_into_is_allocation_free() {
         b.execute_into(&frame_b, &mut out_b).unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..10 {
         for _ in 0..8 {
             let i = (rng.next_u64() % 32) as usize;
@@ -171,7 +189,7 @@ fn session_steady_state_execute_into_is_allocation_free() {
         let _stats = a.watchdog_stats();
         let _pool = b.pool_stats();
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
         "interleaved session steady-state frames allocated {allocations} times"
@@ -180,11 +198,10 @@ fn session_steady_state_execute_into_is_allocation_free() {
 
 #[test]
 fn conv_state_steady_frames_are_allocation_free() {
-    // The blocked conv correction path builds its weight transpose lazily on
-    // the first incremental frame; after that, pass 1 writes the precomputed
-    // delta list into capacity reserved at construction and pass 2 walks
-    // buffers in place, so steady-state frames must not allocate.
-    use reuse_core::conv::Conv2dReuseState;
+    // Pass 1 writes the precomputed delta list into capacity reserved at
+    // construction and pass 2 walks the buffered outputs in place against the
+    // shared pack, so steady-state frames must not allocate.
+    use reuse_core::conv::{Conv2dPack, Conv2dReuseState};
     use reuse_nn::Conv2dLayer;
     use reuse_quant::{InputRange, LinearQuantizer};
     use reuse_tensor::conv::Conv2dSpec;
@@ -201,6 +218,7 @@ fn conv_state_steady_frames_are_allocation_free() {
     let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(5));
     let quantizer = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 32).unwrap();
     let in_shape = Shape::d3(3, 12, 12);
+    let pack = Conv2dPack::new(&layer);
     let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
 
     let mut rng = Rng64::new(17);
@@ -208,26 +226,25 @@ fn conv_state_steady_frames_are_allocation_free() {
     let mut out = Vec::new();
     let config = ParallelConfig::serial();
 
-    // From-scratch init, then one incremental frame to build the lazy
-    // transpose and size `out`.
+    // From-scratch init, then one incremental frame to size `out`.
     for _ in 0..2 {
         state
-            .execute_into(&config, &layer, &quantizer, &frame, &mut out)
+            .execute_into_packed(&config, &layer, &pack, &quantizer, &frame, &mut out)
             .unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     for _ in 0..10 {
         for _ in 0..16 {
             let i = (rng.next_u64() % frame.len() as u64) as usize;
             frame[i] = (frame[i] + rng.uniform(0.5)).clamp(-1.0, 1.0);
         }
         let stats = state
-            .execute_into(&config, &layer, &quantizer, &frame, &mut out)
+            .execute_into_packed(&config, &layer, &pack, &quantizer, &frame, &mut out)
             .unwrap();
         assert!(stats.n_changed > 0, "drifted frame must correct something");
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
         "steady-state conv frames allocated {allocations} times"

@@ -5,9 +5,9 @@
 //! (DESIGN.md, "Threading model & determinism").
 
 use proptest::prelude::*;
-use reuse_core::conv::{Conv2dReuseState, Conv3dReuseState};
+use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
-use reuse_core::lstm::LstmReuseState;
+use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_core::{ParallelConfig, ReuseConfig, ReuseEngine};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
@@ -51,6 +51,26 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
     }
 }
 
+/// Serial and `threads`-way execution of one conv layer (either rank) over
+/// a drifting stream must agree bit for bit, outputs and counters.
+fn check_conv_parallel<L: ConvLayer>(layer: &L, in_shape: &Shape, threads: usize, seed: u64) {
+    let q = quantizer(16);
+    let pack = ConvPack::new(layer);
+    let mut serial = ConvReuseState::new(layer, in_shape).unwrap();
+    let mut parallel = ConvReuseState::new(layer, in_shape).unwrap();
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for frame in drifting_frames(in_shape.volume(), 5, seed) {
+        let sa = serial
+            .execute_into_packed(&ParallelConfig::serial(), layer, &pack, &q, &frame, &mut a)
+            .unwrap();
+        let sb = parallel
+            .execute_into_packed(&cfg(threads), layer, &pack, &q, &frame, &mut b)
+            .unwrap();
+        assert_eq!(sa, sb);
+        assert_bits_eq(&a, &b);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -60,10 +80,11 @@ proptest! {
         let q = quantizer(16);
         let mut serial = FcReuseState::new(&layer);
         let mut parallel = FcReuseState::new(&layer);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for frame in drifting_frames(24, 6, seed) {
-            let (a, _) = serial.execute(&layer, &q, &frame).unwrap();
-            let (b, _) = parallel.execute_with(&cfg(threads), &layer, &q, &frame).unwrap();
-            assert_bits_eq(a.as_slice(), b.as_slice());
+            serial.execute_into(&ParallelConfig::serial(), &layer, &q, &frame, &mut a).unwrap();
+            parallel.execute_into(&cfg(threads), &layer, &q, &frame, &mut b).unwrap();
+            assert_bits_eq(&a, &b);
         }
     }
 
@@ -71,45 +92,31 @@ proptest! {
     fn conv2d_state_parallel_matches_serial(threads in 2usize..7, seed in 0u64..500) {
         let spec = Conv2dSpec { in_channels: 2, out_channels: 5, kh: 3, kw: 3, stride: 1, pad: 1 };
         let layer = Conv2dLayer::random(spec, Activation::Relu, &mut Rng64::new(seed + 2));
-        let in_shape = Shape::d3(2, 6, 7);
-        let q = quantizer(16);
-        let mut serial = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let mut parallel = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        for frame in drifting_frames(in_shape.volume(), 5, seed) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            serial.execute_into(&ParallelConfig::serial(), &layer, &q, &frame, &mut a).unwrap();
-            parallel.execute_into(&cfg(threads), &layer, &q, &frame, &mut b).unwrap();
-            assert_bits_eq(&a, &b);
-        }
+        check_conv_parallel(&layer, &Shape::d3(2, 6, 7), threads, seed);
     }
 
     #[test]
     fn conv3d_state_parallel_matches_serial(threads in 2usize..7, seed in 0u64..500) {
         let spec = Conv3dSpec { in_channels: 2, out_channels: 3, kd: 2, kh: 2, kw: 2, stride: 1, pad: 1 };
         let layer = Conv3dLayer::random(spec, Activation::Relu, &mut Rng64::new(seed + 3));
-        let in_shape = Shape::d4(2, 3, 4, 5);
-        let q = quantizer(16);
-        let mut serial = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        let mut parallel = Conv3dReuseState::new(&layer, &in_shape).unwrap();
-        for frame in drifting_frames(in_shape.volume(), 5, seed) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            serial.execute_into(&ParallelConfig::serial(), &layer, &q, &frame, &mut a).unwrap();
-            parallel.execute_into(&cfg(threads), &layer, &q, &frame, &mut b).unwrap();
-            assert_bits_eq(&a, &b);
-        }
+        check_conv_parallel(&layer, &Shape::d4(2, 3, 4, 5), threads, seed);
     }
 
     #[test]
     fn lstm_state_parallel_matches_serial(threads in 2usize..7, seed in 0u64..500) {
         let cell = LstmCell::random(14, 9, &mut Rng64::new(seed + 4));
         let q = quantizer(16);
-        let mut serial = LstmReuseState::new(&cell);
-        let mut parallel = LstmReuseState::new(&cell);
+        let pack = LstmGatePack::new(&cell);
+        let mut serial = LstmReuseState::new_shared(&cell);
+        let mut parallel = LstmReuseState::new_shared(&cell);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for frame in drifting_frames(14, 6, seed) {
-            let (a, _) = serial.step(&cell, &q, &q, &frame).unwrap();
-            let (b, _) = parallel.step_with(&cfg(threads), &cell, &q, &q, &frame).unwrap();
+            serial
+                .step_into_packed(&ParallelConfig::serial(), &cell, &pack, &q, &q, &frame, &mut a)
+                .unwrap();
+            parallel
+                .step_into_packed(&cfg(threads), &cell, &pack, &q, &q, &frame, &mut b)
+                .unwrap();
             assert_bits_eq(&a, &b);
         }
     }

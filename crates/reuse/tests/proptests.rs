@@ -2,19 +2,73 @@
 //! from-scratch execution on the same quantized inputs (paper Eq. 10).
 
 use proptest::prelude::*;
-use reuse_core::conv::Conv2dReuseState;
+use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
-use reuse_core::lstm::{quantized_scratch_sequence, LstmReuseState};
-use reuse_nn::{init::Rng64, Activation, Conv2dLayer, FullyConnected, LstmCell};
+use reuse_core::lstm::{quantized_scratch_sequence, LstmGatePack, LstmReuseState};
+use reuse_core::ExecStats;
+use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell};
 use reuse_quant::{InputRange, LinearQuantizer};
-use reuse_tensor::conv::Conv2dSpec;
-use reuse_tensor::{Shape, Tensor};
+use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
+use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
 fn frames(n_frames: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(
         proptest::collection::vec((-100i32..=100).prop_map(|v| v as f32 / 100.0), dim),
         1..=n_frames,
     )
+}
+
+fn quantizer() -> LinearQuantizer {
+    LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap()
+}
+
+/// One serial FC execution, returning the outputs with the stats.
+fn fc_exec(
+    state: &mut FcReuseState,
+    layer: &FullyConnected,
+    q: &LinearQuantizer,
+    x: &[f32],
+) -> (Vec<f32>, ExecStats) {
+    let mut out = Vec::new();
+    let stats = state
+        .execute_into(&ParallelConfig::serial(), layer, q, x, &mut out)
+        .unwrap();
+    (out, stats)
+}
+
+/// Runs `xs` (each truncated to the input volume) through a fresh state of
+/// either rank and checks every frame against the from-scratch oracle on
+/// the same quantized inputs.
+fn check_conv_incremental<L: ConvLayer>(
+    layer: &L,
+    in_shape: &Shape,
+    dhw: [usize; 3],
+    xs: &[Vec<f32>],
+) -> Result<(), TestCaseError> {
+    let q = quantizer();
+    let pack = ConvPack::new(layer);
+    let mut state = ConvReuseState::new(layer, in_shape).unwrap();
+    let mut out = Vec::new();
+    for x in xs {
+        let x = &x[..in_shape.volume()];
+        let stats = state
+            .execute_into_packed(&ParallelConfig::serial(), layer, &pack, &q, x, &mut out)
+            .unwrap();
+        let expect = conv_forward_naive(
+            &layer.geometry().unwrap(),
+            dhw,
+            &q.quantized_values(x),
+            layer.weights(),
+            layer.bias(),
+        )
+        .unwrap();
+        prop_assert_eq!(out.len(), expect.len());
+        for (a, b) in out.iter().zip(expect.iter()) {
+            prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+        prop_assert!(stats.macs_performed <= stats.macs_total);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -26,12 +80,12 @@ proptest! {
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), clusters).unwrap();
         let mut state = FcReuseState::new(&layer);
         for x in &xs {
-            let (out, stats) = state.execute(&layer, &q, x).unwrap();
+            let (out, stats) = fc_exec(&mut state, &layer, &q, x);
             let qx = q.quantized_values(x);
             let expect = layer
                 .forward_linear(&Tensor::from_slice_1d(&qx).unwrap())
                 .unwrap();
-            for (a, b) in out.as_slice().iter().zip(expect.as_slice().iter()) {
+            for (a, b) in out.iter().zip(expect.as_slice().iter()) {
                 prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
             }
             prop_assert!(stats.macs_performed <= stats.macs_total);
@@ -45,7 +99,7 @@ proptest! {
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let mut state = FcReuseState::new(&layer);
         for (t, x) in xs.iter().enumerate() {
-            let (_, stats) = state.execute(&layer, &q, x).unwrap();
+            let (_, stats) = fc_exec(&mut state, &layer, &q, x);
             if t > 0 {
                 prop_assert_eq!(stats.macs_performed, stats.n_changed * 7);
             }
@@ -54,25 +108,20 @@ proptest! {
 
     #[test]
     fn conv_incremental_equals_scratch(
-        xs in frames(4, 2 * 5 * 5),
+        xs in frames(4, 2 * 3 * 5 * 5),
+        rank in 2usize..4,
         stride in 1usize..3,
         pad in 0usize..2,
     ) {
-        let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kh: 3, kw: 3, stride, pad };
-        let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(19));
-        let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let in_shape = Shape::d3(2, 5, 5);
-        let mut state = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        for x in &xs {
-            let input = Tensor::from_vec(in_shape.clone(), x.clone()).unwrap();
-            let (out, stats) = state.execute(&layer, &q, &input).unwrap();
-            let qx = q.quantized_values(x);
-            let qin = Tensor::from_vec(in_shape.clone(), qx).unwrap();
-            let expect = layer.forward_linear(&qin).unwrap();
-            for (a, b) in out.as_slice().iter().zip(expect.as_slice().iter()) {
-                prop_assert!((a - b).abs() < 1e-3, "stride {stride} pad {pad}: {a} vs {b}");
-            }
-            prop_assert!(stats.macs_performed <= stats.macs_total);
+        let (in_channels, out_channels, kh, kw) = (2, 3, 3, 3);
+        if rank == 2 {
+            let spec = Conv2dSpec { in_channels, out_channels, kh, kw, stride, pad };
+            let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(19));
+            check_conv_incremental(&layer, &Shape::d3(2, 5, 5), [1, 5, 5], &xs)?;
+        } else {
+            let spec = Conv3dSpec { in_channels, out_channels, kd: 3, kh, kw, stride, pad };
+            let layer = Conv3dLayer::random(spec, Activation::Identity, &mut Rng64::new(19));
+            check_conv_incremental(&layer, &Shape::d4(2, 3, 5, 5), [3, 5, 5], &xs)?;
         }
     }
 
@@ -82,9 +131,13 @@ proptest! {
         let xq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let hq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let oracle = quantized_scratch_sequence(&cell, &xq, &hq, &xs).unwrap();
-        let mut state = LstmReuseState::new(&cell);
+        let pack = LstmGatePack::new(&cell);
+        let mut state = LstmReuseState::new_shared(&cell);
+        let mut h = Vec::new();
         for (t, x) in xs.iter().enumerate() {
-            let (h, stats) = state.step(&cell, &xq, &hq, x).unwrap();
+            let stats = state
+                .step_into_packed(&ParallelConfig::serial(), &cell, &pack, &xq, &hq, x, &mut h)
+                .unwrap();
             for (a, b) in h.iter().zip(oracle[t].iter()) {
                 prop_assert!((a - b).abs() < 1e-3, "t {t}: {a} vs {b}");
             }
@@ -99,10 +152,10 @@ proptest! {
         let layer = FullyConnected::random(6, 5, Activation::Identity, &mut Rng64::new(21));
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let mut state = FcReuseState::new(&layer);
-        state.execute(&layer, &q, &x).unwrap();
+        fc_exec(&mut state, &layer, &q, &x);
         // Re-present the centroids themselves: codes cannot change.
         let centroids = q.quantized_values(&x);
-        let (_, stats) = state.execute(&layer, &q, &centroids).unwrap();
+        let (_, stats) = fc_exec(&mut state, &layer, &q, &centroids);
         prop_assert_eq!(stats.n_changed, 0);
         prop_assert_eq!(stats.macs_performed, 0);
     }
@@ -111,12 +164,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // The blocked correction paths must match the pre-blocking scattered
-    // walks — bit for bit under the scalar SIMD level, within the FMA
-    // tolerance of `reuse_tensor::simd` under AVX2 (the blocked path fuses
-    // its multiply-adds, the naive oracle never does) — and, where the
+    // The batched FC/LSTM correction paths must match the pre-blocking
+    // scattered walks — bit for bit under the scalar SIMD level, within the
+    // FMA tolerance of `reuse_tensor::simd` under AVX2 (the batched path
+    // fuses its multiply-adds, the naive oracle never does) — and, where the
     // quantize/diff pass is the only code-affecting input, report identical
-    // activity counters: blocking reorders which outputs are walked
+    // activity counters: batching reorders which outputs are walked
     // together, never which MACs are performed or skipped.
 
     #[test]
@@ -126,7 +179,7 @@ proptest! {
     ) {
         let layer = FullyConnected::random(11, n_out, Activation::Identity, &mut Rng64::new(23));
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let cfg = reuse_tensor::ParallelConfig::serial();
+        let cfg = ParallelConfig::serial();
         let mut blocked = FcReuseState::new(&layer);
         let mut naive = FcReuseState::new(&layer);
         let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
@@ -145,46 +198,21 @@ proptest! {
     }
 
     #[test]
-    fn conv_blocked_corrections_match_naive_bitwise(
-        xs in frames(4, 3 * 6 * 7),
-        out_c in 1usize..7,
-        stride in 1usize..3,
-        pad in 0usize..2,
-    ) {
-        let spec = Conv2dSpec { in_channels: 3, out_channels: out_c, kh: 3, kw: 3, stride, pad };
-        let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(29));
-        let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let cfg = reuse_tensor::ParallelConfig::serial();
-        let in_shape = Shape::d3(3, 6, 7);
-        let mut blocked = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let mut naive = Conv2dReuseState::new(&layer, &in_shape).unwrap();
-        let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
-        for x in &xs {
-            let sb = blocked.execute_into(&cfg, &layer, &q, x, &mut out_b).unwrap();
-            let sn = naive.execute_into_naive(&cfg, &layer, &q, x, &mut out_n).unwrap();
-            let bb: Vec<u32> = out_b.iter().map(|v| v.to_bits()).collect();
-            let nb: Vec<u32> = out_n.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bb, nb);
-            prop_assert_eq!(sb.macs_performed, sn.macs_performed);
-            prop_assert_eq!(sb.n_changed, sn.n_changed);
-        }
-    }
-
-    #[test]
     fn lstm_batched_corrections_match_naive(xs in frames(8, 9)) {
         let cell = LstmCell::random(9, 5, &mut Rng64::new(31));
         let xq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let hq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-        let cfg = reuse_tensor::ParallelConfig::serial();
+        let cfg = ParallelConfig::serial();
         let bit_exact = reuse_tensor::simd::is_bit_exact();
-        let mut blocked = LstmReuseState::new(&cell);
-        let mut naive = LstmReuseState::new(&cell);
+        let pack = LstmGatePack::new(&cell);
+        let mut blocked = LstmReuseState::new_shared(&cell);
+        let mut naive = LstmReuseState::new_shared(&cell);
         let (mut h_b, mut h_n) = (Vec::new(), Vec::new());
         // (9 + 5 + 1) pre-activation terms per gate, recurrent over the
         // whole sequence; the gate nonlinearities contract, never expand.
         let tol = reuse_tensor::simd::fma_tolerance(15 * xs.len(), 30.0);
         for x in &xs {
-            let sb = blocked.step_into(&cfg, &cell, &xq, &hq, x, &mut h_b).unwrap();
+            let sb = blocked.step_into_packed(&cfg, &cell, &pack, &xq, &hq, x, &mut h_b).unwrap();
             let sn = naive.step_into_naive(&cfg, &cell, &xq, &hq, x, &mut h_n).unwrap();
             let mismatch = reuse_tensor::simd::kernel_mismatch(&h_b, &h_n, tol);
             prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
@@ -196,6 +224,72 @@ proptest! {
                 prop_assert_eq!(sb.macs_performed, sn.macs_performed);
                 prop_assert_eq!(sb.n_changed, sn.n_changed);
             }
+        }
+    }
+}
+
+/// A 2D layer and its depth-1 3D twin (same weights, `kd = 1`, no padding —
+/// `Conv3dSpec` pads depth too) are one computation: forward outputs,
+/// corrected outputs and activity counters must be identical bit for bit.
+#[test]
+fn conv2d_equals_its_depth_one_conv3d_twin_bitwise() {
+    for stride in [1usize, 2] {
+        let spec2 = Conv2dSpec {
+            in_channels: 3,
+            out_channels: 5,
+            kh: 3,
+            kw: 3,
+            stride,
+            pad: 0,
+        };
+        let spec3 = Conv3dSpec {
+            in_channels: 3,
+            out_channels: 5,
+            kd: 1,
+            kh: 3,
+            kw: 3,
+            stride,
+            pad: 0,
+        };
+        let layer2 = Conv2dLayer::random(spec2, Activation::Identity, &mut Rng64::new(41));
+        let weights =
+            Tensor::from_vec(spec3.weight_shape(), layer2.weights().as_slice().to_vec()).unwrap();
+        let layer3 =
+            Conv3dLayer::new(spec3, weights, layer2.bias().clone(), Activation::Identity).unwrap();
+        let (shape2, shape3) = (Shape::d3(3, 8, 9), Shape::d4(3, 1, 8, 9));
+
+        let mut rng = Rng64::new(43);
+        let mut frame: Vec<f32> = (0..shape2.volume()).map(|_| rng.uniform(0.9)).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let input = |shape: &Shape| Tensor::from_vec(shape.clone(), frame.clone()).unwrap();
+        let fwd2 = layer2.forward_linear(&input(&shape2)).unwrap();
+        let fwd3 = layer3.forward_linear(&input(&shape3)).unwrap();
+        assert_eq!(
+            bits(fwd2.as_slice()),
+            bits(fwd3.as_slice()),
+            "stride {stride}"
+        );
+
+        let (q, cfg) = (quantizer(), ParallelConfig::serial());
+        let (pack2, pack3) = (ConvPack::new(&layer2), ConvPack::new(&layer3));
+        let mut state2 = ConvReuseState::new(&layer2, &shape2).unwrap();
+        let mut state3 = ConvReuseState::new(&layer3, &shape3).unwrap();
+        assert_eq!(state2.storage_bytes(), state3.storage_bytes());
+        let (mut out2, mut out3) = (Vec::new(), Vec::new());
+        for step in 0..12 {
+            for _ in 0..20 {
+                let i = (rng.next_u64() % frame.len() as u64) as usize;
+                frame[i] = (frame[i] + rng.uniform(0.6)).clamp(-1.0, 1.0);
+            }
+            let s2 = state2
+                .execute_into_packed(&cfg, &layer2, &pack2, &q, &frame, &mut out2)
+                .unwrap();
+            let s3 = state3
+                .execute_into_packed(&cfg, &layer3, &pack3, &q, &frame, &mut out3)
+                .unwrap();
+            assert_eq!(s2, s3, "stride {stride} step {step}");
+            assert_eq!(s2.from_scratch, step == 0);
+            assert_eq!(bits(&out2), bits(&out3), "stride {stride} step {step}");
         }
     }
 }

@@ -1,10 +1,14 @@
-//! Direct convolution kernels (2D and 3D).
+//! Direct convolution kernels (2D and 3D) over one rank-generic geometry.
 //!
 //! The paper evaluates 2D convolutions (AutoPilot, paper Table I) and 3D
-//! convolutions (C3D, Eq. 2). These kernels implement the same loop nest the
-//! accelerator model accounts for: direct convolution (no im2col) with
-//! symmetric zero padding and a configurable stride, matching the Table I
-//! layer geometries:
+//! convolutions (C3D, Eq. 2). Both are the same loop nest — direct
+//! convolution (no im2col) with symmetric zero padding and a configurable
+//! stride — so there is one of everything here: [`ConvGeometry`] describes a
+//! convolution of either rank (2D is the `kd = 1`, depth-1, `pd = 0` case of
+//! 3D), [`conv_forward_with`] is the one blocked kernel,
+//! [`conv_forward_naive`] the one oracle, and the `conv2d_*` / `conv3d_*`
+//! functions are conversions from [`Conv2dSpec`] / [`Conv3dSpec`] plus output
+//! reshaping. The Table I layer geometries:
 //!
 //! * AutoPilot: 5×5 kernels stride 2 (CONV1-3) and 3×3 stride 1 (CONV4-5),
 //!   no padding.
@@ -20,6 +24,112 @@ use crate::{Shape, Tensor, TensorError};
 /// Lane count of the fixed-width accumulator tile the blocked conv kernels
 /// carry along each output row (mirrors [`crate::block::PANEL_WIDTH`]).
 const LANES: usize = crate::block::PANEL_WIDTH;
+
+/// Geometry of a convolution of either rank, validated at construction:
+/// channels, kernel extents and stride are all non-zero. A 2D convolution is
+/// the depth-1 case (`kernel[0] = 1`, `pad[0] = 0`, inputs `[1, h, w]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvGeometry {
+    in_channels: usize,
+    out_channels: usize,
+    kernel: [usize; 3],
+    stride: usize,
+    pad: [usize; 3],
+}
+
+impl ConvGeometry {
+    /// Builds a geometry from kernel extents `[kd, kh, kw]`, one stride for
+    /// every axis and per-axis symmetric zero padding `[pd, ph, pw]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when a channel count, a kernel
+    /// extent or the stride is zero.
+    pub fn new(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: [usize; 3],
+        stride: usize,
+        pad: [usize; 3],
+    ) -> Result<Self, TensorError> {
+        if in_channels == 0 || out_channels == 0 || stride == 0 || kernel.contains(&0) {
+            return Err(TensorError::ShapeMismatch {
+                context: format!(
+                    "conv channels, kernel extents and stride must be non-zero: \
+                     {in_channels}->{out_channels} channels, kernel {kernel:?}, stride {stride}"
+                ),
+            });
+        }
+        Ok(ConvGeometry {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            pad,
+        })
+    }
+
+    /// Number of input channels.
+    pub fn in_channels(&self) -> usize {
+        self.in_channels
+    }
+
+    /// Number of output channels (filters).
+    pub fn out_channels(&self) -> usize {
+        self.out_channels
+    }
+
+    /// Kernel extents `[kd, kh, kw]`.
+    pub fn kernel(&self) -> [usize; 3] {
+        self.kernel
+    }
+
+    /// Stride along every axis.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Symmetric zero padding `[pd, ph, pw]`.
+    pub fn pad(&self) -> [usize; 3] {
+        self.pad
+    }
+
+    /// Element count of the `[out_c, in_c, kd, kh, kw]` weights.
+    pub fn weight_volume(&self) -> usize {
+        self.out_channels * self.in_channels * self.kernel.iter().product::<usize>()
+    }
+
+    /// Output extents `[od, oh, ow]` for a `[d, h, w]` input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when the padded input is
+    /// smaller than the kernel along any axis.
+    pub fn output_dhw(&self, dhw: [usize; 3]) -> Result<[usize; 3], TensorError> {
+        let mut out = [0; 3];
+        for (a, o) in out.iter_mut().enumerate() {
+            let padded = dhw[a] + 2 * self.pad[a];
+            if padded < self.kernel[a] {
+                return Err(TensorError::ShapeMismatch {
+                    context: format!(
+                        "conv kernel {:?} larger than input {dhw:?} padded by {:?}",
+                        self.kernel, self.pad
+                    ),
+                });
+            }
+            *o = (padded - self.kernel[a]) / self.stride + 1;
+        }
+        Ok(out)
+    }
+
+    /// Multiply+add count for one forward pass over a `[d, h, w]` input
+    /// (zero when the kernel does not fit).
+    pub fn flops(&self, dhw: [usize; 3]) -> u64 {
+        self.output_dhw(dhw).map_or(0, |o| {
+            2 * (o.iter().product::<usize>() * self.weight_volume()) as u64
+        })
+    }
+}
 
 /// Geometry of a 2D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,40 +149,46 @@ pub struct Conv2dSpec {
 }
 
 impl Conv2dSpec {
+    /// The validated rank-generic geometry: depth-1 kernel, no depth padding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when any channel count, kernel
+    /// extent or the stride is zero.
+    pub fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+        ConvGeometry::new(
+            self.in_channels,
+            self.out_channels,
+            [1, self.kh, self.kw],
+            self.stride,
+            [0, self.pad, self.pad],
+        )
+    }
+
     /// Output spatial size for a given input `(h, w)`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] when the padded input is
-    /// smaller than the kernel.
+    /// Returns [`TensorError::ShapeMismatch`] when the spec is degenerate or
+    /// the padded input is smaller than the kernel.
     pub fn output_hw(&self, h: usize, w: usize) -> Result<(usize, usize), TensorError> {
-        let (ph, pw) = (h + 2 * self.pad, w + 2 * self.pad);
-        if ph < self.kh || pw < self.kw {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "conv2d kernel {}x{} larger than padded input {}x{}",
-                    self.kh, self.kw, ph, pw
-                ),
-            });
-        }
-        Ok((
-            (ph - self.kh) / self.stride + 1,
-            (pw - self.kw) / self.stride + 1,
-        ))
+        let [_, oh, ow] = self.geometry()?.output_dhw([1, h, w])?;
+        Ok((oh, ow))
     }
 
     /// Weight tensor shape `[out_c, in_c, kh, kw]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel count or kernel extent is zero; validate untrusted
+    /// specs through [`Self::geometry`] first.
     pub fn weight_shape(&self) -> Shape {
         Shape::d4(self.out_channels, self.in_channels, self.kh, self.kw)
     }
 
     /// Multiply+add count for one forward pass over an `h×w` input.
     pub fn flops(&self, h: usize, w: usize) -> u64 {
-        let (oh, ow) = match self.output_hw(h, w) {
-            Ok(v) => v,
-            Err(_) => return 0,
-        };
-        2 * (self.out_channels * oh * ow * self.in_channels * self.kh * self.kw) as u64
+        self.geometry().map_or(0, |g| g.flops([1, h, w]))
     }
 }
 
@@ -96,39 +212,44 @@ pub struct Conv3dSpec {
 }
 
 impl Conv3dSpec {
+    /// The validated rank-generic geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when any channel count, kernel
+    /// extent or the stride is zero.
+    pub fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+        ConvGeometry::new(
+            self.in_channels,
+            self.out_channels,
+            [self.kd, self.kh, self.kw],
+            self.stride,
+            [self.pad; 3],
+        )
+    }
+
     /// Output size for a `(d, h, w)` input.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] when the padded input is
-    /// smaller than the kernel.
+    /// Returns [`TensorError::ShapeMismatch`] when the spec is degenerate or
+    /// the padded input is smaller than the kernel.
     pub fn output_dhw(
         &self,
         d: usize,
         h: usize,
         w: usize,
     ) -> Result<(usize, usize, usize), TensorError> {
-        let (pd, ph, pw) = (d + 2 * self.pad, h + 2 * self.pad, w + 2 * self.pad);
-        if pd < self.kd || ph < self.kh || pw < self.kw {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "conv3d kernel {}x{}x{} larger than padded input {}x{}x{}",
-                    self.kd, self.kh, self.kw, pd, ph, pw
-                ),
-            });
-        }
-        Ok((
-            (pd - self.kd) / self.stride + 1,
-            (ph - self.kh) / self.stride + 1,
-            (pw - self.kw) / self.stride + 1,
-        ))
+        let [od, oh, ow] = self.geometry()?.output_dhw([d, h, w])?;
+        Ok((od, oh, ow))
     }
 
     /// Weight tensor shape `[out_c, in_c, kd, kh, kw]`.
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero (specs are validated at layer build time).
+    /// Panics if a channel count or kernel extent is zero; validate untrusted
+    /// specs through [`Self::geometry`] first.
     pub fn weight_shape(&self) -> Shape {
         Shape::new(&[
             self.out_channels,
@@ -142,13 +263,236 @@ impl Conv3dSpec {
 
     /// Multiply+add count for one forward pass over a `d×h×w` input.
     pub fn flops(&self, d: usize, h: usize, w: usize) -> u64 {
-        let (od, oh, ow) = match self.output_dhw(d, h, w) {
-            Ok(v) => v,
-            Err(_) => return 0,
-        };
-        2 * (self.out_channels * od * oh * ow * self.in_channels * self.kd * self.kh * self.kw)
-            as u64
+        self.geometry().map_or(0, |g| g.flops([d, h, w]))
     }
+}
+
+/// Direct convolution of either rank over flat buffers, with an explicit
+/// parallelism budget — the one blocked kernel every conv entry point runs.
+///
+/// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D); `wv`:
+/// `[out_c, in_c, kd, kh, kw]`; `bv`: `[out_c]`. Returns the flat
+/// `[out_c, od, oh, ow]` output. Output filters are chunked across workers
+/// (granule = one filter's `od×oh×ow` volume), so each output element is
+/// accumulated by one thread in the serial loop order.
+///
+/// The kernel is cache-blocked: one filter's weight block
+/// `[in_c × kd × kh × kw]` *is* the L1 panel (it is read front-to-back per
+/// output volume), and each output row is walked in `LANES`-wide tiles with
+/// a fixed-width register accumulator, `kx` innermost over the tile. Per
+/// output element the additions still happen in ascending
+/// `(ic, kz, ky, kx)` order with the same out-of-bounds skips as the naive
+/// loop; with `kd = od = 1` the `kz`/`oz` levels run once and the nest is
+/// the 2D `(ic, ky, oy)` walk. Under [`crate::simd::SimdLevel::Scalar`]
+/// results are bit-identical to [`conv_forward_naive`]; under the AVX2
+/// level the interior row tiles use fused multiply-adds, so outputs agree
+/// with the oracle within [`crate::simd::fma_tolerance`] (see the
+/// accumulation-order contract in [`crate::simd`]).
+///
+/// # Errors
+///
+/// Returns [`TensorError`] when a buffer length disagrees with the geometry
+/// or the kernel does not fit the padded input.
+pub fn conv_forward_with(
+    config: &ParallelConfig,
+    g: &ConvGeometry,
+    dhw: [usize; 3],
+    x: &[f32],
+    wv: &[f32],
+    bv: &[f32],
+) -> Result<Vec<f32>, TensorError> {
+    let [od, oh, ow] = check_conv(g, dhw, x, wv, bv)?;
+    let [d, h, w] = dhw;
+    let [kd, kh, kw] = g.kernel;
+    let [pd, ph, pw] = g.pad;
+    let s = g.stride;
+    let mut out = vec![0.0f32; g.out_channels * od * oh * ow];
+
+    let in_plane = h * w;
+    let in_vol = d * in_plane;
+    let k_plane = kh * kw;
+    let k_vol = kd * k_plane;
+    let w_per_filter = g.in_channels * k_vol;
+    let o_plane = oh * ow;
+    let o_vol = od * o_plane;
+    // Interior columns: every kx tap lands inside [0, w).
+    let (int_lo, int_hi) = interior_range(w, kw, s, pw, ow);
+    let flops = g.flops(dhw);
+    parallel_for_mut_cost(config, &mut out, o_vol, flops, |chunk_offset, chunk| {
+        let first_oc = chunk_offset / o_vol;
+        for (p, vol) in chunk.chunks_mut(o_vol).enumerate() {
+            let oc = first_oc + p;
+            vol.fill(bv[oc]);
+            let wf = &wv[oc * w_per_filter..(oc + 1) * w_per_filter];
+            for ic in 0..g.in_channels {
+                let xc = &x[ic * in_vol..(ic + 1) * in_vol];
+                let wc = &wf[ic * k_vol..(ic + 1) * k_vol];
+                for kz in 0..kd {
+                    let wz = &wc[kz * k_plane..(kz + 1) * k_plane];
+                    for oz in 0..od {
+                        let iz = (oz * s + kz) as isize - pd as isize;
+                        if iz < 0 || iz >= d as isize {
+                            continue;
+                        }
+                        let xz = &xc[iz as usize * in_plane..(iz as usize + 1) * in_plane];
+                        let oplane = &mut vol[oz * o_plane..(oz + 1) * o_plane];
+                        for ky in 0..kh {
+                            let wrow = &wz[ky * kw..(ky + 1) * kw];
+                            for oy in 0..oh {
+                                let iy = (oy * s + ky) as isize - ph as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                let xrow = &xz[iy as usize * w..(iy as usize + 1) * w];
+                                let orow = &mut oplane[oy * ow..(oy + 1) * ow];
+                                conv_row_pass(orow, xrow, wrow, w, s, pw, int_lo, int_hi);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+    Ok(out)
+}
+
+/// The unblocked serial oracle for [`conv_forward_with`]: the original
+/// per-output loop with no row tiling. Kept public so proptests and
+/// `kernel_bench` can compare the blocked kernel against it.
+///
+/// # Errors
+///
+/// Returns [`TensorError`] when a buffer length disagrees with the geometry
+/// or the kernel does not fit the padded input.
+pub fn conv_forward_naive(
+    g: &ConvGeometry,
+    dhw: [usize; 3],
+    x: &[f32],
+    wv: &[f32],
+    bv: &[f32],
+) -> Result<Vec<f32>, TensorError> {
+    let [od, oh, ow] = check_conv(g, dhw, x, wv, bv)?;
+    let [d, h, w] = dhw;
+    let [kd, kh, kw] = g.kernel;
+    let [pd, ph, pw] = g.pad.map(|p| p as isize);
+    let mut out = vec![0.0f32; g.out_channels * od * oh * ow];
+
+    let in_plane = h * w;
+    let in_vol = d * in_plane;
+    let k_plane = kh * kw;
+    let k_vol = kd * k_plane;
+    let w_per_filter = g.in_channels * k_vol;
+    let o_vol = od * oh * ow;
+    for (oc, vol) in out.chunks_mut(o_vol).enumerate() {
+        let wbase = oc * w_per_filter;
+        for oz in 0..od {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = bv[oc];
+                    let iz0 = (oz * g.stride) as isize - pd;
+                    let iy0 = (oy * g.stride) as isize - ph;
+                    let ix0 = (ox * g.stride) as isize - pw;
+                    for ic in 0..g.in_channels {
+                        let icbase = ic * in_vol;
+                        let wcbase = wbase + ic * k_vol;
+                        for kz in 0..kd {
+                            let iz = iz0 + kz as isize;
+                            if iz < 0 || iz >= d as isize {
+                                continue;
+                            }
+                            let izbase = icbase + iz as usize * in_plane;
+                            let wzbase = wcbase + kz * k_plane;
+                            for ky in 0..kh {
+                                let iy = iy0 + ky as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                let irow = izbase + iy as usize * w;
+                                let wrow = wzbase + ky * kw;
+                                for kx in 0..kw {
+                                    let ix = ix0 + kx as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    acc += x[irow + ix as usize] * wv[wrow + kx];
+                                }
+                            }
+                        }
+                    }
+                    vol[(oz * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The one shape check: buffer lengths against the geometry, then the output
+/// extents.
+fn check_conv(
+    g: &ConvGeometry,
+    dhw: [usize; 3],
+    x: &[f32],
+    wv: &[f32],
+    bv: &[f32],
+) -> Result<[usize; 3], TensorError> {
+    let got = [x.len(), wv.len(), bv.len()];
+    let want = [
+        g.in_channels * dhw.iter().product::<usize>(),
+        g.weight_volume(),
+        g.out_channels,
+    ];
+    if got != want {
+        return Err(TensorError::ShapeMismatch {
+            context: format!(
+                "conv input/weights/bias lengths {got:?} != {want:?} for {g:?} on {dhw:?}"
+            ),
+        });
+    }
+    g.output_dhw(dhw)
+}
+
+/// Tensor-level entry shared by the `conv2d_*` / `conv3d_*` wrappers: checks
+/// that `input` and `weights` have the rank's shapes (the `rank` trailing
+/// extents of `[d, h, w]` / `[kd, kh, kw]`), runs the blocked nest under
+/// `config` — or the naive oracle when there is none — on the flat buffers
+/// and restores the rank on the output.
+fn forward_ranked(
+    g: ConvGeometry,
+    rank: usize,
+    config: Option<&ParallelConfig>,
+    input: &Tensor,
+    weights: &Tensor,
+    bias: &Tensor,
+) -> Result<Tensor, TensorError> {
+    let (idims, wdims) = (input.shape().dims(), weights.shape().dims());
+    if idims.len() != rank + 1
+        || idims[0] != g.in_channels
+        || wdims.len() != rank + 2
+        || wdims[..2] != [g.out_channels, g.in_channels]
+        || wdims[2..] != g.kernel[3 - rank..]
+    {
+        return Err(TensorError::ShapeMismatch {
+            context: format!(
+                "conv{rank}d input {} or weights {} do not match {g:?}",
+                input.shape(),
+                weights.shape()
+            ),
+        });
+    }
+    let mut dhw = [1; 3];
+    dhw[3 - rank..].copy_from_slice(&idims[1..]);
+    let (x, wv, bv) = (input.as_slice(), weights.as_slice(), bias.as_slice());
+    let out = match config {
+        Some(config) => conv_forward_with(config, &g, dhw, x, wv, bv),
+        None => conv_forward_naive(&g, dhw, x, wv, bv),
+    }?;
+    let [od, oh, ow] = g.output_dhw(dhw)?;
+    let shape = match rank {
+        2 => Shape::d3(g.out_channels, oh, ow),
+        _ => Shape::d4(g.out_channels, od, oh, ow),
+    };
+    Tensor::from_vec(shape, out)
 }
 
 /// Direct 2D convolution with symmetric zero padding.
@@ -169,21 +513,8 @@ pub fn conv2d_forward(
     conv2d_forward_with(&ParallelConfig::serial(), spec, input, weights, bias)
 }
 
-/// [`conv2d_forward`] with an explicit parallelism budget. Output channels
-/// are chunked across workers (granule = one `oh×ow` output plane), so each
-/// output element is accumulated by one thread in the serial loop order.
-///
-/// The kernel is cache-blocked: one filter's weight block
-/// `[in_c × kh × kw]` *is* the L1 panel (it is read front-to-back per
-/// output plane), and each output row is walked in `LANES`-wide tiles
-/// with a fixed-width register accumulator, `kx` innermost over the tile.
-/// Per output element the additions still happen in ascending
-/// `(ic, ky, kx)` order with the same out-of-bounds skips as the naive
-/// triple loop. Under [`crate::simd::SimdLevel::Scalar`] results are
-/// bit-identical to [`conv2d_forward_naive`]; under the AVX2 level the
-/// interior row tiles use fused multiply-adds, so outputs agree with the
-/// oracle within the tolerance of [`crate::simd::fma_tolerance`] (see the
-/// accumulation-order contract in [`crate::simd`]).
+/// [`conv2d_forward`] with an explicit parallelism budget: the depth-1 case
+/// of [`conv_forward_with`].
 ///
 /// # Errors
 ///
@@ -196,52 +527,11 @@ pub fn conv2d_forward_with(
     weights: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let (h, w, oh, ow) = check_conv2d(spec, input, weights, bias)?;
-    let x = input.as_slice();
-    let wv = weights.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; spec.out_channels * oh * ow];
-
-    let in_plane = h * w;
-    let k_plane = spec.kh * spec.kw;
-    let w_per_filter = spec.in_channels * k_plane;
-    let s = spec.stride;
-    let pad = spec.pad;
-    let o_plane = oh * ow;
-    // Interior columns: every kx tap lands inside [0, w).
-    let (int_lo, int_hi) = interior_range(w, spec.kw, s, pad, ow);
-    let flops = spec.flops(h, w);
-    parallel_for_mut_cost(config, &mut out, o_plane, flops, |chunk_offset, chunk| {
-        let first_oc = chunk_offset / o_plane;
-        for (p, plane) in chunk.chunks_mut(o_plane).enumerate() {
-            let oc = first_oc + p;
-            plane.fill(bv[oc]);
-            let wf = &wv[oc * w_per_filter..(oc + 1) * w_per_filter];
-            for ic in 0..spec.in_channels {
-                let xc = &x[ic * in_plane..(ic + 1) * in_plane];
-                let wc = &wf[ic * k_plane..(ic + 1) * k_plane];
-                for ky in 0..spec.kh {
-                    let wrow = &wc[ky * spec.kw..(ky + 1) * spec.kw];
-                    for oy in 0..oh {
-                        let iy = (oy * s + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = &xc[iy as usize * w..(iy as usize + 1) * w];
-                        let orow = &mut plane[oy * ow..(oy + 1) * ow];
-                        conv_row_pass(orow, xrow, wrow, w, s, pad, int_lo, int_hi);
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(Shape::d3(spec.out_channels, oh, ow), out)
+    forward_ranked(spec.geometry()?, 2, Some(config), input, weights, bias)
 }
 
-/// The unblocked serial oracle for [`conv2d_forward`]: the original
-/// per-output triple loop with no row tiling. Kept public so proptests and
-/// `kernel_bench` can compare the blocked kernel against the original
-/// baseline.
+/// The unblocked serial oracle for [`conv2d_forward`]: the depth-1 case of
+/// [`conv_forward_naive`].
 ///
 /// # Errors
 ///
@@ -253,87 +543,58 @@ pub fn conv2d_forward_naive(
     weights: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let (h, w, oh, ow) = check_conv2d(spec, input, weights, bias)?;
-    let x = input.as_slice();
-    let wv = weights.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; spec.out_channels * oh * ow];
-
-    let in_plane = h * w;
-    let k_plane = spec.kh * spec.kw;
-    let w_per_filter = spec.in_channels * k_plane;
-    let pad = spec.pad as isize;
-    let o_plane = oh * ow;
-    for (oc, plane) in out.chunks_mut(o_plane).enumerate() {
-        let wbase = oc * w_per_filter;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = bv[oc];
-                let iy0 = (oy * spec.stride) as isize - pad;
-                let ix0 = (ox * spec.stride) as isize - pad;
-                for ic in 0..spec.in_channels {
-                    let ibase = ic * in_plane;
-                    let wcbase = wbase + ic * k_plane;
-                    for ky in 0..spec.kh {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let irow = ibase + iy as usize * w;
-                        let wrow = wcbase + ky * spec.kw;
-                        for kx in 0..spec.kw {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += x[irow + ix as usize] * wv[wrow + kx];
-                        }
-                    }
-                }
-                plane[oy * ow + ox] = acc;
-            }
-        }
-    }
-    Tensor::from_vec(Shape::d3(spec.out_channels, oh, ow), out)
+    forward_ranked(spec.geometry()?, 2, None, input, weights, bias)
 }
 
-fn check_conv2d(
-    spec: &Conv2dSpec,
+/// Direct 3D convolution with symmetric zero padding (paper Eq. 2).
+///
+/// `input`: `[in_c, d, h, w]`; `weights`: `[out_c, in_c, kd, kh, kw]`;
+/// `bias`: `[out_c]`. Returns `[out_c, od, oh, ow]`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
+/// the spec.
+pub fn conv3d_forward(
+    spec: &Conv3dSpec,
     input: &Tensor,
     weights: &Tensor,
     bias: &Tensor,
-) -> Result<(usize, usize, usize, usize), TensorError> {
-    let idims = input.shape().dims();
-    if idims.len() != 3 || idims[0] != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv2d input {} does not match spec in_channels {}",
-                input.shape(),
-                spec.in_channels
-            ),
-        });
-    }
-    if weights.shape() != &spec.weight_shape() {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv2d weights {} do not match spec {}",
-                weights.shape(),
-                spec.weight_shape()
-            ),
-        });
-    }
-    if bias.len() != spec.out_channels {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv2d bias length {} != out_channels {}",
-                bias.len(),
-                spec.out_channels
-            ),
-        });
-    }
-    let (h, w) = (idims[1], idims[2]);
-    let (oh, ow) = spec.output_hw(h, w)?;
-    Ok((h, w, oh, ow))
+) -> Result<Tensor, TensorError> {
+    conv3d_forward_with(&ParallelConfig::serial(), spec, input, weights, bias)
+}
+
+/// [`conv3d_forward`] with an explicit parallelism budget; see
+/// [`conv_forward_with`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
+/// the spec.
+pub fn conv3d_forward_with(
+    config: &ParallelConfig,
+    spec: &Conv3dSpec,
+    input: &Tensor,
+    weights: &Tensor,
+    bias: &Tensor,
+) -> Result<Tensor, TensorError> {
+    forward_ranked(spec.geometry()?, 3, Some(config), input, weights, bias)
+}
+
+/// The unblocked serial oracle for [`conv3d_forward`]; see
+/// [`conv_forward_naive`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
+/// the spec.
+pub fn conv3d_forward_naive(
+    spec: &Conv3dSpec,
+    input: &Tensor,
+    weights: &Tensor,
+    bias: &Tensor,
+) -> Result<Tensor, TensorError> {
+    forward_ranked(spec.geometry()?, 3, None, input, weights, bias)
 }
 
 /// Output-column range `[lo, hi]` (inclusive) whose kernel taps all land
@@ -391,8 +652,11 @@ fn conv_row_pass(
 /// The scalar-level body of [`conv_row_pass`]: `LANES`-wide accumulator
 /// tiles with separate multiply and add per tap. Exposed (doc-hidden) so
 /// equivalence proptests can pin the SIMD kernel against it directly.
+///
+/// Kept out of line: with one nest it has one caller, and inlined there its
+/// body (cold under AVX2) bloats the nest and costs the AVX2 path ~4%.
 #[doc(hidden)]
-#[inline]
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 pub fn conv_row_pass_scalar(
     orow: &mut [f32],
@@ -453,209 +717,6 @@ pub fn conv_row_pass_scalar(
     for ox in (int_hi + 1).max(int_lo)..ow {
         scalar(orow, ox);
     }
-}
-
-/// Direct 3D convolution with symmetric zero padding (paper Eq. 2).
-///
-/// `input`: `[in_c, d, h, w]`; `weights`: `[out_c, in_c, kd, kh, kw]`;
-/// `bias`: `[out_c]`. Returns `[out_c, od, oh, ow]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv3d_forward(
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    conv3d_forward_with(&ParallelConfig::serial(), spec, input, weights, bias)
-}
-
-/// [`conv3d_forward`] with an explicit parallelism budget. Output filters
-/// are chunked across workers (granule = one `od×oh×ow` output volume).
-///
-/// Blocked exactly like [`conv2d_forward_with`]: the filter's weight block
-/// is streamed front-to-back as the L1 panel and output rows run in
-/// `LANES`-wide register tiles, preserving the naive per-output
-/// `(ic, kz, ky, kx)` tap order. Bit-identical to
-/// [`conv3d_forward_naive`] under the scalar SIMD level,
-/// tolerance-bounded under AVX2 (see [`crate::simd`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv3d_forward_with(
-    config: &ParallelConfig,
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    let (d, h, w, od, oh, ow) = check_conv3d(spec, input, weights, bias)?;
-    let x = input.as_slice();
-    let wv = weights.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; spec.out_channels * od * oh * ow];
-
-    let in_plane = h * w;
-    let in_vol = d * in_plane;
-    let k_plane = spec.kh * spec.kw;
-    let k_vol = spec.kd * k_plane;
-    let w_per_filter = spec.in_channels * k_vol;
-    let s = spec.stride;
-    let pad = spec.pad;
-    let o_plane = oh * ow;
-    let o_vol = od * o_plane;
-    let (int_lo, int_hi) = interior_range(w, spec.kw, s, pad, ow);
-    let flops = spec.flops(d, h, w);
-    parallel_for_mut_cost(config, &mut out, o_vol, flops, |chunk_offset, chunk| {
-        let first_oc = chunk_offset / o_vol;
-        for (p, vol) in chunk.chunks_mut(o_vol).enumerate() {
-            let oc = first_oc + p;
-            vol.fill(bv[oc]);
-            let wf = &wv[oc * w_per_filter..(oc + 1) * w_per_filter];
-            for ic in 0..spec.in_channels {
-                let xc = &x[ic * in_vol..(ic + 1) * in_vol];
-                let wc = &wf[ic * k_vol..(ic + 1) * k_vol];
-                for kz in 0..spec.kd {
-                    let wz = &wc[kz * k_plane..(kz + 1) * k_plane];
-                    for oz in 0..od {
-                        let iz = (oz * s + kz) as isize - pad as isize;
-                        if iz < 0 || iz >= d as isize {
-                            continue;
-                        }
-                        let xz = &xc[iz as usize * in_plane..(iz as usize + 1) * in_plane];
-                        let oplane = &mut vol[oz * o_plane..(oz + 1) * o_plane];
-                        for ky in 0..spec.kh {
-                            let wrow = &wz[ky * spec.kw..(ky + 1) * spec.kw];
-                            for oy in 0..oh {
-                                let iy = (oy * s + ky) as isize - pad as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let xrow = &xz[iy as usize * w..(iy as usize + 1) * w];
-                                let orow = &mut oplane[oy * ow..(oy + 1) * ow];
-                                conv_row_pass(orow, xrow, wrow, w, s, pad, int_lo, int_hi);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec(Shape::d4(spec.out_channels, od, oh, ow), out)
-}
-
-/// The unblocked serial oracle for [`conv3d_forward`] (see
-/// [`conv2d_forward_naive`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv3d_forward_naive(
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    let (d, h, w, od, oh, ow) = check_conv3d(spec, input, weights, bias)?;
-    let x = input.as_slice();
-    let wv = weights.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; spec.out_channels * od * oh * ow];
-
-    let in_plane = h * w;
-    let in_vol = d * in_plane;
-    let k_plane = spec.kh * spec.kw;
-    let k_vol = spec.kd * k_plane;
-    let w_per_filter = spec.in_channels * k_vol;
-    let pad = spec.pad as isize;
-    let o_vol = od * oh * ow;
-    for (oc, vol) in out.chunks_mut(o_vol).enumerate() {
-        let wbase = oc * w_per_filter;
-        for oz in 0..od {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bv[oc];
-                    let iz0 = (oz * spec.stride) as isize - pad;
-                    let iy0 = (oy * spec.stride) as isize - pad;
-                    let ix0 = (ox * spec.stride) as isize - pad;
-                    for ic in 0..spec.in_channels {
-                        let icbase = ic * in_vol;
-                        let wcbase = wbase + ic * k_vol;
-                        for kz in 0..spec.kd {
-                            let iz = iz0 + kz as isize;
-                            if iz < 0 || iz >= d as isize {
-                                continue;
-                            }
-                            let izbase = icbase + iz as usize * in_plane;
-                            let wzbase = wcbase + kz * k_plane;
-                            for ky in 0..spec.kh {
-                                let iy = iy0 + ky as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let irow = izbase + iy as usize * w;
-                                let wrow = wzbase + ky * spec.kw;
-                                for kx in 0..spec.kw {
-                                    let ix = ix0 + kx as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    acc += x[irow + ix as usize] * wv[wrow + kx];
-                                }
-                            }
-                        }
-                    }
-                    vol[(oz * oh + oy) * ow + ox] = acc;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(Shape::d4(spec.out_channels, od, oh, ow), out)
-}
-
-fn check_conv3d(
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<(usize, usize, usize, usize, usize, usize), TensorError> {
-    let idims = input.shape().dims();
-    if idims.len() != 4 || idims[0] != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv3d input {} does not match spec in_channels {}",
-                input.shape(),
-                spec.in_channels
-            ),
-        });
-    }
-    if weights.shape() != &spec.weight_shape() {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv3d weights {} do not match spec {}",
-                weights.shape(),
-                spec.weight_shape()
-            ),
-        });
-    }
-    if bias.len() != spec.out_channels {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv3d bias length {} != out_channels {}",
-                bias.len(),
-                spec.out_channels
-            ),
-        });
-    }
-    let (d, h, w) = (idims[1], idims[2], idims[3]);
-    let (od, oh, ow) = spec.output_dhw(d, h, w)?;
-    Ok((d, h, w, od, oh, ow))
 }
 
 fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
@@ -808,17 +869,41 @@ pub fn max_pool3d_mode(
 mod tests {
     use super::*;
 
+    /// A 2D spec with a square `k×k` kernel.
+    fn spec2(in_c: usize, out_c: usize, k: usize, stride: usize, pad: usize) -> Conv2dSpec {
+        Conv2dSpec {
+            in_channels: in_c,
+            out_channels: out_c,
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        }
+    }
+
+    /// A 3D spec with a `kd×k×k` kernel.
+    fn spec3(
+        in_c: usize,
+        out_c: usize,
+        [kd, k]: [usize; 2],
+        stride: usize,
+        pad: usize,
+    ) -> Conv3dSpec {
+        Conv3dSpec {
+            in_channels: in_c,
+            out_channels: out_c,
+            kd,
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        }
+    }
+
     #[test]
     fn conv2d_identity_kernel() {
         // 1x1 kernel with weight 1 reproduces the input.
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec2(1, 1, 1, 1, 0);
         let input = Tensor::from_vec(Shape::d3(1, 2, 2), vec![1., 2., 3., 4.]).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
@@ -829,14 +914,7 @@ mod tests {
     #[test]
     fn conv2d_sum_kernel() {
         // 2x2 all-ones kernel computes window sums.
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec2(1, 1, 2, 1, 0);
         let input =
             Tensor::from_vec(Shape::d3(1, 3, 3), (1..=9).map(|v| v as f32).collect()).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0; 4]).unwrap();
@@ -848,14 +926,7 @@ mod tests {
 
     #[test]
     fn conv2d_stride_two() {
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 1,
-            kw: 1,
-            stride: 2,
-            pad: 0,
-        };
+        let spec = spec2(1, 1, 1, 2, 0);
         let input =
             Tensor::from_vec(Shape::d3(1, 3, 3), (0..9).map(|v| v as f32).collect()).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0]).unwrap();
@@ -866,14 +937,7 @@ mod tests {
 
     #[test]
     fn conv2d_same_padding_preserves_size() {
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
+        let spec = spec2(1, 1, 3, 1, 1);
         assert_eq!(spec.output_hw(5, 7).unwrap(), (5, 7));
         let input = Tensor::full(Shape::d3(1, 3, 3), 1.0);
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0; 9]).unwrap();
@@ -886,14 +950,7 @@ mod tests {
 
     #[test]
     fn conv2d_multi_channel_accumulates() {
-        let spec = Conv2dSpec {
-            in_channels: 2,
-            out_channels: 1,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec2(2, 1, 1, 1, 0);
         let input = Tensor::from_vec(Shape::d3(2, 1, 1), vec![3.0, 4.0]).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0, 10.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.5]).unwrap();
@@ -903,14 +960,7 @@ mod tests {
 
     #[test]
     fn conv2d_bias_per_filter() {
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 2,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec2(1, 2, 1, 1, 0);
         let input = Tensor::from_vec(Shape::d3(1, 1, 1), vec![1.0]).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![2.0, 3.0]).unwrap();
         let b = Tensor::from_slice_1d(&[10.0, 20.0]).unwrap();
@@ -919,47 +969,9 @@ mod tests {
     }
 
     #[test]
-    fn conv3d_matches_2d_when_depth_is_one() {
-        let spec3 = Conv3dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kd: 1,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
-        let spec2 = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
-        let data: Vec<f32> = (1..=9).map(|v| v as f32).collect();
-        let in3 = Tensor::from_vec(Shape::d4(1, 1, 3, 3), data.clone()).unwrap();
-        let in2 = Tensor::from_vec(Shape::d3(1, 3, 3), data).unwrap();
-        let w3 = Tensor::from_vec(spec3.weight_shape(), vec![1.0; 4]).unwrap();
-        let w2 = Tensor::from_vec(spec2.weight_shape(), vec![1.0; 4]).unwrap();
-        let b = Tensor::from_slice_1d(&[0.0]).unwrap();
-        let o3 = conv3d_forward(&spec3, &in3, &w3, &b).unwrap();
-        let o2 = conv2d_forward(&spec2, &in2, &w2, &b).unwrap();
-        assert_eq!(o3.as_slice(), o2.as_slice());
-    }
-
-    #[test]
     fn conv3d_temporal_sum() {
         // Kernel 2x1x1 of ones sums adjacent frames.
-        let spec = Conv3dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kd: 2,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec3(1, 1, [2, 1], 1, 0);
         let input = Tensor::from_vec(Shape::d4(1, 3, 1, 1), vec![1.0, 2.0, 4.0]).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0, 1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
@@ -970,29 +982,14 @@ mod tests {
     #[test]
     fn conv3d_same_padding_preserves_size() {
         // The C3D convention: 3x3x3 kernel, stride 1, pad 1.
-        let spec = Conv3dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kd: 3,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
+        let spec = spec3(1, 1, [3, 3], 1, 1);
         assert_eq!(spec.output_dhw(16, 112, 112).unwrap(), (16, 112, 112));
     }
 
     #[test]
     fn output_geometry() {
         // AutoPilot CONV1: 3x66x200 -> 24x31x98 with 5x5 stride 2.
-        let spec = Conv2dSpec {
-            in_channels: 3,
-            out_channels: 24,
-            kh: 5,
-            kw: 5,
-            stride: 2,
-            pad: 0,
-        };
+        let spec = spec2(3, 24, 5, 2, 0);
         assert_eq!(spec.output_hw(66, 200).unwrap(), (31, 98));
         // kernel larger than input
         assert!(spec.output_hw(4, 4).is_err());
@@ -1000,16 +997,34 @@ mod tests {
 
     #[test]
     fn flop_counts() {
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 1,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
+        let spec = spec2(1, 1, 2, 1, 0);
         // 2x2 output, 4 macs each, x2 for mul+add.
         assert_eq!(spec.flops(3, 3), 2 * 4 * 4);
+    }
+
+    #[test]
+    fn degenerate_geometry_is_an_error_at_both_ranks() {
+        // Stride 0 used to divide by zero in output_hw / output_dhw.
+        assert!(spec2(1, 2, 3, 1, 0).geometry().is_ok());
+        assert!(spec3(1, 2, [3, 3], 1, 0).geometry().is_ok());
+        for bad in [
+            spec2(1, 2, 3, 0, 0),
+            spec2(1, 2, 0, 1, 0),
+            spec2(0, 2, 3, 1, 0),
+        ] {
+            assert!(bad.geometry().is_err(), "{bad:?}");
+            assert!(bad.output_hw(8, 8).is_err(), "{bad:?}");
+            assert_eq!(bad.flops(8, 8), 0);
+        }
+        for bad in [
+            spec3(1, 2, [3, 3], 0, 0),
+            spec3(1, 2, [0, 3], 1, 0),
+            spec3(1, 0, [3, 3], 1, 0),
+        ] {
+            assert!(bad.geometry().is_err(), "{bad:?}");
+            assert!(bad.output_dhw(8, 8, 8).is_err(), "{bad:?}");
+            assert_eq!(bad.flops(8, 8, 8), 0);
+        }
     }
 
     #[test]
@@ -1077,14 +1092,7 @@ mod tests {
             (3, 2, 5, 2, 0, 9, 17),
             (1, 2, 3, 2, 2, 4, 4),
         ] {
-            let spec = Conv2dSpec {
-                in_channels: ic,
-                out_channels: oc,
-                kh: k,
-                kw: k,
-                stride: s,
-                pad: p,
-            };
+            let spec = spec2(ic, oc, k, s, p);
             let input = Tensor::from_vec(Shape::d3(ic, h, w), ramp(ic * h * w)).unwrap();
             let wt = Tensor::from_vec(spec.weight_shape(), ramp(oc * ic * k * k)).unwrap();
             let b = Tensor::from_vec(Shape::d1(oc), ramp(oc)).unwrap();
@@ -1102,15 +1110,7 @@ mod tests {
     #[test]
     fn blocked_conv3d_matches_naive() {
         for (s, p) in [(1usize, 0usize), (1, 1), (2, 1)] {
-            let spec = Conv3dSpec {
-                in_channels: 2,
-                out_channels: 3,
-                kd: 3,
-                kh: 3,
-                kw: 3,
-                stride: s,
-                pad: p,
-            };
+            let spec = spec3(2, 3, [3, 3], s, p);
             let (d, h, w) = (4usize, 5usize, 11usize);
             if spec.output_dhw(d, h, w).is_err() {
                 continue;

@@ -109,6 +109,14 @@ echo "== BENCH_serve.json schema check =="
 # signature-cache churn section (fps pair, speedup, cache counters).
 cargo run --release -q -p reuse-bench --bin serve_bench -- --validate BENCH_serve.json
 
+echo "== repository benchmark crate (build, tests, quick smoke) =="
+# benchmark/ is its own workspace root, so nothing above compiles it: an
+# API change in crates/ that breaks it must fail here, not at the next
+# benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload autopilot_stream --quick > /dev/null
+
 echo "== cargo doc (no-deps, -D warnings) =="
 # The model/session split is documented API surface; broken intra-doc links
 # or missing docs fail the build.

@@ -115,20 +115,27 @@ fn claim_lstm_gates_share_comparisons() {
     use reuse_dnn::nn::init::Rng64;
     use reuse_dnn::nn::LstmCell;
     use reuse_dnn::quant::{InputRange, LinearQuantizer};
-    use reuse_dnn::reuse::lstm::LstmReuseState;
+    use reuse_dnn::reuse::lstm::{LstmGatePack, LstmReuseState};
+    use reuse_dnn::tensor::ParallelConfig;
 
     let cell = LstmCell::random(6, 4, &mut Rng64::new(9));
     let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
-    let mut state = LstmReuseState::new(&cell);
+    let pack = LstmGatePack::new(&cell);
+    let mut state = LstmReuseState::new_shared(&cell);
+    let mut h = Vec::new();
+    let mut step = |x: &[f32]| {
+        state
+            .step_into_packed(&ParallelConfig::serial(), &cell, &pack, &q, &q, x, &mut h)
+            .unwrap()
+    };
     let x = [0.2f32, -0.3, 0.1, 0.4, 0.0, -0.2];
-    state.step(&cell, &q, &q, &x).unwrap();
     // Converge h, then flip exactly one input by several steps.
-    for _ in 0..40 {
-        state.step(&cell, &q, &q, &x).unwrap();
+    for _ in 0..41 {
+        step(&x);
     }
     let mut x2 = x;
     x2[3] += 4.5 * q.step();
-    let (_, stats) = state.step(&cell, &q, &q, &x2).unwrap();
+    let stats = step(&x2);
     // The flipped x input changed (plus possibly an h value nudged across a
     // cluster boundary by the perturbation); every changed input is
     // corrected in all four gates at once — 4 × cell_dim MACs each, never
