@@ -4,10 +4,11 @@
 //! Every kernel is measured three ways on identical inputs:
 //!
 //! - **naive**: the original serial loop nest (the exactness oracle kept
-//!   as `matmul_naive` / `conv*_forward_naive` / `execute_into_naive`);
+//!   as `matmul_naive` / `conv_forward_naive` / `execute_into_naive`);
 //! - **blocked**: the cache-blocked, panel-packed kernel on the serial
 //!   config, dispatched at the resolved `reuse_tensor::SimdLevel` — the
-//!   before/after pair for the blocking + SIMD work;
+//!   before/after pair for the blocking + SIMD work (for the conv rows:
+//!   im2col blocks through the packed matmul);
 //! - **parallel**: the blocked kernel under `REUSE_THREADS` workers
 //!   (default 4), clamped to the host's hardware threads by
 //!   `ParallelConfig` — the JSON records the requested count and, per
@@ -40,7 +41,10 @@
 //! `REUSE_BLOCKED_MIN_GFLOPS` absolute GFLOP/s (default 48.0, i.e. ≥4× the
 //! pre-SIMD 11.98 GFLOP/s baseline); without AVX2 the floors auto-relax to
 //! the scalar guard (speedup ≥ 1.0, no absolute floor) so non-x86 CI hosts
-//! still gate against regressions they can actually measure.
+//! still gate against regressions they can actually measure. The two conv
+//! forward rows run through the same GEMM and are gated the same way: a
+//! per-geometry GFLOP/s floor under AVX2, and never slower than the naive
+//! nest at either level.
 //!
 //! `kernel_bench --validate <out.json>` re-reads a benchmark file and exits
 //! nonzero when the schema (header keys, SIMD provenance, per-row keys) is
@@ -53,14 +57,16 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use reuse_core::conv::ConvLayer;
 use reuse_core::fc::FcReuseState;
 use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
+    NnError,
 };
 use reuse_quant::{InputRange, LinearQuantizer};
-use reuse_tensor::conv::{conv2d_forward_naive, conv3d_forward_naive, Conv2dSpec, Conv3dSpec};
+use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{matmul, ParallelConfig, Shape, Tensor};
 
 /// One naive/blocked/parallel triple of measurements. `parallel_ns` is
@@ -178,6 +184,93 @@ fn matmul_pair() -> (Tensor, Tensor, u64) {
     let a = Tensor::from_vec(Shape::d2(m, k), random_input(m * k, &mut rng)).unwrap();
     let b = Tensor::from_vec(Shape::d2(k, n), random_input(k * n, &mut rng)).unwrap();
     (a, b, 2 * (m * k * n) as u64)
+}
+
+/// One conv forward pair: the naive oracle against the layer's GEMM path
+/// (im2col blocks × the weights packed at layer construction), plus the
+/// AVX2 throughput floor `--perf-smoke` holds the GEMM side to.
+struct ConvPair {
+    name: &'static str,
+    flops: u64,
+    /// Set from the committed `BENCH_kernels.json` row (45 and 47 GFLOP/s
+    /// on the reference box) with headroom for its 2x wander.
+    min_avx2_gflops: f64,
+    naive: Box<dyn FnMut()>,
+    gemm: Box<dyn FnMut(&ParallelConfig)>,
+}
+
+/// Builds one pair from a layer of either rank, a seeded random input of
+/// `in_shape` and the layer's `forward_linear_with`.
+fn conv_pair<L: ConvLayer + Clone + 'static>(
+    name: &'static str,
+    min_avx2_gflops: f64,
+    layer: L,
+    in_shape: Shape,
+    seed: u64,
+    forward: fn(&L, &ParallelConfig, &Tensor) -> Result<Tensor, NnError>,
+) -> ConvPair {
+    let mut dhw = [1; 3];
+    dhw[3 - L::RANK..].copy_from_slice(&in_shape.dims()[1..]);
+    let input = random_input(in_shape.volume(), &mut Rng64::new(seed));
+    let input = Tensor::from_vec(in_shape, input).unwrap();
+    let (naive_layer, naive_input) = (layer.clone(), input.clone());
+    ConvPair {
+        name,
+        flops: layer.geometry().flops(dhw),
+        min_avx2_gflops,
+        naive: Box::new(move || {
+            let (g, x) = (naive_layer.geometry(), black_box(naive_input.as_slice()));
+            let (w, b) = (naive_layer.weights(), naive_layer.bias());
+            black_box(conv_forward_naive(g, dhw, x, w, b).unwrap());
+        }),
+        gemm: Box::new(move |cfg| {
+            black_box(forward(&layer, cfg, black_box(&input)).unwrap());
+        }),
+    }
+}
+
+/// The conv forward pairs used by both the full run and the `--perf-smoke`
+/// CI gate: AutoPilot CONV2 (24 -> 36 channels, 5x5 stride 2, filters off
+/// the 16-lane panel) and a C3D-style 3D convolution (CONV3 channel ratio,
+/// reduced spatial size so the naive side stays near 100 ms).
+fn conv_pairs() -> [ConvPair; 2] {
+    let spec2 = Conv2dSpec {
+        in_channels: 24,
+        out_channels: 36,
+        kh: 5,
+        kw: 5,
+        stride: 2,
+        pad: 0,
+    };
+    let spec3 = Conv3dSpec {
+        in_channels: 32,
+        out_channels: 64,
+        kd: 3,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let layer2 = Conv2dLayer::random(spec2, Activation::Relu, &mut Rng64::new(3));
+    let layer3 = Conv3dLayer::random(spec3, Activation::Relu, &mut Rng64::new(5));
+    [
+        conv_pair(
+            "autopilot_conv2_24x31x98/forward",
+            12.0,
+            layer2,
+            Shape::d3(24, 31, 98),
+            4,
+            Conv2dLayer::forward_linear_with,
+        ),
+        conv_pair(
+            "c3d_conv3_32x4x14x14/forward",
+            20.0,
+            layer3,
+            Shape::d4(32, 4, 14, 14),
+            6,
+            Conv3dLayer::forward_linear_with,
+        ),
+    ]
 }
 
 /// Steady-state engine timings with telemetry off vs on, plus the per-layer
@@ -339,6 +432,25 @@ fn perf_smoke() -> ExitCode {
     if gflops < min_gflops {
         eprintln!("blocked matmul throughput is below the {min_gflops:.2} GFLOP/s floor");
         ok = false;
+    }
+    // The conv forward rides the same GEMM: under AVX2 it is held to an
+    // absolute throughput floor per geometry, at the scalar level to not
+    // losing to the naive nest it replaced.
+    for mut pair in conv_pairs() {
+        let naive_ns = time_ns(&mut pair.naive);
+        let gemm_ns = time_ns(|| (pair.gemm)(&serial));
+        let (speedup, gflops) = (naive_ns / gemm_ns, pair.flops as f64 / gemm_ns);
+        let floor = if avx2 { pair.min_avx2_gflops } else { 0.0 };
+        eprintln!(
+            "perf smoke [{}]: {} naive {naive_ns:.0} ns, gemm {gemm_ns:.0} ns, \
+             speedup {speedup:.3}x (floor 1.000x), {gflops:.2} GFLOP/s (floor {floor:.2})",
+            level.name(),
+            pair.name
+        );
+        if speedup < 1.0 || gflops < floor {
+            eprintln!("{} misses its floors", pair.name);
+            ok = false;
+        }
     }
     if ok {
         ExitCode::SUCCESS
@@ -578,67 +690,14 @@ fn main() -> ExitCode {
         ));
     }
 
-    // AutoPilot CONV2 geometry: 24 -> 36 channels, 5x5 stride 2.
-    {
-        let spec = Conv2dSpec {
-            in_channels: 24,
-            out_channels: 36,
-            kh: 5,
-            kw: 5,
-            stride: 2,
-            pad: 0,
-        };
-        let layer = Conv2dLayer::random(spec, Activation::Relu, &mut Rng64::new(3));
-        let in_shape = Shape::d3(24, 31, 98);
-        let mut rng = Rng64::new(4);
-        let base = random_input(in_shape.volume(), &mut rng);
-        let base_t = Tensor::from_vec(in_shape, base).unwrap();
+    // The two conv forward pairs (also the `--perf-smoke` conv gate).
+    for mut pair in conv_pairs() {
         rows.push(bench_triple(
-            "autopilot_conv2_24x31x98/forward",
-            spec.flops(31, 98),
+            pair.name,
+            pair.flops,
             &parallel,
-            || {
-                black_box(
-                    conv2d_forward_naive(&spec, black_box(&base_t), layer.weights(), layer.bias())
-                        .unwrap(),
-                );
-            },
-            |cfg| {
-                black_box(layer.forward_linear_with(cfg, black_box(&base_t)).unwrap());
-            },
-        ));
-    }
-
-    // C3D-style 3D convolution (CONV3 channel ratio, reduced spatial size so
-    // one iteration stays in the tens of milliseconds).
-    {
-        let spec = Conv3dSpec {
-            in_channels: 32,
-            out_channels: 64,
-            kd: 3,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let layer = Conv3dLayer::random(spec, Activation::Relu, &mut Rng64::new(5));
-        let in_shape = Shape::d4(32, 4, 14, 14);
-        let mut rng = Rng64::new(6);
-        let base = random_input(in_shape.volume(), &mut rng);
-        let base_t = Tensor::from_vec(in_shape, base).unwrap();
-        rows.push(bench_triple(
-            "c3d_conv3_32x4x14x14/forward",
-            spec.flops(4, 14, 14),
-            &parallel,
-            || {
-                black_box(
-                    conv3d_forward_naive(&spec, black_box(&base_t), layer.weights(), layer.bias())
-                        .unwrap(),
-                );
-            },
-            |cfg| {
-                black_box(layer.forward_linear_with(cfg, black_box(&base_t)).unwrap());
-            },
+            &mut pair.naive,
+            &mut pair.gemm,
         ));
     }
 

@@ -1,11 +1,12 @@
-//! Convolutional layers (paper Eq. 2) wrapping the direct kernels in
-//! `reuse-tensor`.
+//! Convolutional layers (paper Eq. 2) wrapping the GEMM kernel in
+//! `reuse-tensor`. A layer packs its weights once, at construction, into the
+//! `[taps, out_c]` panels every forward pass — and every reuse correction,
+//! which shares them through the `Arc` — reads.
 
-use reuse_tensor::conv::{
-    conv2d_forward, conv2d_forward_with, conv3d_forward, conv3d_forward_with, Conv2dSpec,
-    Conv3dSpec,
-};
-use reuse_tensor::{ParallelConfig, Shape, Tensor};
+use std::sync::Arc;
+
+use reuse_tensor::conv::{conv_forward_packed, Conv2dSpec, Conv3dSpec, ConvGeometry};
+use reuse_tensor::{PackedPanels, ParallelConfig, Shape, Tensor};
 
 use crate::{init, Activation, NnError};
 
@@ -13,8 +14,10 @@ use crate::{init, Activation, NnError};
 #[derive(Debug, Clone)]
 pub struct Conv2dLayer {
     spec: Conv2dSpec,
+    geometry: ConvGeometry,
     weights: Tensor,
     bias: Tensor,
+    panels: Arc<PackedPanels>,
     activation: Activation,
 }
 
@@ -31,7 +34,7 @@ impl Conv2dLayer {
         bias: Tensor,
         activation: Activation,
     ) -> Result<Self, NnError> {
-        spec.geometry()?;
+        let geometry = spec.geometry()?;
         if weights.shape() != &spec.weight_shape() {
             return Err(NnError::InvalidConfig {
                 context: format!(
@@ -50,10 +53,13 @@ impl Conv2dLayer {
                 ),
             });
         }
+        let panels = Arc::new(geometry.pack_weights(weights.as_slice())?);
         Ok(Conv2dLayer {
             spec,
+            geometry,
             weights,
             bias,
+            panels,
             activation,
         })
     }
@@ -67,12 +73,7 @@ impl Conv2dLayer {
         let weights = Tensor::from_vec(spec.weight_shape(), w).expect("sized by construction");
         let bias =
             Tensor::from_vec(Shape::d1(spec.out_channels), b).expect("sized by construction");
-        Conv2dLayer {
-            spec,
-            weights,
-            bias,
-            activation,
-        }
+        Self::new(spec, weights, bias, activation).expect("sized by construction")
     }
 
     /// The convolution geometry.
@@ -83,6 +84,17 @@ impl Conv2dLayer {
     /// Filter weights `[out_c, in_c, kh, kw]`.
     pub fn weights(&self) -> &Tensor {
         &self.weights
+    }
+
+    /// The validated rank-generic geometry of [`Self::spec`].
+    pub fn geometry(&self) -> &ConvGeometry {
+        &self.geometry
+    }
+
+    /// The weights as packed at construction: the `[taps, out_c]` panels the
+    /// forward pass multiplies against and reuse corrections read rows of.
+    pub fn panels(&self) -> &Arc<PackedPanels> {
+        &self.panels
     }
 
     /// Per-filter biases.
@@ -101,16 +113,11 @@ impl Conv2dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(conv2d_forward(
-            &self.spec,
-            input,
-            &self.weights,
-            &self.bias,
-        )?)
+        self.forward_linear_with(&ParallelConfig::serial(), input)
     }
 
     /// [`Self::forward_linear`] with an explicit parallelism budget (output
-    /// channels are partitioned; results are bit-identical to serial).
+    /// positions are partitioned; results are bit-identical to serial).
     ///
     /// # Errors
     ///
@@ -120,11 +127,12 @@ impl Conv2dLayer {
         config: &ParallelConfig,
         input: &Tensor,
     ) -> Result<Tensor, NnError> {
-        Ok(conv2d_forward_with(
+        Ok(conv_forward_packed(
             config,
-            &self.spec,
+            &self.geometry,
+            2,
             input,
-            &self.weights,
+            &self.panels,
             &self.bias,
         )?)
     }
@@ -135,7 +143,9 @@ impl Conv2dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(self.activation.apply(&self.forward_linear(input)?))
+        let mut out = self.forward_linear(input)?;
+        self.activation.apply_in_place(out.as_mut_slice());
+        Ok(out)
     }
 
     /// Parameter count (weights + biases).
@@ -148,8 +158,10 @@ impl Conv2dLayer {
 #[derive(Debug, Clone)]
 pub struct Conv3dLayer {
     spec: Conv3dSpec,
+    geometry: ConvGeometry,
     weights: Tensor,
     bias: Tensor,
+    panels: Arc<PackedPanels>,
     activation: Activation,
 }
 
@@ -166,7 +178,7 @@ impl Conv3dLayer {
         bias: Tensor,
         activation: Activation,
     ) -> Result<Self, NnError> {
-        spec.geometry()?;
+        let geometry = spec.geometry()?;
         if weights.shape() != &spec.weight_shape() {
             return Err(NnError::InvalidConfig {
                 context: format!(
@@ -185,10 +197,13 @@ impl Conv3dLayer {
                 ),
             });
         }
+        let panels = Arc::new(geometry.pack_weights(weights.as_slice())?);
         Ok(Conv3dLayer {
             spec,
+            geometry,
             weights,
             bias,
+            panels,
             activation,
         })
     }
@@ -202,12 +217,7 @@ impl Conv3dLayer {
         let weights = Tensor::from_vec(spec.weight_shape(), w).expect("sized by construction");
         let bias =
             Tensor::from_vec(Shape::d1(spec.out_channels), b).expect("sized by construction");
-        Conv3dLayer {
-            spec,
-            weights,
-            bias,
-            activation,
-        }
+        Self::new(spec, weights, bias, activation).expect("sized by construction")
     }
 
     /// The convolution geometry.
@@ -218,6 +228,17 @@ impl Conv3dLayer {
     /// Filter weights `[out_c, in_c, kd, kh, kw]`.
     pub fn weights(&self) -> &Tensor {
         &self.weights
+    }
+
+    /// The validated rank-generic geometry of [`Self::spec`].
+    pub fn geometry(&self) -> &ConvGeometry {
+        &self.geometry
+    }
+
+    /// The weights as packed at construction: the `[taps, out_c]` panels the
+    /// forward pass multiplies against and reuse corrections read rows of.
+    pub fn panels(&self) -> &Arc<PackedPanels> {
+        &self.panels
     }
 
     /// Per-filter biases.
@@ -236,16 +257,11 @@ impl Conv3dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(conv3d_forward(
-            &self.spec,
-            input,
-            &self.weights,
-            &self.bias,
-        )?)
+        self.forward_linear_with(&ParallelConfig::serial(), input)
     }
 
     /// [`Self::forward_linear`] with an explicit parallelism budget (output
-    /// filters are partitioned; results are bit-identical to serial).
+    /// positions are partitioned; results are bit-identical to serial).
     ///
     /// # Errors
     ///
@@ -255,11 +271,12 @@ impl Conv3dLayer {
         config: &ParallelConfig,
         input: &Tensor,
     ) -> Result<Tensor, NnError> {
-        Ok(conv3d_forward_with(
+        Ok(conv_forward_packed(
             config,
-            &self.spec,
+            &self.geometry,
+            3,
             input,
-            &self.weights,
+            &self.panels,
             &self.bias,
         )?)
     }
@@ -270,7 +287,9 @@ impl Conv3dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(self.activation.apply(&self.forward_linear(input)?))
+        let mut out = self.forward_linear(input)?;
+        self.activation.apply_in_place(out.as_mut_slice());
+        Ok(out)
     }
 
     /// Parameter count (weights + biases).

@@ -209,6 +209,8 @@ struct Reader<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     /// Tokens pending on the current line.
     pending: Vec<&'a str>,
+    /// Upper bound on the bytes of text not yet handed out by `lines`.
+    unread: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -216,13 +218,20 @@ impl<'a> Reader<'a> {
         Reader {
             lines: text.lines().enumerate(),
             pending: Vec::new(),
+            unread: text.len(),
         }
+    }
+
+    fn line(&mut self) -> Option<(usize, &'a str)> {
+        let (n, line) = self.lines.next()?;
+        self.unread = self.unread.saturating_sub(line.len() + 1);
+        Some((n, line))
     }
 
     /// Next structural line split into tokens (skips parameter leftovers).
     fn next_line(&mut self) -> Option<(usize, Vec<&'a str>)> {
         self.pending.clear();
-        for (n, line) in self.lines.by_ref() {
+        while let Some((n, line)) = self.line() {
             let trimmed = line.trim();
             if !trimmed.is_empty() {
                 return Some((n + 1, trimmed.split_whitespace().collect()));
@@ -231,12 +240,21 @@ impl<'a> Reader<'a> {
         None
     }
 
-    /// Reads exactly `count` floats from subsequent lines.
+    /// Reads exactly `count` floats from subsequent lines. `count` comes
+    /// from the file's own layer line, so it is checked against what the
+    /// rest of the text could hold — a value needs a digit and a separator —
+    /// before anything is reserved for it.
     fn floats(&mut self, count: usize) -> Result<Vec<f32>, SerializeError> {
+        let available = self.pending.len() + self.unread.div_ceil(2);
+        if count > available {
+            return Err(SerializeError::BadParameters(format!(
+                "expected {count} values, at most {available} remain"
+            )));
+        }
         let mut values = Vec::with_capacity(count);
         while values.len() < count {
             if self.pending.is_empty() {
-                let Some((_, line)) = self.lines.next() else {
+                let Some((_, line)) = self.line() else {
                     return Err(SerializeError::BadParameters(format!(
                         "expected {count} values, got {}",
                         values.len()
@@ -260,13 +278,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// `a · b` for two dimensions read from a layer line.
+fn volume(a: usize, b: usize) -> Result<usize, SerializeError> {
+    a.checked_mul(b)
+        .ok_or_else(|| SerializeError::BadParameters(format!("{a} x {b} values overflow usize")))
+}
+
 fn read_cell(r: &mut Reader<'_>, n_in: usize, cell_dim: usize) -> Result<LstmCell, SerializeError> {
     let mut w_x = Vec::with_capacity(4);
     let mut w_h = Vec::with_capacity(4);
     let mut bias = Vec::with_capacity(4);
     for _ in 0..4 {
-        let wx = r.floats(n_in * cell_dim)?;
-        let wh = r.floats(cell_dim * cell_dim)?;
+        let wx = r.floats(volume(n_in, cell_dim)?)?;
+        let wh = r.floats(volume(cell_dim, cell_dim)?)?;
         let b = r.floats(cell_dim)?;
         w_x.push(Tensor::from_vec(Shape::d2(n_in, cell_dim), wx).map_err(NnError::from)?);
         w_h.push(Tensor::from_vec(Shape::d2(cell_dim, cell_dim), wh).map_err(NnError::from)?);
@@ -361,7 +385,7 @@ pub fn from_str(text: &str) -> Result<Network, SerializeError> {
                     .get(2)
                     .and_then(|t| act_from(t))
                     .ok_or_else(|| bad("bad activation".into()))?;
-                let w = r.floats(n_in * n_out)?;
+                let w = r.floats(volume(n_in, n_out)?)?;
                 let b = r.floats(n_out)?;
                 let weights = Tensor::from_vec(Shape::d2(n_in, n_out), w).map_err(NnError::from)?;
                 let bias = Tensor::from_vec(Shape::d1(n_out), b).map_err(NnError::from)?;
@@ -515,6 +539,41 @@ mod tests {
             let err = from_str(&text).unwrap_err();
             assert!(
                 matches!(err, SerializeError::BadLine { .. }),
+                "{layer}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_dimensions_are_rejected_not_an_abort() {
+        // Each used to reserve (or multiply out) a volume taken straight
+        // from the layer line: an allocation failure aborts the process, and
+        // the products overflowed.
+        let huge = usize::MAX / 2 + 1;
+        for (shape, layer) in [
+            (
+                "3 8 8",
+                "conv2d c1 1000000 1000000 1000 1000 1 0 relu".to_string(),
+            ),
+            ("3 8 8", format!("conv2d c1 {huge} {huge} 3 3 1 0 relu")),
+            (
+                "3 4 8 8",
+                "conv3d c1 100000 100000 1000 1000 100 1 0 relu".to_string(),
+            ),
+            ("3 4 8 8", format!("conv3d c1 {huge} 2 {huge} 3 3 1 0 relu")),
+            ("8", "fc fc1 4000000000 4000000000 relu".to_string()),
+            ("8", format!("fc fc1 {huge} {huge} relu")),
+            ("8", format!("lstm l1 {huge} {huge}")),
+        ] {
+            let text = format!(
+                "reuse-dnn-model v{FORMAT_VERSION}\nname m\ninput {shape}\nlayer {layer}\n0.5 0.25\n"
+            );
+            let err = from_str(&text).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SerializeError::BadParameters(_) | SerializeError::BadLine { .. }
+                ),
                 "{layer}: {err}"
             );
         }

@@ -9,56 +9,66 @@
 //!
 //! One mechanism, so one of everything: [`ConvReuseState`] corrects layers of
 //! either rank through [`reuse_tensor::conv::ConvGeometry`] (a 2D layer is
-//! the depth-1 case), against one [`ConvPack`] — the immutable
-//! `[in_c, kd, kh, kw, out_c]` weight transpose the model builds once and
-//! every stream shares. States hold only per-stream data.
+//! the depth-1 case), against one [`ConvPack`] — a handle on the layer's own
+//! `[taps, out_c]` [`PackedPanels`], the copy its forward pass multiplies
+//! against, shared by every stream. States hold only per-stream data, and
+//! hold their buffered pre-activations **channels-last**
+//! (`[od·oh·ow, out_c]`): the layout the forward GEMM produces and the one
+//! in which a correction is contiguous.
 //!
 //! Pass 1 quantizes the frame and diffs the codes through
 //! [`LinearQuantizer::diff_codes_into`] (SIMD-dispatched, bit-exact at every
 //! [`reuse_tensor::SimdLevel`]), then records each changed input's geometry
 //! (channel weight offset, padded coordinates, affected output ranges from a
 //! per-axis table) in a reusable scratch list. Pass 2 walks that list once
-//! per worker, **delta-outer, filter-inner**: for each affected output
-//! position the transpose makes the tap's weights for all of the worker's
-//! filters one contiguous row. It is a deliberately scalar scatter walk, and
-//! every output element receives its corrections in changed-list (input)
-//! order, so results are identical at every SIMD level and thread count.
+//! per worker, workers owning whole output rows: for each affected position
+//! the correction is one AXPY of the tap's weight row onto the position's
+//! `out_c` contiguous outputs, and a changed input's `(oy, ox)` fan-out in
+//! one output plane is one [`PackedPanels::axpy_row_grids`] grid (fused at
+//! AVX2 like the FC and LSTM corrections, multiply-then-add at the scalar
+//! level). Every
+//! output element receives its corrections in changed-list (input) order on
+//! one thread, so results are identical at every thread count. The
+//! write-out transposes into the `[out_c, (od,) oh, ow]` layout the next
+//! layer expects.
+
+use std::sync::Arc;
 
 use reuse_nn::{Conv2dLayer, Conv3dLayer};
 use reuse_quant::{LinearQuantizer, QuantCode};
-use reuse_tensor::conv::{conv_forward_with, ConvGeometry};
+use reuse_tensor::block::RowGrid;
+use reuse_tensor::conv::{conv_forward_with, transpose_into, ConvGeometry};
 use reuse_tensor::parallel::parallel_for_mut_cost;
-use reuse_tensor::{ParallelConfig, Shape, TensorError};
+use reuse_tensor::{PackedPanels, ParallelConfig, Shape};
 
 use crate::layer::ExecStats;
 use crate::ReuseError;
 
 /// A convolutional layer of either rank, seen as what the correction needs:
-/// its rank-generic geometry and its flat parameters.
+/// its rank-generic geometry, its flat parameters and its packed weights.
 pub trait ConvLayer {
     /// Spatial rank of the layer's inputs: 2 for `[c, h, w]`, 3 for
     /// `[c, d, h, w]`.
     const RANK: usize;
 
     /// The layer's validated geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`] when the layer's spec is degenerate.
-    fn geometry(&self) -> Result<ConvGeometry, TensorError>;
+    fn geometry(&self) -> &ConvGeometry;
 
     /// Flat `[out_c, in_c, (kd,) kh, kw]` filter weights.
     fn weights(&self) -> &[f32];
 
     /// Per-filter biases.
     fn bias(&self) -> &[f32];
+
+    /// The weights as the layer packed them: `[taps, out_c]` panels.
+    fn panels(&self) -> &Arc<PackedPanels>;
 }
 
 impl ConvLayer for Conv2dLayer {
     const RANK: usize = 2;
 
-    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
-        self.spec().geometry()
+    fn geometry(&self) -> &ConvGeometry {
+        Conv2dLayer::geometry(self)
     }
 
     fn weights(&self) -> &[f32] {
@@ -68,13 +78,17 @@ impl ConvLayer for Conv2dLayer {
     fn bias(&self) -> &[f32] {
         Conv2dLayer::bias(self).as_slice()
     }
+
+    fn panels(&self) -> &Arc<PackedPanels> {
+        Conv2dLayer::panels(self)
+    }
 }
 
 impl ConvLayer for Conv3dLayer {
     const RANK: usize = 3;
 
-    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
-        self.spec().geometry()
+    fn geometry(&self) -> &ConvGeometry {
+        Conv3dLayer::geometry(self)
     }
 
     fn weights(&self) -> &[f32] {
@@ -84,6 +98,10 @@ impl ConvLayer for Conv3dLayer {
     fn bias(&self) -> &[f32] {
         Conv3dLayer::bias(self).as_slice()
     }
+
+    fn panels(&self) -> &Arc<PackedPanels> {
+        Conv3dLayer::panels(self)
+    }
 }
 
 /// References forward, so a caller holding a `&&Conv2dLayer` (a `match` on
@@ -91,7 +109,7 @@ impl ConvLayer for Conv3dLayer {
 impl<T: ConvLayer> ConvLayer for &T {
     const RANK: usize = T::RANK;
 
-    fn geometry(&self) -> Result<ConvGeometry, TensorError> {
+    fn geometry(&self) -> &ConvGeometry {
         T::geometry(self)
     }
 
@@ -102,12 +120,16 @@ impl<T: ConvLayer> ConvLayer for &T {
     fn bias(&self) -> &[f32] {
         T::bias(self)
     }
+
+    fn panels(&self) -> &Arc<PackedPanels> {
+        T::panels(self)
+    }
 }
 
 /// The output-position range `[lo, hi)` whose receptive field covers input
 /// coordinate `y`, for kernel size `k`, stride `s`, padding `p` and output
 /// extent `n`.
-fn affected_range(y: usize, k: usize, s: usize, p: usize, n: usize) -> (usize, usize) {
+fn affected_range(y: usize, k: usize, s: usize, p: usize, n: usize) -> (u32, u32) {
     let y = y as isize + p as isize;
     let k = k as isize;
     let s = s as isize;
@@ -116,32 +138,34 @@ fn affected_range(y: usize, k: usize, s: usize, p: usize, n: usize) -> (usize, u
     let lo = (y - k + 1 + s - 1).div_euclid(s); // ceil((y-k+1)/s)
     let lo = lo.max(0) as usize;
     let hi = (hi.min(n as isize - 1) + 1).max(0) as usize;
-    (lo.min(n), hi.min(n))
+    (lo.min(n) as u32, hi.min(n) as u32)
 }
 
 /// One changed input's correction, with its geometry precomputed in pass 1
-/// so pass 2 does no division or range math: the channel's weight-block
-/// offset `wc = c·kd·kh·kw`, the padded coordinates (so the kernel tap for
-/// output `o` is `coord + pad − o·stride`), and the affected output ranges.
+/// so pass 2 does no division or range math: the affected output ranges and
+/// the weight row (kernel tap) the input reaches its first affected output
+/// through. Kept to 32 bytes — the list is written and re-read every frame.
 #[derive(Debug, Clone, Copy)]
 struct ConvDelta {
     delta: f32,
-    wc: usize,
-    zp: usize,
-    yp: usize,
-    xp: usize,
-    oz: (usize, usize),
-    oy: (usize, usize),
-    ox: (usize, usize),
+    /// Tap index at output `(oz, oy, ox.0) = (0, 0, ox.0)`; the tap at
+    /// `(oz, oy)` is `(oz·kh + oy)·kw·stride` below it, and each further
+    /// `ox` another `stride` below.
+    tap: u32,
+    oz: (u32, u32),
+    oy: (u32, u32),
+    ox: (u32, u32),
 }
 
-/// The immutable `[in_c, kd, kh, kw, out_c]` weight transpose of a
-/// convolutional layer (`kd = 1` for 2D), packed once so every stream's
-/// correction pass shares one copy (it lives in `CompiledModel`, not in
-/// per-stream state).
+/// The packed weights a convolutional layer's corrections read: a shared
+/// handle on the layer's own `[taps, out_c]` [`PackedPanels`] (`taps` in
+/// `(in_c, kd, kh, kw)` order, `kd = 1` for 2D) — the one copy its forward
+/// pass multiplies against, so packing costs nothing here and every stream
+/// (the pack lives in `CompiledModel`, not in per-stream state) reads the
+/// same bytes.
 #[derive(Debug, Clone)]
 pub struct ConvPack {
-    w_t: Vec<f32>,
+    panels: Arc<PackedPanels>,
 }
 
 /// [`ConvPack`] under its rank-specific name.
@@ -150,25 +174,16 @@ pub type Conv2dPack = ConvPack;
 pub type Conv3dPack = ConvPack;
 
 impl ConvPack {
-    /// Packs a layer's weights into the shared correction transpose: the
-    /// `[out_c, taps]` filter matrix becomes `[taps, out_c]`, so one tap's
-    /// weights for every filter are contiguous.
+    /// Takes a handle on the layer's packed weights.
     pub fn new<L: ConvLayer>(layer: &L) -> Self {
-        let w = layer.weights();
-        let fc = layer.bias().len();
-        let taps = w.len() / fc;
-        let mut w_t = vec![0.0f32; w.len()];
-        for (f, filter) in w.chunks(taps).enumerate() {
-            for (t, &v) in filter.iter().enumerate() {
-                w_t[t * fc + f] = v;
-            }
+        ConvPack {
+            panels: Arc::clone(layer.panels()),
         }
-        ConvPack { w_t }
     }
 
-    /// Bytes occupied by the packed transpose.
+    /// Bytes occupied by the packed panels (shared with the layer).
     pub fn bytes(&self) -> u64 {
-        (self.w_t.len() * 4) as u64
+        self.panels.storage_bytes() as u64
     }
 }
 
@@ -182,11 +197,13 @@ pub struct ConvReuseState {
     /// Output extents `[od, oh, ow]`.
     out_dhw: [usize; 3],
     /// [`affected_range`] of every input coordinate, the `d`, `h` and `w`
-    /// axes back to back: tabulated once so pass 1 divides only to split the
-    /// flat index (per-delta range divisions cost as much as a small
+    /// axes back to back: tabulated once, so pass 1 looks ranges up instead
+    /// of dividing (per-delta range divisions cost as much as a small
     /// fan-out's MACs).
-    fanout: Vec<(usize, usize)>,
+    fanout: Vec<(u32, u32)>,
     prev_codes: Vec<QuantCode>,
+    /// Buffered pre-activations, channels-last (`[od·oh·ow, out_c]`) — the
+    /// one buffered copy; layer-boundary layouts are transposed in and out.
     prev_linear: Vec<f32>,
     /// Scratch list of precomputed per-delta corrections, collected
     /// serially in input order; capacity for the worst case (every input
@@ -212,7 +229,7 @@ impl ConvReuseState {
     ///
     /// Returns [`ReuseError`] when `in_shape` is incompatible with the layer.
     pub fn new<L: ConvLayer>(layer: &L, in_shape: &Shape) -> Result<Self, ReuseError> {
-        let geometry = layer.geometry()?;
+        let geometry = *layer.geometry();
         let d = in_shape.dims();
         if d.len() != L::RANK + 1 || d[0] != geometry.in_channels() {
             return Err(ReuseError::InvalidConfig {
@@ -222,6 +239,14 @@ impl ConvReuseState {
         let mut in_dhw = [1; 3];
         in_dhw[3 - L::RANK..].copy_from_slice(&d[1..]);
         let out_dhw = geometry.output_dhw(in_dhw)?;
+        // Changed-input indices, output coordinates and tap indices are kept
+        // as u32 (see `ConvDelta`).
+        let widest = in_shape.volume().max(geometry.taps());
+        if u32::try_from(widest.max(out_dhw.iter().product())).is_err() {
+            return Err(ReuseError::InvalidConfig {
+                context: format!("conv{}d state on {in_shape} exceeds u32 indexing", L::RANK),
+            });
+        }
         let (k, s, p) = (geometry.kernel(), geometry.stride(), geometry.pad());
         let fanout = (0..3)
             .flat_map(|a| (0..in_dhw[a]).map(move |y| affected_range(y, k[a], s, p[a], out_dhw[a])))
@@ -268,19 +293,31 @@ impl ConvReuseState {
         (self.in_volume() + 4 * out_volume) as u64
     }
 
-    /// The buffered linear (pre-activation) outputs of the last execution
-    /// (empty before initialization). Read by the drift watchdog.
-    pub fn buffered_linear(&self) -> &[f32] {
-        &self.prev_linear
+    /// Replaces `out` with the buffered linear (pre-activation) outputs of
+    /// the last execution in the layer-boundary `[out_c, (od,)
+    /// oh, ow]` layout (nothing before initialization). Read by the drift
+    /// watchdog and the signature cache; also every execution's write-out.
+    pub fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        let out_c = self.geometry.out_channels();
+        let positions = self.prev_linear.len() / out_c;
+        // Every element is overwritten: size the buffer without clearing it.
+        out.resize(self.prev_linear.len(), 0.0);
+        transpose_into(&self.prev_linear, positions, out_c, out);
     }
 
     /// Replaces the buffered state with externally computed values (codes
-    /// from quantizing `input`, linear outputs from `linear`); used by the
-    /// drift watchdog to re-baseline onto full-precision values.
+    /// from quantizing `input`, linear outputs from the `[out_c, (od,) oh,
+    /// ow]` `linear`, transposed in); used by the drift watchdog to
+    /// re-baseline onto full-precision values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `linear` does not have the layer's output volume.
     pub fn adopt_baseline(&mut self, quantizer: &LinearQuantizer, input: &[f32], linear: &[f32]) {
         quantizer.quantize_slice_into(input, &mut self.prev_codes);
-        self.prev_linear.clear();
-        self.prev_linear.extend_from_slice(linear);
+        let (out_c, positions) = (self.geometry.out_channels(), self.out_dhw.iter().product());
+        self.prev_linear.resize(out_c * positions, 0.0);
+        transpose_into(linear, out_c, positions, &mut self.prev_linear);
         self.initialized = true;
     }
 
@@ -292,10 +329,11 @@ impl ConvReuseState {
     /// `input` is the flat row-major data of the state's input shape; `pack`
     /// must be the [`ConvPack`] built from `layer`. Changed inputs are
     /// diffed serially (precomputing each delta's geometry); corrections are
-    /// applied with each worker owning whole output feature maps. Every
-    /// output accumulates its deltas in input order, so the result is
-    /// bit-identical to serial execution. Correction frames below the
-    /// config's inline-FLOP threshold run inline with no thread spawns.
+    /// applied with each worker owning whole output rows (one `oy` row of
+    /// every filter). Every output accumulates its deltas in input order, so
+    /// the result is bit-identical to serial execution. Correction frames
+    /// below the config's inline-FLOP threshold run inline with no thread
+    /// spawns.
     ///
     /// # Errors
     ///
@@ -319,13 +357,17 @@ impl ConvReuseState {
                 context: format!("conv input length {} != state volume {n_in}", input.len()),
             });
         }
-        let volume = g.weight_volume();
-        if layer.weights().len() != volume || pack.w_t.len() != volume {
+        let panels: &PackedPanels = &pack.panels;
+        let (taps, fc) = (g.taps(), g.out_channels());
+        if layer.weights().len() != g.weight_volume()
+            || (panels.n_in(), panels.n_out()) != (taps, fc)
+        {
             return Err(ReuseError::InvalidConfig {
                 context: format!(
-                    "conv layer ({} weights) or pack ({}) does not match the state's {volume}",
+                    "conv layer ({} weights) or pack ({}x{}) does not match the state's {taps}x{fc}",
                     layer.weights().len(),
-                    pack.w_t.len()
+                    panels.n_in(),
+                    panels.n_out()
                 ),
             });
         }
@@ -333,23 +375,12 @@ impl ConvReuseState {
         let n_in = n_in as u64;
 
         if !self.initialized {
-            quantizer.quantize_slice_into(input, &mut self.prev_codes);
-            let centroids: Vec<f32> = self
-                .prev_codes
-                .iter()
-                .map(|&c| quantizer.centroid(c))
-                .collect();
-            self.prev_linear = conv_forward_with(
-                config,
-                &g,
-                in_dhw,
-                &centroids,
-                layer.weights(),
-                layer.bias(),
-            )?;
-            self.initialized = true;
+            let centroids = quantizer.quantized_values(input);
+            let bias = layer.bias();
+            let linear = conv_forward_with(config, &g, in_dhw, &centroids, panels, bias)?;
+            self.adopt_baseline(quantizer, input, &linear);
             out.clear();
-            out.extend_from_slice(&self.prev_linear);
+            out.extend_from_slice(&linear);
             return Ok(ExecStats {
                 n_inputs: n_in,
                 n_changed: n_in,
@@ -368,9 +399,8 @@ impl ConvReuseState {
             &mut self.scratch_codes,
             &mut self.changed,
         );
-        let fc = g.out_channels();
         let [d, h, w] = in_dhw;
-        let [od, oh, ow] = self.out_dhw;
+        let [_, oh, ow] = self.out_dhw;
         let [kd, kh, kw] = g.kernel();
         let [pd, ph, pw] = g.pad();
         let s = g.stride();
@@ -379,63 +409,74 @@ impl ConvReuseState {
         let (fy, fx) = fyx.split_at(h);
         let mut macs = 0u64;
         self.deltas.clear();
+        // The changed list ascends, so the coordinates advance with it and
+        // divide only when they wrap a row (divisions per delta cost as much
+        // as a small fan-out's MACs); the ranges are looked up.
+        let (mut c, mut z, mut y, mut x, mut at) = (0, 0, 0, 0, 0);
         for &(idx, delta) in &self.changed {
-            // Three 32-bit divisions split the index; the ranges are looked up.
-            let (row, x) = (idx / w as u32, (idx % w as u32) as usize);
-            let (vol, y) = (row / h as u32, (row % h as u32) as usize);
-            let (c, z) = ((vol / d as u32) as usize, (vol % d as u32) as usize);
+            x += (idx - at) as usize;
+            at = idx;
+            if x >= w {
+                (y, x) = (y + x / w, x % w);
+                if y >= h {
+                    (z, y) = (z + y / h, y % h);
+                    (c, z) = (c + z / d, z % d);
+                }
+            }
             let (oz, oy, ox) = (fz[z], fy[y], fx[x]);
-            macs += ((oz.1 - oz.0) * (oy.1 - oy.0) * (ox.1 - ox.0) * fc) as u64;
+            let fan_out = ((oz.1 - oz.0) * (oy.1 - oy.0) * (ox.1 - ox.0)) as usize;
+            if fan_out == 0 {
+                // An input between strides can feed no output at all.
+                continue;
+            }
+            macs += (fan_out * fc) as u64;
+            let tap = c * k_vol + ((z + pd) * kh + y + ph) * kw + x + pw - ox.0 as usize * s;
             self.deltas.push(ConvDelta {
                 delta,
-                wc: c * k_vol,
-                zp: z + pd,
-                yp: y + ph,
-                xp: x + pw,
+                tap: tap as u32,
                 oz,
                 oy,
                 ox,
             });
         }
 
-        // Pass 2 (parallel over output feature maps): the scattered walk
-        // over the [c, kz, ky, kx, f] transpose. Output layout is
-        // [f, oz, oy, ox]; the f stride is one filter's output volume.
-        let o_vol = od * oh * ow;
+        // Pass 2 (parallel over output rows): per delta and output plane,
+        // the affected (oy, ox) grid is rows of `out_c` contiguous floats in
+        // the channels-last buffer — consecutive along ox, `row_len` apart
+        // along oy — reading taps `stride` (resp. `stride · kw`) apart,
+        // descending.
+        let row_len = ow * fc;
         let deltas: &[ConvDelta] = &self.deltas;
-        let w_t: &[f32] = &pack.w_t;
         parallel_for_mut_cost(
             config,
             &mut self.prev_linear,
-            o_vol,
+            row_len,
             2 * macs,
             |offset, chunk| {
-                let first_f = offset / o_vol;
-                let n_f = chunk.len() / o_vol;
-                for dl in deltas {
-                    for oz in dl.oz.0..dl.oz.1 {
-                        let kz = dl.zp - oz * s;
-                        for oy in dl.oy.0..dl.oy.1 {
-                            let ky = dl.yp - oy * s;
-                            let wbase = dl.wc + (kz * kh + ky) * kw;
-                            for ox in dl.ox.0..dl.ox.1 {
-                                let kx = dl.xp - ox * s;
-                                let wrow = &w_t[(wbase + kx) * fc + first_f..][..n_f];
-                                let obase = (oz * oh + oy) * ow + ox;
-                                for (f, &wv) in wrow.iter().enumerate() {
-                                    chunk[f * o_vol + obase] += dl.delta * wv;
-                                }
-                            }
-                        }
-                    }
-                }
+                let rows = offset / row_len..(offset + chunk.len()) / row_len;
+                let grids = deltas.iter().flat_map(|dl| {
+                    let rows = &rows;
+                    (dl.oz.0 as usize..dl.oz.1 as usize).filter_map(move |oz| {
+                        // This plane's affected oy range, clipped to the
+                        // worker's rows.
+                        let plane = oz * oh;
+                        let lo = (dl.oy.0 as usize).max(rows.start.saturating_sub(plane));
+                        let hi = (dl.oy.1 as usize).min(rows.end.saturating_sub(plane));
+                        (lo < hi).then(|| RowGrid {
+                            first_row: dl.tap as usize - (oz * kh + lo) * kw * s,
+                            counts: [hi - lo, (dl.ox.1 - dl.ox.0) as usize],
+                            at: (plane + lo - rows.start) * row_len + dl.ox.0 as usize * fc,
+                            scale: dl.delta,
+                        })
+                    })
+                });
+                panels.axpy_row_grids([s * kw, s], row_len, grids, chunk);
             },
         );
-        out.clear();
-        out.extend_from_slice(&self.prev_linear);
+        self.buffered_linear_into(out);
         Ok(ExecStats {
             n_inputs: n_in,
-            n_changed: self.deltas.len() as u64,
+            n_changed: self.changed.len() as u64,
             macs_total,
             macs_performed: macs,
             from_scratch: false,
@@ -515,7 +556,7 @@ mod tests {
     fn oracle(layer: &impl ConvLayer, dhw: [usize; 3], input: &[f32]) -> Vec<f32> {
         let centroids = q().quantized_values(input);
         reuse_tensor::conv::conv_forward_naive(
-            &layer.geometry().unwrap(),
+            layer.geometry(),
             dhw,
             &centroids,
             layer.weights(),

@@ -194,10 +194,12 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
     /// networks.
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]);
 
-    /// The buffered linear outputs (empty for recurrent cells, whose
-    /// baseline is the gate pre-activation buffer the watchdog never
-    /// inspects).
-    fn buffered_linear(&self) -> &[f32];
+    /// Clears `out` and writes the buffered linear outputs into it, in the
+    /// layout [`Self::adopt_baseline`] takes them (nothing for recurrent
+    /// cells, whose baseline is the gate pre-activation buffer the watchdog
+    /// never inspects). A copy rather than a borrow because conv states
+    /// buffer channels-last and transpose on the way out.
+    fn buffered_linear_into(&self, out: &mut Vec<f32>);
 
     /// Whether a baseline (codes + buffered outputs) is in place, i.e. the
     /// next [`Self::step`] will correct incrementally instead of running
@@ -238,8 +240,9 @@ impl ReuseLayer for FcReuseState {
         FcReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
     }
 
-    fn buffered_linear(&self) -> &[f32] {
-        FcReuseState::buffered_linear(self)
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend_from_slice(FcReuseState::buffered_linear(self));
     }
 
     fn is_initialized(&self) -> bool {
@@ -284,8 +287,8 @@ impl ReuseLayer for ConvReuseState {
         ConvReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
     }
 
-    fn buffered_linear(&self) -> &[f32] {
-        ConvReuseState::buffered_linear(self)
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        ConvReuseState::buffered_linear_into(self, out);
     }
 
     fn is_initialized(&self) -> bool {
@@ -332,8 +335,8 @@ impl ReuseLayer for LstmReuseState {
         );
     }
 
-    fn buffered_linear(&self) -> &[f32] {
-        &[]
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        out.clear();
     }
 
     fn reset(&mut self, layer: &Layer) {
@@ -456,8 +459,8 @@ impl ReuseLayer for BiLstmReuseState {
         );
     }
 
-    fn buffered_linear(&self) -> &[f32] {
-        &[]
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        out.clear();
     }
 
     fn reset(&mut self, layer: &Layer) {
@@ -529,8 +532,8 @@ impl ReuseLayer for PassthroughReuseState {
         debug_assert!(false, "passthrough slots hold no baseline to adopt");
     }
 
-    fn buffered_linear(&self) -> &[f32] {
-        &[]
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        out.clear();
     }
 
     fn reset(&mut self, _layer: &Layer) {}

@@ -21,14 +21,15 @@ use crate::{LayerSetting, ReuseConfig, ReuseError};
 
 /// Packed/blocked weight layouts for one reuse slot, shared by every
 /// session of the model. Fully-connected corrections read weight rows
-/// straight from the network, so they carry no pack.
+/// straight from the network, so they carry no pack; conv packs are handles
+/// on the panels the network's layers already hold.
 #[derive(Debug)]
 pub enum CompiledWeights {
     /// Fully-connected: corrections walk the network's own row-major
     /// weights — nothing to pack.
     Fc,
-    /// Conv2d/Conv3d: the `[in_c, kd, kh, kw, out_c]` weight transpose
-    /// (`kd = 1` for 2D).
+    /// Conv2d/Conv3d: the layer's `[taps, out_c]` packed panels (taps in
+    /// `(in_c, kd, kh, kw)` order, `kd = 1` for 2D).
     Conv(ConvPack),
     /// LSTM: the combined four-gate `[rows, 4*d]` matrices.
     Lstm(LstmGatePack),

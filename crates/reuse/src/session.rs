@@ -1156,13 +1156,16 @@ impl ReuseSession {
         let Some(sigs) = model.signatures() else {
             return;
         };
-        let linear = self.runtimes[slot_pos].state.buffered_linear();
+        let mut linear = Vec::new();
+        self.runtimes[slot_pos]
+            .state
+            .buffered_linear_into(&mut linear);
         if linear.is_empty() {
             return;
         }
         let entry = CachedBaseline {
             input: input.to_vec(),
-            linear: linear.to_vec(),
+            linear,
         };
         if sigs.cache().insert(slot_pos as u32, sig, entry) {
             self.signature.inserts += 1;
@@ -1242,6 +1245,7 @@ impl ReuseSession {
         let bound = model.config().drift_bound();
         let parallel = *model.config().parallel_config();
         let mut cur = Tensor::from_vec(model.network().input_shape().clone(), frame.to_vec())?;
+        let mut buffered = Vec::new();
         let n_layers = model.network().layers().len();
         for i in 0..n_layers {
             cur = self.reshape_to_layer(cur, i)?;
@@ -1273,9 +1277,9 @@ impl ReuseSession {
             // against the raw recomputation using the engine-level bound —
             // conservative, but consistent with what the watchdog just
             // observed at the network output.
-            let buffered = rt.state.buffered_linear();
-            let drifted =
-                buffered.len() == linear.len() && max_abs_diff(buffered, linear.as_slice()) > bound;
+            rt.state.buffered_linear_into(&mut buffered);
+            let drifted = buffered.len() == linear.len()
+                && max_abs_diff(&buffered, linear.as_slice()) > bound;
             let qx = rt.quantizer_x.expect("enabled slot has quantizer");
             let qh = rt.quantizer_h;
             let ctx = StepCtx {

@@ -62,9 +62,8 @@ pub(crate) const TILE_LANES: usize = TILE_PANELS * PANEL_WIDTH;
 /// buffer is then read-only and streamed by the forward microkernel.
 /// (Reuse corrections read the *raw* row-major matrix instead — see
 /// [`apply_deltas_rows`] — because a sparse changed set touches only its
-/// own rows, and panel interleaving would waste half of every cache line.)
-/// [`PackedPanels::pack_into`] exposes the pooled-buffer form for callers
-/// that recycle allocations.
+/// own rows, which the raw matrix keeps contiguous; conv corrections, whose
+/// rows are `out_c` wide, read the panels: [`PackedPanels::axpy_row_grids`].)
 #[derive(Debug, Clone)]
 pub struct PackedPanels {
     data: Vec<f32>,
@@ -88,50 +87,25 @@ impl PackedPanels {
         Ok(Self::pack_slice(weights.as_slice(), dims[0], dims[1]))
     }
 
-    /// Packs a raw input-major weight slice of shape `[n_in, n_out]`.
+    /// Packs a raw input-major weight slice of shape `[n_in, n_out]`. Tail
+    /// lanes beyond `n_out` are zero-filled so the microkernels can always
+    /// read full 16-lane rows.
     ///
     /// # Panics
     ///
     /// Panics when `w.len() != n_in * n_out`.
     pub fn pack_slice(w: &[f32], n_in: usize, n_out: usize) -> Self {
-        let mut data = Vec::new();
-        Self::pack_into(w, n_in, n_out, &mut data);
-        PackedPanels { data, n_in, n_out }
-    }
-
-    /// Pooled-buffer packing core: clears `buf`, reuses its capacity, and
-    /// fills it with the panel layout. Tail lanes beyond `n_out` are
-    /// zero-filled so the microkernel can always read full 16-lane rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w.len() != n_in * n_out`.
-    pub fn pack_into(w: &[f32], n_in: usize, n_out: usize, buf: &mut Vec<f32>) {
         assert_eq!(w.len(), n_in * n_out, "weight slice/shape mismatch");
         let n_panels = n_out.div_ceil(PANEL_WIDTH);
-        buf.clear();
-        buf.resize(n_panels * n_in * PANEL_WIDTH, 0.0);
-        for p in 0..n_panels {
+        let mut data = vec![0.0; n_panels * n_in * PANEL_WIDTH];
+        for (p, panel) in data.chunks_exact_mut(n_in * PANEL_WIDTH).enumerate() {
             let col0 = p * PANEL_WIDTH;
             let lanes = (n_out - col0).min(PANEL_WIDTH);
-            let panel = &mut buf[p * n_in * PANEL_WIDTH..(p + 1) * n_in * PANEL_WIDTH];
             for i in 0..n_in {
                 let src = &w[i * n_out + col0..i * n_out + col0 + lanes];
                 panel[i * PANEL_WIDTH..i * PANEL_WIDTH + lanes].copy_from_slice(src);
             }
         }
-    }
-
-    /// Wraps an already-packed buffer (e.g. one produced by
-    /// [`Self::pack_into`] through a pool) without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data.len()` disagrees with the panel layout for
-    /// `[n_in, n_out]`.
-    pub fn from_packed_vec(data: Vec<f32>, n_in: usize, n_out: usize) -> Self {
-        let n_panels = n_out.div_ceil(PANEL_WIDTH);
-        assert_eq!(data.len(), n_panels * n_in * PANEL_WIDTH, "bad packed len");
         PackedPanels { data, n_in, n_out }
     }
 
@@ -165,6 +139,80 @@ impl PackedPanels {
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<f32>()
     }
+
+    /// The whole packed buffer, panels back to back (the AVX2 kernels index
+    /// across panels from one base pointer).
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Adds scaled weight rows onto grids of `n_out`-wide rows of `dst`, in
+    /// iteration order: for each grid `g`, `i < g.counts[0]`,
+    /// `j < g.counts[1]` and every column `c`,
+    ///
+    /// ```text
+    /// dst[g.at + i·outer_stride + j·n_out + c]
+    ///     += g.scale · w[g.first_row − i·steps[0] − j·steps[1]][c]
+    /// ```
+    ///
+    /// This is the convolution correction (paper Section IV-C) over
+    /// channels-last outputs: a changed input reaches `counts[1]` consecutive
+    /// output positions along `ox` through kernel taps `stride` apart,
+    /// descending, on `counts[0]` output rows `outer_stride` floats apart
+    /// through taps `stride · kw` apart; row `t` of a panel is 16 contiguous
+    /// floats, so the forward pass's panels serve unchanged. The scalar
+    /// [`crate::simd::level`] multiplies then adds; AVX2 fuses each step
+    /// (the [`crate::simd::row_axpy`] shape). The level is resolved once per
+    /// call and the iterator inlines: a grid is only a few dozen floats.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a grid reaches past `dst` or a row index falls outside
+    /// `0 .. n_in`.
+    pub fn axpy_row_grids(
+        &self,
+        steps: [usize; 2],
+        outer_stride: usize,
+        grids: impl Iterator<Item = RowGrid>,
+        dst: &mut [f32],
+    ) {
+        match simd::level() {
+            #[cfg(target_arch = "x86_64")]
+            simd::SimdLevel::Avx2 => {
+                simd::avx2::axpy_row_grids(self, steps, outer_stride, grids, dst);
+            }
+            _ => {
+                for g in grids {
+                    for i in 0..g.counts[0] {
+                        for j in 0..g.counts[1] {
+                            let row = g.first_row - i * steps[0] - j * steps[1];
+                            let out = &mut dst[g.at + i * outer_stride + j * self.n_out..];
+                            for (p, seg) in out[..self.n_out].chunks_mut(PANEL_WIDTH).enumerate() {
+                                let wrow = &self.panel(p)[row * PANEL_WIDTH..][..seg.len()];
+                                for (o, &w) in seg.iter_mut().zip(wrow) {
+                                    *o += g.scale * w;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One `counts[0] × counts[1]` grid of destination rows for
+/// [`PackedPanels::axpy_row_grids`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowGrid {
+    /// Weight row added onto the grid's first destination row.
+    pub first_row: usize,
+    /// Destination rows along the outer and the inner axis.
+    pub counts: [usize; 2],
+    /// Offset of the first destination row, in floats.
+    pub at: usize,
+    /// The factor every weight row is scaled by (the changed input's delta).
+    pub scale: f32,
 }
 
 /// Blocked fully-connected forward pass: `out[j] = Σ_i w[i][j]·x[i] + b[j]`,

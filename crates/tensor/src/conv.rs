@@ -1,14 +1,24 @@
-//! Direct convolution kernels (2D and 3D) over one rank-generic geometry.
+//! Convolution kernels (2D and 3D) over one rank-generic geometry.
 //!
 //! The paper evaluates 2D convolutions (AutoPilot, paper Table I) and 3D
-//! convolutions (C3D, Eq. 2). Both are the same loop nest — direct
-//! convolution (no im2col) with symmetric zero padding and a configurable
-//! stride — so there is one of everything here: [`ConvGeometry`] describes a
-//! convolution of either rank (2D is the `kd = 1`, depth-1, `pd = 0` case of
-//! 3D), [`conv_forward_with`] is the one blocked kernel,
-//! [`conv_forward_naive`] the one oracle, and the `conv2d_*` / `conv3d_*`
-//! functions are conversions from [`Conv2dSpec`] / [`Conv3dSpec`] plus output
-//! reshaping. The Table I layer geometries:
+//! convolutions (C3D, Eq. 2), both with symmetric zero padding and a
+//! configurable stride, so there is one of everything here:
+//! [`ConvGeometry`] describes a convolution of either rank (2D is the
+//! `kd = 1`, depth-1, `pd = 0` case of 3D), [`conv_forward_with`] is the one
+//! kernel, [`conv_forward_naive`] the one oracle, and the
+//! `conv2d_*` / `conv3d_*` functions are conversions from [`Conv2dSpec`] /
+//! [`Conv3dSpec`] plus output reshaping.
+//!
+//! The kernel is a GEMM: blocks of output positions are unrolled into im2col
+//! rows and multiplied, through [`crate::matmul::matmul_packed_into`],
+//! against the layer's `[taps, out_c]` weights, packed once into
+//! [`PackedPanels`] by [`ConvGeometry::pack_weights`]. Its natural output is
+//! channels-last — `[od·oh·ow, out_c]`, every position's filters contiguous,
+//! the layout the reuse correction keeps ([`PackedPanels::axpy_row_grids`]);
+//! layer boundaries stay `[out_c, (od,) oh, ow]` and [`transpose_into`]
+//! converts.
+//!
+//! The Table I layer geometries:
 //!
 //! * AutoPilot: 5×5 kernels stride 2 (CONV1-3) and 3×3 stride 1 (CONV4-5),
 //!   no padding.
@@ -18,12 +28,10 @@
 //! Input layout is `[channels, (depth,) height, width]`; weights are
 //! `[out_channels, in_channels, (kd,) kh, kw]`.
 
-use crate::parallel::{parallel_for_mut_cost, ParallelConfig};
+use crate::block::PackedPanels;
+use crate::matmul::matmul_packed_into;
+use crate::parallel::{parallel_for_each_mut, ParallelConfig};
 use crate::{Shape, Tensor, TensorError};
-
-/// Lane count of the fixed-width accumulator tile the blocked conv kernels
-/// carry along each output row (mirrors [`crate::block::PANEL_WIDTH`]).
-const LANES: usize = crate::block::PANEL_WIDTH;
 
 /// Geometry of a convolution of either rank, validated at construction:
 /// channels, kernel extents and stride are all non-zero. A 2D convolution is
@@ -44,7 +52,9 @@ impl ConvGeometry {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when a channel count, a kernel
-    /// extent or the stride is zero.
+    /// extent or the stride is zero, or when the weight volume
+    /// `out_c · in_c · kd · kh · kw` does not fit a `usize` (geometries come
+    /// from model files; everything downstream sizes buffers from it).
     pub fn new(
         in_channels: usize,
         out_channels: usize,
@@ -52,11 +62,16 @@ impl ConvGeometry {
         stride: usize,
         pad: [usize; 3],
     ) -> Result<Self, TensorError> {
-        if in_channels == 0 || out_channels == 0 || stride == 0 || kernel.contains(&0) {
+        let volume = kernel
+            .iter()
+            .try_fold(in_channels, |v, &k| v.checked_mul(k))
+            .and_then(|taps| taps.checked_mul(out_channels));
+        if stride == 0 || volume.is_none_or(|v| v == 0) {
             return Err(TensorError::ShapeMismatch {
                 context: format!(
-                    "conv channels, kernel extents and stride must be non-zero: \
-                     {in_channels}->{out_channels} channels, kernel {kernel:?}, stride {stride}"
+                    "conv channels, kernel extents and stride must be non-zero and the weight \
+                     volume must fit usize: {in_channels}->{out_channels} channels, \
+                     kernel {kernel:?}, stride {stride}"
                 ),
             });
         }
@@ -94,9 +109,34 @@ impl ConvGeometry {
         self.pad
     }
 
+    /// Taps per output, `in_c · kd · kh · kw`: the GEMM's inner dimension.
+    pub fn taps(&self) -> usize {
+        self.in_channels * self.kernel.iter().product::<usize>()
+    }
+
     /// Element count of the `[out_c, in_c, kd, kh, kw]` weights.
     pub fn weight_volume(&self) -> usize {
-        self.out_channels * self.in_channels * self.kernel.iter().product::<usize>()
+        self.out_channels * self.taps()
+    }
+
+    /// Packs `[out_c, in_c, kd, kh, kw]` filter weights, once per layer, as
+    /// the `[taps, out_c]` matrix the forward GEMM and the reuse correction
+    /// both read: tap `t` of every filter is one contiguous row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `weights` does not have
+    /// [`Self::weight_volume`] elements.
+    pub fn pack_weights(&self, weights: &[f32]) -> Result<PackedPanels, TensorError> {
+        if weights.len() != self.weight_volume() {
+            return Err(TensorError::ShapeMismatch {
+                context: format!("{} conv weights for {self:?}", weights.len()),
+            });
+        }
+        let (taps, out_c) = (self.taps(), self.out_channels);
+        let mut by_tap = vec![0.0f32; weights.len()];
+        transpose_into(weights, out_c, taps, &mut by_tap);
+        Ok(PackedPanels::pack_slice(&by_tap, taps, out_c))
     }
 
     /// Output extents `[od, oh, ow]` for a `[d, h, w]` input.
@@ -267,88 +307,156 @@ impl Conv3dSpec {
     }
 }
 
-/// Direct convolution of either rank over flat buffers, with an explicit
-/// parallelism budget — the one blocked kernel every conv entry point runs.
+/// Working-set target for one im2col block, derived like the matmul's
+/// `MATMUL_L2_BLOCK_BYTES` (192 KiB): the block is written once, then re-read
+/// from cache by every weight panel, so it must stay L2-resident beside the
+/// panels on a 512 KiB-L2 part. The scratch is this or four rows (the GEMM's
+/// register block), whichever is larger — never the `positions × taps`
+/// matrix (16 MB for C3D-small CONV1).
+const IM2COL_BLOCK_BYTES: usize = 128 * 1024;
+
+/// Unrolls output positions `first .. first + a.len() / taps` (row-major
+/// over `[od, oh, ow]`) into im2col rows: `a[r][t]` is the input under tap
+/// `t` of position `first + r`, taps in ascending `(ic, kz, ky, kx)` order,
+/// `0.0` where the tap falls in the zero padding.
+fn im2col_rows<const KW: usize>(
+    g: &ConvGeometry,
+    dhw: [usize; 3],
+    out_hw: [usize; 2],
+    x: &[f32],
+    first: usize,
+    a: &mut [f32],
+) {
+    let [d, h, w] = dhw;
+    let [oh, ow] = out_hw;
+    let [kd, kh, kw] = g.kernel;
+    // A width known at compile time turns each kw-float copy below from a
+    // `memcpy` call into a couple of moves.
+    let kw = if KW == 0 { kw } else { KW };
+    let [pd, ph, pw] = g.pad;
+    let s = g.stride;
+    for (r, row) in a.chunks_exact_mut(g.taps()).enumerate() {
+        let p = first + r;
+        let (oz, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
+        // Padded input coordinate of tap 0; tap k reads coordinate
+        // `origin + k - pad` when that lands inside the input.
+        let (z0, y0, x0) = (oz * s, oy * s, ox * s);
+        let interior = x0 >= pw && x0 - pw + kw <= w;
+        let mut segs = row.chunks_exact_mut(kw);
+        for xc in x.chunks_exact(d * h * w) {
+            for kz in 0..kd {
+                let iz = (z0 + kz).checked_sub(pd).filter(|&iz| iz < d);
+                for ky in 0..kh {
+                    let iy = (y0 + ky).checked_sub(ph).filter(|&iy| iy < h);
+                    let seg = segs.next().expect("taps = in_c * kd * kh segments of kw");
+                    let Some((iz, iy)) = iz.zip(iy) else {
+                        seg.fill(0.0);
+                        continue;
+                    };
+                    let xrow = &xc[(iz * h + iy) * w..][..w];
+                    if interior {
+                        seg.copy_from_slice(&xrow[x0 - pw..][..kw]);
+                    } else {
+                        for (kx, v) in seg.iter_mut().enumerate() {
+                            let ix = (x0 + kx).checked_sub(pw);
+                            *v = ix.and_then(|ix| xrow.get(ix)).copied().unwrap_or(0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Convolution of either rank over flat buffers, with an explicit
+/// parallelism budget — the one kernel every conv entry point runs.
 ///
-/// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D); `wv`:
-/// `[out_c, in_c, kd, kh, kw]`; `bv`: `[out_c]`. Returns the flat
-/// `[out_c, od, oh, ow]` output. Output filters are chunked across workers
-/// (granule = one filter's `od×oh×ow` volume), so each output element is
-/// accumulated by one thread in the serial loop order.
+/// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D);
+/// `panels`: the layer's weights from [`ConvGeometry::pack_weights`]; `bv`:
+/// `[out_c]`. Returns the flat `[out_c, od, oh, ow]` output. Workers share
+/// out the output positions (each owns one span of every filter's map); a
+/// worker unrolls its positions into im2col blocks (`IM2COL_BLOCK_BYTES`),
+/// multiplies each against the packed weights ([`matmul_packed_into`]) and
+/// transposes the finished channels-last block into place while it is hot.
 ///
-/// The kernel is cache-blocked: one filter's weight block
-/// `[in_c × kd × kh × kw]` *is* the L1 panel (it is read front-to-back per
-/// output volume), and each output row is walked in `LANES`-wide tiles with
-/// a fixed-width register accumulator, `kx` innermost over the tile. Per
-/// output element the additions still happen in ascending
-/// `(ic, kz, ky, kx)` order with the same out-of-bounds skips as the naive
-/// loop; with `kd = od = 1` the `kz`/`oz` levels run once and the nest is
-/// the 2D `(ic, ky, oy)` walk. Under [`crate::simd::SimdLevel::Scalar`]
-/// results are bit-identical to [`conv_forward_naive`]; under the AVX2
-/// level the interior row tiles use fused multiply-adds, so outputs agree
-/// with the oracle within [`crate::simd::fma_tolerance`] (see the
-/// accumulation-order contract in [`crate::simd`]).
+/// Each block row is seeded with the bias before the multiply accumulates
+/// onto it, so per output element the additions are the bias first, then
+/// the taps in ascending `(ic, kz, ky, kx)` order — [`conv_forward_naive`]'s.
+/// At the scalar [`crate::simd::level`] the multiply skips `0.0` inputs: the
+/// oracle's out-of-bounds skip (a padded tap is a `0.0` im2col entry), and
+/// otherwise value-preserving, so results are bit-identical to the oracle;
+/// under AVX2 the same terms fuse in the same order, within
+/// [`crate::simd::fma_tolerance`]. Either way an element's value does not
+/// depend on how positions were blocked or shared out.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] when a buffer length disagrees with the geometry
-/// or the kernel does not fit the padded input.
+/// Returns [`TensorError`] when a buffer length or the packed shape
+/// disagrees with the geometry, or the kernel does not fit the padded input.
 pub fn conv_forward_with(
     config: &ParallelConfig,
     g: &ConvGeometry,
     dhw: [usize; 3],
     x: &[f32],
-    wv: &[f32],
+    panels: &PackedPanels,
     bv: &[f32],
 ) -> Result<Vec<f32>, TensorError> {
-    let [od, oh, ow] = check_conv(g, dhw, x, wv, bv)?;
-    let [d, h, w] = dhw;
-    let [kd, kh, kw] = g.kernel;
-    let [pd, ph, pw] = g.pad;
-    let s = g.stride;
-    let mut out = vec![0.0f32; g.out_channels * od * oh * ow];
-
-    let in_plane = h * w;
-    let in_vol = d * in_plane;
-    let k_plane = kh * kw;
-    let k_vol = kd * k_plane;
-    let w_per_filter = g.in_channels * k_vol;
-    let o_plane = oh * ow;
-    let o_vol = od * o_plane;
-    // Interior columns: every kx tap lands inside [0, w).
-    let (int_lo, int_hi) = interior_range(w, kw, s, pw, ow);
-    let flops = g.flops(dhw);
-    parallel_for_mut_cost(config, &mut out, o_vol, flops, |chunk_offset, chunk| {
-        let first_oc = chunk_offset / o_vol;
-        for (p, vol) in chunk.chunks_mut(o_vol).enumerate() {
-            let oc = first_oc + p;
-            vol.fill(bv[oc]);
-            let wf = &wv[oc * w_per_filter..(oc + 1) * w_per_filter];
-            for ic in 0..g.in_channels {
-                let xc = &x[ic * in_vol..(ic + 1) * in_vol];
-                let wc = &wf[ic * k_vol..(ic + 1) * k_vol];
-                for kz in 0..kd {
-                    let wz = &wc[kz * k_plane..(kz + 1) * k_plane];
-                    for oz in 0..od {
-                        let iz = (oz * s + kz) as isize - pd as isize;
-                        if iz < 0 || iz >= d as isize {
-                            continue;
-                        }
-                        let xz = &xc[iz as usize * in_plane..(iz as usize + 1) * in_plane];
-                        let oplane = &mut vol[oz * o_plane..(oz + 1) * o_plane];
-                        for ky in 0..kh {
-                            let wrow = &wz[ky * kw..(ky + 1) * kw];
-                            for oy in 0..oh {
-                                let iy = (oy * s + ky) as isize - ph as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                let xrow = &xz[iy as usize * w..(iy as usize + 1) * w];
-                                let orow = &mut oplane[oy * ow..(oy + 1) * ow];
-                                conv_row_pass(orow, xrow, wrow, w, s, pw, int_lo, int_hi);
-                            }
-                        }
-                    }
+    let (taps, out_c) = (g.taps(), g.out_channels);
+    let got = [x.len(), panels.n_in(), panels.n_out(), bv.len()];
+    let want = [
+        g.in_channels * dhw.iter().product::<usize>(),
+        taps,
+        out_c,
+        out_c,
+    ];
+    if got != want {
+        return Err(TensorError::ShapeMismatch {
+            context: format!(
+                "conv input/packed taps/packed filters/bias {got:?} != {want:?} for {g:?} on {dhw:?}"
+            ),
+        });
+    }
+    let [od, oh, ow] = g.output_dhw(dhw)?;
+    let positions = od * oh * ow;
+    let mut out = vec![0.0f32; out_c * positions];
+    let workers = if g.flops(dhw) < config.inline_flops {
+        1
+    } else {
+        config.workers_for(out.len()).min(positions)
+    };
+    let span = positions.div_ceil(workers);
+    // spans[w][f]: worker w's span of filter f's map.
+    let mut spans: Vec<Vec<&mut [f32]>> = (0..workers).map(|_| Vec::new()).collect();
+    for map in out.chunks_exact_mut(positions) {
+        let mut rest = map;
+        for worker in &mut spans {
+            let (head, tail) = rest.split_at_mut(span.min(rest.len()));
+            worker.push(head);
+            rest = tail;
+        }
+    }
+    let block_bytes = taps * core::mem::size_of::<f32>();
+    let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4).max(4).min(span);
+    parallel_for_each_mut(&config.min_work_per_thread(1), &mut spans, |w, maps| {
+        let mut a = vec![0.0f32; block_rows * taps];
+        let mut c = vec![0.0f32; block_rows * out_c];
+        for at in (0..maps[0].len()).step_by(block_rows) {
+            let rows = block_rows.min(maps[0].len() - at);
+            let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
+            let first = w * span + at;
+            match g.kernel[2] {
+                1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
+                3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
+                5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
+                _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
+            }
+            for crow in c.chunks_exact_mut(out_c) {
+                crow.copy_from_slice(bv);
+            }
+            matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
+            for (f, map) in maps.iter_mut().enumerate() {
+                for (v, crow) in map[at..at + rows].iter_mut().zip(c.chunks_exact(out_c)) {
+                    *v = crow[f];
                 }
             }
         }
@@ -356,9 +464,32 @@ pub fn conv_forward_with(
     Ok(out)
 }
 
-/// The unblocked serial oracle for [`conv_forward_with`]: the original
-/// per-output loop with no row tiling. Kept public so proptests and
-/// `kernel_bench` can compare the blocked kernel against it.
+/// Writes the transpose of the row-major `[rows, cols]` matrix `src` into
+/// `dst` in square tiles (a few cache lines a side): channels-last
+/// `[positions, out_c]` conv outputs to and from `[out_c, positions]`.
+///
+/// # Panics
+///
+/// Panics when `src` or `dst` does not hold `rows * cols` elements.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const TILE: usize = 32;
+    assert_eq!(src.len(), rows * cols, "transpose source shape");
+    assert_eq!(dst.len(), rows * cols, "transpose destination shape");
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(cols) {
+                for (r, v) in dst[c * rows + r0..c * rows + r1].iter_mut().enumerate() {
+                    *v = src[(r0 + r) * cols + c];
+                }
+            }
+        }
+    }
+}
+
+/// The serial oracle for [`conv_forward_with`] at either rank: the direct
+/// per-output loop over raw `[out_c, in_c, kd, kh, kw]` weights. Kept public
+/// so proptests and `kernel_bench` can compare the GEMM kernel against it.
 ///
 /// # Errors
 ///
@@ -371,7 +502,18 @@ pub fn conv_forward_naive(
     wv: &[f32],
     bv: &[f32],
 ) -> Result<Vec<f32>, TensorError> {
-    let [od, oh, ow] = check_conv(g, dhw, x, wv, bv)?;
+    let got = [x.len(), wv.len(), bv.len()];
+    let want = [
+        g.in_channels * dhw.iter().product::<usize>(),
+        g.weight_volume(),
+        g.out_channels,
+    ];
+    if got != want {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("conv input/weights/bias {got:?} != {want:?} for {g:?} on {dhw:?}"),
+        });
+    }
+    let [od, oh, ow] = g.output_dhw(dhw)?;
     let [d, h, w] = dhw;
     let [kd, kh, kw] = g.kernel;
     let [pd, ph, pw] = g.pad.map(|p| p as isize);
@@ -427,66 +569,31 @@ pub fn conv_forward_naive(
     Ok(out)
 }
 
-/// The one shape check: buffer lengths against the geometry, then the output
-/// extents.
-fn check_conv(
+/// Convolution of a `rank`-dimensional (2 or 3) input tensor against
+/// weights packed by [`ConvGeometry::pack_weights`] — the entry for layers,
+/// which pack once and run every frame. Returns `[out_c, (od,) oh, ow]`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the input, the packed
+/// weights or the bias disagree with the geometry.
+pub fn conv_forward_packed(
+    config: &ParallelConfig,
     g: &ConvGeometry,
-    dhw: [usize; 3],
-    x: &[f32],
-    wv: &[f32],
-    bv: &[f32],
-) -> Result<[usize; 3], TensorError> {
-    let got = [x.len(), wv.len(), bv.len()];
-    let want = [
-        g.in_channels * dhw.iter().product::<usize>(),
-        g.weight_volume(),
-        g.out_channels,
-    ];
-    if got != want {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv input/weights/bias lengths {got:?} != {want:?} for {g:?} on {dhw:?}"
-            ),
-        });
-    }
-    g.output_dhw(dhw)
-}
-
-/// Tensor-level entry shared by the `conv2d_*` / `conv3d_*` wrappers: checks
-/// that `input` and `weights` have the rank's shapes (the `rank` trailing
-/// extents of `[d, h, w]` / `[kd, kh, kw]`), runs the blocked nest under
-/// `config` — or the naive oracle when there is none — on the flat buffers
-/// and restores the rank on the output.
-fn forward_ranked(
-    g: ConvGeometry,
     rank: usize,
-    config: Option<&ParallelConfig>,
     input: &Tensor,
-    weights: &Tensor,
+    panels: &PackedPanels,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let (idims, wdims) = (input.shape().dims(), weights.shape().dims());
-    if idims.len() != rank + 1
-        || idims[0] != g.in_channels
-        || wdims.len() != rank + 2
-        || wdims[..2] != [g.out_channels, g.in_channels]
-        || wdims[2..] != g.kernel[3 - rank..]
-    {
+    let idims = input.shape().dims();
+    if idims.len() != rank + 1 || idims[0] != g.in_channels {
         return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "conv{rank}d input {} or weights {} do not match {g:?}",
-                input.shape(),
-                weights.shape()
-            ),
+            context: format!("conv{rank}d input {} does not match {g:?}", input.shape()),
         });
     }
     let mut dhw = [1; 3];
     dhw[3 - rank..].copy_from_slice(&idims[1..]);
-    let (x, wv, bv) = (input.as_slice(), weights.as_slice(), bias.as_slice());
-    let out = match config {
-        Some(config) => conv_forward_with(config, &g, dhw, x, wv, bv),
-        None => conv_forward_naive(&g, dhw, x, wv, bv),
-    }?;
+    let out = conv_forward_with(config, g, dhw, input.as_slice(), panels, bias.as_slice())?;
     let [od, oh, ow] = g.output_dhw(dhw)?;
     let shape = match rank {
         2 => Shape::d3(g.out_channels, oh, ow),
@@ -495,7 +602,30 @@ fn forward_ranked(
     Tensor::from_vec(shape, out)
 }
 
-/// Direct 2D convolution with symmetric zero padding.
+/// [`conv_forward_packed`] on the serial budget for callers holding a raw
+/// weight tensor: checks its shape and packs it on every call.
+fn forward_unpacked(
+    g: &ConvGeometry,
+    rank: usize,
+    input: &Tensor,
+    weights: &Tensor,
+    bias: &Tensor,
+) -> Result<Tensor, TensorError> {
+    let wdims = weights.shape().dims();
+    if wdims.len() != rank + 2
+        || wdims[..2] != [g.out_channels, g.in_channels]
+        || wdims[2..] != g.kernel[3 - rank..]
+    {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("conv{rank}d weights {} do not match {g:?}", weights.shape()),
+        });
+    }
+    let panels = g.pack_weights(weights.as_slice())?;
+    conv_forward_packed(&ParallelConfig::serial(), g, rank, input, &panels, bias)
+}
+
+/// 2D convolution with symmetric zero padding, packing `weights` on every
+/// call (layers pack once: [`conv_forward_packed`]).
 ///
 /// `input`: `[in_c, h, w]`; `weights`: `[out_c, in_c, kh, kw]`;
 /// `bias`: `[out_c]`. Returns `[out_c, oh, ow]`.
@@ -510,43 +640,11 @@ pub fn conv2d_forward(
     weights: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    conv2d_forward_with(&ParallelConfig::serial(), spec, input, weights, bias)
+    forward_unpacked(&spec.geometry()?, 2, input, weights, bias)
 }
 
-/// [`conv2d_forward`] with an explicit parallelism budget: the depth-1 case
-/// of [`conv_forward_with`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv2d_forward_with(
-    config: &ParallelConfig,
-    spec: &Conv2dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    forward_ranked(spec.geometry()?, 2, Some(config), input, weights, bias)
-}
-
-/// The unblocked serial oracle for [`conv2d_forward`]: the depth-1 case of
-/// [`conv_forward_naive`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv2d_forward_naive(
-    spec: &Conv2dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    forward_ranked(spec.geometry()?, 2, None, input, weights, bias)
-}
-
-/// Direct 3D convolution with symmetric zero padding (paper Eq. 2).
+/// 3D convolution with symmetric zero padding (paper Eq. 2), packing
+/// `weights` on every call (layers pack once: [`conv_forward_packed`]).
 ///
 /// `input`: `[in_c, d, h, w]`; `weights`: `[out_c, in_c, kd, kh, kw]`;
 /// `bias`: `[out_c]`. Returns `[out_c, od, oh, ow]`.
@@ -561,162 +659,7 @@ pub fn conv3d_forward(
     weights: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    conv3d_forward_with(&ParallelConfig::serial(), spec, input, weights, bias)
-}
-
-/// [`conv3d_forward`] with an explicit parallelism budget; see
-/// [`conv_forward_with`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv3d_forward_with(
-    config: &ParallelConfig,
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    forward_ranked(spec.geometry()?, 3, Some(config), input, weights, bias)
-}
-
-/// The unblocked serial oracle for [`conv3d_forward`]; see
-/// [`conv_forward_naive`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when any dimension disagrees with
-/// the spec.
-pub fn conv3d_forward_naive(
-    spec: &Conv3dSpec,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
-    forward_ranked(spec.geometry()?, 3, None, input, weights, bias)
-}
-
-/// Output-column range `[lo, hi]` (inclusive) whose kernel taps all land
-/// inside `[0, w)`, i.e. where the row pass can skip per-tap bounds checks.
-/// Returns an empty range (`lo > hi`) when no column is fully interior.
-/// Doc-hidden: exposed so equivalence proptests drive the row-pass kernels
-/// with production geometry.
-#[doc(hidden)]
-pub fn interior_range(
-    w: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    ow: usize,
-) -> (usize, Option<usize>) {
-    let lo = pad.div_ceil(stride);
-    let hi_num = w as isize + pad as isize - kw as isize;
-    if hi_num < 0 || lo >= ow {
-        return (lo, None);
-    }
-    Some((hi_num as usize / stride).min(ow - 1))
-        .filter(|&hi| hi >= lo)
-        .map_or((lo, None), |hi| (lo, Some(hi)))
-}
-
-/// One `(ic, [kz,] ky)` accumulation pass over an output row, dispatched on
-/// the resolved [`crate::simd::level`].
-///
-/// Interior columns run in `LANES`-wide register tiles (`kx` innermost,
-/// preserving per-output tap order); the padded border columns fall back to
-/// the scalar per-tap-checked walk. The scalar level is bit-identical to
-/// visiting each output column independently; the AVX2 level fuses each
-/// interior tap into an FMA (same tap order, borders stay exact).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn conv_row_pass(
-    orow: &mut [f32],
-    xrow: &[f32],
-    wrow: &[f32],
-    w: usize,
-    stride: usize,
-    pad: usize,
-    int_lo: usize,
-    int_hi: Option<usize>,
-) {
-    match crate::simd::level() {
-        #[cfg(target_arch = "x86_64")]
-        crate::simd::SimdLevel::Avx2 => {
-            crate::simd::avx2::conv_row_pass(orow, xrow, wrow, w, stride, pad, int_lo, int_hi);
-        }
-        _ => conv_row_pass_scalar(orow, xrow, wrow, w, stride, pad, int_lo, int_hi),
-    }
-}
-
-/// The scalar-level body of [`conv_row_pass`]: `LANES`-wide accumulator
-/// tiles with separate multiply and add per tap. Exposed (doc-hidden) so
-/// equivalence proptests can pin the SIMD kernel against it directly.
-///
-/// Kept out of line: with one nest it has one caller, and inlined there its
-/// body (cold under AVX2) bloats the nest and costs the AVX2 path ~4%.
-#[doc(hidden)]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-pub fn conv_row_pass_scalar(
-    orow: &mut [f32],
-    xrow: &[f32],
-    wrow: &[f32],
-    w: usize,
-    stride: usize,
-    pad: usize,
-    int_lo: usize,
-    int_hi: Option<usize>,
-) {
-    let ow = orow.len();
-    let kw = wrow.len();
-    let scalar = |orow: &mut [f32], ox: usize| {
-        let ix0 = (ox * stride) as isize - pad as isize;
-        let mut acc = orow[ox];
-        for (kx, &wk) in wrow.iter().enumerate() {
-            let ix = ix0 + kx as isize;
-            if ix < 0 || ix >= w as isize {
-                continue;
-            }
-            acc += xrow[ix as usize] * wk;
-        }
-        orow[ox] = acc;
-    };
-    let Some(int_hi) = int_hi else {
-        for ox in 0..ow {
-            scalar(orow, ox);
-        }
-        return;
-    };
-    for ox in 0..int_lo.min(ow) {
-        scalar(orow, ox);
-    }
-    let mut t = int_lo;
-    while t <= int_hi {
-        let len = LANES.min(int_hi + 1 - t);
-        let mut acc = [0.0f32; LANES];
-        acc[..len].copy_from_slice(&orow[t..t + len]);
-        for (kx, &wk) in wrow.iter().enumerate() {
-            let xbase = t * stride + kx - pad;
-            if kw == 1 || stride == 1 {
-                // Contiguous loads: the common stride-1 fast path the
-                // compiler vectorizes cleanly.
-                let xs = &xrow[xbase..xbase + (len - 1) * stride + 1];
-                for (l, a) in acc[..len].iter_mut().enumerate() {
-                    *a += xs[l * stride] * wk;
-                }
-            } else {
-                for (l, a) in acc[..len].iter_mut().enumerate() {
-                    *a += xrow[xbase + l * stride] * wk;
-                }
-            }
-        }
-        orow[t..t + len].copy_from_slice(&acc[..len]);
-        t += len;
-    }
-    for ox in (int_hi + 1).max(int_lo)..ow {
-        scalar(orow, ox);
-    }
+    forward_unpacked(&spec.geometry()?, 3, input, weights, bias)
 }
 
 fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
@@ -729,6 +672,53 @@ fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
     } else {
         span / stride + 1
     }
+}
+
+/// Max pooling of either rank over flat `[c, d, h, w]` data (2D is the
+/// depth-1 case with a depth-1 window): returns the pooled data and its
+/// `[od, oh, ow]`. In ceil mode the last window along an axis may hang over
+/// the edge; each window's ends are clamped once per output rather than
+/// every tap being tested.
+fn max_pool(
+    x: &[f32],
+    dhw: [usize; 3],
+    window: [usize; 3],
+    stride: [usize; 3],
+    ceil: bool,
+) -> Result<(Vec<f32>, [usize; 3]), TensorError> {
+    let [d, h, w] = dhw;
+    let out_dhw: [usize; 3] =
+        core::array::from_fn(|a| pool_extent(dhw[a], window[a], stride[a], ceil));
+    if out_dhw.contains(&0) {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("pool window {window:?} larger than input {dhw:?}"),
+        });
+    }
+    let [od, oh, ow] = out_dhw;
+    let ends = |o: usize, a: usize| (o * stride[a], (o * stride[a] + window[a]).min(dhw[a]));
+    let mut out = Vec::with_capacity(x.len() / (d * h * w) * od * oh * ow);
+    for volume in x.chunks_exact(d * h * w) {
+        for oz in 0..od {
+            let (z0, z1) = ends(oz, 0);
+            for oy in 0..oh {
+                let (y0, y1) = ends(oy, 1);
+                out.extend((0..ow).map(|ox| {
+                    let (x0, x1) = ends(ox, 2);
+                    let mut m = f32::NEG_INFINITY;
+                    for iz in z0..z1 {
+                        for iy in y0..y1 {
+                            let row = (iz * h + iy) * w;
+                            for &v in &volume[row + x0..row + x1] {
+                                m = m.max(v);
+                            }
+                        }
+                    }
+                    m
+                }));
+            }
+        }
+    }
+    Ok((out, out_dhw))
 }
 
 /// 2D max pooling with a square window and equal stride (floor mode).
@@ -754,43 +744,13 @@ pub fn max_pool2d_mode(
     stride: usize,
     ceil: bool,
 ) -> Result<Tensor, TensorError> {
-    let idims = input.shape().dims();
-    if idims.len() != 3 {
+    let &[c, h, w] = input.shape().dims() else {
         return Err(TensorError::ShapeMismatch {
             context: "max_pool2d expects [c,h,w]".into(),
         });
-    }
-    let (c, h, w) = (idims[0], idims[1], idims[2]);
-    let oh = pool_extent(h, window, stride, ceil);
-    let ow = pool_extent(w, window, stride, ceil);
-    if oh == 0 || ow == 0 {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("pool window {window} larger than input {h}x{w}"),
-        });
-    }
-    let x = input.as_slice();
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    for ci in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut m = f32::NEG_INFINITY;
-                for ky in 0..window {
-                    let iy = oy * stride + ky;
-                    if iy >= h {
-                        continue;
-                    }
-                    for kx in 0..window {
-                        let ix = ox * stride + kx;
-                        if ix >= w {
-                            continue;
-                        }
-                        m = m.max(x[ci * h * w + iy * w + ix]);
-                    }
-                }
-                out[ci * oh * ow + oy * ow + ox] = m;
-            }
-        }
-    }
+    };
+    let (window, stride) = ([1, window, window], [1, stride, stride]);
+    let (out, [_, oh, ow]) = max_pool(input.as_slice(), [1, h, w], window, stride, ceil)?;
     Tensor::from_vec(Shape::d3(c, oh, ow), out)
 }
 
@@ -816,52 +776,13 @@ pub fn max_pool3d_mode(
     whw: usize,
     ceil: bool,
 ) -> Result<Tensor, TensorError> {
-    let idims = input.shape().dims();
-    if idims.len() != 4 {
+    let &[c, d, h, w] = input.shape().dims() else {
         return Err(TensorError::ShapeMismatch {
             context: "max_pool3d expects [c,d,h,w]".into(),
         });
-    }
-    let (c, d, h, w) = (idims[0], idims[1], idims[2], idims[3]);
-    let od = pool_extent(d, wd, wd, ceil);
-    let oh = pool_extent(h, whw, whw, ceil);
-    let ow = pool_extent(w, whw, whw, ceil);
-    if od == 0 || oh == 0 || ow == 0 {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("pool window {wd}x{whw}x{whw} larger than input {d}x{h}x{w}"),
-        });
-    }
-    let x = input.as_slice();
-    let mut out = vec![f32::NEG_INFINITY; c * od * oh * ow];
-    for ci in 0..c {
-        for oz in 0..od {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut m = f32::NEG_INFINITY;
-                    for kz in 0..wd {
-                        let iz = oz * wd + kz;
-                        if iz >= d {
-                            continue;
-                        }
-                        for ky in 0..whw {
-                            let iy = oy * whw + ky;
-                            if iy >= h {
-                                continue;
-                            }
-                            for kx in 0..whw {
-                                let ix = ox * whw + kx;
-                                if ix >= w {
-                                    continue;
-                                }
-                                m = m.max(x[((ci * d + iz) * h + iy) * w + ix]);
-                            }
-                        }
-                    }
-                    out[((ci * od + oz) * oh + oy) * ow + ox] = m;
-                }
-            }
-        }
-    }
+    };
+    let window = [wd, whw, whw];
+    let (out, [od, oh, ow]) = max_pool(input.as_slice(), [d, h, w], window, window, ceil)?;
     Tensor::from_vec(Shape::d4(c, od, oh, ow), out)
 }
 
@@ -1025,6 +946,11 @@ mod tests {
             assert!(bad.output_dhw(8, 8, 8).is_err(), "{bad:?}");
             assert_eq!(bad.flops(8, 8, 8), 0);
         }
+        // A weight volume past usize is refused here, before anything sizes
+        // a buffer from it (model files supply these numbers).
+        let huge = usize::MAX / 2 + 1;
+        assert!(spec2(huge, huge, 3, 1, 0).geometry().is_err());
+        assert!(spec3(2, 3, [huge, 3], 1, 0).geometry().is_err());
     }
 
     #[test]
@@ -1046,6 +972,27 @@ mod tests {
         let ceil = max_pool2d_mode(&input2, 2, 2, true).unwrap();
         assert_eq!(ceil.shape().dims(), &[1, 2, 2]);
         assert_eq!(ceil.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn max_pool_ceil_partial_windows_see_only_real_inputs() {
+        // 2D, window 2 stride 2 on 3x5: the last row and column of windows
+        // hang over the edge and hold one or two inputs. All-negative
+        // inputs: a phantom 0.0 tap would win every maximum.
+        let v: Vec<f32> = (1..=15).map(|v| -(v as f32)).collect();
+        let input = Tensor::from_vec(Shape::d3(1, 3, 5), v).unwrap();
+        let out = max_pool2d_mode(&input, 2, 2, true).unwrap();
+        assert_eq!(out.shape().dims(), &[1, 2, 3]);
+        assert_eq!(out.as_slice(), &[-1., -3., -5., -11., -13., -15.]);
+        // 3D, 2x2x2 on 3x3x3: the corner window is the single last voxel.
+        let v: Vec<f32> = (1..=27).map(|v| -(v as f32)).collect();
+        let input = Tensor::from_vec(Shape::d4(1, 3, 3, 3), v).unwrap();
+        let out = max_pool3d_mode(&input, 2, 2, true).unwrap();
+        assert_eq!(out.shape().dims(), &[1, 2, 2, 2]);
+        assert_eq!(
+            out.as_slice(),
+            &[-1., -3., -7., -9., -19., -21., -25., -27.]
+        );
     }
 
     #[test]
@@ -1081,48 +1028,52 @@ mod tests {
         (0..n).map(|v| (v as f32) * 0.31 - 4.0).collect()
     }
 
+    /// The GEMM kernel against the oracle on ramp data, under the active
+    /// level's contract: bit-identical at the scalar level, within the FMA
+    /// bound for `max_term`-sized products under AVX2.
+    fn gemm_mismatch(g: &ConvGeometry, dhw: [usize; 3], max_term: f32) -> Option<String> {
+        let x = ramp(g.in_channels() * dhw.iter().product::<usize>());
+        let (w, b) = (ramp(g.weight_volume()), ramp(g.out_channels()));
+        let naive = conv_forward_naive(g, dhw, &x, &w, &b).unwrap();
+        let panels = g.pack_weights(&w).unwrap();
+        let gemm = conv_forward_with(&ParallelConfig::serial(), g, dhw, &x, &panels, &b).unwrap();
+        let tol = crate::simd::fma_tolerance(g.taps() + 1, max_term);
+        crate::simd::kernel_mismatch(&gemm, &naive, tol)
+    }
+
     #[test]
     fn blocked_conv2d_matches_naive() {
-        // (in_c, out_c, k, stride, pad, h, w) — borders, stride>1, 1×1.
-        // Bit-identical under the scalar SIMD level, tolerance-bounded
-        // under AVX2 (interior taps fuse into FMAs).
+        // (in_c, out_c, k, stride, pad, h, w) — borders, stride>1, 1×1,
+        // filter counts off the 16-lane panel, position counts off the
+        // GEMM's four-row block (45, 18, 3038 over seven im2col blocks).
         for (ic, oc, k, s, p, h, w) in [
             (1usize, 1usize, 1usize, 1usize, 0usize, 5usize, 9usize),
             (2, 3, 3, 1, 1, 6, 11),
             (3, 2, 5, 2, 0, 9, 17),
             (1, 2, 3, 2, 2, 4, 4),
+            (4, 17, 3, 1, 0, 3, 20),
+            (3, 7, 5, 2, 0, 66, 200),
         ] {
-            let spec = spec2(ic, oc, k, s, p);
-            let input = Tensor::from_vec(Shape::d3(ic, h, w), ramp(ic * h * w)).unwrap();
-            let wt = Tensor::from_vec(spec.weight_shape(), ramp(oc * ic * k * k)).unwrap();
-            let b = Tensor::from_vec(Shape::d1(oc), ramp(oc)).unwrap();
-            let naive = conv2d_forward_naive(&spec, &input, &wt, &b).unwrap();
-            let blocked = conv2d_forward(&spec, &input, &wt, &b).unwrap();
-            let tol = crate::simd::fma_tolerance(ic * k * k + 1, 7000.0);
-            let mismatch = crate::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
-            assert!(
-                mismatch.is_none(),
-                "ic={ic} oc={oc} k={k} s={s} p={p} {h}x{w}: {mismatch:?}"
-            );
+            let g = spec2(ic, oc, k, s, p).geometry().unwrap();
+            // Ramp inputs reach 1.2e4 and weights 160 on the largest case.
+            let mismatch = gemm_mismatch(&g, [1, h, w], 2e6);
+            assert!(mismatch.is_none(), "{g:?} on {h}x{w}: {mismatch:?}");
         }
     }
 
     #[test]
     fn blocked_conv3d_matches_naive() {
-        for (s, p) in [(1usize, 0usize), (1, 1), (2, 1)] {
-            let spec = spec3(2, 3, [3, 3], s, p);
-            let (d, h, w) = (4usize, 5usize, 11usize);
-            if spec.output_dhw(d, h, w).is_err() {
-                continue;
-            }
-            let input = Tensor::from_vec(Shape::d4(2, d, h, w), ramp(2 * d * h * w)).unwrap();
-            let wt = Tensor::from_vec(spec.weight_shape(), ramp(3 * 2 * 27)).unwrap();
-            let b = Tensor::from_vec(Shape::d1(3), ramp(3)).unwrap();
-            let naive = conv3d_forward_naive(&spec, &input, &wt, &b).unwrap();
-            let blocked = conv3d_forward(&spec, &input, &wt, &b).unwrap();
-            let tol = crate::simd::fma_tolerance(2 * 27 + 1, 7000.0);
-            let mismatch = crate::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
-            assert!(mismatch.is_none(), "s={s} p={p}: {mismatch:?}");
+        // 4x5x11 under three stride/pad pairs, then a prime position count
+        // (1x1x37) and filters past one panel.
+        for (oc, s, p, dhw) in [
+            (3usize, 1usize, 0usize, [4usize, 5usize, 11usize]),
+            (3, 1, 1, [4, 5, 11]),
+            (3, 2, 1, [4, 5, 11]),
+            (17, 1, 1, [1, 1, 37]),
+        ] {
+            let g = spec3(2, oc, [3, 3], s, p).geometry().unwrap();
+            let mismatch = gemm_mismatch(&g, dhw, 4e4);
+            assert!(mismatch.is_none(), "{g:?} on {dhw:?}: {mismatch:?}");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! * [`ops`] — elementwise operations and reductions.
 //! * [`matmul`] — dense matrix multiply / matrix-vector kernels used by
 //!   fully-connected layers.
-//! * [`conv`] — direct 2D and 3D convolution kernels used by convolutional
-//!   layers (no im2col; the accelerator model mirrors the direct loop nest).
+//! * [`conv`] — 2D and 3D convolution over one rank-generic geometry: im2col
+//!   blocks through the packed matmul, a naive direct-loop oracle, pooling.
 //! * [`fixed`] — Q-format fixed-point scalars used by the reduced-precision
 //!   accelerator study (paper Section VI-A).
 //! * [`parallel`] — dependency-free scoped-thread runtime with adaptive

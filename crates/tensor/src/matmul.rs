@@ -161,12 +161,13 @@ pub fn matmul_with(config: &ParallelConfig, a: &Tensor, b: &Tensor) -> Result<Te
     Tensor::from_vec(Shape::d2(m, n), c)
 }
 
-/// The blocked multiply against an already-packed `B`: `C = A · B` where
+/// The blocked multiply against an already-packed `B`: `C += A · B` where
 /// `a` is row-major `[m, k]`, `packed` holds `B` (`k = packed.n_in()`,
-/// `n = packed.n_out()`), and `c` is the zeroed row-major `[m, n]` output.
-/// Callers that multiply repeatedly against the same matrix (weight
-/// matrices, benchmark loops) pack once and skip [`matmul_with`]'s
-/// per-call repack. Exactness contract matches [`matmul_with`].
+/// `n = packed.n_out()`), and `c` is the row-major `[m, n]` output, entering
+/// with each output's initial value — zeros for a plain product, the bias
+/// for a convolution's im2col block — which heads that output's chain.
+/// Callers multiplying repeatedly against one matrix (FC and conv weights)
+/// pack once and skip [`matmul_with`]'s per-call repack; same exactness.
 ///
 /// # Panics
 ///
@@ -192,8 +193,8 @@ pub fn matmul_packed_into(
             _ => {
                 for (r, crow) in chunk.chunks_mut(n).enumerate() {
                     let arow = &a[(first_row + r) * k..(first_row + r + 1) * k];
-                    // crow starts zeroed, so the microkernels' accumulators
-                    // begin at 0.0 exactly like the naive loop.
+                    // The microkernels accumulate onto what crow holds: 0.0
+                    // for a plain product, exactly like the naive loop.
                     crate::block::forward_panels_scalar(packed, arow, 0, crow);
                 }
             }

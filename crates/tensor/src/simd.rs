@@ -3,7 +3,7 @@
 //! Every hot kernel in this crate exists in two implementations:
 //!
 //! * a **scalar** path — the original cache-blocked loops, bit-identical to
-//!   the naive serial oracles (`matmul_naive`, `conv*_forward_naive`, the
+//!   the naive serial oracles (`matmul_naive`, `conv_forward_naive`, the
 //!   scattered correction walk);
 //! * an **AVX2+FMA** path — explicit `std::arch` intrinsics that widen each
 //!   loop to 256-bit lanes and fuse every multiply-add.
@@ -178,7 +178,7 @@ pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
 pub mod avx2 {
     use core::arch::x86_64::*;
 
-    use crate::block::{PackedPanels, DELTA_BATCH, PANEL_WIDTH, TILE_LANES, TILE_PANELS};
+    use crate::block::{PackedPanels, RowGrid, DELTA_BATCH, PANEL_WIDTH, TILE_LANES, TILE_PANELS};
 
     // The kernels hand-unroll two 256-bit registers per panel row.
     const _: () = assert!(PANEL_WIDTH == 16);
@@ -301,7 +301,9 @@ pub mod avx2 {
     /// compute-bound shape, ~6x the scalar blocked kernel on one core).
     ///
     /// `c_chunk` covers rows `first_row ..` of `C` (`c_chunk.len() % n ==
-    /// 0`) and must enter zeroed; `a` is the full `[m, k]` matrix.
+    /// 0`) and is accumulated onto: it enters holding each output's initial
+    /// value (zero for a plain product, the bias for a convolution), which
+    /// heads that output's chain. `a` is the full `[m, k]` matrix.
     ///
     /// # Panics
     ///
@@ -382,11 +384,30 @@ pub mod avx2 {
     /// Four `A` rows × one 16-lane panel: eight accumulators, two panel
     /// loads and four broadcasts per input — the register-blocked matmul
     /// microkernel. `c` points at `C[first_row + r][col0]`; rows are `n`
-    /// apart; only `lanes` columns are stored.
+    /// apart; only `lanes` columns are loaded and stored. The accumulators
+    /// start from what `C` holds, exactly like [`panel_kernel`]'s, so an
+    /// output's value does not depend on whether its row fell in a group of
+    /// four or in the remainder.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn rows4_kernel(panel: &[f32], arows: [&[f32]; 4], c: *mut f32, n: usize, lanes: usize) {
         let k = arows[0].len();
+        let mut buf = [0.0f32; PANEL_WIDTH];
         let mut acc = [_mm256_setzero_ps(); 8];
+        for r in 0..4 {
+            // SAFETY: the caller passes `c` with `lanes` valid columns in
+            // each of four rows `n` apart; a partial panel is staged through
+            // `buf` so the 16-lane loads never read past a row's end.
+            unsafe {
+                let src = if lanes == PANEL_WIDTH {
+                    c.add(r * n).cast_const()
+                } else {
+                    core::ptr::copy_nonoverlapping(c.add(r * n), buf.as_mut_ptr(), lanes);
+                    buf.as_ptr()
+                };
+                acc[2 * r] = _mm256_loadu_ps(src);
+                acc[2 * r + 1] = _mm256_loadu_ps(src.add(8));
+            }
+        }
         for i in 0..k {
             let wp = unsafe { panel.as_ptr().add(i * PANEL_WIDTH) };
             let w0 = unsafe { _mm256_loadu_ps(wp) };
@@ -405,7 +426,6 @@ pub mod avx2 {
                 }
             }
         } else {
-            let mut buf = [0.0f32; PANEL_WIDTH];
             for r in 0..4 {
                 unsafe {
                     _mm256_storeu_ps(buf.as_mut_ptr(), acc[2 * r]);
@@ -505,102 +525,6 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 accumulation pass over one convolution output row (one
-    /// `(ic, [kz,] ky)` slice of taps). Interior columns — where every `kx`
-    /// tap is in bounds — run eight outputs per FMA step, with contiguous
-    /// loads at stride 1 and gathers otherwise; padded border columns keep
-    /// the scalar per-tap-checked walk (plain multiply-add, bit-identical
-    /// to the naive oracle).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the host lacks AVX2/FMA.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv_row_pass(
-        orow: &mut [f32],
-        xrow: &[f32],
-        wrow: &[f32],
-        w: usize,
-        stride: usize,
-        pad: usize,
-        int_lo: usize,
-        int_hi: Option<usize>,
-    ) {
-        require();
-        unsafe { conv_row_pass_impl(orow, xrow, wrow, w, stride, pad, int_lo, int_hi) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn conv_row_pass_impl(
-        orow: &mut [f32],
-        xrow: &[f32],
-        wrow: &[f32],
-        w: usize,
-        stride: usize,
-        pad: usize,
-        int_lo: usize,
-        int_hi: Option<usize>,
-    ) {
-        let ow = orow.len();
-        let scalar = |orow: &mut [f32], ox: usize| {
-            let ix0 = (ox * stride) as isize - pad as isize;
-            let mut acc = orow[ox];
-            for (kx, &wk) in wrow.iter().enumerate() {
-                let ix = ix0 + kx as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                acc += xrow[ix as usize] * wk;
-            }
-            orow[ox] = acc;
-        };
-        let Some(int_hi) = int_hi else {
-            for ox in 0..ow {
-                scalar(orow, ox);
-            }
-            return;
-        };
-        for ox in 0..int_lo.min(ow) {
-            scalar(orow, ox);
-        }
-        let op = orow.as_mut_ptr();
-        let xp = xrow.as_ptr();
-        #[allow(clippy::cast_possible_wrap, clippy::cast_possible_truncation)]
-        let idx = _mm256_mullo_epi32(
-            _mm256_set1_epi32(stride as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        let mut t = int_lo;
-        while t + 8 <= int_hi + 1 {
-            let mut acc = unsafe { _mm256_loadu_ps(op.add(t)) };
-            for (kx, &wk) in wrow.iter().enumerate() {
-                let xbase = t * stride + kx - pad;
-                let xv = if stride == 1 {
-                    unsafe { _mm256_loadu_ps(xp.add(xbase)) }
-                } else {
-                    unsafe { _mm256_i32gather_ps::<4>(xp.add(xbase), idx) }
-                };
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(wk), xv, acc);
-            }
-            unsafe { _mm256_storeu_ps(op.add(t), acc) };
-            t += 8;
-        }
-        // Interior remainder: per-column fused chain (same rounding as the
-        // vector lanes; tap order is ascending kx either way).
-        for (ox, out) in orow.iter_mut().enumerate().take(int_hi + 1).skip(t) {
-            let xbase = ox * stride - pad;
-            let mut acc = *out;
-            for (kx, &wk) in wrow.iter().enumerate() {
-                acc = xrow[xbase + kx].mul_add(wk, acc);
-            }
-            *out = acc;
-        }
-        for ox in (int_hi + 1).max(int_lo)..ow {
-            scalar(orow, ox);
-        }
-    }
-
     /// `dst[j] += scale · row[j]` with fused vector steps and a `mul_add`
     /// tail (see [`super::row_axpy`]).
     ///
@@ -630,6 +554,81 @@ pub mod avx2 {
         while j < len {
             unsafe { *dp.add(j) = scale.mul_add(*rp.add(j), *dp.add(j)) };
             j += 1;
+        }
+    }
+
+    /// AVX2 body of [`PackedPanels::axpy_row_grids`]: every step a fused
+    /// 8-lane vector, the last `n_out % 8` lanes under a mask (masked-off
+    /// lanes are neither loaded nor stored).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2/FMA, when a grid reaches past `dst`
+    /// or when a row index falls outside `0 .. n_in`.
+    pub fn axpy_row_grids(
+        packed: &PackedPanels,
+        steps: [usize; 2],
+        outer_stride: usize,
+        grids: impl Iterator<Item = RowGrid>,
+        dst: &mut [f32],
+    ) {
+        require();
+        // SAFETY: `require` just checked the host runs AVX2+FMA code.
+        unsafe { axpy_row_grids_impl(packed, steps, outer_stride, grids, dst) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn axpy_row_grids_impl(
+        packed: &PackedPanels,
+        steps: [usize; 2],
+        outer_stride: usize,
+        grids: impl Iterator<Item = RowGrid>,
+        dst: &mut [f32],
+    ) {
+        let n = packed.n_out();
+        let panel_len = packed.n_in() * PANEL_WIDTH;
+        let (wp, dp) = (packed.data().as_ptr(), dst.as_mut_ptr());
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n % 8) as i32), lane);
+        for g in grids {
+            let [c0, c1] = g.counts;
+            if c0 == 0 || c1 == 0 {
+                continue;
+            }
+            let span = (c0 - 1) * steps[0] + (c1 - 1) * steps[1];
+            let reach = g.at + (c0 - 1) * outer_stride + c1 * n;
+            assert!(
+                span <= g.first_row && g.first_row < packed.n_in(),
+                "weight row out of range"
+            );
+            assert!(reach <= dst.len(), "grid reaches {reach} of {}", dst.len());
+            let sv = _mm256_set1_ps(g.scale);
+            for i in 0..c0 {
+                for j in 0..c1 {
+                    let row = g.first_row - i * steps[0] - j * steps[1];
+                    // SAFETY: the asserts above bound every weight row and
+                    // destination row of this grid. Panel `p` starts
+                    // `p * panel_len` into the packed buffer with 16 floats
+                    // per row (zero-padded past `n_out`): vector `v` of a row
+                    // is panel `v / 2`, half `v % 2`, whole-vector weight
+                    // loads stay inside, and `dst` accesses stop at `n`.
+                    unsafe {
+                        let mut w = wp.add(row * PANEL_WIDTH);
+                        let mut d = dp.add(g.at + i * outer_stride + j * n);
+                        for v in 0..n / 8 {
+                            let sum = _mm256_fmadd_ps(sv, _mm256_loadu_ps(w), _mm256_loadu_ps(d));
+                            _mm256_storeu_ps(d, sum);
+                            w = w.add(if v % 2 == 0 { 8 } else { panel_len - 8 });
+                            d = d.add(8);
+                        }
+                        if !n.is_multiple_of(8) {
+                            let held = _mm256_maskload_ps(d, mask);
+                            let sum = _mm256_fmadd_ps(sv, _mm256_loadu_ps(w), held);
+                            _mm256_maskstore_ps(d, mask, sum);
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -20,8 +20,7 @@
 use proptest::prelude::*;
 use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
 use reuse_tensor::conv::{
-    conv2d_forward_naive, conv2d_forward_with, conv3d_forward_naive, conv3d_forward_with,
-    Conv2dSpec, Conv3dSpec,
+    conv_forward_naive, conv_forward_with, Conv2dSpec, Conv3dSpec, ConvGeometry,
 };
 use reuse_tensor::matmul::{fc_forward_into, matmul_naive, matmul_with};
 use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
@@ -29,6 +28,120 @@ use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
 /// All generators below draw values in roughly ±10, so every product term
 /// is bounded by ~150 in magnitude.
 const MAX_TERM: f32 = 150.0;
+
+/// Filter counts around the 16-lane panel and the 8-lane vector: a lone
+/// lane, a partial panel, exactly one, one and a lane, two and a quarter.
+fn out_channels() -> proptest::sample::Select<usize> {
+    proptest::sample::select(vec![1, 7, 16, 17, 36])
+}
+
+/// Serial, or two workers forced onto any host and any call size.
+fn budget(threaded: bool) -> ParallelConfig {
+    if threaded {
+        ParallelConfig::with_threads(2)
+            .min_work_per_thread(1)
+            .inline_flops(0)
+            .oversubscribed()
+    } else {
+        ParallelConfig::serial()
+    }
+}
+
+fn values(seed: u64) -> impl FnMut(usize) -> f32 {
+    let mut gen = seed;
+    move |_| {
+        gen = gen
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((gen >> 33) % 201) as i64 as f32 / 10.0 - 10.0
+    }
+}
+
+/// The GEMM conv kernel against the naive oracle on one geometry and
+/// `[d, h, w]` input, under the active level's contract (bit-identity at the
+/// scalar level). `None` too when the kernel does not fit the input.
+fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3], cfg: &ParallelConfig) -> Option<String> {
+    g.output_dhw(dhw).ok()?;
+    let [d, h, w] = dhw;
+    let mut next = values((d * 97 + h * 13 + w) as u64);
+    let x: Vec<f32> = (0..g.in_channels() * d * h * w).map(&mut next).collect();
+    let weights: Vec<f32> = (0..g.weight_volume()).map(&mut next).collect();
+    let bias: Vec<f32> = (0..g.out_channels()).map(&mut next).collect();
+    let naive = conv_forward_naive(g, dhw, &x, &weights, &bias).unwrap();
+    let panels = g.pack_weights(&weights).unwrap();
+    let gemm = conv_forward_with(cfg, g, dhw, &x, &panels, &bias).unwrap();
+    simd::kernel_mismatch(&gemm, &naive, simd::fma_tolerance(g.taps() + 1, MAX_TERM))
+}
+
+fn conv2d_mismatch(spec: &Conv2dSpec, h: usize, w: usize, cfg: &ParallelConfig) -> Option<String> {
+    conv_mismatch(&spec.geometry().unwrap(), [1, h, w], cfg)
+}
+
+fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3], cfg: &ParallelConfig) -> Option<String> {
+    conv_mismatch(&spec.geometry().unwrap(), dhw, cfg)
+}
+
+/// Position counts that are not multiples of the GEMM's four-row register
+/// block, of sixteen, or of the im2col block — where a kernel that reuses a
+/// block's `C` rows without reseeding them, or mishandles the remainder
+/// rows, goes wrong while every stream-level check still passes (they all
+/// share the kernel). Serial and two-worker runs of each.
+#[test]
+fn conv_blocks_and_remainder_rows_match_naive() {
+    let spec2 = |in_c, out_c, k, stride, pad| Conv2dSpec {
+        in_channels: in_c,
+        out_channels: out_c,
+        kh: k,
+        kw: k,
+        stride,
+        pad,
+    };
+    for (spec, h, w) in [
+        // AutoPilot CONV1 at reduced filters: 31x98 = 3038 positions, seven
+        // im2col blocks of 436 rows, the last one 422 = 4*105 + 2.
+        (spec2(3, 7, 5, 2, 0), 66, 200),
+        // AutoPilot CONV5 at reduced channels: 1x18 positions.
+        (spec2(4, 17, 3, 1, 0), 3, 20),
+        // 43x43 = 1849 positions (prime squared) over two blocks of 1212.
+        (spec2(3, 36, 3, 1, 1), 43, 43),
+        (spec2(2, 16, 5, 2, 2), 9, 21),
+        (spec2(1, 1, 3, 2, 2), 6, 5),
+    ] {
+        for threaded in [false, true] {
+            let mismatch = conv2d_mismatch(&spec, h, w, &budget(threaded));
+            assert!(
+                mismatch.is_none(),
+                "{spec:?} {h}x{w} threaded {threaded}: {mismatch:?}"
+            );
+        }
+    }
+    let spec3 = |in_c, out_c, stride| Conv3dSpec {
+        in_channels: in_c,
+        out_channels: out_c,
+        kd: 3,
+        kh: 3,
+        kw: 3,
+        stride,
+        pad: 1,
+    };
+    for (spec, dhw) in [
+        // C3D's 3x3x3 pad-1 layer with a prime position count: 37.
+        (spec3(2, 7, 1), [1, 1, 37]),
+        // 5*7*9 = 315 positions; with stride 2, 3*4*5 = 60.
+        (spec3(2, 16, 1), [5, 7, 9]),
+        (spec3(2, 17, 2), [5, 7, 9]),
+        // 6*13*13 = 1014 positions over two blocks of 604 (54 taps).
+        (spec3(2, 36, 1), [6, 13, 13]),
+    ] {
+        for threaded in [false, true] {
+            let mismatch = conv3d_mismatch(&spec, dhw, &budget(threaded));
+            assert!(
+                mismatch.is_none(),
+                "{spec:?} {dhw:?} threaded {threaded}: {mismatch:?}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -94,47 +207,32 @@ proptest! {
     #[test]
     fn blocked_conv2d_matches_naive(
         in_c in 1usize..4,
-        out_c in 1usize..7,
+        out_c in out_channels(),
         h in 3usize..9,
         w in 3usize..11,
         kh in 1usize..4,
         kw in 1usize..4,
         stride in 1usize..3,
-        pad in 0usize..2,
+        pad in 0usize..3,
+        threaded in 0usize..2,
     ) {
         let spec = Conv2dSpec { in_channels: in_c, out_channels: out_c, kh, kw, stride, pad };
-        let mut gen = (h * 31 + w) as u64;
-        let mut next = move || {
-            gen = gen.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((gen >> 33) % 201) as i64 as f32 / 10.0 - 10.0
-        };
-        let input = Tensor::from_fn(Shape::d3(in_c, h, w), |_| next());
-        let weights = Tensor::from_fn(spec.weight_shape(), |_| next());
-        let bias = Tensor::from_fn(Shape::d1(out_c), |_| next());
-
-        let naive = conv2d_forward_naive(&spec, &input, &weights, &bias).unwrap();
-        let blocked =
-            conv2d_forward_with(&ParallelConfig::serial(), &spec, &input, &weights, &bias)
-                .unwrap();
-
-        let tol = simd::fma_tolerance(in_c * kh * kw + 1, MAX_TERM);
-        let mismatch = simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
+        let mismatch = conv2d_mismatch(&spec, h, w, &budget(threaded == 1));
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 
     #[test]
     fn blocked_conv3d_matches_naive(
         in_c in 1usize..3,
-        out_c in 1usize..5,
+        out_c in out_channels(),
         d in 2usize..5,
         h in 3usize..7,
         w in 3usize..7,
         kd in 1usize..3,
         khw in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
+        (stride, pad) in (1usize..3, 0usize..3),
+        threaded in 0usize..2,
     ) {
-        prop_assume!(d + 2 * pad >= kd);
         let spec = Conv3dSpec {
             in_channels: in_c,
             out_channels: out_c,
@@ -144,22 +242,7 @@ proptest! {
             stride,
             pad,
         };
-        let mut gen = (d * 97 + h * 13 + w) as u64;
-        let mut next = move || {
-            gen = gen.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((gen >> 33) % 201) as i64 as f32 / 10.0 - 10.0
-        };
-        let input = Tensor::from_fn(Shape::d4(in_c, d, h, w), |_| next());
-        let weights = Tensor::from_fn(spec.weight_shape(), |_| next());
-        let bias = Tensor::from_fn(Shape::d1(out_c), |_| next());
-
-        let naive = conv3d_forward_naive(&spec, &input, &weights, &bias).unwrap();
-        let blocked =
-            conv3d_forward_with(&ParallelConfig::serial(), &spec, &input, &weights, &bias)
-                .unwrap();
-
-        let tol = simd::fma_tolerance(in_c * kd * khw * khw + 1, MAX_TERM);
-        let mismatch = simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
+        let mismatch = conv3d_mismatch(&spec, [d, h, w], &budget(threaded == 1));
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 

@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use reuse_tensor::conv::{
-    conv2d_forward, conv2d_forward_with, conv3d_forward, conv3d_forward_with, Conv2dSpec,
-    Conv3dSpec,
+    conv2d_forward, conv3d_forward, conv_forward_packed, Conv2dSpec, Conv3dSpec,
 };
 use reuse_tensor::matmul::{fc_forward, fc_forward_with, matmul, matmul_with};
 use reuse_tensor::{parallel_for_mut, ParallelConfig, Shape, Tensor};
@@ -99,7 +98,9 @@ proptest! {
         let weights = Tensor::from_vec(spec.weight_shape(), (0..spec.weight_shape().volume()).map(|_| next()).collect()).unwrap();
         let bias = Tensor::from_vec(Shape::d1(out_c), (0..out_c).map(|_| next()).collect()).unwrap();
         let serial = conv2d_forward(&spec, &input, &weights, &bias).unwrap();
-        let parallel = conv2d_forward_with(&cfg(threads), &spec, &input, &weights, &bias).unwrap();
+        let g = spec.geometry().unwrap();
+        let panels = g.pack_weights(weights.as_slice()).unwrap();
+        let parallel = conv_forward_packed(&cfg(threads), &g, 2, &input, &panels, &bias).unwrap();
         assert_bits_eq(&serial, &parallel)?;
     }
 
@@ -120,7 +121,9 @@ proptest! {
         let weights = Tensor::from_vec(spec.weight_shape(), (0..spec.weight_shape().volume()).map(|_| next()).collect()).unwrap();
         let bias = Tensor::from_vec(Shape::d1(out_c), (0..out_c).map(|_| next()).collect()).unwrap();
         let serial = conv3d_forward(&spec, &input, &weights, &bias).unwrap();
-        let parallel = conv3d_forward_with(&cfg(threads), &spec, &input, &weights, &bias).unwrap();
+        let g = spec.geometry().unwrap();
+        let panels = g.pack_weights(weights.as_slice()).unwrap();
+        let parallel = conv_forward_packed(&cfg(threads), &g, 3, &input, &panels, &bias).unwrap();
         assert_bits_eq(&serial, &parallel)?;
     }
 

@@ -14,7 +14,7 @@
 #![cfg(target_arch = "x86_64")]
 
 use proptest::prelude::*;
-use reuse_tensor::conv::interior_range;
+use reuse_tensor::block::RowGrid;
 use reuse_tensor::simd::{self, avx2};
 use reuse_tensor::PackedPanels;
 
@@ -119,36 +119,45 @@ proptest! {
     }
 
     #[test]
-    fn conv_row_pass_matches_scalar(
-        w in 1usize..24,
-        kw in 1usize..6,
-        stride in 1usize..3,
-        pad in 0usize..3,
-        xr in vals(24),
-        wr in vals(6),
-        init in vals(32),
+    fn axpy_row_grids_matches_scalar(
+        n_out in 1usize..40,
+        counts in (0usize..4, 0usize..4),
+        steps in (1usize..7, 1usize..3),
+        gap in 0usize..5,
+        scale in -8.0f32..8.0,
+        w in vals(1200),
     ) {
         if !avx2::available() {
             return Ok(());
         }
-        prop_assume!(w + 2 * pad >= kw);
-        let ow = (w + 2 * pad - kw) / stride + 1;
-        prop_assume!(init.len() >= ow);
-        let xrow = &xr[..w];
-        let wrow = &wr[..kw];
-        let (int_lo, int_hi) = interior_range(w, kw, stride, pad, ow);
-        let mut fast = init[..ow].to_vec();
+        // The deepest row the grid reaches up from is row 0.
+        let first_row = counts.0.saturating_sub(1) * steps.0 + counts.1.saturating_sub(1) * steps.1;
+        let n_in = first_row + 1;
+        prop_assume!(n_in * n_out <= w.len());
+        let w = &w[..n_in * n_out];
+        let packed = PackedPanels::pack_slice(w, n_in, n_out);
+        let outer_stride = counts.1 * n_out + gap;
+        // The same grid twice, the second `gap` floats in: grids apply in
+        // order, onto overlapping destinations.
+        let grid = |at| RowGrid { first_row, counts: [counts.0, counts.1], at, scale };
+        let mut fast = vec![0.5f32; counts.0 * outer_stride + gap];
         let mut slow = fast.clone();
-        avx2::conv_row_pass(&mut fast, xrow, wrow, w, stride, pad, int_lo, int_hi);
-        reuse_tensor::conv::conv_row_pass_scalar(
-            &mut slow, xrow, wrow, w, stride, pad, int_lo, int_hi,
-        );
-        let tol = simd::fma_tolerance(kw + 1, MAX_ABS * MAX_ABS);
+        let steps = [steps.0, steps.1];
+        avx2::axpy_row_grids(&packed, steps, outer_stride, [grid(0), grid(gap)].into_iter(), &mut fast);
+        for at in [0, gap] {
+            for i in 0..counts.0 {
+                for j in 0..counts.1 {
+                    let wrow = &w[(first_row - i * steps[0] - j * steps[1]) * n_out..][..n_out];
+                    let out = &mut slow[at + i * outer_stride + j * n_out..][..n_out];
+                    for (o, &wv) in out.iter_mut().zip(wrow) {
+                        *o += scale * wv;
+                    }
+                }
+            }
+        }
+        let tol = simd::fma_tolerance(3, MAX_ABS * MAX_ABS);
         for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!(
-                (a - b).abs() <= tol,
-                "orow[{j}] (w {w} kw {kw} s {stride} p {pad}): {a} vs {b} (tol {tol})"
-            );
+            prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
         }
     }
 

@@ -29,7 +29,8 @@ echo "== blocked-kernel perf smoke (level-aware speedup + GFLOP/s floors) =="
 # Blocked matmul must beat the naive serial kernel and, under AVX2, sustain
 # an absolute-throughput floor; floors auto-relax to scalar expectations
 # when the host lacks AVX2/FMA. Tunable via REUSE_BLOCKED_MIN_SPEEDUP /
-# REUSE_BLOCKED_MIN_GFLOPS for noisy hosts.
+# REUSE_BLOCKED_MIN_GFLOPS for noisy hosts. The two conv forward rows (the
+# same GEMM under im2col blocks) are held to per-geometry floors alongside.
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke
 
 echo "== BENCH_kernels.json schema check =="
@@ -115,7 +116,10 @@ echo "== repository benchmark crate (build, tests, quick smoke) =="
 # benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
+# One conv workload per rank: each verifies its stream against a from-scratch
+# rerun and the fp32 reference before exiting 0.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload autopilot_stream --quick > /dev/null
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload c3d_stream --quick > /dev/null
 
 echo "== cargo doc (no-deps, -D warnings) =="
 # The model/session split is documented API surface; broken intra-doc links
