@@ -8,7 +8,7 @@
 //! outputs) plus a centroid table in the Control Unit.
 //!
 //! The simulator is **trace-driven**: it consumes the per-execution,
-//! per-layer activity records produced by `reuse_core::ReuseEngine`
+//! per-layer activity records produced by `reuse_core::ReuseSession`
 //! ([`reuse_core::ExecutionTrace`]) and converts them into cycles and energy
 //! using an analytical cost model:
 //!

@@ -52,7 +52,7 @@ fn largest_layer_io_bytes(net: &Network) -> u64 {
 /// Computes the Table III storage accounting for a network.
 ///
 /// `enabled` reports whether the named layer participates in the reuse
-/// scheme (usually `ReuseConfig::setting_for(name).enabled`).
+/// scheme (usually `ReuseConfig::layer_policy(name).enabled`).
 pub fn storage_report(net: &Network, enabled: impl Fn(&str) -> bool) -> StorageReport {
     let spill = activations_spill(net);
     let model = net.model_bytes();

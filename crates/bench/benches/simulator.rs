@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use reuse_accel::{AcceleratorConfig, SimInput, Simulator};
 use reuse_bench::measure_workload;
-use reuse_core::ReuseEngine;
+use reuse_core::ReuseSession;
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
 fn bench_engine_execution(c: &mut Criterion) {
@@ -14,7 +14,8 @@ fn bench_engine_execution(c: &mut Criterion) {
         let workload = Workload::build(kind, Scale::Tiny);
         let frames = workload.generate_frames(64, 1);
         group.bench_function(format!("{}_tiny_execute", kind.name()), |b| {
-            let mut engine = ReuseEngine::from_network(workload.network(), workload.reuse_config());
+            let mut engine =
+                ReuseSession::from_network(workload.network(), workload.reuse_config());
             // Warm through calibration + scratch.
             engine.execute(&frames[0]).unwrap();
             engine.execute(&frames[1]).unwrap();
@@ -45,7 +46,7 @@ fn bench_engine_vs_scratch(c: &mut Criterion) {
         })
     });
     group.bench_function("reuse_incremental", |b| {
-        let mut engine = ReuseEngine::from_network(workload.network(), workload.reuse_config());
+        let mut engine = ReuseSession::from_network(workload.network(), workload.reuse_config());
         for f in frames.iter().take(4) {
             engine.execute(f).unwrap();
         }

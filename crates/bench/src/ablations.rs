@@ -257,7 +257,7 @@ pub fn quantizer_comparison(scale: Scale) -> String {
 /// paper argues the overheads (quantize, compare, index traffic) are small
 /// enough that even low similarity wins; this shows the floor.
 pub fn overhead_stress(scale: Scale) -> String {
-    use reuse_core::{ReuseConfig, ReuseEngine};
+    use reuse_core::{ReuseConfig, ReuseSession};
     use reuse_nn::init::Rng64;
 
     let workload = Workload::build(WorkloadKind::Kaldi, scale);
@@ -265,7 +265,7 @@ pub fn overhead_stress(scale: Scale) -> String {
         .disable_layer("fc1")
         .disable_layer("fc2")
         .record_trace(true);
-    let mut engine = ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = ReuseSession::from_network(workload.network(), &config);
     let mut rng = Rng64::new(99);
     let dim = workload.network().input_shape().volume();
     for _ in 0..24 {

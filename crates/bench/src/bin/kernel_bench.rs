@@ -60,7 +60,7 @@ use std::time::Instant;
 use reuse_core::conv::ConvLayer;
 use reuse_core::fc::FcReuseState;
 use reuse_core::lstm::{LstmGatePack, LstmReuseState};
-use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
+use reuse_core::{json, CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
     NnError,
@@ -459,65 +459,58 @@ fn perf_smoke() -> ExitCode {
     }
 }
 
-/// Re-reads a written benchmark file and checks the schema: every header
-/// key, the SIMD provenance block, and the per-row keys must be present.
-/// Plain substring checks — the writer emits a fixed shape, so this guards
-/// against the writer and its consumers drifting apart.
+/// Re-reads a written benchmark file and checks the schema: the file must
+/// parse, and every header key, the SIMD provenance block and the per-row
+/// keys must sit where consumers look them up. This guards against the
+/// writer and its consumers drifting apart.
 fn validate(path: &str) -> ExitCode {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
+    const REQUIRED: &[&str] = &[
+        "hardware_threads",
+        "requested_threads",
+        "resolved_threads",
+        "simd.active",
+        "simd.detected",
+        "simd.avx2",
+        "simd.fma",
+        "simd.bit_exact",
+        "engine.policy",
+        "engine.base_ns_per_frame",
+        "engine.telemetry_ns_per_frame",
+        "engine.telemetry_overhead_pct",
+        "engine.layers.hit_rate",
+        "kernels.flops",
+        "kernels.naive_ns_per_iter",
+        "kernels.blocked_ns_per_iter",
+        "kernels.blocked_speedup",
+        "kernels.naive_gflops",
+        "kernels.blocked_gflops",
+    ];
+    let root = match reuse_bench::load_artifact(path, "kernel_bench", REQUIRED) {
+        Ok(root) => root,
         Err(e) => {
-            eprintln!("validate: cannot read {path}: {e}");
+            eprintln!("validate: {e}");
             return ExitCode::FAILURE;
         }
     };
-    const REQUIRED: &[&str] = &[
-        "\"bench\": \"kernel_bench\"",
-        "\"hardware_threads\":",
-        "\"requested_threads\":",
-        "\"resolved_threads\":",
-        "\"simd\":",
-        "\"active\":",
-        "\"detected\":",
-        "\"avx2\":",
-        "\"fma\":",
-        "\"bit_exact\":",
-        "\"engine\":",
-        "\"policy\":",
-        "\"base_ns_per_frame\":",
-        "\"telemetry_ns_per_frame\":",
-        "\"telemetry_overhead_pct\":",
-        "\"hit_rate\":",
-        "\"kernels\":",
-        "\"flops\":",
-        "\"naive_ns_per_iter\":",
-        "\"blocked_ns_per_iter\":",
-        "\"blocked_speedup\":",
-        "\"naive_gflops\":",
-        "\"blocked_gflops\":",
-    ];
-    let missing: Vec<&str> = REQUIRED
-        .iter()
-        .filter(|k| !body.contains(**k))
-        .copied()
-        .collect();
     // Each kernel row carries either measured parallel columns or the
     // explicit skip marker; every row must have one of the two.
-    let rows = body.matches("\"naive_ns_per_iter\":").count();
-    let parallel = body.matches("\"parallel_ns_per_iter\":").count()
-        + body.matches("\"parallel_skipped\":").count();
-    if !missing.is_empty() {
-        eprintln!("validate: {path} is missing keys: {missing:?}");
-        return ExitCode::FAILURE;
-    }
-    if rows == 0 || parallel != rows {
+    let rows = root
+        .get("kernels")
+        .and_then(json::Value::as_array)
+        .unwrap_or_default();
+    let parallel = rows
+        .iter()
+        .filter(|r| r.get("parallel_ns_per_iter").is_some() || r.get("parallel_skipped").is_some())
+        .count();
+    if parallel != rows.len() {
         eprintln!(
-            "validate: {path} has {rows} kernel rows but {parallel} \
-             parallel columns/skip markers"
+            "validate: {path} has {} kernel rows but {parallel} \
+             parallel columns/skip markers",
+            rows.len()
         );
         return ExitCode::FAILURE;
     }
-    eprintln!("validate: {path} ok ({rows} kernel rows)");
+    eprintln!("validate: {path} ok ({} kernel rows)", rows.len());
     ExitCode::SUCCESS
 }
 

@@ -1,0 +1,87 @@
+//! Regenerates the paper's tables and figures: `repro <artifact>`, one
+//! subcommand per row of DESIGN.md's experiment index, `repro all` for the
+//! whole report and `repro ablations` for the design-choice studies.
+//! `REUSE_SCALE=full|small|tiny` picks the model scale; `repro fig4` also
+//! reads `REUSE_EXECUTIONS` (frames of the utterance, default 200).
+
+use std::process::ExitCode;
+
+use reuse_bench::{ablations, experiments as exp};
+use reuse_workloads::{Scale, WorkloadKind};
+
+/// The artifacts `repro all` prints, in report order.
+const ARTIFACTS: [&str; 10] = [
+    "table1",
+    "fig4",
+    "fig5",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table2",
+    "table3",
+    "fig12",
+    "reduced_precision",
+];
+
+fn artifact(name: &str, scale: Scale, fig4_frames: usize) -> Option<String> {
+    Some(match name {
+        "table1" => exp::table1(scale),
+        "fig4" => exp::fig4(scale, fig4_frames),
+        "fig5" => exp::fig5(scale),
+        "fig9" => exp::fig9(scale),
+        "fig10" => exp::fig10(scale),
+        "fig11" => exp::fig11(scale),
+        "table2" => exp::table2(),
+        "table3" => exp::table3(scale),
+        "fig12" => exp::fig12(scale),
+        "reduced_precision" => exp::reduced_precision(scale),
+        _ => return None,
+    })
+}
+
+fn print_sections(sections: impl IntoIterator<Item = String>) {
+    let sep = "=".repeat(78);
+    for section in sections {
+        println!("{sep}");
+        println!("{section}");
+    }
+}
+
+fn main() -> ExitCode {
+    let scale = Scale::from_env();
+    let name = std::env::args().nth(1).unwrap_or_default();
+    match name.as_str() {
+        "all" => print_sections(
+            ARTIFACTS
+                .iter()
+                .filter_map(|name| artifact(name, scale, 200)),
+        ),
+        "ablations" => {
+            // Closures, so each study prints as soon as it has run.
+            let studies: [&dyn Fn() -> String; 9] = [
+                &|| ablations::cluster_sweep(WorkloadKind::Kaldi, scale),
+                &|| ablations::cluster_sweep(WorkloadKind::AutoPilot, scale),
+                &|| ablations::tile_sweep(WorkloadKind::AutoPilot, scale),
+                &|| ablations::calibration_sweep(WorkloadKind::Kaldi, scale),
+                &|| ablations::replay_cluster_sweep(WorkloadKind::Kaldi, scale),
+                &ablations::block_size_ablation,
+                &|| ablations::quantizer_comparison(scale),
+                &|| ablations::drift_study(scale),
+                &|| ablations::overhead_stress(scale),
+            ];
+            print_sections(studies.iter().map(|study| study()));
+        }
+        name => {
+            let frames = std::env::var("REUSE_EXECUTIONS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(200);
+            let Some(report) = artifact(name, scale, frames) else {
+                eprintln!("usage: repro <{}|ablations|all>", ARTIFACTS.join("|"));
+                return ExitCode::from(2);
+            };
+            print!("{report}");
+        }
+    }
+    ExitCode::SUCCESS
+}

@@ -15,7 +15,7 @@
 //! reuse_cli ingest <model.onnx> [frames] [--smoke]  lower an ONNX model, replay a jitter
 //!                                                   stream, report similarity + fallbacks
 //! reuse_cli export <workload> <path>                serialize the model to a file
-//! reuse_cli experiments                             list the table/figure binaries
+//! reuse_cli experiments                             list the `repro` subcommands
 //! ```
 //!
 //! Scale is controlled by `REUSE_SCALE` (full/small/tiny, default small),
@@ -37,8 +37,8 @@ use reuse_accel::{AcceleratorConfig, SimInput, Simulator};
 use reuse_bench::measure::executions_from_env;
 use reuse_bench::table::{human_bytes, human_joules, human_seconds};
 use reuse_core::{
-    summary, AdaptivePolicy, CompiledModel, LayerPolicyState, ReuseEngine, ReuseSession,
-    TunedLayerPolicy, TunedPolicy, WatchdogStats,
+    summary, AdaptivePolicy, CompiledModel, LayerPolicyState, ReuseSession, TunedLayerPolicy,
+    TunedPolicy, WatchdogStats,
 };
 use reuse_nn::stats::network_stats;
 use reuse_serve::{default_shards, ServerConfig, StreamServer, SubmitResult};
@@ -49,7 +49,7 @@ use reuse_workloads::{Scale, Workload, WorkloadKind};
 const EXIT_USAGE: u8 = 2;
 /// An engine/session execution returned an error.
 const EXIT_EXEC: u8 = 3;
-/// Interleaved sessions diverged from standalone engines.
+/// Interleaved sessions diverged from standalone sessions.
 const EXIT_DIVERGED: u8 = 4;
 /// Filesystem I/O failed.
 const EXIT_IO: u8 = 5;
@@ -74,7 +74,7 @@ fn usage() -> ExitCode {
          \x20 run      <workload> [executions]  run the reuse engine, print the reuse summary\n\
          \x20          [--telemetry]            ... and print the TelemetrySnapshot as JSON\n\
          \x20          [--sessions N]           ... interleave N sessions over one shared model\n\
-         \x20                                   and check them against standalone engines\n\
+         \x20                                   and check them against standalone sessions\n\
          \x20 serve    [workload]               serve N streams through a StreamServer and\n\
          \x20          [--streams N]            check every stream bit-for-bit against a\n\
          \x20          [--frames M]             standalone session (prints the server\n\
@@ -103,14 +103,14 @@ fn usage() -> ExitCode {
          \x20                                   built-in fixture checks; exits {EXIT_DIVERGED} on\n\
          \x20                                   divergence, {EXIT_EXEC} on parse/lower failure)\n\
          \x20 export   <workload> <path>        serialize the model to a file\n\
-         \x20 experiments                       list the paper-artifact binaries\n\n\
+         \x20 experiments                       list the paper artifacts `repro` prints\n\n\
          workloads: kaldi, eesen, c3d, autopilot (REUSE_SCALE=full|small|tiny)"
     );
     ExitCode::from(EXIT_USAGE)
 }
 
 /// Runs N [`ReuseSession`]s interleaved over one shared [`CompiledModel`]
-/// and checks every stream bit-for-bit against a standalone engine fed the
+/// and checks every stream bit-for-bit against a standalone session fed the
 /// same inputs alone. Streams are offset copies of one generated input
 /// stream, so each session sees realistic frame-to-frame similarity while
 /// no two sessions see identical inputs at the same step.
@@ -122,8 +122,8 @@ fn run_sessions_smoke(
 ) -> ExitCode {
     let model = Arc::new(CompiledModel::new(w.network(), config));
     let mut sessions: Vec<ReuseSession> = (0..n).map(|_| model.new_session()).collect();
-    let mut engines: Vec<ReuseEngine> = (0..n)
-        .map(|_| ReuseEngine::from_network(w.network(), config))
+    let mut alone: Vec<ReuseSession> = (0..n)
+        .map(|_| ReuseSession::from_network(w.network(), config))
         .collect();
     let mut mismatches = 0usize;
     let mut check = |s: usize, got: &[f32], want: &[f32]| {
@@ -133,7 +133,7 @@ fn run_sessions_smoke(
                 .zip(want.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         if !ok {
-            eprintln!("session {s}: output diverged from standalone engine");
+            eprintln!("session {s}: output diverged from standalone session");
             mismatches += 1;
         }
     };
@@ -146,7 +146,7 @@ fn run_sessions_smoke(
                 let seq = &seqs[s + t];
                 let (got, want) = match (
                     sessions[s].execute_sequence(seq),
-                    engines[s].execute_sequence(seq),
+                    alone[s].execute_sequence(seq),
                 ) {
                     (Ok(g), Ok(w)) => (g, w),
                     (g, w) => {
@@ -168,7 +168,7 @@ fn run_sessions_smoke(
         for t in 0..executions {
             for s in 0..n {
                 let frame = &frames[s + t];
-                let (got, want) = match (sessions[s].execute(frame), engines[s].execute(frame)) {
+                let (got, want) = match (sessions[s].execute(frame), alone[s].execute(frame)) {
                     (Ok(g), Ok(w)) => (g, w),
                     (g, w) => {
                         eprintln!("session {s} frame failed: {:?} vs {:?}", g.err(), w.err());
@@ -184,23 +184,23 @@ fn run_sessions_smoke(
         w.network().name(),
         model.packed_weight_bytes(),
     );
-    for (s, (session, engine)) in sessions.iter().zip(engines.iter()).enumerate() {
+    for (s, (session, alone)) in sessions.iter().zip(alone.iter()).enumerate() {
         let m = session.metrics();
         println!(
             "  session {s}: input similarity {:5.1}%  computation reuse {:5.1}%",
             m.overall_input_similarity() * 100.0,
             m.overall_computation_reuse() * 100.0,
         );
-        if m != engine.metrics() {
-            eprintln!("session {s}: metrics diverged from standalone engine");
+        if m != alone.metrics() {
+            eprintln!("session {s}: metrics diverged from standalone session");
             mismatches += 1;
         }
     }
     if mismatches > 0 {
-        eprintln!("FAIL: {mismatches} session/engine mismatches");
+        eprintln!("FAIL: {mismatches} session/standalone mismatches");
         return ExitCode::from(EXIT_DIVERGED);
     }
-    println!("all sessions bit-identical to standalone engines");
+    println!("all sessions bit-identical to standalone sessions");
     ExitCode::SUCCESS
 }
 
@@ -842,7 +842,7 @@ fn run_ingest(path: &str, frames: usize) -> ExitCode {
     let config = reuse_core::ReuseConfig::uniform(64)
         .drift_watchdog(8, 0.25)
         .reuse_policy(Arc::new(AdaptivePolicy::default()));
-    let mut engine = ReuseEngine::from_network(net, &config);
+    let mut engine = ReuseSession::from_network(net, &config);
     let code = if net.is_recurrent() {
         let dim = net.input_shape().volume();
         let seq_len = 32.min(frames.max(2));
@@ -927,8 +927,8 @@ fn run_ingest_smoke() -> ExitCode {
     };
     let twin = fixture::gemm_relu_network();
     let config = reuse_core::ReuseConfig::uniform(64);
-    let mut ingested = ReuseEngine::from_network(&lowered.network, &config);
-    let mut reference = ReuseEngine::from_network(&twin, &config);
+    let mut ingested = ReuseSession::from_network(&lowered.network, &config);
+    let mut reference = ReuseSession::from_network(&twin, &config);
     for frame in jitter_stream(64, fixture::GEMM_IN, 0.05, 42) {
         let (a, b) = match (ingested.execute(&frame), reference.execute(&frame)) {
             (Ok(a), Ok(b)) => (a, b),
@@ -961,7 +961,7 @@ fn run_ingest_smoke() -> ExitCode {
         eprintln!("softmax graph lowered without a fallback slot");
         return ExitCode::from(EXIT_DIVERGED);
     };
-    let mut engine = ReuseEngine::from_network(&lowered.network, &config);
+    let mut engine = ReuseSession::from_network(&lowered.network, &config);
     for frame in jitter_stream(48, 8, 0.03, 7) {
         if let Err(e) = engine.execute(&frame) {
             eprintln!("softmax graph execution failed: {e}");
@@ -1065,7 +1065,7 @@ fn main() -> ExitCode {
                 w.network()
                     .layers()
                     .iter()
-                    .filter(|(n, l)| l.has_weights() && w.reuse_config().setting_for(n).enabled)
+                    .filter(|(n, l)| l.has_weights() && w.reuse_config().layer_policy(n).enabled)
                     .count(),
                 w.is_recurrent(),
                 w.activations_spill(),
@@ -1085,7 +1085,7 @@ fn main() -> ExitCode {
             if let Some(n) = sessions {
                 return run_sessions_smoke(&w, &config, executions, n);
             }
-            let mut engine = ReuseEngine::from_network(w.network(), &config);
+            let mut engine = ReuseSession::from_network(w.network(), &config);
             if w.is_recurrent() {
                 let seq_len = 40.min(executions.max(2));
                 for seq in w.generate_sequences(executions.div_ceil(seq_len) + 1, seq_len, 42) {
@@ -1260,7 +1260,7 @@ fn main() -> ExitCode {
         }
         Some("experiments") => {
             println!(
-                "paper artifacts (cargo run --release -p reuse-bench --bin <name>):\n\
+                "paper artifacts (cargo run --release -p reuse-bench --bin repro -- <name>):\n\
                  \x20 table1, fig4, fig5, fig9, fig10, fig11, table2, table3,\n\
                  \x20 fig12, reduced_precision, ablations, all"
             );

@@ -72,7 +72,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reuse_core::CompiledModel;
+use reuse_core::{json, CompiledModel};
 use reuse_serve::{
     default_shards, ServerConfig, ServerSnapshot, ShardWorkers, ShardedServer, StreamServer,
     SubmitOptions, SubmitResult,
@@ -752,84 +752,64 @@ fn validate(path: &str) -> ExitCode {
         eprintln!("validate: {e}");
         return ExitCode::FAILURE;
     }
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
+    const REQUIRED: &[&str] = &[
+        "scale",
+        "burst",
+        "repeats",
+        "policy",
+        "policy_layers.step_scale",
+        "configs.workload",
+        "configs.streams",
+        "configs.frames_per_stream",
+        "configs.frames_per_sec",
+        "configs.frames_per_sec_min",
+        "configs.frames_per_sec_median",
+        "configs.latency_p50_ns",
+        "configs.latency_p99_ns",
+        "configs.latency_max_ns",
+        "sharded.shards",
+        "sharded.configs.latency_p999_ns",
+        "open_loop.points.load_factor",
+        "open_loop.points.offered_fps",
+        "open_loop.points.achieved_fps",
+        "open_loop.points.deadline_us",
+        "open_loop.points.offered_frames",
+        "open_loop.points.completed",
+        "open_loop.points.queue_full",
+        "open_loop.points.shed",
+        "open_loop.points.deadline_shed",
+        "open_loop.points.expired",
+        "churn.pool",
+        "churn.generations",
+        "churn.cache_off_fps",
+        "churn.cache_on_fps",
+        "churn.speedup",
+        "churn.signature_cache.lookups",
+        "churn.signature_cache.hits",
+        "churn.signature_cache.adoptions",
+        "churn.signature_cache.bailouts",
+        "churn.signature_cache.inserts",
+    ];
+    let root = match reuse_bench::load_artifact(path, "serve_bench", REQUIRED) {
+        Ok(root) => root,
         Err(e) => {
-            eprintln!("validate: cannot read {path}: {e}");
+            eprintln!("validate: {e}");
             return ExitCode::FAILURE;
         }
     };
-    const REQUIRED: &[&str] = &[
-        "\"bench\": \"serve_bench\"",
-        "\"scale\":",
-        "\"burst\":",
-        "\"repeats\":",
-        "\"policy\":",
-        "\"policy_layers\":",
-        "\"step_scale\":",
-        "\"configs\":",
-        "\"workload\":",
-        "\"streams\":",
-        "\"frames_per_stream\":",
-        "\"frames_per_sec\":",
-        "\"frames_per_sec_min\":",
-        "\"frames_per_sec_median\":",
-        "\"latency_p50_ns\":",
-        "\"latency_p99_ns\":",
-        "\"latency_max_ns\":",
-        "\"sharded\":",
-        "\"shards\":",
-        "\"latency_p999_ns\":",
-        "\"open_loop\":",
-        "\"points\":",
-        "\"load_factor\":",
-        "\"offered_fps\":",
-        "\"achieved_fps\":",
-        "\"deadline_us\":",
-        "\"offered_frames\":",
-        "\"completed\":",
-        "\"queue_full\":",
-        "\"shed\":",
-        "\"deadline_shed\":",
-        "\"expired\":",
-        "\"churn\":",
-        "\"pool\":",
-        "\"generations\":",
-        "\"cache_off_fps\":",
-        "\"cache_on_fps\":",
-        "\"speedup\":",
-        "\"signature_cache\":",
-        "\"lookups\":",
-        "\"hits\":",
-        "\"adoptions\":",
-        "\"bailouts\":",
-        "\"inserts\":",
-    ];
-    let missing: Vec<&str> = REQUIRED
-        .iter()
-        .filter(|k| !body.contains(**k))
-        .copied()
-        .collect();
-    if !missing.is_empty() {
-        eprintln!("validate: {path} is missing keys: {missing:?}");
-        return ExitCode::FAILURE;
-    }
-    if body.matches("\"frames_per_sec\":").count() == 0 {
-        eprintln!("validate: {path} has no throughput rows");
-        return ExitCode::FAILURE;
-    }
-    if body.matches("\"load_factor\":").count() < 2 {
+    let points = root
+        .get("open_loop")
+        .and_then(|o| o.get("points"))
+        .and_then(json::Value::as_array)
+        .map_or(0, <[json::Value]>::len);
+    if points < 2 {
         eprintln!("validate: {path} has fewer than two open-loop load points");
         return ExitCode::FAILURE;
     }
-    let speedup = body
-        .split("\"speedup\": ")
-        .nth(1)
-        .and_then(|rest| {
-            rest.split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-        })
+    let speedup = root
+        .get("churn")
+        .and_then(|c| c.get("speedup"))
+        .and_then(json::Value::as_f64)
         .unwrap_or(f64::NAN);
     let floor = env_f64("REUSE_SERVE_MIN_CACHE_SPEEDUP", 1.0);
     if speedup.is_nan() || speedup < floor {

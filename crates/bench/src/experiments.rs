@@ -1,5 +1,5 @@
 //! The per-table/figure experiments, as functions returning report text so
-//! both the individual binaries and the `all` binary can render them.
+//! `repro <name>` and `repro all` render the same text.
 
 use reuse_accel::{area, memory, AcceleratorConfig, ReferencePlatform, SimReport, Simulator};
 use reuse_core::ReuseConfig;
@@ -92,7 +92,7 @@ pub fn fig4(scale: Scale, executions: usize) -> String {
         .reuse_config()
         .clone()
         .record_relative_difference(true);
-    let mut engine = reuse_core::ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = reuse_core::ReuseSession::from_network(workload.network(), &config);
     let frames = workload.generate_frames(executions, SEED);
     for f in &frames {
         engine.execute(f).expect("kaldi frames are valid");
@@ -338,7 +338,7 @@ pub fn table3(scale: Scale) -> String {
     for kind in WorkloadKind::ALL {
         let w = Workload::build(kind, scale);
         let config = w.reuse_config();
-        let r = memory::storage_report(w.network(), |name| config.setting_for(name).enabled);
+        let r = memory::storage_report(w.network(), |name| config.layer_policy(name).enabled);
         out.push_str(&format!(
             "{:<12} {:>16} {:>14} {:>18} {:>14}\n",
             kind.name(),

@@ -1,8 +1,7 @@
 //! Workload measurement: run a DNN over its synthetic input stream with the
 //! reuse engine and collect everything the experiment binaries need.
 
-use reuse_core::{ExecutionTrace, ParallelConfig, ReuseConfig, ReuseEngine};
-use reuse_tensor::Tensor;
+use reuse_core::{ExecutionTrace, ParallelConfig, ReuseConfig, ReuseSession};
 use reuse_workloads::accuracy::{
     classification_agreement, mean_relative_error, regression_agreement, AgreementReport,
 };
@@ -139,7 +138,7 @@ pub fn measure_with_config(
         .record_trace(true)
         .telemetry(true)
         .parallel(parallel_from_env());
-    let mut engine = ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = ReuseSession::from_network(workload.network(), &config);
 
     let (agreement, fidelity) = if workload.is_recurrent() {
         // EESEN: split the executions into utterances. One extra sequence
@@ -167,17 +166,9 @@ pub fn measure_with_config(
         )
     } else {
         let frames = workload.generate_frames(executions, seed);
-        // Back-to-back frames through the pooled, allocation-conscious
-        // sequence path; outputs materialize as tensors only afterwards,
-        // for the accuracy comparison.
-        let mut outs: Vec<Vec<f32>> = Vec::new();
-        engine
-            .execute_sequence_into(&frames, &mut outs)
+        let test = engine
+            .execute_sequence(&frames)
             .expect("workload frames are valid");
-        let test: Vec<Tensor> = outs
-            .iter()
-            .map(|o| Tensor::from_slice_1d(o).expect("flat network output"))
-            .collect();
         let mut reference = Vec::new();
         for frame in &frames {
             reference.push(
@@ -217,7 +208,7 @@ pub fn measure_with_config(
         .filter(|((_, l), _)| l.has_weights())
         .map(|((name, layer), in_shape)| {
             let m = metrics.layer(name);
-            let enabled = config.setting_for(name).enabled
+            let enabled = config.layer_policy(name).enabled
                 && !engine.auto_disabled_layers().any(|n| n == name);
             let out = layer.output_shape(in_shape).expect("validated").volume();
             LayerSummary {
@@ -265,7 +256,7 @@ pub fn measure_with_config(
         kind,
         scale,
         executions: metrics.executions,
-        policy: config.policy_name().to_string(),
+        policy: config.policy().name().to_string(),
         layers,
         overall_similarity: metrics.overall_input_similarity(),
         overall_reuse: metrics.overall_computation_reuse(),

@@ -12,11 +12,13 @@ use crate::{init, Activation, NnError};
 /// which is what the reuse scheme walks when an input changes.
 ///
 /// At construction the weights are additionally repacked once into
-/// cache-blocked [`PackedPanels`]; forward passes and the reuse-correction
-/// path both run the 16-lane blocked microkernel over that copy (dispatched
-/// per [`reuse_tensor::SimdLevel`]: bit-identical to the naive input-major
-/// walk under the scalar contract, FMA-fused within
-/// [`reuse_tensor::simd::fma_tolerance`] under AVX2).
+/// cache-blocked [`PackedPanels`], so the layer holds both layouts. Forward
+/// passes run the 16-lane blocked microkernel over the packed copy
+/// (dispatched per [`reuse_tensor::SimdLevel`]: bit-identical to the naive
+/// input-major walk under the scalar contract, FMA-fused within
+/// [`reuse_tensor::simd::fma_tolerance`] under AVX2). The reuse-correction
+/// path does not touch that copy: [`reuse_tensor::block::apply_deltas_rows`]
+/// walks the row-major `weights`, one contiguous row per changed input.
 #[derive(Debug, Clone)]
 pub struct FullyConnected {
     weights: Tensor,

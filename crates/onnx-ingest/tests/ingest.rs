@@ -1,7 +1,7 @@
 //! End-to-end ingestion tests: parse -> lower -> execute through the reuse
 //! engine, checked against hand-built twin networks.
 
-use reuse_core::{ReuseConfig, ReuseEngine};
+use reuse_core::{ReuseConfig, ReuseSession};
 use reuse_nn::init::Rng64;
 use reuse_nn::lstm::NUM_GATES;
 use reuse_nn::{Activation, Layer, LayerKind, LstmCell, NetworkBuilder};
@@ -77,14 +77,14 @@ fn gemm_relu_lowers_to_one_fused_fc() {
 
 /// The ISSUE acceptance gate: the ingested Gemm+Relu model must execute
 /// bit-identically to the hand-built twin carrying the same weights, both
-/// running through the same CompiledModel/ReuseEngine path.
+/// running through the same CompiledModel/ReuseSession path.
 #[test]
 fn ingested_fixture_is_bit_identical_to_hand_built_network() {
     let lowered = ingest(&fixture::gemm_relu_bytes()).unwrap();
     let twin = fixture::gemm_relu_network();
     let config = ReuseConfig::uniform(64);
-    let mut ingested = ReuseEngine::from_network(&lowered.network, &config);
-    let mut reference = ReuseEngine::from_network(&twin, &config);
+    let mut ingested = ReuseSession::from_network(&lowered.network, &config);
+    let mut reference = ReuseSession::from_network(&twin, &config);
     for frame in walk(64, fixture::GEMM_IN, 0.05, 42) {
         let a = ingested.execute(&frame).unwrap();
         let b = reference.execute(&frame).unwrap();
@@ -112,7 +112,7 @@ fn softmax_graph_serves_through_recompute_always_fallback() {
     assert_eq!(lowered.network.layers()[1].0, *pass_name);
     assert_eq!(lowered.network.layers()[1].1.kind(), LayerKind::Passthrough);
 
-    let mut engine = ReuseEngine::from_network(&lowered.network, &ReuseConfig::uniform(64));
+    let mut engine = ReuseSession::from_network(&lowered.network, &ReuseConfig::uniform(64));
     for frame in walk(48, 8, 0.03, 7) {
         let out = engine.execute(&frame).unwrap();
         let sum: f32 = out.as_slice().iter().sum();

@@ -6,41 +6,20 @@
 //! propagate; 16 clusters suit Kaldi/EESEN, 32 suit C3D/AutoPilot; tiny
 //! output layers are excluded because they have nothing to save.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use reuse_tensor::ParallelConfig;
 
-use crate::policy::ReusePolicy;
+use crate::policy::{LayerPolicy, ReusePolicy, StaticPolicy};
 use crate::ReuseError;
 
-/// Per-layer reuse setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerSetting {
-    /// Whether this layer participates in quantization + reuse.
-    pub enabled: bool,
-    /// Number of linear-quantization clusters for this layer's inputs.
-    pub clusters: usize,
-}
-
-/// When a session publishes a baseline into the shared signature cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignatureInsertPolicy {
-    /// Insert only after cold-start from-scratch executions (a stream's
-    /// first reuse frame, or the first frame after a state reset). Keeps
-    /// cache-write traffic off the steady-state path entirely.
-    ColdStart,
-    /// Additionally refresh the cache whenever the drift watchdog
-    /// re-baselines a layer — the freshly recomputed full-precision
-    /// baseline replaces whatever the signature previously mapped to.
-    ColdStartAndRebaseline,
-}
-
-/// Configuration of a [`crate::ReuseEngine`].
+/// Configuration of a [`crate::CompiledModel`] and the sessions opened on it.
 #[derive(Debug, Clone)]
 pub struct ReuseConfig {
     default_clusters: usize,
-    overrides: HashMap<String, LayerSetting>,
+    /// Layers that run from scratch in full precision.
+    disabled: BTreeSet<String>,
     range_margin: f32,
     calibration_executions: usize,
     record_relative_difference: bool,
@@ -53,8 +32,6 @@ pub struct ReuseConfig {
     parallel: ParallelConfig,
     signature_cache: bool,
     signature_capacity: usize,
-    signature_bits: u32,
-    signature_insert: SignatureInsertPolicy,
     signature_bailout: f32,
     /// The reuse policy every per-layer decision resolves through;
     /// `None` means [`crate::StaticPolicy`] (exactly the legacy behavior).
@@ -66,7 +43,7 @@ impl ReuseConfig {
     pub fn uniform(clusters: usize) -> Self {
         ReuseConfig {
             default_clusters: clusters,
-            overrides: HashMap::new(),
+            disabled: BTreeSet::new(),
             range_margin: 0.25,
             calibration_executions: 1,
             record_relative_difference: false,
@@ -79,32 +56,25 @@ impl ReuseConfig {
             parallel: ParallelConfig::serial(),
             signature_cache: false,
             signature_capacity: 1024,
-            signature_bits: 16,
-            signature_insert: SignatureInsertPolicy::ColdStart,
             signature_bailout: 0.25,
             policy: None,
         }
     }
 
     /// Routes every per-layer reuse decision through `policy` (cluster
-    /// count, step scale, refresh threshold, signature bailout, watchdog
-    /// escalation). The default — no policy — resolves through
-    /// [`crate::StaticPolicy`], which is bit-identical to the legacy
-    /// hard-coded knobs.
+    /// count, step scale, refresh threshold). The default — no policy —
+    /// resolves through [`crate::StaticPolicy`]: every layer keeps the
+    /// resolution [`Self::layer_policy`] gives it.
     pub fn reuse_policy(mut self, policy: Arc<dyn ReusePolicy>) -> Self {
         self.policy = Some(policy);
         self
     }
 
-    /// The configured reuse policy, if any.
-    pub fn reuse_policy_config(&self) -> Option<&Arc<dyn ReusePolicy>> {
-        self.policy.as_ref()
-    }
-
-    /// The active policy's short name (`"static"` when none is set) —
-    /// recorded as provenance by the bench artifacts.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.as_ref().map_or("static", |p| p.name())
+    /// The policy per-layer decisions resolve through
+    /// ([`crate::StaticPolicy`] when none is set); its `name()` is what the
+    /// bench artifacts record as provenance.
+    pub fn policy(&self) -> &dyn ReusePolicy {
+        self.policy.as_deref().unwrap_or(&StaticPolicy)
     }
 
     /// Checks the configuration for values that would silently misbehave
@@ -115,22 +85,18 @@ impl ReuseConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ReuseError::InvalidConfig`] when a cluster count is 0
-    /// (the default or any enabled per-layer override), the signature
+    /// Returns [`ReuseError::InvalidConfig`] when the cluster count is
+    /// below 2 (a linear quantizer needs two centroids), the signature
     /// bailout fraction lies outside `[0, 1]`, or the telemetry window
     /// is 0.
     pub fn validate(&self) -> Result<(), ReuseError> {
-        if self.default_clusters == 0 {
+        if self.default_clusters < 2 {
             return Err(ReuseError::InvalidConfig {
-                context: "default cluster count must be at least 1".into(),
+                context: format!(
+                    "cluster count must be at least 2, got {}",
+                    self.default_clusters
+                ),
             });
-        }
-        for (name, setting) in &self.overrides {
-            if setting.enabled && setting.clusters == 0 {
-                return Err(ReuseError::InvalidConfig {
-                    context: format!("layer {name:?}: cluster count must be at least 1"),
-                });
-            }
         }
         if !(0.0..=1.0).contains(&self.signature_bailout) || self.signature_bailout.is_nan() {
             return Err(ReuseError::InvalidConfig {
@@ -151,33 +117,14 @@ impl ReuseConfig {
     /// Disables quantization + reuse for one layer (it runs from scratch in
     /// full precision, like Kaldi FC1/FC2 or C3D CONV1 in the paper).
     pub fn disable_layer(mut self, name: &str) -> Self {
-        let clusters = self.setting_for(name).clusters;
-        self.overrides.insert(
-            name.to_string(),
-            LayerSetting {
-                enabled: false,
-                clusters,
-            },
-        );
+        self.disabled.insert(name.to_string());
         self
     }
 
-    /// Overrides the cluster count for one layer.
-    pub fn layer_clusters(mut self, name: &str, clusters: usize) -> Self {
-        let enabled = self.setting_for(name).enabled;
-        self.overrides
-            .insert(name.to_string(), LayerSetting { enabled, clusters });
-        self
-    }
-
-    /// Replaces the default cluster count while keeping every per-layer
-    /// override's enabled/disabled status (used by the cluster-count sweep
-    /// of paper Section III).
+    /// Replaces the cluster count while keeping which layers are disabled
+    /// (used by the cluster-count sweep of paper Section III).
     pub fn with_default_clusters(mut self, clusters: usize) -> Self {
         self.default_clusters = clusters;
-        for setting in self.overrides.values_mut() {
-            setting.clusters = clusters;
-        }
         self
     }
 
@@ -225,7 +172,7 @@ impl ReuseConfig {
     }
 
     /// Arms the runtime drift watchdog: every `check_every` reuse frames the
-    /// engine recomputes the output with [`crate::ReuseEngine::reference_forward`]
+    /// session recomputes the output with [`crate::ReuseSession::reference_forward`]
     /// and, if the max-abs deviation exceeds `bound`, re-baselines every
     /// reuse layer's buffered state from full-precision values.
     /// `check_every == 0` (the default) disables the watchdog.
@@ -238,7 +185,7 @@ impl ReuseConfig {
     /// Escalation path: a layer whose own buffered outputs deviate beyond
     /// the drift bound this many times is auto-disabled (falls back to
     /// full-precision execution, joining
-    /// [`crate::ReuseEngine::auto_disabled_layers`]). `0` (the default)
+    /// [`crate::ReuseSession::auto_disabled_layers`]). `0` (the default)
     /// means re-baseline forever without disabling.
     pub fn drift_escalate_after(mut self, strikes: u64) -> Self {
         self.drift_escalate_after = strikes;
@@ -266,21 +213,6 @@ impl ReuseConfig {
         self
     }
 
-    /// Signature width in hyperplane sign bits, clamped to
-    /// `1..=`[`reuse_quant::MAX_SIGNATURE_BITS`] (default 16). More bits
-    /// mean fewer false collisions but also fewer cross-stream hits.
-    pub fn signature_bits(mut self, bits: u32) -> Self {
-        self.signature_bits = bits.clamp(1, reuse_quant::MAX_SIGNATURE_BITS);
-        self
-    }
-
-    /// Sets when sessions publish baselines into the cache
-    /// (default [`SignatureInsertPolicy::ColdStart`]).
-    pub fn signature_insert_policy(mut self, policy: SignatureInsertPolicy) -> Self {
-        self.signature_insert = policy;
-        self
-    }
-
     /// False-positive guard: a signature hit whose cached input disagrees
     /// with the live input on more than this fraction of quantized codes is
     /// abandoned (counted as a bailout) and the layer runs from scratch.
@@ -302,30 +234,20 @@ impl ReuseConfig {
         self.signature_capacity
     }
 
-    /// Signature width in bits.
-    pub fn signature_bits_config(&self) -> u32 {
-        self.signature_bits
-    }
-
-    /// When sessions publish baselines into the cache.
-    pub fn signature_insert_policy_config(&self) -> SignatureInsertPolicy {
-        self.signature_insert
-    }
-
     /// Mismatched-code fraction above which a signature hit is abandoned.
     pub fn signature_bailout(&self) -> f32 {
         self.signature_bailout
     }
 
-    /// The effective setting for a layer.
-    pub fn setting_for(&self, name: &str) -> LayerSetting {
-        self.overrides.get(name).copied().unwrap_or(LayerSetting {
-            enabled: true,
-            clusters: self.default_clusters,
-        })
+    /// The static resolution of a layer's two choices (paper Section III:
+    /// does it take part, and with how many clusters) — what a
+    /// [`ReusePolicy`] refines and [`crate::StaticPolicy`] returns as is.
+    pub fn layer_policy(&self, name: &str) -> LayerPolicy {
+        LayerPolicy::fixed(!self.disabled.contains(name), self.default_clusters)
     }
 
-    /// The default cluster count.
+    /// The cluster count every layer starts from (a policy may refine it
+    /// per layer).
     pub fn default_clusters(&self) -> usize {
         self.default_clusters
     }
@@ -375,7 +297,7 @@ impl ReuseConfig {
         self.drift_escalate_after
     }
 
-    /// Sets the parallel-execution budget the engine threads through every
+    /// Sets the parallel-execution budget the session threads through every
     /// kernel and correction pass. Results are bit-identical for any value;
     /// the default is serial.
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
@@ -387,16 +309,6 @@ impl ReuseConfig {
     pub fn parallel_config(&self) -> &ParallelConfig {
         &self.parallel
     }
-
-    /// Sets the per-call FLOP estimate below which kernels and correction
-    /// passes run inline on the calling thread instead of fanning out
-    /// (adaptive dispatch; see
-    /// [`ParallelConfig::inline_flops`]). Convenience passthrough to the
-    /// stored parallel budget.
-    pub fn parallel_inline_flops(mut self, flops: u64) -> Self {
-        self.parallel = self.parallel.inline_flops(flops);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -406,28 +318,19 @@ mod tests {
     #[test]
     fn uniform_defaults() {
         let c = ReuseConfig::uniform(16);
-        let s = c.setting_for("anything");
+        let s = c.layer_policy("anything");
         assert!(s.enabled);
         assert_eq!(s.clusters, 16);
+        assert!(!s.adaptive);
         assert_eq!(c.calibration(), 1);
     }
 
     #[test]
     fn disable_layer_keeps_clusters() {
         let c = ReuseConfig::uniform(32).disable_layer("conv1");
-        assert!(!c.setting_for("conv1").enabled);
-        assert_eq!(c.setting_for("conv1").clusters, 32);
-        assert!(c.setting_for("conv2").enabled);
-    }
-
-    #[test]
-    fn per_layer_clusters_preserved_across_disable_order() {
-        let c = ReuseConfig::uniform(16)
-            .layer_clusters("fc3", 32)
-            .disable_layer("fc3");
-        let s = c.setting_for("fc3");
-        assert!(!s.enabled);
-        assert_eq!(s.clusters, 32);
+        assert!(!c.layer_policy("conv1").enabled);
+        assert_eq!(c.layer_policy("conv1").clusters, 32);
+        assert!(c.layer_policy("conv2").enabled);
     }
 
     #[test]
@@ -435,9 +338,9 @@ mod tests {
         let c = ReuseConfig::uniform(16)
             .disable_layer("fc1")
             .with_default_clusters(32);
-        assert!(!c.setting_for("fc1").enabled);
-        assert_eq!(c.setting_for("fc1").clusters, 32);
-        assert_eq!(c.setting_for("fc9").clusters, 32);
+        assert!(!c.layer_policy("fc1").enabled);
+        assert_eq!(c.layer_policy("fc1").clusters, 32);
+        assert_eq!(c.layer_policy("fc9").clusters, 32);
     }
 
     #[test]
@@ -481,29 +384,13 @@ mod tests {
         let c = ReuseConfig::uniform(16);
         assert!(!c.signature_cache_enabled());
         assert_eq!(c.signature_capacity(), 1024);
-        assert_eq!(c.signature_bits_config(), 16);
-        assert_eq!(
-            c.signature_insert_policy_config(),
-            SignatureInsertPolicy::ColdStart
-        );
         assert!((c.signature_bailout() - 0.25).abs() < 1e-9);
         let c = c
             .signature_cache(true)
             .signature_cache_capacity(0)
-            .signature_bits(200)
-            .signature_insert_policy(SignatureInsertPolicy::ColdStartAndRebaseline)
             .signature_bailout_fraction(0.75);
         assert!(c.signature_cache_enabled());
         assert_eq!(c.signature_capacity(), 0);
-        assert_eq!(
-            c.signature_bits_config(),
-            reuse_quant::MAX_SIGNATURE_BITS,
-            "bits clamp to one u64"
-        );
-        assert_eq!(
-            c.signature_insert_policy_config(),
-            SignatureInsertPolicy::ColdStartAndRebaseline
-        );
         assert_eq!(c.signature_bailout(), 0.75);
     }
 
@@ -522,19 +409,13 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_clusters() {
-        let err = ReuseConfig::uniform(0).validate().unwrap_err();
-        assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
-        let err = ReuseConfig::uniform(16)
-            .layer_clusters("fc1", 0)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
-        // A disabled layer's cluster count is never used, so it may be 0.
-        assert!(ReuseConfig::uniform(16)
-            .layer_clusters("fc1", 0)
-            .disable_layer("fc1")
-            .validate()
-            .is_ok());
+        // One cluster is as unusable as none: `LinearQuantizer::new` needs
+        // two, and a session would silently auto-disable every layer.
+        for clusters in [0, 1] {
+            let err = ReuseConfig::uniform(clusters).validate().unwrap_err();
+            assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
+        }
+        assert!(ReuseConfig::uniform(2).validate().is_ok());
     }
 
     #[test]
@@ -566,14 +447,5 @@ mod tests {
         assert_eq!(c.parallel_config().num_threads, 1);
         let c = c.parallel(ParallelConfig::with_threads(4));
         assert_eq!(c.parallel_config().num_threads, 4);
-    }
-
-    #[test]
-    fn inline_flops_passthrough_updates_parallel_budget() {
-        let c = ReuseConfig::uniform(8)
-            .parallel(ParallelConfig::with_threads(4))
-            .parallel_inline_flops(5000);
-        assert_eq!(c.parallel_config().num_threads, 4);
-        assert_eq!(c.parallel_config().inline_flops, 5000);
     }
 }

@@ -18,22 +18,23 @@
 //!
 //! # Crate layout
 //!
-//! * [`ReuseConfig`] — which layers participate and with how many clusters.
-//! * [`policy`] — the [`ReusePolicy`] abstraction: every per-layer reuse
-//!   knob (cluster count, quantization step scale, refresh threshold,
-//!   signature bailout, watchdog escalation) resolved in one place, with a
-//!   bit-identical [`StaticPolicy`], an online [`AdaptivePolicy`] controller
-//!   and a replay-tuned [`TunedPolicy`] loaded from a policy file.
+//! * [`ReuseConfig`] — which layers participate and with how many
+//!   clusters, plus the run-wide knobs (calibration, watchdog, telemetry,
+//!   signature cache, parallel budget).
+//! * [`policy`] — [`LayerPolicy`], the one per-layer record (enabled,
+//!   cluster count, quantization step scale, refresh threshold), and the
+//!   [`ReusePolicy`] that refines it: the no-op [`StaticPolicy`], an online
+//!   [`AdaptivePolicy`] controller and a replay-tuned [`TunedPolicy`]
+//!   loaded from a policy file.
 //! * [`CompiledModel`] — the immutable, `Sync` compile step: network,
 //!   execution plan and packed/blocked weights, built once and shared
 //!   behind an `Arc` by any number of streams.
 //! * [`ReuseSession`] — one input stream's mutable state: quantizers,
 //!   buffered per-layer reuse state, metrics, telemetry, buffer pool.
-//!   Created with [`CompiledModel::new_session`].
-//! * [`ReuseEngine`] — single-stream facade (one model + one session):
-//!   runs a `reuse_nn::Network` over a sequence of frames, calibrating
-//!   quantizers, buffering per-layer state and producing outputs, metrics
-//!   and execution traces.
+//!   Created with [`CompiledModel::new_session`], or for a single stream
+//!   with [`ReuseSession::from_network`]; runs a `reuse_nn::Network` over a
+//!   sequence of frames, calibrating quantizers, buffering per-layer state
+//!   and producing outputs, metrics and execution traces.
 //! * [`layer`] — the [`ReuseLayer`] trait the session dispatches through,
 //!   one implementation per layer family.
 //! * [`fc`], [`conv`], [`lstm`] — the incremental kernels for each layer
@@ -45,11 +46,13 @@
 //!   relative-difference metric.
 //! * [`trace`] — per-execution, per-layer activity records consumed by the
 //!   accelerator model in `reuse-accel`.
+//! * [`json`] — the strict JSON reader and the string/number helpers every
+//!   emitter in the workspace writes through.
 //!
 //! # Example
 //!
 //! ```
-//! use reuse_core::{ReuseConfig, ReuseEngine};
+//! use reuse_core::{ReuseConfig, ReuseSession};
 //! use reuse_nn::{Activation, NetworkBuilder};
 //!
 //! let net = NetworkBuilder::new("demo", 8)
@@ -57,12 +60,12 @@
 //!     .fully_connected(4, Activation::Identity)
 //!     .build()
 //!     .unwrap();
-//! let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+//! let mut session = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
 //! let frame = vec![0.25f32; 8];
-//! engine.execute(&frame)?;          // calibrates, runs from scratch
-//! engine.execute(&frame)?;          // stores quantized state
-//! engine.execute(&frame)?;          // identical frame: everything reused
-//! assert!(engine.metrics().overall_input_similarity() > 0.99);
+//! session.execute(&frame)?;         // calibrates, runs from scratch
+//! session.execute(&frame)?;         // stores quantized state
+//! session.execute(&frame)?;         // identical frame: everything reused
+//! assert!(session.metrics().overall_input_similarity() > 0.99);
 //! # Ok::<(), reuse_core::ReuseError>(())
 //! ```
 
@@ -71,9 +74,9 @@
 mod config;
 pub mod conv;
 pub mod drift;
-mod engine;
 mod error;
 pub mod fc;
+pub mod json;
 pub mod layer;
 pub mod lstm;
 pub mod metrics;
@@ -86,8 +89,7 @@ pub mod summary;
 pub mod telemetry;
 pub mod trace;
 
-pub use config::{LayerSetting, ReuseConfig, SignatureInsertPolicy};
-pub use engine::ReuseEngine;
+pub use config::ReuseConfig;
 pub use error::ReuseError;
 pub use layer::{ExecStats, ReuseLayer, StepCtx};
 pub use metrics::{relative_difference, EngineMetrics, LayerMetrics};

@@ -1,8 +1,8 @@
-//! The immutable, shareable half of the reuse engine.
+//! The immutable, shareable half of a reuse run.
 //!
 //! A [`CompiledModel`] is built once per network/config pair and holds
 //! everything every stream reads but never writes: the network itself, the
-//! per-layer reuse settings, the execution plan (which layers have reuse
+//! per-layer reuse policies, the execution plan (which layers have reuse
 //! slots), and the packed/blocked weight layouts the correction kernels
 //! walk. It is `Sync`, so one `Arc<CompiledModel>` can back any number of
 //! concurrent [`ReuseSession`](crate::ReuseSession)s — the model/state
@@ -14,10 +14,10 @@ use reuse_nn::{Layer, LayerKind, Network};
 
 use crate::conv::ConvPack;
 use crate::lstm::LstmGatePack;
-use crate::policy::{LayerPolicy, ReusePolicy, StaticPolicy};
+use crate::policy::LayerPolicy;
 use crate::session::ReuseSession;
 use crate::signature::{ModelSignatures, SignatureCache};
-use crate::{LayerSetting, ReuseConfig, ReuseError};
+use crate::{ReuseConfig, ReuseError};
 
 /// Packed/blocked weight layouts for one reuse slot, shared by every
 /// session of the model. Fully-connected corrections read weight rows
@@ -79,8 +79,7 @@ pub(crate) struct CompiledSlot {
     pub(crate) layer_index: usize,
     pub(crate) name: String,
     pub(crate) kind: LayerKind,
-    pub(crate) setting: LayerSetting,
-    /// The resolved per-layer reuse policy (every reuse decision knob).
+    /// The resolved per-layer reuse policy (every per-layer knob).
     pub(crate) policy: LayerPolicy,
     /// Index into `EngineMetrics::layers` (== slot position).
     pub(crate) metrics_index: usize,
@@ -142,10 +141,7 @@ impl CompiledModel {
     pub fn try_new(network: &Network, config: &ReuseConfig) -> Result<Self, ReuseError> {
         config.validate()?;
         let network = network.clone();
-        let static_policy = StaticPolicy;
-        let policy: &dyn ReusePolicy = config
-            .reuse_policy_config()
-            .map_or(&static_policy, |p| p.as_ref());
+        let policy = config.policy();
         // Recurrent networks mask the adaptive machinery off: the drift
         // watchdog (the controller's feedback signal) only runs on the
         // feed-forward frame path, and sequence resets would discard the
@@ -163,16 +159,25 @@ impl CompiledModel {
             let Some(weights) = CompiledWeights::new(layer) else {
                 continue;
             };
-            let setting = config.setting_for(name);
-            let mut layer_policy = policy.layer_policy(name, &setting, config);
-            if mask_adaptive || passthrough {
-                // Passthroughs never participate in policy decisions:
-                // force the static resolution regardless of active policy.
-                layer_policy = LayerPolicy::static_for(&setting, config);
-            }
-            if layer_policy.clusters == 0 {
+            let resolved = config.layer_policy(name);
+            // Passthroughs never participate in policy decisions: they
+            // keep the static resolution regardless of the active policy.
+            let layer_policy = if mask_adaptive || passthrough {
+                resolved
+            } else {
+                let refined = policy.layer_policy(name, resolved);
+                LayerPolicy {
+                    enabled: resolved.enabled && refined.enabled,
+                    ..refined
+                }
+            };
+            if layer_policy.clusters < 2 {
                 return Err(ReuseError::InvalidConfig {
-                    context: format!("policy resolved 0 clusters for layer {name:?}"),
+                    context: format!(
+                        "policy resolved {} clusters for layer {name:?}; \
+                         a quantizer needs at least 2",
+                        layer_policy.clusters
+                    ),
                 });
             }
             if layer_policy.adaptive && config.drift_check_every() == 0 {
@@ -189,7 +194,6 @@ impl CompiledModel {
                 layer_index: i,
                 name: name.clone(),
                 kind: layer.kind(),
-                setting,
                 policy: layer_policy,
                 metrics_index,
                 weights,
@@ -209,16 +213,13 @@ impl CompiledModel {
         // Signature adoption rides the feed-forward step path; recurrent
         // networks keep their per-stream-only reuse (sequence resets make
         // a cross-stream baseline meaningless mid-sequence).
-        let signatures = if config.signature_cache_enabled() && !network.is_recurrent() {
-            let input_volumes: Vec<usize> = network
-                .layer_input_shapes()
-                .iter()
-                .map(reuse_tensor::Shape::volume)
-                .collect();
-            Some(ModelSignatures::new(&slots, &input_volumes, config))
-        } else {
-            None
-        };
+        let signatures = (config.signature_cache_enabled() && !network.is_recurrent()).then(|| {
+            ModelSignatures::new(
+                &slots,
+                network.layer_input_shapes(),
+                config.signature_capacity(),
+            )
+        });
         Ok(CompiledModel {
             network,
             config: config.clone(),
@@ -231,7 +232,7 @@ impl CompiledModel {
 
     /// The active policy's short name (`"static"` when none was set).
     pub fn policy_name(&self) -> &'static str {
-        self.config.policy_name()
+        self.config.policy().name()
     }
 
     /// The resolved per-layer policy specs, in slot order — the immutable
@@ -360,8 +361,22 @@ mod tests {
             .fully_connected(4, Activation::Identity)
             .build()
             .unwrap();
-        // Config validation surfaces through try_new.
-        let err = CompiledModel::try_new(&net, &ReuseConfig::uniform(0)).unwrap_err();
+        // Config validation surfaces through try_new: fewer than two
+        // clusters cannot build a quantizer, whoever asks for them.
+        let err = CompiledModel::try_new(&net, &ReuseConfig::uniform(1)).unwrap_err();
+        assert!(matches!(err, ReuseError::InvalidConfig { .. }));
+        let one_cluster = crate::TunedPolicy {
+            network: "mlp".to_string(),
+            layers: vec![crate::TunedLayerPolicy {
+                layer: "fc2".to_string(),
+                clusters: 1,
+                step_scale: 1.0,
+                reuse_threshold: 1.0,
+                adaptive: false,
+            }],
+        };
+        let config = ReuseConfig::uniform(16).reuse_policy(Arc::new(one_cluster));
+        let err = CompiledModel::try_new(&net, &config).unwrap_err();
         assert!(matches!(err, ReuseError::InvalidConfig { .. }));
         // Adaptive without the watchdog is flying blind: rejected.
         let blind = ReuseConfig::uniform(16).reuse_policy(Arc::new(AdaptivePolicy::default()));
@@ -384,8 +399,7 @@ mod tests {
             .build()
             .unwrap();
         // Masked to static before the watchdog check, so this compiles
-        // even without the watchdog and behaves exactly like the legacy
-        // engine.
+        // even without the watchdog and behaves exactly like a static run.
         let config = ReuseConfig::uniform(16).reuse_policy(Arc::new(AdaptivePolicy::default()));
         let model = CompiledModel::try_new(&rnn, &config).unwrap();
         assert!(model.layer_policy_specs().all(|(_, p)| !p.adaptive));

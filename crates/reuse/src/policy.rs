@@ -1,20 +1,22 @@
-//! Per-layer reuse policies: the single place every reuse decision lives.
+//! Per-layer reuse policies: the single place every per-layer reuse
+//! decision lives.
 //!
-//! Historically the knobs steering reuse were scattered — cluster counts in
-//! [`LayerSetting`], the signature bailout fraction and watchdog escalation
-//! in [`ReuseConfig`], and the "always correct, never refresh" decision
-//! hard-coded in the fc/conv/lstm step loops. A [`ReusePolicy`] gathers
-//! them behind one trait: the model resolves an immutable [`LayerPolicy`]
-//! per slot at compile time, and sessions of adaptive policies own a
-//! mutable [`AdaptiveController`] per layer that retunes the quantization
-//! step and refresh threshold online against the drift watchdog's accuracy
-//! proxy.
+//! [`LayerPolicy`] is the one per-layer record: whether the layer takes
+//! part, with how many clusters, and how its quantization step and refresh
+//! threshold may move. [`ReuseConfig::layer_policy`](crate::ReuseConfig::layer_policy)
+//! gives the static resolution (the config's disabled set and cluster
+//! count), a [`ReusePolicy`] refines it, and the model stores the result
+//! per slot at compile time. Sessions of adaptive policies own a mutable
+//! [`AdaptiveController`] per layer that retunes the step and threshold
+//! online against the drift watchdog's accuracy proxy. Knobs that no policy
+//! varies per layer (signature bailout, watchdog escalation) stay in
+//! [`ReuseConfig`](crate::ReuseConfig), their only home.
 //!
 //! Three implementations ship:
 //!
-//! * [`StaticPolicy`] — resolves every knob to exactly the value the
-//!   pre-policy engine used; sessions behave bit-identically to the legacy
-//!   path (property-tested in `tests/policy.rs`).
+//! * [`StaticPolicy`] — returns the static resolution unchanged: one fixed
+//!   grid per layer, correct every frame, never refresh (a no-op layer,
+//!   property-tested in `tests/policy.rs`).
 //! * [`AdaptivePolicy`] — arms a per-layer online controller (requires the
 //!   drift watchdog; feed-forward networks only).
 //! * [`TunedPolicy`] — a per-layer policy file emitted by `reuse_cli tune`,
@@ -23,17 +25,19 @@
 
 use std::fmt::Write as _;
 
-use crate::{LayerSetting, ReuseConfig, ReuseError};
+use crate::json::{self, json_num, json_str};
+use crate::ReuseError;
 
 /// The resolved, immutable reuse policy of one layer — what a
-/// [`CompiledModel`](crate::CompiledModel) stores per slot.
-///
-/// For a [`StaticPolicy`] every field mirrors the legacy knob it replaced
-/// (`clusters` from the layer setting, `signature_bailout` and
-/// `escalate_after` from the config) and `adaptive` is `false`, which
-/// makes the whole policy layer a provable no-op.
+/// [`CompiledModel`](crate::CompiledModel) stores per slot, and the only
+/// per-layer record there is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerPolicy {
+    /// Whether the layer takes part in quantization + reuse; a disabled
+    /// layer runs from scratch in full precision (Kaldi FC1/FC2, C3D CONV1
+    /// in the paper). A policy may switch a layer off, never back on: the
+    /// model ANDs this with the config's resolution.
+    pub enabled: bool,
     /// Quantization cluster count (the paper's `C`); the calibrated base
     /// step is `range / clusters`.
     pub clusters: usize,
@@ -55,28 +59,22 @@ pub struct LayerPolicy {
     /// controller only grows the step while observed drift stays at or
     /// under `headroom * drift_bound`.
     pub headroom: f32,
-    /// Signature-cache false-positive guard for this layer (mismatched
-    /// quantized-code fraction above which a hit is abandoned).
-    pub signature_bailout: f32,
-    /// Drift strikes after which this layer is auto-disabled (0 = never).
-    pub escalate_after: u64,
     /// Whether sessions attach an [`AdaptiveController`] to this layer.
     pub adaptive: bool,
 }
 
 impl LayerPolicy {
-    /// The legacy resolution: every knob exactly where the pre-policy
-    /// engine read it.
-    pub fn static_for(setting: &LayerSetting, config: &ReuseConfig) -> Self {
+    /// The paper's fixed scheme: one grid of `clusters` centroids, correct
+    /// every frame, never refresh.
+    pub fn fixed(enabled: bool, clusters: usize) -> Self {
         LayerPolicy {
-            clusters: setting.clusters,
+            enabled,
+            clusters,
             step_scale: 1.0,
             max_step_scale: 1.0,
             reuse_threshold: 1.0,
             target_similarity: 1.0,
             headroom: 0.5,
-            signature_bailout: config.signature_bailout(),
-            escalate_after: config.escalate_after(),
             adaptive: false,
         }
     }
@@ -90,19 +88,14 @@ pub trait ReusePolicy: std::fmt::Debug + Send + Sync {
     /// `"tuned"`).
     fn name(&self) -> &'static str;
 
-    /// Resolves the policy for one weighted layer given its legacy setting
-    /// and the engine config.
-    fn layer_policy(
-        &self,
-        layer: &str,
-        setting: &LayerSetting,
-        config: &ReuseConfig,
-    ) -> LayerPolicy;
+    /// Refines one weighted layer's static resolution
+    /// ([`ReuseConfig::layer_policy`](crate::ReuseConfig::layer_policy)).
+    fn layer_policy(&self, layer: &str, resolved: LayerPolicy) -> LayerPolicy;
 }
 
 /// The do-exactly-what-the-paper-does policy: one fixed quantization step
-/// per layer, correct every frame, never refresh. Bit-identical to the
-/// pre-policy engine — this is the default when no policy is configured.
+/// per layer, correct every frame, never refresh — the default when no
+/// policy is configured.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticPolicy;
 
@@ -111,13 +104,8 @@ impl ReusePolicy for StaticPolicy {
         "static"
     }
 
-    fn layer_policy(
-        &self,
-        _layer: &str,
-        setting: &LayerSetting,
-        config: &ReuseConfig,
-    ) -> LayerPolicy {
-        LayerPolicy::static_for(setting, config)
+    fn layer_policy(&self, _layer: &str, resolved: LayerPolicy) -> LayerPolicy {
+        resolved
     }
 }
 
@@ -165,22 +153,15 @@ impl ReusePolicy for AdaptivePolicy {
         "adaptive"
     }
 
-    fn layer_policy(
-        &self,
-        _layer: &str,
-        setting: &LayerSetting,
-        config: &ReuseConfig,
-    ) -> LayerPolicy {
+    fn layer_policy(&self, _layer: &str, resolved: LayerPolicy) -> LayerPolicy {
         LayerPolicy {
-            clusters: setting.clusters,
             step_scale: self.initial_step_scale.max(1.0),
             max_step_scale: self.max_step_scale.max(1.0),
             reuse_threshold: self.reuse_threshold,
             target_similarity: self.target_similarity,
             headroom: self.headroom,
-            signature_bailout: config.signature_bailout(),
-            escalate_after: config.escalate_after(),
             adaptive: true,
+            ..resolved
         }
     }
 }
@@ -385,12 +366,12 @@ impl LayerPolicyState {
             "{{\"name\": {}, \"adaptive\": {}, \"clusters\": {}, \"step\": {}, \
              \"step_scale\": {}, \"reuse_threshold\": {}, \"observations\": {}, \
              \"grows\": {}, \"shrinks\": {}, \"refreshes\": {}}}",
-            crate::telemetry::json_str(&self.name),
+            json_str(&self.name),
             self.adaptive,
             self.clusters,
-            crate::telemetry::json_num(f64::from(self.step)),
-            crate::telemetry::json_num(f64::from(self.step_scale)),
-            crate::telemetry::json_num(f64::from(self.reuse_threshold)),
+            json_num(f64::from(self.step)),
+            json_num(f64::from(self.step_scale)),
+            json_num(f64::from(self.reuse_threshold)),
             self.observations,
             self.grows,
             self.shrinks,
@@ -449,14 +430,9 @@ impl ReusePolicy for TunedPolicy {
         "tuned"
     }
 
-    fn layer_policy(
-        &self,
-        layer: &str,
-        setting: &LayerSetting,
-        config: &ReuseConfig,
-    ) -> LayerPolicy {
+    fn layer_policy(&self, layer: &str, resolved: LayerPolicy) -> LayerPolicy {
         let Some(t) = self.layers.iter().find(|l| l.layer == layer) else {
-            return LayerPolicy::static_for(setting, config);
+            return resolved;
         };
         let defaults = AdaptivePolicy::default();
         LayerPolicy {
@@ -466,9 +442,8 @@ impl ReusePolicy for TunedPolicy {
             reuse_threshold: t.reuse_threshold,
             target_similarity: defaults.target_similarity,
             headroom: defaults.headroom,
-            signature_bailout: config.signature_bailout(),
-            escalate_after: config.escalate_after(),
             adaptive: t.adaptive,
+            ..resolved
         }
     }
 }
@@ -480,21 +455,27 @@ impl TunedPolicy {
         s.push_str("{\n");
         s.push_str("  \"policy_file\": \"reuse-policy\",\n");
         s.push_str("  \"version\": 1,\n");
-        let _ = writeln!(
-            s,
-            "  \"network\": {},",
-            crate::telemetry::json_str(&self.network)
-        );
+        let _ = writeln!(s, "  \"network\": {},", json_str(&self.network));
         s.push_str("  \"layers\": [\n");
+        // Shortest form that parses back to the same `f32` (the file is
+        // re-read and compared); `null` where JSON has no number, which
+        // `from_json` then rejects with a typed error.
+        let exact = |v: f32| {
+            if v.is_finite() {
+                v.to_string()
+            } else {
+                "null".to_string()
+            }
+        };
         for (i, l) in self.layers.iter().enumerate() {
             let _ = writeln!(
                 s,
                 "    {{\"layer\": {}, \"clusters\": {}, \"step_scale\": {}, \
                  \"reuse_threshold\": {}, \"adaptive\": {}}}{}",
-                crate::telemetry::json_str(&l.layer),
+                json_str(&l.layer),
                 l.clusters,
-                l.step_scale,
-                l.reuse_threshold,
+                exact(l.step_scale),
+                exact(l.reuse_threshold),
                 l.adaptive,
                 if i + 1 < self.layers.len() { "," } else { "" }
             );
@@ -515,13 +496,11 @@ impl TunedPolicy {
     pub fn from_json(text: &str) -> Result<Self, ReuseError> {
         let invalid = |context: String| ReuseError::InvalidConfig { context };
         let root = json::parse(text).map_err(|e| invalid(format!("policy file: {e}")))?;
-        let obj = root
-            .as_object()
-            .ok_or_else(|| invalid("policy file: root is not an object".into()))?;
+        if root.as_object().is_none() {
+            return Err(invalid("policy file: root is not an object".into()));
+        }
         let field = |key: &str| -> Result<&json::Value, ReuseError> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
+            root.get(key)
                 .ok_or_else(|| invalid(format!("policy file: missing key {key:?}")))
         };
         match field("policy_file")?.as_str() {
@@ -540,13 +519,14 @@ impl TunedPolicy {
             .ok_or_else(|| invalid("policy file: layers must be an array".into()))?;
         let mut layers = Vec::with_capacity(layers_val.len());
         for (i, entry) in layers_val.iter().enumerate() {
-            let obj = entry
-                .as_object()
-                .ok_or_else(|| invalid(format!("policy file: layers[{i}] is not an object")))?;
+            if entry.as_object().is_none() {
+                return Err(invalid(format!(
+                    "policy file: layers[{i}] is not an object"
+                )));
+            }
             let get = |key: &str| -> Result<&json::Value, ReuseError> {
-                obj.iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
+                entry
+                    .get(key)
                     .ok_or_else(|| invalid(format!("policy file: layers[{i}] missing {key:?}")))
             };
             let layer = get("layer")?
@@ -586,343 +566,15 @@ impl TunedPolicy {
     }
 }
 
-/// A minimal recursive-descent JSON reader — just enough for policy files.
-/// The workspace's JSON *writers* are hand-rolled `format!` calls and its
-/// schema *checks* are substring scans; the policy file is the first
-/// artifact the engine reads back, so it gets a real (tiny) parser.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (parsed as f64).
-        Num(f64),
-        /// A string (escapes decoded).
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, as ordered key/value pairs (duplicate keys keep the
-        /// first occurrence on lookup).
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        /// Scans a number with the strict JSON grammar
-        /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Rust's
-        /// `f64::parse` is laxer than JSON (it accepts `+1`, `.5`, `1.`,
-        /// `inf`, ...), so the grammar is enforced here byte by byte and
-        /// the parse below can never loosen it.
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            match self.peek() {
-                Some(b'0') => {
-                    self.pos += 1;
-                    if self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                        return Err(format!("leading zero in number at byte {start}"));
-                    }
-                }
-                Some(b) if b.is_ascii_digit() => {
-                    while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                        self.pos += 1;
-                    }
-                }
-                _ => return Err(format!("invalid number at byte {start}: expected a digit")),
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    return Err(format!(
-                        "invalid number at byte {start}: no digits after decimal point"
-                    ));
-                }
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    return Err(format!(
-                        "invalid number at byte {start}: no digits in exponent"
-                    ));
-                }
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .expect("number grammar only admits ASCII");
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-        }
-
-        /// Reads exactly four hex digits at `at`. Strict digit validation:
-        /// `u32::from_str_radix` alone would admit a leading `+`.
-        fn hex4(&self, at: usize) -> Result<u32, String> {
-            let hex = self
-                .bytes
-                .get(at..at + 4)
-                .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
-            if !hex.iter().all(u8::is_ascii_hexdigit) {
-                return Err(format!("bad \\u escape at byte {at}"));
-            }
-            let text = std::str::from_utf8(hex).expect("ascii hex digits");
-            Ok(u32::from_str_radix(text, 16).expect("four hex digits fit u32"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                // `self.pos` is at the 'u'; the shared
-                                // `self.pos += 1` after this match walks
-                                // past the escape's final hex digit.
-                                let u_pos = self.pos;
-                                let code = self.hex4(u_pos + 1)?;
-                                match code {
-                                    // High surrogate: JSON encodes non-BMP
-                                    // characters as a UTF-16 pair, so the
-                                    // low half must follow immediately.
-                                    0xD800..=0xDBFF => {
-                                        if self.bytes.get(u_pos + 5) != Some(&b'\\')
-                                            || self.bytes.get(u_pos + 6) != Some(&b'u')
-                                        {
-                                            return Err(format!(
-                                                "unpaired surrogate \\u{code:04X} at byte {u_pos}"
-                                            ));
-                                        }
-                                        let lo = self.hex4(u_pos + 7)?;
-                                        if !(0xDC00..=0xDFFF).contains(&lo) {
-                                            return Err(format!(
-                                                "unpaired surrogate \\u{code:04X} at byte {u_pos}"
-                                            ));
-                                        }
-                                        let c = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-                                        out.push(
-                                            char::from_u32(c)
-                                                .expect("surrogate pairs decode in range"),
-                                        );
-                                        self.pos = u_pos + 10;
-                                    }
-                                    0xDC00..=0xDFFF => {
-                                        return Err(format!(
-                                            "unpaired surrogate \\u{code:04X} at byte {u_pos}"
-                                        ));
-                                    }
-                                    bmp => {
-                                        out.push(
-                                            char::from_u32(bmp).expect("non-surrogate BMP scalar"),
-                                        );
-                                        self.pos = u_pos + 4;
-                                    }
-                                }
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (multi-byte sequences pass
-                        // through unvalidated bytes of a &str, so they are
-                        // valid by construction).
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(items));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let val = self.value()?;
-                items.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(items));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReuseConfig;
 
-    fn cfg() -> ReuseConfig {
+    fn resolved(layer: &str) -> LayerPolicy {
         ReuseConfig::uniform(16)
-            .signature_bailout_fraction(0.3)
-            .drift_escalate_after(5)
+            .disable_layer("fc2")
+            .layer_policy(layer)
     }
 
     #[test]
@@ -1007,21 +659,31 @@ mod tests {
 
     #[test]
     fn static_policy_mirrors_legacy_knobs() {
-        let config = cfg();
-        let setting = config.setting_for("fc1");
-        let lp = StaticPolicy.layer_policy("fc1", &setting, &config);
-        assert_eq!(lp.clusters, 16);
+        let lp = StaticPolicy.layer_policy("fc1", resolved("fc1"));
+        assert_eq!(lp, LayerPolicy::fixed(true, 16));
         assert_eq!(lp.step_scale, 1.0);
         assert!(!lp.adaptive);
-        assert!((lp.signature_bailout - 0.3).abs() < 1e-9);
-        assert_eq!(lp.escalate_after, 5);
+        // The config's disable survives every shipped policy's refinement.
+        let tuned = TunedPolicy {
+            network: "x".to_string(),
+            layers: vec![TunedLayerPolicy {
+                layer: "fc2".to_string(),
+                clusters: 8,
+                step_scale: 2.0,
+                reuse_threshold: 0.5,
+                adaptive: true,
+            }],
+        };
+        let policies: [&dyn ReusePolicy; 3] = [&StaticPolicy, &AdaptivePolicy::default(), &tuned];
+        for policy in policies {
+            assert!(!policy.layer_policy("fc2", resolved("fc2")).enabled);
+            assert!(policy.layer_policy("fc1", resolved("fc1")).enabled);
+        }
     }
 
     #[test]
     fn adaptive_controller_grows_on_headroom_and_shrinks_on_violation() {
-        let config = cfg();
-        let setting = config.setting_for("fc1");
-        let lp = AdaptivePolicy::default().layer_policy("fc1", &setting, &config);
+        let lp = AdaptivePolicy::default().layer_policy("fc1", resolved("fc1"));
         let mut c = AdaptiveController::new(&lp);
         // Low similarity + tiny drift: the controller wants a coarser grid.
         c.observe_execution(0.4);
@@ -1044,13 +706,11 @@ mod tests {
 
     #[test]
     fn adaptive_controller_respects_target_similarity_and_max_scale() {
-        let config = cfg();
-        let setting = config.setting_for("fc1");
         let lp = AdaptivePolicy {
             max_step_scale: 2.0,
             ..AdaptivePolicy::default()
         }
-        .layer_policy("fc1", &setting, &config);
+        .layer_policy("fc1", resolved("fc1"));
         let mut c = AdaptiveController::new(&lp);
         // Similarity already above target: no growth however safe.
         c.observe_execution(0.99);
@@ -1068,9 +728,7 @@ mod tests {
 
     #[test]
     fn adaptive_controller_backs_off_under_refresh_pressure() {
-        let config = cfg();
-        let setting = config.setting_for("fc1");
-        let lp = AdaptivePolicy::default().layer_policy("fc1", &setting, &config);
+        let lp = AdaptivePolicy::default().layer_policy("fc1", resolved("fc1"));
         let mut c = AdaptiveController::new(&lp);
         c.observe_execution(0.3);
         let s = c.on_watchdog(0.0, 0.05).expect("grows while calm");
@@ -1104,7 +762,7 @@ mod tests {
                     adaptive: true,
                 },
                 TunedLayerPolicy {
-                    layer: "fc\"odd\\name".to_string(),
+                    layer: "fc\"odd\\name\u{1}\u{1F680}".to_string(),
                     clusters: 8,
                     step_scale: 1.0,
                     reuse_threshold: 1.0,
@@ -1115,6 +773,15 @@ mod tests {
         let text = p.to_json();
         let back = TunedPolicy::from_json(&text).expect("round trip parses");
         assert_eq!(back, p);
+        // A hand-built policy with a non-finite float still writes JSON
+        // (not a bare `NaN`), which the loader then refuses by range.
+        let mut broken = p;
+        broken.layers[0].step_scale = f32::NAN;
+        broken.layers[1].reuse_threshold = f32::INFINITY;
+        let text = broken.to_json();
+        json::parse(&text).expect("strict parser accepts the file");
+        let err = TunedPolicy::from_json(&text).unwrap_err();
+        assert!(matches!(err, ReuseError::InvalidConfig { .. }));
     }
 
     #[test]
@@ -1145,8 +812,6 @@ mod tests {
 
     #[test]
     fn tuned_policy_falls_back_to_static_for_unknown_layers() {
-        let config = cfg();
-        let setting = config.setting_for("fc9");
         let p = TunedPolicy {
             network: "x".to_string(),
             layers: vec![TunedLayerPolicy {
@@ -1157,11 +822,11 @@ mod tests {
                 adaptive: true,
             }],
         };
-        let known = p.layer_policy("fc1", &setting, &config);
+        let known = p.layer_policy("fc1", resolved("fc1"));
         assert_eq!(known.clusters, 4);
         assert!(known.adaptive);
-        let unknown = p.layer_policy("fc9", &setting, &config);
-        assert_eq!(unknown, LayerPolicy::static_for(&setting, &config));
+        let unknown = p.layer_policy("fc9", resolved("fc9"));
+        assert_eq!(unknown, LayerPolicy::fixed(true, 16));
     }
 
     #[test]

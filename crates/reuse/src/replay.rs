@@ -238,7 +238,7 @@ mod tests {
         let replay = replay_similarity(&rec, "fc1", 16).unwrap();
 
         let config = crate::ReuseConfig::uniform(16).range_margin(0.0);
-        let mut engine = crate::ReuseEngine::from_network(&net, &config);
+        let mut engine = crate::ReuseSession::from_network(&net, &config);
         for f in &frames {
             engine.execute(f).unwrap();
         }

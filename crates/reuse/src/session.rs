@@ -1,4 +1,4 @@
-//! The mutable, per-stream half of the reuse engine.
+//! The mutable, per-stream half of a reuse run.
 //!
 //! A [`ReuseSession`] owns everything one input stream mutates — buffered
 //! quantized indices and outputs, quantizer calibration, metrics,
@@ -25,7 +25,7 @@ use crate::telemetry::{
     WatchdogStats,
 };
 use crate::trace::{ExecutionTrace, LayerTrace, TraceKind};
-use crate::{ReuseError, SignatureInsertPolicy};
+use crate::{ReuseConfig, ReuseError};
 
 /// A recycling arena of `f32` buffers for a session's per-frame
 /// intermediates.
@@ -132,8 +132,7 @@ struct SlotRuntime {
 
 /// One stream's mutable reuse state over a shared [`CompiledModel`].
 ///
-/// Lifecycle (same as [`ReuseEngine`](crate::ReuseEngine), which is now a
-/// facade over one session):
+/// Lifecycle:
 ///
 /// 1. The first `calibration_executions` executions (sequences, for
 ///    recurrent networks) run in full precision while input ranges are
@@ -145,8 +144,8 @@ struct SlotRuntime {
 ///    corrects the buffered outputs (Eq. 10).
 ///
 /// Calibration and quantizers are per-session: each stream profiles its own
-/// input ranges, so a session behaves bit-identically to a standalone
-/// engine built from the same network and config.
+/// input ranges, so a session behaves bit-identically to the only session
+/// of a model compiled from the same network and config.
 #[derive(Debug)]
 pub struct ReuseSession {
     model: Arc<CompiledModel>,
@@ -175,6 +174,18 @@ pub struct ReuseSession {
 }
 
 impl ReuseSession {
+    /// Shorthand for a single stream: compiles `network` (cloned) under
+    /// `config` and opens the model's one session. Callers that share a
+    /// model across streams build the [`CompiledModel`] themselves and call
+    /// [`CompiledModel::new_session`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`CompiledModel::new`] does.
+    pub fn from_network(network: &reuse_nn::Network, config: &ReuseConfig) -> Self {
+        Arc::new(CompiledModel::new(network, config)).new_session()
+    }
+
     pub(crate) fn new(model: Arc<CompiledModel>) -> Self {
         let config = model.config();
         let mut metrics = EngineMetrics::default();
@@ -394,7 +405,7 @@ impl ReuseSession {
             .slots()
             .iter()
             .zip(self.runtimes.iter())
-            .filter(|(slot, rt)| slot.setting.enabled && !rt.auto_disabled)
+            .filter(|(slot, rt)| slot.policy.enabled && !rt.auto_disabled)
             .map(|(slot, rt)| {
                 let (_, layer) = &self.model.network().layers()[slot.layer_index];
                 rt.state.storage_bytes(layer)
@@ -409,7 +420,7 @@ impl ReuseSession {
             .slots()
             .iter()
             .zip(self.runtimes.iter())
-            .filter(|(slot, rt)| slot.setting.enabled && !rt.auto_disabled)
+            .filter(|(slot, rt)| slot.policy.enabled && !rt.auto_disabled)
             .map(|(_, rt)| {
                 rt.quantizer_x
                     .map_or(0, |q| q.centroid_table_bytes() as u64)
@@ -496,7 +507,7 @@ impl ReuseSession {
     }
 
     fn slot_enabled(&self, slot_pos: usize) -> bool {
-        self.model.slots()[slot_pos].setting.enabled && !self.runtimes[slot_pos].auto_disabled
+        self.model.slots()[slot_pos].policy.enabled && !self.runtimes[slot_pos].auto_disabled
     }
 
     /// Executes the network on one frame (feed-forward networks only).
@@ -506,27 +517,27 @@ impl ReuseSession {
     /// Returns [`ReuseError::WrongApi`] for recurrent networks; otherwise
     /// propagates shape/quantizer errors.
     pub fn execute(&mut self, frame: &[f32]) -> Result<Tensor, ReuseError> {
-        if self.model.network().is_recurrent() {
-            return Err(ReuseError::WrongApi {
-                context: "recurrent network: use execute_sequence".into(),
-            });
-        }
-        if !self.calibrated
-            && self.calibration_units_seen < self.model.config().calibration() as u64
-        {
-            let out = self.calibration_execute(frame)?;
-            self.calibration_units_seen += 1;
-            return Ok(out);
-        }
-        if !self.calibrated {
-            self.build_quantizers();
-        }
         let mut out = Vec::new();
-        self.reuse_execute_into(frame, &mut out)?;
+        self.execute_into(frame, &mut out)?;
         Ok(Tensor::from_vec(
             self.model.network().output_shape().clone(),
             out,
         )?)
+    }
+
+    /// The one calibrate-or-reuse decision every entry point takes: `true`
+    /// while profiling units remain (a unit counts once it ran to the end),
+    /// otherwise `false`, having built the quantizers if the last profiling
+    /// unit has just gone by.
+    fn calibrating(&mut self) -> bool {
+        if self.calibrated {
+            return false;
+        }
+        if self.calibration_units_seen < self.model.config().calibration() as u64 {
+            return true;
+        }
+        self.build_quantizers();
+        false
     }
 
     /// Allocation-free variant of [`Self::execute`]: clears `out` and writes
@@ -551,17 +562,8 @@ impl ReuseSession {
                 context: "recurrent network: use execute_sequence".into(),
             });
         }
-        if !self.calibrated
-            && self.calibration_units_seen < self.model.config().calibration() as u64
-        {
-            let t = self.calibration_execute(frame)?;
-            self.calibration_units_seen += 1;
-            out.clear();
-            out.extend_from_slice(t.as_slice());
-            return Ok(());
-        }
-        if !self.calibrated {
-            self.build_quantizers();
+        if self.calibrating() {
+            return self.calibration_execute(frame, out);
         }
         self.reuse_execute_into(frame, out)
     }
@@ -582,58 +584,17 @@ impl ReuseSession {
         if !self.model.network().is_recurrent() {
             return frames.iter().map(|f| self.execute(f)).collect();
         }
-        if !self.calibrated
-            && self.calibration_units_seen < self.model.config().calibration() as u64
-        {
-            let out = self.calibration_sequence(frames)?;
-            self.calibration_units_seen += 1;
-            return Ok(out);
-        }
-        if !self.calibrated {
-            self.build_quantizers();
+        if self.calibrating() {
+            return self.calibration_sequence(frames);
         }
         self.reuse_sequence(frames)
-    }
-
-    /// Allocation-conscious sequence runner for feed-forward networks:
-    /// executes the frames back-to-back through [`Self::execute_into`],
-    /// reusing the inner `Vec`s of `outs` across calls instead of
-    /// allocating a fresh `Tensor` per frame. `outs` is resized to
-    /// `frames.len()`; extra entries are dropped, missing entries appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError::WrongApi`] for recurrent networks and
-    /// [`ReuseError::Nn`] on an empty sequence; otherwise propagates
-    /// shape/quantizer errors.
-    pub fn execute_sequence_into(
-        &mut self,
-        frames: &[Vec<f32>],
-        outs: &mut Vec<Vec<f32>>,
-    ) -> Result<(), ReuseError> {
-        if frames.is_empty() {
-            return Err(ReuseError::Nn(reuse_nn::NnError::EmptySequence));
-        }
-        if self.model.network().is_recurrent() {
-            return Err(ReuseError::WrongApi {
-                context: "recurrent network: use execute_sequence".into(),
-            });
-        }
-        outs.truncate(frames.len());
-        while outs.len() < frames.len() {
-            outs.push(Vec::new());
-        }
-        for (frame, out) in frames.iter().zip(outs.iter_mut()) {
-            self.execute_into(frame, out)?;
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------------------
     // Calibration phase
     // ---------------------------------------------------------------------
 
-    fn calibration_execute(&mut self, frame: &[f32]) -> Result<Tensor, ReuseError> {
+    fn calibration_execute(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
         let model = Arc::clone(&self.model);
         let input_shape = model.network().input_shape().clone();
         if frame.len() != input_shape.volume() {
@@ -669,7 +630,10 @@ impl ReuseSession {
         }
         self.executions_seen += 1;
         self.metrics.executions += 1;
-        Ok(cur)
+        self.calibration_units_seen += 1;
+        out.clear();
+        out.extend_from_slice(cur.as_slice());
+        Ok(())
     }
 
     fn calibration_sequence(&mut self, frames: &[Vec<f32>]) -> Result<Vec<Tensor>, ReuseError> {
@@ -762,6 +726,7 @@ impl ReuseSession {
         }
         self.executions_seen += frames.len() as u64;
         self.metrics.executions += frames.len() as u64;
+        self.calibration_units_seen += 1;
         Ok(seq)
     }
 
@@ -784,8 +749,8 @@ impl ReuseSession {
 
     /// Builds a layer quantizer at `scale` times the calibrated base step
     /// (`range / clusters`). Scale 1.0 goes through [`LinearQuantizer::new`]
-    /// — the exact constructor the pre-policy engine used — so static
-    /// policies stay bit-identical; other scales derive the step explicitly.
+    /// so static policies run the paper's grid bit for bit; other scales
+    /// derive the step explicitly.
     fn quantizer_at_scale(
         range: InputRange,
         clusters: usize,
@@ -802,7 +767,7 @@ impl ReuseSession {
         let model = Arc::clone(&self.model);
         let margin = model.config().margin();
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
-            if !slot.setting.enabled {
+            if !slot.policy.enabled {
                 continue;
             }
             // Passthrough slots recompute at full precision: no quantizer,
@@ -1124,7 +1089,7 @@ impl ReuseSession {
                 .zip(self.sig_scratch_cached.iter())
                 .filter(|(a, b)| a != b)
                 .count();
-            changed as f32 > model.slots()[slot_pos].policy.signature_bailout * input.len() as f32
+            changed as f32 > model.config().signature_bailout() * input.len() as f32
         };
         if let Some(tel) = self.telemetry.as_mut() {
             tel.layers[metrics_index].record_signature(true, bail);
@@ -1209,7 +1174,7 @@ impl ReuseSession {
         let model = Arc::clone(&self.model);
         let mut rescaled = false;
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
-            if !slot.setting.enabled || rt.auto_disabled {
+            if !slot.policy.enabled || rt.auto_disabled {
                 continue;
             }
             let Some(ctrl) = rt.controller.as_mut() else {
@@ -1236,9 +1201,8 @@ impl ReuseSession {
     /// forward on that raw input, so this frame's output — written to `out` —
     /// is bit-identical to [`Self::reference_forward`] and subsequent frames
     /// correct from an exact baseline. Layers whose own buffered outputs had
-    /// drifted beyond the bound collect a strike; a layer reaching its
-    /// resolved policy's `escalate_after` strikes (seeded from
-    /// [`crate::ReuseConfig::drift_escalate_after`]) is auto-disabled
+    /// drifted beyond the bound collect a strike; a layer reaching
+    /// [`crate::ReuseConfig::drift_escalate_after`] strikes is auto-disabled
     /// (escalation into [`Self::auto_disabled_layers`]).
     fn rebaseline_frame(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
         let model = Arc::clone(&self.model);
@@ -1294,7 +1258,7 @@ impl ReuseSession {
             rt.rebaselines += 1;
             if drifted {
                 rt.drift_strikes += 1;
-                let escalate_after = slot.policy.escalate_after;
+                let escalate_after = model.config().escalate_after();
                 if escalate_after > 0 && rt.drift_strikes >= escalate_after {
                     rt.auto_disabled = true;
                     // The pipeline now has a full-precision stage that routes
@@ -1302,25 +1266,6 @@ impl ReuseSession {
                     // zero-alloc contract no longer holds: disarm the pool's
                     // steady-state assertion.
                     self.pool.steady = false;
-                }
-            }
-            if model.config().signature_insert_policy_config()
-                == SignatureInsertPolicy::ColdStartAndRebaseline
-            {
-                // The re-baseline just recomputed an exact full-precision
-                // baseline; refresh the shared cache so other streams
-                // adopt the corrected values instead of the drifted ones.
-                if let Some(sigs) = model.signatures() {
-                    if let Some(planes) = sigs.planes(slot_pos) {
-                        let sig = planes.signature(cur.as_slice());
-                        let entry = CachedBaseline {
-                            input: cur.as_slice().to_vec(),
-                            linear: linear.as_slice().to_vec(),
-                        };
-                        if sigs.cache().insert(slot_pos as u32, sig, entry) {
-                            self.signature.inserts += 1;
-                        }
-                    }
                 }
             }
             cur = activation.apply(&linear);
@@ -1397,16 +1342,6 @@ impl ReuseSession {
                     );
                 }
                 seq = out;
-            } else if layer.is_recurrent() {
-                // Disabled recurrent layer: full-precision sequence pass.
-                if record_trace {
-                    for (t, frame) in seq.iter().enumerate() {
-                        traces[t]
-                            .layers
-                            .push(self.scratch_trace_entry(i, frame.len() as u64));
-                    }
-                }
-                seq = layer.forward_sequence(&seq)?;
             } else {
                 if record_trace && slot_pos != usize::MAX {
                     for (t, frame) in seq.iter().enumerate() {
@@ -1414,6 +1349,11 @@ impl ReuseSession {
                             .layers
                             .push(self.scratch_trace_entry(i, frame.len() as u64));
                     }
+                }
+                if layer.is_recurrent() {
+                    // Disabled recurrent layer: full-precision sequence pass.
+                    seq = layer.forward_sequence(&seq)?;
+                    continue;
                 }
                 let in_shape = model.network().layer_input_shapes()[i].clone();
                 seq = seq

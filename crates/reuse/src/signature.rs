@@ -32,9 +32,13 @@ use std::sync::{Arc, Mutex};
 
 use reuse_nn::LayerKind;
 use reuse_quant::RpqPlanes;
+use reuse_tensor::Shape;
 
 use crate::model::CompiledSlot;
-use crate::ReuseConfig;
+
+/// Signature width in hyperplane sign bits. More bits mean fewer false
+/// collisions but also fewer cross-stream hits.
+const SIGNATURE_BITS: u32 = 16;
 
 /// Number of independently locked shards. A power of two so shard
 /// selection is a mask; small enough that an empty cache stays cheap.
@@ -61,10 +65,10 @@ struct Shard {
 /// A sharded, bounded, read-mostly map from `(slot, signature)` to a
 /// published [`CachedBaseline`].
 ///
-/// Writes happen only on cold-start from-scratch executions (and, under
-/// [`SignatureInsertPolicy::ColdStartAndRebaseline`](crate::SignatureInsertPolicy),
-/// watchdog re-baselines), so contention is negligible: the steady-state
-/// hot path never touches a lock. Each shard evicts FIFO once it reaches
+/// Writes happen only on cold-start from-scratch executions (a stream's
+/// first reuse frame, or the first frame after a state reset), so
+/// contention is negligible: the steady-state hot path never touches a
+/// lock. Each shard evicts FIFO once it reaches
 /// its share of the configured capacity.
 #[derive(Debug)]
 pub struct SignatureCache {
@@ -147,31 +151,27 @@ pub(crate) struct ModelSignatures {
 }
 
 impl ModelSignatures {
-    pub(crate) fn new(
-        slots: &[CompiledSlot],
-        input_volumes: &[usize],
-        config: &ReuseConfig,
-    ) -> Self {
+    pub(crate) fn new(slots: &[CompiledSlot], input_shapes: &[Shape], capacity: usize) -> Self {
         let planes = slots
             .iter()
             .map(|slot| {
                 // Passthrough slots hold no baseline to share: no planes.
-                if !slot.setting.enabled
+                if !slot.policy.enabled
                     || slot.kind == LayerKind::Recurrent
                     || slot.kind == LayerKind::Passthrough
                 {
                     return None;
                 }
-                let dim = input_volumes[slot.layer_index];
+                let dim = input_shapes[slot.layer_index].volume();
                 // Per-slot seed so layers with equal input volumes still
                 // hash through distinct planes.
                 let seed = 0x5157_5349_4743_4143 ^ (slot.layer_index as u64) << 32;
-                Some(RpqPlanes::new(dim, config.signature_bits_config(), seed))
+                Some(RpqPlanes::new(dim, SIGNATURE_BITS, seed))
             })
             .collect();
         ModelSignatures {
             planes,
-            cache: SignatureCache::new(config.signature_capacity()),
+            cache: SignatureCache::new(capacity),
         }
     }
 

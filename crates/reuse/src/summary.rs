@@ -1,14 +1,14 @@
-//! Human-readable reporting of engine metrics.
+//! Human-readable reporting of session metrics.
 
-use crate::{EngineMetrics, ReuseEngine};
+use crate::{EngineMetrics, ReuseSession};
 
-/// A formatted snapshot of a [`ReuseEngine`]'s accumulated metrics,
+/// A formatted snapshot of a [`ReuseSession`]'s accumulated metrics,
 /// suitable for logs and examples.
 ///
 /// # Example
 ///
 /// ```
-/// use reuse_core::{ReuseConfig, ReuseEngine};
+/// use reuse_core::{ReuseConfig, ReuseSession};
 /// use reuse_nn::{Activation, NetworkBuilder};
 ///
 /// let net = NetworkBuilder::new("demo", 4)
@@ -16,19 +16,19 @@ use crate::{EngineMetrics, ReuseEngine};
 ///     .fully_connected(2, Activation::Identity)
 ///     .build()
 ///     .unwrap();
-/// let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+/// let mut session = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
 /// for _ in 0..4 {
-///     engine.execute(&[0.1, 0.2, 0.3, 0.4])?;
+///     session.execute(&[0.1, 0.2, 0.3, 0.4])?;
 /// }
-/// let report = reuse_core::summary::render(&engine);
+/// let report = reuse_core::summary::render(&session);
 /// assert!(report.contains("fc1"));
 /// # Ok::<(), reuse_core::ReuseError>(())
 /// ```
-pub fn render(engine: &ReuseEngine) -> String {
-    render_metrics(engine.network().name(), engine.metrics())
+pub fn render(session: &ReuseSession) -> String {
+    render_metrics(session.network().name(), session.metrics())
 }
 
-/// Formats engine metrics for a named network.
+/// Formats accumulated reuse metrics for a named network.
 pub fn render_metrics(name: &str, metrics: &EngineMetrics) -> String {
     let mut s = format!(
         "reuse summary for {name} ({} executions)\n{:<12} {:>12} {:>14} {:>12}\n",

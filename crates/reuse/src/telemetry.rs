@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{json_num, json_str};
+
 /// A fixed-capacity ring buffer of `f32` samples.
 ///
 /// The backing storage is allocated once at construction; `push` overwrites
@@ -260,7 +262,7 @@ impl LayerTelemetry {
     }
 }
 
-/// Live telemetry state owned by a [`crate::ReuseEngine`] when
+/// Live telemetry state owned by a [`crate::ReuseSession`] when
 /// [`crate::ReuseConfig::telemetry`] is enabled. All storage is
 /// preallocated at engine construction; recording never allocates.
 #[derive(Debug, Clone)]
@@ -359,33 +361,6 @@ pub struct LayerTelemetrySnapshot {
     pub signature_hits: u64,
     /// Signature hits abandoned by the false-positive guard.
     pub signature_bailouts: u64,
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values).
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping for layer/network names.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl TelemetrySnapshot {
@@ -520,8 +495,11 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_valid_shape() {
+        // Everything JSON must escape: a quote, a backslash, a control
+        // character, plus a non-BMP scalar that must survive as is.
+        let hostile = "demo\"net\\\u{1}\u{1F680}";
         let snap = TelemetrySnapshot {
-            network: "demo\"net".to_string(),
+            network: hostile.to_string(),
             frames: 12,
             window: 64,
             pool: PoolStats {
@@ -545,22 +523,22 @@ mod tests {
             },
             policy: "adaptive".to_string(),
             policy_layers: vec![crate::policy::LayerPolicyState {
-                name: "fc1".to_string(),
+                name: hostile.to_string(),
                 adaptive: true,
                 clusters: 16,
                 step: 0.125,
                 step_scale: 1.5,
-                reuse_threshold: 0.75,
+                reuse_threshold: f32::NAN,
                 observations: 6,
                 grows: 2,
                 shrinks: 1,
                 refreshes: 3,
             }],
             layers: vec![LayerTelemetrySnapshot {
-                name: "fc1".to_string(),
+                name: hostile.to_string(),
                 reuse_executions: 10,
                 hit_rate: 0.875,
-                hit_rate_window: 0.9,
+                hit_rate_window: f64::NAN,
                 corrections_total: 42,
                 macs_skipped_total: 10_000,
                 span_ns_window: 1234.5,
@@ -572,7 +550,12 @@ mod tests {
             }],
         };
         let json = snap.to_json();
-        assert!(json.contains("\"network\": \"demo\\\"net\""));
+        let root = crate::json::parse(&json).expect("strict parser accepts the snapshot");
+        assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
+        for list in ["layers", "policy_layers"] {
+            let row = &root.get(list).unwrap().as_array().unwrap()[0];
+            assert_eq!(row.get("name").unwrap().as_str(), Some(hostile), "{list}");
+        }
         assert!(json.contains("\"hit_rate\": 0.875000"));
         assert!(json.contains("\"misses\": 4"));
         assert!(json.contains("\"signature_cache\": {\"lookups\": 5, \"hits\": 3"));
@@ -581,6 +564,8 @@ mod tests {
         assert!(json.contains("\"step_scale\": 1.500000"));
         // Non-finite floats degrade to null, keeping the JSON parseable.
         assert!(json.contains("\"max_drift\": null"));
+        assert!(json.contains("\"hit_rate_window\": null"));
+        assert!(json.contains("\"reuse_threshold\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use reuse_core::{ReuseConfig, ReuseEngine};
+use reuse_core::{ReuseConfig, ReuseSession};
 use reuse_nn::{init::Rng64, Activation, NetworkBuilder};
 
 struct CountingAlloc;
@@ -61,7 +61,7 @@ fn steady_state_execute_into_is_allocation_free() {
         .fully_connected(10, Activation::Identity)
         .build()
         .unwrap();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
 
     let mut rng = Rng64::new(9);
     let mut frame: Vec<f32> = (0..32).map(|_| rng.uniform(0.9)).collect();
@@ -104,7 +104,7 @@ fn steady_state_with_telemetry_is_allocation_free() {
         .build()
         .unwrap();
     let config = ReuseConfig::uniform(16).telemetry(true).telemetry_window(8);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
 
     let mut rng = Rng64::new(11);
     let mut frame: Vec<f32> = (0..32).map(|_| rng.uniform(0.9)).collect();

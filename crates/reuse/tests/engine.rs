@@ -1,6 +1,6 @@
 //! End-to-end tests of the reuse engine against from-scratch oracles.
 
-use reuse_core::{ReuseConfig, ReuseEngine, TraceKind};
+use reuse_core::{ReuseConfig, ReuseSession, TraceKind};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_tensor::Shape;
 
@@ -53,7 +53,7 @@ fn rnn() -> Network {
 #[test]
 fn mlp_outputs_close_to_fp32_reference() {
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(32));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(32));
     let frames = walk(60, 12, 0.08, 1);
     for frame in &frames {
         let out = engine.execute(frame).unwrap();
@@ -78,7 +78,7 @@ fn mlp_matches_quantized_scratch_oracle() {
     // execution on the *same quantized inputs* (layer by layer).
     let net = mlp();
     let config = ReuseConfig::uniform(16);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = walk(50, 12, 0.1, 2);
     // Calibrate, then for each execution rebuild the oracle manually with
     // the engine's own quantizers.
@@ -111,7 +111,7 @@ fn mlp_matches_quantized_scratch_oracle() {
 #[test]
 fn identical_frames_reach_full_similarity() {
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let frame = walk(1, 12, 0.0, 3).pop().unwrap();
     for _ in 0..10 {
         engine.execute(&frame).unwrap();
@@ -128,8 +128,8 @@ fn identical_frames_reach_full_similarity() {
 #[test]
 fn smoother_sequences_have_higher_reuse() {
     let net = mlp();
-    let mut smooth = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
-    let mut jumpy = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut smooth = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
+    let mut jumpy = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     for frame in walk(60, 12, 0.02, 4) {
         smooth.execute(&frame).unwrap();
     }
@@ -147,7 +147,7 @@ fn smoother_sequences_have_higher_reuse() {
 fn cnn_outputs_track_reference_and_record_trace() {
     let net = cnn();
     let config = ReuseConfig::uniform(32).record_trace(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = walk(20, 2 * 8 * 8, 0.05, 5);
     for frame in &frames {
         let out = engine.execute(frame).unwrap();
@@ -193,7 +193,7 @@ fn disabled_layers_run_fp32_and_are_not_metered() {
     let config = ReuseConfig::uniform(32)
         .disable_layer("conv1")
         .record_trace(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     for frame in walk(10, 2 * 8 * 8, 0.05, 6) {
         engine.execute(&frame).unwrap();
     }
@@ -216,7 +216,7 @@ fn rnn_sequence_runs_and_reuses() {
     let config = ReuseConfig::uniform(16)
         .disable_layer("fc1")
         .record_trace(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let seq1 = walk(30, 10, 0.05, 7);
     let out_cal = engine.execute_sequence(&seq1).unwrap();
     assert_eq!(out_cal.len(), 30);
@@ -251,7 +251,7 @@ fn rnn_sequence_runs_and_reuses() {
 #[test]
 fn rnn_resets_state_between_sequences() {
     let net = rnn();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16).record_trace(true));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16).record_trace(true));
     let seq = walk(10, 10, 0.05, 9);
     engine.execute_sequence(&seq).unwrap(); // calibration
     engine.execute_sequence(&seq).unwrap();
@@ -269,8 +269,8 @@ fn rnn_resets_state_between_sequences() {
 #[test]
 fn feed_forward_sequence_api_maps_execute() {
     let net = mlp();
-    let mut a = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
-    let mut b = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut a = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
+    let mut b = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let frames = walk(10, 12, 0.1, 10);
     let outs_seq = a.execute_sequence(&frames).unwrap();
     let outs_one: Vec<_> = frames.iter().map(|f| b.execute(f).unwrap()).collect();
@@ -281,9 +281,9 @@ fn feed_forward_sequence_api_maps_execute() {
 
 #[test]
 fn wrong_api_is_rejected() {
-    let mut e = ReuseEngine::from_network(&rnn(), &ReuseConfig::uniform(16));
+    let mut e = ReuseSession::from_network(&rnn(), &ReuseConfig::uniform(16));
     assert!(e.execute(&[0.0; 10]).is_err());
-    let mut e2 = ReuseEngine::from_network(&mlp(), &ReuseConfig::uniform(16));
+    let mut e2 = ReuseSession::from_network(&mlp(), &ReuseConfig::uniform(16));
     assert!(e2.execute_sequence(&[]).is_err());
     assert!(e2.execute(&[0.0; 5]).is_err());
 }
@@ -292,7 +292,7 @@ fn wrong_api_is_rejected() {
 fn relative_difference_series_recorded() {
     let net = mlp();
     let config = ReuseConfig::uniform(16).record_relative_difference(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     for frame in walk(20, 12, 0.05, 11) {
         engine.execute(&frame).unwrap();
     }
@@ -309,7 +309,7 @@ fn relative_difference_series_recorded() {
 #[test]
 fn storage_accounting_matches_hand_computation() {
     let net = mlp();
-    let engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     // fc1: 12 idx + 24*4 out; fc2: 24 idx + 16*4; fc3: 16 idx + 4*4.
     let expect = (12 + 96) + (24 + 64) + (16 + 16);
     assert_eq!(engine.reuse_storage_bytes(), expect as u64);
@@ -318,7 +318,7 @@ fn storage_accounting_matches_hand_computation() {
 #[test]
 fn centroid_tables_counted_after_calibration() {
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     assert_eq!(engine.centroid_table_bytes(), 0);
     for frame in walk(3, 12, 0.1, 12) {
         engine.execute(&frame).unwrap();
@@ -332,7 +332,7 @@ fn constant_input_layer_is_auto_disabled() {
     // An input dimension that never varies gives a degenerate range for the
     // first layer only if ALL inputs are constant; build such a net.
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let frame = vec![0.5f32; 12];
     // All calibration inputs identical -> zero-width range -> auto-disable
     // of at least the first layer.
@@ -359,7 +359,7 @@ fn constant_input_layer_is_auto_disabled() {
 #[test]
 fn reset_state_forces_scratch_next_execution() {
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16).record_trace(true));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16).record_trace(true));
     let frames = walk(5, 12, 0.1, 13);
     for f in &frames {
         engine.execute(f).unwrap();
@@ -387,7 +387,7 @@ fn unidirectional_lstm_reuses_across_timesteps() {
     let config = ReuseConfig::uniform(16)
         .disable_layer("fc1")
         .record_trace(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let seq1 = walk(25, 8, 0.05, 31);
     engine.execute_sequence(&seq1).unwrap(); // calibration
     let seq2 = walk(25, 8, 0.05, 32);
@@ -426,7 +426,7 @@ fn unidirectional_lstm_matches_quantized_oracle() {
         .lstm(4)
         .build()
         .unwrap();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let cal = walk(20, 6, 0.08, 33);
     engine.execute_sequence(&cal).unwrap();
     let seq = walk(20, 6, 0.08, 34);
@@ -456,7 +456,7 @@ fn conv3d_network_through_engine_matches_reference() {
         .fully_connected(3, Activation::Identity)
         .build()
         .unwrap();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(32));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(32));
     let frames = walk(12, 4 * 36, 0.05, 40);
     for frame in &frames {
         let out = engine.execute(frame).unwrap();
@@ -472,7 +472,7 @@ fn conv3d_network_through_engine_matches_reference() {
 #[test]
 fn quantizer_for_is_none_before_calibration() {
     let net = mlp();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     assert!(engine.quantizer_for("fc1").is_none());
     assert!(!engine.is_calibrated());
     let frames = walk(3, 12, 0.1, 41);
@@ -486,7 +486,7 @@ fn quantizer_for_is_none_before_calibration() {
 #[test]
 fn executions_counter_tracks_timesteps_for_rnn() {
     let net = rnn();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let seq = walk(7, 10, 0.1, 42);
     engine.execute_sequence(&seq).unwrap();
     assert_eq!(engine.executions(), 7);
@@ -503,7 +503,7 @@ fn engine_metrics_weighted_by_layer_size() {
         .fully_connected(4, Activation::Identity)
         .build()
         .unwrap();
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     for frame in walk(20, 100, 0.05, 44) {
         engine.execute(&frame).unwrap();
     }
@@ -534,7 +534,7 @@ fn passthrough_layer_serves_with_full_macs_and_zero_reuse() {
         .build()
         .unwrap();
     assert_eq!(net.layers()[1].0, "pass1");
-    let mut engine = ReuseEngine::from_network(&net, &ReuseConfig::uniform(64));
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(64));
     for frame in walk(40, 12, 0.02, 12) {
         let out = engine.execute(&frame).unwrap();
         let reference = net.forward_flat(&frame).unwrap();
@@ -569,7 +569,7 @@ fn passthrough_survives_watchdog_rebaseline() {
         .build()
         .unwrap();
     let config = ReuseConfig::uniform(32).drift_watchdog(4, 0.0);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = walk(24, 10, 0.05, 14);
     let mut last = None;
     for frame in &frames {

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
 use reuse_core::lstm::{LstmGatePack, LstmReuseState};
-use reuse_core::{ParallelConfig, ReuseConfig, ReuseEngine};
+use reuse_core::{ParallelConfig, ReuseConfig, ReuseSession};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
 };
@@ -129,8 +129,8 @@ proptest! {
             .build()
             .unwrap();
         let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseEngine::from_network(&net, &base);
-        let mut parallel = ReuseEngine::from_network(&net, &base.clone().parallel(cfg(threads)));
+        let mut serial = ReuseSession::from_network(&net, &base);
+        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
         for frame in drifting_frames(16, 8, seed) {
             let a = serial.execute(&frame).unwrap();
             let b = parallel.execute(&frame).unwrap();
@@ -150,8 +150,8 @@ proptest! {
             .build()
             .unwrap();
         let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseEngine::from_network(&net, &base);
-        let mut parallel = ReuseEngine::from_network(&net, &base.clone().parallel(cfg(threads)));
+        let mut serial = ReuseSession::from_network(&net, &base);
+        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
         for frame in drifting_frames(36, 6, seed) {
             let a = serial.execute(&frame).unwrap();
             let b = parallel.execute(&frame).unwrap();
@@ -167,8 +167,8 @@ proptest! {
             .build()
             .unwrap();
         let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseEngine::from_network(&net, &base);
-        let mut parallel = ReuseEngine::from_network(&net, &base.clone().parallel(cfg(threads)));
+        let mut serial = ReuseSession::from_network(&net, &base);
+        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
         let frames = drifting_frames(10, 5, seed);
         for _ in 0..3 {
             let a = serial.execute_sequence(&frames).unwrap();
@@ -195,7 +195,7 @@ fn full_precision_sequence_matches_reference_forward_exactly() {
         .disable_layer("fc1")
         .disable_layer("fc2")
         .parallel(cfg(4));
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = drifting_frames(12, 6, 77);
     let outs = engine.execute_sequence(&frames).unwrap();
     for (frame, out) in frames.iter().zip(outs.iter()) {

@@ -2,8 +2,8 @@
 //!
 //! 1. **Static bit-identity** — configuring [`StaticPolicy`] explicitly
 //!    (or a [`TunedPolicy`] whose entries resolve to the static knobs)
-//!    changes no output bit and no metric counter relative to the
-//!    unconfigured legacy path, at every SIMD level (`scripts/ci.sh` runs
+//!    changes no output bit and no metric counter relative to a session
+//!    of the unconfigured model, at every SIMD level (`scripts/ci.sh` runs
 //!    this suite under both `REUSE_SIMD=off` and `REUSE_SIMD=avx2`).
 //! 2. **Adaptive convergence** — on a drifting but similar stream the
 //!    controller coarsens the grid and raises skipped MACs while the
@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use reuse_core::{
-    AdaptivePolicy, CompiledModel, ReuseConfig, ReuseEngine, ReusePolicy, ReuseSession,
-    StaticPolicy, TunedLayerPolicy, TunedPolicy,
+    AdaptivePolicy, CompiledModel, ReuseConfig, ReusePolicy, ReuseSession, StaticPolicy,
+    TunedLayerPolicy, TunedPolicy,
 };
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_tensor::Shape;
@@ -72,7 +72,7 @@ fn static_equivalent_tuned(net: &Network, config: &ReuseConfig) -> TunedPolicy {
             .iter()
             .map(|(name, _)| TunedLayerPolicy {
                 layer: name.clone(),
-                clusters: config.setting_for(name).clusters,
+                clusters: config.default_clusters(),
                 step_scale: 1.0,
                 reuse_threshold: 1.0,
                 adaptive: false,
@@ -81,13 +81,13 @@ fn static_equivalent_tuned(net: &Network, config: &ReuseConfig) -> TunedPolicy {
     }
 }
 
-/// Runs the same stream through the legacy (no policy) path and through
-/// `policy`, asserting bit-identical outputs and equal metric counters.
+/// Runs the same stream through a session without a policy and through
+/// one under `policy`, asserting bit-identical outputs and equal metric counters.
 fn check_policy_is_noop(net: &Network, base: &ReuseConfig, policy: Arc<dyn ReusePolicy>) {
     let with_policy = base.clone().reuse_policy(policy);
     let dim = net.input_shape().volume();
     let stream = walk(40, dim, 0.1, 77);
-    let mut legacy = ReuseEngine::from_network(net, base);
+    let mut legacy = ReuseSession::from_network(net, base);
     let model = Arc::new(CompiledModel::new(net, &with_policy));
     let mut session: ReuseSession = model.new_session();
     for frame in &stream {
@@ -97,7 +97,7 @@ fn check_policy_is_noop(net: &Network, base: &ReuseConfig, policy: Arc<dyn Reuse
     }
     assert_eq!(legacy.metrics(), session.metrics());
     assert_eq!(
-        legacy.session().watchdog_stats(),
+        legacy.watchdog_stats(),
         session.watchdog_stats(),
         "watchdog path must be untouched by a static policy"
     );
@@ -156,7 +156,7 @@ proptest! {
         let base = ReuseConfig::uniform(clusters).drift_watchdog(check_every, 5e-3);
         let with_policy = base.clone().reuse_policy(Arc::new(StaticPolicy));
         let stream = walk(24, 12, step as f32 / 100.0, seed);
-        let mut legacy = ReuseEngine::from_network(&net, &base);
+        let mut legacy = ReuseSession::from_network(&net, &base);
         let model = Arc::new(CompiledModel::new(&net, &with_policy));
         let mut session = model.new_session();
         for frame in &stream {
@@ -167,7 +167,7 @@ proptest! {
             }
         }
         prop_assert_eq!(legacy.metrics(), session.metrics());
-        prop_assert_eq!(legacy.session().watchdog_stats(), session.watchdog_stats());
+        prop_assert_eq!(legacy.watchdog_stats(), session.watchdog_stats());
     }
 }
 
@@ -179,7 +179,7 @@ fn run_pair(
     adaptive_cfg: &ReuseConfig,
     stream: &[Vec<f32>],
 ) -> (f64, f64, ReuseSession) {
-    let mut st = ReuseEngine::from_network(net, base);
+    let mut st = ReuseSession::from_network(net, base);
     let model = Arc::new(CompiledModel::new(net, adaptive_cfg));
     let mut ad = model.new_session();
     for frame in stream {
@@ -265,6 +265,48 @@ fn adaptive_policy_backs_off_to_static_on_adversarial_streams() {
         states.iter().map(|s| s.refreshes).sum::<u64>() > 0,
         "chaotic frames above the refresh threshold must refresh: {states:?}"
     );
+}
+
+/// A layer the config disables stays disabled whatever the policy says
+/// about it — including a tuned entry that names it — and runs unmetered
+/// in full precision, exactly like the same layer without a policy.
+#[test]
+fn disabled_layer_stays_disabled_under_every_policy() {
+    let net = mlp();
+    let base = ReuseConfig::uniform(16)
+        .disable_layer("fc2")
+        .drift_watchdog(4, 0.25);
+    let tuned = TunedPolicy {
+        network: net.name().to_string(),
+        layers: vec![TunedLayerPolicy {
+            layer: "fc2".to_string(),
+            clusters: 8,
+            step_scale: 2.0,
+            reuse_threshold: 0.5,
+            adaptive: true,
+        }],
+    };
+    let policies: [Arc<dyn ReusePolicy>; 3] = [
+        Arc::new(StaticPolicy),
+        Arc::new(AdaptivePolicy::default()),
+        Arc::new(tuned),
+    ];
+    let stream = walk(24, 12, 0.05, 17);
+    for policy in policies {
+        let name = policy.name();
+        let model = Arc::new(CompiledModel::new(&net, &base.clone().reuse_policy(policy)));
+        for (layer, spec) in model.layer_policy_specs() {
+            assert_eq!(spec.enabled, layer != "fc2", "{name}: {layer}");
+        }
+        let mut session = model.new_session();
+        for frame in &stream {
+            session.execute(frame).unwrap();
+        }
+        let fc2 = session.metrics().layer("fc2").unwrap();
+        assert_eq!(fc2.reuse_executions, 0, "{name}: fc2 must run unmetered");
+        assert!(session.quantizer_for("fc2").is_none(), "{name}");
+        assert!(session.metrics().layer("fc1").unwrap().reuse_executions > 0);
+    }
 }
 
 /// Telemetry snapshots expose the controllers' live state so operators can

@@ -1,11 +1,12 @@
 //! Session isolation: many [`ReuseSession`]s over one shared
-//! [`CompiledModel`] must behave exactly like standalone engines — no
-//! cross-stream contamination, bit-identical outputs, equal metrics.
+//! [`CompiledModel`] must behave exactly like each stream running alone on
+//! a model of its own — no cross-stream contamination, bit-identical
+//! outputs, equal metrics.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use reuse_core::{CompiledModel, ReuseConfig, ReuseEngine, ReuseSession};
+use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_tensor::Shape;
 
@@ -62,13 +63,13 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
 }
 
 /// Interleaves N sessions over one model, frame by frame, and checks each
-/// stream against a standalone engine fed the same frames alone.
+/// stream against a session on its own model fed the same frames alone.
 fn check_interleaved_frames(net: &Network, config: &ReuseConfig, streams: &[Vec<Vec<f32>>]) {
     let model = Arc::new(CompiledModel::new(net, config));
     let mut sessions: Vec<ReuseSession> = streams.iter().map(|_| model.new_session()).collect();
-    let mut engines: Vec<ReuseEngine> = streams
+    let mut engines: Vec<ReuseSession> = streams
         .iter()
-        .map(|_| ReuseEngine::from_network(net, config))
+        .map(|_| ReuseSession::from_network(net, config))
         .collect();
     let n_frames = streams.iter().map(Vec::len).min().unwrap_or(0);
     // Round-robin: session s sees only stream s, but the executions of all
@@ -115,8 +116,8 @@ fn interleaved_recurrent_sessions_match_standalone_engines() {
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
     let mut a = model.new_session();
     let mut b = model.new_session();
-    let mut ea = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
-    let mut eb = ReuseEngine::from_network(&net, &ReuseConfig::uniform(16));
+    let mut ea = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
+    let mut eb = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
     let seqs_a: Vec<_> = (0..4).map(|i| walk(12, 10, 0.06, 20 + i)).collect();
     let seqs_b: Vec<_> = (0..4).map(|i| walk(12, 10, 0.18, 50 + i)).collect();
     for (sa, sb) in seqs_a.iter().zip(seqs_b.iter()) {
@@ -136,7 +137,7 @@ fn interleaved_recurrent_sessions_match_standalone_engines() {
 }
 
 /// `CompiledModel` is `Sync`: scoped threads each run their own session
-/// against the same `Arc` and still match standalone engines bit for bit.
+/// against the same `Arc` and still match standalone sessions bit for bit.
 #[test]
 fn sessions_on_threads_share_one_model() {
     let net = mlp();
@@ -160,7 +161,7 @@ fn sessions_on_threads_share_one_model() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (stream, outs) in streams.iter().zip(results.iter()) {
-        let mut engine = ReuseEngine::from_network(&net, &config);
+        let mut engine = ReuseSession::from_network(&net, &config);
         for (frame, out) in stream.iter().zip(outs.iter()) {
             let alone = engine.execute(frame).unwrap();
             assert_bits_eq(out, alone.as_slice());
@@ -172,7 +173,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized streams: interleaving two sessions never changes any
-    /// output bit or metric counter relative to isolated engines.
+    /// output bit or metric counter relative to isolated sessions.
     #[test]
     fn interleaved_sessions_isolated_under_random_streams(
         seed_a in 0u64..1000,
@@ -190,9 +191,9 @@ proptest! {
         let model = Arc::new(CompiledModel::new(&net, &config));
         let mut sessions: Vec<ReuseSession> =
             streams.iter().map(|_| model.new_session()).collect();
-        let mut engines: Vec<ReuseEngine> = streams
+        let mut engines: Vec<ReuseSession> = streams
             .iter()
-            .map(|_| ReuseEngine::from_network(&net, &config))
+            .map(|_| ReuseSession::from_network(&net, &config))
             .collect();
         for t in 0..20 {
             for (s, stream) in streams.iter().enumerate() {

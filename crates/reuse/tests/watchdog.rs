@@ -3,7 +3,7 @@
 //! telemetry with the engine's offline metrics.
 
 use proptest::prelude::*;
-use reuse_core::{ReuseConfig, ReuseEngine};
+use reuse_core::{ReuseConfig, ReuseSession};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 
 fn mlp(seed: u64) -> Network {
@@ -39,7 +39,7 @@ fn coarse_quantizer_trips_watchdog_and_rebaselines_bit_identically() {
     let config = ReuseConfig::uniform(2)
         .telemetry(true)
         .drift_watchdog(1, 1e-4);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = drifting_frames(12, 24, 42);
     for frame in &frames {
         let out = engine.execute(frame).unwrap();
@@ -74,7 +74,7 @@ fn coarse_quantizer_trips_watchdog_and_rebaselines_bit_identically() {
 fn fine_quantizer_never_trips_watchdog() {
     let net = mlp(0);
     let config = ReuseConfig::uniform(32).drift_watchdog(2, 0.5);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     for frame in &drifting_frames(10, 24, 7) {
         engine.execute(frame).unwrap();
     }
@@ -94,7 +94,7 @@ fn repeated_strikes_escalate_to_auto_disable() {
     let config = ReuseConfig::uniform(2)
         .drift_watchdog(1, 1e-5)
         .drift_escalate_after(2);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     let frames = drifting_frames(30, 24, 3);
     for frame in &frames {
         engine.execute(frame).unwrap();
@@ -120,7 +120,7 @@ fn repeated_strikes_escalate_to_auto_disable() {
 fn telemetry_hit_rates_match_offline_metrics_exactly() {
     let net = mlp(0);
     let config = ReuseConfig::uniform(16).telemetry(true);
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     for frame in &drifting_frames(20, 24, 5) {
         engine.execute(frame).unwrap();
     }
@@ -163,7 +163,7 @@ fn reset_state_clears_statistics_but_keeps_quantizers() {
         .telemetry(true)
         .record_relative_difference(true)
         .drift_watchdog(1, 0.0); // fires every check: drift is never < 0
-    let mut engine = ReuseEngine::from_network(&net, &config);
+    let mut engine = ReuseSession::from_network(&net, &config);
     for frame in &drifting_frames(8, 24, 13) {
         engine.execute(frame).unwrap();
     }
@@ -208,7 +208,7 @@ proptest! {
     ) {
         let net = mlp(0);
         let config = ReuseConfig::uniform(clusters).drift_watchdog(1, 1e-6);
-        let mut engine = ReuseEngine::from_network(&net, &config);
+        let mut engine = ReuseSession::from_network(&net, &config);
         let frames = drifting_frames(8, 24, seed);
         let mut last_out = None;
         for frame in &frames {

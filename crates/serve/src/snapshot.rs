@@ -6,6 +6,7 @@
 
 use std::fmt::Write as _;
 
+use reuse_core::json::{json_num, json_str};
 use reuse_core::{LayerPolicyState, SignatureStats};
 
 /// Aggregate and per-stream server state at one point in time. Built by
@@ -94,33 +95,6 @@ pub struct StreamSnapshot {
     /// fraction of layer inputs whose quantized code matched frame t-1.
     /// Formerly (mis)named `hit_rate`.
     pub input_similarity: f64,
-}
-
-/// `f64` → JSON number, `null` for non-finite values.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping for network names.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl ServerSnapshot {
@@ -217,8 +191,10 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_well_formed() {
+        // A quote, a backslash, a control character and a non-BMP scalar.
+        let hostile = "kaldi\"test\"\\\u{2}\u{1F680}";
         let snap = ServerSnapshot {
-            network: "kaldi\"test\"".to_string(),
+            network: hostile.to_string(),
             active_streams: 2,
             max_sessions: 4,
             ticks: 10,
@@ -246,7 +222,7 @@ mod tests {
             },
             policy: "tuned".to_string(),
             policy_layers: vec![LayerPolicyState {
-                name: "affine1".to_string(),
+                name: hostile.to_string(),
                 adaptive: true,
                 clusters: 32,
                 step: 0.0625,
@@ -287,7 +263,11 @@ mod tests {
             ],
         };
         let json = snap.to_json();
-        assert!(json.contains("\\\"test\\\""));
+        let root = reuse_core::json::parse(&json).expect("strict parser accepts the snapshot");
+        assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
+        let layer = &root.get("policy_layers").unwrap().as_array().unwrap()[0];
+        assert_eq!(layer.get("name").unwrap().as_str(), Some(hostile));
+        assert!(root.has_path("streams.input_similarity"));
         assert!(json.contains("\"p99\": 65535"));
         assert!(json.contains("\"p999\": 65535"));
         assert!(json.contains("\"deadline_shed\": 3"));

@@ -105,7 +105,12 @@ fn sharded_streams_match_standalone_sessions() {
     assert_eq!(snap.frames_completed(), 180);
     assert_eq!(snap.latency_count, 180);
     assert_eq!(snap.active_streams(), 6);
-    assert!(snap.to_json().contains("\"per_shard\""));
+    let root = reuse_core::json::parse(&snap.to_json()).expect("strict parser accepts it");
+    assert!(root.has_path("per_shard.p99"));
+    assert_eq!(
+        root.get("frames_completed").and_then(|v| v.as_f64()),
+        Some(180.0)
+    );
 }
 
 #[test]

@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn reuse_config_keeps_recurrent_layers() {
         let c = reuse_config();
-        assert!(c.setting_for("bilstm1").enabled);
-        assert!(!c.setting_for("fc1").enabled);
+        assert!(c.layer_policy("bilstm1").enabled);
+        assert!(!c.layer_policy("fc1").enabled);
     }
 }

@@ -91,10 +91,10 @@ mod tests {
     #[test]
     fn reuse_config_disables_first_two_layers() {
         let c = reuse_config();
-        assert!(!c.setting_for("fc1").enabled);
-        assert!(!c.setting_for("fc2").enabled);
-        assert!(c.setting_for("fc3").enabled);
-        assert_eq!(c.setting_for("fc6").clusters, 16);
+        assert!(!c.layer_policy("fc1").enabled);
+        assert!(!c.layer_policy("fc2").enabled);
+        assert!(c.layer_policy("fc3").enabled);
+        assert_eq!(c.layer_policy("fc6").clusters, 16);
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Thirty frames of driving (one second at 30 fps).
     let frames = workload.generate_frames(30, 7);
-    let mut engine = reuse::ReuseEngine::from_network(workload.network(), workload.reuse_config());
+    let mut engine = reuse::ReuseSession::from_network(workload.network(), workload.reuse_config());
 
     println!(
         "{:<7} {:>14} {:>14} {:>16}",

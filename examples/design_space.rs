@@ -13,7 +13,7 @@ fn measure_traces(
     executions: usize,
 ) -> (Vec<reuse_dnn::reuse::ExecutionTrace>, f64) {
     let mut engine =
-        reuse::ReuseEngine::from_network(workload.network(), &config.clone().record_trace(true));
+        reuse::ReuseSession::from_network(workload.network(), &config.clone().record_trace(true));
     for frame in workload.generate_frames(executions, 42) {
         engine.execute(&frame).expect("frames are valid");
     }

@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Load and verify bit-exact behaviour.
     let loaded = serialize::from_str(&std::fs::read_to_string(&path)?)?;
     let frames = workload.generate_frames(10, 3);
-    let mut engine_a = reuse::ReuseEngine::from_network(net, workload.reuse_config());
-    let mut engine_b = reuse::ReuseEngine::from_network(&loaded, workload.reuse_config());
+    let mut engine_a = reuse::ReuseSession::from_network(net, workload.reuse_config());
+    let mut engine_b = reuse::ReuseSession::from_network(&loaded, workload.reuse_config());
     for (t, frame) in frames.iter().enumerate() {
         let a = engine_a.execute(frame)?;
         let b = engine_b.execute(frame)?;

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The reuse engine with 16-cluster linear quantization (paper Eq. 9).
     let config = ReuseConfig::uniform(16).record_trace(true);
-    let mut engine = ReuseEngine::from_network(&network, &config);
+    let mut engine = ReuseSession::from_network(&network, &config);
 
     // 3. A smooth random walk stands in for consecutive audio/video frames.
     let mut rng = reuse_dnn::nn::init::Rng64::new(42);

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .reuse_config()
         .clone()
         .record_relative_difference(true);
-    let mut engine = reuse::ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = reuse::ReuseSession::from_network(workload.network(), &config);
 
     let mut reuse_outs = Vec::new();
     let mut fp32_outs = Vec::new();

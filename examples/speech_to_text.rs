@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.network().output_shape().volume()
     );
 
-    let mut engine = reuse::ReuseEngine::from_network(workload.network(), workload.reuse_config());
+    let mut engine = reuse::ReuseSession::from_network(workload.network(), workload.reuse_config());
 
     // Two utterances: the first calibrates the quantizers (offline profiling
     // in the paper), the second is decoded with reuse.

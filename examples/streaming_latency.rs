@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Kaldi acoustic scoring at {scale} scale; one DNN execution per 10 ms frame\n");
 
     let config = workload.reuse_config().clone().record_trace(true);
-    let mut engine = reuse::ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = reuse::ReuseSession::from_network(workload.network(), &config);
     let frames = workload.generate_frames(60, 9);
     for frame in &frames {
         engine.execute(frame)?;

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A short clip: 8 disjoint 16-frame windows.
     let windows = workload.generate_frames(8, 3);
     let config = workload.reuse_config().clone().record_trace(true);
-    let mut engine = reuse::ReuseEngine::from_network(workload.network(), &config);
+    let mut engine = reuse::ReuseSession::from_network(workload.network(), &config);
 
     for (t, window) in windows.iter().enumerate() {
         let out = engine.execute(window)?;

@@ -41,7 +41,7 @@ cargo run --release -q -p reuse-bench --bin kernel_bench -- --validate BENCH_ker
 echo "== multi-session smoke (4 sessions, one compiled model) =="
 # Interleaves four ReuseSessions over one shared CompiledModel and checks
 # every stream bit-for-bit (outputs and metrics, so per-session hit rates
-# match a single-session run exactly) against standalone engines; the CLI
+# match a single-session run exactly) against standalone sessions; the CLI
 # exits nonzero on any divergence.
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- run kaldi 40 --sessions 4
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- run eesen 20 --sessions 3
@@ -82,7 +82,7 @@ REUSE_SCALE=tiny REUSE_SIMD=off cargo run --release -q -p reuse-bench --bin reus
 
 echo "== ONNX ingest smoke (fixture bit-identity + fallback serving, both SIMD levels) =="
 # The checked-in Gemm+Relu fixture must lower to a network that executes
-# bit-identically to its hand-built twin through the reuse engine, and a
+# bit-identically to its hand-built twin through a reuse session, and a
 # graph with an unsupported op must still serve via a recompute-always
 # passthrough slot (full MACs charged, zero reuse recorded). Exit 4 on
 # divergence, 3 on parse/lower failure.
@@ -116,10 +116,17 @@ echo "== repository benchmark crate (build, tests, quick smoke) =="
 # benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
-# One conv workload per rank: each verifies its stream against a from-scratch
-# rerun and the fp32 reference before exiting 0.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload autopilot_stream --quick > /dev/null
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload c3d_stream --quick > /dev/null
+# One stream workload per layer family (FC, LSTM, one conv per rank), each
+# verifying its stream against a from-scratch rerun and the fp32 reference
+# before exiting 0, plus the wire tier over the same sessions and configs.
+for workload in kaldi_stream eesen_stream autopilot_stream c3d_stream net_closed_loop; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --quick > /dev/null
+done
+
+echo "== repro dispatch smoke (table2: a config dump) =="
+# The paper-artifact binaries are subcommands of one `repro` binary; this
+# exercises its dispatch (an unknown subcommand exits 2).
+cargo run --release -q -p reuse-bench --bin repro -- table2 > /dev/null
 
 echo "== cargo doc (no-deps, -D warnings) =="
 # The model/session split is documented API surface; broken intra-doc links

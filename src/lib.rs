@@ -24,19 +24,19 @@
 //! ```
 //! use reuse_dnn::prelude::*;
 //!
-//! // A tiny MLP, a correlated input sequence, and the reuse engine.
+//! // A tiny MLP, a correlated input sequence, and a reuse session.
 //! let network = NetworkBuilder::new("demo", 8)
 //!     .fully_connected(16, Activation::Relu)
 //!     .fully_connected(4, Activation::Identity)
 //!     .build()
 //!     .unwrap();
-//! let mut engine = ReuseEngine::from_network(&network, &ReuseConfig::uniform(16));
+//! let mut session = ReuseSession::from_network(&network, &ReuseConfig::uniform(16));
 //! let frame = vec![0.1f32; 8];
-//! engine.execute(&frame).unwrap();           // calibrates, runs in fp32
-//! let out1 = engine.execute(&frame).unwrap(); // quantized, from scratch
-//! let out2 = engine.execute(&frame).unwrap(); // identical frame: full reuse
+//! session.execute(&frame).unwrap();          // calibrates, runs in fp32
+//! let out1 = session.execute(&frame).unwrap(); // quantized, from scratch
+//! let out2 = session.execute(&frame).unwrap(); // identical frame: full reuse
 //! assert_eq!(out1.as_slice(), out2.as_slice());
-//! assert!(engine.metrics().overall_input_similarity() > 0.99);
+//! assert!(session.metrics().overall_input_similarity() > 0.99);
 //! ```
 
 pub use reuse_accel as accel;
@@ -50,7 +50,7 @@ pub use reuse_workloads as workloads;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use reuse_accel::{AcceleratorConfig, Simulator};
-    pub use reuse_core::{CompiledModel, ParallelConfig, ReuseConfig, ReuseEngine, ReuseSession};
+    pub use reuse_core::{CompiledModel, ParallelConfig, ReuseConfig, ReuseSession};
     pub use reuse_nn::{Activation, Network, NetworkBuilder};
     pub use reuse_quant::LinearQuantizer;
     pub use reuse_serve::{ServerConfig, StreamServer, SubmitResult};

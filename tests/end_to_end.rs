@@ -3,13 +3,13 @@
 
 use reuse_dnn::accel::{self, AcceleratorConfig, Simulator};
 use reuse_dnn::prelude::*;
-use reuse_dnn::reuse::{ReuseConfig, ReuseEngine};
+use reuse_dnn::reuse::{ReuseConfig, ReuseSession};
 use reuse_dnn::workloads::Scale;
 
-fn run_workload(kind: WorkloadKind, executions: usize) -> (ReuseEngine, Vec<Vec<f32>>) {
+fn run_workload(kind: WorkloadKind, executions: usize) -> (ReuseSession, Vec<Vec<f32>>) {
     let w = Workload::build(kind, Scale::Tiny);
     let config = w.reuse_config().clone().record_trace(true);
-    let mut engine = ReuseEngine::from_network(w.network(), &config);
+    let mut engine = ReuseSession::from_network(w.network(), &config);
     let frames = w.generate_frames(executions, 5);
     for f in &frames {
         engine.execute(f).expect("tiny workloads execute");
@@ -58,7 +58,7 @@ fn autopilot_pipeline_simulates_faster_with_reuse() {
 #[test]
 fn eesen_sequences_flow_through_engine() {
     let w = Workload::build(WorkloadKind::Eesen, Scale::Tiny);
-    let mut engine = ReuseEngine::from_network(w.network(), w.reuse_config());
+    let mut engine = ReuseSession::from_network(w.network(), w.reuse_config());
     let seqs = w.generate_sequences(3, 12, 9);
     for seq in &seqs {
         let outs = engine.execute_sequence(seq).expect("sequences run");
@@ -76,7 +76,7 @@ fn prelude_quickstart_compiles_and_runs() {
         .fully_connected(4, reuse_dnn::nn::Activation::Identity)
         .build()
         .unwrap();
-    let mut engine = ReuseEngine::from_network(&network, &ReuseConfig::uniform(16));
+    let mut engine = ReuseSession::from_network(&network, &ReuseConfig::uniform(16));
     let frame = vec![0.1f32; 8];
     engine.execute(&frame).unwrap(); // calibration (fp32)
     let a = engine.execute(&frame).unwrap(); // quantized from scratch
@@ -108,7 +108,7 @@ fn storage_reports_cover_all_workloads() {
     for kind in WorkloadKind::ALL {
         let w = Workload::build(kind, Scale::Tiny);
         let config = w.reuse_config();
-        let r = accel::memory::storage_report(w.network(), |n| config.setting_for(n).enabled);
+        let r = accel::memory::storage_report(w.network(), |n| config.layer_policy(n).enabled);
         assert!(r.io_reuse_bytes >= r.io_baseline_bytes, "{kind}");
         assert!(r.main_reuse_bytes >= r.main_baseline_bytes, "{kind}");
     }
@@ -138,7 +138,7 @@ fn workload_models_round_trip_through_serialization() {
 #[test]
 fn engine_summary_renders_for_real_workload() {
     let w = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
-    let mut engine = reuse_dnn::reuse::ReuseEngine::from_network(w.network(), w.reuse_config());
+    let mut engine = reuse_dnn::reuse::ReuseSession::from_network(w.network(), w.reuse_config());
     for frame in w.generate_frames(6, 2) {
         engine.execute(&frame).unwrap();
     }

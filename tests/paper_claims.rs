@@ -7,13 +7,13 @@
 
 use reuse_dnn::accel::{AcceleratorConfig, SimInput, Simulator};
 use reuse_dnn::prelude::*;
-use reuse_dnn::reuse::ReuseEngine;
+use reuse_dnn::reuse::ReuseSession;
 use reuse_dnn::workloads::Scale;
 
 fn simulate(kind: WorkloadKind, executions: usize) -> (f64, f64, f64) {
     let w = Workload::build(kind, Scale::Tiny);
     let config = w.reuse_config().clone().record_trace(true);
-    let mut engine = ReuseEngine::from_network(w.network(), &config);
+    let mut engine = ReuseSession::from_network(w.network(), &config);
     if w.is_recurrent() {
         for seq in w.generate_sequences(3, executions.div_ceil(2), 42) {
             engine.execute_sequence(&seq).expect("sequences run");
@@ -84,7 +84,7 @@ fn claim_consistent_speedups() {
 fn claim_comparison_cost_is_per_input() {
     let w = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
     let config = w.reuse_config().clone().record_trace(true);
-    let mut engine = ReuseEngine::from_network(w.network(), &config);
+    let mut engine = ReuseSession::from_network(w.network(), &config);
     for frame in w.generate_frames(6, 1) {
         engine.execute(&frame).expect("frames run");
     }
@@ -157,7 +157,7 @@ fn claim_overheads_are_minimal() {
         .disable_layer("fc1")
         .disable_layer("fc2")
         .record_trace(true);
-    let mut engine = ReuseEngine::from_network(w.network(), &config);
+    let mut engine = ReuseSession::from_network(w.network(), &config);
     let mut rng = Rng64::new(5);
     let dim = w.network().input_shape().volume();
     for _ in 0..12 {
@@ -189,7 +189,7 @@ fn claim_storage_and_area_overheads_small() {
         let w = Workload::build(kind, Scale::Tiny);
         let rc = w.reuse_config();
         let report =
-            reuse_dnn::accel::memory::storage_report(w.network(), |n| rc.setting_for(n).enabled);
+            reuse_dnn::accel::memory::storage_report(w.network(), |n| rc.layer_policy(n).enabled);
         // The extra state must fit the paper's reuse I/O buffer budget.
         assert!(
             report.io_reuse_bytes <= config.io_buffer_reuse_bytes,
