@@ -67,19 +67,9 @@ impl Simulator {
         Simulator { config, energy }
     }
 
-    /// Creates a simulator with an explicit energy model.
-    pub fn with_energy_model(config: AcceleratorConfig, energy: EnergyModel) -> Self {
-        Simulator { config, energy }
-    }
-
     /// The hardware configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
-    }
-
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
     }
 
     /// Simulates the conventional accelerator (no reuse): every layer runs

@@ -72,10 +72,7 @@ fn main() -> ExitCode {
             print_sections(studies.iter().map(|study| study()));
         }
         name => {
-            let frames = std::env::var("REUSE_EXECUTIONS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(200);
+            let frames = reuse_bench::env_parse("REUSE_EXECUTIONS").unwrap_or(200);
             let Some(report) = artifact(name, scale, frames) else {
                 eprintln!("usage: repro <{}|ablations|all>", ARTIFACTS.join("|"));
                 return ExitCode::from(2);

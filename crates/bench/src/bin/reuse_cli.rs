@@ -33,15 +33,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use reuse_accel::{AcceleratorConfig, SimInput, Simulator};
 use reuse_bench::measure::executions_from_env;
+use reuse_bench::streams::{bits_eq, drive, random_walk, run_frames, standalone, OffsetStreams};
 use reuse_bench::table::{human_bytes, human_joules, human_seconds};
 use reuse_core::{
-    summary, AdaptivePolicy, CompiledModel, LayerPolicyState, ReuseSession, TunedLayerPolicy,
-    TunedPolicy, WatchdogStats,
+    summary, AdaptivePolicy, CompiledModel, EngineMetrics, LayerPolicyState, ReuseSession,
+    TunedLayerPolicy, TunedPolicy, WatchdogStats,
 };
 use reuse_nn::stats::network_stats;
-use reuse_serve::{default_shards, ServerConfig, StreamServer, SubmitResult};
+use reuse_serve::{default_shards, ServerConfig, StreamServer};
 use reuse_serve_net::{NetClient, NetServer, Status};
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -64,6 +64,11 @@ fn parse_workload(name: &str) -> Option<WorkloadKind> {
         "autopilot" => Some(WorkloadKind::AutoPilot),
         _ => None,
     }
+}
+
+/// The process exit code of a smoke: 0, or the code it failed with.
+fn exit(outcome: Result<(), u8>) -> ExitCode {
+    ExitCode::from(outcome.err().unwrap_or(0))
 }
 
 fn usage() -> ExitCode {
@@ -109,99 +114,135 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
+/// Execution-unit length (0 = single frames) and frames per stream for
+/// `run <workload> <executions>`: recurrent workloads run whole sequences
+/// of up to 40 steps, one more than `executions` needs.
+fn run_shape(w: &Workload, executions: usize) -> (usize, usize) {
+    if w.is_recurrent() {
+        let seq_len = 40.min(executions.max(2));
+        (seq_len, (executions.div_ceil(seq_len) + 1) * seq_len)
+    } else {
+        (0, executions)
+    }
+}
+
+/// Holds every served stream to a standalone session fed the same frames
+/// alone: output count, each output bit for bit, and the serving session's
+/// metrics through `metrics_match(stream, standalone metrics)`. Returns the
+/// number of mismatches (each reported on stderr), or the exit code when a
+/// reference session fails.
+fn standalone_mismatches(
+    model: &Arc<CompiledModel>,
+    streams: &OffsetStreams,
+    seq_len: usize,
+    served: &[Vec<Vec<f32>>],
+    metrics_match: impl Fn(usize, &EngineMetrics) -> bool,
+) -> Result<usize, u8> {
+    let mut mismatches = 0usize;
+    for (s, outs) in served.iter().enumerate() {
+        let frames = streams.stream(s);
+        if outs.len() != frames.len() {
+            eprintln!(
+                "stream {s}: served {} outputs for {} frames",
+                outs.len(),
+                frames.len()
+            );
+            mismatches += 1;
+            continue;
+        }
+        let (reference, alone) = standalone(model, frames, seq_len).map_err(|e| {
+            eprintln!("standalone session failed: {e}");
+            EXIT_EXEC
+        })?;
+        for (t, (got, want)) in outs.iter().zip(&reference).enumerate() {
+            if !bits_eq(got, want) {
+                eprintln!("stream {s} frame {t}: output diverged from standalone session");
+                mismatches += 1;
+            }
+        }
+        if !metrics_match(s, alone.metrics()) {
+            eprintln!("stream {s}: metrics diverged from standalone session");
+            mismatches += 1;
+        }
+    }
+    Ok(mismatches)
+}
+
 /// Runs N [`ReuseSession`]s interleaved over one shared [`CompiledModel`]
 /// and checks every stream bit-for-bit against a standalone session fed the
-/// same inputs alone. Streams are offset copies of one generated input
-/// stream, so each session sees realistic frame-to-frame similarity while
-/// no two sessions see identical inputs at the same step.
+/// same inputs alone ([`OffsetStreams`]: realistic frame-to-frame
+/// similarity per session, no two sessions on the same input at one step).
 fn run_sessions_smoke(
     w: &Workload,
     config: &reuse_core::ReuseConfig,
     executions: usize,
     n: usize,
-) -> ExitCode {
+) -> Result<(), u8> {
     let model = Arc::new(CompiledModel::new(w.network(), config));
+    let (seq_len, len) = run_shape(w, executions);
+    let streams = OffsetStreams::new(w, n, len, seq_len);
     let mut sessions: Vec<ReuseSession> = (0..n).map(|_| model.new_session()).collect();
-    let mut alone: Vec<ReuseSession> = (0..n)
-        .map(|_| ReuseSession::from_network(w.network(), config))
-        .collect();
-    let mut mismatches = 0usize;
-    let mut check = |s: usize, got: &[f32], want: &[f32]| {
-        let ok = got.len() == want.len()
-            && got
-                .iter()
-                .zip(want.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !ok {
-            eprintln!("session {s}: output diverged from standalone session");
-            mismatches += 1;
-        }
-    };
-    if w.is_recurrent() {
-        let seq_len = 40.min(executions.max(2));
-        let n_seq = executions.div_ceil(seq_len) + 1;
-        let seqs = w.generate_sequences(n_seq + n - 1, seq_len, 42);
-        for t in 0..n_seq {
-            for s in 0..n {
-                let seq = &seqs[s + t];
-                let (got, want) = match (
-                    sessions[s].execute_sequence(seq),
-                    alone[s].execute_sequence(seq),
-                ) {
-                    (Ok(g), Ok(w)) => (g, w),
-                    (g, w) => {
-                        eprintln!(
-                            "session {s} sequence failed: {:?} vs {:?}",
-                            g.err(),
-                            w.err()
-                        );
-                        return ExitCode::from(EXIT_EXEC);
-                    }
-                };
-                for (a, b) in got.iter().zip(want.iter()) {
-                    check(s, a.as_slice(), b.as_slice());
-                }
-            }
-        }
-    } else {
-        let frames = w.generate_frames(executions + n - 1, 42);
-        for t in 0..executions {
-            for s in 0..n {
-                let frame = &frames[s + t];
-                let (got, want) = match (sessions[s].execute(frame), alone[s].execute(frame)) {
-                    (Ok(g), Ok(w)) => (g, w),
-                    (g, w) => {
-                        eprintln!("session {s} frame failed: {:?} vs {:?}", g.err(), w.err());
-                        return ExitCode::from(EXIT_EXEC);
-                    }
-                };
-                check(s, got.as_slice(), want.as_slice());
+    let mut served: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
+    let unit = seq_len.max(1);
+    for t in (0..len).step_by(unit) {
+        for (s, session) in sessions.iter_mut().enumerate() {
+            let frames = &streams.stream(s)[t..t + unit];
+            let keep = |out: &[f32]| served[s].push(out.to_vec());
+            if let Err(e) = run_frames(session, frames, seq_len, keep) {
+                eprintln!("session {s} failed: {e}");
+                return Err(EXIT_EXEC);
             }
         }
     }
+    let metrics_match = |s: usize, alone: &EngineMetrics| sessions[s].metrics() == alone;
+    let mismatches = standalone_mismatches(&model, &streams, seq_len, &served, metrics_match)?;
     println!(
         "{}: {n} interleaved sessions over one compiled model ({} packed weight bytes shared)",
         w.network().name(),
         model.packed_weight_bytes(),
     );
-    for (s, (session, alone)) in sessions.iter().zip(alone.iter()).enumerate() {
+    for (s, session) in sessions.iter().enumerate() {
         let m = session.metrics();
         println!(
             "  session {s}: input similarity {:5.1}%  computation reuse {:5.1}%",
             m.overall_input_similarity() * 100.0,
             m.overall_computation_reuse() * 100.0,
         );
-        if m != alone.metrics() {
-            eprintln!("session {s}: metrics diverged from standalone session");
-            mismatches += 1;
-        }
     }
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} session/standalone mismatches");
-        return ExitCode::from(EXIT_DIVERGED);
+        return Err(EXIT_DIVERGED);
     }
     println!("all sessions bit-identical to standalone sessions");
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Serves `n` offset streams of `len` frames through a fresh
+/// [`StreamServer`] over `model`, every output into `sink(stream, output)`.
+/// Returns the drained server and the streams, or the exit code.
+fn serve_offset_streams(
+    w: &Workload,
+    model: &Arc<CompiledModel>,
+    n: usize,
+    len: usize,
+    seq_len: usize,
+    sink: impl FnMut(usize, &[f32]),
+) -> Result<(StreamServer, OffsetStreams), u8> {
+    let server_config = ServerConfig::default()
+        .max_sessions(n)
+        .queue_capacity((2 * seq_len).max(8))
+        .batch_max(4)
+        .sequence_len(seq_len);
+    let mut server = StreamServer::new(Arc::clone(model), server_config).map_err(|e| {
+        eprintln!("cannot construct server: {e}");
+        EXIT_EXEC
+    })?;
+    let streams = OffsetStreams::new(w, n, len, seq_len);
+    drive(&mut server, &streams, 0..len, 1, sink).map_err(|e| {
+        eprintln!("serving failed: {e}");
+        EXIT_EXEC
+    })?;
+    Ok((server, streams))
 }
 
 /// Serves `n` offset streams through a [`StreamServer`] over one shared
@@ -216,7 +257,7 @@ fn run_serve_smoke(
     n: usize,
     frames_per_stream: usize,
     emit_snapshot: bool,
-) -> u8 {
+) -> Result<(), u8> {
     let model = Arc::new(CompiledModel::new(w.network(), config));
     let seq_len = if w.is_recurrent() {
         10.min(frames_per_stream.max(2))
@@ -229,146 +270,27 @@ fn run_serve_smoke(
     } else {
         frames_per_stream
     };
-    let server_config = ServerConfig::default()
-        .max_sessions(n)
-        .queue_capacity((2 * seq_len).max(8))
-        .batch_max(4)
-        .sequence_len(seq_len);
-    let mut server = match StreamServer::new(Arc::clone(&model), server_config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot construct server: {e}");
-            return EXIT_EXEC;
-        }
-    };
-    // Offset copies of one generated stream: realistic frame-to-frame
-    // similarity per stream, no two streams identical at the same step.
-    let all: Vec<Vec<f32>> = match frames_per_stream.checked_div(seq_len) {
-        Some(n_seq) => w
-            .generate_sequences(n_seq + n - 1, seq_len, 42)
-            .into_iter()
-            .flatten()
-            .collect(),
-        None => w.generate_frames(frames_per_stream + n - 1, 42),
-    };
-    let stream_frames = |s: usize| {
-        if seq_len > 0 {
-            // Stream s starts `s` whole sequences into the pool.
-            let start = s * seq_len;
-            &all[start..start + frames_per_stream]
-        } else {
-            &all[s..s + frames_per_stream]
-        }
-    };
-
     let mut collected: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
-    for t in 0..frames_per_stream {
-        for (s, outs) in collected.iter_mut().enumerate() {
-            let frame = &stream_frames(s)[t];
-            loop {
-                match server.submit(s as u64, frame) {
-                    Ok(SubmitResult::Accepted) => break,
-                    Ok(SubmitResult::QueueFull)
-                    | Ok(SubmitResult::Shed)
-                    | Ok(SubmitResult::DeadlineShed) => {
-                        if let Err(e) = server.tick() {
-                            eprintln!("tick failed: {e}");
-                            return EXIT_EXEC;
-                        }
-                        server.drain_outputs(s as u64, |out| outs.push(out.to_vec()));
-                    }
-                    Err(e) => {
-                        eprintln!("submit failed: {e}");
-                        return EXIT_EXEC;
-                    }
-                }
-            }
-        }
-        if let Err(e) = server.tick() {
-            eprintln!("tick failed: {e}");
-            return EXIT_EXEC;
-        }
-        for (s, outs) in collected.iter_mut().enumerate() {
-            server.drain_outputs(s as u64, |out| outs.push(out.to_vec()));
-        }
-    }
-    while server.ready_units() > 0 {
-        if let Err(e) = server.tick() {
-            eprintln!("tick failed: {e}");
-            return EXIT_EXEC;
-        }
-        for (s, outs) in collected.iter_mut().enumerate() {
-            server.drain_outputs(s as u64, |out| outs.push(out.to_vec()));
-        }
-    }
-
-    let mut mismatches = 0usize;
-    for (s, outs) in collected.iter().enumerate() {
-        let frames = stream_frames(s);
-        if outs.len() != frames.len() {
-            eprintln!(
-                "stream {s}: served {} outputs for {} frames",
-                outs.len(),
-                frames.len()
-            );
-            mismatches += 1;
-            continue;
-        }
-        let mut alone = model.new_session();
-        let reference: Vec<Vec<f32>> = if seq_len > 0 {
-            let mut r = Vec::new();
-            for seq in frames.chunks(seq_len) {
-                match alone.execute_sequence(seq) {
-                    Ok(outs) => r.extend(outs.into_iter().map(|t| t.into_vec())),
-                    Err(e) => {
-                        eprintln!("standalone sequence failed: {e}");
-                        return EXIT_EXEC;
-                    }
-                }
-            }
-            r
-        } else {
-            let mut r = Vec::new();
-            let mut out = Vec::new();
-            for frame in frames {
-                if let Err(e) = alone.execute_into(frame, &mut out) {
-                    eprintln!("standalone frame failed: {e}");
-                    return EXIT_EXEC;
-                }
-                r.push(out.clone());
-            }
-            r
-        };
-        for (t, (got, want)) in outs.iter().zip(reference.iter()).enumerate() {
-            let ok = got.len() == want.len()
-                && got
-                    .iter()
-                    .zip(want.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !ok {
-                eprintln!("stream {s} frame {t}: served output diverged from standalone session");
-                mismatches += 1;
-            }
-        }
-        if server.session(s as u64).map(|sess| sess.metrics()) != Some(alone.metrics()) {
-            eprintln!("stream {s}: metrics diverged from standalone session");
-            mismatches += 1;
-        }
-    }
-
+    let collect = |s: usize, out: &[f32]| collected[s].push(out.to_vec());
+    let (server, streams) =
+        serve_offset_streams(w, &model, n, frames_per_stream, seq_len, collect)?;
+    let metrics_match = |s: usize, alone: &EngineMetrics| {
+        server.session(s as u64).map(|sess| sess.metrics()) == Some(alone)
+    };
+    let mismatches = standalone_mismatches(&model, &streams, seq_len, &collected, metrics_match)?;
     if emit_snapshot {
         // Machine-readable result: the snapshot JSON is the whole stdout.
         print!("{}", server.snapshot().to_json());
     }
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} serve/standalone mismatches");
-        return EXIT_SERVE_DIVERGED;
+        return Err(EXIT_SERVE_DIVERGED);
     }
     eprintln!(
         "{}: {n} streams x {frames_per_stream} frames bit-identical to standalone sessions",
         w.network().name()
     );
-    0
+    Ok(())
 }
 
 /// Serves `n` offset streams over a model compiled with the cross-stream
@@ -382,67 +304,18 @@ fn run_serve_cache_smoke(
     config: &reuse_core::ReuseConfig,
     n: usize,
     frames_per_stream: usize,
-) -> u8 {
+) -> Result<(), u8> {
     if w.is_recurrent() {
         eprintln!(
             "{}: recurrent network — the signature cache compiles out, nothing to smoke",
             w.network().name()
         );
-        return 0;
+        return Ok(());
     }
     let model = Arc::new(CompiledModel::new(w.network(), config));
-    let server_config = ServerConfig::default()
-        .max_sessions(n)
-        .queue_capacity(8)
-        .batch_max(4);
-    let mut server = match StreamServer::new(Arc::clone(&model), server_config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot construct server: {e}");
-            return EXIT_EXEC;
-        }
-    };
-    let all = w.generate_frames(frames_per_stream + n - 1, 42);
     let mut done = vec![0usize; n];
-    for t in 0..frames_per_stream {
-        for (s, count) in done.iter_mut().enumerate() {
-            let frame = &all[s + t];
-            loop {
-                match server.submit(s as u64, frame) {
-                    Ok(SubmitResult::Accepted) => break,
-                    Ok(SubmitResult::QueueFull)
-                    | Ok(SubmitResult::Shed)
-                    | Ok(SubmitResult::DeadlineShed) => {
-                        if let Err(e) = server.tick() {
-                            eprintln!("tick failed: {e}");
-                            return EXIT_EXEC;
-                        }
-                        *count += server.drain_outputs(s as u64, |_| {});
-                    }
-                    Err(e) => {
-                        eprintln!("submit failed: {e}");
-                        return EXIT_EXEC;
-                    }
-                }
-            }
-        }
-        if let Err(e) = server.tick() {
-            eprintln!("tick failed: {e}");
-            return EXIT_EXEC;
-        }
-        for (s, count) in done.iter_mut().enumerate() {
-            *count += server.drain_outputs(s as u64, |_| {});
-        }
-    }
-    while server.ready_units() > 0 {
-        if let Err(e) = server.tick() {
-            eprintln!("tick failed: {e}");
-            return EXIT_EXEC;
-        }
-        for (s, count) in done.iter_mut().enumerate() {
-            *count += server.drain_outputs(s as u64, |_| {});
-        }
-    }
+    let count = |s: usize, _: &[f32]| done[s] += 1;
+    let (server, _) = serve_offset_streams(w, &model, n, frames_per_stream, 0, count)?;
 
     let mut failures = 0usize;
     for (s, count) in done.iter().enumerate() {
@@ -461,7 +334,7 @@ fn run_serve_cache_smoke(
     print!("{}", snap.to_json());
     if failures > 0 {
         eprintln!("FAIL: {failures} signature-cache smoke failures");
-        return EXIT_SERVE_DIVERGED;
+        return Err(EXIT_SERVE_DIVERGED);
     }
     eprintln!(
         "{}: {n} streams x {frames_per_stream} frames served with the signature cache \
@@ -473,7 +346,7 @@ fn run_serve_cache_smoke(
         snap.signature.bailouts,
         snap.signature.inserts,
     );
-    0
+    Ok(())
 }
 
 /// Serves `n` offset streams through the full network stack — a real
@@ -482,51 +355,48 @@ fn run_serve_cache_smoke(
 /// standalone session fed the same frames. This is the CI smoke behind
 /// `reuse_cli serve-net --smoke`: it exercises preamble negotiation, frame
 /// framing, shard hashing, worker ticks, and tagged response pairing.
-fn run_serve_net_smoke(w: &Workload, shards: usize, n: usize, frames_per_stream: usize) -> u8 {
+fn run_serve_net_smoke(
+    w: &Workload,
+    shards: usize,
+    n: usize,
+    frames_per_stream: usize,
+) -> Result<(), u8> {
     if w.is_recurrent() {
         eprintln!(
             "{}: recurrent network — serve-net is per-frame only, nothing to smoke",
             w.network().name()
         );
-        return 0;
+        return Ok(());
     }
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
-    let mut server = match NetServer::bind(
-        SocketAddr::from(([127, 0, 0, 1], 0)),
-        Arc::clone(&model),
-        ServerConfig::default().max_sessions(n),
-        shards,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
+    let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+    let config = ServerConfig::default().max_sessions(n);
+    let mut server =
+        NetServer::bind(loopback, Arc::clone(&model), config, shards).map_err(|e| {
             eprintln!("cannot bind loopback server: {e}");
-            return EXIT_IO;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot read bound address: {e}");
-            return EXIT_IO;
-        }
-    };
+            EXIT_IO
+        })?;
+    let addr = server.local_addr().map_err(|e| {
+        eprintln!("cannot read bound address: {e}");
+        EXIT_IO
+    })?;
     let sharded = Arc::clone(server.sharded());
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let handle = std::thread::spawn(move || server.run(&stop2));
 
+    let streams = OffsetStreams::new(w, n, frames_per_stream, 0);
     let serve = || -> Result<Vec<Vec<Vec<f32>>>, String> {
         let mut client =
             NetClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         client
             .set_read_timeout(Some(Duration::from_secs(30)))
             .map_err(|e| format!("cannot set read timeout: {e}"))?;
-        let all = w.generate_frames(frames_per_stream + n - 1, 42);
         let mut outputs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
         for t in 0..frames_per_stream {
             for (s, outs) in outputs.iter_mut().enumerate() {
                 let resp = client
-                    .roundtrip(s as u64 + 1, t as u32, &all[s + t])
+                    .roundtrip(s as u64 + 1, t as u32, &streams.stream(s)[t])
                     .map_err(|e| format!("stream {s} frame {t}: round-trip failed: {e}"))?;
                 if resp.status != Status::Ok {
                     return Err(format!("stream {s} frame {t}: status {:?}", resp.status));
@@ -539,58 +409,36 @@ fn run_serve_net_smoke(w: &Workload, shards: usize, n: usize, frames_per_stream:
     let served = serve();
     stop.store(true, Ordering::SeqCst);
     let run_result = handle.join();
-    let outputs = match served {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return EXIT_EXEC;
-        }
-    };
+    let outputs = served.map_err(|msg| {
+        eprintln!("{msg}");
+        EXIT_EXEC
+    })?;
     match run_result {
         Ok(Ok(())) => {}
         Ok(Err(e)) => {
             eprintln!("server event loop failed: {e}");
-            return EXIT_EXEC;
+            return Err(EXIT_EXEC);
         }
         Err(_) => {
             eprintln!("server event loop panicked");
-            return EXIT_EXEC;
+            return Err(EXIT_EXEC);
         }
     }
 
-    let all = w.generate_frames(frames_per_stream + n - 1, 42);
-    let mut mismatches = 0usize;
-    for (s, outs) in outputs.iter().enumerate() {
-        let mut alone = model.new_session();
-        let mut out = Vec::new();
-        for (t, got) in outs.iter().enumerate() {
-            if let Err(e) = alone.execute_into(&all[s + t], &mut out) {
-                eprintln!("standalone frame failed: {e}");
-                return EXIT_EXEC;
-            }
-            let ok = got.len() == out.len()
-                && got
-                    .iter()
-                    .zip(out.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !ok {
-                eprintln!("stream {s} frame {t}: served output diverged from standalone session");
-                mismatches += 1;
-            }
-        }
-    }
+    // The shards own the sessions: outputs only.
+    let mismatches = standalone_mismatches(&model, &streams, 0, &outputs, |_, _| true)?;
     // Machine-readable result: the sharded snapshot JSON is the whole stdout.
     print!("{}", sharded.snapshot().to_json());
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} serve-net/standalone mismatches");
-        return EXIT_SERVE_DIVERGED;
+        return Err(EXIT_SERVE_DIVERGED);
     }
     eprintln!(
         "{}: {n} streams x {frames_per_stream} frames over TCP ({shards} shards) \
          bit-identical to standalone sessions",
         w.network().name()
     );
-    0
+    Ok(())
 }
 
 /// Binds the sharded serving tier to a real port and runs the event loop
@@ -843,20 +691,13 @@ fn run_ingest(path: &str, frames: usize) -> ExitCode {
         .drift_watchdog(8, 0.25)
         .reuse_policy(Arc::new(AdaptivePolicy::default()));
     let mut engine = ReuseSession::from_network(net, &config);
-    let code = if net.is_recurrent() {
-        let dim = net.input_shape().volume();
-        let seq_len = 32.min(frames.max(2));
-        let stream = jitter_stream(frames, dim, 0.04, 42);
-        stream
-            .chunks(seq_len)
-            .try_for_each(|seq| engine.execute_sequence(seq).map(|_| ()))
+    let seq_len = if net.is_recurrent() {
+        32.min(frames.max(2))
     } else {
-        let dim = net.input_shape().volume();
-        jitter_stream(frames, dim, 0.04, 42)
-            .iter()
-            .try_for_each(|frame| engine.execute(frame).map(|_| ()))
+        0
     };
-    if let Err(e) = code {
+    let stream = random_walk(frames, net.input_shape().volume(), 0.5, 0.04, 42);
+    if let Err(e) = run_frames(&mut engine, &stream, seq_len, |_| {}) {
         eprintln!("execution failed: {e}");
         return ExitCode::from(EXIT_EXEC);
     }
@@ -895,21 +736,6 @@ fn run_ingest(path: &str, frames: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// A smooth random walk of frames, the synthetic-jitter stream the ingest
-/// report runs over.
-fn jitter_stream(len: usize, dim: usize, step: f32, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = reuse_nn::init::Rng64::new(seed);
-    let mut frame: Vec<f32> = (0..dim).map(|_| rng.uniform(0.5)).collect();
-    (0..len)
-        .map(|_| {
-            for v in &mut frame {
-                *v = (*v + rng.uniform(step)).clamp(-1.0, 1.0);
-            }
-            frame.clone()
-        })
-        .collect()
-}
-
 /// Self-contained ingest smoke for CI: (a) the generated Gemm+Relu fixture
 /// must execute bit-identically to its hand-built twin through the engine;
 /// (b) a graph with an unsupported op must still serve via a
@@ -929,7 +755,7 @@ fn run_ingest_smoke() -> ExitCode {
     let config = reuse_core::ReuseConfig::uniform(64);
     let mut ingested = ReuseSession::from_network(&lowered.network, &config);
     let mut reference = ReuseSession::from_network(&twin, &config);
-    for frame in jitter_stream(64, fixture::GEMM_IN, 0.05, 42) {
+    for frame in random_walk(64, fixture::GEMM_IN, 0.5, 0.05, 42) {
         let (a, b) = match (ingested.execute(&frame), reference.execute(&frame)) {
             (Ok(a), Ok(b)) => (a, b),
             (a, b) => {
@@ -937,12 +763,7 @@ fn run_ingest_smoke() -> ExitCode {
                 return ExitCode::from(EXIT_EXEC);
             }
         };
-        let same = a.as_slice().len() == b.as_slice().len()
-            && a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-        if !same {
+        if !bits_eq(a.as_slice(), b.as_slice()) {
             eprintln!("ingested fixture diverged from the hand-built network");
             return ExitCode::from(EXIT_DIVERGED);
         }
@@ -962,7 +783,7 @@ fn run_ingest_smoke() -> ExitCode {
         return ExitCode::from(EXIT_DIVERGED);
     };
     let mut engine = ReuseSession::from_network(&lowered.network, &config);
-    for frame in jitter_stream(48, 8, 0.03, 7) {
+    for frame in random_walk(48, 8, 0.5, 0.03, 7) {
         if let Err(e) = engine.execute(&frame) {
             eprintln!("softmax graph execution failed: {e}");
             return ExitCode::from(EXIT_EXEC);
@@ -1010,20 +831,6 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let sessions = match args.iter().position(|a| a == "--sessions") {
-        Some(i) => {
-            let Some(n) = args
-                .get(i + 1)
-                .and_then(|a| a.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-            else {
-                return usage();
-            };
-            args.drain(i..=i + 1);
-            Some(n)
-        }
-        None => None,
-    };
     let mut flag_value = |flag: &str| -> Result<Option<usize>, ()> {
         match args.iter().position(|a| a == flag) {
             Some(i) => {
@@ -1040,18 +847,15 @@ fn main() -> ExitCode {
             None => Ok(None),
         }
     };
-    let Ok(streams) = flag_value("--streams") else {
-        return usage();
-    };
-    let Ok(frames) = flag_value("--frames") else {
-        return usage();
-    };
-    let Ok(port) = flag_value("--port") else {
-        return usage();
-    };
-    let Ok(shards) = flag_value("--shards") else {
-        return usage();
-    };
+    let mut values = [None; 5];
+    let flags = ["--sessions", "--streams", "--frames", "--port", "--shards"];
+    for (value, flag) in values.iter_mut().zip(flags) {
+        let Ok(v) = flag_value(flag) else {
+            return usage();
+        };
+        *value = v;
+    }
+    let [sessions, streams, frames, port, shards] = values;
     let scale = Scale::from_env();
     match args.first().map(String::as_str) {
         Some("inspect") => {
@@ -1083,24 +887,14 @@ fn main() -> ExitCode {
             let w = Workload::build(kind, scale);
             let config = w.reuse_config().clone().telemetry(telemetry);
             if let Some(n) = sessions {
-                return run_sessions_smoke(&w, &config, executions, n);
+                return exit(run_sessions_smoke(&w, &config, executions, n));
             }
             let mut engine = ReuseSession::from_network(w.network(), &config);
-            if w.is_recurrent() {
-                let seq_len = 40.min(executions.max(2));
-                for seq in w.generate_sequences(executions.div_ceil(seq_len) + 1, seq_len, 42) {
-                    if let Err(e) = engine.execute_sequence(&seq) {
-                        eprintln!("execution failed: {e}");
-                        return ExitCode::from(EXIT_EXEC);
-                    }
-                }
-            } else {
-                for frame in w.generate_frames(executions, 42) {
-                    if let Err(e) = engine.execute(&frame) {
-                        eprintln!("execution failed: {e}");
-                        return ExitCode::from(EXIT_EXEC);
-                    }
-                }
+            let (seq_len, len) = run_shape(&w, executions);
+            let frames = OffsetStreams::new(&w, 1, len, seq_len);
+            if let Err(e) = run_frames(&mut engine, frames.stream(0), seq_len, |_| {}) {
+                eprintln!("execution failed: {e}");
+                return ExitCode::from(EXIT_EXEC);
             }
             if telemetry {
                 // Machine-readable: the snapshot JSON is the whole output.
@@ -1113,7 +907,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("serve") => {
+        Some(command @ ("serve" | "serve-net")) => {
             let kind = match args.get(1) {
                 Some(name) => match parse_workload(name) {
                     Some(kind) => kind,
@@ -1125,8 +919,18 @@ fn main() -> ExitCode {
             let n = streams.unwrap_or(4);
             let frames_per_stream =
                 frames.unwrap_or_else(|| executions_from_env(kind, scale).min(64));
+            if command == "serve-net" {
+                let shard_count = shards.unwrap_or_else(default_shards);
+                if smoke {
+                    return exit(run_serve_net_smoke(&w, shard_count, n, frames_per_stream));
+                }
+                let Ok(port) = u16::try_from(port.unwrap_or(7433)) else {
+                    return usage();
+                };
+                return ExitCode::from(run_serve_net_listen(&w, shard_count, port));
+            }
             if !sig_cache {
-                return ExitCode::from(run_serve_smoke(
+                return exit(run_serve_smoke(
                     &w,
                     w.reuse_config(),
                     n,
@@ -1146,35 +950,13 @@ fn main() -> ExitCode {
             // Exactly one snapshot JSON on stdout: pass 2 owns it, except
             // on recurrent workloads where the cache compiles out and pass
             // 2 has nothing to serve.
-            let code = run_serve_smoke(&w, &cap0, n, frames_per_stream, w.is_recurrent());
-            if code != 0 {
+            if let Err(code) = run_serve_smoke(&w, &cap0, n, frames_per_stream, w.is_recurrent()) {
                 return ExitCode::from(code);
             }
             // Pass 2: full capacity — completion and counter plumbing.
             eprintln!("sig-cache pass 2/2: full capacity, completion + counters");
             let full = w.reuse_config().clone().signature_cache(true);
-            ExitCode::from(run_serve_cache_smoke(&w, &full, n, frames_per_stream))
-        }
-        Some("serve-net") => {
-            let kind = match args.get(1) {
-                Some(name) => match parse_workload(name) {
-                    Some(kind) => kind,
-                    None => return usage(),
-                },
-                None => WorkloadKind::Kaldi,
-            };
-            let w = Workload::build(kind, scale);
-            let shard_count = shards.unwrap_or_else(default_shards);
-            if smoke {
-                let n = streams.unwrap_or(4);
-                let frames_per_stream =
-                    frames.unwrap_or_else(|| executions_from_env(kind, scale).min(64));
-                return ExitCode::from(run_serve_net_smoke(&w, shard_count, n, frames_per_stream));
-            }
-            let Ok(port) = u16::try_from(port.unwrap_or(7433)) else {
-                return usage();
-            };
-            ExitCode::from(run_serve_net_listen(&w, shard_count, port))
+            exit(run_serve_cache_smoke(&w, &full, n, frames_per_stream))
         }
         Some("simulate") => {
             let Some(kind) = args.get(1).and_then(|a| parse_workload(a)) else {
@@ -1185,16 +967,7 @@ fn main() -> ExitCode {
                 .and_then(|a| a.parse().ok())
                 .unwrap_or_else(|| executions_from_env(kind, scale));
             let m = reuse_bench::cache::cached_measurement(kind, scale, executions, 42);
-            let sim = Simulator::new(AcceleratorConfig::paper());
-            let input = SimInput {
-                name: m.kind.name(),
-                traces: &m.traces,
-                model_bytes: m.model_bytes,
-                executions_per_sequence: m.executions_per_sequence,
-                activations_spill: m.activations_spill,
-            };
-            let base = sim.simulate_baseline(&input);
-            let reuse = sim.simulate_reuse(&input);
+            let (base, reuse) = reuse_bench::experiments::simulate(&m);
             println!(
                 "{} ({} executions, model {}):",
                 m.kind.name(),

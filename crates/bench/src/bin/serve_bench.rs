@@ -13,7 +13,7 @@
 //! slower repeats) while the min/median spread quantifies host noise.
 //!
 //! Per-frame kernel work is identical at every stream count, so aggregate
-//! throughput measures how well the dispatch loop amortizes its per-tick
+//! throughput measures how well the serial tick amortizes its per-tick
 //! overhead: more streams per tick means fewer ticks per frame, and
 //! frames/sec must not *drop* as streams grow from 1 to 8.
 //!
@@ -50,12 +50,14 @@
 //! for noisy hosts like `REUSE_BLOCKED_MIN_SPEEDUP`) or below the absolute
 //! `REUSE_SERVE_MIN_FPS` floor (default 1.0 frames/sec).
 //!
-//! `serve_bench --open-loop --perf-smoke` times the sharded 1-vs-64-stream
-//! Kaldi pair with worker threads and enforces the host-aware
-//! `REUSE_SERVE_MIN_SHARD_SCALING` floor (default `min(2.5, 0.9 ×
-//! hardware_threads)` — a 1-core CI host cannot scale, a many-core host
-//! must), then runs one open-loop point at half capacity and enforces the
-//! `REUSE_SERVE_MAX_P99_NS` tail floor (default 50 ms).
+//! `serve_bench --open-loop --perf-smoke` times three alternating sharded
+//! 1-vs-64-stream Kaldi pairs and holds the median ratio to the host-aware
+//! `REUSE_SERVE_MIN_SHARD_SCALING` floor (default `0.9 × (hardware_threads
+//! − 1)` within `[1.0, 2.5]`: the closed-loop driver occupies one hardware
+//! thread itself, so a host of up to two threads only has to not lose
+//! throughput, a many-core host must scale), then runs one open-loop point
+//! at half capacity against the `REUSE_SERVE_MAX_P99_NS` ceiling (default
+//! 50 ms).
 //!
 //! `serve_bench --validate [file]` checks an existing `BENCH_serve.json`
 //! for every required key (schema drift guard for CI), including the
@@ -68,14 +70,17 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::ops::Range;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use reuse_bench::env_parse;
+use reuse_bench::streams::{drive, OffsetStreams, Tier};
 use reuse_core::{json, CompiledModel};
 use reuse_serve::{
-    default_shards, ServerConfig, ServerSnapshot, ShardWorkers, ShardedServer, StreamServer,
-    SubmitOptions, SubmitResult,
+    default_shards, LatencyHistogram, ServerConfig, ServerSnapshot, ShardWorkers, ShardedServer,
+    StreamServer, SubmitOptions, SubmitResult,
 };
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -107,76 +112,140 @@ impl FpsSpread {
     }
 }
 
-/// One stream-count configuration's measurement.
-struct ServeRow {
-    workload: &'static str,
-    streams: usize,
-    frames_per_stream: usize,
-    fps: FpsSpread,
+/// Submit-to-completion latency read off a histogram.
+struct Latency {
     p50_ns: u64,
     p99_ns: u64,
+    p999_ns: u64,
     max_ns: u64,
 }
 
-/// Serves `n` streams of `measure` steady frames each (after warm-up) and
-/// returns the [`FpsSpread`] over [`REPEATS`] aggregate-throughput runs
-/// plus the latency quantiles across all timed frames.
-fn bench_streams(w: &Workload, model: &Arc<CompiledModel>, n: usize, measure: usize) -> ServeRow {
-    let mut server = StreamServer::new(
-        Arc::clone(model),
-        ServerConfig::default()
-            .max_sessions(n)
-            .queue_capacity(2 * BURST)
-            .batch_max(BURST),
-    )
-    .expect("feed-forward serve config");
-    // Warm-up (calibration + state init + pool priming) and the timed
-    // repeats all consume fresh frames from one long walk per stream.
-    let warm = 3usize;
-    let total = warm + REPEATS * measure;
-    let all = w.generate_frames(total + n - 1, 42);
-    let mut sink = 0f32;
-
-    let cycle = |server: &mut StreamServer, from: usize, count: usize, sink: &mut f32| {
-        let mut t = from;
-        let end = from + count;
-        while t < end {
-            let burst = BURST.min(end - t);
-            for b in 0..burst {
-                for s in 0..n {
-                    match server.submit(s as u64, &all[s + t + b]).unwrap() {
-                        SubmitResult::Accepted => {}
-                        r => panic!("steady submit rejected: {r:?}"),
-                    }
-                }
-            }
-            server.tick().unwrap();
-            for s in 0..n {
-                server.drain_outputs(s as u64, |out| *sink += out[0]);
-            }
-            t += burst;
+impl Latency {
+    fn of(h: &LatencyHistogram) -> Latency {
+        Latency {
+            p50_ns: h.p50_ns(),
+            p99_ns: h.p99_ns(),
+            p999_ns: h.p999_ns(),
+            max_ns: h.max_ns(),
         }
-    };
-
-    cycle(&mut server, 0, warm, &mut sink);
-    server.latency().clear();
-    let mut fps = Vec::with_capacity(REPEATS);
-    for r in 0..REPEATS {
-        let start = Instant::now();
-        cycle(&mut server, warm + r * measure, measure, &mut sink);
-        let secs = start.elapsed().as_secs_f64();
-        fps.push((n * measure) as f64 / secs);
     }
+
+    /// The four `latency_*_ns` members of a JSON row.
+    fn json(&self) -> String {
+        format!(
+            "\"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, \
+             \"latency_max_ns\": {}",
+            self.p50_ns, self.p99_ns, self.p999_ns, self.max_ns
+        )
+    }
+}
+
+/// One closed-loop configuration's measurement: `streams` streams on a
+/// passive [`StreamServer`] (`shards == 0`) or a worker-driven
+/// [`ShardedServer`].
+struct Row {
+    workload: &'static str,
+    streams: usize,
+    shards: usize,
+    frames_per_stream: usize,
+    fps: FpsSpread,
+    latency: Latency,
+}
+
+impl Row {
+    /// Prints the row's progress line to stderr.
+    fn logged(self) -> Row {
+        eprintln!(
+            "{:<10} {:>4} streams x {} shards  {:>10.0} frames/s (min {:>10.0} med {:>10.0})  \
+             p50 {:>9} ns  p99 {:>9} ns  p999 {:>9} ns  max {:>9} ns",
+            self.workload,
+            self.streams,
+            self.shards,
+            self.fps.max,
+            self.fps.min,
+            self.fps.median,
+            self.latency.p50_ns,
+            self.latency.p99_ns,
+            self.latency.p999_ns,
+            self.latency.max_ns
+        );
+        self
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"workload\": \"{}\", \"streams\": {}, \"frames_per_stream\": {}, \
+             \"frames_per_sec\": {:.1}, \"frames_per_sec_min\": {:.1}, \
+             \"frames_per_sec_median\": {:.1}, {}}}",
+            self.workload,
+            self.streams,
+            self.frames_per_stream,
+            self.fps.max,
+            self.fps.min,
+            self.fps.median,
+            self.latency.json()
+        )
+    }
+}
+
+/// Frames per stream that take a fresh stream past calibration, state
+/// initialization and pool priming before anything is timed.
+const WARM: usize = 3;
+
+/// The serve configuration of every closed-loop row.
+fn closed_loop_config(n: usize) -> ServerConfig {
+    ServerConfig::default()
+        .max_sessions(n)
+        .queue_capacity(2 * BURST)
+        .batch_max(BURST)
+}
+
+/// Warm-up plus [`REPEATS`] timed windows of `measure` steady frames per
+/// stream, each window served to completion; `after_warm` runs in between
+/// (latency reset). All windows consume fresh frames from one long walk per
+/// stream.
+fn closed_loop<T: Tier>(
+    tier: &mut T,
+    w: &Workload,
+    n: usize,
+    measure: usize,
+    after_warm: impl FnOnce(&T),
+) -> FpsSpread {
+    let streams = OffsetStreams::new(w, n, WARM + REPEATS * measure, 0);
+    let mut sink = 0f32;
+    let mut serve = |tier: &mut T, window: Range<usize>| {
+        drive(tier, &streams, window, BURST, |_, out| sink += out[0]).expect("steady serving");
+    };
+    serve(tier, 0..WARM);
+    after_warm(tier);
+    let fps = (0..REPEATS)
+        .map(|r| {
+            let from = WARM + r * measure;
+            let start = Instant::now();
+            serve(tier, from..from + measure);
+            (n * measure) as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
     black_box(sink);
-    assert_eq!(server.frames_completed() as usize, total * n);
-    ServeRow {
-        workload: "",
+    FpsSpread::from_repeats(fps)
+}
+
+/// `n` streams through a passive [`StreamServer`], ticked by the driver.
+fn bench_streams(w: &Workload, model: &Arc<CompiledModel>, n: usize, measure: usize) -> Row {
+    let mut server = StreamServer::new(Arc::clone(model), closed_loop_config(n))
+        .expect("feed-forward serve config");
+    let fps = closed_loop(&mut server, w, n, measure, |s| s.latency().clear());
+    assert_eq!(
+        server.frames_completed() as usize,
+        (WARM + REPEATS * measure) * n
+    );
+    Row {
+        workload: w.kind().name(),
         streams: n,
+        shards: 0,
         frames_per_stream: measure,
-        fps: FpsSpread::from_repeats(fps),
-        p50_ns: server.latency().quantile_ns(0.50),
-        p99_ns: server.latency().quantile_ns(0.99),
-        max_ns: server.latency().max_ns(),
+        fps,
+        latency: Latency::of(server.latency()),
     }
 }
 
@@ -186,161 +255,50 @@ fn frames_for(n: usize) -> usize {
     (512 / n).clamp(8, 512).div_ceil(BURST) * BURST
 }
 
-fn bench_workload(kind: WorkloadKind, scale: Scale, stream_counts: &[usize]) -> Vec<ServeRow> {
+fn bench_workload(kind: WorkloadKind, scale: Scale, stream_counts: &[usize]) -> Vec<Row> {
     let w = Workload::build(kind, scale);
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     stream_counts
         .iter()
-        .map(|&n| {
-            let mut row = bench_streams(&w, &model, n, frames_for(n));
-            row.workload = kind.name();
-            eprintln!(
-                "{:<10} {:>4} streams  {:>10.0} frames/s (min {:>10.0} med {:>10.0})  \
-                 p50 {:>9} ns  p99 {:>9} ns  max {:>9} ns",
-                row.workload,
-                row.streams,
-                row.fps.max,
-                row.fps.min,
-                row.fps.median,
-                row.p50_ns,
-                row.p99_ns,
-                row.max_ns
-            );
-            row
-        })
+        .map(|&n| bench_streams(&w, &model, n, frames_for(n)).logged())
         .collect()
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// One sharded closed-loop configuration's measurement (worker-driven).
-struct ShardRow {
-    streams: usize,
-    shards: usize,
-    frames_per_stream: usize,
-    fps: FpsSpread,
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
-    max_ns: u64,
-}
-
-/// Drains every stream's outputs into `sink` (anti-DCE) and returns how
-/// many completions were observed.
-fn drain_all(server: &ShardedServer, n: usize, sink: &mut f32) -> usize {
-    let mut got = 0usize;
+/// Drains every stream's outputs into `sink` (anti-DCE).
+fn drain_all(server: &ShardedServer, n: usize, sink: &mut f32) {
     for s in 0..n {
-        got += server.drain_outputs(s as u64, |out| *sink += out[0]);
+        server.drain_outputs(s as u64, |out| *sink += out[0]);
     }
-    got
-}
-
-/// Spins (yielding) until the sharded server has completed `target`
-/// lifetime frames, draining outputs as they appear.
-fn wait_completed(server: &ShardedServer, n: usize, target: u64, sink: &mut f32) {
-    let give_up = Instant::now() + Duration::from_secs(60);
-    while server.frames_completed() < target {
-        drain_all(server, n, sink);
-        assert!(
-            Instant::now() < give_up,
-            "sharded bench stalled: {}/{} frames completed",
-            server.frames_completed(),
-            target
-        );
-        std::thread::yield_now();
-    }
-    drain_all(server, n, sink);
 }
 
 /// Closed-loop throughput through a worker-driven [`ShardedServer`]: the
 /// driver thread submits bursts (retrying queue-full) while per-shard
 /// worker threads execute, so multi-core hosts overlap frame execution
-/// across shards. Returns the repeat spread plus merged latency quantiles.
+/// across shards. Latency is merged over the shards.
 fn bench_sharded(
     w: &Workload,
     model: &Arc<CompiledModel>,
     n: usize,
     shards: usize,
     measure: usize,
-) -> ShardRow {
+) -> Row {
     let server = Arc::new(
-        ShardedServer::new(
-            Arc::clone(model),
-            ServerConfig::default()
-                .max_sessions(n)
-                .queue_capacity(2 * BURST)
-                .batch_max(BURST),
-            shards,
-        )
-        .expect("feed-forward serve config"),
+        ShardedServer::new(Arc::clone(model), closed_loop_config(n), shards)
+            .expect("feed-forward serve config"),
     );
     let mut workers = ShardWorkers::start(Arc::clone(&server));
-    let warm = 3usize;
-    let total = warm + REPEATS * measure;
-    let all = w.generate_frames(total + n - 1, 42);
-    let mut sink = 0f32;
-
-    let cycle = |from: usize, count: usize, sink: &mut f32| {
-        let mut t = from;
-        let end = from + count;
-        while t < end {
-            let burst = BURST.min(end - t);
-            for b in 0..burst {
-                for s in 0..n {
-                    loop {
-                        match server.submit(s as u64, &all[s + t + b]).unwrap() {
-                            SubmitResult::Accepted => break,
-                            SubmitResult::QueueFull => {
-                                drain_all(&server, n, sink);
-                                std::thread::yield_now();
-                            }
-                            r => panic!("sharded steady submit rejected: {r:?}"),
-                        }
-                    }
-                }
-            }
-            drain_all(&server, n, sink);
-            t += burst;
-        }
-    };
-
-    cycle(0, warm, &mut sink);
-    wait_completed(&server, n, (warm * n) as u64, &mut sink);
-    server.clear_latency();
-    let mut fps = Vec::with_capacity(REPEATS);
-    for r in 0..REPEATS {
-        let start = Instant::now();
-        cycle(warm + r * measure, measure, &mut sink);
-        wait_completed(
-            &server,
-            n,
-            ((warm + (r + 1) * measure) * n) as u64,
-            &mut sink,
-        );
-        let secs = start.elapsed().as_secs_f64();
-        fps.push((n * measure) as f64 / secs);
-    }
-    black_box(sink);
-    let latency = server.merged_latency();
-    let row = ShardRow {
-        streams: n,
-        shards,
-        frames_per_stream: measure,
-        fps: FpsSpread::from_repeats(fps),
-        p50_ns: latency.p50_ns(),
-        p99_ns: latency.p99_ns(),
-        p999_ns: latency.p999_ns(),
-        max_ns: latency.max_ns(),
-    };
+    let fps = closed_loop(&mut &*server, w, n, measure, |s| s.clear_latency());
     workers.stop();
     let errors = workers.take_errors();
     assert!(errors.is_empty(), "shard workers reported: {errors:?}");
-    row
+    Row {
+        workload: w.kind().name(),
+        streams: n,
+        shards,
+        frames_per_stream: measure,
+        fps,
+        latency: Latency::of(&server.merged_latency()),
+    }
 }
 
 /// One open-loop offered-load point's measurement.
@@ -355,10 +313,7 @@ struct OpenRow {
     shed: u64,
     deadline_shed: u64,
     expired: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
-    max_ns: u64,
+    latency: Latency,
 }
 
 /// Sleeps (coarsely) then yields (finely) until `due` past `start`.
@@ -419,29 +374,15 @@ fn open_loop_point(
         .expect("feed-forward serve config"),
     );
     let mut workers = ShardWorkers::start(Arc::clone(&server));
-    let warm = 3usize;
     let steps = frames_total.div_ceil(n);
-    let all = w.generate_frames(warm + steps + n - 1, 42);
+    let streams = OffsetStreams::new(w, n, WARM + steps, 0);
     let mut sink = 0f32;
 
     // Closed-loop warm-up: calibrate every stream and seed each shard's
     // service-time EWMA so deadline projection is live from the first
     // timed frame.
-    for t in 0..warm {
-        for s in 0..n {
-            loop {
-                match server.submit(s as u64, &all[s + t]).unwrap() {
-                    SubmitResult::Accepted => break,
-                    SubmitResult::QueueFull => {
-                        drain_all(&server, n, &mut sink);
-                        std::thread::yield_now();
-                    }
-                    r => panic!("warm-up submit rejected: {r:?}"),
-                }
-            }
-        }
-    }
-    wait_completed(&server, n, (warm * n) as u64, &mut sink);
+    let mut tier = &*server;
+    drive(&mut tier, &streams, 0..WARM, WARM, |_, out| sink += out[0]).expect("warm-up");
     server.clear_latency();
     let base = server.snapshot();
 
@@ -463,7 +404,7 @@ fn open_loop_point(
             // an open-loop driver: count them via the server's counters and
             // keep submitting at the offered rate.
             let _ = server
-                .submit_with(s as u64, &all[s + warm + t], opts)
+                .submit_with(s as u64, &streams.stream(s)[WARM + t], opts)
                 .unwrap();
             offered += 1;
             if offered.is_multiple_of(64) {
@@ -505,7 +446,6 @@ fn open_loop_point(
         completed + expired,
         "open-loop completion accounting must balance after drain"
     );
-    let latency = server.merged_latency();
     let row = OpenRow {
         load_factor,
         offered_fps,
@@ -517,10 +457,7 @@ fn open_loop_point(
         shed,
         deadline_shed,
         expired,
-        p50_ns: latency.p50_ns(),
-        p99_ns: latency.p99_ns(),
-        p999_ns: latency.p999_ns(),
-        max_ns: latency.max_ns(),
+        latency: Latency::of(&server.merged_latency()),
     };
     workers.stop();
     let errors = workers.take_errors();
@@ -536,31 +473,13 @@ fn open_loop_frames(offered_fps: f64) -> usize {
 
 /// Runs the sharded closed-loop rows plus the open-loop sweep anchored at
 /// the top row's measured capacity. Returns `(shard_rows, open_rows)`.
-fn bench_sharded_and_open_loop(
-    kind: WorkloadKind,
-    scale: Scale,
-) -> (Vec<ShardRow>, Vec<OpenRow>, usize) {
+fn bench_sharded_and_open_loop(kind: WorkloadKind, scale: Scale) -> (Vec<Row>, Vec<OpenRow>) {
     let w = Workload::build(kind, scale);
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let shards = default_shards();
-    let shard_rows: Vec<ShardRow> = [1usize, 64]
+    let shard_rows: Vec<Row> = [1usize, 64]
         .iter()
-        .map(|&n| {
-            let row = bench_sharded(&w, &model, n, shards, frames_for(n));
-            eprintln!(
-                "{:<10} {:>4} streams x {} shards  {:>10.0} frames/s (min {:>10.0} med {:>10.0})  \
-                 p99 {:>9} ns  p999 {:>9} ns",
-                kind.name(),
-                row.streams,
-                row.shards,
-                row.fps.max,
-                row.fps.min,
-                row.fps.median,
-                row.p99_ns,
-                row.p999_ns
-            );
-            row
-        })
+        .map(|&n| bench_sharded(&w, &model, n, shards, frames_for(n)).logged())
         .collect();
     let capacity = shard_rows[1].fps.max;
     // Two under-capacity points map the latency/load curve; the overload
@@ -571,7 +490,7 @@ fn bench_sharded_and_open_loop(
     let mut open_rows: Vec<OpenRow> = Vec::with_capacity(factors.len());
     for &factor in &factors {
         let deadline_us = if factor > 1.0 {
-            let p99_at_09 = open_rows.last().map_or(0, |r| r.p99_ns);
+            let p99_at_09 = open_rows.last().map_or(0, |r| r.latency.p99_ns);
             (((p99_at_09 * 4) / 1_000) as u32).clamp(500, 50_000)
         } else {
             0
@@ -596,8 +515,8 @@ fn bench_sharded_and_open_loop(
             row.load_factor,
             row.offered_fps,
             row.achieved_fps,
-            row.p99_ns,
-            row.p999_ns,
+            row.latency.p99_ns,
+            row.latency.p999_ns,
             row.queue_full,
             row.shed,
             row.deadline_shed,
@@ -605,7 +524,7 @@ fn bench_sharded_and_open_loop(
         );
         open_rows.push(row);
     }
-    (shard_rows, open_rows, shards)
+    (shard_rows, open_rows)
 }
 
 /// Churn-scenario shape: a pool of [`CHURN_POOL`] live sessions cycles
@@ -667,12 +586,7 @@ fn bench_churn(w: &Workload, model: &Arc<CompiledModel>) -> ChurnRow {
                 let id = (gen * CHURN_POOL + s) as u64;
                 server.drain_outputs(id, |out| sink += out[0]);
                 if let Some(sess) = server.session(id) {
-                    let st = sess.signature_stats();
-                    acc.lookups += st.lookups;
-                    acc.hits += st.hits;
-                    acc.adoptions += st.adoptions;
-                    acc.bailouts += st.bailouts;
-                    acc.inserts += st.inserts;
+                    acc.merge(sess.signature_stats());
                 }
             }
         }
@@ -717,41 +631,7 @@ fn bench_churn_pair(kind: WorkloadKind, scale: Scale) -> (ChurnRow, ChurnRow) {
 /// must be present (CI guard against silent drift), and the recorded
 /// churn speedup must clear the `REUSE_SERVE_MIN_CACHE_SPEEDUP` floor
 /// (default 1.0, i.e. presence-only).
-/// Empty-histogram contract check: an idle shard (no frames ever
-/// submitted) must report an all-zero latency block through the merged
-/// sharded snapshot, every per-shard snapshot, and the snapshot JSON.
-fn validate_idle_shard() -> Result<(), String> {
-    let w = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
-    let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
-    let server = ShardedServer::new(model, ServerConfig::default(), 2)
-        .map_err(|e| format!("idle shard construction failed: {e}"))?;
-    let snap = server.snapshot();
-    if snap.latency_count != 0
-        || snap.p50_ns != 0
-        || snap.p99_ns != 0
-        || snap.p999_ns != 0
-        || snap.max_ns != 0
-    {
-        return Err(format!(
-            "idle sharded snapshot not all-zero: count {} p50 {} p99 {} p999 {} max {}",
-            snap.latency_count, snap.p50_ns, snap.p99_ns, snap.p999_ns, snap.max_ns
-        ));
-    }
-    for (i, shard) in snap.shards.iter().enumerate() {
-        let zero_block = "\"latency_ns\": {\"count\": 0, \"p50\": 0, \"p99\": 0, \"p999\": 0, \
-                          \"max\": 0}";
-        if shard.latency_count != 0 || !shard.to_json().contains(zero_block) {
-            return Err(format!("idle shard {i} latency block is not all-zero"));
-        }
-    }
-    Ok(())
-}
-
 fn validate(path: &str) -> ExitCode {
-    if let Err(e) = validate_idle_shard() {
-        eprintln!("validate: {e}");
-        return ExitCode::FAILURE;
-    }
     const REQUIRED: &[&str] = &[
         "scale",
         "burst",
@@ -811,7 +691,7 @@ fn validate(path: &str) -> ExitCode {
         .and_then(|c| c.get("speedup"))
         .and_then(json::Value::as_f64)
         .unwrap_or(f64::NAN);
-    let floor = env_f64("REUSE_SERVE_MIN_CACHE_SPEEDUP", 1.0);
+    let floor = env_parse("REUSE_SERVE_MIN_CACHE_SPEEDUP").unwrap_or(1.0);
     if speedup.is_nan() || speedup < floor {
         eprintln!("validate: churn speedup {speedup} is below the {floor:.2}x floor");
         return ExitCode::FAILURE;
@@ -823,8 +703,8 @@ fn validate(path: &str) -> ExitCode {
 /// Times the 1-vs-8-stream Kaldi pair and enforces the scaling and
 /// absolute-throughput floors.
 fn perf_smoke(scale: Scale) -> ExitCode {
-    let min_scaling = env_f64("REUSE_SERVE_MIN_SCALING", 0.9);
-    let min_fps = env_f64("REUSE_SERVE_MIN_FPS", 1.0);
+    let min_scaling = env_parse("REUSE_SERVE_MIN_SCALING").unwrap_or(0.9);
+    let min_fps = env_parse("REUSE_SERVE_MIN_FPS").unwrap_or(1.0);
     let rows = bench_workload(WorkloadKind::Kaldi, scale, &[1, 8]);
     let (one, eight) = (&rows[0], &rows[1]);
     let scaling = eight.fps.max / one.fps.max;
@@ -851,16 +731,31 @@ fn perf_smoke(scale: Scale) -> ExitCode {
 /// shard-scaling floor plus the p99 tail floor.
 fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
     let threads = reuse_tensor::hardware_threads() as f64;
-    // A 1-core CI host cannot overlap shard execution — the floor degrades
-    // to "don't lose throughput"; a many-core host must actually scale.
-    let min_scaling = env_f64("REUSE_SERVE_MIN_SHARD_SCALING", (0.9 * threads).min(2.5));
-    let max_p99_ns = env_f64("REUSE_SERVE_MAX_P99_NS", 50_000_000.0);
+    // The driver thread submits and drains flat out, so shard workers
+    // overlap on `threads - 1` hardware threads: with two or fewer the
+    // floor degrades to "don't lose throughput"; a many-core host must
+    // actually scale.
+    let min_scaling = env_parse("REUSE_SERVE_MIN_SHARD_SCALING")
+        .unwrap_or((0.9 * (threads - 1.0)).clamp(1.0, 2.5));
+    let max_p99_ns = env_parse("REUSE_SERVE_MAX_P99_NS").unwrap_or(50_000_000.0);
     let w = Workload::build(WorkloadKind::Kaldi, scale);
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let shards = default_shards();
-    let one = bench_sharded(&w, &model, 1, shards, frames_for(1));
-    let many = bench_sharded(&w, &model, 64, shards, frames_for(64));
-    let scaling = many.fps.max / one.fps.max;
+    // One pair is a few tens of milliseconds at the tiny scale, shorter
+    // than the host's slow phases: alternate three pairs and gate on the
+    // one with the median ratio.
+    let ratio = |(one, many): &(Row, Row)| many.fps.max / one.fps.max;
+    let mut pairs: Vec<(Row, Row)> = (0..3)
+        .map(|_| {
+            (
+                bench_sharded(&w, &model, 1, shards, frames_for(1)),
+                bench_sharded(&w, &model, 64, shards, frames_for(64)),
+            )
+        })
+        .collect();
+    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (one, many) = &pairs[1];
+    let scaling = ratio(&pairs[1]);
     eprintln!(
         "shard smoke ({} shards, {} threads): 1-stream {:.0} frames/s, 64-stream {:.0} frames/s, \
          scaling {scaling:.3}x (floor {min_scaling:.3}x)",
@@ -885,9 +780,9 @@ fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
     );
     eprintln!(
         "open-loop smoke: offered {:.0} fps, achieved {:.0} fps, p99 {} ns (ceiling {:.0} ns)",
-        point.offered_fps, point.achieved_fps, point.p99_ns, max_p99_ns
+        point.offered_fps, point.achieved_fps, point.latency.p99_ns, max_p99_ns
     );
-    if point.p99_ns as f64 > max_p99_ns {
+    if point.latency.p99_ns as f64 > max_p99_ns {
         eprintln!("open-loop p99 at half capacity exceeds the {max_p99_ns:.0} ns ceiling");
         return ExitCode::FAILURE;
     }
@@ -903,21 +798,11 @@ fn policy_probe(kind: WorkloadKind, scale: Scale) -> ServerSnapshot {
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let mut server = StreamServer::new(model, ServerConfig::default().max_sessions(2))
         .expect("feed-forward serve config");
-    let frames = w.generate_frames(9, 7);
-    let mut sink = 0f32;
-    for frame in &frames {
-        for s in 0..2u64 {
-            match server.submit(s, frame).unwrap() {
-                SubmitResult::Accepted => {}
-                r => panic!("policy probe submit rejected: {r:?}"),
-            }
-        }
-        server.tick().unwrap();
-        for s in 0..2u64 {
-            server.drain_outputs(s, |out| sink += out[0]);
-        }
-    }
-    black_box(sink);
+    let streams = OffsetStreams::new(&w, 2, 9, 0);
+    drive(&mut server, &streams, 0..9, 1, |_, out| {
+        black_box(out[0]);
+    })
+    .expect("policy probe serving");
     server.snapshot()
 }
 
@@ -966,7 +851,8 @@ fn main() -> ExitCode {
     // loop hardest); AutoPilot adds a conv workload at the low counts.
     let mut rows = bench_workload(WorkloadKind::Kaldi, scale, &[1, 8, 64, 256]);
     rows.extend(bench_workload(WorkloadKind::AutoPilot, scale, &[1, 8]));
-    let (shard_rows, open_rows, shards) = bench_sharded_and_open_loop(WorkloadKind::Kaldi, scale);
+    let (shard_rows, open_rows) = bench_sharded_and_open_loop(WorkloadKind::Kaldi, scale);
+    let shards = shard_rows[0].shards;
     let (churn_off, churn_on) = bench_churn_pair(WorkloadKind::Kaldi, scale);
 
     let mut json = String::new();
@@ -993,51 +879,21 @@ fn main() -> ExitCode {
         );
     }
     json.push_str("  ],\n");
+    let push_rows = |json: &mut String, rows: &[Row]| {
+        for (k, r) in rows.iter().enumerate() {
+            let comma = if k + 1 < rows.len() { "," } else { "" };
+            let _ = writeln!(json, "    {}{comma}", r.json());
+        }
+    };
     json.push_str("  \"configs\": [\n");
-    for (k, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"streams\": {}, \"frames_per_stream\": {}, \
-             \"frames_per_sec\": {:.1}, \"frames_per_sec_min\": {:.1}, \
-             \"frames_per_sec_median\": {:.1}, \"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \
-             \"latency_max_ns\": {}}}{}",
-            r.workload,
-            r.streams,
-            r.frames_per_stream,
-            r.fps.max,
-            r.fps.min,
-            r.fps.median,
-            r.p50_ns,
-            r.p99_ns,
-            r.max_ns,
-            if k + 1 < rows.len() { "," } else { "" }
-        );
-    }
+    push_rows(&mut json, &rows);
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
         "  \"sharded\": {{\"workload\": \"{}\", \"shards\": {shards}, \"configs\": [",
         WorkloadKind::Kaldi.name()
     );
-    for (k, r) in shard_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"streams\": {}, \"frames_per_stream\": {}, \"frames_per_sec\": {:.1}, \
-             \"frames_per_sec_min\": {:.1}, \"frames_per_sec_median\": {:.1}, \
-             \"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, \
-             \"latency_max_ns\": {}}}{}",
-            r.streams,
-            r.frames_per_stream,
-            r.fps.max,
-            r.fps.min,
-            r.fps.median,
-            r.p50_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.max_ns,
-            if k + 1 < shard_rows.len() { "," } else { "" }
-        );
-    }
+    push_rows(&mut json, &shard_rows);
     json.push_str("  ]},\n");
     let _ = writeln!(
         json,
@@ -1050,9 +906,7 @@ fn main() -> ExitCode {
             json,
             "    {{\"load_factor\": {:.2}, \"offered_fps\": {:.1}, \"achieved_fps\": {:.1}, \
              \"deadline_us\": {}, \"offered_frames\": {}, \"completed\": {}, \
-             \"queue_full\": {}, \"shed\": {}, \"deadline_shed\": {}, \"expired\": {}, \
-             \"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, \
-             \"latency_max_ns\": {}}}{}",
+             \"queue_full\": {}, \"shed\": {}, \"deadline_shed\": {}, \"expired\": {}, {}}}{}",
             r.load_factor,
             r.offered_fps,
             r.achieved_fps,
@@ -1063,10 +917,7 @@ fn main() -> ExitCode {
             r.shed,
             r.deadline_shed,
             r.expired,
-            r.p50_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.max_ns,
+            r.latency.json(),
             if k + 1 < open_rows.len() { "," } else { "" }
         );
     }

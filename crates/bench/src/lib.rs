@@ -27,9 +27,15 @@ pub mod cache;
 pub mod csv;
 pub mod experiments;
 pub mod measure;
+pub mod streams;
 pub mod table;
 
 pub use measure::{measure_workload, parallel_from_env, LayerSummary, Measurement};
+
+/// The environment variable `name`, parsed; `None` when unset or malformed.
+pub fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.parse().ok()
+}
 
 /// Reads a `BENCH_*.json` artifact for a `--validate` check: the file must
 /// parse under the strict reader, name `bench` as its writer, and resolve

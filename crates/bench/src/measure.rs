@@ -80,10 +80,7 @@ pub fn default_executions(kind: WorkloadKind, scale: Scale) -> usize {
 
 /// Number of executions to measure, honoring `REUSE_EXECUTIONS`.
 pub fn executions_from_env(kind: WorkloadKind, scale: Scale) -> usize {
-    std::env::var("REUSE_EXECUTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| default_executions(kind, scale))
+    crate::env_parse("REUSE_EXECUTIONS").unwrap_or_else(|| default_executions(kind, scale))
 }
 
 /// Engine parallelism, honoring `REUSE_THREADS` (`0` = one worker per
@@ -94,18 +91,12 @@ pub fn executions_from_env(kind: WorkloadKind, scale: Scale) -> usize {
 /// are bit-identical to serial, so these only change wall-clock time —
 /// measurements and cached results are unaffected.
 pub fn parallel_from_env() -> ParallelConfig {
-    let base = match std::env::var("REUSE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
+    let base = match crate::env_parse::<usize>("REUSE_THREADS") {
         Some(0) => ParallelConfig::auto(),
         Some(n) => ParallelConfig::with_threads(n),
         None => ParallelConfig::serial(),
     };
-    match std::env::var("REUSE_INLINE_FLOPS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
+    match crate::env_parse("REUSE_INLINE_FLOPS") {
         Some(flops) => base.inline_flops(flops),
         None => base,
     }

@@ -95,19 +95,19 @@ impl FcReuseState {
     /// once initialized.
     ///
     /// Changed inputs are detected serially (updating the code buffer in
-    /// input order), then the whole batch of `(i, Δc)` deltas is applied
-    /// panel-by-panel over the layer's cache-blocked weight repack: each
-    /// 8-output panel is loaded once and every delta streams through it
-    /// before the next panel (sequential weight reads, multiple deltas per
-    /// panel pass). Each output neuron still accumulates its deltas in
-    /// changed-list (ascending input) order on exactly one thread, so under
-    /// the scalar SIMD level the result is bit-identical to the unblocked
-    /// row walk ([`Self::execute_into_naive`]) for any `config`; under the
-    /// AVX2 level the batched walk fuses each delta into an FMA and agrees
-    /// within `reuse_tensor::simd::fma_tolerance` (codes, changed counts,
-    /// and MAC statistics stay bit-exact at every level). Correction frames
-    /// below the config's inline-FLOP threshold run inline with no thread
-    /// spawns.
+    /// input order), then the `(i, Δc)` deltas are applied against the
+    /// layer's row-major `[n_in, n_out]` weights through
+    /// `reuse_tensor::block::apply_deltas_rows`: a few changed rows are
+    /// streamed together, so the buffered outputs are read and written once
+    /// per batch of rows instead of once per delta. Each output neuron
+    /// accumulates its deltas in changed-list (ascending input) order on
+    /// exactly one thread, so under the scalar SIMD level the result is
+    /// bit-identical to the one-row-at-a-time walk
+    /// ([`Self::execute_into_naive`]) for any `config`; under the AVX2 level
+    /// the batched walk fuses each delta into an FMA and agrees within
+    /// `reuse_tensor::simd::fma_tolerance` (codes, changed counts, and MAC
+    /// statistics stay bit-exact at every level). Correction frames below
+    /// the config's inline-FLOP threshold run inline with no thread spawns.
     ///
     /// # Errors
     ///
@@ -125,7 +125,7 @@ impl FcReuseState {
 
     /// [`Self::execute_into`] with the original unblocked correction walk
     /// (one scattered weight-row pass per changed input). Serves as the
-    /// bit-identity oracle for the panel-batched path in proptests and as
+    /// bit-identity oracle for the row-batched path in proptests and as
     /// the before/after baseline in `kernel_bench`; not for production use.
     #[doc(hidden)]
     pub fn execute_into_naive(

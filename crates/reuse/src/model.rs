@@ -81,8 +81,6 @@ pub(crate) struct CompiledSlot {
     pub(crate) kind: LayerKind,
     /// The resolved per-layer reuse policy (every per-layer knob).
     pub(crate) policy: LayerPolicy,
-    /// Index into `EngineMetrics::layers` (== slot position).
-    pub(crate) metrics_index: usize,
     /// Packed weights shared by every session.
     pub(crate) weights: CompiledWeights,
 }
@@ -188,14 +186,12 @@ impl CompiledModel {
                     ),
                 });
             }
-            let metrics_index = slots.len();
             slot_of_layer[i] = slots.len();
             slots.push(CompiledSlot {
                 layer_index: i,
                 name: name.clone(),
                 kind: layer.kind(),
                 policy: layer_policy,
-                metrics_index,
                 weights,
             });
         }

@@ -311,27 +311,27 @@ impl ReuseSession {
     /// allocates — call it from reporting paths, not per frame.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let tel = self.telemetry.as_ref()?;
+        // Lifetime counters come from the metrics (recorded in step with
+        // the rings and reset with them); telemetry adds the windows.
         let layers = self
-            .model
-            .slots()
+            .metrics
+            .layers
             .iter()
+            .zip(tel.layers.iter())
             .zip(self.runtimes.iter())
-            .map(|(slot, rt)| {
-                let lt = &tel.layers[slot.metrics_index];
-                LayerTelemetrySnapshot {
-                    name: slot.name.clone(),
-                    reuse_executions: lt.reuse_executions,
-                    hit_rate: lt.lifetime_hit_rate(),
-                    hit_rate_window: lt.hit_rate.mean(),
-                    corrections_total: lt.corrections_total,
-                    macs_skipped_total: lt.macs_skipped_total,
-                    span_ns_window: lt.span_ns.mean(),
-                    rebaselines: rt.rebaselines,
-                    auto_disabled: rt.auto_disabled,
-                    signature_lookups: lt.signature_lookups,
-                    signature_hits: lt.signature_hits,
-                    signature_bailouts: lt.signature_bailouts,
-                }
+            .map(|((m, lt), rt)| LayerTelemetrySnapshot {
+                name: m.name.clone(),
+                reuse_executions: m.reuse_executions,
+                hit_rate: m.input_similarity(),
+                hit_rate_window: lt.hit_rate.mean(),
+                corrections_total: m.inputs_total - m.inputs_unchanged,
+                macs_skipped_total: m.macs_total.saturating_sub(m.macs_performed),
+                span_ns_window: lt.span_ns.mean(),
+                rebaselines: rt.rebaselines,
+                auto_disabled: rt.auto_disabled,
+                signature_lookups: lt.signature_lookups,
+                signature_hits: lt.signature_hits,
+                signature_bailouts: lt.signature_bailouts,
             })
             .collect();
         Some(TelemetrySnapshot {
@@ -389,11 +389,17 @@ impl ReuseSession {
         self.runtimes[pos].quantizer_x.as_ref()
     }
 
+    /// The quantizer used for a recurrent layer's hidden-state inputs, if
+    /// built.
+    pub fn hidden_quantizer_for(&self, name: &str) -> Option<&LinearQuantizer> {
+        let pos = self.model.slots().iter().position(|s| s.name == name)?;
+        self.runtimes[pos].quantizer_h.as_ref()
+    }
+
     /// The Fig. 4 relative-difference series recorded for a layer (requires
     /// [`crate::ReuseConfig::record_relative_difference`]).
     pub fn layer_relative_differences(&self, name: &str) -> Option<&[f32]> {
-        let slot = self.model.slots().iter().find(|s| s.name == name)?;
-        Some(&self.metrics.layers[slot.metrics_index].relative_differences)
+        Some(&self.metrics.layer(name)?.relative_differences)
     }
 
     /// Extra I/O-buffer/main-memory bytes this stream's reuse state needs:
@@ -585,7 +591,7 @@ impl ReuseSession {
             return frames.iter().map(|f| self.execute(f)).collect();
         }
         if self.calibrating() {
-            return self.calibration_sequence(frames);
+            return self.calibration_sequence(frames.iter().map(Vec::as_slice));
         }
         self.reuse_sequence(frames)
     }
@@ -594,57 +600,32 @@ impl ReuseSession {
     // Calibration phase
     // ---------------------------------------------------------------------
 
+    /// One feed-forward calibration frame: a one-step calibration sequence.
     fn calibration_execute(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
-        let model = Arc::clone(&self.model);
-        let input_shape = model.network().input_shape().clone();
-        if frame.len() != input_shape.volume() {
+        let expected = self.model.network().input_shape().volume();
+        if frame.len() != expected {
             return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
-                expected: input_shape.volume(),
+                expected,
                 actual: frame.len(),
             }));
         }
-        let mut cur = Tensor::from_vec(input_shape, frame.to_vec())?;
-        let mut trace = ExecutionTrace::default();
-        for i in 0..model.network().layers().len() {
-            cur = self.reshape_to_layer(cur, i)?;
-            let slot_pos = model.slot_of_layer()[i];
-            if slot_pos != usize::MAX {
-                // Passthrough slots recompute unquantized: no profiling.
-                if self.slot_enabled(slot_pos)
-                    && model.slots()[slot_pos].kind != reuse_nn::LayerKind::Passthrough
-                {
-                    self.runtimes[slot_pos]
-                        .profiler_x
-                        .observe_slice(cur.as_slice());
-                }
-                if model.config().records_trace() {
-                    trace
-                        .layers
-                        .push(self.scratch_trace_entry(i, cur.len() as u64));
-                }
-            }
-            cur = model.network().apply_layer(i, cur)?;
-        }
-        if model.config().records_trace() {
-            self.traces.push(trace);
-        }
-        self.executions_seen += 1;
-        self.metrics.executions += 1;
-        self.calibration_units_seen += 1;
+        let outs = self.calibration_sequence(std::iter::once(frame))?;
         out.clear();
-        out.extend_from_slice(cur.as_slice());
+        out.extend_from_slice(outs[0].as_slice());
         Ok(())
     }
 
-    fn calibration_sequence(&mut self, frames: &[Vec<f32>]) -> Result<Vec<Tensor>, ReuseError> {
+    fn calibration_sequence<'a>(
+        &mut self,
+        frames: impl Iterator<Item = &'a [f32]>,
+    ) -> Result<Vec<Tensor>, ReuseError> {
         let model = Arc::clone(&self.model);
         let input_shape = model.network().input_shape().clone();
         let mut seq: Vec<Tensor> = frames
-            .iter()
-            .map(|f| Tensor::from_vec(input_shape.clone(), f.clone()).map_err(ReuseError::from))
+            .map(|f| Tensor::from_vec(input_shape.clone(), f.to_vec()).map_err(ReuseError::from))
             .collect::<Result<_, _>>()?;
         let n_layers = model.network().layers().len();
-        let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); frames.len()];
+        let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); seq.len()];
         for i in 0..n_layers {
             let slot_pos = model.slot_of_layer()[i];
             let layer = &model.network().layers()[i].1;
@@ -666,46 +647,28 @@ impl ReuseSession {
                     }
                 }
             }
-            // Calibration is a cold path, so stepping the recurrent cells
-            // manually (to profile the hidden-state inputs too) may match on
-            // the concrete layer kinds — the no-kind-match contract covers
-            // the reuse execute path, which dispatches through `ReuseLayer`.
-            if let Layer::Lstm(cell) = layer {
+            if layer.is_recurrent() {
                 let xs: Vec<Vec<f32>> = seq.iter().map(|t| t.as_slice().to_vec()).collect();
-                let mut h_values: Vec<f32> = Vec::new();
-                let mut state = reuse_nn::LstmState::zeros(cell.cell_dim());
-                let mut out = Vec::with_capacity(xs.len());
-                for x in &xs {
-                    h_values.extend_from_slice(&state.h);
-                    state = cell.step(x, &state)?;
-                    out.push(state.h.clone());
-                }
+                let out = layer.forward_sequence(&xs)?;
                 if slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
-                    self.runtimes[slot_pos].profiler_h.observe_slice(&h_values);
-                }
-                seq = out
-                    .into_iter()
-                    .map(|o| Tensor::from_slice_1d(&o).map_err(ReuseError::from))
-                    .collect::<Result<_, _>>()?;
-            } else if let Layer::BiLstm(layer) = layer {
-                let d = layer.cell_dim();
-                let xs: Vec<Vec<f32>> = seq.iter().map(|t| t.as_slice().to_vec()).collect();
-                let mut out = vec![vec![0.0f32; 2 * d]; xs.len()];
-                let mut h_values: Vec<f32> = Vec::new();
-                let mut state = reuse_nn::LstmState::zeros(d);
-                for (t, x) in xs.iter().enumerate() {
-                    h_values.extend_from_slice(&state.h);
-                    state = layer.forward_cell().step(x, &state)?;
-                    out[t][..d].copy_from_slice(&state.h);
-                }
-                let mut state = reuse_nn::LstmState::zeros(d);
-                for (t, x) in xs.iter().enumerate().rev() {
-                    h_values.extend_from_slice(&state.h);
-                    state = layer.backward_cell().step(x, &state)?;
-                    out[t][d..].copy_from_slice(&state.h);
-                }
-                if slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
-                    self.runtimes[slot_pos].profiler_h.observe_slice(&h_values);
+                    // A cell's hidden inputs are its zero state, then its own
+                    // outputs one step earlier: all but the last forward
+                    // output and all but the first backward one (that half of
+                    // a bidirectional layer's outputs starts at the last step).
+                    let forward = match layer {
+                        Layer::BiLstm(l) => l.cell_dim(),
+                        _ => out[0].len(),
+                    };
+                    let profiler = &mut self.runtimes[slot_pos].profiler_h;
+                    profiler.observe(0.0);
+                    for (t, o) in out.iter().enumerate() {
+                        if t + 1 < out.len() {
+                            profiler.observe_slice(&o[..forward]);
+                        }
+                        if t > 0 {
+                            profiler.observe_slice(&o[forward..]);
+                        }
+                    }
                 }
                 seq = out
                     .into_iter()
@@ -724,8 +687,8 @@ impl ReuseSession {
         if model.config().records_trace() {
             self.traces.extend(traces);
         }
-        self.executions_seen += frames.len() as u64;
-        self.metrics.executions += frames.len() as u64;
+        self.executions_seen += seq.len() as u64;
+        self.metrics.executions += seq.len() as u64;
         self.calibration_units_seen += 1;
         Ok(seq)
     }
@@ -830,7 +793,7 @@ impl ReuseSession {
         let record_rd = model.config().records_relative_difference();
         let slot = &model.slots()[slot_pos];
         let rt = &mut self.runtimes[slot_pos];
-        let m = &mut self.metrics.layers[slot.metrics_index];
+        let m = &mut self.metrics.layers[slot_pos];
         if !stats.from_scratch {
             m.record(
                 stats.n_inputs,
@@ -838,11 +801,9 @@ impl ReuseSession {
                 stats.macs_total,
                 stats.macs_performed,
             );
-            // Same indexing and same inputs as the metrics record above, so
-            // a telemetry snapshot's lifetime hit rate equals the metric's
-            // input similarity exactly. Ring pushes never allocate.
+            // Ring pushes never allocate.
             if let Some(tel) = self.telemetry.as_mut() {
-                tel.layers[slot.metrics_index].record(
+                tel.layers[slot_pos].record(
                     stats.n_inputs,
                     stats.n_changed,
                     stats.macs_total,
@@ -1064,10 +1025,9 @@ impl ReuseSession {
         let planes = sigs.planes(slot_pos)?;
         let sig = planes.signature(input);
         self.signature.lookups += 1;
-        let metrics_index = model.slots()[slot_pos].metrics_index;
         let Some(entry) = sigs.cache().get(slot_pos as u32, sig) else {
             if let Some(tel) = self.telemetry.as_mut() {
-                tel.layers[metrics_index].record_signature(false, false);
+                tel.layers[slot_pos].record_signature(false, false);
             }
             return Some(sig);
         };
@@ -1092,7 +1052,7 @@ impl ReuseSession {
             changed as f32 > model.config().signature_bailout() * input.len() as f32
         };
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.layers[metrics_index].record_signature(true, bail);
+            tel.layers[slot_pos].record_signature(true, bail);
         }
         if bail {
             self.signature.bailouts += 1;

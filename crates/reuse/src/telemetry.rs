@@ -141,9 +141,21 @@ pub struct SignatureStats {
     pub inserts: u64,
 }
 
-/// Per-layer, per-execution telemetry: recent-window rings plus lifetime
-/// totals. Only incremental (non-from-scratch) executions are recorded,
-/// matching [`crate::LayerMetrics`].
+impl SignatureStats {
+    /// Adds another session's counters to these (pool-wide totals).
+    pub fn merge(&mut self, other: SignatureStats) {
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+        self.adoptions += other.adoptions;
+        self.bailouts += other.bailouts;
+        self.inserts += other.inserts;
+    }
+}
+
+/// Per-layer, per-execution telemetry: recent-window rings, the span total
+/// and the signature counters. Only incremental (non-from-scratch)
+/// executions are recorded, in step with [`crate::LayerMetrics`], which
+/// holds the lifetime input and MAC counters.
 #[derive(Debug, Clone)]
 pub struct LayerTelemetry {
     /// Layer name within the network.
@@ -156,16 +168,6 @@ pub struct LayerTelemetry {
     pub macs_skipped: Ring,
     /// Per-execution skip/correct span in nanoseconds (0 = unmeasured).
     pub span_ns: Ring,
-    /// Incremental executions recorded.
-    pub reuse_executions: u64,
-    /// Inputs seen across incremental executions.
-    pub inputs_total: u64,
-    /// Inputs whose quantized index was unchanged.
-    pub inputs_unchanged: u64,
-    /// Corrections applied across incremental executions.
-    pub corrections_total: u64,
-    /// MACs skipped across incremental executions.
-    pub macs_skipped_total: u64,
     /// Measured span nanoseconds summed across executions.
     pub span_ns_total: u64,
     /// Cross-stream signature lookups attempted for this layer.
@@ -184,25 +186,11 @@ impl LayerTelemetry {
             corrections: Ring::new(window),
             macs_skipped: Ring::new(window),
             span_ns: Ring::new(window),
-            reuse_executions: 0,
-            inputs_total: 0,
-            inputs_unchanged: 0,
-            corrections_total: 0,
-            macs_skipped_total: 0,
             span_ns_total: 0,
             signature_lookups: 0,
             signature_hits: 0,
             signature_bailouts: 0,
         }
-    }
-
-    /// Lifetime hit rate — identical to
-    /// [`crate::LayerMetrics::input_similarity`] for the same run.
-    pub fn lifetime_hit_rate(&self) -> f64 {
-        if self.inputs_total == 0 {
-            return 0.0;
-        }
-        self.inputs_unchanged as f64 / self.inputs_total as f64
     }
 
     /// Records one incremental execution. Allocation-free.
@@ -216,11 +204,6 @@ impl LayerTelemetry {
     ) {
         let unchanged = n_inputs.saturating_sub(n_changed);
         let skipped = macs_total.saturating_sub(macs_performed);
-        self.reuse_executions += 1;
-        self.inputs_total += n_inputs;
-        self.inputs_unchanged += unchanged;
-        self.corrections_total += n_changed;
-        self.macs_skipped_total += skipped;
         self.span_ns_total += span_ns;
         let rate = if n_inputs == 0 {
             0.0
@@ -250,11 +233,6 @@ impl LayerTelemetry {
         self.corrections.clear();
         self.macs_skipped.clear();
         self.span_ns.clear();
-        self.reuse_executions = 0;
-        self.inputs_total = 0;
-        self.inputs_unchanged = 0;
-        self.corrections_total = 0;
-        self.macs_skipped_total = 0;
         self.span_ns_total = 0;
         self.signature_lookups = 0;
         self.signature_hits = 0;
@@ -480,17 +458,15 @@ mod tests {
         let mut l = LayerTelemetry::new("fc1", 2);
         l.record(100, 25, 1000, 250, 500);
         l.record(100, 75, 1000, 750, 300);
-        assert_eq!(l.reuse_executions, 2);
-        assert_eq!(l.inputs_total, 200);
-        assert_eq!(l.inputs_unchanged, 100);
-        assert_eq!(l.corrections_total, 100);
-        assert_eq!(l.macs_skipped_total, 1000);
-        assert!((l.lifetime_hit_rate() - 0.5).abs() < 1e-12);
         assert!((l.hit_rate.mean() - 0.5).abs() < 1e-6);
-        // A third record evicts the first from the window but not the totals.
-        l.record(100, 100, 1000, 1000, 0);
+        assert!((l.corrections.mean() - 50.0).abs() < 1e-6);
+        assert!((l.macs_skipped.mean() - 500.0).abs() < 1e-6);
+        assert_eq!(l.span_ns_total, 800);
+        // A third record evicts the first from the window but not the total.
+        l.record(100, 100, 1000, 1000, 100);
         assert_eq!(l.hit_rate.len(), 2);
-        assert_eq!(l.inputs_total, 300);
+        assert!((l.hit_rate.mean() - 0.125).abs() < 1e-6);
+        assert_eq!(l.span_ns_total, 900);
     }
 
     #[test]

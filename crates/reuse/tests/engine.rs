@@ -1,7 +1,8 @@
 //! End-to-end tests of the reuse engine against from-scratch oracles.
 
 use reuse_core::{ReuseConfig, ReuseSession, TraceKind};
-use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
+use reuse_nn::{init::Rng64, Activation, Layer, LstmState, Network, NetworkBuilder};
+use reuse_quant::{LinearQuantizer, RangeProfiler};
 use reuse_tensor::Shape;
 
 /// A smooth random walk of frames, mimicking consecutive audio windows.
@@ -235,6 +236,33 @@ fn rnn_sequence_runs_and_reuses() {
     );
     // Output layer disabled: not metered.
     assert_eq!(m.layer("fc1").unwrap().reuse_executions, 0);
+    // Hidden-state quantizers: calibration profiles each cell's h inputs
+    // from the layer's sequence pass, and must build exactly the grid that
+    // stepping the cells by hand (zero state, then the state before every
+    // later step, per direction) gives.
+    let mut seq = seq1.clone();
+    for (name, layer) in net.layers() {
+        let Layer::BiLstm(bilstm) = layer else { break };
+        let mut profiler = RangeProfiler::new();
+        for (cell, reversed) in [
+            (bilstm.forward_cell(), false),
+            (bilstm.backward_cell(), true),
+        ] {
+            let mut state = LstmState::zeros(bilstm.cell_dim());
+            let mut xs = seq.clone();
+            if reversed {
+                xs.reverse();
+            }
+            for x in &xs {
+                profiler.observe_slice(&state.h);
+                state = cell.step(x, &state).unwrap();
+            }
+        }
+        let range = profiler.range(config.margin()).unwrap();
+        let by_hand = LinearQuantizer::new(range, 16).unwrap();
+        assert_eq!(engine.hidden_quantizer_for(name), Some(&by_hand), "{name}");
+        seq = layer.forward_sequence(&seq).unwrap();
+    }
     // Outputs stay close to the fp32 reference.
     let reference = net.forward_sequence(&seq2).unwrap();
     for (o, r) in out.iter().zip(reference.iter()) {

@@ -88,7 +88,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample. Wait-free, allocation-free; safe to call
-    /// concurrently from dispatch workers.
+    /// concurrently with readers on other threads.
     pub fn record(&self, ns: u64) {
         self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);

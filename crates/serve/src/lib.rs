@@ -23,11 +23,11 @@
 //!   drift watchdog has auto-disabled reuse (the stream runs at
 //!   full-precision cost) and its queue is past
 //!   [`ServerConfig::shed_watermark`].
-//! * **Work-stealing dispatch** — each [`tick`](StreamServer::tick) fans
-//!   per-stream batches out across the scoped thread pool with dynamic
-//!   scheduling; sessions share no mutable state, so per-stream results
-//!   are bit-identical to standalone execution under any interleaving and
-//!   any worker count.
+//! * **Serial dispatch** — each [`tick`](StreamServer::tick) runs the
+//!   streams' ready batches one after another on the calling thread
+//!   (high-priority heads first); sessions share no mutable state, so
+//!   per-stream results are bit-identical to standalone execution under
+//!   any interleaving. More cores are used by sharding, below.
 //! * **Sharding + deadline scheduling** — [`ShardedServer`] hashes
 //!   streams across N independent shards (each its own session pool,
 //!   queues, and histogram over one shared model) driven by dedicated

@@ -3,19 +3,18 @@
 //!
 //! Each stream owns a [`ReuseSession`] (lazily created on first submit),
 //! a bounded ingress queue of pending frames, and a bounded queue of
-//! completed outputs. A scheduling tick batches every stream's ready frames
-//! and fans the per-stream batches out across the scoped thread pool with
-//! dynamic (work-stealing) scheduling, so the pool is fed large, even units
-//! of work even when queues are ragged. Sessions never share mutable state,
-//! so outputs are bit-identical to running each stream alone through its
-//! own standalone session, under any interleaving and any worker count.
+//! completed outputs. A scheduling tick runs every stream's ready frames in
+//! one serial loop on the calling thread; a server that should use several
+//! cores is sharded ([`crate::ShardedServer`], one worker thread per
+//! shard). Sessions never share mutable state, so outputs are bit-identical
+//! to running each stream alone through its own standalone session, under
+//! any interleaving and any shard count.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reuse_core::{CompiledModel, ReuseSession};
-use reuse_tensor::{parallel_for_each_mut, parallel_for_each_mut_order, ParallelConfig};
 
 use crate::error::ServeError;
 use crate::histogram::LatencyHistogram;
@@ -115,7 +114,6 @@ pub struct ServerConfig {
     shed_watermark: usize,
     batch_max: usize,
     sequence_len: usize,
-    parallel: ParallelConfig,
 }
 
 impl Default for ServerConfig {
@@ -126,7 +124,6 @@ impl Default for ServerConfig {
             shed_watermark: 16,
             batch_max: 8,
             sequence_len: 0,
-            parallel: ParallelConfig::serial(),
         }
     }
 }
@@ -154,7 +151,7 @@ impl ServerConfig {
 
     /// Max ready units one stream may complete per tick (minimum 1) — a
     /// unit is one frame, or one sequence for recurrent models. Bounds how
-    /// long a backlogged stream can monopolize a worker.
+    /// long a backlogged stream can hold up the streams behind it.
     pub fn batch_max(mut self, n: usize) -> Self {
         self.batch_max = n.max(1);
         self
@@ -166,14 +163,6 @@ impl ServerConfig {
     /// feed-forward ones.
     pub fn sequence_len(mut self, n: usize) -> Self {
         self.sequence_len = n;
-        self
-    }
-
-    /// Parallelism budget for the cross-stream dispatch loop (default
-    /// serial). This fans *streams* out across workers; each session's own
-    /// kernels use the parallel config compiled into the model.
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -198,7 +187,7 @@ struct QueuedFrame {
 /// One stream's slot in the server: its session, bounded queues, and
 /// recycling buffer lists. Everything here is preallocated at stream
 /// creation so the steady-state submit/tick/drain cycle never allocates
-/// (feed-forward models, serial dispatch).
+/// (feed-forward models).
 #[derive(Debug)]
 struct StreamEntry {
     id: u64,
@@ -237,17 +226,11 @@ struct StreamEntry {
     /// already passed (lifetime).
     expired: u64,
     /// Queued frames with [`Priority::High`] (kept in sync by submit and
-    /// the dispatch workers; drives the per-tick priority ordering).
+    /// [`Self::process`]).
     high_pending: usize,
     /// Completed outputs overwritten because the output queue was full
     /// (the caller stopped draining).
     outputs_dropped: u64,
-    /// Frames this entry completed in the current tick (summed after the
-    /// parallel loop — keeps the dispatch workers free of shared counters).
-    tick_frames: u64,
-    /// Frames this entry dropped past-deadline in the current tick (summed
-    /// into the server-wide `expired` counter after the parallel loop).
-    tick_expired: u64,
     /// First execution error, if any. The error is sticky: a failed stream
     /// stays failed (skipped by later ticks, zero ready units) until it is
     /// evicted — it must never silently resume.
@@ -278,8 +261,6 @@ impl StreamEntry {
             expired: 0,
             high_pending: 0,
             outputs_dropped: 0,
-            tick_frames: 0,
-            tick_expired: 0,
             error: None,
             error_reported: false,
         }
@@ -319,12 +300,10 @@ impl StreamEntry {
         self.expired_tags.push_back(tag);
     }
 
-    /// Runs up to `batch_max` ready units on this entry's session. Called
-    /// from the dispatch workers: touches only this entry plus the shared
-    /// (lock-free) histogram.
+    /// Runs up to `batch_max` ready units on this entry's session. Touches
+    /// only this entry plus the (lock-free) histogram; the caller reads what
+    /// happened off the entry's lifetime counters.
     fn process(&mut self, config: &ServerConfig, latency: &LatencyHistogram) {
-        self.tick_frames = 0;
-        self.tick_expired = 0;
         if self.error.is_some() {
             return;
         }
@@ -341,7 +320,6 @@ impl StreamEntry {
                 // still make their deadlines.
                 if frame.deadline.is_some_and(|d| Instant::now() > d) {
                     self.expired += 1;
-                    self.tick_expired += 1;
                     self.push_expired(frame.tag, config.queue_capacity);
                     self.frame_free.push(frame.data);
                     units += 1;
@@ -353,7 +331,6 @@ impl StreamEntry {
                         latency.record(frame.enqueued.elapsed().as_nanos() as u64);
                         self.push_output(frame.tag, out, config.queue_capacity);
                         self.frames_done += 1;
-                        self.tick_frames += 1;
                     }
                     Err(e) => {
                         self.out_free.push(out);
@@ -403,7 +380,6 @@ impl StreamEntry {
                     latency.record(enqueued[t].elapsed().as_nanos() as u64);
                     self.push_output(tags[t], out, config.queue_capacity);
                     self.frames_done += 1;
-                    self.tick_frames += 1;
                 }
             }
             Err(e) => self.error = Some(e),
@@ -425,16 +401,14 @@ impl StreamEntry {
 /// **Determinism:** each stream's frames execute in submission order on
 /// that stream's private session, so per-stream outputs and metrics are
 /// bit-identical to a standalone [`ReuseSession`] fed the same frames —
-/// regardless of how streams interleave or how many dispatch workers run
-/// (property-tested in `tests/serve.rs`).
+/// regardless of how streams interleave (property-tested in
+/// `tests/serve.rs`).
 ///
-/// **Allocation:** with feed-forward models and the default serial
-/// dispatch, the steady-state submit → tick → drain cycle performs zero
-/// heap allocations: ingress frames, outputs, and session intermediates
-/// all come from preallocated recycling lists (enforced by the
-/// counting-allocator test in `tests/alloc.rs`). Parallel dispatch spawns
-/// scoped threads per tick; recurrent sequences allocate inside the
-/// engine.
+/// **Allocation:** with feed-forward models the steady-state submit → tick
+/// → drain cycle performs zero heap allocations: ingress frames, outputs,
+/// and session intermediates all come from preallocated recycling lists
+/// (enforced by the counting-allocator test in `tests/alloc.rs`).
+/// Recurrent sequences allocate inside the engine.
 #[derive(Debug)]
 pub struct StreamServer {
     model: Arc<CompiledModel>,
@@ -458,8 +432,9 @@ pub struct StreamServer {
     evictions: u64,
     /// Queued frames discarded when their stream was evicted.
     evicted_frames: u64,
-    /// Total queued frames across streams (kept incrementally so the
-    /// per-submit deadline projection is O(1), not O(streams)).
+    /// Total queued frames across streams (kept incrementally so
+    /// [`Self::pending`] and the per-submit deadline projection are O(1),
+    /// not O(streams)).
     pending_total: usize,
     /// Queued high-priority frames across streams (when zero — the common
     /// case — ticks skip the priority ordering pass entirely).
@@ -468,7 +443,7 @@ pub struct StreamServer {
     /// recent ticks; `0` until the first frame completes. This is the
     /// `s̄` in the projected-deadline-miss formula (DESIGN.md §13).
     service_ewma_ns: f64,
-    /// Scratch for the priority-ordered dispatch index (reused per tick).
+    /// Scratch for the tick's dispatch order (reused per tick).
     order: Vec<usize>,
 }
 
@@ -584,7 +559,7 @@ impl StreamServer {
 
     /// Total queued frames across all streams.
     pub fn pending(&self) -> usize {
-        self.entries.iter().map(|e| e.queue.len()).sum()
+        self.pending_total
     }
 
     /// Execution units (frames, or whole sequences for recurrent models)
@@ -633,19 +608,10 @@ impl StreamServer {
     }
 
     /// EWMA of the observed per-frame service time in nanoseconds (`0.0`
-    /// until the first tick completes a frame). Aggregate across the
-    /// server: with in-shard parallel dispatch it reflects effective
-    /// (wall-clock ÷ frames) service time, which is what the deadline
-    /// projection needs.
+    /// until the first tick completes a frame): tick wall-clock ÷ frames
+    /// completed, which is what the deadline projection needs.
     pub fn service_ewma_ns(&self) -> f64 {
         self.service_ewma_ns
-    }
-
-    /// Projected wait in nanoseconds for a frame submitted now: queued
-    /// frames × observed per-frame service time. `0` until a service-time
-    /// estimate exists.
-    pub fn projected_wait_ns(&self) -> u64 {
-        (self.pending_total as f64 * self.service_ewma_ns) as u64
     }
 
     /// Streams evicted by the LRU session-pool cap.
@@ -770,7 +736,7 @@ impl StreamServer {
         self.entries
             .push(StreamEntry::new(id, self.model.new_session(), &self.config));
         self.index.insert(id, slot);
-        // Cold path: keep the priority-order scratch large enough that
+        // Cold path: keep the dispatch-order scratch large enough that
         // ticks never grow it (zero-alloc steady state).
         let need = self.entries.len();
         if self.order.capacity() < need {
@@ -810,9 +776,10 @@ impl StreamServer {
     }
 
     /// Runs one scheduling tick: every stream with ready units executes up
-    /// to [`ServerConfig::batch_max`] of them, in submission order, with
-    /// the per-stream batches fanned out across dispatch workers by
-    /// work-stealing ([`parallel_for_each_mut`]). Returns what was done.
+    /// to [`ServerConfig::batch_max`] of them, in submission order, one
+    /// stream after another on the calling thread. Streams whose *head*
+    /// frame is high-priority go first (FIFO within each lane). Returns
+    /// what was done.
     ///
     /// # Errors
     ///
@@ -823,54 +790,37 @@ impl StreamServer {
     pub fn tick(&mut self) -> Result<TickStats, ServeError> {
         self.ticks += 1;
         let started = Instant::now();
-        let config = &self.config;
-        let latency = &self.latency;
+        let streams = 0..self.entries.len();
+        self.order.clear();
         if self.high_pending > 0 {
-            // Priority lanes: streams whose *head* frame is high-priority
-            // are dispatched first (stable partition, so FIFO order is
-            // preserved within each lane). The scratch index is reused
-            // across ticks; its capacity is reserved on stream creation.
-            self.order.clear();
-            self.order.extend(
-                self.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.queue.front().map(|f| f.priority) == Some(Priority::High))
-                    .map(|(i, _)| i),
-            );
-            self.order.extend(
-                self.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.queue.front().map(|f| f.priority) != Some(Priority::High))
-                    .map(|(i, _)| i),
-            );
-            parallel_for_each_mut_order(
-                &config.parallel.min_work_per_thread(1),
-                &mut self.entries,
-                &self.order,
-                |_, entry| entry.process(config, latency),
-            );
+            // The lanes are fixed before anything runs, so a stream served
+            // in the high lane is not served again when its next head turns
+            // out to be a normal frame.
+            let entries = &self.entries;
+            let high =
+                |&i: &usize| entries[i].queue.front().map(|f| f.priority) == Some(Priority::High);
+            self.order.extend(streams.clone().filter(high));
+            self.order.extend(streams.filter(|i| !high(i)));
         } else {
-            parallel_for_each_mut(
-                &config.parallel.min_work_per_thread(1),
-                &mut self.entries,
-                |_, entry| entry.process(config, latency),
-            );
+            self.order.extend(streams);
         }
         let mut stats = TickStats::default();
         let mut first_error = None;
-        let mut pending = 0usize;
-        let mut high = 0usize;
-        for entry in &mut self.entries {
-            stats.frames += entry.tick_frames;
-            if entry.tick_frames > 0 {
-                stats.streams += 1;
-            }
-            self.expired += entry.tick_expired;
-            entry.tick_expired = 0;
-            pending += entry.queue.len();
-            high += entry.high_pending;
+        for &slot in &self.order {
+            let entry = &mut self.entries[slot];
+            let (queued, high, done, expired) = (
+                entry.queue.len(),
+                entry.high_pending,
+                entry.frames_done,
+                entry.expired,
+            );
+            entry.process(&self.config, &self.latency);
+            let frames = entry.frames_done - done;
+            stats.frames += frames;
+            stats.streams += usize::from(frames > 0);
+            self.expired += entry.expired - expired;
+            self.pending_total -= queued - entry.queue.len();
+            self.high_pending -= high - entry.high_pending;
             if first_error.is_none() && !entry.error_reported {
                 if let Some(e) = &entry.error {
                     first_error = Some(e.clone());
@@ -878,8 +828,6 @@ impl StreamServer {
                 }
             }
         }
-        self.pending_total = pending;
-        self.high_pending = high;
         self.frames_completed += stats.frames;
         if stats.frames > 0 {
             // Observed per-frame service time this tick, folded into the
@@ -946,12 +894,7 @@ impl StreamServer {
         let outputs_dropped = self.entries.iter().map(|e| e.outputs_dropped).sum();
         let mut signature = reuse_core::SignatureStats::default();
         for e in &self.entries {
-            let s = e.session.signature_stats();
-            signature.lookups += s.lookups;
-            signature.hits += s.hits;
-            signature.adoptions += s.adoptions;
-            signature.bailouts += s.bailouts;
-            signature.inserts += s.inserts;
+            signature.merge(e.session.signature_stats());
         }
         // Per-layer policy state aggregated across the pool: the layers of
         // every session line up (one shared model), so counters sum and the

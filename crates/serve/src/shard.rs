@@ -6,12 +6,12 @@
 //! [`ShardedServer::shard_of`]), so a stream's whole life — session,
 //! ingress queue, outputs, latency samples — stays on one shard and the
 //! per-core working set (quantized-input memory, buffered layer outputs)
-//! stays resident. Work-stealing still happens *within* a shard (the
-//! shard's own [`StreamServer::tick`] fans its streams across its
-//! configured dispatch workers); shards never steal from each other, which
-//! keeps the bit-identity argument local: each shard is an ordinary
-//! `StreamServer`, and a sharded server over any shard count produces
-//! exactly the per-stream outputs of a single-shard one.
+//! stays resident. Shards are the serving tier's only threads: a shard's
+//! own [`StreamServer::tick`] is a serial loop, and shards never take work
+//! from each other, which keeps the bit-identity argument local: each
+//! shard is an ordinary `StreamServer`, and a sharded server over any
+//! shard count produces exactly the per-stream outputs of a single-shard
+//! one.
 //!
 //! All shards clone one `Arc<CompiledModel>`, so they share the model's
 //! immutable artifacts **and** its cross-stream

@@ -47,8 +47,8 @@ mod tensor;
 pub use block::{PackedPanels, PANEL_WIDTH};
 pub use error::TensorError;
 pub use parallel::{
-    hardware_threads, parallel_for_each_mut, parallel_for_each_mut_order, parallel_for_mut,
-    parallel_for_mut_cost, parallel_map, ParallelConfig,
+    hardware_threads, parallel_for_each_mut, parallel_for_mut, parallel_for_mut_cost, parallel_map,
+    ParallelConfig,
 };
 pub use shape::Shape;
 pub use simd::SimdLevel;

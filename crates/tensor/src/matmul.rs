@@ -118,8 +118,9 @@ pub fn fc_forward_into(
 
 /// General dense matrix multiply `C = A · B` with `A: [m, k]`, `B: [k, n]`.
 ///
-/// Used by tests and by the LSTM gates when batching the four gate weight
-/// matrices.
+/// The serial shorthand for [`matmul_with`]; the layers do not call it (FC
+/// and LSTM gates run matvecs, convolution calls [`matmul_packed_into`]
+/// against panels packed once).
 ///
 /// # Errors
 ///

@@ -235,10 +235,10 @@ unsafe impl<T: Send> Sync for SharedSlice<T> {}
 /// Runs `f` once per element of `items` with **dynamic (work-stealing)
 /// scheduling**: workers claim the next unprocessed index from a shared
 /// atomic counter, so uneven per-item costs balance automatically. This is
-/// the dispatch primitive for task-shaped work — e.g. the serving runtime's
-/// per-stream batches, where one stream may have a full queue and its
-/// neighbor a single frame — in contrast to [`parallel_for_mut`], whose
-/// static contiguous chunks suit uniform element-wise kernels.
+/// the dispatch primitive for task-shaped work — the conv forward hands
+/// each worker a span of output positions across every filter's map — in
+/// contrast to [`parallel_for_mut`], whose static contiguous chunks suit
+/// uniform element-wise kernels.
 ///
 /// `f(index, item)` receives the item's position in `items`. Items are
 /// claimed in ascending index order, but completion order is unspecified;
@@ -246,9 +246,8 @@ unsafe impl<T: Send> Sync for SharedSlice<T> {}
 /// processed exactly once, by one worker).
 ///
 /// With one resolved worker the loop runs inline on the caller thread and
-/// performs **zero heap allocations** — the serving runtime's steady-state
-/// dispatch contract. Multi-worker calls spawn scoped threads (which
-/// allocate stacks) and join them all before returning.
+/// performs **zero heap allocations**. Multi-worker calls spawn scoped
+/// threads (which allocate stacks) and join them all before returning.
 ///
 /// # Panics
 ///
@@ -278,79 +277,6 @@ where
         }
         // SAFETY: `i < n` indexes into the live `items` slice, and the
         // fetch_add above hands each index to exactly one worker.
-        let item = unsafe { &mut *shared.0.add(i) };
-        f(i, item);
-    };
-    std::thread::scope(|scope| {
-        let next = &next;
-        let shared = &shared;
-        let run = &run;
-        for _ in 1..workers {
-            scope.spawn(move || run(next, shared));
-        }
-        run(next, shared);
-    });
-}
-
-/// [`parallel_for_each_mut`] with an explicit **claim order**: workers
-/// claim positions of `order` (not raw indices) from the shared atomic
-/// counter, so earlier entries of `order` start executing first. The
-/// serving runtime uses this for priority lanes — streams with a
-/// high-priority frame at the head of their queue are placed first in
-/// `order`, so they are dispatched before normal-lane streams each tick
-/// (with one worker this is an exact service order; with several it is a
-/// start-order guarantee, which is what a priority lane means under
-/// work stealing).
-///
-/// `order` must contain each index it mentions at most once and every
-/// index must be `< items.len()`; both are debug-asserted. Items not
-/// mentioned in `order` are not visited.
-///
-/// # Panics
-///
-/// Propagates panics from `f`; panics (debug builds) on duplicate or
-/// out-of-range indices.
-pub fn parallel_for_each_mut_order<T, F>(
-    config: &ParallelConfig,
-    items: &mut [T],
-    order: &[usize],
-    f: F,
-) where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = order.len();
-    if n == 0 {
-        return;
-    }
-    #[cfg(debug_assertions)]
-    {
-        let mut seen = vec![false; items.len()];
-        for &i in order {
-            assert!(i < items.len(), "order index {i} out of range");
-            assert!(!seen[i], "order index {i} appears twice");
-            seen[i] = true;
-        }
-    }
-    let workers = config.workers_for(n).min(n);
-    if workers <= 1 {
-        for &i in order {
-            f(i, &mut items[i]);
-        }
-        return;
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let shared = SharedSlice(items.as_mut_ptr());
-    let run = |next: &std::sync::atomic::AtomicUsize, shared: &SharedSlice<T>| loop {
-        let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if k >= n {
-            break;
-        }
-        let i = order[k];
-        // SAFETY: `order` holds unique in-range indices (checked above in
-        // debug builds, required by the contract), and the fetch_add hands
-        // each position to exactly one worker — so no two workers ever
-        // form a `&mut` to the same element.
         let item = unsafe { &mut *shared.0.add(i) };
         f(i, item);
     };
@@ -565,57 +491,6 @@ mod tests {
             log.lock().unwrap().push(i);
         });
         assert_eq!(order, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_order_visits_exactly_the_ordered_subset() {
-        for threads in [1usize, 2, 4] {
-            let cfg = ParallelConfig::with_threads(threads)
-                .min_work_per_thread(1)
-                .oversubscribed();
-            let mut hits = vec![0u32; 10];
-            // A permuted subset: indices 7, 2, 9, 0 only.
-            let order = [7usize, 2, 9, 0];
-            parallel_for_each_mut_order(&cfg, &mut hits, &order, |i, v| {
-                *v += i as u32 + 1;
-            });
-            for (i, &v) in hits.iter().enumerate() {
-                let expect = if order.contains(&i) { i as u32 + 1 } else { 0 };
-                assert_eq!(v, expect, "threads={threads} index={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_order_serial_follows_the_given_order() {
-        let mut items = vec![(); 6];
-        let order = [3usize, 5, 1, 0, 4, 2];
-        let mut seen = Vec::new();
-        let log = std::sync::Mutex::new(&mut seen);
-        parallel_for_each_mut_order(&ParallelConfig::serial(), &mut items, &order, |i, ()| {
-            log.lock().unwrap().push(i);
-        });
-        assert_eq!(seen, order);
-    }
-
-    #[test]
-    fn for_each_order_empty_order_is_a_noop() {
-        let mut items = vec![1u8; 4];
-        parallel_for_each_mut_order(
-            &ParallelConfig::with_threads(4).oversubscribed(),
-            &mut items,
-            &[],
-            |_, _| panic!("no work"),
-        );
-        assert_eq!(items, vec![1u8; 4]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "appears twice")]
-    fn for_each_order_rejects_duplicate_indices() {
-        let mut items = vec![0u8; 3];
-        parallel_for_each_mut_order(&ParallelConfig::serial(), &mut items, &[1, 1], |_, _| {});
     }
 
     #[test]
