@@ -6,7 +6,6 @@
 //! in one call, returning a grid the caller can print or post-process.
 
 use reuse_core::ExecutionTrace;
-use reuse_tensor::{parallel_map, ParallelConfig};
 
 use crate::{AcceleratorConfig, Precision, SimInput, SimReport, Simulator};
 
@@ -130,26 +129,19 @@ impl ConfigSweep {
 
     /// Simulates every point against the given workload input.
     pub fn run(&self, input: &SimInput<'_>) -> Vec<SweepResult> {
-        self.run_parallel(&ParallelConfig::serial(), input)
-    }
-
-    /// Like [`ConfigSweep::run`], but fans the points out across worker
-    /// threads. Each point's simulation is independent, so the results are
-    /// identical to [`ConfigSweep::run`] (in input order) for any thread
-    /// count. The worker count is clamped to the host's hardware threads by
-    /// `ParallelConfig` (adaptive dispatch), so oversized sweeps never
-    /// oversubscribe a small machine.
-    pub fn run_parallel(&self, config: &ParallelConfig, input: &SimInput<'_>) -> Vec<SweepResult> {
         let reuse_rate = trace_reuse_rate(input.traces);
-        parallel_map(config, &self.points, |p| {
-            let sim = Simulator::new(p.config.clone());
-            SweepResult {
-                label: p.label.clone(),
-                baseline: sim.simulate_baseline(input),
-                reuse: sim.simulate_reuse(input),
-                reuse_rate,
-            }
-        })
+        self.points
+            .iter()
+            .map(|p| {
+                let sim = Simulator::new(p.config.clone());
+                SweepResult {
+                    label: p.label.clone(),
+                    baseline: sim.simulate_baseline(input),
+                    reuse: sim.simulate_reuse(input),
+                    reuse_rate,
+                }
+            })
+            .collect()
     }
 }
 
@@ -212,30 +204,6 @@ mod tests {
         }
         // More tiles: faster baseline.
         assert!(results[2].baseline.seconds < results[0].baseline.seconds);
-    }
-
-    #[test]
-    fn run_parallel_matches_run() {
-        let t = traces();
-        let sweep = ConfigSweep::new()
-            .tiles(&[1, 2, 4])
-            .precisions()
-            .frequencies(&[250e6]);
-        let serial = sweep.run(&input(&t));
-        for threads in [1, 2, 3, 7] {
-            // Oversubscribed so the fan-out is exercised even on a
-            // single-hardware-thread CI host.
-            let cfg = ParallelConfig::with_threads(threads)
-                .min_work_per_thread(1)
-                .oversubscribed();
-            let par = sweep.run_parallel(&cfg, &input(&t));
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(serial.iter()) {
-                assert_eq!(a.label, b.label);
-                assert_eq!(a.baseline.seconds.to_bits(), b.baseline.seconds.to_bits());
-                assert_eq!(a.reuse.seconds.to_bits(), b.reuse.seconds.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use reuse_accel::{AcceleratorConfig, Simulator};
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
 use crate::experiments::SEED;
-use crate::measure::{executions_from_env, measure_with_config};
+use crate::measure::{executions_from_env, measure_with_config, measure_workload};
 use crate::table::{pct, pct2};
 
 /// Section III cluster sweep: for one workload, measure similarity, reuse
@@ -56,7 +56,7 @@ pub fn cluster_sweep(kind: WorkloadKind, scale: Scale) -> String {
 
 /// Tile-count sweep: reuse speedup with 1/2/4/8 tiles.
 pub fn tile_sweep(kind: WorkloadKind, scale: Scale) -> String {
-    let m = crate::cache::cached_measurement(kind, scale, executions_from_env(kind, scale), SEED);
+    let m = measure_workload(kind, scale, executions_from_env(kind, scale), SEED);
     let results = reuse_accel::sweep::ConfigSweep::new()
         .tiles(&[1, 2, 4, 8])
         .run(&m.sim_input());

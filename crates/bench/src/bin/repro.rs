@@ -2,42 +2,15 @@
 //! subcommand per row of DESIGN.md's experiment index, `repro all` for the
 //! whole report and `repro ablations` for the design-choice studies.
 //! `REUSE_SCALE=full|small|tiny` picks the model scale; `repro fig4` also
-//! reads `REUSE_EXECUTIONS` (frames of the utterance, default 200).
+//! reads `REUSE_EXECUTIONS` (frames of the utterance, default 200). Every
+//! run measures afresh; `repro all` measures each workload once and renders
+//! all ten artifacts from it.
 
 use std::process::ExitCode;
 
-use reuse_bench::{ablations, experiments as exp};
+use reuse_bench::ablations;
+use reuse_bench::experiments::{artifact, Measurements, ARTIFACTS};
 use reuse_workloads::{Scale, WorkloadKind};
-
-/// The artifacts `repro all` prints, in report order.
-const ARTIFACTS: [&str; 10] = [
-    "table1",
-    "fig4",
-    "fig5",
-    "fig9",
-    "fig10",
-    "fig11",
-    "table2",
-    "table3",
-    "fig12",
-    "reduced_precision",
-];
-
-fn artifact(name: &str, scale: Scale, fig4_frames: usize) -> Option<String> {
-    Some(match name {
-        "table1" => exp::table1(scale),
-        "fig4" => exp::fig4(scale, fig4_frames),
-        "fig5" => exp::fig5(scale),
-        "fig9" => exp::fig9(scale),
-        "fig10" => exp::fig10(scale),
-        "fig11" => exp::fig11(scale),
-        "table2" => exp::table2(),
-        "table3" => exp::table3(scale),
-        "fig12" => exp::fig12(scale),
-        "reduced_precision" => exp::reduced_precision(scale),
-        _ => return None,
-    })
-}
 
 fn print_sections(sections: impl IntoIterator<Item = String>) {
     let sep = "=".repeat(78);
@@ -49,12 +22,13 @@ fn print_sections(sections: impl IntoIterator<Item = String>) {
 
 fn main() -> ExitCode {
     let scale = Scale::from_env();
+    let measurements = Measurements::new(scale);
     let name = std::env::args().nth(1).unwrap_or_default();
     match name.as_str() {
         "all" => print_sections(
             ARTIFACTS
                 .iter()
-                .filter_map(|name| artifact(name, scale, 200)),
+                .filter_map(|name| artifact(name, &measurements, 200)),
         ),
         "ablations" => {
             // Closures, so each study prints as soon as it has run.
@@ -73,7 +47,7 @@ fn main() -> ExitCode {
         }
         name => {
             let frames = reuse_bench::env_parse("REUSE_EXECUTIONS").unwrap_or(200);
-            let Some(report) = artifact(name, scale, frames) else {
+            let Some(report) = artifact(name, &measurements, frames) else {
                 eprintln!("usage: repro <{}|ablations|all>", ARTIFACTS.join("|"));
                 return ExitCode::from(2);
             };

@@ -966,7 +966,7 @@ fn main() -> ExitCode {
                 .get(2)
                 .and_then(|a| a.parse().ok())
                 .unwrap_or_else(|| executions_from_env(kind, scale));
-            let m = reuse_bench::cache::cached_measurement(kind, scale, executions, 42);
+            let m = reuse_bench::measure_workload(kind, scale, executions, 42);
             let (base, reuse) = reuse_bench::experiments::simulate(&m);
             println!(
                 "{} ({} executions, model {}):",

@@ -90,9 +90,12 @@ pub const LAYER_HEADER: [&str; 9] = [
 
 /// If `REUSE_CSV_DIR` is set, writes the per-layer data of the given
 /// measurements and returns the written path.
-pub fn maybe_export_layers(measurements: &[Measurement], name: &str) -> Option<PathBuf> {
+pub fn maybe_export_layers<'a>(
+    measurements: impl IntoIterator<Item = &'a Measurement>,
+    name: &str,
+) -> Option<PathBuf> {
     let dir = csv_dir()?;
-    let rows: Vec<Vec<String>> = measurements.iter().flat_map(layer_rows).collect();
+    let rows: Vec<Vec<String>> = measurements.into_iter().flat_map(layer_rows).collect();
     write(&dir, name, &LAYER_HEADER, &rows).ok()
 }
 

@@ -1,23 +1,95 @@
 //! The per-table/figure experiments, as functions returning report text so
 //! `repro <name>` and `repro all` render the same text.
 
+use std::cell::OnceCell;
+
 use reuse_accel::{area, memory, AcceleratorConfig, ReferencePlatform, SimReport, Simulator};
 use reuse_core::ReuseConfig;
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
-use crate::cache::cached_measurement;
-use crate::measure::{executions_from_env, measure_with_config, Measurement};
+use crate::measure::{executions_from_env, measure_with_config, measure_workload, Measurement};
 use crate::table::{bar, human_bytes, human_joules, human_seconds, pct, pct2};
 
 /// The default seed shared by every experiment run.
 pub const SEED: u64 = 42;
 
-/// Collects (from cache if possible) the measurements of all four DNNs.
-pub fn all_measurements(scale: Scale) -> Vec<Measurement> {
-    WorkloadKind::ALL
-        .into_iter()
-        .map(|kind| cached_measurement(kind, scale, executions_from_env(kind, scale), SEED))
-        .collect()
+/// The four DNNs' measurements at one scale, each taken the first time an
+/// artifact asks for it and held for the rest of the process: `repro all`
+/// runs every workload once, `repro reduced_precision` runs only Kaldi.
+#[derive(Debug)]
+pub struct Measurements {
+    scale: Scale,
+    taken: [OnceCell<Measurement>; 4],
+}
+
+impl Measurements {
+    /// Nothing measured yet.
+    pub fn new(scale: Scale) -> Self {
+        Measurements {
+            scale,
+            taken: Default::default(),
+        }
+    }
+
+    /// The model scale every measurement here is taken at.
+    pub fn scale(&self) -> Scale {
+        self.scale
+    }
+
+    /// The measurement of `kind`, run now if no artifact needed it before.
+    pub fn get(&self, kind: WorkloadKind) -> &Measurement {
+        self.taken[kind as usize].get_or_init(|| {
+            let executions = executions_from_env(kind, self.scale);
+            eprintln!(
+                "[measure] running {} at {} scale ({executions} executions)...",
+                kind.name(),
+                self.scale
+            );
+            measure_workload(kind, self.scale, executions, SEED)
+        })
+    }
+
+    /// All four measurements in the paper's presentation order.
+    pub fn all(&self) -> impl Iterator<Item = &Measurement> {
+        WorkloadKind::ALL.into_iter().map(|kind| self.get(kind))
+    }
+
+    /// How many workload runs this holder has paid for so far.
+    pub fn runs(&self) -> usize {
+        self.taken.iter().filter(|m| m.get().is_some()).count()
+    }
+}
+
+/// The artifacts `repro all` prints, in report order.
+pub const ARTIFACTS: [&str; 10] = [
+    "table1",
+    "fig4",
+    "fig5",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table2",
+    "table3",
+    "fig12",
+    "reduced_precision",
+];
+
+/// Renders the artifact called `name` (`None` for an unknown name);
+/// `fig4_frames` is the length of Fig. 4's utterance.
+pub fn artifact(name: &str, ms: &Measurements, fig4_frames: usize) -> Option<String> {
+    Some(match name {
+        "table1" => table1(ms),
+        "fig4" => fig4(ms.scale(), fig4_frames),
+        "fig5" => fig5(ms),
+        "fig9" => fig9(ms),
+        "fig10" => fig10(ms),
+        "fig11" => fig11(ms),
+        "table2" => table2(),
+        "table3" => table3(ms.scale()),
+        "fig12" => fig12(ms),
+        "reduced_precision" => reduced_precision(ms),
+        _ => return None,
+    })
 }
 
 /// Simulates baseline and reuse accelerators for one measurement.
@@ -45,13 +117,14 @@ fn geo_mean(values: impl Iterator<Item = f64>) -> f64 {
 // ---------------------------------------------------------------------
 
 /// Table I: per-layer computation reuse plus the accuracy proxy.
-pub fn table1(scale: Scale) -> String {
+pub fn table1(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let mut out = String::new();
     out.push_str(&format!(
         "TABLE I — DNNs and per-layer computation reuse (scale: {scale})\n\
          accuracy proxy: output agreement with the fp32 network / mean relative output error\n\n"
     ));
-    for m in all_measurements(scale) {
+    for m in ms.all() {
         out.push_str(&format!(
             "{} — model {}, {} executions; agreement {} (rel. err {})\n",
             m.kind.name(),
@@ -135,9 +208,9 @@ pub fn fig4(scale: Scale, executions: usize) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 5: input similarity and computation reuse per DNN plus the average.
-pub fn fig5(scale: Scale) -> String {
-    let measurements = all_measurements(scale);
-    if let Some(path) = crate::csv::maybe_export_layers(&measurements, "fig5_layers.csv") {
+pub fn fig5(ms: &Measurements) -> String {
+    let scale = ms.scale();
+    if let Some(path) = crate::csv::maybe_export_layers(ms.all(), "fig5_layers.csv") {
         eprintln!("[csv] wrote {}", path.display());
     }
     let mut out = String::new();
@@ -150,7 +223,7 @@ pub fn fig5(scale: Scale) -> String {
     ));
     let mut sims = Vec::new();
     let mut reuses = Vec::new();
-    for m in &measurements {
+    for m in ms.all() {
         out.push_str(&format!(
             "{:<12} {:>11} {:>13}   sim |{}|\n",
             m.kind.name(),
@@ -177,14 +250,15 @@ pub fn fig5(scale: Scale) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 9: speedup of the reuse accelerator over the baseline accelerator.
-pub fn fig9(scale: Scale) -> String {
+pub fn fig9(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let mut out = String::new();
     out.push_str(&format!(
         "FIGURE 9 — speedup over the baseline accelerator (scale: {scale})\n\n"
     ));
     let mut speedups = Vec::new();
-    for m in all_measurements(scale) {
-        let (base, reuse) = simulate(&m);
+    for m in ms.all() {
+        let (base, reuse) = simulate(m);
         let s = reuse.speedup_over(&base);
         speedups.push(s);
         out.push_str(&format!(
@@ -205,14 +279,15 @@ pub fn fig9(scale: Scale) -> String {
 }
 
 /// Fig. 10: energy of the reuse accelerator normalized to the baseline.
-pub fn fig10(scale: Scale) -> String {
+pub fn fig10(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let mut out = String::new();
     out.push_str(&format!(
         "FIGURE 10 — normalized energy (baseline accelerator = 1.0; scale: {scale})\n\n"
     ));
     let mut ratios = Vec::new();
-    for m in all_measurements(scale) {
-        let (base, reuse) = simulate(&m);
+    for m in ms.all() {
+        let (base, reuse) = simulate(m);
         let r = reuse.normalized_energy_to(&base);
         ratios.push(r);
         out.push_str(&format!(
@@ -234,8 +309,8 @@ pub fn fig10(scale: Scale) -> String {
     // The paper's combined headline: 9.5x energy-delay (2.7x energy x 3.5x
     // delay).
     let mut ed = Vec::new();
-    for m in all_measurements(scale) {
-        let (base, reuse) = simulate(&m);
+    for m in ms.all() {
+        let (base, reuse) = simulate(m);
         ed.push(base.energy_delay() / reuse.energy_delay());
     }
     out.push_str(&format!(
@@ -251,11 +326,12 @@ pub fn fig10(scale: Scale) -> String {
 
 /// Fig. 11: energy breakdown per hardware component, aggregated over the
 /// four DNNs, baseline vs reuse.
-pub fn fig11(scale: Scale) -> String {
+pub fn fig11(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let mut base_total = reuse_accel::EnergyBreakdown::default();
     let mut reuse_total = reuse_accel::EnergyBreakdown::default();
-    for m in all_measurements(scale) {
-        let (base, reuse) = simulate(&m);
+    for m in ms.all() {
+        let (base, reuse) = simulate(m);
         base_total.accumulate(&base.energy);
         reuse_total.accumulate(&reuse.energy);
     }
@@ -361,7 +437,8 @@ pub fn table3(scale: Scale) -> String {
 
 /// Fig. 12: speedup and energy reduction of GPU and the reuse accelerator,
 /// both relative to the CPU.
-pub fn fig12(scale: Scale) -> String {
+pub fn fig12(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let cpu = ReferencePlatform::cpu_i7_7700k();
     let gpu = ReferencePlatform::gtx_1080();
     let mut out = String::new();
@@ -375,8 +452,8 @@ pub fn fig12(scale: Scale) -> String {
     ));
     let mut acc_e = Vec::new();
     let mut gpu_e = Vec::new();
-    for m in all_measurements(scale) {
-        let (_, reuse) = simulate(&m);
+    for m in ms.all() {
+        let (_, reuse) = simulate(m);
         let cpu_s = cpu.seconds_for(&m.traces);
         let gpu_s = gpu.seconds_for(&m.traces);
         let cpu_j = cpu.energy_for(&m.traces);
@@ -412,7 +489,8 @@ pub fn fig12(scale: Scale) -> String {
 
 /// Section VI-A: the reduced-precision (8-bit fixed-point) accelerator,
 /// evaluated on Kaldi.
-pub fn reduced_precision(scale: Scale) -> String {
+pub fn reduced_precision(ms: &Measurements) -> String {
+    let scale = ms.scale();
     let kind = WorkloadKind::Kaldi;
     let executions = executions_from_env(kind, scale);
     // "Strict" similarity of the fp32 baseline: quantize with so many
@@ -429,7 +507,7 @@ pub fn reduced_precision(scale: Scale) -> String {
     let m_q8 = measure_with_config(kind, scale, executions, SEED, Some(q8));
     // The reuse scheme itself (16 clusters), simulated on the 8-bit
     // accelerator.
-    let m_reuse = cached_measurement(kind, scale, executions, SEED);
+    let m_reuse = ms.get(kind);
     let sim = Simulator::new(AcceleratorConfig::paper_fixed8());
     let input = m_reuse.sim_input();
     let base = sim.simulate_baseline(&input);
@@ -478,6 +556,26 @@ mod tests {
         let t = fig4(Scale::Tiny, 30);
         assert!(t.contains("FC5"));
         assert!(t.contains("FC6"));
+    }
+
+    #[test]
+    fn report_measures_each_workload_once_and_fresh() {
+        // The `repro all` path: every artifact off one holder.
+        let ms = Measurements::new(Scale::Tiny);
+        let first: Vec<String> = ARTIFACTS
+            .iter()
+            .map(|name| artifact(name, &ms, 30).expect("listed artifacts render"))
+            .collect();
+        assert_eq!(ms.runs(), 4);
+        assert_eq!(artifact("table1", &ms, 30).as_ref(), Some(&first[0]));
+        assert_eq!(ms.runs(), 4);
+        assert_eq!(artifact("table4", &ms, 30), None);
+        // Nothing stands between an artifact and the measurement itself.
+        for kind in WorkloadKind::ALL {
+            let executions = crate::measure::default_executions(kind, Scale::Tiny);
+            let fresh = measure_workload(kind, Scale::Tiny, executions, SEED);
+            assert_eq!(ms.get(kind), &fresh, "{kind}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workload measurement: run a DNN over its synthetic input stream with the
 //! reuse engine and collect everything the experiment binaries need.
 
-use reuse_core::{ExecutionTrace, ParallelConfig, ReuseConfig, ReuseSession};
+use reuse_core::{ExecutionTrace, ReuseConfig, ReuseSession};
 use reuse_workloads::accuracy::{
     classification_agreement, mean_relative_error, regression_agreement, AgreementReport,
 };
@@ -29,7 +29,7 @@ pub struct LayerSummary {
 }
 
 /// Everything measured from one workload run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Which DNN.
     pub kind: WorkloadKind,
@@ -83,25 +83,6 @@ pub fn executions_from_env(kind: WorkloadKind, scale: Scale) -> usize {
     crate::env_parse("REUSE_EXECUTIONS").unwrap_or_else(|| default_executions(kind, scale))
 }
 
-/// Engine parallelism, honoring `REUSE_THREADS` (`0` = one worker per
-/// hardware thread; unset = serial) and `REUSE_INLINE_FLOPS` (per-call FLOP
-/// estimate below which kernels stay on the calling thread; unset keeps the
-/// default adaptive threshold). Explicit thread counts are still clamped to
-/// the host's hardware threads by `ParallelConfig`. All parallel kernels
-/// are bit-identical to serial, so these only change wall-clock time —
-/// measurements and cached results are unaffected.
-pub fn parallel_from_env() -> ParallelConfig {
-    let base = match crate::env_parse::<usize>("REUSE_THREADS") {
-        Some(0) => ParallelConfig::auto(),
-        Some(n) => ParallelConfig::with_threads(n),
-        None => ParallelConfig::serial(),
-    };
-    match crate::env_parse("REUSE_INLINE_FLOPS") {
-        Some(flops) => base.inline_flops(flops),
-        None => base,
-    }
-}
-
 /// Runs one workload through the reuse engine and collects a
 /// [`Measurement`]. Deterministic for a given `(kind, scale, executions,
 /// seed)`.
@@ -127,8 +108,7 @@ pub fn measure_with_config(
     let config = config_override
         .unwrap_or_else(|| workload.reuse_config().clone())
         .record_trace(true)
-        .telemetry(true)
-        .parallel(parallel_from_env());
+        .telemetry(true);
     let mut engine = ReuseSession::from_network(workload.network(), &config);
 
     let (agreement, fidelity) = if workload.is_recurrent() {

@@ -9,8 +9,6 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use reuse_tensor::ParallelConfig;
-
 use crate::policy::{LayerPolicy, ReusePolicy, StaticPolicy};
 use crate::ReuseError;
 
@@ -29,7 +27,6 @@ pub struct ReuseConfig {
     drift_check_every: u64,
     drift_bound: f32,
     drift_escalate_after: u64,
-    parallel: ParallelConfig,
     signature_cache: bool,
     signature_capacity: usize,
     signature_bailout: f32,
@@ -53,7 +50,6 @@ impl ReuseConfig {
             drift_check_every: 0,
             drift_bound: 1e-3,
             drift_escalate_after: 0,
-            parallel: ParallelConfig::serial(),
             signature_cache: false,
             signature_capacity: 1024,
             signature_bailout: 0.25,
@@ -296,19 +292,6 @@ impl ReuseConfig {
     pub fn escalate_after(&self) -> u64 {
         self.drift_escalate_after
     }
-
-    /// Sets the parallel-execution budget the session threads through every
-    /// kernel and correction pass. Results are bit-identical for any value;
-    /// the default is serial.
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// The configured parallel-execution budget.
-    pub fn parallel_config(&self) -> &ParallelConfig {
-        &self.parallel
-    }
 }
 
 #[cfg(test)]
@@ -439,13 +422,5 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
-    }
-
-    #[test]
-    fn parallel_defaults_to_serial() {
-        let c = ReuseConfig::uniform(8);
-        assert_eq!(c.parallel_config().num_threads, 1);
-        let c = c.parallel(ParallelConfig::with_threads(4));
-        assert_eq!(c.parallel_config().num_threads, 4);
     }
 }

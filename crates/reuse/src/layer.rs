@@ -22,6 +22,12 @@ use crate::model::CompiledWeights;
 use crate::trace::TraceKind;
 use crate::ReuseError;
 
+/// Sessions run every kernel on the calling thread: shards are the
+/// multi-core answer above the kernel API. The per-family entry points
+/// keep their `&ParallelConfig` parameter only because the repository
+/// benchmark passes one.
+const SERIAL: ParallelConfig = ParallelConfig::serial();
+
 /// `Instant::now()` only when spans are being recorded, so the disabled
 /// path pays a single branch.
 pub(crate) fn span_start(timed: bool) -> Option<std::time::Instant> {
@@ -38,8 +44,6 @@ pub(crate) fn span_elapsed_ns(start: Option<std::time::Instant>) -> u64 {
 /// mutable stream state.
 #[derive(Debug)]
 pub struct StepCtx<'a> {
-    /// Thread-pool configuration for the correction kernels.
-    pub parallel: &'a ParallelConfig,
     /// The network layer this state corrects for.
     pub layer: &'a Layer,
     /// Packed/blocked weights shared by every session of the model.
@@ -233,7 +237,7 @@ impl ReuseLayer for FcReuseState {
         let Layer::FullyConnected(fc) = ctx.layer else {
             return Err(wrong_layer("fully-connected"));
         };
-        self.execute_into(ctx.parallel, fc, require_qx(ctx)?, input, out)
+        self.execute_into(&SERIAL, fc, require_qx(ctx)?, input, out)
     }
 
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
@@ -277,8 +281,8 @@ impl ReuseLayer for ConvReuseState {
         };
         let q = require_qx(ctx)?;
         match ctx.layer {
-            Layer::Conv2d(c) => self.execute_into_packed(ctx.parallel, c, pack, q, input, out),
-            Layer::Conv3d(c) => self.execute_into_packed(ctx.parallel, c, pack, q, input, out),
+            Layer::Conv2d(c) => self.execute_into_packed(&SERIAL, c, pack, q, input, out),
+            Layer::Conv3d(c) => self.execute_into_packed(&SERIAL, c, pack, q, input, out),
             _ => Err(wrong_layer("conv")),
         }
     }
@@ -325,7 +329,7 @@ impl ReuseLayer for LstmReuseState {
         let qh = ctx.quantizer_h.ok_or_else(|| ReuseError::WrongApi {
             context: "lstm step without a hidden-state quantizer".into(),
         })?;
-        self.step_into_packed(ctx.parallel, cell, pack, require_qx(ctx)?, qh, input, out)
+        self.step_into_packed(&SERIAL, cell, pack, require_qx(ctx)?, qh, input, out)
     }
 
     fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
@@ -420,15 +424,9 @@ impl ReuseLayer for BiLstmReuseState {
         let mut h = Vec::new();
         for (t, x) in xs.iter().enumerate() {
             let span = span_start(timed);
-            let s = self.fwd.step_into_packed(
-                ctx.parallel,
-                layer.forward_cell(),
-                fwd,
-                qx,
-                qh,
-                x,
-                &mut h,
-            )?;
+            let s =
+                self.fwd
+                    .step_into_packed(&SERIAL, layer.forward_cell(), fwd, qx, qh, x, &mut h)?;
             spans[t] += span_elapsed_ns(span);
             out[t].resize(2 * d, 0.0);
             out[t][..d].copy_from_slice(&h);
@@ -437,7 +435,7 @@ impl ReuseLayer for BiLstmReuseState {
         for (t, x) in xs.iter().enumerate().rev() {
             let span = span_start(timed);
             let s = self.bwd.step_into_packed(
-                ctx.parallel,
+                &SERIAL,
                 layer.backward_cell(),
                 bwd,
                 qx,

@@ -20,7 +20,7 @@
 //!
 //! * [`ReuseConfig`] — which layers participate and with how many
 //!   clusters, plus the run-wide knobs (calibration, watchdog, telemetry,
-//!   signature cache, parallel budget).
+//!   signature cache).
 //! * [`policy`] — [`LayerPolicy`], the one per-layer record (enabled,
 //!   cluster count, quantization step scale, refresh threshold), and the
 //!   [`ReusePolicy`] that refines it: the no-op [`StaticPolicy`], an online
@@ -98,7 +98,6 @@ pub use policy::{
     AdaptiveController, AdaptivePolicy, LayerPolicy, LayerPolicyState, ReusePolicy, StaticPolicy,
     TunedLayerPolicy, TunedPolicy,
 };
-pub use reuse_tensor::ParallelConfig;
 pub use session::ReuseSession;
 pub use signature::{CachedBaseline, SignatureCache};
 pub use telemetry::{

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use reuse_nn::Layer;
 use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
-use reuse_tensor::{ParallelConfig, Tensor};
+use reuse_tensor::Tensor;
 
 use crate::drift::max_abs_diff;
 use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
@@ -550,13 +550,12 @@ impl ReuseSession {
     /// the flat network output into it, reusing its capacity across calls.
     ///
     /// Once the buffered state is initialized (second reuse-phase frame
-    /// onward) and with the default serial
-    /// [`ParallelConfig`](crate::ParallelConfig), a call performs **zero
-    /// heap allocations**: per-frame intermediates come from the session's
-    /// recycling pool and the per-layer scratch (changed lists, quantized
-    /// codes, buffered outputs) is reused in place. Calibration frames, the
-    /// state-initializing first execution, tracing and the
-    /// relative-difference recorder still allocate.
+    /// onward), a call performs **zero heap allocations**: per-frame
+    /// intermediates come from the session's recycling pool and the
+    /// per-layer scratch (changed lists, quantized codes, buffered outputs)
+    /// is reused in place. Calibration frames, the state-initializing first
+    /// execution, tracing and the relative-difference recorder still
+    /// allocate.
     ///
     /// # Errors
     ///
@@ -853,7 +852,6 @@ impl ReuseSession {
                 actual: frame.len(),
             }));
         }
-        let parallel = *model.config().parallel_config();
         let mut pool_intact = true;
         let mut cur = self.pool.take(frame.len());
         cur.extend_from_slice(frame);
@@ -875,7 +873,7 @@ impl ReuseSession {
                 let pending_sig = if model.signatures().is_some()
                     && !self.runtimes[slot_pos].state.is_initialized()
                 {
-                    self.signature_lookup(slot_pos, i, &cur, &parallel)
+                    self.signature_lookup(slot_pos, i, &cur)
                 } else {
                     None
                 };
@@ -888,7 +886,6 @@ impl ReuseSession {
                     let qx = rt.quantizer_x;
                     let qh = rt.quantizer_h;
                     let ctx = StepCtx {
-                        parallel: &parallel,
                         layer: &model.network().layers()[i].1,
                         weights: &slot.weights,
                         quantizer_x: qx.as_ref(),
@@ -1018,7 +1015,6 @@ impl ReuseSession {
         slot_pos: usize,
         layer_index: usize,
         input: &[f32],
-        parallel: &ParallelConfig,
     ) -> Option<u64> {
         let model = Arc::clone(&self.model);
         let sigs = model.signatures()?;
@@ -1060,7 +1056,6 @@ impl ReuseSession {
         }
         let qh = self.runtimes[slot_pos].quantizer_h;
         let ctx = StepCtx {
-            parallel,
             layer: &model.network().layers()[layer_index].1,
             weights: &model.slots()[slot_pos].weights,
             quantizer_x: Some(&qx),
@@ -1167,7 +1162,6 @@ impl ReuseSession {
     fn rebaseline_frame(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
         let model = Arc::clone(&self.model);
         let bound = model.config().drift_bound();
-        let parallel = *model.config().parallel_config();
         let mut cur = Tensor::from_vec(model.network().input_shape().clone(), frame.to_vec())?;
         let mut buffered = Vec::new();
         let n_layers = model.network().layers().len();
@@ -1207,7 +1201,6 @@ impl ReuseSession {
             let qx = rt.quantizer_x.expect("enabled slot has quantizer");
             let qh = rt.quantizer_h;
             let ctx = StepCtx {
-                parallel: &parallel,
                 layer,
                 weights: &slot.weights,
                 quantizer_x: Some(&qx),
@@ -1246,7 +1239,6 @@ impl ReuseSession {
         // accumulating across sequences).
         self.reset_buffers();
         let model = Arc::clone(&self.model);
-        let parallel = *model.config().parallel_config();
         let input_shape = model.network().input_shape().clone();
         // Flat per-timestep buffers; the from_vec round-trip validates the
         // frame shapes exactly like the tensor-based path did.
@@ -1276,7 +1268,6 @@ impl ReuseSession {
                     let qx = rt.quantizer_x;
                     let qh = rt.quantizer_h;
                     let ctx = StepCtx {
-                        parallel: &parallel,
                         layer,
                         weights: &slot.weights,
                         quantizer_x: qx.as_ref(),

@@ -1,20 +1,20 @@
 //! Bit-exactness of the parallel runtime at the reuse layer: every
-//! incremental-correction kernel and the whole engine must produce outputs
-//! bit-identical to the serial path for any thread count, because workers
-//! partition *outputs* and each output keeps its serial accumulation order
-//! (DESIGN.md, "Threading model & determinism").
+//! incremental-correction kernel must produce outputs bit-identical to the
+//! serial path for any thread count, because workers partition *outputs* and
+//! each output keeps its serial accumulation order (DESIGN.md, "Threading
+//! model & determinism"). Sessions themselves are always serial.
 
 use proptest::prelude::*;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
 use reuse_core::lstm::{LstmGatePack, LstmReuseState};
-use reuse_core::{ParallelConfig, ReuseConfig, ReuseSession};
+use reuse_core::{ReuseConfig, ReuseSession};
 use reuse_nn::{
     init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell, NetworkBuilder,
 };
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{Conv2dSpec, Conv3dSpec};
-use reuse_tensor::Shape;
+use reuse_tensor::{ParallelConfig, Shape};
 
 fn quantizer(clusters: usize) -> LinearQuantizer {
     LinearQuantizer::new(InputRange::new(-1.0, 1.0), clusters).unwrap()
@@ -120,64 +120,6 @@ proptest! {
             assert_bits_eq(&a, &b);
         }
     }
-
-    #[test]
-    fn engine_parallel_matches_serial_bitwise(threads in 2usize..6, seed in 0u64..200) {
-        let net = NetworkBuilder::new("p", 16)
-            .fully_connected(33, Activation::Relu)
-            .fully_connected(7, Activation::Identity)
-            .build()
-            .unwrap();
-        let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseSession::from_network(&net, &base);
-        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
-        for frame in drifting_frames(16, 8, seed) {
-            let a = serial.execute(&frame).unwrap();
-            let b = parallel.execute(&frame).unwrap();
-            assert_bits_eq(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
-    fn cnn_engine_parallel_matches_serial_bitwise(threads in 2usize..6, seed in 0u64..200) {
-        // Mixed pipeline: reuse conv + full-precision pool/flatten fallback
-        // + reuse FC, so both engine paths (pooled and tensor) are covered.
-        let net = NetworkBuilder::with_input_shape("cnn", Shape::d3(1, 6, 6))
-            .conv2d(3, 3, 1, 1, Activation::Relu)
-            .pool2d(2)
-            .flatten()
-            .fully_connected(5, Activation::Identity)
-            .build()
-            .unwrap();
-        let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseSession::from_network(&net, &base);
-        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
-        for frame in drifting_frames(36, 6, seed) {
-            let a = serial.execute(&frame).unwrap();
-            let b = parallel.execute(&frame).unwrap();
-            assert_bits_eq(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
-    fn recurrent_sequence_parallel_matches_serial_bitwise(threads in 2usize..6, seed in 0u64..200) {
-        let net = NetworkBuilder::new("r", 10)
-            .bilstm(6)
-            .fully_connected(4, Activation::Identity)
-            .build()
-            .unwrap();
-        let base = ReuseConfig::uniform(16);
-        let mut serial = ReuseSession::from_network(&net, &base);
-        let mut parallel = ReuseSession::from_network(&net, &base.clone().parallel(cfg(threads)));
-        let frames = drifting_frames(10, 5, seed);
-        for _ in 0..3 {
-            let a = serial.execute_sequence(&frames).unwrap();
-            let b = parallel.execute_sequence(&frames).unwrap();
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_bits_eq(x.as_slice(), y.as_slice());
-            }
-        }
-    }
 }
 
 /// With reuse disabled everywhere the engine runs full precision through the
@@ -193,8 +135,7 @@ fn full_precision_sequence_matches_reference_forward_exactly() {
         .unwrap();
     let config = ReuseConfig::uniform(16)
         .disable_layer("fc1")
-        .disable_layer("fc2")
-        .parallel(cfg(4));
+        .disable_layer("fc2");
     let mut engine = ReuseSession::from_network(&net, &config);
     let frames = drifting_frames(12, 6, 77);
     let outs = engine.execute_sequence(&frames).unwrap();

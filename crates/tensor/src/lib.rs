@@ -47,7 +47,7 @@ mod tensor;
 pub use block::{PackedPanels, PANEL_WIDTH};
 pub use error::TensorError;
 pub use parallel::{
-    hardware_threads, parallel_for_each_mut, parallel_for_mut, parallel_for_mut_cost, parallel_map,
+    hardware_threads, parallel_for_each_mut, parallel_for_mut, parallel_for_mut_cost,
     ParallelConfig,
 };
 pub use shape::Shape;

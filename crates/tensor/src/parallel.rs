@@ -15,10 +15,9 @@
 //! * **Hardware clamp** — a config never resolves to more workers than the
 //!   host exposes ([`hardware_threads`]), even when `num_threads` asks for
 //!   more. Oversubscribing a small host turns every spawn into pure
-//!   scheduling overhead (the regression PR 1's `BENCH_kernels.json`
-//!   recorded on a 1-thread machine). Tests that need to exercise the
-//!   chunking logic itself can opt out with
-//!   [`ParallelConfig::oversubscribed`].
+//!   scheduling overhead (the regression PR 1 measured on a 1-thread
+//!   machine). Tests that need to exercise the chunking logic itself can
+//!   opt out with [`ParallelConfig::oversubscribed`].
 //! * **Work-size threshold** — kernels that know their FLOP count call
 //!   [`parallel_for_mut_cost`]; calls below
 //!   [`ParallelConfig::inline_flops`] run inline on the caller thread, so
@@ -291,33 +290,6 @@ where
     });
 }
 
-/// Maps `f` over `items` with the configured parallelism, preserving order.
-///
-/// Used by the accelerator config sweep to fan simulation points out across
-/// cores. Results arrive in input order regardless of thread interleaving.
-pub fn parallel_map<T, R, F>(config: &ParallelConfig, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    parallel_for_mut(
-        &config.min_work_per_thread(1),
-        &mut out,
-        1,
-        |offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(f(&items[offset + k]));
-            }
-        },
-    );
-    out.into_iter()
-        .map(|r| r.expect("parallel_map fills every slot"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,16 +463,6 @@ mod tests {
             log.lock().unwrap().push(i);
         });
         assert_eq!(order, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..57).collect();
-        for threads in [1, 2, 5] {
-            let cfg = ParallelConfig::with_threads(threads).oversubscribed();
-            let mapped = parallel_map(&cfg, &items, |&v| v * 3);
-            assert_eq!(mapped, items.iter().map(|v| v * 3).collect::<Vec<_>>());
-        }
     }
 
     #[test]

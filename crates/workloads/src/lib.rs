@@ -30,7 +30,9 @@ mod c3d;
 pub mod datasets;
 mod eesen;
 mod kaldi;
+mod knob;
 pub mod video;
 mod workload;
 
+pub use knob::env_parse;
 pub use workload::{Scale, Workload, WorkloadKind};

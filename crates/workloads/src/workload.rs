@@ -61,17 +61,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the `REUSE_SCALE` environment variable (`full`/`small`/`tiny`,
-    /// default `small`).
+    /// The `REUSE_SCALE` environment knob (`full`/`small`/`tiny`, default
+    /// `small`), read through [`crate::env_parse`]: a malformed value exits
+    /// with status 2.
     pub fn from_env() -> Scale {
-        match std::env::var("REUSE_SCALE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "full" => Scale::Full,
-            "tiny" => Scale::Tiny,
-            _ => Scale::Small,
+        crate::env_parse("REUSE_SCALE").unwrap_or_default()
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Scale, Self::Err> {
+        match s.to_lowercase().as_str() {
+            "full" => Ok(Scale::Full),
+            "small" => Ok(Scale::Small),
+            "tiny" => Ok(Scale::Tiny),
+            _ => Err("expected full, small or tiny"),
         }
     }
 }

@@ -34,11 +34,6 @@ echo "== blocked-kernel perf smoke (level-aware speedup + GFLOP/s floors) =="
 # same GEMM under im2col blocks) are held to per-geometry floors alongside.
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke
 
-echo "== BENCH_kernels.json schema check =="
-# The stored artifact must carry the full provenance schema (thread
-# resolution, SIMD level block, per-row parallel column or skip note).
-cargo run --release -q -p reuse-bench --bin kernel_bench -- --validate BENCH_kernels.json
-
 echo "== multi-session smoke (4 sessions, one compiled model) =="
 # Interleaves four ReuseSessions over one shared CompiledModel and checks
 # every stream bit-for-bit (outputs and metrics, so per-session hit rates
@@ -108,11 +103,6 @@ echo "== sharded open-loop smoke (shard-scaling + p99 floors, both SIMD levels) 
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin serve_bench -- --open-loop --perf-smoke
 REUSE_SCALE=tiny REUSE_SIMD=off cargo run --release -q -p reuse-bench --bin serve_bench -- --open-loop --perf-smoke
 
-echo "== BENCH_serve.json schema check =="
-# The stored serving artifact must carry the throughput rows and the
-# signature-cache churn section (fps pair, speedup, cache counters).
-cargo run --release -q -p reuse-bench --bin serve_bench -- --validate BENCH_serve.json
-
 echo "== repository benchmark crate (build, tests, quick smoke) =="
 # benchmark/ is its own workspace root, so nothing above compiles it: an
 # API change in crates/ that breaks it must fail here, not at the next
@@ -126,10 +116,21 @@ for workload in kaldi_stream eesen_stream autopilot_stream c3d_stream net_closed
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --quick > /dev/null
 done
 
-echo "== repro dispatch smoke (table2: a config dump) =="
-# The paper-artifact binaries are subcommands of one `repro` binary; this
-# exercises its dispatch (an unknown subcommand exits 2).
-cargo run --release -q -p reuse-bench --bin repro -- table2 > /dev/null
+echo "== repro report smoke (all ten artifacts, tiny scale, both SIMD levels) =="
+# The paper-artifact binaries are subcommands of one `repro` binary; `all`
+# measures each workload once and renders every artifact from it, so every
+# experiment path runs here (an unknown subcommand or a malformed
+# REUSE_SCALE exits 2).
+REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
+REUSE_SCALE=tiny REUSE_SIMD=off cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
+
+echo "== retired-measurement guard (one recorder: benchmark/) =="
+# The recorded-artifact files, the measurement disk cache and the session
+# threading knob are gone; this line is their one permitted mention.
+if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
+    echo "retired names are back in the tree" >&2
+    exit 1
+fi
 
 echo "== cargo doc (no-deps, -D warnings) =="
 # The model/session split is documented API surface; broken intra-doc links

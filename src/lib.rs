@@ -50,7 +50,7 @@ pub use reuse_workloads as workloads;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use reuse_accel::{AcceleratorConfig, Simulator};
-    pub use reuse_core::{CompiledModel, ParallelConfig, ReuseConfig, ReuseSession};
+    pub use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
     pub use reuse_nn::{Activation, Network, NetworkBuilder};
     pub use reuse_quant::LinearQuantizer;
     pub use reuse_serve::{ServerConfig, StreamServer, SubmitResult};
