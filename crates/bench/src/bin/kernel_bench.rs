@@ -14,7 +14,10 @@
 //! nest at either level. Outputs of the two sides are bit-identical under
 //! the scalar SIMD level; under AVX2 the blocked kernels fuse multiply-adds
 //! and agree with naive within `reuse_tensor::simd::fma_tolerance` (see
-//! DESIGN.md).
+//! DESIGN.md). The last row holds the conv *reuse* step to the paper's claim:
+//! on AutoPilot CONV2 at ~15% changed inputs, detecting and correcting must
+//! beat the layer's own packed forward by `REUSE_CONV_REUSE_MIN_SPEEDUP`
+//! (default 1.1 under AVX2; no floor at the scalar level).
 //!
 //! `kernel_bench --telemetry-smoke` runs the same steady-state frames
 //! through a session with telemetry off and on, in mirrored alternating
@@ -31,9 +34,10 @@ use std::time::Instant;
 
 use reuse_bench::env_parse;
 use reuse_bench::streams::random_walk;
-use reuse_core::conv::ConvLayer;
+use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, NetworkBuilder, NnError};
+use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{matmul, ParallelConfig, Shape, Tensor};
 
@@ -131,19 +135,22 @@ fn conv_pair<L: ConvLayer + Clone + 'static>(
     }
 }
 
+/// AutoPilot-small CONV2: 24×31×98 in, 36 filters (off the 16-lane panel),
+/// 5×5 stride 2.
+const AUTOPILOT_CONV2: Conv2dSpec = Conv2dSpec {
+    in_channels: 24,
+    out_channels: 36,
+    kh: 5,
+    kw: 5,
+    stride: 2,
+    pad: 0,
+};
+
 /// The conv forward pairs of the `--perf-smoke` CI gate: AutoPilot CONV2
-/// (24 -> 36 channels, 5x5 stride 2, filters off the 16-lane panel) and a
-/// C3D-style 3D convolution (CONV3 channel ratio, reduced spatial size so
-/// the naive side stays near 100 ms).
+/// and a C3D-style 3D convolution (CONV3 channel ratio, reduced spatial size
+/// so the naive side stays near 100 ms).
 fn conv_pairs() -> [KernelPair; 2] {
-    let spec2 = Conv2dSpec {
-        in_channels: 24,
-        out_channels: 36,
-        kh: 5,
-        kw: 5,
-        stride: 2,
-        pad: 0,
-    };
+    let spec2 = AUTOPILOT_CONV2;
     let spec3 = Conv3dSpec {
         in_channels: 32,
         out_channels: 64,
@@ -173,6 +180,82 @@ fn conv_pairs() -> [KernelPair; 2] {
             Conv3dLayer::forward_linear_with,
         ),
     ]
+}
+
+/// Rounds of the conv reuse-vs-forward pair: one pass of each per round, the
+/// order alternating.
+const CONV_REUSE_ROUNDS: usize = 15;
+
+/// The conv reuse row of the `--perf-smoke` CI gate: AutoPilot CONV2's reuse
+/// step (detect, correct, write out, activation — what the session's slot
+/// runs) against the layer's packed forward plus activation (what its
+/// reuse-off twin runs) over the same seeded random walk, walked forward and
+/// back so every frame follows a neighbour. Returns the median over
+/// alternating rounds of forward time / reuse time, and the share of inputs
+/// whose code changed per frame.
+fn conv_reuse_speedup() -> (f64, f64) {
+    let layer = Conv2dLayer::random(AUTOPILOT_CONV2, Activation::Relu, &mut Rng64::new(3));
+    let in_shape = Shape::d3(24, 31, 98);
+    let quantizer = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 32).unwrap();
+    // A step of 0.02 against a code width of 1/16 moves ~15% of the codes.
+    let walk = random_walk(17, in_shape.volume(), 0.8, 0.02, 31);
+    let there_and_back: Vec<&Vec<f32>> = walk.iter().chain(walk[1..16].iter().rev()).collect();
+    let tensors: Vec<Tensor> = there_and_back
+        .iter()
+        .map(|f| Tensor::from_vec(in_shape.clone(), (*f).clone()).unwrap())
+        .collect();
+    let pack = ConvPack::new(&layer);
+    let mut state = ConvReuseState::new(&layer, &in_shape).unwrap();
+    let serial = ParallelConfig::serial();
+    let mut out = Vec::new();
+    let (mut changed, mut inputs) = (0, 0);
+    let mut reuse_pass = || {
+        let start = Instant::now();
+        for frame in &there_and_back {
+            let stats = state
+                .execute_into_packed(
+                    &serial,
+                    &layer,
+                    &pack,
+                    &quantizer,
+                    black_box(frame),
+                    &mut out,
+                )
+                .unwrap();
+            layer.activation().apply_in_place(&mut out);
+            black_box(&out);
+            if !stats.from_scratch {
+                changed += stats.n_changed;
+                inputs += stats.n_inputs;
+            }
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let forward_pass = || {
+        let start = Instant::now();
+        for input in &tensors {
+            black_box(layer.forward(black_box(input)).unwrap());
+        }
+        start.elapsed().as_secs_f64()
+    };
+    // Untimed: the state-initialising frame and one steady pass.
+    reuse_pass();
+    let mut ratios: Vec<f64> = (0..CONV_REUSE_ROUNDS)
+        .map(|round| {
+            if round % 2 == 0 {
+                let reuse = reuse_pass();
+                forward_pass() / reuse
+            } else {
+                let forward = forward_pass();
+                forward / reuse_pass()
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (
+        ratios[CONV_REUSE_ROUNDS / 2],
+        changed as f64 / inputs as f64,
+    )
 }
 
 /// Steady-state engine timings with telemetry off vs on, plus the per-layer
@@ -344,6 +427,21 @@ fn perf_smoke() -> ExitCode {
             eprintln!("{} misses its floors", pair.name);
             ok = false;
         }
+    }
+    // The paper's claim on one layer: correcting the changed inputs beats
+    // recomputing. Held under AVX2 only — the scalar level has no floor.
+    let min_reuse: f64 =
+        env_parse("REUSE_CONV_REUSE_MIN_SPEEDUP").unwrap_or(if avx2 { 1.1 } else { 0.0 });
+    let (speedup, changed) = conv_reuse_speedup();
+    eprintln!(
+        "perf smoke [{}]: autopilot_conv2_24x31x98/reuse_step at {:.1}% changed inputs, \
+         {speedup:.3}x its packed forward (floor {min_reuse:.3}x)",
+        level.name(),
+        changed * 100.0
+    );
+    if speedup < min_reuse {
+        eprintln!("the conv reuse step does not beat recomputing by the {min_reuse:.3}x floor");
+        ok = false;
     }
     if ok {
         ExitCode::SUCCESS

@@ -476,6 +476,17 @@ impl Network {
     }
 }
 
+/// The reduction of [`Layer::GroupMax`]: appends the maximum of every
+/// `group` consecutive values of `data` to `out`. Callers that hold a
+/// buffer to write into (the reuse session's pooled fallback) share the
+/// layer's arithmetic through this instead of copying it.
+pub fn group_max_into(data: &[f32], group: usize, out: &mut Vec<f32>) {
+    out.extend(
+        data.chunks(group)
+            .map(|chunk| chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
+    );
+}
+
 fn apply_layer(layer: &Layer, input: Tensor, in_shape: &Shape) -> Result<Tensor, NnError> {
     // Frame tensors may arrive flat (e.g. after an FC layer); reshape to the
     // inferred layer input shape first.
@@ -496,11 +507,8 @@ fn apply_layer(layer: &Layer, input: Tensor, in_shape: &Shape) -> Result<Tensor,
         Layer::Flatten => Ok(input.reshape(Shape::d1(in_shape.volume()))?),
         Layer::GroupMax { group } => {
             let flat = input.reshape(Shape::d1(in_shape.volume()))?;
-            let data = flat.as_slice();
-            let out: Vec<f32> = data
-                .chunks(*group)
-                .map(|chunk| chunk.iter().cloned().fold(f32::NEG_INFINITY, f32::max))
-                .collect();
+            let mut out = Vec::with_capacity(flat.len() / group);
+            group_max_into(flat.as_slice(), *group, &mut out);
             Ok(Tensor::from_vec(Shape::d1(out.len()), out)?)
         }
         Layer::Passthrough(p) => p.forward(&input),

@@ -165,7 +165,7 @@ impl LinearQuantizer {
         out
     }
 
-    /// Quantizes a slice into a caller-owned buffer, clearing it first.
+    /// Quantizes a slice into a caller-owned buffer, replacing its contents.
     /// Allocation-free once `out` has capacity — replay loops quantizing
     /// thousands of frames reuse one scratch buffer instead of allocating
     /// a fresh `Vec` per frame.
@@ -176,11 +176,7 @@ impl LinearQuantizer {
     pub fn quantize_slice_into(&self, xs: &[f32], out: &mut Vec<QuantCode>) {
         match reuse_tensor::simd::level() {
             #[cfg(target_arch = "x86_64")]
-            reuse_tensor::SimdLevel::Avx2 => {
-                out.clear();
-                out.resize(xs.len(), QuantCode(0));
-                crate::simd::quantize_slice(self, xs, out);
-            }
+            reuse_tensor::SimdLevel::Avx2 => self.quantize_slice_into_avx2(xs, out),
             _ => self.quantize_slice_into_scalar(xs, out),
         }
     }
@@ -199,24 +195,42 @@ impl LinearQuantizer {
     #[doc(hidden)]
     #[cfg(target_arch = "x86_64")]
     pub fn quantize_slice_into_avx2(&self, xs: &[f32], out: &mut Vec<QuantCode>) {
-        out.clear();
-        out.resize(xs.len(), QuantCode(0));
+        // The kernel overwrites every element: a buffer already of the right
+        // length (every call after a stream's first) is not zero-filled again.
+        if out.len() != xs.len() {
+            out.clear();
+            out.resize(xs.len(), QuantCode(0));
+        }
         crate::simd::quantize_slice(self, xs, out);
     }
 
-    /// Quantizes `xs`, diffs the new codes against `prev`, and collects the
+    /// Change detection, the paper's per-execution compare pass over the
+    /// I/O-buffer indices area, in **one pass**: quantizes `xs`, compares
+    /// each code with the one `prev` holds, overwrites it, and collects the
     /// changed inputs as `(index, centroid delta)` pairs in ascending index
-    /// order — the paper's per-execution compare pass over the I/O-buffer
-    /// indices area. `prev` is updated to the new codes, `scratch` holds
-    /// them between passes, and `changed` is cleared first; at steady state
-    /// the whole pass is allocation-free.
+    /// order. `changed` is replaced; once it has room for `xs.len()` pairs
+    /// the pass is allocation-free.
     ///
-    /// Both phases are dispatched on the resolved SIMD level and both are
-    /// bit-exact: quantization lane-matches [`Self::quantize`] and the
-    /// vectorized compare skips eight unchanged codes per step without ever
-    /// altering which indices are reported or the delta arithmetic
-    /// (`centroid(new) - centroid(old)`, in f32, exactly as the scalar
-    /// walk).
+    /// Dispatched on the resolved SIMD level and bit-exact at both: codes
+    /// lane-match [`Self::quantize`], and the delta is
+    /// `centroid(new) - centroid(old)` in f32 — two rounded products, then a
+    /// subtract — at either level, so which indices are reported and what
+    /// they carry never depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `xs` and `prev` have different lengths.
+    pub fn diff_codes(&self, xs: &[f32], prev: &mut [QuantCode], changed: &mut Vec<(u32, f32)>) {
+        match reuse_tensor::simd::level() {
+            #[cfg(target_arch = "x86_64")]
+            reuse_tensor::SimdLevel::Avx2 => self.diff_codes_avx2(xs, prev, changed),
+            _ => self.diff_codes_scalar(xs, prev, changed),
+        }
+    }
+
+    /// [`Self::diff_codes`] under the signature the repository benchmark
+    /// calls; `_scratch` is untouched (the pass no longer stages the fresh
+    /// codes anywhere).
     ///
     /// # Panics
     ///
@@ -225,39 +239,57 @@ impl LinearQuantizer {
         &self,
         xs: &[f32],
         prev: &mut [QuantCode],
-        scratch: &mut Vec<QuantCode>,
+        _scratch: &mut Vec<QuantCode>,
         changed: &mut Vec<(u32, f32)>,
     ) {
-        assert_eq!(
-            xs.len(),
-            prev.len(),
-            "diff_codes_into: input/code-buffer length mismatch"
-        );
-        self.quantize_slice_into(xs, scratch);
+        self.diff_codes(xs, prev, changed);
+    }
+
+    /// The scalar body of [`Self::diff_codes`], exposed (doc-hidden) as the
+    /// oracle for the SIMD==scalar equivalence suites.
+    #[doc(hidden)]
+    pub fn diff_codes_scalar(
+        &self,
+        xs: &[f32],
+        prev: &mut [QuantCode],
+        changed: &mut Vec<(u32, f32)>,
+    ) {
+        assert_eq!(xs.len(), prev.len(), "diff_codes buffer length mismatch");
         changed.clear();
-        {
-            let prev_ro: &[QuantCode] = prev;
-            let mut record = |i: usize| {
-                let delta = self.centroid(scratch[i]) - self.centroid(prev_ro[i]);
+        self.diff_codes_scalar_from(0, xs, prev, changed);
+    }
+
+    /// The scalar walk over inputs `first..`, appending to `changed`: all of
+    /// the scalar pass, and the last `len % 8` inputs of the AVX2 one.
+    pub(crate) fn diff_codes_scalar_from(
+        &self,
+        first: usize,
+        xs: &[f32],
+        prev: &mut [QuantCode],
+        changed: &mut Vec<(u32, f32)>,
+    ) {
+        for (i, (&x, old)) in xs.iter().zip(prev.iter_mut()).enumerate().skip(first) {
+            let new = self.quantize(x);
+            if new != *old {
+                let delta = self.centroid(new) - self.centroid(*old);
                 changed.push((i as u32, delta));
-            };
-            match reuse_tensor::simd::level() {
-                #[cfg(target_arch = "x86_64")]
-                reuse_tensor::SimdLevel::Avx2 => {
-                    crate::simd::for_each_changed(prev_ro, scratch, &mut record);
-                }
-                _ => {
-                    for (i, (p, s)) in prev_ro.iter().zip(scratch.iter()).enumerate() {
-                        if p != s {
-                            record(i);
-                        }
-                    }
-                }
+                *old = new;
             }
         }
-        for &(i, _) in changed.iter() {
-            prev[i as usize] = scratch[i as usize];
-        }
+    }
+
+    /// The AVX2 body of [`Self::diff_codes`], exposed (doc-hidden) so
+    /// equivalence suites can pin it against the scalar oracle even when
+    /// `REUSE_SIMD=off`. Panics when AVX2+FMA is unavailable.
+    #[doc(hidden)]
+    #[cfg(target_arch = "x86_64")]
+    pub fn diff_codes_avx2(
+        &self,
+        xs: &[f32],
+        prev: &mut [QuantCode],
+        changed: &mut Vec<(u32, f32)>,
+    ) {
+        crate::simd::diff_codes(self, xs, prev, changed);
     }
 
     /// Quantized values (centroids) of a slice.

@@ -7,7 +7,7 @@
 //! unchanged, the entire fan-out of computations and weight fetches is
 //! skipped.
 //!
-//! One mechanism, so one of everything: [`ConvReuseState`] corrects layers of
+//! One mechanism at both ranks: [`ConvReuseState`] corrects layers of
 //! either rank through [`reuse_tensor::conv::ConvGeometry`] (a 2D layer is
 //! the depth-1 case), against one [`ConvPack`] — a handle on the layer's own
 //! `[taps, out_c]` [`PackedPanels`], the copy its forward pass multiplies
@@ -16,29 +16,38 @@
 //! (`[od·oh·ow, out_c]`): the layout the forward GEMM produces and the one
 //! in which a correction is contiguous.
 //!
-//! Pass 1 quantizes the frame and diffs the codes through
-//! [`LinearQuantizer::diff_codes_into`] (SIMD-dispatched, bit-exact at every
-//! [`reuse_tensor::SimdLevel`]), then records each changed input's geometry
-//! (channel weight offset, padded coordinates, affected output ranges from a
-//! per-axis table) in a reusable scratch list. Pass 2 walks that list once
-//! per worker, workers owning whole output rows: for each affected position
-//! the correction is one AXPY of the tap's weight row onto the position's
-//! `out_c` contiguous outputs, and a changed input's `(oy, ox)` fan-out in
-//! one output plane is one [`PackedPanels::axpy_row_grids`] grid (fused at
-//! AVX2 like the FC and LSTM corrections, multiply-then-add at the scalar
-//! level). Every
-//! output element receives its corrections in changed-list (input) order on
-//! one thread, so results are identical at every thread count. The
-//! write-out transposes into the `[out_c, (od,) oh, ow]` layout the next
+//! A frame after the first is two passes on the calling thread. **Detect**:
+//! [`LinearQuantizer::diff_codes`] quantizes the frame against the buffered
+//! codes in one pass (SIMD-dispatched, bit-exact at every
+//! [`reuse_tensor::SimdLevel`]) and leaves the changed inputs as ascending
+//! `(index, Δcentroid)` pairs. **Correct**: every (changed input, output
+//! position it reaches) pair is one `out_c`-wide `z ← z + Δ·w` of a tap's
+//! weight row onto the position's contiguous outputs, fused at AVX2 and
+//! multiply-then-add at the scalar level, and every output element receives
+//! its pairs in ascending input order. Two kernels do that, chosen once per
+//! layer from its geometry (`GATHER_MAX_FANOUT`) and bit-identical to each
+//! other:
+//!
+//! * **output-stationary** (`Gather`; every 2D layer in the tree): the
+//!   deltas are scattered into a dense image; per output position the
+//!   changed inputs of its receptive field are gathered from it (one vector
+//!   compare and a branch-free left-pack per `kw`-wide window) and their
+//!   weight rows added on with the position's sums in registers
+//!   ([`PackedPanels::gather_axpy`]). Taps ascend exactly as input indices
+//!   do, so the gathered order *is* changed-list order.
+//! * **input-stationary** (`RowGrids`; the C3D layers): per changed input,
+//!   its `(oy, ox)` fan-out in each output plane is one grid of
+//!   read-modify-written rows ([`PackedPanels::axpy_row_grids`]).
+//!
+//! The write-out transposes into the `[out_c, (od,) oh, ow]` layout the next
 //! layer expects.
 
 use std::sync::Arc;
 
 use reuse_nn::{Conv2dLayer, Conv3dLayer};
 use reuse_quant::{LinearQuantizer, QuantCode};
-use reuse_tensor::block::RowGrid;
+use reuse_tensor::block::{RowGrid, TapBucket, TapWindow};
 use reuse_tensor::conv::{conv_forward_with, transpose_into, ConvGeometry};
-use reuse_tensor::parallel::parallel_for_mut_cost;
 use reuse_tensor::{PackedPanels, ParallelConfig, Shape};
 
 use crate::layer::ExecStats;
@@ -141,10 +150,11 @@ fn affected_range(y: usize, k: usize, s: usize, p: usize, n: usize) -> (u32, u32
     (lo.min(n) as u32, hi.min(n) as u32)
 }
 
-/// One changed input's correction, with its geometry precomputed in pass 1
-/// so pass 2 does no division or range math: the affected output ranges and
-/// the weight row (kernel tap) the input reaches its first affected output
-/// through. Kept to 32 bytes — the list is written and re-read every frame.
+/// One changed input's correction for the row-grid walk, with its geometry
+/// precomputed so the walk does no division or range math: the affected
+/// output ranges and the weight row (kernel tap) the input reaches its first
+/// affected output through. Kept to 32 bytes — the list is written and
+/// re-read every frame.
 #[derive(Debug, Clone, Copy)]
 struct ConvDelta {
     delta: f32,
@@ -187,6 +197,256 @@ impl ConvPack {
     }
 }
 
+/// Largest fan-out per changed input — `⌈kd/s⌉·⌈kh/s⌉·⌈kw/s⌉` output
+/// positions — up to which a layer is corrected output-stationary
+/// ([`Gather`]); above it, or with `kw > 8` (wider than the one vector a
+/// window is loaded as), the input-stationary row-grid walk ([`RowGrids`])
+/// runs. Read once, in [`ConvReuseState::new`]; the two kernels are
+/// bit-identical, so the choice shows in no output.
+///
+/// Gathering costs one window scan per (output position × non-empty input
+/// row) whatever changed, then a few cycles per entry with the position's
+/// sums in registers; the row-grid walk costs a set-up per changed input plus
+/// a load-FMA-store of the whole `out_c` row per entry. A changed input of a
+/// 5×5 stride-2 or 3×3 stride-1 2D layer reaches 9 positions, too few to
+/// amortise the set-up, and rows of 24 or 36 filters end in a masked tail
+/// that defeats store-to-load forwarding between consecutive deltas; a
+/// changed input of a 3×3×3 stride-1 layer reaches 27, its rows are whole
+/// vectors, and its 3-wide windows fill three lanes of the eight a scan
+/// pays for.
+///
+/// Measured on the 2-vCPU AVX2 box, both kernels in one process alternating
+/// frame by frame over the workload's own frames, median µs per reuse step
+/// (detect and write-out included), row-grid walk → gather. Fan-out 9,
+/// AutoPilot-small: CONV1 312 → 247, CONV2 432 → 275, CONV3 89 → 76,
+/// CONV4 32 → 31, CONV5 18.5 → 15.0. Fan-out 27, C3D-small: CONV2
+/// 2411 → 2998, CONV3 1205 → 1473, CONV4 2668 → 3341, CONV5 704 → 805,
+/// CONV6 1696 → 1986, CONV7 129 → 159, CONV8 92 → 130.
+const GATHER_MAX_FANOUT: usize = 9;
+
+/// Scratch of the output-stationary correction: per output position, gather
+/// the changed inputs of its receptive field from a dense delta image and
+/// add their weight rows on in tap order ([`PackedPanels::gather_axpy`]).
+/// Everything is sized at construction; frames allocate nothing.
+#[derive(Debug, Clone)]
+struct Gather {
+    /// This frame's deltas, zero where the code did not change (and
+    /// everywhere between frames): one row per input row `(c, z, y)`, each
+    /// `pw + w + pw` floats so a window over the left or right padding reads
+    /// zeros and needs no mask, then eight floats so the last row's last
+    /// 8-lane load stays inside.
+    image: Vec<f32>,
+    /// Per input row: whether this frame changed any of it.
+    dirty: Vec<bool>,
+    /// The non-empty receptive-field rows of the output row being
+    /// corrected, in ascending tap order.
+    windows: Vec<TapWindow>,
+    bucket: TapBucket,
+}
+
+impl Gather {
+    /// Floats in the delta image of a layer (see [`Self::image`]).
+    fn image_len(g: &ConvGeometry, in_dhw: [usize; 3]) -> usize {
+        let rows = g.in_channels() * in_dhw[0] * in_dhw[1];
+        rows * (in_dhw[2] + 2 * g.pad()[2]) + 8
+    }
+
+    fn new(g: &ConvGeometry, in_dhw: [usize; 3]) -> Self {
+        let [kd, kh, _] = g.kernel();
+        Gather {
+            image: vec![0.0; Self::image_len(g, in_dhw)],
+            dirty: vec![false; g.in_channels() * in_dhw[0] * in_dhw[1]],
+            windows: Vec::with_capacity(g.in_channels() * kd * kh),
+            bucket: TapBucket::new(g.taps()),
+        }
+    }
+
+    /// Calls `f(input row, image offset, delta)` for every changed input.
+    fn for_each_at(
+        changed: &[(u32, f32)],
+        w: usize,
+        pw: usize,
+        mut f: impl FnMut(usize, usize, f32),
+    ) {
+        // The list ascends, so its rows do: divide only on entering one.
+        let (mut row, mut row_end) = (0, w);
+        for &(idx, delta) in changed {
+            let idx = idx as usize;
+            if idx >= row_end {
+                row = idx / w;
+                row_end = (row + 1) * w;
+            }
+            f(row, idx + (2 * row + 1) * pw, delta);
+        }
+    }
+
+    /// Corrects `linear` (channels-last) for the ascending `changed` list;
+    /// returns the number of `(changed input, output position)` pairs.
+    fn correct(
+        &mut self,
+        g: &ConvGeometry,
+        in_dhw: [usize; 3],
+        out_dhw: [usize; 3],
+        panels: &PackedPanels,
+        changed: &[(u32, f32)],
+        linear: &mut [f32],
+    ) -> u64 {
+        let [d, h, w] = in_dhw;
+        let [_, oh, ow] = out_dhw;
+        let [kd, kh, kw] = g.kernel();
+        let [pd, ph, pw] = g.pad();
+        let s = g.stride();
+        Self::for_each_at(changed, w, pw, |row, at, delta| {
+            // Distinct codes (far below 2^24) times one step are distinct
+            // floats: a changed input's delta is never the image's "no
+            // change" zero.
+            debug_assert!(delta != 0.0, "changed input with a zero delta");
+            self.dirty[row] = true;
+            self.image[at] = delta;
+        });
+        let padded = w + 2 * pw;
+        let row_len = ow * g.out_channels();
+        let mut entries = 0;
+        for (o, out_row) in linear.chunks_exact_mut(row_len).enumerate() {
+            let (oz, oy) = (o / oh, o % oh);
+            self.windows.clear();
+            for c in 0..g.in_channels() {
+                for kz in 0..kd {
+                    let Some(z) = (oz * s + kz).checked_sub(pd).filter(|&z| z < d) else {
+                        continue;
+                    };
+                    for ky in 0..kh {
+                        let Some(y) = (oy * s + ky).checked_sub(ph).filter(|&y| y < h) else {
+                            continue;
+                        };
+                        let r = (c * d + z) * h + y;
+                        if self.dirty[r] {
+                            // `ox = 0` looks at the padded row from its
+                            // first float (`x = -pw`) on.
+                            self.windows.push(TapWindow {
+                                at: (r * padded) as u32,
+                                tap: (((c * kd + kz) * kh + ky) * kw) as u32,
+                            });
+                        }
+                    }
+                }
+            }
+            if !self.windows.is_empty() {
+                let (image, bucket) = (&self.image, &mut self.bucket);
+                entries += panels.gather_axpy(image, &self.windows, kw, s, bucket, out_row);
+            }
+        }
+        Self::for_each_at(changed, w, pw, |_, at, _| self.image[at] = 0.0);
+        self.dirty.fill(false);
+        entries
+    }
+}
+
+/// Scratch of the input-stationary correction: per changed input, one
+/// [`PackedPanels::axpy_row_grids`] grid per affected output plane.
+#[derive(Debug, Clone)]
+struct RowGrids {
+    /// [`affected_range`] of every input coordinate, the `d`, `h` and `w`
+    /// axes back to back: tabulated once, so the geometry pass looks ranges
+    /// up instead of dividing (per-delta range divisions cost as much as a
+    /// small fan-out's MACs).
+    fanout: Vec<(u32, u32)>,
+    /// Precomputed per-delta corrections, in input order; capacity for the
+    /// worst case (every input changes) is reserved up front so
+    /// steady-state frames never allocate.
+    deltas: Vec<ConvDelta>,
+}
+
+impl RowGrids {
+    fn new(g: &ConvGeometry, in_dhw: [usize; 3], out_dhw: [usize; 3]) -> Self {
+        let (k, s, p) = (g.kernel(), g.stride(), g.pad());
+        let fanout = (0..3)
+            .flat_map(|a| (0..in_dhw[a]).map(move |y| affected_range(y, k[a], s, p[a], out_dhw[a])))
+            .collect();
+        RowGrids {
+            fanout,
+            deltas: Vec::with_capacity(g.in_channels() * in_dhw.iter().product::<usize>()),
+        }
+    }
+
+    /// Corrects `linear` (channels-last) for the ascending `changed` list;
+    /// returns the number of `(changed input, output position)` pairs.
+    fn correct(
+        &mut self,
+        g: &ConvGeometry,
+        in_dhw: [usize; 3],
+        out_dhw: [usize; 3],
+        panels: &PackedPanels,
+        changed: &[(u32, f32)],
+        linear: &mut [f32],
+    ) -> u64 {
+        let [d, h, w] = in_dhw;
+        let [_, oh, ow] = out_dhw;
+        let [kd, kh, kw] = g.kernel();
+        let [pd, ph, pw] = g.pad();
+        let s = g.stride();
+        let k_vol = kd * kh * kw;
+        let (fz, fyx) = self.fanout.split_at(d);
+        let (fy, fx) = fyx.split_at(h);
+        let mut entries = 0u64;
+        self.deltas.clear();
+        // The changed list ascends, so the coordinates advance with it and
+        // divide only when they wrap a row (divisions per delta cost as much
+        // as a small fan-out's MACs); the ranges are looked up.
+        let (mut c, mut z, mut y, mut x, mut at) = (0, 0, 0, 0, 0);
+        for &(idx, delta) in changed {
+            x += (idx - at) as usize;
+            at = idx;
+            if x >= w {
+                (y, x) = (y + x / w, x % w);
+                if y >= h {
+                    (z, y) = (z + y / h, y % h);
+                    (c, z) = (c + z / d, z % d);
+                }
+            }
+            let (oz, oy, ox) = (fz[z], fy[y], fx[x]);
+            let fan_out = (oz.1 - oz.0) * (oy.1 - oy.0) * (ox.1 - ox.0);
+            if fan_out == 0 {
+                // An input between strides can feed no output at all.
+                continue;
+            }
+            entries += u64::from(fan_out);
+            let tap = c * k_vol + ((z + pd) * kh + y + ph) * kw + x + pw - ox.0 as usize * s;
+            self.deltas.push(ConvDelta {
+                delta,
+                tap: tap as u32,
+                oz,
+                oy,
+                ox,
+            });
+        }
+
+        // Per delta and output plane, the affected (oy, ox) grid is rows of
+        // `out_c` contiguous floats in the channels-last buffer —
+        // consecutive along ox, `row_len` apart along oy — reading taps
+        // `stride` (resp. `stride · kw`) apart, descending.
+        let fc = g.out_channels();
+        let row_len = ow * fc;
+        let grids = self.deltas.iter().flat_map(|dl| {
+            (dl.oz.0 as usize..dl.oz.1 as usize).map(move |oz| RowGrid {
+                first_row: dl.tap as usize - (oz * kh + dl.oy.0 as usize) * kw * s,
+                counts: [(dl.oy.1 - dl.oy.0) as usize, (dl.ox.1 - dl.ox.0) as usize],
+                at: (oz * oh + dl.oy.0 as usize) * row_len + dl.ox.0 as usize * fc,
+                scale: dl.delta,
+            })
+        });
+        panels.axpy_row_grids([s * kw, s], row_len, grids, linear);
+        entries
+    }
+}
+
+/// The correction kernel a layer's geometry selects, with its scratch.
+#[derive(Debug, Clone)]
+enum Correction {
+    Gather(Gather),
+    RowGrids(RowGrids),
+}
+
 /// Buffered per-stream state of one convolutional layer (either rank)
 /// between executions.
 #[derive(Debug, Clone)]
@@ -196,23 +456,13 @@ pub struct ConvReuseState {
     in_dhw: [usize; 3],
     /// Output extents `[od, oh, ow]`.
     out_dhw: [usize; 3],
-    /// [`affected_range`] of every input coordinate, the `d`, `h` and `w`
-    /// axes back to back: tabulated once, so pass 1 looks ranges up instead
-    /// of dividing (per-delta range divisions cost as much as a small
-    /// fan-out's MACs).
-    fanout: Vec<(u32, u32)>,
     prev_codes: Vec<QuantCode>,
     /// Buffered pre-activations, channels-last (`[od·oh·ow, out_c]`) — the
     /// one buffered copy; layer-boundary layouts are transposed in and out.
     prev_linear: Vec<f32>,
-    /// Scratch list of precomputed per-delta corrections, collected
-    /// serially in input order; capacity for the worst case (every input
-    /// changes) is reserved up front so steady-state frames never allocate.
-    deltas: Vec<ConvDelta>,
-    /// Scratch: this frame's fresh codes during the diff pass.
-    scratch_codes: Vec<QuantCode>,
-    /// Scratch: `(input index, centroid delta)` pairs from the diff pass.
+    /// Scratch: `(input index, centroid delta)` pairs from the detect pass.
     changed: Vec<(u32, f32)>,
+    correction: Correction,
     initialized: bool,
 }
 
@@ -229,6 +479,19 @@ impl ConvReuseState {
     ///
     /// Returns [`ReuseError`] when `in_shape` is incompatible with the layer.
     pub fn new<L: ConvLayer>(layer: &L, in_shape: &Shape) -> Result<Self, ReuseError> {
+        let g = layer.geometry();
+        let fan_out: usize = g.kernel().iter().map(|k| k.div_ceil(g.stride())).product();
+        let gather = fan_out <= GATHER_MAX_FANOUT && g.kernel()[2] <= 8;
+        Self::with_kernel(layer, in_shape, gather)
+    }
+
+    /// [`Self::new`] with the correction kernel named instead of derived, so
+    /// the tests can hold the two against each other on one geometry.
+    fn with_kernel<L: ConvLayer>(
+        layer: &L,
+        in_shape: &Shape,
+        gather: bool,
+    ) -> Result<Self, ReuseError> {
         let geometry = *layer.geometry();
         let d = in_shape.dims();
         if d.len() != L::RANK + 1 || d[0] != geometry.in_channels() {
@@ -239,29 +502,28 @@ impl ConvReuseState {
         let mut in_dhw = [1; 3];
         in_dhw[3 - L::RANK..].copy_from_slice(&d[1..]);
         let out_dhw = geometry.output_dhw(in_dhw)?;
-        // Changed-input indices, output coordinates and tap indices are kept
-        // as u32 (see `ConvDelta`).
-        let widest = in_shape.volume().max(geometry.taps());
+        // Changed-input indices, delta-image offsets, output coordinates and
+        // tap indices are kept as u32.
+        let n_in = in_shape.volume();
+        let widest = Gather::image_len(&geometry, in_dhw).max(geometry.taps());
         if u32::try_from(widest.max(out_dhw.iter().product())).is_err() {
             return Err(ReuseError::InvalidConfig {
                 context: format!("conv{}d state on {in_shape} exceeds u32 indexing", L::RANK),
             });
         }
-        let (k, s, p) = (geometry.kernel(), geometry.stride(), geometry.pad());
-        let fanout = (0..3)
-            .flat_map(|a| (0..in_dhw[a]).map(move |y| affected_range(y, k[a], s, p[a], out_dhw[a])))
-            .collect();
-        let n_in = in_shape.volume();
+        let correction = if gather {
+            Correction::Gather(Gather::new(&geometry, in_dhw))
+        } else {
+            Correction::RowGrids(RowGrids::new(&geometry, in_dhw, out_dhw))
+        };
         Ok(ConvReuseState {
             geometry,
             in_dhw,
             out_dhw,
-            fanout,
             prev_codes: Vec::new(),
             prev_linear: Vec::new(),
-            deltas: Vec::with_capacity(n_in),
-            scratch_codes: Vec::with_capacity(n_in),
             changed: Vec::with_capacity(n_in),
+            correction,
             initialized: false,
         })
     }
@@ -275,8 +537,6 @@ impl ConvReuseState {
     pub fn reset(&mut self) {
         self.prev_codes.clear();
         self.prev_linear.clear();
-        self.deltas.clear();
-        self.scratch_codes.clear();
         self.changed.clear();
         self.initialized = false;
     }
@@ -327,13 +587,11 @@ impl ConvReuseState {
     /// Allocation-free once initialized.
     ///
     /// `input` is the flat row-major data of the state's input shape; `pack`
-    /// must be the [`ConvPack`] built from `layer`. Changed inputs are
-    /// diffed serially (precomputing each delta's geometry); corrections are
-    /// applied with each worker owning whole output rows (one `oy` row of
-    /// every filter). Every output accumulates its deltas in input order, so
-    /// the result is bit-identical to serial execution. Correction frames
-    /// below the config's inline-FLOP threshold run inline with no thread
-    /// spawns.
+    /// must be the [`ConvPack`] built from `layer`. A frame after the first
+    /// is one detect pass and one correction pass, both on the calling
+    /// thread whatever `config` says (it reaches only the first frame's
+    /// forward): every output accumulates its deltas in input order, so the
+    /// result is the same at every worker count.
     ///
     /// # Errors
     ///
@@ -390,95 +648,22 @@ impl ConvReuseState {
             });
         }
 
-        // Pass 1 (serial): quantize the frame and diff the codes (both
-        // dispatched, bit-exact at every SIMD level), then precompute each
-        // delta's geometry and the correction MAC count in input order.
-        quantizer.diff_codes_into(
-            input,
-            &mut self.prev_codes,
-            &mut self.scratch_codes,
-            &mut self.changed,
-        );
-        let [d, h, w] = in_dhw;
-        let [_, oh, ow] = self.out_dhw;
-        let [kd, kh, kw] = g.kernel();
-        let [pd, ph, pw] = g.pad();
-        let s = g.stride();
-        let k_vol = kd * kh * kw;
-        let (fz, fyx) = self.fanout.split_at(d);
-        let (fy, fx) = fyx.split_at(h);
-        let mut macs = 0u64;
-        self.deltas.clear();
-        // The changed list ascends, so the coordinates advance with it and
-        // divide only when they wrap a row (divisions per delta cost as much
-        // as a small fan-out's MACs); the ranges are looked up.
-        let (mut c, mut z, mut y, mut x, mut at) = (0, 0, 0, 0, 0);
-        for &(idx, delta) in &self.changed {
-            x += (idx - at) as usize;
-            at = idx;
-            if x >= w {
-                (y, x) = (y + x / w, x % w);
-                if y >= h {
-                    (z, y) = (z + y / h, y % h);
-                    (c, z) = (c + z / d, z % d);
-                }
-            }
-            let (oz, oy, ox) = (fz[z], fy[y], fx[x]);
-            let fan_out = ((oz.1 - oz.0) * (oy.1 - oy.0) * (ox.1 - ox.0)) as usize;
-            if fan_out == 0 {
-                // An input between strides can feed no output at all.
-                continue;
-            }
-            macs += (fan_out * fc) as u64;
-            let tap = c * k_vol + ((z + pd) * kh + y + ph) * kw + x + pw - ox.0 as usize * s;
-            self.deltas.push(ConvDelta {
-                delta,
-                tap: tap as u32,
-                oz,
-                oy,
-                ox,
-            });
-        }
-
-        // Pass 2 (parallel over output rows): per delta and output plane,
-        // the affected (oy, ox) grid is rows of `out_c` contiguous floats in
-        // the channels-last buffer — consecutive along ox, `row_len` apart
-        // along oy — reading taps `stride` (resp. `stride · kw`) apart,
-        // descending.
-        let row_len = ow * fc;
-        let deltas: &[ConvDelta] = &self.deltas;
-        parallel_for_mut_cost(
-            config,
-            &mut self.prev_linear,
-            row_len,
-            2 * macs,
-            |offset, chunk| {
-                let rows = offset / row_len..(offset + chunk.len()) / row_len;
-                let grids = deltas.iter().flat_map(|dl| {
-                    let rows = &rows;
-                    (dl.oz.0 as usize..dl.oz.1 as usize).filter_map(move |oz| {
-                        // This plane's affected oy range, clipped to the
-                        // worker's rows.
-                        let plane = oz * oh;
-                        let lo = (dl.oy.0 as usize).max(rows.start.saturating_sub(plane));
-                        let hi = (dl.oy.1 as usize).min(rows.end.saturating_sub(plane));
-                        (lo < hi).then(|| RowGrid {
-                            first_row: dl.tap as usize - (oz * kh + lo) * kw * s,
-                            counts: [hi - lo, (dl.ox.1 - dl.ox.0) as usize],
-                            at: (plane + lo - rows.start) * row_len + dl.ox.0 as usize * fc,
-                            scale: dl.delta,
-                        })
-                    })
-                });
-                panels.axpy_row_grids([s * kw, s], row_len, grids, chunk);
-            },
-        );
+        // Detect: one pass over the frame (dispatched, bit-exact at every
+        // SIMD level) leaves the changed inputs in ascending order. Correct:
+        // every (changed input, output position) pair is one `out_c`-wide
+        // multiply-add of a weight row.
+        quantizer.diff_codes(input, &mut self.prev_codes, &mut self.changed);
+        let (changed, linear) = (&self.changed, &mut self.prev_linear);
+        let entries = match &mut self.correction {
+            Correction::Gather(k) => k.correct(&g, in_dhw, self.out_dhw, panels, changed, linear),
+            Correction::RowGrids(k) => k.correct(&g, in_dhw, self.out_dhw, panels, changed, linear),
+        };
         self.buffered_linear_into(out);
         Ok(ExecStats {
             n_inputs: n_in,
             n_changed: self.changed.len() as u64,
             macs_total,
-            macs_performed: macs,
+            macs_performed: entries * fc as u64,
             from_scratch: false,
         })
     }
@@ -660,6 +845,104 @@ mod tests {
         let (out, stats) = h.step(&b).unwrap();
         assert!(stats.n_changed >= 1);
         assert_close(&out, &oracle(&layer, [4, 5, 5], &b), 1e-3, "3d");
+    }
+
+    /// The selection in `ConvReuseState::new` cannot show in any output:
+    /// on one geometry, one stream and arbitrary (rounding-sensitive)
+    /// weights, the gather kernel and the row-grid walk leave bit-identical
+    /// outputs and equal counters — both sides of `GATHER_MAX_FANOUT`, both
+    /// ranks, padded and strided, filter counts with masked tails and more
+    /// than one 64-lane tile, frames with no change and with every input
+    /// changed.
+    #[test]
+    fn the_two_correction_kernels_agree_bitwise() {
+        fn check<L: ConvLayer>(layer: &L, in_shape: &Shape, what: &str) {
+            let pack = ConvPack::new(layer);
+            let mut states = [true, false]
+                .map(|gather| ConvReuseState::with_kernel(layer, in_shape, gather).unwrap());
+            assert!(matches!(states[0].correction, Correction::Gather(_)));
+            assert!(matches!(states[1].correction, Correction::RowGrids(_)));
+            let mut rng = Rng64::new(77);
+            let mut frame = rand_input(in_shape, 78);
+            let (mut outs, mut stats) = ([Vec::new(), Vec::new()], Vec::new());
+            for step in 0..6 {
+                match step {
+                    // Unchanged, then every input moved, then a scattering.
+                    1 => {}
+                    2 => frame.iter_mut().for_each(|v| *v = -*v + 0.05),
+                    _ => (0..frame.len() / 5 + 1).for_each(|_| {
+                        let i = (rng.next_u64() % frame.len() as u64) as usize;
+                        frame[i] = (frame[i] + rng.uniform(0.6)).clamp(-1.0, 1.0);
+                    }),
+                }
+                stats.clear();
+                for (state, out) in states.iter_mut().zip(&mut outs) {
+                    let serial = ParallelConfig::serial();
+                    let s = state.execute_into_packed(&serial, layer, &pack, &q(), &frame, out);
+                    stats.push(s.unwrap());
+                }
+                assert_eq!(stats[0], stats[1], "{what} step {step}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&outs[0]), bits(&outs[1]), "{what} step {step}");
+            }
+            assert!(stats[0].n_changed > 0 && !stats[0].from_scratch, "{what}");
+        }
+        for (kh, kw, stride, pad, out_channels) in [
+            (3, 3, 1, 1, 3),
+            (5, 5, 2, 0, 36),
+            (3, 8, 1, 2, 24),
+            (3, 1, 3, 0, 7),
+            (2, 4, 1, 0, 130),
+            (3, 7, 2, 1, 64),
+        ] {
+            let spec = Conv2dSpec {
+                in_channels: 2,
+                out_channels,
+                kh,
+                kw,
+                stride,
+                pad,
+            };
+            let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(31));
+            check(&layer, &Shape::d3(2, 7, 9), &format!("{spec:?}"));
+        }
+        for (stride, pad, out_channels) in [(1, 1, 8), (2, 0, 72), (1, 0, 5)] {
+            let spec = Conv3dSpec {
+                in_channels: 2,
+                out_channels,
+                kd: 3,
+                kh: 3,
+                kw: 3,
+                stride,
+                pad,
+            };
+            let layer = Conv3dLayer::random(spec, Activation::Identity, &mut Rng64::new(32));
+            check(&layer, &Shape::d4(2, 4, 5, 6), &format!("{spec:?}"));
+        }
+    }
+
+    /// What `new` derives from the geometry: AutoPilot's 5×5 stride-2 and
+    /// 3×3 stride-1 layers (fan-out 9) gather, C3D's 3×3×3 stride-1 layers
+    /// (fan-out 27) and kernels wider than a vector walk row grids.
+    #[test]
+    fn fan_out_selects_the_correction_kernel() {
+        let gathers = |kh, kw, stride| {
+            let spec = Conv2dSpec {
+                in_channels: 1,
+                out_channels: 2,
+                kh,
+                kw,
+                stride,
+                pad: 0,
+            };
+            let layer = Conv2dLayer::random(spec, Activation::Identity, &mut Rng64::new(1));
+            let state = ConvReuseState::new(&layer, &Shape::d3(1, 12, 12)).unwrap();
+            matches!(state.correction, Correction::Gather(_))
+        };
+        assert!(gathers(5, 5, 2) && gathers(3, 3, 1) && gathers(1, 8, 1));
+        assert!(!gathers(5, 5, 1) && !gathers(4, 4, 1) && !gathers(1, 9, 1));
+        let c3d = ConvReuseState::new(&layer3d(), &Shape::d4(2, 4, 5, 5)).unwrap();
+        assert!(matches!(c3d.correction, Correction::RowGrids(_)));
     }
 
     #[test]

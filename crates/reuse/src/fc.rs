@@ -31,8 +31,6 @@ pub struct FcReuseState {
     /// in parallel). Reused across executions so the steady state performs
     /// no heap allocation.
     changed: Vec<(u32, f32)>,
-    /// Scratch: this frame's fresh codes during the diff pass.
-    scratch_codes: Vec<QuantCode>,
     initialized: bool,
 }
 
@@ -43,7 +41,6 @@ impl FcReuseState {
             prev_codes: Vec::with_capacity(layer.n_in()),
             prev_linear: Vec::with_capacity(layer.n_out()),
             changed: Vec::with_capacity(layer.n_in()),
-            scratch_codes: Vec::with_capacity(layer.n_in()),
             initialized: false,
         }
     }
@@ -60,7 +57,6 @@ impl FcReuseState {
         self.prev_codes.clear();
         self.prev_linear.clear();
         self.changed.clear();
-        self.scratch_codes.clear();
         self.initialized = false;
     }
 
@@ -183,15 +179,11 @@ impl FcReuseState {
             });
         }
 
-        // Pass 1 (serial): quantize the frame and diff the codes, collecting
-        // the changed list in ascending input order. Vectorized under the
-        // AVX2 level, with bit-exact codes and deltas at every level.
-        quantizer.diff_codes_into(
-            input,
-            &mut self.prev_codes,
-            &mut self.scratch_codes,
-            &mut self.changed,
-        );
+        // Pass 1 (serial): quantize the frame against the buffered codes,
+        // collecting the changed list in ascending input order. One pass,
+        // vectorized under the AVX2 level, with bit-exact codes and deltas
+        // at every level.
+        quantizer.diff_codes(input, &mut self.prev_codes, &mut self.changed);
 
         // Pass 2 (parallel over output neurons): apply every delta to this
         // worker's span of the buffered linear outputs.

@@ -26,7 +26,7 @@ use crate::ReuseError;
 /// multi-core answer above the kernel API. The per-family entry points
 /// keep their `&ParallelConfig` parameter only because the repository
 /// benchmark passes one.
-const SERIAL: ParallelConfig = ParallelConfig::serial();
+pub(crate) const SERIAL: ParallelConfig = ParallelConfig::serial();
 
 /// `Instant::now()` only when spans are being recorded, so the disabled
 /// path pays a single branch.

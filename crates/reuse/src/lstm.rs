@@ -77,8 +77,6 @@ pub struct LstmReuseState {
     changed_x: Vec<(u32, f32)>,
     /// Scratch changed list for the recurrent inputs.
     changed_h: Vec<(u32, f32)>,
-    /// Scratch: fresh codes during the diff pass (shared by x and h).
-    scratch_codes: Vec<QuantCode>,
     /// Recurrent (h, c) state carried between timesteps.
     state: LstmState,
     initialized: bool,
@@ -97,7 +95,6 @@ impl LstmReuseState {
             prev_pre: Vec::new(),
             changed_x: Vec::with_capacity(n_in),
             changed_h: Vec::with_capacity(d),
-            scratch_codes: Vec::with_capacity(n_in.max(d)),
             state: LstmState::zeros(d),
             initialized: false,
         }
@@ -115,7 +112,6 @@ impl LstmReuseState {
         self.prev_pre.clear();
         self.changed_x.clear();
         self.changed_h.clear();
-        self.scratch_codes.clear();
         let d = cell.cell_dim();
         if self.state.h.len() == d {
             self.state.h.fill(0.0);
@@ -257,20 +253,11 @@ impl LstmReuseState {
         }
 
         // Pass 1 (serial): diff x_t vs x_{t-1} and h_{t-1} vs h_{t-2},
-        // collecting the changed lists in input order. Vectorized under the
-        // AVX2 level with bit-exact codes and deltas at every level.
-        x_quantizer.diff_codes_into(
-            x,
-            &mut self.prev_x_codes,
-            &mut self.scratch_codes,
-            &mut self.changed_x,
-        );
-        h_quantizer.diff_codes_into(
-            &self.state.h,
-            &mut self.prev_h_codes,
-            &mut self.scratch_codes,
-            &mut self.changed_h,
-        );
+        // collecting the changed lists in input order. One pass each,
+        // vectorized under the AVX2 level with bit-exact codes and deltas at
+        // every level.
+        x_quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
+        h_quantizer.diff_codes(&self.state.h, &mut self.prev_h_codes, &mut self.changed_h);
 
         // Pass 2: correct the 4×d pre-activation buffer; one index
         // comparison above pays for the correction in all four gates. Each

@@ -12,10 +12,13 @@ use std::sync::Arc;
 
 use reuse_nn::Layer;
 use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
+use reuse_tensor::block::fc_forward_packed_into;
 use reuse_tensor::Tensor;
 
 use crate::drift::max_abs_diff;
-use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
+use crate::layer::{
+    build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx, SERIAL,
+};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
 use crate::model::CompiledModel;
 use crate::policy::{AdaptiveController, LayerPolicyState};
@@ -91,12 +94,18 @@ impl BufferPool {
     }
 
     /// Returns a buffer to the pool for reuse by later frames. Pipelines
-    /// with full-precision fallback layers route buffers through the tensor
-    /// API (losing them to the pool), so cap the free list to stop foreign
-    /// replacement buffers from accumulating.
+    /// with conv, pooling or passthrough fallback layers route buffers
+    /// through the tensor API (losing them to the pool), so the free list is
+    /// capped to stop foreign replacement buffers from accumulating; once it
+    /// is full the smallest buffer held makes way for a larger incoming one,
+    /// so small strays can never crowd out the buffers the big layers need.
     fn give(&mut self, buf: Vec<f32>) {
         if self.free.len() < self.max_free {
             self.free.push(buf);
+        } else if let Some(smallest) = self.free.iter_mut().min_by_key(|b| b.capacity()) {
+            if smallest.capacity() < buf.capacity() {
+                *smallest = buf;
+            }
         }
     }
 }
@@ -953,9 +962,7 @@ impl ReuseSession {
                 );
                 self.pool.give(std::mem::replace(&mut cur, next));
             } else {
-                // Full-precision fallback (no-weight or disabled layers):
-                // route through the tensor API; allocation here is outside
-                // the reuse steady-state contract.
+                // Full-precision fallback (no-weight or disabled layers).
                 if let Some(trace) = trace.as_mut() {
                     if slot_pos != usize::MAX {
                         trace
@@ -963,10 +970,33 @@ impl ReuseSession {
                             .push(self.scratch_trace_entry(i, cur.len() as u64));
                     }
                 }
-                let in_shape = model.network().layer_input_shapes()[i].clone();
-                let t = Tensor::from_vec(in_shape, std::mem::take(&mut cur))?;
-                cur = model.network().apply_layer(i, t)?.into_vec();
-                pool_intact = false;
+                match &model.network().layers()[i].1 {
+                    // The three cheap cases stay inside the pool, with the
+                    // arithmetic `Network::apply_layer` does.
+                    Layer::Flatten => {}
+                    Layer::GroupMax { group } => {
+                        let mut next = self.pool.take(model.layer_out_volumes()[i]);
+                        reuse_nn::group_max_into(&cur, *group, &mut next);
+                        self.pool.give(std::mem::replace(&mut cur, next));
+                    }
+                    Layer::FullyConnected(fc) => {
+                        let mut next = self.pool.take(fc.n_out());
+                        let bias = fc.bias().as_slice();
+                        fc_forward_packed_into(&SERIAL, fc.packed(), &cur, bias, &mut next)?;
+                        fc.activation().apply_in_place(&mut next);
+                        self.pool.give(std::mem::replace(&mut cur, next));
+                    }
+                    // Conv, pooling and passthrough fallbacks go through the
+                    // tensor API, which drops the buffer it is handed and
+                    // returns a fresh one: allocation here is outside the
+                    // reuse steady-state contract.
+                    _ => {
+                        let in_shape = model.network().layer_input_shapes()[i].clone();
+                        let t = Tensor::from_vec(in_shape, std::mem::take(&mut cur))?;
+                        cur = model.network().apply_layer(i, t)?.into_vec();
+                        pool_intact = false;
+                    }
+                }
             }
         }
         if let Some(trace) = trace {
@@ -981,9 +1011,9 @@ impl ReuseSession {
         out.extend_from_slice(&cur);
         self.pool.give(cur);
         // From here on every pool take must hit a recycled buffer; a miss
-        // would mean a steady-state frame allocated. Pipelines with
-        // full-precision fallback stages lose buffers to the tensor API, so
-        // the contract (and its assertion) only covers all-reuse pipelines.
+        // would mean a steady-state frame allocated. Pipelines with conv,
+        // pooling or passthrough fallback stages lose buffers to the tensor
+        // API, so the contract (and its assertion) covers the others.
         if pool_intact {
             self.pool.steady = true;
         }
@@ -1415,5 +1445,27 @@ mod tests {
             pool.give(Vec::with_capacity(8));
         }
         assert_eq!(pool.free.len(), 2);
+    }
+
+    /// A full free list keeps its largest buffers: an incoming buffer
+    /// replaces the smallest one held when it is larger, and is dropped
+    /// otherwise. (Dropping the *incoming* one unconditionally let a
+    /// fallback layer's one-float replacements fill the list and push the
+    /// frame's largest intermediate out, to be allocated again every frame.)
+    #[test]
+    fn a_full_pool_evicts_its_smallest_buffer_for_a_larger_one() {
+        let mut pool = BufferPool::new(3);
+        for cap in [1, 1, 1] {
+            pool.give(Vec::with_capacity(cap));
+        }
+        pool.give(Vec::with_capacity(1000));
+        pool.give(Vec::with_capacity(64));
+        pool.give(Vec::with_capacity(1));
+        let mut caps: Vec<usize> = pool.free.iter().map(Vec::capacity).collect();
+        caps.sort_unstable();
+        assert_eq!(caps, [1, 64, 1000]);
+        // The big request is now a hit, not a fresh allocation.
+        assert_eq!(pool.take(900).capacity(), 1000);
+        assert_eq!((pool.stats.hits, pool.stats.misses), (1, 0));
     }
 }

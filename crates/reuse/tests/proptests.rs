@@ -164,6 +164,132 @@ proptest! {
     }
 }
 
+/// Frames for the exact-arithmetic conv property: codes straight from a
+/// small generator, presented as their own centroids (`k/8` under
+/// [`quantizer`]'s step of 1/8). Frame 1 repeats frame 0 (no change), frame 2
+/// moves one input, frame 3 moves every input, frame 4 a sparse handful.
+fn exact_frames(n: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = Rng64::new(seed);
+    let mut codes: Vec<i32> = (0..n).map(|_| (rng.next_u64() % 17) as i32 - 8).collect();
+    let centroids = |codes: &[i32]| codes.iter().map(|&k| k as f32 / 8.0).collect::<Vec<f32>>();
+    let bump = |k: &mut i32, by: u64| *k = (*k + 8 + 1 + (by % 16) as i32) % 17 - 8;
+    let mut frames = vec![centroids(&codes), centroids(&codes)];
+    let one = (rng.next_u64() % n as u64) as usize;
+    bump(&mut codes[one], rng.next_u64());
+    frames.push(centroids(&codes));
+    for k in codes.iter_mut() {
+        bump(k, rng.next_u64());
+    }
+    frames.push(centroids(&codes));
+    for _ in 0..n.div_ceil(7) {
+        let at = (rng.next_u64() % n as u64) as usize;
+        bump(&mut codes[at], rng.next_u64());
+    }
+    frames.push(centroids(&codes));
+    frames
+}
+
+/// Multiples of 1/8 in `[-2, 2]`: with centroids that are multiples of 1/8
+/// too, every product and every partial sum of a small conv layer is a short
+/// dyadic rational, so every f32 operation — fused or not, in any order — is
+/// exact and the incremental outputs must equal the from-scratch oracle
+/// **bit for bit** at both SIMD levels. A wrong, missing or doubled
+/// `(input, position)` pair cannot hide in rounding.
+fn exact_params(n: usize, rng: &mut Rng64) -> Vec<f32> {
+    (0..n)
+        .map(|_| ((rng.next_u64() % 33) as f32 - 16.0) / 8.0)
+        .collect()
+}
+
+/// Steps `layer` through [`exact_frames`] and checks outputs (bitwise) and
+/// counters against the naive oracle and a brute-force count of the
+/// `(changed input, covering output position)` pairs.
+fn check_conv_exact<L: ConvLayer>(
+    layer: &L,
+    in_shape: &Shape,
+    dhw: [usize; 3],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (q, g) = (quantizer(), *layer.geometry());
+    let out_dhw = g.output_dhw(dhw).unwrap();
+    let (k, p, s) = (g.kernel(), g.pad(), g.stride());
+    // Output positions along axis `a` whose window covers coordinate `x`.
+    let covering = |a: usize, x: usize| {
+        (0..out_dhw[a])
+            .filter(|o| (o * s..o * s + k[a]).contains(&(x + p[a])))
+            .count() as u64
+    };
+    let pack = ConvPack::new(layer);
+    let mut state = ConvReuseState::new(layer, in_shape).unwrap();
+    let mut out = Vec::new();
+    let mut prev: Option<&Vec<f32>> = None;
+    for (t, x) in exact_frames(in_shape.volume(), seed).iter().enumerate() {
+        let stats = state
+            .execute_into_packed(&ParallelConfig::serial(), layer, &pack, &q, x, &mut out)
+            .unwrap();
+        let expect = conv_forward_naive(&g, dhw, x, layer.weights(), layer.bias()).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&out), bits(&expect), "frame {}", t);
+        if let Some(prev) = prev {
+            let (mut changed, mut pairs) = (0, 0);
+            for (i, _) in x.iter().zip(prev).enumerate().filter(|(_, (a, b))| a != b) {
+                let (yx, x) = (i / dhw[2], i % dhw[2]);
+                let (z, y) = (yx / dhw[1] % dhw[0], yx % dhw[1]);
+                changed += 1;
+                pairs += covering(0, z) * covering(1, y) * covering(2, x);
+            }
+            prop_assert_eq!(stats.n_changed, changed, "frame {}", t);
+            prop_assert_eq!(
+                stats.macs_performed,
+                pairs * g.out_channels() as u64,
+                "frame {}",
+                t
+            );
+            prop_assert!(!stats.from_scratch);
+        }
+        prev = Some(x);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // Both correction kernels (a layer's fan-out picks one: stride 1 here
+    // means the row-grid walk, strides 2 and 3 the gather kernel), every
+    // window width the gather kernel packs, padding on every side, filter
+    // counts on and off the vector and tile widths, widths at which the last
+    // window of the last row reads the delta image's 8-float tail.
+    #[test]
+    fn conv_corrections_equal_the_oracle_bitwise_on_exact_arithmetic(
+        depth3 in 0usize..2,
+        stride in 1usize..4,
+        pad in 0usize..3,
+        kw in proptest::sample::select(vec![1usize, 3, 4, 5, 7, 8]),
+        out_channels in proptest::sample::select(vec![1usize, 7, 8, 24, 36, 64, 72, 130]),
+        slack in 0usize..3,
+        seed in 0u64..100_000,
+    ) {
+        let (in_channels, kh, h) = (2, 3, 4);
+        let w = (kw + slack).saturating_sub(2 * pad).max(1);
+        let mut rng = Rng64::new(seed);
+        let bias = Tensor::from_slice_1d(&exact_params(out_channels, &mut rng)).unwrap();
+        if depth3 == 0 {
+            let spec = Conv2dSpec { in_channels, out_channels, kh, kw, stride, pad };
+            let weights = exact_params(spec.weight_shape().volume(), &mut rng);
+            let weights = Tensor::from_vec(spec.weight_shape(), weights).unwrap();
+            let layer = Conv2dLayer::new(spec, weights, bias, Activation::Identity).unwrap();
+            check_conv_exact(&layer, &Shape::d3(in_channels, h, w), [1, h, w], seed)?;
+        } else {
+            let spec = Conv3dSpec { in_channels, out_channels, kd: 3, kh, kw, stride, pad };
+            let weights = exact_params(spec.weight_shape().volume(), &mut rng);
+            let weights = Tensor::from_vec(spec.weight_shape(), weights).unwrap();
+            let layer = Conv3dLayer::new(spec, weights, bias, Activation::Identity).unwrap();
+            check_conv_exact(&layer, &Shape::d4(in_channels, 3, h, w), [3, h, w], seed)?;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

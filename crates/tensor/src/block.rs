@@ -63,7 +63,8 @@ pub(crate) const TILE_LANES: usize = TILE_PANELS * PANEL_WIDTH;
 /// (Reuse corrections read the *raw* row-major matrix instead — see
 /// [`apply_deltas_rows`] — because a sparse changed set touches only its
 /// own rows, which the raw matrix keeps contiguous; conv corrections, whose
-/// rows are `out_c` wide, read the panels: [`PackedPanels::axpy_row_grids`].)
+/// rows are `out_c` wide, read the panels: [`PackedPanels::gather_axpy`] and
+/// [`PackedPanels::axpy_row_grids`].)
 #[derive(Debug, Clone)]
 pub struct PackedPanels {
     data: Vec<f32>,
@@ -199,6 +200,183 @@ impl PackedPanels {
             }
         }
     }
+
+    /// Output-stationary correction of a run of output positions, `step`
+    /// floats apart in `image` and `n_out` floats apart in `dst`: for each
+    /// position `p` (ascending), each window `w` of `windows` (in order) and
+    /// each lane `l < lanes` (ascending) with
+    /// `Δ = image[w.at + p·step + l] ≠ 0`,
+    ///
+    /// ```text
+    /// dst[p·n_out + c] += Δ · w[w.tap + l][c]        for every column c
+    /// ```
+    ///
+    /// This is the convolution correction (paper Section IV-C) seen from the
+    /// output: `image` is the frame's dense delta image (zero where the
+    /// quantized input did not change, and in the padding), a window is one
+    /// `kw`-wide run of a position's receptive field. A position's non-zero
+    /// lanes are gathered into `bucket` first — `(tap, Δ)` in
+    /// window-then-lane order, which is ascending tap order when the windows
+    /// ascend — and then added onto the position's row in one pass: under
+    /// AVX2 the row's sums stay in registers (up to 64 lanes at a time)
+    /// while the bucket's weight rows are fused on, so the row is loaded and
+    /// stored once per position and its `n_out % 8` tail is masked once.
+    /// Per output element the additions are `z ← z + Δ·w` in bucket order —
+    /// multiply then add at the scalar [`crate::simd::level`], fused at
+    /// AVX2 — which is the order an input-by-input walk over ascending
+    /// changed inputs applies them in, so results are bit-identical to that
+    /// walk at each level.
+    ///
+    /// Returns the number of `(tap, Δ)` entries applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes > 8`, `dst` is not a whole number of `n_out`-wide
+    /// rows, a window's 8-lane load would leave `image`, a tap falls outside
+    /// `0 .. n_in`, or `bucket` holds fewer than `windows.len() · lanes`
+    /// entries.
+    pub fn gather_axpy(
+        &self,
+        image: &[f32],
+        windows: &[TapWindow],
+        lanes: usize,
+        step: usize,
+        bucket: &mut TapBucket,
+        dst: &mut [f32],
+    ) -> u64 {
+        match simd::level() {
+            #[cfg(target_arch = "x86_64")]
+            simd::SimdLevel::Avx2 => {
+                simd::avx2::gather_axpy(self, image, windows, lanes, step, bucket, dst)
+            }
+            _ => gather_axpy_scalar(self, image, windows, lanes, step, bucket, dst),
+        }
+    }
+}
+
+/// One `lanes`-wide run of a receptive field in the delta image of
+/// [`PackedPanels::gather_axpy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapWindow {
+    /// Image offset of lane 0 of the run's first position.
+    pub at: u32,
+    /// The weight row lane 0 pairs with; lane `l` pairs with `tap + l`.
+    pub tap: u32,
+}
+
+/// The `(tap, Δ)` scratch of [`PackedPanels::gather_axpy`], structure of
+/// arrays so the gathered lanes are stored as whole vectors. Sized once, for
+/// the most entries one position can gather, plus the eight lanes the last
+/// vector store may spill.
+#[derive(Debug, Clone)]
+pub struct TapBucket {
+    pub(crate) taps: Vec<u32>,
+    pub(crate) deltas: Vec<f32>,
+}
+
+impl TapBucket {
+    /// A bucket for positions that gather at most `entries` non-zero lanes.
+    pub fn new(entries: usize) -> Self {
+        TapBucket {
+            taps: vec![0; entries + 8],
+            deltas: vec![0.0; entries + 8],
+        }
+    }
+}
+
+/// The bounds every access of [`PackedPanels::gather_axpy`] stays inside,
+/// checked once per call at both SIMD levels (the AVX2 body indexes through
+/// raw pointers on the strength of these). Returns the position count.
+pub(crate) fn check_gather(
+    packed: &PackedPanels,
+    image: &[f32],
+    windows: &[TapWindow],
+    lanes: usize,
+    step: usize,
+    bucket: &TapBucket,
+    dst: &[f32],
+) -> usize {
+    let n = packed.n_out;
+    assert!(
+        lanes <= 8,
+        "gather windows are at most 8 lanes, got {lanes}"
+    );
+    assert!(
+        n > 0 && dst.len().is_multiple_of(n),
+        "dst is not rows of {n}"
+    );
+    let positions = dst.len() / n;
+    // The last position's window, loaded as a whole vector.
+    let reach = positions.saturating_sub(1) * step + 8;
+    for w in windows {
+        assert!(
+            w.at as usize + reach <= image.len(),
+            "window at {} reaches past the image ({})",
+            w.at,
+            image.len()
+        );
+        assert!(
+            w.tap as usize + lanes <= packed.n_in,
+            "tap {} + {lanes} lanes outside {} weight rows",
+            w.tap,
+            packed.n_in
+        );
+    }
+    assert!(
+        windows.len() * lanes + 8 <= bucket.taps.len().min(bucket.deltas.len()),
+        "bucket too small for {} windows of {lanes}",
+        windows.len()
+    );
+    positions
+}
+
+/// The scalar body of [`PackedPanels::gather_axpy`]: the same bucket, then
+/// `*o += Δ · w` per entry (multiply, then add). Public (but hidden) so the
+/// SIMD==scalar equivalence suites can pin the scalar side regardless of the
+/// dispatched level.
+#[doc(hidden)]
+pub fn gather_axpy_scalar(
+    packed: &PackedPanels,
+    image: &[f32],
+    windows: &[TapWindow],
+    lanes: usize,
+    step: usize,
+    bucket: &mut TapBucket,
+    dst: &mut [f32],
+) -> u64 {
+    check_gather(packed, image, windows, lanes, step, bucket, dst);
+    let mut entries = 0;
+    for (p, row) in dst.chunks_exact_mut(packed.n_out).enumerate() {
+        let mut len = 0;
+        for w in windows {
+            let run = &image[w.at as usize + p * step..][..lanes];
+            for (l, &delta) in run.iter().enumerate() {
+                // Branch-free: every lane is written at the bucket's end and
+                // kept only if it counts (which lanes changed is not
+                // predictable; the bucket has eight entries of slack).
+                bucket.taps[len] = w.tap + l as u32;
+                bucket.deltas[len] = delta;
+                len += usize::from(delta != 0.0);
+            }
+        }
+        entries += len as u64;
+        for (pi, seg) in row.chunks_mut(PANEL_WIDTH).enumerate() {
+            // The panel's sums stay in a fixed-width array across the bucket
+            // (the zero-padded tail lanes are computed and dropped), one
+            // chain per output in bucket order.
+            let panel = packed.panel(pi);
+            let mut acc = [0.0f32; PANEL_WIDTH];
+            acc[..seg.len()].copy_from_slice(seg);
+            for (&tap, &delta) in bucket.taps[..len].iter().zip(&bucket.deltas) {
+                let wrow = &panel[tap as usize * PANEL_WIDTH..][..PANEL_WIDTH];
+                for l in 0..PANEL_WIDTH {
+                    acc[l] += delta * wrow[l];
+                }
+            }
+            seg.copy_from_slice(&acc[..seg.len()]);
+        }
+    }
+    entries
 }
 
 /// One `counts[0] × counts[1]` grid of destination rows for

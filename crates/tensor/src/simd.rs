@@ -84,11 +84,8 @@ pub fn level() -> SimdLevel {
 /// Recorded in benchmark provenance alongside the active level.
 pub fn detected() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx2;
-        }
+    if avx2::available() {
+        return SimdLevel::Avx2;
     }
     SimdLevel::Scalar
 }
@@ -148,6 +145,36 @@ pub fn kernel_mismatch(actual: &[f32], oracle: &[f32], tol: f32) -> Option<Strin
     None
 }
 
+/// The left-pack permutation table: entry `m` lists the positions of the set
+/// bits of the 8-bit mask `m` in ascending order (zeros after them), as the
+/// lane selector of `_mm256_permutevar8x32_*`. Compacting the flagged lanes
+/// of a vector is then one table load and one permute, with no branch on how
+/// many are flagged. Shared by the one-pass change detection in
+/// `reuse-quant` and the output-stationary conv correction
+/// ([`crate::PackedPanels::gather_axpy`]); 8 KiB, 32-byte aligned so an entry
+/// never straddles a cache line.
+#[derive(Debug)]
+#[repr(C, align(32))]
+pub struct LeftPack(pub [[u32; 8]; 256]);
+
+/// See [`LeftPack`].
+pub static LEFT_PACK: LeftPack = {
+    let mut table = [[0u32; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut lane, mut packed) = (0u32, 0);
+        while lane < 8 {
+            if m >> lane & 1 == 1 {
+                table[m][packed] = lane;
+                packed += 1;
+            }
+            lane += 1;
+        }
+        m += 1;
+    }
+    LeftPack(table)
+};
+
 /// `dst[j] += scale · row[j]`, dispatched on [`level`].
 ///
 /// The scalar level performs separate multiply-then-add per element
@@ -178,16 +205,23 @@ pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
 pub mod avx2 {
     use core::arch::x86_64::*;
 
-    use crate::block::{PackedPanels, RowGrid, DELTA_BATCH, PANEL_WIDTH, TILE_LANES, TILE_PANELS};
+    use super::LEFT_PACK;
+    use crate::block::{
+        check_gather, PackedPanels, RowGrid, TapBucket, TapWindow, DELTA_BATCH, PANEL_WIDTH,
+        TILE_LANES, TILE_PANELS,
+    };
 
     // The kernels hand-unroll two 256-bit registers per panel row.
     const _: () = assert!(PANEL_WIDTH == 16);
     const _: () = assert!(TILE_PANELS == 4);
     const _: () = assert!(DELTA_BATCH == 4);
 
-    /// Whether this host can run the AVX2+FMA kernels.
+    /// Whether this host can run the AVX2+FMA kernels (the gather kernels
+    /// also count lanes with `popcnt`, which every AVX2 part has).
     pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("popcnt")
     }
 
     /// Asserts the host can run the AVX2+FMA kernels. Downstream crates
@@ -627,6 +661,176 @@ pub mod avx2 {
                             _mm256_maskstore_ps(d, mask, sum);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// AVX2 body of [`PackedPanels::gather_axpy`]: per position, every
+    /// window is one unaligned 8-lane load, a compare against zero and a
+    /// branch-free left-pack of the flagged `(tap, Δ)` lanes into the bucket;
+    /// the bucket is then fused onto the position's row with the row's sums
+    /// in registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2/FMA, and where
+    /// [`PackedPanels::gather_axpy`] does.
+    pub fn gather_axpy(
+        packed: &PackedPanels,
+        image: &[f32],
+        windows: &[TapWindow],
+        lanes: usize,
+        step: usize,
+        bucket: &mut TapBucket,
+        dst: &mut [f32],
+    ) -> u64 {
+        require();
+        let positions = check_gather(packed, image, windows, lanes, step, bucket, dst);
+        // SAFETY: `require` checked the host runs AVX2+FMA+POPCNT code.
+        // `check_gather` asserted that `lanes <= 8`; that every window's
+        // 8-lane load stays inside `image` for the last position, hence for
+        // all; that the bucket holds `windows · lanes + 8` entries, so the
+        // 8-lane stores at its end fit (it grows by at most `lanes` per
+        // window); that every tap `w.tap + l`, `l < lanes`, is a weight row;
+        // and that `dst` is `positions` rows of `n_out`.
+        unsafe { gather_axpy_impl(packed, image, windows, lanes, step, positions, bucket, dst) }
+    }
+
+    #[target_feature(enable = "avx2,fma,popcnt")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gather_axpy_impl(
+        packed: &PackedPanels,
+        image: &[f32],
+        windows: &[TapWindow],
+        lanes: usize,
+        step: usize,
+        positions: usize,
+        bucket: &mut TapBucket,
+        dst: &mut [f32],
+    ) -> u64 {
+        let n = packed.n_out();
+        let keep = (1usize << lanes) - 1;
+        let zero = _mm256_setzero_ps();
+        let (taps, deltas) = (bucket.taps.as_mut_ptr(), bucket.deltas.as_mut_ptr());
+        let mut entries = 0;
+        for p in 0..positions {
+            let mut len = 0;
+            for w in windows {
+                // SAFETY: the caller's contract (see `gather_axpy`); a mask
+                // below 256 indexes the 256-entry table.
+                unsafe {
+                    let run = _mm256_loadu_ps(image.as_ptr().add(w.at as usize + p * step));
+                    let changed = _mm256_cmp_ps::<_CMP_NEQ_UQ>(run, zero);
+                    let m = _mm256_movemask_ps(changed) as usize & keep;
+                    let pack = _mm256_load_si256(LEFT_PACK.0[m].as_ptr().cast());
+                    _mm256_storeu_ps(deltas.add(len), _mm256_permutevar8x32_ps(run, pack));
+                    let tap = _mm256_add_epi32(pack, _mm256_set1_epi32(w.tap as i32));
+                    _mm256_storeu_si256(taps.add(len).cast(), tap);
+                    len += m.count_ones() as usize;
+                }
+            }
+            entries += len as u64;
+            if len > 0 {
+                // SAFETY: the caller's contract (see `gather_axpy`).
+                unsafe { axpy_bucket(packed, taps, deltas, len, dst.as_mut_ptr().add(p * n)) };
+            }
+        }
+        entries
+    }
+
+    /// Adds `Σ_e deltas[e] · w[taps[e]]` onto the `n_out` floats at `dst`,
+    /// entries in order, 64 lanes (eight accumulators) at a time.
+    ///
+    /// # Safety
+    ///
+    /// `taps` and `deltas` hold `len` entries with every tap below `n_in`;
+    /// `dst` points at `n_out` writable floats; the host runs AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn axpy_bucket(
+        packed: &PackedPanels,
+        taps: *const u32,
+        deltas: *const f32,
+        len: usize,
+        dst: *mut f32,
+    ) {
+        let n = packed.n_out();
+        let panel_len = packed.n_in() * PANEL_WIDTH;
+        let vectors = n.div_ceil(8);
+        let mut first = 0;
+        while first < vectors {
+            let held = (vectors - first).min(8);
+            // Lanes the tile's last vector may touch (0: all eight).
+            let tail = if first + held == vectors { n % 8 } else { 0 };
+            // SAFETY: vector `v` of a weight row is panel `v / 2`, half
+            // `v % 2`; a tile starts on a panel boundary (`first % 8 == 0`),
+            // so it reads panels `first / 2 ..` of rows the caller bounded
+            // and writes `dst[8·first ..]` up to `n`.
+            unsafe {
+                let w = packed.data().as_ptr().add(first / 2 * panel_len);
+                let d = dst.add(8 * first);
+                match held {
+                    1 => axpy_tile::<1>(w, panel_len, taps, deltas, len, d, tail),
+                    2 => axpy_tile::<2>(w, panel_len, taps, deltas, len, d, tail),
+                    3 => axpy_tile::<3>(w, panel_len, taps, deltas, len, d, tail),
+                    4 => axpy_tile::<4>(w, panel_len, taps, deltas, len, d, tail),
+                    5 => axpy_tile::<5>(w, panel_len, taps, deltas, len, d, tail),
+                    6 => axpy_tile::<6>(w, panel_len, taps, deltas, len, d, tail),
+                    7 => axpy_tile::<7>(w, panel_len, taps, deltas, len, d, tail),
+                    _ => axpy_tile::<8>(w, panel_len, taps, deltas, len, d, tail),
+                }
+            }
+            first += 8;
+        }
+    }
+
+    /// One tile of [`axpy_bucket`]: `V` vectors of the destination row held
+    /// in registers across the whole bucket. `tail != 0` masks the last
+    /// vector to its first `tail` lanes on the one load and the one store
+    /// (the weight rows are zero-padded to whole panels, so their loads
+    /// never need a mask).
+    ///
+    /// # Safety
+    ///
+    /// As [`axpy_bucket`], for the `8·V` lanes (the last vector `tail` lanes
+    /// if non-zero) at `dst` and the panels from `w` on.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn axpy_tile<const V: usize>(
+        w: *const f32,
+        panel_len: usize,
+        taps: *const u32,
+        deltas: *const f32,
+        len: usize,
+        dst: *mut f32,
+        tail: usize,
+    ) {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail as i32), lane);
+        let mut acc = [_mm256_setzero_ps(); V];
+        // SAFETY: the caller's contract covers every lane loaded, every
+        // weight row read and every lane stored.
+        unsafe {
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = if tail != 0 && v == V - 1 {
+                    _mm256_maskload_ps(dst.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(dst.add(8 * v))
+                };
+            }
+            for e in 0..len {
+                let delta = _mm256_broadcast_ss(&*deltas.add(e));
+                let row = w.add(*taps.add(e) as usize * PANEL_WIDTH);
+                for (v, a) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_loadu_ps(row.add(v / 2 * panel_len + v % 2 * 8));
+                    *a = _mm256_fmadd_ps(delta, wv, *a);
+                }
+            }
+            for (v, a) in acc.iter().enumerate() {
+                if tail != 0 && v == V - 1 {
+                    _mm256_maskstore_ps(dst.add(8 * v), mask, *a);
+                } else {
+                    _mm256_storeu_ps(dst.add(8 * v), *a);
                 }
             }
         }

@@ -14,7 +14,7 @@
 #![cfg(target_arch = "x86_64")]
 
 use proptest::prelude::*;
-use reuse_tensor::block::RowGrid;
+use reuse_tensor::block::{gather_axpy_scalar, RowGrid, TapBucket, TapWindow};
 use reuse_tensor::simd::{self, avx2};
 use reuse_tensor::PackedPanels;
 
@@ -157,6 +157,93 @@ proptest! {
         }
         let tol = simd::fma_tolerance(3, MAX_ABS * MAX_ABS);
         for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
+            prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
+        }
+    }
+
+    #[test]
+    fn gather_axpy_matches_the_entry_loop_and_the_row_grid_walk(
+        // One lane, masked tails, whole vectors, a panel and a half, more
+        // than one 64-lane tile.
+        n_out in proptest::sample::select(vec![1usize, 7, 8, 24, 36, 64, 72, 130]),
+        lanes in proptest::sample::select(vec![1usize, 3, 4, 5, 7, 8]),
+        step in 1usize..4,
+        positions in 1usize..6,
+        n_windows in 1usize..5,
+        // Share of image floats that are non-zero: a frame with no change,
+        // sparse, dense, every input changed.
+        density in proptest::sample::select(vec![0u64, 6, 50, 100]),
+        seed in 0u64..100_000,
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        // Arbitrary (not dyadic) values, so a reordered or differently
+        // rounded addition shows in the low bits.
+        let unit = |r: u64| (r % 2_000_001) as f32 / 1_000_000.0 - 1.0;
+        let n_in = n_windows * lanes;
+        let w: Vec<f32> = (0..n_in * n_out).map(|_| unit(next())).collect();
+        let packed = PackedPanels::pack_slice(&w, n_in, n_out);
+        // Windows anywhere (overlapping, unordered in the image), taps
+        // ascending; the image ends exactly where the last position's last
+        // 8-lane load does, and lanes past `lanes` hold values too.
+        let windows: Vec<TapWindow> = (0..n_windows)
+            .map(|k| TapWindow { at: (next() % 40) as u32, tap: (k * lanes) as u32 })
+            .collect();
+        let reach = (positions - 1) * step + 8;
+        let len = windows.iter().map(|w| w.at as usize).max().unwrap() + reach;
+        let image: Vec<f32> = (0..len)
+            .map(|_| if next() % 100 < density { unit(next()) } else { 0.0 })
+            .collect();
+        let start: Vec<f32> = (0..positions * n_out).map(|_| unit(next())).collect();
+
+        // The scalar entry loop, and the same entries as 1×1 row grids.
+        let mut want = start.clone();
+        let mut grids = Vec::new();
+        for p in 0..positions {
+            for win in &windows {
+                for l in 0..lanes {
+                    let delta = image[win.at as usize + p * step + l];
+                    if delta != 0.0 {
+                        let row = win.tap as usize + l;
+                        for (o, &wv) in want[p * n_out..][..n_out].iter_mut().zip(&w[row * n_out..]) {
+                            *o += delta * wv;
+                        }
+                        grids.push(RowGrid { first_row: row, counts: [1, 1], at: p * n_out, scale: delta });
+                    }
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut bucket = TapBucket::new(n_in);
+
+        let mut scalar = start.clone();
+        let entries = gather_axpy_scalar(&packed, &image, &windows, lanes, step, &mut bucket, &mut scalar);
+        prop_assert_eq!(entries, grids.len() as u64);
+        prop_assert_eq!(bits(&scalar), bits(&want), "scalar gather vs the entry loop");
+
+        // Whatever level the process resolved, the two kernels agree bit for
+        // bit (under `REUSE_SIMD=off` this is the scalar row-grid walk).
+        let mut gathered = start.clone();
+        let mut walked = start.clone();
+        let entries = packed.gather_axpy(&image, &windows, lanes, step, &mut bucket, &mut gathered);
+        packed.axpy_row_grids([1, 1], n_out, grids.iter().copied(), &mut walked);
+        prop_assert_eq!(entries, grids.len() as u64);
+        prop_assert_eq!(bits(&gathered), bits(&walked), "dispatched gather vs row-grid walk");
+
+        if !avx2::available() {
+            return Ok(());
+        }
+        let mut fast = start.clone();
+        let mut fast_walk = start.clone();
+        let entries = avx2::gather_axpy(&packed, &image, &windows, lanes, step, &mut bucket, &mut fast);
+        avx2::axpy_row_grids(&packed, [1, 1], n_out, grids.iter().copied(), &mut fast_walk);
+        prop_assert_eq!(entries, grids.len() as u64);
+        prop_assert_eq!(bits(&fast), bits(&fast_walk), "avx2 gather vs avx2 row-grid walk");
+        let tol = simd::fma_tolerance(n_in + 1, 1.0);
+        for (j, (a, b)) in fast.iter().zip(want.iter()).enumerate() {
             prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
         }
     }
