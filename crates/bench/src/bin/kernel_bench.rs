@@ -35,11 +35,12 @@ use std::time::Instant;
 use reuse_bench::env_parse;
 use reuse_bench::streams::random_walk;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
+use reuse_core::layer::SERIAL;
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
 use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, NetworkBuilder, NnError};
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
-use reuse_tensor::{matmul, ParallelConfig, Shape, Tensor};
+use reuse_tensor::{matmul, Shape, Tensor};
 
 /// Times `f` until it has run for ~200 ms (at least 5 iterations) and
 /// returns ns/iter.
@@ -82,9 +83,9 @@ fn matmul_pair() -> KernelPair {
         naive: Box::new(move || {
             black_box(matmul::matmul_naive(black_box(&naive_a), black_box(&b)).unwrap());
         }),
-        gemm: Box::new(move |cfg| {
+        gemm: Box::new(move || {
             c.fill(0.0);
-            matmul::matmul_packed_into(cfg, black_box(a.as_slice()), &packed, m, &mut c);
+            matmul::matmul_packed_into(&SERIAL, black_box(a.as_slice()), &packed, m, &mut c);
             black_box(&c);
         }),
     }
@@ -102,18 +103,18 @@ struct KernelPair {
     /// headroom for their 2x wander.
     min_avx2_gflops: f64,
     naive: Box<dyn FnMut()>,
-    gemm: Box<dyn FnMut(&ParallelConfig)>,
+    gemm: Box<dyn FnMut()>,
 }
 
 /// Builds one pair from a layer of either rank, a seeded random input of
-/// `in_shape` and the layer's `forward_linear_with`.
+/// `in_shape` and the layer's `forward_linear`.
 fn conv_pair<L: ConvLayer + Clone + 'static>(
     name: &'static str,
     min_avx2_gflops: f64,
     layer: L,
     in_shape: Shape,
     seed: u64,
-    forward: fn(&L, &ParallelConfig, &Tensor) -> Result<Tensor, NnError>,
+    forward: fn(&L, &Tensor) -> Result<Tensor, NnError>,
 ) -> KernelPair {
     let mut dhw = [1; 3];
     dhw[3 - L::RANK..].copy_from_slice(&in_shape.dims()[1..]);
@@ -129,8 +130,8 @@ fn conv_pair<L: ConvLayer + Clone + 'static>(
             let (w, b) = (naive_layer.weights(), naive_layer.bias());
             black_box(conv_forward_naive(g, dhw, x, w, b).unwrap());
         }),
-        gemm: Box::new(move |cfg| {
-            black_box(forward(&layer, cfg, black_box(&input)).unwrap());
+        gemm: Box::new(move || {
+            black_box(forward(&layer, black_box(&input)).unwrap());
         }),
     }
 }
@@ -169,7 +170,7 @@ fn conv_pairs() -> [KernelPair; 2] {
             layer2,
             Shape::d3(24, 31, 98),
             4,
-            Conv2dLayer::forward_linear_with,
+            Conv2dLayer::forward_linear,
         ),
         conv_pair(
             "c3d_conv3_32x4x14x14/forward",
@@ -177,7 +178,7 @@ fn conv_pairs() -> [KernelPair; 2] {
             layer3,
             Shape::d4(32, 4, 14, 14),
             6,
-            Conv3dLayer::forward_linear_with,
+            Conv3dLayer::forward_linear,
         ),
     ]
 }
@@ -206,7 +207,6 @@ fn conv_reuse_speedup() -> (f64, f64) {
         .collect();
     let pack = ConvPack::new(&layer);
     let mut state = ConvReuseState::new(&layer, &in_shape).unwrap();
-    let serial = ParallelConfig::serial();
     let mut out = Vec::new();
     let (mut changed, mut inputs) = (0, 0);
     let mut reuse_pass = || {
@@ -214,7 +214,7 @@ fn conv_reuse_speedup() -> (f64, f64) {
         for frame in &there_and_back {
             let stats = state
                 .execute_into_packed(
-                    &serial,
+                    &SERIAL,
                     &layer,
                     &pack,
                     &quantizer,
@@ -386,9 +386,8 @@ fn perf_smoke() -> ExitCode {
     } else {
         0.0
     });
-    let serial = ParallelConfig::serial();
     let naive_ns = time_ns(&mut pair.naive);
-    let blocked_ns = time_ns(|| (pair.gemm)(&serial));
+    let blocked_ns = time_ns(&mut pair.gemm);
     let speedup = naive_ns / blocked_ns;
     let gflops = pair.flops as f64 / blocked_ns;
     eprintln!(
@@ -414,7 +413,7 @@ fn perf_smoke() -> ExitCode {
     // losing to the naive nest it replaced.
     for mut pair in conv_pairs() {
         let naive_ns = time_ns(&mut pair.naive);
-        let gemm_ns = time_ns(|| (pair.gemm)(&serial));
+        let gemm_ns = time_ns(&mut pair.gemm);
         let (speedup, gflops) = (naive_ns / gemm_ns, pair.flops as f64 / gemm_ns);
         let floor = if avx2 { pair.min_avx2_gflops } else { 0.0 };
         eprintln!(

@@ -45,8 +45,8 @@ use reuse_bench::env_parse;
 use reuse_bench::streams::{drive, OffsetStreams, Tier};
 use reuse_core::CompiledModel;
 use reuse_serve::{
-    default_shards, LatencyHistogram, ServerConfig, ShardWorkers, ShardedServer, StreamServer,
-    SubmitOptions,
+    default_shards, hardware_threads, LatencyHistogram, ServerConfig, ShardWorkers, ShardedServer,
+    StreamServer, SubmitOptions,
 };
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -422,7 +422,7 @@ fn perf_smoke(scale: Scale) -> ExitCode {
 /// one open-loop point at half capacity, and enforces the host-aware
 /// shard-scaling floor plus the p99 tail floor.
 fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
-    let threads = reuse_tensor::hardware_threads() as f64;
+    let threads = hardware_threads() as f64;
     // The driver thread submits and drains flat out, so shard workers
     // overlap on `threads - 1` hardware threads: with two or fewer the
     // floor degrades to "don't lose throughput"; a many-core host must

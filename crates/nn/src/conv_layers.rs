@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use reuse_tensor::conv::{conv_forward_packed, Conv2dSpec, Conv3dSpec, ConvGeometry};
-use reuse_tensor::{PackedPanels, ParallelConfig, Shape, Tensor};
+use reuse_tensor::{PackedPanels, Shape, Tensor};
 
 use crate::{init, Activation, NnError};
 
@@ -113,22 +113,7 @@ impl Conv2dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_linear_with(&ParallelConfig::serial(), input)
-    }
-
-    /// [`Self::forward_linear`] with an explicit parallelism budget (output
-    /// positions are partitioned; results are bit-identical to serial).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear_with(
-        &self,
-        config: &ParallelConfig,
-        input: &Tensor,
-    ) -> Result<Tensor, NnError> {
         Ok(conv_forward_packed(
-            config,
             &self.geometry,
             2,
             input,
@@ -257,22 +242,7 @@ impl Conv3dLayer {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_linear_with(&ParallelConfig::serial(), input)
-    }
-
-    /// [`Self::forward_linear`] with an explicit parallelism budget (output
-    /// positions are partitioned; results are bit-identical to serial).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear_with(
-        &self,
-        config: &ParallelConfig,
-        input: &Tensor,
-    ) -> Result<Tensor, NnError> {
         Ok(conv_forward_packed(
-            config,
             &self.geometry,
             3,
             input,

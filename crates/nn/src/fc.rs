@@ -1,5 +1,7 @@
 //! Fully-connected layer (paper Eq. 1).
 
+use std::sync::Arc;
+
 use reuse_tensor::{block, matmul, PackedPanels, ParallelConfig, Shape, Tensor};
 
 use crate::{init, Activation, NnError};
@@ -19,10 +21,14 @@ use crate::{init, Activation, NnError};
 /// [`reuse_tensor::simd::fma_tolerance`] under AVX2). The reuse-correction
 /// path does not touch that copy: [`reuse_tensor::block::apply_deltas_rows`]
 /// walks the row-major `weights`, one contiguous row per changed input.
+///
+/// Both layouts are immutable and shared by clones of the layer (the conv
+/// layers' `Arc` idiom): compiling a model clones its network, and a copy of
+/// Kaldi's 18 MB of weights in each layout was most of that set-up.
 #[derive(Debug, Clone)]
 pub struct FullyConnected {
-    weights: Tensor,
-    packed: PackedPanels,
+    weights: Arc<Tensor>,
+    packed: Arc<PackedPanels>,
     bias: Tensor,
     activation: Activation,
 }
@@ -48,8 +54,8 @@ impl FullyConnected {
         }
         let packed = PackedPanels::pack(&weights).expect("rank checked above");
         Ok(FullyConnected {
-            weights,
-            packed,
+            weights: Arc::new(weights),
+            packed: Arc::new(packed),
             bias,
             activation,
         })
@@ -68,8 +74,8 @@ impl FullyConnected {
         let bias = Tensor::from_vec(Shape::d1(n_out), b).expect("sized by construction");
         let packed = PackedPanels::pack(&weights).expect("rank-2 by construction");
         FullyConnected {
-            weights,
-            packed,
+            weights: Arc::new(weights),
+            packed: Arc::new(packed),
             bias,
             activation,
         }
@@ -115,44 +121,24 @@ impl FullyConnected {
     ///
     /// Propagates dimension mismatches from the kernel.
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_linear_with(&ParallelConfig::serial(), input)
-    }
-
-    /// [`Self::forward_linear`] with an explicit parallelism budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear_with(
-        &self,
-        config: &ParallelConfig,
-        input: &Tensor,
-    ) -> Result<Tensor, NnError> {
         let mut out = Vec::new();
-        self.forward_linear_into(config, input, &mut out)?;
+        self.forward_linear_into(input, &mut out)?;
         Ok(Tensor::from_vec(Shape::d1(self.n_out()), out)?)
     }
 
     /// Allocation-free linear forward: clears `out` and writes the `n_out`
     /// pre-activation values into it, reusing its capacity across calls.
     /// Runs the cache-blocked packed microkernel at the active
-    /// [`reuse_tensor::SimdLevel`]; for any thread count, results are
-    /// bit-identical to the naive [`matmul::fc_forward`] walk under the
-    /// scalar contract and within [`reuse_tensor::simd::fma_tolerance`] of
-    /// it under AVX2 (each output is one fused chain at a fixed level, so
-    /// values never depend on worker chunking).
+    /// [`reuse_tensor::SimdLevel`]; results are bit-identical to the naive
+    /// [`matmul::fc_forward_naive`] walk under the scalar contract and
+    /// within [`reuse_tensor::simd::fma_tolerance`] of it under AVX2.
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear_into(
-        &self,
-        config: &ParallelConfig,
-        input: &Tensor,
-        out: &mut Vec<f32>,
-    ) -> Result<(), NnError> {
+    pub fn forward_linear_into(&self, input: &Tensor, out: &mut Vec<f32>) -> Result<(), NnError> {
         Ok(block::fc_forward_packed_into(
-            config,
+            &ParallelConfig::serial(),
             &self.packed,
             input.as_slice(),
             self.bias.as_slice(),
@@ -234,7 +220,7 @@ mod tests {
         let fc = FullyConnected::random(37, 53, Activation::Identity, &mut rng);
         let x: Vec<f32> = (0..37).map(|v| (v as f32) * 0.11 - 2.0).collect();
         let xt = Tensor::from_slice_1d(&x).unwrap();
-        let naive = matmul::fc_forward(fc.weights(), &xt, fc.bias()).unwrap();
+        let naive = matmul::fc_forward_naive(fc.weights(), &xt, fc.bias()).unwrap();
         let blocked = fc.forward_linear(&xt).unwrap();
         // Bit-identical under the scalar contract; FMA-tolerance-bounded
         // under AVX2 (|x| <= 2, random small weights).

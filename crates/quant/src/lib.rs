@@ -12,8 +12,6 @@
 //!   integer `round(x / step)` used as the stored *index* (the paper's
 //!   I/O-buffer "indices" area).
 //! * [`RangeProfiler`] — accumulates ranges over calibration data.
-//! * [`fixed`] — an 8-bit fixed-point quantizer for the reduced-precision
-//!   accelerator study (paper Section VI-A).
 //! * [`RpqPlanes`] — MERCURY-style random-projection signatures for the
 //!   cross-stream signature cache.
 //!
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod fixed;
 pub mod kmeans;
 mod linear;
 mod range;

@@ -1,7 +1,7 @@
 //! Property-based tests for linear quantization (paper Eq. 9 invariants).
 
 use proptest::prelude::*;
-use reuse_quant::{fixed, InputRange, LinearQuantizer, RangeProfiler};
+use reuse_quant::{InputRange, LinearQuantizer, RangeProfiler};
 
 proptest! {
     #[test]
@@ -87,20 +87,6 @@ proptest! {
                 prop_assert_eq!(r.clamp(x), x);
             }
         }
-    }
-
-    #[test]
-    fn q8_mode_matches_tensor_fixed(v in -1.0f32..1.0) {
-        // The 255-cluster linear quantizer and the i8 datapath agree on the
-        // representable values up to rounding at the exact midpoints.
-        let q = fixed::q8_quantizer(1.0).unwrap();
-        let scale = reuse_tensor::fixed::q8_scale(1.0);
-        let tensor_q = reuse_tensor::fixed::Q8::from_f32(v, scale);
-        let lin = q.quantized_value(v);
-        // Steps differ slightly (255 clusters vs 127-step scale); both stay
-        // within one step of the input.
-        prop_assert!((lin - v).abs() <= q.step());
-        prop_assert!((tensor_q.to_f32() - v).abs() <= scale);
     }
 }
 

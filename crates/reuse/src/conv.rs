@@ -47,7 +47,7 @@ use std::sync::Arc;
 use reuse_nn::{Conv2dLayer, Conv3dLayer};
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::{RowGrid, TapBucket, TapWindow};
-use reuse_tensor::conv::{conv_forward_with, transpose_into, ConvGeometry};
+use reuse_tensor::conv::{conv_forward, transpose_into, ConvGeometry};
 use reuse_tensor::{PackedPanels, ParallelConfig, Shape};
 
 use crate::layer::ExecStats;
@@ -588,10 +588,8 @@ impl ConvReuseState {
     ///
     /// `input` is the flat row-major data of the state's input shape; `pack`
     /// must be the [`ConvPack`] built from `layer`. A frame after the first
-    /// is one detect pass and one correction pass, both on the calling
-    /// thread whatever `config` says (it reaches only the first frame's
-    /// forward): every output accumulates its deltas in input order, so the
-    /// result is the same at every worker count.
+    /// is one detect pass and one correction pass: every output accumulates
+    /// its deltas in input order.
     ///
     /// # Errors
     ///
@@ -601,7 +599,7 @@ impl ConvReuseState {
     #[allow(clippy::too_many_arguments)]
     pub fn execute_into_packed<L: ConvLayer>(
         &mut self,
-        config: &ParallelConfig,
+        _config: &ParallelConfig,
         layer: &L,
         pack: &ConvPack,
         quantizer: &LinearQuantizer,
@@ -635,7 +633,7 @@ impl ConvReuseState {
         if !self.initialized {
             let centroids = quantizer.quantized_values(input);
             let bias = layer.bias();
-            let linear = conv_forward_with(config, &g, in_dhw, &centroids, panels, bias)?;
+            let linear = conv_forward(&g, in_dhw, &centroids, panels, bias)?;
             self.adopt_baseline(quantizer, input, &linear);
             out.clear();
             out.extend_from_slice(&linear);
@@ -672,6 +670,7 @@ impl ConvReuseState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::SERIAL;
     use reuse_nn::{init::Rng64, Activation};
     use reuse_quant::InputRange;
     use reuse_tensor::conv::{Conv2dSpec, Conv3dSpec};
@@ -707,7 +706,7 @@ mod tests {
     }
 
     /// A state with its pack, stepping through the one production entry
-    /// point under the serial config.
+    /// point.
     struct Harness<'l, L: ConvLayer> {
         layer: &'l L,
         pack: ConvPack,
@@ -726,7 +725,7 @@ mod tests {
         fn step(&mut self, input: &[f32]) -> Result<(Vec<f32>, ExecStats), ReuseError> {
             let mut out = Vec::new();
             let stats = self.state.execute_into_packed(
-                &ParallelConfig::serial(),
+                &SERIAL,
                 self.layer,
                 &self.pack,
                 &q(),
@@ -877,8 +876,7 @@ mod tests {
                 }
                 stats.clear();
                 for (state, out) in states.iter_mut().zip(&mut outs) {
-                    let serial = ParallelConfig::serial();
-                    let s = state.execute_into_packed(&serial, layer, &pack, &q(), &frame, out);
+                    let s = state.execute_into_packed(&SERIAL, layer, &pack, &q(), &frame, out);
                     stats.push(s.unwrap());
                 }
                 assert_eq!(stats[0], stats[1], "{what} step {step}");

@@ -12,6 +12,7 @@ use reuse_quant::LinearQuantizer;
 use reuse_tensor::Tensor;
 
 use crate::fc::FcReuseState;
+use crate::layer::SERIAL;
 use crate::ReuseError;
 
 /// Drift of the incremental path relative to from-scratch recomputation.
@@ -63,10 +64,9 @@ pub fn measure_fc_drift(
     let mut max_abs_error = Vec::new();
     let mut last_error = 0.0f64;
     let mut last_mag = 1.0f64;
-    let serial = reuse_tensor::ParallelConfig::serial();
     let mut incremental = Vec::new();
     for (t, input) in inputs.iter().enumerate() {
-        state.execute_into(&serial, layer, quantizer, input, &mut incremental)?;
+        state.execute_into(&SERIAL, layer, quantizer, input, &mut incremental)?;
         if t > 0 && t % checkpoint_every.max(1) == 0 {
             let centroids = quantizer.quantized_values(input);
             let t_in = Tensor::from_slice_1d(&centroids)?;

@@ -13,10 +13,9 @@
 use reuse_nn::FullyConnected;
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::apply_deltas_rows;
-use reuse_tensor::parallel::parallel_for_mut;
 use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
-use crate::layer::ExecStats;
+use crate::layer::{ExecStats, SERIAL};
 use crate::ReuseError;
 
 /// Buffered state of one FC layer between executions.
@@ -27,9 +26,8 @@ pub struct FcReuseState {
     /// Linear (pre-activation) outputs of the previous execution.
     prev_linear: Vec<f32>,
     /// Scratch: `(input index, centroid delta)` of this frame's changed
-    /// inputs. Collected serially, then applied to output chunks (possibly
-    /// in parallel). Reused across executions so the steady state performs
-    /// no heap allocation.
+    /// inputs. Reused across executions so the steady state performs no
+    /// heap allocation.
     changed: Vec<(u32, f32)>,
     initialized: bool,
 }
@@ -90,33 +88,31 @@ impl FcReuseState {
     /// its capacity; the caller applies the activation. Allocation-free
     /// once initialized.
     ///
-    /// Changed inputs are detected serially (updating the code buffer in
+    /// Changed inputs are detected in one pass (updating the code buffer in
     /// input order), then the `(i, Δc)` deltas are applied against the
     /// layer's row-major `[n_in, n_out]` weights through
     /// `reuse_tensor::block::apply_deltas_rows`: a few changed rows are
     /// streamed together, so the buffered outputs are read and written once
     /// per batch of rows instead of once per delta. Each output neuron
-    /// accumulates its deltas in changed-list (ascending input) order on
-    /// exactly one thread, so under the scalar SIMD level the result is
-    /// bit-identical to the one-row-at-a-time walk
-    /// ([`Self::execute_into_naive`]) for any `config`; under the AVX2 level
-    /// the batched walk fuses each delta into an FMA and agrees within
+    /// accumulates its deltas in changed-list (ascending input) order, so
+    /// under the scalar SIMD level the result is bit-identical to the
+    /// one-row-at-a-time walk ([`Self::execute_into_naive`]); under the AVX2
+    /// level the batched walk fuses each delta into an FMA and agrees within
     /// `reuse_tensor::simd::fma_tolerance` (codes, changed counts, and MAC
-    /// statistics stay bit-exact at every level). Correction frames below
-    /// the config's inline-FLOP threshold run inline with no thread spawns.
+    /// statistics stay bit-exact at every level).
     ///
     /// # Errors
     ///
     /// Returns [`ReuseError`] when `input` has the wrong length.
     pub fn execute_into(
         &mut self,
-        config: &ParallelConfig,
+        _config: &ParallelConfig,
         layer: &FullyConnected,
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, false)
+        self.execute_into_impl(layer, quantizer, input, out, false)
     }
 
     /// [`Self::execute_into`] with the original unblocked correction walk
@@ -126,18 +122,16 @@ impl FcReuseState {
     #[doc(hidden)]
     pub fn execute_into_naive(
         &mut self,
-        config: &ParallelConfig,
         layer: &FullyConnected,
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.execute_into_impl(config, layer, quantizer, input, out, true)
+        self.execute_into_impl(layer, quantizer, input, out, true)
     }
 
     fn execute_into_impl(
         &mut self,
-        config: &ParallelConfig,
         layer: &FullyConnected,
         quantizer: &LinearQuantizer,
         input: &[f32],
@@ -165,7 +159,7 @@ impl FcReuseState {
                 .collect();
             let qin = Tensor::from_vec(Shape::d1(n_in), centroids)?;
             self.prev_linear.clear();
-            layer.forward_linear_into(config, &qin, &mut self.prev_linear)?;
+            layer.forward_linear_into(&qin, &mut self.prev_linear)?;
             self.changed.reserve(n_in);
             self.initialized = true;
             out.clear();
@@ -179,33 +173,27 @@ impl FcReuseState {
             });
         }
 
-        // Pass 1 (serial): quantize the frame against the buffered codes,
-        // collecting the changed list in ascending input order. One pass,
-        // vectorized under the AVX2 level, with bit-exact codes and deltas
-        // at every level.
+        // Pass 1: quantize the frame against the buffered codes, collecting
+        // the changed list in ascending input order. One pass, vectorized
+        // under the AVX2 level, with bit-exact codes and deltas at every
+        // level.
         quantizer.diff_codes(input, &mut self.prev_codes, &mut self.changed);
 
-        // Pass 2 (parallel over output neurons): apply every delta to this
-        // worker's span of the buffered linear outputs.
-        let changed: &[(u32, f32)] = &self.changed;
+        // Pass 2: apply every delta to the buffered linear outputs.
+        let w = layer.weights().as_slice();
         if naive {
             // Original scattered walk: one n_out-wide weight-row pass per
             // changed input.
-            let w = layer.weights().as_slice();
-            parallel_for_mut(config, &mut self.prev_linear, 1, |offset, chunk| {
-                for &(i, delta) in changed {
-                    let base = i as usize * n_out + offset;
-                    let row = &w[base..base + chunk.len()];
-                    for (z, &wij) in chunk.iter_mut().zip(row.iter()) {
-                        *z += delta * wij;
-                    }
+            for &(i, delta) in &self.changed {
+                let row = &w[i as usize * n_out..][..n_out];
+                for (z, &wij) in self.prev_linear.iter_mut().zip(row) {
+                    *z += delta * wij;
                 }
-            });
+            }
         } else {
             // Batched walk: DELTA_BATCH changed rows streamed together, one
             // read-modify-write sweep of the buffered outputs per batch.
-            let w = layer.weights().as_slice();
-            apply_deltas_rows(config, w, n_out, changed, &mut self.prev_linear);
+            apply_deltas_rows(&SERIAL, w, n_out, &self.changed, &mut self.prev_linear);
         }
         out.clear();
         out.extend_from_slice(&self.prev_linear);
@@ -238,7 +226,7 @@ mod tests {
         input: &[f32],
     ) -> Result<(Vec<f32>, ExecStats), ReuseError> {
         let mut out = Vec::new();
-        let stats = state.execute_into(&ParallelConfig::serial(), layer, q, input, &mut out)?;
+        let stats = state.execute_into(&SERIAL, layer, q, input, &mut out)?;
         Ok((out, stats))
     }
 
@@ -334,7 +322,6 @@ mod tests {
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let mut blocked = FcReuseState::new(&layer);
         let mut naive = FcReuseState::new(&layer);
-        let cfg = ParallelConfig::serial();
         let mut input = vec![0.0f32; 23];
         let mut rng = Rng64::new(17);
         let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
@@ -343,10 +330,10 @@ mod tests {
                 *v = (*v + rng.uniform(0.4)).clamp(-1.0, 1.0);
             }
             let sb = blocked
-                .execute_into(&cfg, &layer, &q, &input, &mut out_b)
+                .execute_into(&SERIAL, &layer, &q, &input, &mut out_b)
                 .unwrap();
             let sn = naive
-                .execute_into_naive(&cfg, &layer, &q, &input, &mut out_n)
+                .execute_into_naive(&layer, &q, &input, &mut out_n)
                 .unwrap();
             assert_eq!(sb, sn);
             // 30 frames × ≤23 deltas accumulate on each buffered output.

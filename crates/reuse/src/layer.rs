@@ -22,11 +22,10 @@ use crate::model::CompiledWeights;
 use crate::trace::TraceKind;
 use crate::ReuseError;
 
-/// Sessions run every kernel on the calling thread: shards are the
-/// multi-core answer above the kernel API. The per-family entry points
-/// keep their `&ParallelConfig` parameter only because the repository
-/// benchmark passes one.
-pub(crate) const SERIAL: ParallelConfig = ParallelConfig::serial();
+/// The token the six benchmark-pinned kernel entry points still take and
+/// ignore (ROADMAP item 1(b)): every kernel runs on the calling thread, and
+/// shards are the multi-core answer above the kernel API.
+pub const SERIAL: ParallelConfig = ParallelConfig::serial();
 
 /// `Instant::now()` only when spans are being recorded, so the disabled
 /// path pays a single branch.

@@ -18,10 +18,9 @@ use reuse_nn::lstm::NUM_GATES;
 use reuse_nn::{LstmCell, LstmState};
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::apply_deltas_rows;
-use reuse_tensor::parallel::parallel_for_mut;
 use reuse_tensor::ParallelConfig;
 
-use crate::layer::ExecStats;
+use crate::layer::{ExecStats, SERIAL};
 use crate::ReuseError;
 
 /// The immutable combined four-gate weight matrices of one LSTM cell,
@@ -73,7 +72,7 @@ pub struct LstmReuseState {
     /// Previous gate pre-activations, `[NUM_GATES × cell_dim]` row-major.
     prev_pre: Vec<f32>,
     /// Scratch `(index, centroid delta)` list of changed feed-forward
-    /// inputs; collected serially, applied per chunk, reused across steps.
+    /// inputs, reused across steps.
     changed_x: Vec<(u32, f32)>,
     /// Scratch changed list for the recurrent inputs.
     changed_h: Vec<(u32, f32)>,
@@ -139,15 +138,13 @@ impl LstmReuseState {
     /// [`LstmGatePack`] built from `cell`.
     ///
     /// Both `x` and the recurrent input `h_{t-1}` are quantized with the
-    /// provided quantizers and diffed serially, then the corrections are
-    /// applied through the combined four-gate matrices in delta batches:
-    /// every output accumulates all x deltas then all h deltas in input
-    /// order — the same per-output order as the naive scattered row walk
+    /// provided quantizers and diffed, then the corrections are applied
+    /// through the combined four-gate matrices in delta batches: every
+    /// output accumulates all x deltas then all h deltas in input order —
+    /// the same per-output order as the naive scattered row walk
     /// ([`Self::step_into_naive`]) — so under the scalar SIMD level results
-    /// are bit-identical for any `config` (under AVX2 the batched walk
-    /// fuses deltas into FMAs and agrees within
-    /// `reuse_tensor::simd::fma_tolerance`). Calls cheaper than the
-    /// config's inline-FLOP threshold stay on the calling thread.
+    /// are bit-identical to it (under AVX2 the batched walk fuses deltas
+    /// into FMAs and agrees within `reuse_tensor::simd::fma_tolerance`).
     ///
     /// # Errors
     ///
@@ -156,7 +153,7 @@ impl LstmReuseState {
     #[allow(clippy::too_many_arguments)]
     pub fn step_into_packed(
         &mut self,
-        config: &ParallelConfig,
+        _config: &ParallelConfig,
         cell: &LstmCell,
         pack: &LstmGatePack,
         x_quantizer: &LinearQuantizer,
@@ -175,7 +172,7 @@ impl LstmReuseState {
                 ),
             });
         }
-        self.step_into_impl(config, cell, x_quantizer, h_quantizer, x, h_out, Some(pack))
+        self.step_into_impl(cell, x_quantizer, h_quantizer, x, h_out, Some(pack))
     }
 
     /// [`Self::step_into_packed`] through the pre-blocking scattered row
@@ -189,22 +186,19 @@ impl LstmReuseState {
     #[doc(hidden)]
     pub fn step_into_naive(
         &mut self,
-        config: &ParallelConfig,
         cell: &LstmCell,
         x_quantizer: &LinearQuantizer,
         h_quantizer: &LinearQuantizer,
         x: &[f32],
         h_out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.step_into_impl(config, cell, x_quantizer, h_quantizer, x, h_out, None)
+        self.step_into_impl(cell, x_quantizer, h_quantizer, x, h_out, None)
     }
 
     /// One timestep; `pack` selects the batched walk over the combined
     /// matrices, `None` the reference walk over the cell's raw weights.
-    #[allow(clippy::too_many_arguments)]
     fn step_into_impl(
         &mut self,
-        config: &ParallelConfig,
         cell: &LstmCell,
         x_quantizer: &LinearQuantizer,
         h_quantizer: &LinearQuantizer,
@@ -252,10 +246,9 @@ impl LstmReuseState {
             });
         }
 
-        // Pass 1 (serial): diff x_t vs x_{t-1} and h_{t-1} vs h_{t-2},
-        // collecting the changed lists in input order. One pass each,
-        // vectorized under the AVX2 level with bit-exact codes and deltas at
-        // every level.
+        // Pass 1: diff x_t vs x_{t-1} and h_{t-1} vs h_{t-2}, collecting the
+        // changed lists in input order. One pass each, vectorized under the
+        // AVX2 level with bit-exact codes and deltas at every level.
         x_quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
         h_quantizer.diff_codes(&self.state.h, &mut self.prev_h_codes, &mut self.changed_h);
 
@@ -271,38 +264,20 @@ impl LstmReuseState {
             // DELTA_BATCH changed rows streamed together per pass, all
             // gates corrected in one sweep per source.
             let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
-            apply_deltas_rows(config, &pack.combined_x, width, changed_x, pre);
-            apply_deltas_rows(config, &pack.combined_h, width, changed_h, pre);
+            apply_deltas_rows(&SERIAL, &pack.combined_x, width, changed_x, pre);
+            apply_deltas_rows(&SERIAL, &pack.combined_h, width, changed_h, pre);
         } else {
-            // Scattered row walk over the raw weight matrices; a chunk may
-            // span gate boundaries, so walk its per-gate segments.
-            parallel_for_mut(config, &mut self.prev_pre, 1, |offset, chunk| {
-                let end = offset + chunk.len();
-                for g in offset / d..NUM_GATES {
-                    let lo = (g * d).max(offset);
-                    let hi = ((g + 1) * d).min(end);
-                    if lo >= hi {
-                        break;
-                    }
-                    let within = lo - g * d;
-                    let seg_len = hi - lo;
-                    let seg = &mut chunk[lo - offset..hi - offset];
-                    let wx = cell.w_x(g).as_slice();
-                    for &(i, delta) in changed_x {
-                        let row = &wx[i as usize * d + within..][..seg_len];
-                        for (z, &wij) in seg.iter_mut().zip(row.iter()) {
-                            *z += delta * wij;
-                        }
-                    }
-                    let wh = cell.w_h(g).as_slice();
-                    for &(i, delta) in changed_h {
-                        let row = &wh[i as usize * d + within..][..seg_len];
-                        for (z, &wij) in seg.iter_mut().zip(row.iter()) {
+            // Scattered row walk over the raw weight matrices, gate by gate.
+            for (g, gate) in self.prev_pre.chunks_exact_mut(d).enumerate() {
+                for (w, changed) in [(cell.w_x(g), changed_x), (cell.w_h(g), changed_h)] {
+                    for &(i, delta) in changed {
+                        let row = &w.as_slice()[i as usize * d..][..d];
+                        for (z, &wij) in gate.iter_mut().zip(row) {
                             *z += delta * wij;
                         }
                     }
                 }
-            });
+            }
         }
         let changed = (self.changed_x.len() + self.changed_h.len()) as u64;
         cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
@@ -350,7 +325,7 @@ mod tests {
     use reuse_quant::InputRange;
 
     /// A cell with its pack and quantizers, stepping per-stream state
-    /// through the production entry point under the serial config.
+    /// through the production entry point.
     struct Harness {
         cell: LstmCell,
         pack: LstmGatePack,
@@ -374,13 +349,7 @@ mod tests {
         fn step(&mut self, x: &[f32]) -> Result<(Vec<f32>, ExecStats), ReuseError> {
             let mut h = Vec::new();
             let stats = self.state.step_into_packed(
-                &ParallelConfig::serial(),
-                &self.cell,
-                &self.pack,
-                &self.xq,
-                &self.hq,
-                x,
-                &mut h,
+                &SERIAL, &self.cell, &self.pack, &self.xq, &self.hq, x, &mut h,
             )?;
             Ok((h, stats))
         }
@@ -477,7 +446,6 @@ mod tests {
         // tolerance), not the per-step stats.
         let mut blocked = Harness::new(LstmCell::random(13, 11, &mut Rng64::new(5)));
         let mut naive = LstmReuseState::new_shared(&blocked.cell);
-        let cfg = ParallelConfig::serial();
         let bit_exact = reuse_tensor::simd::is_bit_exact();
         let mut rng = Rng64::new(17);
         let mut frame = vec![0.0f32; 13];
@@ -489,7 +457,7 @@ mod tests {
             let (hb, sb) = blocked.step(&frame).unwrap();
             let (cell, xq, hq) = (&blocked.cell, &blocked.xq, &blocked.hq);
             let sn = naive
-                .step_into_naive(&cfg, cell, xq, hq, &frame, &mut hn)
+                .step_into_naive(cell, xq, hq, &frame, &mut hn)
                 .unwrap();
             if bit_exact {
                 assert_eq!(sb, sn);

@@ -211,6 +211,30 @@ fn disabled_layers_run_fp32_and_are_not_metered() {
     }
 }
 
+/// With reuse disabled everywhere the engine runs full precision through the
+/// pooled pipeline, so `execute_sequence` must equal `reference_forward`
+/// bit-for-bit (the only configuration where exact equality is meaningful —
+/// quantized runs approximate by design).
+#[test]
+fn full_precision_sequence_matches_reference_forward_exactly() {
+    let net = NetworkBuilder::new("fp", 12)
+        .fully_connected(20, Activation::Relu)
+        .fully_connected(6, Activation::Identity)
+        .build()
+        .unwrap();
+    let config = ReuseConfig::uniform(16)
+        .disable_layer("fc1")
+        .disable_layer("fc2");
+    let mut engine = ReuseSession::from_network(&net, &config);
+    let frames = walk(6, 12, 0.25, 77);
+    let outs = engine.execute_sequence(&frames).unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for (frame, out) in frames.iter().zip(outs.iter()) {
+        let reference = engine.reference_forward(frame).unwrap();
+        assert_eq!(bits(reference.as_slice()), bits(out.as_slice()));
+    }
+}
+
 #[test]
 fn rnn_sequence_runs_and_reuses() {
     let net = rnn();

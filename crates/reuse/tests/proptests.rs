@@ -316,7 +316,7 @@ proptest! {
         let tol = reuse_tensor::simd::fma_tolerance(12 + 11 * xs.len(), 10.0);
         for x in &xs {
             let sb = blocked.execute_into(&cfg, &layer, &q, x, &mut out_b).unwrap();
-            let sn = naive.execute_into_naive(&cfg, &layer, &q, x, &mut out_n).unwrap();
+            let sn = naive.execute_into_naive(&layer, &q, x, &mut out_n).unwrap();
             let mismatch = reuse_tensor::simd::kernel_mismatch(&out_b, &out_n, tol);
             prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
             // Quantize/diff is bit-exact at every level, so the two paths
@@ -342,7 +342,7 @@ proptest! {
         let tol = reuse_tensor::simd::fma_tolerance(15 * xs.len(), 30.0);
         for x in &xs {
             let sb = blocked.step_into_packed(&cfg, &cell, &pack, &xq, &hq, x, &mut h_b).unwrap();
-            let sn = naive.step_into_naive(&cfg, &cell, &xq, &hq, x, &mut h_n).unwrap();
+            let sn = naive.step_into_naive(&cell, &xq, &hq, x, &mut h_n).unwrap();
             let mismatch = reuse_tensor::simd::kernel_mismatch(&h_b, &h_n, tol);
             prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
             // Under AVX2 the recurrent h inputs can differ by ULPs between

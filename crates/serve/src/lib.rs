@@ -76,7 +76,7 @@ mod snapshot;
 pub use error::ServeError;
 pub use histogram::LatencyHistogram;
 pub use server::{Priority, ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
-pub use shard::{default_shards, ShardWorkers, ShardedServer, ShardedSnapshot};
+pub use shard::{default_shards, hardware_threads, ShardWorkers, ShardedServer, ShardedSnapshot};
 pub use snapshot::{ServerSnapshot, StreamSnapshot};
 
 // Re-exported so downstream code can name the shared-model types without a

@@ -77,11 +77,16 @@ impl std::fmt::Debug for ShardedServer {
     }
 }
 
+/// The detected number of hardware threads (`1` when detection fails).
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Default shard count for a host: one shard per hardware thread, capped
 /// at 8 (past that, shards outnumber the streams most workloads offer and
 /// per-shard pools fragment the LRU budget for no throughput gain).
 pub fn default_shards() -> usize {
-    reuse_tensor::hardware_threads().clamp(1, 8)
+    hardware_threads().clamp(1, 8)
 }
 
 impl ShardedServer {

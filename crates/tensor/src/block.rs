@@ -24,20 +24,17 @@
 //! * Scalar level: for each output `j`, the blocked kernel performs the
 //!   same additions in the same order as the naive loop — bias first, then
 //!   `x[i] · w[i][j]` for `i` ascending, skipping `x[i] == 0.0` terms — so
-//!   results are **bit-identical** to [`crate::matmul::fc_forward_into`].
+//!   results are **bit-identical** to [`crate::matmul::fc_forward_naive`].
 //! * AVX2 level: same terms, same ascending order, but each step is a fused
 //!   multiply-add and exact zeros are multiplied rather than skipped;
 //!   results agree with the oracle within [`crate::simd::fma_tolerance`].
 //!
-//! Either way every output's accumulation runs on one thread in one chain,
-//! so results never depend on the worker count; the proptests in
+//! Either way every output's accumulation is one chain; the proptests in
 //! `tests/blocked.rs` assert the level-appropriate property across odd
 //! shapes.
 
-use crate::matmul::fc_flops;
-use crate::parallel::{parallel_for_mut_cost, ParallelConfig};
 use crate::simd;
-use crate::{Tensor, TensorError};
+use crate::{ParallelConfig, Tensor, TensorError};
 
 /// Number of output lanes per packed panel: 16 `f32` lanes fill two 256-bit
 /// vector registers (the AVX2 kernels' unroll unit); on narrower machines
@@ -396,21 +393,17 @@ pub struct RowGrid {
 /// Blocked fully-connected forward pass: `out[j] = Σ_i w[i][j]·x[i] + b[j]`,
 /// walking the one-time-packed panels with register accumulators. Under the
 /// scalar [`crate::simd::level`] it is bit-identical to
-/// [`crate::matmul::fc_forward_into`] (same per-output accumulation order —
+/// [`crate::matmul::fc_forward_naive`] (same per-output accumulation order —
 /// bias first, then ascending `i` with the `x[i] == 0.0` skip); under AVX2
 /// it sums the same terms in the same order with fused multiply-adds (see
 /// the [`crate::simd`] contract).
-///
-/// Dispatch is adaptive: the call runs inline when its FLOP estimate is
-/// below [`ParallelConfig::inline_flops`], and output panels are otherwise
-/// chunked across the clamped worker count (granule = one panel).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `x` or `bias` disagree with
 /// the packed shape.
 pub fn fc_forward_packed_into(
-    config: &ParallelConfig,
+    _config: &ParallelConfig,
     packed: &PackedPanels,
     x: &[f32],
     bias: &[f32],
@@ -436,44 +429,23 @@ pub fn fc_forward_packed_into(
     }
     out.clear();
     out.extend_from_slice(bias);
-    let flops = fc_flops(packed.n_in, packed.n_out);
-    parallel_for_mut_cost(config, out, PANEL_WIDTH, flops, |offset, chunk| {
-        debug_assert_eq!(offset % PANEL_WIDTH, 0);
-        forward_panels(packed, x, offset / PANEL_WIDTH, chunk);
-    });
+    match simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdLevel::Avx2 => simd::avx2::fc_panels(packed, x, out),
+        _ => forward_panels_scalar(packed, x, out),
+    }
     Ok(())
 }
 
-/// Walks a run of output panels starting at `first_panel`, dispatching on
-/// the active SIMD level: the AVX2 kernels when available, otherwise the
-/// scalar tile walk.
-#[inline]
-pub(crate) fn forward_panels(
-    packed: &PackedPanels,
-    x: &[f32],
-    first_panel: usize,
-    out: &mut [f32],
-) {
-    match simd::level() {
-        #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => simd::avx2::fc_panels(packed, x, first_panel, out),
-        _ => forward_panels_scalar(packed, x, first_panel, out),
-    }
-}
-
-/// The scalar panel walk: four panels at a time with the tile kernel and
-/// one at a time for the remainder. Bit-identical to the naive row walk.
-/// Public (but hidden) so the SIMD==scalar equivalence suites can pin the
-/// scalar side regardless of the dispatched level.
+/// The scalar walk over every output panel, `out` entering with the biases
+/// (or partial sums): four panels at a time with the tile kernel and one at
+/// a time for the remainder. Bit-identical to the naive row walk. Public
+/// (but hidden) so the SIMD==scalar equivalence suites can pin the scalar
+/// side regardless of the dispatched level.
 #[doc(hidden)]
 #[inline]
-pub fn forward_panels_scalar(
-    packed: &PackedPanels,
-    x: &[f32],
-    first_panel: usize,
-    out: &mut [f32],
-) {
-    let mut p = first_panel;
+pub fn forward_panels_scalar(packed: &PackedPanels, x: &[f32], out: &mut [f32]) {
+    let mut p = 0;
     for seg in out.chunks_mut(TILE_LANES) {
         if seg.len() == TILE_LANES {
             panel_tile_kernel(
@@ -563,73 +535,57 @@ pub const DELTA_BATCH: usize = 4;
 /// `deltas` order — exactly the order the naive correction loop uses — so
 /// under the scalar [`crate::simd::level`] the result is bit-identical to
 /// the unblocked path (paper Eq. 10); the AVX2 level fuses each step and
-/// agrees within [`crate::simd::fma_tolerance`]. Both levels confine each
-/// output to one chain, so results are chunking-independent.
-///
-/// The FLOP estimate for adaptive dispatch is `2 · deltas · n_out`; small
-/// correction frames stay inline and never pay thread-spawn cost.
+/// agrees within [`crate::simd::fma_tolerance`].
 ///
 /// # Panics
 ///
-/// Panics (in debug) when `z.len() * max(i)` overruns `w`.
+/// Panics when `z` is not `n_out` long or a delta's row lies outside `w`.
 pub fn apply_deltas_rows(
-    config: &ParallelConfig,
+    _config: &ParallelConfig,
     w: &[f32],
     n_out: usize,
     deltas: &[(u32, f32)],
     z: &mut [f32],
 ) {
-    debug_assert_eq!(z.len(), n_out);
-    if deltas.is_empty() || n_out == 0 {
-        return;
-    }
-    let flops = 2 * deltas.len() as u64 * n_out as u64;
-    parallel_for_mut_cost(config, z, 1, flops, |offset, chunk| match simd::level() {
+    assert_eq!(z.len(), n_out, "buffered outputs vs weight row width");
+    match simd::level() {
         #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => simd::avx2::apply_deltas(w, n_out, offset, deltas, chunk),
-        _ => apply_deltas_scalar(w, n_out, offset, deltas, chunk),
-    });
+        simd::SimdLevel::Avx2 => simd::avx2::apply_deltas(w, deltas, z),
+        _ => apply_deltas_scalar(w, deltas, z),
+    }
 }
 
-/// The scalar correction sweep over one worker's span of `z` (bit-identical
-/// to the naive scattered walk). Public (but hidden) for the SIMD==scalar
-/// equivalence suites.
+/// The scalar correction sweep over `z`, one weight row `z.len()` wide per
+/// delta (bit-identical to the naive scattered walk). Public (but hidden)
+/// for the SIMD==scalar equivalence suites.
 #[doc(hidden)]
-pub fn apply_deltas_scalar(
-    w: &[f32],
-    n_out: usize,
-    offset: usize,
-    deltas: &[(u32, f32)],
-    chunk: &mut [f32],
-) {
-    {
-        let len = chunk.len();
-        let mut batches = deltas.chunks_exact(DELTA_BATCH);
-        for batch in batches.by_ref() {
-            let (i0, d0) = batch[0];
-            let (i1, d1) = batch[1];
-            let (i2, d2) = batch[2];
-            let (i3, d3) = batch[3];
-            let r0 = &w[i0 as usize * n_out + offset..][..len];
-            let r1 = &w[i1 as usize * n_out + offset..][..len];
-            let r2 = &w[i2 as usize * n_out + offset..][..len];
-            let r3 = &w[i3 as usize * n_out + offset..][..len];
-            for (j, zj) in chunk.iter_mut().enumerate() {
-                // One chain per output element; vectorizing over `j` gives
-                // the ILP, and the in-order adds keep bit-identity.
-                let mut acc = *zj;
-                acc += d0 * r0[j];
-                acc += d1 * r1[j];
-                acc += d2 * r2[j];
-                acc += d3 * r3[j];
-                *zj = acc;
-            }
+pub fn apply_deltas_scalar(w: &[f32], deltas: &[(u32, f32)], z: &mut [f32]) {
+    let n_out = z.len();
+    let mut batches = deltas.chunks_exact(DELTA_BATCH);
+    for batch in batches.by_ref() {
+        let (i0, d0) = batch[0];
+        let (i1, d1) = batch[1];
+        let (i2, d2) = batch[2];
+        let (i3, d3) = batch[3];
+        let r0 = &w[i0 as usize * n_out..][..n_out];
+        let r1 = &w[i1 as usize * n_out..][..n_out];
+        let r2 = &w[i2 as usize * n_out..][..n_out];
+        let r3 = &w[i3 as usize * n_out..][..n_out];
+        for (j, zj) in z.iter_mut().enumerate() {
+            // One chain per output element; vectorizing over `j` gives
+            // the ILP, and the in-order adds keep bit-identity.
+            let mut acc = *zj;
+            acc += d0 * r0[j];
+            acc += d1 * r1[j];
+            acc += d2 * r2[j];
+            acc += d3 * r3[j];
+            *zj = acc;
         }
-        for &(i, delta) in batches.remainder() {
-            let row = &w[i as usize * n_out + offset..][..len];
-            for (zj, &wij) in chunk.iter_mut().zip(row.iter()) {
-                *zj += delta * wij;
-            }
+    }
+    for &(i, delta) in batches.remainder() {
+        let row = &w[i as usize * n_out..][..n_out];
+        for (zj, &wij) in z.iter_mut().zip(row.iter()) {
+            *zj += delta * wij;
         }
     }
 }
@@ -637,7 +593,7 @@ pub fn apply_deltas_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::fc_forward_into;
+    use crate::matmul::fc_forward_naive;
     use crate::Shape;
 
     fn ramp(n: usize) -> Vec<f32> {
@@ -682,14 +638,13 @@ mod tests {
             let x = Tensor::from_vec(Shape::d1(n_in), xv).unwrap();
             let b = Tensor::from_vec(Shape::d1(n_out), ramp(n_out)).unwrap();
             let cfg = ParallelConfig::serial();
-            let mut naive = Vec::new();
-            fc_forward_into(&cfg, &w, &x, &b, &mut naive).unwrap();
+            let naive = fc_forward_naive(&w, &x, &b).unwrap();
             let packed = PackedPanels::pack(&w).unwrap();
             let mut blocked = Vec::new();
             fc_forward_packed_into(&cfg, &packed, x.as_slice(), b.as_slice(), &mut blocked)
                 .unwrap();
             let tol = simd::fma_tolerance(n_in + 1, 700.0);
-            let mismatch = simd::kernel_mismatch(&blocked, &naive, tol);
+            let mismatch = simd::kernel_mismatch(&blocked, naive.as_slice(), tol);
             assert!(
                 mismatch.is_none(),
                 "n_in={n_in} n_out={n_out}: {mismatch:?}"
@@ -731,6 +686,19 @@ mod tests {
         let tol = simd::fma_tolerance(deltas.len() + 1, 300.0);
         let mismatch = simd::kernel_mismatch(&z_blocked, &z_naive, tol);
         assert!(mismatch.is_none(), "{mismatch:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered outputs vs weight row width")]
+    fn deltas_reject_a_buffer_off_the_row_width() {
+        let w = ramp(3 * 20);
+        apply_deltas_rows(
+            &ParallelConfig::serial(),
+            &w,
+            20,
+            &[(1, 0.5)],
+            &mut [0.0; 24],
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! convolutions (C3D, Eq. 2), both with symmetric zero padding and a
 //! configurable stride, so there is one of everything here:
 //! [`ConvGeometry`] describes a convolution of either rank (2D is the
-//! `kd = 1`, depth-1, `pd = 0` case of 3D), [`conv_forward_with`] is the one
+//! `kd = 1`, depth-1, `pd = 0` case of 3D), [`conv_forward`] is the one
 //! kernel, [`conv_forward_naive`] the one oracle, and the
 //! `conv2d_*` / `conv3d_*` functions are conversions from [`Conv2dSpec`] /
 //! [`Conv3dSpec`] plus output reshaping.
@@ -30,8 +30,7 @@
 
 use crate::block::PackedPanels;
 use crate::matmul::matmul_packed_into;
-use crate::parallel::{parallel_for_each_mut, ParallelConfig};
-use crate::{Shape, Tensor, TensorError};
+use crate::{ParallelConfig, Shape, Tensor, TensorError};
 
 /// Geometry of a convolution of either rank, validated at construction:
 /// channels, kernel extents and stride are all non-zero. A 2D convolution is
@@ -368,16 +367,15 @@ fn im2col_rows<const KW: usize>(
     }
 }
 
-/// Convolution of either rank over flat buffers, with an explicit
-/// parallelism budget — the one kernel every conv entry point runs.
+/// Convolution of either rank over flat buffers — the one kernel every conv
+/// entry point runs.
 ///
 /// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D);
 /// `panels`: the layer's weights from [`ConvGeometry::pack_weights`]; `bv`:
-/// `[out_c]`. Returns the flat `[out_c, od, oh, ow]` output. Workers share
-/// out the output positions (each owns one span of every filter's map); a
-/// worker unrolls its positions into im2col blocks (`IM2COL_BLOCK_BYTES`),
-/// multiplies each against the packed weights ([`matmul_packed_into`]) and
-/// transposes the finished channels-last block into place while it is hot.
+/// `[out_c]`. Returns the flat `[out_c, od, oh, ow]` output. The output
+/// positions are unrolled into im2col blocks (`IM2COL_BLOCK_BYTES`), each
+/// multiplied against the packed weights ([`matmul_packed_into`]) and
+/// transposed, finished and channels-last, into place while it is hot.
 ///
 /// Each block row is seeded with the bias before the multiply accumulates
 /// onto it, so per output element the additions are the bias first, then
@@ -387,14 +385,13 @@ fn im2col_rows<const KW: usize>(
 /// otherwise value-preserving, so results are bit-identical to the oracle;
 /// under AVX2 the same terms fuse in the same order, within
 /// [`crate::simd::fma_tolerance`]. Either way an element's value does not
-/// depend on how positions were blocked or shared out.
+/// depend on how positions were blocked.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError`] when a buffer length or the packed shape
 /// disagrees with the geometry, or the kernel does not fit the padded input.
-pub fn conv_forward_with(
-    config: &ParallelConfig,
+pub fn conv_forward(
     g: &ConvGeometry,
     dhw: [usize; 3],
     x: &[f32],
@@ -418,49 +415,37 @@ pub fn conv_forward_with(
     }
     let [od, oh, ow] = g.output_dhw(dhw)?;
     let positions = od * oh * ow;
+    let block_bytes = taps * core::mem::size_of::<f32>();
+    let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4)
+        .max(4)
+        .min(positions);
+    // The scratch is allocated before the output, which outlives it. Only
+    // where the three land in the heap differs; `autopilot_stream`'s
+    // reuse-off twin reads 8% slower the other way round (DESIGN §8,
+    // "Block size").
+    let mut a = vec![0.0f32; block_rows * taps];
+    let mut c = vec![0.0f32; block_rows * out_c];
     let mut out = vec![0.0f32; out_c * positions];
-    let workers = if g.flops(dhw) < config.inline_flops {
-        1
-    } else {
-        config.workers_for(out.len()).min(positions)
-    };
-    let span = positions.div_ceil(workers);
-    // spans[w][f]: worker w's span of filter f's map.
-    let mut spans: Vec<Vec<&mut [f32]>> = (0..workers).map(|_| Vec::new()).collect();
-    for map in out.chunks_exact_mut(positions) {
-        let mut rest = map;
-        for worker in &mut spans {
-            let (head, tail) = rest.split_at_mut(span.min(rest.len()));
-            worker.push(head);
-            rest = tail;
+    for first in (0..positions).step_by(block_rows) {
+        let rows = block_rows.min(positions - first);
+        let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
+        match g.kernel[2] {
+            1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
+            3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
+            5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
+            _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
+        }
+        for crow in c.chunks_exact_mut(out_c) {
+            crow.copy_from_slice(bv);
+        }
+        matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
+        for (f, map) in out.chunks_exact_mut(positions).enumerate() {
+            let span = &mut map[first..first + rows];
+            for (v, crow) in span.iter_mut().zip(c.chunks_exact(out_c)) {
+                *v = crow[f];
+            }
         }
     }
-    let block_bytes = taps * core::mem::size_of::<f32>();
-    let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4).max(4).min(span);
-    parallel_for_each_mut(&config.min_work_per_thread(1), &mut spans, |w, maps| {
-        let mut a = vec![0.0f32; block_rows * taps];
-        let mut c = vec![0.0f32; block_rows * out_c];
-        for at in (0..maps[0].len()).step_by(block_rows) {
-            let rows = block_rows.min(maps[0].len() - at);
-            let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
-            let first = w * span + at;
-            match g.kernel[2] {
-                1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
-                3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
-                5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
-                _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
-            }
-            for crow in c.chunks_exact_mut(out_c) {
-                crow.copy_from_slice(bv);
-            }
-            matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
-            for (f, map) in maps.iter_mut().enumerate() {
-                for (v, crow) in map[at..at + rows].iter_mut().zip(c.chunks_exact(out_c)) {
-                    *v = crow[f];
-                }
-            }
-        }
-    });
     Ok(out)
 }
 
@@ -487,7 +472,7 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-/// The serial oracle for [`conv_forward_with`] at either rank: the direct
+/// The oracle for [`conv_forward`] at either rank: the direct
 /// per-output loop over raw `[out_c, in_c, kd, kh, kw]` weights. Kept public
 /// so proptests and `kernel_bench` can compare the GEMM kernel against it.
 ///
@@ -578,7 +563,6 @@ pub fn conv_forward_naive(
 /// Returns [`TensorError::ShapeMismatch`] when the input, the packed
 /// weights or the bias disagree with the geometry.
 pub fn conv_forward_packed(
-    config: &ParallelConfig,
     g: &ConvGeometry,
     rank: usize,
     input: &Tensor,
@@ -593,7 +577,7 @@ pub fn conv_forward_packed(
     }
     let mut dhw = [1; 3];
     dhw[3 - rank..].copy_from_slice(&idims[1..]);
-    let out = conv_forward_with(config, g, dhw, input.as_slice(), panels, bias.as_slice())?;
+    let out = conv_forward(g, dhw, input.as_slice(), panels, bias.as_slice())?;
     let [od, oh, ow] = g.output_dhw(dhw)?;
     let shape = match rank {
         2 => Shape::d3(g.out_channels, oh, ow),
@@ -602,8 +586,8 @@ pub fn conv_forward_packed(
     Tensor::from_vec(shape, out)
 }
 
-/// [`conv_forward_packed`] on the serial budget for callers holding a raw
-/// weight tensor: checks its shape and packs it on every call.
+/// [`conv_forward_packed`] for callers holding a raw weight tensor: checks
+/// its shape and packs it on every call.
 fn forward_unpacked(
     g: &ConvGeometry,
     rank: usize,
@@ -621,7 +605,7 @@ fn forward_unpacked(
         });
     }
     let panels = g.pack_weights(weights.as_slice())?;
-    conv_forward_packed(&ParallelConfig::serial(), g, rank, input, &panels, bias)
+    conv_forward_packed(g, rank, input, &panels, bias)
 }
 
 /// 2D convolution with symmetric zero padding, packing `weights` on every
@@ -721,16 +705,8 @@ fn max_pool(
     Ok((out, out_dhw))
 }
 
-/// 2D max pooling with a square window and equal stride (floor mode).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the window does not fit.
-pub fn max_pool2d(input: &Tensor, window: usize, stride: usize) -> Result<Tensor, TensorError> {
-    max_pool2d_mode(input, window, stride, false)
-}
-
-/// 2D max pooling with a selectable rounding mode.
+/// 2D max pooling with a square window, equal stride and a selectable
+/// rounding mode.
 ///
 /// In ceil mode a final partial window is emitted when the stride does not
 /// divide the input evenly (Caffe's convention, used by C3D).
@@ -755,17 +731,8 @@ pub fn max_pool2d_mode(
 }
 
 /// 3D max pooling with independent temporal/spatial windows, stride equal to
-/// the window, floor mode (the C3D convention: pool1 is 1×2×2, the rest
-/// 2×2×2).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the window does not fit.
-pub fn max_pool3d(input: &Tensor, wd: usize, whw: usize) -> Result<Tensor, TensorError> {
-    max_pool3d_mode(input, wd, whw, false)
-}
-
-/// 3D max pooling with a selectable rounding mode (see [`max_pool2d_mode`]).
+/// the window (the C3D convention: pool1 is 1×2×2, the rest 2×2×2) and a
+/// selectable rounding mode (see [`max_pool2d_mode`]).
 ///
 /// # Errors
 ///
@@ -957,7 +924,7 @@ mod tests {
     fn max_pool2d_takes_window_max() {
         let input =
             Tensor::from_vec(Shape::d3(1, 2, 4), vec![1., 5., 2., 0., 3., 4., 8., 1.]).unwrap();
-        let out = max_pool2d(&input, 2, 2).unwrap();
+        let out = max_pool2d_mode(&input, 2, 2, false).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 2]);
         assert_eq!(out.as_slice(), &[5.0, 8.0]);
     }
@@ -1000,13 +967,13 @@ mod tests {
         // pool 1x2x2 keeps depth.
         let input =
             Tensor::from_vec(Shape::d4(1, 2, 2, 2), vec![1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
-        let out = max_pool3d(&input, 1, 2).unwrap();
+        let out = max_pool3d_mode(&input, 1, 2, false).unwrap();
         assert_eq!(out.shape().dims(), &[1, 2, 1, 1]);
         assert_eq!(out.as_slice(), &[4.0, 8.0]);
         // pool 2x2x2 collapses depth too.
         let input2 =
             Tensor::from_vec(Shape::d4(1, 2, 2, 2), vec![1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
-        let out2 = max_pool3d(&input2, 2, 2).unwrap();
+        let out2 = max_pool3d_mode(&input2, 2, 2, false).unwrap();
         assert_eq!(out2.as_slice(), &[8.0]);
     }
 
@@ -1021,7 +988,7 @@ mod tests {
     #[test]
     fn pool_rejects_oversized_window() {
         let input = Tensor::zeros(Shape::d3(1, 2, 2));
-        assert!(max_pool2d(&input, 3, 3).is_err());
+        assert!(max_pool2d_mode(&input, 3, 3, false).is_err());
     }
 
     fn ramp(n: usize) -> Vec<f32> {
@@ -1036,7 +1003,7 @@ mod tests {
         let (w, b) = (ramp(g.weight_volume()), ramp(g.out_channels()));
         let naive = conv_forward_naive(g, dhw, &x, &w, &b).unwrap();
         let panels = g.pack_weights(&w).unwrap();
-        let gemm = conv_forward_with(&ParallelConfig::serial(), g, dhw, &x, &panels, &b).unwrap();
+        let gemm = conv_forward(g, dhw, &x, &panels, &b).unwrap();
         let tol = crate::simd::fma_tolerance(g.taps() + 1, max_term);
         crate::simd::kernel_mismatch(&gemm, &naive, tol)
     }

@@ -5,16 +5,11 @@
 //!
 //! * [`Shape`] — dimension bookkeeping with row-major strides.
 //! * [`Tensor`] — an owned, row-major `f32` tensor with checked indexing.
-//! * [`ops`] — elementwise operations and reductions.
+//! * [`ops`] — elementwise operations.
 //! * [`matmul`] — dense matrix multiply / matrix-vector kernels used by
 //!   fully-connected layers.
 //! * [`conv`] — 2D and 3D convolution over one rank-generic geometry: im2col
 //!   blocks through the packed matmul, a naive direct-loop oracle, pooling.
-//! * [`fixed`] — Q-format fixed-point scalars used by the reduced-precision
-//!   accelerator study (paper Section VI-A).
-//! * [`parallel`] — dependency-free scoped-thread runtime with adaptive
-//!   serial/parallel dispatch; kernels partition their outputs across
-//!   workers while staying bit-identical to serial.
 //! * [`block`] — cache-blocked weight panels and the 16-lane FC microkernel
 //!   shared by the forward and reuse-correction hot paths.
 //! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2+FMA fast path,
@@ -36,20 +31,29 @@
 pub mod block;
 pub mod conv;
 mod error;
-pub mod fixed;
 pub mod matmul;
 pub mod ops;
-pub mod parallel;
 mod shape;
 pub mod simd;
 mod tensor;
 
 pub use block::{PackedPanels, PANEL_WIDTH};
 pub use error::TensorError;
-pub use parallel::{
-    hardware_threads, parallel_for_each_mut, parallel_for_mut, parallel_for_mut_cost,
-    ParallelConfig,
-};
 pub use shape::Shape;
 pub use simd::SimdLevel;
 pub use tensor::Tensor;
+
+/// The first argument the repository benchmark still passes to six kernel
+/// entry points, each of which ignores it: every kernel runs on the calling
+/// thread. ROADMAP item 1(b) drops the argument and this type.
+#[derive(Clone, Copy)]
+pub struct ParallelConfig;
+
+const _: () = assert!(core::mem::size_of::<ParallelConfig>() == 0);
+
+impl ParallelConfig {
+    /// The only value.
+    pub const fn serial() -> Self {
+        ParallelConfig
+    }
+}

@@ -7,11 +7,15 @@
 //! is exactly what the reuse scheme needs to skip or correct one input at a
 //! time.
 
-use crate::block::PackedPanels;
-use crate::parallel::{parallel_for_mut_cost, ParallelConfig};
-use crate::{Shape, Tensor, TensorError};
+use crate::block::{forward_panels_scalar, PackedPanels};
+use crate::simd;
+use crate::{ParallelConfig, Shape, Tensor, TensorError};
 
-/// Computes `out[j] = Σ_i w[i][j] · x[i] + b[j]` (paper Eq. 1).
+/// Computes `out[j] = Σ_i w[i][j] · x[i] + b[j]` (paper Eq. 1) by the plain
+/// input-major walk: the oracle for the cache-blocked
+/// [`crate::block::fc_forward_packed_into`] (bit-identical under the scalar
+/// [`crate::simd::level`], within [`crate::simd::fma_tolerance`] under
+/// AVX2), which is what layers run.
 ///
 /// * `weights` must have shape `[n_inputs, n_outputs]` (input-major).
 /// * `input` must have `n_inputs` elements (any shape; flattened).
@@ -23,52 +27,11 @@ use crate::{Shape, Tensor, TensorError};
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when dimensions disagree.
-pub fn fc_forward(weights: &Tensor, input: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
-    fc_forward_with(&ParallelConfig::serial(), weights, input, bias)
-}
-
-/// [`fc_forward`] with an explicit parallelism budget. Output neurons are
-/// chunked across workers; results are bit-identical to the serial path.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when dimensions disagree.
-pub fn fc_forward_with(
-    config: &ParallelConfig,
+pub fn fc_forward_naive(
     weights: &Tensor,
     input: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
-    let mut out = Vec::new();
-    fc_forward_into(config, weights, input, bias, &mut out)?;
-    let n_out = weights.shape().dims()[1];
-    Tensor::from_vec(Shape::d1(n_out), out)
-}
-
-/// Allocation-free core of [`fc_forward`]: clears `out` and writes the
-/// `n_outputs` results into it, reusing its capacity across calls.
-///
-/// Each worker owns a contiguous span of output neurons and walks **all**
-/// inputs in ascending order, exactly like the serial loop — only the
-/// `out[o] +=` targets are partitioned — so every output element sees the
-/// same additions in the same order regardless of thread count.
-///
-/// This unpacked walk is the **serial oracle** for the cache-blocked
-/// [`crate::block::fc_forward_packed_into`] kernel (bit-identical under the
-/// scalar [`crate::simd::level`], within [`crate::simd::fma_tolerance`]
-/// under AVX2); layers that run repeatedly should pack once and use the
-/// blocked path instead.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when dimensions disagree.
-pub fn fc_forward_into(
-    config: &ParallelConfig,
-    weights: &Tensor,
-    input: &Tensor,
-    bias: &Tensor,
-    out: &mut Vec<f32>,
-) -> Result<(), TensorError> {
     let dims = weights.shape().dims();
     if dims.len() != 2 {
         return Err(TensorError::ShapeMismatch {
@@ -95,70 +58,36 @@ pub fn fc_forward_into(
         });
     }
     let w = weights.as_slice();
-    let x = input.as_slice();
-    out.clear();
-    out.extend_from_slice(bias.as_slice());
-    let flops = fc_flops(n_in, n_out);
-    parallel_for_mut_cost(config, out, 1, flops, |offset, chunk| {
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                // Mathematically a no-op; skipping keeps the flop pattern
-                // identical to what the zero-aware hardware would do while
-                // not changing the result.
-                continue;
-            }
-            let row = &w[i * n_out + offset..i * n_out + offset + chunk.len()];
-            for (o, &wij) in chunk.iter_mut().zip(row.iter()) {
-                *o += xi * wij;
-            }
+    let mut out = bias.as_slice().to_vec();
+    for (i, &xi) in input.as_slice().iter().enumerate() {
+        if xi == 0.0 {
+            // Mathematically a no-op; skipping keeps the flop pattern
+            // identical to what the zero-aware hardware would do while
+            // not changing the result.
+            continue;
         }
-    });
-    Ok(())
+        let row = &w[i * n_out..(i + 1) * n_out];
+        for (o, &wij) in out.iter_mut().zip(row.iter()) {
+            *o += xi * wij;
+        }
+    }
+    Tensor::from_vec(Shape::d1(n_out), out)
 }
 
-/// General dense matrix multiply `C = A · B` with `A: [m, k]`, `B: [k, n]`.
-///
-/// The serial shorthand for [`matmul_with`]; the layers do not call it (FC
-/// and LSTM gates run matvecs, convolution calls [`matmul_packed_into`]
-/// against panels packed once).
+/// General dense matrix multiply `C = A · B` with `A: [m, k]`, `B: [k, n]`:
+/// packs `B` and runs [`matmul_packed_into`]. The layers do not call it (FC
+/// and LSTM gates run matvecs, convolution multiplies against panels packed
+/// once); same exactness against [`matmul_naive`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when inner dimensions disagree or
 /// either operand is not rank-2.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul_with(&ParallelConfig::serial(), a, b)
-}
-
-/// [`matmul`] with an explicit parallelism budget. Rows of `C` are chunked
-/// across workers (granule = one output row), so each `C[i][j]` is
-/// accumulated by one thread in the serial order — results are
-/// bit-identical to [`matmul_naive`] under the scalar
-/// [`crate::simd::level`], and within [`crate::simd::fma_tolerance`] under
-/// AVX2.
-///
-/// When `A` has at least [`MATMUL_PACK_MIN_ROWS`] rows the kernel repacks
-/// `B` into [`crate::block::PANEL_WIDTH`]-column cache panels (a per-call
-/// cost amortized over the rows of `C`) and runs the blocked microkernel;
-/// smaller products use the naive row walk. On the AVX2 path each worker
-/// walks the panels **outermost** with four `C` rows register-blocked per
-/// pass (eight fused accumulator chains), so every streamed panel row is
-/// reused fourfold from registers; the scalar path keeps the historic
-/// row-major walk with the `A[i][l] == 0.0` skip, which never changes the
-/// bits.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when inner dimensions disagree or
-/// either operand is not rank-2.
-pub fn matmul_with(config: &ParallelConfig, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
-    if m < MATMUL_PACK_MIN_ROWS {
-        return matmul_naive_with(config, a, b);
-    }
     let packed = PackedPanels::pack_slice(b.as_slice(), k, n);
     let mut c = vec![0.0f32; m * n];
-    matmul_packed_into(config, a.as_slice(), &packed, m, &mut c);
+    matmul_packed_into(&ParallelConfig::serial(), a.as_slice(), &packed, m, &mut c);
     Tensor::from_vec(Shape::d2(m, n), c)
 }
 
@@ -167,14 +96,20 @@ pub fn matmul_with(config: &ParallelConfig, a: &Tensor, b: &Tensor) -> Result<Te
 /// `n = packed.n_out()`), and `c` is the row-major `[m, n]` output, entering
 /// with each output's initial value — zeros for a plain product, the bias
 /// for a convolution's im2col block — which heads that output's chain.
-/// Callers multiplying repeatedly against one matrix (FC and conv weights)
-/// pack once and skip [`matmul_with`]'s per-call repack; same exactness.
+///
+/// Each `C[i][j]` is one chain in ascending `l`: bit-identical to
+/// [`matmul_naive`] under the scalar [`crate::simd::level`] (the historic
+/// row-major walk with the `A[i][l] == 0.0` skip, which never changes the
+/// bits), within [`crate::simd::fma_tolerance`] under AVX2, where the panels
+/// are walked **outermost** with four `C` rows register-blocked per pass
+/// (eight fused accumulator chains), so every streamed panel row is reused
+/// fourfold from registers.
 ///
 /// # Panics
 ///
 /// Panics when `a` or `c` disagree with `m` and the packed dimensions.
 pub fn matmul_packed_into(
-    config: &ParallelConfig,
+    _config: &ParallelConfig,
     a: &[f32],
     packed: &PackedPanels,
     m: usize,
@@ -183,68 +118,47 @@ pub fn matmul_packed_into(
     let (k, n) = (packed.n_in(), packed.n_out());
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(c.len(), m * n, "C shape mismatch");
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    parallel_for_mut_cost(config, c, n, flops, |offset, chunk| {
-        let first_row = offset / n;
-        match crate::simd::level() {
-            #[cfg(target_arch = "x86_64")]
-            crate::simd::SimdLevel::Avx2 => {
-                crate::simd::avx2::matmul_rows(packed, a, k, first_row, n, chunk);
-            }
-            _ => {
-                for (r, crow) in chunk.chunks_mut(n).enumerate() {
-                    let arow = &a[(first_row + r) * k..(first_row + r + 1) * k];
-                    // The microkernels accumulate onto what crow holds: 0.0
-                    // for a plain product, exactly like the naive loop.
-                    crate::block::forward_panels_scalar(packed, arow, 0, crow);
-                }
+    if c.is_empty() {
+        // No rows, or panels packed with `n_out == 0`: nothing to chunk.
+        return;
+    }
+    match simd::level() {
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdLevel::Avx2 => simd::avx2::matmul_rows(packed, a, c),
+        _ => {
+            for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+                // The microkernels accumulate onto what crow holds: 0.0
+                // for a plain product, exactly like the naive loop.
+                forward_panels_scalar(packed, &a[r * k..(r + 1) * k], crow);
             }
         }
-    });
+    }
 }
 
-/// Row threshold below which [`matmul_with`] skips the per-call `B` repack:
-/// packing costs `k·n` writes, so it only pays for itself once several rows
-/// of `C` stream the same panels.
-pub const MATMUL_PACK_MIN_ROWS: usize = 4;
-
-/// The unblocked serial oracle for [`matmul`]: a plain row walk with no
-/// weight repacking. Kept public so proptests and `kernel_bench` can compare
-/// the blocked kernel against the original baseline.
+/// The unblocked oracle for [`matmul`]: a plain row walk with no weight
+/// repacking. Kept public so proptests and `kernel_bench` can compare the
+/// blocked kernel against the original baseline.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when inner dimensions disagree or
 /// either operand is not rank-2.
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul_naive_with(&ParallelConfig::serial(), a, b)
-}
-
-fn matmul_naive_with(
-    config: &ParallelConfig,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<Tensor, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
     let (av, bv) = (a.as_slice(), b.as_slice());
     let mut c = vec![0.0f32; m * n];
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
-    parallel_for_mut_cost(config, &mut c, n, flops, |offset, chunk| {
-        let first_row = offset / n;
-        for (r, crow) in chunk.chunks_mut(n).enumerate() {
-            let i = first_row + r;
-            for l in 0..k {
-                let aik = av[i * k + l];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &bv[l * n..(l + 1) * n];
-                for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                    *cj += aik * bj;
-                }
+    for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+        for l in 0..k {
+            let aik = av[i * k + l];
+            if aik == 0.0 {
+                continue;
+            }
+            let brow = &bv[l * n..(l + 1) * n];
+            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
+                *cj += aik * bj;
             }
         }
-    });
+    }
     Tensor::from_vec(Shape::d2(m, n), c)
 }
 
@@ -281,7 +195,7 @@ mod tests {
         let w = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]).unwrap();
         let x = Tensor::from_slice_1d(&[10.0, 100.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.5, 0.5, 0.5]).unwrap();
-        let y = fc_forward(&w, &x, &b).unwrap();
+        let y = fc_forward_naive(&w, &x, &b).unwrap();
         assert_eq!(
             y.as_slice(),
             &[10.0 + 400.0 + 0.5, 20.0 + 500.0 + 0.5, 30.0 + 600.0 + 0.5]
@@ -289,11 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn fc_forward_with_zero_input_equals_bias() {
+    fn fc_forward_of_zero_input_equals_bias() {
         let w = Tensor::from_vec(Shape::d2(3, 2), vec![1.0; 6]).unwrap();
         let x = Tensor::from_slice_1d(&[0.0, 0.0, 0.0]).unwrap();
         let b = Tensor::from_slice_1d(&[7.0, -7.0]).unwrap();
-        let y = fc_forward(&w, &x, &b).unwrap();
+        let y = fc_forward_naive(&w, &x, &b).unwrap();
         assert_eq!(y.as_slice(), b.as_slice());
     }
 
@@ -302,10 +216,10 @@ mod tests {
         let w = Tensor::from_vec(Shape::d2(2, 3), vec![0.0; 6]).unwrap();
         let x = Tensor::from_slice_1d(&[1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0; 3]).unwrap();
-        assert!(fc_forward(&w, &x, &b).is_err());
+        assert!(fc_forward_naive(&w, &x, &b).is_err());
         let x2 = Tensor::from_slice_1d(&[1.0, 2.0]).unwrap();
         let b2 = Tensor::from_slice_1d(&[0.0; 2]).unwrap();
-        assert!(fc_forward(&w, &x2, &b2).is_err());
+        assert!(fc_forward_naive(&w, &x2, &b2).is_err());
     }
 
     #[test]
@@ -339,9 +253,9 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_naive() {
-        // Shapes straddling MATMUL_PACK_MIN_ROWS, the 16-lane panel width,
-        // and the AVX2 4-row register block. Bit-identical under the scalar
-        // level, tolerance-bounded under AVX2 (see `crate::simd`).
+        // Shapes straddling the 16-lane panel width and the AVX2 4-row
+        // register block. Bit-identical under the scalar level,
+        // tolerance-bounded under AVX2 (see `crate::simd`).
         for (m, k, n) in [
             (4usize, 3usize, 5usize),
             (6, 7, 8),

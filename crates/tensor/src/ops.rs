@@ -1,4 +1,4 @@
-//! Elementwise operations and reductions over [`Tensor`]s.
+//! Elementwise operations over [`Tensor`]s.
 //!
 //! These are the scalar building blocks the `reuse-nn` layers compose.
 //! Everything here is deliberately simple and allocation-transparent so the
@@ -24,59 +24,15 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     zip_map(a, b, "sub", |x, y| x - y)
 }
 
-/// Elementwise (Hadamard) product `a ⊙ b` into a new tensor.
-///
-/// This is the `⊙` of the LSTM cell equations (paper Fig. 3).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    zip_map(a, b, "mul", |x, y| x * y)
-}
-
 /// Elementwise map with an arbitrary scalar function.
 pub fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let data = a.as_slice().iter().map(|&v| f(v)).collect();
     Tensor::from_vec(a.shape().clone(), data).expect("map preserves length")
 }
 
-/// In-place elementwise map.
-pub fn map_in_place(a: &mut Tensor, f: impl Fn(f32) -> f32) {
-    for v in a.as_mut_slice() {
-        *v = f(*v);
-    }
-}
-
 /// Scales every element by a constant.
 pub fn scale(a: &Tensor, k: f32) -> Tensor {
     map(a, |v| v * k)
-}
-
-/// Sum of all elements (f64 accumulation to limit drift in reductions).
-pub fn sum(a: &Tensor) -> f32 {
-    a.as_slice().iter().map(|&v| v as f64).sum::<f64>() as f32
-}
-
-/// Arithmetic mean of all elements.
-pub fn mean(a: &Tensor) -> f32 {
-    sum(a) / a.len() as f32
-}
-
-/// Minimum and maximum elements as a `(min, max)` pair.
-pub fn min_max(a: &Tensor) -> (f32, f32) {
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &v in a.as_slice() {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    (lo, hi)
-}
-
-/// Counts the elements for which `pred` holds.
-pub fn count(a: &Tensor, pred: impl Fn(f32) -> bool) -> usize {
-    a.as_slice().iter().filter(|&&v| pred(v)).count()
 }
 
 fn zip_map(
@@ -109,12 +65,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_elementwise() {
+    fn add_sub_elementwise() {
         let a = t(&[1.0, 2.0, 3.0]);
         let b = t(&[4.0, 5.0, 6.0]);
         assert_eq!(add(&a, &b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(sub(&b, &a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(mul(&a, &b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
@@ -129,27 +84,5 @@ mod tests {
         let a = t(&[-1.0, 2.0]);
         assert_eq!(map(&a, f32::abs).as_slice(), &[1.0, 2.0]);
         assert_eq!(scale(&a, 2.0).as_slice(), &[-2.0, 4.0]);
-    }
-
-    #[test]
-    fn map_in_place_mutates() {
-        let mut a = t(&[1.0, 2.0]);
-        map_in_place(&mut a, |v| v + 1.0);
-        assert_eq!(a.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(sum(&a), 10.0);
-        assert_eq!(mean(&a), 2.5);
-        assert_eq!(min_max(&a), (1.0, 4.0));
-        assert_eq!(count(&a, |v| v > 2.0), 2);
-    }
-
-    #[test]
-    fn min_max_of_single_element() {
-        let a = t(&[-3.0]);
-        assert_eq!(min_max(&a), (-3.0, -3.0));
     }
 }

@@ -31,12 +31,10 @@
 //!   each fused step. Scalar tail elements (output counts that do not fill
 //!   a vector) use [`f32::mul_add`], which rounds identically to the vector
 //!   lanes — so a given output's value never depends on whether it landed
-//!   in a full vector or a tail, and therefore never depends on how worker
-//!   threads chunk the output range.
+//!   in a full vector or a tail.
 //!
 //! Both levels keep every output element's accumulation confined to one
-//! chain on one thread, so results are deterministic for any thread count.
-//! Under the scalar level the kernels are *bit-exact* against the naive
+//! chain. Under the scalar level the kernels are *bit-exact* against the naive
 //! oracles; under AVX2 they agree within an ULP-scale bound that
 //! [`fma_tolerance`] over-approximates. Tests assert the right property for
 //! the active level via [`kernel_mismatch`].
@@ -181,8 +179,12 @@ pub static LEFT_PACK: LeftPack = {
 /// (bit-identical to the plain loop it replaces); AVX2 fuses each step.
 /// Used by the LSTM from-scratch gate accumulation, where callers may still
 /// skip whole rows with `scale == 0.0` — the skip is exact at both levels.
+///
+/// # Panics
+///
+/// Panics when `dst` and `row` differ in length.
 pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
-    debug_assert_eq!(dst.len(), row.len());
+    assert_eq!(dst.len(), row.len(), "row_axpy operand lengths");
     match level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => avx2::row_axpy(dst, row, scale),
@@ -235,27 +237,34 @@ pub mod avx2 {
         );
     }
 
-    /// AVX2 walk of a run of output panels starting at `first_panel`:
-    /// the FC forward hot loop (`out[j] += Σ_i x[i]·w[i][j]`, `out` enters
-    /// holding biases or partial sums). Four panels (eight 256-bit
-    /// accumulators) in flight for full tiles, one panel for the remainder.
+    /// AVX2 walk over every output panel: the FC forward hot loop
+    /// (`out[j] += Σ_i x[i]·w[i][j]`, `out` enters holding biases or partial
+    /// sums). Four panels (eight 256-bit accumulators) in flight for full
+    /// tiles, one panel for the remainder.
     ///
     /// # Panics
     ///
-    /// Panics when the host lacks AVX2/FMA.
-    pub fn fc_panels(packed: &PackedPanels, x: &[f32], first_panel: usize, out: &mut [f32]) {
+    /// Panics when the host lacks AVX2/FMA, when `x` is not `n_in` long or
+    /// when `out` is longer than the panels hold lanes.
+    pub fn fc_panels(packed: &PackedPanels, x: &[f32], out: &mut [f32]) {
         require();
-        unsafe { fc_panels_impl(packed, x, first_panel, out) }
+        assert_eq!(x.len(), packed.n_in(), "fc_panels input vs weight rows");
+        assert!(
+            out.len() <= packed.n_panels() * PANEL_WIDTH,
+            "fc_panels: {} outputs from {} panels",
+            out.len(),
+            packed.n_panels()
+        );
+        // SAFETY: `require` checked the host runs AVX2+FMA code. The kernels
+        // read row `i` of a panel through a raw pointer for every `i <
+        // x.len()`, which the first assert bounds by the panel's `n_in`
+        // rows; the second keeps every `packed.panel(p)` a real panel.
+        unsafe { fc_panels_impl(packed, x, out) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn fc_panels_impl(
-        packed: &PackedPanels,
-        x: &[f32],
-        first_panel: usize,
-        out: &mut [f32],
-    ) {
-        let mut p = first_panel;
+    unsafe fn fc_panels_impl(packed: &PackedPanels, x: &[f32], out: &mut [f32]) {
+        let mut p = 0;
         for seg in out.chunks_mut(TILE_LANES) {
             if seg.len() == TILE_LANES {
                 unsafe {
@@ -329,32 +338,31 @@ pub mod avx2 {
         seg.copy_from_slice(&buf[..seg.len()]);
     }
 
-    /// AVX2 matmul over a worker's span of `C` rows: panels **outer**, rows
-    /// of `A` in register blocks of four, so each streamed panel row is
+    /// AVX2 matmul `C += A · B` against the packed `B`: panels **outer**,
+    /// rows of `A` in register blocks of four, so each streamed panel row is
     /// reused by four broadcast FMAs (eight accumulators in flight — the
     /// compute-bound shape, ~6x the scalar blocked kernel on one core).
     ///
-    /// `c_chunk` covers rows `first_row ..` of `C` (`c_chunk.len() % n ==
-    /// 0`) and is accumulated onto: it enters holding each output's initial
-    /// value (zero for a plain product, the bias for a convolution), which
-    /// heads that output's chain. `a` is the full `[m, k]` matrix.
+    /// `c` is the row-major `[m, n_out]` output and is accumulated onto: it
+    /// enters holding each output's initial value (zero for a plain product,
+    /// the bias for a convolution), which heads that output's chain. `a` is
+    /// the row-major `[m, n_in]` matrix.
     ///
     /// # Panics
     ///
-    /// Panics when the host lacks AVX2/FMA.
-    pub fn matmul_rows(
-        packed: &PackedPanels,
-        a: &[f32],
-        k: usize,
-        first_row: usize,
-        n: usize,
-        c_chunk: &mut [f32],
-    ) {
+    /// Panics when the host lacks AVX2/FMA, or when `c` is not whole rows of
+    /// `n_out` or `a` not as many rows of `n_in`.
+    pub fn matmul_rows(packed: &PackedPanels, a: &[f32], c: &mut [f32]) {
         require();
-        debug_assert_eq!(c_chunk.len() % n, 0);
-        debug_assert_eq!(packed.n_in(), k);
-        debug_assert_eq!(packed.n_out(), n);
-        unsafe { matmul_rows_impl(packed, a, k, first_row, n, c_chunk) }
+        let (k, n) = (packed.n_in(), packed.n_out());
+        assert!(n > 0 && c.len().is_multiple_of(n), "C is not rows of {n}");
+        assert_eq!(a.len(), c.len() / n * k, "A rows vs C rows");
+        // SAFETY: `require` checked the host runs AVX2+FMA code. `k` and `n`
+        // are the panels' own dimensions, so row `i < k` of a panel and the
+        // `min(n - col0, 16)` columns at `col0` of a `C` row exist; the
+        // asserts make `c` exactly `rows` rows of `n` and `a` `rows` rows of
+        // `k` (its row slices are bounds-checked besides).
+        unsafe { matmul_rows_impl(packed, a, c) }
     }
 
     /// Panel-block working-set target. A block of panels (`panels × k × 16`
@@ -367,16 +375,10 @@ pub mod avx2 {
     const MATMUL_L2_BLOCK_BYTES: usize = 192 * 1024;
 
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn matmul_rows_impl(
-        packed: &PackedPanels,
-        a: &[f32],
-        k: usize,
-        first_row: usize,
-        n: usize,
-        c_chunk: &mut [f32],
-    ) {
-        let rows = c_chunk.len() / n;
-        let cp = c_chunk.as_mut_ptr();
+    unsafe fn matmul_rows_impl(packed: &PackedPanels, a: &[f32], c: &mut [f32]) {
+        let (k, n) = (packed.n_in(), packed.n_out());
+        let rows = c.len() / n;
+        let cp = c.as_mut_ptr();
         let n_panels = packed.n_panels();
         let panel_bytes = k * PANEL_WIDTH * core::mem::size_of::<f32>();
         let block = (MATMUL_L2_BLOCK_BYTES / panel_bytes.max(1)).max(1);
@@ -386,10 +388,10 @@ pub mod avx2 {
             let mut r = 0;
             while r + 4 <= rows {
                 let arows = [
-                    &a[(first_row + r) * k..(first_row + r + 1) * k],
-                    &a[(first_row + r + 1) * k..(first_row + r + 2) * k],
-                    &a[(first_row + r + 2) * k..(first_row + r + 3) * k],
-                    &a[(first_row + r + 3) * k..(first_row + r + 4) * k],
+                    &a[r * k..(r + 1) * k],
+                    &a[(r + 1) * k..(r + 2) * k],
+                    &a[(r + 2) * k..(r + 3) * k],
+                    &a[(r + 3) * k..(r + 4) * k],
                 ];
                 for p in pb..pend {
                     let panel = packed.panel(p);
@@ -400,7 +402,7 @@ pub mod avx2 {
                 r += 4;
             }
             while r < rows {
-                let arow = &a[(first_row + r) * k..(first_row + r + 1) * k];
+                let arow = &a[r * k..(r + 1) * k];
                 for p in pb..pend {
                     let panel = packed.panel(p);
                     let col0 = p * PANEL_WIDTH;
@@ -470,47 +472,36 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 reuse-correction sweep over one worker's span of the buffered
-    /// pre-activations: `chunk = z[offset .. offset + chunk.len()]`,
-    /// `chunk[j] += Σ_b Δ_b · w[i_b][offset + j]` with deltas applied in
-    /// list order, [`DELTA_BATCH`] weight rows streamed per pass (paper
+    /// AVX2 reuse-correction sweep over the buffered pre-activations:
+    /// `z[j] += Σ_b Δ_b · w[i_b][j]` over rows `z.len()` wide, deltas applied
+    /// in list order, [`DELTA_BATCH`] weight rows streamed per pass (paper
     /// Eq. 10). Tail outputs use `mul_add`, matching the vector lanes
-    /// bit-for-bit, so any worker chunking yields the same result.
+    /// bit-for-bit.
     ///
     /// # Panics
     ///
-    /// Panics when the host lacks AVX2/FMA.
-    pub fn apply_deltas(
-        w: &[f32],
-        n_out: usize,
-        offset: usize,
-        deltas: &[(u32, f32)],
-        chunk: &mut [f32],
-    ) {
+    /// Panics when the host lacks AVX2/FMA or a delta's row lies outside `w`.
+    pub fn apply_deltas(w: &[f32], deltas: &[(u32, f32)], z: &mut [f32]) {
         require();
-        unsafe { apply_deltas_impl(w, n_out, offset, deltas, chunk) }
+        // SAFETY: `require` checked the host runs AVX2+FMA code; every row
+        // pointer comes from a bounds-checked `z.len()`-long slice of `w`.
+        unsafe { apply_deltas_impl(w, deltas, z) }
     }
 
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn apply_deltas_impl(
-        w: &[f32],
-        n_out: usize,
-        offset: usize,
-        deltas: &[(u32, f32)],
-        chunk: &mut [f32],
-    ) {
-        let len = chunk.len();
-        let zp = chunk.as_mut_ptr();
+    unsafe fn apply_deltas_impl(w: &[f32], deltas: &[(u32, f32)], z: &mut [f32]) {
+        let len = z.len();
+        let zp = z.as_mut_ptr();
         let mut batches = deltas.chunks_exact(DELTA_BATCH);
         for batch in batches.by_ref() {
             let (i0, d0) = batch[0];
             let (i1, d1) = batch[1];
             let (i2, d2) = batch[2];
             let (i3, d3) = batch[3];
-            let r0 = w[i0 as usize * n_out + offset..][..len].as_ptr();
-            let r1 = w[i1 as usize * n_out + offset..][..len].as_ptr();
-            let r2 = w[i2 as usize * n_out + offset..][..len].as_ptr();
-            let r3 = w[i3 as usize * n_out + offset..][..len].as_ptr();
+            let r0 = w[i0 as usize * len..][..len].as_ptr();
+            let r1 = w[i1 as usize * len..][..len].as_ptr();
+            let r2 = w[i2 as usize * len..][..len].as_ptr();
+            let r3 = w[i3 as usize * len..][..len].as_ptr();
             let (v0, v1) = (_mm256_set1_ps(d0), _mm256_set1_ps(d1));
             let (v2, v3) = (_mm256_set1_ps(d2), _mm256_set1_ps(d3));
             let mut j = 0;
@@ -538,7 +529,7 @@ pub mod avx2 {
             }
         }
         for &(i, delta) in batches.remainder() {
-            let row = w[i as usize * n_out + offset..][..len].as_ptr();
+            let row = w[i as usize * len..][..len].as_ptr();
             let dv = _mm256_set1_ps(delta);
             let mut j = 0;
             while j + 8 <= len {
@@ -564,10 +555,13 @@ pub mod avx2 {
     ///
     /// # Panics
     ///
-    /// Panics when the host lacks AVX2/FMA.
+    /// Panics when the host lacks AVX2/FMA or `dst` and `row` differ in
+    /// length.
     pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
         require();
-        debug_assert_eq!(dst.len(), row.len());
+        assert_eq!(dst.len(), row.len(), "row_axpy operand lengths");
+        // SAFETY: `require` checked the host runs AVX2+FMA code; the assert
+        // makes every `row` read at `j < dst.len()` in bounds.
         unsafe { row_axpy_impl(dst, row, scale) }
     }
 
@@ -872,6 +866,14 @@ mod tests {
             assert!(kernel_mismatch(&[1.0 + 1e-7], &[1.0], 1e-5).is_none());
             assert!(kernel_mismatch(&[f32::NAN], &[f32::NAN], 1e-5).is_none());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "row_axpy operand lengths")]
+    fn row_axpy_rejects_a_short_row() {
+        // The AVX2 body reads `row` through a raw pointer for `dst.len()`
+        // elements: the check must hold in release builds too.
+        row_axpy(&mut [0.0; 24], &[1.0; 8], 2.0);
     }
 
     #[test]

@@ -19,10 +19,8 @@
 
 use proptest::prelude::*;
 use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
-use reuse_tensor::conv::{
-    conv_forward_naive, conv_forward_with, Conv2dSpec, Conv3dSpec, ConvGeometry,
-};
-use reuse_tensor::matmul::{fc_forward_into, matmul_naive, matmul_with};
+use reuse_tensor::conv::{conv_forward, conv_forward_naive, Conv2dSpec, Conv3dSpec, ConvGeometry};
+use reuse_tensor::matmul::{fc_forward_naive, matmul, matmul_naive};
 use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
 
 /// All generators below draw values in roughly ±10, so every product term
@@ -33,18 +31,6 @@ const MAX_TERM: f32 = 150.0;
 /// lane, a partial panel, exactly one, one and a lane, two and a quarter.
 fn out_channels() -> proptest::sample::Select<usize> {
     proptest::sample::select(vec![1, 7, 16, 17, 36])
-}
-
-/// Serial, or two workers forced onto any host and any call size.
-fn budget(threaded: bool) -> ParallelConfig {
-    if threaded {
-        ParallelConfig::with_threads(2)
-            .min_work_per_thread(1)
-            .inline_flops(0)
-            .oversubscribed()
-    } else {
-        ParallelConfig::serial()
-    }
 }
 
 fn values(seed: u64) -> impl FnMut(usize) -> f32 {
@@ -60,7 +46,7 @@ fn values(seed: u64) -> impl FnMut(usize) -> f32 {
 /// The GEMM conv kernel against the naive oracle on one geometry and
 /// `[d, h, w]` input, under the active level's contract (bit-identity at the
 /// scalar level). `None` too when the kernel does not fit the input.
-fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3], cfg: &ParallelConfig) -> Option<String> {
+fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3]) -> Option<String> {
     g.output_dhw(dhw).ok()?;
     let [d, h, w] = dhw;
     let mut next = values((d * 97 + h * 13 + w) as u64);
@@ -69,23 +55,23 @@ fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3], cfg: &ParallelConfig) -> Opt
     let bias: Vec<f32> = (0..g.out_channels()).map(&mut next).collect();
     let naive = conv_forward_naive(g, dhw, &x, &weights, &bias).unwrap();
     let panels = g.pack_weights(&weights).unwrap();
-    let gemm = conv_forward_with(cfg, g, dhw, &x, &panels, &bias).unwrap();
+    let gemm = conv_forward(g, dhw, &x, &panels, &bias).unwrap();
     simd::kernel_mismatch(&gemm, &naive, simd::fma_tolerance(g.taps() + 1, MAX_TERM))
 }
 
-fn conv2d_mismatch(spec: &Conv2dSpec, h: usize, w: usize, cfg: &ParallelConfig) -> Option<String> {
-    conv_mismatch(&spec.geometry().unwrap(), [1, h, w], cfg)
+fn conv2d_mismatch(spec: &Conv2dSpec, h: usize, w: usize) -> Option<String> {
+    conv_mismatch(&spec.geometry().unwrap(), [1, h, w])
 }
 
-fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3], cfg: &ParallelConfig) -> Option<String> {
-    conv_mismatch(&spec.geometry().unwrap(), dhw, cfg)
+fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3]) -> Option<String> {
+    conv_mismatch(&spec.geometry().unwrap(), dhw)
 }
 
 /// Position counts that are not multiples of the GEMM's four-row register
 /// block, of sixteen, or of the im2col block — where a kernel that reuses a
 /// block's `C` rows without reseeding them, or mishandles the remainder
 /// rows, goes wrong while every stream-level check still passes (they all
-/// share the kernel). Serial and two-worker runs of each.
+/// share the kernel).
 #[test]
 fn conv_blocks_and_remainder_rows_match_naive() {
     let spec2 = |in_c, out_c, k, stride, pad| Conv2dSpec {
@@ -107,13 +93,8 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         (spec2(2, 16, 5, 2, 2), 9, 21),
         (spec2(1, 1, 3, 2, 2), 6, 5),
     ] {
-        for threaded in [false, true] {
-            let mismatch = conv2d_mismatch(&spec, h, w, &budget(threaded));
-            assert!(
-                mismatch.is_none(),
-                "{spec:?} {h}x{w} threaded {threaded}: {mismatch:?}"
-            );
-        }
+        let mismatch = conv2d_mismatch(&spec, h, w);
+        assert!(mismatch.is_none(), "{spec:?} {h}x{w}: {mismatch:?}");
     }
     let spec3 = |in_c, out_c, stride| Conv3dSpec {
         in_channels: in_c,
@@ -133,13 +114,8 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         // 6*13*13 = 1014 positions over two blocks of 604 (54 taps).
         (spec3(2, 36, 1), [6, 13, 13]),
     ] {
-        for threaded in [false, true] {
-            let mismatch = conv3d_mismatch(&spec, dhw, &budget(threaded));
-            assert!(
-                mismatch.is_none(),
-                "{spec:?} {dhw:?} threaded {threaded}: {mismatch:?}"
-            );
-        }
+        let mismatch = conv3d_mismatch(&spec, dhw);
+        assert!(mismatch.is_none(), "{spec:?} {dhw:?}: {mismatch:?}");
     }
 }
 
@@ -165,17 +141,14 @@ proptest! {
         let weights = Tensor::from_vec(Shape::d2(n_in, n_out), w.clone()).unwrap();
         let tx = Tensor::from_slice_1d(&x).unwrap();
         let tb = Tensor::from_slice_1d(&b).unwrap();
-        let cfg = ParallelConfig::serial();
-
-        let mut naive = Vec::new();
-        fc_forward_into(&cfg, &weights, &tx, &tb, &mut naive).unwrap();
+        let naive = fc_forward_naive(&weights, &tx, &tb).unwrap();
 
         let packed = PackedPanels::pack_slice(&w, n_in, n_out);
         let mut blocked = Vec::new();
-        fc_forward_packed_into(&cfg, &packed, &x, &b, &mut blocked).unwrap();
+        fc_forward_packed_into(&ParallelConfig::serial(), &packed, &x, &b, &mut blocked).unwrap();
 
         let tol = simd::fma_tolerance(n_in + 1, MAX_TERM);
-        let mismatch = simd::kernel_mismatch(&blocked, &naive, tol);
+        let mismatch = simd::kernel_mismatch(&blocked, naive.as_slice(), tol);
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 
@@ -197,7 +170,7 @@ proptest! {
         let tb = Tensor::from_vec(Shape::d2(k, n), bv).unwrap();
 
         let naive = matmul_naive(&ta, &tb).unwrap();
-        let blocked = matmul_with(&ParallelConfig::serial(), &ta, &tb).unwrap();
+        let blocked = matmul(&ta, &tb).unwrap();
 
         let tol = simd::fma_tolerance(k, MAX_TERM);
         let mismatch = simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
@@ -214,10 +187,9 @@ proptest! {
         kw in 1usize..4,
         stride in 1usize..3,
         pad in 0usize..3,
-        threaded in 0usize..2,
     ) {
         let spec = Conv2dSpec { in_channels: in_c, out_channels: out_c, kh, kw, stride, pad };
-        let mismatch = conv2d_mismatch(&spec, h, w, &budget(threaded == 1));
+        let mismatch = conv2d_mismatch(&spec, h, w);
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 
@@ -231,7 +203,6 @@ proptest! {
         kd in 1usize..3,
         khw in 1usize..4,
         (stride, pad) in (1usize..3, 0usize..3),
-        threaded in 0usize..2,
     ) {
         let spec = Conv3dSpec {
             in_channels: in_c,
@@ -242,7 +213,7 @@ proptest! {
             stride,
             pad,
         };
-        let mismatch = conv3d_mismatch(&spec, [d, h, w], &budget(threaded == 1));
+        let mismatch = conv3d_mismatch(&spec, [d, h, w]);
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
     }
 

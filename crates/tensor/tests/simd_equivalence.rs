@@ -48,8 +48,8 @@ proptest! {
         let packed = PackedPanels::pack_slice(&w, n_in, n_out);
         let mut fast = bias.clone();
         let mut slow = bias;
-        avx2::fc_panels(&packed, &x, 0, &mut fast);
-        reuse_tensor::block::forward_panels_scalar(&packed, &x, 0, &mut slow);
+        avx2::fc_panels(&packed, &x, &mut fast);
+        reuse_tensor::block::forward_panels_scalar(&packed, &x, &mut slow);
         let tol = simd::fma_tolerance(n_in + 1, MAX_ABS * MAX_ABS);
         for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
             prop_assert!((a - b).abs() <= tol, "out[{j}]: {a} vs {b} (tol {tol})");
@@ -72,10 +72,10 @@ proptest! {
         let w = &w[..k * n];
         let packed = PackedPanels::pack_slice(w, k, n);
         let mut fast = vec![0.0f32; m * n];
-        avx2::matmul_rows(&packed, a, k, 0, n, &mut fast);
+        avx2::matmul_rows(&packed, a, &mut fast);
         let mut slow = vec![0.0f32; m * n];
         for (i, row) in slow.chunks_mut(n).enumerate() {
-            reuse_tensor::block::forward_panels_scalar(&packed, &a[i * k..(i + 1) * k], 0, row);
+            reuse_tensor::block::forward_panels_scalar(&packed, &a[i * k..(i + 1) * k], row);
         }
         let tol = simd::fma_tolerance(k, MAX_ABS * MAX_ABS);
         for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
@@ -87,7 +87,6 @@ proptest! {
     fn apply_deltas_matches_scalar(
         n_in in 1usize..16,
         n_out in 1usize..70,
-        split_num in 0usize..=100,
         w in vals(1024),
         dvals in vals(16),
     ) {
@@ -104,14 +103,8 @@ proptest! {
             .collect();
         let mut fast = vec![1.0f32; n_out];
         let mut slow = fast.clone();
-        // Exercise worker-style offsets: correct the two halves separately.
-        let split = split_num * n_out / 100;
-        let (f0, f1) = fast.split_at_mut(split);
-        avx2::apply_deltas(w, n_out, 0, &deltas, f0);
-        avx2::apply_deltas(w, n_out, split, &deltas, f1);
-        let (s0, s1) = slow.split_at_mut(split);
-        reuse_tensor::block::apply_deltas_scalar(w, n_out, 0, &deltas, s0);
-        reuse_tensor::block::apply_deltas_scalar(w, n_out, split, &deltas, s1);
+        avx2::apply_deltas(w, &deltas, &mut fast);
+        reuse_tensor::block::apply_deltas_scalar(w, &deltas, &mut slow);
         let tol = simd::fma_tolerance(deltas.len() + 1, MAX_ABS * MAX_ABS);
         for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
             prop_assert!((a - b).abs() <= tol, "z[{j}]: {a} vs {b} (tol {tol})");
@@ -265,4 +258,44 @@ proptest! {
             prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
         }
     }
+}
+
+/// A `#[should_panic]` test of an explicit AVX2 entry passes vacuously, like
+/// every test here, on a host that cannot run it.
+fn need_avx2(expected: &str) {
+    assert!(avx2::available(), "{expected} (unchecked: host lacks AVX2)");
+}
+
+// The AVX2 bodies read through raw pointers on the strength of these length
+// checks, so each must hold in release builds too.
+
+#[test]
+#[should_panic(expected = "row_axpy operand lengths")]
+fn avx2_row_axpy_rejects_a_short_row() {
+    need_avx2("row_axpy operand lengths");
+    avx2::row_axpy(&mut [0.0; 24], &[1.0; 8], 2.0);
+}
+
+#[test]
+#[should_panic(expected = "fc_panels input vs weight rows")]
+fn avx2_fc_panels_rejects_a_long_input() {
+    need_avx2("fc_panels input vs weight rows");
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    avx2::fc_panels(&packed, &[1.0; 64], &mut [0.0; 20]);
+}
+
+#[test]
+#[should_panic(expected = "fc_panels: 40 outputs from 2 panels")]
+fn avx2_fc_panels_rejects_outputs_past_the_last_panel() {
+    need_avx2("fc_panels: 40 outputs from 2 panels");
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    avx2::fc_panels(&packed, &[1.0; 3], &mut [0.0; 40]);
+}
+
+#[test]
+#[should_panic(expected = "A rows vs C rows")]
+fn avx2_matmul_rows_rejects_a_short_lhs() {
+    need_avx2("A rows vs C rows");
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    avx2::matmul_rows(&packed, &[1.0; 3], &mut [0.0; 2 * 20]);
 }

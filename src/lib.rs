@@ -6,7 +6,7 @@
 //! This façade crate re-exports the whole workspace so downstream users can
 //! depend on a single crate:
 //!
-//! * [`tensor`] — tensors, matmul, convolution, fixed-point scalars.
+//! * [`tensor`] — tensors, matmul, convolution.
 //! * [`nn`] — forward-inference layers (FC, Conv2D/3D, pooling, LSTM) and
 //!   sequential networks.
 //! * [`quant`] — linear input quantization (paper Eq. 9) and range profiling.
