@@ -204,17 +204,10 @@ pub fn quantizer_comparison(scale: Scale) -> String {
     // Calibrate both quantizers on the inputs of Kaldi's FC3 layer.
     let workload = Workload::build(WorkloadKind::Kaldi, scale);
     let frames = workload.generate_frames(40, SEED);
-    // Collect the layer-3 inputs by running the fp32 network partially.
-    let net = workload.network();
-    let mut samples: Vec<f32> = Vec::new();
-    for frame in &frames {
-        let mut cur = reuse_tensor::Tensor::from_vec(net.input_shape().clone(), frame.clone())
-            .expect("frame sized");
-        for i in 0..3 {
-            cur = net.apply_layer(i, cur).expect("prefix layers run");
-        }
-        samples.extend_from_slice(cur.as_slice());
-    }
+    // The fp32 network's FC3 inputs, every frame's in one sample set.
+    let recorded = reuse_core::replay::InputRecorder::record(workload.network(), &frames)
+        .expect("generated frames fit the network");
+    let samples = recorded.stream("fc3").expect("kaldi has an fc3").concat();
     let mut out = String::new();
     out.push_str(&format!(
         "ABLATION — linear vs k-means input quantization (Kaldi FC3 inputs, scale: {scale})\n\n\

@@ -37,9 +37,9 @@ use reuse_bench::streams::random_walk;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::layer::SERIAL;
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
-use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, NetworkBuilder, NnError};
+use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, Layer, NetworkBuilder};
 use reuse_quant::{InputRange, LinearQuantizer};
-use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
+use reuse_tensor::conv::{conv_forward_into, conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{matmul, Shape, Tensor};
 
 /// Times `f` until it has run for ~200 ms (at least 5 iterations) and
@@ -106,21 +106,21 @@ struct KernelPair {
     gemm: Box<dyn FnMut()>,
 }
 
-/// Builds one pair from a layer of either rank, a seeded random input of
-/// `in_shape` and the layer's `forward_linear`.
+/// Builds one pair from a layer of either rank and a seeded random input of
+/// `in_shape`: the oracle on the raw weights against the kernel on the
+/// layer's panels, writing into one reused buffer as the session does.
 fn conv_pair<L: ConvLayer + Clone + 'static>(
     name: &'static str,
     min_avx2_gflops: f64,
     layer: L,
     in_shape: Shape,
     seed: u64,
-    forward: fn(&L, &Tensor) -> Result<Tensor, NnError>,
 ) -> KernelPair {
     let mut dhw = [1; 3];
     dhw[3 - L::RANK..].copy_from_slice(&in_shape.dims()[1..]);
     let input = random_input(in_shape.volume(), &mut Rng64::new(seed));
-    let input = Tensor::from_vec(in_shape, input).unwrap();
     let (naive_layer, naive_input) = (layer.clone(), input.clone());
+    let mut out = Vec::new();
     KernelPair {
         name,
         flops: layer.geometry().flops(dhw),
@@ -131,7 +131,9 @@ fn conv_pair<L: ConvLayer + Clone + 'static>(
             black_box(conv_forward_naive(g, dhw, x, w, b).unwrap());
         }),
         gemm: Box::new(move || {
-            black_box(forward(&layer, black_box(&input)).unwrap());
+            let (g, x) = (layer.geometry(), black_box(input.as_slice()));
+            conv_forward_into(g, dhw, x, layer.panels(), layer.bias(), &mut out).unwrap();
+            black_box(&out);
         }),
     }
 }
@@ -170,7 +172,6 @@ fn conv_pairs() -> [KernelPair; 2] {
             layer2,
             Shape::d3(24, 31, 98),
             4,
-            Conv2dLayer::forward_linear,
         ),
         conv_pair(
             "c3d_conv3_32x4x14x14/forward",
@@ -178,7 +179,6 @@ fn conv_pairs() -> [KernelPair; 2] {
             layer3,
             Shape::d4(32, 4, 14, 14),
             6,
-            Conv3dLayer::forward_linear,
         ),
     ]
 }
@@ -201,10 +201,6 @@ fn conv_reuse_speedup() -> (f64, f64) {
     // A step of 0.02 against a code width of 1/16 moves ~15% of the codes.
     let walk = random_walk(17, in_shape.volume(), 0.8, 0.02, 31);
     let there_and_back: Vec<&Vec<f32>> = walk.iter().chain(walk[1..16].iter().rev()).collect();
-    let tensors: Vec<Tensor> = there_and_back
-        .iter()
-        .map(|f| Tensor::from_vec(in_shape.clone(), (*f).clone()).unwrap())
-        .collect();
     let pack = ConvPack::new(&layer);
     let mut state = ConvReuseState::new(&layer, &in_shape).unwrap();
     let mut out = Vec::new();
@@ -231,10 +227,13 @@ fn conv_reuse_speedup() -> (f64, f64) {
         }
         start.elapsed().as_secs_f64()
     };
-    let forward_pass = || {
+    let (twin, mut twin_out) = (Layer::Conv2d(layer.clone()), Vec::new());
+    let mut forward_pass = || {
         let start = Instant::now();
-        for input in &tensors {
-            black_box(layer.forward(black_box(input)).unwrap());
+        for frame in &there_and_back {
+            twin.forward_into(&in_shape, black_box(frame), &mut twin_out)
+                .unwrap();
+            black_box(&twin_out);
         }
         start.elapsed().as_secs_f64()
     };

@@ -1,11 +1,12 @@
-//! Convolutional layers (paper Eq. 2) wrapping the GEMM kernel in
+//! Convolutional layers (paper Eq. 2): the parameters of the GEMM kernel in
 //! `reuse-tensor`. A layer packs its weights once, at construction, into the
-//! `[taps, out_c]` panels every forward pass — and every reuse correction,
-//! which shares them through the `Arc` — reads.
+//! `[taps, out_c]` panels every forward pass ([`crate::Layer::forward_linear_into`],
+//! one call for both ranks) — and every reuse correction, which shares them
+//! through the `Arc` — reads.
 
 use std::sync::Arc;
 
-use reuse_tensor::conv::{conv_forward_packed, Conv2dSpec, Conv3dSpec, ConvGeometry};
+use reuse_tensor::conv::{Conv2dSpec, Conv3dSpec, ConvGeometry};
 use reuse_tensor::{PackedPanels, Shape, Tensor};
 
 use crate::{init, Activation, NnError};
@@ -105,32 +106,6 @@ impl Conv2dLayer {
     /// The post-linear activation.
     pub fn activation(&self) -> Activation {
         self.activation
-    }
-
-    /// Linear part only (pre-activation feature maps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(conv_forward_packed(
-            &self.geometry,
-            2,
-            input,
-            &self.panels,
-            &self.bias,
-        )?)
-    }
-
-    /// Full forward pass including the activation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut out = self.forward_linear(input)?;
-        self.activation.apply_in_place(out.as_mut_slice());
-        Ok(out)
     }
 
     /// Parameter count (weights + biases).
@@ -236,32 +211,6 @@ impl Conv3dLayer {
         self.activation
     }
 
-    /// Linear part only (pre-activation feature maps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(conv_forward_packed(
-            &self.geometry,
-            3,
-            input,
-            &self.panels,
-            &self.bias,
-        )?)
-    }
-
-    /// Full forward pass including the activation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut out = self.forward_linear(input)?;
-        self.activation.apply_in_place(out.as_mut_slice());
-        Ok(out)
-    }
-
     /// Parameter count (weights + biases).
     pub fn param_count(&self) -> u64 {
         (self.spec.weight_shape().volume() + self.spec.out_channels) as u64
@@ -284,12 +233,16 @@ mod tests {
         };
         let w = Tensor::from_vec(spec.weight_shape(), vec![-1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
-        let layer = Conv2dLayer::new(spec, w, b, Activation::Relu).unwrap();
-        let input = Tensor::from_vec(Shape::d3(1, 1, 2), vec![1.0, -1.0]).unwrap();
-        let out = layer.forward(&input).unwrap();
-        assert_eq!(out.as_slice(), &[0.0, 1.0]);
-        let lin = layer.forward_linear(&input).unwrap();
-        assert_eq!(lin.as_slice(), &[-1.0, 1.0]);
+        let layer = crate::Layer::Conv2d(Conv2dLayer::new(spec, w, b, Activation::Relu).unwrap());
+        let (shape, input, mut out) = (Shape::d3(1, 1, 2), [1.0, -1.0], Vec::new());
+        layer.forward_into(&shape, &input, &mut out).unwrap();
+        assert_eq!(out, [0.0, 1.0]);
+        layer.forward_linear_into(&shape, &input, &mut out).unwrap();
+        assert_eq!(out, [-1.0, 1.0]);
+        // The flat entry still refuses a shape of the wrong rank or channels.
+        for bad in [Shape::d1(2), Shape::d3(2, 1, 1), Shape::d4(1, 1, 1, 2)] {
+            assert!(layer.forward_into(&bad, &input, &mut out).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use crate::{init, Activation, NnError};
 /// which is what the reuse scheme walks when an input changes.
 ///
 /// At construction the weights are additionally repacked once into
-/// cache-blocked [`PackedPanels`], so the layer holds both layouts. Forward
-/// passes run the 16-lane blocked microkernel over the packed copy
-/// (dispatched per [`reuse_tensor::SimdLevel`]: bit-identical to the naive
-/// input-major walk under the scalar contract, FMA-fused within
+/// cache-blocked [`PackedPanels`], so the layer holds both layouts.
+/// [`Self::forward_linear_into`] — the layer's one forward, under every
+/// walk of a network — runs the 16-lane blocked microkernel over the packed
+/// copy (dispatched per [`reuse_tensor::SimdLevel`]: bit-identical to the
+/// naive input-major walk under the scalar contract, FMA-fused within
 /// [`reuse_tensor::simd::fma_tolerance`] under AVX2). The reuse-correction
 /// path does not touch that copy: [`reuse_tensor::block::apply_deltas_rows`]
 /// walks the row-major `weights`, one contiguous row per changed input.
@@ -113,46 +114,27 @@ impl FullyConnected {
         self.activation
     }
 
-    /// Linear part only (`Wᵀx + b`), before the activation. The reuse
+    /// Linear part only (`Wᵀx + b`), before the activation — the reuse
     /// engine buffers and corrects *this* value, then re-applies the
-    /// activation (the correction of Eq. 10 is linear).
+    /// activation (the correction of Eq. 10 is linear). Allocation-free:
+    /// clears `out` and writes the `n_out` pre-activation values into it,
+    /// reusing its capacity across calls. Runs the cache-blocked packed
+    /// microkernel at the active [`reuse_tensor::SimdLevel`]; results are
+    /// bit-identical to the naive [`matmul::fc_forward_naive`] walk under
+    /// the scalar contract and within [`reuse_tensor::simd::fma_tolerance`]
+    /// of it under AVX2. The activation on top is [`crate::Layer::forward_into`].
     ///
     /// # Errors
     ///
     /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut out = Vec::new();
-        self.forward_linear_into(input, &mut out)?;
-        Ok(Tensor::from_vec(Shape::d1(self.n_out()), out)?)
-    }
-
-    /// Allocation-free linear forward: clears `out` and writes the `n_out`
-    /// pre-activation values into it, reusing its capacity across calls.
-    /// Runs the cache-blocked packed microkernel at the active
-    /// [`reuse_tensor::SimdLevel`]; results are bit-identical to the naive
-    /// [`matmul::fc_forward_naive`] walk under the scalar contract and
-    /// within [`reuse_tensor::simd::fma_tolerance`] of it under AVX2.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward_linear_into(&self, input: &Tensor, out: &mut Vec<f32>) -> Result<(), NnError> {
+    pub fn forward_linear_into(&self, input: &[f32], out: &mut Vec<f32>) -> Result<(), NnError> {
         Ok(block::fc_forward_packed_into(
             &ParallelConfig::serial(),
             &self.packed,
-            input.as_slice(),
+            input,
             self.bias.as_slice(),
             out,
         )?)
-    }
-
-    /// Full forward pass including the activation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches from the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(self.activation.apply(&self.forward_linear(input)?))
     }
 
     /// Parameter count (weights + biases).
@@ -170,15 +152,22 @@ impl FullyConnected {
 mod tests {
     use super::*;
 
+    /// The layer's forward, activation included, through the one entry
+    /// every walk of a network uses.
+    fn forward(fc: &FullyConnected, x: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        crate::Layer::FullyConnected(fc.clone())
+            .forward_into(&Shape::d1(x.len()), x, &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn forward_matches_manual() {
         let w = Tensor::from_vec(Shape::d2(2, 2), vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[1.0, -1.0]).unwrap();
         let fc = FullyConnected::new(w, b, Activation::Identity).unwrap();
-        let out = fc
-            .forward(&Tensor::from_slice_1d(&[2.0, 3.0]).unwrap())
-            .unwrap();
-        assert_eq!(out.as_slice(), &[3.0, 2.0]);
+        assert_eq!(forward(&fc, &[2.0, 3.0]), [3.0, 2.0]);
     }
 
     #[test]
@@ -186,14 +175,10 @@ mod tests {
         let w = Tensor::from_vec(Shape::d2(1, 1), vec![1.0]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
         let fc = FullyConnected::new(w, b, Activation::Relu).unwrap();
-        let out = fc
-            .forward(&Tensor::from_slice_1d(&[-5.0]).unwrap())
-            .unwrap();
-        assert_eq!(out.as_slice(), &[0.0]);
-        let lin = fc
-            .forward_linear(&Tensor::from_slice_1d(&[-5.0]).unwrap())
-            .unwrap();
-        assert_eq!(lin.as_slice(), &[-5.0]);
+        assert_eq!(forward(&fc, &[-5.0]), [0.0]);
+        let mut lin = Vec::new();
+        fc.forward_linear_into(&[-5.0], &mut lin).unwrap();
+        assert_eq!(lin, [-5.0]);
     }
 
     #[test]
@@ -221,12 +206,12 @@ mod tests {
         let x: Vec<f32> = (0..37).map(|v| (v as f32) * 0.11 - 2.0).collect();
         let xt = Tensor::from_slice_1d(&x).unwrap();
         let naive = matmul::fc_forward_naive(fc.weights(), &xt, fc.bias()).unwrap();
-        let blocked = fc.forward_linear(&xt).unwrap();
+        let mut blocked = Vec::new();
+        fc.forward_linear_into(&x, &mut blocked).unwrap();
         // Bit-identical under the scalar contract; FMA-tolerance-bounded
         // under AVX2 (|x| <= 2, random small weights).
         let tol = reuse_tensor::simd::fma_tolerance(38, 4.0);
-        let mismatch =
-            reuse_tensor::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
+        let mismatch = reuse_tensor::simd::kernel_mismatch(&blocked, naive.as_slice(), tol);
         assert!(mismatch.is_none(), "{}", mismatch.unwrap());
     }
 

@@ -47,6 +47,6 @@ pub use conv_layers::{Conv2dLayer, Conv3dLayer};
 pub use error::NnError;
 pub use fc::FullyConnected;
 pub use lstm::{BiLstmLayer, LstmCell, LstmState};
-pub use network::{group_max_into, Layer, LayerKind, Network, NetworkBuilder};
+pub use network::{Layer, LayerKind, Network, NetworkBuilder};
 pub use passthrough::{PassthroughLayer, PassthroughOp, PoolSpec2d};
 pub use pool::{Pool2dLayer, Pool3dLayer};

@@ -1,6 +1,6 @@
 //! Sequential network container with shape inference and accounting.
 
-use reuse_tensor::conv::{Conv2dSpec, Conv3dSpec};
+use reuse_tensor::conv::{conv_forward_into, max_pool_into, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{Shape, Tensor};
 
 use crate::{
@@ -232,23 +232,142 @@ impl Layer {
         }
     }
 
-    /// Serial linear (pre-activation) forward pass of a weighted frame-wise
-    /// layer — the exact baseline the reuse engine's drift watchdog adopts.
+    /// Linear (pre-activation) forward pass of a weighted frame-wise layer
+    /// over flat row-major data of `in_shape` — the exact baseline the reuse
+    /// engine's drift watchdog adopts. Sizes `out` to the output volume and
+    /// overwrites it, reusing its capacity (a conv layer's im2col blocks are
+    /// the kernel's own allocations).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for layers without a frame-wise
-    /// linear part (pooling, reshape, recurrent) and propagates shape
-    /// errors.
-    pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        match self {
-            Layer::FullyConnected(l) => l.forward_linear(input),
-            Layer::Conv2d(l) => l.forward_linear(input),
-            Layer::Conv3d(l) => l.forward_linear(input),
-            _ => Err(NnError::InvalidConfig {
-                context: "forward_linear requires a weighted frame-wise layer".into(),
-            }),
+    /// linear part (pooling, reshape, passthrough, recurrent) or a conv
+    /// layer handed an `in_shape` of the wrong rank or channel count, and
+    /// propagates length mismatches from the kernels.
+    pub fn forward_linear_into(
+        &self,
+        in_shape: &Shape,
+        input: &[f32],
+        out: &mut Vec<f32>,
+    ) -> Result<(), NnError> {
+        let (rank, g, panels, bias) = match self {
+            Layer::FullyConnected(l) => return l.forward_linear_into(input, out),
+            Layer::Conv2d(l) => (2, l.geometry(), l.panels(), l.bias()),
+            Layer::Conv3d(l) => (3, l.geometry(), l.panels(), l.bias()),
+            _ => {
+                return Err(NnError::InvalidConfig {
+                    context: "forward_linear requires a weighted frame-wise layer".into(),
+                })
+            }
+        };
+        let dims = in_shape.dims();
+        if dims.len() != rank + 1 || dims[0] != g.in_channels() {
+            return Err(NnError::InvalidConfig {
+                context: format!("conv{rank}d input {in_shape} does not match {g:?}"),
+            });
         }
+        let mut dhw = [1; 3];
+        dhw[3 - rank..].copy_from_slice(&dims[1..]);
+        Ok(conv_forward_into(
+            g,
+            dhw,
+            input,
+            panels,
+            bias.as_slice(),
+            out,
+        )?)
+    }
+
+    /// [`Self::forward_linear_into`] through the tensor API.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::forward_linear_into`].
+    pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        let mut out = Vec::new();
+        self.forward_linear_into(input.shape(), input.as_slice(), &mut out)?;
+        Ok(Tensor::from_vec(self.output_shape(input.shape())?, out)?)
+    }
+
+    /// Full-precision forward pass of a frame-wise layer over flat row-major
+    /// data of `in_shape`: the one way every walk of a network runs a layer
+    /// from scratch. Clears `out` and writes the flat output into it,
+    /// reusing its capacity — activations between layers are flat buffers
+    /// whose shapes the network already inferred, so a reshape is nothing
+    /// and a flatten is a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] when `input` does not hold
+    /// `in_shape`'s volume, [`NnError::InvalidConfig`] for recurrent layers
+    /// (they cannot run frame-wise) and for an `in_shape` the layer does not
+    /// accept, and propagates kernel errors.
+    pub fn forward_into(
+        &self,
+        in_shape: &Shape,
+        input: &[f32],
+        out: &mut Vec<f32>,
+    ) -> Result<(), NnError> {
+        if input.len() != in_shape.volume() {
+            return Err(NnError::InputShape {
+                expected: in_shape.volume(),
+                actual: input.len(),
+            });
+        }
+        match self {
+            Layer::FullyConnected(_) | Layer::Conv2d(_) | Layer::Conv3d(_) => {
+                self.forward_linear_into(in_shape, input, out)?;
+                if let Some(act) = self.activation() {
+                    act.apply_in_place(out);
+                }
+            }
+            Layer::Pool2d(_) | Layer::Pool3d(_) => {
+                let (dhw, window, stride, ceil) = match (self, in_shape.dims()) {
+                    (Layer::Pool2d(p), &[_, h, w]) => (
+                        [1, h, w],
+                        [1, p.window, p.window],
+                        [1, p.stride, p.stride],
+                        p.ceil,
+                    ),
+                    (Layer::Pool3d(p), &[_, d, h, w]) => (
+                        [d, h, w],
+                        [p.wd, p.whw, p.whw],
+                        [p.wd, p.whw, p.whw],
+                        p.ceil,
+                    ),
+                    _ => {
+                        return Err(NnError::InvalidConfig {
+                            context: format!("pooling expects [c,(d,)h,w], got {in_shape}"),
+                        })
+                    }
+                };
+                max_pool_into(input, dhw, window, stride, ceil, out)?;
+            }
+            Layer::Flatten => {
+                out.clear();
+                out.extend_from_slice(input);
+            }
+            Layer::GroupMax { group } => {
+                if *group == 0 || !input.len().is_multiple_of(*group) {
+                    return Err(NnError::InvalidConfig {
+                        context: format!("group_max({group}) does not divide {}", input.len()),
+                    });
+                }
+                out.clear();
+                out.extend(
+                    input
+                        .chunks(*group)
+                        .map(|chunk| chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
+                );
+            }
+            Layer::Passthrough(p) => p.forward_into(input, in_shape, out)?,
+            Layer::Lstm(_) | Layer::BiLstm(_) => {
+                return Err(NnError::InvalidConfig {
+                    context: "recurrent layer cannot run frame-wise".into(),
+                })
+            }
+        }
+        Ok(())
     }
 
     /// Full-precision sequence pass of a recurrent layer.
@@ -376,21 +495,49 @@ impl Network {
             .sum()
     }
 
-    /// Applies a single frame-wise layer by index, reshaping the input to
-    /// the layer's inferred input shape if needed. Used by the reuse engine
-    /// to run passive and reuse-disabled layers.
+    /// Runs one frame-wise layer by index at full precision over the flat
+    /// row-major data of its inferred input shape: clears `out` and writes
+    /// the flat output into it, reusing its capacity. Every walk of the
+    /// network — [`Self::forward`], [`Self::forward_sequence`] and the reuse
+    /// engine's passive, reuse-disabled and calibration layers — runs a layer
+    /// through this.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] for recurrent layers (they cannot
-    /// run frame-wise) and propagates shape errors.
+    /// Same as [`Layer::forward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn apply_layer_into(
+        &self,
+        index: usize,
+        input: &[f32],
+        out: &mut Vec<f32>,
+    ) -> Result<(), NnError> {
+        self.layers[index]
+            .1
+            .forward_into(&self.layer_inputs[index], input, out)
+    }
+
+    /// [`Self::apply_layer_into`] through the tensor API: any input of the
+    /// layer's input volume, the inferred output shape back.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::forward_into`].
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn apply_layer(&self, index: usize, input: Tensor) -> Result<Tensor, NnError> {
-        let (_, layer) = &self.layers[index];
-        apply_layer(layer, input, &self.layer_inputs[index])
+        let mut out = Vec::new();
+        self.apply_layer_into(index, input.as_slice(), &mut out)?;
+        let out_shape = self
+            .layer_inputs
+            .get(index + 1)
+            .unwrap_or(&self.output_shape);
+        Ok(Tensor::from_vec(out_shape.clone(), out)?)
     }
 
     /// Runs one frame through the network.
@@ -411,14 +558,11 @@ impl Network {
                 actual: input.len(),
             });
         }
-        let mut cur = input.clone();
-        for ((_, layer), in_shape) in self.layers.iter().zip(self.layer_inputs.iter()) {
-            cur = apply_layer(layer, cur, in_shape)?;
-        }
-        Ok(cur)
+        self.forward_flat(input.as_slice())
     }
 
-    /// Convenience wrapper: runs a flat slice through the network.
+    /// Runs one frame, given as a flat slice, through the network: two
+    /// buffers swapped from layer to layer.
     ///
     /// # Errors
     ///
@@ -430,8 +574,17 @@ impl Network {
                 actual: input.len(),
             });
         }
-        let t = Tensor::from_vec(self.input_shape.clone(), input.to_vec())?;
-        self.forward(&t)
+        if self.is_recurrent() {
+            return Err(NnError::InvalidConfig {
+                context: "recurrent network requires forward_sequence".into(),
+            });
+        }
+        let (mut cur, mut next) = (input.to_vec(), Vec::new());
+        for i in 0..self.layers.len() {
+            self.apply_layer_into(i, &cur, &mut next)?;
+            std::mem::swap(&mut cur, &mut next);
+        }
+        Ok(Tensor::from_vec(self.output_shape.clone(), cur)?)
     }
 
     /// Runs a temporal sequence through the network. Frame-wise layers map
@@ -445,76 +598,27 @@ impl Network {
         if frames.is_empty() {
             return Err(NnError::EmptySequence);
         }
-        let mut seq: Vec<Tensor> = frames
-            .iter()
-            .map(|f| {
-                if f.len() != self.input_shape.volume() {
-                    return Err(NnError::InputShape {
-                        expected: self.input_shape.volume(),
-                        actual: f.len(),
-                    });
-                }
-                Ok(Tensor::from_vec(self.input_shape.clone(), f.clone())?)
-            })
-            .collect::<Result<_, _>>()?;
-        for ((_, layer), in_shape) in self.layers.iter().zip(self.layer_inputs.iter()) {
+        if let Some(f) = frames.iter().find(|f| f.len() != self.input_shape.volume()) {
+            return Err(NnError::InputShape {
+                expected: self.input_shape.volume(),
+                actual: f.len(),
+            });
+        }
+        let mut seq = frames.to_vec();
+        let mut next = Vec::new();
+        for (i, (_, layer)) in self.layers.iter().enumerate() {
             if layer.is_recurrent() {
-                let xs: Vec<Vec<f32>> = seq.iter().map(|t| t.as_slice().to_vec()).collect();
-                let out = layer.forward_sequence(&xs)?;
-                seq = out
-                    .into_iter()
-                    .map(|o| Tensor::from_slice_1d(&o).map_err(NnError::from))
-                    .collect::<Result<_, _>>()?;
-            } else {
-                seq = seq
-                    .into_iter()
-                    .map(|t| apply_layer(layer, t, in_shape))
-                    .collect::<Result<_, _>>()?;
+                seq = layer.forward_sequence(&seq)?;
+                continue;
+            }
+            for frame in &mut seq {
+                self.apply_layer_into(i, frame, &mut next)?;
+                std::mem::swap(frame, &mut next);
             }
         }
-        Ok(seq)
-    }
-}
-
-/// The reduction of [`Layer::GroupMax`]: appends the maximum of every
-/// `group` consecutive values of `data` to `out`. Callers that hold a
-/// buffer to write into (the reuse session's pooled fallback) share the
-/// layer's arithmetic through this instead of copying it.
-pub fn group_max_into(data: &[f32], group: usize, out: &mut Vec<f32>) {
-    out.extend(
-        data.chunks(group)
-            .map(|chunk| chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
-    );
-}
-
-fn apply_layer(layer: &Layer, input: Tensor, in_shape: &Shape) -> Result<Tensor, NnError> {
-    // Frame tensors may arrive flat (e.g. after an FC layer); reshape to the
-    // inferred layer input shape first.
-    let input = if input.shape() == in_shape {
-        input
-    } else {
-        input.reshape(in_shape.clone())?
-    };
-    match layer {
-        Layer::FullyConnected(l) => {
-            let flat = input.reshape(Shape::d1(in_shape.volume()))?;
-            l.forward(&flat)
-        }
-        Layer::Conv2d(l) => l.forward(&input),
-        Layer::Conv3d(l) => l.forward(&input),
-        Layer::Pool2d(p) => p.forward(&input),
-        Layer::Pool3d(p) => p.forward(&input),
-        Layer::Flatten => Ok(input.reshape(Shape::d1(in_shape.volume()))?),
-        Layer::GroupMax { group } => {
-            let flat = input.reshape(Shape::d1(in_shape.volume()))?;
-            let mut out = Vec::with_capacity(flat.len() / group);
-            group_max_into(flat.as_slice(), *group, &mut out);
-            Ok(Tensor::from_vec(Shape::d1(out.len()), out)?)
-        }
-        Layer::Passthrough(p) => p.forward(&input),
-        Layer::Lstm(_) | Layer::BiLstm(_) => Err(NnError::InvalidConfig {
-            context: "recurrent layer cannot run frame-wise".into(),
-        }),
+        seq.into_iter()
+            .map(|o| Ok(Tensor::from_vec(self.output_shape.clone(), o)?))
+            .collect()
     }
 }
 
@@ -935,9 +1039,10 @@ mod tests {
             .unwrap();
         assert_eq!(net.layer_input_shapes()[1].dims(), &[2]);
         // The group max itself: [1,5,2 | 4,0,-1] -> [5, 4].
-        let t = Tensor::from_slice_1d(&[1.0, 5.0, 2.0, 4.0, 0.0, -1.0]).unwrap();
-        let out = net.apply_layer(0, t).unwrap();
-        assert_eq!(out.as_slice(), &[5.0, 4.0]);
+        let mut out = Vec::new();
+        net.apply_layer_into(0, &[1.0, 5.0, 2.0, 4.0, 0.0, -1.0], &mut out)
+            .unwrap();
+        assert_eq!(out, [5.0, 4.0]);
         // Kind and accounting: weightless pool.
         assert_eq!(net.layers()[0].1.kind(), LayerKind::Pool);
         assert_eq!(net.layers()[0].1.param_count(), 0);

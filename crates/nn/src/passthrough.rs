@@ -14,7 +14,7 @@
 //! at all (attention blocks, custom kernels) are ingestion errors, not
 //! passthroughs.
 
-use reuse_tensor::{Shape, Tensor};
+use reuse_tensor::Shape;
 
 use crate::{Activation, NnError};
 
@@ -258,18 +258,6 @@ impl PassthroughLayer {
         Ok(())
     }
 
-    /// Runs the op through the tensor API.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::forward_into`].
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let out_shape = self.output_shape(input.shape())?;
-        let mut out = Vec::with_capacity(out_shape.volume());
-        self.forward_into(input.as_slice(), input.shape(), &mut out)?;
-        Ok(Tensor::from_vec(out_shape, out)?)
-    }
-
     /// Whitespace-separated descriptor tokens for the text serializer
     /// (inverse of [`Self::from_spec_tokens`]).
     pub fn spec_tokens(&self) -> String {
@@ -336,17 +324,30 @@ impl PassthroughLayer {
 mod tests {
     use super::*;
 
+    /// Runs `op` on `shape`-shaped data; the output must fill the shape
+    /// [`PassthroughLayer::output_shape`] infers, whose dims come back too.
+    fn run(op: PassthroughOp, shape: Shape, data: &[f32]) -> (Vec<f32>, Vec<usize>) {
+        let layer = PassthroughLayer::new(op);
+        let mut out = vec![f32::NAN; 2];
+        layer.forward_into(data, &shape, &mut out).unwrap();
+        let out_shape = layer.output_shape(&shape).unwrap();
+        assert_eq!(out.len(), out_shape.volume());
+        (out, out_shape.dims().to_vec())
+    }
+
+    fn ramp(n: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
+        (0..n).map(f).collect()
+    }
+
     #[test]
     fn softmax_sums_to_one_and_is_shift_stable() {
-        let layer = PassthroughLayer::new(PassthroughOp::Softmax);
-        let t = Tensor::from_slice_1d(&[1.0, 2.0, 3.0]).unwrap();
-        let out = layer.forward(&t).unwrap();
-        let sum: f32 = out.as_slice().iter().sum();
+        let (out, _) = run(PassthroughOp::Softmax, Shape::d1(3), &[1.0, 2.0, 3.0]);
+        let sum: f32 = out.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         // Shifting all logits must not change the result (stability).
-        let shifted = Tensor::from_slice_1d(&[1001.0, 1002.0, 1003.0]).unwrap();
-        let out2 = layer.forward(&shifted).unwrap();
-        for (a, b) in out.as_slice().iter().zip(out2.as_slice()) {
+        let shifted = [1001.0, 1002.0, 1003.0];
+        let (out2, _) = run(PassthroughOp::Softmax, Shape::d1(3), &shifted);
+        for (a, b) in out.iter().zip(&out2) {
             assert!((a - b).abs() < 1e-6);
         }
     }
@@ -362,11 +363,10 @@ mod tests {
             pad_w: 0,
             ceil: false,
         };
-        let layer = PassthroughLayer::new(PassthroughOp::MaxPool2d(spec));
-        let t = Tensor::from_fn(Shape::d3(1, 4, 4), |i| i as f32);
-        let out = layer.forward(&t).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2, 2]);
-        assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
+        let data = ramp(16, |i| i as f32);
+        let (out, dims) = run(PassthroughOp::MaxPool2d(spec), Shape::d3(1, 4, 4), &data);
+        assert_eq!(dims, [1, 2, 2]);
+        assert_eq!(out, [5.0, 7.0, 13.0, 15.0]);
     }
 
     #[test]
@@ -380,12 +380,11 @@ mod tests {
             pad_w: 1,
             ceil: false,
         };
-        let layer = PassthroughLayer::new(PassthroughOp::MaxPool2d(spec));
         // All-negative input: zero padding must not leak into the max.
-        let t = Tensor::from_fn(Shape::d3(1, 4, 4), |i| -1.0 - i as f32);
-        let out = layer.forward(&t).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2, 2]);
-        assert!(out.as_slice().iter().all(|&v| v < 0.0));
+        let data = ramp(16, |i| -1.0 - i as f32);
+        let (out, dims) = run(PassthroughOp::MaxPool2d(spec), Shape::d3(1, 4, 4), &data);
+        assert_eq!(dims, [1, 2, 2]);
+        assert!(out.iter().all(|&v| v < 0.0));
     }
 
     #[test]
@@ -399,27 +398,24 @@ mod tests {
             pad_w: 1,
             ceil: false,
         };
-        let layer = PassthroughLayer::new(PassthroughOp::AveragePool2d(spec));
-        let t = Tensor::from_fn(Shape::d3(1, 2, 2), |_| 8.0);
-        let out = layer.forward(&t).unwrap();
+        let op = PassthroughOp::AveragePool2d(spec);
+        let (out, _) = run(op, Shape::d3(1, 2, 2), &[8.0; 4]);
         // Corner windows see exactly one real element; its mean is 8, not 2.
-        assert!(out.as_slice().iter().all(|&v| (v - 8.0).abs() < 1e-6));
+        assert!(out.iter().all(|&v| (v - 8.0).abs() < 1e-6));
     }
 
     #[test]
     fn global_average_pool_reduces_each_channel() {
-        let layer = PassthroughLayer::new(PassthroughOp::GlobalAveragePool);
-        let t = Tensor::from_fn(Shape::d3(2, 2, 2), |i| i as f32);
-        let out = layer.forward(&t).unwrap();
-        assert_eq!(out.shape().dims(), &[2, 1, 1]);
-        assert_eq!(out.as_slice(), &[1.5, 5.5]);
+        let data = ramp(8, |i| i as f32);
+        let (out, dims) = run(PassthroughOp::GlobalAveragePool, Shape::d3(2, 2, 2), &data);
+        assert_eq!(dims, [2, 1, 1]);
+        assert_eq!(out, [1.5, 5.5]);
     }
 
     #[test]
     fn elementwise_relu_matches_activation() {
-        let layer = PassthroughLayer::new(PassthroughOp::Elementwise(Activation::Relu));
-        let t = Tensor::from_slice_1d(&[-1.0, 0.5]).unwrap();
-        assert_eq!(layer.forward(&t).unwrap().as_slice(), &[0.0, 0.5]);
+        let op = PassthroughOp::Elementwise(Activation::Relu);
+        assert_eq!(run(op, Shape::d1(2), &[-1.0, 0.5]).0, [0.0, 0.5]);
     }
 
     #[test]

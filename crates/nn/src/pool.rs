@@ -2,12 +2,9 @@
 //!
 //! Pooling layers carry no weights, so the paper excludes them from the
 //! reuse scheme (Table I note); they still matter for shape plumbing and for
-//! the accelerator's op accounting.
-
-use reuse_tensor::conv::{max_pool2d_mode, max_pool3d_mode};
-use reuse_tensor::Tensor;
-
-use crate::NnError;
+//! the accelerator's op accounting. The layers are window descriptions;
+//! [`crate::Layer::forward_into`] runs both ranks through
+//! `reuse_tensor::conv::max_pool_into`.
 
 /// A 2D max-pooling layer with a square window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,15 +26,6 @@ impl Pool2dLayer {
             ceil: false,
         }
     }
-
-    /// Runs the pooling operation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window/shape mismatches from the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(max_pool2d_mode(input, self.window, self.stride, self.ceil)?)
-    }
 }
 
 /// A 3D max-pooling layer with independent temporal and spatial windows
@@ -57,54 +45,65 @@ impl Pool3dLayer {
     pub fn new(wd: usize, whw: usize, ceil: bool) -> Self {
         Pool3dLayer { wd, whw, ceil }
     }
-
-    /// Runs the pooling operation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates window/shape mismatches from the kernel.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(max_pool3d_mode(input, self.wd, self.whw, self.ceil)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Layer;
     use reuse_tensor::Shape;
+
+    /// Pools zeros of `shape` through the layer entry; the output volume
+    /// must be the one shape inference promised.
+    fn pooled_dims(layer: Layer, shape: Shape) -> Vec<usize> {
+        let mut out = Vec::new();
+        layer
+            .forward_into(&shape, &vec![0.0; shape.volume()], &mut out)
+            .unwrap();
+        let inferred = layer.output_shape(&shape).unwrap();
+        assert_eq!(out.len(), inferred.volume());
+        inferred.dims().to_vec()
+    }
 
     #[test]
     fn square_pool_halves_dimensions() {
-        let layer = Pool2dLayer::square(2);
-        let input = Tensor::from_fn(Shape::d3(2, 4, 4), |i| i as f32);
-        let out = layer.forward(&input).unwrap();
-        assert_eq!(out.shape().dims(), &[2, 2, 2]);
+        let layer = Layer::Pool2d(Pool2dLayer::square(2));
+        let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
+        let mut out = Vec::new();
+        layer
+            .forward_into(&Shape::d3(2, 4, 4), &input, &mut out)
+            .unwrap();
+        assert_eq!(out, [5., 7., 13., 15., 21., 23., 29., 31.]);
     }
 
     #[test]
     fn pool3d_c3d_chain_shapes() {
         // The C3D feature-map chain from Table I:
         // 64x16x112x112 -pool 1x2x2-> 64x16x56x56
-        let input = Tensor::zeros(Shape::d4(2, 16, 112, 112));
-        let p1 = Pool3dLayer::new(1, 2, false).forward(&input).unwrap();
-        assert_eq!(p1.shape().dims(), &[2, 16, 56, 56]);
+        let p1 = Layer::Pool3d(Pool3dLayer::new(1, 2, false));
+        assert_eq!(pooled_dims(p1, Shape::d4(2, 16, 112, 112)), [2, 16, 56, 56]);
         // 128x16x56x56 -pool 2x2x2-> 128x8x28x28
-        let input2 = Tensor::zeros(Shape::d4(2, 16, 56, 56));
-        let p2 = Pool3dLayer::new(2, 2, false).forward(&input2).unwrap();
-        assert_eq!(p2.shape().dims(), &[2, 8, 28, 28]);
+        let p2 = Layer::Pool3d(Pool3dLayer::new(2, 2, false));
+        assert_eq!(pooled_dims(p2, Shape::d4(2, 16, 56, 56)), [2, 8, 28, 28]);
     }
 
     #[test]
     fn pool3d_ceil_final_stage() {
         // 512x2x7x7 -pool 2x2x2 ceil-> 512x1x4x4 (8192 inputs for FC1).
-        let input = Tensor::zeros(Shape::d4(4, 2, 7, 7));
-        let out = Pool3dLayer::new(2, 2, true).forward(&input).unwrap();
-        assert_eq!(out.shape().dims(), &[4, 1, 4, 4]);
+        let p5 = Layer::Pool3d(Pool3dLayer::new(2, 2, true));
+        assert_eq!(pooled_dims(p5, Shape::d4(4, 2, 7, 7)), [4, 1, 4, 4]);
     }
 
     #[test]
     fn oversized_window_errors() {
-        let input = Tensor::zeros(Shape::d3(1, 2, 2));
-        assert!(Pool2dLayer::square(4).forward(&input).is_err());
+        let mut out = Vec::new();
+        let pool = Layer::Pool2d(Pool2dLayer::square(4));
+        assert!(pool
+            .forward_into(&Shape::d3(1, 2, 2), &[0.0; 4], &mut out)
+            .is_err());
+        let pool = Layer::Pool2d(Pool2dLayer::square(2));
+        assert!(pool
+            .forward_into(&Shape::d4(1, 1, 2, 2), &[0.0; 4], &mut out)
+            .is_err());
     }
 }

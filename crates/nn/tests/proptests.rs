@@ -1,7 +1,13 @@
 //! Property-based tests for the DNN substrate.
 
 use proptest::prelude::*;
-use reuse_nn::{init::Rng64, Activation, BiLstmLayer, LstmCell, LstmState, NetworkBuilder};
+use reuse_nn::{
+    init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, Layer,
+    LstmCell, LstmState, NetworkBuilder, PassthroughOp,
+};
+use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
+use reuse_tensor::matmul::fc_forward_naive;
+use reuse_tensor::{simd, Shape, Tensor};
 
 fn frame(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec((-50i32..=50).prop_map(|v| v as f32 / 50.0), len)
@@ -135,5 +141,102 @@ proptest! {
         let last1 = outs.last().unwrap();
         let last2 = outs2.last().unwrap();
         prop_assert_eq!(last1.as_slice(), last2.as_slice());
+    }
+}
+
+/// `layer` through the one flat entry against `naive` — the layer's oracle
+/// on the same input, pre-activation — with the activation applied on top:
+/// bit-identical at the scalar level, within the FMA bound under AVX2.
+fn forward_into_mismatch(
+    layer: &Layer,
+    in_shape: &Shape,
+    x: &[f32],
+    mut naive: Vec<f32>,
+    terms: usize,
+) -> Option<String> {
+    // A stale, oversized buffer: the entry must size and overwrite it.
+    let mut out = vec![f32::NAN; naive.len() + 3];
+    layer.forward_into(in_shape, x, &mut out).unwrap();
+    layer.activation().unwrap().apply_in_place(&mut naive);
+    // Inputs and weights are O(1), so is every product term.
+    simd::kernel_mismatch(&out, &naive, simd::fma_tolerance(terms + 1, 4.0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn layer_forward_into_matches_the_naive_oracles(
+        seed in 0u64..1000, n_out in 1usize..20, stride in 1usize..3, pad in 0usize..2,
+    ) {
+        let mut rng = Rng64::new(seed);
+        let mut input = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.uniform(1.0)).collect() };
+
+        let fc = FullyConnected::random(7, n_out, Activation::Relu, &mut Rng64::new(seed));
+        let x = input(7);
+        let naive = fc_forward_naive(fc.weights(), &Tensor::from_slice_1d(&x).unwrap(), fc.bias());
+        let naive = naive.unwrap().into_vec();
+        let mismatch = forward_into_mismatch(&Layer::FullyConnected(fc), &Shape::d1(7), &x, naive, 7);
+        prop_assert!(mismatch.is_none(), "fc: {:?}", mismatch);
+
+        let spec = Conv2dSpec { in_channels: 2, out_channels: n_out, kh: 3, kw: 3, stride, pad };
+        let conv = Conv2dLayer::random(spec, Activation::Tanh, &mut Rng64::new(seed + 1));
+        let (shape, x) = (Shape::d3(2, 6, 7), input(2 * 6 * 7));
+        let (g, w, b) = (*conv.geometry(), conv.weights().as_slice(), conv.bias().as_slice());
+        let naive = conv_forward_naive(&g, [1, 6, 7], &x, w, b).unwrap();
+        let mismatch = forward_into_mismatch(&Layer::Conv2d(conv.clone()), &shape, &x, naive, g.taps());
+        prop_assert!(mismatch.is_none(), "conv2d: {:?}", mismatch);
+
+        let spec = Conv3dSpec { in_channels: 2, out_channels: n_out, kd: 3, kh: 3, kw: 3, stride, pad: 1 };
+        let conv = Conv3dLayer::random(spec, Activation::Relu, &mut Rng64::new(seed + 2));
+        let (shape, x) = (Shape::d4(2, 3, 5, 6), input(2 * 3 * 5 * 6));
+        let (g, w, b) = (*conv.geometry(), conv.weights().as_slice(), conv.bias().as_slice());
+        let naive = conv_forward_naive(&g, [3, 5, 6], &x, w, b).unwrap();
+        let mismatch = forward_into_mismatch(&Layer::Conv3d(conv.clone()), &shape, &x, naive, g.taps());
+        prop_assert!(mismatch.is_none(), "conv3d: {:?}", mismatch);
+    }
+
+    #[test]
+    fn apply_layer_is_apply_layer_into_with_the_inferred_shape(seed in 0u64..1000) {
+        // Every frame-wise layer kind, across the two ranks.
+        let nets = [
+            NetworkBuilder::with_input_shape("p2", Shape::d3(2, 8, 9))
+                .seed(seed)
+                .conv2d(4, 3, 1, 1, Activation::Relu)
+                .pool2d(2)
+                .flatten()
+                .fully_connected(12, Activation::Sigmoid)
+                .group_max(3)
+                .passthrough(PassthroughOp::Softmax)
+                .build()
+                .unwrap(),
+            NetworkBuilder::with_input_shape("p3", Shape::d4(2, 4, 6, 7))
+                .seed(seed)
+                .conv3d(3, 3, 1, 1, Activation::Relu)
+                .pool3d(2, 2, true)
+                .flatten()
+                .fully_connected(5, Activation::Identity)
+                .build()
+                .unwrap(),
+        ];
+        for net in &nets {
+            let mut rng = Rng64::new(seed);
+            let input: Vec<f32> =
+                (0..net.input_shape().volume()).map(|_| rng.uniform(1.0)).collect();
+            let (mut cur, mut next) = (input.clone(), Vec::new());
+            for (i, (name, layer)) in net.layers().iter().enumerate() {
+                let in_shape = &net.layer_input_shapes()[i];
+                // By value, any tensor of the layer's input volume will do.
+                let by_value = net.apply_layer(i, Tensor::from_slice_1d(&cur).unwrap()).unwrap();
+                net.apply_layer_into(i, &cur, &mut next).unwrap();
+                prop_assert_eq!(by_value.shape(), &layer.output_shape(in_shape).unwrap(), "{}", name);
+                prop_assert_eq!(by_value.as_slice(), next.as_slice(), "{}", name);
+                prop_assert!(net.apply_layer_into(i, &cur[1..], &mut next).is_err(), "{}", name);
+                cur = by_value.into_vec();
+            }
+            // The whole-network walk is the same layers in a row.
+            let whole = net.forward_flat(&input).unwrap();
+            prop_assert_eq!(whole.as_slice(), cur.as_slice());
+        }
     }
 }

@@ -292,9 +292,13 @@ impl LinearQuantizer {
         crate::simd::diff_codes(self, xs, prev, changed);
     }
 
-    /// Quantized values (centroids) of a slice.
+    /// Quantized values (centroids) of a slice, through the dispatched
+    /// [`Self::quantize_slice_into`] pass: a conv state's first execution
+    /// runs on these, and one scalar [`Self::quantized_value`] per input
+    /// cost AutoPilot-small's state-initialising frame a quarter of its time.
     pub fn quantized_values(&self, xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| self.quantized_value(x)).collect()
+        let codes = self.quantize_slice(xs);
+        codes.iter().map(|&c| self.centroid(c)).collect()
     }
 
     /// Size in bytes of the centroid table this quantizer needs in the

@@ -66,23 +66,11 @@ impl InputRange {
 }
 
 /// Accumulates the observed min/max over calibration inputs.
-///
-/// A fixed-size histogram is maintained alongside the extremes so
-/// [`RangeProfiler::percentile_range`] can clip outliers — one extreme
-/// calibration value would otherwise stretch the range and waste centroid
-/// resolution on values that never recur.
 #[derive(Debug, Clone, Default)]
 pub struct RangeProfiler {
     min: Option<f32>,
     max: Option<f32>,
-    samples: u64,
-    /// Coarse histogram over the running [min, max]; rebinned lazily at
-    /// query time from the stored raw reservoir.
-    reservoir: Vec<f32>,
 }
-
-/// Maximum reservoir size for percentile estimation.
-const RESERVOIR_CAP: usize = 4096;
 
 impl RangeProfiler {
     /// Creates an empty profiler.
@@ -90,25 +78,13 @@ impl RangeProfiler {
         Self::default()
     }
 
-    /// Observes one value.
+    /// Observes one value (non-finite values are ignored).
     pub fn observe(&mut self, v: f32) {
         if !v.is_finite() {
             return;
         }
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        self.samples += 1;
-        // Deterministic systematic reservoir: keep every k-th sample once
-        // full, with k growing geometrically.
-        if self.reservoir.len() < RESERVOIR_CAP {
-            self.reservoir.push(v);
-        } else {
-            let stride = (self.samples / RESERVOIR_CAP as u64).max(1);
-            if self.samples.is_multiple_of(stride) {
-                let idx = (self.samples / stride) as usize % RESERVOIR_CAP;
-                self.reservoir[idx] = v;
-            }
-        }
     }
 
     /// Observes a whole slice.
@@ -116,36 +92,6 @@ impl RangeProfiler {
         for &v in vs {
             self.observe(v);
         }
-    }
-
-    /// Number of finite values observed.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// An outlier-clipped range covering the central `fraction` of the
-    /// observed distribution (e.g. `0.999`), estimated from a deterministic
-    /// sample reservoir. Values outside the range saturate at the edge
-    /// centroids, trading rare large errors for finer resolution where the
-    /// mass is.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidRange`] when too little data was
-    /// observed or the clipped range is degenerate.
-    pub fn percentile_range(&self, fraction: f32) -> Result<InputRange, QuantError> {
-        if self.reservoir.len() < 8 {
-            return Err(QuantError::InvalidRange {
-                min: f32::NAN,
-                max: f32::NAN,
-            });
-        }
-        let mut sorted = self.reservoir.clone();
-        sorted.sort_by(f32::total_cmp);
-        let tail = ((1.0 - fraction.clamp(0.0, 1.0)) / 2.0 * sorted.len() as f32) as usize;
-        let lo = sorted[tail.min(sorted.len() - 1)];
-        let hi = sorted[(sorted.len() - 1 - tail).max(tail)];
-        InputRange::new(lo, hi).validated()
     }
 
     /// The profiled range, widened by `margin` (relative) on both sides so
@@ -180,7 +126,6 @@ mod tests {
         p.observe_slice(&[0.5, -1.5, 2.0, 0.0]);
         let r = p.range(0.0).unwrap();
         assert_eq!((r.min(), r.max()), (-1.5, 2.0));
-        assert_eq!(p.samples(), 4);
     }
 
     #[test]
@@ -211,7 +156,6 @@ mod tests {
         p.observe(f32::NAN);
         p.observe(f32::INFINITY);
         p.observe_slice(&[1.0, 2.0]);
-        assert_eq!(p.samples(), 2);
         let r = p.range(0.0).unwrap();
         assert_eq!((r.min(), r.max()), (1.0, 2.0));
     }
@@ -229,39 +173,6 @@ mod tests {
     fn symmetric_takes_abs() {
         let r = InputRange::symmetric(-2.0);
         assert_eq!((r.min(), r.max()), (-2.0, 2.0));
-    }
-
-    #[test]
-    fn percentile_range_clips_outliers() {
-        let mut p = RangeProfiler::new();
-        // Tight distribution with two far outliers.
-        for i in 0..1000 {
-            p.observe((i % 100) as f32 / 100.0);
-        }
-        p.observe(50.0);
-        p.observe(-50.0);
-        let full = p.range(0.0).unwrap();
-        assert_eq!((full.min(), full.max()), (-50.0, 50.0));
-        let clipped = p.percentile_range(0.99).unwrap();
-        assert!(clipped.min() > -1.0, "clipped min {}", clipped.min());
-        assert!(clipped.max() < 2.0, "clipped max {}", clipped.max());
-    }
-
-    #[test]
-    fn percentile_range_needs_enough_samples() {
-        let mut p = RangeProfiler::new();
-        p.observe_slice(&[0.0, 1.0, 2.0]);
-        assert!(p.percentile_range(0.99).is_err());
-    }
-
-    #[test]
-    fn percentile_one_equals_extremes_for_small_sets() {
-        let mut p = RangeProfiler::new();
-        for i in 0..100 {
-            p.observe(i as f32);
-        }
-        let r = p.percentile_range(1.0).unwrap();
-        assert_eq!((r.min(), r.max()), (0.0, 99.0));
     }
 
     #[test]

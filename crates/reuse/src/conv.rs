@@ -47,7 +47,7 @@ use std::sync::Arc;
 use reuse_nn::{Conv2dLayer, Conv3dLayer};
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::{RowGrid, TapBucket, TapWindow};
-use reuse_tensor::conv::{conv_forward, transpose_into, ConvGeometry};
+use reuse_tensor::conv::{conv_forward_into, transpose_into, ConvGeometry};
 use reuse_tensor::{PackedPanels, ParallelConfig, Shape};
 
 use crate::layer::ExecStats;
@@ -632,11 +632,8 @@ impl ConvReuseState {
 
         if !self.initialized {
             let centroids = quantizer.quantized_values(input);
-            let bias = layer.bias();
-            let linear = conv_forward(&g, in_dhw, &centroids, panels, bias)?;
-            self.adopt_baseline(quantizer, input, &linear);
-            out.clear();
-            out.extend_from_slice(&linear);
+            conv_forward_into(&g, in_dhw, &centroids, panels, layer.bias(), out)?;
+            self.adopt_baseline(quantizer, input, out);
             return Ok(ExecStats {
                 n_inputs: n_in,
                 n_changed: n_in,

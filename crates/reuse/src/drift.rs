@@ -9,7 +9,6 @@
 
 use reuse_nn::FullyConnected;
 use reuse_quant::LinearQuantizer;
-use reuse_tensor::Tensor;
 
 use crate::fc::FcReuseState;
 use crate::layer::SERIAL;
@@ -64,17 +63,15 @@ pub fn measure_fc_drift(
     let mut max_abs_error = Vec::new();
     let mut last_error = 0.0f64;
     let mut last_mag = 1.0f64;
-    let mut incremental = Vec::new();
+    let (mut incremental, mut scratch) = (Vec::new(), Vec::new());
     for (t, input) in inputs.iter().enumerate() {
         state.execute_into(&SERIAL, layer, quantizer, input, &mut incremental)?;
         if t > 0 && t % checkpoint_every.max(1) == 0 {
-            let centroids = quantizer.quantized_values(input);
-            let t_in = Tensor::from_slice_1d(&centroids)?;
-            let scratch = layer.forward_linear(&t_in)?;
-            let err = max_abs_diff(&incremental, scratch.as_slice());
+            layer.forward_linear_into(&quantizer.quantized_values(input), &mut scratch)?;
+            let err = max_abs_diff(&incremental, &scratch);
             max_abs_error.push(err);
             last_error = err as f64;
-            last_mag = scratch.max_abs().max(1e-9) as f64;
+            last_mag = scratch.iter().fold(1e-9f32, |m, &v| m.max(v.abs())) as f64;
         }
     }
     Ok(DriftReport {

@@ -13,7 +13,7 @@
 use reuse_nn::FullyConnected;
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::apply_deltas_rows;
-use reuse_tensor::{ParallelConfig, Shape, Tensor};
+use reuse_tensor::ParallelConfig;
 
 use crate::layer::{ExecStats, SERIAL};
 use crate::ReuseError;
@@ -157,9 +157,7 @@ impl FcReuseState {
                 .iter()
                 .map(|&c| quantizer.centroid(c))
                 .collect();
-            let qin = Tensor::from_vec(Shape::d1(n_in), centroids)?;
-            self.prev_linear.clear();
-            layer.forward_linear_into(&qin, &mut self.prev_linear)?;
+            layer.forward_linear_into(&centroids, &mut self.prev_linear)?;
             self.changed.reserve(n_in);
             self.initialized = true;
             out.clear();
@@ -232,9 +230,11 @@ mod tests {
 
     /// From-scratch execution on quantized inputs, the correctness oracle.
     fn oracle(layer: &FullyConnected, q: &LinearQuantizer, input: &[f32]) -> Vec<f32> {
-        let centroids = q.quantized_values(input);
-        let t = Tensor::from_slice_1d(&centroids).unwrap();
-        layer.forward_linear(&t).unwrap().into_vec()
+        let mut linear = Vec::new();
+        layer
+            .forward_linear_into(&q.quantized_values(input), &mut linear)
+            .unwrap();
+        linear
     }
 
     #[test]

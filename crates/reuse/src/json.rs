@@ -114,16 +114,23 @@ impl Value {
     }
 }
 
+/// Arrays and objects may nest this deep; the reader recurses once per
+/// level, and policy files reach three.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document under the strict grammar (no trailing data,
-/// no lax numbers, paired surrogates only).
+/// no lax numbers, paired surrogates only, at most 128 nested arrays and
+/// objects). Time is linear in `text`.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -135,8 +142,12 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    /// The document, and the same bytes for single-byte look-ahead.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -165,8 +176,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -322,14 +347,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unvalidated bytes of a &str, so they are
-                    // valid by construction).
+                    // Copy the ordinary run up to the next quote or
+                    // backslash in one piece. Both are ASCII and so never
+                    // inside a multi-byte scalar: the run is a whole slice
+                    // of the `&str` `parse` was handed, valid as it stands.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "non-utf8 string")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = self
+                        .text
+                        .get(self.pos..self.pos + len)
+                        .ok_or_else(|| format!("string splits a scalar at byte {}", self.pos))?;
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -412,6 +444,37 @@ mod tests {
         assert!(root.has_path("none"));
         assert!(!root.has_path("none.n"), "an empty array resolves nothing");
         assert!(!root.has_path("bench.x"));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        // Unbounded, either input overflowed the stack (50 000 `[` aborted
+        // the process on the 8 MB main thread, a test thread near 12 000).
+        for unit in ["[", "{\"a\":"] {
+            let err = parse(&unit.repeat(100_000)).unwrap_err();
+            let at = MAX_DEPTH * unit.len();
+            assert!(err.ends_with(&format!("at byte {at}")), "{unit}: {err}");
+            let closer = if unit == "[" { "]" } else { "}" };
+            let nested = |n: usize| format!("{}1{}", unit.repeat(n), closer.repeat(n));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{unit}");
+            assert!(parse(&nested(MAX_DEPTH + 1)).is_err(), "{unit}");
+        }
+        // Depth counts what is open, not what was ever opened.
+        assert!(parse(&format!("[{}1]", "[],".repeat(1000))).is_ok());
+    }
+
+    #[test]
+    fn a_long_string_scans_in_linear_time() {
+        // Re-validating the rest of the input per character made this
+        // quadratic: 200 KB took 0.5 s, 4 MB would take minutes.
+        let body = "x\u{e9}\u{1F680} ".repeat(4 << 20 >> 3);
+        let text = format!("[{}, \"tail\\n\"]", json_str(&body));
+        let root = parse(&text).unwrap();
+        let items = root.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_str(), Some("tail\n"));
+        let cut = 2 + body.len() / 2;
+        assert_eq!(parse(&text[..cut]).unwrap_err(), "unterminated string");
     }
 
     #[test]

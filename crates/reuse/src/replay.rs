@@ -36,30 +36,29 @@ impl InputRecorder {
     ///
     /// Propagates network execution errors.
     pub fn record(network: &Network, frames: &[Vec<f32>]) -> Result<Self, ReuseError> {
-        let weighted: Vec<usize> = network
-            .layers()
+        let layers = network.layers();
+        let names: Vec<String> = layers
             .iter()
-            .enumerate()
-            .filter(|(_, (_, l))| l.has_weights())
-            .map(|(i, _)| i)
+            .filter(|(_, l)| l.has_weights())
+            .map(|(name, _)| name.clone())
             .collect();
-        let names = weighted
+        // Layers past the last weighted one feed no recorded input.
+        let run = layers
             .iter()
-            .map(|&i| network.layers()[i].0.clone())
-            .collect();
-        let mut streams: Vec<Vec<Vec<f32>>> = vec![Vec::new(); weighted.len()];
+            .rposition(|(_, l)| l.has_weights())
+            .map_or(0, |last| last + 1);
+        let mut streams: Vec<Vec<Vec<f32>>> = vec![Vec::new(); names.len()];
+        let mut next = Vec::new();
         for frame in frames {
-            let mut cur =
-                reuse_tensor::Tensor::from_vec(network.input_shape().clone(), frame.clone())?;
-            for (slot, &layer_index) in weighted.iter().enumerate() {
-                // Apply any passive layers between the previous weighted
-                // layer and this one.
-                let start = if slot == 0 { 0 } else { weighted[slot - 1] + 1 };
-                for i in start..layer_index {
-                    cur = network.apply_layer(i, cur)?;
+            let mut cur = frame.clone();
+            let mut slot = 0;
+            for (i, (_, layer)) in layers[..run].iter().enumerate() {
+                if layer.has_weights() {
+                    streams[slot].push(cur.clone());
+                    slot += 1;
                 }
-                streams[slot].push(cur.as_slice().to_vec());
-                cur = network.apply_layer(layer_index, cur)?;
+                network.apply_layer_into(i, &cur, &mut next)?;
+                std::mem::swap(&mut cur, &mut next);
             }
         }
         Ok(InputRecorder { names, streams })
@@ -219,12 +218,9 @@ mod tests {
         let frames = walk(5, 8, 0.1, 2);
         let rec = InputRecorder::record(&net, &frames).unwrap();
         // fc2's recorded input at execution t is the fp32 fc1 activation.
-        let reuse_nn::Layer::FullyConnected(fc1) = &net.layers()[0].1 else {
-            panic!()
-        };
-        let t_in = reuse_tensor::Tensor::from_slice_1d(&frames[3]).unwrap();
-        let expect = fc1.forward(&t_in).unwrap();
-        assert_eq!(rec.stream("fc2").unwrap()[3], expect.as_slice());
+        let mut expect = Vec::new();
+        net.apply_layer_into(0, &frames[3], &mut expect).unwrap();
+        assert_eq!(rec.stream("fc2").unwrap()[3], expect);
     }
 
     #[test]

@@ -12,13 +12,10 @@ use std::sync::Arc;
 
 use reuse_nn::Layer;
 use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
-use reuse_tensor::block::fc_forward_packed_into;
 use reuse_tensor::Tensor;
 
 use crate::drift::max_abs_diff;
-use crate::layer::{
-    build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx, SERIAL,
-};
+use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
 use crate::model::CompiledModel;
 use crate::policy::{AdaptiveController, LayerPolicyState};
@@ -33,30 +30,22 @@ use crate::{ReuseConfig, ReuseError};
 /// A recycling arena of `f32` buffers for a session's per-frame
 /// intermediates.
 ///
-/// Every buffer taken during a frame is given back before the frame ends, so
-/// after the first reuse-phase execution the pool holds one buffer per
-/// pipeline stage and steady-state frames allocate nothing. Once `steady` is
-/// armed, a pool miss (which would allocate) trips a debug assertion — the
-/// zero-allocation contract of [`ReuseSession::execute_into`].
-#[derive(Debug)]
+/// Every layer of a frame — stepped, re-baselined or run at full precision
+/// — writes into a buffer taken here and the buffer it read goes back, so
+/// the pool only ever holds buffers it issued: after the first frame it has
+/// one per distinct intermediate in flight and later frames allocate
+/// nothing. Once `steady` is armed, a pool miss (which would allocate) trips
+/// a debug assertion — the zero-allocation contract of
+/// [`ReuseSession::execute_into`].
+#[derive(Debug, Default)]
 struct BufferPool {
     free: Vec<Vec<f32>>,
     steady: bool,
-    max_free: usize,
     /// Hit/miss counters, exported through [`TelemetrySnapshot`].
     stats: PoolStats,
 }
 
 impl BufferPool {
-    fn new(max_free: usize) -> Self {
-        BufferPool {
-            free: Vec::new(),
-            steady: false,
-            max_free,
-            stats: PoolStats::default(),
-        }
-    }
-
     /// Takes a cleared buffer with at least `cap` capacity (best fit), or
     /// allocates one on a miss. Only buffers with `capacity >= cap` are
     /// candidates — a smaller recycled buffer must never be handed out, or
@@ -93,20 +82,9 @@ impl BufferPool {
         buf
     }
 
-    /// Returns a buffer to the pool for reuse by later frames. Pipelines
-    /// with conv, pooling or passthrough fallback layers route buffers
-    /// through the tensor API (losing them to the pool), so the free list is
-    /// capped to stop foreign replacement buffers from accumulating; once it
-    /// is full the smallest buffer held makes way for a larger incoming one,
-    /// so small strays can never crowd out the buffers the big layers need.
+    /// Returns a buffer taken from the pool for reuse by later frames.
     fn give(&mut self, buf: Vec<f32>) {
-        if self.free.len() < self.max_free {
-            self.free.push(buf);
-        } else if let Some(smallest) = self.free.iter_mut().min_by_key(|b| b.capacity()) {
-            if smallest.capacity() < buf.capacity() {
-                *smallest = buf;
-            }
-        }
+        self.free.push(buf);
     }
 }
 
@@ -137,6 +115,27 @@ struct SlotRuntime {
     drift_strikes: u64,
     /// The layer's buffered reuse state, dispatched through the trait.
     state: Box<dyn ReuseLayer>,
+}
+
+impl SlotRuntime {
+    /// The slot's buffered state beside everything a step on it reads: the
+    /// model's layer and packed weights and this stream's quantizers
+    /// (`quantizer_x` is `None` only for passthrough slots, which recompute
+    /// without quantizing).
+    fn split<'a>(
+        &'a mut self,
+        model: &'a CompiledModel,
+        slot_pos: usize,
+    ) -> (StepCtx<'a>, &'a mut dyn ReuseLayer) {
+        let slot = &model.slots()[slot_pos];
+        let ctx = StepCtx {
+            layer: &model.network().layers()[slot.layer_index].1,
+            weights: &slot.weights,
+            quantizer_x: self.quantizer_x.as_ref(),
+            quantizer_h: self.quantizer_h.as_ref(),
+        };
+        (ctx, self.state.as_mut())
+    }
 }
 
 /// One stream's mutable reuse state over a shared [`CompiledModel`].
@@ -229,7 +228,6 @@ impl ReuseSession {
                 config.window(),
             )
         });
-        let pool = BufferPool::new(model.layer_out_volumes().len() + 2);
         ReuseSession {
             model,
             runtimes,
@@ -238,7 +236,7 @@ impl ReuseSession {
             calibrated: false,
             executions_seen: 0,
             calibration_units_seen: 0,
-            pool,
+            pool: BufferPool::default(),
             telemetry,
             watchdog: WatchdogStats::default(),
             reuse_frames: 0,
@@ -558,13 +556,18 @@ impl ReuseSession {
     /// Allocation-free variant of [`Self::execute`]: clears `out` and writes
     /// the flat network output into it, reusing its capacity across calls.
     ///
-    /// Once the buffered state is initialized (second reuse-phase frame
-    /// onward), a call performs **zero heap allocations**: per-frame
-    /// intermediates come from the session's recycling pool and the
-    /// per-layer scratch (changed lists, quantized codes, buffered outputs)
-    /// is reused in place. Calibration frames, the state-initializing first
-    /// execution, tracing and the relative-difference recorder still
-    /// allocate.
+    /// Every layer's intermediate — whether the layer steps through its
+    /// reuse state or runs at full precision because it is weightless,
+    /// reuse-disabled or auto-disabled — is written into a buffer from the
+    /// session's recycling pool, and the per-layer scratch (changed lists,
+    /// quantized codes, buffered outputs) is reused in place. So from the
+    /// second reuse-phase frame onward a call performs **zero heap
+    /// allocations** in the session, on any feed-forward pipeline. What
+    /// still allocates, by design: calibration frames (they prime the
+    /// pool), the state-initializing first execution, tracing, the
+    /// relative-difference recorder, a watchdog check frame's reference
+    /// forward, and — inside the kernel, not the session — the two im2col
+    /// blocks of a conv layer that runs at full precision.
     ///
     /// # Errors
     ///
@@ -576,10 +579,8 @@ impl ReuseSession {
                 context: "recurrent network: use execute_sequence".into(),
             });
         }
-        if self.calibrating() {
-            return self.calibration_execute(frame, out);
-        }
-        self.reuse_execute_into(frame, out)
+        let calibrating = self.calibrating();
+        self.walk_frame(frame, out, calibrating)
     }
 
     /// Executes a whole temporal sequence. For feed-forward networks the
@@ -598,18 +599,11 @@ impl ReuseSession {
         if !self.model.network().is_recurrent() {
             return frames.iter().map(|f| self.execute(f)).collect();
         }
-        if self.calibrating() {
-            return self.calibration_sequence(frames.iter().map(Vec::as_slice));
-        }
-        self.reuse_sequence(frames)
+        let calibrating = self.calibrating();
+        self.walk_sequence(frames, calibrating)
     }
 
-    // ---------------------------------------------------------------------
-    // Calibration phase
-    // ---------------------------------------------------------------------
-
-    /// One feed-forward calibration frame: a one-step calibration sequence.
-    fn calibration_execute(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
+    fn check_frame_len(&self, frame: &[f32]) -> Result<(), ReuseError> {
         let expected = self.model.network().input_shape().volume();
         if frame.len() != expected {
             return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
@@ -617,104 +611,44 @@ impl ReuseSession {
                 actual: frame.len(),
             }));
         }
-        let outs = self.calibration_sequence(std::iter::once(frame))?;
-        out.clear();
-        out.extend_from_slice(outs[0].as_slice());
         Ok(())
     }
 
-    fn calibration_sequence<'a>(
+    /// Bookkeeping for a layer about to run at full precision on `input`
+    /// (the caller runs it). A layer with a slot leaves a from-scratch trace
+    /// entry; an *enabled* slot only gets here while calibrating — in the
+    /// reuse phase it steps — and has its input range profiled (passthrough
+    /// slots never quantize, so they have no range to profile).
+    fn note_unstepped(
         &mut self,
-        frames: impl Iterator<Item = &'a [f32]>,
-    ) -> Result<Vec<Tensor>, ReuseError> {
-        let model = Arc::clone(&self.model);
-        let input_shape = model.network().input_shape().clone();
-        let mut seq: Vec<Tensor> = frames
-            .map(|f| Tensor::from_vec(input_shape.clone(), f.to_vec()).map_err(ReuseError::from))
-            .collect::<Result<_, _>>()?;
-        let n_layers = model.network().layers().len();
-        let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); seq.len()];
-        for i in 0..n_layers {
-            let slot_pos = model.slot_of_layer()[i];
-            let layer = &model.network().layers()[i].1;
-            if slot_pos != usize::MAX {
-                if self.slot_enabled(slot_pos)
-                    && model.slots()[slot_pos].kind != reuse_nn::LayerKind::Passthrough
-                {
-                    for t in &seq {
-                        self.runtimes[slot_pos]
-                            .profiler_x
-                            .observe_slice(t.as_slice());
-                    }
-                }
-                if model.config().records_trace() {
-                    for (t, frame) in seq.iter().enumerate() {
-                        traces[t]
-                            .layers
-                            .push(self.scratch_trace_entry(i, frame.len() as u64));
-                    }
-                }
-            }
-            if layer.is_recurrent() {
-                let xs: Vec<Vec<f32>> = seq.iter().map(|t| t.as_slice().to_vec()).collect();
-                let out = layer.forward_sequence(&xs)?;
-                if slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
-                    // A cell's hidden inputs are its zero state, then its own
-                    // outputs one step earlier: all but the last forward
-                    // output and all but the first backward one (that half of
-                    // a bidirectional layer's outputs starts at the last step).
-                    let forward = match layer {
-                        Layer::BiLstm(l) => l.cell_dim(),
-                        _ => out[0].len(),
-                    };
-                    let profiler = &mut self.runtimes[slot_pos].profiler_h;
-                    profiler.observe(0.0);
-                    for (t, o) in out.iter().enumerate() {
-                        if t + 1 < out.len() {
-                            profiler.observe_slice(&o[..forward]);
-                        }
-                        if t > 0 {
-                            profiler.observe_slice(&o[forward..]);
-                        }
-                    }
-                }
-                seq = out
-                    .into_iter()
-                    .map(|o| Tensor::from_slice_1d(&o).map_err(ReuseError::from))
-                    .collect::<Result<_, _>>()?;
-            } else {
-                seq = seq
-                    .into_iter()
-                    .map(|t| -> Result<Tensor, ReuseError> {
-                        let t = self.reshape_to_layer(t, i)?;
-                        Ok(model.network().apply_layer(i, t)?)
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
+        layer_index: usize,
+        input: &[f32],
+        trace: Option<&mut ExecutionTrace>,
+    ) {
+        let slot_pos = self.model.slot_of_layer()[layer_index];
+        if slot_pos == usize::MAX {
+            return;
         }
-        if model.config().records_trace() {
-            self.traces.extend(traces);
+        if self.slot_enabled(slot_pos)
+            && self.model.slots()[slot_pos].kind != reuse_nn::LayerKind::Passthrough
+        {
+            self.runtimes[slot_pos].profiler_x.observe_slice(input);
         }
-        self.executions_seen += seq.len() as u64;
-        self.metrics.executions += seq.len() as u64;
-        self.calibration_units_seen += 1;
-        Ok(seq)
-    }
-
-    fn scratch_trace_entry(&self, layer_index: usize, input_len: u64) -> LayerTrace {
-        let (name, layer) = &self.model.network().layers()[layer_index];
-        let in_shape = &self.model.network().layer_input_shapes()[layer_index];
-        let macs = layer.flops(in_shape) / 2;
-        LayerTrace {
-            name: name.clone(),
-            kind: layer.kind(),
-            mode: TraceKind::ScratchFp32,
-            n_inputs: input_len,
-            n_changed: input_len,
-            n_outputs: self.model.layer_out_volumes()[layer_index] as u64,
-            n_params: layer.param_count(),
-            macs_total: macs,
-            macs_performed: macs,
+        if let Some(trace) = trace {
+            let model = &self.model;
+            let (name, layer) = &model.network().layers()[layer_index];
+            let macs = layer.flops(&model.network().layer_input_shapes()[layer_index]) / 2;
+            trace.layers.push(LayerTrace {
+                name: name.clone(),
+                kind: layer.kind(),
+                mode: TraceKind::ScratchFp32,
+                n_inputs: input.len() as u64,
+                n_changed: input.len() as u64,
+                n_outputs: model.layer_out_volumes()[layer_index] as u64,
+                n_params: layer.param_count(),
+                macs_total: macs,
+                macs_performed: macs,
+            });
         }
     }
 
@@ -775,23 +709,10 @@ impl ReuseSession {
         self.calibrated = true;
     }
 
-    // ---------------------------------------------------------------------
-    // Reuse phase
-    // ---------------------------------------------------------------------
-
-    fn reshape_to_layer(&self, cur: Tensor, layer_index: usize) -> Result<Tensor, ReuseError> {
-        let expected = &self.model.network().layer_input_shapes()[layer_index];
-        if cur.shape() == expected {
-            Ok(cur)
-        } else {
-            Ok(cur.reshape(expected.clone())?)
-        }
-    }
-
     fn record_layer_execution(
         &mut self,
         slot_pos: usize,
-        raw_input: Option<&[f32]>,
+        raw_input: &[f32],
         stats: ExecStats,
         n_outputs: u64,
         span_ns: u64,
@@ -821,14 +742,13 @@ impl ReuseSession {
             }
         }
         if record_rd {
-            if let Some(raw) = raw_input {
-                if let Some(prev) = &rt.prev_raw_input {
-                    if prev.len() == raw.len() {
-                        m.relative_differences.push(relative_difference(prev, raw));
-                    }
+            if let Some(prev) = &rt.prev_raw_input {
+                if prev.len() == raw_input.len() {
+                    m.relative_differences
+                        .push(relative_difference(prev, raw_input));
                 }
-                rt.prev_raw_input = Some(raw.to_vec());
             }
+            rt.prev_raw_input = Some(raw_input.to_vec());
         }
         if let Some(trace) = trace {
             let n_params = model.network().layers()[slot.layer_index].1.param_count();
@@ -846,185 +766,152 @@ impl ReuseSession {
         }
     }
 
-    /// The reuse-phase hot path. Layer intermediates live in flat pooled
-    /// `Vec<f32>` buffers (the network's layers all consume row-major data,
-    /// so "reshapes" between layers are no-ops on the flat representation);
-    /// every buffer taken from the pool is returned before the frame ends.
-    /// Dispatch is uniform: every enabled slot steps through its
-    /// [`ReuseLayer`] trait object — no per-kind `match`.
-    fn reuse_execute_into(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
+    /// The one walk of a feed-forward network over one frame. Activations
+    /// between layers are flat pooled `Vec<f32>` buffers (every layer
+    /// consumes row-major data of the shape the network inferred, so a
+    /// reshape is nothing); each layer writes into a buffer taken from the
+    /// pool and the buffer it read goes back, so every buffer is returned
+    /// before the frame ends. What happens *at a layer* is the only thing
+    /// that varies: an enabled slot in the reuse phase steps
+    /// ([`Self::step_slot`]); every other layer — passive, reuse-disabled,
+    /// auto-disabled, or any slot while `calibrating` — runs at full
+    /// precision through [`reuse_nn::Network::apply_layer_into`].
+    fn walk_frame(
+        &mut self,
+        frame: &[f32],
+        out: &mut Vec<f32>,
+        calibrating: bool,
+    ) -> Result<(), ReuseError> {
+        self.check_frame_len(frame)?;
         let model = Arc::clone(&self.model);
-        let expected_len = model.network().input_shape().volume();
-        if frame.len() != expected_len {
-            return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
-                expected: expected_len,
-                actual: frame.len(),
-            }));
-        }
-        let mut pool_intact = true;
         let mut cur = self.pool.take(frame.len());
         cur.extend_from_slice(frame);
-        let mut trace = if model.config().records_trace() {
-            Some(ExecutionTrace::default())
-        } else {
-            None
-        };
-        let timed = self.telemetry.is_some();
-        let n_layers = model.network().layers().len();
-        for i in 0..n_layers {
-            let slot_pos = model.slot_of_layer()[i];
-            let run_reuse = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
-            if run_reuse {
-                let mut next = self.pool.take(model.layer_out_volumes()[i]);
-                // Cross-stream adoption runs only when this stream has no
-                // baseline yet (cold start), so steady-state frames pay a
-                // single branch here and never touch the shared cache.
-                let pending_sig = if model.signatures().is_some()
-                    && !self.runtimes[slot_pos].state.is_initialized()
-                {
-                    self.signature_lookup(slot_pos, i, &cur)
-                } else {
-                    None
-                };
-                let span = span_start(timed);
-                let stats = {
-                    let slot = &model.slots()[slot_pos];
-                    let rt = &mut self.runtimes[slot_pos];
-                    // `None` only for passthrough slots, which recompute
-                    // without quantizing.
-                    let qx = rt.quantizer_x;
-                    let qh = rt.quantizer_h;
-                    let ctx = StepCtx {
-                        layer: &model.network().layers()[i].1,
-                        weights: &slot.weights,
-                        quantizer_x: qx.as_ref(),
-                        quantizer_h: qh.as_ref(),
-                    };
-                    let mut stats = rt.state.step(&ctx, &cur, &mut next)?;
-                    // Adaptive layers only: when the changed-code fraction
-                    // exceeds the controller's refresh threshold, correcting
-                    // costs more than recomputing — replace the incremental
-                    // result with an exact forward and re-adopt a
-                    // full-precision baseline. Static policies never take
-                    // this branch (no controller), keeping the legacy path
-                    // bit-identical. Refresh frames allocate; like watchdog
-                    // frames they sit outside the zero-alloc contract.
-                    if let Some(ctrl) = rt
-                        .controller
-                        .as_mut()
-                        .filter(|_| !stats.from_scratch && stats.n_inputs > 0)
-                    {
-                        let changed_frac = stats.n_changed as f32 / stats.n_inputs as f32;
-                        ctrl.observe_execution(1.0 - changed_frac);
-                        if changed_frac > ctrl.reuse_threshold() {
-                            let raw = Tensor::from_vec(
-                                model.network().layer_input_shapes()[i].clone(),
-                                cur.clone(),
-                            )?;
-                            let linear = ctx.layer.forward_linear(&raw)?;
-                            let activation = ctx
-                                .layer
-                                .activation()
-                                .expect("adaptive policies run on feed-forward networks");
-                            rt.state.adopt_baseline(&ctx, &cur, linear.as_slice());
-                            let act = activation.apply(&linear);
-                            next.clear();
-                            next.extend_from_slice(act.as_slice());
-                            ctrl.note_refresh();
-                            // Honest accounting: similarity stays what was
-                            // observed, but the frame paid full cost.
-                            stats.macs_performed = stats.macs_total;
-                        }
-                    }
-                    stats
-                };
-                let span_ns = span_elapsed_ns(span);
-                if let Some(sig) = pending_sig {
-                    if stats.from_scratch {
-                        // The lookup missed (or bailed) and the slot just
-                        // initialized from scratch: publish the fresh
-                        // baseline for other streams under the signature
-                        // computed from the same input.
-                        self.signature_insert(slot_pos, sig, &cur);
-                    }
-                }
-                // `cur` (this layer's raw input) is still alive here, so the
-                // relative-difference recorder reads it without the per-layer
-                // copy the old path made unconditionally.
-                let n_outputs = next.len() as u64;
-                self.record_layer_execution(
-                    slot_pos,
-                    Some(&cur),
-                    stats,
-                    n_outputs,
-                    span_ns,
-                    trace.as_mut(),
-                );
-                self.pool.give(std::mem::replace(&mut cur, next));
+        let mut trace = model.config().records_trace().then(ExecutionTrace::default);
+        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
+            let mut next = self.pool.take(model.layer_out_volumes()[i]);
+            if !calibrating && slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
+                self.step_slot(&model, slot_pos, &cur, &mut next, trace.as_mut())?;
             } else {
-                // Full-precision fallback (no-weight or disabled layers).
-                if let Some(trace) = trace.as_mut() {
-                    if slot_pos != usize::MAX {
-                        trace
-                            .layers
-                            .push(self.scratch_trace_entry(i, cur.len() as u64));
-                    }
-                }
-                match &model.network().layers()[i].1 {
-                    // The three cheap cases stay inside the pool, with the
-                    // arithmetic `Network::apply_layer` does.
-                    Layer::Flatten => {}
-                    Layer::GroupMax { group } => {
-                        let mut next = self.pool.take(model.layer_out_volumes()[i]);
-                        reuse_nn::group_max_into(&cur, *group, &mut next);
-                        self.pool.give(std::mem::replace(&mut cur, next));
-                    }
-                    Layer::FullyConnected(fc) => {
-                        let mut next = self.pool.take(fc.n_out());
-                        let bias = fc.bias().as_slice();
-                        fc_forward_packed_into(&SERIAL, fc.packed(), &cur, bias, &mut next)?;
-                        fc.activation().apply_in_place(&mut next);
-                        self.pool.give(std::mem::replace(&mut cur, next));
-                    }
-                    // Conv, pooling and passthrough fallbacks go through the
-                    // tensor API, which drops the buffer it is handed and
-                    // returns a fresh one: allocation here is outside the
-                    // reuse steady-state contract.
-                    _ => {
-                        let in_shape = model.network().layer_input_shapes()[i].clone();
-                        let t = Tensor::from_vec(in_shape, std::mem::take(&mut cur))?;
-                        cur = model.network().apply_layer(i, t)?.into_vec();
-                        pool_intact = false;
-                    }
-                }
+                self.note_unstepped(i, &cur, trace.as_mut());
+                model.network().apply_layer_into(i, &cur, &mut next)?;
             }
+            self.pool.give(std::mem::replace(&mut cur, next));
         }
         if let Some(trace) = trace {
             self.traces.push(trace);
         }
         self.executions_seen += 1;
         self.metrics.executions += 1;
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.frames += 1;
-        }
         out.clear();
         out.extend_from_slice(&cur);
         self.pool.give(cur);
-        // From here on every pool take must hit a recycled buffer; a miss
-        // would mean a steady-state frame allocated. Pipelines with conv,
-        // pooling or passthrough fallback stages lose buffers to the tensor
-        // API, so the contract (and its assertion) covers the others.
-        if pool_intact {
-            self.pool.steady = true;
+        if calibrating {
+            self.calibration_units_seen += 1;
+            return Ok(());
         }
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.frames += 1;
+        }
+        // The pool now holds a buffer for every intermediate of a frame, so
+        // from here on every take must hit; a miss would mean a steady-state
+        // frame allocated.
+        self.pool.steady = true;
         self.reuse_frames += 1;
         let every = model.config().drift_check_every();
         if every > 0 && self.reuse_frames.is_multiple_of(every) {
-            // Watchdog frames allocate (reference forward + re-baseline are
-            // cold paths by design); they are outside the zero-alloc
-            // contract, which covers the frames between checks.
+            // Watchdog frames allocate (the reference forward is a cold
+            // path by design); they are outside the zero-alloc contract,
+            // which covers the frames between checks.
             self.watchdog_check(frame, out)?;
         }
+        Ok(())
+    }
+
+    /// One enabled slot's reuse-phase step on one frame, `input` to `next`
+    /// — the session's resumable per-layer unit: cross-stream signature
+    /// lookup (cold start only), the [`ReuseLayer`] step (uniform dispatch,
+    /// no per-kind `match`), the adaptive refresh, signature publication,
+    /// and the metrics / telemetry / trace record.
+    fn step_slot(
+        &mut self,
+        model: &CompiledModel,
+        slot_pos: usize,
+        input: &[f32],
+        next: &mut Vec<f32>,
+        trace: Option<&mut ExecutionTrace>,
+    ) -> Result<(), ReuseError> {
+        // Cross-stream adoption runs only when this stream has no baseline
+        // yet (cold start), so steady-state frames pay a single branch here
+        // and never touch the shared cache.
+        let pending_sig =
+            if model.signatures().is_some() && !self.runtimes[slot_pos].state.is_initialized() {
+                self.signature_lookup(slot_pos, input)
+            } else {
+                None
+            };
+        let span = span_start(self.telemetry.is_some());
+        let rt = &mut self.runtimes[slot_pos];
+        let (ctx, state) = rt.split(model, slot_pos);
+        let mut stats = state.step(&ctx, input, next)?;
+        // Adaptive layers only: when the changed-code fraction exceeds the
+        // controller's refresh threshold, correcting costs more than
+        // recomputing — replace the incremental result with an exact
+        // forward and re-adopt a full-precision baseline. Static policies
+        // never take this branch (no controller), keeping the legacy path
+        // bit-identical.
+        let refresh = match rt.controller.as_mut() {
+            Some(ctrl) if !stats.from_scratch && stats.n_inputs > 0 => {
+                let changed_frac = stats.n_changed as f32 / stats.n_inputs as f32;
+                ctrl.observe_execution(1.0 - changed_frac);
+                let refresh = changed_frac > ctrl.reuse_threshold();
+                if refresh {
+                    ctrl.note_refresh();
+                }
+                refresh
+            }
+            _ => false,
+        };
+        if refresh {
+            self.refresh_slot(model, slot_pos, input, next)?;
+            // Honest accounting: similarity stays what was observed, but
+            // the frame paid full cost.
+            stats.macs_performed = stats.macs_total;
+        }
+        let span_ns = span_elapsed_ns(span);
+        if let Some(sig) = pending_sig.filter(|_| stats.from_scratch) {
+            // The lookup missed (or bailed) and the slot just initialized
+            // from scratch: publish the fresh baseline for other streams
+            // under the signature computed from the same input.
+            self.signature_insert(slot_pos, sig, input);
+        }
+        let n_outputs = next.len() as u64;
+        self.record_layer_execution(slot_pos, input, stats, n_outputs, span_ns, trace);
+        Ok(())
+    }
+
+    /// Recomputes a frame-wise slot exactly on its raw input: the linear
+    /// forward into `next` — the same code path [`Self::reference_forward`]
+    /// takes — adopted as the slot's baseline (codes become the
+    /// quantization of `raw`), then the activation in place. "Recompute
+    /// this slot" exists once, for the adaptive refresh and the watchdog's
+    /// re-baseline alike, and costs what the forward costs: nothing is
+    /// allocated here.
+    fn refresh_slot(
+        &mut self,
+        model: &CompiledModel,
+        slot_pos: usize,
+        raw: &[f32],
+        next: &mut Vec<f32>,
+    ) -> Result<(), ReuseError> {
+        let layer_index = model.slots()[slot_pos].layer_index;
+        let in_shape = &model.network().layer_input_shapes()[layer_index];
+        let (ctx, state) = self.runtimes[slot_pos].split(model, slot_pos);
+        ctx.layer.forward_linear_into(in_shape, raw, next)?;
+        state.adopt_baseline(&ctx, raw, next);
+        ctx.layer
+            .activation()
+            .expect("refreshed slots are weighted frame-wise layers")
+            .apply_in_place(next);
         Ok(())
     }
 
@@ -1040,12 +927,7 @@ impl ReuseSession {
     /// bailout) so the caller can publish the from-scratch baseline under
     /// it, and `None` after a successful adoption (the cache already
     /// covers this signature).
-    fn signature_lookup(
-        &mut self,
-        slot_pos: usize,
-        layer_index: usize,
-        input: &[f32],
-    ) -> Option<u64> {
+    fn signature_lookup(&mut self, slot_pos: usize, input: &[f32]) -> Option<u64> {
         let model = Arc::clone(&self.model);
         let sigs = model.signatures()?;
         let planes = sigs.planes(slot_pos)?;
@@ -1084,16 +966,8 @@ impl ReuseSession {
             self.signature.bailouts += 1;
             return Some(sig);
         }
-        let qh = self.runtimes[slot_pos].quantizer_h;
-        let ctx = StepCtx {
-            layer: &model.network().layers()[layer_index].1,
-            weights: &model.slots()[slot_pos].weights,
-            quantizer_x: Some(&qx),
-            quantizer_h: qh.as_ref(),
-        };
-        self.runtimes[slot_pos]
-            .state
-            .adopt_baseline(&ctx, &entry.input, &entry.linear);
+        let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
+        state.adopt_baseline(&ctx, &entry.input, &entry.linear);
         self.signature.adoptions += 1;
         None
     }
@@ -1181,169 +1055,143 @@ impl ReuseSession {
     }
 
     /// Re-baselines every enabled reuse layer onto full-precision values for
-    /// `frame`: buffered codes become the quantization of the layer's raw
-    /// input and buffered linear outputs become the exact (serial) linear
-    /// forward on that raw input, so this frame's output — written to `out` —
+    /// `frame` — the frame walk with [`Self::refresh_slot`] at every slot
+    /// that buffers a baseline — so this frame's output, written to `out`,
     /// is bit-identical to [`Self::reference_forward`] and subsequent frames
     /// correct from an exact baseline. Layers whose own buffered outputs had
     /// drifted beyond the bound collect a strike; a layer reaching
     /// [`crate::ReuseConfig::drift_escalate_after`] strikes is auto-disabled
-    /// (escalation into [`Self::auto_disabled_layers`]).
+    /// (escalation into [`Self::auto_disabled_layers`]) and runs at full
+    /// precision, through the same pool, from the next frame on.
     fn rebaseline_frame(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
         let model = Arc::clone(&self.model);
         let bound = model.config().drift_bound();
-        let mut cur = Tensor::from_vec(model.network().input_shape().clone(), frame.to_vec())?;
-        let mut buffered = Vec::new();
-        let n_layers = model.network().layers().len();
-        for i in 0..n_layers {
-            cur = self.reshape_to_layer(cur, i)?;
-            let slot_pos = model.slot_of_layer()[i];
-            let run_reuse = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
-            if !run_reuse {
-                cur = model.network().apply_layer(i, cur)?;
-                continue;
-            }
-            let slot = &model.slots()[slot_pos];
-            let layer = &model.network().layers()[i].1;
+        let escalate_after = model.config().escalate_after();
+        let (mut drifted, mut exact) = (Vec::new(), Vec::new());
+        let mut cur = self.pool.take(frame.len());
+        cur.extend_from_slice(frame);
+        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
+            let mut next = self.pool.take(model.layer_out_volumes()[i]);
             // Passthrough slots buffer nothing: there is no baseline to
-            // re-adopt (and no linear part to recompute) — just run the op
-            // exactly and move on.
-            if slot.kind == reuse_nn::LayerKind::Passthrough {
-                cur = model.network().apply_layer(i, cur)?;
-                continue;
-            }
-            let rt = &mut self.runtimes[slot_pos];
-            // Serial linear forward on the RAW input — the same code path
-            // `reference_forward` takes, so the adopted baseline is exact.
-            let linear = layer.forward_linear(&cur)?;
-            let activation = layer
-                .activation()
-                .expect("watchdog only runs on feed-forward networks");
-            // Separating genuine accumulated drift from plain quantization
-            // error would need a second, quantized recomputation per layer;
-            // the strike heuristic instead compares the buffered values
-            // against the raw recomputation using the engine-level bound —
-            // conservative, but consistent with what the watchdog just
-            // observed at the network output.
-            rt.state.buffered_linear_into(&mut buffered);
-            let drifted = buffered.len() == linear.len()
-                && max_abs_diff(&buffered, linear.as_slice()) > bound;
-            let qx = rt.quantizer_x.expect("enabled slot has quantizer");
-            let qh = rt.quantizer_h;
-            let ctx = StepCtx {
-                layer,
-                weights: &slot.weights,
-                quantizer_x: Some(&qx),
-                quantizer_h: qh.as_ref(),
-            };
-            rt.state
-                .adopt_baseline(&ctx, cur.as_slice(), linear.as_slice());
-            rt.rebaselines += 1;
-            if drifted {
-                rt.drift_strikes += 1;
-                let escalate_after = model.config().escalate_after();
-                if escalate_after > 0 && rt.drift_strikes >= escalate_after {
-                    rt.auto_disabled = true;
-                    // The pipeline now has a full-precision stage that routes
-                    // buffers through the tensor API, so the all-reuse
-                    // zero-alloc contract no longer holds: disarm the pool's
-                    // steady-state assertion.
-                    self.pool.steady = false;
+            // re-adopt (and no linear part to recompute) — like passive and
+            // disabled layers they just run exactly.
+            if slot_pos == usize::MAX
+                || !self.slot_enabled(slot_pos)
+                || model.slots()[slot_pos].kind == reuse_nn::LayerKind::Passthrough
+            {
+                model.network().apply_layer_into(i, &cur, &mut next)?;
+            } else {
+                // Separating genuine accumulated drift from plain
+                // quantization error would need a second, quantized
+                // recomputation per layer; the strike heuristic instead
+                // compares the buffered values against the raw
+                // recomputation (read back from the refreshed state) using
+                // the engine-level bound — conservative, but consistent
+                // with what the watchdog just observed at the network
+                // output.
+                self.runtimes[slot_pos]
+                    .state
+                    .buffered_linear_into(&mut drifted);
+                self.refresh_slot(&model, slot_pos, &cur, &mut next)?;
+                let rt = &mut self.runtimes[slot_pos];
+                rt.state.buffered_linear_into(&mut exact);
+                rt.rebaselines += 1;
+                if drifted.len() == exact.len() && max_abs_diff(&drifted, &exact) > bound {
+                    rt.drift_strikes += 1;
+                    if escalate_after > 0 && rt.drift_strikes >= escalate_after {
+                        rt.auto_disabled = true;
+                    }
                 }
             }
-            cur = activation.apply(&linear);
+            self.pool.give(std::mem::replace(&mut cur, next));
         }
         out.clear();
-        out.extend_from_slice(cur.as_slice());
+        out.extend_from_slice(&cur);
+        self.pool.give(cur);
         Ok(())
     }
 
-    /// Sequence runner for recurrent networks: each layer runs over all
-    /// timesteps before the next layer. Enabled slots — recurrent or
-    /// frame-wise — dispatch uniformly through
-    /// [`ReuseLayer::step_sequence`]; disabled recurrent layers fall back to
-    /// the full-precision sequence pass and passive layers apply frame-wise.
-    fn reuse_sequence(&mut self, frames: &[Vec<f32>]) -> Result<Vec<Tensor>, ReuseError> {
-        // Paper Section IV-D: the accelerator is power-gated between
-        // sequences, so all buffered state starts fresh (metrics keep
-        // accumulating across sequences).
-        self.reset_buffers();
+    /// The one walk of a recurrent network over one sequence: each layer
+    /// runs over all timesteps before the next layer. In the reuse phase an
+    /// enabled slot — recurrent or frame-wise — dispatches uniformly through
+    /// [`ReuseLayer::step_sequence`]; every other layer runs at full
+    /// precision (while `calibrating`, with the enabled slots' input and
+    /// hidden-state ranges profiled): a recurrent layer through its sequence
+    /// pass, a frame-wise one through
+    /// [`reuse_nn::Network::apply_layer_into`] per timestep.
+    fn walk_sequence(
+        &mut self,
+        frames: &[Vec<f32>],
+        calibrating: bool,
+    ) -> Result<Vec<Tensor>, ReuseError> {
+        for frame in frames {
+            self.check_frame_len(frame)?;
+        }
+        if !calibrating {
+            // Paper Section IV-D: the accelerator is power-gated between
+            // sequences, so all buffered state starts fresh (metrics keep
+            // accumulating across sequences).
+            self.reset_buffers();
+        }
         let model = Arc::clone(&self.model);
-        let input_shape = model.network().input_shape().clone();
-        // Flat per-timestep buffers; the from_vec round-trip validates the
-        // frame shapes exactly like the tensor-based path did.
-        let mut seq: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|f| {
-                Tensor::from_vec(input_shape.clone(), f.clone())
-                    .map(Tensor::into_vec)
-                    .map_err(ReuseError::from)
-            })
-            .collect::<Result<_, _>>()?;
-        let n_layers = model.network().layers().len();
+        let mut seq: Vec<Vec<f32>> = frames.to_vec();
         let record_trace = model.config().records_trace();
         let timed = self.telemetry.is_some();
         let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); frames.len()];
-        for i in 0..n_layers {
-            let slot_pos = model.slot_of_layer()[i];
-            let run_reuse = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
-            let layer = &model.network().layers()[i].1;
-            if run_reuse {
+        let mut next = Vec::new();
+        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
+            let enabled = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
+            if enabled && !calibrating {
                 let mut out: Vec<Vec<f32>> = Vec::with_capacity(seq.len());
                 let mut stats: Vec<ExecStats> = Vec::with_capacity(seq.len());
                 let mut spans: Vec<u64> = Vec::with_capacity(seq.len());
-                {
-                    let slot = &model.slots()[slot_pos];
-                    let rt = &mut self.runtimes[slot_pos];
-                    let qx = rt.quantizer_x;
-                    let qh = rt.quantizer_h;
-                    let ctx = StepCtx {
-                        layer,
-                        weights: &slot.weights,
-                        quantizer_x: qx.as_ref(),
-                        quantizer_h: qh.as_ref(),
-                    };
-                    rt.state
-                        .step_sequence(&ctx, &seq, timed, &mut out, &mut stats, &mut spans)?;
-                }
+                let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
+                state.step_sequence(&ctx, &seq, timed, &mut out, &mut stats, &mut spans)?;
                 for (t, s) in stats.into_iter().enumerate() {
-                    let trace_ref = if record_trace {
-                        Some(&mut traces[t])
-                    } else {
-                        None
-                    };
                     let n_outputs = out[t].len() as u64;
                     self.record_layer_execution(
                         slot_pos,
-                        Some(&seq[t]),
+                        &seq[t],
                         s,
                         n_outputs,
                         spans[t],
-                        trace_ref,
+                        record_trace.then_some(&mut traces[t]),
                     );
                 }
                 seq = out;
-            } else {
-                if record_trace && slot_pos != usize::MAX {
-                    for (t, frame) in seq.iter().enumerate() {
-                        traces[t]
-                            .layers
-                            .push(self.scratch_trace_entry(i, frame.len() as u64));
+                continue;
+            }
+            for (t, frame) in seq.iter().enumerate() {
+                self.note_unstepped(i, frame, record_trace.then_some(&mut traces[t]));
+            }
+            let layer = &model.network().layers()[i].1;
+            if !layer.is_recurrent() {
+                for frame in &mut seq {
+                    model.network().apply_layer_into(i, frame, &mut next)?;
+                    std::mem::swap(frame, &mut next);
+                }
+                continue;
+            }
+            seq = layer.forward_sequence(&seq)?;
+            if enabled {
+                // A cell's hidden inputs are its zero state, then its own
+                // outputs one step earlier: all but the last forward output
+                // and all but the first backward one (that half of a
+                // bidirectional layer's outputs starts at the last step).
+                let forward = match layer {
+                    Layer::BiLstm(l) => l.cell_dim(),
+                    _ => seq[0].len(),
+                };
+                let profiler = &mut self.runtimes[slot_pos].profiler_h;
+                profiler.observe(0.0);
+                for (t, o) in seq.iter().enumerate() {
+                    if t + 1 < seq.len() {
+                        profiler.observe_slice(&o[..forward]);
+                    }
+                    if t > 0 {
+                        profiler.observe_slice(&o[forward..]);
                     }
                 }
-                if layer.is_recurrent() {
-                    // Disabled recurrent layer: full-precision sequence pass.
-                    seq = layer.forward_sequence(&seq)?;
-                    continue;
-                }
-                let in_shape = model.network().layer_input_shapes()[i].clone();
-                seq = seq
-                    .into_iter()
-                    .map(|f| -> Result<Vec<f32>, ReuseError> {
-                        let t = Tensor::from_vec(in_shape.clone(), f)?;
-                        Ok(model.network().apply_layer(i, t)?.into_vec())
-                    })
-                    .collect::<Result<_, _>>()?;
             }
         }
         if record_trace {
@@ -1351,7 +1199,9 @@ impl ReuseSession {
         }
         self.executions_seen += frames.len() as u64;
         self.metrics.executions += frames.len() as u64;
-        if let Some(tel) = self.telemetry.as_mut() {
+        if calibrating {
+            self.calibration_units_seen += 1;
+        } else if let Some(tel) = self.telemetry.as_mut() {
             tel.frames += frames.len() as u64;
         }
         seq.into_iter()
@@ -1369,7 +1219,7 @@ mod tests {
     /// bugs behind slack, under-allocating would trip the caller's extend.
     #[test]
     fn pool_miss_allocates_exactly_the_requested_capacity() {
-        let mut pool = BufferPool::new(8);
+        let mut pool = BufferPool::default();
         let buf = pool.take(100);
         assert_eq!(buf.capacity(), 100);
         assert!(buf.is_empty());
@@ -1387,7 +1237,7 @@ mod tests {
     /// so big buffers stay available for big layers.
     #[test]
     fn pool_take_prefers_the_smallest_sufficient_buffer() {
-        let mut pool = BufferPool::new(8);
+        let mut pool = BufferPool::default();
         pool.give(Vec::with_capacity(400));
         pool.give(Vec::with_capacity(64));
         pool.give(Vec::with_capacity(100));
@@ -1407,7 +1257,7 @@ mod tests {
     /// buffer and steady-miss debug_asserts in `take` must never fire.
     #[test]
     fn interleaved_mismatched_capacities_reach_a_steady_state() {
-        let mut pool = BufferPool::new(8);
+        let mut pool = BufferPool::default();
         let caps = [24usize, 64, 48, 10];
         // Priming pass: one miss per distinct request size.
         let bufs: Vec<Vec<f32>> = caps.iter().map(|&c| pool.take(c)).collect();
@@ -1434,38 +1284,5 @@ mod tests {
         }
         assert_eq!(pool.stats.misses, caps.len() as u64, "no steady misses");
         assert_eq!(pool.stats.hits, 16);
-    }
-
-    /// The free list stays capped: foreign buffers beyond `max_free` are
-    /// dropped, not hoarded.
-    #[test]
-    fn pool_free_list_is_capped() {
-        let mut pool = BufferPool::new(2);
-        for _ in 0..5 {
-            pool.give(Vec::with_capacity(8));
-        }
-        assert_eq!(pool.free.len(), 2);
-    }
-
-    /// A full free list keeps its largest buffers: an incoming buffer
-    /// replaces the smallest one held when it is larger, and is dropped
-    /// otherwise. (Dropping the *incoming* one unconditionally let a
-    /// fallback layer's one-float replacements fill the list and push the
-    /// frame's largest intermediate out, to be allocated again every frame.)
-    #[test]
-    fn a_full_pool_evicts_its_smallest_buffer_for_a_larger_one() {
-        let mut pool = BufferPool::new(3);
-        for cap in [1, 1, 1] {
-            pool.give(Vec::with_capacity(cap));
-        }
-        pool.give(Vec::with_capacity(1000));
-        pool.give(Vec::with_capacity(64));
-        pool.give(Vec::with_capacity(1));
-        let mut caps: Vec<usize> = pool.free.iter().map(Vec::capacity).collect();
-        caps.sort_unstable();
-        assert_eq!(caps, [1, 64, 1000]);
-        // The big request is now a hit, not a fresh allocation.
-        assert_eq!(pool.take(900).capacity(), 1000);
-        assert_eq!((pool.stats.hits, pool.stats.misses), (1, 0));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A counting global allocator wraps the system allocator; once the engine
 //! reaches steady state (calibrated, buffered state initialized, pool
-//! primed), `execute_into` with the serial config must not allocate at all:
-//! intermediates come from the engine's recycling pool and per-layer scratch
-//! (changed lists, quantized codes, buffered outputs) is reused in place.
+//! primed), `execute_into` must not allocate at all: every layer's
+//! intermediate — stepped or run at full precision — comes from the engine's
+//! recycling pool and per-layer scratch (changed lists, quantized codes,
+//! buffered outputs) is reused in place.
 //!
 //! The count is per thread: the harness runs these tests on parallel
 //! threads, and a process-wide counter would charge each test with the
@@ -194,6 +195,55 @@ fn session_steady_state_execute_into_is_allocation_free() {
         allocations, 0,
         "interleaved session steady-state frames allocated {allocations} times"
     );
+}
+
+#[test]
+fn full_precision_layers_of_every_kind_stay_in_the_pool() {
+    // One of each way a layer can run unstepped — a reuse-disabled conv, a
+    // pool, a flatten, a group-max — around a reuse-enabled FC and a
+    // passthrough softmax slot. None may miss the pool once it is primed;
+    // the only allocations left are the two im2col blocks the conv kernel
+    // owns, once per frame for the disabled conv.
+    use reuse_nn::PassthroughOp;
+    use reuse_tensor::Shape;
+
+    let net = NetworkBuilder::with_input_shape("mixed", Shape::d3(2, 8, 8))
+        .conv2d(4, 3, 1, 1, Activation::Relu)
+        .pool2d(2)
+        .flatten()
+        .fully_connected(12, Activation::Relu)
+        .group_max(3)
+        .passthrough(PassthroughOp::Softmax)
+        .build()
+        .unwrap();
+    let config = ReuseConfig::uniform(16).disable_layer("conv1");
+    let mut session = ReuseSession::from_network(&net, &config);
+
+    let mut rng = Rng64::new(29);
+    let mut frame: Vec<f32> = (0..128).map(|_| rng.uniform(0.9)).collect();
+    let mut out = Vec::new();
+    for _ in 0..3 {
+        session.execute_into(&frame, &mut out).unwrap();
+    }
+
+    let misses = session.pool_stats().misses;
+    let before = thread_allocations();
+    for _ in 0..10 {
+        for _ in 0..16 {
+            let i = (rng.next_u64() % 128) as usize;
+            frame[i] = (frame[i] + rng.uniform(0.5)).clamp(-1.0, 1.0);
+        }
+        session.execute_into(&frame, &mut out).unwrap();
+        assert_eq!(out.len(), 4);
+    }
+    let allocations = thread_allocations() - before;
+    assert_eq!(session.pool_stats().misses, misses, "steady pool misses");
+    assert_eq!(
+        allocations,
+        2 * 10,
+        "only the disabled conv's im2col blocks"
+    );
+    assert!(session.metrics().layer("fc1").unwrap().reuse_executions >= 10);
 }
 
 #[test]

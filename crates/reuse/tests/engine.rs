@@ -91,17 +91,10 @@ fn mlp_matches_quantized_scratch_oracle() {
         // Oracle: apply each layer from scratch, quantizing its input with
         // the engine's quantizer for that layer.
         let mut cur = frame.clone();
-        for (name, layer) in net.layers() {
-            match layer {
-                reuse_nn::Layer::FullyConnected(fc) => {
-                    let q = engine.quantizer_for(name).expect("quantizer built");
-                    let qin = q.quantized_values(&cur);
-                    let t_in = reuse_tensor::Tensor::from_slice_1d(&qin).unwrap();
-                    let lin = fc.forward_linear(&t_in).unwrap();
-                    cur = fc.activation().apply(&lin).into_vec();
-                }
-                _ => unreachable!("mlp has only fc layers"),
-            }
+        for (i, (name, _)) in net.layers().iter().enumerate() {
+            let q = engine.quantizer_for(name).expect("quantizer built");
+            let qin = q.quantized_values(&cur);
+            net.apply_layer_into(i, &qin, &mut cur).unwrap();
         }
         for (a, b) in out.as_slice().iter().zip(cur.iter()) {
             assert!((a - b).abs() < 1e-3, "t={t}: incremental {a} vs oracle {b}");

@@ -169,6 +169,52 @@ proptest! {
         prop_assert_eq!(legacy.metrics(), session.metrics());
         prop_assert_eq!(legacy.watchdog_stats(), session.watchdog_stats());
     }
+
+    /// The policy loader reads files: a valid document round-trips, and
+    /// whatever a truncated or corrupted copy of it holds — every prefix,
+    /// every position with one byte flipped — `from_json` answers `Ok` or a
+    /// typed `Err` and never panics. Names carry quotes, backslashes,
+    /// control characters and multi-byte scalars, so cuts and flips land
+    /// inside escapes and inside scalars (a reader hands those over as
+    /// U+FFFD, which is what `from_utf8_lossy` makes of them here).
+    #[test]
+    fn policy_loader_survives_every_truncation_and_byte_flip(
+        names in proptest::collection::vec(
+            proptest::sample::select(vec!["fc1", "conv\"2", "\u{e9}\\x", "\u{1F680}", "a\u{1}b", ""]),
+            1..4,
+        ),
+        clusters in 2usize..200,
+        step_scale in 1.0f32..64.0,
+        reuse_threshold in 0.01f32..1.0,
+        flip in 1u8..=255,
+    ) {
+        let policy = TunedPolicy {
+            network: names.concat(),
+            layers: names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| TunedLayerPolicy {
+                    layer: name.to_string(),
+                    clusters: clusters + i,
+                    step_scale,
+                    reuse_threshold,
+                    adaptive: i % 2 == 0,
+                })
+                .collect(),
+        };
+        let text = policy.to_json();
+        prop_assert_eq!(TunedPolicy::from_json(&text), Ok(policy));
+        let bytes = text.as_bytes();
+        for cut in 0..bytes.len() {
+            // Only the trailing newline can go missing unnoticed.
+            let prefix = String::from_utf8_lossy(&bytes[..cut]);
+            let whole = cut >= text.trim_end().len();
+            prop_assert_eq!(TunedPolicy::from_json(&prefix).is_ok(), whole, "{} bytes", cut);
+            let mut corrupt = bytes.to_vec();
+            corrupt[cut] ^= flip;
+            let _ = TunedPolicy::from_json(&String::from_utf8_lossy(&corrupt));
+        }
+    }
 }
 
 /// Drives `session` and a static baseline over the same stream, returning

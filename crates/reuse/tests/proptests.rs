@@ -6,7 +6,9 @@ use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
 use reuse_core::lstm::{quantized_scratch_sequence, LstmGatePack, LstmReuseState};
 use reuse_core::ExecStats;
-use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell};
+use reuse_nn::{
+    init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, Layer, LstmCell,
+};
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{ParallelConfig, Shape, Tensor};
@@ -81,11 +83,9 @@ proptest! {
         let mut state = FcReuseState::new(&layer);
         for x in &xs {
             let (out, stats) = fc_exec(&mut state, &layer, &q, x);
-            let qx = q.quantized_values(x);
-            let expect = layer
-                .forward_linear(&Tensor::from_slice_1d(&qx).unwrap())
-                .unwrap();
-            for (a, b) in out.iter().zip(expect.as_slice().iter()) {
+            let mut expect = Vec::new();
+            layer.forward_linear_into(&q.quantized_values(x), &mut expect).unwrap();
+            for (a, b) in out.iter().zip(expect.iter()) {
                 prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
             }
             prop_assert!(stats.macs_performed <= stats.macs_total);
@@ -390,14 +390,14 @@ fn conv2d_equals_its_depth_one_conv3d_twin_bitwise() {
         let mut rng = Rng64::new(43);
         let mut frame: Vec<f32> = (0..shape2.volume()).map(|_| rng.uniform(0.9)).collect();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let input = |shape: &Shape| Tensor::from_vec(shape.clone(), frame.clone()).unwrap();
-        let fwd2 = layer2.forward_linear(&input(&shape2)).unwrap();
-        let fwd3 = layer3.forward_linear(&input(&shape3)).unwrap();
-        assert_eq!(
-            bits(fwd2.as_slice()),
-            bits(fwd3.as_slice()),
-            "stride {stride}"
-        );
+        let (mut fwd2, mut fwd3) = (Vec::new(), Vec::new());
+        Layer::Conv2d(layer2.clone())
+            .forward_linear_into(&shape2, &frame, &mut fwd2)
+            .unwrap();
+        Layer::Conv3d(layer3.clone())
+            .forward_linear_into(&shape3, &frame, &mut fwd3)
+            .unwrap();
+        assert_eq!(bits(&fwd2), bits(&fwd3), "stride {stride}");
 
         let (q, cfg) = (quantizer(), ParallelConfig::serial());
         let (pack2, pack3) = (ConvPack::new(&layer2), ConvPack::new(&layer3));

@@ -114,6 +114,42 @@ fn repeated_strikes_escalate_to_auto_disable() {
     }
 }
 
+/// Escalation does not release the zero-allocation contract: an
+/// auto-disabled conv layer runs at full precision through the same pool as
+/// every other layer, so the frames after it — re-baselines included — never
+/// miss the pool (in a debug build the pool's steady-miss assertion stays
+/// armed through all of them).
+#[test]
+fn escalated_layers_keep_the_pool_steady() {
+    let net = NetworkBuilder::with_input_shape("watchdog-cnn", reuse_tensor::Shape::d3(2, 8, 8))
+        .conv2d(4, 3, 1, 1, Activation::Relu)
+        .pool2d(2)
+        .flatten()
+        .fully_connected(6, Activation::Identity)
+        .build()
+        .unwrap();
+    let config = ReuseConfig::uniform(2)
+        .drift_watchdog(1, 1e-5)
+        .drift_escalate_after(2);
+    let mut session = ReuseSession::from_network(&net, &config);
+    let frames = drifting_frames(40, 128, 5);
+    let (escalating, after) = frames.split_at(30);
+    let mut out = Vec::new();
+    for frame in escalating {
+        session.execute_into(frame, &mut out).unwrap();
+    }
+    assert!(
+        session.auto_disabled_layers().any(|l| l == "conv1"),
+        "a 1e-5 bound with 2 clusters must escalate conv1: {:?}",
+        session.watchdog_stats()
+    );
+    let misses = session.pool_stats().misses;
+    for frame in after {
+        session.execute_into(frame, &mut out).unwrap();
+    }
+    assert_eq!(session.pool_stats().misses, misses);
+}
+
 /// Telemetry must agree exactly with the offline metrics: lifetime hit rate
 /// per layer == `LayerMetrics::input_similarity` on the same run.
 #[test]

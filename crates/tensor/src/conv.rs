@@ -4,7 +4,7 @@
 //! convolutions (C3D, Eq. 2), both with symmetric zero padding and a
 //! configurable stride, so there is one of everything here:
 //! [`ConvGeometry`] describes a convolution of either rank (2D is the
-//! `kd = 1`, depth-1, `pd = 0` case of 3D), [`conv_forward`] is the one
+//! `kd = 1`, depth-1, `pd = 0` case of 3D), [`conv_forward_into`] is the one
 //! kernel, [`conv_forward_naive`] the one oracle, and the
 //! `conv2d_*` / `conv3d_*` functions are conversions from [`Conv2dSpec`] /
 //! [`Conv3dSpec`] plus output reshaping.
@@ -372,7 +372,10 @@ fn im2col_rows<const KW: usize>(
 ///
 /// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D);
 /// `panels`: the layer's weights from [`ConvGeometry::pack_weights`]; `bv`:
-/// `[out_c]`. Returns the flat `[out_c, od, oh, ow]` output. The output
+/// `[out_c]`. Resizes `out` to the flat `[out_c, od, oh, ow]` output and
+/// overwrites every element, so a buffer that is already large enough is
+/// reused as it is; the two im2col scratch blocks are the kernel's own
+/// allocations. The output
 /// positions are unrolled into im2col blocks (`IM2COL_BLOCK_BYTES`), each
 /// multiplied against the packed weights ([`matmul_packed_into`]) and
 /// transposed, finished and channels-last, into place while it is hot.
@@ -391,13 +394,14 @@ fn im2col_rows<const KW: usize>(
 ///
 /// Returns [`TensorError`] when a buffer length or the packed shape
 /// disagrees with the geometry, or the kernel does not fit the padded input.
-pub fn conv_forward(
+pub fn conv_forward_into(
     g: &ConvGeometry,
     dhw: [usize; 3],
     x: &[f32],
     panels: &PackedPanels,
     bv: &[f32],
-) -> Result<Vec<f32>, TensorError> {
+    out: &mut Vec<f32>,
+) -> Result<(), TensorError> {
     let (taps, out_c) = (g.taps(), g.out_channels);
     let got = [x.len(), panels.n_in(), panels.n_out(), bv.len()];
     let want = [
@@ -419,13 +423,9 @@ pub fn conv_forward(
     let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4)
         .max(4)
         .min(positions);
-    // The scratch is allocated before the output, which outlives it. Only
-    // where the three land in the heap differs; `autopilot_stream`'s
-    // reuse-off twin reads 8% slower the other way round (DESIGN §8,
-    // "Block size").
     let mut a = vec![0.0f32; block_rows * taps];
     let mut c = vec![0.0f32; block_rows * out_c];
-    let mut out = vec![0.0f32; out_c * positions];
+    out.resize(out_c * positions, 0.0);
     for first in (0..positions).step_by(block_rows) {
         let rows = block_rows.min(positions - first);
         let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
@@ -446,7 +446,7 @@ pub fn conv_forward(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Writes the transpose of the row-major `[rows, cols]` matrix `src` into
@@ -472,7 +472,7 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-/// The oracle for [`conv_forward`] at either rank: the direct
+/// The oracle for [`conv_forward_into`] at either rank: the direct
 /// per-output loop over raw `[out_c, in_c, kd, kh, kw]` weights. Kept public
 /// so proptests and `kernel_bench` can compare the GEMM kernel against it.
 ///
@@ -554,19 +554,15 @@ pub fn conv_forward_naive(
     Ok(out)
 }
 
-/// Convolution of a `rank`-dimensional (2 or 3) input tensor against
-/// weights packed by [`ConvGeometry::pack_weights`] — the entry for layers,
-/// which pack once and run every frame. Returns `[out_c, (od,) oh, ow]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the input, the packed
-/// weights or the bias disagree with the geometry.
-pub fn conv_forward_packed(
+/// The `Tensor`-level convolution behind [`conv2d_forward`] and
+/// [`conv3d_forward`]: checks the `rank`-dimensional (2 or 3) input and the
+/// raw weight tensor against the geometry, packs the weights and runs
+/// [`conv_forward_into`]. Returns `[out_c, (od,) oh, ow]`.
+fn forward_unpacked(
     g: &ConvGeometry,
     rank: usize,
     input: &Tensor,
-    panels: &PackedPanels,
+    weights: &Tensor,
     bias: &Tensor,
 ) -> Result<Tensor, TensorError> {
     let idims = input.shape().dims();
@@ -575,26 +571,6 @@ pub fn conv_forward_packed(
             context: format!("conv{rank}d input {} does not match {g:?}", input.shape()),
         });
     }
-    let mut dhw = [1; 3];
-    dhw[3 - rank..].copy_from_slice(&idims[1..]);
-    let out = conv_forward(g, dhw, input.as_slice(), panels, bias.as_slice())?;
-    let [od, oh, ow] = g.output_dhw(dhw)?;
-    let shape = match rank {
-        2 => Shape::d3(g.out_channels, oh, ow),
-        _ => Shape::d4(g.out_channels, od, oh, ow),
-    };
-    Tensor::from_vec(shape, out)
-}
-
-/// [`conv_forward_packed`] for callers holding a raw weight tensor: checks
-/// its shape and packs it on every call.
-fn forward_unpacked(
-    g: &ConvGeometry,
-    rank: usize,
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-) -> Result<Tensor, TensorError> {
     let wdims = weights.shape().dims();
     if wdims.len() != rank + 2
         || wdims[..2] != [g.out_channels, g.in_channels]
@@ -604,12 +580,21 @@ fn forward_unpacked(
             context: format!("conv{rank}d weights {} do not match {g:?}", weights.shape()),
         });
     }
+    let mut dhw = [1; 3];
+    dhw[3 - rank..].copy_from_slice(&idims[1..]);
     let panels = g.pack_weights(weights.as_slice())?;
-    conv_forward_packed(g, rank, input, &panels, bias)
+    let mut out = Vec::new();
+    conv_forward_into(g, dhw, input.as_slice(), &panels, bias.as_slice(), &mut out)?;
+    let [od, oh, ow] = g.output_dhw(dhw)?;
+    let shape = match rank {
+        2 => Shape::d3(g.out_channels, oh, ow),
+        _ => Shape::d4(g.out_channels, od, oh, ow),
+    };
+    Tensor::from_vec(shape, out)
 }
 
 /// 2D convolution with symmetric zero padding, packing `weights` on every
-/// call (layers pack once: [`conv_forward_packed`]).
+/// call (layers pack once and call [`conv_forward_into`]).
 ///
 /// `input`: `[in_c, h, w]`; `weights`: `[out_c, in_c, kh, kw]`;
 /// `bias`: `[out_c]`. Returns `[out_c, oh, ow]`.
@@ -628,7 +613,7 @@ pub fn conv2d_forward(
 }
 
 /// 3D convolution with symmetric zero padding (paper Eq. 2), packing
-/// `weights` on every call (layers pack once: [`conv_forward_packed`]).
+/// `weights` on every call (layers pack once and call [`conv_forward_into`]).
 ///
 /// `input`: `[in_c, d, h, w]`; `weights`: `[out_c, in_c, kd, kh, kw]`;
 /// `bias`: `[out_c]`. Returns `[out_c, od, oh, ow]`.
@@ -659,18 +644,35 @@ fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
 }
 
 /// Max pooling of either rank over flat `[c, d, h, w]` data (2D is the
-/// depth-1 case with a depth-1 window): returns the pooled data and its
-/// `[od, oh, ow]`. In ceil mode the last window along an axis may hang over
-/// the edge; each window's ends are clamped once per output rather than
-/// every tap being tested.
-fn max_pool(
+/// depth-1 case with a depth-1 window): clears `out`, writes the pooled
+/// `[c, od, oh, ow]` data into it and returns `[od, oh, ow]`. In ceil mode
+/// (Caffe's convention, used by C3D) a final partial window is emitted when
+/// the stride does not divide an axis evenly; it may hang over the edge, and
+/// each window's ends are clamped once per output rather than every tap being
+/// tested.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when a stride is zero, a window does
+/// not fit its axis, or `x` is not a whole number of `d·h·w` volumes.
+pub fn max_pool_into(
     x: &[f32],
     dhw: [usize; 3],
     window: [usize; 3],
     stride: [usize; 3],
     ceil: bool,
-) -> Result<(Vec<f32>, [usize; 3]), TensorError> {
+    out: &mut Vec<f32>,
+) -> Result<[usize; 3], TensorError> {
     let [d, h, w] = dhw;
+    let volume = d * h * w;
+    if stride.contains(&0) || volume == 0 || !x.len().is_multiple_of(volume) {
+        return Err(TensorError::ShapeMismatch {
+            context: format!(
+                "pool stride {stride:?} over {} values in {dhw:?} volumes",
+                x.len()
+            ),
+        });
+    }
     let out_dhw: [usize; 3] =
         core::array::from_fn(|a| pool_extent(dhw[a], window[a], stride[a], ceil));
     if out_dhw.contains(&0) {
@@ -680,8 +682,9 @@ fn max_pool(
     }
     let [od, oh, ow] = out_dhw;
     let ends = |o: usize, a: usize| (o * stride[a], (o * stride[a] + window[a]).min(dhw[a]));
-    let mut out = Vec::with_capacity(x.len() / (d * h * w) * od * oh * ow);
-    for volume in x.chunks_exact(d * h * w) {
+    out.clear();
+    out.reserve(x.len() / volume * od * oh * ow);
+    for channel in x.chunks_exact(volume) {
         for oz in 0..od {
             let (z0, z1) = ends(oz, 0);
             for oy in 0..oh {
@@ -692,7 +695,7 @@ fn max_pool(
                     for iz in z0..z1 {
                         for iy in y0..y1 {
                             let row = (iz * h + iy) * w;
-                            for &v in &volume[row + x0..row + x1] {
+                            for &v in &channel[row + x0..row + x1] {
                                 m = m.max(v);
                             }
                         }
@@ -702,55 +705,7 @@ fn max_pool(
             }
         }
     }
-    Ok((out, out_dhw))
-}
-
-/// 2D max pooling with a square window, equal stride and a selectable
-/// rounding mode.
-///
-/// In ceil mode a final partial window is emitted when the stride does not
-/// divide the input evenly (Caffe's convention, used by C3D).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the window does not fit.
-pub fn max_pool2d_mode(
-    input: &Tensor,
-    window: usize,
-    stride: usize,
-    ceil: bool,
-) -> Result<Tensor, TensorError> {
-    let &[c, h, w] = input.shape().dims() else {
-        return Err(TensorError::ShapeMismatch {
-            context: "max_pool2d expects [c,h,w]".into(),
-        });
-    };
-    let (window, stride) = ([1, window, window], [1, stride, stride]);
-    let (out, [_, oh, ow]) = max_pool(input.as_slice(), [1, h, w], window, stride, ceil)?;
-    Tensor::from_vec(Shape::d3(c, oh, ow), out)
-}
-
-/// 3D max pooling with independent temporal/spatial windows, stride equal to
-/// the window (the C3D convention: pool1 is 1×2×2, the rest 2×2×2) and a
-/// selectable rounding mode (see [`max_pool2d_mode`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the window does not fit.
-pub fn max_pool3d_mode(
-    input: &Tensor,
-    wd: usize,
-    whw: usize,
-    ceil: bool,
-) -> Result<Tensor, TensorError> {
-    let &[c, d, h, w] = input.shape().dims() else {
-        return Err(TensorError::ShapeMismatch {
-            context: "max_pool3d expects [c,d,h,w]".into(),
-        });
-    };
-    let window = [wd, whw, whw];
-    let (out, [od, oh, ow]) = max_pool(input.as_slice(), [d, h, w], window, window, ceil)?;
-    Tensor::from_vec(Shape::d4(c, od, oh, ow), out)
+    Ok(out_dhw)
 }
 
 #[cfg(test)]
@@ -920,25 +875,36 @@ mod tests {
         assert!(spec3(2, 3, [huge, 3], 1, 0).geometry().is_err());
     }
 
+    /// Pools one `[d, h, w]` volume with a `[wd, whw, whw]` window and a
+    /// `[sd, shw, shw]` stride; returns the pooled data and its extents.
+    fn pool(
+        x: &[f32],
+        dhw: [usize; 3],
+        [wd, whw]: [usize; 2],
+        [sd, shw]: [usize; 2],
+        ceil: bool,
+    ) -> Result<(Vec<f32>, [usize; 3]), TensorError> {
+        let mut out = vec![f32::NAN; 3];
+        let dims = max_pool_into(x, dhw, [wd, whw, whw], [sd, shw, shw], ceil, &mut out)?;
+        Ok((out, dims))
+    }
+
     #[test]
     fn max_pool2d_takes_window_max() {
-        let input =
-            Tensor::from_vec(Shape::d3(1, 2, 4), vec![1., 5., 2., 0., 3., 4., 8., 1.]).unwrap();
-        let out = max_pool2d_mode(&input, 2, 2, false).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 1, 2]);
-        assert_eq!(out.as_slice(), &[5.0, 8.0]);
+        let x = [1., 5., 2., 0., 3., 4., 8., 1.];
+        let (out, dims) = pool(&x, [1, 2, 4], [1, 2], [1, 2], false).unwrap();
+        assert_eq!(dims, [1, 1, 2]);
+        assert_eq!(out, [5.0, 8.0]);
     }
 
     #[test]
     fn max_pool2d_ceil_emits_partial_window() {
-        let input = Tensor::from_vec(Shape::d3(1, 1, 5), vec![1., 2., 3., 4., 9.]).unwrap();
-        let floor = max_pool2d_mode(&input, 1, 2, false).unwrap();
-        assert_eq!(floor.shape().dims(), &[1, 1, 3]);
-        let input2 =
-            Tensor::from_vec(Shape::d3(1, 3, 3), (1..=9).map(|v| v as f32).collect()).unwrap();
-        let ceil = max_pool2d_mode(&input2, 2, 2, true).unwrap();
-        assert_eq!(ceil.shape().dims(), &[1, 2, 2]);
-        assert_eq!(ceil.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
+        let (_, floor) = pool(&[1., 2., 3., 4., 9.], [1, 1, 5], [1, 1], [1, 2], false).unwrap();
+        assert_eq!(floor, [1, 1, 3]);
+        let x: Vec<f32> = (1..=9).map(|v| v as f32).collect();
+        let (ceil, dims) = pool(&x, [1, 3, 3], [1, 2], [1, 2], true).unwrap();
+        assert_eq!(dims, [1, 2, 2]);
+        assert_eq!(ceil, [5.0, 6.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -947,48 +913,44 @@ mod tests {
         // hang over the edge and hold one or two inputs. All-negative
         // inputs: a phantom 0.0 tap would win every maximum.
         let v: Vec<f32> = (1..=15).map(|v| -(v as f32)).collect();
-        let input = Tensor::from_vec(Shape::d3(1, 3, 5), v).unwrap();
-        let out = max_pool2d_mode(&input, 2, 2, true).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2, 3]);
-        assert_eq!(out.as_slice(), &[-1., -3., -5., -11., -13., -15.]);
+        let (out, dims) = pool(&v, [1, 3, 5], [1, 2], [1, 2], true).unwrap();
+        assert_eq!(dims, [1, 2, 3]);
+        assert_eq!(out, [-1., -3., -5., -11., -13., -15.]);
         // 3D, 2x2x2 on 3x3x3: the corner window is the single last voxel.
         let v: Vec<f32> = (1..=27).map(|v| -(v as f32)).collect();
-        let input = Tensor::from_vec(Shape::d4(1, 3, 3, 3), v).unwrap();
-        let out = max_pool3d_mode(&input, 2, 2, true).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2, 2, 2]);
-        assert_eq!(
-            out.as_slice(),
-            &[-1., -3., -7., -9., -19., -21., -25., -27.]
-        );
+        let (out, dims) = pool(&v, [3, 3, 3], [2, 2], [2, 2], true).unwrap();
+        assert_eq!(dims, [2, 2, 2]);
+        assert_eq!(out, [-1., -3., -7., -9., -19., -21., -25., -27.]);
     }
 
     #[test]
     fn max_pool3d_c3d_style() {
+        let x = [1., 2., 3., 4., 5., 6., 7., 8.];
         // pool 1x2x2 keeps depth.
-        let input =
-            Tensor::from_vec(Shape::d4(1, 2, 2, 2), vec![1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
-        let out = max_pool3d_mode(&input, 1, 2, false).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 2, 1, 1]);
-        assert_eq!(out.as_slice(), &[4.0, 8.0]);
+        let (out, dims) = pool(&x, [2, 2, 2], [1, 2], [1, 2], false).unwrap();
+        assert_eq!(dims, [2, 1, 1]);
+        assert_eq!(out, [4.0, 8.0]);
         // pool 2x2x2 collapses depth too.
-        let input2 =
-            Tensor::from_vec(Shape::d4(1, 2, 2, 2), vec![1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
-        let out2 = max_pool3d_mode(&input2, 2, 2, false).unwrap();
-        assert_eq!(out2.as_slice(), &[8.0]);
+        let (out2, _) = pool(&x, [2, 2, 2], [2, 2], [2, 2], false).unwrap();
+        assert_eq!(out2, [8.0]);
     }
 
     #[test]
     fn max_pool3d_ceil_matches_c3d_pool5() {
-        // C3D pool5: 512x2x7x7 --2x2x2 ceil--> 512x1x4x4.
-        let input = Tensor::zeros(Shape::d4(1, 2, 7, 7));
-        let out = max_pool3d_mode(&input, 2, 2, true).unwrap();
-        assert_eq!(out.shape().dims(), &[1, 1, 4, 4]);
+        // C3D pool5: 512x2x7x7 --2x2x2 ceil--> 512x1x4x4, every channel
+        // pooled on its own.
+        let (out, dims) = pool(&[0.0; 2 * 98], [2, 7, 7], [2, 2], [2, 2], true).unwrap();
+        assert_eq!(dims, [1, 4, 4]);
+        assert_eq!(out.len(), 2 * 16);
     }
 
     #[test]
     fn pool_rejects_oversized_window() {
-        let input = Tensor::zeros(Shape::d3(1, 2, 2));
-        assert!(max_pool2d_mode(&input, 3, 3, false).is_err());
+        // A window larger than the plane, a zero stride, and data that is
+        // not a whole number of volumes.
+        assert!(pool(&[0.0; 4], [1, 2, 2], [1, 3], [1, 3], false).is_err());
+        assert!(pool(&[0.0; 4], [1, 2, 2], [1, 2], [1, 0], false).is_err());
+        assert!(pool(&[0.0; 5], [1, 2, 2], [1, 2], [1, 2], false).is_err());
     }
 
     fn ramp(n: usize) -> Vec<f32> {
@@ -1003,7 +965,9 @@ mod tests {
         let (w, b) = (ramp(g.weight_volume()), ramp(g.out_channels()));
         let naive = conv_forward_naive(g, dhw, &x, &w, &b).unwrap();
         let panels = g.pack_weights(&w).unwrap();
-        let gemm = conv_forward(g, dhw, &x, &panels, &b).unwrap();
+        // A stale, oversized buffer: the kernel must size and overwrite it.
+        let mut gemm = vec![f32::NAN; naive.len() + 5];
+        conv_forward_into(g, dhw, &x, &panels, &b, &mut gemm).unwrap();
         let tol = crate::simd::fma_tolerance(g.taps() + 1, max_term);
         crate::simd::kernel_mismatch(&gemm, &naive, tol)
     }

@@ -19,7 +19,9 @@
 
 use proptest::prelude::*;
 use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
-use reuse_tensor::conv::{conv_forward, conv_forward_naive, Conv2dSpec, Conv3dSpec, ConvGeometry};
+use reuse_tensor::conv::{
+    conv_forward_into, conv_forward_naive, Conv2dSpec, Conv3dSpec, ConvGeometry,
+};
 use reuse_tensor::matmul::{fc_forward_naive, matmul, matmul_naive};
 use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
 
@@ -55,7 +57,8 @@ fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3]) -> Option<String> {
     let bias: Vec<f32> = (0..g.out_channels()).map(&mut next).collect();
     let naive = conv_forward_naive(g, dhw, &x, &weights, &bias).unwrap();
     let panels = g.pack_weights(&weights).unwrap();
-    let gemm = conv_forward(g, dhw, &x, &panels, &bias).unwrap();
+    let mut gemm = Vec::new();
+    conv_forward_into(g, dhw, &x, &panels, &bias, &mut gemm).unwrap();
     simd::kernel_mismatch(&gemm, &naive, simd::fma_tolerance(g.taps() + 1, MAX_TERM))
 }
 

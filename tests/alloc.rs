@@ -1,12 +1,14 @@
 //! Zero-allocation contract of the steady-state hot path on Table I
 //! pipelines.
 //!
-//! `crates/reuse/tests/alloc.rs` holds the contract on all-reuse toy
-//! networks; the paper's networks also have layers the session runs at full
-//! precision — Kaldi's reuse-disabled FC1/FC2 and its group-max reductions,
-//! AutoPilot's flatten and its reuse-disabled single-output FC5. Those
-//! fallbacks stay inside the session's buffer pool, so once the pool is
-//! primed a frame of either network performs no heap allocation at all.
+//! `crates/reuse/tests/alloc.rs` holds the contract on toy networks; the
+//! paper's networks also have layers the session runs at full precision —
+//! Kaldi's reuse-disabled FC1/FC2 and its group-max reductions, AutoPilot's
+//! flatten and its reuse-disabled single-output FC5, C3D's reuse-disabled
+//! CONV1 and its five pools. Every one of them writes into a buffer from the
+//! session's pool, so once the pool is primed a frame of any of the three
+//! allocates nothing in the session; what is left is the conv kernel's own
+//! two im2col blocks, once per reuse-disabled conv layer.
 //!
 //! The count is per thread: the harness runs these tests on parallel
 //! threads, and a process-wide counter would charge each test with the
@@ -55,13 +57,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Frames counted after the warm-up ones.
+const STEADY_FRAMES: usize = 24;
+
 /// Runs the workload's tiny network over its own correlated stream: a few
 /// frames to calibrate, initialise every layer's buffered state and prime
-/// the pool, then counts what the steady frames allocate.
+/// the pool, then counts what the [`STEADY_FRAMES`] after them allocate.
 fn steady_allocations(kind: WorkloadKind) -> (u64, u64) {
     let w = Workload::build(kind, Scale::Tiny);
     let mut session = ReuseSession::from_network(w.network(), w.reuse_config());
-    let frames = w.generate_frames(30, 11);
+    let frames = w.generate_frames(6 + STEADY_FRAMES, 11);
     let (warm_up, steady) = frames.split_at(6);
     let mut out = Vec::new();
     for frame in warm_up {
@@ -94,4 +99,20 @@ fn autopilot_steady_frames_are_allocation_free() {
     let (allocations, pool_misses) = steady_allocations(WorkloadKind::AutoPilot);
     assert_eq!(pool_misses, 0, "steady-state pool misses");
     assert_eq!(allocations, 0, "steady-state AutoPilot frames allocated");
+}
+
+#[test]
+fn c3d_steady_windows_allocate_only_conv1s_im2col_blocks() {
+    // CONV1 is reuse-disabled and recomputed every window, and a pool
+    // follows five of the eight conv layers: six of seventeen layers run at
+    // full precision. All of them stay in the pool (sixteen allocations and
+    // two pool misses a window when they went through the tensor API); the
+    // two blocks are the scratch `conv_forward_into` owns.
+    let (allocations, pool_misses) = steady_allocations(WorkloadKind::C3d);
+    assert_eq!(pool_misses, 0, "steady-state pool misses");
+    assert_eq!(
+        allocations,
+        2 * STEADY_FRAMES as u64,
+        "per steady C3D window"
+    );
 }

@@ -103,35 +103,36 @@ fn oracle_after_exact_baseline(
     next: &[f32],
     refreshed: &dyn Fn(&str) -> bool,
 ) -> Vec<f32> {
-    let mut raw = Tensor::from_vec(net.input_shape().clone(), event.to_vec()).unwrap();
-    let mut cur = next.to_vec();
+    let (mut raw, mut cur) = (event.to_vec(), next.to_vec());
+    let (mut raw_out, mut base) = (Vec::new(), Vec::new());
     for (i, (name, layer)) in net.layers().iter().enumerate() {
         let shape = &net.layer_input_shapes()[i];
-        raw = raw.reshape(shape.clone()).unwrap();
+        net.apply_layer_into(i, &raw, &mut raw_out).unwrap();
         let Some(q) = session.quantizer_for(name) else {
             // Pooling, reshapes and reuse-disabled layers run as the network.
-            let t = Tensor::from_vec(shape.clone(), cur).unwrap();
-            cur = net.apply_layer(i, t).unwrap().into_vec();
-            raw = net.apply_layer(i, raw).unwrap();
+            net.apply_layer_into(i, &cur, &mut base).unwrap();
+            std::mem::swap(&mut cur, &mut base);
+            std::mem::swap(&mut raw, &mut raw_out);
             continue;
         };
-        let base = layer.forward_linear(&raw).unwrap();
-        let (old, new) = (q.quantized_values(raw.as_slice()), q.quantized_values(&cur));
+        layer.forward_linear_into(shape, &raw, &mut base).unwrap();
+        let (old, new) = (q.quantized_values(&raw), q.quantized_values(&cur));
         let mut lin = match layer {
             _ if refreshed(name) => {
-                let t = Tensor::from_vec(shape.clone(), cur).unwrap();
-                layer.forward_linear(&t).unwrap().into_vec()
+                let mut exact = Vec::new();
+                layer.forward_linear_into(shape, &cur, &mut exact).unwrap();
+                exact
             }
             Layer::Conv2d(c) => {
                 let w = c.weights().as_slice();
-                corrected_conv(c.geometry(), dhw_of(shape), w, base.as_slice(), &old, &new)
+                corrected_conv(c.geometry(), dhw_of(shape), w, &base, &old, &new)
             }
             Layer::Conv3d(c) => {
                 let w = c.weights().as_slice();
-                corrected_conv(c.geometry(), dhw_of(shape), w, base.as_slice(), &old, &new)
+                corrected_conv(c.geometry(), dhw_of(shape), w, &base, &old, &new)
             }
             Layer::FullyConnected(fc) => {
-                let mut z = base.as_slice().to_vec();
+                let mut z = base.clone();
                 let w = fc.weights().as_slice();
                 for i in (0..old.len()).filter(|&i| new[i] != old[i]) {
                     for (zj, wij) in z.iter_mut().zip(&w[i * fc.n_out()..]) {
@@ -144,7 +145,7 @@ fn oracle_after_exact_baseline(
         };
         layer.activation().unwrap().apply_in_place(&mut lin);
         cur = lin;
-        raw = net.apply_layer(i, raw).unwrap();
+        std::mem::swap(&mut raw, &mut raw_out);
     }
     cur
 }
