@@ -14,10 +14,15 @@
 //! nest at either level. Outputs of the two sides are bit-identical under
 //! the scalar SIMD level; under AVX2 the blocked kernels fuse multiply-adds
 //! and agree with naive within `reuse_tensor::simd::fma_tolerance` (see
-//! DESIGN.md). The last row holds the conv *reuse* step to the paper's claim:
+//! DESIGN.md). The next row holds the conv *reuse* step to the paper's claim:
 //! on AutoPilot CONV2 at ~15% changed inputs, detecting and correcting must
 //! beat the layer's own packed forward by `REUSE_CONV_REUSE_MIN_SPEEDUP`
-//! (default 1.1 under AVX2; no floor at the scalar level).
+//! (default 1.1 under AVX2; no floor at the scalar level). The last two hold
+//! the recurrent step's two levers, under AVX2 only and to constants: one
+//! EESEN-shaped cell over a 40-step sequence must run ≥ 1.15× faster as one
+//! `step_block` call than as forty (the feed-forward weights fetched once
+//! per block instead of once per timestep), and the in-tree σ/φ cell update
+//! ≥ 3× faster than the libm-form loop it replaced.
 //!
 //! `kernel_bench --telemetry-smoke` runs the same steady-state frames
 //! through a session with telemetry off and on, in mirrored alternating
@@ -36,8 +41,11 @@ use reuse_bench::env_parse;
 use reuse_bench::streams::random_walk;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::layer::SERIAL;
+use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
-use reuse_nn::{init::Rng64, Activation, Conv2dLayer, Conv3dLayer, Layer, NetworkBuilder};
+use reuse_nn::{
+    init::Rng64, Activation, Conv2dLayer, Conv3dLayer, Layer, LstmCell, NetworkBuilder,
+};
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_into, conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{matmul, Shape, Tensor};
@@ -183,9 +191,27 @@ fn conv_pairs() -> [KernelPair; 2] {
     ]
 }
 
-/// Rounds of the conv reuse-vs-forward pair: one pass of each per round, the
-/// order alternating.
-const CONV_REUSE_ROUNDS: usize = 15;
+/// Rounds of a before/after pair: one pass of each per round, the order
+/// alternating.
+const PAIR_ROUNDS: usize = 15;
+
+/// The median over [`PAIR_ROUNDS`] alternating rounds of `pass(false) /
+/// pass(true)`: the seconds of a before-side pass over an after-side one.
+fn median_speedup(mut pass: impl FnMut(bool) -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..PAIR_ROUNDS)
+        .map(|round| {
+            if round % 2 == 0 {
+                let after = pass(true);
+                pass(false) / after
+            } else {
+                let before = pass(false);
+                before / pass(true)
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIR_ROUNDS / 2]
+}
 
 /// The conv reuse row of the `--perf-smoke` CI gate: AutoPilot CONV2's reuse
 /// step (detect, correct, write out, activation — what the session's slot
@@ -239,22 +265,83 @@ fn conv_reuse_speedup() -> (f64, f64) {
     };
     // Untimed: the state-initialising frame and one steady pass.
     reuse_pass();
-    let mut ratios: Vec<f64> = (0..CONV_REUSE_ROUNDS)
-        .map(|round| {
-            if round % 2 == 0 {
-                let reuse = reuse_pass();
-                forward_pass() / reuse
+    let speedup = median_speedup(|reuse| if reuse { reuse_pass() } else { forward_pass() });
+    (speedup, changed as f64 / inputs as f64)
+}
+
+/// EESEN BiLSTM2's cell: 640 inputs, 320 units.
+const EESEN_CELL: (usize, usize) = (640, 320);
+
+/// The LSTM reuse row of the `--perf-smoke` CI gate: one EESEN-shaped cell
+/// over a seeded 40-step walk (state reset per pass, as the session resets
+/// it per sequence), run as forty `step_block` calls of one timestep — every
+/// timestep fetches the feed-forward weights again — against one call of
+/// forty. Same entry, same bits, one loop order apart. Returns the median
+/// over alternating rounds of the two times' ratio and the share of inputs
+/// (x and h) whose code changed per correcting timestep.
+fn lstm_block_speedup() -> (f64, f64) {
+    let (n_in, d) = EESEN_CELL;
+    let cell = LstmCell::random(n_in, d, &mut Rng64::new(7));
+    let pack = LstmGatePack::new(&cell);
+    let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 32).unwrap();
+    // A step of 0.04 against a code width of 1/16 moves ~30% of the codes.
+    let walk = random_walk(40, n_in, 0.8, 0.04, 33);
+    let mut state = LstmReuseState::new_shared(&cell);
+    let (mut changed, mut inputs) = (0, 0);
+    let mut pass = |steps_per_call: usize| {
+        state.reset(&cell);
+        let start = Instant::now();
+        for run in walk.chunks(steps_per_call) {
+            let xs = run.iter().map(|x| black_box(x.as_slice()));
+            state
+                .step_block(&cell, &pack, (&q, &q), xs, false, |h, stats, _| {
+                    black_box(h);
+                    if !stats.from_scratch {
+                        changed += stats.n_changed;
+                        inputs += stats.n_inputs;
+                    }
+                })
+                .unwrap();
+        }
+        start.elapsed().as_secs_f64()
+    };
+    pass(walk.len());
+    let speedup = median_speedup(|block| pass(if block { walk.len() } else { 1 }));
+    (speedup, changed as f64 / inputs as f64)
+}
+
+/// The gate-update row of the `--perf-smoke` CI gate: the cell update of an
+/// EESEN-sized cell through `reuse_tensor::simd::lstm_gate_update` against
+/// the libm-form loop it replaced (five `expf`/`tanhf` calls per unit), kept
+/// here as the before side. Returns the median over alternating rounds of
+/// libm time / kernel time.
+fn gate_update_speedup() -> f64 {
+    const PASSES: usize = 2000;
+    let d = EESEN_CELL.1;
+    let pre = random_input(4 * d, &mut Rng64::new(9));
+    let pre: Vec<f32> = pre.iter().map(|v| v * 6.0).collect();
+    let libm = |pre: &[f32], c: &mut [f32], h: &mut [f32]| {
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        for j in 0..d {
+            let (i, f) = (sigmoid(pre[j]), sigmoid(pre[d + j]));
+            let (g, o) = (pre[2 * d + j].tanh(), sigmoid(pre[3 * d + j]));
+            c[j] = f * c[j] + i * g;
+            h[j] = o * c[j].tanh();
+        }
+    };
+    median_speedup(|kernel| {
+        let (mut c, mut h) = (vec![0.1f32; d], vec![0.0f32; d]);
+        let start = Instant::now();
+        for _ in 0..PASSES {
+            if kernel {
+                reuse_tensor::simd::lstm_gate_update(black_box(&pre), &mut c, &mut h);
             } else {
-                let forward = forward_pass();
-                forward / reuse_pass()
+                libm(black_box(&pre), &mut c, &mut h);
             }
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    (
-        ratios[CONV_REUSE_ROUNDS / 2],
-        changed as f64 / inputs as f64,
-    )
+            black_box(&h);
+        }
+        start.elapsed().as_secs_f64()
+    })
 }
 
 /// Steady-state engine timings with telemetry off vs on, plus the per-layer
@@ -439,6 +526,32 @@ fn perf_smoke() -> ExitCode {
     );
     if speedup < min_reuse {
         eprintln!("the conv reuse step does not beat recomputing by the {min_reuse:.3}x floor");
+        ok = false;
+    }
+    // The recurrent step's two levers, each against its own before side.
+    // Constants, held under AVX2 only (the block split measured 1.4–1.7x
+    // there, the σ/φ kernel 5–9x).
+    let (speedup, changed) = lstm_block_speedup();
+    let floor = if avx2 { 1.15 } else { 0.0 };
+    eprintln!(
+        "perf smoke [{}]: eesen_cell_640x320/one_block_of_40 at {:.1}% changed inputs, \
+         {speedup:.3}x forty blocks of one (floor {floor:.3}x)",
+        level.name(),
+        changed * 100.0
+    );
+    if speedup < floor {
+        eprintln!("one block of timesteps does not beat single steps by the {floor:.3}x floor");
+        ok = false;
+    }
+    let speedup = gate_update_speedup();
+    let floor = if avx2 { 3.0 } else { 0.0 };
+    eprintln!(
+        "perf smoke [{}]: eesen_cell_640x320/gate_update {speedup:.3}x its libm form \
+         (floor {floor:.3}x)",
+        level.name()
+    );
+    if speedup < floor {
+        eprintln!("the gate update does not beat its libm form by the {floor:.3}x floor");
         ok = false;
     }
     if ok {

@@ -1,4 +1,4 @@
-use reuse_tensor::Tensor;
+use reuse_tensor::{simd, Tensor};
 
 /// Elementwise activation function applied after a layer's linear part.
 ///
@@ -11,9 +11,9 @@ pub enum Activation {
     Identity,
     /// `max(0, x)`.
     Relu,
-    /// Logistic sigmoid `1 / (1 + e^-x)`.
+    /// Logistic sigmoid `1 / (1 + e^-x)` ([`reuse_tensor::simd::sigmoid`]).
     Sigmoid,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`reuse_tensor::simd::tanh`]).
     Tanh,
 }
 
@@ -23,8 +23,8 @@ impl Activation {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => simd::sigmoid(x),
+            Activation::Tanh => simd::tanh(x),
         }
     }
 
@@ -37,14 +37,17 @@ impl Activation {
     }
 
     /// Applies the activation elementwise in place — the allocation-free
-    /// variant the engine's steady-state path uses. `Identity` touches
-    /// nothing.
+    /// variant the engine's steady-state path uses, bit-identical to
+    /// [`Self::apply_scalar`] per element at every SIMD level. `Identity`
+    /// touches nothing.
     pub fn apply_in_place(&self, values: &mut [f32]) {
-        if matches!(self, Activation::Identity) {
-            return;
-        }
-        for v in values.iter_mut() {
-            *v = self.apply_scalar(*v);
+        match self {
+            Activation::Identity => {}
+            // Spelled out: with σ/φ inlined `apply_scalar` is too large to
+            // inline here, and a call per element cost ReLU 10x.
+            Activation::Relu => values.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Sigmoid => simd::sigmoid_slice(values),
+            Activation::Tanh => simd::tanh_slice(values),
         }
     }
 
@@ -94,6 +97,24 @@ mod tests {
         let t = Activation::Tanh;
         assert!((t.apply_scalar(1.0) + t.apply_scalar(-1.0)).abs() < 1e-6);
         assert_eq!(t.apply_scalar(0.0), 0.0);
+    }
+
+    #[test]
+    fn apply_in_place_is_apply_scalar_per_element_bitwise() {
+        // 19 values: two whole vectors and a tail at the AVX2 level.
+        let x: Vec<f32> = (0..19).map(|i| i as f32 * 0.77 - 7.0).collect();
+        for act in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Tanh,
+        ] {
+            let mut got = x.clone();
+            act.apply_in_place(&mut got);
+            for (&v, g) in x.iter().zip(got) {
+                assert_eq!(g.to_bits(), act.apply_scalar(v).to_bits(), "{act}({v})");
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! [`LstmCell::gate_preactivations`] separately from the nonlinear state
 //! update [`LstmCell::step_from_preactivations`].
 
+use std::sync::Arc;
+
 use reuse_tensor::{Shape, Tensor};
 
-use crate::{init, Activation, NnError};
+use crate::{init, NnError};
 
 /// Number of gates in an LSTM cell (i, f, g, o).
 pub const NUM_GATES: usize = 4;
@@ -25,6 +27,10 @@ pub const GATE_F: usize = 1;
 pub const GATE_G: usize = 2;
 /// Gate index for the output gate `o` (Eq. 6).
 pub const GATE_O: usize = 3;
+
+// `reuse_tensor::simd::lstm_gate_update` reads a pre-activation buffer as
+// `[i | f | g | o]`.
+const _: () = assert!(GATE_I == 0 && GATE_F == 1 && GATE_G == 2 && GATE_O == 3);
 
 /// Recurrent state of one LSTM cell: the hidden output `h` and cell state `c`.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,14 +57,18 @@ impl LstmState {
 /// `[n_in, cell_dim]` and `w_h[gate]` is `[cell_dim, cell_dim]`, so the
 /// weights fed by a single input element are contiguous — the layout the
 /// reuse correction walks.
+///
+/// The eight matrices are immutable and shared by clones of the cell (the
+/// `FullyConnected` idiom): compiling a model clones its network, and
+/// EESEN's cells hold 42 MB.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
     n_in: usize,
     cell_dim: usize,
     /// Feed-forward weights per gate, each `[n_in, cell_dim]`.
-    w_x: [Tensor; NUM_GATES],
+    w_x: [Arc<Tensor>; NUM_GATES],
     /// Recurrent weights per gate, each `[cell_dim, cell_dim]`.
-    w_h: [Tensor; NUM_GATES],
+    w_h: [Arc<Tensor>; NUM_GATES],
     /// Bias per gate, each `[cell_dim]`.
     bias: [Tensor; NUM_GATES],
 }
@@ -102,8 +112,8 @@ impl LstmCell {
         Ok(LstmCell {
             n_in,
             cell_dim,
-            w_x,
-            w_h,
+            w_x: w_x.map(Arc::new),
+            w_h: w_h.map(Arc::new),
             bias,
         })
     }
@@ -145,8 +155,8 @@ impl LstmCell {
         LstmCell {
             n_in,
             cell_dim,
-            w_x,
-            w_h,
+            w_x: w_x.map(Arc::new),
+            w_h: w_h.map(Arc::new),
             bias,
         }
     }
@@ -220,29 +230,18 @@ impl LstmCell {
     }
 
     /// In-place variant of [`Self::step_from_preactivations`] — advances
-    /// `state` to the next timestep without allocating. The cell update
-    /// (Eq. 7) reads each `c[j]` before overwriting it, so updating
-    /// elementwise is exact.
+    /// `state` to the next timestep without allocating: one fused pass of
+    /// [`reuse_tensor::simd::lstm_gate_update`], the σ/φ every path of the
+    /// workspace shares (Eq. 7 reads each `c[j]` before overwriting it, so
+    /// updating elementwise is exact).
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `pre` is not `NUM_GATES × cell_dim` or the
-    /// state dimension disagrees.
+    /// Panics if `pre` is not `NUM_GATES × cell_dim` or the state dimension
+    /// disagrees.
     pub fn step_from_preactivations_in_place(&self, pre: &[f32], state: &mut LstmState) {
-        debug_assert_eq!(pre.len(), NUM_GATES * self.cell_dim);
-        debug_assert_eq!(state.c.len(), self.cell_dim);
-        let d = self.cell_dim;
-        let sig = Activation::Sigmoid;
-        let tanh = Activation::Tanh;
-        for j in 0..d {
-            let i = sig.apply_scalar(pre[GATE_I * d + j]);
-            let f = sig.apply_scalar(pre[GATE_F * d + j]);
-            let g = tanh.apply_scalar(pre[GATE_G * d + j]);
-            let o = sig.apply_scalar(pre[GATE_O * d + j]);
-            let c = f * state.c[j] + i * g; // Eq. 7
-            state.c[j] = c;
-            state.h[j] = o * tanh.apply_scalar(c); // Eq. 8
-        }
+        assert_eq!(state.c.len(), self.cell_dim, "state vs cell dimension");
+        reuse_tensor::simd::lstm_gate_update(pre, &mut state.c, &mut state.h);
     }
 
     /// One full cell step: pre-activations + nonlinear update.

@@ -109,6 +109,13 @@ fn require_qx<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> 
     })
 }
 
+/// The hidden-state quantizer every recurrent state requires.
+fn require_qh<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> {
+    ctx.quantizer_h.ok_or_else(|| ReuseError::WrongApi {
+        context: "recurrent step without a hidden-state quantizer".into(),
+    })
+}
+
 /// Infallible variant for `adopt_baseline`, whose signature cannot error:
 /// the watchdog only re-baselines quantizing slots.
 fn expect_qx<'a>(ctx: &StepCtx<'a>) -> &'a LinearQuantizer {
@@ -325,10 +332,30 @@ impl ReuseLayer for LstmReuseState {
         let (Layer::Lstm(cell), CompiledWeights::Lstm(pack)) = (ctx.layer, ctx.weights) else {
             return Err(wrong_layer("lstm"));
         };
-        let qh = ctx.quantizer_h.ok_or_else(|| ReuseError::WrongApi {
-            context: "lstm step without a hidden-state quantizer".into(),
-        })?;
-        self.step_into_packed(&SERIAL, cell, pack, require_qx(ctx)?, qh, input, out)
+        let (qx, qh) = (require_qx(ctx)?, require_qh(ctx)?);
+        self.step_into_packed(&SERIAL, cell, pack, qx, qh, input, out)
+    }
+
+    /// The whole sequence as one [`LstmReuseState::step_block`] call.
+    fn step_sequence(
+        &mut self,
+        ctx: &StepCtx<'_>,
+        xs: &[Vec<f32>],
+        timed: bool,
+        out: &mut Vec<Vec<f32>>,
+        stats: &mut Vec<ExecStats>,
+        spans: &mut Vec<u64>,
+    ) -> Result<(), ReuseError> {
+        let (Layer::Lstm(cell), CompiledWeights::Lstm(pack)) = (ctx.layer, ctx.weights) else {
+            return Err(wrong_layer("lstm"));
+        };
+        let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
+        let xs = xs.iter().map(Vec::as_slice);
+        self.step_block(cell, pack, quantizers, xs, timed, |h, s, span| {
+            out.push(h.to_vec());
+            stats.push(s);
+            spans.push(span);
+        })
     }
 
     fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
@@ -409,44 +436,32 @@ impl ReuseLayer for BiLstmReuseState {
         else {
             return Err(wrong_layer("bilstm"));
         };
-        let qh = ctx.quantizer_h.ok_or_else(|| ReuseError::WrongApi {
-            context: "bilstm step without a hidden-state quantizer".into(),
-        })?;
-        let qx = require_qx(ctx)?;
+        let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
         let d = layer.cell_dim();
-        let n = xs.len();
         out.clear();
-        out.resize(n, Vec::new());
-        spans.clear();
-        spans.resize(n, 0);
         stats.clear();
-        let mut h = Vec::new();
-        for (t, x) in xs.iter().enumerate() {
-            let span = span_start(timed);
-            let s =
-                self.fwd
-                    .step_into_packed(&SERIAL, layer.forward_cell(), fwd, qx, qh, x, &mut h)?;
-            spans[t] += span_elapsed_ns(span);
-            out[t].resize(2 * d, 0.0);
-            out[t][..d].copy_from_slice(&h);
+        spans.clear();
+        let ascending = xs.iter().map(Vec::as_slice);
+        let cell = layer.forward_cell();
+        let forward = |h: &[f32], s: ExecStats, span: u64| {
+            let mut both = vec![0.0; 2 * d];
+            both[..d].copy_from_slice(h);
+            out.push(both);
             stats.push(s);
-        }
-        for (t, x) in xs.iter().enumerate().rev() {
-            let span = span_start(timed);
-            let s = self.bwd.step_into_packed(
-                &SERIAL,
-                layer.backward_cell(),
-                bwd,
-                qx,
-                qh,
-                x,
-                &mut h,
-            )?;
-            spans[t] += span_elapsed_ns(span);
-            out[t][d..].copy_from_slice(&h);
+            spans.push(span);
+        };
+        self.fwd
+            .step_block(cell, fwd, quantizers, ascending.clone(), timed, forward)?;
+        let cell = layer.backward_cell();
+        let mut t = xs.len();
+        let backward = |h: &[f32], s: ExecStats, span: u64| {
+            t -= 1;
+            out[t][d..].copy_from_slice(h);
             stats[t] = stats[t].merge(s);
-        }
-        Ok(())
+            spans[t] += span;
+        };
+        self.bwd
+            .step_block(cell, bwd, quantizers, ascending.rev(), timed, backward)
     }
 
     fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {

@@ -10,58 +10,97 @@
 //! The state buffers, per direction: the quantized indices of the previous
 //! feed-forward input (`x_{t-1}`) and previous recurrent input (`h_{t-2}`),
 //! and the four gates' linear pre-activations from the previous timestep.
-//! The nonlinear part (σ/φ, cell-state update) is always recomputed — it is
-//! a negligible `O(cell)` cost next to the `O((n_in + cell) · cell)` gate
-//! matrices.
+//! The nonlinear part (σ/φ, cell-state update) is always recomputed — an
+//! `O(cell)` pass of `reuse_tensor::simd::lstm_gate_update` next to the
+//! `O((n_in + cell) · cell)` gate matrices.
+//!
+//! Point 2 is also why a cell runs a sequence in **two phases**
+//! ([`LstmReuseState::step_block`]): the feed-forward inputs of every
+//! timestep are known before the first one runs, so their corrections are
+//! summed for a whole block of timesteps first, one pass over the packed
+//! feed-forward weights, and the recurrence then touches the recurrent
+//! weights only — which fit the L2 the two matrices together overflow.
 
 use reuse_nn::lstm::NUM_GATES;
 use reuse_nn::{LstmCell, LstmState};
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::apply_deltas_rows;
-use reuse_tensor::ParallelConfig;
+use reuse_tensor::{PackedPanels, ParallelConfig};
 
-use crate::layer::{ExecStats, SERIAL};
+use crate::layer::{span_elapsed_ns, span_start, ExecStats, SERIAL};
 use crate::ReuseError;
 
-/// The immutable combined four-gate weight matrices of one LSTM cell,
-/// packed once so every stream's correction pass can share one copy (it
-/// lives in `CompiledModel`, not in per-stream state). Column `g·d + u` is
-/// gate `g`, unit `u`: the layout matches the `[NUM_GATES × d]`
-/// pre-activation buffer, so one batched row walk corrects all four gates —
-/// the "one comparison pays four gates" property of the paper, with the gate
-/// loop folded into the row.
+/// The immutable gate weights of one LSTM cell in the layouts its
+/// corrections walk, packed once so every stream's correction pass can share
+/// one copy (it lives in `CompiledModel`, not in per-stream state).
 #[derive(Debug, Clone)]
 pub struct LstmGatePack {
-    /// All four gates' feed-forward weights, row-major `[n_in, NUM_GATES·d]`.
-    combined_x: Vec<f32>,
-    /// Same combined matrix for the recurrent weights (`[d, NUM_GATES·d]`).
+    /// The feed-forward weights, one set of 16-lane panels per gate, packed
+    /// straight from the cell's `[n_in, d]` gate matrices: the x side of a
+    /// block of timesteps is applied panel by panel.
+    x: [PackedPanels; NUM_GATES],
+    /// All four gates' recurrent weights, row-major `[d, NUM_GATES·d]`:
+    /// column `g·d + u` is gate `g`, unit `u`, the layout of the
+    /// pre-activation buffer, so one batched row walk per timestep corrects
+    /// all four gates — the "one comparison pays four gates" property of the
+    /// paper, with the gate loop folded into the row.
     combined_h: Vec<f32>,
 }
 
 impl LstmGatePack {
-    /// Combines the eight gate weight matrices into the two four-gate
-    /// matrices.
+    /// Packs the eight gate weight matrices of `cell`.
     pub fn new(cell: &LstmCell) -> Self {
-        let (n_in, d) = (cell.n_in(), cell.cell_dim());
-        let combine = |rows: usize, gates: [&[f32]; NUM_GATES]| {
-            let mut all = vec![0.0f32; rows * NUM_GATES * d];
-            for (g, w) in gates.iter().enumerate() {
-                for i in 0..rows {
-                    all[i * NUM_GATES * d + g * d..][..d].copy_from_slice(&w[i * d..(i + 1) * d]);
-                }
+        let d = cell.cell_dim();
+        let mut combined_h = vec![0.0f32; d * NUM_GATES * d];
+        for g in 0..NUM_GATES {
+            let w = cell.w_h(g).as_slice();
+            for (i, row) in w.chunks_exact(d).enumerate() {
+                combined_h[i * NUM_GATES * d + g * d..][..d].copy_from_slice(row);
             }
-            all
-        };
+        }
         LstmGatePack {
-            combined_x: combine(n_in, core::array::from_fn(|g| cell.w_x(g).as_slice())),
-            combined_h: combine(d, core::array::from_fn(|g| cell.w_h(g).as_slice())),
+            x: core::array::from_fn(|g| {
+                PackedPanels::pack(cell.w_x(g)).expect("gate matrices are rank-2")
+            }),
+            combined_h,
         }
     }
 
-    /// Bytes occupied by the two combined matrices.
+    /// Bytes occupied by the packed feed-forward panels and the combined
+    /// recurrent matrix.
     pub fn bytes(&self) -> u64 {
-        ((self.combined_x.len() + self.combined_h.len()) * 4) as u64
+        let x: usize = self.x.iter().map(PackedPanels::storage_bytes).sum();
+        (x + self.combined_h.len() * 4) as u64
     }
+
+    fn matches(&self, cell: &LstmCell) -> bool {
+        let (n_in, d) = (cell.n_in(), cell.cell_dim());
+        self.x.iter().all(|p| (p.n_in(), p.n_out()) == (n_in, d))
+            && self.combined_h.len() == d * NUM_GATES * d
+    }
+}
+
+/// Most timesteps whose feed-forward corrections are summed ahead of the
+/// recurrence in one pass: bounds the block scratch at
+/// `BLOCK_STEPS · NUM_GATES · d` floats (plus as many changed-list entries
+/// as the block's inputs changed) however long the sequence is. EESEN's
+/// 40-step sequences are one block; past a few dozen timesteps a panel is
+/// already fetched once per many uses and a longer block buys nothing.
+const BLOCK_STEPS: usize = 64;
+
+/// Scratch of one [`LstmReuseState::step_block`] block, kept between calls
+/// so steady blocks allocate nothing. Like the session's buffer pool it is
+/// working memory, not reuse state: nothing in it outlives the block.
+#[derive(Debug, Clone, Default)]
+struct BlockScratch {
+    /// The block's feed-forward changed lists back to back, timestep `k`
+    /// ending at entry `ends[k]`.
+    taps: Vec<u32>,
+    deltas: Vec<f32>,
+    ends: Vec<usize>,
+    /// Each timestep's summed feed-forward correction, gate-major:
+    /// `[NUM_GATES][steps][d]`.
+    x_sums: Vec<f32>,
 }
 
 /// Buffered reuse state of one LSTM cell (one direction of a BiLSTM layer).
@@ -76,6 +115,7 @@ pub struct LstmReuseState {
     changed_x: Vec<(u32, f32)>,
     /// Scratch changed list for the recurrent inputs.
     changed_h: Vec<(u32, f32)>,
+    block: BlockScratch,
     /// Recurrent (h, c) state carried between timesteps.
     state: LstmState,
     initialized: bool,
@@ -83,9 +123,9 @@ pub struct LstmReuseState {
 
 impl LstmReuseState {
     /// Creates empty per-stream state for a cell. The state carries no
-    /// weights: corrections go through [`Self::step_into_packed`] with the
-    /// cell's shared [`LstmGatePack`], so N streams share one pack instead
-    /// of holding `O(params)` copies each.
+    /// weights: corrections go through [`Self::step_block`] with the cell's
+    /// shared [`LstmGatePack`], so N streams share one pack instead of
+    /// holding `O(params)` copies each.
     pub fn new_shared(cell: &LstmCell) -> Self {
         let (n_in, d) = (cell.n_in(), cell.cell_dim());
         LstmReuseState {
@@ -94,6 +134,7 @@ impl LstmReuseState {
             prev_pre: Vec::new(),
             changed_x: Vec::with_capacity(n_in),
             changed_h: Vec::with_capacity(d),
+            block: BlockScratch::default(),
             state: LstmState::zeros(d),
             initialized: false,
         }
@@ -134,17 +175,10 @@ impl LstmReuseState {
 
     /// Runs one timestep on feed-forward input `x`, reusing unchanged
     /// inputs: clears `h_out` and writes the new hidden output `h_t` into
-    /// it. Allocation-free once initialized. `pack` must be the
+    /// it. This is [`Self::step_block`] over a block of one — the same code
+    /// and, timestep for timestep, the same bits as a whole sequence in one
+    /// call. Allocation-free once initialized. `pack` must be the
     /// [`LstmGatePack`] built from `cell`.
-    ///
-    /// Both `x` and the recurrent input `h_{t-1}` are quantized with the
-    /// provided quantizers and diffed, then the corrections are applied
-    /// through the combined four-gate matrices in delta batches: every
-    /// output accumulates all x deltas then all h deltas in input order —
-    /// the same per-output order as the naive scattered row walk
-    /// ([`Self::step_into_naive`]) — so under the scalar SIMD level results
-    /// are bit-identical to it (under AVX2 the batched walk fuses deltas
-    /// into FMAs and agrees within `reuse_tensor::simd::fma_tolerance`).
     ///
     /// # Errors
     ///
@@ -161,24 +195,217 @@ impl LstmReuseState {
         x: &[f32],
         h_out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
+        let mut stats = None;
+        let quantizers = (x_quantizer, h_quantizer);
+        self.step_block(cell, pack, quantizers, [x], false, |h, s, _| {
+            h_out.clear();
+            h_out.extend_from_slice(h);
+            stats = Some(s);
+        })?;
+        Ok(stats.expect("a block of one emits one step"))
+    }
+
+    /// Runs the timesteps `xs` yields — a sequence, or any run of one, in
+    /// the order this cell visits it — reusing unchanged inputs, and calls
+    /// `emit(h_t, stats, span_ns)` once per timestep in that order with the
+    /// new hidden output.
+    ///
+    /// Timesteps run in blocks of at most 64 (`BLOCK_STEPS`), each in two
+    /// phases. **x phase:** every timestep's `x` is diffed against the
+    /// running feed-forward codes and that timestep's corrections
+    /// `Σ Δ·w_x[i]` are summed *from zero, in changed-list order* — all
+    /// timesteps in one panel-outer pass over the packed feed-forward
+    /// weights ([`PackedPanels::axpy_buckets`]), which are then done with.
+    /// **Recurrence**, per timestep: diff `h_{t-1}` against the recurrent
+    /// codes, add the timestep's summed x correction onto the buffered
+    /// pre-activations (one vector add), apply the h deltas in list order
+    /// through the combined recurrent matrix, update the gates. Only that
+    /// one matrix is live while the recurrence runs.
+    ///
+    /// Per output the chain is therefore
+    /// `z_t = (z_{t-1} + X_t) + Δh₀·w + Δh₁·w + …` with `X_t` summed from
+    /// `+0.0`: a definition that does not mention the block, so any split of
+    /// a sequence into calls and blocks yields the same bits, and the one
+    /// [`Self::step_into_naive`] spells out over the cell's raw matrices.
+    /// Under the scalar SIMD level the two agree bit for bit (stats
+    /// included); under AVX2 the correction walks fuse each step and agree
+    /// within `reuse_tensor::simd::fma_tolerance`.
+    ///
+    /// The first timestep after a reset computes the gates from scratch on
+    /// the quantized inputs. With `timed`, `span_ns` is the timestep's own
+    /// recurrence time plus its share of the block's x phase by changed-list
+    /// entries (evenly when nothing changed), from one clock read per
+    /// timestep boundary and two per block; otherwise it is 0 and no clock
+    /// is read. Allocation-free once the block scratch has grown to the
+    /// sequence length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReuseError`] when `pack` was not built from a cell of
+    /// `cell`'s dimensions, or — before the block it belongs to has touched
+    /// any state — when an `x` has the wrong length.
+    pub fn step_block<'x>(
+        &mut self,
+        cell: &LstmCell,
+        pack: &LstmGatePack,
+        (x_quantizer, h_quantizer): (&LinearQuantizer, &LinearQuantizer),
+        xs: impl IntoIterator<Item = &'x [f32]>,
+        timed: bool,
+        mut emit: impl FnMut(&[f32], ExecStats, u64),
+    ) -> Result<(), ReuseError> {
         let (n_in, d) = (cell.n_in(), cell.cell_dim());
-        let width = NUM_GATES * d;
-        if pack.combined_x.len() != n_in * width || pack.combined_h.len() != d * width {
+        if !pack.matches(cell) {
             return Err(ReuseError::InvalidConfig {
                 context: format!(
-                    "lstm gate pack ({} + {} weights) does not match a {n_in}->{d} cell",
-                    pack.combined_x.len(),
-                    pack.combined_h.len()
+                    "lstm gate pack ({} bytes) does not match a {n_in}->{d} cell",
+                    pack.bytes()
                 ),
             });
         }
-        self.step_into_impl(cell, x_quantizer, h_quantizer, x, h_out, Some(pack))
+        let mut xs = xs.into_iter();
+        let mut held: [&[f32]; BLOCK_STEPS] = [&[]; BLOCK_STEPS];
+        loop {
+            let mut steps = 0;
+            for x in xs.by_ref().take(BLOCK_STEPS) {
+                check_input(cell, x)?;
+                held[steps] = x;
+                steps += 1;
+            }
+            let mut block = &held[..steps];
+            if !self.initialized {
+                let Some((first, rest)) = block.split_first() else {
+                    return Ok(());
+                };
+                let span = span_start(timed);
+                let stats = self.first_step(cell, x_quantizer, h_quantizer, first)?;
+                emit(&self.state.h, stats, span_elapsed_ns(span));
+                block = rest;
+            }
+            if block.is_empty() {
+                return Ok(());
+            }
+
+            // x phase, then the recurrence over the same timesteps; one
+            // clock read per boundary between them when timed.
+            let block_start = span_start(timed);
+            self.sum_x_corrections(pack, x_quantizer, block);
+            let mut boundary = span_start(timed);
+            let x_phase_ns = match (block_start, boundary) {
+                (Some(start), Some(end)) => end.duration_since(start).as_nanos() as u64,
+                _ => 0,
+            };
+            let x_entries = self.block.taps.len() as u64;
+            for k in 0..block.len() {
+                let changed_x = self.recur(cell, pack, h_quantizer, k, block.len());
+                let span_ns = boundary.map_or(0, |from| {
+                    let now = std::time::Instant::now();
+                    boundary = Some(now);
+                    let share = if x_entries == 0 {
+                        x_phase_ns / block.len() as u64
+                    } else {
+                        (u128::from(x_phase_ns) * u128::from(changed_x) / u128::from(x_entries))
+                            as u64
+                    };
+                    now.duration_since(from).as_nanos() as u64 + share
+                });
+                let stats = step_stats(cell, changed_x + self.changed_h.len() as u64, false);
+                emit(&self.state.h, stats, span_ns);
+            }
+            if steps < BLOCK_STEPS {
+                return Ok(());
+            }
+        }
     }
 
-    /// [`Self::step_into_packed`] through the pre-blocking scattered row
-    /// walk over the cell's own weight matrices (no pack). Kept as the
-    /// bit-identity oracle for tests and as the before-side of the kernel
-    /// benchmarks; not part of the supported API.
+    /// The x phase of a block: diffs every timestep's `x` against the running
+    /// feed-forward codes, collecting the changed lists back to back, then
+    /// sums each timestep's corrections from zero — all timesteps in one
+    /// panel-outer pass per gate over the packed feed-forward weights.
+    fn sum_x_corrections(
+        &mut self,
+        pack: &LstmGatePack,
+        quantizer: &LinearQuantizer,
+        block: &[&[f32]],
+    ) {
+        let scratch = &mut self.block;
+        scratch.taps.clear();
+        scratch.deltas.clear();
+        scratch.ends.clear();
+        for x in block {
+            quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
+            scratch.taps.extend(self.changed_x.iter().map(|&(i, _)| i));
+            scratch
+                .deltas
+                .extend(self.changed_x.iter().map(|&(_, d)| d));
+            scratch.ends.push(scratch.taps.len());
+        }
+        let gate_len = block.len() * pack.x[0].n_out();
+        scratch.x_sums.clear();
+        scratch.x_sums.resize(NUM_GATES * gate_len, 0.0);
+        for (panels, sums) in pack.x.iter().zip(scratch.x_sums.chunks_exact_mut(gate_len)) {
+            panels.axpy_buckets(&scratch.taps, &scratch.deltas, &scratch.ends, sums);
+        }
+    }
+
+    /// Timestep `k` of a block of `steps` whose x phase is done: diffs
+    /// `h_{t-1}`, adds the timestep's summed x correction onto the buffered
+    /// pre-activations, applies the h deltas in list order and updates the
+    /// gates. Returns how many feed-forward inputs the timestep changed.
+    fn recur(
+        &mut self,
+        cell: &LstmCell,
+        pack: &LstmGatePack,
+        h_quantizer: &LinearQuantizer,
+        k: usize,
+        steps: usize,
+    ) -> u64 {
+        let d = cell.cell_dim();
+        h_quantizer.diff_codes(&self.state.h, &mut self.prev_h_codes, &mut self.changed_h);
+        for (g, gate) in self.prev_pre.chunks_exact_mut(d).enumerate() {
+            let sums = &self.block.x_sums[(g * steps + k) * d..][..d];
+            for (z, &x_sum) in gate.iter_mut().zip(sums) {
+                *z += x_sum;
+            }
+        }
+        let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
+        apply_deltas_rows(&SERIAL, &pack.combined_h, width, &self.changed_h, pre);
+        cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
+        let ends = &self.block.ends;
+        (ends[k] - if k == 0 { 0 } else { ends[k - 1] }) as u64
+    }
+
+    /// The first timestep after a reset: quantize x and h (h starts at
+    /// zero) and compute the four gates from scratch on the centroids.
+    fn first_step(
+        &mut self,
+        cell: &LstmCell,
+        x_quantizer: &LinearQuantizer,
+        h_quantizer: &LinearQuantizer,
+        x: &[f32],
+    ) -> Result<ExecStats, ReuseError> {
+        x_quantizer.quantize_slice_into(x, &mut self.prev_x_codes);
+        h_quantizer.quantize_slice_into(&self.state.h, &mut self.prev_h_codes);
+        let centroids = |q: &LinearQuantizer, codes: &[QuantCode]| -> Vec<f32> {
+            codes.iter().map(|&c| q.centroid(c)).collect()
+        };
+        let qx = centroids(x_quantizer, &self.prev_x_codes);
+        let qh = centroids(h_quantizer, &self.prev_h_codes);
+        self.prev_pre = cell.gate_preactivations(&qx, &qh)?;
+        cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
+        self.initialized = true;
+        Ok(step_stats(
+            cell,
+            (cell.n_in() + cell.cell_dim()) as u64,
+            true,
+        ))
+    }
+
+    /// One timestep under [`Self::step_block`]'s definition, spelled out
+    /// output by output over the cell's raw weight matrices (no pack, no
+    /// block, no kernel): the x corrections summed from zero in list order,
+    /// added onto the buffered pre-activation, then the h corrections in
+    /// list order. Kept as the scalar-level bit-identity oracle for tests;
+    /// not part of the supported API.
     ///
     /// # Errors
     ///
@@ -192,104 +419,61 @@ impl LstmReuseState {
         x: &[f32],
         h_out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.step_into_impl(cell, x_quantizer, h_quantizer, x, h_out, None)
-    }
-
-    /// One timestep; `pack` selects the batched walk over the combined
-    /// matrices, `None` the reference walk over the cell's raw weights.
-    fn step_into_impl(
-        &mut self,
-        cell: &LstmCell,
-        x_quantizer: &LinearQuantizer,
-        h_quantizer: &LinearQuantizer,
-        x: &[f32],
-        h_out: &mut Vec<f32>,
-        pack: Option<&LstmGatePack>,
-    ) -> Result<ExecStats, ReuseError> {
-        let n_in = cell.n_in();
-        let d = cell.cell_dim();
-        if x.len() != n_in {
-            return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
-                expected: n_in,
-                actual: x.len(),
-            }));
-        }
-        let macs_total = (NUM_GATES * (n_in + d) * d) as u64;
-        let n_inputs = (n_in + d) as u64;
-
-        if !self.initialized {
-            // First timestep: quantize x and h (h starts at zero), compute
-            // the four gates from scratch on the centroids.
-            x_quantizer.quantize_slice_into(x, &mut self.prev_x_codes);
-            h_quantizer.quantize_slice_into(&self.state.h, &mut self.prev_h_codes);
-            let qx: Vec<f32> = self
-                .prev_x_codes
-                .iter()
-                .map(|&c| x_quantizer.centroid(c))
-                .collect();
-            let qh: Vec<f32> = self
-                .prev_h_codes
-                .iter()
-                .map(|&c| h_quantizer.centroid(c))
-                .collect();
-            self.prev_pre = cell.gate_preactivations(&qx, &qh)?;
-            cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
-            self.initialized = true;
-            h_out.clear();
-            h_out.extend_from_slice(&self.state.h);
-            return Ok(ExecStats {
-                n_inputs,
-                n_changed: n_inputs,
-                macs_total,
-                macs_performed: macs_total,
-                from_scratch: true,
-            });
-        }
-
-        // Pass 1: diff x_t vs x_{t-1} and h_{t-1} vs h_{t-2}, collecting the
-        // changed lists in input order. One pass each, vectorized under the
-        // AVX2 level with bit-exact codes and deltas at every level.
-        x_quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
-        h_quantizer.diff_codes(&self.state.h, &mut self.prev_h_codes, &mut self.changed_h);
-
-        // Pass 2: correct the 4×d pre-activation buffer; one index
-        // comparison above pays for the correction in all four gates. Each
-        // output accumulates all x deltas then all h deltas in input order
-        // on both branches (bit-identical under the scalar SIMD level,
-        // FMA-fused under AVX2).
-        let changed_x: &[(u32, f32)] = &self.changed_x;
-        let changed_h: &[(u32, f32)] = &self.changed_h;
-        if let Some(pack) = pack {
-            // Delta-batched walk over the combined four-gate matrices:
-            // DELTA_BATCH changed rows streamed together per pass, all
-            // gates corrected in one sweep per source.
-            let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
-            apply_deltas_rows(&SERIAL, &pack.combined_x, width, changed_x, pre);
-            apply_deltas_rows(&SERIAL, &pack.combined_h, width, changed_h, pre);
-        } else {
-            // Scattered row walk over the raw weight matrices, gate by gate.
+        check_input(cell, x)?;
+        let stats = if self.initialized {
+            x_quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
+            h_quantizer.diff_codes(&self.state.h, &mut self.prev_h_codes, &mut self.changed_h);
+            let d = cell.cell_dim();
             for (g, gate) in self.prev_pre.chunks_exact_mut(d).enumerate() {
-                for (w, changed) in [(cell.w_x(g), changed_x), (cell.w_h(g), changed_h)] {
-                    for &(i, delta) in changed {
-                        let row = &w.as_slice()[i as usize * d..][..d];
-                        for (z, &wij) in gate.iter_mut().zip(row) {
-                            *z += delta * wij;
-                        }
+                let (w_x, w_h) = (cell.w_x(g).as_slice(), cell.w_h(g).as_slice());
+                for (u, z) in gate.iter_mut().enumerate() {
+                    let mut x_sum = 0.0f32;
+                    for &(i, delta) in &self.changed_x {
+                        x_sum += delta * w_x[i as usize * d + u];
+                    }
+                    *z += x_sum;
+                    for &(i, delta) in &self.changed_h {
+                        *z += delta * w_h[i as usize * d + u];
                     }
                 }
             }
-        }
-        let changed = (self.changed_x.len() + self.changed_h.len()) as u64;
-        cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
+            cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
+            step_stats(
+                cell,
+                (self.changed_x.len() + self.changed_h.len()) as u64,
+                false,
+            )
+        } else {
+            self.first_step(cell, x_quantizer, h_quantizer, x)?
+        };
         h_out.clear();
         h_out.extend_from_slice(&self.state.h);
-        Ok(ExecStats {
-            n_inputs,
-            n_changed: changed,
-            macs_total,
-            macs_performed: changed * (NUM_GATES * d) as u64,
-            from_scratch: false,
-        })
+        Ok(stats)
+    }
+}
+
+fn check_input(cell: &LstmCell, x: &[f32]) -> Result<(), ReuseError> {
+    if x.len() == cell.n_in() {
+        return Ok(());
+    }
+    Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
+        expected: cell.n_in(),
+        actual: x.len(),
+    }))
+}
+
+/// The counters of a timestep that applied `changed` inputs (x and h
+/// together; all of them when computing from scratch): each costs one weight
+/// row across the four gates.
+fn step_stats(cell: &LstmCell, changed: u64, from_scratch: bool) -> ExecStats {
+    let n_inputs = (cell.n_in() + cell.cell_dim()) as u64;
+    let row = (NUM_GATES * cell.cell_dim()) as u64;
+    ExecStats {
+        n_inputs,
+        n_changed: changed,
+        macs_total: n_inputs * row,
+        macs_performed: changed * row,
+        from_scratch,
     }
 }
 
@@ -439,8 +623,8 @@ mod tests {
     fn panel_batched_step_matches_naive_walk() {
         // Odd cell_dim so the packed panels have a partial tail lane.
         // Under the scalar SIMD level the two walks are bit-identical
-        // (including stats). Under AVX2 the batched walk fuses deltas into
-        // FMAs, and — because h feeds back into the next step's code
+        // (including stats). Under AVX2 the correction kernels fuse deltas
+        // into FMAs, and — because h feeds back into the next step's code
         // comparison — a ULP difference could in principle flip a cluster
         // boundary, so only the hidden outputs are compared (within FMA
         // tolerance), not the per-step stats.
@@ -467,6 +651,67 @@ mod tests {
             let tol = reuse_tensor::simd::fma_tolerance(24 * 25, 30.0);
             let mismatch = reuse_tensor::simd::kernel_mismatch(&hb, &hn, tol);
             assert!(mismatch.is_none(), "step {step}: {mismatch:?}");
+        }
+    }
+
+    #[test]
+    fn a_block_leaves_the_buffers_single_steps_leave() {
+        // Codes, buffered pre-activations and recurrent state, bit for bit,
+        // at every length around the block size — with the clock on, which
+        // must change nothing but the spans.
+        for len in [1, 2, 5, 63, 64, 65, 130] {
+            let mut stepped = Harness::new(LstmCell::random(13, 11, &mut Rng64::new(5)));
+            let mut blocked = stepped.state.clone();
+            let mut rng = Rng64::new(len as u64);
+            let mut frame = vec![0.0f32; 13];
+            let xs: Vec<Vec<f32>> = (0..len)
+                .map(|_| {
+                    frame
+                        .iter_mut()
+                        .for_each(|v| *v = (*v + rng.uniform(0.1)).clamp(-1.0, 1.0));
+                    frame.clone()
+                })
+                .collect();
+            for x in &xs {
+                stepped.step(x).unwrap();
+            }
+            let (cell, pack, quantizers) =
+                (&stepped.cell, &stepped.pack, (&stepped.xq, &stepped.hq));
+            let (mut emitted, mut timed_ns) = (0, 0);
+            let order = xs.iter().map(Vec::as_slice);
+            blocked
+                .step_block(cell, pack, quantizers, order, true, |_, _, span| {
+                    emitted += 1;
+                    timed_ns += span;
+                })
+                .unwrap();
+            assert_eq!(emitted, len);
+            assert!(timed_ns > 0, "a timed block reports spans");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(
+                blocked.prev_x_codes, stepped.state.prev_x_codes,
+                "len {len}"
+            );
+            assert_eq!(
+                blocked.prev_h_codes, stepped.state.prev_h_codes,
+                "len {len}"
+            );
+            assert_eq!(
+                bits(&blocked.prev_pre),
+                bits(&stepped.state.prev_pre),
+                "len {len}"
+            );
+            assert_eq!(
+                bits(&blocked.state.h),
+                bits(&stepped.state.state.h),
+                "len {len}"
+            );
+            assert_eq!(
+                bits(&blocked.state.c),
+                bits(&stepped.state.state.c),
+                "len {len}"
+            );
+            assert!(blocked.block.x_sums.len() <= BLOCK_STEPS * NUM_GATES * 11);
         }
     }
 

@@ -31,9 +31,10 @@ pub enum CompiledWeights {
     /// Conv2d/Conv3d: the layer's `[taps, out_c]` packed panels (taps in
     /// `(in_c, kd, kh, kw)` order, `kd = 1` for 2D).
     Conv(ConvPack),
-    /// LSTM: the combined four-gate `[rows, 4*d]` matrices.
+    /// LSTM: the gate weights as its corrections walk them — feed-forward
+    /// panels per gate, the combined recurrent `[d, 4*d]` matrix.
     Lstm(LstmGatePack),
-    /// BiLSTM: one combined gate pack per direction.
+    /// BiLSTM: one gate pack per direction.
     BiLstm {
         /// Forward-direction gate pack.
         fwd: LstmGatePack,

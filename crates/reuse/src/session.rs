@@ -1134,7 +1134,9 @@ impl ReuseSession {
             self.reset_buffers();
         }
         let model = Arc::clone(&self.model);
-        let mut seq: Vec<Vec<f32>> = frames.to_vec();
+        // Borrowed until a layer has produced its own outputs: the first
+        // layer only reads the caller's frames.
+        let mut seq = std::borrow::Cow::Borrowed(frames);
         let record_trace = model.config().records_trace();
         let timed = self.telemetry.is_some();
         let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); frames.len()];
@@ -1158,7 +1160,7 @@ impl ReuseSession {
                         record_trace.then_some(&mut traces[t]),
                     );
                 }
-                seq = out;
+                seq = out.into();
                 continue;
             }
             for (t, frame) in seq.iter().enumerate() {
@@ -1166,13 +1168,13 @@ impl ReuseSession {
             }
             let layer = &model.network().layers()[i].1;
             if !layer.is_recurrent() {
-                for frame in &mut seq {
+                for frame in seq.to_mut() {
                     model.network().apply_layer_into(i, frame, &mut next)?;
                     std::mem::swap(frame, &mut next);
                 }
                 continue;
             }
-            seq = layer.forward_sequence(&seq)?;
+            seq = layer.forward_sequence(&seq)?.into();
             if enabled {
                 // A cell's hidden inputs are its zero state, then its own
                 // outputs one step earlier: all but the last forward output
@@ -1204,8 +1206,8 @@ impl ReuseSession {
         } else if let Some(tel) = self.telemetry.as_mut() {
             tel.frames += frames.len() as u64;
         }
-        seq.into_iter()
-            .map(|o| Tensor::from_slice_1d(&o).map_err(ReuseError::from))
+        seq.iter()
+            .map(|o| Tensor::from_slice_1d(o).map_err(ReuseError::from))
             .collect()
     }
 }

@@ -4,10 +4,11 @@
 use proptest::prelude::*;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
+use reuse_core::layer::BiLstmReuseState;
 use reuse_core::lstm::{quantized_scratch_sequence, LstmGatePack, LstmReuseState};
-use reuse_core::ExecStats;
+use reuse_core::{CompiledWeights, ExecStats, ReuseLayer, StepCtx};
 use reuse_nn::{
-    init::Rng64, Activation, Conv2dLayer, Conv3dLayer, FullyConnected, Layer, LstmCell,
+    init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, Layer, LstmCell,
 };
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
@@ -353,6 +354,175 @@ proptest! {
                 prop_assert_eq!(sb.macs_performed, sn.macs_performed);
                 prop_assert_eq!(sb.n_changed, sn.n_changed);
             }
+        }
+    }
+}
+
+/// A seeded random walk of `len` frames: steps small enough that a frame
+/// changes about a third of its 16-cluster codes, with every fifth frame a
+/// repeat (an empty changed list).
+fn walk(len: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = Rng64::new(seed);
+    let mut frame = vec![0.0f32; dim];
+    (0..len)
+        .map(|t| {
+            if t % 5 != 4 {
+                for v in &mut frame {
+                    *v = (*v + rng.uniform(0.06)).clamp(-1.0, 1.0);
+                }
+            }
+            frame.clone()
+        })
+        .collect()
+}
+
+/// Steps fresh state through `xs` one `step_into_packed` call per timestep.
+fn lstm_single_steps<'x>(
+    cell: &LstmCell,
+    pack: &LstmGatePack,
+    q: &LinearQuantizer,
+    xs: impl Iterator<Item = &'x [f32]>,
+) -> (Vec<Vec<f32>>, Vec<ExecStats>, LstmReuseState) {
+    let mut state = LstmReuseState::new_shared(cell);
+    let (mut hs, mut stats, mut h) = (Vec::new(), Vec::new(), Vec::new());
+    for x in xs {
+        let s = state
+            .step_into_packed(&ParallelConfig::serial(), cell, pack, q, q, x, &mut h)
+            .unwrap();
+        hs.push(h.clone());
+        stats.push(s);
+    }
+    (hs, stats, state)
+}
+
+fn bits(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|r| r.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A sequence through one `step_block` call — one block, exactly one,
+    /// one and a bit, two and a bit — is, timestep for timestep, the bits of
+    /// one `step_into_packed` call per timestep (hidden outputs, every
+    /// `ExecStats`, the recurrent state left behind and what two further
+    /// steps make of the buffered codes and pre-activations), in either
+    /// visit order and however the sequence is split over calls; and at the
+    /// scalar level the bits of the naive oracle.
+    #[test]
+    fn lstm_block_equals_single_steps_and_the_naive_oracle(
+        // Off the 16-lane panel and the 8-lane vector on both sides.
+        n_in in proptest::sample::select(vec![1usize, 5, 13, 17, 33]),
+        d in proptest::sample::select(vec![1usize, 3, 11, 17]),
+        len in proptest::sample::select(vec![1usize, 2, 5, 63, 64, 65, 130]),
+        reversed in proptest::sample::select(vec![false, true]),
+        seed in 0u64..10_000,
+    ) {
+        let cell = LstmCell::random(n_in, d, &mut Rng64::new(seed));
+        let (pack, q) = (LstmGatePack::new(&cell), quantizer());
+        let mut xs = walk(len + 2, n_in, seed + 1);
+        if reversed {
+            xs.reverse();
+        }
+        let (probes, xs) = xs.split_at(2);
+        let order = || xs.iter().map(Vec::as_slice);
+
+        let (want_h, want_stats, mut stepped) = lstm_single_steps(&cell, &pack, &q, order());
+
+        let mut blocked = LstmReuseState::new_shared(&cell);
+        let (mut got_h, mut got_stats) = (Vec::new(), Vec::new());
+        blocked
+            .step_block(&cell, &pack, (&q, &q), order(), false, |h, s, span| {
+                got_h.push(h.to_vec());
+                got_stats.push(s);
+                assert_eq!(span, 0, "untimed blocks read no clock");
+            })
+            .unwrap();
+        prop_assert_eq!(bits(&got_h), bits(&want_h));
+        prop_assert_eq!(&got_stats, &want_stats);
+
+        // The same sequence over two calls, split off any block boundary.
+        let mut split = LstmReuseState::new_shared(&cell);
+        let mut split_h = Vec::new();
+        let cut = len / 3;
+        for part in [&xs[..cut], &xs[cut..]] {
+            let part = part.iter().map(Vec::as_slice);
+            split
+                .step_block(&cell, &pack, (&q, &q), part, true, |h, _, _| split_h.push(h.to_vec()))
+                .unwrap();
+        }
+        prop_assert_eq!(bits(&split_h), bits(&want_h));
+
+        // What is buffered shows in what comes next.
+        for state in [&mut blocked, &mut split] {
+            prop_assert_eq!(state.state(), stepped.state());
+        }
+        let (mut h_a, mut h_b) = (Vec::new(), Vec::new());
+        let cfg = ParallelConfig::serial();
+        for x in probes {
+            let a = stepped.step_into_packed(&cfg, &cell, &pack, &q, &q, x, &mut h_a).unwrap();
+            let b = blocked.step_into_packed(&cfg, &cell, &pack, &q, &q, x, &mut h_b).unwrap();
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(bits(std::slice::from_ref(&h_a)), bits(std::slice::from_ref(&h_b)));
+        }
+
+        let mut naive = LstmReuseState::new_shared(&cell);
+        let mut h_n = Vec::new();
+        let tol = reuse_tensor::simd::fma_tolerance((n_in + d + 1) * len, 30.0);
+        for (t, x) in order().enumerate() {
+            let s = naive.step_into_naive(&cell, &q, &q, x, &mut h_n).unwrap();
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&got_h[t], &h_n, tol);
+            prop_assert!(mismatch.is_none(), "t {}: {}", t, mismatch.unwrap());
+            if reuse_tensor::simd::is_bit_exact() {
+                prop_assert_eq!(s, got_stats[t]);
+            }
+        }
+    }
+}
+
+/// A BiLSTM layer's sequence step is two cells driven by hand: the forward
+/// one over ascending timesteps, the backward one over descending, outputs
+/// concatenated, stats merged — bit for bit, with a span per timestep when
+/// timed.
+#[test]
+fn bilstm_step_sequence_equals_two_hand_driven_cells() {
+    let (n_in, d, len) = (13, 5, 70);
+    let layer = BiLstmLayer::random(n_in, d, &mut Rng64::new(8));
+    let q = quantizer();
+    let (fwd, bwd) = (layer.forward_cell(), layer.backward_cell());
+    let (fwd_pack, bwd_pack) = (LstmGatePack::new(fwd), LstmGatePack::new(bwd));
+    let xs = walk(len, n_in, 9);
+    let (fwd_h, fwd_stats, _) = lstm_single_steps(fwd, &fwd_pack, &q, xs.iter().map(Vec::as_slice));
+    let (mut bwd_h, mut bwd_stats, _) =
+        lstm_single_steps(bwd, &bwd_pack, &q, xs.iter().rev().map(Vec::as_slice));
+    bwd_h.reverse();
+    bwd_stats.reverse();
+
+    let weights = CompiledWeights::BiLstm {
+        fwd: fwd_pack,
+        bwd: bwd_pack,
+    };
+    let wrapped = Layer::BiLstm(layer.clone());
+    let ctx = StepCtx {
+        layer: &wrapped,
+        weights: &weights,
+        quantizer_x: Some(&q),
+        quantizer_h: Some(&q),
+    };
+    for timed in [false, true] {
+        let mut state = BiLstmReuseState::new(&layer);
+        let (mut out, mut stats, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+        state
+            .step_sequence(&ctx, &xs, timed, &mut out, &mut stats, &mut spans)
+            .unwrap();
+        assert_eq!(spans.len(), len);
+        assert!(spans.iter().all(|&ns| (ns > 0) == timed), "{spans:?}");
+        for t in 0..len {
+            let both = [fwd_h[t].as_slice(), bwd_h[t].as_slice()].concat();
+            assert_eq!(bits(&out[t..=t]), bits(&[both]), "t {t}");
+            assert_eq!(stats[t], fwd_stats[t].merge(bwd_stats[t]), "t {t}");
         }
     }
 }

@@ -57,11 +57,14 @@ pub(crate) const TILE_LANES: usize = TILE_PANELS * PANEL_WIDTH;
 ///
 /// Packing is a one-time, per-layer cost paid at construction; the packed
 /// buffer is then read-only and streamed by the forward microkernel.
-/// (Reuse corrections read the *raw* row-major matrix instead — see
-/// [`apply_deltas_rows`] — because a sparse changed set touches only its
-/// own rows, which the raw matrix keeps contiguous; conv corrections, whose
-/// rows are `out_c` wide, read the panels: [`PackedPanels::gather_axpy`] and
-/// [`PackedPanels::axpy_row_grids`].)
+/// (FC corrections and an LSTM cell's recurrent side read the *raw*
+/// row-major matrix instead — see [`apply_deltas_rows`] — because one sparse
+/// changed set touches only its own rows, which the raw matrix keeps
+/// contiguous; conv corrections, whose rows are `out_c` wide, read the
+/// panels — [`PackedPanels::gather_axpy`] and
+/// [`PackedPanels::axpy_row_grids`] — and so does an LSTM cell's feed-forward
+/// side, which has a whole block of timesteps' changed sets to apply at once:
+/// [`PackedPanels::axpy_buckets`].)
 #[derive(Debug, Clone)]
 pub struct PackedPanels {
     data: Vec<f32>,
@@ -249,6 +252,116 @@ impl PackedPanels {
             _ => gather_axpy_scalar(self, image, windows, lanes, step, bucket, dst),
         }
     }
+
+    /// The bucket-apply half of [`Self::gather_axpy`] on its own, for any
+    /// number of buckets: `taps`/`deltas` hold the buckets' `(weight row, Δ)`
+    /// entries back to back, bucket `b` ending at entry `ends[b]` (and
+    /// starting where bucket `b − 1` ended), and `dst` is one `n_out`-wide
+    /// row per bucket:
+    ///
+    /// ```text
+    /// dst[b·n_out + c] += Δ_e · w[tap_e][c]     for e in bucket b, in order
+    /// ```
+    ///
+    /// Per output element that is one chain `z ← z + Δ·w` in entry order
+    /// from the value `dst` holds — multiply then add at the scalar
+    /// [`crate::simd::level`], fused at AVX2, as in `gather_axpy` — so a row
+    /// that enters as `+0.0` leaves holding its bucket's sum from zero, and
+    /// an empty bucket leaves its row untouched. This is an LSTM cell's
+    /// feed-forward correction over a block of timesteps (one bucket per
+    /// timestep): the walk is panel-outer, so a panel is fetched once per
+    /// block instead of once per timestep, and under AVX2 four buckets run
+    /// in lockstep against the resident panel — eight independent
+    /// accumulator chains. Which buckets share a pass never changes any
+    /// chain, so a result does not depend on how many buckets the call
+    /// carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `taps` and `deltas` differ in length, `ends` is not
+    /// ascending within them, `dst` is not `ends.len()` rows of `n_out`, or a
+    /// tap falls outside `0 .. n_in`.
+    pub fn axpy_buckets(&self, taps: &[u32], deltas: &[f32], ends: &[usize], dst: &mut [f32]) {
+        match simd::level() {
+            #[cfg(target_arch = "x86_64")]
+            simd::SimdLevel::Avx2 => simd::avx2::axpy_buckets(self, taps, deltas, ends, dst),
+            _ => axpy_buckets_scalar(self, taps, deltas, ends, dst),
+        }
+    }
+}
+
+/// The bounds every access of [`PackedPanels::axpy_buckets`] stays inside,
+/// checked once per call at both SIMD levels (the AVX2 body indexes through
+/// raw pointers on the strength of these).
+pub(crate) fn check_buckets(
+    packed: &PackedPanels,
+    taps: &[u32],
+    deltas: &[f32],
+    ends: &[usize],
+    dst: &[f32],
+) {
+    assert_eq!(taps.len(), deltas.len(), "bucket taps vs deltas");
+    let mut start = 0;
+    for &end in ends {
+        assert!(
+            start <= end && end <= taps.len(),
+            "bucket {start}..{end} of {} entries",
+            taps.len()
+        );
+        start = end;
+    }
+    assert_eq!(
+        dst.len(),
+        ends.len() * packed.n_out,
+        "one {}-wide row per bucket",
+        packed.n_out
+    );
+    if let Some(&tap) = taps[..start].iter().find(|&&t| t as usize >= packed.n_in) {
+        panic!("tap {tap} outside {} weight rows", packed.n_in);
+    }
+}
+
+/// The scalar body of [`PackedPanels::axpy_buckets`]: panel-outer, one
+/// bucket at a time against the resident panel. Public (but hidden) so the
+/// SIMD==scalar equivalence suites can pin the scalar side regardless of the
+/// dispatched level.
+#[doc(hidden)]
+pub fn axpy_buckets_scalar(
+    packed: &PackedPanels,
+    taps: &[u32],
+    deltas: &[f32],
+    ends: &[usize],
+    dst: &mut [f32],
+) {
+    check_buckets(packed, taps, deltas, ends, dst);
+    let n = packed.n_out;
+    for p in 0..packed.n_panels() {
+        let (panel, col0) = (packed.panel(p), p * PANEL_WIDTH);
+        let lanes = (n - col0).min(PANEL_WIDTH);
+        let mut start = 0;
+        for (b, &end) in ends.iter().enumerate() {
+            let seg = &mut dst[b * n + col0..][..lanes];
+            axpy_panel_scalar(panel, &taps[start..end], &deltas[start..end], seg);
+            start = end;
+        }
+    }
+}
+
+/// One bucket onto one panel's `seg.len() ≤ 16` lanes of a row: the sums
+/// stay in a fixed-width array across the bucket (the zero-padded tail lanes
+/// are computed and dropped), one multiply-then-add chain per output in
+/// bucket order.
+#[inline]
+fn axpy_panel_scalar(panel: &[f32], taps: &[u32], deltas: &[f32], seg: &mut [f32]) {
+    let mut acc = [0.0f32; PANEL_WIDTH];
+    acc[..seg.len()].copy_from_slice(seg);
+    for (&tap, &delta) in taps.iter().zip(deltas) {
+        let wrow = &panel[tap as usize * PANEL_WIDTH..][..PANEL_WIDTH];
+        for l in 0..PANEL_WIDTH {
+            acc[l] += delta * wrow[l];
+        }
+    }
+    seg.copy_from_slice(&acc[..seg.len()]);
 }
 
 /// One `lanes`-wide run of a receptive field in the delta image of
@@ -358,19 +471,8 @@ pub fn gather_axpy_scalar(
         }
         entries += len as u64;
         for (pi, seg) in row.chunks_mut(PANEL_WIDTH).enumerate() {
-            // The panel's sums stay in a fixed-width array across the bucket
-            // (the zero-padded tail lanes are computed and dropped), one
-            // chain per output in bucket order.
-            let panel = packed.panel(pi);
-            let mut acc = [0.0f32; PANEL_WIDTH];
-            acc[..seg.len()].copy_from_slice(seg);
-            for (&tap, &delta) in bucket.taps[..len].iter().zip(&bucket.deltas) {
-                let wrow = &panel[tap as usize * PANEL_WIDTH..][..PANEL_WIDTH];
-                for l in 0..PANEL_WIDTH {
-                    acc[l] += delta * wrow[l];
-                }
-            }
-            seg.copy_from_slice(&acc[..seg.len()]);
+            let (taps, deltas) = (&bucket.taps[..len], &bucket.deltas[..len]);
+            axpy_panel_scalar(packed.panel(pi), taps, deltas, seg);
         }
     }
     entries

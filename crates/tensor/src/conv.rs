@@ -643,34 +643,24 @@ fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
     }
 }
 
-/// Max pooling of either rank over flat `[c, d, h, w]` data (2D is the
-/// depth-1 case with a depth-1 window): clears `out`, writes the pooled
-/// `[c, od, oh, ow]` data into it and returns `[od, oh, ow]`. In ceil mode
-/// (Caffe's convention, used by C3D) a final partial window is emitted when
-/// the stride does not divide an axis evenly; it may hang over the edge, and
-/// each window's ends are clamped once per output rather than every tap being
-/// tested.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when a stride is zero, a window does
-/// not fit its axis, or `x` is not a whole number of `d·h·w` volumes.
-pub fn max_pool_into(
-    x: &[f32],
+/// Input columns the pooling passes hold on the stack at a time.
+const POOL_TILE: usize = 128;
+
+/// `[od, oh, ow]`, unless the inputs are bad for pooling: a zero stride, an
+/// empty or ragged volume, a window larger than an axis, or a ceil-mode
+/// stride so far past its window that the last window would start beyond the
+/// edge and hold no input at all.
+fn pool_output_dhw(
+    len: usize,
     dhw: [usize; 3],
     window: [usize; 3],
     stride: [usize; 3],
     ceil: bool,
-    out: &mut Vec<f32>,
 ) -> Result<[usize; 3], TensorError> {
-    let [d, h, w] = dhw;
-    let volume = d * h * w;
-    if stride.contains(&0) || volume == 0 || !x.len().is_multiple_of(volume) {
+    let volume: usize = dhw.iter().product();
+    if stride.contains(&0) || volume == 0 || !len.is_multiple_of(volume) {
         return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "pool stride {stride:?} over {} values in {dhw:?} volumes",
-                x.len()
-            ),
+            context: format!("pool stride {stride:?} over {len} values in {dhw:?} volumes"),
         });
     }
     let out_dhw: [usize; 3] =
@@ -680,11 +670,121 @@ pub fn max_pool_into(
             context: format!("pool window {window:?} larger than input {dhw:?}"),
         });
     }
-    let [od, oh, ow] = out_dhw;
+    if (0..3).any(|a| (out_dhw[a] - 1) * stride[a] >= dhw[a]) {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("pool stride {stride:?} steps a ceil window past input {dhw:?}"),
+        });
+    }
+    Ok(out_dhw)
+}
+
+/// Max pooling of either rank over flat `[c, d, h, w]` data (2D is the
+/// depth-1 case with a depth-1 window): clears `out`, writes the pooled
+/// `[c, od, oh, ow]` data into it and returns `[od, oh, ow]`. In ceil mode
+/// (Caffe's convention, used by C3D) a final partial window is emitted when
+/// the stride does not divide an axis evenly; it may hang over the edge, and
+/// each window's ends are clamped once per output rather than every tap being
+/// tested.
+///
+/// Two passes per output row, `POOL_TILE` (128) input columns at a time: the
+/// window's `(iz, iy)` input rows are folded elementwise into a stack tile
+/// (whole rows, which the compiler vectorises), then each output folds its
+/// columns of the tile. Every fold is the select `if v > m { m = v }` from
+/// `−∞`: a NaN never wins, exactly as `f32::max` ignores it, and an all-NaN
+/// window yields `−∞`. The one thing the fold order can show in is the sign
+/// of a zero maximum — `+0.0` and `−0.0` compare equal, so whichever a fold
+/// meets first stays.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when a stride is zero, a window does
+/// not fit its axis, a ceil-mode window would start past the edge, or `x` is
+/// not a whole number of `d·h·w` volumes.
+pub fn max_pool_into(
+    x: &[f32],
+    dhw: [usize; 3],
+    window: [usize; 3],
+    stride: [usize; 3],
+    ceil: bool,
+    out: &mut Vec<f32>,
+) -> Result<[usize; 3], TensorError> {
+    let [od, oh, ow] = pool_output_dhw(x.len(), dhw, window, stride, ceil)?;
+    let [d, h, w] = dhw;
+    let volume = d * h * w;
     let ends = |o: usize, a: usize| (o * stride[a], (o * stride[a] + window[a]).min(dhw[a]));
+    // A select and an unconditional store (a conditional one would keep the
+    // row folds scalar).
+    let keep_max = |m: &mut f32, v: f32| *m = if v > *m { v } else { *m };
     out.clear();
-    out.reserve(x.len() / volume * od * oh * ow);
+    out.resize(x.len() / volume * od * oh * ow, f32::NEG_INFINITY);
+    let mut out_rows = out.chunks_exact_mut(ow);
+    let mut tile = [0.0f32; POOL_TILE];
     for channel in x.chunks_exact(volume) {
+        for oz in 0..od {
+            let (z0, z1) = ends(oz, 0);
+            for oy in 0..oh {
+                let (y0, y1) = ends(oy, 1);
+                let out_row = out_rows.next().expect("one output row per (c, oz, oy)");
+                for c0 in (0..w).step_by(POOL_TILE) {
+                    let tile = &mut tile[..(w - c0).min(POOL_TILE)];
+                    tile.fill(f32::NEG_INFINITY);
+                    for iz in z0..z1 {
+                        for iy in y0..y1 {
+                            let row = &channel[(iz * h + iy) * w + c0..][..tile.len()];
+                            for (m, &v) in tile.iter_mut().zip(row) {
+                                keep_max(m, v);
+                            }
+                        }
+                    }
+                    if window[2] == 2 && stride[2] == 2 {
+                        // Windows never straddle a tile (its width is even):
+                        // whole pairs, which the compiler de-interleaves
+                        // into vectors, then the ceil-mode single column.
+                        let (pairs, last) = tile.as_chunks::<2>();
+                        let outs = &mut out_row[c0 / 2..];
+                        for (m, &[a, b]) in outs.iter_mut().zip(pairs) {
+                            keep_max(m, a);
+                            keep_max(m, b);
+                        }
+                        if let (Some(m), &[v]) = (outs.get_mut(pairs.len()), last) {
+                            keep_max(m, v);
+                        }
+                        continue;
+                    }
+                    // The outputs whose windows reach into this tile, each
+                    // folding the columns it has there.
+                    let first = (c0 + 1).saturating_sub(window[2]).div_ceil(stride[2]);
+                    for (ox, m) in out_row.iter_mut().enumerate().skip(first) {
+                        let (x0, x1) = ends(ox, 2);
+                        if x0 >= c0 + tile.len() {
+                            break;
+                        }
+                        let from = x0.max(c0) - c0;
+                        let to = x1.min(c0 + tile.len()) - c0;
+                        tile[from..to].iter().for_each(|&v| keep_max(m, v));
+                    }
+                }
+            }
+        }
+    }
+    Ok([od, oh, ow])
+}
+
+/// The per-output nest [`max_pool_into`] replaced, kept as its oracle: every
+/// window folded tap by tap through `f32::max`.
+#[cfg(test)]
+fn max_pool_naive(
+    x: &[f32],
+    dhw: [usize; 3],
+    window: [usize; 3],
+    stride: [usize; 3],
+    ceil: bool,
+) -> Result<([usize; 3], Vec<f32>), TensorError> {
+    let [od, oh, ow] = pool_output_dhw(x.len(), dhw, window, stride, ceil)?;
+    let [d, h, w] = dhw;
+    let ends = |o: usize, a: usize| (o * stride[a], (o * stride[a] + window[a]).min(dhw[a]));
+    let mut out = Vec::new();
+    for channel in x.chunks_exact(d * h * w) {
         for oz in 0..od {
             let (z0, z1) = ends(oz, 0);
             for oy in 0..oh {
@@ -705,7 +805,7 @@ pub fn max_pool_into(
             }
         }
     }
-    Ok(out_dhw)
+    Ok(([od, oh, ow], out))
 }
 
 #[cfg(test)]
@@ -951,6 +1051,60 @@ mod tests {
         assert!(pool(&[0.0; 4], [1, 2, 2], [1, 3], [1, 3], false).is_err());
         assert!(pool(&[0.0; 4], [1, 2, 2], [1, 2], [1, 0], false).is_err());
         assert!(pool(&[0.0; 5], [1, 2, 2], [1, 2], [1, 2], false).is_err());
+        // Ceil mode, width 8, window 1, stride 3: a fourth window would
+        // start at column 9 (this used to panic on an inverted slice).
+        assert!(pool(&[0.0; 8], [1, 1, 8], [1, 1], [1, 3], true).is_err());
+        assert!(pool(&[0.0; 8], [1, 1, 8], [1, 1], [1, 3], false).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The two-pass pooling against the per-output nest it replaced,
+        /// bit for bit: ceil-mode partial windows, strides off the window,
+        /// rows and windows wider than the stack tile, widths off every
+        /// vector width, and NaN, ±∞ and ±0.0 among the inputs. The one
+        /// licence is the sign of a zero maximum, which `f32::max` leaves
+        /// open and the fold order decides.
+        #[test]
+        fn max_pool_matches_the_per_output_nest_bitwise(
+            channels in 1usize..3,
+            (d, h) in (1usize..4, 1usize..6),
+            w in proptest::sample::select(vec![1usize, 2, 5, 8, 9, 17, 31, 127, 129, 263]),
+            (wd, wh) in (1usize..3, 1usize..4),
+            ww in proptest::sample::select(vec![1usize, 2, 3, 5, 130]),
+            (sd, sh, sw) in (1usize..3, 1usize..3, 1usize..4),
+            ceil in proptest::sample::select(vec![false, true]),
+            seed in 0u64..1_000_000,
+        ) {
+            let (dhw, window, stride) = ([d, h, w], [wd, wh, ww], [sd, sh, sw]);
+            let mut s = seed | 1;
+            let x: Vec<f32> = (0..channels * d * h * w)
+                .map(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    match (s >> 33) % 16 {
+                        0 => f32::NAN,
+                        1 => 0.0,
+                        2 => -0.0,
+                        3 => f32::NEG_INFINITY,
+                        4 => f32::INFINITY,
+                        _ => ((s >> 40) % 2001) as f32 / 100.0 - 10.0,
+                    }
+                })
+                .collect();
+            let mut out = vec![7.0; 3];
+            let got = max_pool_into(&x, dhw, window, stride, ceil, &mut out);
+            let want = max_pool_naive(&x, dhw, window, stride, ceil);
+            proptest::prop_assert_eq!(got.is_ok(), want.is_ok());
+            if let (Ok(got_dhw), Ok((want_dhw, want))) = (got, want) {
+                proptest::prop_assert_eq!(got_dhw, want_dhw);
+                proptest::prop_assert_eq!(out.len(), want.len());
+                for (i, (a, b)) in out.iter().zip(&want).enumerate() {
+                    let same = a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0);
+                    proptest::prop_assert!(same, "out[{i}]: {a:e} vs {b:e}");
+                }
+            }
+        }
     }
 
     fn ramp(n: usize) -> Vec<f32> {

@@ -42,6 +42,12 @@
 //! Quantization (`reuse-quant`) is the exception: its AVX2 kernel emulates
 //! `f32::round` exactly, so quantized codes — and hence changed-input sets,
 //! reuse hit rates, and MAC counts — are bit-identical across levels.
+//!
+//! So are the nonlinearities. [`sigmoid`] and [`tanh`] are defined here, once,
+//! as polynomial kernels that never fuse a multiply with an add, and their
+//! slice forms ([`sigmoid_slice`], [`tanh_slice`], [`lstm_gate_update`]) are
+//! that same code compiled for 256-bit registers: the level decides how many
+//! lanes run at once and nothing else. No hot path calls the host's libm.
 
 use std::sync::OnceLock;
 
@@ -196,6 +202,167 @@ pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
     }
 }
 
+/// `e^r − 1 − r` over `r²` on `|r| ≤ ln 2 / 2`, highest degree first: the
+/// minimax coefficients of Cephes `expf` (theoretical peak relative error
+/// 4.2e-9 on the interval), digits as published.
+#[allow(clippy::excessive_precision)]
+const EXP_POLY: [f32; 6] = [
+    1.987_569_15e-4,
+    1.398_199_95e-3,
+    8.333_451_91e-3,
+    4.166_579_59e-2,
+    1.666_666_55e-1,
+    5.000_000_12e-1,
+];
+
+/// `tanh(a) / a − 1` over `a²` on `a < 0.625`, highest degree first (Cephes
+/// `tanhf`), digits as published.
+#[allow(clippy::excessive_precision)]
+const TANH_POLY: [f32; 5] = [
+    -5.704_988_73e-3,
+    2.063_908_88e-2,
+    -5.373_971_55e-2,
+    1.333_144_22e-1,
+    -3.333_328_19e-1,
+];
+
+/// `1.5 · 2²³`: added to a float below `2²²` in magnitude it leaves that
+/// float, rounded to the nearest integer, in the low mantissa bits of the
+/// sum — a rounding and a float-to-int conversion out of one add.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `ln 2` split so that `n · LN2_HI` is exact for every `|n| ≤ 128`.
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+
+/// `exp` clamps its argument here from below (`ln 2⁻¹²⁶`: the scale factor
+/// stays a normal number) and overflows to `+∞` above [`EXP_HI`], the
+/// largest argument whose scale factor `2¹²⁷` is still finite. Both callers
+/// add the result to 1, where anything below `2⁻²⁵` vanishes and anything
+/// above `2²⁵` gives the same quotient as `+∞` to within `10⁻³⁸`.
+const EXP_LO: f32 = -87.336_54;
+const EXP_HI: f32 = 88.376_26;
+
+/// `e^x` for the two functions below: Cody–Waite reduction `x = n·ln 2 + r`,
+/// the Cephes polynomial on `r`, `2ⁿ` built in the exponent field. Multiply
+/// and add only — never fused — plus selects and integer bit operations, so
+/// every SIMD width computes the same bits. NaN propagates (the clamp is a
+/// select that keeps it).
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    let v = if x < EXP_LO { EXP_LO } else { x };
+    let shifted = v * core::f32::consts::LOG2_E + ROUND_MAGIC;
+    let n = shifted - ROUND_MAGIC;
+    let r = (v - n * LN2_HI) - n * LN2_LO;
+    let [c5, c4, c3, c2, c1, c0] = EXP_POLY;
+    let poly = ((((c5 * r + c4) * r + c3) * r + c2) * r + c1) * r + c0;
+    let mantissa = poly * (r * r) + r + 1.0;
+    // `shifted`'s low mantissa bits hold `n` in two's complement.
+    let n = (shifted.to_bits() as i32).wrapping_sub(ROUND_MAGIC.to_bits() as i32);
+    let scale = f32::from_bits((n.wrapping_add(127) << 23) as u32);
+    if v > EXP_HI {
+        f32::INFINITY
+    } else {
+        mantissa * scale
+    }
+}
+
+/// The logistic function `σ(x) = 1 / (1 + e⁻ˣ)` — the one definition every
+/// path of the workspace evaluates (fp32 reference, reuse-off twin and reuse
+/// path alike), in place of the host's libm.
+///
+/// Within `2e-7` of the exact value everywhere, always inside `[0, 1]`,
+/// `σ(0) = 0.5`, `σ(−∞) = 0`, `σ(+∞) = 1`, NaN for NaN. Built from
+/// multiplies, adds, one divide, selects and integer bit operations, none
+/// fused: the result is the same bit pattern whether the compiler runs it
+/// one lane at a time or eight ([`sigmoid_slice`]), on any host.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + exp(-x))
+}
+
+/// The hyperbolic tangent `φ(x)`, under the same contract as [`sigmoid`]:
+/// within `2e-7` of the exact value, `φ(−x) = −φ(x)` bit for bit (the sign
+/// is masked off and put back), exactly `±1` from `|x| ≈ 9` on and at `±∞`,
+/// `±0` for `±0`, NaN for NaN. Cephes `tanhf`: an odd polynomial below
+/// `0.625`, `1 − 2 / (e²ˣ + 1)` above, both evaluated and one selected.
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let sign = x.to_bits() & 0x8000_0000;
+    let a = f32::from_bits(x.to_bits() & 0x7fff_ffff);
+    let z = a * a;
+    let [t4, t3, t2, t1, t0] = TANH_POLY;
+    let small = ((((t4 * z + t3) * z + t2) * z + t1) * z + t0) * z * a + a;
+    let big = 1.0 - 2.0 / (exp(2.0 * a) + 1.0);
+    let magnitude = if a < 0.625 { small } else { big };
+    f32::from_bits(magnitude.to_bits() | sign)
+}
+
+/// `v ← σ(v)` over a slice, dispatched on [`level`]; both levels produce
+/// [`sigmoid`]'s bits.
+pub fn sigmoid_slice(values: &mut [f32]) {
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => avx2::sigmoid_slice(values),
+        _ => values.iter_mut().for_each(|v| *v = sigmoid(*v)),
+    }
+}
+
+/// `v ← φ(v)` over a slice, dispatched on [`level`]; both levels produce
+/// [`tanh`]'s bits.
+pub fn tanh_slice(values: &mut [f32]) {
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => avx2::tanh_slice(values),
+        _ => values.iter_mut().for_each(|v| *v = tanh(*v)),
+    }
+}
+
+/// The LSTM cell update (paper Eqs. 3–8) over all units of a cell, from the
+/// four gates' linear pre-activations `pre = [i | f | g | o]`, each
+/// `c.len()` long:
+///
+/// ```text
+/// c[j] ← σ(f[j])·c[j] + σ(i[j])·φ(g[j])        h[j] ← σ(o[j])·φ(c[j])
+/// ```
+///
+/// One fused pass — five [`sigmoid`]/[`tanh`] evaluations per unit with no
+/// intermediate buffer — dispatched on [`level`] and bit-identical at both
+/// (products and the sum are separate roundings at either level; only a
+/// NaN's payload, where two NaN operands meet, is the instruction's choice).
+///
+/// # Panics
+///
+/// Panics when `pre` is not four times as long as `c`, or `h` differs from
+/// `c` in length.
+pub fn lstm_gate_update(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
+    assert_eq!(pre.len(), 4 * c.len(), "four gates per cell unit");
+    assert_eq!(h.len(), c.len(), "hidden vs cell state length");
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => avx2::lstm_gate_update(pre, c, h),
+        _ => lstm_gate_update_body(pre, c, h),
+    }
+}
+
+/// The loop both levels of [`lstm_gate_update`] compile: as written for the
+/// scalar level, and once more inside an AVX2 `target_feature` function,
+/// where the compiler widens it to eight lanes.
+#[inline(always)]
+fn lstm_gate_update_body(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
+    let d = c.len();
+    let (gi, rest) = pre.split_at(d);
+    let (gf, rest) = rest.split_at(d);
+    let (gg, go) = rest.split_at(d);
+    // The callers checked the lengths; restating them here lets the compiler
+    // drop every bounds check and widen the loop.
+    for j in 0..d.min(h.len()).min(go.len()) {
+        let cell = sigmoid(gf[j]) * c[j] + sigmoid(gi[j]) * tanh(gg[j]);
+        c[j] = cell;
+        h[j] = sigmoid(go[j]) * tanh(cell);
+    }
+}
+
 /// AVX2+FMA kernel implementations (x86-64 only).
 ///
 /// Every function is a safe wrapper that panics when the host lacks
@@ -209,8 +376,8 @@ pub mod avx2 {
 
     use super::LEFT_PACK;
     use crate::block::{
-        check_gather, PackedPanels, RowGrid, TapBucket, TapWindow, DELTA_BATCH, PANEL_WIDTH,
-        TILE_LANES, TILE_PANELS,
+        check_buckets, check_gather, PackedPanels, RowGrid, TapBucket, TapWindow, DELTA_BATCH,
+        PANEL_WIDTH, TILE_LANES, TILE_PANELS,
     };
 
     // The kernels hand-unroll two 256-bit registers per panel row.
@@ -585,6 +752,59 @@ pub mod avx2 {
         }
     }
 
+    /// AVX2 body of [`super::sigmoid_slice`]: the scalar loop compiled with
+    /// 256-bit registers available (and no FMA contraction — Rust never
+    /// fuses a separate multiply and add), hence the scalar loop's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2.
+    pub fn sigmoid_slice(values: &mut [f32]) {
+        require();
+        // SAFETY: `require` checked the host runs AVX2 code.
+        unsafe { sigmoid_slice_impl(values) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn sigmoid_slice_impl(values: &mut [f32]) {
+        values.iter_mut().for_each(|v| *v = super::sigmoid(*v));
+    }
+
+    /// AVX2 body of [`super::tanh_slice`]; see [`sigmoid_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2.
+    pub fn tanh_slice(values: &mut [f32]) {
+        require();
+        // SAFETY: `require` checked the host runs AVX2 code.
+        unsafe { tanh_slice_impl(values) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh_slice_impl(values: &mut [f32]) {
+        values.iter_mut().for_each(|v| *v = super::tanh(*v));
+    }
+
+    /// AVX2 body of [`super::lstm_gate_update`]; see [`sigmoid_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2, and where
+    /// [`super::lstm_gate_update`] does.
+    pub fn lstm_gate_update(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
+        require();
+        assert_eq!(pre.len(), 4 * c.len(), "four gates per cell unit");
+        assert_eq!(h.len(), c.len(), "hidden vs cell state length");
+        // SAFETY: `require` checked the host runs AVX2 code.
+        unsafe { lstm_gate_update_impl(pre, c, h) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn lstm_gate_update_impl(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
+        super::lstm_gate_update_body(pre, c, h);
+    }
+
     /// AVX2 body of [`PackedPanels::axpy_row_grids`]: every step a fused
     /// 8-lane vector, the last `n_out % 8` lanes under a mask (masked-off
     /// lanes are neither loaded nor stored).
@@ -731,6 +951,136 @@ pub mod avx2 {
             }
         }
         entries
+    }
+
+    /// AVX2 body of [`PackedPanels::axpy_buckets`]: panel-outer, buckets in
+    /// groups of four run in lockstep against the resident panel
+    /// (`axpy_quad`); the last `ends.len() % 4` buckets go through
+    /// `axpy_bucket`, the kernel a conv position's bucket goes through.
+    /// Both fuse every step in entry order, so which kernel a bucket meets
+    /// shows in no bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host lacks AVX2/FMA, and where
+    /// [`PackedPanels::axpy_buckets`] does.
+    pub fn axpy_buckets(
+        packed: &PackedPanels,
+        taps: &[u32],
+        deltas: &[f32],
+        ends: &[usize],
+        dst: &mut [f32],
+    ) {
+        require();
+        check_buckets(packed, taps, deltas, ends, dst);
+        // SAFETY: `require` checked the host runs AVX2+FMA code.
+        // `check_buckets` asserted that the buckets `ends` delimits lie in
+        // order inside `taps` and `deltas`, that every tap in them is a
+        // weight row, and that `dst` is one `n_out`-wide row per bucket.
+        unsafe { axpy_buckets_impl(packed, taps, deltas, ends, dst) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn axpy_buckets_impl(
+        packed: &PackedPanels,
+        taps: &[u32],
+        deltas: &[f32],
+        ends: &[usize],
+        dst: &mut [f32],
+    ) {
+        let n = packed.n_out();
+        let (taps, deltas, dp) = (taps.as_ptr(), deltas.as_ptr(), dst.as_mut_ptr());
+        let start = |b: usize| if b == 0 { 0 } else { ends[b - 1] };
+        let quads = ends.len() / 4;
+        for p in 0..packed.n_panels() {
+            let col0 = p * PANEL_WIDTH;
+            let lanes = (n - col0).min(PANEL_WIDTH);
+            let w = packed.panel(p).as_ptr();
+            for q in 0..quads {
+                let from: [usize; 4] = core::array::from_fn(|k| start(4 * q + k));
+                let len: [usize; 4] = core::array::from_fn(|k| ends[4 * q + k] - from[k]);
+                // SAFETY: the caller's contract (see `axpy_buckets`); rows
+                // `4q .. 4q + 4` of `dst` exist and hold `lanes` floats from
+                // column `col0`.
+                unsafe {
+                    axpy_quad(
+                        w,
+                        taps,
+                        deltas,
+                        from,
+                        len,
+                        dp.add(4 * q * n + col0),
+                        n,
+                        lanes,
+                    )
+                };
+            }
+        }
+        for (b, &end) in ends.iter().enumerate().skip(4 * quads) {
+            let (from, len) = (start(b), end - start(b));
+            // SAFETY: the caller's contract (see `axpy_buckets`).
+            unsafe { axpy_bucket(packed, taps.add(from), deltas.add(from), len, dp.add(b * n)) };
+        }
+    }
+
+    /// Four buckets onto one panel's lanes of four consecutive rows of
+    /// `dst`, `stride` floats apart: bucket `k` is the `len[k]` entries from
+    /// `from[k]`. The buckets advance in lockstep over their common length —
+    /// eight independent chains, where one bucket alone would wait out the
+    /// FMA latency on two — and finish one by one.
+    ///
+    /// # Safety
+    ///
+    /// `panel` points at a panel whose rows include every tap of the four
+    /// buckets, which lie inside `taps`/`deltas`; `dst` points at `lanes ≤
+    /// 16` writable floats in each of four rows `stride` apart; the host
+    /// runs AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn axpy_quad(
+        panel: *const f32,
+        taps: *const u32,
+        deltas: *const f32,
+        from: [usize; 4],
+        len: [usize; 4],
+        dst: *mut f32,
+        stride: usize,
+        lanes: usize,
+    ) {
+        let mut rows = [[0.0f32; PANEL_WIDTH]; 4];
+        let mut acc = [_mm256_setzero_ps(); 8];
+        // SAFETY: the caller's contract covers every lane copied, every
+        // entry read and every weight row loaded; a partial panel's lanes
+        // are staged through `rows` so the 8-lane loads and stores never
+        // leave a row of `dst`.
+        unsafe {
+            for k in 0..4 {
+                core::ptr::copy_nonoverlapping(dst.add(k * stride), rows[k].as_mut_ptr(), lanes);
+                acc[2 * k] = _mm256_loadu_ps(rows[k].as_ptr());
+                acc[2 * k + 1] = _mm256_loadu_ps(rows[k].as_ptr().add(8));
+            }
+            let step = |acc: &mut [__m256; 8], k: usize, e: usize| {
+                let delta = _mm256_broadcast_ss(&*deltas.add(from[k] + e));
+                let row = panel.add(*taps.add(from[k] + e) as usize * PANEL_WIDTH);
+                acc[2 * k] = _mm256_fmadd_ps(delta, _mm256_loadu_ps(row), acc[2 * k]);
+                acc[2 * k + 1] =
+                    _mm256_fmadd_ps(delta, _mm256_loadu_ps(row.add(8)), acc[2 * k + 1]);
+            };
+            let common = len[0].min(len[1]).min(len[2]).min(len[3]);
+            for e in 0..common {
+                for k in 0..4 {
+                    step(&mut acc, k, e);
+                }
+            }
+            for k in 0..4 {
+                for e in common..len[k] {
+                    step(&mut acc, k, e);
+                }
+                _mm256_storeu_ps(rows[k].as_mut_ptr(), acc[2 * k]);
+                _mm256_storeu_ps(rows[k].as_mut_ptr().add(8), acc[2 * k + 1]);
+                core::ptr::copy_nonoverlapping(rows[k].as_ptr(), dst.add(k * stride), lanes);
+            }
+        }
     }
 
     /// Adds `Σ_e deltas[e] · w[taps[e]]` onto the `n_out` floats at `dst`,

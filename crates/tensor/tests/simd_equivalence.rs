@@ -9,12 +9,13 @@
 //! The kernels fuse multiply-adds, so agreement is within
 //! `simd::fma_tolerance` (the scalar bodies multiply then add); the
 //! accumulation *order* is identical by the `reuse_tensor::simd` contract.
+//! The σ/φ kernels fuse nothing and owe the scalar definitions' exact bits.
 //! On non-AVX2 hosts every test passes vacuously.
 
 #![cfg(target_arch = "x86_64")]
 
 use proptest::prelude::*;
-use reuse_tensor::block::{gather_axpy_scalar, RowGrid, TapBucket, TapWindow};
+use reuse_tensor::block::{axpy_buckets_scalar, gather_axpy_scalar, RowGrid, TapBucket, TapWindow};
 use reuse_tensor::simd::{self, avx2};
 use reuse_tensor::PackedPanels;
 
@@ -242,6 +243,123 @@ proptest! {
     }
 
     #[test]
+    fn axpy_buckets_matches_the_entry_loop_bitwise(
+        n_out in proptest::sample::select(vec![1usize, 7, 16, 24, 36, 130]),
+        n_in in 1usize..40,
+        // No bucket, fewer than a lockstep group, whole groups, a remainder.
+        buckets in 0usize..10,
+        // Empty lists, short ones, and ones far longer than a conv position
+        // ever gathers (AutoPilot's largest bucket is 24·5·5 = 600 entries).
+        longest in proptest::sample::select(vec![0usize, 3, 40, 1500]),
+        seed in 0u64..100_000,
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let unit = |r: u64| (r % 2_000_001) as f32 / 1_000_000.0 - 1.0;
+        let w: Vec<f32> = (0..n_in * n_out).map(|_| unit(next())).collect();
+        let packed = PackedPanels::pack_slice(&w, n_in, n_out);
+        let (mut taps, mut deltas, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..buckets {
+            // Lengths differ inside a group, so its buckets finish apart.
+            for _ in 0..next() as usize % (longest + 1) {
+                taps.push((next() % n_in as u64) as u32);
+                deltas.push(unit(next()));
+            }
+            ends.push(taps.len());
+        }
+        // Rows enter as +0.0: a row's sum from zero, as the LSTM x phase
+        // takes it, and untouched — still +0.0 — under an empty bucket.
+        let start = vec![0.0f32; buckets * n_out];
+        let entry_loop = |fused: bool| {
+            let mut want = start.clone();
+            let mut from = 0;
+            for (row, &end) in want.chunks_mut(n_out).zip(&ends) {
+                for e in from..end {
+                    let wrow = &w[taps[e] as usize * n_out..][..n_out];
+                    for (o, &wv) in row.iter_mut().zip(wrow) {
+                        *o = if fused { deltas[e].mul_add(wv, *o) } else { *o + deltas[e] * wv };
+                    }
+                }
+                from = end;
+            }
+            want
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+
+        let mut scalar = start.clone();
+        axpy_buckets_scalar(&packed, &taps, &deltas, &ends, &mut scalar);
+        prop_assert_eq!(bits(&scalar), bits(&entry_loop(false)), "scalar body vs the entry loop");
+
+        // However the buckets are split over calls, the dispatched kernel
+        // produces the bits of one bucket per call.
+        let mut together = start.clone();
+        let mut apart = start.clone();
+        packed.axpy_buckets(&taps, &deltas, &ends, &mut together);
+        let mut from = 0;
+        for (row, &end) in apart.chunks_mut(n_out).zip(&ends) {
+            packed.axpy_buckets(&taps[from..end], &deltas[from..end], &[end - from], row);
+            from = end;
+        }
+        prop_assert_eq!(bits(&together), bits(&apart), "one call vs one call per bucket");
+
+        if !avx2::available() {
+            return Ok(());
+        }
+        let mut fast = start.clone();
+        avx2::axpy_buckets(&packed, &taps, &deltas, &ends, &mut fast);
+        prop_assert_eq!(bits(&fast), bits(&entry_loop(true)), "avx2 body vs the fused entry loop");
+    }
+
+    #[test]
+    fn sigmoid_and_tanh_slices_match_the_scalar_definitions_bitwise(
+        len in 0usize..18,
+        seed in 0u64..100_000,
+    ) {
+        if !avx2::available() {
+            return Ok(());
+        }
+        // Slice lengths 0–17 cover every vector tail; the values mix the
+        // working range with the special cases.
+        let mut s = seed | 1;
+        let x: Vec<f32> = (0..len)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                match (s >> 33) % 8 {
+                    0 => SPECIALS[(s >> 40) as usize % SPECIALS.len()],
+                    _ => ((s >> 36) % 200_001) as f32 / 1000.0 - 100.0,
+                }
+            })
+            .collect();
+        let mut fast = x.clone();
+        avx2::sigmoid_slice(&mut fast);
+        for (&v, &got) in x.iter().zip(&fast) {
+            prop_assert!(same_bits(got, simd::sigmoid(v)), "sigmoid({:e})", v);
+        }
+        let mut fast = x.clone();
+        avx2::tanh_slice(&mut fast);
+        for (&v, &got) in x.iter().zip(&fast) {
+            prop_assert!(same_bits(got, simd::tanh(v)), "tanh({:e})", v);
+        }
+
+        // The fused cell update against its five-call spelling.
+        let pre: Vec<f32> = x.iter().cycle().take(4 * len).map(|v| v * 0.1).collect();
+        let c0: Vec<f32> = x.iter().map(|v| v * 0.01).collect();
+        let (mut c, mut h) = (c0.clone(), vec![0.0f32; len]);
+        avx2::lstm_gate_update(&pre, &mut c, &mut h);
+        for j in 0..len {
+            let (i, f) = (simd::sigmoid(pre[j]), simd::sigmoid(pre[len + j]));
+            let (g, o) = (simd::tanh(pre[2 * len + j]), simd::sigmoid(pre[3 * len + j]));
+            let cell = f * c0[j] + i * g;
+            prop_assert!(same_bits(c[j], cell), "c[{}]: {:e} vs {:e}", j, c[j], cell);
+            let hidden = o * simd::tanh(cell);
+            prop_assert!(same_bits(h[j], hidden), "h[{}]: {:e} vs {:e}", j, h[j], hidden);
+        }
+    }
+
+    #[test]
     fn row_axpy_matches_scalar(row in vals(40), scale in -8.0f32..8.0) {
         if !avx2::available() {
             return Ok(());
@@ -258,6 +376,102 @@ proptest! {
             prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
         }
     }
+}
+
+/// Inputs where σ/φ leave their polynomial: zeros, denormals, the `exp`
+/// clamps and the `tanh` branch point, saturation, infinities, NaN.
+const SPECIALS: [f32; 20] = [
+    0.0,
+    -0.0,
+    1e-45,
+    -1e-45,
+    1e-39,
+    f32::MIN_POSITIVE,
+    0.625,
+    -0.625,
+    9.0,
+    20.0,
+    -20.0,
+    87.4,
+    -87.4,
+    88.4,
+    -88.4,
+    104.0,
+    -104.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+];
+
+/// Bit equality, NaN payloads aside: which of two NaN operands an addition
+/// hands on is the one thing IEEE 754 (and Rust) leave to the instruction.
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Every input the σ/φ tests sweep: a dense walk of [−100, 100], both edges
+/// of every binade of either sign, and [`SPECIALS`].
+fn activation_sweep() -> Vec<f32> {
+    let dense = (-1_600_000..=1_600_000).map(|i| i as f32 / 16_000.0);
+    let binades = (0u32..255).flat_map(|e| {
+        let low = f32::from_bits(e << 23);
+        let high = f32::from_bits((e << 23) | 0x7f_ffff);
+        [low, high, -low, -high]
+    });
+    dense.chain(binades).chain(SPECIALS).collect()
+}
+
+#[test]
+fn sigmoid_and_tanh_avx2_bodies_match_scalar_over_the_whole_sweep() {
+    if !avx2::available() {
+        return;
+    }
+    let x = activation_sweep();
+    let (mut sig, mut tanh) = (x.clone(), x.clone());
+    avx2::sigmoid_slice(&mut sig);
+    avx2::tanh_slice(&mut tanh);
+    for ((&v, s), t) in x.iter().zip(sig).zip(tanh) {
+        assert!(same_bits(s, simd::sigmoid(v)), "sigmoid({v:e})");
+        assert!(same_bits(t, simd::tanh(v)), "tanh({v:e})");
+    }
+}
+
+#[test]
+fn sigmoid_and_tanh_stay_within_2e_7_of_f64_and_keep_their_shape() {
+    for v in activation_sweep() {
+        let (s, t) = (simd::sigmoid(v), simd::tanh(v));
+        if v.is_nan() {
+            assert!(s.is_nan() && t.is_nan());
+            continue;
+        }
+        let exact_s = 1.0 / (1.0 + (-f64::from(v)).exp());
+        let exact_t = f64::from(v).tanh();
+        assert!(
+            (f64::from(s) - exact_s).abs() <= 2e-7,
+            "sigmoid({v:e}) = {s:e}"
+        );
+        assert!(
+            (f64::from(t) - exact_t).abs() <= 2e-7,
+            "tanh({v:e}) = {t:e}"
+        );
+        assert!((0.0..=1.0).contains(&s), "sigmoid({v:e}) = {s:e}");
+        assert_eq!(
+            simd::tanh(-v).to_bits(),
+            (-t).to_bits(),
+            "tanh is odd at {v:e}"
+        );
+    }
+    // Saturation and special values, as libm has them.
+    assert_eq!(simd::sigmoid(0.0), 0.5);
+    assert_eq!(simd::tanh(20.0), 1.0);
+    assert_eq!(simd::tanh(-20.0), -1.0);
+    assert_eq!(simd::tanh(f32::INFINITY), 1.0);
+    assert_eq!(simd::tanh(0.0).to_bits(), 0.0f32.to_bits());
+    assert_eq!(simd::tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+    let low = simd::sigmoid(-104.0);
+    assert!(low >= 0.0 && low.is_finite());
+    assert_eq!(simd::sigmoid(f32::NEG_INFINITY), 0.0);
+    assert_eq!(simd::sigmoid(f32::INFINITY), 1.0);
 }
 
 /// A `#[should_panic]` test of an explicit AVX2 entry passes vacuously, like
@@ -298,4 +512,28 @@ fn avx2_matmul_rows_rejects_a_short_lhs() {
     need_avx2("A rows vs C rows");
     let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
     avx2::matmul_rows(&packed, &[1.0; 3], &mut [0.0; 2 * 20]);
+}
+
+// `axpy_buckets` checks the same bounds at both levels (the AVX2 body
+// indexes through raw pointers on the strength of them).
+
+#[test]
+#[should_panic(expected = "tap 3 outside 3 weight rows")]
+fn axpy_buckets_rejects_a_tap_past_the_weight_rows() {
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    packed.axpy_buckets(&[0, 3], &[1.0, 1.0], &[2], &mut [0.0; 20]);
+}
+
+#[test]
+#[should_panic(expected = "bucket 1..3 of 2 entries")]
+fn axpy_buckets_rejects_a_bucket_past_the_entries() {
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    packed.axpy_buckets(&[0, 1], &[1.0, 1.0], &[1, 3], &mut [0.0; 40]);
+}
+
+#[test]
+#[should_panic(expected = "one 20-wide row per bucket")]
+fn axpy_buckets_rejects_a_short_destination() {
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    packed.axpy_buckets(&[0, 1], &[1.0, 1.0], &[1, 2], &mut [0.0; 20]);
 }
