@@ -17,12 +17,14 @@
 //! DESIGN.md). The next row holds the conv *reuse* step to the paper's claim:
 //! on AutoPilot CONV2 at ~15% changed inputs, detecting and correcting must
 //! beat the layer's own packed forward by `REUSE_CONV_REUSE_MIN_SPEEDUP`
-//! (default 1.1 under AVX2; no floor at the scalar level). The last two hold
-//! the recurrent step's two levers, under AVX2 only and to constants: one
+//! (default 1.1 under AVX2; no floor at the scalar level). The last three hold
+//! the recurrent path's levers, under AVX2 only and to constants: one
 //! EESEN-shaped cell over a 40-step sequence must run ≥ 1.15× faster as one
 //! `step_block` call than as forty (the feed-forward weights fetched once
-//! per block instead of once per timestep), and the in-tree σ/φ cell update
-//! ≥ 3× faster than the libm-form loop it replaced.
+//! per block instead of once per timestep), its full-precision
+//! `forward_sequence_into` ≥ 1.5× faster than the per-`step` loop over the
+//! raw gate matrices it replaced, and the in-tree σ/φ cell update ≥ 3×
+//! faster than the libm-form loop it replaced.
 //!
 //! `kernel_bench --telemetry-smoke` runs the same steady-state frames
 //! through a session with telemetry off and on, in mirrored alternating
@@ -43,8 +45,9 @@ use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::layer::SERIAL;
 use reuse_core::lstm::{LstmGatePack, LstmReuseState};
 use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
+use reuse_nn::lstm::LstmScratch;
 use reuse_nn::{
-    init::Rng64, Activation, Conv2dLayer, Conv3dLayer, Layer, LstmCell, NetworkBuilder,
+    init::Rng64, Activation, Conv2dLayer, Conv3dLayer, Layer, LstmCell, LstmState, NetworkBuilder,
 };
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_into, conv_forward_naive, Conv2dSpec, Conv3dSpec};
@@ -310,6 +313,36 @@ fn lstm_block_speedup() -> (f64, f64) {
     (speedup, changed as f64 / inputs as f64)
 }
 
+/// The recurrent forward row of the `--perf-smoke` CI gate: one EESEN-shaped
+/// cell's full-precision pass over a 40-step sequence through
+/// `LstmCell::forward_sequence_into` (the x side as one GEMM per gate over the
+/// packed panels, then an h-only recurrence) against the per-timestep
+/// `LstmCell::step` loop over the raw gate matrices it replaced, kept here as
+/// the before side (same bits: `crates/nn/tests/proptests.rs`). Returns the
+/// median over alternating rounds of the two times' ratio.
+fn lstm_forward_speedup() -> f64 {
+    let (n_in, d) = EESEN_CELL;
+    let cell = LstmCell::random(n_in, d, &mut Rng64::new(7));
+    let walk = random_walk(40, n_in, 0.8, 0.04, 33);
+    let flat = walk.concat();
+    let (mut out, mut scratch) = (Vec::new(), LstmScratch::default());
+    median_speedup(|batched| {
+        let start = Instant::now();
+        if batched {
+            cell.forward_sequence_into(black_box(&flat), walk.len(), &mut out, &mut scratch)
+                .unwrap();
+            black_box(&out);
+        } else {
+            let mut state = LstmState::zeros(d);
+            for x in &walk {
+                state = cell.step(black_box(x), &state).unwrap();
+                black_box(&state.h);
+            }
+        }
+        start.elapsed().as_secs_f64()
+    })
+}
+
 /// The gate-update row of the `--perf-smoke` CI gate: the cell update of an
 /// EESEN-sized cell through `reuse_tensor::simd::lstm_gate_update` against
 /// the libm-form loop it replaced (five `expf`/`tanhf` calls per unit), kept
@@ -528,9 +561,9 @@ fn perf_smoke() -> ExitCode {
         eprintln!("the conv reuse step does not beat recomputing by the {min_reuse:.3}x floor");
         ok = false;
     }
-    // The recurrent step's two levers, each against its own before side.
+    // The recurrent path's levers, each against its own before side.
     // Constants, held under AVX2 only (the block split measured 1.4–1.7x
-    // there, the σ/φ kernel 5–9x).
+    // there, the batched forward ~3x, the σ/φ kernel 5–9x).
     let (speedup, changed) = lstm_block_speedup();
     let floor = if avx2 { 1.15 } else { 0.0 };
     eprintln!(
@@ -541,6 +574,17 @@ fn perf_smoke() -> ExitCode {
     );
     if speedup < floor {
         eprintln!("one block of timesteps does not beat single steps by the {floor:.3}x floor");
+        ok = false;
+    }
+    let speedup = lstm_forward_speedup();
+    let floor = if avx2 { 1.5 } else { 0.0 };
+    eprintln!(
+        "perf smoke [{}]: eesen_cell_640x320/forward_batched_40 {speedup:.3}x the per-step \
+         loop (floor {floor:.3}x)",
+        level.name()
+    );
+    if speedup < floor {
+        eprintln!("the batched forward does not beat the step loop by the {floor:.3}x floor");
         ok = false;
     }
     let speedup = gate_update_speedup();

@@ -3,6 +3,7 @@
 use reuse_tensor::conv::{conv_forward_into, max_pool_into, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::{Shape, Tensor};
 
+use crate::lstm::{flatten_frames, LstmScratch};
 use crate::{
     init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell,
     NnError, PassthroughLayer, PassthroughOp, Pool2dLayer, Pool3dLayer,
@@ -370,7 +371,35 @@ impl Layer {
         Ok(())
     }
 
-    /// Full-precision sequence pass of a recurrent layer.
+    /// Full-precision sequence pass of a recurrent layer over flat data:
+    /// `xs` is `t` timesteps of the layer's input width back to back, and
+    /// `out` is cleared and filled with `t` rows of its output width — the
+    /// one way every walk of a network runs a recurrent layer from scratch
+    /// (see [`LstmCell::forward_sequence_into`](crate::LstmCell::forward_sequence_into)).
+    /// Allocation-free once `out` and `scratch` have grown to the sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] for non-recurrent layers,
+    /// [`NnError::EmptySequence`] when `t` is zero and
+    /// [`NnError::InputShape`] when `xs` is not `t` input rows long.
+    pub fn forward_sequence_into(
+        &self,
+        xs: &[f32],
+        t: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut LstmScratch,
+    ) -> Result<(), NnError> {
+        match self {
+            Layer::Lstm(l) => l.forward_sequence_into(xs, t, out, scratch),
+            Layer::BiLstm(l) => l.forward_sequence_into(xs, t, out, scratch),
+            _ => Err(NnError::InvalidConfig {
+                context: "forward_sequence requires a recurrent layer".into(),
+            }),
+        }
+    }
+
+    /// [`Self::forward_sequence_into`] over one `Vec` per timestep.
     ///
     /// # Errors
     ///
@@ -595,29 +624,26 @@ impl Network {
     /// Returns [`NnError::EmptySequence`] on empty input and propagates
     /// shape errors.
     pub fn forward_sequence(&self, frames: &[Vec<f32>]) -> Result<Vec<Tensor>, NnError> {
-        if frames.is_empty() {
-            return Err(NnError::EmptySequence);
-        }
-        if let Some(f) = frames.iter().find(|f| f.len() != self.input_shape.volume()) {
-            return Err(NnError::InputShape {
-                expected: self.input_shape.volume(),
-                actual: f.len(),
-            });
-        }
-        let mut seq = frames.to_vec();
-        let mut next = Vec::new();
+        // The sequence between layers is one flat `[T, width]` buffer; two
+        // are swapped from layer to layer.
+        let t = frames.len();
+        let mut cur = flatten_frames(frames, self.input_shape.volume())?;
+        let (mut next, mut row) = (Vec::new(), Vec::new());
+        let mut scratch = LstmScratch::default();
         for (i, (_, layer)) in self.layers.iter().enumerate() {
             if layer.is_recurrent() {
-                seq = layer.forward_sequence(&seq)?;
-                continue;
+                layer.forward_sequence_into(&cur, t, &mut next, &mut scratch)?;
+            } else {
+                next.clear();
+                for frame in cur.chunks_exact(self.layer_inputs[i].volume()) {
+                    self.apply_layer_into(i, frame, &mut row)?;
+                    next.extend_from_slice(&row);
+                }
             }
-            for frame in &mut seq {
-                self.apply_layer_into(i, frame, &mut next)?;
-                std::mem::swap(frame, &mut next);
-            }
+            std::mem::swap(&mut cur, &mut next);
         }
-        seq.into_iter()
-            .map(|o| Ok(Tensor::from_vec(self.output_shape.clone(), o)?))
+        cur.chunks_exact(self.output_shape.volume())
+            .map(|o| Ok(Tensor::from_vec(self.output_shape.clone(), o.to_vec())?))
             .collect()
     }
 }

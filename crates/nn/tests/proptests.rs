@@ -144,6 +144,138 @@ proptest! {
     }
 }
 
+/// A random cell rebuilt with a `-0.0` bias on unit 0 of every gate: the
+/// one chain head the GEMM's missing zero skip can turn into `+0.0`.
+fn cell_with_negative_zero_bias(n_in: usize, d: usize, seed: u64) -> LstmCell {
+    let cell = LstmCell::random(n_in, d, &mut Rng64::new(seed));
+    let bias = core::array::from_fn(|g| {
+        let mut b = cell.bias(g).as_slice().to_vec();
+        b[0] = -0.0;
+        Tensor::from_slice_1d(&b).unwrap()
+    });
+    LstmCell::new(
+        n_in,
+        d,
+        core::array::from_fn(|g| cell.w_x(g).clone()),
+        core::array::from_fn(|g| cell.w_h(g).clone()),
+        bias,
+    )
+    .unwrap()
+}
+
+/// A hand loop of the per-timestep oracle over `xs` in ascending or
+/// descending order, `h_t` per timestep in time order.
+fn stepped_by_hand(cell: &LstmCell, xs: &[Vec<f32>], descending: bool) -> Vec<Vec<f32>> {
+    let mut out = vec![Vec::new(); xs.len()];
+    let mut state = LstmState::zeros(cell.cell_dim());
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    if descending {
+        order.reverse();
+    }
+    for t in order {
+        state = cell.step(&xs[t], &state).unwrap();
+        out[t] = state.h.clone();
+    }
+    out
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Batched ≡ per-timestep, bit for bit, at whichever SIMD level the
+    /// process runs (CI runs this file at both): odd cell widths with panel
+    /// tail lanes, input widths off the panel grid, sequence lengths around
+    /// the GEMM's four-row groups and the 64-step block, frames with exact
+    /// zeros (the row walk's skip), an all-zero first and last frame under a
+    /// `-0.0` bias. The `-0.0` head is the one pre-activation that can
+    /// differ (AVX2 only, in sign); it never reaches `h`, so nothing here is
+    /// exempted.
+    #[test]
+    fn forward_sequence_into_is_the_step_loop_bitwise(seed in 0u64..1000, zero_share in 0u64..4) {
+        let mut rng = Rng64::new(seed ^ 0x5eed);
+        let mut scratch = reuse_nn::lstm::LstmScratch::default();
+        let mut out = vec![f32::NAN; 7];
+        for (d, n_in) in [(3, 5), (11, 13), (19, 21), (35, 13)] {
+            let fwd = cell_with_negative_zero_bias(n_in, d, seed);
+            let bwd = cell_with_negative_zero_bias(n_in, d, seed + 1);
+            let layer = Layer::BiLstm(BiLstmLayer::new(fwd.clone(), bwd.clone()).unwrap());
+            for t in [1usize, 2, 3, 5, 40, 63, 64, 65, 130] {
+                let mut xs: Vec<Vec<f32>> = (0..t)
+                    .map(|_| {
+                        (0..n_in)
+                            .map(|_| if rng.next_u64() % 4 < zero_share { 0.0 } else { rng.uniform(1.0) })
+                            .collect()
+                    })
+                    .collect();
+                xs[0].fill(0.0);
+                xs[t - 1].fill(0.0);
+                let flat: Vec<f32> = xs.concat();
+
+                fwd.forward_sequence_into(&flat, t, &mut out, &mut scratch).unwrap();
+                let ascending = stepped_by_hand(&fwd, &xs, false);
+                prop_assert_eq!(bits(&out), bits(&ascending.concat()), "d {} t {}", d, t);
+
+                // Both directions over the same `xs`, the same scratch.
+                layer.forward_sequence_into(&flat, t, &mut out, &mut scratch).unwrap();
+                let descending = stepped_by_hand(&bwd, &xs, true);
+                for (row, (f, b)) in out.chunks_exact(2 * d).zip(ascending.iter().zip(&descending)) {
+                    prop_assert_eq!(bits(&row[..d]), bits(f), "d {} t {}", d, t);
+                    prop_assert_eq!(bits(&row[d..]), bits(b), "d {} t {}", d, t);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cell_is_packed_once_and_every_handle_shares_it() {
+    let cell = LstmCell::random(13, 11, &mut Rng64::new(8));
+    let clone = cell.clone();
+    let handle = reuse_nn::lstm::LstmGatePack::new(&cell);
+    for pack in [clone.pack(), &handle] {
+        assert!(std::ptr::eq(pack.combined_h(), cell.pack().combined_h()));
+        assert!(std::ptr::eq(pack.x(3), cell.pack().x(3)));
+    }
+    assert_eq!(handle.bytes(), cell.pack().bytes());
+}
+
+#[test]
+fn flat_sequence_entry_rejects_what_the_vec_entry_rejects() {
+    let cell = LstmCell::random(5, 3, &mut Rng64::new(1));
+    let (mut out, mut scratch) = (Vec::new(), reuse_nn::lstm::LstmScratch::default());
+    assert!(matches!(
+        cell.forward_sequence_into(&[], 0, &mut out, &mut scratch),
+        Err(reuse_nn::NnError::EmptySequence)
+    ));
+    assert!(matches!(
+        cell.forward_sequence_into(&[0.0; 9], 2, &mut out, &mut scratch),
+        Err(reuse_nn::NnError::InputShape {
+            expected: 10,
+            actual: 9
+        })
+    ));
+    assert!(matches!(
+        cell.forward_sequence(&[vec![0.0; 5], vec![0.0; 4]]),
+        Err(reuse_nn::NnError::InputShape {
+            expected: 5,
+            actual: 4
+        })
+    ));
+    let fc = Layer::FullyConnected(FullyConnected::random(
+        5,
+        3,
+        Activation::Relu,
+        &mut Rng64::new(2),
+    ));
+    assert!(fc
+        .forward_sequence_into(&[0.0; 5], 1, &mut out, &mut scratch)
+        .is_err());
+}
+
 /// `layer` through the one flat entry against `naive` — the layer's oracle
 /// on the same input, pre-activation — with the activation applied on top:
 /// bit-identical at the scalar level, within the FMA bound under AVX2.

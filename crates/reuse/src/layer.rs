@@ -101,6 +101,14 @@ fn wrong_layer(expected: &'static str) -> ReuseError {
     }
 }
 
+/// Recurrent states have no frame step: the session runs them a sequence at
+/// a time through [`ReuseLayer::step_sequence`].
+fn per_sequence_only() -> ReuseError {
+    ReuseError::WrongApi {
+        context: "recurrent layers run per sequence: use step_sequence".into(),
+    }
+}
+
 /// The input quantizer, which every reuse-correcting (non-passthrough)
 /// state requires.
 fn require_qx<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> {
@@ -121,6 +129,17 @@ fn require_qh<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> 
 fn expect_qx<'a>(ctx: &StepCtx<'a>) -> &'a LinearQuantizer {
     ctx.quantizer_x
         .expect("frame-wise reuse layers carry an input quantizer")
+}
+
+/// The rows of a flat `[t, width]` sequence, which must be whole.
+fn sequence_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_, f32>, ReuseError> {
+    if !xs.len().is_multiple_of(width) {
+        return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
+            expected: xs.len().next_multiple_of(width),
+            actual: xs.len(),
+        }));
+    }
+    Ok(xs.chunks_exact(width))
 }
 
 /// One reuse-enabled layer's per-stream state behind a uniform interface.
@@ -169,32 +188,26 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
         Ok(stats)
     }
 
-    /// Runs a whole sequence through this layer, one [`Self::step`] per
-    /// timestep, appending one entry per timestep to `out`/`stats`/`spans`
-    /// (expected empty on entry). BiLSTM overrides this with its
-    /// forward-then-backward schedule.
+    /// Runs a whole sequence through a recurrent layer: `xs` is the
+    /// timesteps' inputs back to back; `out` is cleared and filled with one
+    /// row of the layer's output width per timestep, `stats` and `spans`
+    /// with one entry each. Frame-wise layers have no sequence
+    /// step — the session steps them timestep by timestep.
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::step`] errors.
+    /// Returns [`ReuseError`] on shape mismatches or when dispatched on a
+    /// frame-wise state.
     fn step_sequence(
         &mut self,
-        ctx: &StepCtx<'_>,
-        xs: &[Vec<f32>],
-        timed: bool,
-        out: &mut Vec<Vec<f32>>,
-        stats: &mut Vec<ExecStats>,
-        spans: &mut Vec<u64>,
+        _ctx: &StepCtx<'_>,
+        _xs: &[f32],
+        _timed: bool,
+        _out: &mut Vec<f32>,
+        _stats: &mut Vec<ExecStats>,
+        _spans: &mut Vec<u64>,
     ) -> Result<(), ReuseError> {
-        for x in xs {
-            let span = span_start(timed);
-            let mut h = Vec::new();
-            let s = self.step(ctx, x, &mut h)?;
-            spans.push(span_elapsed_ns(span));
-            out.push(h);
-            stats.push(s);
-        }
-        Ok(())
+        Err(wrong_layer("recurrent"))
     }
 
     /// Re-baselines the buffered state onto exact full-precision values:
@@ -319,30 +332,22 @@ impl ReuseLayer for LstmReuseState {
         LayerKind::Recurrent
     }
 
-    /// One full LSTM timestep — the cell nonlinearities are inherent to the
-    /// step, so `correct` returns the hidden state and the default
-    /// [`ReuseLayer::step`] adds nothing ([`Layer::activation`] is `None`
-    /// for recurrent layers).
     fn correct(
         &mut self,
-        ctx: &StepCtx<'_>,
-        input: &[f32],
-        out: &mut Vec<f32>,
+        _ctx: &StepCtx<'_>,
+        _input: &[f32],
+        _out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        let (Layer::Lstm(cell), CompiledWeights::Lstm(pack)) = (ctx.layer, ctx.weights) else {
-            return Err(wrong_layer("lstm"));
-        };
-        let (qx, qh) = (require_qx(ctx)?, require_qh(ctx)?);
-        self.step_into_packed(&SERIAL, cell, pack, qx, qh, input, out)
+        Err(per_sequence_only())
     }
 
     /// The whole sequence as one [`LstmReuseState::step_block`] call.
     fn step_sequence(
         &mut self,
         ctx: &StepCtx<'_>,
-        xs: &[Vec<f32>],
+        xs: &[f32],
         timed: bool,
-        out: &mut Vec<Vec<f32>>,
+        out: &mut Vec<f32>,
         stats: &mut Vec<ExecStats>,
         spans: &mut Vec<u64>,
     ) -> Result<(), ReuseError> {
@@ -350,9 +355,12 @@ impl ReuseLayer for LstmReuseState {
             return Err(wrong_layer("lstm"));
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
-        let xs = xs.iter().map(Vec::as_slice);
+        let xs = sequence_rows(xs, cell.n_in())?;
+        out.clear();
+        stats.clear();
+        spans.clear();
         self.step_block(cell, pack, quantizers, xs, timed, |h, s, span| {
-            out.push(h.to_vec());
+            out.extend_from_slice(h);
             stats.push(s);
             spans.push(span);
         })
@@ -407,28 +415,24 @@ impl ReuseLayer for BiLstmReuseState {
         LayerKind::Recurrent
     }
 
-    /// BiLSTM has no single-frame step — the backward direction needs the
-    /// whole sequence. Use [`ReuseLayer::step_sequence`].
     fn correct(
         &mut self,
         _ctx: &StepCtx<'_>,
         _input: &[f32],
         _out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        Err(ReuseError::WrongApi {
-            context: "bilstm layers run per sequence: use step_sequence".into(),
-        })
+        Err(per_sequence_only())
     }
 
     /// Forward pass over ascending timesteps, backward pass over descending
-    /// timesteps, `out[t] = [h_fwd | h_bwd]`; per-timestep stats are the two
-    /// directions merged and spans summed.
+    /// timesteps, row `t` of `out` = `[h_fwd | h_bwd]`; per-timestep stats
+    /// are the two directions merged and spans summed.
     fn step_sequence(
         &mut self,
         ctx: &StepCtx<'_>,
-        xs: &[Vec<f32>],
+        xs: &[f32],
         timed: bool,
-        out: &mut Vec<Vec<f32>>,
+        out: &mut Vec<f32>,
         stats: &mut Vec<ExecStats>,
         spans: &mut Vec<u64>,
     ) -> Result<(), ReuseError> {
@@ -438,27 +442,27 @@ impl ReuseLayer for BiLstmReuseState {
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
         let d = layer.cell_dim();
+        let ascending = sequence_rows(xs, layer.n_in())?;
+        let t = ascending.len();
         out.clear();
+        out.resize(t * 2 * d, 0.0);
         stats.clear();
         spans.clear();
-        let ascending = xs.iter().map(Vec::as_slice);
         let cell = layer.forward_cell();
         let forward = |h: &[f32], s: ExecStats, span: u64| {
-            let mut both = vec![0.0; 2 * d];
-            both[..d].copy_from_slice(h);
-            out.push(both);
+            out[stats.len() * 2 * d..][..d].copy_from_slice(h);
             stats.push(s);
             spans.push(span);
         };
         self.fwd
             .step_block(cell, fwd, quantizers, ascending.clone(), timed, forward)?;
         let cell = layer.backward_cell();
-        let mut t = xs.len();
+        let mut at = t;
         let backward = |h: &[f32], s: ExecStats, span: u64| {
-            t -= 1;
-            out[t][d..].copy_from_slice(h);
-            stats[t] = stats[t].merge(s);
-            spans[t] += span;
+            at -= 1;
+            out[at * 2 * d + d..][..d].copy_from_slice(h);
+            stats[at] = stats[at].merge(s);
+            spans[at] += span;
         };
         self.bwd
             .step_block(cell, bwd, quantizers, ascending.rev(), timed, backward)

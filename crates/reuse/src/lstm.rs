@@ -25,59 +25,21 @@ use reuse_nn::lstm::NUM_GATES;
 use reuse_nn::{LstmCell, LstmState};
 use reuse_quant::{LinearQuantizer, QuantCode};
 use reuse_tensor::block::apply_deltas_rows;
-use reuse_tensor::{PackedPanels, ParallelConfig};
+use reuse_tensor::matmul::matmul_packed_into;
+use reuse_tensor::ParallelConfig;
 
 use crate::layer::{span_elapsed_ns, span_start, ExecStats, SERIAL};
 use crate::ReuseError;
 
-/// The immutable gate weights of one LSTM cell in the layouts its
-/// corrections walk, packed once so every stream's correction pass can share
-/// one copy (it lives in `CompiledModel`, not in per-stream state).
-#[derive(Debug, Clone)]
-pub struct LstmGatePack {
-    /// The feed-forward weights, one set of 16-lane panels per gate, packed
-    /// straight from the cell's `[n_in, d]` gate matrices: the x side of a
-    /// block of timesteps is applied panel by panel.
-    x: [PackedPanels; NUM_GATES],
-    /// All four gates' recurrent weights, row-major `[d, NUM_GATES·d]`:
-    /// column `g·d + u` is gate `g`, unit `u`, the layout of the
-    /// pre-activation buffer, so one batched row walk per timestep corrects
-    /// all four gates — the "one comparison pays four gates" property of the
-    /// paper, with the gate loop folded into the row.
-    combined_h: Vec<f32>,
-}
+/// The gate weights of one LSTM cell as its corrections walk them: the pack
+/// the cell was built with and runs its full-precision forward over, so
+/// `LstmGatePack::new(cell)` is a handle on that one copy.
+pub use reuse_nn::lstm::LstmGatePack;
 
-impl LstmGatePack {
-    /// Packs the eight gate weight matrices of `cell`.
-    pub fn new(cell: &LstmCell) -> Self {
-        let d = cell.cell_dim();
-        let mut combined_h = vec![0.0f32; d * NUM_GATES * d];
-        for g in 0..NUM_GATES {
-            let w = cell.w_h(g).as_slice();
-            for (i, row) in w.chunks_exact(d).enumerate() {
-                combined_h[i * NUM_GATES * d + g * d..][..d].copy_from_slice(row);
-            }
-        }
-        LstmGatePack {
-            x: core::array::from_fn(|g| {
-                PackedPanels::pack(cell.w_x(g)).expect("gate matrices are rank-2")
-            }),
-            combined_h,
-        }
-    }
-
-    /// Bytes occupied by the packed feed-forward panels and the combined
-    /// recurrent matrix.
-    pub fn bytes(&self) -> u64 {
-        let x: usize = self.x.iter().map(PackedPanels::storage_bytes).sum();
-        (x + self.combined_h.len() * 4) as u64
-    }
-
-    fn matches(&self, cell: &LstmCell) -> bool {
-        let (n_in, d) = (cell.n_in(), cell.cell_dim());
-        self.x.iter().all(|p| (p.n_in(), p.n_out()) == (n_in, d))
-            && self.combined_h.len() == d * NUM_GATES * d
-    }
+fn pack_matches(pack: &LstmGatePack, cell: &LstmCell) -> bool {
+    let (n_in, d) = (cell.n_in(), cell.cell_dim());
+    (0..NUM_GATES).all(|g| (pack.x(g).n_in(), pack.x(g).n_out()) == (n_in, d))
+        && pack.combined_h().len() == d * NUM_GATES * d
 }
 
 /// Most timesteps whose feed-forward corrections are summed ahead of the
@@ -101,6 +63,8 @@ struct BlockScratch {
     /// Each timestep's summed feed-forward correction, gate-major:
     /// `[NUM_GATES][steps][d]`.
     x_sums: Vec<f32>,
+    /// The quantized feed-forward input of a from-scratch first timestep.
+    first_x: Vec<f32>,
 }
 
 /// Buffered reuse state of one LSTM cell (one direction of a BiLSTM layer).
@@ -215,7 +179,8 @@ impl LstmReuseState {
     /// running feed-forward codes and that timestep's corrections
     /// `Σ Δ·w_x[i]` are summed *from zero, in changed-list order* — all
     /// timesteps in one panel-outer pass over the packed feed-forward
-    /// weights ([`PackedPanels::axpy_buckets`]), which are then done with.
+    /// weights ([`reuse_tensor::PackedPanels::axpy_buckets`]), which are
+    /// then done with.
     /// **Recurrence**, per timestep: diff `h_{t-1}` against the recurrent
     /// codes, add the timestep's summed x correction onto the buffered
     /// pre-activations (one vector add), apply the h deltas in list order
@@ -254,7 +219,7 @@ impl LstmReuseState {
         mut emit: impl FnMut(&[f32], ExecStats, u64),
     ) -> Result<(), ReuseError> {
         let (n_in, d) = (cell.n_in(), cell.cell_dim());
-        if !pack.matches(cell) {
+        if !pack_matches(pack, cell) {
             return Err(ReuseError::InvalidConfig {
                 context: format!(
                     "lstm gate pack ({} bytes) does not match a {n_in}->{d} cell",
@@ -277,7 +242,7 @@ impl LstmReuseState {
                     return Ok(());
                 };
                 let span = span_start(timed);
-                let stats = self.first_step(cell, x_quantizer, h_quantizer, first)?;
+                let stats = self.first_step(cell, pack, x_quantizer, h_quantizer, first);
                 emit(&self.state.h, stats, span_elapsed_ns(span));
                 block = rest;
             }
@@ -331,6 +296,11 @@ impl LstmReuseState {
         scratch.taps.clear();
         scratch.deltas.clear();
         scratch.ends.clear();
+        // Room for every input of every timestep changing, so what a block
+        // allocates depends on its length alone, never on its data.
+        let worst = block.len() * pack.x(0).n_in();
+        scratch.taps.reserve(worst);
+        scratch.deltas.reserve(worst);
         for x in block {
             quantizer.diff_codes(x, &mut self.prev_x_codes, &mut self.changed_x);
             scratch.taps.extend(self.changed_x.iter().map(|&(i, _)| i));
@@ -339,11 +309,12 @@ impl LstmReuseState {
                 .extend(self.changed_x.iter().map(|&(_, d)| d));
             scratch.ends.push(scratch.taps.len());
         }
-        let gate_len = block.len() * pack.x[0].n_out();
+        let gate_len = block.len() * pack.x(0).n_out();
         scratch.x_sums.clear();
         scratch.x_sums.resize(NUM_GATES * gate_len, 0.0);
-        for (panels, sums) in pack.x.iter().zip(scratch.x_sums.chunks_exact_mut(gate_len)) {
-            panels.axpy_buckets(&scratch.taps, &scratch.deltas, &scratch.ends, sums);
+        for (g, sums) in scratch.x_sums.chunks_exact_mut(gate_len).enumerate() {
+            pack.x(g)
+                .axpy_buckets(&scratch.taps, &scratch.deltas, &scratch.ends, sums);
         }
     }
 
@@ -368,36 +339,50 @@ impl LstmReuseState {
             }
         }
         let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
-        apply_deltas_rows(&SERIAL, &pack.combined_h, width, &self.changed_h, pre);
+        apply_deltas_rows(&SERIAL, pack.combined_h(), width, &self.changed_h, pre);
         cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
         let ends = &self.block.ends;
         (ends[k] - if k == 0 { 0 } else { ends[k - 1] }) as u64
     }
 
     /// The first timestep after a reset: quantize x and h (h starts at
-    /// zero) and compute the four gates from scratch on the centroids.
+    /// zero) and compute the four gates from scratch on the centroids into
+    /// the retained pre-activation buffer, through the pack — one timestep
+    /// of [`LstmCell::forward_sequence_into`]'s chain (bias, the x centroids
+    /// over the panels, every nonzero h centroid's row of the combined
+    /// matrix). Allocation-free once the buffers have grown to the cell.
     fn first_step(
         &mut self,
         cell: &LstmCell,
+        pack: &LstmGatePack,
         x_quantizer: &LinearQuantizer,
         h_quantizer: &LinearQuantizer,
         x: &[f32],
-    ) -> Result<ExecStats, ReuseError> {
+    ) -> ExecStats {
         x_quantizer.quantize_slice_into(x, &mut self.prev_x_codes);
         h_quantizer.quantize_slice_into(&self.state.h, &mut self.prev_h_codes);
-        let centroids = |q: &LinearQuantizer, codes: &[QuantCode]| -> Vec<f32> {
-            codes.iter().map(|&c| q.centroid(c)).collect()
-        };
-        let qx = centroids(x_quantizer, &self.prev_x_codes);
-        let qh = centroids(h_quantizer, &self.prev_h_codes);
-        self.prev_pre = cell.gate_preactivations(&qx, &qh)?;
+        let qx = &mut self.block.first_x;
+        qx.clear();
+        qx.extend(self.prev_x_codes.iter().map(|&c| x_quantizer.centroid(c)));
+        self.changed_h.clear();
+        self.changed_h.extend(
+            (0u32..)
+                .zip(self.prev_h_codes.iter().map(|&c| h_quantizer.centroid(c)))
+                .filter(|&(_, qh)| qh != 0.0),
+        );
+        let d = cell.cell_dim();
+        self.prev_pre.clear();
+        for g in 0..NUM_GATES {
+            self.prev_pre.extend_from_slice(cell.bias(g).as_slice());
+        }
+        for (g, gate) in self.prev_pre.chunks_exact_mut(d).enumerate() {
+            matmul_packed_into(&SERIAL, qx, pack.x(g), 1, gate);
+        }
+        let (width, pre) = (NUM_GATES * d, &mut self.prev_pre);
+        apply_deltas_rows(&SERIAL, pack.combined_h(), width, &self.changed_h, pre);
         cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
         self.initialized = true;
-        Ok(step_stats(
-            cell,
-            (cell.n_in() + cell.cell_dim()) as u64,
-            true,
-        ))
+        step_stats(cell, (cell.n_in() + d) as u64, true)
     }
 
     /// One timestep under [`Self::step_block`]'s definition, spelled out
@@ -444,7 +429,15 @@ impl LstmReuseState {
                 false,
             )
         } else {
-            self.first_step(cell, x_quantizer, h_quantizer, x)?
+            // From scratch over the raw matrices, the row-walk oracle.
+            x_quantizer.quantize_slice_into(x, &mut self.prev_x_codes);
+            h_quantizer.quantize_slice_into(&self.state.h, &mut self.prev_h_codes);
+            let qx = x_quantizer.quantized_values(x);
+            let qh = h_quantizer.quantized_values(&self.state.h);
+            self.prev_pre = cell.gate_preactivations(&qx, &qh)?;
+            cell.step_from_preactivations_in_place(&self.prev_pre, &mut self.state);
+            self.initialized = true;
+            step_stats(cell, (cell.n_in() + cell.cell_dim()) as u64, true)
         };
         h_out.clear();
         h_out.extend_from_slice(&self.state.h);
@@ -496,7 +489,7 @@ pub fn quantized_scratch_sequence(
         let qx = x_quantizer.quantized_values(x);
         let qh = h_quantizer.quantized_values(&state.h);
         let pre = cell.gate_preactivations(&qx, &qh)?;
-        state = cell.step_from_preactivations(&pre, &state);
+        cell.step_from_preactivations_in_place(&pre, &mut state);
         out.push(state.h.clone());
     }
     Ok(out)

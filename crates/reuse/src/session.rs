@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use reuse_nn::lstm::LstmScratch;
 use reuse_nn::Layer;
 use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
 use reuse_tensor::Tensor;
@@ -179,6 +180,12 @@ pub struct ReuseSession {
     /// (cold path, but reused so repeated cold starts don't churn).
     sig_scratch_cur: Vec<QuantCode>,
     sig_scratch_cached: Vec<QuantCode>,
+    /// Per-timestep records of the recurrent slot a sequence walk is at, and
+    /// the working memory of its reuse-disabled recurrent layers: kept so
+    /// steady sequences allocate nothing.
+    seq_stats: Vec<ExecStats>,
+    seq_spans: Vec<u64>,
+    lstm_scratch: LstmScratch,
 }
 
 impl ReuseSession {
@@ -243,6 +250,9 @@ impl ReuseSession {
             signature: SignatureStats::default(),
             sig_scratch_cur: Vec::new(),
             sig_scratch_cached: Vec::new(),
+            seq_stats: Vec::new(),
+            seq_spans: Vec::new(),
+            lstm_scratch: LstmScratch::default(),
         }
     }
 
@@ -599,8 +609,47 @@ impl ReuseSession {
         if !self.model.network().is_recurrent() {
             return frames.iter().map(|f| self.execute(f)).collect();
         }
+        let mut out = Vec::new();
+        self.execute_sequence_into(frames, &mut out)?;
+        out.chunks_exact(self.model.network().output_shape().volume())
+            .map(|o| Tensor::from_slice_1d(o).map_err(ReuseError::from))
+            .collect()
+    }
+
+    /// Allocation-free variant of [`Self::execute_sequence`] for recurrent
+    /// networks: clears `out` and writes every timestep's flat network
+    /// output into it back to back, reusing its capacity across calls.
+    ///
+    /// The sequence between layers is one flat `[T, width]` buffer from the
+    /// session's recycling pool, recurrent layers run over it whole —
+    /// stepping through their reuse state, or at full precision through
+    /// [`Layer::forward_sequence_into`] when reuse-disabled — and the
+    /// per-timestep records live in session-owned scratch. Once the buffers
+    /// have grown to the longest sequence seen a reuse-phase call performs
+    /// **zero heap allocations**, with [`Self::execute_into`]'s exceptions
+    /// and one more: state resets per sequence, so a reuse-enabled
+    /// *frame-wise* slot initializes from scratch at every first timestep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReuseError::WrongApi`] for feed-forward networks and
+    /// [`ReuseError::Nn`] on an empty sequence or — before any state is
+    /// touched — a frame of the wrong length.
+    pub fn execute_sequence_into(
+        &mut self,
+        frames: &[Vec<f32>],
+        out: &mut Vec<f32>,
+    ) -> Result<(), ReuseError> {
+        if !self.model.network().is_recurrent() {
+            return Err(ReuseError::WrongApi {
+                context: "feed-forward network: use execute_into".into(),
+            });
+        }
+        if frames.is_empty() {
+            return Err(ReuseError::Nn(reuse_nn::NnError::EmptySequence));
+        }
         let calibrating = self.calibrating();
-        self.walk_sequence(frames, calibrating)
+        self.walk_sequence(frames, out, calibrating)
     }
 
     fn check_frame_len(&self, frame: &[f32]) -> Result<(), ReuseError> {
@@ -1112,18 +1161,21 @@ impl ReuseSession {
     }
 
     /// The one walk of a recurrent network over one sequence: each layer
-    /// runs over all timesteps before the next layer. In the reuse phase an
-    /// enabled slot — recurrent or frame-wise — dispatches uniformly through
-    /// [`ReuseLayer::step_sequence`]; every other layer runs at full
-    /// precision (while `calibrating`, with the enabled slots' input and
-    /// hidden-state ranges profiled): a recurrent layer through its sequence
-    /// pass, a frame-wise one through
+    /// runs over all timesteps before the next layer, reading one flat
+    /// pooled `[T, width]` buffer and writing the next. In the reuse phase an
+    /// enabled slot steps — a recurrent one over the whole sequence through
+    /// [`ReuseLayer::step_sequence`], a frame-wise one per timestep through
+    /// [`Self::step_slot`]; every other layer runs at full precision (while
+    /// `calibrating`, with the enabled slots' input and hidden-state ranges
+    /// profiled): a recurrent layer through
+    /// [`Layer::forward_sequence_into`], a frame-wise one through
     /// [`reuse_nn::Network::apply_layer_into`] per timestep.
     fn walk_sequence(
         &mut self,
         frames: &[Vec<f32>],
+        out: &mut Vec<f32>,
         calibrating: bool,
-    ) -> Result<Vec<Tensor>, ReuseError> {
+    ) -> Result<(), ReuseError> {
         for frame in frames {
             self.check_frame_len(frame)?;
         }
@@ -1134,81 +1186,98 @@ impl ReuseSession {
             self.reset_buffers();
         }
         let model = Arc::clone(&self.model);
-        // Borrowed until a layer has produced its own outputs: the first
-        // layer only reads the caller's frames.
-        let mut seq = std::borrow::Cow::Borrowed(frames);
-        let record_trace = model.config().records_trace();
+        let network = model.network();
+        let t = frames.len();
         let timed = self.telemetry.is_some();
-        let mut traces: Vec<ExecutionTrace> = vec![ExecutionTrace::default(); frames.len()];
-        let mut next = Vec::new();
+        let mut traces = if model.config().records_trace() {
+            vec![ExecutionTrace::default(); t]
+        } else {
+            Vec::new()
+        };
+        let mut width = network.input_shape().volume();
+        let mut cur = self.pool.take(t * width);
+        for frame in frames {
+            cur.extend_from_slice(frame);
+        }
+        // One timestep's output of a frame-wise layer, on its way into the
+        // flat buffer.
+        let widest = model.layer_out_volumes().iter().copied().max();
+        let mut row = self.pool.take(widest.unwrap_or(0));
         for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
+            let out_width = model.layer_out_volumes()[i];
+            let mut next = self.pool.take(t * out_width);
             let enabled = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
-            if enabled && !calibrating {
-                let mut out: Vec<Vec<f32>> = Vec::with_capacity(seq.len());
-                let mut stats: Vec<ExecStats> = Vec::with_capacity(seq.len());
-                let mut spans: Vec<u64> = Vec::with_capacity(seq.len());
+            let stepped = enabled && !calibrating;
+            if !stepped {
+                for (k, frame) in cur.chunks_exact(width).enumerate() {
+                    self.note_unstepped(i, frame, traces.get_mut(k));
+                }
+            }
+            let layer = &network.layers()[i].1;
+            if !layer.is_recurrent() {
+                for (k, frame) in cur.chunks_exact(width).enumerate() {
+                    if stepped {
+                        self.step_slot(&model, slot_pos, frame, &mut row, traces.get_mut(k))?;
+                    } else {
+                        network.apply_layer_into(i, frame, &mut row)?;
+                    }
+                    next.extend_from_slice(&row);
+                }
+            } else if stepped {
                 let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
-                state.step_sequence(&ctx, &seq, timed, &mut out, &mut stats, &mut spans)?;
-                for (t, s) in stats.into_iter().enumerate() {
-                    let n_outputs = out[t].len() as u64;
+                let (stats, spans) = (&mut self.seq_stats, &mut self.seq_spans);
+                state.step_sequence(&ctx, &cur, timed, &mut next, stats, spans)?;
+                for (k, frame) in cur.chunks_exact(width).enumerate() {
+                    let (stats, span_ns) = (self.seq_stats[k], self.seq_spans[k]);
+                    let trace = traces.get_mut(k);
                     self.record_layer_execution(
                         slot_pos,
-                        &seq[t],
-                        s,
-                        n_outputs,
-                        spans[t],
-                        record_trace.then_some(&mut traces[t]),
+                        frame,
+                        stats,
+                        out_width as u64,
+                        span_ns,
+                        trace,
                     );
                 }
-                seq = out.into();
-                continue;
-            }
-            for (t, frame) in seq.iter().enumerate() {
-                self.note_unstepped(i, frame, record_trace.then_some(&mut traces[t]));
-            }
-            let layer = &model.network().layers()[i].1;
-            if !layer.is_recurrent() {
-                for frame in seq.to_mut() {
-                    model.network().apply_layer_into(i, frame, &mut next)?;
-                    std::mem::swap(frame, &mut next);
-                }
-                continue;
-            }
-            seq = layer.forward_sequence(&seq)?.into();
-            if enabled {
-                // A cell's hidden inputs are its zero state, then its own
-                // outputs one step earlier: all but the last forward output
-                // and all but the first backward one (that half of a
-                // bidirectional layer's outputs starts at the last step).
-                let forward = match layer {
-                    Layer::BiLstm(l) => l.cell_dim(),
-                    _ => seq[0].len(),
-                };
-                let profiler = &mut self.runtimes[slot_pos].profiler_h;
-                profiler.observe(0.0);
-                for (t, o) in seq.iter().enumerate() {
-                    if t + 1 < seq.len() {
-                        profiler.observe_slice(&o[..forward]);
-                    }
-                    if t > 0 {
-                        profiler.observe_slice(&o[forward..]);
+            } else {
+                layer.forward_sequence_into(&cur, t, &mut next, &mut self.lstm_scratch)?;
+                if enabled {
+                    // A cell's hidden inputs are its zero state, then its own
+                    // outputs one step earlier: all but the last forward output
+                    // and all but the first backward one (that half of a
+                    // bidirectional layer's outputs starts at the last step).
+                    let forward = match layer {
+                        Layer::BiLstm(l) => l.cell_dim(),
+                        _ => out_width,
+                    };
+                    let profiler = &mut self.runtimes[slot_pos].profiler_h;
+                    profiler.observe(0.0);
+                    for (k, o) in next.chunks_exact(out_width).enumerate() {
+                        if k + 1 < t {
+                            profiler.observe_slice(&o[..forward]);
+                        }
+                        if k > 0 {
+                            profiler.observe_slice(&o[forward..]);
+                        }
                     }
                 }
             }
+            self.pool.give(std::mem::replace(&mut cur, next));
+            width = out_width;
         }
-        if record_trace {
-            self.traces.extend(traces);
-        }
-        self.executions_seen += frames.len() as u64;
-        self.metrics.executions += frames.len() as u64;
+        self.traces.append(&mut traces);
+        self.executions_seen += t as u64;
+        self.metrics.executions += t as u64;
         if calibrating {
             self.calibration_units_seen += 1;
         } else if let Some(tel) = self.telemetry.as_mut() {
-            tel.frames += frames.len() as u64;
+            tel.frames += t as u64;
         }
-        seq.iter()
-            .map(|o| Tensor::from_slice_1d(o).map_err(ReuseError::from))
-            .collect()
+        out.clear();
+        out.extend_from_slice(&cur);
+        self.pool.give(cur);
+        self.pool.give(row);
+        Ok(())
     }
 }
 

@@ -5,7 +5,9 @@
 //! primed), `execute_into` must not allocate at all: every layer's
 //! intermediate — stepped or run at full precision — comes from the engine's
 //! recycling pool and per-layer scratch (changed lists, quantized codes,
-//! buffered outputs) is reused in place.
+//! buffered outputs) is reused in place. `execute_sequence_into` is under
+//! the same contract on recurrent networks once its buffers have grown to
+//! the longest sequence seen.
 //!
 //! The count is per thread: the harness runs these tests on parallel
 //! threads, and a process-wide counter would charge each test with the
@@ -244,6 +246,62 @@ fn full_precision_layers_of_every_kind_stay_in_the_pool() {
         "only the disabled conv's im2col blocks"
     );
     assert!(session.metrics().layer("fc1").unwrap().reuse_executions >= 10);
+}
+
+#[test]
+fn steady_sequences_are_allocation_free_in_every_slot_mode() {
+    // A BiLSTM and a unidirectional cell — stepped, reuse-disabled, and one
+    // of each — under a reuse-disabled output FC (EESEN's shape: a stepped
+    // frame-wise slot restarts from scratch every sequence, and that first
+    // timestep allocates its centroid vector like any state-initialising
+    // frame), with telemetry timing every timestep. Each session warms up
+    // on 40-step sequences, grows once on a 130-step one (two 64-step
+    // blocks and a bit), and from then on neither length allocates.
+    let net = NetworkBuilder::new("steady-rnn", 12)
+        .seed(5)
+        .bilstm(9)
+        .lstm(7)
+        .fully_connected(4, Activation::Identity)
+        .build()
+        .unwrap();
+    let on = ReuseConfig::uniform(16)
+        .disable_layer("fc1")
+        .telemetry(true)
+        .telemetry_window(8);
+    let mixed = on.clone().disable_layer("bilstm1");
+    let off = mixed.clone().disable_layer("lstm1");
+    let mut rng = Rng64::new(41);
+    let mut frame = vec![0.0f32; 12];
+    let mut sequence = |len: usize| -> Vec<Vec<f32>> {
+        (0..len)
+            .map(|_| {
+                for v in &mut frame {
+                    *v = (*v + rng.uniform(0.1)).clamp(-1.0, 1.0);
+                }
+                frame.clone()
+            })
+            .collect()
+    };
+    let warm_up = [sequence(40), sequence(40), sequence(40), sequence(130)];
+    let steady = [sequence(130), sequence(40), sequence(130), sequence(40)];
+    for (name, config) in [("on", &on), ("mixed", &mixed), ("off", &off)] {
+        let mut session = ReuseSession::from_network(&net, config);
+        let mut out = Vec::new();
+        for xs in &warm_up {
+            session.execute_sequence_into(xs, &mut out).unwrap();
+        }
+        let misses = session.pool_stats().misses;
+        let before = thread_allocations();
+        for xs in &steady {
+            session.execute_sequence_into(xs, &mut out).unwrap();
+            assert_eq!(out.len(), xs.len() * 4);
+        }
+        let allocations = thread_allocations() - before;
+        assert_eq!(session.pool_stats().misses, misses, "{name}: pool misses");
+        assert_eq!(allocations, 0, "{name}: steady sequences allocated");
+        let stepped = session.metrics().layer("lstm1").unwrap().reuse_executions;
+        assert_eq!(stepped > 0, name != "off", "{name}: lstm1 steps {stepped}");
+    }
 }
 
 #[test]

@@ -475,8 +475,12 @@ proptest! {
             let s = naive.step_into_naive(&cell, &q, &q, x, &mut h_n).unwrap();
             let mismatch = reuse_tensor::simd::kernel_mismatch(&got_h[t], &h_n, tol);
             prop_assert!(mismatch.is_none(), "t {}: {}", t, mismatch.unwrap());
+            // The oracle's first timestep is the raw-matrix row walk, so
+            // at the scalar level this pins the from-scratch step through
+            // the pack too.
             if reuse_tensor::simd::is_bit_exact() {
                 prop_assert_eq!(s, got_stats[t]);
+                prop_assert_eq!(bits(&got_h[t..=t]), bits(std::slice::from_ref(&h_n)), "t {}", t);
             }
         }
     }
@@ -515,16 +519,65 @@ fn bilstm_step_sequence_equals_two_hand_driven_cells() {
         let mut state = BiLstmReuseState::new(&layer);
         let (mut out, mut stats, mut spans) = (Vec::new(), Vec::new(), Vec::new());
         state
-            .step_sequence(&ctx, &xs, timed, &mut out, &mut stats, &mut spans)
+            .step_sequence(&ctx, &xs.concat(), timed, &mut out, &mut stats, &mut spans)
             .unwrap();
         assert_eq!(spans.len(), len);
         assert!(spans.iter().all(|&ns| (ns > 0) == timed), "{spans:?}");
         for t in 0..len {
             let both = [fwd_h[t].as_slice(), bwd_h[t].as_slice()].concat();
-            assert_eq!(bits(&out[t..=t]), bits(&[both]), "t {t}");
+            let row = out[t * 2 * d..][..2 * d].to_vec();
+            assert_eq!(bits(&[row]), bits(&[both]), "t {t}");
             assert_eq!(stats[t], fwd_stats[t].merge(bwd_stats[t]), "t {t}");
         }
     }
+}
+
+/// A session with every layer reuse-disabled is the network: its sequence
+/// walk and `Network::forward_sequence` run each layer through the same
+/// entries, so outputs agree bit for bit — calibrating or not, whatever the
+/// sequence length — and the pack a compiled model carries is the cell's.
+#[test]
+fn an_all_disabled_session_is_the_network_bitwise() {
+    let net = reuse_nn::NetworkBuilder::new("rnn", 13)
+        .seed(3)
+        .bilstm(11)
+        .lstm(7)
+        .fully_connected(5, Activation::Identity)
+        .build()
+        .unwrap();
+    let config = net
+        .layers()
+        .iter()
+        .fold(reuse_core::ReuseConfig::uniform(16), |c, (name, _)| {
+            c.disable_layer(name)
+        });
+    let mut session = reuse_core::ReuseSession::from_network(&net, &config);
+    let mut flat = Vec::new();
+    for (unit, len) in [1usize, 40, 65, 130, 3].into_iter().enumerate() {
+        let xs = walk(len, 13, unit as u64);
+        let want = net.forward_sequence(&xs).unwrap();
+        let got = session.execute_sequence(&xs).unwrap();
+        assert_eq!(got.len(), len);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                bits(&[g.as_slice().to_vec()]),
+                bits(&[w.as_slice().to_vec()])
+            );
+        }
+        session.execute_sequence_into(&xs, &mut flat).unwrap();
+        let rows: Vec<Vec<f32>> = want.iter().map(|w| w.as_slice().to_vec()).collect();
+        assert_eq!(bits(&[flat.clone()]), bits(&[rows.concat()]), "len {len}");
+    }
+    let Layer::Lstm(cell) = &session.network().layers()[1].1 else {
+        panic!("layer 1 is the unidirectional cell");
+    };
+    let Layer::Lstm(original) = &net.layers()[1].1 else {
+        panic!("layer 1 is the unidirectional cell");
+    };
+    assert!(std::ptr::eq(
+        LstmGatePack::new(cell).combined_h(),
+        original.pack().combined_h()
+    ));
 }
 
 /// A 2D layer and its depth-1 3D twin (same weights, `kd = 1`, no padding —

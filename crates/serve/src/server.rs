@@ -186,8 +186,8 @@ struct QueuedFrame {
 
 /// One stream's slot in the server: its session, bounded queues, and
 /// recycling buffer lists. Everything here is preallocated at stream
-/// creation so the steady-state submit/tick/drain cycle never allocates
-/// (feed-forward models).
+/// creation (or grows once, to the model's sequence) so the steady-state
+/// submit/tick/drain cycle never allocates.
 #[derive(Debug)]
 struct StreamEntry {
     id: u64,
@@ -207,6 +207,11 @@ struct StreamEntry {
     /// Scratch for assembling recurrent sequences (timestep buffers are
     /// moved in from the queue and returned to `frame_free` after).
     seq_scratch: Vec<Vec<f32>>,
+    /// The `(enqueued, tag)` of each timestep in `seq_scratch`, and the
+    /// sequence's flat `[timesteps, outputs]` result on its way into
+    /// `out_free` buffers.
+    seq_meta: Vec<(Instant, u64)>,
+    seq_out: Vec<f32>,
     /// Logical-clock value of the stream's last submit (LRU key).
     last_used: u64,
     /// Whether the session's drift watchdog has auto-disabled any reuse
@@ -251,6 +256,8 @@ impl StreamEntry {
             out_free: Vec::with_capacity(config.queue_capacity + 1),
             expired_tags: VecDeque::with_capacity(config.queue_capacity),
             seq_scratch: Vec::with_capacity(config.sequence_len),
+            seq_meta: Vec::with_capacity(config.sequence_len),
+            seq_out: Vec::new(),
             last_used: 0,
             degraded: false,
             frames_in: 0,
@@ -352,33 +359,36 @@ impl StreamEntry {
         self.degraded = self.session.auto_disabled_layers().next().is_some();
     }
 
-    /// Executes one full sequence (recurrent models). Sequence execution
-    /// goes through [`ReuseSession::execute_sequence`], which allocates —
-    /// recurrent serving is outside the zero-alloc dispatch contract, same
-    /// as the engine itself.
+    /// Executes one full sequence (recurrent models) through
+    /// [`ReuseSession::execute_sequence_into`] and copies its rows into
+    /// pooled output buffers: like a frame, a steady sequence allocates
+    /// nothing.
     fn process_sequence(&mut self, config: &ServerConfig, latency: &LatencyHistogram) {
         let len = config.sequence_len;
         debug_assert!(self.queue.len() >= len);
         self.seq_scratch.clear();
-        let mut enqueued = Vec::with_capacity(len);
-        let mut tags = Vec::with_capacity(len);
+        self.seq_meta.clear();
         for _ in 0..len {
             let frame = self.queue.pop_front().expect("checked above");
             if frame.priority == Priority::High {
                 self.high_pending -= 1;
             }
             self.seq_scratch.push(frame.data);
-            enqueued.push(frame.enqueued);
-            tags.push(frame.tag);
+            self.seq_meta.push((frame.enqueued, frame.tag));
         }
-        match self.session.execute_sequence(&self.seq_scratch) {
-            Ok(outs) => {
-                for (t, tensor) in outs.iter().enumerate() {
+        match self
+            .session
+            .execute_sequence_into(&self.seq_scratch, &mut self.seq_out)
+        {
+            Ok(()) => {
+                let width = self.seq_out.len() / len;
+                for t in 0..len {
                     let mut out = self.out_free.pop().unwrap_or_default();
                     out.clear();
-                    out.extend_from_slice(tensor.as_slice());
-                    latency.record(enqueued[t].elapsed().as_nanos() as u64);
-                    self.push_output(tags[t], out, config.queue_capacity);
+                    out.extend_from_slice(&self.seq_out[t * width..][..width]);
+                    let (enqueued, tag) = self.seq_meta[t];
+                    latency.record(enqueued.elapsed().as_nanos() as u64);
+                    self.push_output(tag, out, config.queue_capacity);
                     self.frames_done += 1;
                 }
             }
@@ -407,8 +417,8 @@ impl StreamEntry {
 /// **Allocation:** with feed-forward models the steady-state submit → tick
 /// → drain cycle performs zero heap allocations: ingress frames, outputs,
 /// and session intermediates all come from preallocated recycling lists
-/// (enforced by the counting-allocator test in `tests/alloc.rs`).
-/// Recurrent sequences allocate inside the engine.
+/// (enforced by the counting-allocator test in `tests/alloc.rs`), and a
+/// recurrent model's sequences run under the same contract.
 #[derive(Debug)]
 pub struct StreamServer {
     model: Arc<CompiledModel>,

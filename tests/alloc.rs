@@ -8,7 +8,9 @@
 //! CONV1 and its five pools. Every one of them writes into a buffer from the
 //! session's pool, so once the pool is primed a frame of any of the three
 //! allocates nothing in the session; what is left is the conv kernel's own
-//! two im2col blocks, once per reuse-disabled conv layer.
+//! two im2col blocks, once per reuse-disabled conv layer. EESEN's sequences
+//! are under the same contract: flat pooled buffers between layers, whether a
+//! BiLSTM steps through its reuse state or runs at full precision.
 //!
 //! The count is per thread: the harness runs these tests on parallel
 //! threads, and a process-wide counter would charge each test with the
@@ -115,4 +117,40 @@ fn c3d_steady_windows_allocate_only_conv1s_im2col_blocks() {
         2 * STEADY_FRAMES as u64,
         "per steady C3D window"
     );
+}
+
+/// What steady EESEN-tiny sequences of `len` timesteps allocate under
+/// `config`, and how often they miss the pool, after three warm-up sequences
+/// (calibration, the state-initialising one, one steady to grow the scratch).
+fn steady_sequence_allocations(config: &ReuseConfig, len: usize) -> (u64, u64) {
+    let w = Workload::build(WorkloadKind::Eesen, Scale::Tiny);
+    let mut session = ReuseSession::from_network(w.network(), config);
+    let sequences = w.generate_sequences(3 + 4, len, 13);
+    let (warm_up, steady) = sequences.split_at(3);
+    let mut out = Vec::new();
+    for sequence in warm_up {
+        session.execute_sequence_into(sequence, &mut out).unwrap();
+    }
+    let misses = session.pool_stats().misses;
+    let before = ALLOCATIONS.with(Cell::get);
+    for sequence in steady {
+        session.execute_sequence_into(sequence, &mut out).unwrap();
+        assert_eq!(out.len(), len * 10);
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    (allocations, session.pool_stats().misses - misses)
+}
+
+#[test]
+fn eesen_steady_sequences_are_allocation_free() {
+    let w = Workload::build(WorkloadKind::Eesen, Scale::Tiny);
+    let on = w.reuse_config().clone();
+    let mixed = on.clone().disable_layer("bilstm2");
+    let off = mixed.clone().disable_layer("bilstm1");
+    // 130 timesteps is two 64-step blocks and a bit: nothing once grown.
+    for (config, len) in [(&on, 40), (&mixed, 40), (&off, 40), (&on, 130), (&off, 130)] {
+        let (allocations, pool_misses) = steady_sequence_allocations(config, len);
+        assert_eq!(pool_misses, 0, "steady-state pool misses at {len} steps");
+        assert_eq!(allocations, 0, "steady EESEN sequences of {len} allocated");
+    }
 }
