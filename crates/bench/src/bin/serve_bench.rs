@@ -13,11 +13,10 @@
 //! `serve_bench --perf-smoke` times the 1- and 8-stream Kaldi pair on a
 //! passive [`StreamServer`] and exits nonzero when 8-stream aggregate
 //! throughput falls below `REUSE_SERVE_MIN_SCALING` × 1-stream throughput
-//! (default 0.9, tunable for noisy hosts like `REUSE_BLOCKED_MIN_SPEEDUP`)
-//! or below the absolute `REUSE_SERVE_MIN_FPS` floor (default 1.0
-//! frames/sec). Per-frame kernel work is identical at every stream count,
-//! so the ratio measures how well the serial tick amortizes its per-tick
-//! overhead.
+//! (default 0.9, tunable for noisy hosts) or below the absolute
+//! `REUSE_SERVE_MIN_FPS` floor (default 1.0 frames/sec). Per-frame kernel
+//! work is identical at every stream count, so the ratio measures how well
+//! the serial tick amortizes its per-tick overhead.
 //!
 //! `serve_bench --open-loop --perf-smoke` times three alternating 1-vs-64-
 //! stream Kaldi pairs through a [`ShardedServer`] with [`default_shards`]

@@ -17,10 +17,9 @@ use crate::{init, Activation, NnError};
 /// cache-blocked [`PackedPanels`], so the layer holds both layouts.
 /// [`Self::forward_linear_into`] — the layer's one forward, under every
 /// walk of a network — runs the 16-lane blocked microkernel over the packed
-/// copy (dispatched per [`reuse_tensor::SimdLevel`]: bit-identical to the
-/// naive input-major walk under the scalar contract, FMA-fused within
-/// [`reuse_tensor::simd::fma_tolerance`] under AVX2). The reuse-correction
-/// path does not touch that copy: [`reuse_tensor::block::apply_deltas_rows`]
+/// copy (dispatched per [`reuse_tensor::SimdLevel`], bit-identical to the
+/// naive input-major walk at either). The reuse-correction path does not
+/// touch that copy: [`reuse_tensor::block::apply_deltas_rows`]
 /// walks the row-major `weights`, one contiguous row per changed input.
 ///
 /// Both layouts are immutable and shared by clones of the layer (the conv
@@ -120,9 +119,8 @@ impl FullyConnected {
     /// clears `out` and writes the `n_out` pre-activation values into it,
     /// reusing its capacity across calls. Runs the cache-blocked packed
     /// microkernel at the active [`reuse_tensor::SimdLevel`]; results are
-    /// bit-identical to the naive [`matmul::fc_forward_naive`] walk under
-    /// the scalar contract and within [`reuse_tensor::simd::fma_tolerance`]
-    /// of it under AVX2. The activation on top is [`crate::Layer::forward_into`].
+    /// bit-identical to the naive [`matmul::fc_forward_naive`] walk at
+    /// either. The activation on top is [`crate::Layer::forward_into`].
     ///
     /// # Errors
     ///
@@ -208,10 +206,7 @@ mod tests {
         let naive = matmul::fc_forward_naive(fc.weights(), &xt, fc.bias()).unwrap();
         let mut blocked = Vec::new();
         fc.forward_linear_into(&x, &mut blocked).unwrap();
-        // Bit-identical under the scalar contract; FMA-tolerance-bounded
-        // under AVX2 (|x| <= 2, random small weights).
-        let tol = reuse_tensor::simd::fma_tolerance(38, 4.0);
-        let mismatch = reuse_tensor::simd::kernel_mismatch(&blocked, naive.as_slice(), tol);
+        let mismatch = reuse_tensor::simd::kernel_mismatch(&blocked, naive.as_slice());
         assert!(mismatch.is_none(), "{}", mismatch.unwrap());
     }
 

@@ -340,11 +340,11 @@ impl LstmCell {
     /// add `h[i] · W_h[i]` for every nonzero `h[i]` in ascending `i` through
     /// the combined recurrent matrix, update the gates. Per output that is
     /// the chain [`Self::step`] builds — bias, x terms in ascending order, h
-    /// terms in ascending order, fused at AVX2 and mul-then-add at the
-    /// scalar level in both — so the two agree bit for bit at either level,
-    /// whatever the block. (Under AVX2 the GEMM has no exact-zero skip, so a
-    /// `-0.0` bias followed by nothing but zero products can come out
-    /// `+0.0`; the cell update erases the sign before it reaches `h`.)
+    /// terms in ascending order, every step fused — so the two agree bit for
+    /// bit at either SIMD level, whatever the block. (The GEMM multiplies an
+    /// exact-zero `x` where `step` passes over its row, so a `-0.0` bias
+    /// followed by nothing but zero products can come out `+0.0` here; the
+    /// cell update erases the sign before it reaches `h`.)
     /// Allocation-free once `scratch` and `out` have grown to the sequence.
     ///
     /// # Errors
@@ -451,9 +451,9 @@ impl LstmCell {
 /// `dst[j] += Σ_i w[i][j]·v[i]` with `w` stored input-major `[len(v), len(dst)]`.
 ///
 /// The per-row axpy is dispatched on the resolved SIMD level (see
-/// `reuse_tensor::simd`): identical separate mul-then-add under the scalar
-/// level, fused multiply-add under AVX2. The `vi == 0.0` skip is exact at
-/// both levels (skipping a zero contribution never changes the sum).
+/// `reuse_tensor::simd`), one fused step per element at either. The
+/// `vi == 0.0` row filter sits outside the kernel and is the same at both
+/// levels (passing over a zero contribution changes at most a zero's sign).
 fn accumulate_input_major(w: &[f32], v: &[f32], dst: &mut [f32]) {
     let n_out = dst.len();
     for (i, &vi) in v.iter().enumerate() {

@@ -21,10 +21,9 @@
 //! codes in one pass (SIMD-dispatched, bit-exact at every
 //! [`reuse_tensor::SimdLevel`]) and leaves the changed inputs as ascending
 //! `(index, Δcentroid)` pairs. **Correct**: every (changed input, output
-//! position it reaches) pair is one `out_c`-wide `z ← z + Δ·w` of a tap's
-//! weight row onto the position's contiguous outputs, fused at AVX2 and
-//! multiply-then-add at the scalar level, and every output element receives
-//! its pairs in ascending input order. Two kernels do that, chosen once per
+//! position it reaches) pair is one `out_c`-wide fused `z ← z + Δ·w` of a
+//! tap's weight row onto the position's contiguous outputs, and every output
+//! element receives its pairs in ascending input order. Two kernels do that, chosen once per
 //! layer from its geometry (`GATHER_MAX_FANOUT`) and bit-identical to each
 //! other:
 //!

@@ -94,12 +94,10 @@ impl FcReuseState {
     /// `reuse_tensor::block::apply_deltas_rows`: a few changed rows are
     /// streamed together, so the buffered outputs are read and written once
     /// per batch of rows instead of once per delta. Each output neuron
-    /// accumulates its deltas in changed-list (ascending input) order, so
-    /// under the scalar SIMD level the result is bit-identical to the
-    /// one-row-at-a-time walk ([`Self::execute_into_naive`]); under the AVX2
-    /// level the batched walk fuses each delta into an FMA and agrees within
-    /// `reuse_tensor::simd::fma_tolerance` (codes, changed counts, and MAC
-    /// statistics stay bit-exact at every level).
+    /// accumulates its deltas in changed-list (ascending input) order, one
+    /// fused step each, so the result is bit-identical to the
+    /// one-row-at-a-time walk ([`Self::execute_into_naive`]) at every SIMD
+    /// level — outputs, codes, changed counts and MAC statistics alike.
     ///
     /// # Errors
     ///
@@ -116,9 +114,9 @@ impl FcReuseState {
     }
 
     /// [`Self::execute_into`] with the original unblocked correction walk
-    /// (one scattered weight-row pass per changed input). Serves as the
-    /// bit-identity oracle for the row-batched path in proptests and as
-    /// the before/after baseline in `kernel_bench`; not for production use.
+    /// (one scattered weight-row pass per changed input, each step fused).
+    /// The bit-identity oracle for the row-batched path in proptests; not
+    /// for production use.
     #[doc(hidden)]
     pub fn execute_into_naive(
         &mut self,
@@ -185,7 +183,7 @@ impl FcReuseState {
             for &(i, delta) in &self.changed {
                 let row = &w[i as usize * n_out..][..n_out];
                 for (z, &wij) in self.prev_linear.iter_mut().zip(row) {
-                    *z += delta * wij;
+                    *z = delta.mul_add(wij, *z);
                 }
             }
         } else {
@@ -246,10 +244,9 @@ mod tests {
         assert!(stats.from_scratch);
         assert_eq!(stats.n_changed, 6);
         assert_eq!(stats.macs_performed, 24);
+        // The first execution *is* the from-scratch forward on the centroids.
         let expect = oracle(&layer, &q, &input);
-        for (a, b) in out.as_slice().iter().zip(expect.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        assert_eq!(reuse_tensor::simd::kernel_mismatch(&out, &expect), None);
     }
 
     #[test]
@@ -314,10 +311,8 @@ mod tests {
     #[test]
     fn batched_correction_matches_naive_walk() {
         // Odd dims (partial tail panel) + drifting frames: the panel-batched
-        // pass 2 must equal the original scattered row walk — bit-for-bit
-        // under the scalar SIMD level, within FMA tolerance under AVX2 —
-        // and report identical stats at every level (codes are bit-exact,
-        // so telemetry MAC counts never depend on the SIMD level).
+        // pass 2 must equal the original scattered row walk bit for bit,
+        // stats included, at every SIMD level.
         let layer = FullyConnected::random(23, 29, Activation::Identity, &mut Rng64::new(5));
         let q = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let mut blocked = FcReuseState::new(&layer);
@@ -336,9 +331,7 @@ mod tests {
                 .execute_into_naive(&layer, &q, &input, &mut out_n)
                 .unwrap();
             assert_eq!(sb, sn);
-            // 30 frames × ≤23 deltas accumulate on each buffered output.
-            let tol = reuse_tensor::simd::fma_tolerance(23 * 30, 10.0);
-            let mismatch = reuse_tensor::simd::kernel_mismatch(&out_b, &out_n, tol);
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&out_b, &out_n);
             assert!(mismatch.is_none(), "frame {frame}: {mismatch:?}");
         }
     }

@@ -191,10 +191,9 @@ impl LstmReuseState {
     /// `z_t = (z_{t-1} + X_t) + Δh₀·w + Δh₁·w + …` with `X_t` summed from
     /// `+0.0`: a definition that does not mention the block, so any split of
     /// a sequence into calls and blocks yields the same bits, and the one
-    /// [`Self::step_into_naive`] spells out over the cell's raw matrices.
-    /// Under the scalar SIMD level the two agree bit for bit (stats
-    /// included); under AVX2 the correction walks fuse each step and agree
-    /// within `reuse_tensor::simd::fma_tolerance`.
+    /// [`Self::step_into_naive`] spells out over the cell's raw matrices,
+    /// every multiply-add fused in both: the two agree bit for bit, stats
+    /// included, at every SIMD level.
     ///
     /// The first timestep after a reset computes the gates from scratch on
     /// the quantized inputs. With `timed`, `span_ns` is the timestep's own
@@ -350,7 +349,8 @@ impl LstmReuseState {
     /// the retained pre-activation buffer, through the pack — one timestep
     /// of [`LstmCell::forward_sequence_into`]'s chain (bias, the x centroids
     /// over the panels, every nonzero h centroid's row of the combined
-    /// matrix). Allocation-free once the buffers have grown to the cell.
+    /// matrix — a filter on the list, outside the kernel and the same at
+    /// every level). Allocation-free once the buffers have grown to the cell.
     fn first_step(
         &mut self,
         cell: &LstmCell,
@@ -389,8 +389,8 @@ impl LstmReuseState {
     /// output by output over the cell's raw weight matrices (no pack, no
     /// block, no kernel): the x corrections summed from zero in list order,
     /// added onto the buffered pre-activation, then the h corrections in
-    /// list order. Kept as the scalar-level bit-identity oracle for tests;
-    /// not part of the supported API.
+    /// list order, each step fused. Kept as the bit-identity oracle for
+    /// tests; not part of the supported API.
     ///
     /// # Errors
     ///
@@ -414,11 +414,11 @@ impl LstmReuseState {
                 for (u, z) in gate.iter_mut().enumerate() {
                     let mut x_sum = 0.0f32;
                     for &(i, delta) in &self.changed_x {
-                        x_sum += delta * w_x[i as usize * d + u];
+                        x_sum = delta.mul_add(w_x[i as usize * d + u], x_sum);
                     }
                     *z += x_sum;
                     for &(i, delta) in &self.changed_h {
-                        *z += delta * w_h[i as usize * d + u];
+                        *z = delta.mul_add(w_h[i as usize * d + u], *z);
                     }
                 }
             }
@@ -614,16 +614,11 @@ mod tests {
 
     #[test]
     fn panel_batched_step_matches_naive_walk() {
-        // Odd cell_dim so the packed panels have a partial tail lane.
-        // Under the scalar SIMD level the two walks are bit-identical
-        // (including stats). Under AVX2 the correction kernels fuse deltas
-        // into FMAs, and — because h feeds back into the next step's code
-        // comparison — a ULP difference could in principle flip a cluster
-        // boundary, so only the hidden outputs are compared (within FMA
-        // tolerance), not the per-step stats.
+        // Odd cell_dim so the packed panels have a partial tail lane. The
+        // two walks are bit-identical, stats included: h feeds back into the
+        // next step's code comparison, so nothing less would keep them.
         let mut blocked = Harness::new(LstmCell::random(13, 11, &mut Rng64::new(5)));
         let mut naive = LstmReuseState::new_shared(&blocked.cell);
-        let bit_exact = reuse_tensor::simd::is_bit_exact();
         let mut rng = Rng64::new(17);
         let mut frame = vec![0.0f32; 13];
         let mut hn = Vec::new();
@@ -636,13 +631,8 @@ mod tests {
             let sn = naive
                 .step_into_naive(cell, xq, hq, &frame, &mut hn)
                 .unwrap();
-            if bit_exact {
-                assert_eq!(sb, sn);
-            }
-            // σ/φ keep |pre| differences contractive; a loose absolute
-            // bound still catches any real indexing/batching bug.
-            let tol = reuse_tensor::simd::fma_tolerance(24 * 25, 30.0);
-            let mismatch = reuse_tensor::simd::kernel_mismatch(&hb, &hn, tol);
+            assert_eq!(sb, sn);
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&hb, &hn);
             assert!(mismatch.is_none(), "step {step}: {mismatch:?}");
         }
     }

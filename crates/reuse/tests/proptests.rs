@@ -295,12 +295,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // The batched FC/LSTM correction paths must match the pre-blocking
-    // scattered walks — bit for bit under the scalar SIMD level, within the
-    // FMA tolerance of `reuse_tensor::simd` under AVX2 (the batched path
-    // fuses its multiply-adds, the naive oracle never does) — and, where the
-    // quantize/diff pass is the only code-affecting input, report identical
-    // activity counters: batching reorders which outputs are walked
-    // together, never which MACs are performed or skipped.
+    // scattered walks bit for bit at every SIMD level (both fuse every
+    // multiply-add, in the same order) and report identical activity
+    // counters: batching reorders which outputs are walked together, never
+    // which MACs are performed or skipped.
 
     #[test]
     fn fc_batched_corrections_match_naive(
@@ -313,17 +311,12 @@ proptest! {
         let mut blocked = FcReuseState::new(&layer);
         let mut naive = FcReuseState::new(&layer);
         let (mut out_b, mut out_n) = (Vec::new(), Vec::new());
-        // Initial forward (11+1 terms) plus up to 11 deltas per frame.
-        let tol = reuse_tensor::simd::fma_tolerance(12 + 11 * xs.len(), 10.0);
         for x in &xs {
             let sb = blocked.execute_into(&cfg, &layer, &q, x, &mut out_b).unwrap();
             let sn = naive.execute_into_naive(&layer, &q, x, &mut out_n).unwrap();
-            let mismatch = reuse_tensor::simd::kernel_mismatch(&out_b, &out_n, tol);
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&out_b, &out_n);
             prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-            // Quantize/diff is bit-exact at every level, so the two paths
-            // see identical delta lists and identical counters.
-            prop_assert_eq!(sb.macs_performed, sn.macs_performed);
-            prop_assert_eq!(sb.n_changed, sn.n_changed);
+            prop_assert_eq!(sb, sn);
         }
     }
 
@@ -333,27 +326,18 @@ proptest! {
         let xq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let hq = LinearQuantizer::new(InputRange::new(-1.0, 1.0), 16).unwrap();
         let cfg = ParallelConfig::serial();
-        let bit_exact = reuse_tensor::simd::is_bit_exact();
         let pack = LstmGatePack::new(&cell);
         let mut blocked = LstmReuseState::new_shared(&cell);
         let mut naive = LstmReuseState::new_shared(&cell);
         let (mut h_b, mut h_n) = (Vec::new(), Vec::new());
-        // (9 + 5 + 1) pre-activation terms per gate, recurrent over the
-        // whole sequence; the gate nonlinearities contract, never expand.
-        let tol = reuse_tensor::simd::fma_tolerance(15 * xs.len(), 30.0);
         for x in &xs {
             let sb = blocked.step_into_packed(&cfg, &cell, &pack, &xq, &hq, x, &mut h_b).unwrap();
             let sn = naive.step_into_naive(&cell, &xq, &hq, x, &mut h_n).unwrap();
-            let mismatch = reuse_tensor::simd::kernel_mismatch(&h_b, &h_n, tol);
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&h_b, &h_n);
             prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap());
-            // Under AVX2 the recurrent h inputs can differ by ULPs between
-            // the two paths, which may flip a quantization boundary and
-            // change the delta lists — counters are only guaranteed equal
-            // under the bit-exact (scalar) contract.
-            if bit_exact {
-                prop_assert_eq!(sb.macs_performed, sn.macs_performed);
-                prop_assert_eq!(sb.n_changed, sn.n_changed);
-            }
+            // h feeds the next step's code comparison: equal bits, so equal
+            // delta lists and equal counters.
+            prop_assert_eq!(sb, sn);
         }
     }
 }
@@ -409,8 +393,8 @@ proptest! {
     /// one `step_into_packed` call per timestep (hidden outputs, every
     /// `ExecStats`, the recurrent state left behind and what two further
     /// steps make of the buffered codes and pre-activations), in either
-    /// visit order and however the sequence is split over calls; and at the
-    /// scalar level the bits of the naive oracle.
+    /// visit order and however the sequence is split over calls; and the
+    /// bits of the naive oracle.
     #[test]
     fn lstm_block_equals_single_steps_and_the_naive_oracle(
         // Off the 16-lane panel and the 8-lane vector on both sides.
@@ -470,18 +454,13 @@ proptest! {
 
         let mut naive = LstmReuseState::new_shared(&cell);
         let mut h_n = Vec::new();
-        let tol = reuse_tensor::simd::fma_tolerance((n_in + d + 1) * len, 30.0);
         for (t, x) in order().enumerate() {
-            let s = naive.step_into_naive(&cell, &q, &q, x, &mut h_n).unwrap();
-            let mismatch = reuse_tensor::simd::kernel_mismatch(&got_h[t], &h_n, tol);
-            prop_assert!(mismatch.is_none(), "t {}: {}", t, mismatch.unwrap());
             // The oracle's first timestep is the raw-matrix row walk, so
-            // at the scalar level this pins the from-scratch step through
-            // the pack too.
-            if reuse_tensor::simd::is_bit_exact() {
-                prop_assert_eq!(s, got_stats[t]);
-                prop_assert_eq!(bits(&got_h[t..=t]), bits(std::slice::from_ref(&h_n)), "t {}", t);
-            }
+            // this pins the from-scratch step through the pack too.
+            let s = naive.step_into_naive(&cell, &q, &q, x, &mut h_n).unwrap();
+            let mismatch = reuse_tensor::simd::kernel_mismatch(&got_h[t], &h_n);
+            prop_assert!(mismatch.is_none(), "t {}: {}", t, mismatch.unwrap());
+            prop_assert_eq!(s, got_stats[t]);
         }
     }
 }

@@ -19,18 +19,12 @@
 //! registers: two 256-bit vectors per panel on the AVX2 path, a fixed-width
 //! array the compiler auto-vectorizes on the scalar path.
 //!
-//! **Exactness.** The kernels dispatch on [`crate::simd::level`]:
-//!
-//! * Scalar level: for each output `j`, the blocked kernel performs the
-//!   same additions in the same order as the naive loop — bias first, then
-//!   `x[i] · w[i][j]` for `i` ascending, skipping `x[i] == 0.0` terms — so
-//!   results are **bit-identical** to [`crate::matmul::fc_forward_naive`].
-//! * AVX2 level: same terms, same ascending order, but each step is a fused
-//!   multiply-add and exact zeros are multiplied rather than skipped;
-//!   results agree with the oracle within [`crate::simd::fma_tolerance`].
-//!
-//! Either way every output's accumulation is one chain; the proptests in
-//! `tests/blocked.rs` assert the level-appropriate property across odd
+//! **Exactness.** The kernels dispatch on [`crate::simd::level`], and at
+//! either level each output `j` is one chain of fused multiply-adds — bias
+//! first, then `x[i] · w[i][j]` for every `i` ascending, zeros included —
+//! which is [`crate::matmul::fc_forward_naive`]'s chain: results are
+//! **bit-identical** to the oracle and across levels (the [`crate::simd`]
+//! contract). The proptests in `tests/blocked.rs` assert it across odd
 //! shapes.
 
 use crate::simd;
@@ -161,10 +155,10 @@ impl PackedPanels {
     /// output positions along `ox` through kernel taps `stride` apart,
     /// descending, on `counts[0]` output rows `outer_stride` floats apart
     /// through taps `stride · kw` apart; row `t` of a panel is 16 contiguous
-    /// floats, so the forward pass's panels serve unchanged. The scalar
-    /// [`crate::simd::level`] multiplies then adds; AVX2 fuses each step
-    /// (the [`crate::simd::row_axpy`] shape). The level is resolved once per
-    /// call and the iterator inlines: a grid is only a few dozen floats.
+    /// floats, so the forward pass's panels serve unchanged. Every step is
+    /// fused at either [`crate::simd::level`] (the [`crate::simd::row_axpy`]
+    /// shape). The level is resolved once per call and the iterator inlines:
+    /// a grid is only a few dozen floats.
     ///
     /// # Panics
     ///
@@ -191,7 +185,7 @@ impl PackedPanels {
                             for (p, seg) in out[..self.n_out].chunks_mut(PANEL_WIDTH).enumerate() {
                                 let wrow = &self.panel(p)[row * PANEL_WIDTH..][..seg.len()];
                                 for (o, &w) in seg.iter_mut().zip(wrow) {
-                                    *o += g.scale * w;
+                                    *o = g.scale.mul_add(w, *o);
                                 }
                             }
                         }
@@ -221,11 +215,10 @@ impl PackedPanels {
     /// AVX2 the row's sums stay in registers (up to 64 lanes at a time)
     /// while the bucket's weight rows are fused on, so the row is loaded and
     /// stored once per position and its `n_out % 8` tail is masked once.
-    /// Per output element the additions are `z ← z + Δ·w` in bucket order —
-    /// multiply then add at the scalar [`crate::simd::level`], fused at
-    /// AVX2 — which is the order an input-by-input walk over ascending
-    /// changed inputs applies them in, so results are bit-identical to that
-    /// walk at each level.
+    /// Per output element the additions are fused `z ← z + Δ·w` steps in
+    /// bucket order, which is the order an input-by-input walk over
+    /// ascending changed inputs applies them in, so results are bit-identical
+    /// to that walk, at either [`crate::simd::level`].
     ///
     /// Returns the number of `(tap, Δ)` entries applied.
     ///
@@ -263,9 +256,8 @@ impl PackedPanels {
     /// dst[b·n_out + c] += Δ_e · w[tap_e][c]     for e in bucket b, in order
     /// ```
     ///
-    /// Per output element that is one chain `z ← z + Δ·w` in entry order
-    /// from the value `dst` holds — multiply then add at the scalar
-    /// [`crate::simd::level`], fused at AVX2, as in `gather_axpy` — so a row
+    /// Per output element that is one chain of fused `z ← z + Δ·w` steps in
+    /// entry order from the value `dst` holds, as in `gather_axpy`, so a row
     /// that enters as `+0.0` leaves holding its bucket's sum from zero, and
     /// an empty bucket leaves its row untouched. This is an LSTM cell's
     /// feed-forward correction over a block of timesteps (one bucket per
@@ -349,8 +341,7 @@ pub fn axpy_buckets_scalar(
 
 /// One bucket onto one panel's `seg.len() ≤ 16` lanes of a row: the sums
 /// stay in a fixed-width array across the bucket (the zero-padded tail lanes
-/// are computed and dropped), one multiply-then-add chain per output in
-/// bucket order.
+/// are computed and dropped), one fused chain per output in bucket order.
 #[inline]
 fn axpy_panel_scalar(panel: &[f32], taps: &[u32], deltas: &[f32], seg: &mut [f32]) {
     let mut acc = [0.0f32; PANEL_WIDTH];
@@ -358,7 +349,7 @@ fn axpy_panel_scalar(panel: &[f32], taps: &[u32], deltas: &[f32], seg: &mut [f32
     for (&tap, &delta) in taps.iter().zip(deltas) {
         let wrow = &panel[tap as usize * PANEL_WIDTH..][..PANEL_WIDTH];
         for l in 0..PANEL_WIDTH {
-            acc[l] += delta * wrow[l];
+            acc[l] = delta.mul_add(wrow[l], acc[l]);
         }
     }
     seg.copy_from_slice(&acc[..seg.len()]);
@@ -441,7 +432,7 @@ pub(crate) fn check_gather(
 }
 
 /// The scalar body of [`PackedPanels::gather_axpy`]: the same bucket, then
-/// `*o += Δ · w` per entry (multiply, then add). Public (but hidden) so the
+/// one fused `o ← o + Δ · w` per entry. Public (but hidden) so the
 /// SIMD==scalar equivalence suites can pin the scalar side regardless of the
 /// dispatched level.
 #[doc(hidden)]
@@ -493,12 +484,10 @@ pub struct RowGrid {
 }
 
 /// Blocked fully-connected forward pass: `out[j] = Σ_i w[i][j]·x[i] + b[j]`,
-/// walking the one-time-packed panels with register accumulators. Under the
-/// scalar [`crate::simd::level`] it is bit-identical to
-/// [`crate::matmul::fc_forward_naive`] (same per-output accumulation order —
-/// bias first, then ascending `i` with the `x[i] == 0.0` skip); under AVX2
-/// it sums the same terms in the same order with fused multiply-adds (see
-/// the [`crate::simd`] contract).
+/// walking the one-time-packed panels with register accumulators.
+/// Bit-identical to [`crate::matmul::fc_forward_naive`] at either
+/// [`crate::simd::level`]: the same per-output chain — bias first, then every
+/// `i` ascending, each step fused (see the [`crate::simd`] contract).
 ///
 /// # Errors
 ///
@@ -541,7 +530,7 @@ pub fn fc_forward_packed_into(
 
 /// The scalar walk over every output panel, `out` entering with the biases
 /// (or partial sums): four panels at a time with the tile kernel and one at
-/// a time for the remainder. Bit-identical to the naive row walk. Public
+/// a time for the remainder. Public
 /// (but hidden) so the SIMD==scalar equivalence suites can pin the scalar
 /// side regardless of the dispatched level.
 #[doc(hidden)]
@@ -586,14 +575,10 @@ fn panel_tile_kernel(panels: [&[f32]; TILE_PANELS], x: &[f32], seg: &mut [f32]) 
         .zip(panels[2].chunks_exact(PANEL_WIDTH))
         .zip(panels[3].chunks_exact(PANEL_WIDTH));
     for ((((&xi, r0), r1), r2), r3) in rows {
-        if xi == 0.0 {
-            continue;
-        }
-        for l in 0..PANEL_WIDTH {
-            acc[l] += xi * r0[l];
-            acc[PANEL_WIDTH + l] += xi * r1[l];
-            acc[2 * PANEL_WIDTH + l] += xi * r2[l];
-            acc[3 * PANEL_WIDTH + l] += xi * r3[l];
+        for (t, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+            for l in 0..PANEL_WIDTH {
+                acc[t * PANEL_WIDTH + l] = xi.mul_add(row[l], acc[t * PANEL_WIDTH + l]);
+            }
         }
     }
     seg.copy_from_slice(&acc);
@@ -607,14 +592,9 @@ pub(crate) fn panel_kernel(panel: &[f32], x: &[f32], seg: &mut [f32]) {
     let mut acc = [0.0f32; PANEL_WIDTH];
     acc[..seg.len()].copy_from_slice(seg);
     for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            // Same no-op skip as the naive kernel: keeps the flop pattern
-            // (and the bit pattern) identical.
-            continue;
-        }
         let row = &panel[i * PANEL_WIDTH..i * PANEL_WIDTH + PANEL_WIDTH];
         for l in 0..PANEL_WIDTH {
-            acc[l] += xi * row[l];
+            acc[l] = xi.mul_add(row[l], acc[l]);
         }
     }
     seg.copy_from_slice(&acc[..seg.len()]);
@@ -634,10 +614,9 @@ pub const DELTA_BATCH: usize = 4;
 /// only the changed rows, and every touched cache line is consumed in full.
 ///
 /// Per output `j` the additions are `Δ₀·w[i₀][j], Δ₁·w[i₁][j], …` in
-/// `deltas` order — exactly the order the naive correction loop uses — so
-/// under the scalar [`crate::simd::level`] the result is bit-identical to
-/// the unblocked path (paper Eq. 10); the AVX2 level fuses each step and
-/// agrees within [`crate::simd::fma_tolerance`].
+/// `deltas` order, each step fused — exactly the naive correction loop's
+/// chain — so the result is bit-identical to the unblocked path (paper
+/// Eq. 10) at either [`crate::simd::level`].
 ///
 /// # Panics
 ///
@@ -658,7 +637,7 @@ pub fn apply_deltas_rows(
 }
 
 /// The scalar correction sweep over `z`, one weight row `z.len()` wide per
-/// delta (bit-identical to the naive scattered walk). Public (but hidden)
+/// delta. Public (but hidden)
 /// for the SIMD==scalar equivalence suites.
 #[doc(hidden)]
 pub fn apply_deltas_scalar(w: &[f32], deltas: &[(u32, f32)], z: &mut [f32]) {
@@ -674,20 +653,17 @@ pub fn apply_deltas_scalar(w: &[f32], deltas: &[(u32, f32)], z: &mut [f32]) {
         let r2 = &w[i2 as usize * n_out..][..n_out];
         let r3 = &w[i3 as usize * n_out..][..n_out];
         for (j, zj) in z.iter_mut().enumerate() {
-            // One chain per output element; vectorizing over `j` gives
-            // the ILP, and the in-order adds keep bit-identity.
-            let mut acc = *zj;
-            acc += d0 * r0[j];
-            acc += d1 * r1[j];
-            acc += d2 * r2[j];
-            acc += d3 * r3[j];
-            *zj = acc;
+            // One chain per output element, in list order.
+            let acc = d0.mul_add(r0[j], *zj);
+            let acc = d1.mul_add(r1[j], acc);
+            let acc = d2.mul_add(r2[j], acc);
+            *zj = d3.mul_add(r3[j], acc);
         }
     }
     for &(i, delta) in batches.remainder() {
         let row = &w[i as usize * n_out..][..n_out];
         for (zj, &wij) in z.iter_mut().zip(row.iter()) {
-            *zj += delta * wij;
+            *zj = delta.mul_add(wij, *zj);
         }
     }
 }
@@ -722,8 +698,8 @@ mod tests {
 
     #[test]
     fn packed_forward_matches_naive_kernel() {
-        // Bit-identical under the scalar level, FMA-tolerance-bounded under
-        // AVX2 (see `crate::simd` for the accumulation contract).
+        // Bit-identical at every level (see `crate::simd` for the
+        // accumulation contract).
         for (n_in, n_out) in [
             (1usize, 1usize),
             (3, 8),
@@ -735,7 +711,7 @@ mod tests {
             let w = Tensor::from_vec(Shape::d2(n_in, n_out), ramp(n_in * n_out)).unwrap();
             let mut xv = ramp(n_in);
             if n_in > 2 {
-                xv[2] = 0.0; // exercise the zero-skip path
+                xv[2] = 0.0; // an exact zero is multiplied like any input
             }
             let x = Tensor::from_vec(Shape::d1(n_in), xv).unwrap();
             let b = Tensor::from_vec(Shape::d1(n_out), ramp(n_out)).unwrap();
@@ -745,8 +721,7 @@ mod tests {
             let mut blocked = Vec::new();
             fc_forward_packed_into(&cfg, &packed, x.as_slice(), b.as_slice(), &mut blocked)
                 .unwrap();
-            let tol = simd::fma_tolerance(n_in + 1, 700.0);
-            let mismatch = simd::kernel_mismatch(&blocked, naive.as_slice(), tol);
+            let mismatch = simd::kernel_mismatch(&blocked, naive.as_slice());
             assert!(
                 mismatch.is_none(),
                 "n_in={n_in} n_out={n_out}: {mismatch:?}"
@@ -775,7 +750,7 @@ mod tests {
         // Naive order: for each output, deltas applied in list order.
         for &(i, d) in &deltas {
             for (j, zj) in z_naive.iter_mut().enumerate() {
-                *zj += d * w[i as usize * n_out + j];
+                *zj = d.mul_add(w[i as usize * n_out + j], *zj);
             }
         }
         apply_deltas_rows(
@@ -785,8 +760,7 @@ mod tests {
             &deltas,
             &mut z_blocked,
         );
-        let tol = simd::fma_tolerance(deltas.len() + 1, 300.0);
-        let mismatch = simd::kernel_mismatch(&z_blocked, &z_naive, tol);
+        let mismatch = simd::kernel_mismatch(&z_blocked, &z_naive);
         assert!(mismatch.is_none(), "{mismatch:?}");
     }
 

@@ -13,8 +13,9 @@
 //! * [`block`] — cache-blocked weight panels and the 16-lane FC microkernel
 //!   shared by the forward and reuse-correction hot paths.
 //! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2+FMA fast path,
-//!   portable scalar fallback) behind a deterministic accumulation-order
-//!   contract; override with `REUSE_SIMD=off|avx2`.
+//!   portable scalar fallback) behind one accumulation contract — fused,
+//!   one chain per output, the same bits at every level; override with
+//!   `REUSE_SIMD=off|avx2`.
 //!
 //! # Example
 //!

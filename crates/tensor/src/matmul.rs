@@ -13,16 +13,16 @@ use crate::{ParallelConfig, Shape, Tensor, TensorError};
 
 /// Computes `out[j] = Σ_i w[i][j] · x[i] + b[j]` (paper Eq. 1) by the plain
 /// input-major walk: the oracle for the cache-blocked
-/// [`crate::block::fc_forward_packed_into`] (bit-identical under the scalar
-/// [`crate::simd::level`], within [`crate::simd::fma_tolerance`] under
-/// AVX2), which is what layers run.
+/// [`crate::block::fc_forward_packed_into`] (bit-identical to it at either
+/// [`crate::simd::level`]), which is what layers run.
 ///
 /// * `weights` must have shape `[n_inputs, n_outputs]` (input-major).
 /// * `input` must have `n_inputs` elements (any shape; flattened).
 /// * `bias` must have `n_outputs` elements.
 ///
-/// The accumulation walks inputs in ascending order so that the incremental
-/// reuse path in `reuse-core` can reproduce results deterministically.
+/// Per output the accumulation is the bias, then one fused multiply-add per
+/// input in ascending order — zeros included — so that the incremental reuse
+/// path in `reuse-core` can reproduce results deterministically.
 ///
 /// # Errors
 ///
@@ -60,15 +60,9 @@ pub fn fc_forward_naive(
     let w = weights.as_slice();
     let mut out = bias.as_slice().to_vec();
     for (i, &xi) in input.as_slice().iter().enumerate() {
-        if xi == 0.0 {
-            // Mathematically a no-op; skipping keeps the flop pattern
-            // identical to what the zero-aware hardware would do while
-            // not changing the result.
-            continue;
-        }
         let row = &w[i * n_out..(i + 1) * n_out];
         for (o, &wij) in out.iter_mut().zip(row.iter()) {
-            *o += xi * wij;
+            *o = xi.mul_add(wij, *o);
         }
     }
     Tensor::from_vec(Shape::d1(n_out), out)
@@ -97,12 +91,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// with each output's initial value — zeros for a plain product, the bias
 /// for a convolution's im2col block — which heads that output's chain.
 ///
-/// Each `C[i][j]` is one chain in ascending `l`: bit-identical to
-/// [`matmul_naive`] under the scalar [`crate::simd::level`] (the historic
-/// row-major walk with the `A[i][l] == 0.0` skip, which never changes the
-/// bits), within [`crate::simd::fma_tolerance`] under AVX2, where the panels
-/// are walked **outermost** with four `C` rows register-blocked per pass
-/// (eight fused accumulator chains), so every streamed panel row is reused
+/// Each `C[i][j]` is one fused chain over every `l` ascending: bit-identical
+/// to [`matmul_naive`] at either [`crate::simd::level`]. Under AVX2 the
+/// panels are walked **outermost** with four `C` rows register-blocked per
+/// pass (eight accumulator chains), so every streamed panel row is reused
 /// fourfold from registers.
 ///
 /// # Panics
@@ -136,8 +128,8 @@ pub fn matmul_packed_into(
 }
 
 /// The unblocked oracle for [`matmul`]: a plain row walk with no weight
-/// repacking. Kept public so proptests and `kernel_bench` can compare the
-/// blocked kernel against the original baseline.
+/// repacking, one fused step per term. Kept public so proptests can compare
+/// the blocked kernel against it.
 ///
 /// # Errors
 ///
@@ -150,12 +142,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     for (i, crow) in c.chunks_exact_mut(n).enumerate() {
         for l in 0..k {
             let aik = av[i * k + l];
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &bv[l * n..(l + 1) * n];
             for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += aik * bj;
+                *cj = aik.mul_add(bj, *cj);
             }
         }
     }
@@ -254,8 +243,7 @@ mod tests {
     #[test]
     fn blocked_matmul_matches_naive() {
         // Shapes straddling the 16-lane panel width and the AVX2 4-row
-        // register block. Bit-identical under the scalar level,
-        // tolerance-bounded under AVX2 (see `crate::simd`).
+        // register block, bit for bit (see `crate::simd`).
         for (m, k, n) in [
             (4usize, 3usize, 5usize),
             (6, 7, 8),
@@ -267,13 +255,12 @@ mod tests {
             let av: Vec<f32> = (0..m * k).map(|v| (v as f32) * 0.37 - 2.0).collect();
             let bv: Vec<f32> = (0..k * n).map(|v| 1.5 - (v as f32) * 0.21).collect();
             let mut av = av;
-            av[1] = 0.0; // exercise the zero-skip
+            av[1] = 0.0; // an exact zero is multiplied like any input
             let a = Tensor::from_vec(Shape::d2(m, k), av).unwrap();
             let b = Tensor::from_vec(Shape::d2(k, n), bv).unwrap();
             let naive = matmul_naive(&a, &b).unwrap();
             let blocked = matmul(&a, &b).unwrap();
-            let tol = crate::simd::fma_tolerance(k, 3000.0);
-            let mismatch = crate::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice(), tol);
+            let mismatch = crate::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice());
             assert!(mismatch.is_none(), "m={m} k={k} n={n}: {mismatch:?}");
         }
     }

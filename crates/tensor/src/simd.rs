@@ -2,46 +2,49 @@
 //!
 //! Every hot kernel in this crate exists in two implementations:
 //!
-//! * a **scalar** path — the original cache-blocked loops, bit-identical to
-//!   the naive serial oracles (`matmul_naive`, `conv_forward_naive`, the
-//!   scattered correction walk);
+//! * a **scalar** path — portable cache-blocked loops, the fallback on hosts
+//!   without AVX2 and the body the naive serial oracles (`matmul_naive`,
+//!   `conv_forward_naive`, the scattered correction walk) are checked
+//!   against;
 //! * an **AVX2+FMA** path — explicit `std::arch` intrinsics that widen each
-//!   loop to 256-bit lanes and fuse every multiply-add.
+//!   loop to 256-bit lanes. This is the production path.
 //!
 //! The active path is resolved **once per process** by [`level`] (a
 //! [`OnceLock`]): AVX2+FMA when the host supports both, scalar otherwise.
-//! The environment variable `REUSE_SIMD` overrides detection for testing:
+//! The environment variable `REUSE_SIMD` overrides detection and accepts a
+//! closed set of values (anything else panics at first use, naming them):
 //!
-//! * `REUSE_SIMD=off` (or `scalar`) — force the scalar path everywhere;
-//! * `REUSE_SIMD=avx2` — request the AVX2 path (silently falls back to
-//!   scalar when the host lacks AVX2/FMA, so test scripts stay portable).
+//! * `REUSE_SIMD=off` (or `scalar`, or `0`) — force the scalar path
+//!   everywhere;
+//! * `REUSE_SIMD=avx2` — request the AVX2 path (falls back to scalar when
+//!   the host lacks AVX2/FMA, so test scripts stay portable).
 //!
-//! # Accumulation-order contract
+//! # Accumulation contract
 //!
-//! Dispatch never changes *which* terms a kernel sums, only how the sums
-//! are rounded:
+//! Every multiply-accumulate in the tree is **fused** (one rounding per
+//! step), every output element is **one chain** of them in ascending term
+//! order from the value the output enters with, and **no kernel skips a
+//! term on its data**: a `0.0` input is multiplied like any other. That
+//! holds for the AVX2 vector lanes, for their scalar tails, for the scalar
+//! level's bodies and for the naive oracles — the latter three all spell the
+//! step [`f32::mul_add`] — so dispatch decides how many outputs advance per
+//! instruction and nothing else: AVX2, scalar and naive produce the **same
+//! bits**, and the tests compare `to_bits()` ([`kernel_mismatch`]). Where
+//! the build has no compile-time FMA `mul_add` is an out-of-line call to a
+//! correctly rounded `fmaf` per step: the scalar level is an oracle and a
+//! fallback, not a production path.
 //!
-//! * **Scalar level** keeps the historical contract: per output element,
-//!   separate multiply then add in ascending input order, skipping exact
-//!   `0.0` inputs — bit-identical to the naive oracles for every shape.
-//! * **AVX2 level** computes, per output element, the same terms in the
-//!   same ascending order but with **fused** multiply-adds and **no zero
-//!   skip**. Adding `x·w` with `x == 0.0` is exact (for finite weights), so
-//!   the only difference from the scalar path is the single rounding of
-//!   each fused step. Scalar tail elements (output counts that do not fill
-//!   a vector) use [`f32::mul_add`], which rounds identically to the vector
-//!   lanes — so a given output's value never depends on whether it landed
-//!   in a full vector or a tail.
+//! One consequence is pinned rather than left to the level: `fma(0, w, −0.0)`
+//! is `+0.0` or `−0.0` by the sign of `w`, so a `−0.0` bias under an
+//! all-zero input keeps or loses its sign the same way in every body. Row
+//! filters *outside* the kernels — the LSTM from-scratch walks that pass
+//! only nonzero `h` (or `x`) rows to [`row_axpy`] and
+//! `apply_deltas_rows` — choose which terms a chain has, identically at every
+//! level, and stay.
 //!
-//! Both levels keep every output element's accumulation confined to one
-//! chain. Under the scalar level the kernels are *bit-exact* against the naive
-//! oracles; under AVX2 they agree within an ULP-scale bound that
-//! [`fma_tolerance`] over-approximates. Tests assert the right property for
-//! the active level via [`kernel_mismatch`].
-//!
-//! Quantization (`reuse-quant`) is the exception: its AVX2 kernel emulates
-//! `f32::round` exactly, so quantized codes — and hence changed-input sets,
-//! reuse hit rates, and MAC counts — are bit-identical across levels.
+//! Quantization (`reuse-quant`) emulates `f32::round` exactly in its AVX2
+//! kernel, so quantized codes — and hence changed-input sets, reuse hit
+//! rates, and MAC counts — are level-independent too.
 //!
 //! So are the nonlinearities. [`sigmoid`] and [`tanh`] are defined here, once,
 //! as polynomial kernels that never fuse a multiply with an add, and their
@@ -54,7 +57,7 @@ use std::sync::OnceLock;
 /// The SIMD instruction level the kernels dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar loops; bit-identical to the naive serial oracles.
+    /// Portable scalar loops: the fallback, and the oracles' reference body.
     Scalar,
     /// 256-bit AVX2 lanes with fused multiply-add (x86-64 only).
     Avx2,
@@ -73,14 +76,42 @@ impl SimdLevel {
 
 static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
 
+/// The level a `REUSE_SIMD` value asks for: `None` when unset (detect),
+/// the scalar level for `off` / `scalar` / `0`, AVX2 for `avx2`.
+///
+/// # Errors
+///
+/// Any other value is a usage error whose message lists the accepted ones:
+/// a mistyped override must not silently run the detected level.
+fn parse_level(value: Option<&str>) -> Result<Option<SimdLevel>, String> {
+    match value {
+        None => Ok(None),
+        Some("off" | "scalar" | "0") => Ok(Some(SimdLevel::Scalar)),
+        Some("avx2") => Ok(Some(SimdLevel::Avx2)),
+        Some(other) => Err(format!(
+            "REUSE_SIMD={other:?} is not a SIMD level: accepted values are \
+             `off`, `scalar`, `0` (force the scalar kernels) and `avx2`; unset detects"
+        )),
+    }
+}
+
 /// The active kernel level, resolved once per process: the detected level
 /// unless `REUSE_SIMD` overrides it (see the module docs).
+///
+/// # Panics
+///
+/// Panics at first use when `REUSE_SIMD` holds a value outside its closed
+/// set.
 pub fn level() -> SimdLevel {
-    *LEVEL.get_or_init(|| match std::env::var("REUSE_SIMD").as_deref() {
-        Ok("off") | Ok("scalar") | Ok("0") => SimdLevel::Scalar,
-        // An explicit fast-path request still honors the hardware check so
-        // forced-env test runs stay portable to scalar-only hosts.
-        _ => detected(),
+    *LEVEL.get_or_init(|| {
+        let requested = std::env::var_os("REUSE_SIMD").map(|v| v.to_string_lossy().into_owned());
+        match parse_level(requested.as_deref()) {
+            Ok(Some(SimdLevel::Scalar)) => SimdLevel::Scalar,
+            // An explicit fast-path request still honors the hardware check so
+            // forced-env test runs stay portable to scalar-only hosts.
+            Ok(_) => detected(),
+            Err(usage) => panic!("{usage}"),
+        }
     })
 }
 
@@ -94,37 +125,10 @@ pub fn detected() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// Whether the active level guarantees bit-identity to the naive serial
-/// oracles (true exactly when [`level`] is [`SimdLevel::Scalar`]).
-///
-/// Exactness tests use this to pick their assertion: bit-equality under the
-/// scalar contract, [`fma_tolerance`]-bounded closeness under AVX2.
-pub fn is_bit_exact() -> bool {
-    level() == SimdLevel::Scalar
-}
-
-/// A sound (deliberately loose) absolute bound on the difference between a
-/// fused and an unfused accumulation of `terms` products each bounded by
-/// `max_abs_term`: `4 · terms² · max_abs_term · ε`.
-///
-/// Each of the `terms` rounding steps differs by at most one ULP of the
-/// running sum, which is bounded by `terms · max_abs_term`; the factor 4
-/// absorbs the product rounding. Real kernel deviations are orders of
-/// magnitude smaller; real indexing bugs are orders of magnitude larger, so
-/// the looseness costs no detection power.
-pub fn fma_tolerance(terms: usize, max_abs_term: f32) -> f32 {
-    let n = terms.max(1) as f32;
-    4.0 * n * n * max_abs_term.abs().max(f32::MIN_POSITIVE) * f32::EPSILON
-}
-
-/// Level-aware kernel comparison: returns `None` when `actual` matches
-/// `oracle` under the active level's contract, or a description of the
-/// first violation.
-///
-/// * Scalar level: the slices must be **bit-identical** (the scalar kernels
-///   promise oracle bit-exactness).
-/// * AVX2 level: elementwise `|a − o| ≤ tol`, with NaN matching NaN.
-pub fn kernel_mismatch(actual: &[f32], oracle: &[f32], tol: f32) -> Option<String> {
+/// Kernel-vs-oracle comparison: `None` when `actual` and `oracle` hold the
+/// same bits (the contract at every level, see the module docs), or a
+/// description of the first element that differs.
+pub fn kernel_mismatch(actual: &[f32], oracle: &[f32]) -> Option<String> {
     if actual.len() != oracle.len() {
         return Some(format!(
             "length mismatch: actual {} vs oracle {}",
@@ -132,21 +136,13 @@ pub fn kernel_mismatch(actual: &[f32], oracle: &[f32], tol: f32) -> Option<Strin
             oracle.len()
         ));
     }
-    for (j, (&a, &o)) in actual.iter().zip(oracle.iter()).enumerate() {
-        let ok = if is_bit_exact() {
-            a.to_bits() == o.to_bits()
-        } else {
-            (a.is_nan() && o.is_nan()) || (a - o).abs() <= tol
-        };
-        if !ok {
-            return Some(format!(
-                "[{j}] actual {a:e} vs oracle {o:e} (|Δ| {:e}, tol {tol:e}, level {})",
-                (a - o).abs(),
-                level().name()
-            ));
-        }
-    }
-    None
+    let first = (actual.iter().zip(oracle)).position(|(a, o)| a.to_bits() != o.to_bits())?;
+    let (a, o) = (actual[first], oracle[first]);
+    Some(format!(
+        "[{first}] actual {a:e} vs oracle {o:e} (|Δ| {:e}, level {})",
+        (a - o).abs(),
+        level().name()
+    ))
 }
 
 /// The left-pack permutation table: entry `m` lists the positions of the set
@@ -181,10 +177,10 @@ pub static LEFT_PACK: LeftPack = {
 
 /// `dst[j] += scale · row[j]`, dispatched on [`level`].
 ///
-/// The scalar level performs separate multiply-then-add per element
-/// (bit-identical to the plain loop it replaces); AVX2 fuses each step.
-/// Used by the LSTM from-scratch gate accumulation, where callers may still
-/// skip whole rows with `scale == 0.0` — the skip is exact at both levels.
+/// One fused step per element at either level (`mul_add` here, a vector
+/// FMA with `mul_add` tails under AVX2): the same bits. Used by the LSTM
+/// from-scratch gate accumulation, whose caller passes only rows with a
+/// nonzero `scale` — a filter outside the kernel, the same at both levels.
 ///
 /// # Panics
 ///
@@ -196,7 +192,7 @@ pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
         SimdLevel::Avx2 => avx2::row_axpy(dst, row, scale),
         _ => {
             for (d, &r) in dst.iter_mut().zip(row.iter()) {
-                *d += scale * r;
+                *d = scale.mul_add(r, *d);
             }
         }
     }
@@ -1197,25 +1193,33 @@ mod tests {
         // hardware can actually run.
         let l = level();
         assert!(l == SimdLevel::Scalar || detected() == SimdLevel::Avx2);
-        assert_eq!(is_bit_exact(), l == SimdLevel::Scalar);
     }
 
     #[test]
-    fn tolerance_grows_with_terms_and_magnitude() {
-        assert!(fma_tolerance(100, 1.0) > fma_tolerance(10, 1.0));
-        assert!(fma_tolerance(10, 100.0) > fma_tolerance(10, 1.0));
-        assert!(fma_tolerance(0, 0.0) > 0.0);
+    fn reuse_simd_accepts_a_closed_set() {
+        assert_eq!(parse_level(None), Ok(None));
+        for off in ["off", "scalar", "0"] {
+            assert_eq!(parse_level(Some(off)), Ok(Some(SimdLevel::Scalar)));
+        }
+        assert_eq!(parse_level(Some("avx2")), Ok(Some(SimdLevel::Avx2)));
+        // A typo must not run the detected level under a "forced scalar" label.
+        for typo in ["OFF", "false", "scaler", "Scalar", "1", "avx", " off", ""] {
+            let usage = parse_level(Some(typo)).unwrap_err();
+            for accepted in ["off", "scalar", "`0`", "avx2"] {
+                assert!(usage.contains(accepted), "{typo:?}: {usage}");
+            }
+        }
     }
 
     #[test]
     fn mismatch_reports_divergence() {
-        assert!(kernel_mismatch(&[1.0, 2.0], &[1.0, 2.0], 0.0).is_none());
-        assert!(kernel_mismatch(&[1.0], &[1.0, 2.0], 1.0).is_some());
-        assert!(kernel_mismatch(&[1.0, 5.0], &[1.0, 2.0], 1e-3).is_some());
-        if !is_bit_exact() {
-            assert!(kernel_mismatch(&[1.0 + 1e-7], &[1.0], 1e-5).is_none());
-            assert!(kernel_mismatch(&[f32::NAN], &[f32::NAN], 1e-5).is_none());
-        }
+        assert!(kernel_mismatch(&[1.0, 2.0], &[1.0, 2.0]).is_none());
+        assert!(kernel_mismatch(&[1.0], &[1.0, 2.0]).is_some());
+        let low_bit = f32::from_bits(1.0f32.to_bits() + 1);
+        let report = kernel_mismatch(&[1.0, low_bit], &[1.0, 1.0]).unwrap();
+        assert!(report.starts_with("[1]"), "{report}");
+        // Bits, not values: the two zeros differ.
+        assert!(kernel_mismatch(&[0.0], &[-0.0]).is_some());
     }
 
     #[test]
@@ -1232,7 +1236,7 @@ mod tests {
         let row: Vec<f32> = (0..19).map(|v| v as f32).collect();
         row_axpy(&mut dst, &row, 2.0);
         for (j, &d) in dst.iter().enumerate() {
-            assert!((d - (1.0 + 2.0 * j as f32)).abs() < 1e-5, "j={j}");
+            assert_eq!(d, 1.0 + 2.0 * j as f32, "j={j}");
         }
     }
 }

@@ -6,25 +6,46 @@
 //! `tests/blocked.rs`: a bug that made `level()` resolve to the wrong
 //! branch would not hide a kernel divergence here.
 //!
-//! The kernels fuse multiply-adds, so agreement is within
-//! `simd::fma_tolerance` (the scalar bodies multiply then add); the
-//! accumulation *order* is identical by the `reuse_tensor::simd` contract.
-//! The σ/φ kernels fuse nothing and owe the scalar definitions' exact bits.
-//! On non-AVX2 hosts every test passes vacuously.
+//! Every accumulation is fused, one chain per output, at both levels (the
+//! `reuse_tensor::simd` contract), so every comparison is on `to_bits()`;
+//! the σ/φ kernels fuse nothing and owe the scalar definitions' exact bits
+//! likewise. On non-AVX2 hosts the AVX2 halves pass vacuously.
 
 #![cfg(target_arch = "x86_64")]
 
 use proptest::prelude::*;
-use reuse_tensor::block::{axpy_buckets_scalar, gather_axpy_scalar, RowGrid, TapBucket, TapWindow};
-use reuse_tensor::simd::{self, avx2};
-use reuse_tensor::PackedPanels;
+use reuse_tensor::block::{
+    apply_deltas_scalar, axpy_buckets_scalar, fc_forward_packed_into, forward_panels_scalar,
+    gather_axpy_scalar, RowGrid, TapBucket, TapWindow,
+};
+use reuse_tensor::matmul::fc_forward_naive;
+use reuse_tensor::simd::{self, avx2, kernel_mismatch};
+use reuse_tensor::{PackedPanels, ParallelConfig, Shape, Tensor};
 
-/// Bounded weight/input values keep `fma_tolerance` meaningful.
+/// Values in ±8 on a grid of 1/125 000 — arbitrary, not dyadic, so a step
+/// that rounds its product before adding shows in the low bits — with the
+/// exact zero among them.
 fn vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec((-64i32..=64).prop_map(|v| v as f32 / 8.0), n)
+    proptest::collection::vec(
+        (-1_000_000i32..=1_000_000).prop_map(|v| v as f32 / 125_000.0),
+        n,
+    )
 }
 
-const MAX_ABS: f32 = 8.0;
+/// The same grid from a seed, every eighth value an exact zero.
+fn seeded(seed: u64) -> impl FnMut() -> f32 {
+    let mut s = seed | 1;
+    move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if s >> 61 == 0 {
+            0.0
+        } else {
+            ((s >> 33) % 2_000_001) as f32 / 125_000.0 - 8.0
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -32,17 +53,14 @@ proptest! {
     #[test]
     fn fc_panels_matches_scalar(
         n_in in 1usize..40,
+        // Through one 64-lane tile and past it, with a partial last panel.
         n_out in 1usize..90,
         seed in 0u64..1000,
     ) {
         if !avx2::available() {
             return Ok(());
         }
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 40) as i32 % 129 - 64) as f32 / 8.0
-        };
+        let mut next = seeded(seed);
         let w: Vec<f32> = (0..n_in * n_out).map(|_| next()).collect();
         let x: Vec<f32> = (0..n_in).map(|_| next()).collect();
         let bias: Vec<f32> = (0..n_out).map(|_| next()).collect();
@@ -50,19 +68,17 @@ proptest! {
         let mut fast = bias.clone();
         let mut slow = bias;
         avx2::fc_panels(&packed, &x, &mut fast);
-        reuse_tensor::block::forward_panels_scalar(&packed, &x, &mut slow);
-        let tol = simd::fma_tolerance(n_in + 1, MAX_ABS * MAX_ABS);
-        for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "out[{j}]: {a} vs {b} (tol {tol})");
-        }
+        forward_panels_scalar(&packed, &x, &mut slow);
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
 
     #[test]
     fn matmul_rows_matches_per_row_scalar(
-        m in 1usize..6,
+        // Whole four-row register blocks and every remainder.
+        m in 1usize..10,
         k in 1usize..20,
         n in 1usize..70,
-        a in vals(120),
+        a in vals(180),
         w in vals(1400),
     ) {
         if !avx2::available() {
@@ -76,16 +92,14 @@ proptest! {
         avx2::matmul_rows(&packed, a, &mut fast);
         let mut slow = vec![0.0f32; m * n];
         for (i, row) in slow.chunks_mut(n).enumerate() {
-            reuse_tensor::block::forward_panels_scalar(&packed, &a[i * k..(i + 1) * k], row);
+            forward_panels_scalar(&packed, &a[i * k..(i + 1) * k], row);
         }
-        let tol = simd::fma_tolerance(k, MAX_ABS * MAX_ABS);
-        for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "c[{j}]: {a} vs {b} (tol {tol})");
-        }
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
 
     #[test]
     fn apply_deltas_matches_scalar(
+        // Up to three `DELTA_BATCH` groups and every remainder.
         n_in in 1usize..16,
         n_out in 1usize..70,
         w in vals(1024),
@@ -105,11 +119,8 @@ proptest! {
         let mut fast = vec![1.0f32; n_out];
         let mut slow = fast.clone();
         avx2::apply_deltas(w, &deltas, &mut fast);
-        reuse_tensor::block::apply_deltas_scalar(w, &deltas, &mut slow);
-        let tol = simd::fma_tolerance(deltas.len() + 1, MAX_ABS * MAX_ABS);
-        for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "z[{j}]: {a} vs {b} (tol {tol})");
-        }
+        apply_deltas_scalar(w, &deltas, &mut slow);
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
 
     #[test]
@@ -144,15 +155,12 @@ proptest! {
                     let wrow = &w[(first_row - i * steps[0] - j * steps[1]) * n_out..][..n_out];
                     let out = &mut slow[at + i * outer_stride + j * n_out..][..n_out];
                     for (o, &wv) in out.iter_mut().zip(wrow) {
-                        *o += scale * wv;
+                        *o = scale.mul_add(wv, *o);
                     }
                 }
             }
         }
-        let tol = simd::fma_tolerance(3, MAX_ABS * MAX_ABS);
-        for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
-        }
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
 
     #[test]
@@ -193,7 +201,7 @@ proptest! {
             .collect();
         let start: Vec<f32> = (0..positions * n_out).map(|_| unit(next())).collect();
 
-        // The scalar entry loop, and the same entries as 1×1 row grids.
+        // The entry loop, and the same entries as 1×1 row grids.
         let mut want = start.clone();
         let mut grids = Vec::new();
         for p in 0..positions {
@@ -203,29 +211,29 @@ proptest! {
                     if delta != 0.0 {
                         let row = win.tap as usize + l;
                         for (o, &wv) in want[p * n_out..][..n_out].iter_mut().zip(&w[row * n_out..]) {
-                            *o += delta * wv;
+                            *o = delta.mul_add(wv, *o);
                         }
                         grids.push(RowGrid { first_row: row, counts: [1, 1], at: p * n_out, scale: delta });
                     }
                 }
             }
         }
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut bucket = TapBucket::new(n_in);
 
         let mut scalar = start.clone();
         let entries = gather_axpy_scalar(&packed, &image, &windows, lanes, step, &mut bucket, &mut scalar);
         prop_assert_eq!(entries, grids.len() as u64);
-        prop_assert_eq!(bits(&scalar), bits(&want), "scalar gather vs the entry loop");
+        prop_assert_eq!(kernel_mismatch(&scalar, &want), None, "scalar gather vs the entry loop");
 
-        // Whatever level the process resolved, the two kernels agree bit for
-        // bit (under `REUSE_SIMD=off` this is the scalar row-grid walk).
+        // Whatever level the process resolved (under `REUSE_SIMD=off` this is
+        // the scalar row-grid walk).
         let mut gathered = start.clone();
         let mut walked = start.clone();
         let entries = packed.gather_axpy(&image, &windows, lanes, step, &mut bucket, &mut gathered);
         packed.axpy_row_grids([1, 1], n_out, grids.iter().copied(), &mut walked);
         prop_assert_eq!(entries, grids.len() as u64);
-        prop_assert_eq!(bits(&gathered), bits(&walked), "dispatched gather vs row-grid walk");
+        prop_assert_eq!(kernel_mismatch(&gathered, &want), None, "dispatched gather vs the entry loop");
+        prop_assert_eq!(kernel_mismatch(&walked, &want), None, "dispatched row-grid walk vs the entry loop");
 
         if !avx2::available() {
             return Ok(());
@@ -235,11 +243,8 @@ proptest! {
         let entries = avx2::gather_axpy(&packed, &image, &windows, lanes, step, &mut bucket, &mut fast);
         avx2::axpy_row_grids(&packed, [1, 1], n_out, grids.iter().copied(), &mut fast_walk);
         prop_assert_eq!(entries, grids.len() as u64);
-        prop_assert_eq!(bits(&fast), bits(&fast_walk), "avx2 gather vs avx2 row-grid walk");
-        let tol = simd::fma_tolerance(n_in + 1, 1.0);
-        for (j, (a, b)) in fast.iter().zip(want.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
-        }
+        prop_assert_eq!(kernel_mismatch(&fast, &want), None, "avx2 gather vs the entry loop");
+        prop_assert_eq!(kernel_mismatch(&fast_walk, &want), None, "avx2 row-grid walk vs the entry loop");
     }
 
     #[test]
@@ -273,25 +278,21 @@ proptest! {
         // Rows enter as +0.0: a row's sum from zero, as the LSTM x phase
         // takes it, and untouched — still +0.0 — under an empty bucket.
         let start = vec![0.0f32; buckets * n_out];
-        let entry_loop = |fused: bool| {
-            let mut want = start.clone();
-            let mut from = 0;
-            for (row, &end) in want.chunks_mut(n_out).zip(&ends) {
-                for e in from..end {
-                    let wrow = &w[taps[e] as usize * n_out..][..n_out];
-                    for (o, &wv) in row.iter_mut().zip(wrow) {
-                        *o = if fused { deltas[e].mul_add(wv, *o) } else { *o + deltas[e] * wv };
-                    }
+        let mut want = start.clone();
+        let mut from = 0;
+        for (row, &end) in want.chunks_mut(n_out).zip(&ends) {
+            for e in from..end {
+                let wrow = &w[taps[e] as usize * n_out..][..n_out];
+                for (o, &wv) in row.iter_mut().zip(wrow) {
+                    *o = deltas[e].mul_add(wv, *o);
                 }
-                from = end;
             }
-            want
-        };
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            from = end;
+        }
 
         let mut scalar = start.clone();
         axpy_buckets_scalar(&packed, &taps, &deltas, &ends, &mut scalar);
-        prop_assert_eq!(bits(&scalar), bits(&entry_loop(false)), "scalar body vs the entry loop");
+        prop_assert_eq!(kernel_mismatch(&scalar, &want), None, "scalar body vs the entry loop");
 
         // However the buckets are split over calls, the dispatched kernel
         // produces the bits of one bucket per call.
@@ -303,14 +304,29 @@ proptest! {
             packed.axpy_buckets(&taps[from..end], &deltas[from..end], &[end - from], row);
             from = end;
         }
-        prop_assert_eq!(bits(&together), bits(&apart), "one call vs one call per bucket");
+        prop_assert_eq!(kernel_mismatch(&together, &want), None, "one call vs the entry loop");
+        prop_assert_eq!(kernel_mismatch(&apart, &want), None, "one call per bucket vs the entry loop");
 
         if !avx2::available() {
             return Ok(());
         }
         let mut fast = start.clone();
         avx2::axpy_buckets(&packed, &taps, &deltas, &ends, &mut fast);
-        prop_assert_eq!(bits(&fast), bits(&entry_loop(true)), "avx2 body vs the fused entry loop");
+        prop_assert_eq!(kernel_mismatch(&fast, &want), None, "avx2 body vs the entry loop");
+    }
+
+    #[test]
+    fn row_axpy_matches_scalar(row in vals(40), scale in -8.0f32..8.0) {
+        if !avx2::available() {
+            return Ok(());
+        }
+        let mut fast = vec![0.5f32; row.len()];
+        let mut slow = fast.clone();
+        avx2::row_axpy(&mut fast, &row, scale);
+        for (d, &r) in slow.iter_mut().zip(row.iter()) {
+            *d = scale.mul_add(r, *d);
+        }
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
 
     #[test]
@@ -358,22 +374,43 @@ proptest! {
             prop_assert!(same_bits(h[j], hidden), "h[{}]: {:e} vs {:e}", j, h[j], hidden);
         }
     }
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Agreement must not be an artefact of short sums: a 2 000-term chain
+    /// per output (the Kaldi FC width) through the dispatched kernel, the
+    /// scalar body, the AVX2 body and the naive oracle, one set of bits.
     #[test]
-    fn row_axpy_matches_scalar(row in vals(40), scale in -8.0f32..8.0) {
-        if !avx2::available() {
-            return Ok(());
-        }
-        let mut fast = vec![0.5f32; row.len()];
-        let mut slow = fast.clone();
-        avx2::row_axpy(&mut fast, &row, scale);
-        for (d, &r) in slow.iter_mut().zip(row.iter()) {
-            *d += scale * r;
-        }
-        // One term per element: a lone FMA vs a lone multiply-add.
-        let tol = simd::fma_tolerance(2, MAX_ABS * MAX_ABS);
-        for (j, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-            prop_assert!((a - b).abs() <= tol, "dst[{j}]: {a} vs {b} (tol {tol})");
+    fn a_two_thousand_term_chain_is_one_set_of_bits_in_every_body(
+        // A lone lane, a partial panel, a tile and a panel and a half.
+        n_out in proptest::sample::select(vec![1usize, 13, 88]),
+        seed in 0u64..100_000,
+    ) {
+        const N_IN: usize = 2000;
+        let mut next = seeded(seed);
+        let w: Vec<f32> = (0..N_IN * n_out).map(|_| next() / 64.0).collect();
+        let x: Vec<f32> = (0..N_IN).map(|_| next()).collect();
+        let bias: Vec<f32> = (0..n_out).map(|_| next()).collect();
+        let naive = fc_forward_naive(
+            &Tensor::from_vec(Shape::d2(N_IN, n_out), w.clone()).unwrap(),
+            &Tensor::from_slice_1d(&x).unwrap(),
+            &Tensor::from_slice_1d(&bias).unwrap(),
+        )
+        .unwrap();
+        let packed = PackedPanels::pack_slice(&w, N_IN, n_out);
+
+        let mut dispatched = Vec::new();
+        fc_forward_packed_into(&ParallelConfig::serial(), &packed, &x, &bias, &mut dispatched).unwrap();
+        prop_assert_eq!(kernel_mismatch(&dispatched, naive.as_slice()), None, "dispatched vs naive");
+        let mut scalar = bias.clone();
+        forward_panels_scalar(&packed, &x, &mut scalar);
+        prop_assert_eq!(kernel_mismatch(&scalar, naive.as_slice()), None, "scalar body vs naive");
+        if avx2::available() {
+            let mut fast = bias.clone();
+            avx2::fc_panels(&packed, &x, &mut fast);
+            prop_assert_eq!(kernel_mismatch(&fast, naive.as_slice()), None, "avx2 body vs naive");
         }
     }
 }

@@ -8,10 +8,10 @@
 //! transposition (incremental and from-scratch runs would share it). So the
 //! corrected frame is compared with an oracle that never leaves the
 //! layer-boundary layout: per layer, the adopted full-precision baseline
-//! plus, per output, `Δ·w` for every changed input under its receptive field
-//! in ascending input order — the additions the engine performs, written as
-//! a gather over raw `[out_c, in_c, …]` weights. Bit-identical at the scalar
-//! SIMD level; within `fma_tolerance` where corrections fuse.
+//! plus, per output, one fused `Δ·w` step for every changed input under its
+//! receptive field in ascending input order — the additions the engine
+//! performs, written as a gather over raw `[out_c, in_c, …]` weights.
+//! Bit-identical at every SIMD level.
 
 use std::sync::Arc;
 
@@ -81,7 +81,8 @@ fn corrected_conv(
                             let i = ((ic * d + iz) * h + iy) * w + ix;
                             if new[i] != old[i] {
                                 let tap = ((ic * kd + kz) * kh + ky) * kw + kx;
-                                *acc += (new[i] - old[i]) * weights[f * g.taps() + tap];
+                                let delta = new[i] - old[i];
+                                *acc = delta.mul_add(weights[f * g.taps() + tap], *acc);
                             }
                         }
                     }
@@ -136,7 +137,7 @@ fn oracle_after_exact_baseline(
                 let w = fc.weights().as_slice();
                 for i in (0..old.len()).filter(|&i| new[i] != old[i]) {
                     for (zj, wij) in z.iter_mut().zip(&w[i * fc.n_out()..]) {
-                        *zj += (new[i] - old[i]) * wij;
+                        *zj = (new[i] - old[i]).mul_add(*wij, *zj);
                     }
                 }
                 z
@@ -151,10 +152,7 @@ fn oracle_after_exact_baseline(
 }
 
 fn assert_matches_oracle(got: &[f32], want: &[f32], what: &str) {
-    // Outputs are O(1); a misplaced correction or a transposed baseline is
-    // off by orders of magnitude more than fused rounding through the stack.
-    let tol = simd::fma_tolerance(64, 8.0);
-    let mismatch = simd::kernel_mismatch(got, want, tol);
+    let mismatch = simd::kernel_mismatch(got, want);
     assert!(mismatch.is_none(), "{what}: {mismatch:?}");
 }
 
