@@ -282,7 +282,7 @@ fn lstm_block_speedup() -> (f64, f64) {
         for run in walk.chunks(steps_per_call) {
             let xs = run.iter().map(|x| black_box(x.as_slice()));
             state
-                .step_block(&cell, &pack, (&q, &q), xs, false, |h, stats, _| {
+                .step_block(&cell, &pack, (&q, &q), xs, false, |h, (stats, _)| {
                     black_box(h);
                     if !stats.from_scratch {
                         changed += stats.n_changed;

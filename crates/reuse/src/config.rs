@@ -23,7 +23,6 @@ pub struct ReuseConfig {
     record_relative_difference: bool,
     record_trace: bool,
     telemetry: bool,
-    telemetry_window: usize,
     drift_check_every: u64,
     drift_bound: f32,
     drift_escalate_after: u64,
@@ -46,7 +45,6 @@ impl ReuseConfig {
             record_relative_difference: false,
             record_trace: false,
             telemetry: false,
-            telemetry_window: 64,
             drift_check_every: 0,
             drift_bound: 1e-3,
             drift_escalate_after: 0,
@@ -82,9 +80,8 @@ impl ReuseConfig {
     /// # Errors
     ///
     /// Returns [`ReuseError::InvalidConfig`] when the cluster count is
-    /// below 2 (a linear quantizer needs two centroids), the signature
-    /// bailout fraction lies outside `[0, 1]`, or the telemetry window
-    /// is 0.
+    /// below 2 (a linear quantizer needs two centroids) or the signature
+    /// bailout fraction lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), ReuseError> {
         if self.default_clusters < 2 {
             return Err(ReuseError::InvalidConfig {
@@ -100,11 +97,6 @@ impl ReuseConfig {
                     "signature bailout fraction must be in [0, 1], got {}",
                     self.signature_bailout
                 ),
-            });
-        }
-        if self.telemetry_window == 0 {
-            return Err(ReuseError::InvalidConfig {
-                context: "telemetry window must be at least 1 execution".into(),
             });
         }
         Ok(())
@@ -151,19 +143,12 @@ impl ReuseConfig {
         self
     }
 
-    /// Enables per-layer runtime telemetry (ring-buffer counters and timing
-    /// spans; see [`crate::telemetry`]). Off by default; recording is
-    /// allocation-free on the steady-state hot path when on.
+    /// Enables per-layer runtime telemetry (a window of recent step records
+    /// with timing spans per slot; see [`crate::telemetry`]). Off by
+    /// default; recording is allocation-free on the steady-state hot path
+    /// when on.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Sets the telemetry ring-buffer capacity in executions (default 64).
-    /// A window of 0 is rejected by [`Self::validate`] when the model is
-    /// compiled — it used to be clamped silently, hiding the caller's bug.
-    pub fn telemetry_window(mut self, window: usize) -> Self {
-        self.telemetry_window = window;
         self
     }
 
@@ -273,11 +258,6 @@ impl ReuseConfig {
         self.telemetry
     }
 
-    /// Telemetry ring-buffer capacity in executions.
-    pub fn window(&self) -> usize {
-        self.telemetry_window
-    }
-
     /// Watchdog check cadence in reuse frames (`0` = disabled).
     pub fn drift_check_every(&self) -> u64 {
         self.drift_check_every
@@ -347,16 +327,13 @@ mod tests {
     fn telemetry_and_watchdog_knobs() {
         let c = ReuseConfig::uniform(16);
         assert!(!c.records_telemetry());
-        assert_eq!(c.window(), 64);
         assert_eq!(c.drift_check_every(), 0);
         assert_eq!(c.escalate_after(), 0);
         let c = c
             .telemetry(true)
-            .telemetry_window(7)
             .drift_watchdog(8, 0.5)
             .drift_escalate_after(3);
         assert!(c.records_telemetry());
-        assert_eq!(c.window(), 7);
         assert_eq!(c.drift_check_every(), 8);
         assert!((c.drift_bound() - 0.5).abs() < 1e-9);
         assert_eq!(c.escalate_after(), 3);
@@ -413,14 +390,5 @@ mod tests {
                 "bailout {bad} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn validate_rejects_zero_telemetry_window() {
-        let err = ReuseConfig::uniform(16)
-            .telemetry_window(0)
-            .validate()
-            .unwrap_err();
-        assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
     }
 }

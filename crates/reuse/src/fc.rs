@@ -29,6 +29,9 @@ pub struct FcReuseState {
     /// inputs. Reused across executions so the steady state performs no
     /// heap allocation.
     changed: Vec<(u32, f32)>,
+    /// Scratch: the centroids a from-scratch execution runs on. Kept so a
+    /// slot that restarts every sequence allocates only the first time.
+    centroids: Vec<f32>,
     initialized: bool,
 }
 
@@ -39,6 +42,7 @@ impl FcReuseState {
             prev_codes: Vec::with_capacity(layer.n_in()),
             prev_linear: Vec::with_capacity(layer.n_out()),
             changed: Vec::with_capacity(layer.n_in()),
+            centroids: Vec::new(),
             initialized: false,
         }
     }
@@ -150,12 +154,10 @@ impl FcReuseState {
             // the centroids, buffer indices and linear outputs (paper
             // Fig. 7, "first execution").
             quantizer.quantize_slice_into(input, &mut self.prev_codes);
-            let centroids: Vec<f32> = self
-                .prev_codes
-                .iter()
-                .map(|&c| quantizer.centroid(c))
-                .collect();
-            layer.forward_linear_into(&centroids, &mut self.prev_linear)?;
+            self.centroids.clear();
+            self.centroids
+                .extend(self.prev_codes.iter().map(|&c| quantizer.centroid(c)));
+            layer.forward_linear_into(&self.centroids, &mut self.prev_linear)?;
             self.changed.reserve(n_in);
             self.initialized = true;
             out.clear();

@@ -19,7 +19,6 @@ use crate::conv::ConvReuseState;
 use crate::fc::FcReuseState;
 use crate::lstm::LstmReuseState;
 use crate::model::CompiledWeights;
-use crate::trace::TraceKind;
 use crate::ReuseError;
 
 /// The token the six benchmark-pinned kernel entry points still take and
@@ -55,7 +54,8 @@ pub struct StepCtx<'a> {
 }
 
 /// Per-execution activity counters, the one stats type every layer family's
-/// state returns; fed into metrics, telemetry and traces.
+/// state returns; the session writes them, with the step's span, into its
+/// one step record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
     /// Inputs inspected this execution (x plus h for recurrent cells).
@@ -80,17 +80,6 @@ impl ExecStats {
             macs_total: self.macs_total + other.macs_total,
             macs_performed: self.macs_performed + other.macs_performed,
             from_scratch: self.from_scratch || other.from_scratch,
-        }
-    }
-
-    /// The trace mode this execution ran in.
-    pub fn mode(&self, enabled: bool) -> TraceKind {
-        if !enabled {
-            TraceKind::ScratchFp32
-        } else if self.from_scratch {
-            TraceKind::ScratchQuantized
-        } else {
-            TraceKind::Incremental
         }
     }
 }
@@ -190,9 +179,9 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
 
     /// Runs a whole sequence through a recurrent layer: `xs` is the
     /// timesteps' inputs back to back; `out` is cleared and filled with one
-    /// row of the layer's output width per timestep, `stats` and `spans`
-    /// with one entry each. Frame-wise layers have no sequence
-    /// step — the session steps them timestep by timestep.
+    /// row of the layer's output width per timestep, `steps` with each
+    /// timestep's counters and span (0 unless `timed`). Frame-wise layers
+    /// have no sequence step — the session steps them timestep by timestep.
     ///
     /// # Errors
     ///
@@ -204,8 +193,7 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
         _xs: &[f32],
         _timed: bool,
         _out: &mut Vec<f32>,
-        _stats: &mut Vec<ExecStats>,
-        _spans: &mut Vec<u64>,
+        _steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
         Err(wrong_layer("recurrent"))
     }
@@ -348,8 +336,7 @@ impl ReuseLayer for LstmReuseState {
         xs: &[f32],
         timed: bool,
         out: &mut Vec<f32>,
-        stats: &mut Vec<ExecStats>,
-        spans: &mut Vec<u64>,
+        steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
         let (Layer::Lstm(cell), CompiledWeights::Lstm(pack)) = (ctx.layer, ctx.weights) else {
             return Err(wrong_layer("lstm"));
@@ -357,12 +344,10 @@ impl ReuseLayer for LstmReuseState {
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
         let xs = sequence_rows(xs, cell.n_in())?;
         out.clear();
-        stats.clear();
-        spans.clear();
-        self.step_block(cell, pack, quantizers, xs, timed, |h, s, span| {
+        steps.clear();
+        self.step_block(cell, pack, quantizers, xs, timed, |h, step| {
             out.extend_from_slice(h);
-            stats.push(s);
-            spans.push(span);
+            steps.push(step);
         })
     }
 
@@ -433,8 +418,7 @@ impl ReuseLayer for BiLstmReuseState {
         xs: &[f32],
         timed: bool,
         out: &mut Vec<f32>,
-        stats: &mut Vec<ExecStats>,
-        spans: &mut Vec<u64>,
+        steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
         let (Layer::BiLstm(layer), CompiledWeights::BiLstm { fwd, bwd }) = (ctx.layer, ctx.weights)
         else {
@@ -446,23 +430,21 @@ impl ReuseLayer for BiLstmReuseState {
         let t = ascending.len();
         out.clear();
         out.resize(t * 2 * d, 0.0);
-        stats.clear();
-        spans.clear();
+        steps.clear();
         let cell = layer.forward_cell();
-        let forward = |h: &[f32], s: ExecStats, span: u64| {
-            out[stats.len() * 2 * d..][..d].copy_from_slice(h);
-            stats.push(s);
-            spans.push(span);
+        let forward = |h: &[f32], step: (ExecStats, u64)| {
+            out[steps.len() * 2 * d..][..d].copy_from_slice(h);
+            steps.push(step);
         };
         self.fwd
             .step_block(cell, fwd, quantizers, ascending.clone(), timed, forward)?;
         let cell = layer.backward_cell();
         let mut at = t;
-        let backward = |h: &[f32], s: ExecStats, span: u64| {
+        let backward = |h: &[f32], (stats, span_ns): (ExecStats, u64)| {
             at -= 1;
             out[at * 2 * d + d..][..d].copy_from_slice(h);
-            stats[at] = stats[at].merge(s);
-            spans[at] += span;
+            let forward = steps[at];
+            steps[at] = (forward.0.merge(stats), forward.1 + span_ns);
         };
         self.bwd
             .step_block(cell, bwd, quantizers, ascending.rev(), timed, backward)
@@ -612,8 +594,5 @@ mod tests {
         assert_eq!(m.macs_total, 150);
         assert_eq!(m.macs_performed, 70);
         assert!(m.from_scratch);
-        assert_eq!(m.mode(true), TraceKind::ScratchQuantized);
-        assert_eq!(a.mode(true), TraceKind::Incremental);
-        assert_eq!(a.mode(false), TraceKind::ScratchFp32);
     }
 }

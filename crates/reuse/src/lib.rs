@@ -34,7 +34,9 @@
 //!   Created with [`CompiledModel::new_session`], or for a single stream
 //!   with [`ReuseSession::from_network`]; runs a `reuse_nn::Network` over a
 //!   sequence of frames, calibrating quantizers, buffering per-layer state
-//!   and producing outputs, metrics and execution traces.
+//!   and producing outputs. What each layer step did is recorded once, in
+//!   one format, by one writer; metrics, telemetry windows and execution
+//!   traces are folds over that record.
 //! * [`layer`] — the [`ReuseLayer`] trait the session dispatches through,
 //!   one implementation per layer family.
 //! * [`fc`], [`conv`], [`lstm`] — the incremental kernels for each layer
@@ -42,10 +44,14 @@
 //! * [`signature`] — the MCACHE-style cross-stream signature cache: RPQ
 //!   hashes of layer inputs let a new stream adopt a near-identical
 //!   baseline published by any other stream of the same model.
-//! * [`metrics`] — input similarity, computation reuse and the Fig. 4
-//!   relative-difference metric.
-//! * [`trace`] — per-execution, per-layer activity records consumed by the
-//!   accelerator model in `reuse-accel`.
+//! * [`metrics`] — input similarity, computation reuse (lifetime sums over
+//!   the step records) and the Fig. 4 relative-difference metric.
+//! * [`telemetry`] — the per-slot window of recent step records and the
+//!   snapshot that reports it beside the pool, watchdog and signature
+//!   counters.
+//! * [`trace`] — the step record itself, and the per-execution, per-layer
+//!   activity traces materialised from a log of them for the accelerator
+//!   model in `reuse-accel`.
 //! * [`json`] — the strict JSON reader and the string/number helpers every
 //!   emitter in the workspace writes through.
 //!
@@ -101,7 +107,7 @@ pub use policy::{
 pub use session::ReuseSession;
 pub use signature::{CachedBaseline, SignatureCache};
 pub use telemetry::{
-    EngineTelemetry, LayerTelemetry, LayerTelemetrySnapshot, PoolStats, SignatureStats,
-    TelemetrySnapshot, WatchdogStats,
+    LayerTelemetrySnapshot, PoolStats, SignatureStats, TelemetrySnapshot, WatchdogStats,
+    TELEMETRY_WINDOW,
 };
 pub use trace::{ExecutionTrace, LayerTrace, TraceKind};

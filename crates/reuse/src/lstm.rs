@@ -161,7 +161,7 @@ impl LstmReuseState {
     ) -> Result<ExecStats, ReuseError> {
         let mut stats = None;
         let quantizers = (x_quantizer, h_quantizer);
-        self.step_block(cell, pack, quantizers, [x], false, |h, s, _| {
+        self.step_block(cell, pack, quantizers, [x], false, |h, (s, _)| {
             h_out.clear();
             h_out.extend_from_slice(h);
             stats = Some(s);
@@ -171,8 +171,8 @@ impl LstmReuseState {
 
     /// Runs the timesteps `xs` yields — a sequence, or any run of one, in
     /// the order this cell visits it — reusing unchanged inputs, and calls
-    /// `emit(h_t, stats, span_ns)` once per timestep in that order with the
-    /// new hidden output.
+    /// `emit(h_t, (stats, span_ns))` once per timestep in that order with
+    /// the new hidden output.
     ///
     /// Timesteps run in blocks of at most 64 (`BLOCK_STEPS`), each in two
     /// phases. **x phase:** every timestep's `x` is diffed against the
@@ -215,7 +215,7 @@ impl LstmReuseState {
         (x_quantizer, h_quantizer): (&LinearQuantizer, &LinearQuantizer),
         xs: impl IntoIterator<Item = &'x [f32]>,
         timed: bool,
-        mut emit: impl FnMut(&[f32], ExecStats, u64),
+        mut emit: impl FnMut(&[f32], (ExecStats, u64)),
     ) -> Result<(), ReuseError> {
         let (n_in, d) = (cell.n_in(), cell.cell_dim());
         if !pack_matches(pack, cell) {
@@ -242,7 +242,7 @@ impl LstmReuseState {
                 };
                 let span = span_start(timed);
                 let stats = self.first_step(cell, pack, x_quantizer, h_quantizer, first);
-                emit(&self.state.h, stats, span_elapsed_ns(span));
+                emit(&self.state.h, (stats, span_elapsed_ns(span)));
                 block = rest;
             }
             if block.is_empty() {
@@ -273,7 +273,7 @@ impl LstmReuseState {
                     now.duration_since(from).as_nanos() as u64 + share
                 });
                 let stats = step_stats(cell, changed_x + self.changed_h.len() as u64, false);
-                emit(&self.state.h, stats, span_ns);
+                emit(&self.state.h, (stats, span_ns));
             }
             if steps < BLOCK_STEPS {
                 return Ok(());
@@ -663,7 +663,7 @@ mod tests {
             let (mut emitted, mut timed_ns) = (0, 0);
             let order = xs.iter().map(Vec::as_slice);
             blocked
-                .step_block(cell, pack, quantizers, order, true, |_, _, span| {
+                .step_block(cell, pack, quantizers, order, true, |_, (_, span)| {
                     emitted += 1;
                     timed_ns += span;
                 })

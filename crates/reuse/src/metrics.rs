@@ -1,5 +1,8 @@
 //! Reuse metrics: input similarity, computation reuse and the relative
 //! difference of consecutive input vectors (paper Section III and Fig. 4).
+//!
+//! [`LayerMetrics`] holds the lifetime sums of a slot's incremental step
+//! records; the session's one writer adds each record in as it is written.
 
 /// The Fig. 4 metric: Euclidean distance between the current and previous
 /// input vectors, divided by the magnitude of the previous input vector.

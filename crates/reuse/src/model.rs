@@ -82,6 +82,11 @@ pub(crate) struct CompiledSlot {
     pub(crate) kind: LayerKind,
     /// The resolved per-layer reuse policy (every per-layer knob).
     pub(crate) policy: LayerPolicy,
+    /// What every full-precision execution of the layer reads and pays, and
+    /// its parameter count: constants a step record need not carry.
+    pub(crate) n_inputs: u64,
+    pub(crate) macs: u64,
+    pub(crate) n_params: u64,
     /// Packed weights shared by every session.
     pub(crate) weights: CompiledWeights,
 }
@@ -188,11 +193,15 @@ impl CompiledModel {
                 });
             }
             slot_of_layer[i] = slots.len();
+            let in_shape = &network.layer_input_shapes()[i];
             slots.push(CompiledSlot {
                 layer_index: i,
                 name: name.clone(),
                 kind: layer.kind(),
                 policy: layer_policy,
+                n_inputs: in_shape.volume() as u64,
+                macs: layer.flops(in_shape) / 2,
+                n_params: layer.param_count(),
                 weights,
             });
         }

@@ -2,11 +2,15 @@
 //!
 //! A [`ReuseSession`] owns everything one input stream mutates — buffered
 //! quantized indices and outputs, quantizer calibration, metrics,
-//! telemetry rings, drift-watchdog counters and the recycling buffer pool —
-//! while reading the immutable network, plan and packed weights from a
+//! telemetry windows, drift-watchdog counters and the recycling buffer pool
+//! — while reading the immutable network, plan and packed weights from a
 //! shared [`CompiledModel`]. Sessions are created, reset and dropped
 //! independently: interleaving many sessions over one model is
 //! bit-identical to running each stream alone.
+//!
+//! What a layer step did is written once: [`ReuseSession::record_step`] is
+//! the only writer of the metrics sums, the telemetry windows and the trace
+//! log, all three fed from one [`StepRecord`].
 
 use std::sync::Arc;
 
@@ -22,10 +26,10 @@ use crate::model::CompiledModel;
 use crate::policy::{AdaptiveController, LayerPolicyState};
 use crate::signature::CachedBaseline;
 use crate::telemetry::{
-    EngineTelemetry, LayerTelemetrySnapshot, PoolStats, SignatureStats, TelemetrySnapshot,
-    WatchdogStats,
+    LayerTelemetrySnapshot, PoolStats, SignatureStats, TelemetrySnapshot, WatchdogStats, Window,
+    TELEMETRY_WINDOW,
 };
-use crate::trace::{ExecutionTrace, LayerTrace, TraceKind};
+use crate::trace::{materialise, ExecutionTrace, StepRecord, TraceKind};
 use crate::{ReuseConfig, ReuseError};
 
 /// A recycling arena of `f32` buffers for a session's per-frame
@@ -107,10 +111,16 @@ struct SlotRuntime {
     /// Online policy controller — present only when the slot's resolved
     /// [`LayerPolicy`](crate::LayerPolicy) is adaptive.
     controller: Option<AdaptiveController>,
-    /// Previous raw input (for the Fig. 4 relative-difference series).
-    prev_raw_input: Option<Vec<f32>>,
+    /// Previous raw input (for the Fig. 4 relative-difference series);
+    /// empty when there is none.
+    prev_raw_input: Vec<f32>,
     /// Times the drift watchdog re-baselined this layer's buffered outputs.
     rebaselines: u64,
+    /// Cross-stream signature lookups attempted for this layer, those that
+    /// found a cached entry, and the hits the false-positive guard abandoned.
+    signature_lookups: u64,
+    signature_hits: u64,
+    signature_bailouts: u64,
     /// Re-baselines where this layer's own buffered outputs had drifted
     /// beyond the bound (feeds the auto-disable escalation).
     drift_strikes: u64,
@@ -161,17 +171,21 @@ pub struct ReuseSession {
     /// Runtime per plan slot, ordered like `model.slots()`.
     runtimes: Vec<SlotRuntime>,
     metrics: EngineMetrics,
-    traces: Vec<ExecutionTrace>,
+    /// Every step record since the last [`Self::take_traces`], in the order
+    /// written; filled only when the config records traces.
+    log: Vec<StepRecord>,
     calibrated: bool,
     executions_seen: u64,
     calibration_units_seen: u64,
     /// Recycled per-frame intermediate buffers (zero-alloc steady state).
     pool: BufferPool,
-    /// Per-layer ring-buffer counters, preallocated when enabled in config.
-    telemetry: Option<EngineTelemetry>,
+    /// Per-slot windows of recent incremental step records, preallocated
+    /// when telemetry is enabled in the config.
+    telemetry: Option<Vec<Window>>,
     /// Drift-watchdog counters (maintained even without telemetry).
     watchdog: WatchdogStats,
-    /// Reuse-phase feed-forward frames seen (drives the watchdog cadence).
+    /// Reuse-phase executions seen (timesteps for recurrent networks):
+    /// drives the watchdog cadence and is what a snapshot reports as frames.
     reuse_frames: u64,
     /// Cross-stream signature-cache counters (maintained even without
     /// telemetry, like the watchdog's).
@@ -180,11 +194,10 @@ pub struct ReuseSession {
     /// (cold path, but reused so repeated cold starts don't churn).
     sig_scratch_cur: Vec<QuantCode>,
     sig_scratch_cached: Vec<QuantCode>,
-    /// Per-timestep records of the recurrent slot a sequence walk is at, and
-    /// the working memory of its reuse-disabled recurrent layers: kept so
-    /// steady sequences allocate nothing.
-    seq_stats: Vec<ExecStats>,
-    seq_spans: Vec<u64>,
+    /// Per-timestep counters and spans of the recurrent slot a sequence walk
+    /// is at, and the working memory of its reuse-disabled recurrent layers:
+    /// kept so steady sequences allocate nothing.
+    seq_steps: Vec<(ExecStats, u64)>,
     lstm_scratch: LstmScratch,
 }
 
@@ -222,24 +235,29 @@ impl ReuseSession {
                         .policy
                         .adaptive
                         .then(|| AdaptiveController::new(&slot.policy)),
-                    prev_raw_input: None,
+                    prev_raw_input: Vec::new(),
                     rebaselines: 0,
+                    signature_lookups: 0,
+                    signature_hits: 0,
+                    signature_bailouts: 0,
                     drift_strikes: 0,
                     state: build_state(layer, in_shape).expect("slot layers have reuse states"),
                 }
             })
             .collect();
-        let telemetry = config.records_telemetry().then(|| {
-            EngineTelemetry::new(
-                model.slots().iter().map(|s| s.name.as_str()),
-                config.window(),
-            )
-        });
+        let telemetry = config
+            .records_telemetry()
+            .then(|| runtimes.iter().map(|_| Window::new()).collect());
+        let log_capacity = if config.records_trace() {
+            runtimes.len() * TELEMETRY_WINDOW
+        } else {
+            0
+        };
         ReuseSession {
             model,
             runtimes,
             metrics,
-            traces: Vec::new(),
+            log: Vec::with_capacity(log_capacity),
             calibrated: false,
             executions_seen: 0,
             calibration_units_seen: 0,
@@ -250,8 +268,7 @@ impl ReuseSession {
             signature: SignatureStats::default(),
             sig_scratch_cur: Vec::new(),
             sig_scratch_cached: Vec::new(),
-            seq_stats: Vec::new(),
-            seq_spans: Vec::new(),
+            seq_steps: Vec::new(),
             lstm_scratch: LstmScratch::default(),
         }
     }
@@ -294,9 +311,10 @@ impl ReuseSession {
             .map(|(s, _)| s.name.as_str())
     }
 
-    /// Takes the recorded execution traces (empties the internal buffer).
+    /// Takes the recorded execution traces (empties the step log they are
+    /// materialised from). Allocates — a reporting path.
     pub fn take_traces(&mut self) -> Vec<ExecutionTrace> {
-        std::mem::take(&mut self.traces)
+        materialise(std::mem::take(&mut self.log), &self.model)
     }
 
     /// Drift-watchdog counters (zeroed when the watchdog is not armed).
@@ -317,44 +335,38 @@ impl ReuseSession {
         self.signature
     }
 
-    /// Live per-layer telemetry, when enabled via
-    /// [`crate::ReuseConfig::telemetry`].
-    pub fn telemetry(&self) -> Option<&EngineTelemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Builds an owned, serializable snapshot of the current telemetry.
     /// Returns `None` unless telemetry was enabled in the config. This
     /// allocates — call it from reporting paths, not per frame.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let tel = self.telemetry.as_ref()?;
-        // Lifetime counters come from the metrics (recorded in step with
-        // the rings and reset with them); telemetry adds the windows.
+        let windows = self.telemetry.as_ref()?;
+        // Lifetime counters are the metrics sums (written with the windows
+        // and reset with them); the windows add the recent means.
         let layers = self
             .metrics
             .layers
             .iter()
-            .zip(tel.layers.iter())
+            .zip(windows)
             .zip(self.runtimes.iter())
-            .map(|((m, lt), rt)| LayerTelemetrySnapshot {
+            .map(|((m, window), rt)| LayerTelemetrySnapshot {
                 name: m.name.clone(),
                 reuse_executions: m.reuse_executions,
                 hit_rate: m.input_similarity(),
-                hit_rate_window: lt.hit_rate.mean(),
+                hit_rate_window: window.mean(|r| f64::from(r.hit_rate())),
                 corrections_total: m.inputs_total - m.inputs_unchanged,
                 macs_skipped_total: m.macs_total.saturating_sub(m.macs_performed),
-                span_ns_window: lt.span_ns.mean(),
+                span_ns_window: window.mean(|r| r.span_ns as f64),
                 rebaselines: rt.rebaselines,
                 auto_disabled: rt.auto_disabled,
-                signature_lookups: lt.signature_lookups,
-                signature_hits: lt.signature_hits,
-                signature_bailouts: lt.signature_bailouts,
+                signature_lookups: rt.signature_lookups,
+                signature_hits: rt.signature_hits,
+                signature_bailouts: rt.signature_bailouts,
             })
             .collect();
         Some(TelemetrySnapshot {
             network: self.model.network().name().to_string(),
-            frames: tel.frames,
-            window: tel.window(),
+            frames: self.reuse_frames,
+            window: TELEMETRY_WINDOW,
             pool: self.pool.stats,
             watchdog: self.watchdog,
             drift_check_every: self.model.config().drift_check_every(),
@@ -462,7 +474,7 @@ impl ReuseSession {
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
             let (_, layer) = &model.network().layers()[slot.layer_index];
             rt.state.reset(layer);
-            rt.prev_raw_input = None;
+            rt.prev_raw_input.clear();
         }
     }
 
@@ -471,7 +483,7 @@ impl ReuseSession {
     ///
     /// Accumulated statistics are cleared along with the buffers:
     /// [`EngineMetrics`], the per-layer relative-difference series, pending
-    /// traces, telemetry rings and watchdog counters all restart from zero —
+    /// traces, telemetry windows and watchdog counters all restart from zero —
     /// a reset session must not report the previous sequence's numbers. If
     /// calibration had not finished, it is re-armed from the beginning
     /// (profiled ranges are discarded). Built quantizers and auto-disable
@@ -479,9 +491,9 @@ impl ReuseSession {
     pub fn reset_state(&mut self) {
         self.reset_buffers();
         self.metrics.reset();
-        self.traces.clear();
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.reset();
+        self.log.clear();
+        if let Some(windows) = self.telemetry.as_mut() {
+            windows.iter_mut().for_each(Window::clear);
         }
         self.watchdog = WatchdogStats::default();
         self.reuse_frames = 0;
@@ -490,6 +502,9 @@ impl ReuseSession {
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
             rt.rebaselines = 0;
             rt.drift_strikes = 0;
+            rt.signature_lookups = 0;
+            rt.signature_hits = 0;
+            rt.signature_bailouts = 0;
             if let Some(ctrl) = rt.controller.as_mut() {
                 // The controller restarts at its initial operating point,
                 // and the grid must follow — a kept scaled quantizer would
@@ -574,10 +589,11 @@ impl ReuseSession {
     /// second reuse-phase frame onward a call performs **zero heap
     /// allocations** in the session, on any feed-forward pipeline. What
     /// still allocates, by design: calibration frames (they prime the
-    /// pool), the state-initializing first execution, tracing, the
-    /// relative-difference recorder, a watchdog check frame's reference
-    /// forward, and — inside the kernel, not the session — the two im2col
-    /// blocks of a conv layer that runs at full precision.
+    /// pool), the state-initializing first execution, the growth — amortised
+    /// — of the trace log and of the relative-difference series when those
+    /// are recorded, a watchdog check frame's reference forward, and —
+    /// inside the kernel, not the session — the two im2col blocks of a conv
+    /// layer that runs at full precision.
     ///
     /// # Errors
     ///
@@ -627,8 +643,8 @@ impl ReuseSession {
     /// per-timestep records live in session-owned scratch. Once the buffers
     /// have grown to the longest sequence seen a reuse-phase call performs
     /// **zero heap allocations**, with [`Self::execute_into`]'s exceptions
-    /// and one more: state resets per sequence, so a reuse-enabled
-    /// *frame-wise* slot initializes from scratch at every first timestep.
+    /// (state resets per sequence, so every slot initializes from scratch at
+    /// each first timestep — into buffers it kept).
     ///
     /// # Errors
     ///
@@ -663,41 +679,17 @@ impl ReuseSession {
         Ok(())
     }
 
-    /// Bookkeeping for a layer about to run at full precision on `input`
-    /// (the caller runs it). A layer with a slot leaves a from-scratch trace
-    /// entry; an *enabled* slot only gets here while calibrating — in the
-    /// reuse phase it steps — and has its input range profiled (passthrough
-    /// slots never quantize, so they have no range to profile).
-    fn note_unstepped(
-        &mut self,
-        layer_index: usize,
-        input: &[f32],
-        trace: Option<&mut ExecutionTrace>,
-    ) {
+    /// Profiles the input range of a slot about to run at full precision on
+    /// `input`. An *enabled* slot only gets here while calibrating — in the
+    /// reuse phase it steps — and passthrough slots never quantize, so they
+    /// have no range to profile.
+    fn profile_unstepped(&mut self, layer_index: usize, input: &[f32]) {
         let slot_pos = self.model.slot_of_layer()[layer_index];
-        if slot_pos == usize::MAX {
-            return;
-        }
-        if self.slot_enabled(slot_pos)
+        if slot_pos != usize::MAX
+            && self.slot_enabled(slot_pos)
             && self.model.slots()[slot_pos].kind != reuse_nn::LayerKind::Passthrough
         {
             self.runtimes[slot_pos].profiler_x.observe_slice(input);
-        }
-        if let Some(trace) = trace {
-            let model = &self.model;
-            let (name, layer) = &model.network().layers()[layer_index];
-            let macs = layer.flops(&model.network().layer_input_shapes()[layer_index]) / 2;
-            trace.layers.push(LayerTrace {
-                name: name.clone(),
-                kind: layer.kind(),
-                mode: TraceKind::ScratchFp32,
-                n_inputs: input.len() as u64,
-                n_changed: input.len() as u64,
-                n_outputs: model.layer_out_volumes()[layer_index] as u64,
-                n_params: layer.param_count(),
-                macs_total: macs,
-                macs_performed: macs,
-            });
         }
     }
 
@@ -758,61 +750,62 @@ impl ReuseSession {
         self.calibrated = true;
     }
 
-    fn record_layer_execution(
+    /// The one writer of what a layer step did, called once per layer per
+    /// execution by every walk: `stepped` carries the counters and span of a
+    /// slot that stepped, `None` says the layer ran at full precision (a
+    /// layer without a slot leaves no record). One [`StepRecord`] feeds the
+    /// three things that are not folds of each other: the metrics sums and,
+    /// with telemetry on, the slot's window — incremental steps only — and,
+    /// with tracing on, the log. None of them allocates, but for the log's
+    /// amortised growth.
+    fn record_step(
         &mut self,
-        slot_pos: usize,
-        raw_input: &[f32],
-        stats: ExecStats,
-        n_outputs: u64,
-        span_ns: u64,
-        trace: Option<&mut ExecutionTrace>,
+        execution: u64,
+        layer_index: usize,
+        stepped: Option<(ExecStats, u64)>,
     ) {
-        let model = Arc::clone(&self.model);
-        let record_rd = model.config().records_relative_difference();
-        let slot = &model.slots()[slot_pos];
-        let rt = &mut self.runtimes[slot_pos];
-        let m = &mut self.metrics.layers[slot_pos];
-        if !stats.from_scratch {
-            m.record(
-                stats.n_inputs,
-                stats.n_inputs - stats.n_changed,
-                stats.macs_total,
-                stats.macs_performed,
+        let slot_pos = self.model.slot_of_layer()[layer_index];
+        if slot_pos == usize::MAX {
+            return;
+        }
+        let record = match stepped {
+            Some((stats, span_ns)) => StepRecord::stepped(execution, layer_index, stats, span_ns),
+            None => {
+                let slot = &self.model.slots()[slot_pos];
+                StepRecord::full_precision(execution, layer_index, slot.n_inputs, slot.macs)
+            }
+        };
+        if record.mode == TraceKind::Incremental {
+            self.metrics.layers[slot_pos].record(
+                record.n_inputs,
+                record.n_inputs - record.n_changed,
+                record.macs_total,
+                record.macs_performed,
             );
-            // Ring pushes never allocate.
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.layers[slot_pos].record(
-                    stats.n_inputs,
-                    stats.n_changed,
-                    stats.macs_total,
-                    stats.macs_performed,
-                    span_ns,
-                );
+            if let Some(windows) = self.telemetry.as_mut() {
+                windows[slot_pos].push(record);
             }
         }
-        if record_rd {
-            if let Some(prev) = &rt.prev_raw_input {
-                if prev.len() == raw_input.len() {
-                    m.relative_differences
-                        .push(relative_difference(prev, raw_input));
-                }
-            }
-            rt.prev_raw_input = Some(raw_input.to_vec());
+        if self.model.config().records_trace() {
+            self.log.push(record);
         }
-        if let Some(trace) = trace {
-            let n_params = model.network().layers()[slot.layer_index].1.param_count();
-            trace.layers.push(LayerTrace {
-                name: slot.name.clone(),
-                kind: slot.kind,
-                mode: stats.mode(true),
-                n_inputs: stats.n_inputs,
-                n_changed: stats.n_changed,
-                n_outputs,
-                n_params,
-                macs_total: stats.macs_total,
-                macs_performed: stats.macs_performed,
-            });
+    }
+
+    /// The Fig. 4 series of a stepped slot: the relative difference of this
+    /// execution's raw input to the previous one's, when the config records
+    /// it. The previous input is kept in place, so only the series grows.
+    fn note_relative_difference(&mut self, slot_pos: usize, raw_input: &[f32]) {
+        if !self.model.config().records_relative_difference() {
+            return;
         }
+        let prev = &mut self.runtimes[slot_pos].prev_raw_input;
+        if prev.len() == raw_input.len() {
+            self.metrics.layers[slot_pos]
+                .relative_differences
+                .push(relative_difference(prev, raw_input));
+        }
+        prev.clear();
+        prev.extend_from_slice(raw_input);
     }
 
     /// The one walk of a feed-forward network over one frame. Activations
@@ -835,19 +828,18 @@ impl ReuseSession {
         let model = Arc::clone(&self.model);
         let mut cur = self.pool.take(frame.len());
         cur.extend_from_slice(frame);
-        let mut trace = model.config().records_trace().then(ExecutionTrace::default);
+        let execution = self.executions_seen;
         for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
             let mut next = self.pool.take(model.layer_out_volumes()[i]);
-            if !calibrating && slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
-                self.step_slot(&model, slot_pos, &cur, &mut next, trace.as_mut())?;
+            let stepped = if !calibrating && slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
+                Some(self.step_slot(&model, slot_pos, &cur, &mut next)?)
             } else {
-                self.note_unstepped(i, &cur, trace.as_mut());
+                self.profile_unstepped(i, &cur);
                 model.network().apply_layer_into(i, &cur, &mut next)?;
-            }
+                None
+            };
+            self.record_step(execution, i, stepped);
             self.pool.give(std::mem::replace(&mut cur, next));
-        }
-        if let Some(trace) = trace {
-            self.traces.push(trace);
         }
         self.executions_seen += 1;
         self.metrics.executions += 1;
@@ -857,9 +849,6 @@ impl ReuseSession {
         if calibrating {
             self.calibration_units_seen += 1;
             return Ok(());
-        }
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.frames += 1;
         }
         // The pool now holds a buffer for every intermediate of a frame, so
         // from here on every take must hit; a miss would mean a steady-state
@@ -879,16 +868,16 @@ impl ReuseSession {
     /// One enabled slot's reuse-phase step on one frame, `input` to `next`
     /// — the session's resumable per-layer unit: cross-stream signature
     /// lookup (cold start only), the [`ReuseLayer`] step (uniform dispatch,
-    /// no per-kind `match`), the adaptive refresh, signature publication,
-    /// and the metrics / telemetry / trace record.
+    /// no per-kind `match`), the adaptive refresh and signature publication.
+    /// Returns the step's counters and its span (0 unless telemetry times
+    /// slots) for the walk to record.
     fn step_slot(
         &mut self,
         model: &CompiledModel,
         slot_pos: usize,
         input: &[f32],
         next: &mut Vec<f32>,
-        trace: Option<&mut ExecutionTrace>,
-    ) -> Result<(), ReuseError> {
+    ) -> Result<(ExecStats, u64), ReuseError> {
         // Cross-stream adoption runs only when this stream has no baseline
         // yet (cold start), so steady-state frames pay a single branch here
         // and never touch the shared cache.
@@ -933,9 +922,8 @@ impl ReuseSession {
             // under the signature computed from the same input.
             self.signature_insert(slot_pos, sig, input);
         }
-        let n_outputs = next.len() as u64;
-        self.record_layer_execution(slot_pos, input, stats, n_outputs, span_ns, trace);
-        Ok(())
+        self.note_relative_difference(slot_pos, input);
+        Ok((stats, span_ns))
     }
 
     /// Recomputes a frame-wise slot exactly on its raw input: the linear
@@ -982,13 +970,12 @@ impl ReuseSession {
         let planes = sigs.planes(slot_pos)?;
         let sig = planes.signature(input);
         self.signature.lookups += 1;
+        self.runtimes[slot_pos].signature_lookups += 1;
         let Some(entry) = sigs.cache().get(slot_pos as u32, sig) else {
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.layers[slot_pos].record_signature(false, false);
-            }
             return Some(sig);
         };
         self.signature.hits += 1;
+        self.runtimes[slot_pos].signature_hits += 1;
         // False-positive guard: quantize both the live and the cached
         // input under this session's grid and count disagreeing codes. A
         // hash collision between genuinely different inputs shows up as a
@@ -1008,11 +995,9 @@ impl ReuseSession {
                 .count();
             changed as f32 > model.config().signature_bailout() * input.len() as f32
         };
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.layers[slot_pos].record_signature(true, bail);
-        }
         if bail {
             self.signature.bailouts += 1;
+            self.runtimes[slot_pos].signature_bailouts += 1;
             return Some(sig);
         }
         let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
@@ -1189,11 +1174,7 @@ impl ReuseSession {
         let network = model.network();
         let t = frames.len();
         let timed = self.telemetry.is_some();
-        let mut traces = if model.config().records_trace() {
-            vec![ExecutionTrace::default(); t]
-        } else {
-            Vec::new()
-        };
+        let first = self.executions_seen;
         let mut width = network.input_shape().volume();
         let mut cur = self.pool.take(t * width);
         for frame in frames {
@@ -1208,38 +1189,32 @@ impl ReuseSession {
             let mut next = self.pool.take(t * out_width);
             let enabled = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
             let stepped = enabled && !calibrating;
-            if !stepped {
-                for (k, frame) in cur.chunks_exact(width).enumerate() {
-                    self.note_unstepped(i, frame, traces.get_mut(k));
-                }
-            }
             let layer = &network.layers()[i].1;
+            let timesteps = (first..).zip(cur.chunks_exact(width));
             if !layer.is_recurrent() {
-                for (k, frame) in cur.chunks_exact(width).enumerate() {
-                    if stepped {
-                        self.step_slot(&model, slot_pos, frame, &mut row, traces.get_mut(k))?;
+                for (execution, frame) in timesteps {
+                    let step = if stepped {
+                        Some(self.step_slot(&model, slot_pos, frame, &mut row)?)
                     } else {
+                        self.profile_unstepped(i, frame);
                         network.apply_layer_into(i, frame, &mut row)?;
-                    }
+                        None
+                    };
+                    self.record_step(execution, i, step);
                     next.extend_from_slice(&row);
                 }
             } else if stepped {
                 let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
-                let (stats, spans) = (&mut self.seq_stats, &mut self.seq_spans);
-                state.step_sequence(&ctx, &cur, timed, &mut next, stats, spans)?;
-                for (k, frame) in cur.chunks_exact(width).enumerate() {
-                    let (stats, span_ns) = (self.seq_stats[k], self.seq_spans[k]);
-                    let trace = traces.get_mut(k);
-                    self.record_layer_execution(
-                        slot_pos,
-                        frame,
-                        stats,
-                        out_width as u64,
-                        span_ns,
-                        trace,
-                    );
+                state.step_sequence(&ctx, &cur, timed, &mut next, &mut self.seq_steps)?;
+                for (k, (execution, frame)) in timesteps.enumerate() {
+                    self.record_step(execution, i, Some(self.seq_steps[k]));
+                    self.note_relative_difference(slot_pos, frame);
                 }
             } else {
+                for (execution, frame) in timesteps {
+                    self.profile_unstepped(i, frame);
+                    self.record_step(execution, i, None);
+                }
                 layer.forward_sequence_into(&cur, t, &mut next, &mut self.lstm_scratch)?;
                 if enabled {
                     // A cell's hidden inputs are its zero state, then its own
@@ -1265,13 +1240,12 @@ impl ReuseSession {
             self.pool.give(std::mem::replace(&mut cur, next));
             width = out_width;
         }
-        self.traces.append(&mut traces);
         self.executions_seen += t as u64;
         self.metrics.executions += t as u64;
         if calibrating {
             self.calibration_units_seen += 1;
-        } else if let Some(tel) = self.telemetry.as_mut() {
-            tel.frames += t as u64;
+        } else {
+            self.reuse_frames += t as u64;
         }
         out.clear();
         out.extend_from_slice(&cur);

@@ -1,15 +1,17 @@
-//! Runtime observability for the reuse engine: per-layer ring-buffer
-//! counters, buffer-pool and drift-watchdog statistics, and their JSON
-//! export ([`TelemetrySnapshot`]).
+//! Runtime observability for the reuse engine: the per-slot window of recent
+//! step records, buffer-pool, drift-watchdog and signature-cache statistics,
+//! and their JSON export ([`TelemetrySnapshot`]).
 //!
 //! The paper's value proposition is statistical — hit rates and correction
 //! counts vary per layer and over time (Figs. 4/5) — so a long-running
 //! deployment needs live numbers, not just the lifetime aggregates of
-//! [`crate::EngineMetrics`]. Everything here is preallocated at engine
-//! construction: recording into the rings is O(1) and allocation-free, so
-//! telemetry can stay enabled on the zero-allocation steady-state hot path.
-//! Building a [`TelemetrySnapshot`] (and serializing it) allocates and is
-//! meant for cold reporting paths only.
+//! [`crate::EngineMetrics`]. Telemetry adds one thing to those sums: per
+//! slot, the last [`TELEMETRY_WINDOW`] incremental step records, allocated
+//! once when the session opens, so recording is O(1) and allocation-free and
+//! can stay enabled on the zero-allocation steady-state hot path. A
+//! snapshot's windowed statistics are folds over those records. Building a
+//! [`TelemetrySnapshot`] (and serializing it) allocates and is meant for
+//! cold reporting paths only.
 
 // The module reports floating-point statistics; exact comparisons are
 // always a bug here (the watchdog compares against bounds, never equality).
@@ -18,83 +20,53 @@
 use std::fmt::Write as _;
 
 use crate::json::{json_num, json_str};
+use crate::trace::StepRecord;
 
-/// A fixed-capacity ring buffer of `f32` samples.
-///
-/// The backing storage is allocated once at construction; `push` overwrites
-/// the oldest sample when full and never allocates.
-#[derive(Debug, Clone)]
-pub struct Ring {
-    buf: Vec<f32>,
-    /// Next write position.
+/// Incremental executions a slot's telemetry window holds: the windowed
+/// statistics of a [`TelemetrySnapshot`] are means over this many most
+/// recent steps.
+pub const TELEMETRY_WINDOW: usize = 64;
+
+/// The last [`TELEMETRY_WINDOW`] step records of one slot. The storage is
+/// allocated once; `push` overwrites the oldest record when full.
+#[derive(Debug)]
+pub(crate) struct Window {
+    records: Vec<StepRecord>,
+    /// The oldest record once full (0 until then).
     head: usize,
-    /// Number of valid samples (≤ capacity).
-    len: usize,
 }
 
-impl Ring {
-    /// Creates an empty ring holding up to `capacity` samples (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Ring {
-            buf: vec![0.0; capacity.max(1)],
+impl Window {
+    pub(crate) fn new() -> Self {
+        Window {
+            records: Vec::with_capacity(TELEMETRY_WINDOW),
             head: 0,
-            len: 0,
         }
     }
 
-    /// Appends a sample, overwriting the oldest when full. Never allocates.
-    pub fn push(&mut self, v: f32) {
-        let cap = self.buf.len();
-        self.buf[self.head] = v;
-        self.head = (self.head + 1) % cap;
-        if self.len < cap {
-            self.len += 1;
+    /// Appends a record, overwriting the oldest when full. Never allocates.
+    pub(crate) fn push(&mut self, record: StepRecord) {
+        if self.records.len() < TELEMETRY_WINDOW {
+            self.records.push(record);
+        } else {
+            self.records[self.head] = record;
+            self.head = (self.head + 1) % TELEMETRY_WINDOW;
         }
     }
 
-    /// Number of valid samples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no samples have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum number of samples held.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The most recently pushed sample.
-    pub fn last(&self) -> Option<f32> {
-        if self.len == 0 {
-            return None;
-        }
-        let cap = self.buf.len();
-        Some(self.buf[(self.head + cap - 1) % cap])
-    }
-
-    /// Iterates the valid samples from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = f32> + '_ {
-        let cap = self.buf.len();
-        let start = (self.head + cap - self.len) % cap;
-        (0..self.len).map(move |i| self.buf[(start + i) % cap])
-    }
-
-    /// Mean of the valid samples (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.len == 0 {
+    /// Mean of `f` over the held records, oldest first (`0.0` when empty).
+    pub(crate) fn mean(&self, f: impl Fn(&StepRecord) -> f64) -> f64 {
+        if self.records.is_empty() {
             return 0.0;
         }
-        self.iter().map(f64::from).sum::<f64>() / self.len as f64
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer).map(f).sum::<f64>() / self.records.len() as f64
     }
 
-    /// Drops all samples, keeping the allocation.
-    pub fn clear(&mut self) {
+    /// Drops all records, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.records.clear();
         self.head = 0;
-        self.len = 0;
     }
 }
 
@@ -152,136 +124,6 @@ impl SignatureStats {
     }
 }
 
-/// Per-layer, per-execution telemetry: recent-window rings, the span total
-/// and the signature counters. Only incremental (non-from-scratch)
-/// executions are recorded, in step with [`crate::LayerMetrics`], which
-/// holds the lifetime input and MAC counters.
-#[derive(Debug, Clone)]
-pub struct LayerTelemetry {
-    /// Layer name within the network.
-    pub name: String,
-    /// Per-execution quantized-input hit rate (unchanged / inputs).
-    pub hit_rate: Ring,
-    /// Per-execution corrections applied (changed inputs).
-    pub corrections: Ring,
-    /// Per-execution MACs skipped (total − performed).
-    pub macs_skipped: Ring,
-    /// Per-execution skip/correct span in nanoseconds (0 = unmeasured).
-    pub span_ns: Ring,
-    /// Measured span nanoseconds summed across executions.
-    pub span_ns_total: u64,
-    /// Cross-stream signature lookups attempted for this layer.
-    pub signature_lookups: u64,
-    /// Signature hits for this layer.
-    pub signature_hits: u64,
-    /// Signature hits abandoned by the false-positive guard.
-    pub signature_bailouts: u64,
-}
-
-impl LayerTelemetry {
-    fn new(name: &str, window: usize) -> Self {
-        LayerTelemetry {
-            name: name.to_string(),
-            hit_rate: Ring::new(window),
-            corrections: Ring::new(window),
-            macs_skipped: Ring::new(window),
-            span_ns: Ring::new(window),
-            span_ns_total: 0,
-            signature_lookups: 0,
-            signature_hits: 0,
-            signature_bailouts: 0,
-        }
-    }
-
-    /// Records one incremental execution. Allocation-free.
-    pub(crate) fn record(
-        &mut self,
-        n_inputs: u64,
-        n_changed: u64,
-        macs_total: u64,
-        macs_performed: u64,
-        span_ns: u64,
-    ) {
-        let unchanged = n_inputs.saturating_sub(n_changed);
-        let skipped = macs_total.saturating_sub(macs_performed);
-        self.span_ns_total += span_ns;
-        let rate = if n_inputs == 0 {
-            0.0
-        } else {
-            unchanged as f32 / n_inputs as f32
-        };
-        self.hit_rate.push(rate);
-        self.corrections.push(n_changed as f32);
-        self.macs_skipped.push(skipped as f32);
-        self.span_ns.push(span_ns as f32);
-    }
-
-    /// Records the outcome of one cross-stream signature lookup
-    /// (cold path, but still allocation-free).
-    pub(crate) fn record_signature(&mut self, hit: bool, bailed: bool) {
-        self.signature_lookups += 1;
-        if hit {
-            self.signature_hits += 1;
-        }
-        if bailed {
-            self.signature_bailouts += 1;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.hit_rate.clear();
-        self.corrections.clear();
-        self.macs_skipped.clear();
-        self.span_ns.clear();
-        self.span_ns_total = 0;
-        self.signature_lookups = 0;
-        self.signature_hits = 0;
-        self.signature_bailouts = 0;
-    }
-}
-
-/// Live telemetry state owned by a [`crate::ReuseSession`] when
-/// [`crate::ReuseConfig::telemetry`] is enabled. All storage is
-/// preallocated at engine construction; recording never allocates.
-#[derive(Debug, Clone)]
-pub struct EngineTelemetry {
-    /// One entry per weighted layer, in network order (same indexing as
-    /// [`crate::EngineMetrics::layers`]).
-    pub layers: Vec<LayerTelemetry>,
-    /// Reuse-phase frames observed (timesteps for recurrent networks).
-    pub frames: u64,
-    window: usize,
-}
-
-impl EngineTelemetry {
-    /// Creates telemetry with a `window`-sample ring per layer.
-    pub(crate) fn new<'a>(names: impl Iterator<Item = &'a str>, window: usize) -> Self {
-        let window = window.max(1);
-        EngineTelemetry {
-            layers: names.map(|n| LayerTelemetry::new(n, window)).collect(),
-            frames: 0,
-            window,
-        }
-    }
-
-    /// The configured ring capacity.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Finds a layer's telemetry by name.
-    pub fn layer(&self, name: &str) -> Option<&LayerTelemetry> {
-        self.layers.iter().find(|l| l.name == name)
-    }
-
-    pub(crate) fn reset(&mut self) {
-        for l in &mut self.layers {
-            l.reset();
-        }
-        self.frames = 0;
-    }
-}
-
 /// Owned, serializable snapshot of one engine's telemetry — what
 /// `reuse_cli run <workload> --telemetry` prints as JSON.
 #[derive(Debug, Clone)]
@@ -290,7 +132,7 @@ pub struct TelemetrySnapshot {
     pub network: String,
     /// Reuse-phase frames observed.
     pub frames: u64,
-    /// Ring capacity used for the windowed statistics.
+    /// Steps the windowed statistics cover ([`TELEMETRY_WINDOW`]).
     pub window: usize,
     /// Buffer-pool hits/misses.
     pub pool: PoolStats,
@@ -425,48 +267,45 @@ impl TelemetrySnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ring_overwrites_oldest() {
-        let mut r = Ring::new(3);
-        assert!(r.is_empty());
-        assert_eq!(r.last(), None);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            r.push(v);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
-        let vals: Vec<f32> = r.iter().collect();
-        assert_eq!(vals, vec![2.0, 3.0, 4.0]);
-        assert_eq!(r.last(), Some(4.0));
-        assert!((r.mean() - 3.0).abs() < 1e-12);
-        r.clear();
-        assert!(r.is_empty());
+    fn step(n_changed: u64, span_ns: u64) -> StepRecord {
+        let stats = crate::ExecStats {
+            n_inputs: 100,
+            n_changed,
+            macs_total: 1000,
+            macs_performed: n_changed * 10,
+            from_scratch: false,
+        };
+        StepRecord::stepped(0, 0, stats, span_ns)
     }
 
     #[test]
-    fn ring_minimum_capacity_is_one() {
-        let mut r = Ring::new(0);
-        assert_eq!(r.capacity(), 1);
-        r.push(7.0);
-        r.push(8.0);
-        assert_eq!(r.last(), Some(8.0));
-        assert_eq!(r.len(), 1);
+    fn ring_overwrites_oldest() {
+        // Two early records, then enough 100-ns steps to push them out one
+        // at a time: the window holds the most recent records only.
+        let mut w = Window::new();
+        w.push(step(25, 500));
+        w.push(step(75, 300));
+        for _ in 0..TELEMETRY_WINDOW - 1 {
+            w.push(step(100, 100));
+        }
+        let kept = (300.0 + 100.0 * (TELEMETRY_WINDOW - 1) as f64) / TELEMETRY_WINDOW as f64;
+        assert!((w.mean(|r| r.span_ns as f64) - kept).abs() < 1e-9);
+        w.push(step(100, 100));
+        assert!((w.mean(|r| r.span_ns as f64) - 100.0).abs() < 1e-9);
+        w.clear();
+        assert!(w.mean(|r| r.span_ns as f64).abs() < 1e-12, "empty reads 0");
     }
 
     #[test]
     fn layer_record_accumulates_and_windows() {
-        let mut l = LayerTelemetry::new("fc1", 2);
-        l.record(100, 25, 1000, 250, 500);
-        l.record(100, 75, 1000, 750, 300);
-        assert!((l.hit_rate.mean() - 0.5).abs() < 1e-6);
-        assert!((l.corrections.mean() - 50.0).abs() < 1e-6);
-        assert!((l.macs_skipped.mean() - 500.0).abs() < 1e-6);
-        assert_eq!(l.span_ns_total, 800);
-        // A third record evicts the first from the window but not the total.
-        l.record(100, 100, 1000, 1000, 100);
-        assert_eq!(l.hit_rate.len(), 2);
-        assert!((l.hit_rate.mean() - 0.125).abs() < 1e-6);
-        assert_eq!(l.span_ns_total, 900);
+        let mut w = Window::new();
+        assert!(w.mean(|r| f64::from(r.hit_rate())).abs() < 1e-12);
+        w.push(step(25, 500));
+        w.push(step(75, 300));
+        assert!((w.mean(|r| f64::from(r.hit_rate())) - 0.5).abs() < 1e-6);
+        assert!((w.mean(|r| r.span_ns as f64) - 400.0).abs() < 1e-9);
+        w.push(step(100, 100));
+        assert!((w.mean(|r| f64::from(r.hit_rate())) - 1.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,10 +1,20 @@
-//! Per-execution activity traces.
+//! The record of a layer step, and the per-execution activity traces
+//! materialised from it.
 //!
-//! The accelerator simulator in `reuse-accel` is *trace-driven*: the reuse
-//! engine records, for every execution and every weighted layer, how many
-//! inputs it saw, how many changed, and how many multiply-accumulates were
-//! performed. The simulator turns those counts into cycles and energy using
-//! the Table II hardware parameters.
+//! "What did this layer step do" is written once, in one format: a
+//! fixed-size `StepRecord` per layer per execution, by the session's one
+//! writer. The lifetime sums of [`crate::EngineMetrics`], the recent windows
+//! of [`crate::TelemetrySnapshot`] and the traces here are folds over it.
+//!
+//! The accelerator simulator in `reuse-accel` is *trace-driven*: it wants,
+//! for every execution and every weighted layer, how many inputs the layer
+//! saw, how many changed, and how many multiply-accumulates were performed,
+//! and turns those counts into cycles and energy using the Table II hardware
+//! parameters. `ReuseSession::take_traces` builds that view from the
+//! recorded steps and the model's per-layer constants.
+
+use crate::layer::ExecStats;
+use crate::model::CompiledModel;
 
 /// The execution mode a layer ran in for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +25,68 @@ pub enum TraceKind {
     ScratchQuantized,
     /// Incremental execution correcting the buffered outputs.
     Incremental,
+}
+
+/// One execution of one layer that has a reuse slot: everything the
+/// session records about it, `Copy` and fixed-size so writing one never
+/// allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StepRecord {
+    /// The execution this step belongs to (the session's running count;
+    /// timesteps for recurrent networks).
+    pub(crate) execution: u64,
+    /// Index of the layer in the network.
+    pub(crate) layer: u32,
+    pub(crate) mode: TraceKind,
+    pub(crate) n_inputs: u64,
+    pub(crate) n_changed: u64,
+    pub(crate) macs_total: u64,
+    pub(crate) macs_performed: u64,
+    /// Nanoseconds the step took when the session times its slots, else 0.
+    pub(crate) span_ns: u64,
+}
+
+impl StepRecord {
+    /// The record of a stepped slot, from the counters its state returned.
+    pub(crate) fn stepped(execution: u64, layer: usize, stats: ExecStats, span_ns: u64) -> Self {
+        StepRecord {
+            execution,
+            layer: layer as u32,
+            mode: if stats.from_scratch {
+                TraceKind::ScratchQuantized
+            } else {
+                TraceKind::Incremental
+            },
+            n_inputs: stats.n_inputs,
+            n_changed: stats.n_changed,
+            macs_total: stats.macs_total,
+            macs_performed: stats.macs_performed,
+            span_ns,
+        }
+    }
+
+    /// The record of a slot's layer run at full precision (calibrating,
+    /// reuse-disabled or auto-disabled): every input read, every MAC paid.
+    pub(crate) fn full_precision(execution: u64, layer: usize, n_inputs: u64, macs: u64) -> Self {
+        StepRecord {
+            execution,
+            layer: layer as u32,
+            mode: TraceKind::ScratchFp32,
+            n_inputs,
+            n_changed: n_inputs,
+            macs_total: macs,
+            macs_performed: macs,
+            span_ns: 0,
+        }
+    }
+
+    /// Share of this step's inputs whose quantized code was unchanged.
+    pub(crate) fn hit_rate(&self) -> f32 {
+        if self.n_inputs == 0 {
+            return 0.0;
+        }
+        (self.n_inputs - self.n_changed) as f32 / self.n_inputs as f32
+    }
 }
 
 /// Activity of one weighted layer during one execution.
@@ -42,25 +114,6 @@ pub struct LayerTrace {
     pub macs_performed: u64,
 }
 
-impl LayerTrace {
-    /// Weight elements fetched from the weights memory (one per MAC — the
-    /// data master streams the weights that each processed input needs,
-    /// paper Fig. 7).
-    pub fn weight_fetches(&self) -> u64 {
-        self.macs_performed
-    }
-
-    /// Output elements read-modify-written in the I/O buffer by the
-    /// correction path (zero for from-scratch executions, which only write
-    /// the final outputs).
-    pub fn correction_output_accesses(&self) -> u64 {
-        match self.mode {
-            TraceKind::Incremental => self.macs_performed,
-            _ => 0,
-        }
-    }
-}
-
 /// Activity of one whole DNN execution.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutionTrace {
@@ -80,6 +133,35 @@ impl ExecutionTrace {
     }
 }
 
+/// Groups a session's step log by execution and dresses every record with
+/// its layer's constants from `model`. Executions come out in the order they
+/// ran and layers in network order within each — a sequence walk logs
+/// layer-major, which the stable sort undoes.
+pub(crate) fn materialise(mut log: Vec<StepRecord>, model: &CompiledModel) -> Vec<ExecutionTrace> {
+    log.sort_by_key(|r| r.execution);
+    log.chunk_by(|a, b| a.execution == b.execution)
+        .map(|steps| ExecutionTrace {
+            layers: steps
+                .iter()
+                .map(|r| {
+                    let slot = &model.slots()[model.slot_of_layer()[r.layer as usize]];
+                    LayerTrace {
+                        name: slot.name.clone(),
+                        kind: slot.kind,
+                        mode: r.mode,
+                        n_inputs: r.n_inputs,
+                        n_changed: r.n_changed,
+                        n_outputs: model.layer_out_volumes()[slot.layer_index] as u64,
+                        n_params: slot.n_params,
+                        macs_total: r.macs_total,
+                        macs_performed: r.macs_performed,
+                    }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,27 +179,6 @@ mod tests {
             macs_total: 200,
             macs_performed: performed,
         }
-    }
-
-    #[test]
-    fn weight_fetches_track_performed_macs() {
-        assert_eq!(trace(TraceKind::Incremental, 80).weight_fetches(), 80);
-        assert_eq!(
-            trace(TraceKind::ScratchQuantized, 200).weight_fetches(),
-            200
-        );
-    }
-
-    #[test]
-    fn corrections_only_for_incremental() {
-        assert_eq!(
-            trace(TraceKind::Incremental, 80).correction_output_accesses(),
-            80
-        );
-        assert_eq!(
-            trace(TraceKind::ScratchFp32, 200).correction_output_accesses(),
-            0
-        );
     }
 
     #[test]

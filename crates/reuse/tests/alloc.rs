@@ -94,36 +94,68 @@ fn steady_state_execute_into_is_allocation_free() {
     );
 }
 
-#[test]
-fn steady_state_with_telemetry_is_allocation_free() {
-    // Telemetry rings are preallocated at engine construction; recording
-    // into them (and the span timing around each layer) must not allocate.
-    // The drift watchdog is left unarmed: its check frames recompute the
-    // reference output and are documented as off the zero-alloc contract.
-    let net = NetworkBuilder::new("steady-tel", 32)
+fn three_slot_mlp(name: &str) -> reuse_nn::Network {
+    NetworkBuilder::new(name, 32)
         .fully_connected(64, Activation::Relu)
         .fully_connected(48, Activation::Relu)
         .fully_connected(10, Activation::Identity)
         .build()
-        .unwrap();
-    let config = ReuseConfig::uniform(16).telemetry(true).telemetry_window(8);
+        .unwrap()
+}
+
+/// Drifts a few inputs in place so the incremental path does real
+/// correction work, not just the all-reused fast case.
+fn drift(frame: &mut [f32], rng: &mut Rng64) {
+    for _ in 0..8 {
+        let i = (rng.next_u64() % frame.len() as u64) as usize;
+        frame[i] = (frame[i] + rng.uniform(0.5)).clamp(-1.0, 1.0);
+    }
+}
+
+#[test]
+fn steady_state_with_telemetry_is_allocation_free() {
+    // Telemetry windows are preallocated when the session opens; recording
+    // into them (and the span timing around each layer) must not allocate.
+    // The drift watchdog is left unarmed: its check frames recompute the
+    // reference output and are documented as off the zero-alloc contract.
+    let net = three_slot_mlp("steady-tel");
+    let config = ReuseConfig::uniform(16).telemetry(true);
     let mut engine = ReuseSession::from_network(&net, &config);
 
     let mut rng = Rng64::new(11);
     let mut frame: Vec<f32> = (0..32).map(|_| rng.uniform(0.9)).collect();
     let mut out = Vec::new();
+    // Every incremental step's unchanged share per slot, read off the
+    // metrics sums as they grow (room reserved, so noting one allocates
+    // nothing).
+    let mut shares: Vec<Vec<f32>> = (0..3).map(|_| Vec::with_capacity(128)).collect();
+    let mut seen = vec![(0u64, 0u64); 3];
+    let mut note_shares = |engine: &ReuseSession| {
+        for ((m, seen), shares) in engine
+            .metrics()
+            .layers
+            .iter()
+            .zip(&mut seen)
+            .zip(&mut shares)
+        {
+            let (inputs, unchanged) = (m.inputs_total - seen.0, m.inputs_unchanged - seen.1);
+            if inputs > 0 {
+                shares.push(unchanged as f32 / inputs as f32);
+            }
+            *seen = (m.inputs_total, m.inputs_unchanged);
+        }
+    };
     for _ in 0..3 {
         engine.execute_into(&frame, &mut out).unwrap();
+        note_shares(&engine);
     }
 
     let before = thread_allocations();
-    for _ in 0..10 {
-        for _ in 0..8 {
-            let i = (rng.next_u64() % 32) as usize;
-            frame[i] = (frame[i] + rng.uniform(0.5)).clamp(-1.0, 1.0);
-        }
+    for _ in 0..70 {
+        drift(&mut frame, &mut rng);
         engine.execute_into(&frame, &mut out).unwrap();
         assert_eq!(out.len(), 10);
+        note_shares(&engine);
     }
     let allocations = thread_allocations() - before;
     assert_eq!(
@@ -131,16 +163,81 @@ fn steady_state_with_telemetry_is_allocation_free() {
         "telemetry-on steady-state frames allocated {allocations} times"
     );
 
-    // The frames above were recorded: more than the window, so the rings are
-    // full and the lifetime counters kept counting. Of the 13 executions,
-    // one was calibration, so 12 were reuse-phase frames; the first of those
-    // initialized state from scratch, leaving 11 recorded executions.
-    let tel = engine.telemetry().unwrap();
-    assert_eq!(tel.frames, 12);
-    for (layer, m) in tel.layers.iter().zip(&engine.metrics().layers) {
-        assert_eq!(layer.hit_rate.len(), 8, "ring full at window capacity");
-        assert!(m.reuse_executions >= 11);
+    // Of the 73 executions one was calibration, so 72 were reuse-phase
+    // frames; the first of those initialized state from scratch, leaving 71
+    // recorded steps per slot — more than the window, which therefore
+    // wrapped and reports the last 64 of them while the sums kept counting.
+    let snap = engine.telemetry_snapshot().unwrap();
+    assert_eq!(snap.frames, 72);
+    assert_eq!(snap.window, reuse_core::TELEMETRY_WINDOW);
+    for (layer, shares) in snap.layers.iter().zip(&shares) {
+        assert_eq!(layer.reuse_executions, 71);
+        assert_eq!(shares.len(), 71);
+        let recent = &shares[shares.len() - 64..];
+        let mean = recent.iter().map(|&s| f64::from(s)).sum::<f64>() / 64.0;
+        assert!(
+            (layer.hit_rate_window - mean).abs() < 1e-9,
+            "{}: window {} vs last 64 steps {mean}",
+            layer.name,
+            layer.hit_rate_window
+        );
+        assert!(layer.span_ns_window > 0.0, "{}: timed", layer.name);
     }
+}
+
+#[test]
+fn traced_steady_frames_only_grow_the_log() {
+    // Recording a trace appends `Copy` step records to one flat log: a
+    // steady traced frame allocates nothing but the log's amortised growth,
+    // and the traces materialised afterwards carry every layer's constants.
+    use reuse_core::TraceKind;
+
+    let net = three_slot_mlp("steady-traced");
+    let config = ReuseConfig::uniform(16).record_trace(true);
+    let mut engine = ReuseSession::from_network(&net, &config);
+
+    let mut rng = Rng64::new(13);
+    let mut frame: Vec<f32> = (0..32).map(|_| rng.uniform(0.9)).collect();
+    let mut out = Vec::new();
+    for _ in 0..3 {
+        engine.execute_into(&frame, &mut out).unwrap();
+    }
+    let before = thread_allocations();
+    for _ in 0..64 {
+        drift(&mut frame, &mut rng);
+        engine.execute_into(&frame, &mut out).unwrap();
+    }
+    let allocations = thread_allocations() - before;
+    assert!(
+        allocations <= 8,
+        "64 traced steady frames allocated {allocations} times"
+    );
+
+    let traces = engine.take_traces();
+    assert_eq!(traces.len(), 67);
+    let dims = [("fc1", 32, 64), ("fc2", 64, 48), ("fc3", 48, 10)];
+    for (e, trace) in traces.iter().enumerate() {
+        assert_eq!(trace.layers.len(), 3, "execution {e}");
+        for (l, (name, n_in, n_out)) in trace.layers.iter().zip(dims) {
+            assert_eq!(l.name, name);
+            assert_eq!(l.kind, reuse_nn::LayerKind::Fc);
+            let expected_mode = match e {
+                0 => TraceKind::ScratchFp32,
+                1 => TraceKind::ScratchQuantized,
+                _ => TraceKind::Incremental,
+            };
+            assert_eq!(l.mode, expected_mode, "execution {e} {name}");
+            assert_eq!((l.n_inputs, l.n_outputs), (n_in, n_out));
+            assert_eq!(l.n_params, n_in * n_out + n_out);
+            assert_eq!(l.macs_total, n_in * n_out);
+            assert_eq!(l.macs_performed, l.n_changed * n_out);
+            assert!(
+                e >= 2 || l.n_changed == n_in,
+                "from scratch reads every input"
+            );
+        }
+    }
+    assert!(engine.take_traces().is_empty(), "the log was taken");
 }
 
 #[test]
@@ -251,12 +348,11 @@ fn full_precision_layers_of_every_kind_stay_in_the_pool() {
 #[test]
 fn steady_sequences_are_allocation_free_in_every_slot_mode() {
     // A BiLSTM and a unidirectional cell — stepped, reuse-disabled, and one
-    // of each — under a reuse-disabled output FC (EESEN's shape: a stepped
-    // frame-wise slot restarts from scratch every sequence, and that first
-    // timestep allocates its centroid vector like any state-initialising
-    // frame), with telemetry timing every timestep. Each session warms up
-    // on 40-step sequences, grows once on a 130-step one (two 64-step
-    // blocks and a bit), and from then on neither length allocates.
+    // of each — under a stepped output FC (a frame-wise slot restarts from
+    // scratch every sequence like the cells do, into buffers it kept), with
+    // telemetry timing every timestep. Each session warms up on 40-step
+    // sequences, grows once on a 130-step one (two 64-step blocks and a
+    // bit), and from then on neither length allocates.
     let net = NetworkBuilder::new("steady-rnn", 12)
         .seed(5)
         .bilstm(9)
@@ -264,10 +360,7 @@ fn steady_sequences_are_allocation_free_in_every_slot_mode() {
         .fully_connected(4, Activation::Identity)
         .build()
         .unwrap();
-    let on = ReuseConfig::uniform(16)
-        .disable_layer("fc1")
-        .telemetry(true)
-        .telemetry_window(8);
+    let on = ReuseConfig::uniform(16).telemetry(true);
     let mixed = on.clone().disable_layer("bilstm1");
     let off = mixed.clone().disable_layer("lstm1");
     let mut rng = Rng64::new(41);
@@ -299,8 +392,9 @@ fn steady_sequences_are_allocation_free_in_every_slot_mode() {
         let allocations = thread_allocations() - before;
         assert_eq!(session.pool_stats().misses, misses, "{name}: pool misses");
         assert_eq!(allocations, 0, "{name}: steady sequences allocated");
-        let stepped = session.metrics().layer("lstm1").unwrap().reuse_executions;
-        assert_eq!(stepped > 0, name != "off", "{name}: lstm1 steps {stepped}");
+        let stepped = |layer| session.metrics().layer(layer).unwrap().reuse_executions;
+        assert_eq!(stepped("lstm1") > 0, name != "off", "{name}: lstm1 steps");
+        assert!(stepped("fc1") > 0, "{name}: fc1 steps");
     }
 }
 

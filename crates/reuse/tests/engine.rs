@@ -293,6 +293,128 @@ fn rnn_sequence_runs_and_reuses() {
     assert_eq!(traces.len(), 60);
 }
 
+/// One record of a layer step, three views: for every slot the lifetime
+/// sums, the telemetry window and the traces must tell the same story —
+/// on the frame walk (all slots stepped; a reuse-disabled conv under a
+/// pool) and on the sequence walk (frame-wise and recurrent arms). A second
+/// writer of any of the three would break an equality here.
+#[test]
+fn metrics_windows_and_traces_are_views_of_one_record() {
+    let uni_rnn = NetworkBuilder::new("rnn3", 10)
+        .seed(7)
+        .bilstm(6)
+        .lstm(5)
+        .fully_connected(3, Activation::Identity)
+        .build()
+        .unwrap();
+    let base = |clusters| {
+        ReuseConfig::uniform(clusters)
+            .calibration_executions(2)
+            .record_trace(true)
+            .telemetry(true)
+    };
+    // (network, config, frame width, executions per unit, units).
+    let cases = [
+        (mlp(), base(16), 12, 1, 80),
+        (cnn(), base(32).disable_layer("conv1"), 2 * 8 * 8, 1, 80),
+        (uni_rnn, base(16), 10, 30, 5),
+    ];
+    for (net, config, width, per_unit, units) in cases {
+        let mut engine = ReuseSession::from_network(&net, &config);
+        let frames = walk(per_unit * units, width, 0.06, 17);
+        for unit in frames.chunks(per_unit) {
+            engine.execute_sequence(unit).unwrap();
+        }
+        let executions = (per_unit * units) as u64;
+        let calibration = (per_unit * 2) as u64;
+        let snapshot = engine.telemetry_snapshot().unwrap();
+        let metrics = engine.metrics().clone();
+        let traces = engine.take_traces();
+        assert_eq!(traces.len() as u64, executions, "{}", net.name());
+        let slots: Vec<&str> = metrics.layers.iter().map(|m| m.name.as_str()).collect();
+        for trace in &traces {
+            let names: Vec<&str> = trace.layers.iter().map(|l| l.name.as_str()).collect();
+            assert_eq!(names, slots, "{}: one entry per slot", net.name());
+        }
+        for (pos, (m, tel)) in metrics.layers.iter().zip(&snapshot.layers).enumerate() {
+            let what = format!("{} {}", net.name(), m.name);
+            let entries: Vec<_> = traces.iter().map(|t| &t.layers[pos]).collect();
+            let of = |mode| entries.iter().filter(move |l| l.mode == mode);
+            let steps: Vec<_> = of(TraceKind::Incremental).collect();
+            let sum =
+                |f: fn(&reuse_core::LayerTrace) -> u64| steps.iter().map(|l| f(l)).sum::<u64>();
+            assert_eq!(steps.len() as u64, m.reuse_executions, "{what}");
+            assert_eq!(sum(|l| l.n_inputs), m.inputs_total, "{what}");
+            assert_eq!(
+                sum(|l| l.n_inputs - l.n_changed),
+                m.inputs_unchanged,
+                "{what}"
+            );
+            assert_eq!(sum(|l| l.macs_total), m.macs_total, "{what}");
+            assert_eq!(sum(|l| l.macs_performed), m.macs_performed, "{what}");
+            let unstepped = if config.layer_policy(&m.name).enabled {
+                calibration
+            } else {
+                executions
+            };
+            assert_eq!(
+                of(TraceKind::ScratchFp32).count() as u64,
+                unstepped,
+                "{what}"
+            );
+            let recent = &steps[steps.len().saturating_sub(64)..];
+            let share = |l: &reuse_core::LayerTrace| {
+                f64::from((l.n_inputs - l.n_changed) as f32 / l.n_inputs as f32)
+            };
+            let mean = recent.iter().map(|l| share(l)).sum::<f64>() / recent.len().max(1) as f64;
+            assert!(
+                (tel.hit_rate_window - mean).abs() < 1e-9,
+                "{what}: window {} vs its last {} steps {mean}",
+                tel.hit_rate_window,
+                recent.len()
+            );
+            assert!(
+                unstepped == executions || steps.len() > 64,
+                "{what}: wrapped"
+            );
+        }
+    }
+}
+
+/// The sequence walk runs layer-major — every timestep of a layer before
+/// the next layer — but a trace is one execution: `take_traces` regroups
+/// the log by timestep, layers in network order within each.
+#[test]
+fn sequence_traces_are_grouped_by_timestep_in_layer_order() {
+    let net = rnn();
+    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(16).record_trace(true));
+    let (len, sequences) = (7, 3);
+    for seq in walk(len * sequences, 10, 0.05, 9).chunks(len) {
+        engine.execute_sequence(seq).unwrap();
+    }
+    let traces = engine.take_traces();
+    assert_eq!(traces.len(), len * sequences);
+    for (e, trace) in traces.iter().enumerate() {
+        let names: Vec<&str> = trace.layers.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["bilstm1", "bilstm2", "fc1"], "execution {e}");
+        // Every layer's record of a timestep is that timestep's: the first
+        // sequence calibrates; in later ones a slot starts from scratch at
+        // the timestep it visits first — the first, and for a bidirectional
+        // layer's backward cell the last — and steps through the rest.
+        for l in &trace.layers {
+            let k = e % len;
+            let expected = if e < len {
+                TraceKind::ScratchFp32
+            } else if k == 0 || (k == len - 1 && l.name.starts_with("bilstm")) {
+                TraceKind::ScratchQuantized
+            } else {
+                TraceKind::Incremental
+            };
+            assert_eq!(l.mode, expected, "execution {e} {}", l.name);
+        }
+    }
+}
+
 #[test]
 fn rnn_resets_state_between_sequences() {
     let net = rnn();

@@ -418,7 +418,7 @@ proptest! {
         let mut blocked = LstmReuseState::new_shared(&cell);
         let (mut got_h, mut got_stats) = (Vec::new(), Vec::new());
         blocked
-            .step_block(&cell, &pack, (&q, &q), order(), false, |h, s, span| {
+            .step_block(&cell, &pack, (&q, &q), order(), false, |h, (s, span)| {
                 got_h.push(h.to_vec());
                 got_stats.push(s);
                 assert_eq!(span, 0, "untimed blocks read no clock");
@@ -434,7 +434,7 @@ proptest! {
         for part in [&xs[..cut], &xs[cut..]] {
             let part = part.iter().map(Vec::as_slice);
             split
-                .step_block(&cell, &pack, (&q, &q), part, true, |h, _, _| split_h.push(h.to_vec()))
+                .step_block(&cell, &pack, (&q, &q), part, true, |h, _| split_h.push(h.to_vec()))
                 .unwrap();
         }
         prop_assert_eq!(bits(&split_h), bits(&want_h));
@@ -496,17 +496,17 @@ fn bilstm_step_sequence_equals_two_hand_driven_cells() {
     };
     for timed in [false, true] {
         let mut state = BiLstmReuseState::new(&layer);
-        let (mut out, mut stats, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut out, mut steps) = (Vec::new(), Vec::new());
         state
-            .step_sequence(&ctx, &xs.concat(), timed, &mut out, &mut stats, &mut spans)
+            .step_sequence(&ctx, &xs.concat(), timed, &mut out, &mut steps)
             .unwrap();
-        assert_eq!(spans.len(), len);
-        assert!(spans.iter().all(|&ns| (ns > 0) == timed), "{spans:?}");
+        assert_eq!(steps.len(), len);
+        assert!(steps.iter().all(|&(_, ns)| (ns > 0) == timed), "{steps:?}");
         for t in 0..len {
             let both = [fwd_h[t].as_slice(), bwd_h[t].as_slice()].concat();
             let row = out[t * 2 * d..][..2 * d].to_vec();
             assert_eq!(bits(&[row]), bits(&[both]), "t {t}");
-            assert_eq!(stats[t], fwd_stats[t].merge(bwd_stats[t]), "t {t}");
+            assert_eq!(steps[t].0, fwd_stats[t].merge(bwd_stats[t]), "t {t}");
         }
     }
 }

@@ -222,11 +222,14 @@ fn reset_state_clears_statistics_but_keeps_quantizers() {
     let stats = engine.watchdog_stats();
     assert_eq!(stats.checks, 0);
     assert_eq!(stats.rebaselines, 0);
-    let tel = engine.telemetry().unwrap();
-    assert_eq!(tel.frames, 0);
-    assert!(tel.layers.iter().all(|l| l.hit_rate.is_empty()));
     let snap = engine.telemetry_snapshot().unwrap();
-    assert!(snap.layers.iter().all(|l| l.rebaselines == 0));
+    assert_eq!(snap.frames, 0);
+    for l in &snap.layers {
+        assert_eq!(l.reuse_executions, 0);
+        assert_eq!(l.hit_rate_window, 0.0, "{}: window emptied", l.name);
+        assert_eq!(l.span_ns_window, 0.0, "{}: window emptied", l.name);
+        assert_eq!(l.rebaselines, 0);
+    }
 }
 
 proptest! {
