@@ -129,7 +129,7 @@ fn conv_row<L: ConvLayer + 'static>(
         min_avx2_gflops,
         run: Box::new(move || {
             let (g, x) = (layer.geometry(), black_box(input.as_slice()));
-            conv_forward_into(g, dhw, x, layer.panels(), layer.bias(), &mut out).unwrap();
+            conv_forward_into(g, dhw, x, 1, layer.panels(), layer.bias(), &mut out).unwrap();
             black_box(&out);
         }),
     }
@@ -245,7 +245,7 @@ fn conv_reuse_speedup() -> (f64, f64) {
     let mut forward_pass = || {
         let start = Instant::now();
         for frame in &there_and_back {
-            twin.forward_into(&in_shape, black_box(frame), &mut twin_out)
+            twin.forward_into(&in_shape, black_box(frame), 1, &mut twin_out)
                 .unwrap();
             black_box(&twin_out);
         }

@@ -217,9 +217,15 @@ fn run_sessions_smoke(
     Ok(())
 }
 
+/// Frames each smoke submits per stream per round: a tick's block then
+/// holds several frames of one stream, so Kaldi's reuse-disabled FC1/FC2
+/// run them as one GEMM and the reuse layers step them in order.
+const BURST: usize = 3;
+
 /// Serves `n` offset streams of `len` frames through a fresh
-/// [`StreamServer`] over `model`, every output into `sink(stream, output)`.
-/// Returns the drained server and the streams, or the exit code.
+/// [`StreamServer`] over `model`, [`BURST`] frames per stream per round,
+/// every output into `sink(stream, output)`. Returns the drained server and
+/// the streams, or the exit code.
 fn serve_offset_streams(
     w: &Workload,
     model: &Arc<CompiledModel>,
@@ -238,7 +244,7 @@ fn serve_offset_streams(
         EXIT_EXEC
     })?;
     let streams = OffsetStreams::new(w, n, len, seq_len);
-    drive(&mut server, &streams, 0..len, 1, sink).map_err(|e| {
+    drive(&mut server, &streams, 0..len, BURST, sink).map_err(|e| {
         eprintln!("serving failed: {e}");
         EXIT_EXEC
     })?;
@@ -350,8 +356,10 @@ fn run_serve_cache_smoke(
 }
 
 /// Serves `n` offset streams through the full network stack — a real
-/// [`NetServer`] on an OS-assigned loopback port, driven by a blocking
-/// [`NetClient`] — and checks every response payload bit-for-bit against a
+/// [`NetServer`] on an OS-assigned loopback port, driven by a [`NetClient`]
+/// that pipelines [`BURST`] frames per stream per round and pairs the
+/// responses by stream and sequence number — and checks every response
+/// payload bit-for-bit against a
 /// standalone session fed the same frames. This is the CI smoke behind
 /// `reuse_cli serve-net --smoke`: it exercises preamble negotiation, frame
 /// framing, shard hashing, worker ticks, and tagged response pairing.
@@ -392,16 +400,25 @@ fn run_serve_net_smoke(
         client
             .set_read_timeout(Some(Duration::from_secs(30)))
             .map_err(|e| format!("cannot set read timeout: {e}"))?;
-        let mut outputs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
-        for t in 0..frames_per_stream {
-            for (s, outs) in outputs.iter_mut().enumerate() {
+        let mut outputs: Vec<Vec<Vec<f32>>> = vec![vec![Vec::new(); frames_per_stream]; n];
+        for first in (0..frames_per_stream).step_by(BURST) {
+            let round = first..(first + BURST).min(frames_per_stream);
+            for s in 0..n {
+                for t in round.clone() {
+                    client
+                        .send(s as u64 + 1, t as u32, 0, 0, &streams.stream(s)[t])
+                        .map_err(|e| format!("stream {s} frame {t}: send failed: {e}"))?;
+                }
+            }
+            for _ in 0..n * round.len() {
                 let resp = client
-                    .roundtrip(s as u64 + 1, t as u32, &streams.stream(s)[t])
-                    .map_err(|e| format!("stream {s} frame {t}: round-trip failed: {e}"))?;
-                if resp.status != Status::Ok {
+                    .recv()
+                    .map_err(|e| format!("round at frame {first}: receive failed: {e}"))?;
+                let (s, t) = (resp.stream_id.wrapping_sub(1) as usize, resp.seq as usize);
+                if s >= n || !round.contains(&t) || resp.status != Status::Ok {
                     return Err(format!("stream {s} frame {t}: status {:?}", resp.status));
                 }
-                outs.push(resp.payload);
+                outputs[s][t] = resp.payload;
             }
         }
         Ok(outputs)

@@ -235,13 +235,18 @@ mod tests {
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
         let layer = crate::Layer::Conv2d(Conv2dLayer::new(spec, w, b, Activation::Relu).unwrap());
         let (shape, input, mut out) = (Shape::d3(1, 1, 2), [1.0, -1.0], Vec::new());
-        layer.forward_into(&shape, &input, &mut out).unwrap();
+        layer.forward_into(&shape, &input, 1, &mut out).unwrap();
         assert_eq!(out, [0.0, 1.0]);
-        layer.forward_linear_into(&shape, &input, &mut out).unwrap();
+        layer
+            .forward_linear_into(&shape, &input, 1, &mut out)
+            .unwrap();
         assert_eq!(out, [-1.0, 1.0]);
         // The flat entry still refuses a shape of the wrong rank or channels.
         for bad in [Shape::d1(2), Shape::d3(2, 1, 1), Shape::d4(1, 1, 1, 2)] {
-            assert!(layer.forward_into(&bad, &input, &mut out).is_err(), "{bad}");
+            assert!(
+                layer.forward_into(&bad, &input, 1, &mut out).is_err(),
+                "{bad}"
+            );
         }
     }
 

@@ -155,7 +155,7 @@ mod tests {
     fn forward(fc: &FullyConnected, x: &[f32]) -> Vec<f32> {
         let mut out = Vec::new();
         crate::Layer::FullyConnected(fc.clone())
-            .forward_into(&Shape::d1(x.len()), x, &mut out)
+            .forward_into(&Shape::d1(x.len()), x, 1, &mut out)
             .unwrap();
         out
     }

@@ -1,7 +1,8 @@
 //! Sequential network container with shape inference and accounting.
 
 use reuse_tensor::conv::{conv_forward_into, max_pool_into, Conv2dSpec, Conv3dSpec};
-use reuse_tensor::{Shape, Tensor};
+use reuse_tensor::matmul::matmul_packed_into;
+use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
 use crate::lstm::{flatten_frames, LstmScratch};
 use crate::{
@@ -234,10 +235,10 @@ impl Layer {
     }
 
     /// Linear (pre-activation) forward pass of a weighted frame-wise layer
-    /// over flat row-major data of `in_shape` — the exact baseline the reuse
-    /// engine's drift watchdog adopts. Sizes `out` to the output volume and
-    /// overwrites it, reusing its capacity (a conv layer's im2col blocks are
-    /// the kernel's own allocations).
+    /// over `rows` frames of flat row-major `in_shape` data back to back —
+    /// the exact baseline the reuse engine's drift watchdog adopts. Sizes
+    /// `out` to the outputs and overwrites it, reusing its capacity (a conv
+    /// layer's im2col blocks are the kernel's own allocations).
     ///
     /// # Errors
     ///
@@ -249,10 +250,24 @@ impl Layer {
         &self,
         in_shape: &Shape,
         input: &[f32],
+        rows: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), NnError> {
         let (rank, g, panels, bias) = match self {
-            Layer::FullyConnected(l) => return l.forward_linear_into(input, out),
+            Layer::FullyConnected(l) => {
+                // One bias-seeded GEMM over every row: the chain
+                // `FullyConnected::forward_linear_into` runs for each alone.
+                if input.len() != rows * l.n_in() {
+                    return Err(NnError::InputShape {
+                        expected: rows * l.n_in(),
+                        actual: input.len(),
+                    });
+                }
+                out.clear();
+                (0..rows).for_each(|_| out.extend_from_slice(l.bias().as_slice()));
+                matmul_packed_into(&ParallelConfig::serial(), input, l.packed(), rows, out);
+                return Ok(());
+            }
             Layer::Conv2d(l) => (2, l.geometry(), l.panels(), l.bias()),
             Layer::Conv3d(l) => (3, l.geometry(), l.panels(), l.bias()),
             _ => {
@@ -269,14 +284,8 @@ impl Layer {
         }
         let mut dhw = [1; 3];
         dhw[3 - rank..].copy_from_slice(&dims[1..]);
-        Ok(conv_forward_into(
-            g,
-            dhw,
-            input,
-            panels,
-            bias.as_slice(),
-            out,
-        )?)
+        let bias = bias.as_slice();
+        Ok(conv_forward_into(g, dhw, input, rows, panels, bias, out)?)
     }
 
     /// [`Self::forward_linear_into`] through the tensor API.
@@ -286,38 +295,43 @@ impl Layer {
     /// Same as [`Self::forward_linear_into`].
     pub fn forward_linear(&self, input: &Tensor) -> Result<Tensor, NnError> {
         let mut out = Vec::new();
-        self.forward_linear_into(input.shape(), input.as_slice(), &mut out)?;
+        self.forward_linear_into(input.shape(), input.as_slice(), 1, &mut out)?;
         Ok(Tensor::from_vec(self.output_shape(input.shape())?, out)?)
     }
 
-    /// Full-precision forward pass of a frame-wise layer over flat row-major
-    /// data of `in_shape`: the one way every walk of a network runs a layer
-    /// from scratch. Clears `out` and writes the flat output into it,
-    /// reusing its capacity — activations between layers are flat buffers
-    /// whose shapes the network already inferred, so a reshape is nothing
-    /// and a flatten is a copy.
+    /// Full-precision forward pass of a frame-wise layer over `rows` frames
+    /// of flat row-major `in_shape` data back to back: the one way every walk
+    /// of a network runs a layer from scratch. Clears `out` and writes the
+    /// rows' flat outputs into it back to back, each row the same bits as
+    /// alone, reusing its capacity — activations between layers are flat
+    /// buffers whose shapes the network already inferred, so a reshape is
+    /// nothing and a flatten is a copy. A fully-connected layer is one
+    /// bias-seeded GEMM over every row, so its weights are fetched once for
+    /// all of them; pools, group-max and flatten take the rows as more of the
+    /// same data; conv and passthrough layers loop their rows.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InputShape`] when `input` does not hold
-    /// `in_shape`'s volume, [`NnError::InvalidConfig`] for recurrent layers
-    /// (they cannot run frame-wise) and for an `in_shape` the layer does not
-    /// accept, and propagates kernel errors.
+    /// Returns [`NnError::InputShape`] when `input` does not hold `rows`
+    /// times `in_shape`'s volume, [`NnError::InvalidConfig`] for recurrent
+    /// layers (they cannot run frame-wise) and for an `in_shape` the layer
+    /// does not accept, and propagates kernel errors.
     pub fn forward_into(
         &self,
         in_shape: &Shape,
         input: &[f32],
+        rows: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), NnError> {
-        if input.len() != in_shape.volume() {
+        if input.len() != rows * in_shape.volume() {
             return Err(NnError::InputShape {
-                expected: in_shape.volume(),
+                expected: rows * in_shape.volume(),
                 actual: input.len(),
             });
         }
         match self {
             Layer::FullyConnected(_) | Layer::Conv2d(_) | Layer::Conv3d(_) => {
-                self.forward_linear_into(in_shape, input, out)?;
+                self.forward_linear_into(in_shape, input, rows, out)?;
                 if let Some(act) = self.activation() {
                     act.apply_in_place(out);
                 }
@@ -349,9 +363,9 @@ impl Layer {
                 out.extend_from_slice(input);
             }
             Layer::GroupMax { group } => {
-                if *group == 0 || !input.len().is_multiple_of(*group) {
+                if *group == 0 || !in_shape.volume().is_multiple_of(*group) {
                     return Err(NnError::InvalidConfig {
-                        context: format!("group_max({group}) does not divide {}", input.len()),
+                        context: format!("group_max({group}) does not divide {in_shape}"),
                     });
                 }
                 out.clear();
@@ -361,7 +375,7 @@ impl Layer {
                         .map(|chunk| chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
                 );
             }
-            Layer::Passthrough(p) => p.forward_into(input, in_shape, out)?,
+            Layer::Passthrough(p) => p.forward_into(input, in_shape, rows, out)?,
             Layer::Lstm(_) | Layer::BiLstm(_) => {
                 return Err(NnError::InvalidConfig {
                     context: "recurrent layer cannot run frame-wise".into(),
@@ -526,10 +540,11 @@ impl Network {
 
     /// Runs one frame-wise layer by index at full precision over the flat
     /// row-major data of its inferred input shape: clears `out` and writes
-    /// the flat output into it, reusing its capacity. Every walk of the
-    /// network — [`Self::forward`], [`Self::forward_sequence`] and the reuse
-    /// engine's passive, reuse-disabled and calibration layers — runs a layer
-    /// through this.
+    /// the flat output into it, reusing its capacity. The one-row case of
+    /// [`Self::apply_rows_into`], which every walk of the network —
+    /// [`Self::forward`], [`Self::forward_sequence`] and the reuse engine's
+    /// passive, reuse-disabled and calibration layers — runs a layer
+    /// through.
     ///
     /// # Errors
     ///
@@ -544,9 +559,29 @@ impl Network {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<(), NnError> {
+        self.apply_rows_into(index, input, 1, out)
+    }
+
+    /// [`Self::apply_layer_into`] over `rows` inputs to the layer back to
+    /// back (see [`Layer::forward_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::forward_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn apply_rows_into(
+        &self,
+        index: usize,
+        input: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), NnError> {
         self.layers[index]
             .1
-            .forward_into(&self.layer_inputs[index], input, out)
+            .forward_into(&self.layer_inputs[index], input, rows, out)
     }
 
     /// [`Self::apply_layer_into`] through the tensor API: any input of the
@@ -628,17 +663,13 @@ impl Network {
         // are swapped from layer to layer.
         let t = frames.len();
         let mut cur = flatten_frames(frames, self.input_shape.volume())?;
-        let (mut next, mut row) = (Vec::new(), Vec::new());
+        let mut next = Vec::new();
         let mut scratch = LstmScratch::default();
         for (i, (_, layer)) in self.layers.iter().enumerate() {
             if layer.is_recurrent() {
                 layer.forward_sequence_into(&cur, t, &mut next, &mut scratch)?;
             } else {
-                next.clear();
-                for frame in cur.chunks_exact(self.layer_inputs[i].volume()) {
-                    self.apply_layer_into(i, frame, &mut row)?;
-                    next.extend_from_slice(&row);
-                }
+                self.apply_rows_into(i, &cur, t, &mut next)?;
             }
             std::mem::swap(&mut cur, &mut next);
         }

@@ -154,54 +154,59 @@ impl PassthroughLayer {
         }
     }
 
-    /// Runs the op on a flat input slice, writing the flat output into
-    /// `out` (cleared first). Allocation-free apart from `out` growth, so
-    /// the reuse engine's pooled buffers pass straight through.
+    /// Runs the op on `rows` flat inputs back to back, writing their flat
+    /// outputs back to back into `out` (cleared first). Allocation-free apart
+    /// from `out` growth, so the reuse engine's pooled buffers pass straight
+    /// through.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InputShape`] when `input` does not match
+    /// Returns [`NnError::InputShape`] when `input` is not `rows` inputs of
     /// `in_shape` and [`NnError::InvalidConfig`] on op/shape mismatches.
     pub fn forward_into(
         &self,
         input: &[f32],
         in_shape: &Shape,
+        rows: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), NnError> {
-        if input.len() != in_shape.volume() {
+        if input.len() != rows * in_shape.volume() {
             return Err(NnError::InputShape {
-                expected: in_shape.volume(),
+                expected: rows * in_shape.volume(),
                 actual: input.len(),
             });
         }
         out.clear();
-        match self.op {
-            PassthroughOp::Softmax => {
-                let max = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for &v in input {
-                    sum += (v - max).exp();
+        for input in input.chunks_exact(in_shape.volume().max(1)) {
+            match self.op {
+                PassthroughOp::Elementwise(act) => {
+                    let row = out.len();
+                    out.extend_from_slice(input);
+                    act.apply_in_place(&mut out[row..]);
                 }
-                for &v in input {
-                    out.push((v - max).exp() / sum);
+                PassthroughOp::Softmax => {
+                    let max = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let mut sum = 0.0f32;
+                    for &v in input {
+                        sum += (v - max).exp();
+                    }
+                    for &v in input {
+                        out.push((v - max).exp() / sum);
+                    }
                 }
-            }
-            PassthroughOp::Elementwise(act) => {
-                out.extend_from_slice(input);
-                act.apply_in_place(out);
-            }
-            PassthroughOp::MaxPool2d(spec) => {
-                self.pool2d(input, in_shape, out, spec, true)?;
-            }
-            PassthroughOp::AveragePool2d(spec) => {
-                self.pool2d(input, in_shape, out, spec, false)?;
-            }
-            PassthroughOp::GlobalAveragePool => {
-                let (c, h, w) = Self::chw(in_shape)?;
-                let plane = h * w;
-                for ch in 0..c {
-                    let s: f32 = input[ch * plane..(ch + 1) * plane].iter().sum();
-                    out.push(s / plane as f32);
+                PassthroughOp::MaxPool2d(spec) => {
+                    self.pool2d(input, in_shape, out, spec, true)?;
+                }
+                PassthroughOp::AveragePool2d(spec) => {
+                    self.pool2d(input, in_shape, out, spec, false)?;
+                }
+                PassthroughOp::GlobalAveragePool => {
+                    let (c, h, w) = Self::chw(in_shape)?;
+                    let plane = h * w;
+                    for ch in 0..c {
+                        let s: f32 = input[ch * plane..(ch + 1) * plane].iter().sum();
+                        out.push(s / plane as f32);
+                    }
                 }
             }
         }
@@ -329,7 +334,7 @@ mod tests {
     fn run(op: PassthroughOp, shape: Shape, data: &[f32]) -> (Vec<f32>, Vec<usize>) {
         let layer = PassthroughLayer::new(op);
         let mut out = vec![f32::NAN; 2];
-        layer.forward_into(data, &shape, &mut out).unwrap();
+        layer.forward_into(data, &shape, 1, &mut out).unwrap();
         let out_shape = layer.output_shape(&shape).unwrap();
         assert_eq!(out.len(), out_shape.volume());
         (out, out_shape.dims().to_vec())

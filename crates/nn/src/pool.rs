@@ -58,7 +58,7 @@ mod tests {
     fn pooled_dims(layer: Layer, shape: Shape) -> Vec<usize> {
         let mut out = Vec::new();
         layer
-            .forward_into(&shape, &vec![0.0; shape.volume()], &mut out)
+            .forward_into(&shape, &vec![0.0; shape.volume()], 1, &mut out)
             .unwrap();
         let inferred = layer.output_shape(&shape).unwrap();
         assert_eq!(out.len(), inferred.volume());
@@ -71,7 +71,7 @@ mod tests {
         let input: Vec<f32> = (0..32).map(|i| i as f32).collect();
         let mut out = Vec::new();
         layer
-            .forward_into(&Shape::d3(2, 4, 4), &input, &mut out)
+            .forward_into(&Shape::d3(2, 4, 4), &input, 1, &mut out)
             .unwrap();
         assert_eq!(out, [5., 7., 13., 15., 21., 23., 29., 31.]);
     }
@@ -99,11 +99,11 @@ mod tests {
         let mut out = Vec::new();
         let pool = Layer::Pool2d(Pool2dLayer::square(4));
         assert!(pool
-            .forward_into(&Shape::d3(1, 2, 2), &[0.0; 4], &mut out)
+            .forward_into(&Shape::d3(1, 2, 2), &[0.0; 4], 1, &mut out)
             .is_err());
         let pool = Layer::Pool2d(Pool2dLayer::square(2));
         assert!(pool
-            .forward_into(&Shape::d4(1, 1, 2, 2), &[0.0; 4], &mut out)
+            .forward_into(&Shape::d4(1, 1, 2, 2), &[0.0; 4], 1, &mut out)
             .is_err());
     }
 }

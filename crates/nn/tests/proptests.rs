@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use reuse_nn::{
     init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, Layer,
-    LstmCell, LstmState, NetworkBuilder, PassthroughOp,
+    LstmCell, LstmState, NetworkBuilder, PassthroughLayer, PassthroughOp, Pool2dLayer, Pool3dLayer,
 };
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::matmul::fc_forward_naive;
@@ -287,7 +287,7 @@ fn forward_into_mismatch(
 ) -> Option<String> {
     // A stale, oversized buffer: the entry must size and overwrite it.
     let mut out = vec![f32::NAN; naive.len() + 3];
-    layer.forward_into(in_shape, x, &mut out).unwrap();
+    layer.forward_into(in_shape, x, 1, &mut out).unwrap();
     layer.activation().unwrap().apply_in_place(&mut naive);
     simd::kernel_mismatch(&out, &naive)
 }
@@ -324,6 +324,54 @@ proptest! {
         let naive = conv_forward_naive(&g, [3, 5, 6], &x, w, b).unwrap();
         let mismatch = forward_into_mismatch(&Layer::Conv3d(conv.clone()), &shape, &x, naive);
         prop_assert!(mismatch.is_none(), "conv3d: {:?}", mismatch);
+    }
+
+    /// The rows-forward (what the reuse engine's block walk runs every
+    /// unstepped row of a layer through) is the per-row forward, bit for bit,
+    /// at 1..=9 rows — around the GEMM's four-row groups — for every
+    /// frame-wise layer kind; a fully-connected row is also its naive oracle.
+    #[test]
+    fn forward_into_over_rows_is_the_per_row_forward_bitwise(seed in 0u64..1000, rows in 1usize..10) {
+        let fc = |act| FullyConnected::random(37, 70, act, &mut Rng64::new(seed));
+        let fcs = [Activation::Identity, Activation::Relu, Activation::Sigmoid, Activation::Tanh]
+            .map(|act| (Layer::FullyConnected(fc(act)), Shape::d1(37)));
+        let spec = Conv2dSpec { in_channels: 2, out_channels: 5, kh: 3, kw: 3, stride: 2, pad: 1 };
+        let conv2d = Conv2dLayer::random(spec, Activation::Relu, &mut Rng64::new(seed + 1));
+        let spec = Conv3dSpec { in_channels: 2, out_channels: 3, kd: 3, kh: 3, kw: 3, stride: 1, pad: 1 };
+        let conv3d = Conv3dLayer::random(spec, Activation::Tanh, &mut Rng64::new(seed + 2));
+        let pass = |op| Layer::Passthrough(PassthroughLayer::new(op));
+        let others = [
+            (Layer::Conv2d(conv2d), Shape::d3(2, 6, 7)),
+            (Layer::Conv3d(conv3d), Shape::d4(2, 3, 5, 6)),
+            (Layer::Pool2d(Pool2dLayer::square(2)), Shape::d3(3, 6, 8)),
+            (Layer::Pool3d(Pool3dLayer::new(2, 2, true)), Shape::d4(2, 3, 5, 7)),
+            (Layer::GroupMax { group: 5 }, Shape::d1(40)),
+            (Layer::Flatten, Shape::d3(2, 3, 4)),
+            (pass(PassthroughOp::Softmax), Shape::d1(9)),
+            (pass(PassthroughOp::Elementwise(Activation::Sigmoid)), Shape::d1(9)),
+            (pass(PassthroughOp::GlobalAveragePool), Shape::d3(2, 3, 3)),
+        ];
+        let mut rng = Rng64::new(seed ^ 0xb10c);
+        let (mut together, mut row, mut alone) = (vec![f32::NAN; 3], Vec::new(), Vec::new());
+        for (layer, shape) in fcs.iter().chain(&others) {
+            let input: Vec<f32> = (0..rows * shape.volume()).map(|_| rng.uniform(1.0)).collect();
+            layer.forward_into(shape, &input, rows, &mut together).unwrap();
+            alone.clear();
+            for x in input.chunks_exact(shape.volume()) {
+                layer.forward_into(shape, x, 1, &mut row).unwrap();
+                alone.extend_from_slice(&row);
+            }
+            prop_assert_eq!(bits(&together), bits(&alone), "{:?}, {} rows", layer.kind(), rows);
+            if let Layer::FullyConnected(fc) = layer {
+                for (x, got) in input.chunks_exact(37).zip(together.chunks_exact(70)) {
+                    let x = Tensor::from_slice_1d(x).unwrap();
+                    let mut naive = fc_forward_naive(fc.weights(), &x, fc.bias()).unwrap().into_vec();
+                    fc.activation().apply_in_place(&mut naive);
+                    prop_assert_eq!(bits(got), bits(&naive), "{:?}", fc.activation());
+                }
+            }
+            prop_assert!(layer.forward_into(shape, &input[1..], rows, &mut together).is_err());
+        }
     }
 
     #[test]

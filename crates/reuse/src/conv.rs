@@ -631,7 +631,7 @@ impl ConvReuseState {
 
         if !self.initialized {
             let centroids = quantizer.quantized_values(input);
-            conv_forward_into(&g, in_dhw, &centroids, panels, layer.bias(), out)?;
+            conv_forward_into(&g, in_dhw, &centroids, 1, panels, layer.bias(), out)?;
             self.adopt_baseline(quantizer, input, out);
             return Ok(ExecStats {
                 n_inputs: n_in,

@@ -516,7 +516,7 @@ impl ReuseLayer for PassthroughReuseState {
         let Layer::Passthrough(p) = ctx.layer else {
             return Err(wrong_layer("passthrough"));
         };
-        p.forward_into(input, &self.in_shape, out)?;
+        p.forward_into(input, &self.in_shape, 1, out)?;
         Ok(ExecStats {
             n_inputs: input.len() as u64,
             n_changed: input.len() as u64,

@@ -37,6 +37,10 @@
 //!   and producing outputs. What each layer step did is recorded once, in
 //!   one format, by one writer; metrics, telemetry windows and execution
 //!   traces are folds over that record.
+//! * [`block`] — the [`Block`] walk: frames of many sessions of one model
+//!   through the network one layer at a time, each layer's weights fetched
+//!   once for all of them (the serving tick; `execute_into` is its one-row
+//!   case).
 //! * [`layer`] — the [`ReuseLayer`] trait the session dispatches through,
 //!   one implementation per layer family.
 //! * [`fc`], [`conv`], [`lstm`] — the incremental kernels for each layer
@@ -77,6 +81,7 @@
 
 #![warn(missing_docs)]
 
+pub mod block;
 mod config;
 pub mod conv;
 pub mod drift;
@@ -95,6 +100,7 @@ pub mod summary;
 pub mod telemetry;
 pub mod trace;
 
+pub use block::{Block, RowOutcome};
 pub use config::ReuseConfig;
 pub use error::ReuseError;
 pub use layer::{ExecStats, ReuseLayer, StepCtx};

@@ -19,6 +19,7 @@ use reuse_nn::Layer;
 use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
 use reuse_tensor::Tensor;
 
+use crate::block::{Block, RowOutcome};
 use crate::drift::max_abs_diff;
 use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
@@ -32,22 +33,21 @@ use crate::telemetry::{
 use crate::trace::{materialise, ExecutionTrace, StepRecord, TraceKind};
 use crate::{ReuseConfig, ReuseError};
 
-/// A recycling arena of `f32` buffers for a session's per-frame
-/// intermediates.
+/// A recycling arena of `f32` buffers for a walk's intermediates.
 ///
-/// Every layer of a frame — stepped, re-baselined or run at full precision
-/// — writes into a buffer taken here and the buffer it read goes back, so
-/// the pool only ever holds buffers it issued: after the first frame it has
-/// one per distinct intermediate in flight and later frames allocate
-/// nothing. Once `steady` is armed, a pool miss (which would allocate) trips
-/// a debug assertion — the zero-allocation contract of
+/// Every layer of a walk — stepped, re-baselined or run at full precision —
+/// writes into a buffer taken here and the buffer it read goes back, so the
+/// pool only ever holds buffers it issued: after the first walk it has one
+/// per distinct intermediate in flight and later walks of the same shape
+/// allocate nothing. Once `steady` is armed, a pool miss (which would
+/// allocate) trips a debug assertion — the zero-allocation contract of
 /// [`ReuseSession::execute_into`].
 #[derive(Debug, Default)]
-struct BufferPool {
+pub(crate) struct BufferPool {
     free: Vec<Vec<f32>>,
-    steady: bool,
+    pub(crate) steady: bool,
     /// Hit/miss counters, exported through [`TelemetrySnapshot`].
-    stats: PoolStats,
+    pub(crate) stats: PoolStats,
 }
 
 impl BufferPool {
@@ -56,7 +56,7 @@ impl BufferPool {
     /// candidates — a smaller recycled buffer must never be handed out, or
     /// the caller's `extend_from_slice` would silently reallocate and defeat
     /// the zero-alloc invariant while the pool reported a hit.
-    fn take(&mut self, cap: usize) -> Vec<f32> {
+    pub(crate) fn take(&mut self, cap: usize) -> Vec<f32> {
         let mut best: Option<(usize, usize)> = None;
         for (i, b) in self.free.iter().enumerate() {
             let c = b.capacity();
@@ -87,8 +87,8 @@ impl BufferPool {
         buf
     }
 
-    /// Returns a buffer taken from the pool for reuse by later frames.
-    fn give(&mut self, buf: Vec<f32>) {
+    /// Returns a buffer taken from the pool for reuse by later walks.
+    pub(crate) fn give(&mut self, buf: Vec<f32>) {
         self.free.push(buf);
     }
 }
@@ -177,8 +177,12 @@ pub struct ReuseSession {
     calibrated: bool,
     executions_seen: u64,
     calibration_units_seen: u64,
-    /// Recycled per-frame intermediate buffers (zero-alloc steady state).
-    pool: BufferPool,
+    /// The one-row block [`Self::execute_into`] walks, whose pool also
+    /// recycles the sequence walk's and the watchdog's intermediates
+    /// (zero-alloc steady state). Boxed: inline, it read `c3d_stream` ~5%
+    /// slower in twelve of twelve pairs without changing what a C3D window
+    /// computes (placement, as in ROADMAP's findings); boxed, at par.
+    block: Box<Block>,
     /// Per-slot windows of recent incremental step records, preallocated
     /// when telemetry is enabled in the config.
     telemetry: Option<Vec<Window>>,
@@ -261,7 +265,7 @@ impl ReuseSession {
             calibrated: false,
             executions_seen: 0,
             calibration_units_seen: 0,
-            pool: BufferPool::default(),
+            block: Box::default(),
             telemetry,
             watchdog: WatchdogStats::default(),
             reuse_frames: 0,
@@ -325,7 +329,7 @@ impl ReuseSession {
 
     /// Buffer-pool hit/miss counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats
+        self.block.pool.stats
     }
 
     /// Cross-stream signature-cache counters for this session (all zero
@@ -367,7 +371,7 @@ impl ReuseSession {
             network: self.model.network().name().to_string(),
             frames: self.reuse_frames,
             window: TELEMETRY_WINDOW,
-            pool: self.pool.stats,
+            pool: self.block.pool.stats,
             watchdog: self.watchdog,
             drift_check_every: self.model.config().drift_check_every(),
             drift_bound: self.model.config().drift_bound(),
@@ -544,7 +548,7 @@ impl ReuseSession {
         Ok(self.model.network().forward_flat(frame)?)
     }
 
-    fn slot_enabled(&self, slot_pos: usize) -> bool {
+    pub(crate) fn slot_enabled(&self, slot_pos: usize) -> bool {
         self.model.slots()[slot_pos].policy.enabled && !self.runtimes[slot_pos].auto_disabled
     }
 
@@ -581,19 +585,17 @@ impl ReuseSession {
     /// Allocation-free variant of [`Self::execute`]: clears `out` and writes
     /// the flat network output into it, reusing its capacity across calls.
     ///
-    /// Every layer's intermediate — whether the layer steps through its
-    /// reuse state or runs at full precision because it is weightless,
-    /// reuse-disabled or auto-disabled — is written into a buffer from the
-    /// session's recycling pool, and the per-layer scratch (changed lists,
-    /// quantized codes, buffered outputs) is reused in place. So from the
-    /// second reuse-phase frame onward a call performs **zero heap
-    /// allocations** in the session, on any feed-forward pipeline. What
-    /// still allocates, by design: calibration frames (they prime the
-    /// pool), the state-initializing first execution, the growth — amortised
-    /// — of the trace log and of the relative-difference series when those
-    /// are recorded, a watchdog check frame's reference forward, and —
-    /// inside the kernel, not the session — the two im2col blocks of a conv
-    /// layer that runs at full precision.
+    /// The frame is the one-row [`Block`]. Every layer's intermediate is
+    /// written into a buffer from the session's recycling pool, and the
+    /// per-layer scratch (changed lists, quantized codes, buffered outputs)
+    /// is reused in place. So from the second reuse-phase frame onward a call
+    /// performs **zero heap allocations** in the session, on any feed-forward
+    /// pipeline. What still allocates, by design: calibration frames (they
+    /// prime the pool), the state-initializing first execution, the growth —
+    /// amortised — of the trace log and of the relative-difference series
+    /// when those are recorded, a watchdog check frame's reference forward,
+    /// and — inside the kernel, not the session — the two im2col blocks of a
+    /// conv layer that runs at full precision.
     ///
     /// # Errors
     ///
@@ -605,8 +607,70 @@ impl ReuseSession {
                 context: "recurrent network: use execute_sequence".into(),
             });
         }
+        let mut block = std::mem::take(&mut *self.block);
+        block.clear();
+        block.push(0);
+        block.walk(std::slice::from_mut(self), frame);
+        // From the first reuse-phase frame on, the pool holds a buffer for
+        // every intermediate of a frame, so every take must hit; a miss
+        // would mean a steady-state frame allocated.
+        block.pool.steady |= self.calibrated;
+        let result = match block.outcome(0) {
+            RowOutcome::Done(output) => {
+                out.clear();
+                out.extend_from_slice(output);
+                Ok(())
+            }
+            RowOutcome::Failed(e) => Err(e.clone()),
+            RowOutcome::Skipped => unreachable!("a lone row follows no failed row"),
+        };
+        *self.block = block;
+        result
+    }
+
+    /// Opens a run of up to `rows` of this session's frames in a block walk:
+    /// whether they calibrate, and how many of them walk together — up to
+    /// the last calibrating frame (the next one builds the quantizers from
+    /// every layer's profile), else up to the next drift-watchdog check frame
+    /// (its re-baseline rewrites every layer's state).
+    pub(crate) fn begin_run(&mut self, rows: usize) -> (bool, usize) {
         let calibrating = self.calibrating();
-        self.walk_frame(frame, out, calibrating)
+        let config = self.model.config();
+        let len = if calibrating {
+            config.calibration() as u64 - self.calibration_units_seen
+        } else {
+            match config.drift_check_every() {
+                0 => rows as u64,
+                every => every - self.reuse_frames % every,
+            }
+        };
+        (calibrating, len.min(rows as u64) as usize)
+    }
+
+    /// Closes one frame of a run after its last layer, `out` holding its
+    /// output: counts it, and runs the drift watchdog when it is due (a
+    /// re-baseline replaces `out` with the exact reference output).
+    pub(crate) fn finish_frame(
+        &mut self,
+        calibrating: bool,
+        frame: &[f32],
+        out: &mut [f32],
+        pool: &mut BufferPool,
+    ) -> Result<(), ReuseError> {
+        self.executions_seen += 1;
+        self.metrics.executions += 1;
+        if calibrating {
+            self.calibration_units_seen += 1;
+            return Ok(());
+        }
+        self.reuse_frames += 1;
+        let every = self.model.config().drift_check_every();
+        if every > 0 && self.reuse_frames.is_multiple_of(every) {
+            // Outside the zero-alloc contract: the reference forward is a
+            // cold path by design.
+            self.watchdog_check(frame, out, pool)?;
+        }
+        Ok(())
     }
 
     /// Executes a whole temporal sequence. For feed-forward networks the
@@ -683,7 +747,7 @@ impl ReuseSession {
     /// `input`. An *enabled* slot only gets here while calibrating — in the
     /// reuse phase it steps — and passthrough slots never quantize, so they
     /// have no range to profile.
-    fn profile_unstepped(&mut self, layer_index: usize, input: &[f32]) {
+    pub(crate) fn profile_unstepped(&mut self, layer_index: usize, input: &[f32]) {
         let slot_pos = self.model.slot_of_layer()[layer_index];
         if slot_pos != usize::MAX
             && self.slot_enabled(slot_pos)
@@ -758,7 +822,7 @@ impl ReuseSession {
     /// with telemetry on, the slot's window — incremental steps only — and,
     /// with tracing on, the log. None of them allocates, but for the log's
     /// amortised growth.
-    fn record_step(
+    pub(crate) fn record_step(
         &mut self,
         execution: u64,
         layer_index: usize,
@@ -808,70 +872,13 @@ impl ReuseSession {
         prev.extend_from_slice(raw_input);
     }
 
-    /// The one walk of a feed-forward network over one frame. Activations
-    /// between layers are flat pooled `Vec<f32>` buffers (every layer
-    /// consumes row-major data of the shape the network inferred, so a
-    /// reshape is nothing); each layer writes into a buffer taken from the
-    /// pool and the buffer it read goes back, so every buffer is returned
-    /// before the frame ends. What happens *at a layer* is the only thing
-    /// that varies: an enabled slot in the reuse phase steps
-    /// ([`Self::step_slot`]); every other layer — passive, reuse-disabled,
-    /// auto-disabled, or any slot while `calibrating` — runs at full
-    /// precision through [`reuse_nn::Network::apply_layer_into`].
-    fn walk_frame(
-        &mut self,
-        frame: &[f32],
-        out: &mut Vec<f32>,
-        calibrating: bool,
-    ) -> Result<(), ReuseError> {
-        self.check_frame_len(frame)?;
-        let model = Arc::clone(&self.model);
-        let mut cur = self.pool.take(frame.len());
-        cur.extend_from_slice(frame);
-        let execution = self.executions_seen;
-        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
-            let mut next = self.pool.take(model.layer_out_volumes()[i]);
-            let stepped = if !calibrating && slot_pos != usize::MAX && self.slot_enabled(slot_pos) {
-                Some(self.step_slot(&model, slot_pos, &cur, &mut next)?)
-            } else {
-                self.profile_unstepped(i, &cur);
-                model.network().apply_layer_into(i, &cur, &mut next)?;
-                None
-            };
-            self.record_step(execution, i, stepped);
-            self.pool.give(std::mem::replace(&mut cur, next));
-        }
-        self.executions_seen += 1;
-        self.metrics.executions += 1;
-        out.clear();
-        out.extend_from_slice(&cur);
-        self.pool.give(cur);
-        if calibrating {
-            self.calibration_units_seen += 1;
-            return Ok(());
-        }
-        // The pool now holds a buffer for every intermediate of a frame, so
-        // from here on every take must hit; a miss would mean a steady-state
-        // frame allocated.
-        self.pool.steady = true;
-        self.reuse_frames += 1;
-        let every = model.config().drift_check_every();
-        if every > 0 && self.reuse_frames.is_multiple_of(every) {
-            // Watchdog frames allocate (the reference forward is a cold
-            // path by design); they are outside the zero-alloc contract,
-            // which covers the frames between checks.
-            self.watchdog_check(frame, out)?;
-        }
-        Ok(())
-    }
-
     /// One enabled slot's reuse-phase step on one frame, `input` to `next`
     /// — the session's resumable per-layer unit: cross-stream signature
     /// lookup (cold start only), the [`ReuseLayer`] step (uniform dispatch,
     /// no per-kind `match`), the adaptive refresh and signature publication.
     /// Returns the step's counters and its span (0 unless telemetry times
     /// slots) for the walk to record.
-    fn step_slot(
+    pub(crate) fn step_slot(
         &mut self,
         model: &CompiledModel,
         slot_pos: usize,
@@ -943,7 +950,7 @@ impl ReuseSession {
         let layer_index = model.slots()[slot_pos].layer_index;
         let in_shape = &model.network().layer_input_shapes()[layer_index];
         let (ctx, state) = self.runtimes[slot_pos].split(model, slot_pos);
-        ctx.layer.forward_linear_into(in_shape, raw, next)?;
+        ctx.layer.forward_linear_into(in_shape, raw, 1, next)?;
         state.adopt_baseline(&ctx, raw, next);
         ctx.layer
             .activation()
@@ -1033,8 +1040,14 @@ impl ReuseSession {
     /// One drift-watchdog check: compares this frame's incremental output
     /// against the full-precision reference and re-baselines every reuse
     /// layer when the deviation exceeds the configured bound. `out` is
-    /// replaced with the exact reference output after a re-baseline.
-    fn watchdog_check(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
+    /// replaced with the exact reference output after a re-baseline, which
+    /// walks through `pool`.
+    fn watchdog_check(
+        &mut self,
+        frame: &[f32],
+        out: &mut [f32],
+        pool: &mut BufferPool,
+    ) -> Result<(), ReuseError> {
         let reference = self.reference_forward(frame)?;
         let drift = max_abs_diff(out, reference.as_slice());
         self.watchdog.checks += 1;
@@ -1050,7 +1063,7 @@ impl ReuseSession {
         if violated || rescaled {
             // A rescale re-baselines too: buffered codes quantized under
             // the old grid are meaningless under the new one.
-            self.rebaseline_frame(frame, out)?;
+            self.rebaseline_frame(frame, out, pool)?;
         }
         if violated {
             self.watchdog.rebaselines += 1;
@@ -1096,16 +1109,21 @@ impl ReuseSession {
     /// drifted beyond the bound collect a strike; a layer reaching
     /// [`crate::ReuseConfig::drift_escalate_after`] strikes is auto-disabled
     /// (escalation into [`Self::auto_disabled_layers`]) and runs at full
-    /// precision, through the same pool, from the next frame on.
-    fn rebaseline_frame(&mut self, frame: &[f32], out: &mut Vec<f32>) -> Result<(), ReuseError> {
+    /// precision from the next frame on.
+    fn rebaseline_frame(
+        &mut self,
+        frame: &[f32],
+        out: &mut [f32],
+        pool: &mut BufferPool,
+    ) -> Result<(), ReuseError> {
         let model = Arc::clone(&self.model);
         let bound = model.config().drift_bound();
         let escalate_after = model.config().escalate_after();
         let (mut drifted, mut exact) = (Vec::new(), Vec::new());
-        let mut cur = self.pool.take(frame.len());
+        let mut cur = pool.take(frame.len());
         cur.extend_from_slice(frame);
         for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
-            let mut next = self.pool.take(model.layer_out_volumes()[i]);
+            let mut next = pool.take(model.layer_out_volumes()[i]);
             // Passthrough slots buffer nothing: there is no baseline to
             // re-adopt (and no linear part to recompute) — like passive and
             // disabled layers they just run exactly.
@@ -1137,11 +1155,10 @@ impl ReuseSession {
                     }
                 }
             }
-            self.pool.give(std::mem::replace(&mut cur, next));
+            pool.give(std::mem::replace(&mut cur, next));
         }
-        out.clear();
-        out.extend_from_slice(&cur);
-        self.pool.give(cur);
+        out.copy_from_slice(&cur);
+        pool.give(cur);
         Ok(())
     }
 
@@ -1176,17 +1193,17 @@ impl ReuseSession {
         let timed = self.telemetry.is_some();
         let first = self.executions_seen;
         let mut width = network.input_shape().volume();
-        let mut cur = self.pool.take(t * width);
+        let mut cur = self.block.pool.take(t * width);
         for frame in frames {
             cur.extend_from_slice(frame);
         }
         // One timestep's output of a frame-wise layer, on its way into the
         // flat buffer.
         let widest = model.layer_out_volumes().iter().copied().max();
-        let mut row = self.pool.take(widest.unwrap_or(0));
+        let mut row = self.block.pool.take(widest.unwrap_or(0));
         for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
             let out_width = model.layer_out_volumes()[i];
-            let mut next = self.pool.take(t * out_width);
+            let mut next = self.block.pool.take(t * out_width);
             let enabled = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
             let stepped = enabled && !calibrating;
             let layer = &network.layers()[i].1;
@@ -1237,7 +1254,7 @@ impl ReuseSession {
                     }
                 }
             }
-            self.pool.give(std::mem::replace(&mut cur, next));
+            self.block.pool.give(std::mem::replace(&mut cur, next));
             width = out_width;
         }
         self.executions_seen += t as u64;
@@ -1249,9 +1266,16 @@ impl ReuseSession {
         }
         out.clear();
         out.extend_from_slice(&cur);
-        self.pool.give(cur);
-        self.pool.give(row);
+        self.block.pool.give(cur);
+        self.block.pool.give(row);
         Ok(())
+    }
+}
+
+/// A session is the one-session slice of a [`Block::walk`].
+impl AsMut<ReuseSession> for ReuseSession {
+    fn as_mut(&mut self) -> &mut ReuseSession {
+        self
     }
 }
 

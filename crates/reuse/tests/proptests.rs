@@ -594,10 +594,10 @@ fn conv2d_equals_its_depth_one_conv3d_twin_bitwise() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let (mut fwd2, mut fwd3) = (Vec::new(), Vec::new());
         Layer::Conv2d(layer2.clone())
-            .forward_linear_into(&shape2, &frame, &mut fwd2)
+            .forward_linear_into(&shape2, &frame, 1, &mut fwd2)
             .unwrap();
         Layer::Conv3d(layer3.clone())
-            .forward_linear_into(&shape3, &frame, &mut fwd3)
+            .forward_linear_into(&shape3, &frame, 1, &mut fwd3)
             .unwrap();
         assert_eq!(bits(&fwd2), bits(&fwd3), "stride {stride}");
 

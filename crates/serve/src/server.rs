@@ -3,8 +3,9 @@
 //!
 //! Each stream owns a [`ReuseSession`] (lazily created on first submit),
 //! a bounded ingress queue of pending frames, and a bounded queue of
-//! completed outputs. A scheduling tick runs every stream's ready frames in
-//! one serial loop on the calling thread; a server that should use several
+//! completed outputs. A scheduling tick walks every stream's ready frames
+//! through the network together, one layer at a time, on the calling thread
+//! (a [`Block`]); a server that should use several
 //! cores is sharded ([`crate::ShardedServer`], one worker thread per
 //! shard). Sessions never share mutable state, so outputs are bit-identical
 //! to running each stream alone through its own standalone session, under
@@ -14,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reuse_core::{CompiledModel, ReuseSession};
+use reuse_core::{Block, CompiledModel, ReuseSession, RowOutcome};
 
 use crate::error::ServeError;
 use crate::histogram::LatencyHistogram;
@@ -151,7 +152,8 @@ impl ServerConfig {
 
     /// Max ready units one stream may complete per tick (minimum 1) — a
     /// unit is one frame, or one sequence for recurrent models. Bounds how
-    /// long a backlogged stream can hold up the streams behind it.
+    /// long a backlogged stream can hold up the others, whose frames share
+    /// the tick's block with its.
     pub fn batch_max(mut self, n: usize) -> Self {
         self.batch_max = n.max(1);
         self
@@ -194,6 +196,9 @@ struct StreamEntry {
     session: ReuseSession,
     /// Pending input frames, oldest first (capacity = `queue_capacity`).
     queue: VecDeque<QueuedFrame>,
+    /// The frames this tick took into its block, in order (capacity =
+    /// `batch_max`).
+    taken: Vec<QueuedFrame>,
     /// Recycled ingress frame buffers.
     frame_free: Vec<Vec<f32>>,
     /// Completed outputs with their caller tags, oldest first (capacity =
@@ -231,7 +236,7 @@ struct StreamEntry {
     /// already passed (lifetime).
     expired: u64,
     /// Queued frames with [`Priority::High`] (kept in sync by submit and
-    /// [`Self::process`]).
+    /// the tick).
     high_pending: usize,
     /// Completed outputs overwritten because the output queue was full
     /// (the caller stopped draining).
@@ -251,6 +256,7 @@ impl StreamEntry {
             id,
             session,
             queue: VecDeque::with_capacity(config.queue_capacity),
+            taken: Vec::with_capacity(config.batch_max),
             frame_free: Vec::with_capacity(config.queue_capacity),
             outputs: VecDeque::with_capacity(config.queue_capacity),
             out_free: Vec::with_capacity(config.queue_capacity + 1),
@@ -307,96 +313,138 @@ impl StreamEntry {
         self.expired_tags.push_back(tag);
     }
 
-    /// Runs up to `batch_max` ready units on this entry's session. Touches
-    /// only this entry plus the (lock-free) histogram; the caller reads what
-    /// happened off the entry's lifetime counters.
-    fn process(&mut self, config: &ServerConfig, latency: &LatencyHistogram) {
+    /// Moves up to `batch_max` ready frames into the tick's block as rows of
+    /// the session at position `slot`, their data into `frames`. A frame
+    /// whose deadline already passed is dropped here instead, still counting
+    /// as one of the `batch_max`: its result would arrive too late to matter,
+    /// and the forward pass it saves goes to frames that can still make
+    /// their deadlines.
+    fn take_rows(
+        &mut self,
+        slot: usize,
+        config: &ServerConfig,
+        block: &mut Block,
+        frames: &mut Vec<f32>,
+    ) {
         if self.error.is_some() {
             return;
         }
-        let mut units = 0usize;
-        while units < config.batch_max && self.ready_units(config.sequence_len) > 0 {
-            if config.sequence_len == 0 {
-                let frame = self.queue.pop_front().expect("ready unit implies frame");
-                if frame.priority == Priority::High {
-                    self.high_pending -= 1;
-                }
-                // A frame whose deadline already passed is dropped, not
-                // executed: its result would arrive too late to matter,
-                // and the forward pass it saves goes to frames that can
-                // still make their deadlines.
-                if frame.deadline.is_some_and(|d| Instant::now() > d) {
-                    self.expired += 1;
-                    self.push_expired(frame.tag, config.queue_capacity);
-                    self.frame_free.push(frame.data);
-                    units += 1;
-                    continue;
-                }
-                let mut out = self.out_free.pop().unwrap_or_default();
-                match self.session.execute_into(&frame.data, &mut out) {
-                    Ok(()) => {
-                        latency.record(frame.enqueued.elapsed().as_nanos() as u64);
-                        self.push_output(frame.tag, out, config.queue_capacity);
-                        self.frames_done += 1;
-                    }
-                    Err(e) => {
-                        self.out_free.push(out);
-                        self.error = Some(e);
-                    }
-                }
-                self.frame_free.push(frame.data);
-                if self.error.is_some() {
-                    break;
-                }
-            } else {
-                self.process_sequence(config, latency);
-                if self.error.is_some() {
-                    break;
-                }
-            }
-            units += 1;
-        }
-        self.degraded = self.session.auto_disabled_layers().next().is_some();
-    }
-
-    /// Executes one full sequence (recurrent models) through
-    /// [`ReuseSession::execute_sequence_into`] and copies its rows into
-    /// pooled output buffers: like a frame, a steady sequence allocates
-    /// nothing.
-    fn process_sequence(&mut self, config: &ServerConfig, latency: &LatencyHistogram) {
-        let len = config.sequence_len;
-        debug_assert!(self.queue.len() >= len);
-        self.seq_scratch.clear();
-        self.seq_meta.clear();
-        for _ in 0..len {
-            let frame = self.queue.pop_front().expect("checked above");
+        for _ in 0..config.batch_max {
+            let Some(frame) = self.queue.pop_front() else {
+                break;
+            };
             if frame.priority == Priority::High {
                 self.high_pending -= 1;
             }
-            self.seq_scratch.push(frame.data);
-            self.seq_meta.push((frame.enqueued, frame.tag));
+            if frame.deadline.is_some_and(|d| Instant::now() > d) {
+                self.expired += 1;
+                self.push_expired(frame.tag, config.queue_capacity);
+                self.frame_free.push(frame.data);
+                continue;
+            }
+            block.push(slot);
+            frames.extend_from_slice(&frame.data);
+            self.taken.push(frame);
         }
-        match self
-            .session
-            .execute_sequence_into(&self.seq_scratch, &mut self.seq_out)
-        {
-            Ok(()) => {
-                let width = self.seq_out.len() / len;
-                for t in 0..len {
+    }
+
+    /// Takes back this entry's rows of the walked block, the next
+    /// `self.taken.len()` rows from `first`, and returns the frames
+    /// completed: a finished row's output is queued, a failed one sets the
+    /// sticky error, and frames after a failure — which never finished — go
+    /// back to the head of the queue. Every latency is recorded here, at
+    /// block end: a drain cannot come earlier, the worker holds the shard
+    /// lock until the tick returns.
+    fn give_rows(
+        &mut self,
+        block: &Block,
+        first: usize,
+        config: &ServerConfig,
+        latency: &LatencyHistogram,
+    ) -> u64 {
+        let done = self.frames_done;
+        let mut taken = std::mem::take(&mut self.taken);
+        let outcomes = (first..first + taken.len()).map(|row| block.outcome(row));
+        let skipped = outcomes
+            .clone()
+            .filter(|o| matches!(o, RowOutcome::Skipped))
+            .count();
+        for frame in taken.drain(taken.len() - skipped..).rev() {
+            if frame.priority == Priority::High {
+                self.high_pending += 1;
+            }
+            self.queue.push_front(frame);
+        }
+        for (frame, outcome) in taken.drain(..).zip(outcomes) {
+            match outcome {
+                RowOutcome::Done(output) => {
                     let mut out = self.out_free.pop().unwrap_or_default();
                     out.clear();
-                    out.extend_from_slice(&self.seq_out[t * width..][..width]);
-                    let (enqueued, tag) = self.seq_meta[t];
-                    latency.record(enqueued.elapsed().as_nanos() as u64);
-                    self.push_output(tag, out, config.queue_capacity);
+                    out.extend_from_slice(output);
+                    latency.record(frame.enqueued.elapsed().as_nanos() as u64);
+                    self.push_output(frame.tag, out, config.queue_capacity);
                     self.frames_done += 1;
                 }
+                RowOutcome::Failed(e) => {
+                    self.error.get_or_insert_with(|| e.clone());
+                }
+                RowOutcome::Skipped => unreachable!("skipped rows end the entry's rows"),
             }
-            Err(e) => self.error = Some(e),
+            self.frame_free.push(frame.data);
         }
-        for data in self.seq_scratch.drain(..) {
-            self.frame_free.push(data);
+        self.taken = taken;
+        self.degraded = self.session.auto_disabled_layers().next().is_some();
+        self.frames_done - done
+    }
+
+    /// Executes up to `batch_max` whole sequences (recurrent models) one
+    /// after the other through [`ReuseSession::execute_sequence_into`] and
+    /// copies their rows into pooled output buffers: like a frame, a steady
+    /// sequence allocates nothing. Returns the frames completed.
+    fn process_sequences(&mut self, config: &ServerConfig, latency: &LatencyHistogram) -> u64 {
+        let (len, done) = (config.sequence_len, self.frames_done);
+        for _ in 0..config.batch_max {
+            if self.ready_units(len) == 0 {
+                break;
+            }
+            self.seq_scratch.clear();
+            self.seq_meta.clear();
+            for frame in self.queue.drain(..len) {
+                if frame.priority == Priority::High {
+                    self.high_pending -= 1;
+                }
+                self.seq_scratch.push(frame.data);
+                self.seq_meta.push((frame.enqueued, frame.tag));
+            }
+            match self
+                .session
+                .execute_sequence_into(&self.seq_scratch, &mut self.seq_out)
+            {
+                Ok(()) => {
+                    let width = self.seq_out.len() / len;
+                    for t in 0..len {
+                        let mut out = self.out_free.pop().unwrap_or_default();
+                        out.clear();
+                        out.extend_from_slice(&self.seq_out[t * width..][..width]);
+                        let (enqueued, tag) = self.seq_meta[t];
+                        latency.record(enqueued.elapsed().as_nanos() as u64);
+                        self.push_output(tag, out, config.queue_capacity);
+                        self.frames_done += 1;
+                    }
+                }
+                Err(e) => self.error = Some(e),
+            }
+            self.frame_free.append(&mut self.seq_scratch);
         }
+        self.degraded = self.session.auto_disabled_layers().next().is_some();
+        self.frames_done - done
+    }
+}
+
+/// A stream is its session's place in the tick's [`Block`] walk.
+impl AsMut<ReuseSession> for StreamEntry {
+    fn as_mut(&mut self) -> &mut ReuseSession {
+        &mut self.session
     }
 }
 
@@ -455,6 +503,10 @@ pub struct StreamServer {
     service_ewma_ns: f64,
     /// Scratch for the tick's dispatch order (reused per tick).
     order: Vec<usize>,
+    /// The feed-forward tick's block and its rows' frames back to back
+    /// (reused per tick).
+    block: Block,
+    block_frames: Vec<f32>,
 }
 
 impl StreamServer {
@@ -507,6 +559,8 @@ impl StreamServer {
             high_pending: 0,
             service_ewma_ns: 0.0,
             order: Vec::new(),
+            block: Block::default(),
+            block_frames: Vec::new(),
         })
     }
 
@@ -785,11 +839,13 @@ impl StreamServer {
         }
     }
 
-    /// Runs one scheduling tick: every stream with ready units executes up
-    /// to [`ServerConfig::batch_max`] of them, in submission order, one
-    /// stream after another on the calling thread. Streams whose *head*
-    /// frame is high-priority go first (FIFO within each lane). Returns
-    /// what was done.
+    /// Runs one scheduling tick on the calling thread: every stream with
+    /// ready units executes up to [`ServerConfig::batch_max`] of them, in
+    /// submission order. Streams whose *head* frame is high-priority go
+    /// first (FIFO within each lane). A feed-forward tick is one [`Block`]:
+    /// the frames it takes from every stream walk the network together, one
+    /// layer at a time, and all complete at its end; a recurrent tick runs
+    /// each stream's sequences in turn. Returns what was done.
     ///
     /// # Errors
     ///
@@ -814,23 +870,38 @@ impl StreamServer {
         } else {
             self.order.extend(streams);
         }
+        let expired: u64 = self.entries.iter().map(|e| e.expired).sum();
         let mut stats = TickStats::default();
+        let mut count = |frames: u64| {
+            stats.frames += frames;
+            stats.streams += usize::from(frames > 0);
+        };
+        if self.config.sequence_len == 0 {
+            self.block.clear();
+            self.block_frames.clear();
+            for &slot in &self.order {
+                let entry = &mut self.entries[slot];
+                entry.take_rows(slot, &self.config, &mut self.block, &mut self.block_frames);
+            }
+            self.block.walk(&mut self.entries, &self.block_frames);
+            let mut first = 0;
+            for &slot in &self.order {
+                let entry = &mut self.entries[slot];
+                let rows = entry.taken.len();
+                count(entry.give_rows(&self.block, first, &self.config, &self.latency));
+                first += rows;
+            }
+        } else {
+            for &slot in &self.order {
+                count(self.entries[slot].process_sequences(&self.config, &self.latency));
+            }
+        }
+        self.expired += self.entries.iter().map(|e| e.expired).sum::<u64>() - expired;
+        self.pending_total = self.entries.iter().map(|e| e.queue.len()).sum();
+        self.high_pending = self.entries.iter().map(|e| e.high_pending).sum();
         let mut first_error = None;
         for &slot in &self.order {
             let entry = &mut self.entries[slot];
-            let (queued, high, done, expired) = (
-                entry.queue.len(),
-                entry.high_pending,
-                entry.frames_done,
-                entry.expired,
-            );
-            entry.process(&self.config, &self.latency);
-            let frames = entry.frames_done - done;
-            stats.frames += frames;
-            stats.streams += usize::from(frames > 0);
-            self.expired += entry.expired - expired;
-            self.pending_total -= queued - entry.queue.len();
-            self.high_pending -= high - entry.high_pending;
             if first_error.is_none() && !entry.error_reported {
                 if let Some(e) = &entry.error {
                     first_error = Some(e.clone());

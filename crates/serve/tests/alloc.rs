@@ -122,6 +122,80 @@ fn steady_state_dispatch_loop_is_allocation_free() {
 }
 
 #[test]
+fn steady_ticks_of_every_block_size_are_allocation_free() {
+    // A Kaldi-shaped model: the reuse-disabled FCs run every row of a tick
+    // as one GEMM, the enabled ones step row by row. One warm tick at the
+    // largest block (every stream's `BATCH` frames) sizes everything the
+    // tick keeps; after it, no block of 1..=STREAMS×BATCH rows — growing,
+    // then shrinking — allocates.
+    const STREAMS: usize = 4;
+    const BATCH: usize = 3;
+    let net = NetworkBuilder::new("serve-blocks", 24)
+        .fully_connected(24, Activation::Relu)
+        .fully_connected(40, Activation::Relu)
+        .group_max(2)
+        .fully_connected(16, Activation::Relu)
+        .fully_connected(6, Activation::Identity)
+        .build()
+        .unwrap();
+    let config = ReuseConfig::uniform(16)
+        .disable_layer("fc1")
+        .disable_layer("fc2");
+    let model = Arc::new(CompiledModel::new(&net, &config));
+    let mut server = StreamServer::new(
+        model,
+        ServerConfig::default()
+            .queue_capacity(BATCH)
+            .batch_max(BATCH),
+    )
+    .unwrap();
+
+    let mut rng = Rng64::new(31);
+    let mut frames: Vec<Vec<f32>> = (0..STREAMS)
+        .map(|_| (0..24).map(|_| rng.uniform(0.9)).collect())
+        .collect();
+    // One tick of a `rows`-row block, spread over the streams.
+    let mut tick = |server: &mut StreamServer, rows: usize| {
+        for (s, frame) in frames.iter_mut().enumerate() {
+            for _ in 0..rows / STREAMS + usize::from(s < rows % STREAMS) {
+                drift(frame, &mut rng);
+                let accepted = server.submit(s as u64, frame).unwrap();
+                assert_eq!(accepted, SubmitResult::Accepted);
+            }
+        }
+        assert_eq!(server.tick().unwrap().frames, rows as u64);
+        for s in 0..STREAMS as u64 {
+            server.drain_outputs(s, |out| assert_eq!(out.len(), 6));
+        }
+    };
+    // Calibration, the state-initialising frame, one steady frame, then the
+    // largest block.
+    for rows in [STREAMS, STREAMS, STREAMS, STREAMS * BATCH] {
+        tick(&mut server, rows);
+    }
+    let before = thread_allocations();
+    for rows in (1..=STREAMS * BATCH).chain((1..STREAMS * BATCH).rev()) {
+        tick(&mut server, rows);
+    }
+    let allocations = thread_allocations() - before;
+    assert_eq!(
+        allocations,
+        0,
+        "steady ticks of 1..={} rows allocated {allocations} times",
+        STREAMS * BATCH
+    );
+}
+
+/// Drifts a few inputs in place so the incremental path does real
+/// correction work, not just the all-reused fast case.
+fn drift(frame: &mut [f32], rng: &mut Rng64) {
+    for _ in 0..6 {
+        let i = (rng.next_u64() % frame.len() as u64) as usize;
+        frame[i] = (frame[i] + rng.uniform(0.5)).clamp(-1.0, 1.0);
+    }
+}
+
+#[test]
 fn steady_state_recurrent_dispatch_is_allocation_free() {
     // Two streams of 8-step sequences through a BiLSTM under a reuse-
     // disabled output layer (EESEN's shape). A sequence's timesteps queue

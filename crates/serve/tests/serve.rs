@@ -8,9 +8,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use reuse_core::{CompiledModel, ReuseConfig};
+use reuse_core::{CompiledModel, ReuseConfig, TunedLayerPolicy, TunedPolicy};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_serve::{ServeError, ServerConfig, StreamServer, SubmitOptions, SubmitResult};
+use reuse_tensor::Shape;
 
 /// A smooth random walk of frames, mimicking consecutive input windows.
 fn walk(len: usize, dim: usize, step: f32, seed: u64) -> Vec<Vec<f32>> {
@@ -118,7 +119,68 @@ fn check_against_standalone(
             alone.metrics(),
             "stream {id}: EngineMetrics must match a standalone run"
         );
+        assert_eq!(session.watchdog_stats(), alone.watchdog_stats());
+        assert_eq!(session.policy_states(), alone.policy_states());
     }
+}
+
+/// The three models the block proptest serves, with the frame length each
+/// takes: a Kaldi-shaped MLP (two reuse-disabled FCs, then group-max and
+/// FCs that reuse), its all-disabled twin (every row of every layer in one
+/// rows-forward), and a conv net whose reuse-disabled first conv layer runs
+/// its rows through one call while the second conv layer steps them. Each
+/// calibrates on two frames, checks drift every third reuse frame against a
+/// bound tight enough to re-baseline and escalate, and adapts one layer.
+fn block_models() -> [(Arc<CompiledModel>, usize); 3] {
+    let kaldi = NetworkBuilder::new("serve-kaldi", 12)
+        .seed(9)
+        .fully_connected(12, Activation::Relu)
+        .fully_connected(30, Activation::Relu)
+        .group_max(3)
+        .fully_connected(20, Activation::Relu)
+        .group_max(2)
+        .fully_connected(6, Activation::Identity)
+        .build()
+        .unwrap();
+    let conv = NetworkBuilder::with_input_shape("serve-conv", Shape::d3(2, 6, 6))
+        .seed(11)
+        .conv2d(3, 3, 1, 1, Activation::Relu)
+        .conv2d(4, 3, 1, 0, Activation::Relu)
+        .pool2d(2)
+        .flatten()
+        .fully_connected(5, Activation::Identity)
+        .build()
+        .unwrap();
+    let config = |adaptive: &str| {
+        let layer = TunedLayerPolicy {
+            layer: adaptive.into(),
+            clusters: 16,
+            step_scale: 1.0,
+            reuse_threshold: 0.4,
+            adaptive: true,
+        };
+        let policy = TunedPolicy {
+            network: String::new(),
+            layers: vec![layer],
+        };
+        ReuseConfig::uniform(16)
+            .calibration_executions(2)
+            .drift_watchdog(3, 0.02)
+            .drift_escalate_after(3)
+            .reuse_policy(Arc::new(policy))
+    };
+    let kaldi_config = config("fc3").disable_layer("fc1").disable_layer("fc2");
+    let twin = kaldi_config
+        .clone()
+        .disable_layer("fc3")
+        .disable_layer("fc4");
+    let conv_config = config("fc1").disable_layer("conv1");
+    let model = |net, config| Arc::new(CompiledModel::new(net, config));
+    [
+        (model(&kaldi, &kaldi_config), 12),
+        (model(&kaldi, &twin), 12),
+        (model(&conv, &conv_config), 72),
+    ]
 }
 
 #[test]
@@ -374,11 +436,24 @@ fn undrained_outputs_drop_oldest_not_newest() {
 /// units — until eviction.
 #[test]
 fn failed_stream_stays_failed_and_reports_once() {
+    // Stream 5 fails between two streams that keep going: every tick is a
+    // block of all three, and the failed stream's rows must neither run nor
+    // disturb its neighbours'.
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(model, ServerConfig::default()).unwrap();
+    let mut server = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
     let frames = walk(6, 12, 0.1, 13);
+    let neighbours = [(4u64, walk(6, 12, 0.08, 14)), (6u64, walk(6, 12, 0.12, 15))];
+    let mut outs = [Vec::new(), Vec::new()];
+    let round = |server: &mut StreamServer, t: std::ops::Range<usize>| {
+        for (id, feed) in &neighbours {
+            for frame in &feed[t.clone()] {
+                assert_eq!(server.submit(*id, frame).unwrap(), SubmitResult::Accepted);
+            }
+        }
+    };
 
+    round(&mut server, 0..3);
     for frame in &frames[..3] {
         assert_eq!(server.submit(5, frame).unwrap(), SubmitResult::Accepted);
     }
@@ -400,21 +475,41 @@ fn failed_stream_stays_failed_and_reports_once() {
         0,
         "a failed stream's queued frames are not ready work"
     );
+    round(&mut server, 3..5);
 
     // First tick after the failure surfaces the error...
     let err = server.tick().unwrap_err();
     assert!(matches!(err, ServeError::Reuse(_)), "{err}");
-    assert_eq!(server.frames_completed(), done_before);
+    assert_eq!(server.frames_completed(), done_before + 4);
+    assert_eq!(
+        server.queue_len(5),
+        3,
+        "the failed stream's frames stay parked"
+    );
 
     // ...and later ticks neither re-report it nor resume the stream.
-    for _ in 0..2 {
+    for t in 5..7 {
+        round(&mut server, t..(t + 1).min(6));
         let stats = server.tick().unwrap();
-        assert_eq!(stats.frames, 0, "failed stream must not execute frames");
+        assert_eq!(stats.frames, if t < 6 { 2 } else { 0 });
+        assert_eq!(stats.streams, if t < 6 { 2 } else { 0 });
     }
-    assert_eq!(server.frames_completed(), done_before);
+    assert_eq!(server.frames_completed(), done_before + 6);
     assert!(server.stream_failed(5));
     let snap = server.snapshot();
     assert!(snap.streams.iter().any(|s| s.id == 5 && s.failed));
+
+    // The neighbours never noticed.
+    for ((id, feed), outs) in neighbours.iter().zip(&mut outs) {
+        server.drain_outputs(*id, |out| outs.push(out.to_vec()));
+        let mut alone = model.new_session();
+        let mut reference = Vec::new();
+        assert_eq!(outs.len(), feed.len());
+        for (frame, out) in feed.iter().zip(outs.iter()) {
+            alone.execute_into(frame, &mut reference).unwrap();
+            assert_bits_eq(out, &reference);
+        }
+    }
 }
 
 /// Regression (LRU clock): rejected submits must not refresh a stream's
@@ -651,6 +746,36 @@ proptest! {
             }
             let session = server.session(*id).expect("stream resident");
             prop_assert_eq!(session.metrics(), alone.metrics());
+        }
+    }
+
+    /// Property: however a tick's block is cut — the calibration →
+    /// reuse transition landing mid-tick, a drift check (with its
+    /// re-baseline) every third reuse frame, an adaptive layer rescaling,
+    /// layers escalating to full precision — and however many rows each of
+    /// five streams puts into it, every stream's outputs, `EngineMetrics`,
+    /// watchdog counters and policy state are bit-identical to a standalone
+    /// session's, on all three [`block_models`].
+    #[test]
+    fn block_ticks_match_standalone_sessions(
+        seed in 0u64..1000,
+        chunk in 1usize..5,
+        batch_max in 1usize..7,
+        queue_capacity in 2usize..8,
+    ) {
+        for (model, dim) in block_models() {
+            let streams: Vec<(u64, Vec<Vec<f32>>)> = (0..5u64)
+                .map(|s| (s * 7 + 1, walk(14, dim, 0.03 + 0.04 * s as f32, seed * 5 + s)))
+                .collect();
+            let mut server = StreamServer::new(
+                Arc::clone(&model),
+                ServerConfig::default()
+                    .queue_capacity(queue_capacity)
+                    .batch_max(batch_max),
+            )
+            .unwrap();
+            let collected = run_server(&mut server, &streams, chunk);
+            check_against_standalone(&model, &server, &streams, &collected);
         }
     }
 

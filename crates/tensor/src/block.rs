@@ -484,17 +484,18 @@ pub struct RowGrid {
 }
 
 /// Blocked fully-connected forward pass: `out[j] = Σ_i w[i][j]·x[i] + b[j]`,
-/// walking the one-time-packed panels with register accumulators.
-/// Bit-identical to [`crate::matmul::fc_forward_naive`] at either
-/// [`crate::simd::level`]: the same per-output chain — bias first, then every
-/// `i` ascending, each step fused (see the [`crate::simd`] contract).
+/// the one-row case of [`crate::matmul::matmul_packed_into`] from a
+/// bias-seeded `out`. Bit-identical to [`crate::matmul::fc_forward_naive`]
+/// at either [`crate::simd::level`]: the same per-output chain — bias first,
+/// then every `i` ascending, each step fused (see the [`crate::simd`]
+/// contract).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `x` or `bias` disagree with
 /// the packed shape.
 pub fn fc_forward_packed_into(
-    _config: &ParallelConfig,
+    config: &ParallelConfig,
     packed: &PackedPanels,
     x: &[f32],
     bias: &[f32],
@@ -520,11 +521,7 @@ pub fn fc_forward_packed_into(
     }
     out.clear();
     out.extend_from_slice(bias);
-    match simd::level() {
-        #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => simd::avx2::fc_panels(packed, x, out),
-        _ => forward_panels_scalar(packed, x, out),
-    }
+    crate::matmul::matmul_packed_into(config, x, packed, 1, out);
     Ok(())
 }
 

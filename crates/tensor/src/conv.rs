@@ -370,12 +370,13 @@ fn im2col_rows<const KW: usize>(
 /// Convolution of either rank over flat buffers — the one kernel every conv
 /// entry point runs.
 ///
-/// `x`: `[in_c, d, h, w]` with `dhw = [d, h, w]` (`d = 1` for 2D);
-/// `panels`: the layer's weights from [`ConvGeometry::pack_weights`]; `bv`:
-/// `[out_c]`. Resizes `out` to the flat `[out_c, od, oh, ow]` output and
-/// overwrites every element, so a buffer that is already large enough is
-/// reused as it is; the two im2col scratch blocks are the kernel's own
-/// allocations. The output
+/// `x`: `frames` inputs `[in_c, d, h, w]` back to back, with `dhw = [d, h,
+/// w]` (`d = 1` for 2D); `panels`: the layer's weights from
+/// [`ConvGeometry::pack_weights`]; `bv`: `[out_c]`. Resizes `out` to the flat
+/// `[out_c, od, oh, ow]` outputs back to back and overwrites every element,
+/// so a buffer that is already large enough is reused as it is; the two
+/// im2col scratch blocks are the kernel's own allocations, made once for
+/// every frame. The output
 /// positions are unrolled into im2col blocks (`IM2COL_BLOCK_BYTES`), each
 /// multiplied against the packed weights ([`matmul_packed_into`]) and
 /// transposed, finished and channels-last, into place while it is hot.
@@ -396,18 +397,15 @@ pub fn conv_forward_into(
     g: &ConvGeometry,
     dhw: [usize; 3],
     x: &[f32],
+    frames: usize,
     panels: &PackedPanels,
     bv: &[f32],
     out: &mut Vec<f32>,
 ) -> Result<(), TensorError> {
     let (taps, out_c) = (g.taps(), g.out_channels);
+    let frame_len = g.in_channels * dhw.iter().product::<usize>();
     let got = [x.len(), panels.n_in(), panels.n_out(), bv.len()];
-    let want = [
-        g.in_channels * dhw.iter().product::<usize>(),
-        taps,
-        out_c,
-        out_c,
-    ];
+    let want = [frames * frame_len, taps, out_c, out_c];
     if got != want {
         return Err(TensorError::ShapeMismatch {
             context: format!(
@@ -423,24 +421,27 @@ pub fn conv_forward_into(
         .min(positions);
     let mut a = vec![0.0f32; block_rows * taps];
     let mut c = vec![0.0f32; block_rows * out_c];
-    out.resize(out_c * positions, 0.0);
-    for first in (0..positions).step_by(block_rows) {
-        let rows = block_rows.min(positions - first);
-        let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
-        match g.kernel[2] {
-            1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
-            3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
-            5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
-            _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
-        }
-        for crow in c.chunks_exact_mut(out_c) {
-            crow.copy_from_slice(bv);
-        }
-        matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
-        for (f, map) in out.chunks_exact_mut(positions).enumerate() {
-            let span = &mut map[first..first + rows];
-            for (v, crow) in span.iter_mut().zip(c.chunks_exact(out_c)) {
-                *v = crow[f];
+    out.resize(frames * out_c * positions, 0.0);
+    let inputs = x.chunks_exact(frame_len.max(1));
+    for (x, out) in inputs.zip(out.chunks_exact_mut(out_c * positions)) {
+        for first in (0..positions).step_by(block_rows) {
+            let rows = block_rows.min(positions - first);
+            let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
+            match g.kernel[2] {
+                1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
+                3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
+                5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
+                _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
+            }
+            for crow in c.chunks_exact_mut(out_c) {
+                crow.copy_from_slice(bv);
+            }
+            matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
+            for (f, map) in out.chunks_exact_mut(positions).enumerate() {
+                let span = &mut map[first..first + rows];
+                for (v, crow) in span.iter_mut().zip(c.chunks_exact(out_c)) {
+                    *v = crow[f];
+                }
             }
         }
     }
@@ -567,7 +568,15 @@ fn forward_unpacked(
     dhw[3 - rank..].copy_from_slice(&idims[1..]);
     let panels = g.pack_weights(weights.as_slice())?;
     let mut out = Vec::new();
-    conv_forward_into(g, dhw, input.as_slice(), &panels, bias.as_slice(), &mut out)?;
+    conv_forward_into(
+        g,
+        dhw,
+        input.as_slice(),
+        1,
+        &panels,
+        bias.as_slice(),
+        &mut out,
+    )?;
     let [od, oh, ow] = g.output_dhw(dhw)?;
     let shape = match rank {
         2 => Shape::d3(g.out_channels, oh, ow),
@@ -1102,7 +1111,7 @@ mod tests {
         let panels = g.pack_weights(&w).unwrap();
         // A stale, oversized buffer: the kernel must size and overwrite it.
         let mut gemm = vec![f32::NAN; naive.len() + 5];
-        conv_forward_into(g, dhw, &x, &panels, &b, &mut gemm).unwrap();
+        conv_forward_into(g, dhw, &x, 1, &panels, &b, &mut gemm).unwrap();
         crate::simd::kernel_mismatch(&gemm, &naive)
     }
 

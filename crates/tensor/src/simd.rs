@@ -400,59 +400,7 @@ pub mod avx2 {
         );
     }
 
-    /// AVX2 walk over every output panel: the FC forward hot loop
-    /// (`out[j] += Σ_i x[i]·w[i][j]`, `out` enters holding biases or partial
-    /// sums). Four panels (eight 256-bit accumulators) in flight for full
-    /// tiles, one panel for the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the host lacks AVX2/FMA, when `x` is not `n_in` long or
-    /// when `out` is longer than the panels hold lanes.
-    pub fn fc_panels(packed: &PackedPanels, x: &[f32], out: &mut [f32]) {
-        require();
-        assert_eq!(x.len(), packed.n_in(), "fc_panels input vs weight rows");
-        assert!(
-            out.len() <= packed.n_panels() * PANEL_WIDTH,
-            "fc_panels: {} outputs from {} panels",
-            out.len(),
-            packed.n_panels()
-        );
-        // SAFETY: `require` checked the host runs AVX2+FMA code. The kernels
-        // read row `i` of a panel through a raw pointer for every `i <
-        // x.len()`, which the first assert bounds by the panel's `n_in`
-        // rows; the second keeps every `packed.panel(p)` a real panel.
-        unsafe { fc_panels_impl(packed, x, out) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn fc_panels_impl(packed: &PackedPanels, x: &[f32], out: &mut [f32]) {
-        let mut p = 0;
-        for seg in out.chunks_mut(TILE_LANES) {
-            if seg.len() == TILE_LANES {
-                unsafe {
-                    tile4_kernel(
-                        [
-                            packed.panel(p),
-                            packed.panel(p + 1),
-                            packed.panel(p + 2),
-                            packed.panel(p + 3),
-                        ],
-                        x,
-                        seg,
-                    );
-                }
-                p += TILE_PANELS;
-            } else {
-                for sub in seg.chunks_mut(PANEL_WIDTH) {
-                    unsafe { panel_kernel(packed.panel(p), x, sub) };
-                    p += 1;
-                }
-            }
-        }
-    }
-
-    /// Four 16-lane panels accumulated together: eight independent FMA
+    /// One `A` row against four 16-lane panels: eight independent FMA
     /// chains, enough to hide the 4-5 cycle FMA latency on one core.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tile4_kernel(panels: [&[f32]; TILE_PANELS], x: &[f32], seg: &mut [f32]) {
@@ -478,9 +426,10 @@ pub mod avx2 {
         }
     }
 
-    /// One 16-lane panel (two FMA chains) for tile remainders; `seg` may be
-    /// a partial panel (the zero-padded tail lanes are computed in registers
-    /// and discarded on store).
+    /// One `A` row against one 16-lane panel (two FMA chains), for the panels
+    /// past the last whole tile; `seg` may be a partial panel (the
+    /// zero-padded tail lanes are computed in registers and discarded on
+    /// store).
     #[target_feature(enable = "avx2,fma")]
     unsafe fn panel_kernel(panel: &[f32], x: &[f32], seg: &mut [f32]) {
         debug_assert!(seg.len() <= PANEL_WIDTH);
@@ -504,7 +453,10 @@ pub mod avx2 {
     /// AVX2 matmul `C += A · B` against the packed `B`: panels **outer**,
     /// rows of `A` in register blocks of four, so each streamed panel row is
     /// reused by four broadcast FMAs (eight accumulators in flight — the
-    /// compute-bound shape, ~6x the scalar blocked kernel on one core).
+    /// compute-bound shape, ~6x the scalar blocked kernel on one core). The
+    /// rows past the last group of four — and a lone row, the FC forward of
+    /// one frame — walk four panels at a time instead, which keeps eight
+    /// chains in flight too.
     ///
     /// `c` is the row-major `[m, n_out]` output and is accumulated onto: it
     /// enters holding each output's initial value (zero for a plain product,
@@ -534,7 +486,9 @@ pub mod avx2 {
     /// 400×2000 `B` that cuts panel traffic from one full-matrix stream per
     /// row group to one per block. Purely a traversal-order change: each
     /// `C[r]` span is still produced by exactly one kernel call, so results
-    /// are independent of the block size.
+    /// are independent of the block size. A block is rounded up to whole
+    /// tiles of [`TILE_PANELS`] so a remainder row never walks a tile's
+    /// panels one at a time.
     const MATMUL_L2_BLOCK_BYTES: usize = 192 * 1024;
 
     #[target_feature(enable = "avx2,fma")]
@@ -544,7 +498,9 @@ pub mod avx2 {
         let cp = c.as_mut_ptr();
         let n_panels = packed.n_panels();
         let panel_bytes = k * PANEL_WIDTH * core::mem::size_of::<f32>();
-        let block = (MATMUL_L2_BLOCK_BYTES / panel_bytes.max(1)).max(1);
+        let block = (MATMUL_L2_BLOCK_BYTES / panel_bytes.max(1))
+            .max(1)
+            .next_multiple_of(TILE_PANELS);
         let mut pb = 0;
         while pb < n_panels {
             let pend = (pb + block).min(n_panels);
@@ -564,17 +520,22 @@ pub mod avx2 {
                 }
                 r += 4;
             }
-            while r < rows {
+            for r in r..rows {
                 let arow = &a[r * k..(r + 1) * k];
-                for p in pb..pend {
-                    let panel = packed.panel(p);
+                let crow = unsafe { core::slice::from_raw_parts_mut(cp.add(r * n), n) };
+                let mut p = pb;
+                while p < pend {
                     let col0 = p * PANEL_WIDTH;
-                    let lanes = (n - col0).min(PANEL_WIDTH);
-                    let crow =
-                        unsafe { core::slice::from_raw_parts_mut(cp.add(r * n + col0), lanes) };
-                    unsafe { panel_kernel(panel, arow, crow) };
+                    if p + TILE_PANELS <= pend && col0 + TILE_LANES <= n {
+                        let tile = core::array::from_fn(|t| packed.panel(p + t));
+                        unsafe { tile4_kernel(tile, arow, &mut crow[col0..col0 + TILE_LANES]) };
+                        p += TILE_PANELS;
+                    } else {
+                        let lanes = (n - col0).min(PANEL_WIDTH);
+                        unsafe { panel_kernel(packed.panel(p), arow, &mut crow[col0..][..lanes]) };
+                        p += 1;
+                    }
                 }
-                r += 1;
             }
             pb = pend;
         }

@@ -57,7 +57,7 @@ fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3]) -> Option<String> {
     [x.clone(), vec![0.0; x.len()]].iter().find_map(|x| {
         let naive = conv_forward_naive(g, dhw, x, &weights, &bias).unwrap();
         let mut gemm = Vec::new();
-        conv_forward_into(g, dhw, x, &panels, &bias, &mut gemm).unwrap();
+        conv_forward_into(g, dhw, x, 1, &panels, &bias, &mut gemm).unwrap();
         simd::kernel_mismatch(&gemm, &naive)
     })
 }
@@ -151,9 +151,10 @@ proptest! {
 
     #[test]
     fn blocked_matmul_matches_naive(
-        m in 1usize..6,
+        // Whole four-row groups and every remainder; past one 64-lane tile.
+        m in 1usize..10,
         k in 1usize..20,
-        n in 1usize..50,
+        n in 1usize..90,
         seed in 0u64..1000,
     ) {
         let mut next = values(seed.wrapping_add(1));

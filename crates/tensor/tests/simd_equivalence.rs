@@ -50,8 +50,9 @@ fn seeded(seed: u64) -> impl FnMut() -> f32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// The FC forward of one frame: a lone row from its biases.
     #[test]
-    fn fc_panels_matches_scalar(
+    fn matmul_rows_one_row_matches_scalar(
         n_in in 1usize..40,
         // Through one 64-lane tile and past it, with a partial last panel.
         n_out in 1usize..90,
@@ -67,7 +68,7 @@ proptest! {
         let packed = PackedPanels::pack_slice(&w, n_in, n_out);
         let mut fast = bias.clone();
         let mut slow = bias;
-        avx2::fc_panels(&packed, &x, &mut fast);
+        avx2::matmul_rows(&packed, &x, &mut fast);
         forward_panels_scalar(&packed, &x, &mut slow);
         prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
     }
@@ -409,7 +410,7 @@ proptest! {
         prop_assert_eq!(kernel_mismatch(&scalar, naive.as_slice()), None, "scalar body vs naive");
         if avx2::available() {
             let mut fast = bias.clone();
-            avx2::fc_panels(&packed, &x, &mut fast);
+            avx2::matmul_rows(&packed, &x, &mut fast);
             prop_assert_eq!(kernel_mismatch(&fast, naive.as_slice()), None, "avx2 body vs naive");
         }
     }
@@ -525,22 +526,6 @@ fn need_avx2(expected: &str) {
 fn avx2_row_axpy_rejects_a_short_row() {
     need_avx2("row_axpy operand lengths");
     avx2::row_axpy(&mut [0.0; 24], &[1.0; 8], 2.0);
-}
-
-#[test]
-#[should_panic(expected = "fc_panels input vs weight rows")]
-fn avx2_fc_panels_rejects_a_long_input() {
-    need_avx2("fc_panels input vs weight rows");
-    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
-    avx2::fc_panels(&packed, &[1.0; 64], &mut [0.0; 20]);
-}
-
-#[test]
-#[should_panic(expected = "fc_panels: 40 outputs from 2 panels")]
-fn avx2_fc_panels_rejects_outputs_past_the_last_panel() {
-    need_avx2("fc_panels: 40 outputs from 2 panels");
-    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
-    avx2::fc_panels(&packed, &[1.0; 3], &mut [0.0; 40]);
 }
 
 #[test]

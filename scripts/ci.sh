@@ -42,9 +42,11 @@ REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- run ka
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- run eesen 20 --sessions 3
 
 echo "== serving-runtime smoke (StreamServer vs standalone sessions) =="
-# Serves N offset streams through one StreamServer and checks every output
-# and per-stream metrics bit-for-bit against standalone ReuseSessions; the
-# CLI exits 6 on serve/standalone divergence.
+# Serves N offset streams through one StreamServer, three frames per stream
+# per round (so a tick's block holds several frames of one stream and Kaldi's
+# reuse-disabled FC1/FC2 run them as one GEMM), and checks every output and
+# per-stream metrics bit-for-bit against standalone ReuseSessions; the CLI
+# exits 6 on serve/standalone divergence.
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve kaldi --streams 4 --frames 32 > /dev/null
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve eesen --streams 3 --frames 20 > /dev/null
 
@@ -65,7 +67,8 @@ REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- tune k
 
 echo "== serve-net loopback smoke (TCP round-trip vs standalone) =="
 # Starts the sharded tier behind a real loopback TCP socket, drives streams
-# through the in-tree binary-protocol client, and checks every response
+# through the in-tree binary-protocol client (three pipelined frames per
+# stream per round), and checks every response
 # payload bit-for-bit against standalone ReuseSessions (exit 6 on
 # divergence).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve-net kaldi --streams 4 --frames 32 --smoke > /dev/null
@@ -128,15 +131,17 @@ echo "== repro report smoke (all ten artifacts, tiny scale) =="
 # REUSE_SCALE exits 2).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
 
-echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step) =="
+echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one feed-forward walk, the block) =="
 # The recorded-artifact files, the measurement disk cache, the session
 # threading knob, the kernel thread runtime, the `_with` kernel entries, the
 # session's tensor-API fallback fork with the pool machinery around it, the
 # `Tensor`-typed kernel wrappers, the profiler reservoir, the cloning LSTM
 # cell update, the per-level tolerance pair, the three kernel-floor
-# overrides, the per-layer telemetry rings with their window knob and the
-# in-walk trace builders are gone; this line is their one permitted mention.
-if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
+# overrides, the per-layer telemetry rings with their window knob, the
+# in-walk trace builders, the per-frame feed-forward walk and the one-row FC
+# panel walk beside the matmul are gone; this line is their one permitted
+# mention.
+if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
     echo "retired names are back in the tree" >&2
     exit 1
 fi

@@ -116,12 +116,16 @@ fn oracle_after_exact_baseline(
             std::mem::swap(&mut raw, &mut raw_out);
             continue;
         };
-        layer.forward_linear_into(shape, &raw, &mut base).unwrap();
+        layer
+            .forward_linear_into(shape, &raw, 1, &mut base)
+            .unwrap();
         let (old, new) = (q.quantized_values(&raw), q.quantized_values(&cur));
         let mut lin = match layer {
             _ if refreshed(name) => {
                 let mut exact = Vec::new();
-                layer.forward_linear_into(shape, &cur, &mut exact).unwrap();
+                layer
+                    .forward_linear_into(shape, &cur, 1, &mut exact)
+                    .unwrap();
                 exact
             }
             Layer::Conv2d(c) => {
