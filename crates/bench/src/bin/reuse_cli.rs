@@ -6,12 +6,9 @@
 //! reuse_cli run <workload> [executions] --telemetry print the TelemetrySnapshot as JSON
 //! reuse_cli run <workload> [executions] --sessions N multi-session smoke over one model
 //! reuse_cli serve [workload] --streams N --frames M StreamServer smoke vs standalone
-//! reuse_cli serve [workload] --sig-cache            ... plus signature-cache smoke passes
 //! reuse_cli serve-net [workload] --port P --shards N serve over TCP (length-prefixed frames)
 //! reuse_cli serve-net [workload] --smoke            loopback round-trip vs standalone
 //! reuse_cli simulate <workload> [executions]        accelerator baseline vs reuse
-//! reuse_cli tune <workload> [executions]            replay auto-tuner: static vs adaptive,
-//!                [--out FILE] [--smoke]             emits a tuned policy file (JSON)
 //! reuse_cli ingest <model.onnx> [frames] [--smoke]  lower an ONNX model, replay a jitter
 //!                                                   stream, report similarity + fallbacks
 //! reuse_cli export <workload> <path>                serialize the model to a file
@@ -36,10 +33,7 @@ use std::time::Duration;
 use reuse_bench::measure::executions_from_env;
 use reuse_bench::streams::{bits_eq, drive, random_walk, run_frames, standalone, OffsetStreams};
 use reuse_bench::table::{human_bytes, human_joules, human_seconds};
-use reuse_core::{
-    summary, AdaptivePolicy, CompiledModel, EngineMetrics, LayerPolicyState, ReuseSession,
-    TunedLayerPolicy, TunedPolicy, WatchdogStats,
-};
+use reuse_core::{summary, CompiledModel, EngineMetrics, ReuseSession};
 use reuse_nn::stats::network_stats;
 use reuse_serve::{default_shards, ServerConfig, StreamServer};
 use reuse_serve_net::{NetClient, NetServer, Status};
@@ -83,9 +77,7 @@ fn usage() -> ExitCode {
          \x20 serve    [workload]               serve N streams through a StreamServer and\n\
          \x20          [--streams N]            check every stream bit-for-bit against a\n\
          \x20          [--frames M]             standalone session (prints the server\n\
-         \x20          [--sig-cache]            snapshot JSON; exits {EXIT_SERVE_DIVERGED} on divergence)\n\
-         \x20                                   --sig-cache adds two cross-stream cache passes:\n\
-         \x20                                   capacity 0 (bit-identity) and full capacity\n\
+         \x20                                   snapshot JSON; exits {EXIT_SERVE_DIVERGED} on divergence)\n\
          \x20 serve-net [workload]              serve the sharded tier over TCP (length-\n\
          \x20          [--port P]               prefixed binary frames; default port 7433)\n\
          \x20          [--shards N]             shard count (default: hardware threads, max 8)\n\
@@ -94,13 +86,6 @@ fn usage() -> ExitCode {
          \x20          [--smoke]                client, and checks every output bit-for-bit\n\
          \x20                                   against standalone sessions (exits {EXIT_SERVE_DIVERGED})\n\
          \x20 simulate <workload> [executions]  simulate baseline vs reuse accelerators\n\
-         \x20 tune     <workload> [executions]  replay auto-tuner: run static vs adaptive\n\
-         \x20          [--out FILE]             sessions over the same stream, print both\n\
-         \x20          [--smoke]                operating points, and emit the adaptive\n\
-         \x20                                   run's final per-layer state as a tuned\n\
-         \x20                                   policy file (stdout, plus --out FILE); the\n\
-         \x20                                   file is reparsed and recompiled, exiting\n\
-         \x20                                   {EXIT_DIVERGED} on round-trip mismatch (--smoke: short run)\n\
          \x20 ingest   <model.onnx> [frames]    parse + lower an ONNX model, replay a\n\
          \x20          [--smoke]                synthetic-jitter stream, and report per-layer\n\
          \x20                                   similarity, skipped-MAC projection and\n\
@@ -222,49 +207,13 @@ fn run_sessions_smoke(
 /// run them as one GEMM and the reuse layers step them in order.
 const BURST: usize = 3;
 
-/// Serves `n` offset streams of `len` frames through a fresh
-/// [`StreamServer`] over `model`, [`BURST`] frames per stream per round,
-/// every output into `sink(stream, output)`. Returns the drained server and
-/// the streams, or the exit code.
-fn serve_offset_streams(
-    w: &Workload,
-    model: &Arc<CompiledModel>,
-    n: usize,
-    len: usize,
-    seq_len: usize,
-    sink: impl FnMut(usize, &[f32]),
-) -> Result<(StreamServer, OffsetStreams), u8> {
-    let server_config = ServerConfig::default()
-        .max_sessions(n)
-        .queue_capacity((2 * seq_len).max(8))
-        .batch_max(4)
-        .sequence_len(seq_len);
-    let mut server = StreamServer::new(Arc::clone(model), server_config).map_err(|e| {
-        eprintln!("cannot construct server: {e}");
-        EXIT_EXEC
-    })?;
-    let streams = OffsetStreams::new(w, n, len, seq_len);
-    drive(&mut server, &streams, 0..len, BURST, sink).map_err(|e| {
-        eprintln!("serving failed: {e}");
-        EXIT_EXEC
-    })?;
-    Ok((server, streams))
-}
-
 /// Serves `n` offset streams through a [`StreamServer`] over one shared
 /// model and checks every stream's outputs and metrics bit-for-bit against
-/// a standalone [`ReuseSession`] fed the same frames alone. With
-/// `emit_snapshot` the server snapshot JSON becomes the whole stdout
-/// (suppressed when a later pass owns stdout, so `serve` always prints
-/// exactly one JSON document); all diagnostics go to stderr.
-fn run_serve_smoke(
-    w: &Workload,
-    config: &reuse_core::ReuseConfig,
-    n: usize,
-    frames_per_stream: usize,
-    emit_snapshot: bool,
-) -> Result<(), u8> {
-    let model = Arc::new(CompiledModel::new(w.network(), config));
+/// a standalone [`ReuseSession`] fed the same frames alone, [`BURST`] frames
+/// per stream per round. The server snapshot JSON is the whole stdout; all
+/// diagnostics go to stderr.
+fn run_serve_smoke(w: &Workload, n: usize, frames_per_stream: usize) -> Result<(), u8> {
+    let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let seq_len = if w.is_recurrent() {
         10.min(frames_per_stream.max(2))
     } else {
@@ -276,18 +225,28 @@ fn run_serve_smoke(
     } else {
         frames_per_stream
     };
+    let server_config = ServerConfig::default()
+        .max_sessions(n)
+        .queue_capacity((2 * seq_len).max(8))
+        .batch_max(4)
+        .sequence_len(seq_len);
+    let mut server = StreamServer::new(Arc::clone(&model), server_config).map_err(|e| {
+        eprintln!("cannot construct server: {e}");
+        EXIT_EXEC
+    })?;
+    let streams = OffsetStreams::new(w, n, frames_per_stream, seq_len);
     let mut collected: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
     let collect = |s: usize, out: &[f32]| collected[s].push(out.to_vec());
-    let (server, streams) =
-        serve_offset_streams(w, &model, n, frames_per_stream, seq_len, collect)?;
+    drive(&mut server, &streams, 0..frames_per_stream, BURST, collect).map_err(|e| {
+        eprintln!("serving failed: {e}");
+        EXIT_EXEC
+    })?;
     let metrics_match = |s: usize, alone: &EngineMetrics| {
         server.session(s as u64).map(|sess| sess.metrics()) == Some(alone)
     };
     let mismatches = standalone_mismatches(&model, &streams, seq_len, &collected, metrics_match)?;
-    if emit_snapshot {
-        // Machine-readable result: the snapshot JSON is the whole stdout.
-        print!("{}", server.snapshot().to_json());
-    }
+    // Machine-readable result: the snapshot JSON is the whole stdout.
+    print!("{}", server.snapshot().to_json());
     if mismatches > 0 {
         eprintln!("FAIL: {mismatches} serve/standalone mismatches");
         return Err(EXIT_SERVE_DIVERGED);
@@ -295,62 +254,6 @@ fn run_serve_smoke(
     eprintln!(
         "{}: {n} streams x {frames_per_stream} frames bit-identical to standalone sessions",
         w.network().name()
-    );
-    Ok(())
-}
-
-/// Serves `n` offset streams over a model compiled with the cross-stream
-/// signature cache at full capacity. With a shared, evolving cache,
-/// per-stream outputs legitimately depend on what other streams published,
-/// so this pass checks completion and counter plumbing rather than bit
-/// identity: every stream must finish all its frames, and on feed-forward
-/// workloads the cache must actually be consulted (`lookups > 0`).
-fn run_serve_cache_smoke(
-    w: &Workload,
-    config: &reuse_core::ReuseConfig,
-    n: usize,
-    frames_per_stream: usize,
-) -> Result<(), u8> {
-    if w.is_recurrent() {
-        eprintln!(
-            "{}: recurrent network — the signature cache compiles out, nothing to smoke",
-            w.network().name()
-        );
-        return Ok(());
-    }
-    let model = Arc::new(CompiledModel::new(w.network(), config));
-    let mut done = vec![0usize; n];
-    let count = |s: usize, _: &[f32]| done[s] += 1;
-    let (server, _) = serve_offset_streams(w, &model, n, frames_per_stream, 0, count)?;
-
-    let mut failures = 0usize;
-    for (s, count) in done.iter().enumerate() {
-        if *count != frames_per_stream {
-            eprintln!("stream {s}: served {count} outputs for {frames_per_stream} frames");
-            failures += 1;
-        }
-    }
-    let snap = server.snapshot();
-    let cache_compiled = model.signature_cache().is_some();
-    if cache_compiled && snap.signature.lookups == 0 {
-        eprintln!("signature cache compiled in but never consulted");
-        failures += 1;
-    }
-    // Machine-readable result: the snapshot JSON is the whole stdout.
-    print!("{}", snap.to_json());
-    if failures > 0 {
-        eprintln!("FAIL: {failures} signature-cache smoke failures");
-        return Err(EXIT_SERVE_DIVERGED);
-    }
-    eprintln!(
-        "{}: {n} streams x {frames_per_stream} frames served with the signature cache \
-         ({} lookups, {} hits, {} adoptions, {} bailouts, {} inserts)",
-        w.network().name(),
-        snap.signature.lookups,
-        snap.signature.hits,
-        snap.signature.adoptions,
-        snap.signature.bailouts,
-        snap.signature.inserts,
     );
     Ok(())
 }
@@ -490,193 +393,10 @@ fn run_serve_net_listen(w: &Workload, shards: usize, port: u16) -> u8 {
     }
 }
 
-/// One policy's replayed operating point: overall computation reuse, the
-/// watchdog's accuracy-proxy stats, and the final per-layer policy state.
-struct TuneRun {
-    reuse: f64,
-    similarity: f64,
-    watchdog: WatchdogStats,
-    states: Vec<LayerPolicyState>,
-}
-
-/// Runs one compiled configuration over the given frames in a fresh
-/// session and collects its [`TuneRun`].
-fn tune_run(
-    w: &Workload,
-    config: &reuse_core::ReuseConfig,
-    frames: &[Vec<f32>],
-) -> Result<TuneRun, reuse_core::ReuseError> {
-    let model = Arc::new(CompiledModel::try_new(w.network(), config)?);
-    let mut session = model.new_session();
-    let mut out = Vec::new();
-    for frame in frames {
-        session.execute_into(frame, &mut out)?;
-    }
-    Ok(TuneRun {
-        reuse: session.metrics().overall_computation_reuse(),
-        similarity: session.metrics().overall_input_similarity(),
-        watchdog: session.watchdog_stats(),
-        states: session.policy_states(),
-    })
-}
-
-/// Replay-driven auto-tuner: replays the workload's generated stream
-/// through a static and an adaptive session (same frames, drift watchdog
-/// armed), prints both operating points plus an offline cluster-count
-/// replay sweep, and emits the adaptive run's final per-layer state as a
-/// tuned policy file. The emitted file is reparsed and recompiled to prove
-/// the round trip; stdout carries only the policy JSON.
-fn run_tune(w: &Workload, executions: usize, out: Option<&str>, smoke: bool) -> ExitCode {
-    if w.is_recurrent() {
-        eprintln!(
-            "tune: adaptive policies are masked on recurrent networks ({}); nothing to tune",
-            w.network().name()
-        );
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let executions = if smoke {
-        executions.min(48)
-    } else {
-        executions
-    };
-    let frames = w.generate_frames(executions, 42);
-
-    // The adaptive controller tunes against the watchdog's accuracy proxy;
-    // arm it when the workload config leaves it off. The 0.25 band matches
-    // the convergence tests: loose enough that the paper's static grids sit
-    // inside it on every feed-forward Table-I workload, tight enough that a
-    // runaway grid trips it.
-    let mut base = w.reuse_config().clone();
-    if base.drift_check_every() == 0 {
-        base = base.drift_watchdog(8, 0.25);
-    }
-    let bound = base.drift_bound();
-
-    // Offline replay sweep (paper §III): input similarity of the recorded
-    // raw streams under candidate cluster counts, for context next to the
-    // online controller's chosen operating points.
-    match reuse_core::replay::InputRecorder::record(w.network(), &frames) {
-        Ok(recorder) => {
-            let counts = [8usize, 16, 32, 64];
-            let sweep = reuse_core::replay::replay_sweep(&recorder, &counts);
-            eprintln!("replay sweep (input similarity by cluster count):");
-            for (name, row) in recorder.layer_names().iter().zip(&sweep) {
-                let cells: Vec<String> = counts
-                    .iter()
-                    .zip(row)
-                    .map(|(c, r)| match r {
-                        Some(r) => format!("{c}:{:.3}", r.input_similarity),
-                        None => format!("{c}:-"),
-                    })
-                    .collect();
-                eprintln!("  {name:<12} {}", cells.join("  "));
-            }
-        }
-        Err(e) => {
-            eprintln!("tune: replay recording failed: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    }
-
-    let static_run = match tune_run(w, &base, &frames) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("tune: static run failed: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    };
-    let adaptive_config = base
-        .clone()
-        .reuse_policy(Arc::new(AdaptivePolicy::default()));
-    let adaptive_run = match tune_run(w, &adaptive_config, &frames) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("tune: adaptive run failed: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    };
-    for (label, r) in [("static", &static_run), ("adaptive", &adaptive_run)] {
-        eprintln!(
-            "{label:<8} similarity {:>5.1}%  computation reuse {:>5.1}%  drift max {:.4} \
-             (bound {bound:.4})  {} checks, {} rebaselines",
-            r.similarity * 100.0,
-            r.reuse * 100.0,
-            r.watchdog.max_drift,
-            r.watchdog.checks,
-            r.watchdog.rebaselines,
-        );
-    }
-    eprintln!("tuned per-layer operating points (from the adaptive run):");
-    for s in &adaptive_run.states {
-        eprintln!(
-            "  {:<12} clusters {:>3}  step_scale {:>5.2}  threshold {:.2}  \
-             ({} grows, {} shrinks, {} refreshes)",
-            s.name, s.clusters, s.step_scale, s.reuse_threshold, s.grows, s.shrinks, s.refreshes
-        );
-    }
-
-    let tuned = TunedPolicy {
-        network: w.network().name().to_string(),
-        layers: adaptive_run
-            .states
-            .iter()
-            .map(|s| TunedLayerPolicy {
-                layer: s.name.clone(),
-                clusters: s.clusters,
-                step_scale: s.step_scale.clamp(1.0, 64.0),
-                reuse_threshold: s.reuse_threshold.clamp(1e-6, 1.0),
-                adaptive: s.adaptive,
-            })
-            .collect(),
-    };
-    let text = tuned.to_json();
-    // Round trip: what a later run would load must equal what was tuned.
-    let reread = match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("tune: cannot write {path}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-            match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("tune: cannot re-read {path}: {e}");
-                    return ExitCode::from(EXIT_IO);
-                }
-            }
-        }
-        None => text.clone(),
-    };
-    let reloaded = match TunedPolicy::from_json(&reread) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("tune: emitted policy file fails to parse: {e}");
-            return ExitCode::from(EXIT_DIVERGED);
-        }
-    };
-    if reloaded != tuned {
-        eprintln!("tune: policy file round trip mismatch");
-        return ExitCode::from(EXIT_DIVERGED);
-    }
-    // The reloaded file must compile and serve frames.
-    let tuned_config = base.clone().reuse_policy(Arc::new(reloaded));
-    match tune_run(w, &tuned_config, &frames[..frames.len().min(16)]) {
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("tune: reloaded policy failed to execute: {e}");
-            return ExitCode::from(EXIT_DIVERGED);
-        }
-    }
-    if let Some(path) = out {
-        eprintln!("wrote {path}");
-    }
-    print!("{text}");
-    ExitCode::SUCCESS
-}
-
 /// Ingests an ONNX file, runs a synthetic-jitter stream through the reuse
-/// engine under the adaptive policy, and reports per-layer measured input
-/// similarity plus the skipped-MAC projection. Fallback (recompute-always)
+/// engine under the paper's fixed scheme (one 64-cluster grid per layer,
+/// drift watchdog armed), and reports per-layer measured input similarity
+/// plus the skipped-MAC projection. Fallback (recompute-always)
 /// layers are called out explicitly.
 fn run_ingest(path: &str, frames: usize) -> ExitCode {
     let bytes = match std::fs::read(path) {
@@ -704,9 +424,7 @@ fn run_ingest(path: &str, frames: usize) -> ExitCode {
     for skipped in &lowered.skipped {
         eprintln!("dropped no-op node {skipped}");
     }
-    let config = reuse_core::ReuseConfig::uniform(64)
-        .drift_watchdog(8, 0.25)
-        .reuse_policy(Arc::new(AdaptivePolicy::default()));
+    let config = reuse_core::ReuseConfig::uniform(64).drift_watchdog(8, 0.25);
     let mut engine = ReuseSession::from_network(net, &config);
     let seq_len = if net.is_recurrent() {
         32.min(frames.max(2))
@@ -834,20 +552,8 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry = args.iter().any(|a| a == "--telemetry");
     args.retain(|a| a != "--telemetry");
-    let sig_cache = args.iter().any(|a| a == "--sig-cache");
-    args.retain(|a| a != "--sig-cache");
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(i) => {
-            let Some(p) = args.get(i + 1).cloned() else {
-                return usage();
-            };
-            args.drain(i..=i + 1);
-            Some(p)
-        }
-        None => None,
-    };
     let mut flag_value = |flag: &str| -> Result<Option<usize>, ()> {
         match args.iter().position(|a| a == flag) {
             Some(i) => {
@@ -886,7 +592,7 @@ fn main() -> ExitCode {
                 w.network()
                     .layers()
                     .iter()
-                    .filter(|(n, l)| l.has_weights() && w.reuse_config().layer_policy(n).enabled)
+                    .filter(|(n, l)| l.has_weights() && w.reuse_config().layer_enabled(n))
                     .count(),
                 w.is_recurrent(),
                 w.activations_spill(),
@@ -946,34 +652,7 @@ fn main() -> ExitCode {
                 };
                 return ExitCode::from(run_serve_net_listen(&w, shard_count, port));
             }
-            if !sig_cache {
-                return exit(run_serve_smoke(
-                    &w,
-                    w.reuse_config(),
-                    n,
-                    frames_per_stream,
-                    true,
-                ));
-            }
-            // Pass 1: cache enabled at capacity 0 must degrade to exactly
-            // the per-stream behavior — the bit-identity smoke must pass
-            // unchanged.
-            eprintln!("sig-cache pass 1/2: capacity 0, bit-identity vs standalone");
-            let cap0 = w
-                .reuse_config()
-                .clone()
-                .signature_cache(true)
-                .signature_cache_capacity(0);
-            // Exactly one snapshot JSON on stdout: pass 2 owns it, except
-            // on recurrent workloads where the cache compiles out and pass
-            // 2 has nothing to serve.
-            if let Err(code) = run_serve_smoke(&w, &cap0, n, frames_per_stream, w.is_recurrent()) {
-                return ExitCode::from(code);
-            }
-            // Pass 2: full capacity — completion and counter plumbing.
-            eprintln!("sig-cache pass 2/2: full capacity, completion + counters");
-            let full = w.reuse_config().clone().signature_cache(true);
-            exit(run_serve_cache_smoke(&w, &full, n, frames_per_stream))
+            exit(run_serve_smoke(&w, n, frames_per_stream))
         }
         Some("simulate") => {
             let Some(kind) = args.get(1).and_then(|a| parse_workload(a)) else {
@@ -1007,17 +686,6 @@ fn main() -> ExitCode {
                 (1.0 - reuse.normalized_energy_to(&base)) * 100.0
             );
             ExitCode::SUCCESS
-        }
-        Some("tune") => {
-            let Some(kind) = args.get(1).and_then(|a| parse_workload(a)) else {
-                return usage();
-            };
-            let executions: usize = args
-                .get(2)
-                .and_then(|a| a.parse().ok())
-                .unwrap_or_else(|| executions_from_env(kind, scale));
-            let w = Workload::build(kind, scale);
-            run_tune(&w, executions, out_path.as_deref(), smoke)
         }
         Some("export") => {
             let (Some(kind), Some(path)) =

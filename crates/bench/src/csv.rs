@@ -69,14 +69,13 @@ pub fn layer_rows(m: &Measurement) -> Vec<Vec<String>> {
                 format!("{:.6}", l.input_similarity),
                 format!("{:.6}", l.computation_reuse),
                 format!("{:.6}", l.hit_rate),
-                m.policy.clone(),
             ]
         })
         .collect()
 }
 
 /// Header matching [`layer_rows`].
-pub const LAYER_HEADER: [&str; 9] = [
+pub const LAYER_HEADER: [&str; 8] = [
     "dnn",
     "layer",
     "inputs",
@@ -85,7 +84,6 @@ pub const LAYER_HEADER: [&str; 9] = [
     "input_similarity",
     "computation_reuse",
     "hit_rate",
-    "policy",
 ];
 
 /// If `REUSE_CSV_DIR` is set, writes the per-layer data of the given

@@ -414,7 +414,7 @@ pub fn table3(scale: Scale) -> String {
     for kind in WorkloadKind::ALL {
         let w = Workload::build(kind, scale);
         let config = w.reuse_config();
-        let r = memory::storage_report(w.network(), |name| config.layer_policy(name).enabled);
+        let r = memory::storage_report(w.network(), |name| config.layer_enabled(name));
         out.push_str(&format!(
             "{:<12} {:>16} {:>14} {:>18} {:>14}\n",
             kind.name(),

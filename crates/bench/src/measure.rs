@@ -37,9 +37,6 @@ pub struct Measurement {
     pub scale: Scale,
     /// Executions performed (timesteps for EESEN).
     pub executions: u64,
-    /// Active reuse-policy name resolved by the engine configuration
-    /// (`"static"`, `"adaptive"`, or `"tuned"`).
-    pub policy: String,
     /// Per-layer summaries for weighted layers, in network order.
     pub layers: Vec<LayerSummary>,
     /// Input similarity over all reuse-enabled layers (Fig. 5).
@@ -175,8 +172,8 @@ pub fn measure_with_config(
         .filter(|((_, l), _)| l.has_weights())
         .map(|((name, layer), in_shape)| {
             let m = metrics.layer(name);
-            let enabled = config.layer_policy(name).enabled
-                && !engine.auto_disabled_layers().any(|n| n == name);
+            let enabled =
+                config.layer_enabled(name) && !engine.auto_disabled_layers().any(|n| n == name);
             let out = layer.output_shape(in_shape).expect("validated").volume();
             let input_similarity = if enabled {
                 m.map_or(0.0, |m| m.input_similarity())
@@ -216,7 +213,6 @@ pub fn measure_with_config(
         kind,
         scale,
         executions: metrics.executions,
-        policy: config.policy().name().to_string(),
         layers,
         overall_similarity: metrics.overall_input_similarity(),
         overall_reuse: metrics.overall_computation_reuse(),

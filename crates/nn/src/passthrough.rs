@@ -6,8 +6,7 @@
 //! executes its op from scratch on every frame. The reuse engine still gives
 //! it a plan slot so its cost shows up honestly in metrics and telemetry
 //! (full MACs charged, zero inputs reused), but it never participates in
-//! quantizer calibration, cross-stream signature caching, or adaptive
-//! policy decisions.
+//! quantizer calibration.
 //!
 //! Every op here is *executable*: a passthrough must still produce correct
 //! outputs so partial graphs serve end-to-end. Ops that cannot be executed

@@ -11,8 +11,8 @@
 //! Ops the reuse engine cannot accelerate but *can* execute (`MaxPool`,
 //! `AveragePool`, `GlobalAveragePool`, `Softmax`, standalone activations)
 //! lower to recompute-always passthrough layers: they charge full MACs,
-//! record zero reuse and never join signature-cache or policy decisions, so
-//! a partially supported graph still serves end to end. Ops we cannot even
+//! record zero reuse and never calibrate a quantizer, so a partially
+//! supported graph still serves end to end. Ops we cannot even
 //! execute correctly (attention blocks, unknown operators) are a hard
 //! [`IngestError::UnsupportedOp`] — silently wrong outputs would be worse
 //! than no outputs.

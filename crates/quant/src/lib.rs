@@ -12,8 +12,6 @@
 //!   integer `round(x / step)` used as the stored *index* (the paper's
 //!   I/O-buffer "indices" area).
 //! * [`RangeProfiler`] — accumulates ranges over calibration data.
-//! * [`RpqPlanes`] — MERCURY-style random-projection signatures for the
-//!   cross-stream signature cache.
 //!
 //! # Example
 //!
@@ -32,11 +30,9 @@ mod error;
 pub mod kmeans;
 mod linear;
 mod range;
-mod rpq;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
 pub use error::QuantError;
 pub use linear::{LinearQuantizer, QuantCode};
 pub use range::{InputRange, RangeProfiler};
-pub use rpq::{hamming, RpqPlanes, MAX_SIGNATURE_BITS};

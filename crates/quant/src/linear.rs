@@ -66,44 +66,6 @@ impl LinearQuantizer {
         })
     }
 
-    /// Creates a quantizer over `range` with an explicit `step` instead of
-    /// deriving it from a cluster count — the adaptive reuse policy's
-    /// step-rescaling entry point. The effective cluster count becomes
-    /// `ceil(width / step)` (at least 1), and the code span is pinned to it
-    /// exactly as [`Self::new`] pins `code_max = code_min + clusters`, so
-    /// the edge-code guarantees of [`Self::quantize`] carry over unchanged.
-    ///
-    /// `with_step(range, range.width() / c)` produces the same grid as
-    /// `new(range, c)` up to f32 rounding of the division the caller
-    /// performs; callers that need bit-identity with `new` should call
-    /// `new` directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidRange`] for a degenerate range and
-    /// [`QuantError::TooFewClusters`] when `step` is non-finite,
-    /// non-positive, or so large that fewer than one full step fits in the
-    /// range (a grid with no interior centroid cannot distinguish inputs).
-    pub fn with_step(range: InputRange, step: f32) -> Result<Self, QuantError> {
-        let range = range.validated()?;
-        if !step.is_finite() || step <= 0.0 {
-            return Err(QuantError::TooFewClusters { clusters: 0 });
-        }
-        let clusters = (range.width() / step).ceil() as usize;
-        if clusters < 1 {
-            return Err(QuantError::TooFewClusters { clusters });
-        }
-        let code_min = (range.min() / step).round() as i32;
-        let code_max = code_min + clusters as i32;
-        Ok(LinearQuantizer {
-            range,
-            clusters,
-            step,
-            code_min,
-            code_max,
-        })
-    }
-
     /// The profiled input range.
     pub fn range(&self) -> InputRange {
         self.range
@@ -446,57 +408,6 @@ mod tests {
                 "code span of [{lo},{hi}]"
             );
         }
-    }
-
-    #[test]
-    fn with_step_matches_new_for_the_derived_step() {
-        // Same grid when the explicit step equals width / clusters: codes
-        // agree everywhere, so a scale-1.0 rebuild cannot change reuse
-        // behavior.
-        let range = InputRange::new(-1.0, 1.0);
-        let by_clusters = LinearQuantizer::new(range, 16).unwrap();
-        let by_step = LinearQuantizer::with_step(range, range.width() / 16.0).unwrap();
-        assert_eq!(by_step.clusters(), 16);
-        assert_eq!(by_step.code_min(), by_clusters.code_min());
-        assert_eq!(by_step.code_max(), by_clusters.code_max());
-        for i in -40..=40 {
-            let x = i as f32 / 20.0;
-            assert_eq!(by_step.quantize(x), by_clusters.quantize(x), "x={x}");
-        }
-    }
-
-    #[test]
-    fn with_step_coarser_grid_merges_codes_and_pins_edges() {
-        let range = InputRange::new(-1.0, 1.0);
-        let fine = LinearQuantizer::new(range, 16).unwrap();
-        let coarse = LinearQuantizer::with_step(range, fine.step() * 4.0).unwrap();
-        assert_eq!(coarse.clusters(), 4);
-        // Values that the fine grid distinguishes collide under the coarse
-        // one.
-        assert_ne!(fine.quantize(0.01), fine.quantize(0.2));
-        assert_eq!(coarse.quantize(0.01), coarse.quantize(0.2));
-        // Edge pinning survives an uneven step.
-        let uneven = LinearQuantizer::with_step(InputRange::new(0.05, 1.0), 0.3).unwrap();
-        assert_eq!(uneven.quantize(0.05), QuantCode(uneven.code_min()));
-        assert_eq!(uneven.quantize(1.0), QuantCode(uneven.code_max()));
-        assert_eq!(
-            uneven.code_max() - uneven.code_min(),
-            uneven.clusters() as i32
-        );
-    }
-
-    #[test]
-    fn with_step_rejects_degenerate_steps() {
-        let range = InputRange::new(-1.0, 1.0);
-        assert!(LinearQuantizer::with_step(range, 0.0).is_err());
-        assert!(LinearQuantizer::with_step(range, -0.5).is_err());
-        assert!(LinearQuantizer::with_step(range, f32::NAN).is_err());
-        assert!(LinearQuantizer::with_step(range, f32::INFINITY).is_err());
-        assert!(LinearQuantizer::with_step(InputRange::new(1.0, 1.0), 0.1).is_err());
-        // A step wider than the range still yields one giant cluster.
-        let giant = LinearQuantizer::with_step(range, 10.0).unwrap();
-        assert_eq!(giant.clusters(), 1);
-        assert_eq!(giant.quantize(-0.99), giant.quantize(0.99));
     }
 
     #[test]

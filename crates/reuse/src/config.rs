@@ -7,9 +7,7 @@
 //! output layers are excluded because they have nothing to save.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use crate::policy::{LayerPolicy, ReusePolicy, StaticPolicy};
 use crate::ReuseError;
 
 /// Configuration of a [`crate::CompiledModel`] and the sessions opened on it.
@@ -26,12 +24,6 @@ pub struct ReuseConfig {
     drift_check_every: u64,
     drift_bound: f32,
     drift_escalate_after: u64,
-    signature_cache: bool,
-    signature_capacity: usize,
-    signature_bailout: f32,
-    /// The reuse policy every per-layer decision resolves through;
-    /// `None` means [`crate::StaticPolicy`] (exactly the legacy behavior).
-    policy: Option<Arc<dyn ReusePolicy>>,
 }
 
 impl ReuseConfig {
@@ -48,27 +40,7 @@ impl ReuseConfig {
             drift_check_every: 0,
             drift_bound: 1e-3,
             drift_escalate_after: 0,
-            signature_cache: false,
-            signature_capacity: 1024,
-            signature_bailout: 0.25,
-            policy: None,
         }
-    }
-
-    /// Routes every per-layer reuse decision through `policy` (cluster
-    /// count, step scale, refresh threshold). The default — no policy —
-    /// resolves through [`crate::StaticPolicy`]: every layer keeps the
-    /// resolution [`Self::layer_policy`] gives it.
-    pub fn reuse_policy(mut self, policy: Arc<dyn ReusePolicy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// The policy per-layer decisions resolve through
-    /// ([`crate::StaticPolicy`] when none is set); its `name()` is what the
-    /// bench artifacts record as provenance.
-    pub fn policy(&self) -> &dyn ReusePolicy {
-        self.policy.as_deref().unwrap_or(&StaticPolicy)
     }
 
     /// Checks the configuration for values that would silently misbehave
@@ -80,22 +52,13 @@ impl ReuseConfig {
     /// # Errors
     ///
     /// Returns [`ReuseError::InvalidConfig`] when the cluster count is
-    /// below 2 (a linear quantizer needs two centroids) or the signature
-    /// bailout fraction lies outside `[0, 1]`.
+    /// below 2 (a linear quantizer needs two centroids).
     pub fn validate(&self) -> Result<(), ReuseError> {
         if self.default_clusters < 2 {
             return Err(ReuseError::InvalidConfig {
                 context: format!(
                     "cluster count must be at least 2, got {}",
                     self.default_clusters
-                ),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.signature_bailout) || self.signature_bailout.is_nan() {
-            return Err(ReuseError::InvalidConfig {
-                context: format!(
-                    "signature bailout fraction must be in [0, 1], got {}",
-                    self.signature_bailout
                 ),
             });
         }
@@ -173,62 +136,13 @@ impl ReuseConfig {
         self
     }
 
-    /// Enables the MCACHE-style cross-stream signature cache: when a
-    /// session's per-stream frame-(t-1) baseline is missing (first reuse
-    /// frame of a new stream, or after a state reset), the layer input is
-    /// hashed with [`reuse_quant::RpqPlanes`] and a matching baseline
-    /// published by *any* session of the same [`crate::CompiledModel`] is
-    /// adopted and corrected with the ordinary `z' = z + (c'-c)·w` pass.
-    /// Off by default; feed-forward networks only.
-    pub fn signature_cache(mut self, on: bool) -> Self {
-        self.signature_cache = on;
-        self
+    /// Whether a layer takes part in quantization + reuse (paper Section
+    /// III); a disabled layer runs from scratch in full precision.
+    pub fn layer_enabled(&self, name: &str) -> bool {
+        !self.disabled.contains(name)
     }
 
-    /// Bounds the shared signature cache to roughly this many entries
-    /// across all layers (default 1024). `0` keeps the cache armed but
-    /// empty: every lookup misses and every insert is dropped, degrading
-    /// to exactly the per-stream-only behavior.
-    pub fn signature_cache_capacity(mut self, entries: usize) -> Self {
-        self.signature_capacity = entries;
-        self
-    }
-
-    /// False-positive guard: a signature hit whose cached input disagrees
-    /// with the live input on more than this fraction of quantized codes is
-    /// abandoned (counted as a bailout) and the layer runs from scratch.
-    /// Default 0.25. Fractions outside `0.0..=1.0` are rejected by
-    /// [`Self::validate`] when the model is compiled — the old silent clamp
-    /// hid the caller's bug.
-    pub fn signature_bailout_fraction(mut self, fraction: f32) -> Self {
-        self.signature_bailout = fraction;
-        self
-    }
-
-    /// Whether the cross-stream signature cache is enabled.
-    pub fn signature_cache_enabled(&self) -> bool {
-        self.signature_cache
-    }
-
-    /// Shared signature-cache entry bound.
-    pub fn signature_capacity(&self) -> usize {
-        self.signature_capacity
-    }
-
-    /// Mismatched-code fraction above which a signature hit is abandoned.
-    pub fn signature_bailout(&self) -> f32 {
-        self.signature_bailout
-    }
-
-    /// The static resolution of a layer's two choices (paper Section III:
-    /// does it take part, and with how many clusters) — what a
-    /// [`ReusePolicy`] refines and [`crate::StaticPolicy`] returns as is.
-    pub fn layer_policy(&self, name: &str) -> LayerPolicy {
-        LayerPolicy::fixed(!self.disabled.contains(name), self.default_clusters)
-    }
-
-    /// The cluster count every layer starts from (a policy may refine it
-    /// per layer).
+    /// The one cluster count every enabled layer quantizes with.
     pub fn default_clusters(&self) -> usize {
         self.default_clusters
     }
@@ -281,19 +195,17 @@ mod tests {
     #[test]
     fn uniform_defaults() {
         let c = ReuseConfig::uniform(16);
-        let s = c.layer_policy("anything");
-        assert!(s.enabled);
-        assert_eq!(s.clusters, 16);
-        assert!(!s.adaptive);
+        assert!(c.layer_enabled("anything"));
+        assert_eq!(c.default_clusters(), 16);
         assert_eq!(c.calibration(), 1);
     }
 
     #[test]
     fn disable_layer_keeps_clusters() {
         let c = ReuseConfig::uniform(32).disable_layer("conv1");
-        assert!(!c.layer_policy("conv1").enabled);
-        assert_eq!(c.layer_policy("conv1").clusters, 32);
-        assert!(c.layer_policy("conv2").enabled);
+        assert!(!c.layer_enabled("conv1"));
+        assert_eq!(c.default_clusters(), 32);
+        assert!(c.layer_enabled("conv2"));
     }
 
     #[test]
@@ -301,9 +213,9 @@ mod tests {
         let c = ReuseConfig::uniform(16)
             .disable_layer("fc1")
             .with_default_clusters(32);
-        assert!(!c.layer_policy("fc1").enabled);
-        assert_eq!(c.layer_policy("fc1").clusters, 32);
-        assert_eq!(c.layer_policy("fc9").clusters, 32);
+        assert!(!c.layer_enabled("fc1"));
+        assert!(c.layer_enabled("fc9"));
+        assert_eq!(c.default_clusters(), 32);
     }
 
     #[test]
@@ -340,31 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn signature_cache_knobs() {
-        let c = ReuseConfig::uniform(16);
-        assert!(!c.signature_cache_enabled());
-        assert_eq!(c.signature_capacity(), 1024);
-        assert!((c.signature_bailout() - 0.25).abs() < 1e-9);
-        let c = c
-            .signature_cache(true)
-            .signature_cache_capacity(0)
-            .signature_bailout_fraction(0.75);
-        assert!(c.signature_cache_enabled());
-        assert_eq!(c.signature_capacity(), 0);
-        assert_eq!(c.signature_bailout(), 0.75);
-    }
-
-    #[test]
     fn validate_accepts_the_defaults() {
         assert!(ReuseConfig::uniform(16).validate().is_ok());
-        assert!(ReuseConfig::uniform(16)
-            .signature_bailout_fraction(0.0)
-            .validate()
-            .is_ok());
-        assert!(ReuseConfig::uniform(16)
-            .signature_bailout_fraction(1.0)
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -376,19 +265,5 @@ mod tests {
             assert!(matches!(err, crate::ReuseError::InvalidConfig { .. }));
         }
         assert!(ReuseConfig::uniform(2).validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_bailout_fraction() {
-        for bad in [-0.1f32, 1.5, f32::NAN] {
-            let err = ReuseConfig::uniform(16)
-                .signature_bailout_fraction(bad)
-                .validate()
-                .unwrap_err();
-            assert!(
-                matches!(err, crate::ReuseError::InvalidConfig { .. }),
-                "bailout {bad} must be rejected"
-            );
-        }
     }
 }

@@ -555,7 +555,7 @@ impl ConvReuseState {
     /// Replaces `out` with the buffered linear (pre-activation) outputs of
     /// the last execution in the layer-boundary `[out_c, (od,)
     /// oh, ow]` layout (nothing before initialization). Read by the drift
-    /// watchdog and the signature cache; also every execution's write-out.
+    /// watchdog; also every execution's write-out.
     pub fn buffered_linear_into(&self, out: &mut Vec<f32>) {
         let out_c = self.geometry.out_channels();
         let positions = self.prev_linear.len() / out_c;

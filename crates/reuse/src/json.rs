@@ -1,7 +1,7 @@
 //! The workspace's one JSON home: the strict recursive-descent reader the
-//! policy files and the bench `--validate` checkers parse with, and the
+//! emitters' tests and the bench `--validate` checkers parse with, and the
 //! string/number helpers every hand-rolled `format!` emitter (telemetry,
-//! policy state, policy files, the serving snapshots) writes through.
+//! the serving snapshots) writes through.
 
 use std::fmt::Write as _;
 
@@ -115,7 +115,7 @@ impl Value {
 }
 
 /// Arrays and objects may nest this deep; the reader recurses once per
-/// level, and policy files reach three.
+/// level, and the snapshots reach three.
 const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document under the strict grammar (no trailing data,
@@ -475,6 +475,80 @@ mod tests {
         assert_eq!(items[1].as_str(), Some("tail\n"));
         let cut = 2 + body.len() / 2;
         assert_eq!(parse(&text[..cut]).unwrap_err(), "unterminated string");
+    }
+
+    #[test]
+    fn json_numbers_reject_non_json_forms() {
+        // f64::parse accepts all of these; strict JSON must not. Each error
+        // carries the byte offset of the offending number.
+        for (text, offset) in [
+            ("{\"v\": +1}", 6),
+            ("{\"v\": .5}", 6),
+            ("{\"v\": 1.}", 6),
+            ("{\"v\": 1e}", 6),
+            ("{\"v\": 1e+}", 6),
+            ("{\"v\": 01}", 6),
+            ("{\"v\": -}", 6),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(
+                err.contains(&format!("byte {offset}")),
+                "{text}: error {err:?} must name byte {offset}"
+            );
+        }
+        // The strict grammar still admits every valid JSON shape.
+        for (text, want) in [
+            ("{\"v\": -0.5}", -0.5),
+            ("{\"v\": 0}", 0.0),
+            ("{\"v\": 10.25e-2}", 0.1025),
+            ("{\"v\": 3E2}", 300.0),
+        ] {
+            let root = parse(text).expect(text);
+            assert_eq!(root.get("v").and_then(Value::as_f64), Some(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        // One escaped non-BMP char (🚀 = U+1F680) must decode to a single
+        // scalar, not two replacement characters.
+        let root = parse("{\"name\": \"net \\ud83d\\ude80 v2\"}").unwrap();
+        assert_eq!(
+            root.get("name").and_then(Value::as_str),
+            Some("net \u{1F680} v2")
+        );
+        // BMP escapes are unaffected, including literal text after them.
+        let root = parse("{\"name\": \"\\u00e9tat\"}").unwrap();
+        assert_eq!(root.get("name").and_then(Value::as_str), Some("état"));
+    }
+
+    #[test]
+    fn unicode_escapes_reject_lone_surrogates_and_bad_hex() {
+        for text in [
+            "{\"name\": \"\\ud83d\"}",        // lone high surrogate
+            "{\"name\": \"\\ud83d rest\"}",   // high surrogate, no pair
+            "{\"name\": \"\\ude80\"}",        // lone low surrogate
+            "{\"name\": \"\\ud83d\\u0041\"}", // high + non-surrogate
+            "{\"name\": \"\\u+12F\"}",        // from_str_radix would take '+'
+            "{\"name\": \"\\u12G4\"}",        // non-hex digit
+            "{\"name\": \"\\u12\"}",          // truncated
+        ] {
+            assert!(parse(text).is_err(), "{text} must be rejected");
+        }
+    }
+
+    #[test]
+    fn json_parser_handles_nesting_and_escapes() {
+        let v =
+            parse(" { \"a\" : [1, -2.5e1, true, null, \"q\\u0041\\n\"] , \"b\": {} } ").unwrap();
+        let arr = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!(arr[0].as_f64(), Some(1.0));
+        assert_eq!(arr[1].as_f64(), Some(-25.0));
+        assert_eq!(arr[2].as_bool(), Some(true));
+        assert_eq!(arr[4].as_str(), Some("qA\n"));
+        assert!(parse("{\"a\": }").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{} trailing").is_err());
     }
 
     #[test]

@@ -212,14 +212,6 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
     /// buffer channels-last and transpose on the way out.
     fn buffered_linear_into(&self, out: &mut Vec<f32>);
 
-    /// Whether a baseline (codes + buffered outputs) is in place, i.e. the
-    /// next [`Self::step`] will correct incrementally instead of running
-    /// from scratch. Recurrent cells report `true`: the cross-stream
-    /// signature cache (the only caller) never adopts into them.
-    fn is_initialized(&self) -> bool {
-        true
-    }
-
     /// Drops buffered state; the next execution recomputes from scratch
     /// (the between-sequence power-gate reset).
     fn reset(&mut self, layer: &Layer);
@@ -254,10 +246,6 @@ impl ReuseLayer for FcReuseState {
     fn buffered_linear_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend_from_slice(FcReuseState::buffered_linear(self));
-    }
-
-    fn is_initialized(&self) -> bool {
-        FcReuseState::is_initialized(self)
     }
 
     fn reset(&mut self, _layer: &Layer) {
@@ -300,10 +288,6 @@ impl ReuseLayer for ConvReuseState {
 
     fn buffered_linear_into(&self, out: &mut Vec<f32>) {
         ConvReuseState::buffered_linear_into(self, out);
-    }
-
-    fn is_initialized(&self) -> bool {
-        ConvReuseState::is_initialized(self)
     }
 
     fn reset(&mut self, _layer: &Layer) {
@@ -482,10 +466,8 @@ impl ReuseLayer for BiLstmReuseState {
 /// buffered baseline: every `correct` runs the op from scratch and charges
 /// its full MAC-equivalent cost, with every input counted as changed —
 /// honest accounting for ingested ops the reuse scheme cannot correct
-/// incrementally. `is_initialized` stays `true` so the cross-stream
-/// signature cache never attempts an adoption, and `from_scratch` stays
-/// `false` so every execution lands in metrics and telemetry as a fully
-/// recomputed incremental step.
+/// incrementally. `from_scratch` stays `false` so every execution lands in
+/// metrics and telemetry as a fully recomputed incremental step.
 #[derive(Debug)]
 pub struct PassthroughReuseState {
     in_shape: reuse_tensor::Shape,

@@ -18,14 +18,9 @@
 //!
 //! # Crate layout
 //!
-//! * [`ReuseConfig`] — which layers participate and with how many
-//!   clusters, plus the run-wide knobs (calibration, watchdog, telemetry,
-//!   signature cache).
-//! * [`policy`] — [`LayerPolicy`], the one per-layer record (enabled,
-//!   cluster count, quantization step scale, refresh threshold), and the
-//!   [`ReusePolicy`] that refines it: the no-op [`StaticPolicy`], an online
-//!   [`AdaptivePolicy`] controller and a replay-tuned [`TunedPolicy`]
-//!   loaded from a policy file.
+//! * [`ReuseConfig`] — the paper's fixed per-network scheme (which layers
+//!   participate, one cluster count for all of them), plus the run-wide
+//!   knobs (calibration, watchdog, telemetry).
 //! * [`CompiledModel`] — the immutable, `Sync` compile step: network,
 //!   execution plan and packed/blocked weights, built once and shared
 //!   behind an `Arc` by any number of streams.
@@ -45,14 +40,10 @@
 //!   one implementation per layer family.
 //! * [`fc`], [`conv`], [`lstm`] — the incremental kernels for each layer
 //!   family (paper Sections IV-B/C/D).
-//! * [`signature`] — the MCACHE-style cross-stream signature cache: RPQ
-//!   hashes of layer inputs let a new stream adopt a near-identical
-//!   baseline published by any other stream of the same model.
 //! * [`metrics`] — input similarity, computation reuse (lifetime sums over
 //!   the step records) and the Fig. 4 relative-difference metric.
 //! * [`telemetry`] — the per-slot window of recent step records and the
-//!   snapshot that reports it beside the pool, watchdog and signature
-//!   counters.
+//!   snapshot that reports it beside the pool and watchdog counters.
 //! * [`trace`] — the step record itself, and the per-execution, per-layer
 //!   activity traces materialised from a log of them for the accelerator
 //!   model in `reuse-accel`.
@@ -92,10 +83,8 @@ pub mod layer;
 pub mod lstm;
 pub mod metrics;
 mod model;
-pub mod policy;
 pub mod replay;
 mod session;
-pub mod signature;
 pub mod summary;
 pub mod telemetry;
 pub mod trace;
@@ -106,14 +95,8 @@ pub use error::ReuseError;
 pub use layer::{ExecStats, ReuseLayer, StepCtx};
 pub use metrics::{relative_difference, EngineMetrics, LayerMetrics};
 pub use model::{CompiledModel, CompiledWeights};
-pub use policy::{
-    AdaptiveController, AdaptivePolicy, LayerPolicy, LayerPolicyState, ReusePolicy, StaticPolicy,
-    TunedLayerPolicy, TunedPolicy,
-};
 pub use session::ReuseSession;
-pub use signature::{CachedBaseline, SignatureCache};
 pub use telemetry::{
-    LayerTelemetrySnapshot, PoolStats, SignatureStats, TelemetrySnapshot, WatchdogStats,
-    TELEMETRY_WINDOW,
+    LayerTelemetrySnapshot, PoolStats, TelemetrySnapshot, WatchdogStats, TELEMETRY_WINDOW,
 };
 pub use trace::{ExecutionTrace, LayerTrace, TraceKind};

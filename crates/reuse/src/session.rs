@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use reuse_nn::lstm::LstmScratch;
 use reuse_nn::Layer;
-use reuse_quant::{InputRange, LinearQuantizer, QuantCode, QuantError, RangeProfiler};
+use reuse_quant::{LinearQuantizer, RangeProfiler};
 use reuse_tensor::Tensor;
 
 use crate::block::{Block, RowOutcome};
@@ -24,11 +24,8 @@ use crate::drift::max_abs_diff;
 use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
 use crate::model::CompiledModel;
-use crate::policy::{AdaptiveController, LayerPolicyState};
-use crate::signature::CachedBaseline;
 use crate::telemetry::{
-    LayerTelemetrySnapshot, PoolStats, SignatureStats, TelemetrySnapshot, WatchdogStats, Window,
-    TELEMETRY_WINDOW,
+    LayerTelemetrySnapshot, PoolStats, TelemetrySnapshot, WatchdogStats, Window, TELEMETRY_WINDOW,
 };
 use crate::trace::{materialise, ExecutionTrace, StepRecord, TraceKind};
 use crate::{ReuseConfig, ReuseError};
@@ -105,22 +102,11 @@ struct SlotRuntime {
     profiler_h: RangeProfiler,
     quantizer_x: Option<LinearQuantizer>,
     quantizer_h: Option<LinearQuantizer>,
-    /// Calibrated (margin-padded) input range, kept only for adaptive
-    /// layers so the controller can rebuild the quantizer at a new step.
-    base_range_x: Option<InputRange>,
-    /// Online policy controller — present only when the slot's resolved
-    /// [`LayerPolicy`](crate::LayerPolicy) is adaptive.
-    controller: Option<AdaptiveController>,
     /// Previous raw input (for the Fig. 4 relative-difference series);
     /// empty when there is none.
     prev_raw_input: Vec<f32>,
     /// Times the drift watchdog re-baselined this layer's buffered outputs.
     rebaselines: u64,
-    /// Cross-stream signature lookups attempted for this layer, those that
-    /// found a cached entry, and the hits the false-positive guard abandoned.
-    signature_lookups: u64,
-    signature_hits: u64,
-    signature_bailouts: u64,
     /// Re-baselines where this layer's own buffered outputs had drifted
     /// beyond the bound (feeds the auto-disable escalation).
     drift_strikes: u64,
@@ -191,13 +177,6 @@ pub struct ReuseSession {
     /// Reuse-phase executions seen (timesteps for recurrent networks):
     /// drives the watchdog cadence and is what a snapshot reports as frames.
     reuse_frames: u64,
-    /// Cross-stream signature-cache counters (maintained even without
-    /// telemetry, like the watchdog's).
-    signature: SignatureStats,
-    /// Scratch code buffers for the signature false-positive pre-check
-    /// (cold path, but reused so repeated cold starts don't churn).
-    sig_scratch_cur: Vec<QuantCode>,
-    sig_scratch_cached: Vec<QuantCode>,
     /// Per-timestep counters and spans of the recurrent slot a sequence walk
     /// is at, and the working memory of its reuse-disabled recurrent layers:
     /// kept so steady sequences allocate nothing.
@@ -234,16 +213,8 @@ impl ReuseSession {
                     profiler_h: RangeProfiler::new(),
                     quantizer_x: None,
                     quantizer_h: None,
-                    base_range_x: None,
-                    controller: slot
-                        .policy
-                        .adaptive
-                        .then(|| AdaptiveController::new(&slot.policy)),
                     prev_raw_input: Vec::new(),
                     rebaselines: 0,
-                    signature_lookups: 0,
-                    signature_hits: 0,
-                    signature_bailouts: 0,
                     drift_strikes: 0,
                     state: build_state(layer, in_shape).expect("slot layers have reuse states"),
                 }
@@ -269,9 +240,6 @@ impl ReuseSession {
             telemetry,
             watchdog: WatchdogStats::default(),
             reuse_frames: 0,
-            signature: SignatureStats::default(),
-            sig_scratch_cur: Vec::new(),
-            sig_scratch_cached: Vec::new(),
             seq_steps: Vec::new(),
             lstm_scratch: LstmScratch::default(),
         }
@@ -332,13 +300,6 @@ impl ReuseSession {
         self.block.pool.stats
     }
 
-    /// Cross-stream signature-cache counters for this session (all zero
-    /// when the model carries no cache). Returned by value —
-    /// `SignatureStats` is `Copy`, no allocation.
-    pub fn signature_stats(&self) -> SignatureStats {
-        self.signature
-    }
-
     /// Builds an owned, serializable snapshot of the current telemetry.
     /// Returns `None` unless telemetry was enabled in the config. This
     /// allocates — call it from reporting paths, not per frame.
@@ -362,9 +323,6 @@ impl ReuseSession {
                 span_ns_window: window.mean(|r| r.span_ns as f64),
                 rebaselines: rt.rebaselines,
                 auto_disabled: rt.auto_disabled,
-                signature_lookups: rt.signature_lookups,
-                signature_hits: rt.signature_hits,
-                signature_bailouts: rt.signature_bailouts,
             })
             .collect();
         Some(TelemetrySnapshot {
@@ -375,45 +333,8 @@ impl ReuseSession {
             watchdog: self.watchdog,
             drift_check_every: self.model.config().drift_check_every(),
             drift_bound: self.model.config().drift_bound(),
-            signature: self.signature,
-            policy: self.model.policy_name().to_string(),
-            policy_layers: self.policy_states(),
             layers,
         })
-    }
-
-    /// Point-in-time per-layer policy state: the configured grid plus
-    /// whatever operating point the adaptive controllers have moved to
-    /// (static layers report their fixed resolution with zeroed counters).
-    /// Allocates — a reporting path, mirrored into [`TelemetrySnapshot`]
-    /// and the serving tier's snapshot.
-    pub fn policy_states(&self) -> Vec<LayerPolicyState> {
-        self.model
-            .slots()
-            .iter()
-            .zip(self.runtimes.iter())
-            .map(|(slot, rt)| {
-                let (step_scale, reuse_threshold) = rt
-                    .controller
-                    .as_ref()
-                    .map_or((slot.policy.step_scale, slot.policy.reuse_threshold), |c| {
-                        (c.step_scale(), c.reuse_threshold())
-                    });
-                let ctrl = rt.controller.as_ref();
-                LayerPolicyState {
-                    name: slot.name.clone(),
-                    adaptive: slot.policy.adaptive,
-                    clusters: slot.policy.clusters,
-                    step: rt.quantizer_x.map_or(0.0, |q| q.step()),
-                    step_scale,
-                    reuse_threshold,
-                    observations: ctrl.map_or(0, |c| c.observations()),
-                    grows: ctrl.map_or(0, |c| c.grows()),
-                    shrinks: ctrl.map_or(0, |c| c.shrinks()),
-                    refreshes: ctrl.map_or(0, |c| c.refreshes()),
-                }
-            })
-            .collect()
     }
 
     /// The quantizer used for a layer's (feed-forward) inputs, if built.
@@ -444,7 +365,7 @@ impl ReuseSession {
             .slots()
             .iter()
             .zip(self.runtimes.iter())
-            .filter(|(slot, rt)| slot.policy.enabled && !rt.auto_disabled)
+            .filter(|(slot, rt)| slot.enabled && !rt.auto_disabled)
             .map(|(slot, rt)| {
                 let (_, layer) = &self.model.network().layers()[slot.layer_index];
                 rt.state.storage_bytes(layer)
@@ -459,7 +380,7 @@ impl ReuseSession {
             .slots()
             .iter()
             .zip(self.runtimes.iter())
-            .filter(|(slot, rt)| slot.policy.enabled && !rt.auto_disabled)
+            .filter(|(slot, rt)| slot.enabled && !rt.auto_disabled)
             .map(|(_, rt)| {
                 rt.quantizer_x
                     .map_or(0, |q| q.centroid_table_bytes() as u64)
@@ -501,31 +422,9 @@ impl ReuseSession {
         }
         self.watchdog = WatchdogStats::default();
         self.reuse_frames = 0;
-        self.signature = SignatureStats::default();
-        let model = Arc::clone(&self.model);
-        for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
+        for rt in &mut self.runtimes {
             rt.rebaselines = 0;
             rt.drift_strikes = 0;
-            rt.signature_lookups = 0;
-            rt.signature_hits = 0;
-            rt.signature_bailouts = 0;
-            if let Some(ctrl) = rt.controller.as_mut() {
-                // The controller restarts at its initial operating point,
-                // and the grid must follow — a kept scaled quantizer would
-                // disagree with the reset controller.
-                *ctrl = AdaptiveController::new(&slot.policy);
-                if !rt.auto_disabled {
-                    if let Some(range) = rt.base_range_x {
-                        if let Ok(q) = Self::quantizer_at_scale(
-                            range,
-                            slot.policy.clusters,
-                            slot.policy.step_scale.max(1.0),
-                        ) {
-                            rt.quantizer_x = Some(q);
-                        }
-                    }
-                }
-            }
         }
         if !self.calibrated {
             // A partial calibration must not mix pre- and post-reset frames:
@@ -549,7 +448,7 @@ impl ReuseSession {
     }
 
     pub(crate) fn slot_enabled(&self, slot_pos: usize) -> bool {
-        self.model.slots()[slot_pos].policy.enabled && !self.runtimes[slot_pos].auto_disabled
+        self.model.slots()[slot_pos].enabled && !self.runtimes[slot_pos].auto_disabled
     }
 
     /// Executes the network on one frame (feed-forward networks only).
@@ -757,27 +656,12 @@ impl ReuseSession {
         }
     }
 
-    /// Builds a layer quantizer at `scale` times the calibrated base step
-    /// (`range / clusters`). Scale 1.0 goes through [`LinearQuantizer::new`]
-    /// so static policies run the paper's grid bit for bit; other scales
-    /// derive the step explicitly.
-    fn quantizer_at_scale(
-        range: InputRange,
-        clusters: usize,
-        scale: f32,
-    ) -> Result<LinearQuantizer, QuantError> {
-        if scale == 1.0 {
-            LinearQuantizer::new(range, clusters)
-        } else {
-            LinearQuantizer::with_step(range, range.width() / clusters as f32 * scale)
-        }
-    }
-
     fn build_quantizers(&mut self) {
         let model = Arc::clone(&self.model);
         let margin = model.config().margin();
+        let clusters = model.config().default_clusters();
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
-            if !slot.policy.enabled {
+            if !slot.enabled {
                 continue;
             }
             // Passthrough slots recompute at full precision: no quantizer,
@@ -785,25 +669,16 @@ impl ReuseSession {
             if slot.kind == reuse_nn::LayerKind::Passthrough {
                 continue;
             }
-            let scale = rt
-                .controller
-                .as_ref()
-                .map_or(slot.policy.step_scale, AdaptiveController::step_scale);
             match rt.profiler_x.range(margin) {
-                Ok(range) => match Self::quantizer_at_scale(range, slot.policy.clusters, scale) {
-                    Ok(q) => {
-                        rt.quantizer_x = Some(q);
-                        if slot.policy.adaptive {
-                            rt.base_range_x = Some(range);
-                        }
-                    }
+                Ok(range) => match LinearQuantizer::new(range, clusters) {
+                    Ok(q) => rt.quantizer_x = Some(q),
                     Err(_) => rt.auto_disabled = true,
                 },
                 Err(_) => rt.auto_disabled = true,
             }
             if slot.kind == reuse_nn::LayerKind::Recurrent && !rt.auto_disabled {
                 match rt.profiler_h.range(margin) {
-                    Ok(range) => match LinearQuantizer::new(range, slot.policy.clusters) {
+                    Ok(range) => match LinearQuantizer::new(range, clusters) {
                         Ok(q) => rt.quantizer_h = Some(q),
                         Err(_) => rt.auto_disabled = true,
                     },
@@ -873,11 +748,9 @@ impl ReuseSession {
     }
 
     /// One enabled slot's reuse-phase step on one frame, `input` to `next`
-    /// — the session's resumable per-layer unit: cross-stream signature
-    /// lookup (cold start only), the [`ReuseLayer`] step (uniform dispatch,
-    /// no per-kind `match`), the adaptive refresh and signature publication.
-    /// Returns the step's counters and its span (0 unless telemetry times
-    /// slots) for the walk to record.
+    /// — the session's resumable per-layer unit: the [`ReuseLayer`] step
+    /// (uniform dispatch, no per-kind `match`). Returns the step's counters
+    /// and its span (0 unless telemetry times slots) for the walk to record.
     pub(crate) fn step_slot(
         &mut self,
         model: &CompiledModel,
@@ -885,50 +758,10 @@ impl ReuseSession {
         input: &[f32],
         next: &mut Vec<f32>,
     ) -> Result<(ExecStats, u64), ReuseError> {
-        // Cross-stream adoption runs only when this stream has no baseline
-        // yet (cold start), so steady-state frames pay a single branch here
-        // and never touch the shared cache.
-        let pending_sig =
-            if model.signatures().is_some() && !self.runtimes[slot_pos].state.is_initialized() {
-                self.signature_lookup(slot_pos, input)
-            } else {
-                None
-            };
         let span = span_start(self.telemetry.is_some());
-        let rt = &mut self.runtimes[slot_pos];
-        let (ctx, state) = rt.split(model, slot_pos);
-        let mut stats = state.step(&ctx, input, next)?;
-        // Adaptive layers only: when the changed-code fraction exceeds the
-        // controller's refresh threshold, correcting costs more than
-        // recomputing — replace the incremental result with an exact
-        // forward and re-adopt a full-precision baseline. Static policies
-        // never take this branch (no controller), keeping the legacy path
-        // bit-identical.
-        let refresh = match rt.controller.as_mut() {
-            Some(ctrl) if !stats.from_scratch && stats.n_inputs > 0 => {
-                let changed_frac = stats.n_changed as f32 / stats.n_inputs as f32;
-                ctrl.observe_execution(1.0 - changed_frac);
-                let refresh = changed_frac > ctrl.reuse_threshold();
-                if refresh {
-                    ctrl.note_refresh();
-                }
-                refresh
-            }
-            _ => false,
-        };
-        if refresh {
-            self.refresh_slot(model, slot_pos, input, next)?;
-            // Honest accounting: similarity stays what was observed, but
-            // the frame paid full cost.
-            stats.macs_performed = stats.macs_total;
-        }
+        let (ctx, state) = self.runtimes[slot_pos].split(model, slot_pos);
+        let stats = state.step(&ctx, input, next)?;
         let span_ns = span_elapsed_ns(span);
-        if let Some(sig) = pending_sig.filter(|_| stats.from_scratch) {
-            // The lookup missed (or bailed) and the slot just initialized
-            // from scratch: publish the fresh baseline for other streams
-            // under the signature computed from the same input.
-            self.signature_insert(slot_pos, sig, input);
-        }
         self.note_relative_difference(slot_pos, input);
         Ok((stats, span_ns))
     }
@@ -936,9 +769,8 @@ impl ReuseSession {
     /// Recomputes a frame-wise slot exactly on its raw input: the linear
     /// forward into `next` — the same code path [`Self::reference_forward`]
     /// takes — adopted as the slot's baseline (codes become the
-    /// quantization of `raw`), then the activation in place. "Recompute
-    /// this slot" exists once, for the adaptive refresh and the watchdog's
-    /// re-baseline alike, and costs what the forward costs: nothing is
+    /// quantization of `raw`), then the activation in place: the watchdog's
+    /// re-baseline of one slot, costing what the forward costs — nothing is
     /// allocated here.
     fn refresh_slot(
         &mut self,
@@ -959,84 +791,6 @@ impl ReuseSession {
         Ok(())
     }
 
-    /// Attempts cross-stream baseline adoption for an uninitialized slot.
-    ///
-    /// Hashes the raw layer input with the model's RPQ planes and consults
-    /// the shared cache. On a hit that survives the false-positive guard,
-    /// the cached baseline is adopted — codes become *this* session's
-    /// quantization of the cached raw input, buffered outputs become the
-    /// cached linear values — and the regular step that follows corrects
-    /// the few differing codes through the ordinary `z' = z + (c'-c)·w`
-    /// pass. Returns the signature when no adoption happened (miss or
-    /// bailout) so the caller can publish the from-scratch baseline under
-    /// it, and `None` after a successful adoption (the cache already
-    /// covers this signature).
-    fn signature_lookup(&mut self, slot_pos: usize, input: &[f32]) -> Option<u64> {
-        let model = Arc::clone(&self.model);
-        let sigs = model.signatures()?;
-        let planes = sigs.planes(slot_pos)?;
-        let sig = planes.signature(input);
-        self.signature.lookups += 1;
-        self.runtimes[slot_pos].signature_lookups += 1;
-        let Some(entry) = sigs.cache().get(slot_pos as u32, sig) else {
-            return Some(sig);
-        };
-        self.signature.hits += 1;
-        self.runtimes[slot_pos].signature_hits += 1;
-        // False-positive guard: quantize both the live and the cached
-        // input under this session's grid and count disagreeing codes. A
-        // hash collision between genuinely different inputs shows up as a
-        // large changed fraction, where adopting would cost more in
-        // corrections (and accuracy) than running from scratch.
-        let qx = self.runtimes[slot_pos]
-            .quantizer_x
-            .expect("enabled slot has quantizer");
-        let bail = entry.input.len() != input.len() || {
-            qx.quantize_slice_into(input, &mut self.sig_scratch_cur);
-            qx.quantize_slice_into(&entry.input, &mut self.sig_scratch_cached);
-            let changed = self
-                .sig_scratch_cur
-                .iter()
-                .zip(self.sig_scratch_cached.iter())
-                .filter(|(a, b)| a != b)
-                .count();
-            changed as f32 > model.config().signature_bailout() * input.len() as f32
-        };
-        if bail {
-            self.signature.bailouts += 1;
-            self.runtimes[slot_pos].signature_bailouts += 1;
-            return Some(sig);
-        }
-        let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
-        state.adopt_baseline(&ctx, &entry.input, &entry.linear);
-        self.signature.adoptions += 1;
-        None
-    }
-
-    /// Publishes a slot's freshly initialized baseline — the raw input it
-    /// just ran from scratch on plus the buffered linear outputs — into
-    /// the shared cache under `sig`.
-    fn signature_insert(&mut self, slot_pos: usize, sig: u64, input: &[f32]) {
-        let model = Arc::clone(&self.model);
-        let Some(sigs) = model.signatures() else {
-            return;
-        };
-        let mut linear = Vec::new();
-        self.runtimes[slot_pos]
-            .state
-            .buffered_linear_into(&mut linear);
-        if linear.is_empty() {
-            return;
-        }
-        let entry = CachedBaseline {
-            input: input.to_vec(),
-            linear,
-        };
-        if sigs.cache().insert(slot_pos as u32, sig, entry) {
-            self.signature.inserts += 1;
-        }
-    }
-
     /// One drift-watchdog check: compares this frame's incremental output
     /// against the full-precision reference and re-baselines every reuse
     /// layer when the deviation exceeds the configured bound. `out` is
@@ -1053,52 +807,11 @@ impl ReuseSession {
         self.watchdog.checks += 1;
         self.watchdog.last_drift = drift;
         self.watchdog.max_drift = self.watchdog.max_drift.max(drift);
-        let bound = self.model.config().drift_bound();
-        let violated = drift > bound;
-        // Adaptive controllers consume the same observation as their
-        // accuracy proxy: each proposes a step scale, the quantizer is
-        // rebuilt at it, and the scale commits only on success — the
-        // controller never disagrees with the grid actually in use.
-        let rescaled = self.apply_policy_feedback(drift, bound);
-        if violated || rescaled {
-            // A rescale re-baselines too: buffered codes quantized under
-            // the old grid are meaningless under the new one.
+        if drift > self.model.config().drift_bound() {
             self.rebaseline_frame(frame, out, pool)?;
-        }
-        if violated {
             self.watchdog.rebaselines += 1;
         }
         Ok(())
-    }
-
-    /// Feeds one watchdog observation to every adaptive controller and
-    /// rebuilds the quantizers of those that moved. Returns whether any
-    /// layer's grid changed (forcing a re-baseline). A no-op — and the
-    /// watchdog path stays exactly the legacy one — when no layer is
-    /// adaptive.
-    fn apply_policy_feedback(&mut self, drift: f32, bound: f32) -> bool {
-        let model = Arc::clone(&self.model);
-        let mut rescaled = false;
-        for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
-            if !slot.policy.enabled || rt.auto_disabled {
-                continue;
-            }
-            let Some(ctrl) = rt.controller.as_mut() else {
-                continue;
-            };
-            let Some(proposed) = ctrl.on_watchdog(drift, bound) else {
-                continue;
-            };
-            let Some(range) = rt.base_range_x else {
-                continue;
-            };
-            if let Ok(q) = Self::quantizer_at_scale(range, slot.policy.clusters, proposed) {
-                rt.quantizer_x = Some(q);
-                ctrl.commit_scale(proposed);
-                rescaled = true;
-            }
-        }
-        rescaled
     }
 
     /// Re-baselines every enabled reuse layer onto full-precision values for

@@ -1,6 +1,6 @@
 //! Runtime observability for the reuse engine: the per-slot window of recent
-//! step records, buffer-pool, drift-watchdog and signature-cache statistics,
-//! and their JSON export ([`TelemetrySnapshot`]).
+//! step records, buffer-pool and drift-watchdog statistics, and their JSON
+//! export ([`TelemetrySnapshot`]).
 //!
 //! The paper's value proposition is statistical — hit rates and correction
 //! counts vary per layer and over time (Figs. 4/5) — so a long-running
@@ -95,35 +95,6 @@ pub struct WatchdogStats {
     pub max_drift: f32,
 }
 
-/// Cross-stream signature-cache activity for one session (see
-/// [`crate::signature`]): lookups are attempted only when the per-stream
-/// frame-(t-1) baseline is missing, so every counter here is cold-path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SignatureStats {
-    /// Signature lookups attempted (uninitialized baseline + eligible slot).
-    pub lookups: u64,
-    /// Lookups that found a cached entry for the signature.
-    pub hits: u64,
-    /// Hits adopted as the layer's baseline.
-    pub adoptions: u64,
-    /// Hits abandoned because the cached input disagreed with the live
-    /// input on too many quantized codes (false-positive collisions).
-    pub bailouts: u64,
-    /// Baselines this session published into the shared cache.
-    pub inserts: u64,
-}
-
-impl SignatureStats {
-    /// Adds another session's counters to these (pool-wide totals).
-    pub fn merge(&mut self, other: SignatureStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.adoptions += other.adoptions;
-        self.bailouts += other.bailouts;
-        self.inserts += other.inserts;
-    }
-}
-
 /// Owned, serializable snapshot of one engine's telemetry — what
 /// `reuse_cli run <workload> --telemetry` prints as JSON.
 #[derive(Debug, Clone)]
@@ -142,14 +113,6 @@ pub struct TelemetrySnapshot {
     pub drift_check_every: u64,
     /// Configured drift bound.
     pub drift_bound: f32,
-    /// Cross-stream signature-cache counters (all zero when the cache is
-    /// disabled for the model).
-    pub signature: SignatureStats,
-    /// Active reuse-policy name (`"static"`, `"adaptive"`, `"tuned"`).
-    pub policy: String,
-    /// Per-layer policy state (grid, step scale, refresh threshold and the
-    /// controllers' counters), in slot order.
-    pub policy_layers: Vec<crate::policy::LayerPolicyState>,
     /// Per-layer records, in network order.
     pub layers: Vec<LayerTelemetrySnapshot>,
 }
@@ -175,12 +138,6 @@ pub struct LayerTelemetrySnapshot {
     pub rebaselines: u64,
     /// Whether the layer has been escalated to full-precision execution.
     pub auto_disabled: bool,
-    /// Cross-stream signature lookups attempted for this layer.
-    pub signature_lookups: u64,
-    /// Signature hits for this layer.
-    pub signature_hits: u64,
-    /// Signature hits abandoned by the false-positive guard.
-    pub signature_bailouts: u64,
 }
 
 impl TelemetrySnapshot {
@@ -208,31 +165,6 @@ impl TelemetrySnapshot {
             json_num(f64::from(self.watchdog.last_drift)),
             json_num(f64::from(self.watchdog.max_drift)),
         );
-        let _ = writeln!(
-            s,
-            "  \"signature_cache\": {{\"lookups\": {}, \"hits\": {}, \"adoptions\": {}, \
-             \"bailouts\": {}, \"inserts\": {}}},",
-            self.signature.lookups,
-            self.signature.hits,
-            self.signature.adoptions,
-            self.signature.bailouts,
-            self.signature.inserts,
-        );
-        let _ = writeln!(s, "  \"policy\": {},", json_str(&self.policy));
-        s.push_str("  \"policy_layers\": [\n");
-        for (i, p) in self.policy_layers.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {}{}",
-                p.to_json(),
-                if i + 1 < self.policy_layers.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        s.push_str("  ],\n");
         s.push_str("  \"layers\": [\n");
         for (i, l) in self.layers.iter().enumerate() {
             let _ = writeln!(
@@ -240,9 +172,7 @@ impl TelemetrySnapshot {
                 "    {{\"name\": {}, \"reuse_executions\": {}, \"hit_rate\": {}, \
                  \"hit_rate_window\": {}, \"corrections_total\": {}, \
                  \"macs_skipped_total\": {}, \"span_ns_window\": {}, \
-                 \"rebaselines\": {}, \"auto_disabled\": {}, \
-                 \"signature_lookups\": {}, \"signature_hits\": {}, \
-                 \"signature_bailouts\": {}}}{}",
+                 \"rebaselines\": {}, \"auto_disabled\": {}}}{}",
                 json_str(&l.name),
                 l.reuse_executions,
                 json_num(l.hit_rate),
@@ -252,9 +182,6 @@ impl TelemetrySnapshot {
                 json_num(l.span_ns_window),
                 l.rebaselines,
                 l.auto_disabled,
-                l.signature_lookups,
-                l.signature_hits,
-                l.signature_bailouts,
                 if i + 1 < self.layers.len() { "," } else { "" }
             );
         }
@@ -329,26 +256,6 @@ mod tests {
             },
             drift_check_every: 4,
             drift_bound: 1e-3,
-            signature: SignatureStats {
-                lookups: 5,
-                hits: 3,
-                adoptions: 2,
-                bailouts: 1,
-                inserts: 4,
-            },
-            policy: "adaptive".to_string(),
-            policy_layers: vec![crate::policy::LayerPolicyState {
-                name: hostile.to_string(),
-                adaptive: true,
-                clusters: 16,
-                step: 0.125,
-                step_scale: 1.5,
-                reuse_threshold: f32::NAN,
-                observations: 6,
-                grows: 2,
-                shrinks: 1,
-                refreshes: 3,
-            }],
             layers: vec![LayerTelemetrySnapshot {
                 name: hostile.to_string(),
                 reuse_executions: 10,
@@ -359,28 +266,25 @@ mod tests {
                 span_ns_window: 1234.5,
                 rebaselines: 1,
                 auto_disabled: false,
-                signature_lookups: 2,
-                signature_hits: 1,
-                signature_bailouts: 0,
             }],
         };
         let json = snap.to_json();
         let root = crate::json::parse(&json).expect("strict parser accepts the snapshot");
         assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
-        for list in ["layers", "policy_layers"] {
-            let row = &root.get(list).unwrap().as_array().unwrap()[0];
-            assert_eq!(row.get("name").unwrap().as_str(), Some(hostile), "{list}");
-        }
+        let row = &root.get("layers").unwrap().as_array().unwrap()[0];
+        assert_eq!(row.get("name").unwrap().as_str(), Some(hostile));
         assert!(json.contains("\"hit_rate\": 0.875000"));
         assert!(json.contains("\"misses\": 4"));
-        assert!(json.contains("\"signature_cache\": {\"lookups\": 5, \"hits\": 3"));
-        assert!(json.contains("\"signature_lookups\": 2"));
-        assert!(json.contains("\"policy\": \"adaptive\""));
-        assert!(json.contains("\"step_scale\": 1.500000"));
+        // The retired cache and policy objects are gone from the schema.
+        assert!(!root.has_path("signature_cache"));
+        assert!(!root.has_path("policy"));
+        assert!(!root.has_path("policy_layers"));
+        assert!(!root.has_path("layers.signature_lookups"));
+        assert!(!root.has_path("layers.signature_hits"));
+        assert!(!root.has_path("layers.signature_bailouts"));
         // Non-finite floats degrade to null, keeping the JSON parseable.
         assert!(json.contains("\"max_drift\": null"));
         assert!(json.contains("\"hit_rate_window\": null"));
-        assert!(json.contains("\"reuse_threshold\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -352,7 +352,7 @@ fn metrics_windows_and_traces_are_views_of_one_record() {
             );
             assert_eq!(sum(|l| l.macs_total), m.macs_total, "{what}");
             assert_eq!(sum(|l| l.macs_performed), m.macs_performed, "{what}");
-            let unstepped = if config.layer_policy(&m.name).enabled {
+            let unstepped = if config.layer_enabled(&m.name) {
                 calibration
             } else {
                 executions

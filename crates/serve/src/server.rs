@@ -973,51 +973,6 @@ impl StreamServer {
     /// tick.
     pub fn snapshot(&self) -> ServerSnapshot {
         let outputs_dropped = self.entries.iter().map(|e| e.outputs_dropped).sum();
-        let mut signature = reuse_core::SignatureStats::default();
-        for e in &self.entries {
-            signature.merge(e.session.signature_stats());
-        }
-        // Per-layer policy state aggregated across the pool: the layers of
-        // every session line up (one shared model), so counters sum and the
-        // operating points average. With no live session, report the
-        // compiled resolution (step 0.0 = not calibrated anywhere).
-        let policy_layers = if self.entries.is_empty() {
-            self.model
-                .layer_policy_specs()
-                .map(|(name, p)| reuse_core::LayerPolicyState {
-                    name: name.to_string(),
-                    adaptive: p.adaptive,
-                    clusters: p.clusters,
-                    step: 0.0,
-                    step_scale: p.step_scale,
-                    reuse_threshold: p.reuse_threshold,
-                    observations: 0,
-                    grows: 0,
-                    shrinks: 0,
-                    refreshes: 0,
-                })
-                .collect()
-        } else {
-            let mut acc = self.entries[0].session.policy_states();
-            for e in &self.entries[1..] {
-                for (a, s) in acc.iter_mut().zip(e.session.policy_states()) {
-                    a.step += s.step;
-                    a.step_scale += s.step_scale;
-                    a.reuse_threshold += s.reuse_threshold;
-                    a.observations += s.observations;
-                    a.grows += s.grows;
-                    a.shrinks += s.shrinks;
-                    a.refreshes += s.refreshes;
-                }
-            }
-            let n = self.entries.len() as f32;
-            for a in &mut acc {
-                a.step /= n;
-                a.step_scale /= n;
-                a.reuse_threshold /= n;
-            }
-            acc
-        };
         let streams = self
             .entries
             .iter()
@@ -1055,9 +1010,6 @@ impl StreamServer {
             p999_ns: self.latency.quantile_ns(0.999),
             max_ns: self.latency.max_ns(),
             service_ewma_ns: self.service_ewma_ns,
-            signature,
-            policy: self.model.policy_name().to_string(),
-            policy_layers,
             streams,
         }
     }

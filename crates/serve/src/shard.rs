@@ -14,10 +14,8 @@
 //! one.
 //!
 //! All shards clone one `Arc<CompiledModel>`, so they share the model's
-//! immutable artifacts **and** its cross-stream
-//! [`SignatureCache`](reuse_core::SignatureCache): a stream evicted from
-//! one shard and recreated on another still hits signatures its previous
-//! incarnation (or any other stream) inserted.
+//! immutable artifacts (network, plan, packed weights) and nothing else: an
+//! evicted stream that comes back starts from a fresh session.
 //!
 //! Two driving modes:
 //!
@@ -59,7 +57,7 @@ impl Shard {
 
 /// A sharded [`StreamServer`]: stream-id-hashed shards, each owning its
 /// own session pool, ingress queues, and latency histogram, all sharing
-/// one [`CompiledModel`] (and therefore one cross-stream signature cache).
+/// one [`CompiledModel`].
 ///
 /// `&self` methods take per-shard locks internally, so one
 /// `Arc<ShardedServer>` can be driven from many threads: network

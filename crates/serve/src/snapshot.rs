@@ -7,7 +7,6 @@
 use std::fmt::Write as _;
 
 use reuse_core::json::{json_num, json_str};
-use reuse_core::{LayerPolicyState, SignatureStats};
 
 /// Aggregate and per-stream server state at one point in time. Built by
 /// [`crate::StreamServer::snapshot`]; owns all its data.
@@ -52,15 +51,6 @@ pub struct ServerSnapshot {
     /// EWMA of the per-frame service time feeding the deadline projection
     /// (ns; `0.0` before the first completed frame).
     pub service_ewma_ns: f64,
-    /// Cross-stream signature-cache counters summed over the pool's live
-    /// sessions (all zero when the model compiles the cache out).
-    pub signature: SignatureStats,
-    /// Active reuse-policy name (`"static"`, `"adaptive"`, `"tuned"`).
-    pub policy: String,
-    /// Per-layer policy state aggregated over the pool's live sessions:
-    /// controller counters summed, step/scale/threshold averaged (the
-    /// compiled resolution when no session is live).
-    pub policy_layers: Vec<LayerPolicyState>,
     /// Per-stream detail, in pool order.
     pub streams: Vec<StreamSnapshot>,
 }
@@ -135,27 +125,6 @@ impl ServerSnapshot {
             "  \"service_ewma_ns\": {},",
             json_num(self.service_ewma_ns)
         );
-        let _ = writeln!(
-            s,
-            "  \"signature_cache\": {{\"lookups\": {}, \"hits\": {}, \"adoptions\": {}, \
-             \"bailouts\": {}, \"inserts\": {}}},",
-            self.signature.lookups,
-            self.signature.hits,
-            self.signature.adoptions,
-            self.signature.bailouts,
-            self.signature.inserts
-        );
-        let _ = writeln!(s, "  \"policy\": {},", json_str(&self.policy));
-        s.push_str("  \"policy_layers\": [\n");
-        for (i, p) in self.policy_layers.iter().enumerate() {
-            let comma = if i + 1 == self.policy_layers.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(s, "    {}{}", p.to_json(), comma);
-        }
-        s.push_str("  ],\n");
         s.push_str("  \"streams\": [\n");
         for (i, st) in self.streams.iter().enumerate() {
             let comma = if i + 1 == self.streams.len() { "" } else { "," };
@@ -213,26 +182,6 @@ mod tests {
             p999_ns: 65535,
             max_ns: 60000,
             service_ewma_ns: 1234.5,
-            signature: SignatureStats {
-                lookups: 6,
-                hits: 4,
-                adoptions: 3,
-                bailouts: 1,
-                inserts: 2,
-            },
-            policy: "tuned".to_string(),
-            policy_layers: vec![LayerPolicyState {
-                name: hostile.to_string(),
-                adaptive: true,
-                clusters: 32,
-                step: 0.0625,
-                step_scale: 2.25,
-                reuse_threshold: 0.6,
-                observations: 12,
-                grows: 3,
-                shrinks: 1,
-                refreshes: 2,
-            }],
             streams: vec![
                 StreamSnapshot {
                     id: 0,
@@ -265,9 +214,11 @@ mod tests {
         let json = snap.to_json();
         let root = reuse_core::json::parse(&json).expect("strict parser accepts the snapshot");
         assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
-        let layer = &root.get("policy_layers").unwrap().as_array().unwrap()[0];
-        assert_eq!(layer.get("name").unwrap().as_str(), Some(hostile));
         assert!(root.has_path("streams.input_similarity"));
+        // The retired cache and policy objects are gone from the schema.
+        assert!(!root.has_path("signature_cache"));
+        assert!(!root.has_path("policy"));
+        assert!(!root.has_path("policy_layers"));
         assert!(json.contains("\"p99\": 65535"));
         assert!(json.contains("\"p999\": 65535"));
         assert!(json.contains("\"deadline_shed\": 3"));
@@ -275,13 +226,6 @@ mod tests {
         assert!(json.contains("\"service_ewma_ns\": 1234.5"));
         assert!(json.contains("\"degraded\": true"));
         assert!(json.contains("\"failed\": true"));
-        assert!(json.contains(
-            "\"signature_cache\": {\"lookups\": 6, \"hits\": 4, \"adoptions\": 3, \
-             \"bailouts\": 1, \"inserts\": 2}"
-        ));
-        assert!(json.contains("\"policy\": \"tuned\""));
-        assert!(json.contains("\"step_scale\": 2.250000"));
-        assert!(json.contains("\"refreshes\": 2"));
         // Non-finite similarity serializes as null, not NaN.
         assert!(json.contains("\"input_similarity\": null"));
         assert!(!json.contains("NaN"));

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use reuse_core::{CompiledModel, ReuseConfig, TunedLayerPolicy, TunedPolicy};
+use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_serve::{ServeError, ServerConfig, StreamServer, SubmitOptions, SubmitResult};
 use reuse_tensor::Shape;
@@ -120,7 +120,6 @@ fn check_against_standalone(
             "stream {id}: EngineMetrics must match a standalone run"
         );
         assert_eq!(session.watchdog_stats(), alone.watchdog_stats());
-        assert_eq!(session.policy_states(), alone.policy_states());
     }
 }
 
@@ -129,8 +128,8 @@ fn check_against_standalone(
 /// FCs that reuse), its all-disabled twin (every row of every layer in one
 /// rows-forward), and a conv net whose reuse-disabled first conv layer runs
 /// its rows through one call while the second conv layer steps them. Each
-/// calibrates on two frames, checks drift every third reuse frame against a
-/// bound tight enough to re-baseline and escalate, and adapts one layer.
+/// calibrates on two frames and checks drift every third reuse frame against
+/// a bound tight enough to re-baseline and escalate.
 fn block_models() -> [(Arc<CompiledModel>, usize); 3] {
     let kaldi = NetworkBuilder::new("serve-kaldi", 12)
         .seed(9)
@@ -151,30 +150,16 @@ fn block_models() -> [(Arc<CompiledModel>, usize); 3] {
         .fully_connected(5, Activation::Identity)
         .build()
         .unwrap();
-    let config = |adaptive: &str| {
-        let layer = TunedLayerPolicy {
-            layer: adaptive.into(),
-            clusters: 16,
-            step_scale: 1.0,
-            reuse_threshold: 0.4,
-            adaptive: true,
-        };
-        let policy = TunedPolicy {
-            network: String::new(),
-            layers: vec![layer],
-        };
-        ReuseConfig::uniform(16)
-            .calibration_executions(2)
-            .drift_watchdog(3, 0.02)
-            .drift_escalate_after(3)
-            .reuse_policy(Arc::new(policy))
-    };
-    let kaldi_config = config("fc3").disable_layer("fc1").disable_layer("fc2");
+    let config = ReuseConfig::uniform(16)
+        .calibration_executions(2)
+        .drift_watchdog(3, 0.02)
+        .drift_escalate_after(3);
+    let kaldi_config = config.clone().disable_layer("fc1").disable_layer("fc2");
     let twin = kaldi_config
         .clone()
         .disable_layer("fc3")
         .disable_layer("fc4");
-    let conv_config = config("fc1").disable_layer("conv1");
+    let conv_config = config.disable_layer("conv1");
     let model = |net, config| Arc::new(CompiledModel::new(net, config));
     [
         (model(&kaldi, &kaldi_config), 12),
@@ -550,96 +535,6 @@ fn rejected_submits_do_not_refresh_the_lru_clock() {
     assert_eq!(server.evictions(), 1);
 }
 
-/// Signature cache at capacity 0: the lookup plumbing runs but can never
-/// hit, so serving must degrade to exactly the cache-off behavior —
-/// outputs and metrics bit-identical to standalone sessions of a
-/// cache-off model.
-#[test]
-fn capacity_zero_signature_cache_serves_bit_identically() {
-    let net = mlp();
-    let on = Arc::new(CompiledModel::new(
-        &net,
-        &ReuseConfig::uniform(16)
-            .signature_cache(true)
-            .signature_cache_capacity(0),
-    ));
-    let off = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let streams = vec![
-        (1u64, walk(20, 12, 0.08, 61)),
-        (2u64, walk(20, 12, 0.12, 62)),
-    ];
-    let mut server = StreamServer::new(
-        Arc::clone(&on),
-        ServerConfig::default().queue_capacity(4).batch_max(2),
-    )
-    .unwrap();
-    let collected = run_server(&mut server, &streams, 3);
-    check_against_standalone(&off, &server, &streams, &collected);
-    let snap = server.snapshot();
-    assert!(snap.signature.lookups > 0, "plumbing is alive");
-    assert_eq!(snap.signature.hits, 0);
-    assert_eq!(snap.signature.adoptions, 0);
-    assert_eq!(snap.signature.inserts, 0);
-}
-
-/// An evicted stream's cache entries must not leak stale baselines into
-/// its replacement: a successor with dissimilar frames misses the cache
-/// (signatures differ) and stays bit-identical to a cache-off run.
-#[test]
-fn evicted_streams_cache_entries_do_not_leak_into_replacement() {
-    let net = mlp();
-    let on = Arc::new(CompiledModel::new(
-        &net,
-        &ReuseConfig::uniform(16).signature_cache(true),
-    ));
-    let off = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server =
-        StreamServer::new(Arc::clone(&on), ServerConfig::default().max_sessions(1)).unwrap();
-
-    // Stream 0 warms up and publishes its cold-start baselines.
-    let warm = walk(8, 12, 0.06, 1);
-    for frame in &warm {
-        server.submit(0, frame).unwrap();
-        server.tick().unwrap();
-        server.drain_outputs(0, |_| {});
-    }
-    assert!(
-        server.snapshot().signature.inserts > 0,
-        "baselines published"
-    );
-
-    // Stream 1 (negated frames: every signature bit flips) evicts it.
-    let replacement: Vec<Vec<f32>> = warm
-        .iter()
-        .map(|f| f.iter().map(|v| -v).collect())
-        .collect();
-    let mut outs = Vec::new();
-    for frame in &replacement {
-        server.submit(1, frame).unwrap();
-        server.tick().unwrap();
-        server.drain_outputs(1, |out| outs.push(out.to_vec()));
-    }
-    assert!(!server.contains(0));
-    assert_eq!(server.evictions(), 1);
-
-    let session = server.session(1).expect("replacement resident");
-    assert_eq!(
-        session.signature_stats().adoptions,
-        0,
-        "dissimilar replacement must not adopt the evicted stream's baselines"
-    );
-
-    // Bit-identical to a fresh standalone session on a cache-off model.
-    let mut alone = off.new_session();
-    let mut reference = Vec::new();
-    assert_eq!(outs.len(), replacement.len());
-    for (frame, out) in replacement.iter().zip(outs.iter()) {
-        alone.execute_into(frame, &mut reference).unwrap();
-        assert_bits_eq(out, &reference);
-    }
-    assert_eq!(session.metrics(), alone.metrics());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -702,60 +597,13 @@ proptest! {
         prop_assert!(server.frames_submitted() > 0);
     }
 
-    /// Property: a server over a cache-enabled model with capacity 0 is
-    /// bit-identical — outputs and `EngineMetrics` — to standalone
-    /// sessions of a cache-off model, under random interleavings.
-    #[test]
-    fn capacity_zero_cache_matches_cache_off_standalone(
-        seed_a in 0u64..1000,
-        seed_b in 1000u64..2000,
-        queue_capacity in 1usize..5,
-        batch_max in 1usize..4,
-        chunk in 1usize..4,
-    ) {
-        let net = mlp();
-        let on = Arc::new(CompiledModel::new(
-            &net,
-            &ReuseConfig::uniform(16)
-                .signature_cache(true)
-                .signature_cache_capacity(0),
-        ));
-        let off = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-        let streams = vec![
-            (11u64, walk(12, 12, 0.08, seed_a)),
-            (22u64, walk(12, 12, 0.15, seed_b)),
-        ];
-        let mut server = StreamServer::new(
-            Arc::clone(&on),
-            ServerConfig::default()
-                .queue_capacity(queue_capacity)
-                .batch_max(batch_max),
-        )
-        .unwrap();
-        let collected = run_server(&mut server, &streams, chunk);
-        for ((id, stream), outs) in streams.iter().zip(collected.iter()) {
-            prop_assert_eq!(outs.len(), stream.len());
-            let mut alone = off.new_session();
-            let mut reference = Vec::new();
-            for (frame, out) in stream.iter().zip(outs.iter()) {
-                alone.execute_into(frame, &mut reference).unwrap();
-                prop_assert_eq!(out.len(), reference.len());
-                for (x, y) in out.iter().zip(reference.iter()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            let session = server.session(*id).expect("stream resident");
-            prop_assert_eq!(session.metrics(), alone.metrics());
-        }
-    }
-
     /// Property: however a tick's block is cut — the calibration →
     /// reuse transition landing mid-tick, a drift check (with its
-    /// re-baseline) every third reuse frame, an adaptive layer rescaling,
-    /// layers escalating to full precision — and however many rows each of
-    /// five streams puts into it, every stream's outputs, `EngineMetrics`,
-    /// watchdog counters and policy state are bit-identical to a standalone
-    /// session's, on all three [`block_models`].
+    /// re-baseline) every third reuse frame, layers escalating to full
+    /// precision — and however many rows each of five streams puts into it,
+    /// every stream's outputs, `EngineMetrics` and watchdog counters are
+    /// bit-identical to a standalone session's, on all three
+    /// [`block_models`].
     #[test]
     fn block_ticks_match_standalone_sessions(
         seed in 0u64..1000,

@@ -1,7 +1,7 @@
 //! Sharded-tier semantics: a [`ShardedServer`] over any shard count must
 //! be bit-identical per stream to a single-shard [`StreamServer`] (and so
-//! to standalone sessions); deadline scheduling and the shared signature
-//! cache must survive sharding and LRU churn.
+//! to standalone sessions); deadline scheduling must survive sharding and
+//! LRU churn.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,67 +161,6 @@ fn worker_threads_drive_frames_to_completion() {
             assert_bits_eq(out, &reference);
         }
     }
-}
-
-/// Satellite 6 regression: the PR 7 signature cache hangs off the shared
-/// `CompiledModel`, so it must keep working across shards and across LRU
-/// eviction — a stream evicted from one shard and similar content arriving
-/// on a *different* shard must still hit the cached signatures.
-#[test]
-fn signature_cache_is_shared_across_shards_and_survives_eviction() {
-    let model = Arc::new(CompiledModel::new(
-        &mlp(),
-        &ReuseConfig::uniform(32).signature_cache(true),
-    ));
-    // Per-shard pool of 1 session so every new stream on a shard evicts
-    // the previous one.
-    let server = ShardedServer::new(
-        Arc::clone(&model),
-        ServerConfig::default().max_sessions(1),
-        2,
-    )
-    .unwrap();
-
-    // Two ids on *different* shards, plus churn ids to force eviction.
-    let ids: Vec<u64> = (0..64).collect();
-    let a = ids[0];
-    let b = *ids
-        .iter()
-        .find(|&&id| server.shard_of(id) != server.shard_of(a))
-        .expect("some id lands on the other shard");
-    let churn_a = *ids
-        .iter()
-        .find(|&&id| id != a && id != b && server.shard_of(id) == server.shard_of(a))
-        .expect("another id on a's shard");
-
-    let frames = walk(12, 12, 0.02, 999);
-    // Warm the cache from stream `a` (shard of a).
-    for frame in &frames {
-        server.submit(a, frame).unwrap();
-        server.tick_all().unwrap();
-    }
-    server.drain_outputs(a, |_| {});
-    // Evict `a` by creating another stream on its shard (pool cap 1).
-    server.submit(churn_a, &frames[0]).unwrap();
-    server.tick_all().unwrap();
-    assert!(!server.contains(a), "a must have been evicted");
-
-    // The same content arriving on the *other* shard must adopt cached
-    // baselines inserted by `a` — the cache lives on the CompiledModel,
-    // not in any shard's session pool.
-    for frame in &frames {
-        server.submit(b, frame).unwrap();
-        server.tick_all().unwrap();
-    }
-    let adoptions = server.snapshot().shards[server.shard_of(b)]
-        .signature
-        .adoptions;
-    assert!(
-        adoptions > 0,
-        "stream {b} on shard {} must adopt signatures published by evicted stream {a} on shard {}",
-        server.shard_of(b),
-        server.shard_of(a),
-    );
 }
 
 #[test]

@@ -101,8 +101,8 @@ mod tests {
     #[test]
     fn reuse_config_excludes_only_fc5() {
         let c = reuse_config();
-        assert!(c.layer_policy("conv1").enabled);
-        assert!(c.layer_policy("fc4").enabled);
-        assert!(!c.layer_policy("fc5").enabled);
+        assert!(c.layer_enabled("conv1"));
+        assert!(c.layer_enabled("fc4"));
+        assert!(!c.layer_enabled("fc5"));
     }
 }

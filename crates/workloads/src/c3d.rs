@@ -155,8 +155,8 @@ mod tests {
     #[test]
     fn reuse_config_excludes_conv1() {
         let c = reuse_config();
-        assert!(!c.layer_policy("conv1").enabled);
-        assert!(c.layer_policy("conv2").enabled);
-        assert_eq!(c.layer_policy("fc1").clusters, 32);
+        assert!(!c.layer_enabled("conv1"));
+        assert!(c.layer_enabled("conv2"));
+        assert_eq!(c.default_clusters(), 32);
     }
 }

@@ -50,21 +50,6 @@ echo "== serving-runtime smoke (StreamServer vs standalone sessions) =="
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve kaldi --streams 4 --frames 32 > /dev/null
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve eesen --streams 3 --frames 20 > /dev/null
 
-echo "== cross-stream signature-cache smoke (capacity 0 + full capacity) =="
-# Two passes: with the cache compiled in at capacity 0 the server must stay
-# bit-identical to standalone sessions (exactly today's behavior), then a
-# full-capacity pass checks completion and that the cache is actually
-# consulted (lookups > 0). Exit 6 on either failure.
-REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve kaldi --streams 4 --frames 32 --sig-cache > /dev/null
-REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve eesen --streams 3 --frames 20 --sig-cache > /dev/null
-
-echo "== reuse-policy smoke (tune round trip) =="
-# The replay auto-tuner must emit a policy file that reparses and
-# recompiles to the same per-layer operating points (exit 4 on round-trip
-# mismatch, 5 on I/O failure); the StaticPolicy bit-identity suite ran at
-# both SIMD levels inside the workspace passes above.
-REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- tune kaldi --smoke --out target/tuned-kaldi-smoke.json > /dev/null
-
 echo "== serve-net loopback smoke (TCP round-trip vs standalone) =="
 # Starts the sharded tier behind a real loopback TCP socket, drives streams
 # through the in-tree binary-protocol client (three pipelined frames per
@@ -131,17 +116,21 @@ echo "== repro report smoke (all ten artifacts, tiny scale) =="
 # REUSE_SCALE exits 2).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
 
-echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one feed-forward walk, the block) =="
+echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one feed-forward walk, the block; one fixed reuse scheme per network, temporal only) =="
 # The recorded-artifact files, the measurement disk cache, the session
 # threading knob, the kernel thread runtime, the `_with` kernel entries, the
 # session's tensor-API fallback fork with the pool machinery around it, the
 # `Tensor`-typed kernel wrappers, the profiler reservoir, the cloning LSTM
 # cell update, the per-level tolerance pair, the three kernel-floor
 # overrides, the per-layer telemetry rings with their window knob, the
-# in-walk trace builders, the per-frame feed-forward walk and the one-row FC
-# panel walk beside the matmul are gone; this line is their one permitted
-# mention.
-if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
+# in-walk trace builders, the per-frame feed-forward walk, the one-row FC
+# panel walk beside the matmul, the cross-stream signature cache with its
+# hash planes and CLI flag, and the per-layer policy layer with its
+# controller, policy files and step-rescaling quantizer are gone; this line
+# is their one permitted mention, besides the snapshot tests' assertions
+# that a retired JSON path is absent.
+if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels|signature_cache|SignatureCache|SignatureStats|RpqPlanes|ReusePolicy|StaticPolicy|AdaptivePolicy|AdaptiveController|TunedPolicy|LayerPolicy|reuse_threshold|step_scale|policy_layers|sig-cache|with_step' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude |
+    grep -v 'assert!(!root\.has_path("'; then
     echo "retired names are back in the tree" >&2
     exit 1
 fi

@@ -108,7 +108,7 @@ fn storage_reports_cover_all_workloads() {
     for kind in WorkloadKind::ALL {
         let w = Workload::build(kind, Scale::Tiny);
         let config = w.reuse_config();
-        let r = accel::memory::storage_report(w.network(), |n| config.layer_policy(n).enabled);
+        let r = accel::memory::storage_report(w.network(), |n| config.layer_enabled(n));
         assert!(r.io_reuse_bytes >= r.io_baseline_bytes, "{kind}");
         assert!(r.main_reuse_bytes >= r.main_baseline_bytes, "{kind}");
     }

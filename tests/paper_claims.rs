@@ -188,8 +188,7 @@ fn claim_storage_and_area_overheads_small() {
     for kind in WorkloadKind::ALL {
         let w = Workload::build(kind, Scale::Tiny);
         let rc = w.reuse_config();
-        let report =
-            reuse_dnn::accel::memory::storage_report(w.network(), |n| rc.layer_policy(n).enabled);
+        let report = reuse_dnn::accel::memory::storage_report(w.network(), |n| rc.layer_enabled(n));
         // The extra state must fit the paper's reuse I/O buffer budget.
         assert!(
             report.io_reuse_bytes <= config.io_buffer_reuse_bytes,
