@@ -255,10 +255,19 @@ mod tests {
         // clusters cannot build a quantizer.
         let err = CompiledModel::try_new(&net, &ReuseConfig::uniform(1)).unwrap_err();
         assert!(matches!(err, ReuseError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn disabled_layers_compile_disabled_slots() {
+        let net = NetworkBuilder::new("mlp", 8)
+            .fully_connected(16, Activation::Relu)
+            .fully_connected(4, Activation::Identity)
+            .build()
+            .unwrap();
         let model =
             CompiledModel::try_new(&net, &ReuseConfig::uniform(16).disable_layer("fc1")).unwrap();
         let enabled: Vec<bool> = model.slots().iter().map(|s| s.enabled).collect();
-        assert_eq!(enabled, [false, true]);
+        assert_eq!(enabled, [false, true], "fc1 is reuse-disabled");
     }
 
     #[test]
