@@ -1,25 +1,32 @@
 //! The block walk: frames of one or more sessions of one model, walked
 //! through the network together one layer at a time.
 //!
-//! A [`Block`] is a list of rows, each one frame of one session. Walking it
-//! layer by layer fetches a layer's weights once for the whole block instead
-//! of once per frame: the rows a layer does not step — a reuse-disabled or
-//! passive layer, a calibrating frame — go through one
-//! [`reuse_nn::Network::apply_rows_into`] (one GEMM for a fully-connected
-//! layer), and the rows that step do so one after the other against weights
-//! the previous row left in cache.
+//! A [`Block`] is a list of rows, each one frame of one session, pushed a
+//! unit at a time: a frame of a feed-forward network, a whole sequence of a
+//! recurrent one. Walking it layer by layer fetches a layer's weights once
+//! for the whole block instead of once per frame: the rows a layer does not
+//! step — a reuse-disabled or passive layer, a calibrating unit — go through
+//! one [`reuse_nn::Network::apply_rows_into`] (one GEMM for a
+//! fully-connected layer), or one [`reuse_nn::Layer::forward_sequence_into`]
+//! per sequence, and a session's rows that step go through one
+//! [`crate::ReuseLayer::step`]: row after row, or as one sequence.
 //!
 //! Per-layer state chains only along one session's inputs to that layer, so
 //! a session's rows step in frame order and every session sees exactly what
 //! it would see alone. What chains across layers is cut out: a session's run
-//! of rows ends at its last calibrating frame (the next one builds the
-//! quantizers from every layer's profile) and after a drift-watchdog check
-//! frame (a re-baseline rewrites every layer's state); its later rows walk in
-//! a later wave of the same block. [`ReuseSession::execute_into`] is the
-//! one-row block.
+//! of rows is whole units, ends at its last calibrating unit (the next one
+//! builds the quantizers from every layer's profile) and after a
+//! drift-watchdog check frame (a re-baseline rewrites every layer's state),
+//! and a recurrent unit, whose state resets at its start, is a run of its
+//! own; a session's later rows walk in a later wave of the same block.
+//! [`ReuseSession::execute_into`] is the one-row block and
+//! [`ReuseSession::execute_sequence_into`] the one-sequence block.
 
 use std::sync::Arc;
 
+use reuse_nn::lstm::LstmScratch;
+
+use crate::layer::ExecStats;
 use crate::model::CompiledModel;
 use crate::session::{BufferPool, ReuseSession};
 use crate::ReuseError;
@@ -48,7 +55,7 @@ pub enum RowOutcome<'a> {
     Skipped,
 }
 
-/// One session's rows in a wave, all calibrating or all not.
+/// One session's rows in a wave, whole units, all calibrating or all not.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// Position of the session in the walk's slice.
@@ -63,7 +70,7 @@ struct Run {
 /// Frames of one or more sessions of one [`CompiledModel`], walked through
 /// the network together one layer at a time (see the module docs).
 ///
-/// [`Self::push`] a row per frame — one session's rows consecutive and in
+/// [`Self::push`] each session's units — one session's consecutive and in
 /// frame order — then [`Self::walk`] and read each row's [`RowOutcome`].
 /// Everything a walk needs is kept, so once a block has walked its largest
 /// shape, walking it again allocates nothing in the block.
@@ -71,12 +78,18 @@ struct Run {
 pub struct Block {
     /// Per row, the position of its session in the walk's slice.
     sessions: Vec<usize>,
+    /// Per row, the rows of the unit it starts; 0 for a row inside a unit.
+    units: Vec<usize>,
     states: Vec<RowState>,
     /// The rows' outputs back to back.
     outputs: Vec<f32>,
     runs: Vec<Run>,
-    /// Outputs of rows that are not the whole wave, on their way into place.
+    /// Outputs of a span that is not the whole wave, on their way into place.
     scratch: Vec<f32>,
+    /// Per-row counters and spans of the run a layer steps.
+    steps: Vec<(ExecStats, u64)>,
+    /// Working memory of a recurrent layer run at full precision.
+    lstm: LstmScratch,
     pub(crate) pool: BufferPool,
 }
 
@@ -84,17 +97,23 @@ impl Block {
     /// Empties the block, keeping its capacity.
     pub fn clear(&mut self) {
         self.sessions.clear();
+        self.units.clear();
         self.states.clear();
     }
 
-    /// Appends a row: the next frame of the session at position `session`
-    /// of the slice [`Self::walk`] will be handed.
-    pub fn push(&mut self, session: usize) {
+    /// Appends a unit of `rows` rows: the next frames of the session at
+    /// position `session` of the slice [`Self::walk`] will be handed — one
+    /// frame of a feed-forward network, one whole sequence of a recurrent
+    /// one.
+    pub fn push(&mut self, session: usize, rows: usize) {
+        debug_assert!(rows > 0, "an empty unit");
         debug_assert!(
             self.sessions.last() == Some(&session) || !self.sessions.contains(&session),
             "session {session}'s rows are not consecutive"
         );
-        self.sessions.push(session);
+        self.sessions.extend(std::iter::repeat_n(session, rows));
+        self.units.push(rows);
+        self.units.extend(std::iter::repeat_n(0, rows - 1));
     }
 
     /// What became of row `row` in the last walk.
@@ -114,12 +133,23 @@ impl Block {
         }
     }
 
+    /// Every row's output of the last walk back to back, or the first
+    /// row's failure.
+    pub(crate) fn outputs(&self) -> Result<&[f32], ReuseError> {
+        let failed = self.states.iter().find_map(|s| match s {
+            RowState::Failed(e) => Some(e.clone()),
+            _ => None,
+        });
+        failed.map_or(Ok(&self.outputs), Err)
+    }
+
     /// Walks every row through the network: `frames` holds the rows' frames
     /// back to back, `sessions` the sessions they name, all over one
     /// [`CompiledModel`]. Every session's outputs, metrics and step records
-    /// are bit-identical to running its frames alone through
-    /// [`ReuseSession::execute_into`]. A failing frame fails its row and
-    /// skips its session's later rows; other sessions' rows go on.
+    /// are bit-identical to running its units alone through
+    /// [`ReuseSession::execute_into`] or
+    /// [`ReuseSession::execute_sequence_into`]. A failing frame fails its row
+    /// and skips its session's later rows; other sessions' rows go on.
     pub fn walk<S: AsMut<ReuseSession>>(&mut self, sessions: &mut [S], frames: &[f32]) {
         let rows = self.sessions.len();
         self.states.clear();
@@ -155,7 +185,7 @@ impl Block {
                 row = first + ahead.count();
                 let session = sessions[s].as_mut();
                 debug_assert!(Arc::ptr_eq(session.model(), &model), "one model per block");
-                let (calibrating, len) = session.begin_run(row - first);
+                let (calibrating, len) = session.begin_run(row - first, self.units[first]);
                 self.states[first..first + len].fill(RowState::Running);
                 let execution = session.executions();
                 self.runs.push(Run {
@@ -174,10 +204,12 @@ impl Block {
                 let session = sessions[run.session].as_mut();
                 for row in run.first..run.first + run.len {
                     if matches!(self.states[row], RowState::Running) {
+                        let unit_end = self.units.get(row + 1).is_none_or(|&u| u > 0);
                         let frame = &frames[row * in_width..][..in_width];
                         let out = &mut self.outputs[row * out_width..][..out_width];
+                        let pool = &mut self.pool;
                         self.states[row] =
-                            match session.finish_frame(run.calibrating, frame, out, &mut self.pool)
+                            match session.finish_frame(run.calibrating, unit_end, frame, out, pool)
                             {
                                 Ok(()) => RowState::Done,
                                 Err(e) => RowState::Failed(e),
@@ -189,9 +221,11 @@ impl Block {
     }
 
     /// One wave through every layer, its rows' frames gathered into one flat
-    /// buffer. At each layer a run either steps its rows in frame order or
-    /// joins the span of neighbouring runs that go through one rows-forward;
-    /// the last layer's rows land in `outputs`.
+    /// buffer. At each layer a run that steps goes through one
+    /// [`ReuseSession::step_slot`] over its running rows; the others go at
+    /// full precision — through a recurrent layer one run at a time, through
+    /// a frame-wise one in spans of neighbouring runs that share one
+    /// rows-forward. The last layer's rows land in `outputs`.
     fn walk_wave<S: AsMut<ReuseSession>>(
         &mut self,
         sessions: &mut [S],
@@ -204,7 +238,10 @@ impl Block {
             outputs,
             runs,
             scratch,
+            steps,
+            lstm,
             pool,
+            ..
         } = self;
         let network = model.network();
         let rows: usize = runs.iter().map(|r| r.len).sum();
@@ -214,38 +251,72 @@ impl Block {
             cur.extend_from_slice(&frames[run.first * width..][..run.len * width]);
         }
         for (i, &slot) in model.slot_of_layer().iter().enumerate() {
+            let layer = &network.layers()[i].1;
             let out_width = model.layer_out_volumes()[i];
             let mut next = pool.take(rows * out_width);
-            let steps = |run: &Run, sessions: &mut [S]| {
+            let steps_run = |run: &Run, sessions: &mut [S]| {
                 !run.calibrating
                     && slot != usize::MAX
                     && sessions[run.session].as_mut().slot_enabled(slot)
             };
-            // `next` holds the outputs of the wave's rows before `at`. A lone
-            // row writes straight into it, several go through `scratch`; a
-            // row that does not run keeps its place.
+            // `next` holds the outputs of the wave's rows before `at`. A span
+            // that is the whole wave writes straight into it, a shorter one
+            // goes through `scratch`; a row that does not run keeps its place.
             let (mut k, mut at) = (0, 0);
             while k < runs.len() {
                 let (span, start) = (k, at);
-                while k < runs.len() && !steps(&runs[k], sessions) {
+                let stepping = steps_run(&runs[k], sessions);
+                loop {
                     at += runs[k].len;
                     k += 1;
+                    if stepping
+                        || layer.is_recurrent()
+                        || k == runs.len()
+                        || steps_run(&runs[k], sessions)
+                    {
+                        break;
+                    }
                 }
-                if k > span {
-                    let input = &cur[start * width..at * width];
-                    let result = if at - start == rows {
-                        network.apply_rows_into(i, input, rows, &mut next)
+                let input = &cur[start * width..at * width];
+                let target = if at - start == rows {
+                    &mut next
+                } else {
+                    &mut *scratch
+                };
+                if stepping {
+                    let run = runs[span];
+                    let live = states[run.first..][..run.len]
+                        .iter()
+                        .take_while(|s| matches!(s, RowState::Running))
+                        .count();
+                    if live > 0 {
+                        let session = sessions[run.session].as_mut();
+                        let xs = &input[..live * width];
+                        let result = session.step_slot(model, slot, xs, target, steps);
+                        for (execution, &step) in (run.execution..).zip(steps.iter()) {
+                            session.record_step(execution, i, Some(step));
+                        }
+                        if let Err(e) = result {
+                            fail(owners, states, run.first + steps.len().min(live - 1), e);
+                        }
+                    }
+                } else {
+                    let result = if layer.is_recurrent() {
+                        layer.forward_sequence_into(input, at - start, target, lstm)
                     } else {
-                        network
-                            .apply_rows_into(i, input, at - start, scratch)
-                            .map(|()| next.extend_from_slice(scratch))
+                        network.apply_rows_into(i, input, at - start, target)
                     };
-                    let mut inputs = input.chunks_exact(width);
+                    let mut offset = 0;
                     for run in &runs[span..k] {
                         let session = sessions[run.session].as_mut();
+                        let xs = &input[offset * width..][..run.len * width];
+                        let hs = match result {
+                            Ok(()) => &target[offset * out_width..][..run.len * out_width],
+                            Err(_) => &[],
+                        };
+                        session.profile_unstepped(i, xs, hs);
                         let members = (run.first..run.first + run.len).zip(run.execution..);
-                        for ((row, execution), input) in members.zip(inputs.by_ref()) {
-                            session.profile_unstepped(i, input);
+                        for (row, execution) in members {
                             if matches!(states[row], RowState::Running) {
                                 match &result {
                                     Ok(()) => session.record_step(execution, i, None),
@@ -253,31 +324,13 @@ impl Block {
                                 }
                             }
                         }
+                        offset += run.len;
                     }
-                    next.resize(at * out_width, 0.0);
-                    continue;
                 }
-                let run = runs[k];
-                let session = sessions[run.session].as_mut();
-                let members = (run.first..run.first + run.len).zip(run.execution..);
-                for (j, (row, execution)) in members.enumerate() {
-                    if matches!(states[row], RowState::Running) {
-                        let input = &cur[(at + j) * width..][..width];
-                        let target = if rows == 1 { &mut next } else { &mut *scratch };
-                        match session.step_slot(model, slot, input, target) {
-                            Ok(step) => {
-                                session.record_step(execution, i, Some(step));
-                                if rows > 1 {
-                                    next.extend_from_slice(scratch);
-                                }
-                            }
-                            Err(e) => fail(owners, states, row, e),
-                        }
-                    }
-                    next.resize((at + j + 1) * out_width, 0.0);
+                if at - start < rows {
+                    next.extend_from_slice(scratch);
                 }
-                at += run.len;
-                k += 1;
+                next.resize(at * out_width, 0.0);
             }
             pool.give(std::mem::replace(&mut cur, next));
             width = out_width;
@@ -343,7 +396,7 @@ mod tests {
         let mut sessions = [model.new_session(), model.new_session()];
         let mut block = Block::default();
         for s in [0, 1, 1] {
-            block.push(s);
+            block.push(s, 1);
         }
         block.walk(&mut sessions, &[0.5; 11]);
         for row in 0..3 {

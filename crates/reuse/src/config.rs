@@ -119,7 +119,9 @@ impl ReuseConfig {
     /// session recomputes the output with [`crate::ReuseSession::reference_forward`]
     /// and, if the max-abs deviation exceeds `bound`, re-baselines every
     /// reuse layer's buffered state from full-precision values.
-    /// `check_every == 0` (the default) disables the watchdog.
+    /// `check_every == 0` (the default) disables the watchdog. It checks
+    /// feed-forward networks only: a recurrent network's state resets with
+    /// every sequence, and its sessions never run a check.
     pub fn drift_watchdog(mut self, check_every: u64, bound: f32) -> Self {
         self.drift_check_every = check_every;
         self.drift_bound = bound;

@@ -540,7 +540,7 @@ impl ConvReuseState {
         self.initialized = false;
     }
 
-    fn in_volume(&self) -> usize {
+    pub(crate) fn in_volume(&self) -> usize {
         self.geometry.in_channels() * self.in_dhw.iter().product::<usize>()
     }
 
@@ -552,16 +552,16 @@ impl ConvReuseState {
         (self.in_volume() + 4 * out_volume) as u64
     }
 
-    /// Replaces `out` with the buffered linear (pre-activation) outputs of
-    /// the last execution in the layer-boundary `[out_c, (od,)
-    /// oh, ow]` layout (nothing before initialization). Read by the drift
-    /// watchdog; also every execution's write-out.
-    pub fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+    /// Writes the buffered linear (pre-activation) outputs of the last
+    /// execution into `out` from `start` on, in the layer-boundary `[out_c,
+    /// (od,) oh, ow]` layout (nothing before initialization). Read by the
+    /// drift watchdog; also every execution's write-out.
+    pub(crate) fn write_linear(&self, out: &mut Vec<f32>, start: usize) {
         let out_c = self.geometry.out_channels();
         let positions = self.prev_linear.len() / out_c;
         // Every element is overwritten: size the buffer without clearing it.
-        out.resize(self.prev_linear.len(), 0.0);
-        transpose_into(&self.prev_linear, positions, out_c, out);
+        out.resize(start + self.prev_linear.len(), 0.0);
+        transpose_into(&self.prev_linear, positions, out_c, &mut out[start..]);
     }
 
     /// Replaces the buffered state with externally computed values (codes
@@ -605,6 +605,20 @@ impl ConvReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
+        self.execute_from(layer, pack, quantizer, input, out, 0)
+    }
+
+    /// [`Self::execute_into_packed`] writing into `out` from `start` on
+    /// (`out.len()` appends: a run's later rows).
+    pub(crate) fn execute_from<L: ConvLayer>(
+        &mut self,
+        layer: &L,
+        pack: &ConvPack,
+        quantizer: &LinearQuantizer,
+        input: &[f32],
+        out: &mut Vec<f32>,
+        start: usize,
+    ) -> Result<ExecStats, ReuseError> {
         let g = self.geometry;
         let (in_dhw, n_in) = (self.in_dhw, self.in_volume());
         if input.len() != n_in {
@@ -631,8 +645,14 @@ impl ConvReuseState {
 
         if !self.initialized {
             let centroids = quantizer.quantized_values(input);
-            conv_forward_into(&g, in_dhw, &centroids, 1, panels, layer.bias(), out)?;
-            self.adopt_baseline(quantizer, input, out);
+            // The forward fills a whole buffer: `out` on a run's first row.
+            let mut own = Vec::new();
+            let linear = if start == 0 { &mut *out } else { &mut own };
+            conv_forward_into(&g, in_dhw, &centroids, 1, panels, layer.bias(), linear)?;
+            self.adopt_baseline(quantizer, input, linear);
+            if start > 0 {
+                self.write_linear(out, start);
+            }
             return Ok(ExecStats {
                 n_inputs: n_in,
                 n_changed: n_in,
@@ -652,7 +672,7 @@ impl ConvReuseState {
             Correction::Gather(k) => k.correct(&g, in_dhw, self.out_dhw, panels, changed, linear),
             Correction::RowGrids(k) => k.correct(&g, in_dhw, self.out_dhw, panels, changed, linear),
         };
-        self.buffered_linear_into(out);
+        self.write_linear(out, start);
         Ok(ExecStats {
             n_inputs: n_in,
             n_changed: self.changed.len() as u64,

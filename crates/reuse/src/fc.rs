@@ -114,7 +114,8 @@ impl FcReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.execute_into_impl(layer, quantizer, input, out, false)
+        out.clear();
+        self.append_into(layer, quantizer, input, out, false)
     }
 
     /// [`Self::execute_into`] with the original unblocked correction walk
@@ -129,10 +130,13 @@ impl FcReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.execute_into_impl(layer, quantizer, input, out, true)
+        out.clear();
+        self.append_into(layer, quantizer, input, out, true)
     }
 
-    fn execute_into_impl(
+    /// [`Self::execute_into`] appending the linear outputs to `out` instead
+    /// of replacing it — how a run of rows is stepped into one buffer.
+    pub(crate) fn append_into(
         &mut self,
         layer: &FullyConnected,
         quantizer: &LinearQuantizer,
@@ -160,7 +164,6 @@ impl FcReuseState {
             layer.forward_linear_into(&self.centroids, &mut self.prev_linear)?;
             self.changed.reserve(n_in);
             self.initialized = true;
-            out.clear();
             out.extend_from_slice(&self.prev_linear);
             return Ok(ExecStats {
                 n_inputs: n_in as u64,
@@ -193,7 +196,6 @@ impl FcReuseState {
             // read-modify-write sweep of the buffered outputs per batch.
             apply_deltas_rows(&SERIAL, w, n_out, &self.changed, &mut self.prev_linear);
         }
-        out.clear();
         out.extend_from_slice(&self.prev_linear);
         Ok(ExecStats {
             n_inputs: n_in as u64,

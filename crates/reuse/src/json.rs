@@ -1,7 +1,7 @@
 //! The workspace's one JSON home: the strict recursive-descent reader the
-//! emitters' tests and the bench `--validate` checkers parse with, and the
-//! string/number helpers every hand-rolled `format!` emitter (telemetry,
-//! the serving snapshots) writes through.
+//! snapshot tests (telemetry, the serving snapshots) parse their emitters'
+//! output with, and the string/number helpers every hand-rolled `format!`
+//! emitter writes through.
 
 use std::fmt::Write as _;
 
@@ -102,8 +102,8 @@ impl Value {
 
     /// Whether the dot-separated `path` of object keys resolves. An array
     /// met before the path ends must be non-empty and every element must
-    /// resolve the rest — `"kernels.flops"` asks that each row of a
-    /// non-empty `kernels` array carries `flops`.
+    /// resolve the rest — on a telemetry snapshot, `"layers.hit_rate"` asks
+    /// that each entry of a non-empty `layers` array carries `hit_rate`.
     pub fn has_path(&self, path: &str) -> bool {
         if let Value::Arr(items) = self {
             return !items.is_empty() && items.iter().all(|v| v.has_path(path));

@@ -2,16 +2,17 @@
 //!
 //! Every reuse-enabled layer family (fully-connected, conv2d/3d, LSTM,
 //! BiLSTM) exposes the same small surface to the execution engine through
-//! [`ReuseLayer`]: correct buffered outputs for one frame, adopt a fresh
-//! baseline after a watchdog re-baseline, reset between sequences, and
-//! report per-stream storage. The engine walks a plan of trait objects
+//! [`ReuseLayer`]: step a run of rows — frames, or one sequence's timesteps —
+//! correcting buffered outputs, adopt a fresh baseline after a watchdog
+//! re-baseline, reset between sequences, and report per-stream storage.
+//! The engine walks a plan of trait objects
 //! built once per session — no per-kind `match` remains on the execute
 //! path. Immutable inputs (network layer, packed weights, quantizers) come
 //! in through [`StepCtx`], borrowed from the shared
 //! [`CompiledModel`](crate::CompiledModel); everything behind `&mut self`
 //! is per-stream session state.
 
-use reuse_nn::{Layer, LayerKind};
+use reuse_nn::Layer;
 use reuse_quant::LinearQuantizer;
 use reuse_tensor::ParallelConfig;
 
@@ -90,14 +91,6 @@ fn wrong_layer(expected: &'static str) -> ReuseError {
     }
 }
 
-/// Recurrent states have no frame step: the session runs them a sequence at
-/// a time through [`ReuseLayer::step_sequence`].
-fn per_sequence_only() -> ReuseError {
-    ReuseError::WrongApi {
-        context: "recurrent layers run per sequence: use step_sequence".into(),
-    }
-}
-
 /// The input quantizer, which every reuse-correcting (non-passthrough)
 /// state requires.
 fn require_qx<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> {
@@ -120,8 +113,8 @@ fn expect_qx<'a>(ctx: &StepCtx<'a>) -> &'a LinearQuantizer {
         .expect("frame-wise reuse layers carry an input quantizer")
 }
 
-/// The rows of a flat `[t, width]` sequence, which must be whole.
-fn sequence_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_, f32>, ReuseError> {
+/// The rows of a flat `[rows, width]` run, which must be whole.
+fn run_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_, f32>, ReuseError> {
     if !xs.len().is_multiple_of(width) {
         return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
             expected: xs.len().next_multiple_of(width),
@@ -129,6 +122,32 @@ fn sequence_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_,
         }));
     }
     Ok(xs.chunks_exact(width))
+}
+
+/// A frame-wise state's step over a run, one row after the other:
+/// `correct` appends a row's linear outputs to `out`, then the layer's
+/// activation runs on them in place. Stops at the first failing row, with
+/// the rows before it in `out` and `steps`.
+fn step_rows(
+    ctx: &StepCtx<'_>,
+    xs: &[f32],
+    width: usize,
+    timed: bool,
+    out: &mut Vec<f32>,
+    steps: &mut Vec<(ExecStats, u64)>,
+    mut correct: impl FnMut(&[f32], &mut Vec<f32>) -> Result<ExecStats, ReuseError>,
+) -> Result<(), ReuseError> {
+    out.clear();
+    steps.clear();
+    for x in run_rows(xs, width)? {
+        let (span, start) = (span_start(timed), out.len());
+        let stats = correct(x, out)?;
+        if let Some(act) = ctx.layer.activation() {
+            act.apply_in_place(&mut out[start..]);
+        }
+        steps.push((stats, span_elapsed_ns(span)));
+    }
+    Ok(())
 }
 
 /// One reuse-enabled layer's per-stream state behind a uniform interface.
@@ -139,78 +158,44 @@ fn sequence_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_,
 /// [`StepCtx`] so one [`CompiledModel`](crate::CompiledModel) can serve
 /// many sessions.
 pub trait ReuseLayer: std::fmt::Debug + Send {
-    /// The layer family this state corrects for.
-    fn kind(&self) -> LayerKind;
-
-    /// Corrects the buffered outputs for one frame and writes the layer's
-    /// *post-step* values into `out` (linear pre-activations for
-    /// frame-wise layers, the hidden state for recurrent cells).
+    /// Steps a run of inputs, `xs` the rows back to back (`[rows, n_in]`),
+    /// correcting the buffered outputs row after row: `out` is cleared and
+    /// filled with one row of the layer's output per input row (activation
+    /// applied; the hidden state for recurrent cells), `steps` with each
+    /// row's counters and span (0 unless `timed`). A frame-wise state steps
+    /// its rows one at a time; a recurrent one runs them as one sequence.
     ///
     /// # Errors
     ///
     /// Returns [`ReuseError`] on shape mismatches or when the state is
-    /// stepped against the wrong layer kind.
-    fn correct(
-        &mut self,
-        ctx: &StepCtx<'_>,
-        input: &[f32],
-        out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError>;
-
-    /// One full execution: [`Self::correct`] plus the layer's activation
-    /// (recurrent cells apply their nonlinearities inside `correct`, where
-    /// [`Layer::activation`] is `None`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::correct`] errors.
+    /// stepped against the wrong layer. The rows stepped before the failing
+    /// one stay in `out` and `steps`.
     fn step(
         &mut self,
         ctx: &StepCtx<'_>,
-        input: &[f32],
+        xs: &[f32],
+        timed: bool,
         out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
-        let stats = self.correct(ctx, input, out)?;
-        if let Some(act) = ctx.layer.activation() {
-            act.apply_in_place(out);
-        }
-        Ok(stats)
-    }
-
-    /// Runs a whole sequence through a recurrent layer: `xs` is the
-    /// timesteps' inputs back to back; `out` is cleared and filled with one
-    /// row of the layer's output width per timestep, `steps` with each
-    /// timestep's counters and span (0 unless `timed`). Frame-wise layers
-    /// have no sequence step — the session steps them timestep by timestep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseError`] on shape mismatches or when dispatched on a
-    /// frame-wise state.
-    fn step_sequence(
-        &mut self,
-        _ctx: &StepCtx<'_>,
-        _xs: &[f32],
-        _timed: bool,
-        _out: &mut Vec<f32>,
-        _steps: &mut Vec<(ExecStats, u64)>,
-    ) -> Result<(), ReuseError> {
-        Err(wrong_layer("recurrent"))
-    }
+        steps: &mut Vec<(ExecStats, u64)>,
+    ) -> Result<(), ReuseError>;
 
     /// Re-baselines the buffered state onto exact full-precision values:
     /// codes become the quantization of `input`, buffered outputs become
-    /// `linear` (the serial linear forward on `input`). Only meaningful for
-    /// frame-wise layers — the drift watchdog never runs on recurrent
-    /// networks.
-    fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]);
+    /// `linear` (the serial linear forward on `input`). Only the quantizing
+    /// frame-wise states implement it — the drift watchdog re-baselines
+    /// nothing else, and never runs on recurrent networks.
+    fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
+        debug_assert!(false, "only quantizing frame-wise states adopt a baseline");
+    }
 
     /// Clears `out` and writes the buffered linear outputs into it, in the
-    /// layout [`Self::adopt_baseline`] takes them (nothing for recurrent
-    /// cells, whose baseline is the gate pre-activation buffer the watchdog
-    /// never inspects). A copy rather than a borrow because conv states
-    /// buffer channels-last and transpose on the way out.
-    fn buffered_linear_into(&self, out: &mut Vec<f32>);
+    /// layout [`Self::adopt_baseline`] takes them (nothing for a state
+    /// without one: a recurrent cell's baseline is the gate pre-activation
+    /// buffer the watchdog never inspects). A copy rather than a borrow
+    /// because conv states buffer channels-last and transpose on the way out.
+    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+    }
 
     /// Drops buffered state; the next execution recomputes from scratch
     /// (the between-sequence power-gate reset).
@@ -223,20 +208,21 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
 }
 
 impl ReuseLayer for FcReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Fc
-    }
-
-    fn correct(
+    fn step(
         &mut self,
         ctx: &StepCtx<'_>,
-        input: &[f32],
+        xs: &[f32],
+        timed: bool,
         out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
+        steps: &mut Vec<(ExecStats, u64)>,
+    ) -> Result<(), ReuseError> {
         let Layer::FullyConnected(fc) = ctx.layer else {
             return Err(wrong_layer("fully-connected"));
         };
-        self.execute_into(&SERIAL, fc, require_qx(ctx)?, input, out)
+        let q = require_qx(ctx)?;
+        step_rows(ctx, xs, fc.n_in(), timed, out, steps, |x, out| {
+            self.append_into(fc, q, x, out, false)
+        })
     }
 
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
@@ -261,25 +247,26 @@ impl ReuseLayer for FcReuseState {
 }
 
 impl ReuseLayer for ConvReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn correct(
+    fn step(
         &mut self,
         ctx: &StepCtx<'_>,
-        input: &[f32],
+        xs: &[f32],
+        timed: bool,
         out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
+        steps: &mut Vec<(ExecStats, u64)>,
+    ) -> Result<(), ReuseError> {
         let CompiledWeights::Conv(pack) = ctx.weights else {
             return Err(wrong_layer("conv"));
         };
         let q = require_qx(ctx)?;
-        match ctx.layer {
-            Layer::Conv2d(c) => self.execute_into_packed(&SERIAL, c, pack, q, input, out),
-            Layer::Conv3d(c) => self.execute_into_packed(&SERIAL, c, pack, q, input, out),
-            _ => Err(wrong_layer("conv")),
-        }
+        step_rows(ctx, xs, self.in_volume(), timed, out, steps, |x, out| {
+            let start = out.len();
+            match ctx.layer {
+                Layer::Conv2d(c) => self.execute_from(c, pack, q, x, out, start),
+                Layer::Conv3d(c) => self.execute_from(c, pack, q, x, out, start),
+                _ => Err(wrong_layer("conv")),
+            }
+        })
     }
 
     fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
@@ -287,7 +274,7 @@ impl ReuseLayer for ConvReuseState {
     }
 
     fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        ConvReuseState::buffered_linear_into(self, out);
+        self.write_linear(out, 0);
     }
 
     fn reset(&mut self, _layer: &Layer) {
@@ -300,21 +287,8 @@ impl ReuseLayer for ConvReuseState {
 }
 
 impl ReuseLayer for LstmReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Recurrent
-    }
-
-    fn correct(
-        &mut self,
-        _ctx: &StepCtx<'_>,
-        _input: &[f32],
-        _out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
-        Err(per_sequence_only())
-    }
-
-    /// The whole sequence as one [`LstmReuseState::step_block`] call.
-    fn step_sequence(
+    /// The run as one sequence: one [`LstmReuseState::step_block`] call.
+    fn step(
         &mut self,
         ctx: &StepCtx<'_>,
         xs: &[f32],
@@ -326,24 +300,13 @@ impl ReuseLayer for LstmReuseState {
             return Err(wrong_layer("lstm"));
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
-        let xs = sequence_rows(xs, cell.n_in())?;
+        let xs = run_rows(xs, cell.n_in())?;
         out.clear();
         steps.clear();
         self.step_block(cell, pack, quantizers, xs, timed, |h, step| {
             out.extend_from_slice(h);
             steps.push(step);
         })
-    }
-
-    fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
-        debug_assert!(
-            false,
-            "the drift watchdog never re-baselines recurrent layers"
-        );
-    }
-
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        out.clear();
     }
 
     fn reset(&mut self, layer: &Layer) {
@@ -380,23 +343,11 @@ impl BiLstmReuseState {
 }
 
 impl ReuseLayer for BiLstmReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Recurrent
-    }
-
-    fn correct(
-        &mut self,
-        _ctx: &StepCtx<'_>,
-        _input: &[f32],
-        _out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
-        Err(per_sequence_only())
-    }
-
-    /// Forward pass over ascending timesteps, backward pass over descending
-    /// timesteps, row `t` of `out` = `[h_fwd | h_bwd]`; per-timestep stats
-    /// are the two directions merged and spans summed.
-    fn step_sequence(
+    /// The run as one sequence: forward pass over ascending timesteps,
+    /// backward pass over descending timesteps, row `t` of `out` =
+    /// `[h_fwd | h_bwd]`; per-timestep stats are the two directions merged
+    /// and spans summed.
+    fn step(
         &mut self,
         ctx: &StepCtx<'_>,
         xs: &[f32],
@@ -410,7 +361,7 @@ impl ReuseLayer for BiLstmReuseState {
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
         let d = layer.cell_dim();
-        let ascending = sequence_rows(xs, layer.n_in())?;
+        let ascending = run_rows(xs, layer.n_in())?;
         let t = ascending.len();
         out.clear();
         out.resize(t * 2 * d, 0.0);
@@ -430,19 +381,10 @@ impl ReuseLayer for BiLstmReuseState {
             let forward = steps[at];
             steps[at] = (forward.0.merge(stats), forward.1 + span_ns);
         };
+        // A timestep is done once both directions ran it.
         self.bwd
             .step_block(cell, bwd, quantizers, ascending.rev(), timed, backward)
-    }
-
-    fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
-        debug_assert!(
-            false,
-            "the drift watchdog never re-baselines recurrent layers"
-        );
-    }
-
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        out.clear();
+            .inspect_err(|_| steps.clear())
     }
 
     fn reset(&mut self, layer: &Layer) {
@@ -463,7 +405,7 @@ impl ReuseLayer for BiLstmReuseState {
 }
 
 /// Per-stream "state" for a recompute-always passthrough slot. There is no
-/// buffered baseline: every `correct` runs the op from scratch and charges
+/// buffered baseline: every step runs the op from scratch and charges
 /// its full MAC-equivalent cost, with every input counted as changed —
 /// honest accounting for ingested ops the reuse scheme cannot correct
 /// incrementally. `from_scratch` stays `false` so every execution lands in
@@ -485,35 +427,33 @@ impl PassthroughReuseState {
 }
 
 impl ReuseLayer for PassthroughReuseState {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Passthrough
-    }
-
-    fn correct(
+    /// The run in one forward call, each row charged an even share of its
+    /// span.
+    fn step(
         &mut self,
         ctx: &StepCtx<'_>,
-        input: &[f32],
+        xs: &[f32],
+        timed: bool,
         out: &mut Vec<f32>,
-    ) -> Result<ExecStats, ReuseError> {
+        steps: &mut Vec<(ExecStats, u64)>,
+    ) -> Result<(), ReuseError> {
         let Layer::Passthrough(p) = ctx.layer else {
             return Err(wrong_layer("passthrough"));
         };
-        p.forward_into(input, &self.in_shape, 1, out)?;
-        Ok(ExecStats {
-            n_inputs: input.len() as u64,
-            n_changed: input.len() as u64,
+        let width = self.in_shape.volume();
+        let rows = run_rows(xs, width)?.len();
+        let span = span_start(timed);
+        p.forward_into(xs, &self.in_shape, rows, out)?;
+        let stats = ExecStats {
+            n_inputs: width as u64,
+            n_changed: width as u64,
             macs_total: self.macs,
             macs_performed: self.macs,
             from_scratch: false,
-        })
-    }
-
-    fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
-        debug_assert!(false, "passthrough slots hold no baseline to adopt");
-    }
-
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        out.clear();
+        };
+        steps.clear();
+        steps.resize(rows, (stats, span_elapsed_ns(span) / rows.max(1) as u64));
+        Ok(())
     }
 
     fn reset(&mut self, _layer: &Layer) {}

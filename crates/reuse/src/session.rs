@@ -14,14 +14,13 @@
 
 use std::sync::Arc;
 
-use reuse_nn::lstm::LstmScratch;
 use reuse_nn::Layer;
 use reuse_quant::{LinearQuantizer, RangeProfiler};
 use reuse_tensor::Tensor;
 
-use crate::block::{Block, RowOutcome};
+use crate::block::Block;
 use crate::drift::max_abs_diff;
-use crate::layer::{build_state, span_elapsed_ns, span_start, ExecStats, ReuseLayer, StepCtx};
+use crate::layer::{build_state, ExecStats, ReuseLayer, StepCtx};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
 use crate::model::CompiledModel;
 use crate::telemetry::{
@@ -163,11 +162,12 @@ pub struct ReuseSession {
     calibrated: bool,
     executions_seen: u64,
     calibration_units_seen: u64,
-    /// The one-row block [`Self::execute_into`] walks, whose pool also
-    /// recycles the sequence walk's and the watchdog's intermediates
-    /// (zero-alloc steady state). Boxed: inline, it read `c3d_stream` ~5%
-    /// slower in twelve of twelve pairs without changing what a C3D window
-    /// computes (placement, as in ROADMAP's findings); boxed, at par.
+    /// The block [`Self::execute_into`] (one row) and
+    /// [`Self::execute_sequence_into`] (one sequence) walk, whose pool also
+    /// recycles the watchdog's intermediates (zero-alloc steady state).
+    /// Boxed: inline, it read `c3d_stream` ~5% slower in twelve of twelve
+    /// pairs without changing what a C3D window computes (placement, as in
+    /// ROADMAP's findings); boxed, at par.
     block: Box<Block>,
     /// Per-slot windows of recent incremental step records, preallocated
     /// when telemetry is enabled in the config.
@@ -177,11 +177,6 @@ pub struct ReuseSession {
     /// Reuse-phase executions seen (timesteps for recurrent networks):
     /// drives the watchdog cadence and is what a snapshot reports as frames.
     reuse_frames: u64,
-    /// Per-timestep counters and spans of the recurrent slot a sequence walk
-    /// is at, and the working memory of its reuse-disabled recurrent layers:
-    /// kept so steady sequences allocate nothing.
-    seq_steps: Vec<(ExecStats, u64)>,
-    lstm_scratch: LstmScratch,
 }
 
 impl ReuseSession {
@@ -240,8 +235,6 @@ impl ReuseSession {
             telemetry,
             watchdog: WatchdogStats::default(),
             reuse_frames: 0,
-            seq_steps: Vec::new(),
-            lstm_scratch: LstmScratch::default(),
         }
     }
 
@@ -506,34 +499,54 @@ impl ReuseSession {
                 context: "recurrent network: use execute_sequence".into(),
             });
         }
-        let mut block = std::mem::take(&mut *self.block);
-        block.clear();
-        block.push(0);
-        block.walk(std::slice::from_mut(self), frame);
+        let result = self.walk_unit(frame, 1, out);
         // From the first reuse-phase frame on, the pool holds a buffer for
         // every intermediate of a frame, so every take must hit; a miss
         // would mean a steady-state frame allocated.
-        block.pool.steady |= self.calibrated;
-        let result = match block.outcome(0) {
-            RowOutcome::Done(output) => {
-                out.clear();
-                out.extend_from_slice(output);
-                Ok(())
-            }
-            RowOutcome::Failed(e) => Err(e.clone()),
-            RowOutcome::Skipped => unreachable!("a lone row follows no failed row"),
-        };
+        self.block.pool.steady |= self.calibrated;
+        result
+    }
+
+    /// Walks one unit of `rows` frames, back to back in `frames`, as this
+    /// session's own block, and writes their outputs back to back into
+    /// `out` (untouched on an error).
+    fn walk_unit(
+        &mut self,
+        frames: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), ReuseError> {
+        let mut block = std::mem::take(&mut *self.block);
+        block.clear();
+        block.push(0, rows);
+        block.walk(std::slice::from_mut(self), frames);
+        let result = block.outputs().map(|outputs| {
+            out.clear();
+            out.extend_from_slice(outputs);
+        });
         *self.block = block;
         result
     }
 
-    /// Opens a run of up to `rows` of this session's frames in a block walk:
-    /// whether they calibrate, and how many of them walk together — up to
-    /// the last calibrating frame (the next one builds the quantizers from
-    /// every layer's profile), else up to the next drift-watchdog check frame
-    /// (its re-baseline rewrites every layer's state).
-    pub(crate) fn begin_run(&mut self, rows: usize) -> (bool, usize) {
+    /// Opens a run of this session's `rows` queued rows in a block walk,
+    /// the first `unit` of which make one unit: whether they calibrate, and
+    /// how many of them walk together. A recurrent unit — one whole
+    /// sequence — is a run of its own, and outside calibration it starts
+    /// from fresh state. A feed-forward run of frames ends at the last
+    /// calibrating one (the next one builds the quantizers from every
+    /// layer's profile), else at the next drift-watchdog check frame (its
+    /// re-baseline rewrites every layer's state).
+    pub(crate) fn begin_run(&mut self, rows: usize, unit: usize) -> (bool, usize) {
         let calibrating = self.calibrating();
+        if self.model.network().is_recurrent() {
+            if !calibrating {
+                // Paper Section IV-D: the accelerator is power-gated between
+                // sequences, so all buffered state starts fresh (metrics keep
+                // accumulating across sequences).
+                self.reset_buffers();
+            }
+            return (calibrating, unit);
+        }
         let config = self.model.config();
         let len = if calibrating {
             config.calibration() as u64 - self.calibration_units_seen
@@ -547,11 +560,15 @@ impl ReuseSession {
     }
 
     /// Closes one frame of a run after its last layer, `out` holding its
-    /// output: counts it, and runs the drift watchdog when it is due (a
-    /// re-baseline replaces `out` with the exact reference output).
+    /// output: counts it — and, calibrating, the unit it ends, if it does —
+    /// and runs the drift watchdog when it is due (a re-baseline replaces
+    /// `out` with the exact reference output). The watchdog checks
+    /// feed-forward frames only: a timestep's reference is its whole
+    /// sequence, not the frame.
     pub(crate) fn finish_frame(
         &mut self,
         calibrating: bool,
+        unit_end: bool,
         frame: &[f32],
         out: &mut [f32],
         pool: &mut BufferPool,
@@ -559,12 +576,15 @@ impl ReuseSession {
         self.executions_seen += 1;
         self.metrics.executions += 1;
         if calibrating {
-            self.calibration_units_seen += 1;
+            self.calibration_units_seen += u64::from(unit_end);
             return Ok(());
         }
         self.reuse_frames += 1;
         let every = self.model.config().drift_check_every();
-        if every > 0 && self.reuse_frames.is_multiple_of(every) {
+        if every > 0
+            && !self.model.network().is_recurrent()
+            && self.reuse_frames.is_multiple_of(every)
+        {
             // Outside the zero-alloc contract: the reference forward is a
             // cold path by design.
             self.watchdog_check(frame, out, pool)?;
@@ -599,15 +619,15 @@ impl ReuseSession {
     /// networks: clears `out` and writes every timestep's flat network
     /// output into it back to back, reusing its capacity across calls.
     ///
-    /// The sequence between layers is one flat `[T, width]` buffer from the
-    /// session's recycling pool, recurrent layers run over it whole —
-    /// stepping through their reuse state, or at full precision through
-    /// [`Layer::forward_sequence_into`] when reuse-disabled — and the
-    /// per-timestep records live in session-owned scratch. Once the buffers
-    /// have grown to the longest sequence seen a reuse-phase call performs
-    /// **zero heap allocations**, with [`Self::execute_into`]'s exceptions
-    /// (state resets per sequence, so every slot initializes from scratch at
-    /// each first timestep — into buffers it kept).
+    /// The sequence is a [`Block`] of `T` rows — one unit, walked the way
+    /// [`Self::execute_into`] walks its one row: each layer runs over every
+    /// timestep before the next, a recurrent one stepping through its reuse
+    /// state or at full precision through [`Layer::forward_sequence_into`]
+    /// when it does not step, a frame-wise one as one rows-forward. Once the
+    /// buffers have grown to the longest sequence seen a reuse-phase call
+    /// performs **zero heap allocations**, with [`Self::execute_into`]'s
+    /// exceptions (state resets per sequence, so every slot initializes from
+    /// scratch at each first timestep — into buffers it kept).
     ///
     /// # Errors
     ///
@@ -627,32 +647,56 @@ impl ReuseSession {
         if frames.is_empty() {
             return Err(ReuseError::Nn(reuse_nn::NnError::EmptySequence));
         }
-        let calibrating = self.calibrating();
-        self.walk_sequence(frames, out, calibrating)
-    }
-
-    fn check_frame_len(&self, frame: &[f32]) -> Result<(), ReuseError> {
-        let expected = self.model.network().input_shape().volume();
-        if frame.len() != expected {
+        let width = self.model.network().input_shape().volume();
+        if let Some(frame) = frames.iter().find(|f| f.len() != width) {
             return Err(ReuseError::Nn(reuse_nn::NnError::InputShape {
-                expected,
+                expected: width,
                 actual: frame.len(),
             }));
         }
-        Ok(())
+        let mut flat = self.block.pool.take(frames.len() * width);
+        frames.iter().for_each(|f| flat.extend_from_slice(f));
+        let result = self.walk_unit(&flat, frames.len(), out);
+        self.block.pool.give(flat);
+        result
     }
 
-    /// Profiles the input range of a slot about to run at full precision on
-    /// `input`. An *enabled* slot only gets here while calibrating — in the
-    /// reuse phase it steps — and passthrough slots never quantize, so they
-    /// have no range to profile.
-    pub(crate) fn profile_unstepped(&mut self, layer_index: usize, input: &[f32]) {
+    /// Profiles the ranges of a slot that ran a run at full precision: its
+    /// inputs `xs`, and a recurrent slot's hidden inputs, read off the run's
+    /// outputs `hs` (none when the run failed). An *enabled* slot only gets
+    /// here while calibrating — in the reuse phase it steps — and
+    /// passthrough slots never quantize, so they have no range to profile.
+    pub(crate) fn profile_unstepped(&mut self, layer_index: usize, xs: &[f32], hs: &[f32]) {
         let slot_pos = self.model.slot_of_layer()[layer_index];
-        if slot_pos != usize::MAX
-            && self.slot_enabled(slot_pos)
-            && self.model.slots()[slot_pos].kind != reuse_nn::LayerKind::Passthrough
+        if slot_pos == usize::MAX
+            || !self.slot_enabled(slot_pos)
+            || self.model.slots()[slot_pos].kind == reuse_nn::LayerKind::Passthrough
         {
-            self.runtimes[slot_pos].profiler_x.observe_slice(input);
+            return;
+        }
+        let rt = &mut self.runtimes[slot_pos];
+        rt.profiler_x.observe_slice(xs);
+        if self.model.slots()[slot_pos].kind != reuse_nn::LayerKind::Recurrent || hs.is_empty() {
+            return;
+        }
+        // A cell's hidden inputs are its zero state, then its own outputs one
+        // step earlier: all but the last forward output and all but the
+        // first backward one (that half of a bidirectional layer's outputs
+        // starts at the last step).
+        let width = self.model.layer_out_volumes()[layer_index];
+        let forward = match &self.model.network().layers()[layer_index].1 {
+            Layer::BiLstm(l) => l.cell_dim(),
+            _ => width,
+        };
+        let t = hs.len() / width;
+        rt.profiler_h.observe(0.0);
+        for (k, o) in hs.chunks_exact(width).enumerate() {
+            if k + 1 < t {
+                rt.profiler_h.observe_slice(&o[..forward]);
+            }
+            if k > 0 {
+                rt.profiler_h.observe_slice(&o[forward..]);
+            }
         }
     }
 
@@ -747,23 +791,27 @@ impl ReuseSession {
         prev.extend_from_slice(raw_input);
     }
 
-    /// One enabled slot's reuse-phase step on one frame, `input` to `next`
-    /// — the session's resumable per-layer unit: the [`ReuseLayer`] step
-    /// (uniform dispatch, no per-kind `match`). Returns the step's counters
-    /// and its span (0 unless telemetry times slots) for the walk to record.
+    /// One enabled slot's reuse-phase step over a run of its inputs, `xs`
+    /// back to back, into `next` — the [`ReuseLayer`] step (uniform
+    /// dispatch, no per-kind `match`). Each stepped row's counters and span
+    /// (0 unless telemetry times slots) land in `steps` for the walk to
+    /// record; on an error, those of the rows stepped before the failing one.
     pub(crate) fn step_slot(
         &mut self,
         model: &CompiledModel,
         slot_pos: usize,
-        input: &[f32],
+        xs: &[f32],
         next: &mut Vec<f32>,
-    ) -> Result<(ExecStats, u64), ReuseError> {
-        let span = span_start(self.telemetry.is_some());
+        steps: &mut Vec<(ExecStats, u64)>,
+    ) -> Result<(), ReuseError> {
+        steps.clear();
         let (ctx, state) = self.runtimes[slot_pos].split(model, slot_pos);
-        let stats = state.step(&ctx, input, next)?;
-        let span_ns = span_elapsed_ns(span);
-        self.note_relative_difference(slot_pos, input);
-        Ok((stats, span_ns))
+        let result = state.step(&ctx, xs, self.telemetry.is_some(), next, steps);
+        let width = model.slots()[slot_pos].n_inputs as usize;
+        for x in xs.chunks(width).take(steps.len()) {
+            self.note_relative_difference(slot_pos, x);
+        }
+        result
     }
 
     /// Recomputes a frame-wise slot exactly on its raw input: the linear
@@ -872,115 +920,6 @@ impl ReuseSession {
         }
         out.copy_from_slice(&cur);
         pool.give(cur);
-        Ok(())
-    }
-
-    /// The one walk of a recurrent network over one sequence: each layer
-    /// runs over all timesteps before the next layer, reading one flat
-    /// pooled `[T, width]` buffer and writing the next. In the reuse phase an
-    /// enabled slot steps — a recurrent one over the whole sequence through
-    /// [`ReuseLayer::step_sequence`], a frame-wise one per timestep through
-    /// [`Self::step_slot`]; every other layer runs at full precision (while
-    /// `calibrating`, with the enabled slots' input and hidden-state ranges
-    /// profiled): a recurrent layer through
-    /// [`Layer::forward_sequence_into`], a frame-wise one through
-    /// [`reuse_nn::Network::apply_layer_into`] per timestep.
-    fn walk_sequence(
-        &mut self,
-        frames: &[Vec<f32>],
-        out: &mut Vec<f32>,
-        calibrating: bool,
-    ) -> Result<(), ReuseError> {
-        for frame in frames {
-            self.check_frame_len(frame)?;
-        }
-        if !calibrating {
-            // Paper Section IV-D: the accelerator is power-gated between
-            // sequences, so all buffered state starts fresh (metrics keep
-            // accumulating across sequences).
-            self.reset_buffers();
-        }
-        let model = Arc::clone(&self.model);
-        let network = model.network();
-        let t = frames.len();
-        let timed = self.telemetry.is_some();
-        let first = self.executions_seen;
-        let mut width = network.input_shape().volume();
-        let mut cur = self.block.pool.take(t * width);
-        for frame in frames {
-            cur.extend_from_slice(frame);
-        }
-        // One timestep's output of a frame-wise layer, on its way into the
-        // flat buffer.
-        let widest = model.layer_out_volumes().iter().copied().max();
-        let mut row = self.block.pool.take(widest.unwrap_or(0));
-        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
-            let out_width = model.layer_out_volumes()[i];
-            let mut next = self.block.pool.take(t * out_width);
-            let enabled = slot_pos != usize::MAX && self.slot_enabled(slot_pos);
-            let stepped = enabled && !calibrating;
-            let layer = &network.layers()[i].1;
-            let timesteps = (first..).zip(cur.chunks_exact(width));
-            if !layer.is_recurrent() {
-                for (execution, frame) in timesteps {
-                    let step = if stepped {
-                        Some(self.step_slot(&model, slot_pos, frame, &mut row)?)
-                    } else {
-                        self.profile_unstepped(i, frame);
-                        network.apply_layer_into(i, frame, &mut row)?;
-                        None
-                    };
-                    self.record_step(execution, i, step);
-                    next.extend_from_slice(&row);
-                }
-            } else if stepped {
-                let (ctx, state) = self.runtimes[slot_pos].split(&model, slot_pos);
-                state.step_sequence(&ctx, &cur, timed, &mut next, &mut self.seq_steps)?;
-                for (k, (execution, frame)) in timesteps.enumerate() {
-                    self.record_step(execution, i, Some(self.seq_steps[k]));
-                    self.note_relative_difference(slot_pos, frame);
-                }
-            } else {
-                for (execution, frame) in timesteps {
-                    self.profile_unstepped(i, frame);
-                    self.record_step(execution, i, None);
-                }
-                layer.forward_sequence_into(&cur, t, &mut next, &mut self.lstm_scratch)?;
-                if enabled {
-                    // A cell's hidden inputs are its zero state, then its own
-                    // outputs one step earlier: all but the last forward output
-                    // and all but the first backward one (that half of a
-                    // bidirectional layer's outputs starts at the last step).
-                    let forward = match layer {
-                        Layer::BiLstm(l) => l.cell_dim(),
-                        _ => out_width,
-                    };
-                    let profiler = &mut self.runtimes[slot_pos].profiler_h;
-                    profiler.observe(0.0);
-                    for (k, o) in next.chunks_exact(out_width).enumerate() {
-                        if k + 1 < t {
-                            profiler.observe_slice(&o[..forward]);
-                        }
-                        if k > 0 {
-                            profiler.observe_slice(&o[forward..]);
-                        }
-                    }
-                }
-            }
-            self.block.pool.give(std::mem::replace(&mut cur, next));
-            width = out_width;
-        }
-        self.executions_seen += t as u64;
-        self.metrics.executions += t as u64;
-        if calibrating {
-            self.calibration_units_seen += 1;
-        } else {
-            self.reuse_frames += t as u64;
-        }
-        out.clear();
-        out.extend_from_slice(&cur);
-        self.block.pool.give(cur);
-        self.block.pool.give(row);
         Ok(())
     }
 }

@@ -135,8 +135,8 @@ impl ExecutionTrace {
 
 /// Groups a session's step log by execution and dresses every record with
 /// its layer's constants from `model`. Executions come out in the order they
-/// ran and layers in network order within each — a sequence walk logs
-/// layer-major, which the stable sort undoes.
+/// ran and layers in network order within each — a block walk logs
+/// layer-major over every unit, which the stable sort undoes.
 pub(crate) fn materialise(mut log: Vec<StepRecord>, model: &CompiledModel) -> Vec<ExecutionTrace> {
     log.sort_by_key(|r| r.execution);
     log.chunk_by(|a, b| a.execution == b.execution)

@@ -498,7 +498,7 @@ fn bilstm_step_sequence_equals_two_hand_driven_cells() {
         let mut state = BiLstmReuseState::new(&layer);
         let (mut out, mut steps) = (Vec::new(), Vec::new());
         state
-            .step_sequence(&ctx, &xs.concat(), timed, &mut out, &mut steps)
+            .step(&ctx, &xs.concat(), timed, &mut out, &mut steps)
             .unwrap();
         assert_eq!(steps.len(), len);
         assert!(steps.iter().all(|&(_, ns)| (ns > 0) == timed), "{steps:?}");

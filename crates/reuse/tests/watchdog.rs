@@ -85,6 +85,34 @@ fn fine_quantizer_never_trips_watchdog() {
     assert!(engine.metrics().overall_input_similarity() > 0.0);
 }
 
+/// The watchdog checks feed-forward frames only: armed to check every frame
+/// against a zero bound, a recurrent session never runs a check, and its
+/// outputs and metrics are a watchdog-off session's.
+#[test]
+fn recurrent_sessions_never_run_the_watchdog() {
+    let net = NetworkBuilder::new("watchdog-rnn", 24)
+        .bilstm(9)
+        .fully_connected(8, Activation::Identity)
+        .build()
+        .unwrap();
+    let off = ReuseConfig::uniform(8).telemetry(true);
+    let mut armed = ReuseSession::from_network(&net, &off.clone().drift_watchdog(1, 0.0));
+    let mut plain = ReuseSession::from_network(&net, &off);
+    let frames = drifting_frames(40, 24, 5);
+    for sequence in frames.chunks(8) {
+        let want = plain.execute_sequence(sequence).unwrap();
+        for (got, want) in armed.execute_sequence(sequence).unwrap().iter().zip(&want) {
+            let bits = |t: &reuse_tensor::Tensor| {
+                t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(got), bits(want));
+        }
+    }
+    assert!(armed.is_calibrated(), "the reuse phase ran");
+    assert_eq!(armed.watchdog_stats().checks, 0);
+    assert_eq!(armed.metrics(), plain.metrics());
+}
+
 /// The escalation path: repeated strikes auto-disable the drifting layers,
 /// after which they run in full precision and the engine output tracks the
 /// reference exactly.

@@ -188,8 +188,7 @@ struct QueuedFrame {
 
 /// One stream's slot in the server: its session, bounded queues, and
 /// recycling buffer lists. Everything here is preallocated at stream
-/// creation (or grows once, to the model's sequence) so the steady-state
-/// submit/tick/drain cycle never allocates.
+/// creation so the steady-state submit/tick/drain cycle never allocates.
 #[derive(Debug)]
 struct StreamEntry {
     id: u64,
@@ -197,7 +196,7 @@ struct StreamEntry {
     /// Pending input frames, oldest first (capacity = `queue_capacity`).
     queue: VecDeque<QueuedFrame>,
     /// The frames this tick took into its block, in order (capacity =
-    /// `batch_max`).
+    /// `batch_max` units).
     taken: Vec<QueuedFrame>,
     /// Recycled ingress frame buffers.
     frame_free: Vec<Vec<f32>>,
@@ -209,14 +208,6 @@ struct StreamEntry {
     /// Tags of frames dropped past-deadline, oldest first (bounded like
     /// the output queue; oldest dropped if the caller never drains).
     expired_tags: VecDeque<u64>,
-    /// Scratch for assembling recurrent sequences (timestep buffers are
-    /// moved in from the queue and returned to `frame_free` after).
-    seq_scratch: Vec<Vec<f32>>,
-    /// The `(enqueued, tag)` of each timestep in `seq_scratch`, and the
-    /// sequence's flat `[timesteps, outputs]` result on its way into
-    /// `out_free` buffers.
-    seq_meta: Vec<(Instant, u64)>,
-    seq_out: Vec<f32>,
     /// Logical-clock value of the stream's last submit (LRU key).
     last_used: u64,
     /// Whether the session's drift watchdog has auto-disabled any reuse
@@ -256,14 +247,11 @@ impl StreamEntry {
             id,
             session,
             queue: VecDeque::with_capacity(config.queue_capacity),
-            taken: Vec::with_capacity(config.batch_max),
+            taken: Vec::with_capacity(config.batch_max * config.sequence_len.max(1)),
             frame_free: Vec::with_capacity(config.queue_capacity),
             outputs: VecDeque::with_capacity(config.queue_capacity),
             out_free: Vec::with_capacity(config.queue_capacity + 1),
             expired_tags: VecDeque::with_capacity(config.queue_capacity),
-            seq_scratch: Vec::with_capacity(config.sequence_len),
-            seq_meta: Vec::with_capacity(config.sequence_len),
-            seq_out: Vec::new(),
             last_used: 0,
             degraded: false,
             frames_in: 0,
@@ -305,20 +293,15 @@ impl StreamEntry {
         self.outputs.push_back((tag, out));
     }
 
-    /// Records one past-deadline drop's tag, bounded like the output queue.
-    fn push_expired(&mut self, tag: u64, cap: usize) {
-        if self.expired_tags.len() >= cap {
-            self.expired_tags.pop_front();
-        }
-        self.expired_tags.push_back(tag);
-    }
-
-    /// Moves up to `batch_max` ready frames into the tick's block as rows of
-    /// the session at position `slot`, their data into `frames`. A frame
-    /// whose deadline already passed is dropped here instead, still counting
-    /// as one of the `batch_max`: its result would arrive too late to matter,
-    /// and the forward pass it saves goes to frames that can still make
-    /// their deadlines.
+    /// Moves up to `batch_max` ready units — frames, or whole sequences of
+    /// `sequence_len` frames for a recurrent stream — into the tick's block
+    /// as units of the session at position `slot`, their data into `frames`.
+    /// A feed-forward frame whose deadline already passed is dropped here
+    /// instead, still counting as one of the `batch_max`: its result would
+    /// arrive too late to matter, and the forward pass it saves goes to
+    /// frames that can still make their deadlines. A recurrent stream's
+    /// frames never expire: dropping one timestep would shift every later
+    /// sequence boundary.
     fn take_rows(
         &mut self,
         slot: usize,
@@ -329,22 +312,31 @@ impl StreamEntry {
         if self.error.is_some() {
             return;
         }
+        let unit = config.sequence_len.max(1);
         for _ in 0..config.batch_max {
-            let Some(frame) = self.queue.pop_front() else {
+            if self.queue.len() < unit {
                 break;
-            };
-            if frame.priority == Priority::High {
-                self.high_pending -= 1;
             }
-            if frame.deadline.is_some_and(|d| Instant::now() > d) {
-                self.expired += 1;
-                self.push_expired(frame.tag, config.queue_capacity);
-                self.frame_free.push(frame.data);
-                continue;
+            let taken = self.taken.len();
+            for frame in self.queue.drain(..unit) {
+                if frame.priority == Priority::High {
+                    self.high_pending -= 1;
+                }
+                if config.sequence_len == 0 && frame.deadline.is_some_and(|d| Instant::now() > d) {
+                    self.expired += 1;
+                    if self.expired_tags.len() >= config.queue_capacity {
+                        self.expired_tags.pop_front();
+                    }
+                    self.expired_tags.push_back(frame.tag);
+                    self.frame_free.push(frame.data);
+                    continue;
+                }
+                frames.extend_from_slice(&frame.data);
+                self.taken.push(frame);
             }
-            block.push(slot);
-            frames.extend_from_slice(&frame.data);
-            self.taken.push(frame);
+            if self.taken.len() > taken {
+                block.push(slot, self.taken.len() - taken);
+            }
         }
     }
 
@@ -393,49 +385,6 @@ impl StreamEntry {
             self.frame_free.push(frame.data);
         }
         self.taken = taken;
-        self.degraded = self.session.auto_disabled_layers().next().is_some();
-        self.frames_done - done
-    }
-
-    /// Executes up to `batch_max` whole sequences (recurrent models) one
-    /// after the other through [`ReuseSession::execute_sequence_into`] and
-    /// copies their rows into pooled output buffers: like a frame, a steady
-    /// sequence allocates nothing. Returns the frames completed.
-    fn process_sequences(&mut self, config: &ServerConfig, latency: &LatencyHistogram) -> u64 {
-        let (len, done) = (config.sequence_len, self.frames_done);
-        for _ in 0..config.batch_max {
-            if self.ready_units(len) == 0 {
-                break;
-            }
-            self.seq_scratch.clear();
-            self.seq_meta.clear();
-            for frame in self.queue.drain(..len) {
-                if frame.priority == Priority::High {
-                    self.high_pending -= 1;
-                }
-                self.seq_scratch.push(frame.data);
-                self.seq_meta.push((frame.enqueued, frame.tag));
-            }
-            match self
-                .session
-                .execute_sequence_into(&self.seq_scratch, &mut self.seq_out)
-            {
-                Ok(()) => {
-                    let width = self.seq_out.len() / len;
-                    for t in 0..len {
-                        let mut out = self.out_free.pop().unwrap_or_default();
-                        out.clear();
-                        out.extend_from_slice(&self.seq_out[t * width..][..width]);
-                        let (enqueued, tag) = self.seq_meta[t];
-                        latency.record(enqueued.elapsed().as_nanos() as u64);
-                        self.push_output(tag, out, config.queue_capacity);
-                        self.frames_done += 1;
-                    }
-                }
-                Err(e) => self.error = Some(e),
-            }
-            self.frame_free.append(&mut self.seq_scratch);
-        }
         self.degraded = self.session.auto_disabled_layers().next().is_some();
         self.frames_done - done
     }
@@ -503,7 +452,7 @@ pub struct StreamServer {
     service_ewma_ns: f64,
     /// Scratch for the tick's dispatch order (reused per tick).
     order: Vec<usize>,
-    /// The feed-forward tick's block and its rows' frames back to back
+    /// The tick's block and its rows' frames back to back
     /// (reused per tick).
     block: Block,
     block_frames: Vec<f32>,
@@ -842,10 +791,10 @@ impl StreamServer {
     /// Runs one scheduling tick on the calling thread: every stream with
     /// ready units executes up to [`ServerConfig::batch_max`] of them, in
     /// submission order. Streams whose *head* frame is high-priority go
-    /// first (FIFO within each lane). A feed-forward tick is one [`Block`]:
-    /// the frames it takes from every stream walk the network together, one
-    /// layer at a time, and all complete at its end; a recurrent tick runs
-    /// each stream's sequences in turn. Returns what was done.
+    /// first (FIFO within each lane). A tick is one [`Block`]: the frames it
+    /// takes from every stream — whole sequences for a recurrent model — walk
+    /// the network together, one layer at a time, and all complete at its
+    /// end. Returns what was done.
     ///
     /// # Errors
     ///
@@ -876,25 +825,19 @@ impl StreamServer {
             stats.frames += frames;
             stats.streams += usize::from(frames > 0);
         };
-        if self.config.sequence_len == 0 {
-            self.block.clear();
-            self.block_frames.clear();
-            for &slot in &self.order {
-                let entry = &mut self.entries[slot];
-                entry.take_rows(slot, &self.config, &mut self.block, &mut self.block_frames);
-            }
-            self.block.walk(&mut self.entries, &self.block_frames);
-            let mut first = 0;
-            for &slot in &self.order {
-                let entry = &mut self.entries[slot];
-                let rows = entry.taken.len();
-                count(entry.give_rows(&self.block, first, &self.config, &self.latency));
-                first += rows;
-            }
-        } else {
-            for &slot in &self.order {
-                count(self.entries[slot].process_sequences(&self.config, &self.latency));
-            }
+        self.block.clear();
+        self.block_frames.clear();
+        for &slot in &self.order {
+            let entry = &mut self.entries[slot];
+            entry.take_rows(slot, &self.config, &mut self.block, &mut self.block_frames);
+        }
+        self.block.walk(&mut self.entries, &self.block_frames);
+        let mut first = 0;
+        for &slot in &self.order {
+            let entry = &mut self.entries[slot];
+            let rows = entry.taken.len();
+            count(entry.give_rows(&self.block, first, &self.config, &self.latency));
+            first += rows;
         }
         self.expired += self.entries.iter().map(|e| e.expired).sum::<u64>() - expired;
         self.pending_total = self.entries.iter().map(|e| e.queue.len()).sum();

@@ -343,6 +343,46 @@ fn recurrent_sequences_match_a_standalone_session() {
     assert_eq!(server.session(4).unwrap().metrics(), alone.metrics());
 }
 
+/// A recurrent stream's queued frames never expire: dropping one timestep
+/// would shift every later sequence boundary. Timesteps submitted with a
+/// deadline already past still all come back, each matching a standalone
+/// session's.
+#[test]
+fn recurrent_frames_never_expire() {
+    let model = Arc::new(CompiledModel::new(&rnn(), &ReuseConfig::uniform(16)));
+    let seq_len = 4;
+    let mut server = StreamServer::new(
+        Arc::clone(&model),
+        ServerConfig::default()
+            .sequence_len(seq_len)
+            .queue_capacity(3 * seq_len)
+            .batch_max(1),
+    )
+    .unwrap();
+    let frames = walk(3 * seq_len, 10, 0.1, 5);
+    let past = SubmitOptions {
+        deadline: Instant::now().checked_sub(Duration::from_millis(1)),
+        ..SubmitOptions::default()
+    };
+    for frame in &frames {
+        let accepted = server.submit_with(4, frame, past).unwrap();
+        assert_eq!(accepted, SubmitResult::Accepted);
+    }
+    let mut outs = Vec::new();
+    while server.ready_units() > 0 {
+        server.tick().unwrap();
+        server.drain_outputs(4, |out| outs.push(out.to_vec()));
+    }
+    assert_eq!(server.expired_frames(), 0);
+    assert_eq!(outs.len(), frames.len(), "one output per timestep");
+    let mut alone = model.new_session();
+    for (sequence, outs) in frames.chunks(seq_len).zip(outs.chunks(seq_len)) {
+        for (want, got) in alone.execute_sequence(sequence).unwrap().iter().zip(outs) {
+            assert_bits_eq(got, want.as_slice());
+        }
+    }
+}
+
 #[test]
 fn config_mismatches_are_rejected() {
     let ff = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
@@ -624,6 +664,70 @@ proptest! {
             .unwrap();
             let collected = run_server(&mut server, &streams, chunk);
             check_against_standalone(&model, &server, &streams, &collected);
+        }
+    }
+
+    /// Property: a recurrent tick is one block walk over every stream's
+    /// next sequence per wave, and however the ticks fall — several
+    /// sequences of one stream in one tick, the calibration → reuse switch
+    /// landing mid-tick, sequence boundaries mid-chunk, streams of different
+    /// lengths — every stream's outputs and `EngineMetrics` are bit-identical
+    /// to standalone `execute_sequence` calls on a BiLSTM → LSTM →
+    /// reuse-disabled FC model.
+    #[test]
+    fn recurrent_block_ticks_match_standalone_sessions(
+        seed in 0u64..1000,
+        sequence_len in 2usize..5,
+        batch_max in 1usize..4,
+        chunk in 1usize..12,
+    ) {
+        let net = NetworkBuilder::new("serve-birnn", 6)
+            .seed(13)
+            .bilstm(5)
+            .lstm(4)
+            .fully_connected(3, Activation::Identity)
+            .build()
+            .unwrap();
+        let config = ReuseConfig::uniform(16)
+            .calibration_executions(2)
+            .disable_layer("fc1");
+        let model = Arc::new(CompiledModel::new(&net, &config));
+        let streams: Vec<(u64, Vec<Vec<f32>>)> = (0..4u64)
+            .map(|s| {
+                let len = (4 + s as usize) * sequence_len;
+                (s * 3 + 2, walk(len, 6, 0.04 + 0.03 * s as f32, seed * 4 + s))
+            })
+            .collect();
+        let mut server = StreamServer::new(
+            Arc::clone(&model),
+            ServerConfig::default()
+                .sequence_len(sequence_len)
+                .queue_capacity(4 * sequence_len)
+                .batch_max(batch_max),
+        )
+        .unwrap();
+        let collected = run_server(&mut server, &streams, chunk);
+        for ((id, stream), outs) in streams.iter().zip(&collected) {
+            prop_assert_eq!(outs.len(), stream.len());
+            let mut alone = model.new_session();
+            let sequences: Vec<&[Vec<f32>]> = stream.chunks(sequence_len).collect();
+            for (k, (sequence, outs)) in sequences.iter().zip(outs.chunks(sequence_len)).enumerate() {
+                for (want, got) in alone.execute_sequence(sequence).unwrap().iter().zip(outs) {
+                    assert_bits_eq(got, want.as_slice());
+                }
+                // Every sequence starts from fresh state, so after the same
+                // two calibrating sequences it comes out the same alone.
+                if k >= 2 {
+                    let mut fresh = model.new_session();
+                    for calibrating in &sequences[..2] {
+                        fresh.execute_sequence(calibrating).unwrap();
+                    }
+                    for (want, got) in fresh.execute_sequence(sequence).unwrap().iter().zip(outs) {
+                        assert_bits_eq(got, want.as_slice());
+                    }
+                }
+            }
+            prop_assert_eq!(server.session(*id).unwrap().metrics(), alone.metrics());
         }
     }
 
