@@ -237,8 +237,11 @@ impl Layer {
     /// Linear (pre-activation) forward pass of a weighted frame-wise layer
     /// over `rows` frames of flat row-major `in_shape` data back to back —
     /// the exact baseline the reuse engine's drift watchdog adopts. Sizes
-    /// `out` to the outputs and overwrites it, reusing its capacity (a conv
-    /// layer's im2col blocks are the kernel's own allocations).
+    /// `out` to the outputs and overwrites it, reusing its capacity. A conv
+    /// layer makes one `conv_forward_into` call for all `rows` frames, whose
+    /// two allocations are the kernel's own: the im2col block (sharing its
+    /// allocation with the zero-padded copy of a frame when the layer pads)
+    /// and the block's results.
     ///
     /// # Errors
     ///

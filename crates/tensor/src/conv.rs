@@ -309,59 +309,56 @@ impl Conv3dSpec {
 /// Working-set target for one im2col block, derived like the matmul's
 /// `MATMUL_L2_BLOCK_BYTES` (192 KiB): the block is written once, then re-read
 /// from cache by every weight panel, so it must stay L2-resident beside the
-/// panels on a 512 KiB-L2 part. The scratch is this or four rows (the GEMM's
-/// register block), whichever is larger — never the `positions × taps`
-/// matrix (16 MB for C3D-small CONV1).
+/// panels (swept on a 4 MiB-L2 part: DESIGN.md §8). The block is this or four
+/// rows (the GEMM's register block), whichever is larger — never the
+/// `positions × taps` matrix (16 MB for C3D-small CONV1).
 const IM2COL_BLOCK_BYTES: usize = 128 * 1024;
 
 /// Unrolls output positions `first .. first + a.len() / taps` (row-major
 /// over `[od, oh, ow]`) into im2col rows: `a[r][t]` is the input under tap
-/// `t` of position `first + r`, taps in ascending `(ic, kz, ky, kx)` order,
-/// `0.0` where the tap falls in the zero padding.
-fn im2col_rows<const KW: usize>(
+/// `t` of position `first + r`, taps in ascending `(ic, kz, ky, kx)` order.
+///
+/// `xp` is one frame with its zero padding already in place, `[in_c, D, H,
+/// W]` with `[_, H, W] = phw`, so a padded tap reads the frame's `0.0` and
+/// no window leaves the frame. Segment `(ic, kz, ky)` of a window — its `kw`
+/// taps along x — starts `segments[(ic·kd + kz)·kh + ky]` (a `u32` in `f32`
+/// bits) past the window's first tap. Each segment is one `MOVE`-float copy
+/// (`kw ≤ MOVE ≤ 2·kw`; both constants for a specialised width, so the copy
+/// is a couple of moves, not a `memcpy` call; `KW = 0` copies the runtime
+/// `kw`): the floats past `kw` land where the next segment goes and are
+/// overwritten by it. Only a row's last segment, whose source may end the
+/// frame, moves exactly `kw`.
+fn im2col_rows<const KW: usize, const MOVE: usize>(
     g: &ConvGeometry,
-    dhw: [usize; 3],
+    phw: [usize; 2],
     out_hw: [usize; 2],
-    x: &[f32],
+    xp: &[f32],
+    segments: &[f32],
     first: usize,
     a: &mut [f32],
 ) {
-    let [d, h, w] = dhw;
-    let [oh, ow] = out_hw;
-    let [kd, kh, kw] = g.kernel;
-    // A width known at compile time turns each kw-float copy below from a
-    // `memcpy` call into a couple of moves.
-    let kw = if KW == 0 { kw } else { KW };
-    let [pd, ph, pw] = g.pad;
-    let s = g.stride;
-    for (r, row) in a.chunks_exact_mut(g.taps()).enumerate() {
-        let p = first + r;
-        let (oz, oy, ox) = (p / (oh * ow), p / ow % oh, p % ow);
-        // Padded input coordinate of tap 0; tap k reads coordinate
-        // `origin + k - pad` when that lands inside the input.
-        let (z0, y0, x0) = (oz * s, oy * s, ox * s);
-        let interior = x0 >= pw && x0 - pw + kw <= w;
-        let mut segs = row.chunks_exact_mut(kw);
-        for xc in x.chunks_exact(d * h * w) {
-            for kz in 0..kd {
-                let iz = (z0 + kz).checked_sub(pd).filter(|&iz| iz < d);
-                for ky in 0..kh {
-                    let iy = (y0 + ky).checked_sub(ph).filter(|&iy| iy < h);
-                    let seg = segs.next().expect("taps = in_c * kd * kh segments of kw");
-                    let Some((iz, iy)) = iz.zip(iy) else {
-                        seg.fill(0.0);
-                        continue;
-                    };
-                    let xrow = &xc[(iz * h + iy) * w..][..w];
-                    if interior {
-                        seg.copy_from_slice(&xrow[x0 - pw..][..kw]);
-                    } else {
-                        for (kx, v) in seg.iter_mut().enumerate() {
-                            let ix = (x0 + kx).checked_sub(pw);
-                            *v = ix.and_then(|ix| xrow.get(ix)).copied().unwrap_or(0.0);
-                        }
-                    }
-                }
+    let ([ph, pw], [oh, ow]) = (phw, out_hw);
+    let (kw, mv) = if KW == 0 {
+        (g.kernel[2], g.kernel[2])
+    } else {
+        (KW, MOVE)
+    };
+    let (s, taps) = (g.stride, g.taps());
+    let (body, last) = segments.split_at(segments.len() - 1);
+    let last = last[0].to_bits() as usize;
+    let (mut oz, mut oy, mut ox) = (first / (oh * ow), first / ow % oh, first % ow);
+    for row in a.chunks_exact_mut(taps) {
+        let window = &xp[(oz * s * ph + oy * s) * pw + ox * s..];
+        for (t, off) in (0..).step_by(kw).zip(body) {
+            let off = off.to_bits() as usize;
+            row[t..t + mv].copy_from_slice(&window[off..off + mv]);
+        }
+        row[taps - kw..].copy_from_slice(&window[last..last + kw]);
+        ox += 1;
+        if ox == ow {
+            (ox, oy) = (0, oy + 1);
+            if oy == oh {
+                (oy, oz) = (0, oz + 1);
             }
         }
     }
@@ -374,17 +371,20 @@ fn im2col_rows<const KW: usize>(
 /// w]` (`d = 1` for 2D); `panels`: the layer's weights from
 /// [`ConvGeometry::pack_weights`]; `bv`: `[out_c]`. Resizes `out` to the flat
 /// `[out_c, od, oh, ow]` outputs back to back and overwrites every element,
-/// so a buffer that is already large enough is reused as it is; the two
-/// im2col scratch blocks are the kernel's own allocations, made once for
-/// every frame. The output
-/// positions are unrolled into im2col blocks (`IM2COL_BLOCK_BYTES`), each
-/// multiplied against the packed weights ([`matmul_packed_into`]) and
-/// transposed, finished and channels-last, into place while it is hot.
+/// so a buffer that is already large enough is reused as it is. The kernel
+/// makes two allocations per call, shared by every frame: the im2col block
+/// (`IM2COL_BLOCK_BYTES`) with the segment table and, when the geometry pads,
+/// one zero-padded frame behind it; and the block's results. A padding
+/// geometry copies each frame once into the padded frame, so every window is
+/// a fixed walk of straight copies with no border test (`im2col_rows`). Each
+/// block of output positions is unrolled, multiplied against the packed
+/// weights ([`matmul_packed_into`]) and transposed, finished and
+/// channels-last, into place while it is hot.
 ///
 /// Each block row is seeded with the bias before the multiply accumulates
 /// onto it, so per output element the chain is the bias first, then one
 /// fused step per tap in ascending `(ic, kz, ky, kx)` order, a padded tap
-/// entering as a `0.0` im2col entry that is multiplied like any other —
+/// entering as the padded frame's `0.0`, multiplied like any other entry —
 /// [`conv_forward_naive`]'s chain, so results are bit-identical to the
 /// oracle at either [`crate::simd::level`], and an element's value does not
 /// depend on how positions were blocked.
@@ -419,19 +419,51 @@ pub fn conv_forward_into(
     let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4)
         .max(4)
         .min(positions);
-    let mut a = vec![0.0f32; block_rows * taps];
+    // The frame the windows are cut from, padded when the geometry pads;
+    // its offsets must fit the `u32` segment table.
+    let pdhw: [usize; 3] = core::array::from_fn(|a| dhw[a] + 2 * g.pad[a]);
+    let padded_len = g.in_channels * pdhw.iter().product::<usize>();
+    if u32::try_from(padded_len).is_err() {
+        return Err(TensorError::ShapeMismatch {
+            context: format!("conv frame of {padded_len} padded values past u32 offsets"),
+        });
+    }
+    let [kd, kh, _] = g.kernel;
+    let ([d, h, w], [pd, ph, pw]) = (dhw, g.pad);
+    let segs = g.in_channels * kd * kh;
+    // One allocation holds the im2col block, the segment table and, when the
+    // geometry pads, the padded frame, whose border is never written.
+    let xp_len = if g.pad == [0; 3] { 0 } else { padded_len };
+    let mut scratch = vec![0.0f32; block_rows * taps + segs + xp_len];
+    let (a, rest) = scratch.split_at_mut(block_rows * taps);
+    let (segments, xp) = rest.split_at_mut(segs);
+    for (i, seg) in segments.iter_mut().enumerate() {
+        let (ic, kz, ky) = (i / (kd * kh), i / kh % kd, i % kh);
+        *seg = f32::from_bits((((ic * pdhw[0] + kz) * pdhw[1] + ky) * pdhw[2]) as u32);
+    }
+    let (segments, phw) = (&*segments, [pdhw[1], pdhw[2]]);
     let mut c = vec![0.0f32; block_rows * out_c];
     out.resize(frames * out_c * positions, 0.0);
     let inputs = x.chunks_exact(frame_len.max(1));
     for (x, out) in inputs.zip(out.chunks_exact_mut(out_c * positions)) {
+        let x = if xp.is_empty() {
+            x
+        } else {
+            for (i, xrow) in x.chunks_exact(w.max(1)).enumerate() {
+                let (ic, z, y) = (i / (d * h), i / h % d, i % h);
+                let at = ((ic * pdhw[0] + z + pd) * pdhw[1] + y + ph) * pdhw[2] + pw;
+                xp[at..at + w].copy_from_slice(xrow);
+            }
+            &*xp
+        };
         for first in (0..positions).step_by(block_rows) {
             let rows = block_rows.min(positions - first);
             let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
             match g.kernel[2] {
-                1 => im2col_rows::<1>(g, dhw, [oh, ow], x, first, a),
-                3 => im2col_rows::<3>(g, dhw, [oh, ow], x, first, a),
-                5 => im2col_rows::<5>(g, dhw, [oh, ow], x, first, a),
-                _ => im2col_rows::<0>(g, dhw, [oh, ow], x, first, a),
+                1 => im2col_rows::<1, 1>(g, phw, [oh, ow], x, segments, first, a),
+                3 => im2col_rows::<3, 4>(g, phw, [oh, ow], x, segments, first, a),
+                5 => im2col_rows::<5, 8>(g, phw, [oh, ow], x, segments, first, a),
+                _ => im2col_rows::<0, 0>(g, phw, [oh, ow], x, segments, first, a),
             }
             for crow in c.chunks_exact_mut(out_c) {
                 crow.copy_from_slice(bv);

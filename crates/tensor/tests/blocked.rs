@@ -43,31 +43,38 @@ fn values(seed: u64) -> impl FnMut() -> f32 {
 }
 
 /// The GEMM conv kernel against the naive oracle on one geometry and
-/// `[d, h, w]` input, bit for bit, on a random frame and on an all-zero one
-/// (where an output's sign is the bias's or the last zero product's). `None`
-/// too when the kernel does not fit the input.
-fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3]) -> Option<String> {
+/// `[d, h, w]` input, bit for bit: one call over `frames` frames — random,
+/// all-zero, random, … — against the oracle frame by frame, with a `−0.0`
+/// among the biases (on an all-zero frame an output's sign is the bias's or
+/// the last zero product's). `None` too when the kernel does not fit the
+/// input.
+fn conv_mismatch(g: &ConvGeometry, dhw: [usize; 3], frames: usize) -> Option<String> {
     g.output_dhw(dhw).ok()?;
     let [d, h, w] = dhw;
+    let frame_len = g.in_channels() * d * h * w;
     let mut next = values((d * 97 + h * 13 + w) as u64);
-    let x: Vec<f32> = (0..g.in_channels() * d * h * w).map(|_| next()).collect();
+    let x: Vec<f32> = (0..frames * frame_len)
+        .map(|i| if i / frame_len % 2 == 1 { 0.0 } else { next() })
+        .collect();
     let weights: Vec<f32> = (0..g.weight_volume()).map(|_| next()).collect();
-    let bias: Vec<f32> = (0..g.out_channels()).map(|_| next()).collect();
+    let mut bias: Vec<f32> = (0..g.out_channels()).map(|_| next()).collect();
+    bias[0] = -0.0;
     let panels = g.pack_weights(&weights).unwrap();
-    [x.clone(), vec![0.0; x.len()]].iter().find_map(|x| {
-        let naive = conv_forward_naive(g, dhw, x, &weights, &bias).unwrap();
-        let mut gemm = Vec::new();
-        conv_forward_into(g, dhw, x, 1, &panels, &bias, &mut gemm).unwrap();
-        simd::kernel_mismatch(&gemm, &naive)
-    })
+    let mut gemm = Vec::new();
+    conv_forward_into(g, dhw, &x, frames, &panels, &bias, &mut gemm).unwrap();
+    let naive: Vec<f32> = x
+        .chunks_exact(frame_len)
+        .flat_map(|x| conv_forward_naive(g, dhw, x, &weights, &bias).unwrap())
+        .collect();
+    simd::kernel_mismatch(&gemm, &naive)
 }
 
 fn conv2d_mismatch(spec: &Conv2dSpec, h: usize, w: usize) -> Option<String> {
-    conv_mismatch(&spec.geometry().unwrap(), [1, h, w])
+    conv_mismatch(&spec.geometry().unwrap(), [1, h, w], 2)
 }
 
 fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3]) -> Option<String> {
-    conv_mismatch(&spec.geometry().unwrap(), dhw)
+    conv_mismatch(&spec.geometry().unwrap(), dhw, 2)
 }
 
 /// Position counts that are not multiples of the GEMM's four-row register
@@ -119,6 +126,45 @@ fn conv_blocks_and_remainder_rows_match_naive() {
     ] {
         let mismatch = conv3d_mismatch(&spec, dhw);
         assert!(mismatch.is_none(), "{spec:?} {dhw:?}: {mismatch:?}");
+    }
+}
+
+/// Several frames per call, where the padded frame is refilled for each and
+/// its border must stay `0.0`, and where an im2col block ends on a frame's
+/// last position: there a row's last segment is the one copy that must not
+/// move its spare float (nor read past the frame). Every axis padded, 2D
+/// windows at stride 2 with `pad > 0`, and every width the unrolling
+/// specialises or falls back on.
+#[test]
+fn multi_frame_calls_match_naive_frame_by_frame() {
+    let geometry = |in_c, out_c, kernel, stride, pad| {
+        ConvGeometry::new(in_c, out_c, kernel, stride, pad).unwrap()
+    };
+    let mut cases = vec![
+        // 27 taps: 6x4x101 = 2424 positions, exactly two blocks of 1212.
+        (geometry(1, 7, [3, 3, 3], 1, [1, 1, 1]), [6, 4, 101]),
+        // C3D CONV1's channels, one block ending on the frame's end.
+        (geometry(3, 16, [3, 3, 3], 1, [1, 1, 1]), [4, 9, 11]),
+        // Unequal pads, kernel extents and stride 2 on every axis.
+        (geometry(2, 17, [2, 3, 5], 2, [1, 2, 1]), [5, 7, 9]),
+        // 9 taps: 56x130 = 7280 positions, exactly two blocks of 3640.
+        (geometry(1, 3, [1, 3, 3], 1, [0, 1, 1]), [1, 56, 130]),
+        // Unpadded, so the windows are cut from the caller's frames.
+        (geometry(3, 7, [1, 5, 5], 2, [0, 0, 0]), [1, 13, 21]),
+        (geometry(2, 7, [1, 3, 3], 1, [0, 0, 0]), [1, 5, 8]),
+    ];
+    for kw in [1, 2, 3, 4, 5, 7] {
+        cases.push((geometry(2, 17, [1, 3, kw], 2, [0, 1, 2]), [1, 9, 13]));
+        cases.push((geometry(3, 5, [1, kw, kw], 2, [0, 1, 1]), [1, 8, 10]));
+    }
+    for (g, dhw) in cases {
+        for frames in 2..=3 {
+            let mismatch = conv_mismatch(&g, dhw, frames);
+            assert!(
+                mismatch.is_none(),
+                "{g:?} on {frames}x{dhw:?}: {mismatch:?}"
+            );
+        }
     }
 }
 

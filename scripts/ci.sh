@@ -27,7 +27,7 @@ echo "== telemetry overhead smoke (budget ${REUSE_TELEMETRY_OVERHEAD_PCT:-5}%) =
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --telemetry-smoke
 
 echo "== kernel perf smoke (constant floors under AVX2) =="
-# Under AVX2 the packed matmul and the two conv forward rows (the same GEMM
+# Under AVX2 the packed matmul and the three conv forward rows (the same GEMM
 # under im2col blocks) must sustain their absolute GFLOP/s floors and the
 # reuse / recurrent rows their ratios; a host without AVX2/FMA prints every
 # row and gates none.
@@ -93,21 +93,25 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 # One stream workload per layer family (FC, LSTM, one conv per rank), each
 # verifying its stream against a from-scratch rerun and the fp32 reference
 # before exiting 0, plus the wire tier over the same sessions and configs.
-# Then the cross-level gate: the same smokes under REUSE_SIMD=off must print
-# the same `output checksum` lines — one set of bits at every SIMD level,
-# end to end through sessions, serving and the wire.
+# Then two checksum gates. Across commits: the smokes' `workload` and
+# `output checksum` lines must equal scripts/quick-checksums.txt (a change
+# that moves bits on purpose updates that file in the same diff). Across
+# levels: the same smokes under REUSE_SIMD=off must print the same lines —
+# one set of bits at every SIMD level, end to end through sessions, serving
+# and the wire.
 quick_smokes() {
     for workload in kaldi_stream eesen_stream autopilot_stream c3d_stream net_closed_loop; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --quick
     done
 }
+checksums() { grep -E '^workload |output checksum' "$1"; }
 quick_smokes > target/quick-smokes-detected.txt
+diff scripts/quick-checksums.txt <(checksums target/quick-smokes-detected.txt)
 if grep -q 'detected scalar' target/quick-smokes-detected.txt; then
     echo "the detected level is already scalar: cross-level checksum gate skipped"
 else
     REUSE_SIMD=off quick_smokes > target/quick-smokes-scalar.txt
-    diff <(grep -E '^workload |output checksum' target/quick-smokes-detected.txt) \
-        <(grep -E '^workload |output checksum' target/quick-smokes-scalar.txt)
+    diff scripts/quick-checksums.txt <(checksums target/quick-smokes-scalar.txt)
 fi
 
 echo "== repro report smoke (all ten artifacts, tiny scale) =="

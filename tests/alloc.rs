@@ -8,7 +8,9 @@
 //! CONV1 and its five pools. Every one of them writes into a buffer from the
 //! session's pool, so once the pool is primed a frame of any of the three
 //! allocates nothing in the session; what is left is the conv kernel's own
-//! two im2col blocks, once per reuse-disabled conv layer. EESEN's sequences
+//! two allocations, once per reuse-disabled conv layer: the im2col block —
+//! the zero-padded copy of the frame it unrolls from shares it — and the
+//! block's results. EESEN's sequences
 //! are under the same contract: flat pooled buffers between layers, whether a
 //! BiLSTM steps through its reuse state or runs at full precision.
 //!
