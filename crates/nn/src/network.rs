@@ -239,9 +239,9 @@ impl Layer {
     /// the exact baseline the reuse engine's drift watchdog adopts. Sizes
     /// `out` to the outputs and overwrites it, reusing its capacity. A conv
     /// layer makes one `conv_forward_into` call for all `rows` frames, whose
-    /// two allocations are the kernel's own: the im2col block (sharing its
+    /// two allocations are the kernel's own: the segment table (sharing its
     /// allocation with the zero-padded copy of a frame when the layer pads)
-    /// and the block's results.
+    /// and the block of results.
     ///
     /// # Errors
     ///

@@ -487,9 +487,9 @@ impl ReuseSession {
     /// amortised — of the trace log and of the relative-difference series
     /// when those are recorded, a watchdog check frame's reference forward,
     /// and — inside the kernel, not the session — the two scratch
-    /// allocations of a conv layer that runs at full precision (the im2col
-    /// block, with the layer's zero-padded frame behind it when it pads, and
-    /// the block's results).
+    /// allocations of a conv layer that runs at full precision (the segment
+    /// table, with the layer's zero-padded frame behind it when it pads, and
+    /// the block of results).
     ///
     /// # Errors
     ///

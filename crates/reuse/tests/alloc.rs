@@ -301,8 +301,9 @@ fn full_precision_layers_of_every_kind_stay_in_the_pool() {
     // One of each way a layer can run unstepped — a reuse-disabled conv, a
     // pool, a flatten, a group-max — around a reuse-enabled FC and a
     // passthrough softmax slot. None may miss the pool once it is primed;
-    // the only allocations left are the two im2col blocks the conv kernel
-    // owns, once per frame for the disabled conv.
+    // the only allocations left are the two the conv kernel owns (segment
+    // table with padded frame, block of results), once per frame for the
+    // disabled conv.
     use reuse_nn::PassthroughOp;
     use reuse_tensor::Shape;
 
@@ -340,7 +341,7 @@ fn full_precision_layers_of_every_kind_stay_in_the_pool() {
     assert_eq!(
         allocations,
         2 * 10,
-        "only the disabled conv's im2col blocks"
+        "only the disabled conv's kernel scratch"
     );
     assert!(session.metrics().layer("fc1").unwrap().reuse_executions >= 10);
 }

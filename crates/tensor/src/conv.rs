@@ -9,14 +9,15 @@
 //! `conv2d_*` / `conv3d_*` functions are conversions from [`Conv2dSpec`] /
 //! [`Conv3dSpec`] plus output reshaping.
 //!
-//! The kernel is a GEMM: blocks of output positions are unrolled into im2col
-//! rows and multiplied, through [`crate::matmul::matmul_packed_into`],
-//! against the layer's `[taps, out_c]` weights, packed once into
-//! [`PackedPanels`] by [`ConvGeometry::pack_weights`]. Its natural output is
-//! channels-last — `[od·oh·ow, out_c]`, every position's filters contiguous,
-//! the layout the reuse correction keeps ([`PackedPanels::axpy_row_grids`]);
-//! layer boundaries stay `[out_c, (od,) oh, ow]` and [`transpose_into`]
-//! converts.
+//! The kernel is an implicit GEMM: every output position is a window origin
+//! in the input frame (or in its zero-padded copy), and its taps are read
+//! straight from there, segment by segment, against the layer's `[taps,
+//! out_c]` weights, packed once into [`PackedPanels`] by
+//! [`ConvGeometry::pack_weights`]; no tap is copied into an unrolled matrix
+//! first. Its natural output is channels-last — `[od·oh·ow, out_c]`, every
+//! position's filters contiguous, the layout the reuse correction keeps
+//! ([`PackedPanels::axpy_row_grids`]); layer boundaries stay `[out_c, (od,)
+//! oh, ow]` and [`transpose_into`], the one layout change, converts.
 //!
 //! The Table I layer geometries:
 //!
@@ -28,9 +29,10 @@
 //! Input layout is `[channels, (depth,) height, width]`; weights are
 //! `[out_channels, in_channels, (kd,) kh, kw]`.
 
-use crate::block::PackedPanels;
-use crate::matmul::matmul_packed_into;
-use crate::{ParallelConfig, Shape, Tensor, TensorError};
+use core::ops::Range;
+
+use crate::block::{PackedPanels, PANEL_WIDTH};
+use crate::{simd, Shape, Tensor, TensorError};
 
 /// Geometry of a convolution of either rank, validated at construction:
 /// channels, kernel extents and stride are all non-zero. A 2D convolution is
@@ -306,63 +308,11 @@ impl Conv3dSpec {
     }
 }
 
-/// Working-set target for one im2col block, derived like the matmul's
-/// `MATMUL_L2_BLOCK_BYTES` (192 KiB): the block is written once, then re-read
-/// from cache by every weight panel, so it must stay L2-resident beside the
-/// panels (swept on a 4 MiB-L2 part: DESIGN.md §8). The block is this or four
-/// rows (the GEMM's register block), whichever is larger — never the
-/// `positions × taps` matrix (16 MB for C3D-small CONV1).
-const IM2COL_BLOCK_BYTES: usize = 128 * 1024;
-
-/// Unrolls output positions `first .. first + a.len() / taps` (row-major
-/// over `[od, oh, ow]`) into im2col rows: `a[r][t]` is the input under tap
-/// `t` of position `first + r`, taps in ascending `(ic, kz, ky, kx)` order.
-///
-/// `xp` is one frame with its zero padding already in place, `[in_c, D, H,
-/// W]` with `[_, H, W] = phw`, so a padded tap reads the frame's `0.0` and
-/// no window leaves the frame. Segment `(ic, kz, ky)` of a window — its `kw`
-/// taps along x — starts `segments[(ic·kd + kz)·kh + ky]` (a `u32` in `f32`
-/// bits) past the window's first tap. Each segment is one `MOVE`-float copy
-/// (`kw ≤ MOVE ≤ 2·kw`; both constants for a specialised width, so the copy
-/// is a couple of moves, not a `memcpy` call; `KW = 0` copies the runtime
-/// `kw`): the floats past `kw` land where the next segment goes and are
-/// overwritten by it. Only a row's last segment, whose source may end the
-/// frame, moves exactly `kw`.
-fn im2col_rows<const KW: usize, const MOVE: usize>(
-    g: &ConvGeometry,
-    phw: [usize; 2],
-    out_hw: [usize; 2],
-    xp: &[f32],
-    segments: &[f32],
-    first: usize,
-    a: &mut [f32],
-) {
-    let ([ph, pw], [oh, ow]) = (phw, out_hw);
-    let (kw, mv) = if KW == 0 {
-        (g.kernel[2], g.kernel[2])
-    } else {
-        (KW, MOVE)
-    };
-    let (s, taps) = (g.stride, g.taps());
-    let (body, last) = segments.split_at(segments.len() - 1);
-    let last = last[0].to_bits() as usize;
-    let (mut oz, mut oy, mut ox) = (first / (oh * ow), first / ow % oh, first % ow);
-    for row in a.chunks_exact_mut(taps) {
-        let window = &xp[(oz * s * ph + oy * s) * pw + ox * s..];
-        for (t, off) in (0..).step_by(kw).zip(body) {
-            let off = off.to_bits() as usize;
-            row[t..t + mv].copy_from_slice(&window[off..off + mv]);
-        }
-        row[taps - kw..].copy_from_slice(&window[last..last + kw]);
-        ox += 1;
-        if ox == ow {
-            (ox, oy) = (0, oy + 1);
-            if oy == oh {
-                (oy, oz) = (0, oz + 1);
-            }
-        }
-    }
-}
+/// Output positions per block of the forward, whose results stay cached while
+/// every panel walks over them: sized by the outputs, not the taps (C3D-small
+/// CONV6's 196 positions are one block), a multiple of the AVX2 group (6) and
+/// of the transpose tile (8). DESIGN.md §8 has the sweep.
+const BLOCK_POSITIONS: usize = 240;
 
 /// Convolution of either rank over flat buffers — the one kernel every conv
 /// entry point runs.
@@ -371,23 +321,21 @@ fn im2col_rows<const KW: usize, const MOVE: usize>(
 /// w]` (`d = 1` for 2D); `panels`: the layer's weights from
 /// [`ConvGeometry::pack_weights`]; `bv`: `[out_c]`. Resizes `out` to the flat
 /// `[out_c, od, oh, ow]` outputs back to back and overwrites every element,
-/// so a buffer that is already large enough is reused as it is. The kernel
-/// makes two allocations per call, shared by every frame: the im2col block
-/// (`IM2COL_BLOCK_BYTES`) with the segment table and, when the geometry pads,
-/// one zero-padded frame behind it; and the block's results. A padding
-/// geometry copies each frame once into the padded frame, so every window is
-/// a fixed walk of straight copies with no border test (`im2col_rows`). Each
-/// block of output positions is unrolled, multiplied against the packed
-/// weights ([`matmul_packed_into`]) and transposed, finished and
-/// channels-last, into place while it is hot.
+/// so a buffer that is already large enough is reused as it is. Two
+/// allocations per call: the segment table with, when the geometry pads, a
+/// zero-padded frame behind it (each frame is copied in once, so no tap is
+/// tested against a border); and a block of results. Every output position
+/// is a window origin and segment `(ic, kz, ky)` — `kw` taps along x — one
+/// offset from it; a block's results are accumulated with every tap read
+/// straight from the frame, then transposed into place while they are hot.
 ///
-/// Each block row is seeded with the bias before the multiply accumulates
-/// onto it, so per output element the chain is the bias first, then one
-/// fused step per tap in ascending `(ic, kz, ky, kx)` order, a padded tap
-/// entering as the padded frame's `0.0`, multiplied like any other entry —
-/// [`conv_forward_naive`]'s chain, so results are bit-identical to the
-/// oracle at either [`crate::simd::level`], and an element's value does not
-/// depend on how positions were blocked.
+/// Each block row is seeded with the bias before any tap, so per output
+/// element the chain is the bias first, then one fused step per tap in
+/// ascending `(ic, kz, ky, kx)` order, a padded tap entering as the padded
+/// frame's `0.0`, multiplied like any other input — [`conv_forward_naive`]'s
+/// chain, so results are bit-identical to the oracle at either
+/// [`crate::simd::level`], and an element's value does not depend on how
+/// positions were blocked or grouped.
 ///
 /// # Errors
 ///
@@ -415,12 +363,8 @@ pub fn conv_forward_into(
     }
     let [od, oh, ow] = g.output_dhw(dhw)?;
     let positions = od * oh * ow;
-    let block_bytes = taps * core::mem::size_of::<f32>();
-    let block_rows = (IM2COL_BLOCK_BYTES / block_bytes / 4 * 4)
-        .max(4)
-        .min(positions);
-    // The frame the windows are cut from, padded when the geometry pads;
-    // its offsets must fit the `u32` segment table.
+    let block = BLOCK_POSITIONS.min(positions);
+    // The frame the windows are read from; its offsets fit the `u32` table.
     let pdhw: [usize; 3] = core::array::from_fn(|a| dhw[a] + 2 * g.pad[a]);
     let padded_len = g.in_channels * pdhw.iter().product::<usize>();
     if u32::try_from(padded_len).is_err() {
@@ -428,22 +372,31 @@ pub fn conv_forward_into(
             context: format!("conv frame of {padded_len} padded values past u32 offsets"),
         });
     }
-    let [kd, kh, _] = g.kernel;
+    let [kd, kh, kw] = g.kernel;
     let ([d, h, w], [pd, ph, pw]) = (dhw, g.pad);
     let segs = g.in_channels * kd * kh;
-    // One allocation holds the im2col block, the segment table and, when the
-    // geometry pads, the padded frame, whose border is never written.
+    // The segment table, then the padded frame (its border never written).
     let xp_len = if g.pad == [0; 3] { 0 } else { padded_len };
-    let mut scratch = vec![0.0f32; block_rows * taps + segs + xp_len];
-    let (a, rest) = scratch.split_at_mut(block_rows * taps);
-    let (segments, xp) = rest.split_at_mut(segs);
+    let mut scratch = vec![0.0f32; segs + xp_len];
+    let (segments, xp) = scratch.split_at_mut(segs);
     for (i, seg) in segments.iter_mut().enumerate() {
         let (ic, kz, ky) = (i / (kd * kh), i / kh % kd, i % kh);
         *seg = f32::from_bits((((ic * pdhw[0] + kz) * pdhw[1] + ky) * pdhw[2]) as u32);
     }
-    let (segments, phw) = (&*segments, [pdhw[1], pdhw[2]]);
-    let mut c = vec![0.0f32; block_rows * out_c];
+    let (segments, s) = (&*segments, g.stride);
+    let origin = |[oz, oy, ox]: [usize; 3]| (oz * s * pdhw[1] + oy * s) * pdhw[2] + ox * s;
+    // Origins and segments ascend, so the last position's last segment
+    // reaches furthest: every window of the call ends inside its frame.
+    let reach = origin([od - 1, oh - 1, ow - 1]) + segments[segs - 1].to_bits() as usize + kw;
+    let span = if xp.is_empty() { frame_len } else { padded_len };
+    assert!(reach <= span, "conv windows reach {reach} of {span} floats");
+    // Result rows of whole panels: the lanes past `out_c` are computed
+    // against the panels' zero padding and never read.
+    let width = panels.n_panels() * PANEL_WIDTH;
+    let mut c = vec![0.0f32; block * width];
     out.resize(frames * out_c * positions, 0.0);
+    let level = simd::level();
+    let mut origins = [0usize; BLOCK_POSITIONS];
     let inputs = x.chunks_exact(frame_len.max(1));
     for (x, out) in inputs.zip(out.chunks_exact_mut(out_c * positions)) {
         let x = if xp.is_empty() {
@@ -456,49 +409,119 @@ pub fn conv_forward_into(
             }
             &*xp
         };
-        for first in (0..positions).step_by(block_rows) {
-            let rows = block_rows.min(positions - first);
-            let (a, c) = (&mut a[..rows * taps], &mut c[..rows * out_c]);
-            match g.kernel[2] {
-                1 => im2col_rows::<1, 1>(g, phw, [oh, ow], x, segments, first, a),
-                3 => im2col_rows::<3, 4>(g, phw, [oh, ow], x, segments, first, a),
-                5 => im2col_rows::<5, 8>(g, phw, [oh, ow], x, segments, first, a),
-                _ => im2col_rows::<0, 0>(g, phw, [oh, ow], x, segments, first, a),
-            }
-            for crow in c.chunks_exact_mut(out_c) {
-                crow.copy_from_slice(bv);
-            }
-            matmul_packed_into(&ParallelConfig::serial(), a, panels, rows, c);
-            for (f, map) in out.chunks_exact_mut(positions).enumerate() {
-                let span = &mut map[first..first + rows];
-                for (v, crow) in span.iter_mut().zip(c.chunks_exact(out_c)) {
-                    *v = crow[f];
+        // `[oz, oy, ox]` of the next position.
+        let mut at = [0; 3];
+        for first in (0..positions).step_by(block) {
+            let rows = block.min(positions - first);
+            let (origins, c) = (&mut origins[..rows], &mut c[..rows * width]);
+            for o in origins.iter_mut() {
+                *o = origin(at);
+                at[2] += 1;
+                if at[2] == ow {
+                    at = [at[0] + (at[1] + 1) / oh, (at[1] + 1) % oh, 0];
                 }
             }
+            for crow in c.chunks_exact_mut(width) {
+                crow[..out_c].copy_from_slice(bv);
+            }
+            match level {
+                // SAFETY: the level resolved to AVX2, so the host runs it;
+                // `panels` has `segs · kw` rows (checked on entry), `c` is
+                // `rows` rows of whole panels, and the reach assert bounds every
+                // window inside `x` (no origin is past the last position's).
+                #[cfg(target_arch = "x86_64")]
+                simd::SimdLevel::Avx2 => unsafe {
+                    simd::avx2::conv_block(x, segments, kw, origins, panels, c);
+                },
+                _ => conv_block_scalar(x, segments, kw, origins, panels, c),
+            }
+            transpose_strided(c, width, out_c, &mut out[first..], positions);
         }
     }
     Ok(())
 }
 
+/// The scalar level's block of [`conv_forward_into`]: the AVX2 body's chains
+/// as a plain loop, position by position, one panel's lanes at a time.
+fn conv_block_scalar(
+    x: &[f32],
+    segments: &[f32],
+    kw: usize,
+    origins: &[usize],
+    panels: &PackedPanels,
+    c: &mut [f32],
+) {
+    let width = panels.n_panels() * PANEL_WIDTH;
+    for (crow, &origin) in c.chunks_exact_mut(width).zip(origins) {
+        for (p, out) in crow.chunks_exact_mut(PANEL_WIDTH).enumerate() {
+            let mut wrows = panels.panel(p).chunks_exact(PANEL_WIDTH);
+            for seg in segments {
+                let at = origin + seg.to_bits() as usize;
+                for (&xv, wrow) in x[at..at + kw].iter().zip(wrows.by_ref()) {
+                    for (o, &wv) in out.iter_mut().zip(wrow) {
+                        *o = xv.mul_add(wv, *o);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Writes the transpose of the row-major `[rows, cols]` matrix `src` into
-/// `dst` in square tiles (a few cache lines a side): channels-last
-/// `[positions, out_c]` conv outputs to and from `[out_c, positions]`.
+/// `dst`: every layout change of the conv path (`[positions, out_c]` to and
+/// from `[out_c, positions]`, filters to `[taps, out_c]`). 8×8 register tiles
+/// under AVX2, 32×32 tiles at the scalar level; a copy, so the same bits.
 ///
 /// # Panics
 ///
 /// Panics when `src` or `dst` does not hold `rows * cols` elements.
 pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    const TILE: usize = 32;
     assert_eq!(src.len(), rows * cols, "transpose source shape");
     assert_eq!(dst.len(), rows * cols, "transpose destination shape");
-    for r0 in (0..rows).step_by(TILE) {
-        let r1 = (r0 + TILE).min(rows);
-        for c0 in (0..cols).step_by(TILE) {
-            for c in c0..(c0 + TILE).min(cols) {
-                for (r, v) in dst[c * rows + r0..c * rows + r1].iter_mut().enumerate() {
-                    *v = src[(r0 + r) * cols + c];
+    transpose_strided(src, cols, cols, dst, rows);
+}
+
+/// [`transpose_into`] of the first `cols` floats of every `width`-float row
+/// of `src` into rows `stride` floats apart, `dst[c·stride + r] = src[r·width
+/// + c]`: how the forward writes a block into every filter's map. Panics
+/// when `dst` ends before the last column's image does.
+fn transpose_strided(src: &[f32], width: usize, cols: usize, dst: &mut [f32], stride: usize) {
+    let rows = src.len().checked_div(width).unwrap_or(0);
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let fits = cols <= width && rows <= stride && (cols - 1) * stride + rows <= dst.len();
+    assert!(fits, "{rows}x{cols} transpose past {} floats", dst.len());
+    match simd::level() {
+        // SAFETY: the level resolved to AVX2, so the host runs it; `fits`
+        // is the bounds the body relies on.
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdLevel::Avx2 => unsafe { simd::avx2::transpose(src, width, cols, dst, stride) },
+        _ => {
+            const TILE: usize = 32;
+            for r0 in (0..rows).step_by(TILE) {
+                for c0 in (0..cols).step_by(TILE) {
+                    let tile = (r0..(r0 + TILE).min(rows), c0..(c0 + TILE).min(cols));
+                    transpose_span(src, width, dst, stride, tile.0, tile.1);
                 }
             }
+        }
+    }
+}
+
+/// The scalar transpose of `rows × cols` of `src` (`width` floats a row) into
+/// `dst` rows `stride` apart: the scalar tiles and the AVX2 edge strips.
+pub(crate) fn transpose_span(
+    src: &[f32],
+    width: usize,
+    dst: &mut [f32],
+    stride: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    for c in cols {
+        for r in rows.clone() {
+            dst[c * stride + r] = src[r * width + c];
         }
     }
 }
@@ -506,9 +529,10 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 /// The oracle for [`conv_forward_into`] at either rank: the direct
 /// per-output loop over raw `[out_c, in_c, kd, kh, kw]` weights, one fused
 /// step per tap from the bias. A tap in the zero padding contributes its
-/// `0.0 · w` like the im2col entry it stands for (it can turn a `−0.0` bias
-/// into `+0.0`; skipping it would leave the sign to the body). Kept public so
-/// proptests across the workspace can compare the GEMM kernel against it.
+/// `0.0 · w` like the padded frame's `0.0` it stands for (it can turn a
+/// `−0.0` bias into `+0.0`; skipping it would leave the sign to the body).
+/// Kept public so proptests across the workspace can compare the kernel
+/// against it.
 ///
 /// # Errors
 ///
@@ -1135,7 +1159,7 @@ mod tests {
         (0..n).map(|v| (v as f32) * 0.31 - 4.0).collect()
     }
 
-    /// The GEMM kernel against the oracle on ramp data, bit for bit.
+    /// The kernel against the oracle on ramp data, bit for bit.
     fn gemm_mismatch(g: &ConvGeometry, dhw: [usize; 3]) -> Option<String> {
         let x = ramp(g.in_channels() * dhw.iter().product::<usize>());
         let (w, b) = (ramp(g.weight_volume()), ramp(g.out_channels()));
@@ -1151,7 +1175,7 @@ mod tests {
     fn blocked_conv2d_matches_naive() {
         // (in_c, out_c, k, stride, pad, h, w) — borders, stride>1, 1×1,
         // filter counts off the 16-lane panel, position counts off the
-        // GEMM's four-row block (45, 18, 3038 over seven im2col blocks).
+        // six-position group (45, 18, 3038 over thirteen blocks).
         for (ic, oc, k, s, p, h, w) in [
             (1usize, 1usize, 1usize, 1usize, 0usize, 5usize, 9usize),
             (2, 3, 3, 1, 1, 6, 11),

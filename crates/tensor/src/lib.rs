@@ -8,8 +8,8 @@
 //! * [`ops`] — elementwise operations.
 //! * [`matmul`] — dense matrix multiply / matrix-vector kernels used by
 //!   fully-connected layers.
-//! * [`conv`] — 2D and 3D convolution over one rank-generic geometry: im2col
-//!   blocks through the packed matmul, a naive direct-loop oracle, pooling.
+//! * [`conv`] — 2D and 3D convolution over one rank-generic geometry: an
+//!   implicit GEMM on the packed panels, a naive oracle, transposes, pooling.
 //! * [`block`] — cache-blocked weight panels and the 16-lane FC microkernel
 //!   shared by the forward and reuse-correction hot paths.
 //! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2+FMA fast path,

@@ -89,7 +89,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 /// `a` is row-major `[m, k]`, `packed` holds `B` (`k = packed.n_in()`,
 /// `n = packed.n_out()`), and `c` is the row-major `[m, n]` output, entering
 /// with each output's initial value — zeros for a plain product, the bias
-/// for a convolution's im2col block — which heads that output's chain.
+/// for a fully-connected layer — which heads that output's chain.
 ///
 /// Each `C[i][j]` is one fused chain over every `l` ascending: bit-identical
 /// to [`matmul_naive`] at either [`crate::simd::level`]. Under AVX2 the

@@ -460,7 +460,7 @@ pub mod avx2 {
     ///
     /// `c` is the row-major `[m, n_out]` output and is accumulated onto: it
     /// enters holding each output's initial value (zero for a plain product,
-    /// the bias for a convolution), which heads that output's chain. `a` is
+    /// the bias for a layer), which heads that output's chain. `a` is
     /// the row-major `[m, n_in]` matrix.
     ///
     /// # Panics
@@ -594,6 +594,130 @@ pub mod avx2 {
                 }
             }
         }
+    }
+
+    /// Positions per register group of [`conv_block`]: six × one 16-lane panel
+    /// is twelve accumulators, with two weight vectors and a broadcast all 16.
+    const CONV_GROUP: usize = 6;
+
+    /// AVX2 body of a block of [`crate::conv::conv_forward_into`]: row `r` of
+    /// `c` gains one fused `frame[origins[r] + seg + kx] · w[tap]` per tap,
+    /// ascending. Panels outermost; rows in groups of [`CONV_GROUP`], the last
+    /// moved back to end on the block's last row without storing the rows it
+    /// shares with the one before (a shorter block repeats its last window).
+    ///
+    /// # Safety
+    ///
+    /// The host runs AVX2+FMA; `panels` has `segments.len() · kw` rows; `c` is
+    /// `origins.len()` rows of `16 · panels.n_panels()`; `origin + seg + kw ≤
+    /// frame.len()` for every origin and segment (`u32` offsets in `f32` bits).
+    #[target_feature(enable = "avx2,fma")]
+    pub(crate) unsafe fn conv_block(
+        frame: &[f32],
+        segments: &[f32],
+        kw: usize,
+        origins: &[usize],
+        panels: &PackedPanels,
+        c: &mut [f32],
+    ) {
+        let (rows, cp, width) = (
+            origins.len(),
+            c.as_mut_ptr(),
+            PANEL_WIDTH * panels.n_panels(),
+        );
+        for p in 0..panels.n_panels() {
+            for g0 in (0..rows).step_by(CONV_GROUP) {
+                let start = g0.min(rows.saturating_sub(CONV_GROUP));
+                let keep = g0 - start..CONV_GROUP.min(rows - start);
+                let mut acc = [[_mm256_setzero_ps(); 2]; CONV_GROUP];
+                // SAFETY: the caller's contract bounds every window, weight row
+                // and row of `c`. (Whole group loops keep `acc` in registers.)
+                unsafe {
+                    let windows: [*const f32; CONV_GROUP] = core::array::from_fn(|r| {
+                        frame.as_ptr().add(origins[(start + r).min(rows - 1)])
+                    });
+                    let at = |r: usize| cp.add((start + r) * width + p * PANEL_WIDTH);
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        if keep.contains(&r) {
+                            *a = [_mm256_loadu_ps(at(r)), _mm256_loadu_ps(at(r).add(8))];
+                        }
+                    }
+                    let mut w = panels.panel(p).as_ptr();
+                    for seg in segments {
+                        let seg = seg.to_bits() as usize;
+                        for kx in seg..seg + kw {
+                            let (w0, w1) = (_mm256_loadu_ps(w), _mm256_loadu_ps(w.add(8)));
+                            w = w.add(PANEL_WIDTH);
+                            for (a, window) in acc.iter_mut().zip(windows) {
+                                let b = _mm256_broadcast_ss(&*window.add(kx));
+                                a[0] = _mm256_fmadd_ps(b, w0, a[0]);
+                                a[1] = _mm256_fmadd_ps(b, w1, a[1]);
+                            }
+                        }
+                    }
+                    for (r, a) in acc.iter().enumerate() {
+                        if keep.contains(&r) {
+                            _mm256_storeu_ps(at(r), a[0]);
+                            _mm256_storeu_ps(at(r).add(8), a[1]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// AVX2 body of [`crate::conv::transpose_into`] (`cols` of every `width`
+    /// floats of `src`, into rows `stride` apart): 8×8 tiles through registers
+    /// (unpack, shuffle, `permute2f128`), the edge strips by the scalar walk.
+    ///
+    /// # Safety
+    ///
+    /// The host runs AVX2; `0 < cols ≤ width`, `src` has `rows = src.len() /
+    /// width ≤ stride` rows, and `dst` holds `(cols − 1) · stride + rows`
+    /// floats.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn transpose(
+        src: &[f32],
+        width: usize,
+        cols: usize,
+        dst: &mut [f32],
+        stride: usize,
+    ) {
+        let rows = src.len() / width;
+        let (r8, c8) = (rows - rows % 8, cols - cols % 8);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        for r0 in (0..r8).step_by(8) {
+            for c0 in (0..c8).step_by(8) {
+                // SAFETY: rows `r0 .. r0 + 8` × columns `c0 .. c0 + 8` lie
+                // inside `src`, and their images inside `dst` by the
+                // caller's contract.
+                unsafe {
+                    let v: [__m256; 8] =
+                        core::array::from_fn(|i| _mm256_loadu_ps(s.add((r0 + i) * width + c0)));
+                    // Rows interleaved in pairs (`t`), then in quads: `q[k]`
+                    // holds column `k` of rows 0–3 in its low half and column
+                    // `k + 4` in its high half, `q[k + 4]` those of rows 4–7.
+                    let (mut t, mut q) = (v, v);
+                    for k in (0..8).step_by(2) {
+                        t[k] = _mm256_unpacklo_ps(v[k], v[k + 1]);
+                        t[k + 1] = _mm256_unpackhi_ps(v[k], v[k + 1]);
+                    }
+                    for k in [0, 1, 4, 5] {
+                        let i = (k & 4) | (k % 2 * 2);
+                        q[i] = _mm256_shuffle_ps::<0x44>(t[k], t[k + 2]);
+                        q[i + 1] = _mm256_shuffle_ps::<0xEE>(t[k], t[k + 2]);
+                    }
+                    for k in 0..4 {
+                        let low = _mm256_permute2f128_ps::<0x20>(q[k], q[k + 4]);
+                        let high = _mm256_permute2f128_ps::<0x31>(q[k], q[k + 4]);
+                        _mm256_storeu_ps(d.add((c0 + k) * stride + r0), low);
+                        _mm256_storeu_ps(d.add((c0 + k + 4) * stride + r0), high);
+                    }
+                }
+            }
+        }
+        crate::conv::transpose_span(src, width, dst, stride, 0..rows, c8..cols);
+        crate::conv::transpose_span(src, width, dst, stride, r8..rows, 0..c8);
     }
 
     /// AVX2 reuse-correction sweep over the buffered pre-activations:

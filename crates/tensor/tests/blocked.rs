@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
 use reuse_tensor::conv::{
-    conv_forward_into, conv_forward_naive, Conv2dSpec, Conv3dSpec, ConvGeometry,
+    conv_forward_into, conv_forward_naive, transpose_into, Conv2dSpec, Conv3dSpec, ConvGeometry,
 };
 use reuse_tensor::matmul::{fc_forward_naive, matmul, matmul_naive};
 use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
@@ -77,11 +77,12 @@ fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3]) -> Option<String> {
     conv_mismatch(&spec.geometry().unwrap(), dhw, 2)
 }
 
-/// Position counts that are not multiples of the GEMM's four-row register
-/// block, of sixteen, or of the im2col block — where a kernel that reuses a
-/// block's `C` rows without reseeding them, or mishandles the remainder
-/// rows, goes wrong while every stream-level check still passes (they all
-/// share the kernel).
+/// Position counts that are not multiples of the forward's six-position
+/// register group, of the transpose's eight-row tile, or of the block —
+/// where a kernel that reuses a block's rows without reseeding them, stores
+/// a row of a group moved back over finished rows, or mishandles the
+/// remainder rows goes wrong while every stream-level check still passes
+/// (they all share the kernel).
 #[test]
 fn conv_blocks_and_remainder_rows_match_naive() {
     let spec2 = |in_c, out_c, k, stride, pad| Conv2dSpec {
@@ -93,12 +94,12 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         pad,
     };
     for (spec, h, w) in [
-        // AutoPilot CONV1 at reduced filters: 31x98 = 3038 positions, seven
-        // im2col blocks of 436 rows, the last one 422 = 4*105 + 2.
+        // AutoPilot CONV1 at reduced filters: 31x98 = 3038 positions, twelve
+        // blocks of 240 and one of 158 = 6*26 + 2 = 8*19 + 6.
         (spec2(3, 7, 5, 2, 0), 66, 200),
         // AutoPilot CONV5 at reduced channels: 1x18 positions.
         (spec2(4, 17, 3, 1, 0), 3, 20),
-        // 43x43 = 1849 positions (prime squared) over two blocks of 1212.
+        // 43x43 = 1849 positions (prime squared): the last block 169.
         (spec2(3, 36, 3, 1, 1), 43, 43),
         (spec2(2, 16, 5, 2, 2), 9, 21),
         (spec2(1, 1, 3, 2, 2), 6, 5),
@@ -121,7 +122,7 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         // 5*7*9 = 315 positions; with stride 2, 3*4*5 = 60.
         (spec3(2, 16, 1), [5, 7, 9]),
         (spec3(2, 17, 2), [5, 7, 9]),
-        // 6*13*13 = 1014 positions over two blocks of 604 (54 taps).
+        // 6*13*13 = 1014 positions, the last block 54 = 6*9 = 8*6 + 6.
         (spec3(2, 36, 1), [6, 13, 13]),
     ] {
         let mismatch = conv3d_mismatch(&spec, dhw);
@@ -130,24 +131,23 @@ fn conv_blocks_and_remainder_rows_match_naive() {
 }
 
 /// Several frames per call, where the padded frame is refilled for each and
-/// its border must stay `0.0`, and where an im2col block ends on a frame's
-/// last position: there a row's last segment is the one copy that must not
-/// move its spare float (nor read past the frame). Every axis padded, 2D
-/// windows at stride 2 with `pad > 0`, and every width the unrolling
-/// specialises or falls back on.
+/// its border must stay `0.0`, and where a block ends on a frame's last
+/// position, whose last window ends on the frame's last float. Every axis
+/// padded, 2D windows at stride 2 with `pad > 0`, and kernel widths from 1
+/// to 7.
 #[test]
 fn multi_frame_calls_match_naive_frame_by_frame() {
     let geometry = |in_c, out_c, kernel, stride, pad| {
         ConvGeometry::new(in_c, out_c, kernel, stride, pad).unwrap()
     };
     let mut cases = vec![
-        // 27 taps: 6x4x101 = 2424 positions, exactly two blocks of 1212.
+        // 6x4x101 = 2424 positions: ten blocks of 240, the last one 24.
         (geometry(1, 7, [3, 3, 3], 1, [1, 1, 1]), [6, 4, 101]),
         // C3D CONV1's channels, one block ending on the frame's end.
         (geometry(3, 16, [3, 3, 3], 1, [1, 1, 1]), [4, 9, 11]),
         // Unequal pads, kernel extents and stride 2 on every axis.
         (geometry(2, 17, [2, 3, 5], 2, [1, 2, 1]), [5, 7, 9]),
-        // 9 taps: 56x130 = 7280 positions, exactly two blocks of 3640.
+        // 56x130 = 7280 positions: thirty blocks of 240, the last one 80.
         (geometry(1, 3, [1, 3, 3], 1, [0, 1, 1]), [1, 56, 130]),
         // Unpadded, so the windows are cut from the caller's frames.
         (geometry(3, 7, [1, 5, 5], 2, [0, 0, 0]), [1, 13, 21]),
@@ -165,6 +165,59 @@ fn multi_frame_calls_match_naive_frame_by_frame() {
                 "{g:?} on {frames}x{dhw:?}: {mismatch:?}"
             );
         }
+    }
+}
+
+/// Every remainder of the six-position group and of the eight-row transpose
+/// tile, in a frame of a single block and in a frame's last block past
+/// full ones (240 positions a block), for one filter and for filter counts
+/// off the 16-lane panel; then groups that straddle an output row and a
+/// plane (7- and 5-wide rows, 3x5 planes), over frames whose last group is
+/// moved back over rows the group before it finished.
+#[test]
+fn conv_group_and_tile_remainders_match_naive() {
+    let geometry =
+        |in_c, out_c, kernel, pad| ConvGeometry::new(in_c, out_c, kernel, 1, pad).unwrap();
+    for out_c in [1, 7, 17, 36] {
+        for n in (1..=13).chain(240..=253) {
+            let g = geometry(2, out_c, [1, 1, 3], [0, 0, 1]);
+            let mismatch = conv_mismatch(&g, [1, 1, n], 2);
+            assert!(
+                mismatch.is_none(),
+                "{out_c} filters, {n} positions: {mismatch:?}"
+            );
+        }
+    }
+    for (g, dhw) in [
+        (geometry(3, 17, [1, 3, 3], [0, 1, 1]), [1, 4, 7]),
+        (geometry(2, 7, [3, 3, 3], [1, 1, 1]), [3, 3, 5]),
+        (geometry(2, 36, [2, 2, 2], [0, 0, 0]), [4, 4, 6]),
+    ] {
+        for frames in 1..=3 {
+            let mismatch = conv_mismatch(&g, dhw, frames);
+            assert!(
+                mismatch.is_none(),
+                "{g:?} on {frames}x{dhw:?}: {mismatch:?}"
+            );
+        }
+    }
+}
+
+/// The geometries the blocking was sized on: C3D-small CONV6's 196 = 6*32 +
+/// 4 = 8*24 + 4 positions in one block, AutoPilot-small CONV1's 3038 in
+/// thirteen, and a deep layer — C3D-small CONV7, 128 -> 128 channels, 3456
+/// taps over 8 panels, on its 2x3x3 input (three whole groups).
+#[test]
+fn c3d_and_autopilot_geometries_match_naive() {
+    let c3d = |in_c, out_c| ConvGeometry::new(in_c, out_c, [3, 3, 3], 1, [1, 1, 1]).unwrap();
+    let autopilot_conv1 = ConvGeometry::new(3, 24, [1, 5, 5], 2, [0, 0, 0]).unwrap();
+    for (g, dhw) in [
+        (c3d(4, 36), [4, 7, 7]),
+        (autopilot_conv1, [1, 66, 200]),
+        (c3d(128, 128), [2, 3, 3]),
+    ] {
+        let mismatch = conv_mismatch(&g, dhw, 2);
+        assert!(mismatch.is_none(), "{g:?} on {dhw:?}: {mismatch:?}");
     }
 }
 
@@ -284,5 +337,30 @@ proptest! {
 
         let mismatch = simd::kernel_mismatch(&z_blocked, &z_naive);
         prop_assert!(mismatch.is_none(), "{:?}", mismatch);
+    }
+
+    /// The transpose against the element loop the scalar tile walk is, bit
+    /// for bit: whole 8x8 tiles and the right-hand and bottom strips past
+    /// them, and every case's 1-tall and 1-wide matrices too.
+    #[test]
+    fn transpose_matches_the_element_walk(
+        rows in 1usize..=70,
+        cols in 1usize..=70,
+        seed in 0u64..1000,
+    ) {
+        let mut next = values(seed);
+        for (rows, cols) in [(rows, cols), (1, cols), (rows, 1)] {
+            let src: Vec<f32> = (0..rows * cols).map(|_| next()).collect();
+            let mut want = vec![0.0f32; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * rows + r] = src[r * cols + c];
+                }
+            }
+            let mut got = vec![f32::NAN; rows * cols];
+            transpose_into(&src, rows, cols, &mut got);
+            let mismatch = simd::kernel_mismatch(&got, &want);
+            prop_assert!(mismatch.is_none(), "{}x{}: {:?}", rows, cols, mismatch);
+        }
     }
 }

@@ -27,8 +27,8 @@ echo "== telemetry overhead smoke (budget ${REUSE_TELEMETRY_OVERHEAD_PCT:-5}%) =
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --telemetry-smoke
 
 echo "== kernel perf smoke (constant floors under AVX2) =="
-# Under AVX2 the packed matmul and the three conv forward rows (the same GEMM
-# under im2col blocks) must sustain their absolute GFLOP/s floors and the
+# Under AVX2 the packed matmul and the four conv forward rows (taps read
+# straight from the frame) must sustain their absolute GFLOP/s floors and the
 # reuse / recurrent rows their ratios; a host without AVX2/FMA prints every
 # row and gates none.
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke
@@ -121,7 +121,7 @@ echo "== repro report smoke (all ten artifacts, tiny scale) =="
 # REUSE_SCALE exits 2).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
 
-echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one walk for both network kinds, the block; one fixed reuse scheme per network, temporal only) =="
+echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one walk for both network kinds, the block; one fixed reuse scheme per network, temporal only; one conv forward, no unroll stage) =="
 # The recorded-artifact files, the measurement disk cache, the session
 # threading knob, the kernel thread runtime, the `_with` kernel entries, the
 # session's tensor-API fallback fork with the pool machinery around it, the
@@ -133,10 +133,11 @@ echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one 
 # hash planes and CLI flag, the per-layer policy layer with its controller,
 # policy files and step-rescaling quantizer, and the session's and the
 # server's second walk for recurrent networks with the sequence-only step
-# beside the frame step are gone; this line
+# beside the frame step, and the conv forward's im2col unroll stage with its
+# block budget are gone; this line
 # is their one permitted mention, besides the snapshot tests' assertions
 # that a retired JSON path is absent.
-if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels|signature_cache|SignatureCache|SignatureStats|RpqPlanes|ReusePolicy|StaticPolicy|AdaptivePolicy|AdaptiveController|TunedPolicy|LayerPolicy|reuse_threshold|step_scale|policy_layers|sig-cache|with_step|walk_sequence|process_sequences|seq_scratch|seq_meta|per_sequence_only|\bstep_sequence\b' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude |
+if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels|signature_cache|SignatureCache|SignatureStats|RpqPlanes|ReusePolicy|StaticPolicy|AdaptivePolicy|AdaptiveController|TunedPolicy|LayerPolicy|reuse_threshold|step_scale|policy_layers|sig-cache|with_step|walk_sequence|process_sequences|seq_scratch|seq_meta|per_sequence_only|\bstep_sequence\b|im2col_rows|IM2COL_BLOCK_BYTES' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude |
     grep -v 'assert!(!root\.has_path("'; then
     echo "retired names are back in the tree" >&2
     exit 1

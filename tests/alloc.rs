@@ -8,9 +8,9 @@
 //! CONV1 and its five pools. Every one of them writes into a buffer from the
 //! session's pool, so once the pool is primed a frame of any of the three
 //! allocates nothing in the session; what is left is the conv kernel's own
-//! two allocations, once per reuse-disabled conv layer: the im2col block —
-//! the zero-padded copy of the frame it unrolls from shares it — and the
-//! block's results. EESEN's sequences
+//! two allocations, once per reuse-disabled conv layer: the segment table —
+//! the zero-padded copy of the frame the windows are read from shares it —
+//! and the block of results. EESEN's sequences
 //! are under the same contract: flat pooled buffers between layers, whether a
 //! BiLSTM steps through its reuse state or runs at full precision.
 //!
@@ -106,12 +106,12 @@ fn autopilot_steady_frames_are_allocation_free() {
 }
 
 #[test]
-fn c3d_steady_windows_allocate_only_conv1s_im2col_blocks() {
+fn c3d_steady_windows_allocate_only_conv1s_kernel_scratch() {
     // CONV1 is reuse-disabled and recomputed every window, and a pool
     // follows five of the eight conv layers: six of seventeen layers run at
     // full precision. All of them stay in the pool (sixteen allocations and
     // two pool misses a window when they went through the tensor API); the
-    // two blocks are the scratch `conv_forward_into` owns.
+    // two allocations are the scratch `conv_forward_into` owns.
     let (allocations, pool_misses) = steady_allocations(WorkloadKind::C3d);
     assert_eq!(pool_misses, 0, "steady-state pool misses");
     assert_eq!(
