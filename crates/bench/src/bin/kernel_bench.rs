@@ -16,8 +16,10 @@
 //!   CONV2, a C3D CONV3-style layer, C3D-small CONV1 (81 taps, padded on
 //!   every axis) and C3D-small CONV6 (3456 taps over 196 positions);
 //! * the conv *reuse* step, the paper's claim on one layer: on AutoPilot
-//!   CONV2 at ~15% changed inputs, detecting and correcting must not lose to
-//!   the layer's own forward (≥ 1.0×; reads 1.06–1.17×);
+//!   CONV2 at ~15% changed inputs, detecting and correcting must beat the
+//!   layer's own forward by ≥ 1.1×. It reads 1.01–1.15× in a full
+//!   `--perf-smoke` run on the 2-vCPU AVX2 box, so this row fails there more
+//!   often than not;
 //! * the recurrent path's levers: one EESEN-shaped cell over a 40-step
 //!   sequence must run ≥ 1.15× faster as one `step_block` call than as forty
 //!   (the feed-forward weights fetched once per block instead of once per
@@ -521,14 +523,14 @@ fn perf_smoke() -> ExitCode {
         let gflops = kernel.flops as f64 / ns;
         row(&what, gflops, " GFLOP/s", kernel.min_avx2_gflops);
     }
-    // The paper's claim on one layer: correcting the changed inputs does not
-    // lose to recomputing.
+    // The paper's claim on one layer: correcting the changed inputs beats
+    // recomputing.
     let (speedup, changed) = conv_reuse_speedup();
     let what = format!(
         "autopilot_conv2_24x31x98/reuse_step at {:.1}% changed inputs, vs its packed forward",
         changed * 100.0
     );
-    row(&what, speedup, "x", 1.0);
+    row(&what, speedup, "x", 1.1);
     // The recurrent path's levers, each against its own before side (the
     // block split measured 1.4–1.7x under AVX2, the batched forward ~3x, the
     // σ/φ kernel 5–9x).
