@@ -72,9 +72,7 @@ fn split_units(units: u64, tiles: usize, macs_per_unit: f64) -> TileAssignment {
 /// splits identically), or the four LSTM gates.
 pub fn distribute(trace: &LayerTrace, tiles: usize) -> TileAssignment {
     match trace.kind {
-        // Passthrough fallbacks recompute in full every frame; their MACs
-        // split across tiles by output element like FC/conv.
-        LayerKind::Fc | LayerKind::Conv | LayerKind::Passthrough => {
+        LayerKind::Fc | LayerKind::Conv => {
             let units = trace.n_outputs.max(1);
             let macs_per_unit = trace.macs_performed as f64 / units as f64;
             split_units(units, tiles, macs_per_unit)

@@ -9,9 +9,6 @@
 //! reuse_cli serve-net [workload] --port P --shards N serve over TCP (length-prefixed frames)
 //! reuse_cli serve-net [workload] --smoke            loopback round-trip vs standalone
 //! reuse_cli simulate <workload> [executions]        accelerator baseline vs reuse
-//! reuse_cli ingest <model.onnx> [frames] [--smoke]  lower an ONNX model, replay a jitter
-//!                                                   stream, report similarity + fallbacks
-//! reuse_cli export <workload> <path>                serialize the model to a file
 //! reuse_cli experiments                             list the `repro` subcommands
 //! ```
 //!
@@ -31,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reuse_bench::measure::executions_from_env;
-use reuse_bench::streams::{bits_eq, drive, random_walk, run_frames, standalone, OffsetStreams};
+use reuse_bench::streams::{bits_eq, drive, run_frames, standalone, OffsetStreams};
 use reuse_bench::table::{human_bytes, human_joules, human_seconds};
 use reuse_core::{summary, CompiledModel, EngineMetrics, ReuseSession};
 use reuse_nn::stats::network_stats;
@@ -86,13 +83,6 @@ fn usage() -> ExitCode {
          \x20          [--smoke]                client, and checks every output bit-for-bit\n\
          \x20                                   against standalone sessions (exits {EXIT_SERVE_DIVERGED})\n\
          \x20 simulate <workload> [executions]  simulate baseline vs reuse accelerators\n\
-         \x20 ingest   <model.onnx> [frames]    parse + lower an ONNX model, replay a\n\
-         \x20          [--smoke]                synthetic-jitter stream, and report per-layer\n\
-         \x20                                   similarity, skipped-MAC projection and\n\
-         \x20                                   recompute-always fallbacks (--smoke runs the\n\
-         \x20                                   built-in fixture checks; exits {EXIT_DIVERGED} on\n\
-         \x20                                   divergence, {EXIT_EXEC} on parse/lower failure)\n\
-         \x20 export   <workload> <path>        serialize the model to a file\n\
          \x20 experiments                       list the paper artifacts `repro` prints\n\n\
          workloads: kaldi, eesen, c3d, autopilot (REUSE_SCALE=full|small|tiny)"
     );
@@ -393,161 +383,6 @@ fn run_serve_net_listen(w: &Workload, shards: usize, port: u16) -> u8 {
     }
 }
 
-/// Ingests an ONNX file, runs a synthetic-jitter stream through the reuse
-/// engine under the paper's fixed scheme (one 64-cluster grid per layer,
-/// drift watchdog armed), and reports per-layer measured input similarity
-/// plus the skipped-MAC projection. Fallback (recompute-always)
-/// layers are called out explicitly.
-fn run_ingest(path: &str, frames: usize) -> ExitCode {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    };
-    let lowered = match reuse_onnx_ingest::ingest(&bytes) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot lower {path}: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    };
-    let net = &lowered.network;
-    eprintln!(
-        "{}: {} layers, {} params, input {}",
-        net.name(),
-        net.layers().len(),
-        net.param_count(),
-        net.input_shape()
-    );
-    for skipped in &lowered.skipped {
-        eprintln!("dropped no-op node {skipped}");
-    }
-    let config = reuse_core::ReuseConfig::uniform(64).drift_watchdog(8, 0.25);
-    let mut engine = ReuseSession::from_network(net, &config);
-    let seq_len = if net.is_recurrent() {
-        32.min(frames.max(2))
-    } else {
-        0
-    };
-    let stream = random_walk(frames, net.input_shape().volume(), 0.5, 0.04, 42);
-    if let Err(e) = run_frames(&mut engine, &stream, seq_len, |_| {}) {
-        eprintln!("execution failed: {e}");
-        return ExitCode::from(EXIT_EXEC);
-    }
-    let metrics = engine.metrics();
-    let mut macs_total = 0u64;
-    let mut macs_skipped = 0u64;
-    for (name, layer) in net.layers() {
-        match metrics.layer(name) {
-            Some(m) => {
-                let skipped = m.macs_total.saturating_sub(m.macs_performed);
-                macs_total += m.macs_total;
-                macs_skipped += skipped;
-                println!(
-                    "layer {name} kind {:?} similarity {:.4} macs_total {} macs_skipped {}",
-                    layer.kind(),
-                    m.input_similarity(),
-                    m.macs_total,
-                    skipped
-                );
-            }
-            None => println!("layer {name} kind {:?} (no reuse slot)", layer.kind()),
-        }
-    }
-    for (layer, op) in &lowered.fallbacks {
-        println!("fallback {layer} {op}");
-    }
-    println!(
-        "total frames {frames} similarity {:.4} macs_total {macs_total} macs_skipped {macs_skipped} reuse {:.4}",
-        metrics.overall_input_similarity(),
-        if macs_total > 0 {
-            macs_skipped as f64 / macs_total as f64
-        } else {
-            0.0
-        }
-    );
-    ExitCode::SUCCESS
-}
-
-/// Self-contained ingest smoke for CI: (a) the generated Gemm+Relu fixture
-/// must execute bit-identically to its hand-built twin through the engine;
-/// (b) a graph with an unsupported op must still serve via a
-/// recompute-always passthrough slot charging full MACs and zero reuse.
-fn run_ingest_smoke() -> ExitCode {
-    use reuse_onnx_ingest::fixture;
-
-    // (a) bit-identity: ingested fixture vs hand-built twin.
-    let lowered = match reuse_onnx_ingest::ingest(&fixture::gemm_relu_bytes()) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("fixture failed to lower: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    };
-    let twin = fixture::gemm_relu_network();
-    let config = reuse_core::ReuseConfig::uniform(64);
-    let mut ingested = ReuseSession::from_network(&lowered.network, &config);
-    let mut reference = ReuseSession::from_network(&twin, &config);
-    for frame in random_walk(64, fixture::GEMM_IN, 0.5, 0.05, 42) {
-        let (a, b) = match (ingested.execute(&frame), reference.execute(&frame)) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                eprintln!("smoke execution failed: {:?} {:?}", a.err(), b.err());
-                return ExitCode::from(EXIT_EXEC);
-            }
-        };
-        if !bits_eq(a.as_slice(), b.as_slice()) {
-            eprintln!("ingested fixture diverged from the hand-built network");
-            return ExitCode::from(EXIT_DIVERGED);
-        }
-    }
-    println!("ingest smoke: fixture bit-identical to hand-built network over 64 frames");
-
-    // (b) unsupported op serves through a recompute-always passthrough.
-    let lowered = match reuse_onnx_ingest::ingest(&fixture::unsupported_softmax_bytes()) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("softmax graph failed to lower: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    };
-    let Some((pass_name, op)) = lowered.fallbacks.first().cloned() else {
-        eprintln!("softmax graph lowered without a fallback slot");
-        return ExitCode::from(EXIT_DIVERGED);
-    };
-    let mut engine = ReuseSession::from_network(&lowered.network, &config);
-    for frame in random_walk(48, 8, 0.5, 0.03, 7) {
-        if let Err(e) = engine.execute(&frame) {
-            eprintln!("softmax graph execution failed: {e}");
-            return ExitCode::from(EXIT_EXEC);
-        }
-    }
-    let metrics = engine.metrics();
-    let Some(pass) = metrics.layer(&pass_name) else {
-        eprintln!("passthrough layer {pass_name} has no metrics slot");
-        return ExitCode::from(EXIT_DIVERGED);
-    };
-    if pass.macs_total == 0
-        || pass.macs_performed != pass.macs_total
-        || pass.computation_reuse() != 0.0
-    {
-        eprintln!(
-            "passthrough telemetry wrong: total {} performed {} reuse {}",
-            pass.macs_total,
-            pass.macs_performed,
-            pass.computation_reuse()
-        );
-        return ExitCode::from(EXIT_DIVERGED);
-    }
-    println!(
-        "ingest smoke: unsupported op {op} served via {pass_name} \
-         (full MACs charged, zero reuse)"
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry = args.iter().any(|a| a == "--telemetry");
@@ -686,35 +521,6 @@ fn main() -> ExitCode {
                 (1.0 - reuse.normalized_energy_to(&base)) * 100.0
             );
             ExitCode::SUCCESS
-        }
-        Some("export") => {
-            let (Some(kind), Some(path)) =
-                (args.get(1).and_then(|a| parse_workload(a)), args.get(2))
-            else {
-                return usage();
-            };
-            let w = Workload::build(kind, scale);
-            let text = reuse_nn::serialize::to_string(w.network());
-            match std::fs::write(path, &text) {
-                Ok(()) => {
-                    println!("wrote {} ({})", path, human_bytes(text.len() as u64));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {path}: {e}");
-                    ExitCode::from(EXIT_IO)
-                }
-            }
-        }
-        Some("ingest") => {
-            if smoke {
-                return run_ingest_smoke();
-            }
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let n_frames: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(96);
-            run_ingest(path, n_frames)
         }
         Some("experiments") => {
             println!(

@@ -37,9 +37,7 @@ pub mod fc;
 pub mod init;
 pub mod lstm;
 mod network;
-pub mod passthrough;
 pub mod pool;
-pub mod serialize;
 pub mod stats;
 
 pub use activation::Activation;
@@ -48,5 +46,4 @@ pub use error::NnError;
 pub use fc::FullyConnected;
 pub use lstm::{BiLstmLayer, LstmCell, LstmState};
 pub use network::{Layer, LayerKind, Network, NetworkBuilder};
-pub use passthrough::{PassthroughLayer, PassthroughOp, PoolSpec2d};
 pub use pool::{Pool2dLayer, Pool3dLayer};

@@ -7,7 +7,7 @@ use reuse_tensor::{ParallelConfig, Shape, Tensor};
 use crate::lstm::{flatten_frames, LstmScratch};
 use crate::{
     init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, LstmCell,
-    NnError, PassthroughLayer, PassthroughOp, Pool2dLayer, Pool3dLayer,
+    NnError, Pool2dLayer, Pool3dLayer,
 };
 
 /// One layer of a sequential [`Network`].
@@ -44,10 +44,6 @@ pub enum Layer {
     Lstm(LstmCell),
     /// Bidirectional LSTM over sequences (paper Fig. 2).
     BiLstm(BiLstmLayer),
-    /// Recompute-always fallback for ingested ops the reuse scheme cannot
-    /// correct incrementally (softmax, general pooling, standalone
-    /// activations). See [`crate::passthrough`].
-    Passthrough(PassthroughLayer),
 }
 
 /// Coarse layer classification used in reports and by the accelerator model.
@@ -63,9 +59,6 @@ pub enum LayerKind {
     Reshape,
     /// Recurrent (LSTM).
     Recurrent,
-    /// Recompute-always fallback from graph ingestion: weightless, charged
-    /// at full cost every frame, excluded from reuse/policy decisions.
-    Passthrough,
 }
 
 impl Layer {
@@ -77,17 +70,13 @@ impl Layer {
             Layer::Pool2d(_) | Layer::Pool3d(_) | Layer::GroupMax { .. } => LayerKind::Pool,
             Layer::Flatten => LayerKind::Reshape,
             Layer::Lstm(_) | Layer::BiLstm(_) => LayerKind::Recurrent,
-            Layer::Passthrough(_) => LayerKind::Passthrough,
         }
     }
 
     /// Whether the layer carries weights (and is therefore a candidate for
     /// the reuse scheme).
     pub fn has_weights(&self) -> bool {
-        !matches!(
-            self.kind(),
-            LayerKind::Pool | LayerKind::Reshape | LayerKind::Passthrough
-        )
+        !matches!(self.kind(), LayerKind::Pool | LayerKind::Reshape)
     }
 
     /// Parameter count of this layer.
@@ -98,11 +87,7 @@ impl Layer {
             Layer::Conv3d(l) => l.param_count(),
             Layer::Lstm(l) => l.param_count(),
             Layer::BiLstm(l) => l.param_count(),
-            Layer::Pool2d(_)
-            | Layer::Pool3d(_)
-            | Layer::Flatten
-            | Layer::GroupMax { .. }
-            | Layer::Passthrough(_) => 0,
+            Layer::Pool2d(_) | Layer::Pool3d(_) | Layer::Flatten | Layer::GroupMax { .. } => 0,
         }
     }
 
@@ -212,7 +197,6 @@ impl Layer {
                 }
                 Ok(Shape::d1(l.n_out()))
             }
-            Layer::Passthrough(p) => p.output_shape(input),
         }
     }
 
@@ -246,9 +230,9 @@ impl Layer {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for layers without a frame-wise
-    /// linear part (pooling, reshape, passthrough, recurrent) or a conv
-    /// layer handed an `in_shape` of the wrong rank or channel count, and
-    /// propagates length mismatches from the kernels.
+    /// linear part (pooling, reshape, recurrent) or a conv layer handed an
+    /// `in_shape` of the wrong rank or channel count, and propagates length
+    /// mismatches from the kernels.
     pub fn forward_linear_into(
         &self,
         in_shape: &Shape,
@@ -311,7 +295,7 @@ impl Layer {
     /// nothing and a flatten is a copy. A fully-connected layer is one
     /// bias-seeded GEMM over every row, so its weights are fetched once for
     /// all of them; pools, group-max and flatten take the rows as more of the
-    /// same data; conv and passthrough layers loop their rows.
+    /// same data; conv layers loop their rows.
     ///
     /// # Errors
     ///
@@ -378,7 +362,6 @@ impl Layer {
                         .map(|chunk| chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max)),
                 );
             }
-            Layer::Passthrough(p) => p.forward_into(input, in_shape, rows, out)?,
             Layer::Lstm(_) | Layer::BiLstm(_) => {
                 return Err(NnError::InvalidConfig {
                     context: "recurrent layer cannot run frame-wise".into(),
@@ -446,7 +429,6 @@ impl Layer {
             }
             Layer::Lstm(l) => l.flops_per_step(),
             Layer::BiLstm(l) => l.flops_per_step(),
-            Layer::Passthrough(p) => p.flops(input),
             Layer::Pool2d(_) | Layer::Pool3d(_) | Layer::Flatten | Layer::GroupMax { .. } => 0,
         }
     }
@@ -864,11 +846,6 @@ impl NetworkBuilder {
         self.push("groupmax", Layer::GroupMax { group })
     }
 
-    /// Appends a recompute-always passthrough op (ingestion fallback).
-    pub fn passthrough(self, op: PassthroughOp) -> Self {
-        self.push("pass", Layer::Passthrough(PassthroughLayer::new(op)))
-    }
-
     /// Appends a unidirectional LSTM layer with deterministic random
     /// weights.
     pub fn lstm(mut self, cell_dim: usize) -> Self {
@@ -890,25 +867,6 @@ impl NetworkBuilder {
         let mut rng = self.rng.fork(self.counter as u64);
         let layer = BiLstmLayer::random(n_in, cell_dim, &mut rng);
         self.push("bilstm", Layer::BiLstm(layer))
-    }
-
-    /// Appends a pre-built layer (used by deserialization and by callers
-    /// that construct layers with explicit parameters). The layer name is
-    /// derived from its kind, like the other builder methods.
-    pub fn push_layer(self, layer: Layer) -> Self {
-        #[allow(unreachable_patterns)] // future-proofing for new variants
-        let base = match &layer {
-            Layer::FullyConnected(_) => "fc",
-            Layer::Conv2d(_) | Layer::Conv3d(_) => "conv",
-            Layer::Pool2d(_) | Layer::Pool3d(_) => "pool",
-            Layer::Flatten => "flatten",
-            Layer::GroupMax { .. } => "groupmax",
-            Layer::Lstm(_) => "lstm",
-            Layer::BiLstm(_) => "bilstm",
-            Layer::Passthrough(_) => "pass",
-            _ => "layer",
-        };
-        self.push(base, layer)
     }
 
     /// Finalizes the network.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use reuse_nn::{
     init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, Layer,
-    LstmCell, LstmState, NetworkBuilder, PassthroughLayer, PassthroughOp, Pool2dLayer, Pool3dLayer,
+    LstmCell, LstmState, NetworkBuilder, Pool2dLayer, Pool3dLayer,
 };
 use reuse_tensor::conv::{conv_forward_naive, Conv2dSpec, Conv3dSpec};
 use reuse_tensor::matmul::fc_forward_naive;
@@ -105,24 +105,6 @@ proptest! {
 }
 
 proptest! {
-    #[test]
-    fn serialization_round_trips_random_mlps(
-        seed in 0u64..200, hidden in 2usize..12, out in 1usize..6
-    ) {
-        let net = NetworkBuilder::new("p", 5)
-            .seed(seed)
-            .fully_connected(hidden, Activation::Relu)
-            .fully_connected(out, Activation::Identity)
-            .build()
-            .unwrap();
-        let text = reuse_nn::serialize::to_string(&net);
-        let back = reuse_nn::serialize::from_str(&text).unwrap();
-        let x = [0.3f32, -0.1, 0.7, 0.0, -0.9];
-        let out_back = back.forward_flat(&x).unwrap();
-        let out_net = net.forward_flat(&x).unwrap();
-        prop_assert_eq!(out_back.as_slice(), out_net.as_slice());
-    }
-
     #[test]
     fn unidirectional_lstm_network_runs(seed in 0u64..100, cell in 2usize..6) {
         let net = NetworkBuilder::new("u", 4)
@@ -339,7 +321,6 @@ proptest! {
         let conv2d = Conv2dLayer::random(spec, Activation::Relu, &mut Rng64::new(seed + 1));
         let spec = Conv3dSpec { in_channels: 2, out_channels: 3, kd: 3, kh: 3, kw: 3, stride: 1, pad: 1 };
         let conv3d = Conv3dLayer::random(spec, Activation::Tanh, &mut Rng64::new(seed + 2));
-        let pass = |op| Layer::Passthrough(PassthroughLayer::new(op));
         let others = [
             (Layer::Conv2d(conv2d), Shape::d3(2, 6, 7)),
             (Layer::Conv3d(conv3d), Shape::d4(2, 3, 5, 6)),
@@ -347,9 +328,6 @@ proptest! {
             (Layer::Pool3d(Pool3dLayer::new(2, 2, true)), Shape::d4(2, 3, 5, 7)),
             (Layer::GroupMax { group: 5 }, Shape::d1(40)),
             (Layer::Flatten, Shape::d3(2, 3, 4)),
-            (pass(PassthroughOp::Softmax), Shape::d1(9)),
-            (pass(PassthroughOp::Elementwise(Activation::Sigmoid)), Shape::d1(9)),
-            (pass(PassthroughOp::GlobalAveragePool), Shape::d3(2, 3, 3)),
         ];
         let mut rng = Rng64::new(seed ^ 0xb10c);
         let (mut together, mut row, mut alone) = (vec![f32::NAN; 3], Vec::new(), Vec::new());
@@ -385,7 +363,6 @@ proptest! {
                 .flatten()
                 .fully_connected(12, Activation::Sigmoid)
                 .group_max(3)
-                .passthrough(PassthroughOp::Softmax)
                 .build()
                 .unwrap(),
             NetworkBuilder::with_input_shape("p3", Shape::d4(2, 4, 6, 7))

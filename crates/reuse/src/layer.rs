@@ -47,8 +47,8 @@ pub struct StepCtx<'a> {
     pub layer: &'a Layer,
     /// Packed/blocked weights shared by every session of the model.
     pub weights: &'a CompiledWeights,
-    /// Quantizer for the layer's feed-forward inputs. `None` only for
-    /// passthrough slots, which recompute without quantizing.
+    /// Quantizer for the layer's feed-forward inputs. `None` until
+    /// calibration builds one, and a slot without one does not step.
     pub quantizer_x: Option<&'a LinearQuantizer>,
     /// Quantizer for the recurrent inputs (LSTM/BiLSTM only).
     pub quantizer_h: Option<&'a LinearQuantizer>,
@@ -91,8 +91,7 @@ fn wrong_layer(expected: &'static str) -> ReuseError {
     }
 }
 
-/// The input quantizer, which every reuse-correcting (non-passthrough)
-/// state requires.
+/// The input quantizer, which every reuse-correcting state requires.
 fn require_qx<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> {
     ctx.quantizer_x.ok_or_else(|| ReuseError::WrongApi {
         context: "reuse correction stepped without an input quantizer".into(),
@@ -404,65 +403,6 @@ impl ReuseLayer for BiLstmReuseState {
     }
 }
 
-/// Per-stream "state" for a recompute-always passthrough slot. There is no
-/// buffered baseline: every step runs the op from scratch and charges
-/// its full MAC-equivalent cost, with every input counted as changed —
-/// honest accounting for ingested ops the reuse scheme cannot correct
-/// incrementally. `from_scratch` stays `false` so every execution lands in
-/// metrics and telemetry as a fully recomputed incremental step.
-#[derive(Debug)]
-pub struct PassthroughReuseState {
-    in_shape: reuse_tensor::Shape,
-    /// MAC-equivalents of one from-scratch execution, precomputed.
-    macs: u64,
-}
-
-impl PassthroughReuseState {
-    fn new(layer: &Layer, in_shape: &reuse_tensor::Shape) -> Self {
-        PassthroughReuseState {
-            in_shape: in_shape.clone(),
-            macs: layer.flops(in_shape) / 2,
-        }
-    }
-}
-
-impl ReuseLayer for PassthroughReuseState {
-    /// The run in one forward call, each row charged an even share of its
-    /// span.
-    fn step(
-        &mut self,
-        ctx: &StepCtx<'_>,
-        xs: &[f32],
-        timed: bool,
-        out: &mut Vec<f32>,
-        steps: &mut Vec<(ExecStats, u64)>,
-    ) -> Result<(), ReuseError> {
-        let Layer::Passthrough(p) = ctx.layer else {
-            return Err(wrong_layer("passthrough"));
-        };
-        let width = self.in_shape.volume();
-        let rows = run_rows(xs, width)?.len();
-        let span = span_start(timed);
-        p.forward_into(xs, &self.in_shape, rows, out)?;
-        let stats = ExecStats {
-            n_inputs: width as u64,
-            n_changed: width as u64,
-            macs_total: self.macs,
-            macs_performed: self.macs,
-            from_scratch: false,
-        };
-        steps.clear();
-        steps.resize(rows, (stats, span_elapsed_ns(span) / rows.max(1) as u64));
-        Ok(())
-    }
-
-    fn reset(&mut self, _layer: &Layer) {}
-
-    fn storage_bytes(&self, _layer: &Layer) -> u64 {
-        0
-    }
-}
-
 /// Builds the per-stream state object for one weighted layer. Construction
 /// is the only place layer kinds are matched — from here on the engine
 /// dispatches through the trait.
@@ -485,7 +425,6 @@ pub(crate) fn build_state(
         )),
         Layer::Lstm(cell) => Some(Box::new(LstmReuseState::new_shared(cell))),
         Layer::BiLstm(l) => Some(Box::new(BiLstmReuseState::new(l))),
-        Layer::Passthrough(_) => Some(Box::new(PassthroughReuseState::new(layer, in_shape))),
         _ => None,
     }
 }

@@ -39,8 +39,6 @@ pub enum CompiledWeights {
         /// Backward-direction gate pack.
         bwd: LstmGatePack,
     },
-    /// Recompute-always passthrough: weightless, nothing to pack.
-    Passthrough,
 }
 
 impl CompiledWeights {
@@ -54,7 +52,6 @@ impl CompiledWeights {
                 fwd: LstmGatePack::new(l.forward_cell()),
                 bwd: LstmGatePack::new(l.backward_cell()),
             }),
-            Layer::Passthrough(_) => Some(CompiledWeights::Passthrough),
             _ => None,
         }
     }
@@ -66,7 +63,6 @@ impl CompiledWeights {
             CompiledWeights::Conv(p) => p.bytes(),
             CompiledWeights::Lstm(p) => p.bytes(),
             CompiledWeights::BiLstm { fwd, bwd } => fwd.bytes() + bwd.bytes(),
-            CompiledWeights::Passthrough => 0,
         }
     }
 }
@@ -137,12 +133,6 @@ impl CompiledModel {
         let mut slots = Vec::new();
         let mut slot_of_layer = vec![usize::MAX; network.layers().len()];
         for (i, (name, layer)) in network.layers().iter().enumerate() {
-            // Passthrough layers are weightless but still get a slot so
-            // their full recompute cost lands in metrics and telemetry.
-            let passthrough = layer.kind() == LayerKind::Passthrough;
-            if !layer.has_weights() && !passthrough {
-                continue;
-            }
             let Some(weights) = CompiledWeights::new(layer) else {
                 continue;
             };
@@ -268,20 +258,5 @@ mod tests {
             CompiledModel::try_new(&net, &ReuseConfig::uniform(16).disable_layer("fc1")).unwrap();
         let enabled: Vec<bool> = model.slots().iter().map(|s| s.enabled).collect();
         assert_eq!(enabled, [false, true], "fc1 is reuse-disabled");
-    }
-
-    #[test]
-    fn passthrough_slots_compile_into_the_plan() {
-        let net = NetworkBuilder::new("with-pass", 8)
-            .fully_connected(16, Activation::Relu)
-            .passthrough(reuse_nn::PassthroughOp::Softmax)
-            .fully_connected(4, Activation::Identity)
-            .build()
-            .unwrap();
-        // The passthrough gets a slot (honest accounting) of its own kind.
-        let model = CompiledModel::new(&net, &ReuseConfig::uniform(16));
-        assert_eq!(model.slots().len(), 3);
-        assert_eq!(model.slots()[1].kind, LayerKind::Passthrough);
-        assert!(model.slots().iter().all(|s| s.enabled));
     }
 }

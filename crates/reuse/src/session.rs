@@ -115,9 +115,7 @@ struct SlotRuntime {
 
 impl SlotRuntime {
     /// The slot's buffered state beside everything a step on it reads: the
-    /// model's layer and packed weights and this stream's quantizers
-    /// (`quantizer_x` is `None` only for passthrough slots, which recompute
-    /// without quantizing).
+    /// model's layer and packed weights and this stream's quantizers.
     fn split<'a>(
         &'a mut self,
         model: &'a CompiledModel,
@@ -666,14 +664,10 @@ impl ReuseSession {
     /// Profiles the ranges of a slot that ran a run at full precision: its
     /// inputs `xs`, and a recurrent slot's hidden inputs, read off the run's
     /// outputs `hs` (none when the run failed). An *enabled* slot only gets
-    /// here while calibrating — in the reuse phase it steps — and
-    /// passthrough slots never quantize, so they have no range to profile.
+    /// here while calibrating — in the reuse phase it steps.
     pub(crate) fn profile_unstepped(&mut self, layer_index: usize, xs: &[f32], hs: &[f32]) {
         let slot_pos = self.model.slot_of_layer()[layer_index];
-        if slot_pos == usize::MAX
-            || !self.slot_enabled(slot_pos)
-            || self.model.slots()[slot_pos].kind == reuse_nn::LayerKind::Passthrough
-        {
+        if slot_pos == usize::MAX || !self.slot_enabled(slot_pos) {
             return;
         }
         let rt = &mut self.runtimes[slot_pos];
@@ -708,11 +702,6 @@ impl ReuseSession {
         let clusters = model.config().default_clusters();
         for (slot, rt) in model.slots().iter().zip(self.runtimes.iter_mut()) {
             if !slot.enabled {
-                continue;
-            }
-            // Passthrough slots recompute at full precision: no quantizer,
-            // and nothing that could auto-disable them.
-            if slot.kind == reuse_nn::LayerKind::Passthrough {
                 continue;
             }
             match rt.profiler_x.range(margin) {
@@ -887,13 +876,7 @@ impl ReuseSession {
         cur.extend_from_slice(frame);
         for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
             let mut next = pool.take(model.layer_out_volumes()[i]);
-            // Passthrough slots buffer nothing: there is no baseline to
-            // re-adopt (and no linear part to recompute) — like passive and
-            // disabled layers they just run exactly.
-            if slot_pos == usize::MAX
-                || !self.slot_enabled(slot_pos)
-                || model.slots()[slot_pos].kind == reuse_nn::LayerKind::Passthrough
-            {
+            if slot_pos == usize::MAX || !self.slot_enabled(slot_pos) {
                 model.network().apply_layer_into(i, &cur, &mut next)?;
             } else {
                 // Separating genuine accumulated drift from plain

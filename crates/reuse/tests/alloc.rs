@@ -299,12 +299,10 @@ fn session_steady_state_execute_into_is_allocation_free() {
 #[test]
 fn full_precision_layers_of_every_kind_stay_in_the_pool() {
     // One of each way a layer can run unstepped — a reuse-disabled conv, a
-    // pool, a flatten, a group-max — around a reuse-enabled FC and a
-    // passthrough softmax slot. None may miss the pool once it is primed;
-    // the only allocations left are the two the conv kernel owns (segment
-    // table with padded frame, block of results), once per frame for the
-    // disabled conv.
-    use reuse_nn::PassthroughOp;
+    // pool, a flatten, a group-max — around a reuse-enabled FC. None may
+    // miss the pool once it is primed; the only allocations left are the
+    // two the conv kernel owns (segment table with padded frame, block of
+    // results), once per frame for the disabled conv.
     use reuse_tensor::Shape;
 
     let net = NetworkBuilder::with_input_shape("mixed", Shape::d3(2, 8, 8))
@@ -313,7 +311,6 @@ fn full_precision_layers_of_every_kind_stay_in_the_pool() {
         .flatten()
         .fully_connected(12, Activation::Relu)
         .group_max(3)
-        .passthrough(PassthroughOp::Softmax)
         .build()
         .unwrap();
     let config = ReuseConfig::uniform(16).disable_layer("conv1");

@@ -687,69 +687,3 @@ fn engine_metrics_weighted_by_layer_size() {
         (overall - fc2.input_similarity()).abs() <= (overall - fc1.input_similarity()).abs() + 0.05
     );
 }
-
-#[test]
-fn passthrough_layer_serves_with_full_macs_and_zero_reuse() {
-    // An ingested graph with an op the reuse scheme cannot correct
-    // (softmax) still serves through a recompute-always passthrough slot,
-    // charging full MACs and recording zero reuse on that layer.
-    let net = NetworkBuilder::new("with-pass", 12)
-        .seed(11)
-        .fully_connected(16, Activation::Relu)
-        .passthrough(reuse_nn::PassthroughOp::Softmax)
-        .fully_connected(4, Activation::Identity)
-        .build()
-        .unwrap();
-    assert_eq!(net.layers()[1].0, "pass1");
-    let mut engine = ReuseSession::from_network(&net, &ReuseConfig::uniform(64));
-    for frame in walk(40, 12, 0.02, 12) {
-        let out = engine.execute(&frame).unwrap();
-        let reference = net.forward_flat(&frame).unwrap();
-        for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
-            assert!((a - b).abs() < 0.15, "reuse {a} vs reference {b}");
-        }
-    }
-    let m = engine.metrics();
-    let pass = m.layer("pass1").expect("passthrough layer has a slot");
-    assert!(pass.reuse_executions > 0);
-    assert!(pass.macs_total > 0, "passthrough cost must be charged");
-    assert_eq!(
-        pass.macs_performed, pass.macs_total,
-        "recompute-always: no MACs may be skipped"
-    );
-    assert_eq!(pass.computation_reuse(), 0.0);
-    assert_eq!(pass.input_similarity(), 0.0);
-    // The weighted layers around it still reuse normally.
-    assert!(m.layer("fc1").unwrap().input_similarity() > 0.0);
-}
-
-#[test]
-fn passthrough_survives_watchdog_rebaseline() {
-    // A zero drift bound forces a re-baseline on every check; the
-    // passthrough slot has no baseline to adopt and must recompute
-    // exactly through the re-baseline path.
-    let net = NetworkBuilder::new("pass-watchdog", 10)
-        .seed(13)
-        .fully_connected(12, Activation::Relu)
-        .passthrough(reuse_nn::PassthroughOp::Softmax)
-        .fully_connected(3, Activation::Identity)
-        .build()
-        .unwrap();
-    let config = ReuseConfig::uniform(32).drift_watchdog(4, 0.0);
-    let mut engine = ReuseSession::from_network(&net, &config);
-    let frames = walk(24, 10, 0.05, 14);
-    let mut last = None;
-    for frame in &frames {
-        last = Some((engine.execute(frame).unwrap(), frame.clone()));
-    }
-    // Zero bound means every watchdog check re-baselines; with checks every
-    // 4 frames the stream keeps getting snapped back onto the exact
-    // baseline, so the final output sits at full-precision accuracy (the
-    // serial re-baseline path and the SIMD reference differ only in
-    // floating-point rounding).
-    let (out, frame) = last.unwrap();
-    let reference = net.forward_flat(&frame).unwrap();
-    for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
-        assert!((a - b).abs() < 1e-2, "rebaselined {a} vs reference {b}");
-    }
-}

@@ -8,8 +8,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::protocol::{
-    decode_f32s, encode_client_preamble, encode_request, read_u32, read_u64, Status, MAGIC,
-    RESPONSE_HEADER, VERSION,
+    decode_f32s, encode_client_preamble, encode_request, parse_server_preamble, read_u32, read_u64,
+    Status, RESPONSE_HEADER,
 };
 
 /// One decoded response message.
@@ -55,13 +55,11 @@ impl NetClient {
         sock.write_all(&hello)?;
         let mut pre = [0u8; 16];
         sock.read_exact(&mut pre)?;
-        if pre[..4] != MAGIC || read_u32(&pre, 4) != VERSION {
-            return Err(proto_err("bad server preamble"));
-        }
+        let (input_len, output_len) = parse_server_preamble(&pre)?;
         Ok(NetClient {
             sock,
-            input_len: read_u32(&pre, 8) as usize,
-            output_len: read_u32(&pre, 12) as usize,
+            input_len: input_len as usize,
+            output_len: output_len as usize,
             scratch: Vec::with_capacity(1024),
         })
     }

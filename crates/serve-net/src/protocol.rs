@@ -35,6 +35,8 @@
 //! `Failed` when the drop is discovered, so they can interleave with
 //! earlier accepted frames' completions.
 
+use std::io::{Error, ErrorKind};
+
 /// Connection magic (`b"RSNV"`).
 pub const MAGIC: [u8; 4] = *b"RSNV";
 
@@ -184,6 +186,28 @@ pub fn peek_len(buf: &[u8]) -> Result<Option<u32>, OversizedFrame> {
         return Err(OversizedFrame);
     }
     Ok(Some(len))
+}
+
+/// Checks the client preamble at the start of `buf`: `Ok(false)` while its 8
+/// bytes have not all arrived (wait), `Ok(true)` once they carry [`MAGIC`]
+/// and [`VERSION`] (accept), and an `InvalidData` error otherwise (reject).
+pub fn check_client_preamble(buf: &[u8]) -> Result<bool, Error> {
+    match buf.get(..8) {
+        None => Ok(false),
+        Some(pre) if pre[..4] == MAGIC && read_u32(pre, 4) == VERSION => Ok(true),
+        Some(_) => Err(Error::new(ErrorKind::InvalidData, "bad client preamble")),
+    }
+}
+
+/// Parses the server preamble a client reads on connect — the client's 8
+/// bytes, then the model's lengths — into `(input_len, output_len)` in
+/// floats; an `InvalidData` error when it is short or its magic or version
+/// is wrong.
+pub fn parse_server_preamble(buf: &[u8]) -> Result<(u32, u32), Error> {
+    match check_client_preamble(buf) {
+        Ok(true) if buf.len() >= 16 => Ok((read_u32(buf, 8), read_u32(buf, 12))),
+        _ => Err(Error::new(ErrorKind::InvalidData, "bad server preamble")),
+    }
 }
 
 /// Little-endian `u64` at `buf[at..at + 8]`.

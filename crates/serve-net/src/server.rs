@@ -25,8 +25,8 @@ use reuse_serve::{
 };
 
 use crate::protocol::{
-    decode_request, encode_response, encode_server_preamble, peek_len, Status, FLAG_DEADLINE,
-    FLAG_HIGH_PRIORITY, MAGIC, VERSION,
+    check_client_preamble, decode_request, encode_response, encode_server_preamble, peek_len,
+    Status, FLAG_DEADLINE, FLAG_HIGH_PRIORITY,
 };
 
 /// Read chunk size per socket per poll iteration.
@@ -225,16 +225,17 @@ impl NetServer {
             };
             let avail = &conn.rbuf[conn.roff..];
             if !conn.preamble_done {
-                if avail.len() < 8 {
-                    break;
+                match check_client_preamble(avail) {
+                    Ok(false) => break,
+                    Ok(true) => {
+                        conn.roff += 8;
+                        conn.preamble_done = true;
+                    }
+                    Err(_) => {
+                        conn.closed = true;
+                        return;
+                    }
                 }
-                let version = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
-                if avail[..4] != MAGIC || version != VERSION {
-                    conn.closed = true;
-                    return;
-                }
-                conn.roff += 8;
-                conn.preamble_done = true;
                 continue;
             }
             let body = match peek_len(avail) {

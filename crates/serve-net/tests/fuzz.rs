@@ -2,15 +2,17 @@
 //!
 //! The decode side of the protocol faces untrusted bytes from the network,
 //! so the contract under test is blunt: `decode_request`, `peek_len`, and
-//! preamble parsing must never panic, and malformed input — truncated
+//! the preamble checks the server and client run (`check_client_preamble`,
+//! `parse_server_preamble`) must never panic, and malformed input — truncated
 //! frames, bit flips, inflated length prefixes, arbitrary byte soup —
 //! must be rejected cleanly (`None` / `Err`) rather than misparsed into
 //! out-of-bounds reads.
 
 use proptest::prelude::*;
 use reuse_serve_net::protocol::{
-    decode_f32s, decode_request, encode_client_preamble, encode_request, encode_server_preamble,
-    peek_len, read_u32, OversizedFrame, MAGIC, MAX_MESSAGE, REQUEST_HEADER, VERSION,
+    check_client_preamble, decode_f32s, decode_request, encode_client_preamble, encode_request,
+    encode_server_preamble, parse_server_preamble, peek_len, read_u32, OversizedFrame, MAX_MESSAGE,
+    REQUEST_HEADER,
 };
 
 /// Strategy for a request payload: bit-pattern-diverse floats (covers
@@ -33,27 +35,6 @@ fn encoded_request() -> impl Strategy<Value = Vec<u8>> {
             encode_request(&mut buf, stream_id, seq, flags, deadline_us, &payload);
             buf
         })
-}
-
-/// Mirrors the server's preamble check: magic then version.
-fn parse_client_preamble(buf: &[u8]) -> Option<u32> {
-    if buf.len() < 8 || buf[..4] != MAGIC {
-        return None;
-    }
-    let version = read_u32(buf, 4);
-    (version == VERSION).then_some(version)
-}
-
-/// Mirrors the preamble check the client runs on connect: magic, version,
-/// then the model's input/output lengths.
-fn parse_server_preamble(buf: &[u8]) -> Option<(u32, u32)> {
-    if buf.len() < 16 || buf[..4] != MAGIC {
-        return None;
-    }
-    if read_u32(buf, 4) != VERSION {
-        return None;
-    }
-    Some((read_u32(buf, 8), read_u32(buf, 12)))
 }
 
 proptest! {
@@ -152,35 +133,37 @@ proptest! {
         prop_assert_eq!(peek_len(&frame), Err(OversizedFrame));
     }
 
-    /// Client and server preambles: the genuine encodings parse, and any
-    /// single corrupted byte in the magic/version region is rejected.
+    /// Client and server preambles: the genuine encodings are accepted,
+    /// and any single corrupted byte in the magic/version region is
+    /// rejected.
     #[test]
     fn corrupted_preambles_are_rejected(at in 0usize..8, xor in 1u8..=255) {
         let mut client = Vec::new();
         encode_client_preamble(&mut client);
-        prop_assert_eq!(parse_client_preamble(&client), Some(VERSION));
+        prop_assert!(check_client_preamble(&client).unwrap());
         client[at] ^= xor;
-        prop_assert_eq!(parse_client_preamble(&client), None);
+        prop_assert!(check_client_preamble(&client).is_err());
 
         let mut server = Vec::new();
         encode_server_preamble(&mut server, 12, 4);
-        prop_assert_eq!(parse_server_preamble(&server), Some((12, 4)));
+        prop_assert_eq!(parse_server_preamble(&server).unwrap(), (12, 4));
         server[at] ^= xor;
-        prop_assert_eq!(parse_server_preamble(&server), None);
+        prop_assert!(parse_server_preamble(&server).is_err());
     }
 
-    /// Truncated preambles (partial handshake reads) never panic and
-    /// never parse.
+    /// Truncated preambles (partial handshake reads) never panic and never
+    /// parse: a client preamble short of 8 bytes waits, a server preamble
+    /// short of 16 is rejected.
     #[test]
     fn truncated_preambles_wait_or_reject(cut in 0usize..16) {
         let mut server = Vec::new();
         encode_server_preamble(&mut server, 7, 3);
         let cut = cut.min(server.len() - 1);
-        prop_assert_eq!(parse_server_preamble(&server[..cut]), None);
+        prop_assert!(parse_server_preamble(&server[..cut]).is_err());
         let client_cut = cut.min(7);
         let mut client = Vec::new();
         encode_client_preamble(&mut client);
-        prop_assert_eq!(parse_client_preamble(&client[..client_cut]), None);
+        prop_assert!(!check_client_preamble(&client[..client_cut]).unwrap());
     }
 
     /// Length-prefix / body agreement: for a genuine encoding, `peek_len`

@@ -59,15 +59,6 @@ echo "== serve-net loopback smoke (TCP round-trip vs standalone) =="
 # divergence).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin reuse_cli -- serve-net kaldi --streams 4 --frames 32 --smoke > /dev/null
 
-echo "== ONNX ingest smoke (fixture bit-identity + fallback serving) =="
-# The checked-in Gemm+Relu fixture must lower to a network that executes
-# bit-identically to its hand-built twin through a reuse session, and a
-# graph with an unsupported op must still serve via a recompute-always
-# passthrough slot (full MACs charged, zero reuse recorded). Exit 4 on
-# divergence, 3 on parse/lower failure.
-cargo run --release -q -p reuse-bench --bin reuse_cli -- ingest --smoke > /dev/null
-cargo run --release -q -p reuse-bench --bin reuse_cli -- ingest crates/onnx-ingest/testdata/gemm_relu.onnx 64 > /dev/null
-
 echo "== serve throughput smoke (scaling floor ${REUSE_SERVE_MIN_SCALING:-0.9}x, fps floor ${REUSE_SERVE_MIN_FPS:-1.0}) =="
 # Aggregate frames/sec must not drop as the server goes from 1 to 8 streams
 # (the tick loop amortizes per-tick overhead); floors are tunable for
@@ -121,7 +112,7 @@ echo "== repro report smoke (all ten artifacts, tiny scale) =="
 # REUSE_SCALE exits 2).
 REUSE_SCALE=tiny cargo run --release -q -p reuse-bench --bin repro -- all > /dev/null
 
-echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one walk for both network kinds, the block; one fixed reuse scheme per network, temporal only; one conv forward, no unroll stage) =="
+echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one full-precision layer path, frame-wise and recurrent; one set of bits at every SIMD level; one record of a layer step; one walk for both network kinds, the block; one fixed reuse scheme per network, temporal only; one conv forward, no unroll stage; networks built in code only: no ONNX reader, no passthrough layer kind, no text model format) =="
 # The recorded-artifact files, the measurement disk cache, the session
 # threading knob, the kernel thread runtime, the `_with` kernel entries, the
 # session's tensor-API fallback fork with the pool machinery around it, the
@@ -133,11 +124,13 @@ echo "== retired-names guard (one recorder: benchmark/; kernels are serial; one 
 # hash planes and CLI flag, the per-layer policy layer with its controller,
 # policy files and step-rescaling quantizer, and the session's and the
 # server's second walk for recurrent networks with the sequence-only step
-# beside the frame step, and the conv forward's im2col unroll stage with its
-# block budget are gone; this line
+# beside the frame step, the conv forward's im2col unroll stage with its
+# block budget, the ONNX reader crate with its CLI subcommand, the
+# recompute-always passthrough layer kind with its reuse state, and the `nn`
+# text model format with its error type are gone; this line
 # is their one permitted mention, besides the snapshot tests' assertions
 # that a retired JSON path is absent.
-if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels|signature_cache|SignatureCache|SignatureStats|RpqPlanes|ReusePolicy|StaticPolicy|AdaptivePolicy|AdaptiveController|TunedPolicy|LayerPolicy|reuse_threshold|step_scale|policy_layers|sig-cache|with_step|walk_sequence|process_sequences|seq_scratch|seq_meta|per_sequence_only|\bstep_sequence\b|im2col_rows|IM2COL_BLOCK_BYTES' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude |
+if grep -rnE 'BENCH_kernels|BENCH_serve|REUSE_NO_CACHE|REUSE_CACHE_DIR|REUSE_INLINE_FLOPS|load_artifact|cached_measurement|parallel_from_env|parallel_for_|with_threads|oversubscribed|REUSE_THREADS|forward_linear_with|matmul_with|fc_forward_with|conv_forward_with|pool_intact|reshape_to_layer|calibration_sequence\b|calibration_execute|group_max_into|percentile_range|conv_forward_packed|max_pool2d_mode|max_pool3d_mode|step_from_preactivations\b|fma_tolerance|\bis_bit_exact|REUSE_BLOCKED_MIN_SPEEDUP|REUSE_BLOCKED_MIN_GFLOPS|REUSE_CONV_REUSE_MIN_SPEEDUP|EngineTelemetry|LayerTelemetry\b|telemetry_window|weight_fetches|correction_output_accesses|record_layer_execution|seq_spans|walk_frame|fc_panels|signature_cache|SignatureCache|SignatureStats|RpqPlanes|ReusePolicy|StaticPolicy|AdaptivePolicy|AdaptiveController|TunedPolicy|LayerPolicy|reuse_threshold|step_scale|policy_layers|sig-cache|with_step|walk_sequence|process_sequences|seq_scratch|seq_meta|per_sequence_only|\bstep_sequence\b|im2col_rows|IM2COL_BLOCK_BYTES|reuse_onnx_ingest|onnx-ingest|PassthroughLayer|PassthroughOp|PassthroughReuseState|LayerKind::Passthrough|SerializeError|reuse_nn::serialize|nn::serialize' crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude |
     grep -v 'assert!(!root\.has_path("'; then
     echo "retired names are back in the tree" >&2
     exit 1

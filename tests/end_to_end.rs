@@ -115,27 +115,6 @@ fn storage_reports_cover_all_workloads() {
 }
 
 #[test]
-fn workload_models_round_trip_through_serialization() {
-    use reuse_dnn::nn::serialize;
-    for kind in WorkloadKind::ALL {
-        let w = Workload::build(kind, Scale::Tiny);
-        let text = serialize::to_string(w.network());
-        let back = serialize::from_str(&text).unwrap_or_else(|e| panic!("{kind}: {e}"));
-        assert_eq!(back.param_count(), w.network().param_count(), "{kind}");
-        assert_eq!(back.input_shape(), w.network().input_shape(), "{kind}");
-        // Spot-check behaviour on one input.
-        if !w.is_recurrent() {
-            let frame = w.generate_frames(1, 1).pop().unwrap();
-            assert_eq!(
-                back.forward_flat(&frame).unwrap().as_slice(),
-                w.network().forward_flat(&frame).unwrap().as_slice(),
-                "{kind}"
-            );
-        }
-    }
-}
-
-#[test]
 fn engine_summary_renders_for_real_workload() {
     let w = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
     let mut engine = reuse_dnn::reuse::ReuseSession::from_network(w.network(), w.reuse_config());
