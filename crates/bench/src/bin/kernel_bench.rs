@@ -32,7 +32,7 @@
 //! through a session with telemetry off and on, in mirrored alternating
 //! rounds, takes the round with the median on/off ratio — the overhead of
 //! the recording path — and exits nonzero when that overhead, less what the
-//! rounds can resolve, exceeds `REUSE_TELEMETRY_OVERHEAD_PCT` (default 5%).
+//! rounds can resolve, exceeds [`TELEMETRY_BUDGET_PCT`].
 //!
 //! Usage: `cargo run --release -p reuse-bench --bin kernel_bench --
 //! --perf-smoke | --telemetry-smoke`; anything else prints this and exits 2.
@@ -41,7 +41,6 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use reuse_bench::env_parse;
 use reuse_bench::streams::random_walk;
 use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::layer::SERIAL;
@@ -551,15 +550,18 @@ fn perf_smoke() -> ExitCode {
     }
 }
 
+/// `--telemetry-smoke` budget: the most telemetry may add to a steady
+/// frame, in percent.
+const TELEMETRY_BUDGET_PCT: f64 = 5.0;
+
 /// Runs the engine pair and fails when the rounds resolve the telemetry
 /// overhead as above the budget.
 fn telemetry_smoke() -> ExitCode {
     let bench = bench_engine_pair();
-    let threshold: f64 = env_parse("REUSE_TELEMETRY_OVERHEAD_PCT").unwrap_or(5.0);
     let (overhead, resolution) = (bench.overhead_pct(), bench.resolution_pct);
-    let over = overhead - resolution > threshold;
+    let over = overhead - resolution > TELEMETRY_BUDGET_PCT;
     eprintln!(
-        "telemetry overhead {overhead:.2}% ± {resolution:.2}% {} the {threshold:.2}% budget",
+        "telemetry overhead {overhead:.2}% ± {resolution:.2}% {} the {TELEMETRY_BUDGET_PCT:.2}% budget",
         if over { "exceeds" } else { "within" }
     );
     ExitCode::from(u8::from(over))

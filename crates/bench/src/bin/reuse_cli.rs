@@ -5,11 +5,10 @@
 //! reuse_cli run <workload> [executions]             run the reuse engine, print summary
 //! reuse_cli run <workload> [executions] --telemetry print the TelemetrySnapshot as JSON
 //! reuse_cli run <workload> [executions] --sessions N multi-session smoke over one model
-//! reuse_cli serve [workload] --streams N --frames M StreamServer smoke vs standalone
+//! reuse_cli serve [workload] --streams N --frames M ShardedServer smoke vs standalone
 //! reuse_cli serve-net [workload] --port P --shards N serve over TCP (length-prefixed frames)
 //! reuse_cli serve-net [workload] --smoke            loopback round-trip vs standalone
 //! reuse_cli simulate <workload> [executions]        accelerator baseline vs reuse
-//! reuse_cli experiments                             list the `repro` subcommands
 //! ```
 //!
 //! Scale is controlled by `REUSE_SCALE` (full/small/tiny, default small),
@@ -32,7 +31,7 @@ use reuse_bench::streams::{bits_eq, drive, run_frames, standalone, OffsetStreams
 use reuse_bench::table::{human_bytes, human_joules, human_seconds};
 use reuse_core::{summary, CompiledModel, EngineMetrics, ReuseSession};
 use reuse_nn::stats::network_stats;
-use reuse_serve::{default_shards, ServerConfig, StreamServer};
+use reuse_serve::{default_shards, ServerConfig, ShardedServer};
 use reuse_serve_net::{NetClient, NetServer, Status};
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -71,7 +70,7 @@ fn usage() -> ExitCode {
          \x20          [--telemetry]            ... and print the TelemetrySnapshot as JSON\n\
          \x20          [--sessions N]           ... interleave N sessions over one shared model\n\
          \x20                                   and check them against standalone sessions\n\
-         \x20 serve    [workload]               serve N streams through a StreamServer and\n\
+         \x20 serve    [workload]               serve N streams through a ShardedServer and\n\
          \x20          [--streams N]            check every stream bit-for-bit against a\n\
          \x20          [--frames M]             standalone session (prints the server\n\
          \x20                                   snapshot JSON; exits {EXIT_SERVE_DIVERGED} on divergence)\n\
@@ -82,8 +81,7 @@ fn usage() -> ExitCode {
          \x20          [--frames M]             drives N streams x M frames through a real\n\
          \x20          [--smoke]                client, and checks every output bit-for-bit\n\
          \x20                                   against standalone sessions (exits {EXIT_SERVE_DIVERGED})\n\
-         \x20 simulate <workload> [executions]  simulate baseline vs reuse accelerators\n\
-         \x20 experiments                       list the paper artifacts `repro` prints\n\n\
+         \x20 simulate <workload> [executions]  simulate baseline vs reuse accelerators\n\n\
          workloads: kaldi, eesen, c3d, autopilot (REUSE_SCALE=full|small|tiny)"
     );
     ExitCode::from(EXIT_USAGE)
@@ -197,11 +195,11 @@ fn run_sessions_smoke(
 /// run them as one GEMM and the reuse layers step them in order.
 const BURST: usize = 3;
 
-/// Serves `n` offset streams through a [`StreamServer`] over one shared
-/// model and checks every stream's outputs and metrics bit-for-bit against
-/// a standalone [`ReuseSession`] fed the same frames alone, [`BURST`] frames
-/// per stream per round. The server snapshot JSON is the whole stdout; all
-/// diagnostics go to stderr.
+/// Serves `n` offset streams through a single-shard [`ShardedServer`] over
+/// one shared model, ticked here, and checks every stream's outputs and
+/// metrics bit-for-bit against a standalone [`ReuseSession`] fed the same
+/// frames alone, [`BURST`] frames per stream per round. The server snapshot
+/// JSON is the whole stdout; all diagnostics go to stderr.
 fn run_serve_smoke(w: &Workload, n: usize, frames_per_stream: usize) -> Result<(), u8> {
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let seq_len = if w.is_recurrent() {
@@ -220,19 +218,21 @@ fn run_serve_smoke(w: &Workload, n: usize, frames_per_stream: usize) -> Result<(
         .queue_capacity((2 * seq_len).max(8))
         .batch_max(4)
         .sequence_len(seq_len);
-    let mut server = StreamServer::new(Arc::clone(&model), server_config).map_err(|e| {
+    let server = ShardedServer::new(Arc::clone(&model), server_config, 1).map_err(|e| {
         eprintln!("cannot construct server: {e}");
         EXIT_EXEC
     })?;
     let streams = OffsetStreams::new(w, n, frames_per_stream, seq_len);
     let mut collected: Vec<Vec<Vec<f32>>> = vec![Vec::new(); n];
     let collect = |s: usize, out: &[f32]| collected[s].push(out.to_vec());
-    drive(&mut server, &streams, 0..frames_per_stream, BURST, collect).map_err(|e| {
+    let tick = || server.tick_all().map(drop);
+    let window = 0..frames_per_stream;
+    drive(&server, tick, &streams, window, BURST, collect).map_err(|e| {
         eprintln!("serving failed: {e}");
         EXIT_EXEC
     })?;
     let metrics_match = |s: usize, alone: &EngineMetrics| {
-        server.session(s as u64).map(|sess| sess.metrics()) == Some(alone)
+        server.with_session(s as u64, |sess| sess.metrics() == alone) == Some(true)
     };
     let mismatches = standalone_mismatches(&model, &streams, seq_len, &collected, metrics_match)?;
     // Machine-readable result: the snapshot JSON is the whole stdout.
@@ -519,14 +519,6 @@ fn main() -> ExitCode {
                 "  speedup {:.2}x, energy savings {:.0}%",
                 reuse.speedup_over(&base),
                 (1.0 - reuse.normalized_energy_to(&base)) * 100.0
-            );
-            ExitCode::SUCCESS
-        }
-        Some("experiments") => {
-            println!(
-                "paper artifacts (cargo run --release -p reuse-bench --bin repro -- <name>):\n\
-                 \x20 table1, fig4, fig5, fig9, fig10, fig11, table2, table3,\n\
-                 \x20 fig12, reduced_precision, ablations, all"
             );
             ExitCode::SUCCESS
         }

@@ -11,24 +11,22 @@
 //! the progress line shows min/median beside it.
 //!
 //! `serve_bench --perf-smoke` times the 1- and 8-stream Kaldi pair on a
-//! passive [`StreamServer`] and exits nonzero when 8-stream aggregate
-//! throughput falls below `REUSE_SERVE_MIN_SCALING` × 1-stream throughput
-//! (default 0.9, tunable for noisy hosts) or below the absolute
-//! `REUSE_SERVE_MIN_FPS` floor (default 1.0 frames/sec). Per-frame kernel
-//! work is identical at every stream count, so the ratio measures how well
-//! the serial tick amortizes its per-tick overhead.
+//! single-shard [`ShardedServer`] ticked by the driver and exits nonzero
+//! when 8-stream aggregate throughput falls below [`MIN_SCALING`] ×
+//! 1-stream throughput or below the absolute [`MIN_FPS`] floor. Per-frame
+//! kernel work is identical at every stream count, so the ratio measures
+//! how well the serial tick amortizes its per-tick overhead.
 //!
 //! `serve_bench --open-loop --perf-smoke` times three alternating 1-vs-64-
 //! stream Kaldi pairs through a [`ShardedServer`] with [`default_shards`]
 //! shards and background [`ShardWorkers`] threads, and holds the median
-//! ratio to the host-aware `REUSE_SERVE_MIN_SHARD_SCALING` floor (default
-//! `0.9 × (hardware_threads − 1)` within `[1.0, 2.5]`: the closed-loop
-//! driver occupies one hardware thread itself, so a host of up to two
-//! threads only has to not lose throughput, a many-core host must scale).
-//! It then runs one open-loop point at half that capacity — frames
-//! submitted at a fixed arrival rate without waiting for completions,
-//! because a closed-loop driver hides queueing delay — against the
-//! `REUSE_SERVE_MAX_P99_NS` ceiling (default 50 ms).
+//! ratio to a host-aware floor, `0.9 × (hardware_threads − 1)` within
+//! `[1.0, 2.5]`: the closed-loop driver occupies one hardware thread
+//! itself, so a host of up to two threads only has to not lose throughput,
+//! a many-core host must scale. It then runs one open-loop point at half
+//! that capacity — frames submitted at a fixed arrival rate without waiting
+//! for completions, because a closed-loop driver hides queueing delay —
+//! against the [`MAX_P99_NS`] ceiling.
 //!
 //! Usage: `cargo run --release -p reuse-bench --bin serve_bench --
 //! --perf-smoke | --open-loop --perf-smoke`; anything else prints this and
@@ -40,12 +38,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reuse_bench::env_parse;
-use reuse_bench::streams::{drive, OffsetStreams, Tier};
+use reuse_bench::streams::{drive, OffsetStreams};
 use reuse_core::CompiledModel;
 use reuse_serve::{
-    default_shards, hardware_threads, LatencyHistogram, ServerConfig, ShardWorkers, ShardedServer,
-    StreamServer, SubmitOptions,
+    default_shards, hardware_threads, LatencyHistogram, ServeError, ServerConfig, ShardWorkers,
+    ShardedServer, SubmitOptions,
 };
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -56,6 +53,16 @@ const BURST: usize = 4;
 /// Timed repeats per configuration (max frames/sec wins; min/median
 /// logged alongside).
 const REPEATS: usize = 3;
+
+/// `--perf-smoke` floor on 8-stream over 1-stream aggregate throughput.
+const MIN_SCALING: f64 = 0.9;
+
+/// `--perf-smoke` floor on 8-stream aggregate frames/sec.
+const MIN_FPS: f64 = 1.0;
+
+/// `--open-loop --perf-smoke` ceiling on the p99 latency at half capacity
+/// (50 ms).
+const MAX_P99_NS: f64 = 50_000_000.0;
 
 /// Min/median/max aggregate throughput across the timed repeats.
 #[derive(Clone, Copy)]
@@ -97,8 +104,7 @@ impl Latency {
 }
 
 /// One closed-loop configuration's measurement: `streams` streams on a
-/// passive [`StreamServer`] (`shards == 0`) or a worker-driven
-/// [`ShardedServer`].
+/// [`ShardedServer`] of `shards` shards.
 struct Row {
     workload: &'static str,
     streams: usize,
@@ -140,41 +146,57 @@ fn closed_loop_config(n: usize) -> ServerConfig {
         .batch_max(BURST)
 }
 
-/// Warm-up plus [`REPEATS`] timed windows of `measure` steady frames per
-/// stream, each window served to completion; `after_warm` runs in between
-/// (latency reset). All windows consume fresh frames from one long walk per
-/// stream.
-fn closed_loop<T: Tier>(
-    tier: &mut T,
+/// Lets shard workers run: the driver only yields.
+fn yield_to_workers() -> Result<(), ServeError> {
+    std::thread::yield_now();
+    Ok(())
+}
+
+/// `n` streams through a [`ShardedServer`] of `shards` shards, ticked by
+/// the driver or, with `workers`, by a [`ShardWorkers`] thread per shard:
+/// warm-up, a latency reset, then [`REPEATS`] timed windows of `measure`
+/// steady frames per stream, each served to completion. All windows consume
+/// fresh frames from one long walk per stream. Latency is merged over the
+/// shards.
+fn bench(
     w: &Workload,
+    model: &Arc<CompiledModel>,
     n: usize,
+    shards: usize,
+    workers: bool,
     measure: usize,
-    after_warm: impl FnOnce(&T),
-) -> FpsSpread {
+) -> Row {
+    let server = Arc::new(
+        ShardedServer::new(Arc::clone(model), closed_loop_config(n), shards)
+            .expect("feed-forward serve config"),
+    );
+    let mut workers = workers.then(|| ShardWorkers::start(Arc::clone(&server)));
+    let advance = || match workers {
+        Some(_) => yield_to_workers(),
+        None => server.tick_all().map(drop),
+    };
     let streams = OffsetStreams::new(w, n, WARM + REPEATS * measure, 0);
     let mut sink = 0f32;
-    let mut serve = |tier: &mut T, window: Range<usize>| {
-        drive(tier, &streams, window, BURST, |_, out| sink += out[0]).expect("steady serving");
+    let mut serve = |window: Range<usize>| {
+        let keep = |_: usize, out: &[f32]| sink += out[0];
+        drive(&server, advance, &streams, window, BURST, keep).expect("steady serving");
     };
-    serve(tier, 0..WARM);
-    after_warm(tier);
+    serve(0..WARM);
+    server.clear_latency();
     let fps = (0..REPEATS)
         .map(|r| {
             let from = WARM + r * measure;
             let start = Instant::now();
-            serve(tier, from..from + measure);
+            serve(from..from + measure);
             (n * measure) as f64 / start.elapsed().as_secs_f64()
         })
         .collect();
     black_box(sink);
-    FpsSpread::from_repeats(fps)
-}
-
-/// `n` streams through a passive [`StreamServer`], ticked by the driver.
-fn bench_streams(w: &Workload, model: &Arc<CompiledModel>, n: usize, measure: usize) -> Row {
-    let mut server = StreamServer::new(Arc::clone(model), closed_loop_config(n))
-        .expect("feed-forward serve config");
-    let fps = closed_loop(&mut server, w, n, measure, |s| s.latency().clear());
+    if let Some(workers) = &mut workers {
+        workers.stop();
+        let errors = workers.take_errors();
+        assert!(errors.is_empty(), "shard workers reported: {errors:?}");
+    }
     assert_eq!(
         server.frames_completed() as usize,
         (WARM + REPEATS * measure) * n
@@ -182,9 +204,9 @@ fn bench_streams(w: &Workload, model: &Arc<CompiledModel>, n: usize, measure: us
     Row {
         workload: w.kind().name(),
         streams: n,
-        shards: 0,
-        fps,
-        latency: Latency::of(server.latency()),
+        shards,
+        fps: FpsSpread::from_repeats(fps),
+        latency: Latency::of(&server.merged_latency()),
     }
 }
 
@@ -194,48 +216,10 @@ fn frames_for(n: usize) -> usize {
     (512 / n).clamp(8, 512).div_ceil(BURST) * BURST
 }
 
-fn bench_workload(kind: WorkloadKind, scale: Scale, stream_counts: &[usize]) -> Vec<Row> {
-    let w = Workload::build(kind, scale);
-    let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
-    stream_counts
-        .iter()
-        .map(|&n| bench_streams(&w, &model, n, frames_for(n)).logged())
-        .collect()
-}
-
 /// Drains every stream's outputs into `sink` (anti-DCE).
 fn drain_all(server: &ShardedServer, n: usize, sink: &mut f32) {
     for s in 0..n {
         server.drain_outputs(s as u64, |out| *sink += out[0]);
-    }
-}
-
-/// Closed-loop throughput through a worker-driven [`ShardedServer`]: the
-/// driver thread submits bursts (retrying queue-full) while per-shard
-/// worker threads execute, so multi-core hosts overlap frame execution
-/// across shards. Latency is merged over the shards.
-fn bench_sharded(
-    w: &Workload,
-    model: &Arc<CompiledModel>,
-    n: usize,
-    shards: usize,
-    measure: usize,
-) -> Row {
-    let server = Arc::new(
-        ShardedServer::new(Arc::clone(model), closed_loop_config(n), shards)
-            .expect("feed-forward serve config"),
-    );
-    let mut workers = ShardWorkers::start(Arc::clone(&server));
-    let fps = closed_loop(&mut &*server, w, n, measure, |s| s.clear_latency());
-    workers.stop();
-    let errors = workers.take_errors();
-    assert!(errors.is_empty(), "shard workers reported: {errors:?}");
-    Row {
-        workload: w.kind().name(),
-        streams: n,
-        shards,
-        fps,
-        latency: Latency::of(&server.merged_latency()),
     }
 }
 
@@ -309,8 +293,8 @@ fn open_loop_point(
     // Closed-loop warm-up: calibrate every stream and seed each shard's
     // service-time EWMA so deadline projection is live from the first
     // timed frame.
-    let mut tier = &*server;
-    drive(&mut tier, &streams, 0..WARM, WARM, |_, out| sink += out[0]).expect("warm-up");
+    let warm = |_: usize, out: &[f32]| sink += out[0];
+    drive(&server, yield_to_workers, &streams, 0..WARM, WARM, warm).expect("warm-up");
     server.clear_latency();
     let base = server.snapshot();
 
@@ -394,23 +378,22 @@ fn open_loop_frames(offered_fps: f64) -> usize {
 /// Times the 1-vs-8-stream Kaldi pair and enforces the scaling and
 /// absolute-throughput floors.
 fn perf_smoke(scale: Scale) -> ExitCode {
-    let min_scaling = env_parse("REUSE_SERVE_MIN_SCALING").unwrap_or(0.9);
-    let min_fps = env_parse("REUSE_SERVE_MIN_FPS").unwrap_or(1.0);
-    let rows = bench_workload(WorkloadKind::Kaldi, scale, &[1, 8]);
-    let (one, eight) = (&rows[0], &rows[1]);
+    let w = Workload::build(WorkloadKind::Kaldi, scale);
+    let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
+    let [one, eight] = [1, 8].map(|n| bench(&w, &model, n, 1, false, frames_for(n)).logged());
     let scaling = eight.fps.max / one.fps.max;
     eprintln!(
         "serve smoke: 1-stream {:.0} frames/s, 8-stream {:.0} frames/s, \
-         scaling {scaling:.3}x (floor {min_scaling:.3}x), fps floor {min_fps:.1}",
+         scaling {scaling:.3}x (floor {MIN_SCALING:.3}x), fps floor {MIN_FPS:.1}",
         one.fps.max, eight.fps.max
     );
-    if eight.fps.max < min_fps {
-        eprintln!("8-stream throughput is below the {min_fps:.1} frames/s floor");
+    if eight.fps.max < MIN_FPS {
+        eprintln!("8-stream throughput is below the {MIN_FPS:.1} frames/s floor");
         return ExitCode::FAILURE;
     }
-    if scaling < min_scaling {
+    if scaling < MIN_SCALING {
         eprintln!(
-            "8-stream aggregate throughput lost more than the {min_scaling:.3}x floor allows"
+            "8-stream aggregate throughput lost more than the {MIN_SCALING:.3}x floor allows"
         );
         return ExitCode::FAILURE;
     }
@@ -426,9 +409,7 @@ fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
     // overlap on `threads - 1` hardware threads: with two or fewer the
     // floor degrades to "don't lose throughput"; a many-core host must
     // actually scale.
-    let min_scaling = env_parse("REUSE_SERVE_MIN_SHARD_SCALING")
-        .unwrap_or((0.9 * (threads - 1.0)).clamp(1.0, 2.5));
-    let max_p99_ns = env_parse("REUSE_SERVE_MAX_P99_NS").unwrap_or(50_000_000.0);
+    let min_scaling = (0.9 * (threads - 1.0)).clamp(1.0, 2.5);
     let w = Workload::build(WorkloadKind::Kaldi, scale);
     let model = Arc::new(CompiledModel::new(w.network(), w.reuse_config()));
     let shards = default_shards();
@@ -439,8 +420,8 @@ fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
     let mut pairs: Vec<(Row, Row)> = (0..3)
         .map(|_| {
             (
-                bench_sharded(&w, &model, 1, shards, frames_for(1)),
-                bench_sharded(&w, &model, 64, shards, frames_for(64)),
+                bench(&w, &model, 1, shards, true, frames_for(1)),
+                bench(&w, &model, 64, shards, true, frames_for(64)),
             )
         })
         .collect();
@@ -469,11 +450,11 @@ fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
         },
     );
     eprintln!(
-        "open-loop smoke: offered {:.0} fps, achieved {:.0} fps, p99 {} ns (ceiling {:.0} ns)",
-        point.offered_fps, point.achieved_fps, point.latency.p99_ns, max_p99_ns
+        "open-loop smoke: offered {:.0} fps, achieved {:.0} fps, p99 {} ns (ceiling {MAX_P99_NS:.0} ns)",
+        point.offered_fps, point.achieved_fps, point.latency.p99_ns
     );
-    if point.latency.p99_ns as f64 > max_p99_ns {
-        eprintln!("open-loop p99 at half capacity exceeds the {max_p99_ns:.0} ns ceiling");
+    if point.latency.p99_ns as f64 > MAX_P99_NS {
+        eprintln!("open-loop p99 at half capacity exceeds the {MAX_P99_NS:.0} ns ceiling");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

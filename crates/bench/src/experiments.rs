@@ -210,9 +210,6 @@ pub fn fig4(scale: Scale, executions: usize) -> String {
 /// Fig. 5: input similarity and computation reuse per DNN plus the average.
 pub fn fig5(ms: &Measurements) -> String {
     let scale = ms.scale();
-    if let Some(path) = crate::csv::maybe_export_layers(ms.all(), "fig5_layers.csv") {
-        eprintln!("[csv] wrote {}", path.display());
-    }
     let mut out = String::new();
     out.push_str(&format!(
         "FIGURE 5 — input similarity and computation reuse (scale: {scale})\n\n"

@@ -29,7 +29,6 @@
 //! hold floors (`--perf-smoke`, `--telemetry-smoke`) and write no file.
 
 pub mod ablations;
-pub mod csv;
 pub mod experiments;
 pub mod measure;
 pub mod streams;

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use reuse_core::{CompiledModel, ReuseError, ReuseSession};
 use reuse_nn::init::Rng64;
-use reuse_serve::{ServeError, ShardedServer, StreamServer, SubmitResult};
+use reuse_serve::{ServeError, ShardedServer, SubmitResult};
 use reuse_workloads::Workload;
 
 /// A smooth random walk of `len` frames in `[-1, 1]^dim`: starts uniform
@@ -65,94 +65,52 @@ impl OffsetStreams {
     }
 }
 
-/// What [`drive`] needs of a serving tier: the passive [`StreamServer`]
-/// the caller ticks, or a [`ShardedServer`] whose workers tick for it.
-pub trait Tier {
-    /// Submits one frame to stream `id`.
-    fn submit(&mut self, id: u64, frame: &[f32]) -> Result<SubmitResult, ServeError>;
-    /// Lets queued work run: one tick of a passive server, a yield to the
-    /// workers of a threaded one.
-    fn advance(&mut self) -> Result<(), ServeError>;
-    /// Drains stream `id`'s completed outputs, oldest first.
-    fn drain(&mut self, id: u64, f: impl FnMut(&[f32]));
-    /// Units still waiting to run.
-    fn backlog(&self) -> usize;
-}
-
-impl Tier for StreamServer {
-    fn submit(&mut self, id: u64, frame: &[f32]) -> Result<SubmitResult, ServeError> {
-        StreamServer::submit(self, id, frame)
-    }
-    fn advance(&mut self) -> Result<(), ServeError> {
-        self.tick().map(|_| ())
-    }
-    fn drain(&mut self, id: u64, f: impl FnMut(&[f32])) {
-        self.drain_outputs(id, f);
-    }
-    fn backlog(&self) -> usize {
-        self.ready_units()
-    }
-}
-
-impl Tier for &ShardedServer {
-    fn submit(&mut self, id: u64, frame: &[f32]) -> Result<SubmitResult, ServeError> {
-        ShardedServer::submit(self, id, frame)
-    }
-    fn advance(&mut self) -> Result<(), ServeError> {
-        std::thread::yield_now();
-        Ok(())
-    }
-    fn drain(&mut self, id: u64, f: impl FnMut(&[f32])) {
-        self.drain_outputs(id, f);
-    }
-    fn backlog(&self) -> usize {
-        self.pending()
-    }
-}
-
-/// Serves frames `window` of every stream (stream `s` under id `s`) to
-/// completion: `burst` frames per stream, then an advance and a drain of
-/// every stream into `sink(stream, output)`; once all are submitted, more
-/// of the same until nothing is left to run. A rejected submit advances,
+/// Serves frames `window` of every stream (stream `s` under id `s`) through
+/// `server` to completion: `burst` frames per stream, then an `advance` and
+/// a drain of every stream into `sink(stream, output)`; once all are
+/// submitted, more of the same until no unit is left ready. `advance` lets
+/// queued work run: [`ShardedServer::tick_all`] for a passive server, a
+/// yield to the workers of a threaded one. A rejected submit advances,
 /// drains and retries, so bounded queues only slow the walk.
 /// Returns the first submit or advance error.
 ///
 /// # Panics
 ///
-/// Panics when the backlog has not cleared a minute after the last submit
-/// (a stalled worker or a failed stream).
-pub fn drive<T: Tier>(
-    tier: &mut T,
+/// Panics when ready work has not cleared a minute after the last submit
+/// (a stalled worker).
+pub fn drive(
+    server: &ShardedServer,
+    mut advance: impl FnMut() -> Result<(), ServeError>,
     streams: &OffsetStreams,
     window: Range<usize>,
     burst: usize,
     mut sink: impl FnMut(usize, &[f32]),
 ) -> Result<(), ServeError> {
-    let mut drain_all = |tier: &mut T| {
+    let mut drain_all = || {
         for s in 0..streams.count {
-            tier.drain(s as u64, |out| sink(s, out));
+            server.drain_outputs(s as u64, |out| sink(s, out));
         }
     };
     for t in window.clone().step_by(burst) {
         for step in t..(t + burst).min(window.end) {
             for s in 0..streams.count {
                 let frame = &streams.stream(s)[step];
-                while tier.submit(s as u64, frame)? != SubmitResult::Accepted {
-                    tier.advance()?;
-                    drain_all(tier);
+                while server.submit(s as u64, frame)? != SubmitResult::Accepted {
+                    advance()?;
+                    drain_all();
                 }
             }
         }
-        tier.advance()?;
-        drain_all(tier);
+        advance()?;
+        drain_all();
     }
     let give_up = Instant::now() + Duration::from_secs(60);
-    while tier.backlog() > 0 {
-        tier.advance()?;
-        drain_all(tier);
+    while server.ready_units() > 0 {
+        advance()?;
+        drain_all();
         assert!(Instant::now() < give_up, "serving tier stalled");
     }
-    drain_all(tier);
+    drain_all();
     Ok(())
 }
 

@@ -10,10 +10,11 @@
 //! weight panels, the compiled execution plan — live once in a shared
 //! [`CompiledModel`].
 //!
-//! [`StreamServer`] packages that split into a runtime:
+//! [`ShardedServer`] packages that split into a runtime, and is the one
+//! server callers build (`shards = 1` is the single-shard server):
 //!
 //! * **Session pool** — sessions are created lazily on a stream's first
-//!   [`submit`](StreamServer::submit) and capped at
+//!   [`submit`](ShardedServer::submit) and capped per shard at
 //!   [`ServerConfig::max_sessions`]; past the cap the least-recently-used
 //!   stream is evicted (its buffered state reset, its buffers released).
 //! * **Bounded ingress queues + backpressure** — each stream queues at
@@ -23,28 +24,31 @@
 //!   drift watchdog has auto-disabled reuse (the stream runs at
 //!   full-precision cost) and its queue is past
 //!   [`ServerConfig::shed_watermark`].
-//! * **Serial dispatch** — each [`tick`](StreamServer::tick) runs the
-//!   streams' ready batches one after another on the calling thread
-//!   (high-priority heads first); sessions share no mutable state, so
-//!   per-stream results are bit-identical to standalone execution under
-//!   any interleaving. More cores are used by sharding, below.
-//! * **Sharding + deadline scheduling** — [`ShardedServer`] hashes
-//!   streams across N independent shards (each its own session pool,
-//!   queues, and histogram over one shared model) driven by dedicated
-//!   per-shard worker threads ([`ShardWorkers`]); submits can carry a
-//!   deadline and priority lane ([`SubmitOptions`]), with
-//!   projected-deadline-miss shedding at ingress.
+//! * **Serial dispatch per shard** — a shard's tick runs its streams'
+//!   ready batches as one block on one thread (high-priority heads first);
+//!   sessions share no mutable state, so per-stream results are
+//!   bit-identical to standalone execution under any interleaving.
+//! * **Sharding + deadline scheduling** — streams hash across N
+//!   independent shards (each its own session pool, queues, and histogram
+//!   over one shared model), ticked by the caller
+//!   ([`tick_all`](ShardedServer::tick_all)) or by dedicated per-shard
+//!   worker threads ([`ShardWorkers`]); submits can carry a deadline and
+//!   priority lane ([`SubmitOptions`]), with projected-deadline-miss
+//!   shedding at ingress.
 //! * **Telemetry** — aggregate throughput, submit-to-completion latency
 //!   (preallocated lock-free [`LatencyHistogram`]), backpressure and
 //!   eviction counters, and per-stream hit rates, exported as a
-//!   [`ServerSnapshot`] with hand-rolled JSON.
+//!   [`ShardedSnapshot`] with hand-rolled JSON.
+//!
+//! [`StreamServer`] is one shard's body; it stays public only for the
+//! repository benchmark's tier probe.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use reuse_core::{CompiledModel, ReuseConfig};
-//! use reuse_serve::{ServerConfig, StreamServer, SubmitResult};
+//! use reuse_serve::{ServerConfig, ShardedServer, SubmitResult};
 //!
 //! # fn tiny_network() -> reuse_nn::Network {
 //! #     use reuse_nn::{Activation, NetworkBuilder};
@@ -54,12 +58,12 @@
 //! #         .unwrap()
 //! # }
 //! let model = Arc::new(CompiledModel::new(&tiny_network(), &ReuseConfig::uniform(8)));
-//! let mut server = StreamServer::new(model, ServerConfig::default())?;
+//! let server = ShardedServer::new(model, ServerConfig::default(), 1)?;
 //!
 //! // Two independent camera feeds share one model.
 //! assert_eq!(server.submit(0, &[0.1, 0.2, 0.3, 0.4])?, SubmitResult::Accepted);
 //! assert_eq!(server.submit(1, &[0.5, 0.6, 0.7, 0.8])?, SubmitResult::Accepted);
-//! server.tick()?;
+//! server.tick_all()?;
 //! let drained = server.drain_outputs(0, |out| assert_eq!(out.len(), 2));
 //! assert_eq!(drained, 1);
 //! # Ok::<(), reuse_serve::ServeError>(())
@@ -76,8 +80,8 @@ mod snapshot;
 pub use error::ServeError;
 pub use histogram::LatencyHistogram;
 pub use server::{Priority, ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
-pub use shard::{default_shards, hardware_threads, ShardWorkers, ShardedServer, ShardedSnapshot};
-pub use snapshot::{ServerSnapshot, StreamSnapshot};
+pub use shard::{default_shards, hardware_threads, ShardWorkers, ShardedServer};
+pub use snapshot::{ServerSnapshot, ShardedSnapshot, StreamSnapshot};
 
 // Re-exported so downstream code can name the shared-model types without a
 // direct reuse-core dependency.

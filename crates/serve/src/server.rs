@@ -1,15 +1,13 @@
-//! The [`StreamServer`]: N independent frame streams multiplexed over one
-//! shared [`CompiledModel`].
+//! The [`StreamServer`]: the body of one [`crate::ShardedServer`] shard, N
+//! independent frame streams multiplexed over one shared [`CompiledModel`].
 //!
 //! Each stream owns a [`ReuseSession`] (lazily created on first submit),
 //! a bounded ingress queue of pending frames, and a bounded queue of
 //! completed outputs. A scheduling tick walks every stream's ready frames
 //! through the network together, one layer at a time, on the calling thread
-//! (a [`Block`]); a server that should use several
-//! cores is sharded ([`crate::ShardedServer`], one worker thread per
-//! shard). Sessions never share mutable state, so outputs are bit-identical
-//! to running each stream alone through its own standalone session, under
-//! any interleaving and any shard count.
+//! (a [`Block`]). Sessions never share mutable state, so outputs are
+//! bit-identical to running each stream alone through its own standalone
+//! session, under any interleaving and any shard count.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -57,8 +55,8 @@ pub enum Priority {
 }
 
 /// Per-frame submission options: deadline and ingress priority. The
-/// plain [`StreamServer::submit`] uses `SubmitOptions::default()` — no
-/// deadline, normal priority — and behaves exactly as before.
+/// plain [`ShardedServer::submit`](crate::ShardedServer::submit) uses
+/// `SubmitOptions::default()`: no deadline, normal priority.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOptions {
     /// Absolute completion deadline. Submits projected to miss it are
@@ -69,10 +67,12 @@ pub struct SubmitOptions {
     /// Ingress lane (see [`Priority`]).
     pub priority: Priority,
     /// Opaque caller tag carried through to the frame's completion:
-    /// reported by [`StreamServer::drain_outputs_tagged`] alongside the
-    /// output, or by [`StreamServer::drain_expired`] when the frame is
-    /// dropped past-deadline. The network front-end uses it to pair
-    /// responses with request sequence numbers; `0` by default.
+    /// reported by
+    /// [`ShardedServer::drain_outputs_tagged`](crate::ShardedServer::drain_outputs_tagged)
+    /// alongside the output, or by
+    /// [`ShardedServer::drain_expired`](crate::ShardedServer::drain_expired)
+    /// when the frame is dropped past-deadline. The network front-end uses
+    /// it to pair responses with request sequence numbers; `0` by default.
     pub tag: u64,
 }
 
@@ -105,9 +105,9 @@ pub struct TickStats {
     pub streams: usize,
 }
 
-/// Configuration of a [`StreamServer`]. All knobs have serving-friendly
-/// defaults; setters consume and return `self` like
-/// [`reuse_core::ReuseConfig`].
+/// Configuration of each [`ShardedServer`](crate::ShardedServer) shard. All
+/// knobs have serving-friendly defaults; setters consume and return `self`
+/// like [`reuse_core::ReuseConfig`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     max_sessions: usize,
@@ -397,25 +397,26 @@ impl AsMut<ReuseSession> for StreamEntry {
     }
 }
 
-/// A multi-stream serving runtime over one shared [`CompiledModel`].
+/// One shard of a [`ShardedServer`](crate::ShardedServer): a session pool,
+/// ingress and output queues, and a latency histogram over one shared
+/// [`CompiledModel`].
 ///
-/// Lifecycle: [`submit`](Self::submit) frames tagged with a stream id
-/// (sessions are created lazily, the least-recently-used stream is evicted
-/// past [`ServerConfig::max_sessions`]), call [`tick`](Self::tick) to
-/// execute every stream's ready frames, and
-/// [`drain_outputs`](Self::drain_outputs) to consume results in order.
+/// Serve through [`ShardedServer`](crate::ShardedServer) (`shards = 1` is
+/// the single-shard server). Only [`new`](Self::new), [`submit`](Self::submit),
+/// [`tick`](Self::tick) and [`drain_outputs`](Self::drain_outputs) are
+/// public, because the repository benchmark's tier probe times exactly
+/// those four calls on a bare shard; the type goes private once that probe
+/// moves to `ShardedServer` (ROADMAP item 1A(a)).
 ///
 /// **Determinism:** each stream's frames execute in submission order on
 /// that stream's private session, so per-stream outputs and metrics are
-/// bit-identical to a standalone [`ReuseSession`] fed the same frames —
-/// regardless of how streams interleave (property-tested in
-/// `tests/serve.rs`).
+/// bit-identical to a standalone [`ReuseSession`] fed the same frames,
+/// however streams interleave.
 ///
 /// **Allocation:** with feed-forward models the steady-state submit → tick
 /// → drain cycle performs zero heap allocations: ingress frames, outputs,
-/// and session intermediates all come from preallocated recycling lists
-/// (enforced by the counting-allocator test in `tests/alloc.rs`), and a
-/// recurrent model's sequences run under the same contract.
+/// and session intermediates all come from preallocated recycling lists,
+/// and a recurrent model's sequences run under the same contract.
 #[derive(Debug)]
 pub struct StreamServer {
     model: Arc<CompiledModel>,
@@ -439,6 +440,9 @@ pub struct StreamServer {
     evictions: u64,
     /// Queued frames discarded when their stream was evicted.
     evicted_frames: u64,
+    /// Outputs dropped by streams since evicted (the snapshot's
+    /// `outputs_dropped` adds the live streams' own counts).
+    evicted_outputs_dropped: u64,
     /// Total queued frames across streams (kept incrementally so
     /// [`Self::pending`] and the per-submit deadline projection are O(1),
     /// not O(streams)).
@@ -504,6 +508,7 @@ impl StreamServer {
             expired: 0,
             evictions: 0,
             evicted_frames: 0,
+            evicted_outputs_dropped: 0,
             pending_total: 0,
             high_pending: 0,
             service_ewma_ns: 0.0,
@@ -513,34 +518,19 @@ impl StreamServer {
         })
     }
 
-    /// The shared compiled model.
-    pub fn model(&self) -> &Arc<CompiledModel> {
-        &self.model
-    }
-
-    /// The server configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
-    /// Active streams (sessions currently in the pool).
-    pub fn stream_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether a stream currently has a session in the pool.
-    pub fn contains(&self, id: u64) -> bool {
+    pub(crate) fn contains(&self, id: u64) -> bool {
         self.index.contains_key(&id)
     }
 
     /// A stream's session, for introspection (metrics, telemetry).
-    pub fn session(&self, id: u64) -> Option<&ReuseSession> {
+    pub(crate) fn session(&self, id: u64) -> Option<&ReuseSession> {
         self.index.get(&id).map(|&slot| &self.entries[slot].session)
     }
 
     /// Whether a stream has failed (its sticky execution error is set). A
     /// failed stream is skipped by ticks until evicted.
-    pub fn stream_failed(&self, id: u64) -> bool {
+    pub(crate) fn stream_failed(&self, id: u64) -> bool {
         self.index
             .get(&id)
             .is_some_and(|&slot| self.entries[slot].error.is_some())
@@ -548,10 +538,8 @@ impl StreamServer {
 
     /// Marks a stream failed with `error`, as if one of its frames had
     /// errored during a tick. Returns `false` when the stream does not
-    /// exist. Test hook for the sticky-error path: real execution errors
-    /// are unreachable through `submit`'s pre-validation.
-    #[doc(hidden)]
-    pub fn inject_stream_error(&mut self, id: u64, error: reuse_core::ReuseError) -> bool {
+    /// exist.
+    pub(crate) fn inject_stream_error(&mut self, id: u64, error: reuse_core::ReuseError) -> bool {
         let Some(&slot) = self.index.get(&id) else {
             return false;
         };
@@ -563,87 +551,32 @@ impl StreamServer {
         true
     }
 
-    /// Queued (not yet executed) frames for one stream.
-    pub fn queue_len(&self, id: u64) -> usize {
-        self.index
-            .get(&id)
-            .map_or(0, |&slot| self.entries[slot].queue.len())
-    }
-
     /// Total queued frames across all streams.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending_total
     }
 
     /// Execution units (frames, or whole sequences for recurrent models)
     /// ready to run on the next tick.
-    pub fn ready_units(&self) -> usize {
+    pub(crate) fn ready_units(&self) -> usize {
         self.entries
             .iter()
             .map(|e| e.ready_units(self.config.sequence_len))
             .sum()
     }
 
-    /// Scheduling ticks run so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Frames accepted across all streams (lifetime).
-    pub fn frames_submitted(&self) -> u64 {
-        self.frames_submitted
-    }
-
     /// Frames completed across all streams (lifetime).
-    pub fn frames_completed(&self) -> u64 {
+    pub(crate) fn frames_completed(&self) -> u64 {
         self.frames_completed
     }
 
-    /// Submits rejected with [`SubmitResult::QueueFull`].
-    pub fn rejected_queue_full(&self) -> u64 {
-        self.rejected_queue_full
-    }
-
-    /// Submits rejected with [`SubmitResult::Shed`].
-    pub fn shed_frames(&self) -> u64 {
-        self.shed
-    }
-
-    /// Submits rejected with [`SubmitResult::DeadlineShed`].
-    pub fn deadline_shed_frames(&self) -> u64 {
-        self.deadline_shed
-    }
-
-    /// Queued frames dropped at execution time because their deadline had
-    /// already passed.
-    pub fn expired_frames(&self) -> u64 {
-        self.expired
-    }
-
-    /// EWMA of the observed per-frame service time in nanoseconds (`0.0`
-    /// until the first tick completes a frame): tick wall-clock ÷ frames
-    /// completed, which is what the deadline projection needs.
-    pub fn service_ewma_ns(&self) -> f64 {
-        self.service_ewma_ns
-    }
-
-    /// Streams evicted by the LRU session-pool cap.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// The submit-to-completion latency histogram.
-    pub fn latency(&self) -> &LatencyHistogram {
+    pub(crate) fn latency(&self) -> &LatencyHistogram {
         &self.latency
     }
 
-    /// Submits one frame to a stream's ingress queue. Creates the stream's
-    /// session lazily on first submit (evicting the least-recently-used
-    /// stream when the pool is at [`ServerConfig::max_sessions`]); applies
-    /// the queue-full and load-shedding backpressure policies.
-    ///
-    /// Steady-state submits (existing stream, recycled buffer available)
-    /// perform zero heap allocations.
+    /// Submits one frame to a stream's ingress queue: the shard's half of
+    /// [`ShardedServer::submit`](crate::ShardedServer::submit).
     ///
     /// # Errors
     ///
@@ -653,24 +586,9 @@ impl StreamServer {
         self.submit_with(id, frame, SubmitOptions::default())
     }
 
-    /// [`Self::submit`] with per-frame scheduling options: an absolute
-    /// completion deadline and an ingress priority lane.
-    ///
-    /// With a deadline set, the submit is additionally subject to the
-    /// **projected-deadline-miss** policy: if queued work × the observed
-    /// per-frame service time (EWMA over recent ticks) already reaches
-    /// past the deadline, the frame is rejected with
-    /// [`SubmitResult::DeadlineShed`] instead of queued — executing it
-    /// would deliver a result nobody can use while delaying frames that
-    /// can still make their deadlines. A queued frame whose deadline
-    /// passes before it reaches the head of its queue is likewise dropped
-    /// (`expired`) rather than executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Reuse`] when the frame length does not match
-    /// the model's input volume.
-    pub fn submit_with(
+    /// [`Self::submit`] with per-frame scheduling options (see
+    /// [`crate::ShardedServer::submit_with`]).
+    pub(crate) fn submit_with(
         &mut self,
         id: u64,
         frame: &[f32],
@@ -779,6 +697,7 @@ impl StreamServer {
         // anything still holds it through shared introspection).
         entry.session.reset_state();
         self.evicted_frames += entry.queue.len() as u64;
+        self.evicted_outputs_dropped += entry.outputs_dropped;
         self.pending_total -= entry.queue.len();
         self.high_pending -= entry.high_pending;
         self.evictions += 1;
@@ -788,20 +707,12 @@ impl StreamServer {
         }
     }
 
-    /// Runs one scheduling tick on the calling thread: every stream with
-    /// ready units executes up to [`ServerConfig::batch_max`] of them, in
-    /// submission order. Streams whose *head* frame is high-priority go
-    /// first (FIFO within each lane). A tick is one [`Block`]: the frames it
-    /// takes from every stream — whole sequences for a recurrent model — walk
-    /// the network together, one layer at a time, and all complete at its
-    /// end. Returns what was done.
+    /// Runs one scheduling tick of this shard on the calling thread, one
+    /// [`Block`] walk (see [`ShardedServer::tick_all`](crate::ShardedServer::tick_all)).
     ///
     /// # Errors
     ///
-    /// Returns the first not-yet-reported stream execution error. The error
-    /// stays on the stream (sticky): the failed stream is skipped by every
-    /// later tick and never silently resumes, but each failure is surfaced
-    /// through this result exactly once.
+    /// Returns the first not-yet-reported stream execution error.
     pub fn tick(&mut self) -> Result<TickStats, ServeError> {
         self.ticks += 1;
         let started = Instant::now();
@@ -870,18 +781,19 @@ impl StreamServer {
         }
     }
 
-    /// Drains a stream's completed outputs in completion order, invoking
-    /// `f` with each flat output and recycling the buffer. Returns the
-    /// number of outputs drained. Allocation-free.
+    /// Drains a stream's completed outputs in completion order (see
+    /// [`ShardedServer::drain_outputs`](crate::ShardedServer::drain_outputs)).
     pub fn drain_outputs(&mut self, id: u64, mut f: impl FnMut(&[f32])) -> usize {
         self.drain_outputs_tagged(id, |_, out| f(out))
     }
 
     /// [`Self::drain_outputs`], additionally passing each output's
-    /// submission tag ([`SubmitOptions::tagged`]) — how the network
-    /// front-end pairs completions with request sequence numbers.
-    /// Allocation-free.
-    pub fn drain_outputs_tagged(&mut self, id: u64, mut f: impl FnMut(u64, &[f32])) -> usize {
+    /// submission tag ([`SubmitOptions::tagged`]). Allocation-free.
+    pub(crate) fn drain_outputs_tagged(
+        &mut self,
+        id: u64,
+        mut f: impl FnMut(u64, &[f32]),
+    ) -> usize {
         let Some(&slot) = self.index.get(&id) else {
             return 0;
         };
@@ -898,7 +810,7 @@ impl StreamServer {
     /// Drains the tags of a stream's frames dropped past-deadline since the
     /// last call, oldest first (see [`SubmitOptions::with_deadline`]).
     /// Returns the number drained. Allocation-free.
-    pub fn drain_expired(&mut self, id: u64, mut f: impl FnMut(u64)) -> usize {
+    pub(crate) fn drain_expired(&mut self, id: u64, mut f: impl FnMut(u64)) -> usize {
         let Some(&slot) = self.index.get(&id) else {
             return 0;
         };
@@ -911,11 +823,11 @@ impl StreamServer {
         drained
     }
 
-    /// Builds an owned, serializable snapshot of the server's aggregate and
-    /// per-stream state. Allocates — call from reporting paths, not per
-    /// tick.
-    pub fn snapshot(&self) -> ServerSnapshot {
-        let outputs_dropped = self.entries.iter().map(|e| e.outputs_dropped).sum();
+    /// Builds an owned snapshot of the server's aggregate and per-stream
+    /// state. Allocates — call from reporting paths, not per tick.
+    pub(crate) fn snapshot(&self) -> ServerSnapshot {
+        let outputs_dropped = self.evicted_outputs_dropped
+            + self.entries.iter().map(|e| e.outputs_dropped).sum::<u64>();
         let streams = self
             .entries
             .iter()

@@ -1,17 +1,16 @@
-//! Sharded serving tier: N independent [`StreamServer`] shards behind one
+//! The serving tier: N independent [`StreamServer`] shards behind one
 //! façade, so aggregate throughput scales with cores instead of queueing
-//! every stream behind a single `tick()` loop.
+//! every stream behind a single tick loop. One shard is the single-shard
+//! server; every caller serves through [`ShardedServer`].
 //!
-//! Streams are hashed to shards by id (Fibonacci hashing — see
-//! [`ShardedServer::shard_of`]), so a stream's whole life — session,
-//! ingress queue, outputs, latency samples — stays on one shard and the
-//! per-core working set (quantized-input memory, buffered layer outputs)
-//! stays resident. Shards are the serving tier's only threads: a shard's
-//! own [`StreamServer::tick`] is a serial loop, and shards never take work
-//! from each other, which keeps the bit-identity argument local: each
-//! shard is an ordinary `StreamServer`, and a sharded server over any
-//! shard count produces exactly the per-stream outputs of a single-shard
-//! one.
+//! Streams are hashed to shards by id (Fibonacci hashing), so a stream's
+//! whole life — session, ingress queue, outputs, latency samples — stays on
+//! one shard and the per-core working set (quantized-input memory, buffered
+//! layer outputs) stays resident. Shards are the serving tier's only
+//! threads: a shard's tick is a serial loop, and shards never take work
+//! from each other, which keeps the bit-identity argument local: a sharded
+//! server over any shard count produces exactly the per-stream outputs of a
+//! single-shard one.
 //!
 //! All shards clone one `Arc<CompiledModel>`, so they share the model's
 //! immutable artifacts (network, plan, packed weights) and nothing else: an
@@ -19,9 +18,9 @@
 //!
 //! Two driving modes:
 //!
-//! * **Passive** — the caller ticks shards itself ([`ShardedServer::
-//!   tick_all`] / [`ShardedServer::tick_shard`]). Deterministic; what the
-//!   bit-identity proptests use.
+//! * **Passive** — the caller ticks every shard itself
+//!   ([`ShardedServer::tick_all`]). Deterministic; what the bit-identity
+//!   tests and the CLI smoke use.
 //! * **Threaded** — [`ShardWorkers::start`] spawns one dedicated worker
 //!   thread per shard that ticks whenever the shard has ready work and
 //!   parks on a condvar otherwise. Submits and drains stay synchronous
@@ -32,12 +31,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use reuse_core::CompiledModel;
+use reuse_core::{CompiledModel, ReuseError, ReuseSession};
 
 use crate::error::ServeError;
 use crate::histogram::LatencyHistogram;
 use crate::server::{ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
-use crate::snapshot::ServerSnapshot;
+use crate::snapshot::{ServerSnapshot, ShardedSnapshot};
 
 /// One shard: a [`StreamServer`] behind a mutex, plus the condvar its
 /// dedicated worker parks on.
@@ -55,9 +54,27 @@ impl Shard {
     }
 }
 
-/// A sharded [`StreamServer`]: stream-id-hashed shards, each owning its
-/// own session pool, ingress queues, and latency histogram, all sharing
-/// one [`CompiledModel`].
+/// A multi-stream serving runtime over one shared [`CompiledModel`]:
+/// stream-id-hashed shards, each owning its own session pool, ingress
+/// queues, and latency histogram.
+///
+/// Lifecycle: [`submit`](Self::submit) frames tagged with a stream id
+/// (sessions are created lazily, the least-recently-used stream of a shard
+/// is evicted past [`ServerConfig::max_sessions`]), let them run — call
+/// [`tick_all`](Self::tick_all), or start [`ShardWorkers`] — and
+/// [`drain_outputs`](Self::drain_outputs) to consume results in order.
+///
+/// **Determinism:** each stream's frames execute in submission order on
+/// that stream's private session, so per-stream outputs and metrics are
+/// bit-identical to a standalone [`ReuseSession`] fed the same frames,
+/// however streams interleave and whatever the shard count
+/// (property-tested in `tests/serve.rs` and `tests/sharded.rs`).
+///
+/// **Allocation:** with feed-forward models the steady-state submit → tick
+/// → drain cycle performs zero heap allocations: ingress frames, outputs,
+/// and session intermediates all come from preallocated recycling lists
+/// (enforced by the counting-allocator test in `tests/alloc.rs`), and a
+/// recurrent model's sequences run under the same contract.
 ///
 /// `&self` methods take per-shard locks internally, so one
 /// `Arc<ShardedServer>` can be driven from many threads: network
@@ -88,16 +105,17 @@ pub fn default_shards() -> usize {
 }
 
 impl ShardedServer {
-    /// Creates `shards` independent [`StreamServer`]s over clones of one
-    /// compiled model. `shards` is clamped to at least 1. The
-    /// [`ServerConfig`] applies per shard — note that
-    /// [`ServerConfig::max_sessions`] is therefore a *per-shard* cap
-    /// (total capacity = shards × max_sessions, assuming even hashing).
+    /// Creates `shards` independent shards over clones of one compiled
+    /// model. `shards` is clamped to at least 1. The [`ServerConfig`]
+    /// applies per shard — note that [`ServerConfig::max_sessions`] is
+    /// therefore a *per-shard* cap (total capacity = shards × max_sessions,
+    /// assuming even hashing).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] under the same conditions as
-    /// [`StreamServer::new`].
+    /// Returns [`ServeError::Config`] when [`ServerConfig::sequence_len`]
+    /// does not match the model (recurrent networks need a nonzero
+    /// sequence length that fits the queue; feed-forward networks need 0).
     pub fn new(
         model: Arc<CompiledModel>,
         config: ServerConfig,
@@ -123,14 +141,20 @@ impl ShardedServer {
     /// 2⁶⁴/φ, keep the high bits) so dense sequential ids — the common
     /// case for connection-assigned stream ids — spread evenly instead of
     /// all landing on `id % shards`' low-bit pattern.
-    pub fn shard_of(&self, id: u64) -> usize {
+    fn shard_of(&self, id: u64) -> &Shard {
         let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h as usize) % self.shards.len()
+        &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Submits one frame to the owning shard's ingress queue (see
-    /// [`StreamServer::submit`]). Takes that shard's lock briefly; on
-    /// acceptance, wakes the shard's worker if one is parked.
+    /// Submits one frame to its stream's ingress queue on the owning
+    /// shard. Creates the stream's session lazily on first submit
+    /// (evicting the shard's least-recently-used stream when its pool is at
+    /// [`ServerConfig::max_sessions`]); applies the queue-full and
+    /// load-shedding backpressure policies. Takes that shard's lock
+    /// briefly; on acceptance, wakes the shard's worker if one is parked.
+    ///
+    /// Steady-state submits (existing stream, recycled buffer available)
+    /// perform zero heap allocations.
     ///
     /// # Errors
     ///
@@ -140,8 +164,18 @@ impl ShardedServer {
         self.submit_with(id, frame, SubmitOptions::default())
     }
 
-    /// [`Self::submit`] with per-frame deadline and priority options (see
-    /// [`StreamServer::submit_with`]).
+    /// [`Self::submit`] with per-frame scheduling options: an absolute
+    /// completion deadline, an ingress priority lane and a completion tag.
+    ///
+    /// With a deadline set, the submit is additionally subject to the
+    /// **projected-deadline-miss** policy: if the shard's queued work × its
+    /// observed per-frame service time (EWMA over recent ticks) already
+    /// reaches past the deadline, the frame is rejected with
+    /// [`SubmitResult::DeadlineShed`] instead of queued — executing it
+    /// would deliver a result nobody can use while delaying frames that
+    /// can still make their deadlines. A queued frame whose deadline
+    /// passes before it reaches the head of its queue is likewise dropped
+    /// (`expired`) rather than executed.
     ///
     /// # Errors
     ///
@@ -153,7 +187,7 @@ impl ShardedServer {
         frame: &[f32],
         opts: SubmitOptions,
     ) -> Result<SubmitResult, ServeError> {
-        let shard = &self.shards[self.shard_of(id)];
+        let shard = self.shard_of(id);
         let result = shard.lock().submit_with(id, frame, opts);
         if matches!(result, Ok(SubmitResult::Accepted)) {
             shard.work.notify_one();
@@ -161,82 +195,88 @@ impl ShardedServer {
         result
     }
 
-    /// Drains a stream's completed outputs from its owning shard (see
-    /// [`StreamServer::drain_outputs`]).
+    /// Drains a stream's completed outputs in completion order, invoking
+    /// `f` with each flat output and recycling the buffer. Returns the
+    /// number of outputs drained. Allocation-free.
     pub fn drain_outputs(&self, id: u64, f: impl FnMut(&[f32])) -> usize {
-        self.shards[self.shard_of(id)].lock().drain_outputs(id, f)
+        self.shard_of(id).lock().drain_outputs(id, f)
     }
 
-    /// [`Self::drain_outputs`] with each output's submission tag (see
-    /// [`StreamServer::drain_outputs_tagged`]).
+    /// [`Self::drain_outputs`], additionally passing each output's
+    /// submission tag ([`SubmitOptions::tagged`]) — how the network
+    /// front-end pairs completions with request sequence numbers.
     pub fn drain_outputs_tagged(&self, id: u64, f: impl FnMut(u64, &[f32])) -> usize {
-        self.shards[self.shard_of(id)]
-            .lock()
-            .drain_outputs_tagged(id, f)
+        self.shard_of(id).lock().drain_outputs_tagged(id, f)
     }
 
-    /// Drains the tags of a stream's past-deadline drops (see
-    /// [`StreamServer::drain_expired`]).
+    /// Drains the tags of a stream's frames dropped past-deadline since the
+    /// last call, oldest first (see [`SubmitOptions::with_deadline`]).
+    /// Returns the number drained. Allocation-free.
     pub fn drain_expired(&self, id: u64, f: impl FnMut(u64)) -> usize {
-        self.shards[self.shard_of(id)].lock().drain_expired(id, f)
+        self.shard_of(id).lock().drain_expired(id, f)
     }
 
     /// Whether a stream currently has a session in its shard's pool.
     pub fn contains(&self, id: u64) -> bool {
-        self.shards[self.shard_of(id)].lock().contains(id)
+        self.shard_of(id).lock().contains(id)
     }
 
-    /// Whether a stream has a sticky execution error.
+    /// Whether a stream has a sticky execution error. A failed stream is
+    /// skipped by ticks until evicted.
     pub fn stream_failed(&self, id: u64) -> bool {
-        self.shards[self.shard_of(id)].lock().stream_failed(id)
+        self.shard_of(id).lock().stream_failed(id)
     }
 
-    /// Runs one scheduling tick on shard `s` (passive driving mode).
-    ///
-    /// # Errors
-    ///
-    /// Returns the shard's first not-yet-reported stream execution error,
-    /// exactly as [`StreamServer::tick`] does.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `s >= self.shard_count()`.
-    pub fn tick_shard(&self, s: usize) -> Result<TickStats, ServeError> {
-        self.shards[s].lock().tick()
+    /// Runs `f` on a stream's session under its shard's lock — metrics,
+    /// watchdog counters, auto-disabled layers. `None` when the stream
+    /// holds no session.
+    pub fn with_session<R>(&self, id: u64, f: impl FnOnce(&ReuseSession) -> R) -> Option<R> {
+        self.shard_of(id).lock().session(id).map(f)
+    }
+
+    /// Marks a stream failed with `error`, as if one of its frames had
+    /// errored during a tick. Returns `false` when the stream does not
+    /// exist. Test hook for the sticky-error path: real execution errors
+    /// are unreachable through `submit`'s pre-validation.
+    #[doc(hidden)]
+    pub fn inject_stream_error(&self, id: u64, error: ReuseError) -> bool {
+        self.shard_of(id).lock().inject_stream_error(id, error)
     }
 
     /// Ticks every shard once, in shard order (passive driving mode —
-    /// deterministic, used by tests and the closed-loop bench). Returns
-    /// the summed stats; if any shard reports a stream error, the first
-    /// one is returned after all shards have still been ticked.
+    /// deterministic). A shard's tick runs every stream with ready units
+    /// through up to [`ServerConfig::batch_max`] of them, in submission
+    /// order, streams whose head frame is high-priority first; the frames
+    /// it takes — whole sequences for a recurrent model — walk the network
+    /// together as one block, one layer at a time. Returns the summed
+    /// stats.
     ///
     /// # Errors
     ///
-    /// Returns the first shard's first not-yet-reported stream execution
-    /// error.
+    /// Returns the first not-yet-reported stream execution error, after
+    /// every shard has still been ticked. The error stays on the stream
+    /// (sticky): the failed stream is skipped by every later tick and never
+    /// silently resumes, but each failure is surfaced exactly once.
     pub fn tick_all(&self) -> Result<TickStats, ServeError> {
         let mut stats = TickStats::default();
         let mut first_error = None;
-        for s in 0..self.shards.len() {
-            match self.tick_shard(s) {
+        for shard in &self.shards {
+            match shard.lock().tick() {
                 Ok(t) => {
                     stats.frames += t.frames;
                     stats.streams += t.streams;
                 }
                 Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
             }
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
+        first_error.map_or(Ok(stats), Err)
     }
 
-    /// Execution units ready across all shards.
+    /// Execution units (frames, or whole sequences for recurrent models)
+    /// ready across all shards. A failed stream's parked frames are not
+    /// ready work.
     pub fn ready_units(&self) -> usize {
         self.shards.iter().map(|s| s.lock().ready_units()).sum()
     }
@@ -274,7 +314,8 @@ impl ShardedServer {
 
     /// Builds per-shard snapshots plus the merged latency view. Takes each
     /// shard lock in turn (not a globally atomic cut — counters may move
-    /// between shard visits while workers run).
+    /// between shard visits while workers run). Allocates — call from
+    /// reporting paths, not per tick.
     pub fn snapshot(&self) -> ShardedSnapshot {
         let shards: Vec<ServerSnapshot> = self.shards.iter().map(|s| s.lock().snapshot()).collect();
         let latency = self.merged_latency();
@@ -286,103 +327,6 @@ impl ShardedServer {
             latency_count: latency.count(),
             shards,
         }
-    }
-}
-
-/// Per-shard snapshots plus merged latency quantiles, built by
-/// [`ShardedServer::snapshot`]. Aggregate counters are summed on demand
-/// from the per-shard snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedSnapshot {
-    /// Median submit-to-completion latency over all shards (ns).
-    pub p50_ns: u64,
-    /// 99th-percentile latency over all shards (ns).
-    pub p99_ns: u64,
-    /// 99.9th-percentile latency over all shards (ns).
-    pub p999_ns: u64,
-    /// Largest exact latency sample over all shards (ns).
-    pub max_ns: u64,
-    /// Latency samples recorded over all shards.
-    pub latency_count: u64,
-    /// One [`ServerSnapshot`] per shard, in shard order.
-    pub shards: Vec<ServerSnapshot>,
-}
-
-impl ShardedSnapshot {
-    /// Frames accepted across all shards.
-    pub fn frames_submitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.frames_submitted).sum()
-    }
-
-    /// Frames completed across all shards.
-    pub fn frames_completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.frames_completed).sum()
-    }
-
-    /// Submits rejected queue-full across all shards.
-    pub fn rejected_queue_full(&self) -> u64 {
-        self.shards.iter().map(|s| s.rejected_queue_full).sum()
-    }
-
-    /// Submits load-shed (degraded streams) across all shards.
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
-    }
-
-    /// Submits rejected by the projected-deadline-miss policy across all
-    /// shards.
-    pub fn deadline_shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.deadline_shed).sum()
-    }
-
-    /// Queued frames dropped past-deadline across all shards.
-    pub fn expired(&self) -> u64 {
-        self.shards.iter().map(|s| s.expired).sum()
-    }
-
-    /// Streams holding sessions across all shards.
-    pub fn active_streams(&self) -> usize {
-        self.shards.iter().map(|s| s.active_streams).sum()
-    }
-
-    /// Serializes aggregate counters, merged latency, and one compact row
-    /// per shard as hand-rolled JSON (same style as
-    /// [`ServerSnapshot::to_json`]).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"shards\": {},", self.shards.len());
-        let _ = writeln!(s, "  \"active_streams\": {},", self.active_streams());
-        let _ = writeln!(s, "  \"frames_submitted\": {},", self.frames_submitted());
-        let _ = writeln!(s, "  \"frames_completed\": {},", self.frames_completed());
-        let _ = writeln!(
-            s,
-            "  \"backpressure\": {{\"queue_full\": {}, \"shed\": {}, \"deadline_shed\": {}, \
-             \"expired\": {}}},",
-            self.rejected_queue_full(),
-            self.shed(),
-            self.deadline_shed(),
-            self.expired()
-        );
-        let _ = writeln!(
-            s,
-            "  \"latency_ns\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-             \"max\": {}}},",
-            self.latency_count, self.p50_ns, self.p99_ns, self.p999_ns, self.max_ns
-        );
-        s.push_str("  \"per_shard\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            let comma = if i + 1 == self.shards.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    {{\"streams\": {}, \"frames_completed\": {}, \"p99\": {}}}{}",
-                sh.active_streams, sh.frames_completed, sh.p99_ns, comma
-            );
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -439,7 +383,7 @@ impl ShardWorkers {
 
     /// Takes the stream execution errors workers have collected so far
     /// (each underlying failure appears at most once; see
-    /// [`StreamServer::tick`]).
+    /// [`ShardedServer::tick_all`]).
     pub fn take_errors(&self) -> Vec<ServeError> {
         std::mem::take(&mut *self.errors.lock().unwrap_or_else(PoisonError::into_inner))
     }

@@ -1,4 +1,5 @@
-//! Owned, serializable snapshots of server state.
+//! Owned, serializable snapshots of server state: a [`ShardedSnapshot`]
+//! of one [`ServerSnapshot`] per shard.
 //!
 //! Mirrors the hand-rolled JSON style of
 //! `reuse_core`'s `TelemetrySnapshot` — no external serialization
@@ -8,8 +9,8 @@ use std::fmt::Write as _;
 
 use reuse_core::json::{json_num, json_str};
 
-/// Aggregate and per-stream server state at one point in time. Built by
-/// [`crate::StreamServer::snapshot`]; owns all its data.
+/// One shard's aggregate and per-stream state at one point in time, an
+/// element of [`ShardedSnapshot::shards`]; owns all its data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
     /// Network name of the shared compiled model.
@@ -87,71 +88,181 @@ pub struct StreamSnapshot {
     pub input_similarity: f64,
 }
 
-impl ServerSnapshot {
-    /// Serializes the snapshot as pretty-printed JSON (hand-rolled, same
-    /// style as the engine's telemetry snapshot and the bench binaries).
+/// Per-shard snapshots plus merged latency quantiles, built by
+/// [`crate::ShardedServer::snapshot`]. Aggregate counters are summed on
+/// demand from the per-shard snapshots.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardedSnapshot {
+    /// Median submit-to-completion latency over all shards (ns).
+    pub p50_ns: u64,
+    /// 99th-percentile latency over all shards (ns).
+    pub p99_ns: u64,
+    /// 99.9th-percentile latency over all shards (ns).
+    pub p999_ns: u64,
+    /// Largest exact latency sample over all shards (ns).
+    pub max_ns: u64,
+    /// Latency samples recorded over all shards.
+    pub latency_count: u64,
+    /// One [`ServerSnapshot`] per shard, in shard order.
+    pub shards: Vec<ServerSnapshot>,
+}
+
+impl ShardedSnapshot {
+    /// Frames accepted across all shards.
+    pub fn frames_submitted(&self) -> u64 {
+        self.shards.iter().map(|s| s.frames_submitted).sum()
+    }
+
+    /// Frames completed across all shards.
+    pub fn frames_completed(&self) -> u64 {
+        self.shards.iter().map(|s| s.frames_completed).sum()
+    }
+
+    /// Submits rejected queue-full across all shards.
+    pub fn rejected_queue_full(&self) -> u64 {
+        self.shards.iter().map(|s| s.rejected_queue_full).sum()
+    }
+
+    /// Submits load-shed (degraded streams) across all shards.
+    pub fn shed(&self) -> u64 {
+        self.shards.iter().map(|s| s.shed).sum()
+    }
+
+    /// Submits rejected by the projected-deadline-miss policy across all
+    /// shards.
+    pub fn deadline_shed(&self) -> u64 {
+        self.shards.iter().map(|s| s.deadline_shed).sum()
+    }
+
+    /// Queued frames dropped past-deadline across all shards.
+    pub fn expired(&self) -> u64 {
+        self.shards.iter().map(|s| s.expired).sum()
+    }
+
+    /// Streams holding sessions across all shards.
+    pub fn active_streams(&self) -> usize {
+        self.shards.iter().map(|s| s.active_streams).sum()
+    }
+
+    /// Serializes the aggregate counters and merged latency, then every
+    /// shard's full detail under `per_shard` (its network, counters,
+    /// evictions, latency, service-time EWMA and per-stream rows), as
+    /// pretty-printed JSON (hand-rolled, same style as the engine's
+    /// telemetry snapshot).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"network\": {},", json_str(&self.network));
-        let _ = writeln!(s, "  \"active_streams\": {},", self.active_streams);
-        let _ = writeln!(s, "  \"max_sessions\": {},", self.max_sessions);
-        let _ = writeln!(s, "  \"ticks\": {},", self.ticks);
-        let _ = writeln!(s, "  \"frames_submitted\": {},", self.frames_submitted);
-        let _ = writeln!(s, "  \"frames_completed\": {},", self.frames_completed);
+        let _ = writeln!(s, "  \"shards\": {},", self.shards.len());
+        let _ = writeln!(s, "  \"active_streams\": {},", self.active_streams());
+        let _ = writeln!(s, "  \"frames_submitted\": {},", self.frames_submitted());
+        let _ = writeln!(s, "  \"frames_completed\": {},", self.frames_completed());
         let _ = writeln!(
             s,
             "  \"backpressure\": {{\"queue_full\": {}, \"shed\": {}, \"deadline_shed\": {}, \
-             \"expired\": {}, \"outputs_dropped\": {}}},",
-            self.rejected_queue_full,
-            self.shed,
-            self.deadline_shed,
-            self.expired,
-            self.outputs_dropped
+             \"expired\": {}}},",
+            self.rejected_queue_full(),
+            self.shed(),
+            self.deadline_shed(),
+            self.expired()
         );
-        let _ = writeln!(
-            s,
-            "  \"evictions\": {{\"streams\": {}, \"frames\": {}}},",
-            self.evictions, self.evicted_frames
+        write_latency(
+            &mut s,
+            "  ",
+            [
+                self.latency_count,
+                self.p50_ns,
+                self.p99_ns,
+                self.p999_ns,
+                self.max_ns,
+            ],
         );
-        let _ = writeln!(
-            s,
-            "  \"latency_ns\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \
-             \"max\": {}}},",
-            self.latency_count, self.p50_ns, self.p99_ns, self.p999_ns, self.max_ns
-        );
-        let _ = writeln!(
-            s,
-            "  \"service_ewma_ns\": {},",
-            json_num(self.service_ewma_ns)
-        );
-        s.push_str("  \"streams\": [\n");
-        for (i, st) in self.streams.iter().enumerate() {
-            let comma = if i + 1 == self.streams.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    {{\"id\": {}, \"frames_in\": {}, \"frames_done\": {}, \
-                 \"queue_len\": {}, \"queue_full\": {}, \"shed\": {}, \
-                 \"deadline_shed\": {}, \"expired\": {}, \"degraded\": {}, \
-                 \"failed\": {}, \"input_similarity\": {}}}{}",
-                st.id,
-                st.frames_in,
-                st.frames_done,
-                st.queue_len,
-                st.rejected_queue_full,
-                st.shed,
-                st.deadline_shed,
-                st.expired,
-                st.degraded,
-                st.failed,
-                json_num(st.input_similarity),
-                comma
-            );
+        s.push_str("  \"per_shard\": [\n");
+        for (i, shard) in self.shards.iter().enumerate() {
+            write_shard(&mut s, shard);
+            s.push_str(if i + 1 == self.shards.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         s.push_str("  ]\n");
         s.push_str("}\n");
         s
     }
+}
+
+/// Writes a `latency_ns` member (`count`, `p50`, `p99`, `p999`, `max`)
+/// at `indent`, with its trailing comma.
+fn write_latency(s: &mut String, indent: &str, [count, p50, p99, p999, max]: [u64; 5]) {
+    let _ = writeln!(
+        s,
+        "{indent}\"latency_ns\": {{\"count\": {count}, \"p50\": {p50}, \"p99\": {p99}, \
+         \"p999\": {p999}, \"max\": {max}}},"
+    );
+}
+
+/// Writes one shard's object of the `per_shard` array, without a trailing
+/// comma or newline.
+fn write_shard(s: &mut String, sh: &ServerSnapshot) {
+    s.push_str("    {\n");
+    let _ = writeln!(s, "      \"network\": {},", json_str(&sh.network));
+    let _ = writeln!(s, "      \"active_streams\": {},", sh.active_streams);
+    let _ = writeln!(s, "      \"max_sessions\": {},", sh.max_sessions);
+    let _ = writeln!(s, "      \"ticks\": {},", sh.ticks);
+    let _ = writeln!(s, "      \"frames_submitted\": {},", sh.frames_submitted);
+    let _ = writeln!(s, "      \"frames_completed\": {},", sh.frames_completed);
+    let _ = writeln!(
+        s,
+        "      \"backpressure\": {{\"queue_full\": {}, \"shed\": {}, \"deadline_shed\": {}, \
+         \"expired\": {}, \"outputs_dropped\": {}}},",
+        sh.rejected_queue_full, sh.shed, sh.deadline_shed, sh.expired, sh.outputs_dropped
+    );
+    let _ = writeln!(
+        s,
+        "      \"evictions\": {{\"streams\": {}, \"frames\": {}}},",
+        sh.evictions, sh.evicted_frames
+    );
+    write_latency(
+        s,
+        "      ",
+        [
+            sh.latency_count,
+            sh.p50_ns,
+            sh.p99_ns,
+            sh.p999_ns,
+            sh.max_ns,
+        ],
+    );
+    let _ = writeln!(
+        s,
+        "      \"service_ewma_ns\": {},",
+        json_num(sh.service_ewma_ns)
+    );
+    s.push_str("      \"streams\": [\n");
+    for (i, st) in sh.streams.iter().enumerate() {
+        let comma = if i + 1 == sh.streams.len() { "" } else { "," };
+        let _ = writeln!(
+            s,
+            "        {{\"id\": {}, \"frames_in\": {}, \"frames_done\": {}, \
+             \"queue_len\": {}, \"queue_full\": {}, \"shed\": {}, \
+             \"deadline_shed\": {}, \"expired\": {}, \"degraded\": {}, \
+             \"failed\": {}, \"input_similarity\": {}}}{}",
+            st.id,
+            st.frames_in,
+            st.frames_done,
+            st.queue_len,
+            st.rejected_queue_full,
+            st.shed,
+            st.deadline_shed,
+            st.expired,
+            st.degraded,
+            st.failed,
+            json_num(st.input_similarity),
+            comma
+        );
+    }
+    s.push_str("      ]\n");
+    s.push_str("    }");
 }
 
 #[cfg(test)]
@@ -211,14 +322,27 @@ mod tests {
                 },
             ],
         };
-        let json = snap.to_json();
+        let sharded = ShardedSnapshot {
+            p50_ns: snap.p50_ns,
+            p99_ns: snap.p99_ns,
+            p999_ns: snap.p999_ns,
+            max_ns: snap.max_ns,
+            latency_count: snap.latency_count,
+            shards: vec![snap],
+        };
+        let json = sharded.to_json();
         let root = reuse_core::json::parse(&json).expect("strict parser accepts the snapshot");
-        assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
-        assert!(root.has_path("streams.input_similarity"));
+        let shard = root.get("per_shard").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(shard.len(), 1);
+        let shard = &shard[0];
+        assert_eq!(shard.get("network").unwrap().as_str(), Some(hostile));
+        assert!(root.has_path("per_shard.streams.input_similarity"));
         // The retired cache and policy objects are gone from the schema.
         assert!(!root.has_path("signature_cache"));
         assert!(!root.has_path("policy"));
         assert!(!root.has_path("policy_layers"));
+        assert!(!root.has_path("per_shard.signature_cache"));
+        assert!(!root.has_path("per_shard.policy"));
         assert!(json.contains("\"p99\": 65535"));
         assert!(json.contains("\"p999\": 65535"));
         assert!(json.contains("\"deadline_shed\": 3"));
@@ -238,5 +362,6 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n  ]"));
+        assert!(!json.contains(",\n      ]"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps the system allocator; once every
 //! stream is past calibration and the server's recycling lists are primed,
-//! the steady-state submit → tick → drain cycle (serial dispatch) must not
-//! allocate, frame by frame on a feed-forward model and sequence by sequence
+//! the steady-state submit → tick → drain cycle of a single-shard
+//! [`ShardedServer`] ticked by the caller must not allocate, frame by frame on a feed-forward model and sequence by sequence
 //! on a recurrent one: ingress frames come from the recycled frame list,
 //! outputs from the recycled output list, and each session's intermediates
 //! from its own buffer pool.
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, NetworkBuilder};
-use reuse_serve::{ServerConfig, StreamServer, SubmitResult};
+use reuse_serve::{ServerConfig, ShardedServer, SubmitResult};
 
 struct CountingAlloc;
 
@@ -65,9 +65,10 @@ fn steady_state_dispatch_loop_is_allocation_free() {
         .build()
         .unwrap();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(
+    let server = ShardedServer::new(
         model,
         ServerConfig::default().queue_capacity(4).batch_max(4),
+        1,
     )
     .unwrap();
 
@@ -86,7 +87,7 @@ fn steady_state_dispatch_loop_is_allocation_free() {
                 SubmitResult::Accepted
             );
         }
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for s in 0..frames.len() as u64 {
             server.drain_outputs(s, |out| assert_eq!(out.len(), 10));
         }
@@ -108,7 +109,7 @@ fn steady_state_dispatch_loop_is_allocation_free() {
                 SubmitResult::Accepted
             );
         }
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for s in 0..frames.len() as u64 {
             let drained = server.drain_outputs(s, |out| assert_eq!(out.len(), 10));
             assert_eq!(drained, 1);
@@ -142,11 +143,12 @@ fn steady_ticks_of_every_block_size_are_allocation_free() {
         .disable_layer("fc1")
         .disable_layer("fc2");
     let model = Arc::new(CompiledModel::new(&net, &config));
-    let mut server = StreamServer::new(
+    let server = ShardedServer::new(
         model,
         ServerConfig::default()
             .queue_capacity(BATCH)
             .batch_max(BATCH),
+        1,
     )
     .unwrap();
 
@@ -155,7 +157,7 @@ fn steady_ticks_of_every_block_size_are_allocation_free() {
         .map(|_| (0..24).map(|_| rng.uniform(0.9)).collect())
         .collect();
     // One tick of a `rows`-row block, spread over the streams.
-    let mut tick = |server: &mut StreamServer, rows: usize| {
+    let mut tick = |server: &ShardedServer, rows: usize| {
         for (s, frame) in frames.iter_mut().enumerate() {
             for _ in 0..rows / STREAMS + usize::from(s < rows % STREAMS) {
                 drift(frame, &mut rng);
@@ -163,7 +165,7 @@ fn steady_ticks_of_every_block_size_are_allocation_free() {
                 assert_eq!(accepted, SubmitResult::Accepted);
             }
         }
-        assert_eq!(server.tick().unwrap().frames, rows as u64);
+        assert_eq!(server.tick_all().unwrap().frames, rows as u64);
         for s in 0..STREAMS as u64 {
             server.drain_outputs(s, |out| assert_eq!(out.len(), 6));
         }
@@ -171,11 +173,11 @@ fn steady_ticks_of_every_block_size_are_allocation_free() {
     // Calibration, the state-initialising frame, one steady frame, then the
     // largest block.
     for rows in [STREAMS, STREAMS, STREAMS, STREAMS * BATCH] {
-        tick(&mut server, rows);
+        tick(&server, rows);
     }
     let before = thread_allocations();
     for rows in (1..=STREAMS * BATCH).chain((1..STREAMS * BATCH).rev()) {
-        tick(&mut server, rows);
+        tick(&server, rows);
     }
     let allocations = thread_allocations() - before;
     assert_eq!(
@@ -209,12 +211,13 @@ fn steady_state_recurrent_dispatch_is_allocation_free() {
         .unwrap();
     let config = ReuseConfig::uniform(16).disable_layer("fc1");
     let model = Arc::new(CompiledModel::new(&net, &config));
-    let mut server = StreamServer::new(
+    let server = ShardedServer::new(
         model,
         ServerConfig::default()
             .sequence_len(STEPS)
             .queue_capacity(STEPS)
             .batch_max(1),
+        1,
     )
     .unwrap();
 
@@ -222,7 +225,7 @@ fn steady_state_recurrent_dispatch_is_allocation_free() {
     let mut frames: Vec<Vec<f32>> = (0..2)
         .map(|_| (0..12).map(|_| rng.uniform(0.9)).collect())
         .collect();
-    let mut sequence = |server: &mut StreamServer| {
+    let mut sequence = |server: &ShardedServer| {
         for _ in 0..STEPS {
             for (s, frame) in frames.iter_mut().enumerate() {
                 for v in frame.iter_mut() {
@@ -234,7 +237,7 @@ fn steady_state_recurrent_dispatch_is_allocation_free() {
                 );
             }
         }
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for s in 0..2 {
             let drained = server.drain_outputs(s, |out| assert_eq!(out.len(), 4));
             assert_eq!(drained, STEPS);
@@ -242,11 +245,11 @@ fn steady_state_recurrent_dispatch_is_allocation_free() {
     };
     // Calibration, the state-initialising sequence, two steady ones.
     for _ in 0..4 {
-        sequence(&mut server);
+        sequence(&server);
     }
     let before = thread_allocations();
     for _ in 0..6 {
-        sequence(&mut server);
+        sequence(&server);
     }
     let allocations = thread_allocations() - before;
     assert_eq!(

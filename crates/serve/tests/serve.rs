@@ -1,8 +1,9 @@
-//! Serving-runtime semantics: a [`StreamServer`] multiplexing N streams
-//! over one shared model must be **bit-identical** to running each stream
-//! alone through its own [`reuse_serve::ReuseSession`] — outputs and
-//! metrics, under arbitrary submit/tick interleavings — while enforcing
-//! the queue, eviction, and shedding policies.
+//! Serving-runtime semantics: a single-shard [`ShardedServer`]
+//! multiplexing N streams over one shared model must be **bit-identical**
+//! to running each stream alone through its own
+//! [`reuse_serve::ReuseSession`] — outputs and metrics, under arbitrary
+//! submit/tick interleavings — while enforcing the queue, eviction, and
+//! shedding policies.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,7 +11,10 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
-use reuse_serve::{ServeError, ServerConfig, StreamServer, SubmitOptions, SubmitResult};
+use reuse_serve::{
+    ServeError, ServerConfig, ShardedServer, ShardedSnapshot, StreamSnapshot, SubmitOptions,
+    SubmitResult,
+};
 use reuse_tensor::Shape;
 
 /// A smooth random walk of frames, mimicking consecutive input windows.
@@ -46,6 +50,19 @@ fn rnn() -> Network {
         .unwrap()
 }
 
+/// A single-shard server: every test here is about one shard's semantics.
+fn single_shard(
+    model: Arc<CompiledModel>,
+    config: ServerConfig,
+) -> Result<ShardedServer, ServeError> {
+    ShardedServer::new(model, config, 1)
+}
+
+/// Stream `id`'s row of a single-shard snapshot.
+fn stream(snap: &ShardedSnapshot, id: u64) -> &StreamSnapshot {
+    snap.shards[0].streams.iter().find(|s| s.id == id).unwrap()
+}
+
 fn assert_bits_eq(a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
@@ -57,7 +74,7 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
 /// stream per round, ticking until drained) and returns the collected
 /// outputs per stream.
 fn run_server(
-    server: &mut StreamServer,
+    server: &ShardedServer,
     streams: &[(u64, Vec<Vec<f32>>)],
     chunk: usize,
 ) -> Vec<Vec<Vec<f32>>> {
@@ -72,7 +89,7 @@ fn run_server(
                     match server.submit(*id, frame).unwrap() {
                         SubmitResult::Accepted => break,
                         SubmitResult::QueueFull => {
-                            server.tick().unwrap();
+                            server.tick_all().unwrap();
                             server.drain_outputs(*id, |out| collected[s].push(out.to_vec()));
                         }
                         SubmitResult::Shed | SubmitResult::DeadlineShed => {
@@ -83,13 +100,13 @@ fn run_server(
             }
         }
         cursor += chunk;
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for (s, (id, _)) in streams.iter().enumerate() {
             server.drain_outputs(*id, |out| collected[s].push(out.to_vec()));
         }
     }
     while server.ready_units() > 0 {
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for (s, (id, _)) in streams.iter().enumerate() {
             server.drain_outputs(*id, |out| collected[s].push(out.to_vec()));
         }
@@ -101,7 +118,7 @@ fn run_server(
 /// outputs and per-stream metrics against them bit for bit.
 fn check_against_standalone(
     model: &Arc<CompiledModel>,
-    server: &StreamServer,
+    server: &ShardedServer,
     streams: &[(u64, Vec<Vec<f32>>)],
     collected: &[Vec<Vec<f32>>],
 ) {
@@ -113,13 +130,15 @@ fn check_against_standalone(
             alone.execute_into(frame, &mut reference).unwrap();
             assert_bits_eq(out, &reference);
         }
-        let session = server.session(*id).expect("stream still resident");
+        let (metrics, watchdog) = server
+            .with_session(*id, |s| (s.metrics().clone(), s.watchdog_stats()))
+            .expect("stream still resident");
         assert_eq!(
-            session.metrics(),
+            &metrics,
             alone.metrics(),
             "stream {id}: EngineMetrics must match a standalone run"
         );
-        assert_eq!(session.watchdog_stats(), alone.watchdog_stats());
+        assert_eq!(watchdog, alone.watchdog_stats());
     }
 }
 
@@ -177,66 +196,66 @@ fn server_outputs_match_standalone_sessions() {
         (3u64, walk(40, 12, 0.15, 99)),
         (1000u64, walk(40, 12, 0.05, 42)),
     ];
-    let mut server = StreamServer::new(
+    let server = single_shard(
         Arc::clone(&model),
         ServerConfig::default().queue_capacity(4).batch_max(2),
     )
     .unwrap();
-    let collected = run_server(&mut server, &streams, 3);
+    let collected = run_server(&server, &streams, 3);
     check_against_standalone(&model, &server, &streams, &collected);
     assert_eq!(server.frames_completed(), 120);
-    assert_eq!(server.latency().count(), 120);
+    assert_eq!(server.merged_latency().count(), 120);
     let snap = server.snapshot();
-    assert_eq!(snap.frames_completed, 120);
-    assert_eq!(snap.active_streams, 3);
-    assert!(snap.streams.iter().all(|s| s.frames_done == 40));
+    assert_eq!(snap.frames_completed(), 120);
+    assert_eq!(snap.active_streams(), 3);
+    assert!(snap.shards[0].streams.iter().all(|s| s.frames_done == 40));
 }
 
 #[test]
 fn queue_full_reports_backpressure() {
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(model, ServerConfig::default().queue_capacity(2)).unwrap();
+    let server = single_shard(model, ServerConfig::default().queue_capacity(2)).unwrap();
     let frame = vec![0.25; 12];
     assert_eq!(server.submit(0, &frame).unwrap(), SubmitResult::Accepted);
     assert_eq!(server.submit(0, &frame).unwrap(), SubmitResult::Accepted);
     assert_eq!(server.submit(0, &frame).unwrap(), SubmitResult::QueueFull);
-    assert_eq!(server.rejected_queue_full(), 1);
-    assert_eq!(server.queue_len(0), 2);
+    let snap = server.snapshot();
+    assert_eq!(snap.rejected_queue_full(), 1);
+    assert_eq!(stream(&snap, 0).queue_len, 2);
     // A tick makes room again.
-    server.tick().unwrap();
+    server.tick_all().unwrap();
     assert_eq!(server.submit(0, &frame).unwrap(), SubmitResult::Accepted);
     let snap = server.snapshot();
-    assert_eq!(snap.rejected_queue_full, 1);
-    assert_eq!(snap.frames_submitted, 3);
+    assert_eq!(snap.rejected_queue_full(), 1);
+    assert_eq!(snap.frames_submitted(), 3);
 }
 
 #[test]
 fn lru_eviction_caps_the_pool_and_recreated_streams_start_fresh() {
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(32)));
-    let mut server =
-        StreamServer::new(Arc::clone(&model), ServerConfig::default().max_sessions(2)).unwrap();
+    let server = single_shard(Arc::clone(&model), ServerConfig::default().max_sessions(2)).unwrap();
     let warm = walk(6, 12, 0.1, 8);
 
     // Warm streams 0 then 1 (so 0 is least recently used).
     for frame in &warm {
         server.submit(0, frame).unwrap();
-        server.tick().unwrap();
+        server.tick_all().unwrap();
     }
     for frame in &warm {
         server.submit(1, frame).unwrap();
-        server.tick().unwrap();
+        server.tick_all().unwrap();
     }
-    assert_eq!(server.stream_count(), 2);
+    assert_eq!(server.snapshot().active_streams(), 2);
 
     // Stream 2 arrives: pool is at cap, stream 0 (LRU) is evicted.
     server.submit(2, &warm[0]).unwrap();
-    assert_eq!(server.stream_count(), 2);
+    assert_eq!(server.snapshot().active_streams(), 2);
     assert!(!server.contains(0));
     assert!(server.contains(1));
     assert!(server.contains(2));
-    assert_eq!(server.evictions(), 1);
+    assert_eq!(server.snapshot().shards[0].evictions, 1);
 
     // Stream 0 comes back: evicts stream 1 (now LRU) and gets a *fresh*
     // session — its outputs must match a brand-new standalone session, not
@@ -245,7 +264,7 @@ fn lru_eviction_caps_the_pool_and_recreated_streams_start_fresh() {
     let mut outs = Vec::new();
     for frame in &fresh_frames {
         server.submit(0, frame).unwrap();
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         server.drain_outputs(0, |out| outs.push(out.to_vec()));
     }
     assert!(!server.contains(1));
@@ -256,12 +275,12 @@ fn lru_eviction_caps_the_pool_and_recreated_streams_start_fresh() {
         assert_bits_eq(out, &reference);
     }
     assert_eq!(
-        server.session(0).unwrap().metrics(),
-        alone.metrics(),
+        server.with_session(0, |s| s.metrics().clone()).as_ref(),
+        Some(alone.metrics()),
         "re-created stream must carry no state from before its eviction"
     );
     let snap = server.snapshot();
-    assert_eq!(snap.evictions, 2);
+    assert_eq!(snap.shards[0].evictions, 2);
 }
 
 #[test]
@@ -274,7 +293,7 @@ fn degraded_stream_sheds_past_the_watermark() {
         .drift_watchdog(1, 1e-6)
         .drift_escalate_after(2);
     let model = Arc::new(CompiledModel::new(&net, &config));
-    let mut server = StreamServer::new(
+    let server = single_shard(
         model,
         ServerConfig::default().queue_capacity(4).shed_watermark(1),
     )
@@ -282,25 +301,28 @@ fn degraded_stream_sheds_past_the_watermark() {
 
     for frame in &walk(30, 12, 0.15, 3) {
         server.submit(9, frame).unwrap();
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         server.drain_outputs(9, |_| {});
     }
-    let session = server.session(9).unwrap();
-    assert!(
-        session.auto_disabled_layers().next().is_some(),
-        "watchdog must have escalated: {:?}",
-        session.watchdog_stats()
-    );
+    let (escalated, watchdog) = server
+        .with_session(9, |s| {
+            (
+                s.auto_disabled_layers().next().is_some(),
+                s.watchdog_stats(),
+            )
+        })
+        .unwrap();
+    assert!(escalated, "watchdog must have escalated: {watchdog:?}");
 
     // Queue empty (below watermark): still accepted.
     let frame = vec![0.5; 12];
     assert_eq!(server.submit(9, &frame).unwrap(), SubmitResult::Accepted);
     // At the watermark: shed.
     assert_eq!(server.submit(9, &frame).unwrap(), SubmitResult::Shed);
-    assert_eq!(server.shed_frames(), 1);
     let snap = server.snapshot();
-    assert_eq!(snap.shed, 1);
-    assert!(snap.streams.iter().any(|s| s.degraded));
+    assert_eq!(snap.shed(), 1);
+    assert_eq!(snap.shards[0].shed, 1);
+    assert!(snap.shards[0].streams.iter().any(|s| s.degraded));
 }
 
 #[test]
@@ -308,7 +330,7 @@ fn recurrent_sequences_match_a_standalone_session() {
     let net = rnn();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
     let seq_len = 4;
-    let mut server = StreamServer::new(
+    let server = single_shard(
         Arc::clone(&model),
         ServerConfig::default()
             .sequence_len(seq_len)
@@ -323,10 +345,10 @@ fn recurrent_sequences_match_a_standalone_session() {
         if t % seq_len < seq_len - 1 {
             // Partial sequences never execute.
             let before = server.frames_completed();
-            server.tick().unwrap();
+            server.tick_all().unwrap();
             assert_eq!(server.frames_completed(), before);
         } else {
-            server.tick().unwrap();
+            server.tick_all().unwrap();
             server.drain_outputs(4, |out| outs.push(out.to_vec()));
         }
     }
@@ -340,7 +362,10 @@ fn recurrent_sequences_match_a_standalone_session() {
     for (out, r) in outs.iter().zip(reference.iter()) {
         assert_bits_eq(out, r.as_slice());
     }
-    assert_eq!(server.session(4).unwrap().metrics(), alone.metrics());
+    assert_eq!(
+        server.with_session(4, |s| s.metrics().clone()).as_ref(),
+        Some(alone.metrics())
+    );
 }
 
 /// A recurrent stream's queued frames never expire: dropping one timestep
@@ -351,7 +376,7 @@ fn recurrent_sequences_match_a_standalone_session() {
 fn recurrent_frames_never_expire() {
     let model = Arc::new(CompiledModel::new(&rnn(), &ReuseConfig::uniform(16)));
     let seq_len = 4;
-    let mut server = StreamServer::new(
+    let server = single_shard(
         Arc::clone(&model),
         ServerConfig::default()
             .sequence_len(seq_len)
@@ -370,10 +395,10 @@ fn recurrent_frames_never_expire() {
     }
     let mut outs = Vec::new();
     while server.ready_units() > 0 {
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         server.drain_outputs(4, |out| outs.push(out.to_vec()));
     }
-    assert_eq!(server.expired_frames(), 0);
+    assert_eq!(server.snapshot().expired(), 0);
     assert_eq!(outs.len(), frames.len(), "one output per timestep");
     let mut alone = model.new_session();
     for (sequence, outs) in frames.chunks(seq_len).zip(outs.chunks(seq_len)) {
@@ -389,16 +414,15 @@ fn config_mismatches_are_rejected() {
     let rec = Arc::new(CompiledModel::new(&rnn(), &ReuseConfig::uniform(8)));
 
     // Recurrent model without a sequence length.
-    let err = StreamServer::new(Arc::clone(&rec), ServerConfig::default()).unwrap_err();
+    let err = single_shard(Arc::clone(&rec), ServerConfig::default()).unwrap_err();
     assert!(matches!(err, ServeError::Config { .. }), "{err}");
 
     // Feed-forward model with a sequence length.
-    let err =
-        StreamServer::new(Arc::clone(&ff), ServerConfig::default().sequence_len(4)).unwrap_err();
+    let err = single_shard(Arc::clone(&ff), ServerConfig::default().sequence_len(4)).unwrap_err();
     assert!(matches!(err, ServeError::Config { .. }), "{err}");
 
     // Sequence longer than the queue can ever hold.
-    let err = StreamServer::new(
+    let err = single_shard(
         rec,
         ServerConfig::default().sequence_len(8).queue_capacity(4),
     )
@@ -406,24 +430,24 @@ fn config_mismatches_are_rejected() {
     assert!(matches!(err, ServeError::Config { .. }), "{err}");
 
     // Valid feed-forward config constructs.
-    assert!(StreamServer::new(ff, ServerConfig::default()).is_ok());
+    assert!(single_shard(ff, ServerConfig::default()).is_ok());
 }
 
 #[test]
 fn wrong_frame_length_is_an_error() {
     let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
-    let mut server = StreamServer::new(model, ServerConfig::default()).unwrap();
+    let server = single_shard(model, ServerConfig::default()).unwrap();
     let err = server.submit(0, &[1.0; 5]).unwrap_err();
     assert!(matches!(err, ServeError::Reuse(_)), "{err}");
     // The failed submit created no stream state.
-    assert_eq!(server.frames_submitted(), 0);
+    assert_eq!(server.snapshot().frames_submitted(), 0);
 }
 
 #[test]
 fn undrained_outputs_drop_oldest_not_newest() {
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(
+    let server = single_shard(
         Arc::clone(&model),
         ServerConfig::default().queue_capacity(2).batch_max(4),
     )
@@ -436,12 +460,12 @@ fn undrained_outputs_drop_oldest_not_newest() {
         for frame in pair {
             assert_eq!(server.submit(0, frame).unwrap(), SubmitResult::Accepted);
         }
-        server.tick().unwrap();
+        server.tick_all().unwrap();
     }
     let mut outs = Vec::new();
     let drained = server.drain_outputs(0, |out| outs.push(out.to_vec()));
     assert_eq!(drained, 2);
-    assert_eq!(server.snapshot().outputs_dropped, 2);
+    assert_eq!(server.snapshot().shards[0].outputs_dropped, 2);
 
     // The survivors are the outputs of frames 2 and 3.
     let mut alone = model.new_session();
@@ -455,6 +479,36 @@ fn undrained_outputs_drop_oldest_not_newest() {
     assert_bits_eq(&outs[1], &expected[3]);
 }
 
+/// Regression (lifetime counter): `outputs_dropped` counts every output a
+/// stream lost to an undrained queue, including streams since evicted, so
+/// evicting a stream must not make it fall.
+#[test]
+fn evicting_a_stream_keeps_its_dropped_outputs_counted() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(16)));
+    let server = single_shard(
+        model,
+        ServerConfig::default().queue_capacity(1).max_sessions(1),
+    )
+    .unwrap();
+    let frames = walk(3, 12, 0.1, 57);
+    // Stream 0's one-slot output queue overflows twice without a drain.
+    for frame in &frames {
+        assert_eq!(server.submit(0, frame).unwrap(), SubmitResult::Accepted);
+        server.tick_all().unwrap();
+    }
+    let before = server.snapshot().shards[0].outputs_dropped;
+    assert_eq!(before, 2);
+    // Stream 1 takes the only session: stream 0 is evicted.
+    assert_eq!(
+        server.submit(1, &frames[0]).unwrap(),
+        SubmitResult::Accepted
+    );
+    assert!(!server.contains(0));
+    let snap = server.snapshot();
+    assert_eq!(snap.shards[0].evictions, 1);
+    assert_eq!(snap.shards[0].outputs_dropped, before);
+}
+
 /// Regression (sticky errors): a stream that hit an execution error must
 /// not silently resume on the next tick. The error is reported exactly
 /// once; the stream then stays parked — no frames complete, no ready
@@ -466,11 +520,11 @@ fn failed_stream_stays_failed_and_reports_once() {
     // disturb its neighbours'.
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let server = single_shard(Arc::clone(&model), ServerConfig::default()).unwrap();
     let frames = walk(6, 12, 0.1, 13);
     let neighbours = [(4u64, walk(6, 12, 0.08, 14)), (6u64, walk(6, 12, 0.12, 15))];
     let mut outs = [Vec::new(), Vec::new()];
-    let round = |server: &mut StreamServer, t: std::ops::Range<usize>| {
+    let round = |server: &ShardedServer, t: std::ops::Range<usize>| {
         for (id, feed) in &neighbours {
             for frame in &feed[t.clone()] {
                 assert_eq!(server.submit(*id, frame).unwrap(), SubmitResult::Accepted);
@@ -478,11 +532,11 @@ fn failed_stream_stays_failed_and_reports_once() {
         }
     };
 
-    round(&mut server, 0..3);
+    round(&server, 0..3);
     for frame in &frames[..3] {
         assert_eq!(server.submit(5, frame).unwrap(), SubmitResult::Accepted);
     }
-    server.tick().unwrap();
+    server.tick_all().unwrap();
     server.drain_outputs(5, |_| {});
     let done_before = server.frames_completed();
 
@@ -500,29 +554,28 @@ fn failed_stream_stays_failed_and_reports_once() {
         0,
         "a failed stream's queued frames are not ready work"
     );
-    round(&mut server, 3..5);
+    round(&server, 3..5);
 
     // First tick after the failure surfaces the error...
-    let err = server.tick().unwrap_err();
+    let err = server.tick_all().unwrap_err();
     assert!(matches!(err, ServeError::Reuse(_)), "{err}");
     assert_eq!(server.frames_completed(), done_before + 4);
     assert_eq!(
-        server.queue_len(5),
+        stream(&server.snapshot(), 5).queue_len,
         3,
         "the failed stream's frames stay parked"
     );
 
     // ...and later ticks neither re-report it nor resume the stream.
     for t in 5..7 {
-        round(&mut server, t..(t + 1).min(6));
-        let stats = server.tick().unwrap();
+        round(&server, t..(t + 1).min(6));
+        let stats = server.tick_all().unwrap();
         assert_eq!(stats.frames, if t < 6 { 2 } else { 0 });
         assert_eq!(stats.streams, if t < 6 { 2 } else { 0 });
     }
     assert_eq!(server.frames_completed(), done_before + 6);
     assert!(server.stream_failed(5));
-    let snap = server.snapshot();
-    assert!(snap.streams.iter().any(|s| s.id == 5 && s.failed));
+    assert!(stream(&server.snapshot(), 5).failed);
 
     // The neighbours never noticed.
     for ((id, feed), outs) in neighbours.iter().zip(&mut outs) {
@@ -544,7 +597,7 @@ fn failed_stream_stays_failed_and_reports_once() {
 fn rejected_submits_do_not_refresh_the_lru_clock() {
     let net = mlp();
     let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
-    let mut server = StreamServer::new(
+    let server = single_shard(
         model,
         ServerConfig::default().max_sessions(2).queue_capacity(2),
     )
@@ -561,7 +614,7 @@ fn rejected_submits_do_not_refresh_the_lru_clock() {
     for _ in 0..5 {
         assert_eq!(server.submit(0, &frame).unwrap(), SubmitResult::QueueFull);
     }
-    assert_eq!(server.rejected_queue_full(), 5);
+    assert_eq!(server.snapshot().rejected_queue_full(), 5);
 
     // Stream 2 arrives at the pool cap: the spammer (stream 0), not the
     // healthy stream 1, must be the LRU eviction victim.
@@ -572,7 +625,7 @@ fn rejected_submits_do_not_refresh_the_lru_clock() {
     );
     assert!(server.contains(1), "healthy stream must survive");
     assert!(server.contains(2));
-    assert_eq!(server.evictions(), 1);
+    assert_eq!(server.snapshot().shards[0].evictions, 1);
 }
 
 proptest! {
@@ -595,7 +648,7 @@ proptest! {
             .max_sessions(3)
             .queue_capacity(queue_capacity)
             .batch_max(batch_max);
-        let mut server = StreamServer::new(model, config).unwrap();
+        let server = single_shard(model, config).unwrap();
         let frame = vec![0.25; 12];
         let mut fresh_id = 100u64;
         for (op, id) in ops {
@@ -615,14 +668,14 @@ proptest! {
                     None
                 }
                 _ => {
-                    server.tick().unwrap();
+                    server.tick_all().unwrap();
                     None
                 }
             };
             if let Some((id, opts)) = submit {
                 server.submit_with(id, &frame, opts).unwrap();
             }
-            let snap = server.snapshot();
+            let snap = &server.snapshot().shards[0];
             prop_assert_eq!(
                 snap.frames_submitted,
                 snap.frames_completed
@@ -630,11 +683,11 @@ proptest! {
                     + snap.evicted_frames
                     + server.pending() as u64
             );
-            let queued: usize = snap.streams.iter().map(|s| server.queue_len(s.id)).sum();
+            let queued: usize = snap.streams.iter().map(|s| s.queue_len).sum();
             prop_assert_eq!(server.pending(), queued);
         }
         // The run must have exercised what it claims to cover.
-        prop_assert!(server.frames_submitted() > 0);
+        prop_assert!(server.snapshot().frames_submitted() > 0);
     }
 
     /// Property: however a tick's block is cut — the calibration →
@@ -655,14 +708,14 @@ proptest! {
             let streams: Vec<(u64, Vec<Vec<f32>>)> = (0..5u64)
                 .map(|s| (s * 7 + 1, walk(14, dim, 0.03 + 0.04 * s as f32, seed * 5 + s)))
                 .collect();
-            let mut server = StreamServer::new(
+            let server = single_shard(
                 Arc::clone(&model),
                 ServerConfig::default()
                     .queue_capacity(queue_capacity)
                     .batch_max(batch_max),
             )
             .unwrap();
-            let collected = run_server(&mut server, &streams, chunk);
+            let collected = run_server(&server, &streams, chunk);
             check_against_standalone(&model, &server, &streams, &collected);
         }
     }
@@ -698,7 +751,7 @@ proptest! {
                 (s * 3 + 2, walk(len, 6, 0.04 + 0.03 * s as f32, seed * 4 + s))
             })
             .collect();
-        let mut server = StreamServer::new(
+        let server = single_shard(
             Arc::clone(&model),
             ServerConfig::default()
                 .sequence_len(sequence_len)
@@ -706,7 +759,7 @@ proptest! {
                 .batch_max(batch_max),
         )
         .unwrap();
-        let collected = run_server(&mut server, &streams, chunk);
+        let collected = run_server(&server, &streams, chunk);
         for ((id, stream), outs) in streams.iter().zip(&collected) {
             prop_assert_eq!(outs.len(), stream.len());
             let mut alone = model.new_session();
@@ -727,7 +780,8 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(server.session(*id).unwrap().metrics(), alone.metrics());
+            let metrics = server.with_session(*id, |s| s.metrics().clone());
+            prop_assert_eq!(metrics.as_ref(), Some(alone.metrics()));
         }
     }
 
@@ -751,14 +805,14 @@ proptest! {
             (11u64, walk(15, 12, step_a as f32 / 100.0, seed_a)),
             (22u64, walk(15, 12, step_b as f32 / 100.0, seed_b)),
         ];
-        let mut server = StreamServer::new(
+        let server = single_shard(
             Arc::clone(&model),
             ServerConfig::default()
                 .queue_capacity(queue_capacity)
                 .batch_max(batch_max),
         )
         .unwrap();
-        let collected = run_server(&mut server, &streams, chunk);
+        let collected = run_server(&server, &streams, chunk);
         for ((id, stream), outs) in streams.iter().zip(collected.iter()) {
             prop_assert_eq!(outs.len(), stream.len());
             let mut alone = model.new_session();
@@ -770,8 +824,8 @@ proptest! {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
-            let session = server.session(*id).expect("stream resident");
-            prop_assert_eq!(session.metrics(), alone.metrics());
+            let metrics = server.with_session(*id, |s| s.metrics().clone());
+            prop_assert_eq!(metrics.as_ref(), Some(alone.metrics()), "stream resident");
         }
     }
 }
@@ -783,13 +837,14 @@ proptest! {
 #[test]
 fn idle_server_snapshot_reports_zero_latency() {
     let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
-    let server = StreamServer::new(model, ServerConfig::default()).unwrap();
+    let server = single_shard(model, ServerConfig::default()).unwrap();
     let snap = server.snapshot();
-    assert_eq!(snap.latency_count, 0);
-    assert_eq!(snap.p50_ns, 0);
-    assert_eq!(snap.p99_ns, 0);
-    assert_eq!(snap.p999_ns, 0);
-    assert_eq!(snap.max_ns, 0);
+    let shard = &snap.shards[0];
+    assert_eq!(shard.latency_count, 0);
+    assert_eq!(shard.p50_ns, 0);
+    assert_eq!(shard.p99_ns, 0);
+    assert_eq!(shard.p999_ns, 0);
+    assert_eq!(shard.max_ns, 0);
     let json = snap.to_json();
     assert!(
         json.contains(

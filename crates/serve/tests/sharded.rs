@@ -1,7 +1,6 @@
 //! Sharded-tier semantics: a [`ShardedServer`] over any shard count must
-//! be bit-identical per stream to a single-shard [`StreamServer`] (and so
-//! to standalone sessions); deadline scheduling must survive sharding and
-//! LRU churn.
+//! be bit-identical per stream to a single-shard one (and so to standalone
+//! sessions); deadline scheduling must survive sharding and LRU churn.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,9 +8,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
-use reuse_serve::{
-    ServerConfig, ShardWorkers, ShardedServer, StreamServer, SubmitOptions, SubmitResult,
-};
+use reuse_serve::{ServerConfig, ShardWorkers, ShardedServer, SubmitOptions, SubmitResult};
 
 /// A smooth random walk of frames, mimicking consecutive input windows.
 fn walk(len: usize, dim: usize, step: f32, seed: u64) -> Vec<Vec<f32>> {
@@ -106,7 +103,7 @@ fn sharded_streams_match_standalone_sessions() {
     assert_eq!(snap.latency_count, 180);
     assert_eq!(snap.active_streams(), 6);
     let root = reuse_core::json::parse(&snap.to_json()).expect("strict parser accepts it");
-    assert!(root.has_path("per_shard.p99"));
+    assert!(root.has_path("per_shard.latency_ns.p99"));
     assert_eq!(
         root.get("frames_completed").and_then(|v| v.as_f64()),
         Some(180.0)
@@ -166,7 +163,7 @@ fn worker_threads_drive_frames_to_completion() {
 #[test]
 fn fresh_deadline_frames_expire_instead_of_executing() {
     let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
-    let mut server = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let server = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
     let frame = vec![0.25f32; 12];
     // Fresh server: no service-time estimate yet, so ingress projection is
     // disabled and the frame is accepted despite its hopeless deadline.
@@ -178,14 +175,14 @@ fn fresh_deadline_frames_expire_instead_of_executing() {
         SubmitResult::Accepted
     );
     std::thread::sleep(Duration::from_millis(1));
-    server.tick().unwrap();
-    assert_eq!(server.expired_frames(), 1);
+    server.tick_all().unwrap();
+    assert_eq!(server.snapshot().expired(), 1);
     assert_eq!(server.frames_completed(), 0);
     let mut tags = Vec::new();
     server.drain_expired(9, |tag| tags.push(tag));
     assert_eq!(tags, vec![77]);
     assert_eq!(server.drain_outputs(9, |_| panic!("no output")), 0);
-    let snap = server.snapshot();
+    let snap = &server.snapshot().shards[0];
     assert_eq!(snap.expired, 1);
     assert_eq!(snap.streams[0].expired, 1);
 }
@@ -193,28 +190,28 @@ fn fresh_deadline_frames_expire_instead_of_executing() {
 #[test]
 fn projected_deadline_miss_sheds_at_ingress() {
     let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
-    let mut server = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let server = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
     let frame = vec![0.25f32; 12];
     // Establish a service-time estimate.
     server.submit(3, &frame).unwrap();
-    server.tick().unwrap();
-    assert!(server.service_ewma_ns() > 0.0);
+    server.tick_all().unwrap();
+    assert!(server.snapshot().shards[0].service_ewma_ns > 0.0);
     // A deadline of zero slack is now provably unmeetable at ingress.
     let opts = SubmitOptions::default().with_deadline(Duration::ZERO);
     assert_eq!(
         server.submit_with(3, &frame, opts).unwrap(),
         SubmitResult::DeadlineShed
     );
-    assert_eq!(server.deadline_shed_frames(), 1);
+    assert_eq!(server.snapshot().deadline_shed(), 1);
     // A generous deadline is accepted.
     let opts = SubmitOptions::default().with_deadline(Duration::from_secs(60));
     assert_eq!(
         server.submit_with(3, &frame, opts).unwrap(),
         SubmitResult::Accepted
     );
-    server.tick().unwrap();
+    server.tick_all().unwrap();
     assert_eq!(server.frames_completed(), 2);
-    let snap = server.snapshot();
+    let snap = &server.snapshot().shards[0];
     assert_eq!(snap.deadline_shed, 1);
     assert_eq!(snap.streams[0].deadline_shed, 1);
 }
@@ -226,10 +223,10 @@ fn priority_lane_preserves_outputs_and_orders_dispatch() {
         (0..3).map(|s| (s, walk(10, 12, 0.1, 60 + s))).collect();
 
     // Reference: all-normal submissions.
-    let mut plain = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let plain = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
     let mut plain_out: Vec<Vec<Vec<f32>>> = streams.iter().map(|_| Vec::new()).collect();
     // Priority run: stream 1 submits high-priority.
-    let mut prio = StreamServer::new(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let prio = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
     let mut prio_out: Vec<Vec<Vec<f32>>> = streams.iter().map(|_| Vec::new()).collect();
 
     for t in 0..10 {
@@ -245,8 +242,8 @@ fn priority_lane_preserves_outputs_and_orders_dispatch() {
                 SubmitResult::Accepted
             );
         }
-        plain.tick().unwrap();
-        prio.tick().unwrap();
+        plain.tick_all().unwrap();
+        prio.tick_all().unwrap();
         for (s, (id, _)) in streams.iter().enumerate() {
             plain.drain_outputs(*id, |out| plain_out[s].push(out.to_vec()));
             prio.drain_outputs(*id, |out| prio_out[s].push(out.to_vec()));
@@ -266,7 +263,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Property: per-stream outputs from a sharded server are bit-identical
-    /// to a single-shard `StreamServer` over the same submissions, for any
+    /// to a single-shard one over the same submissions, for any
     /// shard count, queue shape, and interleaving chunk.
     #[test]
     fn sharded_matches_single_shard(
@@ -315,11 +312,12 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(16)));
-        let mut server = StreamServer::new(
+        let server = ShardedServer::new(
             Arc::clone(&model),
             ServerConfig::default()
                 .queue_capacity(queue_capacity)
                 .batch_max(batch_max),
+            1,
         )
         .unwrap();
         let mut rng = Rng64::new(seed);
@@ -344,18 +342,18 @@ proptest! {
                 }
             }
             if ticks_between > 0 && (rng.uniform(1.0) > 0.0) && t % ticks_between == 0 {
-                server.tick().unwrap();
+                server.tick_all().unwrap();
                 for (s, &id) in ids.iter().enumerate() {
                     server.drain_outputs(id, |_| drained[s] += 1);
                 }
             }
         }
-        server.tick().unwrap();
+        server.tick_all().unwrap();
         for (s, &id) in ids.iter().enumerate() {
             server.drain_outputs(id, |_| drained[s] += 1);
         }
 
-        let snap = server.snapshot();
+        let snap = &server.snapshot().shards[0];
         let mut total_attempts = 0u64;
         for (s, &id) in ids.iter().enumerate() {
             let st = snap.streams.iter().find(|st| st.id == id).unwrap();
@@ -386,8 +384,8 @@ proptest! {
 }
 
 /// Empty-histogram contract across the sharded tier: idle shards merge to
-/// an all-zero latency view, and every per-shard snapshot renders an
-/// all-zero `latency_ns` JSON block.
+/// an all-zero latency view, and the snapshot JSON renders an all-zero
+/// `latency_ns` block for the merged view and for every shard.
 #[test]
 fn idle_sharded_snapshot_reports_zero_latency() {
     let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
@@ -405,8 +403,57 @@ fn idle_sharded_snapshot_reports_zero_latency() {
             (shard.p50_ns, shard.p99_ns, shard.p999_ns, shard.max_ns),
             (0, 0, 0, 0)
         );
-        assert!(shard.to_json().contains(
-            "\"latency_ns\": {\"count\": 0, \"p50\": 0, \"p99\": 0, \"p999\": 0, \"max\": 0}"
-        ));
     }
+    let zero = "\"latency_ns\": {\"count\": 0, \"p50\": 0, \"p99\": 0, \"p999\": 0, \"max\": 0}";
+    assert_eq!(snap.to_json().matches(zero).count(), 1 + 3);
+}
+
+/// The snapshot JSON carries every shard's full detail: for a one-shard
+/// server with an evicted stream and a failed one, `per_shard[0]` holds the
+/// network, the eviction and dropped-output counters, the service-time EWMA
+/// and a row per resident stream with its failure flag and similarity.
+#[test]
+fn snapshot_json_carries_each_shards_detail() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
+    let config = ServerConfig::default().max_sessions(2).queue_capacity(1);
+    let server = ShardedServer::new(model, config, 1).unwrap();
+    let frame = vec![0.25f32; 12];
+    // Stream 1 overflows its one-slot output queue twice, undrained; stream
+    // 2 fails; stream 3 evicts stream 1, the least recently used.
+    for id in [1, 1, 1, 2] {
+        assert_eq!(server.submit(id, &frame).unwrap(), SubmitResult::Accepted);
+        server.tick_all().unwrap();
+    }
+    let injected = reuse_core::ReuseError::Nn(reuse_nn::NnError::InputShape {
+        expected: 12,
+        actual: 11,
+    });
+    assert!(server.inject_stream_error(2, injected));
+    assert_eq!(server.submit(3, &frame).unwrap(), SubmitResult::Accepted);
+    assert!(server.tick_all().is_err(), "the injected failure surfaces");
+    assert!(!server.contains(1));
+
+    let json = server.snapshot().to_json();
+    let root = reuse_core::json::parse(&json).expect("strict parser accepts the snapshot");
+    let shards = root.get("per_shard").and_then(|v| v.as_array()).unwrap();
+    assert_eq!(shards.len(), 1);
+    let get = |path: &str| path.split('.').try_fold(&shards[0], |v, key| v.get(key));
+    let num = |path: &str| get(path).and_then(|v| v.as_f64());
+    assert_eq!(get("network").and_then(|v| v.as_str()), Some("shard-mlp"));
+    assert_eq!(num("evictions.streams"), Some(1.0));
+    assert_eq!(num("evictions.frames"), Some(0.0));
+    assert_eq!(num("backpressure.outputs_dropped"), Some(2.0));
+    assert!(num("service_ewma_ns").is_some_and(|ns| ns > 0.0));
+    assert!(root.has_path("per_shard.streams.input_similarity"));
+    let streams = get("streams").and_then(|v| v.as_array()).unwrap();
+    let rows: Vec<_> = streams
+        .iter()
+        .map(|s| {
+            (
+                s.get("id").and_then(|v| v.as_f64()),
+                s.get("failed").and_then(|v| v.as_bool()),
+            )
+        })
+        .collect();
+    assert_eq!(rows, [(Some(2.0), Some(true)), (Some(3.0), Some(false))]);
 }

@@ -66,11 +66,11 @@ mod tests {
             Ok(Some(80usize))
         );
         assert_eq!(
-            parse_knob("REUSE_SERVE_MIN_FPS", Some("0.5")),
+            parse_knob("REUSE_EXAMPLE_RATIO", Some("0.5")),
             Ok(Some(0.5f64))
         );
         let message = parse_knob::<usize>("REUSE_EXECUTIONS", Some("8O")).unwrap_err();
         assert!(message.contains("REUSE_EXECUTIONS=\"8O\""), "{message}");
-        assert!(parse_knob::<f64>("REUSE_SERVE_MIN_FPS", Some("fast")).is_err());
+        assert!(parse_knob::<f64>("REUSE_EXAMPLE_RATIO", Some("fast")).is_err());
     }
 }

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use reuse_core::{CompiledModel, ReuseConfig, ReuseSession};
     pub use reuse_nn::{Activation, Network, NetworkBuilder};
     pub use reuse_quant::LinearQuantizer;
-    pub use reuse_serve::{ServerConfig, StreamServer, SubmitResult};
+    pub use reuse_serve::{ServerConfig, ShardedServer, SubmitResult};
     pub use reuse_tensor::{Shape, Tensor};
     pub use reuse_workloads::{Workload, WorkloadKind};
 }
