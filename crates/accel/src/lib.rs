@@ -49,12 +49,10 @@ mod config;
 mod energy;
 pub mod events;
 pub mod memory;
-pub mod noc;
 pub mod pipeline;
 pub mod platform;
 mod report;
 mod sim;
-pub mod sweep;
 pub mod tiles;
 
 pub use config::{AcceleratorConfig, Precision};

@@ -295,6 +295,51 @@ mod tests {
     }
 
     #[test]
+    fn reuse_wins_at_every_tile_count() {
+        let t = traces(4, TraceKind::Incremental, 200_000);
+        let baselines: Vec<f64> = [1usize, 2, 4]
+            .into_iter()
+            .map(|tiles| {
+                let sim = Simulator::new(AcceleratorConfig {
+                    tiles,
+                    ..AcceleratorConfig::paper()
+                });
+                let (b, r) = (
+                    sim.simulate_baseline(&input(&t)),
+                    sim.simulate_reuse(&input(&t)),
+                );
+                let speedup = r.speedup_over(&b);
+                assert!(speedup > 1.0, "{tiles} tiles: {speedup}");
+                assert!(r.normalized_energy_to(&b) < 1.0, "{tiles} tiles");
+                b.seconds
+            })
+            .collect();
+        // More tiles: faster baseline.
+        assert!(baselines[2] < baselines[0], "{baselines:?}");
+    }
+
+    #[test]
+    fn frequency_scales_time_not_energy_ratio() {
+        let t = traces(4, TraceKind::Incremental, 200_000);
+        let at = |frequency_hz| {
+            let sim = Simulator::new(AcceleratorConfig {
+                frequency_hz,
+                ..AcceleratorConfig::paper()
+            });
+            (
+                sim.simulate_baseline(&input(&t)),
+                sim.simulate_reuse(&input(&t)),
+            )
+        };
+        let ((b0, r0), (b1, r1)) = (at(250e6), at(500e6));
+        assert!(b0.seconds > b1.seconds);
+        // The reuse/baseline energy ratio barely moves with frequency (both
+        // scale the same static energy).
+        let (e0, e1) = (r0.normalized_energy_to(&b0), r1.normalized_energy_to(&b1));
+        assert!((e0 - e1).abs() < 0.1, "{e0} vs {e1}");
+    }
+
+    #[test]
     fn full_change_reuse_pays_overheads() {
         // If nothing is reused, the reuse accelerator is slightly worse
         // (quantization + index traffic) — the paper's overheads argument.

@@ -6,8 +6,8 @@
 //!   (Section IV-E's multi-tile organization).
 //! * [`calibration_sweep`] — how many profiling executions the quantizer
 //!   ranges need before similarity stabilizes.
-//! * [`replay_cluster_sweep`] — the same sweep per layer via offline
-//!   replay of recorded input streams (no network re-execution).
+//! * [`layer_cluster_sweep`] — the same sweep per layer, every weighted
+//!   layer quantized, measured by sessions.
 //! * [`block_size_ablation`] — the Fig. 8 CNN staging tradeoff behind the
 //!   paper's 16×16×1 block choice.
 //! * [`quantizer_comparison`] — linear vs k-means input quantization.
@@ -17,6 +17,7 @@
 //!   reuse accelerator costs when there is *no* similarity to exploit.
 
 use reuse_accel::{AcceleratorConfig, Simulator};
+use reuse_nn::Network;
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
 use crate::experiments::SEED;
@@ -57,9 +58,14 @@ pub fn cluster_sweep(kind: WorkloadKind, scale: Scale) -> String {
 /// Tile-count sweep: reuse speedup with 1/2/4/8 tiles.
 pub fn tile_sweep(kind: WorkloadKind, scale: Scale) -> String {
     let m = measure_workload(kind, scale, executions_from_env(kind, scale), SEED);
-    let results = reuse_accel::sweep::ConfigSweep::new()
-        .tiles(&[1, 2, 4, 8])
-        .run(&m.sim_input());
+    let (total, performed) = m.traces.iter().fold((0u64, 0u64), |(t, p), tr| {
+        (t + tr.macs_total(), p + tr.macs_performed())
+    });
+    let reuse_rate = if total == 0 {
+        0.0
+    } else {
+        1.0 - performed as f64 / total as f64
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "ABLATION — tile count, {} (scale: {scale})\n\
@@ -67,20 +73,26 @@ pub fn tile_sweep(kind: WorkloadKind, scale: Scale) -> String {
          reuse scheme is organization-independent until memory binds\n\
          workload reuse rate (MACs avoided in the measured traces): {}\n\n",
         kind.name(),
-        pct(results.first().map_or(0.0, |r| r.reuse_rate)),
+        pct(reuse_rate),
     ));
     out.push_str(&format!(
         "{:>8} {:>7} {:>14} {:>14} {:>9}\n",
         "point", "lanes", "baseline", "reuse", "speedup"
     ));
-    for (r, tiles) in results.iter().zip([1usize, 2, 4, 8]) {
+    let input = m.sim_input();
+    for tiles in [1usize, 2, 4, 8] {
+        let sim = Simulator::new(AcceleratorConfig {
+            tiles,
+            ..AcceleratorConfig::paper()
+        });
+        let (baseline, reuse) = (sim.simulate_baseline(&input), sim.simulate_reuse(&input));
         out.push_str(&format!(
             "{:>8} {:>7} {:>14} {:>14} {:>8.2}x\n",
-            r.label,
+            format!("{tiles} tiles"),
             tiles * 32,
-            crate::table::human_seconds(r.baseline.seconds),
-            crate::table::human_seconds(r.reuse.seconds),
-            r.speedup(),
+            crate::table::human_seconds(baseline.seconds),
+            crate::table::human_seconds(reuse.seconds),
+            reuse.speedup_over(&baseline),
         ));
     }
     out
@@ -116,26 +128,22 @@ pub fn calibration_sweep(kind: WorkloadKind, scale: Scale) -> String {
     out
 }
 
-/// Per-layer cluster sweep via offline replay (paper Section III's
-/// methodology): record each layer's raw input stream once, then evaluate
-/// every cluster count against the recording — no network re-execution.
-pub fn replay_cluster_sweep(kind: WorkloadKind, scale: Scale) -> String {
-    use reuse_core::replay::{replay_sweep, InputRecorder};
-    let workload = Workload::build(kind, scale);
-    if workload.is_recurrent() {
-        return format!(
-            "replay sweep: {} is recurrent; streams are per-timestep — skipped\n",
-            kind.name()
-        );
-    }
-    let frames = workload.generate_frames(40, SEED);
-    let recorder =
-        InputRecorder::record(workload.network(), &frames).expect("workload frames are valid");
+/// Per-layer cluster sweep (paper Section III's per-layer analysis): every
+/// weighted layer quantized with the same cluster count, each count measured
+/// by a session over the same frames.
+pub fn layer_cluster_sweep(kind: WorkloadKind, scale: Scale) -> String {
+    let executions = executions_from_env(kind, scale);
     let clusters = [8usize, 16, 32, 64];
-    let sweep = replay_sweep(&recorder, &clusters);
+    let runs: Vec<_> = clusters
+        .iter()
+        .map(|&c| {
+            let config = reuse_core::ReuseConfig::uniform(c);
+            measure_with_config(kind, scale, executions, SEED, Some(config))
+        })
+        .collect();
     let mut out = String::new();
     out.push_str(&format!(
-        "ABLATION — per-layer similarity vs clusters via offline replay, {} (scale: {scale})\n\n\
+        "ABLATION — per-layer similarity vs clusters, every weighted layer quantized, {} (scale: {scale})\n\n\
          {:<12}",
         kind.name(),
         "layer"
@@ -144,17 +152,17 @@ pub fn replay_cluster_sweep(kind: WorkloadKind, scale: Scale) -> String {
         out.push_str(&format!(" {c:>7}"));
     }
     out.push('\n');
-    for (name, row) in recorder.layer_names().iter().zip(sweep.iter()) {
-        out.push_str(&format!("{name:<12}"));
-        for cell in row {
-            match cell {
-                Some(r) => out.push_str(&format!(" {:>6.1}%", r.input_similarity * 100.0)),
-                None => out.push_str(&format!(" {:>7}", "-")),
-            }
+    for (i, layer) in runs[0].layers.iter().enumerate() {
+        out.push_str(&format!("{:<12}", layer.name));
+        for run in &runs {
+            out.push_str(&format!(
+                " {:>6.1}%",
+                run.layers[i].input_similarity * 100.0
+            ));
         }
         out.push('\n');
     }
-    out.push_str("\nfewer clusters => more similarity, uniformly across layers (Section III)\n");
+    out.push_str("\nfewer clusters => more similarity, layer by layer (Section III)\n");
     out
 }
 
@@ -193,6 +201,30 @@ pub fn block_size_ablation() -> String {
     out
 }
 
+/// Kaldi FC3's fp32 input stream: each frame walked through the layers
+/// ahead of FC3 by [`Network::apply_layer_into`].
+fn fc3_inputs(network: &Network, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    let fc3 = network
+        .layers()
+        .iter()
+        .position(|(name, _)| name == "fc3")
+        .expect("kaldi has an fc3");
+    let mut next = Vec::new();
+    frames
+        .iter()
+        .map(|frame| {
+            let mut cur = frame.clone();
+            for i in 0..fc3 {
+                network
+                    .apply_layer_into(i, &cur, &mut next)
+                    .expect("kaldi frames are valid");
+                std::mem::swap(&mut cur, &mut next);
+            }
+            cur
+        })
+        .collect()
+}
+
 /// Linear vs k-means input quantization (the design choice of Section III:
 /// the paper uses *uniformly distributed linear* quantization; clustered
 /// centroids fit the data better but need a trained codebook and a
@@ -205,9 +237,7 @@ pub fn quantizer_comparison(scale: Scale) -> String {
     let workload = Workload::build(WorkloadKind::Kaldi, scale);
     let frames = workload.generate_frames(40, SEED);
     // The fp32 network's FC3 inputs, every frame's in one sample set.
-    let recorded = reuse_core::replay::InputRecorder::record(workload.network(), &frames)
-        .expect("generated frames fit the network");
-    let samples = recorded.stream("fc3").expect("kaldi has an fc3").concat();
+    let samples = fc3_inputs(workload.network(), &frames).concat();
     let mut out = String::new();
     out.push_str(&format!(
         "ABLATION — linear vs k-means input quantization (Kaldi FC3 inputs, scale: {scale})\n\n\
@@ -303,11 +333,9 @@ pub fn drift_study(scale: Scale) -> String {
 
     let workload = Workload::build(WorkloadKind::Kaldi, scale);
     // Drive the first reuse-enabled FC layer (fc3) with its real input
-    // stream (recorded from the fp32 network).
+    // stream (from the fp32 network).
     let frames = workload.generate_frames(500, SEED);
-    let recorder = reuse_core::replay::InputRecorder::record(workload.network(), &frames)
-        .expect("kaldi frames are valid");
-    let stream: Vec<Vec<f32>> = recorder.stream("fc3").expect("fc3 recorded").to_vec();
+    let stream = fc3_inputs(workload.network(), &frames);
     let Some(Layer::FullyConnected(fc3)) = workload
         .network()
         .layers()
@@ -363,6 +391,29 @@ mod tests {
         let ratio: f64 = line.split(':').nth(1).unwrap().trim().parse().unwrap();
         assert!(ratio < 1.10, "overhead ratio {ratio}");
         assert!(ratio > 0.90, "uncorrelated inputs cannot speed up: {ratio}");
+    }
+
+    #[test]
+    fn fc3_inputs_continue_to_the_network_output() {
+        // FC3's inputs are the fp32 chain up to it: running the rest of the
+        // layers on them must give the network's own output, bit for bit.
+        let workload = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
+        let network = workload.network();
+        let frames = workload.generate_frames(3, SEED);
+        let fc3 = network
+            .layers()
+            .iter()
+            .position(|(n, _)| n == "fc3")
+            .unwrap();
+        for (frame, mut cur) in frames.iter().zip(fc3_inputs(network, &frames)) {
+            assert_eq!(cur.len(), network.layer_input_shapes()[fc3].volume());
+            let mut next = Vec::new();
+            for i in fc3..network.layers().len() {
+                network.apply_layer_into(i, &cur, &mut next).unwrap();
+                std::mem::swap(&mut cur, &mut next);
+            }
+            assert_eq!(cur, network.forward_flat(frame).unwrap().as_slice());
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() -> ExitCode {
                 &|| ablations::cluster_sweep(WorkloadKind::AutoPilot, scale),
                 &|| ablations::tile_sweep(WorkloadKind::AutoPilot, scale),
                 &|| ablations::calibration_sweep(WorkloadKind::Kaldi, scale),
-                &|| ablations::replay_cluster_sweep(WorkloadKind::Kaldi, scale),
+                &|| ablations::layer_cluster_sweep(WorkloadKind::Kaldi, scale),
                 &ablations::block_size_ablation,
                 &|| ablations::quantizer_comparison(scale),
                 &|| ablations::drift_study(scale),

@@ -1,6 +1,8 @@
 //! Sequential network container with shape inference and accounting.
 
-use reuse_tensor::conv::{conv_forward_into, max_pool_into, Conv2dSpec, Conv3dSpec};
+use reuse_tensor::conv::{
+    conv_forward_into, max_pool_into, pool_output_dhw, Conv2dSpec, Conv3dSpec,
+};
 use reuse_tensor::matmul::matmul_packed_into;
 use reuse_tensor::{ParallelConfig, Shape, Tensor};
 
@@ -91,6 +93,24 @@ impl Layer {
         }
     }
 
+    /// A pooling layer's `[d, h, w]` input extent, window and stride (a 2D
+    /// pool is the depth-1 case) and ceil mode, for an input of `in_shape`.
+    fn pool_geometry(&self, in_shape: &Shape) -> Result<([[usize; 3]; 3], bool), NnError> {
+        match (self, in_shape.dims()) {
+            (Layer::Pool2d(p), &[_, h, w]) => Ok((
+                [[1, h, w], [1, p.window, p.window], [1, p.stride, p.stride]],
+                p.ceil,
+            )),
+            (Layer::Pool3d(p), &[_, d, h, w]) => Ok((
+                [[d, h, w], [p.wd, p.whw, p.whw], [p.wd, p.whw, p.whw]],
+                p.ceil,
+            )),
+            _ => Err(NnError::InvalidConfig {
+                context: format!("pooling expects [c,(d,)h,w], got {in_shape}"),
+            }),
+        }
+    }
+
     /// Output shape for a given input shape, computed analytically (no
     /// forward pass, so this is cheap even for C3D-sized layers).
     ///
@@ -134,38 +154,14 @@ impl Layer {
                 let (od, oh, ow) = l.spec().output_dhw(d[1], d[2], d[3])?;
                 Ok(Shape::d3(l.spec().out_channels, od, oh).and_then_4th(ow))
             }
-            Layer::Pool2d(p) => {
-                let d = input.dims();
-                if d.len() != 3 {
-                    return Err(NnError::InvalidConfig {
-                        context: format!("pool2d expects [c,h,w], got {input}"),
-                    });
-                }
-                let oh = pool_extent(d[1], p.window, p.stride, p.ceil);
-                let ow = pool_extent(d[2], p.window, p.stride, p.ceil);
-                if oh == 0 || ow == 0 {
-                    return Err(NnError::InvalidConfig {
-                        context: format!("pool window does not fit {input}"),
-                    });
-                }
-                Ok(Shape::d3(d[0], oh, ow))
-            }
-            Layer::Pool3d(p) => {
-                let d = input.dims();
-                if d.len() != 4 {
-                    return Err(NnError::InvalidConfig {
-                        context: format!("pool3d expects [c,d,h,w], got {input}"),
-                    });
-                }
-                let od = pool_extent(d[1], p.wd, p.wd, p.ceil);
-                let oh = pool_extent(d[2], p.whw, p.whw, p.ceil);
-                let ow = pool_extent(d[3], p.whw, p.whw, p.ceil);
-                if od == 0 || oh == 0 || ow == 0 {
-                    return Err(NnError::InvalidConfig {
-                        context: format!("pool window does not fit {input}"),
-                    });
-                }
-                Ok(Shape::d4(d[0], od, oh, ow))
+            Layer::Pool2d(_) | Layer::Pool3d(_) => {
+                let ([dhw, window, stride], ceil) = self.pool_geometry(input)?;
+                let [od, oh, ow] = pool_output_dhw(input.volume(), dhw, window, stride, ceil)?;
+                let c = input.dims()[0];
+                Ok(match self {
+                    Layer::Pool3d(_) => Shape::d4(c, od, oh, ow),
+                    _ => Shape::d3(c, oh, ow),
+                })
             }
             Layer::Flatten => Ok(Shape::d1(input.volume())),
             Layer::GroupMax { group } => {
@@ -324,25 +320,7 @@ impl Layer {
                 }
             }
             Layer::Pool2d(_) | Layer::Pool3d(_) => {
-                let (dhw, window, stride, ceil) = match (self, in_shape.dims()) {
-                    (Layer::Pool2d(p), &[_, h, w]) => (
-                        [1, h, w],
-                        [1, p.window, p.window],
-                        [1, p.stride, p.stride],
-                        p.ceil,
-                    ),
-                    (Layer::Pool3d(p), &[_, d, h, w]) => (
-                        [d, h, w],
-                        [p.wd, p.whw, p.whw],
-                        [p.wd, p.whw, p.whw],
-                        p.ceil,
-                    ),
-                    _ => {
-                        return Err(NnError::InvalidConfig {
-                            context: format!("pooling expects [c,(d,)h,w], got {in_shape}"),
-                        })
-                    }
-                };
+                let ([dhw, window, stride], ceil) = self.pool_geometry(in_shape)?;
                 max_pool_into(input, dhw, window, stride, ceil, out)?;
             }
             Layer::Flatten => {
@@ -443,18 +421,6 @@ impl ShapeExt for Shape {
         let mut dims: Vec<usize> = self.into();
         dims.push(w);
         Shape::new(&dims).expect("dimensions already validated")
-    }
-}
-
-fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
-    if size < window {
-        return 0;
-    }
-    let span = size - window;
-    if ceil && !span.is_multiple_of(stride) {
-        span / stride + 2
-    } else {
-        span / stride + 1
     }
 }
 
@@ -991,6 +957,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, NnError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn zero_pool_window_is_an_error_at_both_ranks() {
+        let err = NetworkBuilder::with_input_shape("pool2d", Shape::d3(2, 8, 8))
+            .pool2d(0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, NnError::Tensor(_)), "{err:?}");
+        for (wd, whw) in [(0, 2), (1, 0)] {
+            let err = NetworkBuilder::with_input_shape("pool3d", Shape::d4(2, 4, 8, 8))
+                .pool3d(wd, whw, true)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, NnError::Tensor(_)), "({wd}, {whw}): {err:?}");
+        }
     }
 
     #[test]

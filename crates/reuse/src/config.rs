@@ -10,13 +10,15 @@ use std::collections::BTreeSet;
 
 use crate::ReuseError;
 
+/// Relative widening of every profiled input range: a quarter of its width.
+const RANGE_MARGIN: f32 = 0.25;
+
 /// Configuration of a [`crate::CompiledModel`] and the sessions opened on it.
 #[derive(Debug, Clone)]
 pub struct ReuseConfig {
     default_clusters: usize,
     /// Layers that run from scratch in full precision.
     disabled: BTreeSet<String>,
-    range_margin: f32,
     calibration_executions: usize,
     record_relative_difference: bool,
     record_trace: bool,
@@ -32,7 +34,6 @@ impl ReuseConfig {
         ReuseConfig {
             default_clusters: clusters,
             disabled: BTreeSet::new(),
-            range_margin: 0.25,
             calibration_executions: 1,
             record_relative_difference: false,
             record_trace: false,
@@ -76,12 +77,6 @@ impl ReuseConfig {
     /// (used by the cluster-count sweep of paper Section III).
     pub fn with_default_clusters(mut self, clusters: usize) -> Self {
         self.default_clusters = clusters;
-        self
-    }
-
-    /// Sets the relative widening of profiled input ranges (default 0.25).
-    pub fn range_margin(mut self, margin: f32) -> Self {
-        self.range_margin = margin;
         self
     }
 
@@ -149,9 +144,9 @@ impl ReuseConfig {
         self.default_clusters
     }
 
-    /// The profiled-range widening factor.
+    /// The profiled-range widening factor, 0.25 for every configuration.
     pub fn margin(&self) -> f32 {
-        self.range_margin
+        RANGE_MARGIN
     }
 
     /// Number of full-precision calibration executions.
@@ -230,11 +225,10 @@ mod tests {
     fn flags() {
         let c = ReuseConfig::uniform(8)
             .record_relative_difference(true)
-            .record_trace(true)
-            .range_margin(0.5);
+            .record_trace(true);
         assert!(c.records_relative_difference());
         assert!(c.records_trace());
-        assert_eq!(c.margin(), 0.5);
+        assert_eq!(c.margin(), 0.25);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! One mechanism at both ranks: [`ConvReuseState`] corrects layers of
 //! either rank through [`reuse_tensor::conv::ConvGeometry`] (a 2D layer is
-//! the depth-1 case), against one [`ConvPack`] — a handle on the layer's own
-//! `[taps, out_c]` [`PackedPanels`], the copy its forward pass multiplies
-//! against, shared by every stream. States hold only per-stream data, and
+//! the depth-1 case), against the layer's own `[taps, out_c]`
+//! [`PackedPanels`] — the copy its forward pass multiplies against, shared
+//! by every stream ([`ConvPack`] is a handle on it for callers outside a
+//! session). States hold only per-stream data, and
 //! hold their buffered pre-activations **channels-last**
 //! (`[od·oh·ow, out_c]`): the layout the forward GEMM produces and the one
 //! in which a correction is contiguous.
@@ -170,8 +171,8 @@ struct ConvDelta {
 /// handle on the layer's own `[taps, out_c]` [`PackedPanels`] (`taps` in
 /// `(in_c, kd, kh, kw)` order, `kd = 1` for 2D) — the one copy its forward
 /// pass multiplies against, so packing costs nothing here and every stream
-/// (the pack lives in `CompiledModel`, not in per-stream state) reads the
-/// same bytes.
+/// (the panels live in the network's layer, not in per-stream state) reads
+/// the same bytes.
 #[derive(Debug, Clone)]
 pub struct ConvPack {
     panels: Arc<PackedPanels>,
@@ -188,11 +189,6 @@ impl ConvPack {
         ConvPack {
             panels: Arc::clone(layer.panels()),
         }
-    }
-
-    /// Bytes occupied by the packed panels (shared with the layer).
-    pub fn bytes(&self) -> u64 {
-        self.panels.storage_bytes() as u64
     }
 }
 
@@ -605,15 +601,16 @@ impl ConvReuseState {
         input: &[f32],
         out: &mut Vec<f32>,
     ) -> Result<ExecStats, ReuseError> {
-        self.execute_from(layer, pack, quantizer, input, out, 0)
+        self.execute_from(layer, &pack.panels, quantizer, input, out, 0)
     }
 
-    /// [`Self::execute_into_packed`] writing into `out` from `start` on
-    /// (`out.len()` appends: a run's later rows).
+    /// [`Self::execute_into_packed`] over the layer's `[taps, out_c]` panels,
+    /// writing into `out` from `start` on (`out.len()` appends: a run's later
+    /// rows).
     pub(crate) fn execute_from<L: ConvLayer>(
         &mut self,
         layer: &L,
-        pack: &ConvPack,
+        panels: &PackedPanels,
         quantizer: &LinearQuantizer,
         input: &[f32],
         out: &mut Vec<f32>,
@@ -626,7 +623,6 @@ impl ConvReuseState {
                 context: format!("conv input length {} != state volume {n_in}", input.len()),
             });
         }
-        let panels: &PackedPanels = &pack.panels;
         let (taps, fc) = (g.taps(), g.out_channels());
         if layer.weights().len() != g.weight_volume()
             || (panels.n_in(), panels.n_out()) != (taps, fc)

@@ -7,10 +7,10 @@
 //! re-baseline, reset between sequences, and report per-stream storage.
 //! The engine walks a plan of trait objects
 //! built once per session — no per-kind `match` remains on the execute
-//! path. Immutable inputs (network layer, packed weights, quantizers) come
-//! in through [`StepCtx`], borrowed from the shared
-//! [`CompiledModel`](crate::CompiledModel); everything behind `&mut self`
-//! is per-stream session state.
+//! path. Immutable inputs (the network layer, whose packed weights the
+//! corrections read, and the quantizers) come in through [`StepCtx`],
+//! borrowed from the shared [`CompiledModel`](crate::CompiledModel);
+//! everything behind `&mut self` is per-stream session state.
 
 use reuse_nn::Layer;
 use reuse_quant::LinearQuantizer;
@@ -19,7 +19,6 @@ use reuse_tensor::ParallelConfig;
 use crate::conv::ConvReuseState;
 use crate::fc::FcReuseState;
 use crate::lstm::LstmReuseState;
-use crate::model::CompiledWeights;
 use crate::ReuseError;
 
 /// The token the six benchmark-pinned kernel entry points still take and
@@ -38,15 +37,14 @@ pub(crate) fn span_elapsed_ns(start: Option<std::time::Instant>) -> u64 {
 }
 
 /// Everything a [`ReuseLayer`] step needs that is *not* per-stream state:
-/// the network layer, the model's packed weights for it, and the session's
-/// quantizers. Borrowed per call — the layer object itself stores only
-/// mutable stream state.
+/// the network layer, with the packed weights its corrections read, and the
+/// session's quantizers. Borrowed per call — the layer object itself stores
+/// only mutable stream state.
 #[derive(Debug)]
 pub struct StepCtx<'a> {
-    /// The network layer this state corrects for.
+    /// The network layer this state corrects for. Its conv panels and LSTM
+    /// gate packs are the packed weights every session of the model shares.
     pub layer: &'a Layer,
-    /// Packed/blocked weights shared by every session of the model.
-    pub weights: &'a CompiledWeights,
     /// Quantizer for the layer's feed-forward inputs. `None` until
     /// calibration builds one, and a slot without one does not step.
     pub quantizer_x: Option<&'a LinearQuantizer>,
@@ -254,15 +252,12 @@ impl ReuseLayer for ConvReuseState {
         out: &mut Vec<f32>,
         steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
-        let CompiledWeights::Conv(pack) = ctx.weights else {
-            return Err(wrong_layer("conv"));
-        };
         let q = require_qx(ctx)?;
         step_rows(ctx, xs, self.in_volume(), timed, out, steps, |x, out| {
             let start = out.len();
             match ctx.layer {
-                Layer::Conv2d(c) => self.execute_from(c, pack, q, x, out, start),
-                Layer::Conv3d(c) => self.execute_from(c, pack, q, x, out, start),
+                Layer::Conv2d(c) => self.execute_from(c, c.panels(), q, x, out, start),
+                Layer::Conv3d(c) => self.execute_from(c, c.panels(), q, x, out, start),
                 _ => Err(wrong_layer("conv")),
             }
         })
@@ -295,14 +290,14 @@ impl ReuseLayer for LstmReuseState {
         out: &mut Vec<f32>,
         steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
-        let (Layer::Lstm(cell), CompiledWeights::Lstm(pack)) = (ctx.layer, ctx.weights) else {
+        let Layer::Lstm(cell) = ctx.layer else {
             return Err(wrong_layer("lstm"));
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
         let xs = run_rows(xs, cell.n_in())?;
         out.clear();
         steps.clear();
-        self.step_block(cell, pack, quantizers, xs, timed, |h, step| {
+        self.step_block(cell, cell.pack(), quantizers, xs, timed, |h, step| {
             out.extend_from_slice(h);
             steps.push(step);
         })
@@ -331,8 +326,8 @@ pub struct BiLstmReuseState {
 }
 
 impl BiLstmReuseState {
-    /// Creates both directional states (corrections go through the model's
-    /// shared [`CompiledWeights::BiLstm`]).
+    /// Creates both directional states (corrections go through each cell's
+    /// shared [`LstmGatePack`](crate::lstm::LstmGatePack)).
     pub fn new(layer: &reuse_nn::BiLstmLayer) -> Self {
         BiLstmReuseState {
             fwd: LstmReuseState::new_shared(layer.forward_cell()),
@@ -354,8 +349,7 @@ impl ReuseLayer for BiLstmReuseState {
         out: &mut Vec<f32>,
         steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError> {
-        let (Layer::BiLstm(layer), CompiledWeights::BiLstm { fwd, bwd }) = (ctx.layer, ctx.weights)
-        else {
+        let Layer::BiLstm(layer) = ctx.layer else {
             return Err(wrong_layer("bilstm"));
         };
         let quantizers = (require_qx(ctx)?, require_qh(ctx)?);
@@ -370,8 +364,14 @@ impl ReuseLayer for BiLstmReuseState {
             out[steps.len() * 2 * d..][..d].copy_from_slice(h);
             steps.push(step);
         };
-        self.fwd
-            .step_block(cell, fwd, quantizers, ascending.clone(), timed, forward)?;
+        self.fwd.step_block(
+            cell,
+            cell.pack(),
+            quantizers,
+            ascending.clone(),
+            timed,
+            forward,
+        )?;
         let cell = layer.backward_cell();
         let mut at = t;
         let backward = |h: &[f32], (stats, span_ns): (ExecStats, u64)| {
@@ -382,7 +382,14 @@ impl ReuseLayer for BiLstmReuseState {
         };
         // A timestep is done once both directions ran it.
         self.bwd
-            .step_block(cell, bwd, quantizers, ascending.rev(), timed, backward)
+            .step_block(
+                cell,
+                cell.pack(),
+                quantizers,
+                ascending.rev(),
+                timed,
+                backward,
+            )
             .inspect_err(|_| steps.clear())
     }
 

@@ -21,9 +21,10 @@
 //! * [`ReuseConfig`] — the paper's fixed per-network scheme (which layers
 //!   participate, one cluster count for all of them), plus the run-wide
 //!   knobs (calibration, watchdog, telemetry).
-//! * [`CompiledModel`] — the immutable, `Sync` compile step: network,
-//!   execution plan and packed/blocked weights, built once and shared
-//!   behind an `Arc` by any number of streams.
+//! * [`CompiledModel`] — the immutable, `Sync` compile step: network and
+//!   execution plan, built once and shared behind an `Arc` by any number of
+//!   streams. The packed weights the corrections read are the ones the
+//!   network's conv and LSTM layers already hold, so compiling copies none.
 //! * [`ReuseSession`] — one input stream's mutable state: quantizers,
 //!   buffered per-layer reuse state, metrics, telemetry, buffer pool.
 //!   Created with [`CompiledModel::new_session`], or for a single stream
@@ -83,7 +84,6 @@ pub mod layer;
 pub mod lstm;
 pub mod metrics;
 mod model;
-pub mod replay;
 mod session;
 pub mod summary;
 pub mod telemetry;
@@ -94,7 +94,7 @@ pub use config::ReuseConfig;
 pub use error::ReuseError;
 pub use layer::{ExecStats, ReuseLayer, StepCtx};
 pub use metrics::{relative_difference, EngineMetrics, LayerMetrics};
-pub use model::{CompiledModel, CompiledWeights};
+pub use model::CompiledModel;
 pub use session::ReuseSession;
 pub use telemetry::{
     LayerTelemetrySnapshot, PoolStats, TelemetrySnapshot, WatchdogStats, TELEMETRY_WINDOW,

@@ -1,71 +1,19 @@
 //! The immutable, shareable half of a reuse run.
 //!
 //! A [`CompiledModel`] is built once per network/config pair and holds
-//! everything every stream reads but never writes: the network itself, the
-//! execution plan (which layers have reuse slots and which of them take
-//! part), and the packed/blocked weight layouts the correction kernels
-//! walk. It is `Sync`, so one `Arc<CompiledModel>` can back any number of
-//! concurrent [`ReuseSession`](crate::ReuseSession)s — the model/state
-//! split that per-stream serving needs.
+//! everything every stream reads but never writes: the network itself,
+//! whose conv and LSTM layers hold the packed weights the correction kernels
+//! walk, and the execution plan (which layers have reuse slots and which of
+//! them take part). It is `Sync`, so one `Arc<CompiledModel>` can back any
+//! number of concurrent [`ReuseSession`](crate::ReuseSession)s — the
+//! model/state split that per-stream serving needs.
 
 use std::sync::Arc;
 
 use reuse_nn::{Layer, LayerKind, Network};
 
-use crate::conv::ConvPack;
-use crate::lstm::LstmGatePack;
 use crate::session::ReuseSession;
 use crate::{ReuseConfig, ReuseError};
-
-/// Packed/blocked weight layouts for one reuse slot, shared by every
-/// session of the model. Fully-connected corrections read weight rows
-/// straight from the network, so they carry no pack; conv packs are handles
-/// on the panels the network's layers already hold.
-#[derive(Debug)]
-pub enum CompiledWeights {
-    /// Fully-connected: corrections walk the network's own row-major
-    /// weights — nothing to pack.
-    Fc,
-    /// Conv2d/Conv3d: the layer's `[taps, out_c]` packed panels (taps in
-    /// `(in_c, kd, kh, kw)` order, `kd = 1` for 2D).
-    Conv(ConvPack),
-    /// LSTM: the gate weights as its corrections walk them — feed-forward
-    /// panels per gate, the combined recurrent `[d, 4*d]` matrix.
-    Lstm(LstmGatePack),
-    /// BiLSTM: one gate pack per direction.
-    BiLstm {
-        /// Forward-direction gate pack.
-        fwd: LstmGatePack,
-        /// Backward-direction gate pack.
-        bwd: LstmGatePack,
-    },
-}
-
-impl CompiledWeights {
-    fn new(layer: &Layer) -> Option<Self> {
-        match layer {
-            Layer::FullyConnected(_) => Some(CompiledWeights::Fc),
-            Layer::Conv2d(c) => Some(CompiledWeights::Conv(ConvPack::new(c))),
-            Layer::Conv3d(c) => Some(CompiledWeights::Conv(ConvPack::new(c))),
-            Layer::Lstm(cell) => Some(CompiledWeights::Lstm(LstmGatePack::new(cell))),
-            Layer::BiLstm(l) => Some(CompiledWeights::BiLstm {
-                fwd: LstmGatePack::new(l.forward_cell()),
-                bwd: LstmGatePack::new(l.backward_cell()),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Bytes of packed weights this slot shares across sessions.
-    pub fn bytes(&self) -> u64 {
-        match self {
-            CompiledWeights::Fc => 0,
-            CompiledWeights::Conv(p) => p.bytes(),
-            CompiledWeights::Lstm(p) => p.bytes(),
-            CompiledWeights::BiLstm { fwd, bwd } => fwd.bytes() + bwd.bytes(),
-        }
-    }
-}
 
 /// The compile-time plan entry for one weighted layer.
 #[derive(Debug)]
@@ -82,12 +30,10 @@ pub(crate) struct CompiledSlot {
     pub(crate) n_inputs: u64,
     pub(crate) macs: u64,
     pub(crate) n_params: u64,
-    /// Packed weights shared by every session.
-    pub(crate) weights: CompiledWeights,
 }
 
-/// The immutable network + plan + packed weights + config, built once and
-/// shared by reference across [`ReuseSession`]s.
+/// The immutable network + plan + config, built once and shared by
+/// reference across [`ReuseSession`]s.
 ///
 /// `CompiledModel` is plain immutable data with no interior mutability, so
 /// it is `Sync`: an `Arc<CompiledModel>` can be handed to any number of
@@ -107,9 +53,9 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Compiles a network (cloned) under a reuse configuration: builds the
-    /// execution plan and the packed weight layouts the correction kernels
-    /// share. Infallible wrapper over [`Self::try_new`].
+    /// Compiles a network (cloned; the clone shares the layers' packed
+    /// weights) under a reuse configuration: builds the execution plan.
+    /// Infallible wrapper over [`Self::try_new`].
     ///
     /// # Panics
     ///
@@ -133,9 +79,9 @@ impl CompiledModel {
         let mut slots = Vec::new();
         let mut slot_of_layer = vec![usize::MAX; network.layers().len()];
         for (i, (name, layer)) in network.layers().iter().enumerate() {
-            let Some(weights) = CompiledWeights::new(layer) else {
+            if !layer.has_weights() {
                 continue;
-            };
+            }
             slot_of_layer[i] = slots.len();
             let in_shape = &network.layer_input_shapes()[i];
             slots.push(CompiledSlot {
@@ -146,7 +92,6 @@ impl CompiledModel {
                 n_inputs: in_shape.volume() as u64,
                 macs: layer.flops(in_shape) / 2,
                 n_params: layer.param_count(),
-                weights,
             });
         }
         let layer_out_volumes: Vec<usize> = network
@@ -187,10 +132,23 @@ impl CompiledModel {
         ReuseSession::new(Arc::clone(self))
     }
 
-    /// Bytes of packed weights shared by all sessions (weight transposes,
-    /// combined gate matrices).
+    /// Bytes of packed weights shared by all sessions: the conv layers'
+    /// `[taps, out_c]` panels and the LSTM cells' gate packs, which the
+    /// network's layers own. Fully-connected corrections walk the row-major
+    /// weights and pack nothing.
     pub fn packed_weight_bytes(&self) -> u64 {
-        self.slots.iter().map(|s| s.weights.bytes()).sum()
+        self.slots
+            .iter()
+            .map(|s| match &self.network.layers()[s.layer_index].1 {
+                Layer::Conv2d(c) => c.panels().storage_bytes() as u64,
+                Layer::Conv3d(c) => c.panels().storage_bytes() as u64,
+                Layer::Lstm(cell) => cell.pack().bytes(),
+                Layer::BiLstm(l) => {
+                    l.forward_cell().pack().bytes() + l.backward_cell().pack().bytes()
+                }
+                _ => 0,
+            })
+            .sum()
     }
 
     pub(crate) fn slots(&self) -> &[CompiledSlot] {

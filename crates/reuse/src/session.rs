@@ -115,7 +115,7 @@ struct SlotRuntime {
 
 impl SlotRuntime {
     /// The slot's buffered state beside everything a step on it reads: the
-    /// model's layer and packed weights and this stream's quantizers.
+    /// model's layer (with its packed weights) and this stream's quantizers.
     fn split<'a>(
         &'a mut self,
         model: &'a CompiledModel,
@@ -124,7 +124,6 @@ impl SlotRuntime {
         let slot = &model.slots()[slot_pos];
         let ctx = StepCtx {
             layer: &model.network().layers()[slot.layer_index].1,
-            weights: &slot.weights,
             quantizer_x: self.quantizer_x.as_ref(),
             quantizer_h: self.quantizer_h.as_ref(),
         };

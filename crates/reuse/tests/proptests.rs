@@ -6,7 +6,7 @@ use reuse_core::conv::{ConvLayer, ConvPack, ConvReuseState};
 use reuse_core::fc::FcReuseState;
 use reuse_core::layer::BiLstmReuseState;
 use reuse_core::lstm::{quantized_scratch_sequence, LstmGatePack, LstmReuseState};
-use reuse_core::{CompiledWeights, ExecStats, ReuseLayer, StepCtx};
+use reuse_core::{ExecStats, ReuseLayer, StepCtx};
 use reuse_nn::{
     init::Rng64, Activation, BiLstmLayer, Conv2dLayer, Conv3dLayer, FullyConnected, Layer, LstmCell,
 };
@@ -483,14 +483,9 @@ fn bilstm_step_sequence_equals_two_hand_driven_cells() {
     bwd_h.reverse();
     bwd_stats.reverse();
 
-    let weights = CompiledWeights::BiLstm {
-        fwd: fwd_pack,
-        bwd: bwd_pack,
-    };
     let wrapped = Layer::BiLstm(layer.clone());
     let ctx = StepCtx {
         layer: &wrapped,
-        weights: &weights,
         quantizer_x: Some(&q),
         quantizer_h: Some(&q),
     };

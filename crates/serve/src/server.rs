@@ -105,6 +105,10 @@ pub struct TickStats {
     pub streams: usize,
 }
 
+/// Queue depth at/above which a degraded stream's submits are shed (see
+/// [`SubmitResult::Shed`]), clamped to the queue capacity.
+const SHED_WATERMARK: usize = 16;
+
 /// Configuration of each [`ShardedServer`](crate::ShardedServer) shard. All
 /// knobs have serving-friendly defaults; setters consume and return `self`
 /// like [`reuse_core::ReuseConfig`].
@@ -112,7 +116,6 @@ pub struct TickStats {
 pub struct ServerConfig {
     max_sessions: usize,
     queue_capacity: usize,
-    shed_watermark: usize,
     batch_max: usize,
     sequence_len: usize,
 }
@@ -122,7 +125,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_sessions: 64,
             queue_capacity: 32,
-            shed_watermark: 16,
             batch_max: 8,
             sequence_len: 0,
         }
@@ -140,13 +142,6 @@ impl ServerConfig {
     /// Per-stream ingress-queue capacity in frames (minimum 1).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n.max(1);
-        self
-    }
-
-    /// Queue depth at/above which a degraded stream's submits are shed
-    /// (see [`SubmitResult::Shed`]). Clamped to the queue capacity.
-    pub fn shed_watermark(mut self, n: usize) -> Self {
-        self.shed_watermark = n;
         self
     }
 
@@ -170,7 +165,7 @@ impl ServerConfig {
 
     /// Effective shed watermark (clamped to the queue capacity).
     fn effective_watermark(&self) -> usize {
-        self.shed_watermark.min(self.queue_capacity)
+        SHED_WATERMARK.min(self.queue_capacity)
     }
 }
 

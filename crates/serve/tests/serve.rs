@@ -287,17 +287,14 @@ fn lru_eviction_caps_the_pool_and_recreated_streams_start_fresh() {
 fn degraded_stream_sheds_past_the_watermark() {
     // A coarse quantizer with a tight watchdog bound and fast escalation
     // auto-disables reuse layers; the server then sheds that stream's
-    // submits once its queue reaches the watermark.
+    // submits once its queue reaches the watermark of 16 frames (the
+    // default queue holds 32).
     let net = mlp();
     let config = ReuseConfig::uniform(2)
         .drift_watchdog(1, 1e-6)
         .drift_escalate_after(2);
     let model = Arc::new(CompiledModel::new(&net, &config));
-    let server = single_shard(
-        model,
-        ServerConfig::default().queue_capacity(4).shed_watermark(1),
-    )
-    .unwrap();
+    let server = single_shard(model, ServerConfig::default()).unwrap();
 
     for frame in &walk(30, 12, 0.15, 3) {
         server.submit(9, frame).unwrap();
@@ -314,9 +311,11 @@ fn degraded_stream_sheds_past_the_watermark() {
         .unwrap();
     assert!(escalated, "watchdog must have escalated: {watchdog:?}");
 
-    // Queue empty (below watermark): still accepted.
+    // Queue below the watermark: still accepted.
     let frame = vec![0.5; 12];
-    assert_eq!(server.submit(9, &frame).unwrap(), SubmitResult::Accepted);
+    for _ in 0..16 {
+        assert_eq!(server.submit(9, &frame).unwrap(), SubmitResult::Accepted);
+    }
     // At the watermark: shed.
     assert_eq!(server.submit(9, &frame).unwrap(), SubmitResult::Shed);
     let snap = server.snapshot();

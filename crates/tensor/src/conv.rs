@@ -694,11 +694,18 @@ fn pool_extent(size: usize, window: usize, stride: usize, ceil: bool) -> usize {
 /// Input columns the pooling passes hold on the stack at a time.
 const POOL_TILE: usize = 128;
 
-/// `[od, oh, ow]`, unless the inputs are bad for pooling: a zero stride, an
-/// empty or ragged volume, a window larger than an axis, or a ceil-mode
-/// stride so far past its window that the last window would start beyond the
-/// edge and hold no input at all.
-fn pool_output_dhw(
+/// The pooled extent `[od, oh, ow]` of `len` values in `[d, h, w]` volumes
+/// (2D pooling is the depth-1 case): the one pooling shape rule, which
+/// [`max_pool_into`] and shape inference both apply.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the inputs are bad for
+/// pooling: a zero stride (rejected before any division), an empty or ragged
+/// volume, a window larger than an axis, or a ceil-mode stride so far past its
+/// window that the last window would start beyond the edge and hold no input
+/// at all.
+pub fn pool_output_dhw(
     len: usize,
     dhw: [usize; 3],
     window: [usize; 3],

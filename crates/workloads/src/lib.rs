@@ -27,7 +27,6 @@ pub mod accuracy;
 pub mod audio;
 mod autopilot;
 mod c3d;
-pub mod datasets;
 mod eesen;
 mod kaldi;
 mod knob;

@@ -274,6 +274,53 @@ mod tests {
     }
 
     #[test]
+    fn recurrent_workloads_produce_sequences() {
+        for kind in WorkloadKind::ALL {
+            let w = Workload::build(kind, Scale::Tiny);
+            if !w.is_recurrent() {
+                continue;
+            }
+            let seqs = w.generate_sequences(1, 10, 11);
+            assert_eq!(seqs.len(), 1, "{kind}");
+            assert_eq!(seqs[0].len(), 10, "{kind}");
+            let width = w.network().input_shape().volume();
+            assert!(seqs[0].iter().all(|f| f.len() == width), "{kind}");
+        }
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        for kind in WorkloadKind::ALL {
+            let w = Workload::build(kind, Scale::Tiny);
+            if w.is_recurrent() {
+                assert_eq!(w.generate_sequences(2, 4, 7), w.generate_sequences(2, 4, 7));
+            } else {
+                assert_eq!(w.generate_frames(3, 7), w.generate_frames(3, 7), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_statistics_in_paper_band() {
+        // The paper: consecutive DNN inputs differ by less than 14% on
+        // average. Relative difference of a pair: ‖b − a‖ / ‖a‖.
+        let frames = Workload::build(WorkloadKind::AutoPilot, Scale::Tiny).generate_frames(20, 7);
+        let rds: Vec<f64> = frames
+            .windows(2)
+            .map(|pair| {
+                let (mut dist2, mut mag2) = (0.0f64, 0.0f64);
+                for (&a, &b) in pair[0].iter().zip(&pair[1]) {
+                    dist2 += f64::from(b - a).powi(2);
+                    mag2 += f64::from(a).powi(2);
+                }
+                (dist2 / mag2).sqrt()
+            })
+            .collect();
+        let mean = rds.iter().sum::<f64>() / rds.len() as f64;
+        assert!(mean > 0.0 && mean < 0.2, "mean relative difference {mean}");
+    }
+
+    #[test]
     #[should_panic(expected = "recurrent")]
     fn eesen_frames_panics() {
         Workload::build(WorkloadKind::Eesen, Scale::Tiny).generate_frames(1, 0);

@@ -115,6 +115,22 @@ fn storage_reports_cover_all_workloads() {
 }
 
 #[test]
+fn packed_weight_bytes_are_the_layers_own_packs() {
+    // Conv panels and LSTM gate packs at tiny scale; Kaldi's FC corrections
+    // walk the row-major weights and pack nothing.
+    for (kind, bytes) in [
+        (WorkloadKind::Kaldi, 0),
+        (WorkloadKind::Eesen, 18_432),
+        (WorkloadKind::C3d, 25_920),
+        (WorkloadKind::AutoPilot, 297_600),
+    ] {
+        let w = Workload::build(kind, Scale::Tiny);
+        let model = CompiledModel::new(w.network(), w.reuse_config());
+        assert_eq!(model.packed_weight_bytes(), bytes, "{kind}");
+    }
+}
+
+#[test]
 fn engine_summary_renders_for_real_workload() {
     let w = Workload::build(WorkloadKind::Kaldi, Scale::Tiny);
     let mut engine = reuse_dnn::reuse::ReuseSession::from_network(w.network(), w.reuse_config());
