@@ -139,7 +139,7 @@ pub fn table1(ms: &Measurements) -> String {
         ));
         for l in &m.layers {
             let (reuse, hit) = if l.enabled {
-                (pct(l.computation_reuse), pct(l.hit_rate))
+                (pct(l.computation_reuse), pct(l.input_similarity))
             } else {
                 ("-".to_string(), "-".to_string())
             };

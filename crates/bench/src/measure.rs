@@ -22,10 +22,6 @@ pub struct LayerSummary {
     pub input_similarity: f64,
     /// Computation reuse in `[0, 1]` (0 when disabled).
     pub computation_reuse: f64,
-    /// Quantized-input hit rate (0 when disabled): the name runtime
-    /// telemetry gives `input_similarity`, read from the same sums and kept
-    /// as its own column of the exported tables.
-    pub hit_rate: f64,
 }
 
 /// Everything measured from one workload run.
@@ -175,23 +171,21 @@ pub fn measure_with_config(
             let enabled =
                 config.layer_enabled(name) && !engine.auto_disabled_layers().any(|n| n == name);
             let out = layer.output_shape(in_shape).expect("validated").volume();
-            let input_similarity = if enabled {
-                m.map_or(0.0, |m| m.input_similarity())
-            } else {
-                0.0
-            };
             LayerSummary {
                 name: name.clone(),
                 inputs: in_shape.volume(),
                 outputs: out,
                 enabled,
-                input_similarity,
+                input_similarity: if enabled {
+                    m.map_or(0.0, |m| m.input_similarity())
+                } else {
+                    0.0
+                },
                 computation_reuse: if enabled {
                     m.map_or(0.0, |m| m.computation_reuse())
                 } else {
                     0.0
                 },
-                hit_rate: input_similarity,
             }
         })
         .collect();

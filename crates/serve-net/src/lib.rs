@@ -13,6 +13,11 @@
 //! * [`NetClient`] — a small blocking client used by tests, the CI
 //!   smoke, and `reuse_cli serve-net --smoke`.
 //!
+//! A stream belongs to the connection that first submits it. When that
+//! connection closes, the stream is closed with it
+//! ([`reuse_serve::ShardedServer::close_stream`]), so the id's next owner
+//! starts a fresh session and never receives an earlier owner's outputs.
+//!
 //! Outputs returned over the wire are bit-identical to running the same
 //! frames through a standalone [`reuse_core::ReuseSession`] — enforced by
 //! `tests/roundtrip.rs` and by the CI smoke (`reuse_cli serve-net

@@ -15,7 +15,7 @@
 //! | `len`        | `u32` | bytes after this field: `17 + 4·input_len`  |
 //! | `stream_id`  | `u64` | routing key (shard + session)               |
 //! | `seq`        | `u32` | client-chosen, echoed in the response       |
-//! | `flags`      | `u8`  | bit 0 high priority, bit 1 deadline present |
+//! | `flags`      | `u8`  | bit 1 deadline; 0, 2–7 reserved, rejected   |
 //! | `deadline_us`| `u32` | slack from server receipt, µs (0 if unset)  |
 //! | payload      | `f32`×input_len | the input frame                   |
 //!
@@ -31,9 +31,10 @@
 //!
 //! Within one stream, `Ok` responses arrive in submission order (the
 //! reuse chain is sequential); reject responses (`QueueFull`, `Shed`,
-//! `DeadlineShed`) are sent immediately at ingress, and `Expired` /
-//! `Failed` when the drop is discovered, so they can interleave with
-//! earlier accepted frames' completions.
+//! `DeadlineShed`, and `Failed` for a request with a reserved flag bit set)
+//! are sent immediately at ingress, and `Expired` / `Failed` when the drop
+//! is discovered, so they can interleave with earlier accepted frames'
+//! completions.
 
 use std::io::{Error, ErrorKind};
 
@@ -42,9 +43,6 @@ pub const MAGIC: [u8; 4] = *b"RSNV";
 
 /// Protocol version.
 pub const VERSION: u32 = 1;
-
-/// Request flag bit: serve this frame on the high-priority ingress lane.
-pub const FLAG_HIGH_PRIORITY: u8 = 1 << 0;
 
 /// Request flag bit: `deadline_us` carries a completion deadline.
 pub const FLAG_DEADLINE: u8 = 1 << 1;
@@ -80,7 +78,8 @@ pub enum Status {
     /// queued.
     Expired = 4,
     /// The frame will never complete: its stream failed (sticky execution
-    /// error), was evicted, or is owned by another connection.
+    /// error), was evicted, or is owned by another connection; or the
+    /// request was malformed (wrong payload length, a reserved flag bit).
     Failed = 5,
 }
 
@@ -106,7 +105,8 @@ pub struct Request {
     pub stream_id: u64,
     /// Client-chosen sequence number, echoed in the response.
     pub seq: u32,
-    /// Flag bits ([`FLAG_HIGH_PRIORITY`], [`FLAG_DEADLINE`]).
+    /// Flag bits: [`FLAG_DEADLINE`]; any other bit is reserved, and the
+    /// server answers a request that sets one with [`Status::Failed`].
     pub flags: u8,
     /// Deadline slack from server receipt in microseconds (meaningful only
     /// with [`FLAG_DEADLINE`]).
@@ -262,20 +262,15 @@ mod tests {
     fn request_roundtrip_is_exact() {
         let payload = [1.0f32, -2.5, f32::MIN_POSITIVE, 0.0];
         let mut buf = Vec::new();
-        encode_request(
-            &mut buf,
-            42,
-            7,
-            FLAG_HIGH_PRIORITY | FLAG_DEADLINE,
-            1500,
-            &payload,
-        );
+        // The codec carries reserved bits through; the server rejects them.
+        let flags = FLAG_DEADLINE | 1 << 7;
+        encode_request(&mut buf, 42, 7, flags, 1500, &payload);
         let len = peek_len(&buf).unwrap().unwrap() as usize;
         assert_eq!(4 + len, buf.len());
         let req = decode_request(&buf[4..4 + len]).unwrap();
         assert_eq!(req.stream_id, 42);
         assert_eq!(req.seq, 7);
-        assert_eq!(req.flags, FLAG_HIGH_PRIORITY | FLAG_DEADLINE);
+        assert_eq!(req.flags, flags);
         assert_eq!(req.deadline_us, 1500);
         assert_eq!(req.payload, payload);
     }

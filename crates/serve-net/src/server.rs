@@ -10,7 +10,10 @@
 //! it; submits for a stream owned by another live connection are answered
 //! [`Status::Failed`] (interleaving two connections' frames into one
 //! reuse chain would corrupt both). Ownership is released when the owning
-//! connection closes.
+//! connection closes, and a released stream is closed
+//! ([`ShardedServer::close_stream`]): its session, queued frames and
+//! undrained outputs are dropped, so the id's next owner starts a fresh
+//! session and never receives an earlier owner's responses.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -26,7 +29,7 @@ use reuse_serve::{
 
 use crate::protocol::{
     check_client_preamble, decode_request, encode_response, encode_server_preamble, peek_len,
-    Status, FLAG_DEADLINE, FLAG_HIGH_PRIORITY,
+    Status, FLAG_DEADLINE,
 };
 
 /// Read chunk size per socket per poll iteration.
@@ -35,7 +38,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Idle poll sleep when no socket made progress.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
-/// One accepted connection's buffers and owned streams.
+/// One accepted connection's buffers.
 struct Conn {
     sock: TcpStream,
     /// Bytes read but not yet parsed (`roff` already consumed).
@@ -46,8 +49,6 @@ struct Conn {
     woff: usize,
     /// Whether the 8-byte client preamble has been validated.
     preamble_done: bool,
-    /// Stream ids this connection owns (released on close).
-    streams: Vec<u64>,
     /// Set on protocol violation or socket error; reaped after the pass.
     closed: bool,
 }
@@ -63,13 +64,13 @@ impl Conn {
             wbuf,
             woff: 0,
             preamble_done: false,
-            streams: Vec::new(),
             closed: false,
         }
     }
 }
 
-/// Routing state for one owned stream.
+/// Routing state for one owned stream: the only record of which
+/// connection owns it.
 struct StreamRoute {
     /// Slot of the owning connection.
     conn: usize,
@@ -273,34 +274,22 @@ impl NetServer {
             }
             return;
         };
-        if req.payload.len() != self.input_len {
+        // Failed: a reserved flag bit (serving the frame anyway would ignore
+        // what it asks for), a wrong-length payload, or a stream another
+        // live connection owns.
+        let owner = self.routes.get(&req.stream_id).map_or(slot, |r| r.conn);
+        if req.flags & !FLAG_DEADLINE != 0 || req.payload.len() != self.input_len || owner != slot {
             self.respond(slot, req.stream_id, req.seq, Status::Failed, &[]);
             return;
         }
-        match self.routes.get(&req.stream_id) {
-            Some(route) if route.conn != slot => {
-                // Owned by another live connection.
-                self.respond(slot, req.stream_id, req.seq, Status::Failed, &[]);
-                return;
-            }
-            Some(_) => {}
-            None => {
-                self.routes.insert(
-                    req.stream_id,
-                    StreamRoute {
-                        conn: slot,
-                        pending: VecDeque::new(),
-                    },
-                );
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    conn.streams.push(req.stream_id);
-                }
-            }
-        }
+        let route = self
+            .routes
+            .entry(req.stream_id)
+            .or_insert_with(|| StreamRoute {
+                conn: slot,
+                pending: VecDeque::new(),
+            });
         let mut opts = SubmitOptions::default().tagged(req.seq as u64);
-        if req.flags & FLAG_HIGH_PRIORITY != 0 {
-            opts = opts.high_priority();
-        }
         if req.flags & FLAG_DEADLINE != 0 {
             opts = opts.with_deadline(Duration::from_micros(u64::from(req.deadline_us)));
         }
@@ -310,9 +299,7 @@ impl NetServer {
             .submit_with(req.stream_id, &req.payload, opts);
         let status = match result {
             Ok(SubmitResult::Accepted) => {
-                if let Some(route) = self.routes.get_mut(&req.stream_id) {
-                    route.pending.push_back(req.seq);
-                }
+                route.pending.push_back(req.seq);
                 return;
             }
             Ok(SubmitResult::QueueFull) => Status::QueueFull,
@@ -323,68 +310,45 @@ impl NetServer {
         self.respond(slot, req.stream_id, req.seq, status, &[]);
     }
 
-    /// Drains completed outputs and expiries for every routed stream into
-    /// response buffers; fails pending frames of dead streams. Returns
-    /// whether any response was produced.
+    /// Drains completed outputs and expiries for every routed stream
+    /// straight into its connection's write buffer; fails pending frames
+    /// of dead streams. Returns whether any response was produced.
     fn drain_completions(&mut self) -> bool {
         let mut produced = false;
-        let server = Arc::clone(self.workers.server());
-        let ids: Vec<u64> = self
-            .routes
-            .iter()
-            .filter(|(_, r)| !r.pending.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            let Some(slot) = self.routes.get(&id).map(|r| r.conn) else {
-                continue;
+        let server = self.workers.server();
+        let conns = &mut self.conns;
+        self.routes.retain(|&id, route| {
+            if route.pending.is_empty() {
+                return true;
+            }
+            let Some(conn) = conns[route.conn].as_mut() else {
+                return true;
             };
-            // The tag carried through the server is the request seq, so
-            // completions and expiries pair exactly; responses are ordered
-            // by submission order (position in `pending`), since a frame
-            // that expired can sit between two that completed.
-            let mut events: Vec<(u32, Status, Vec<f32>)> = Vec::new();
-            server.drain_expired(id, |tag| {
-                events.push((tag as u32, Status::Expired, Vec::new()));
-            });
-            server.drain_outputs_tagged(id, |tag, out| {
-                events.push((tag as u32, Status::Ok, out.to_vec()));
-            });
-            let mut failed_pending: Vec<u32> = Vec::new();
-            {
-                let route = self.routes.get_mut(&id).expect("route alive");
-                events.sort_by_key(|&(seq, _, _)| {
-                    route
-                        .pending
-                        .iter()
-                        .position(|&s| s == seq)
-                        .unwrap_or(usize::MAX)
-                });
-                for &(seq, _, _) in &events {
-                    route.pending.retain(|&s| s != seq);
+            // The tag carried through the server is the request seq. `Ok`s
+            // leave in submission order; an `Expired` may overtake earlier
+            // frames' `Ok`s, which the protocol allows.
+            let mut answer = |tag: u64, status, payload: &[f32]| {
+                let seq = tag as u32;
+                if let Some(at) = route.pending.iter().position(|&s| s == seq) {
+                    route.pending.remove(at);
                 }
-                if !route.pending.is_empty() && (server.stream_failed(id) || !server.contains(id)) {
-                    // Sticky stream error or LRU eviction: queued frames
-                    // will never complete. Answer everything outstanding
-                    // and drop the route so a resubmit starts fresh.
-                    failed_pending = route.pending.drain(..).collect();
-                }
-            }
-            for (seq, status, payload) in events {
+                encode_response(&mut conn.wbuf, id, seq, status, payload);
                 produced = true;
-                self.respond(slot, id, seq, status, &payload);
-            }
-            if !failed_pending.is_empty() {
-                self.routes.remove(&id);
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    conn.streams.retain(|&s| s != id);
+            };
+            server.drain_expired(id, |tag| answer(tag, Status::Expired, &[]));
+            server.drain_outputs_tagged(id, |tag, out| answer(tag, Status::Ok, out));
+            if !route.pending.is_empty() && (server.stream_failed(id) || !server.contains(id)) {
+                // Sticky stream error or LRU eviction: queued frames will
+                // never complete. Answer everything outstanding and drop
+                // the route so a resubmit starts fresh.
+                for seq in route.pending.drain(..) {
+                    encode_response(&mut conn.wbuf, id, seq, Status::Failed, &[]);
                 }
-                for seq in failed_pending {
-                    produced = true;
-                    self.respond(slot, id, seq, Status::Failed, &[]);
-                }
+                produced = true;
+                return false;
             }
-        }
+            true
+        });
         produced
     }
 
@@ -433,19 +397,27 @@ impl NetServer {
         any
     }
 
-    /// Drops closed connections and releases their stream ownership.
-    /// In-flight frames of released streams stay in the shard (they
-    /// execute and their outputs age out of the bounded output queue).
+    /// Drops closed connections and closes the streams they owned, so the
+    /// next owner of an id starts a fresh session and no earlier output is
+    /// left to send it.
     fn reap_closed(&mut self) {
-        for slot in 0..self.conns.len() {
-            let close = self.conns[slot].as_ref().is_some_and(|c| c.closed);
-            if close {
-                if let Some(conn) = self.conns[slot].take() {
-                    for id in conn.streams {
-                        self.routes.remove(&id);
-                    }
-                }
+        let mut any = false;
+        for conn in &mut self.conns {
+            if conn.as_ref().is_some_and(|c| c.closed) {
+                *conn = None;
+                any = true;
             }
+        }
+        if any {
+            let server = self.workers.server();
+            let conns = &self.conns;
+            self.routes.retain(|&id, route| {
+                let live = conns[route.conn].is_some();
+                if !live {
+                    server.close_stream(id);
+                }
+                live
+            });
         }
     }
 }

@@ -6,11 +6,12 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
-use reuse_serve::ServerConfig;
+use reuse_serve::{ServerConfig, ShardedServer};
+use reuse_serve_net::protocol::FLAG_DEADLINE;
 use reuse_serve_net::{NetClient, NetServer, Status};
 
 fn mlp() -> Network {
@@ -45,7 +46,8 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
 }
 
 /// Starts a server on an OS-assigned loopback port; returns its address
-/// and a guard that stops the event loop on drop.
+/// and a guard that holds the sharded server and stops the event loop on
+/// drop.
 fn start_server(model: Arc<CompiledModel>, shards: usize) -> (SocketAddr, ServerGuard) {
     let mut server = NetServer::bind(
         "127.0.0.1:0".parse().unwrap(),
@@ -55,12 +57,14 @@ fn start_server(model: Arc<CompiledModel>, shards: usize) -> (SocketAddr, Server
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
+    let sharded = Arc::clone(server.sharded());
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let handle = std::thread::spawn(move || server.run(&stop2).unwrap());
     (
         addr,
         ServerGuard {
+            sharded,
             stop,
             handle: Some(handle),
         },
@@ -68,6 +72,7 @@ fn start_server(model: Arc<CompiledModel>, shards: usize) -> (SocketAddr, Server
 }
 
 struct ServerGuard {
+    sharded: Arc<ShardedServer>,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -78,6 +83,15 @@ impl Drop for ServerGuard {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Polls `done` every millisecond; panics with `what` after 20 s.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < give_up, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -198,4 +212,114 @@ fn wrong_length_frame_fails_cleanly() {
     let frame = walk(1, 12, 3).pop().unwrap();
     let resp = client.roundtrip(1, 1, &frame).unwrap();
     assert_eq!(resp.status, Status::Ok);
+}
+
+#[test]
+fn reserved_flag_bits_are_rejected_and_the_connection_survives() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
+    let (addr, _guard) = start_server(Arc::clone(&model), 1);
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let frame = walk(1, 12, 4).pop().unwrap();
+    for (seq, flags) in [(0u32, 1u8 << 0), (1, 1 << 7)] {
+        client.send(2, seq, flags, 0, &frame).unwrap();
+        let resp = client.recv().unwrap();
+        assert_eq!(
+            (resp.seq, resp.status),
+            (seq, Status::Failed),
+            "flags {flags:#04x}"
+        );
+    }
+    // Neither rejected request reached the stream: the next frame runs on a
+    // fresh session.
+    let resp = client.roundtrip(2, 2, &frame).unwrap();
+    assert_eq!(resp.status, Status::Ok);
+    let expect = model.new_session().execute(&frame).unwrap();
+    assert_bits_eq(&resp.payload, expect.as_slice());
+}
+
+#[test]
+fn a_new_owner_never_sees_the_previous_owners_responses() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
+    let (addr, guard) = start_server(Arc::clone(&model), 1);
+    let frames = walk(31, 12, 21);
+
+    // The owner pipelines 30 frames on stream 7 and, once the server has
+    // taken them all, vanishes without reading a response.
+    let mut owner = NetClient::connect(addr).unwrap();
+    for (t, frame) in frames[..30].iter().enumerate() {
+        owner.send(7, t as u32, 0, 0, frame).unwrap();
+    }
+    wait_for("the owner's frames never arrived", || {
+        guard.sharded.snapshot().frames_submitted() == 30
+    });
+    drop(owner);
+    // None of its frames is left queued: each one ran, or was dropped with
+    // the stream.
+    wait_for("the owner's frames never ran", || {
+        guard.sharded.pending() == 0
+    });
+
+    // The next client takes the id once the owner's connection is reaped
+    // (until then the id is still owned, and its submits fail).
+    let mut next = NetClient::connect(addr).unwrap();
+    next.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut first = None;
+    wait_for("the owner's connection was never reaped", || {
+        next.send(7, 1000, 0, 0, &frames[30]).unwrap();
+        let resp = next.recv().unwrap();
+        let taken = resp.status != Status::Failed;
+        first = Some(resp);
+        taken
+    });
+    let resp = first.unwrap();
+    // Its first response answers its own frame, computed on a fresh session.
+    assert_eq!((resp.seq, resp.status), (1000, Status::Ok));
+    let mut session = model.new_session();
+    let expect = session.execute(&frames[30]).unwrap();
+    assert_bits_eq(&resp.payload, expect.as_slice());
+    // And nothing else was waiting: the next response answers the next frame.
+    let resp = next.roundtrip(7, 1001, &frames[0]).unwrap();
+    assert_eq!(resp.status, Status::Ok);
+    let expect = session.execute(&frames[0]).unwrap();
+    assert_bits_eq(&resp.payload, expect.as_slice());
+}
+
+#[test]
+fn a_frame_past_its_deadline_expires_and_later_frames_complete_in_order() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
+    let (addr, _guard) = start_server(Arc::clone(&model), 1);
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let frames = walk(6, 12, 31);
+    // A fresh server has no service-time estimate, so it accepts a frame
+    // with no slack and drops it at dispatch instead.
+    client.send(4, 0, FLAG_DEADLINE, 0, &frames[0]).unwrap();
+    for (t, frame) in frames.iter().enumerate().skip(1) {
+        client.send(4, t as u32, 0, 0, frame).unwrap();
+    }
+    let mut expired = Vec::new();
+    let mut ok = Vec::new();
+    for _ in 0..frames.len() {
+        let resp = client.recv().unwrap();
+        match resp.status {
+            Status::Expired => expired.push(resp.seq),
+            Status::Ok => ok.push(resp),
+            other => panic!("seq {}: unexpected status {other:?}", resp.seq),
+        }
+    }
+    assert_eq!(expired, vec![0]);
+    // The plain frames ran in order, on a session that never saw frame 0.
+    let mut session = model.new_session();
+    for (t, resp) in (1..).zip(&ok) {
+        assert_eq!(resp.seq, t);
+        let expect = session.execute(&frames[t as usize]).unwrap();
+        assert_bits_eq(&resp.payload, expect.as_slice());
+    }
+    assert_eq!(ok.len(), frames.len() - 1);
 }

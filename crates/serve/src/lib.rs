@@ -16,7 +16,9 @@
 //! * **Session pool** — sessions are created lazily on a stream's first
 //!   [`submit`](ShardedServer::submit) and capped per shard at
 //!   [`ServerConfig::max_sessions`]; past the cap the least-recently-used
-//!   stream is evicted (its buffered state reset, its buffers released).
+//!   stream is evicted (its buffered state reset, its buffers released);
+//!   [`close_stream`](ShardedServer::close_stream) retires a stream the
+//!   same way on request.
 //! * **Bounded ingress queues + backpressure** — each stream queues at
 //!   most [`ServerConfig::queue_capacity`] frames; submits report
 //!   [`SubmitResult::QueueFull`] / [`SubmitResult::Shed`] instead of
@@ -25,16 +27,15 @@
 //!   full-precision cost) and its queue holds 16 frames (or is full, if
 //!   [`ServerConfig::queue_capacity`] is smaller).
 //! * **Serial dispatch per shard** — a shard's tick runs its streams'
-//!   ready batches as one block on one thread (high-priority heads first);
-//!   sessions share no mutable state, so per-stream results are
-//!   bit-identical to standalone execution under any interleaving.
+//!   ready batches as one block on one thread, in pool order; sessions
+//!   share no mutable state, so per-stream results are bit-identical to
+//!   standalone execution under any interleaving.
 //! * **Sharding + deadline scheduling** — streams hash across N
 //!   independent shards (each its own session pool, queues, and histogram
 //!   over one shared model), ticked by the caller
 //!   ([`tick_all`](ShardedServer::tick_all)) or by dedicated per-shard
-//!   worker threads ([`ShardWorkers`]); submits can carry a deadline and
-//!   priority lane ([`SubmitOptions`]), with projected-deadline-miss
-//!   shedding at ingress.
+//!   worker threads ([`ShardWorkers`]); submits can carry a deadline
+//!   ([`SubmitOptions`]), with projected-deadline-miss shedding at ingress.
 //! * **Telemetry** — aggregate throughput, submit-to-completion latency
 //!   (preallocated lock-free [`LatencyHistogram`]), backpressure and
 //!   eviction counters, and per-stream hit rates, exported as a
@@ -79,7 +80,7 @@ mod snapshot;
 
 pub use error::ServeError;
 pub use histogram::LatencyHistogram;
-pub use server::{Priority, ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
+pub use server::{ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
 pub use shard::{default_shards, hardware_threads, ShardWorkers, ShardedServer};
 pub use snapshot::{ServerSnapshot, ShardedSnapshot, StreamSnapshot};
 

@@ -40,23 +40,9 @@ pub enum SubmitResult {
     DeadlineShed,
 }
 
-/// Ingress scheduling class of a submitted frame. Frames within one stream
-/// always execute in submission order (the reuse chain is sequential);
-/// priority controls *cross-stream* service order inside a tick: streams
-/// with a high-priority frame at the head of their queue are dispatched
-/// before normal ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Default lane.
-    #[default]
-    Normal,
-    /// Served before `Normal` streams within each scheduling tick.
-    High,
-}
-
-/// Per-frame submission options: deadline and ingress priority. The
-/// plain [`ShardedServer::submit`](crate::ShardedServer::submit) uses
-/// `SubmitOptions::default()`: no deadline, normal priority.
+/// Per-frame submission options: deadline and completion tag. The plain
+/// [`ShardedServer::submit`](crate::ShardedServer::submit) uses
+/// `SubmitOptions::default()`: no deadline, tag `0`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOptions {
     /// Absolute completion deadline. Submits projected to miss it are
@@ -64,8 +50,6 @@ pub struct SubmitOptions {
     /// deadline has already passed when they reach the head of the queue
     /// are dropped (counted as `expired`) instead of executed.
     pub deadline: Option<Instant>,
-    /// Ingress lane (see [`Priority`]).
-    pub priority: Priority,
     /// Opaque caller tag carried through to the frame's completion:
     /// reported by
     /// [`ShardedServer::drain_outputs_tagged`](crate::ShardedServer::drain_outputs_tagged)
@@ -80,12 +64,6 @@ impl SubmitOptions {
     /// Deadline `slack` from now.
     pub fn with_deadline(mut self, slack: Duration) -> Self {
         self.deadline = Some(Instant::now() + slack);
-        self
-    }
-
-    /// High-priority ingress lane.
-    pub fn high_priority(mut self) -> Self {
-        self.priority = Priority::High;
         self
     }
 
@@ -170,15 +148,49 @@ impl ServerConfig {
 }
 
 /// One queued input frame plus its enqueue timestamp (for the
-/// submit-to-completion latency histogram) and scheduling metadata.
+/// submit-to-completion latency histogram) and deadline.
 #[derive(Debug)]
 struct QueuedFrame {
     data: Vec<f32>,
     enqueued: Instant,
     deadline: Option<Instant>,
-    priority: Priority,
     /// Caller tag, reported back on completion or expiry.
     tag: u64,
+}
+
+/// A stream's lifetime counters. Each has one owner: the live stream's
+/// entry while it is in the pool, then the shard's `retired` total, into
+/// which [`StreamServer::retire`] folds it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    /// Frames accepted into the queue.
+    frames_in: u64,
+    /// Frames completed.
+    frames_done: u64,
+    /// Submits rejected with [`SubmitResult::QueueFull`].
+    rejected_queue_full: u64,
+    /// Submits rejected with [`SubmitResult::Shed`].
+    shed: u64,
+    /// Submits rejected with [`SubmitResult::DeadlineShed`].
+    deadline_shed: u64,
+    /// Queued frames dropped at execution time because their deadline had
+    /// already passed.
+    expired: u64,
+    /// Completed outputs overwritten because the output queue was full
+    /// (the caller stopped draining).
+    outputs_dropped: u64,
+}
+
+impl std::ops::AddAssign<&Counters> for Counters {
+    fn add_assign(&mut self, c: &Counters) {
+        self.frames_in += c.frames_in;
+        self.frames_done += c.frames_done;
+        self.rejected_queue_full += c.rejected_queue_full;
+        self.shed += c.shed;
+        self.deadline_shed += c.deadline_shed;
+        self.expired += c.expired;
+        self.outputs_dropped += c.outputs_dropped;
+    }
 }
 
 /// One stream's slot in the server: its session, bounded queues, and
@@ -208,28 +220,12 @@ struct StreamEntry {
     /// Whether the session's drift watchdog has auto-disabled any reuse
     /// layer (recomputed after each tick; drives the shed policy).
     degraded: bool,
-    /// Frames accepted into the queue over the stream's lifetime.
-    frames_in: u64,
-    /// Frames completed over the stream's lifetime.
-    frames_done: u64,
-    /// Submits rejected with [`SubmitResult::QueueFull`] (lifetime).
-    rejected_queue_full: u64,
-    /// Submits rejected with [`SubmitResult::Shed`] (lifetime).
-    shed: u64,
-    /// Submits rejected with [`SubmitResult::DeadlineShed`] (lifetime).
-    deadline_shed: u64,
-    /// Queued frames dropped at execution time because their deadline had
-    /// already passed (lifetime).
-    expired: u64,
-    /// Queued frames with [`Priority::High`] (kept in sync by submit and
-    /// the tick).
-    high_pending: usize,
-    /// Completed outputs overwritten because the output queue was full
-    /// (the caller stopped draining).
-    outputs_dropped: u64,
+    /// Lifetime counters, folded into the shard's `retired` total when the
+    /// stream leaves the pool.
+    counters: Counters,
     /// First execution error, if any. The error is sticky: a failed stream
     /// stays failed (skipped by later ticks, zero ready units) until it is
-    /// evicted — it must never silently resume.
+    /// retired — it must never silently resume.
     error: Option<reuse_core::ReuseError>,
     /// Whether [`StreamServer::tick`] has already surfaced this stream's
     /// error to the caller (each failure is reported exactly once).
@@ -249,14 +245,7 @@ impl StreamEntry {
             expired_tags: VecDeque::with_capacity(config.queue_capacity),
             last_used: 0,
             degraded: false,
-            frames_in: 0,
-            frames_done: 0,
-            rejected_queue_full: 0,
-            shed: 0,
-            deadline_shed: 0,
-            expired: 0,
-            high_pending: 0,
-            outputs_dropped: 0,
+            counters: Counters::default(),
             error: None,
             error_reported: false,
         }
@@ -282,7 +271,7 @@ impl StreamEntry {
         if self.outputs.len() >= cap {
             if let Some((_, old)) = self.outputs.pop_front() {
                 self.out_free.push(old);
-                self.outputs_dropped += 1;
+                self.counters.outputs_dropped += 1;
             }
         }
         self.outputs.push_back((tag, out));
@@ -314,11 +303,8 @@ impl StreamEntry {
             }
             let taken = self.taken.len();
             for frame in self.queue.drain(..unit) {
-                if frame.priority == Priority::High {
-                    self.high_pending -= 1;
-                }
                 if config.sequence_len == 0 && frame.deadline.is_some_and(|d| Instant::now() > d) {
-                    self.expired += 1;
+                    self.counters.expired += 1;
                     if self.expired_tags.len() >= config.queue_capacity {
                         self.expired_tags.pop_front();
                     }
@@ -349,7 +335,7 @@ impl StreamEntry {
         config: &ServerConfig,
         latency: &LatencyHistogram,
     ) -> u64 {
-        let done = self.frames_done;
+        let done = self.counters.frames_done;
         let mut taken = std::mem::take(&mut self.taken);
         let outcomes = (first..first + taken.len()).map(|row| block.outcome(row));
         let skipped = outcomes
@@ -357,9 +343,6 @@ impl StreamEntry {
             .filter(|o| matches!(o, RowOutcome::Skipped))
             .count();
         for frame in taken.drain(taken.len() - skipped..).rev() {
-            if frame.priority == Priority::High {
-                self.high_pending += 1;
-            }
             self.queue.push_front(frame);
         }
         for (frame, outcome) in taken.drain(..).zip(outcomes) {
@@ -370,7 +353,7 @@ impl StreamEntry {
                     out.extend_from_slice(output);
                     latency.record(frame.enqueued.elapsed().as_nanos() as u64);
                     self.push_output(frame.tag, out, config.queue_capacity);
-                    self.frames_done += 1;
+                    self.counters.frames_done += 1;
                 }
                 RowOutcome::Failed(e) => {
                     self.error.get_or_insert_with(|| e.clone());
@@ -381,7 +364,7 @@ impl StreamEntry {
         }
         self.taken = taken;
         self.degraded = self.session.auto_disabled_layers().next().is_some();
-        self.frames_done - done
+        self.counters.frames_done - done
     }
 }
 
@@ -424,33 +407,21 @@ pub struct StreamServer {
     latency: LatencyHistogram,
     frame_len: usize,
     ticks: u64,
-    frames_submitted: u64,
-    frames_completed: u64,
-    rejected_queue_full: u64,
-    shed: u64,
-    /// Submits rejected by the projected-deadline-miss policy.
-    deadline_shed: u64,
-    /// Queued frames dropped at execution time (deadline already passed).
-    expired: u64,
+    /// The lifetime counters of every stream retired from the pool (the
+    /// snapshot adds the live streams' own).
+    retired: Counters,
+    /// Streams retired by the LRU session-pool cap.
     evictions: u64,
-    /// Queued frames discarded when their stream was evicted.
+    /// Queued frames discarded when their stream was retired.
     evicted_frames: u64,
-    /// Outputs dropped by streams since evicted (the snapshot's
-    /// `outputs_dropped` adds the live streams' own counts).
-    evicted_outputs_dropped: u64,
     /// Total queued frames across streams (kept incrementally so
     /// [`Self::pending`] and the per-submit deadline projection are O(1),
     /// not O(streams)).
     pending_total: usize,
-    /// Queued high-priority frames across streams (when zero — the common
-    /// case — ticks skip the priority ordering pass entirely).
-    high_pending: usize,
     /// EWMA of the observed per-frame service time in nanoseconds over
     /// recent ticks; `0` until the first frame completes. This is the
     /// `s̄` in the projected-deadline-miss formula (DESIGN.md §13).
     service_ewma_ns: f64,
-    /// Scratch for the tick's dispatch order (reused per tick).
-    order: Vec<usize>,
     /// The tick's block and its rows' frames back to back
     /// (reused per tick).
     block: Block,
@@ -495,19 +466,11 @@ impl StreamServer {
             latency: LatencyHistogram::new(),
             frame_len,
             ticks: 0,
-            frames_submitted: 0,
-            frames_completed: 0,
-            rejected_queue_full: 0,
-            shed: 0,
-            deadline_shed: 0,
-            expired: 0,
+            retired: Counters::default(),
             evictions: 0,
             evicted_frames: 0,
-            evicted_outputs_dropped: 0,
             pending_total: 0,
-            high_pending: 0,
             service_ewma_ns: 0.0,
-            order: Vec::new(),
             block: Block::default(),
             block_frames: Vec::new(),
         })
@@ -524,7 +487,7 @@ impl StreamServer {
     }
 
     /// Whether a stream has failed (its sticky execution error is set). A
-    /// failed stream is skipped by ticks until evicted.
+    /// failed stream is skipped by ticks until retired.
     pub(crate) fn stream_failed(&self, id: u64) -> bool {
         self.index
             .get(&id)
@@ -560,9 +523,19 @@ impl StreamServer {
             .sum()
     }
 
+    /// The shard's lifetime counters: every retired stream's plus every
+    /// live one's.
+    fn totals(&self) -> Counters {
+        let mut totals = self.retired;
+        for e in &self.entries {
+            totals += &e.counters;
+        }
+        totals
+    }
+
     /// Frames completed across all streams (lifetime).
     pub(crate) fn frames_completed(&self) -> u64 {
-        self.frames_completed
+        self.totals().frames_done
     }
 
     /// The submit-to-completion latency histogram.
@@ -608,19 +581,16 @@ impl StreamServer {
         let projected_ns = ((self.pending_total + 1) as f64 * self.service_ewma_ns) as u64;
         let entry = &mut self.entries[slot];
         if entry.queue.len() >= self.config.queue_capacity {
-            self.rejected_queue_full += 1;
-            entry.rejected_queue_full += 1;
+            entry.counters.rejected_queue_full += 1;
             return Ok(SubmitResult::QueueFull);
         }
         if entry.degraded && entry.queue.len() >= watermark {
-            self.shed += 1;
-            entry.shed += 1;
+            entry.counters.shed += 1;
             return Ok(SubmitResult::Shed);
         }
         if let Some(deadline) = opts.deadline {
             if projected_ns > 0 && Instant::now() + Duration::from_nanos(projected_ns) > deadline {
-                self.deadline_shed += 1;
-                entry.deadline_shed += 1;
+                entry.counters.deadline_shed += 1;
                 return Ok(SubmitResult::DeadlineShed);
             }
         }
@@ -638,15 +608,9 @@ impl StreamServer {
             data,
             enqueued: Instant::now(),
             deadline: opts.deadline,
-            priority: opts.priority,
             tag: opts.tag,
         });
-        if opts.priority == Priority::High {
-            entry.high_pending += 1;
-            self.high_pending += 1;
-        }
-        entry.frames_in += 1;
-        self.frames_submitted += 1;
+        entry.counters.frames_in += 1;
         self.pending_total += 1;
         Ok(SubmitResult::Accepted)
     }
@@ -662,29 +626,38 @@ impl StreamServer {
         self.entries
             .push(StreamEntry::new(id, self.model.new_session(), &self.config));
         self.index.insert(id, slot);
-        // Cold path: keep the dispatch-order scratch large enough that
-        // ticks never grow it (zero-alloc steady state).
-        let need = self.entries.len();
-        if self.order.capacity() < need {
-            self.order.reserve(need - self.order.len());
-        }
         slot
     }
 
-    /// Evicts the least-recently-used stream: resets the session's buffered
-    /// state and drops the entry, releasing its queues and buffer pools.
-    /// Queued frames of the evicted stream are discarded (counted in the
-    /// snapshot's `evicted_frames`).
+    /// Evicts the least-recently-used stream (counted in `evictions`).
     fn evict_lru(&mut self) {
-        let Some(slot) = self
+        let lru = self
             .entries
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i)
-        else {
-            return;
+            .min_by_key(|(_, e)| e.last_used);
+        if let Some((slot, _)) = lru {
+            self.retire(slot);
+            self.evictions += 1;
+        }
+    }
+
+    /// Closes a stream (see
+    /// [`ShardedServer::close_stream`](crate::ShardedServer::close_stream)).
+    pub(crate) fn close_stream(&mut self, id: u64) -> bool {
+        let Some(&slot) = self.index.get(&id) else {
+            return false;
         };
+        self.retire(slot);
+        true
+    }
+
+    /// The one way a stream leaves the pool: resets the session's buffered
+    /// state and drops the entry with its queues and buffer pools. Queued
+    /// frames are discarded (counted in `evicted_frames`), undrained outputs
+    /// and expiry tags go with them, and the stream's lifetime counters fold
+    /// into `retired`. The id's next submit starts a fresh session.
+    fn retire(&mut self, slot: usize) {
         let mut entry = self.entries.swap_remove(slot);
         self.index.remove(&entry.id);
         // The session is about to be dropped; reset_state releases its
@@ -692,10 +665,8 @@ impl StreamServer {
         // anything still holds it through shared introspection).
         entry.session.reset_state();
         self.evicted_frames += entry.queue.len() as u64;
-        self.evicted_outputs_dropped += entry.outputs_dropped;
         self.pending_total -= entry.queue.len();
-        self.high_pending -= entry.high_pending;
-        self.evictions += 1;
+        self.retired += &entry.counters;
         // swap_remove moved the tail entry into `slot`: fix its index.
         if let Some(moved) = self.entries.get(slot) {
             self.index.insert(moved.id, slot);
@@ -711,46 +682,21 @@ impl StreamServer {
     pub fn tick(&mut self) -> Result<TickStats, ServeError> {
         self.ticks += 1;
         let started = Instant::now();
-        let streams = 0..self.entries.len();
-        self.order.clear();
-        if self.high_pending > 0 {
-            // The lanes are fixed before anything runs, so a stream served
-            // in the high lane is not served again when its next head turns
-            // out to be a normal frame.
-            let entries = &self.entries;
-            let high =
-                |&i: &usize| entries[i].queue.front().map(|f| f.priority) == Some(Priority::High);
-            self.order.extend(streams.clone().filter(high));
-            self.order.extend(streams.filter(|i| !high(i)));
-        } else {
-            self.order.extend(streams);
-        }
-        let expired: u64 = self.entries.iter().map(|e| e.expired).sum();
-        let mut stats = TickStats::default();
-        let mut count = |frames: u64| {
-            stats.frames += frames;
-            stats.streams += usize::from(frames > 0);
-        };
         self.block.clear();
         self.block_frames.clear();
-        for &slot in &self.order {
-            let entry = &mut self.entries[slot];
+        for (slot, entry) in self.entries.iter_mut().enumerate() {
             entry.take_rows(slot, &self.config, &mut self.block, &mut self.block_frames);
         }
         self.block.walk(&mut self.entries, &self.block_frames);
+        let mut stats = TickStats::default();
         let mut first = 0;
-        for &slot in &self.order {
-            let entry = &mut self.entries[slot];
-            let rows = entry.taken.len();
-            count(entry.give_rows(&self.block, first, &self.config, &self.latency));
-            first += rows;
-        }
-        self.expired += self.entries.iter().map(|e| e.expired).sum::<u64>() - expired;
-        self.pending_total = self.entries.iter().map(|e| e.queue.len()).sum();
-        self.high_pending = self.entries.iter().map(|e| e.high_pending).sum();
         let mut first_error = None;
-        for &slot in &self.order {
-            let entry = &mut self.entries[slot];
+        for entry in &mut self.entries {
+            let rows = entry.taken.len();
+            let frames = entry.give_rows(&self.block, first, &self.config, &self.latency);
+            first += rows;
+            stats.frames += frames;
+            stats.streams += usize::from(frames > 0);
             if first_error.is_none() && !entry.error_reported {
                 if let Some(e) = &entry.error {
                     first_error = Some(e.clone());
@@ -758,7 +704,7 @@ impl StreamServer {
                 }
             }
         }
-        self.frames_completed += stats.frames;
+        self.pending_total = self.entries.iter().map(|e| e.queue.len()).sum();
         if stats.frames > 0 {
             // Observed per-frame service time this tick, folded into the
             // EWMA the deadline projection reads (α = 0.25; the first
@@ -821,20 +767,19 @@ impl StreamServer {
     /// Builds an owned snapshot of the server's aggregate and per-stream
     /// state. Allocates — call from reporting paths, not per tick.
     pub(crate) fn snapshot(&self) -> ServerSnapshot {
-        let outputs_dropped = self.evicted_outputs_dropped
-            + self.entries.iter().map(|e| e.outputs_dropped).sum::<u64>();
+        let totals = self.totals();
         let streams = self
             .entries
             .iter()
             .map(|e| StreamSnapshot {
                 id: e.id,
-                frames_in: e.frames_in,
-                frames_done: e.frames_done,
+                frames_in: e.counters.frames_in,
+                frames_done: e.counters.frames_done,
                 queue_len: e.queue.len(),
-                rejected_queue_full: e.rejected_queue_full,
-                shed: e.shed,
-                deadline_shed: e.deadline_shed,
-                expired: e.expired,
+                rejected_queue_full: e.counters.rejected_queue_full,
+                shed: e.counters.shed,
+                deadline_shed: e.counters.deadline_shed,
+                expired: e.counters.expired,
                 degraded: e.degraded,
                 failed: e.error.is_some(),
                 input_similarity: e.session.metrics().overall_input_similarity(),
@@ -845,15 +790,15 @@ impl StreamServer {
             active_streams: self.entries.len(),
             max_sessions: self.config.max_sessions,
             ticks: self.ticks,
-            frames_submitted: self.frames_submitted,
-            frames_completed: self.frames_completed,
-            rejected_queue_full: self.rejected_queue_full,
-            shed: self.shed,
-            deadline_shed: self.deadline_shed,
-            expired: self.expired,
+            frames_submitted: totals.frames_in,
+            frames_completed: totals.frames_done,
+            rejected_queue_full: totals.rejected_queue_full,
+            shed: totals.shed,
+            deadline_shed: totals.deadline_shed,
+            expired: totals.expired,
             evictions: self.evictions,
             evicted_frames: self.evicted_frames,
-            outputs_dropped,
+            outputs_dropped: totals.outputs_dropped,
             latency_count: self.latency.count(),
             p50_ns: self.latency.quantile_ns(0.50),
             p99_ns: self.latency.quantile_ns(0.99),

@@ -164,8 +164,8 @@ impl ShardedServer {
         self.submit_with(id, frame, SubmitOptions::default())
     }
 
-    /// [`Self::submit`] with per-frame scheduling options: an absolute
-    /// completion deadline, an ingress priority lane and a completion tag.
+    /// [`Self::submit`] with per-frame options: an absolute completion
+    /// deadline and a completion tag.
     ///
     /// With a deadline set, the submit is additionally subject to the
     /// **projected-deadline-miss** policy: if the shard's queued work × its
@@ -216,13 +216,23 @@ impl ShardedServer {
         self.shard_of(id).lock().drain_expired(id, f)
     }
 
+    /// Closes a stream: its session, queued frames (counted in the shard's
+    /// `evicted_frames`), undrained outputs and expiry tags are dropped, and
+    /// its lifetime counters stay in the shard's totals. The id's next
+    /// submit starts a fresh session. Returns `false` when the stream holds
+    /// no session. This is how the network front-end releases the streams
+    /// of a connection that closed.
+    pub fn close_stream(&self, id: u64) -> bool {
+        self.shard_of(id).lock().close_stream(id)
+    }
+
     /// Whether a stream currently has a session in its shard's pool.
     pub fn contains(&self, id: u64) -> bool {
         self.shard_of(id).lock().contains(id)
     }
 
     /// Whether a stream has a sticky execution error. A failed stream is
-    /// skipped by ticks until evicted.
+    /// skipped by ticks until it is evicted or closed.
     pub fn stream_failed(&self, id: u64) -> bool {
         self.shard_of(id).lock().stream_failed(id)
     }
@@ -246,10 +256,9 @@ impl ShardedServer {
     /// Ticks every shard once, in shard order (passive driving mode —
     /// deterministic). A shard's tick runs every stream with ready units
     /// through up to [`ServerConfig::batch_max`] of them, in submission
-    /// order, streams whose head frame is high-priority first; the frames
-    /// it takes — whole sequences for a recurrent model — walk the network
-    /// together as one block, one layer at a time. Returns the summed
-    /// stats.
+    /// order, streams in pool order; the frames it takes — whole sequences
+    /// for a recurrent model — walk the network together as one block, one
+    /// layer at a time. Returns the summed stats.
     ///
     /// # Errors
     ///

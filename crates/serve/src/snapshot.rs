@@ -10,7 +10,8 @@ use std::fmt::Write as _;
 use reuse_core::json::{json_num, json_str};
 
 /// One shard's aggregate and per-stream state at one point in time, an
-/// element of [`ShardedSnapshot::shards`]; owns all its data.
+/// element of [`ShardedSnapshot::shards`]; owns all its data. The counters
+/// are lifetime totals: streams since evicted or closed still count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
     /// Network name of the shared compiled model.
@@ -35,7 +36,7 @@ pub struct ServerSnapshot {
     pub expired: u64,
     /// Streams evicted by the LRU session-pool cap.
     pub evictions: u64,
-    /// Queued frames discarded with their evicted stream.
+    /// Queued frames discarded with their evicted or closed stream.
     pub evicted_frames: u64,
     /// Completed outputs overwritten because callers stopped draining.
     pub outputs_dropped: u64,

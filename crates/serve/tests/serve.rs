@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use reuse_core::{CompiledModel, ReuseConfig};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_serve::{
-    ServeError, ServerConfig, ShardedServer, ShardedSnapshot, StreamSnapshot, SubmitOptions,
-    SubmitResult,
+    ServeError, ServerConfig, ServerSnapshot, ShardedServer, ShardedSnapshot, StreamSnapshot,
+    SubmitOptions, SubmitResult,
 };
 use reuse_tensor::Shape;
 
@@ -508,6 +508,42 @@ fn evicting_a_stream_keeps_its_dropped_outputs_counted() {
     assert_eq!(snap.shards[0].outputs_dropped, before);
 }
 
+/// A closed stream leaves the pool the way an evicted one does — queued
+/// frames counted in `evicted_frames`, lifetime counters kept — except that
+/// it is not counted as an eviction; its undrained outputs are gone and the
+/// id's next submit runs on a fresh session.
+#[test]
+fn closing_a_stream_retires_it_and_its_next_submit_starts_fresh() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(16)));
+    let server = single_shard(Arc::clone(&model), ServerConfig::default()).unwrap();
+    let frames = walk(4, 12, 0.1, 58);
+    for frame in &frames[..3] {
+        assert_eq!(server.submit(0, frame).unwrap(), SubmitResult::Accepted);
+    }
+    server.tick_all().unwrap();
+    assert_eq!(
+        server.submit(0, &frames[3]).unwrap(),
+        SubmitResult::Accepted
+    );
+    assert!(server.close_stream(0));
+    assert!(!server.close_stream(0), "already closed");
+    assert!(!server.contains(0));
+    let snap = &server.snapshot().shards[0];
+    assert_eq!((snap.frames_submitted, snap.frames_completed), (4, 3));
+    assert_eq!((snap.evictions, snap.evicted_frames), (0, 1));
+    assert_eq!(server.pending(), 0);
+
+    assert_eq!(
+        server.submit(0, &frames[3]).unwrap(),
+        SubmitResult::Accepted
+    );
+    server.tick_all().unwrap();
+    let mut outs = Vec::new();
+    assert_eq!(server.drain_outputs(0, |out| outs.push(out.to_vec())), 1);
+    let expect = model.new_session().execute(&frames[3]).unwrap();
+    assert_bits_eq(&outs[0], expect.as_slice());
+}
+
 /// Regression (sticky errors): a stream that hit an execution error must
 /// not silently resume on the next tick. The error is reported exactly
 /// once; the stream then stays parked — no frames complete, no ready
@@ -631,10 +667,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property: every accepted frame is, at every moment, in exactly one
-    /// place — completed, expired, discarded with its evicted stream, or
-    /// still queued — whatever mix of plain, high-priority, past-deadline
-    /// and evicting submits, ticks and drains came before. `tick` keeps the
-    /// server-wide counters itself; this pins them to the per-stream queues.
+    /// place — completed, expired, discarded with its evicted or closed
+    /// stream, or still queued — whatever mix of plain, past-deadline and
+    /// evicting submits, closes, ticks and drains came before; and no
+    /// lifetime counter ever falls, however streams leave the pool.
     #[test]
     fn accepted_frames_are_conserved_under_random_interleavings(
         ops in proptest::collection::vec((0u8..7, 0u64..5), 10..80),
@@ -650,11 +686,30 @@ proptest! {
         let server = single_shard(model, config).unwrap();
         let frame = vec![0.25; 12];
         let mut fresh_id = 100u64;
+        let lifetime = |s: &ServerSnapshot| {
+            [
+                s.frames_submitted,
+                s.frames_completed,
+                s.rejected_queue_full,
+                s.shed,
+                s.deadline_shed,
+                s.expired,
+                s.outputs_dropped,
+                s.evictions,
+                s.evicted_frames,
+            ]
+        };
+        let mut last = [0u64; 9];
         for (op, id) in ops {
             let past = Instant::now().checked_sub(Duration::from_millis(1));
             let submit = match op {
                 0 => Some((id, SubmitOptions::default())),
-                1 => Some((id, SubmitOptions::default().high_priority())),
+                1 => {
+                    let held = server.contains(id);
+                    prop_assert_eq!(server.close_stream(id), held);
+                    prop_assert!(!server.contains(id));
+                    None
+                }
                 2 => Some((id, SubmitOptions { deadline: past, ..SubmitOptions::default() })),
                 3 => {
                     // A stream nobody has seen: evicts once the pool is full.
@@ -684,6 +739,11 @@ proptest! {
             );
             let queued: usize = snap.streams.iter().map(|s| s.queue_len).sum();
             prop_assert_eq!(server.pending(), queued);
+            let now = lifetime(snap);
+            for (before, after) in last.iter().zip(&now) {
+                prop_assert!(before <= after, "a lifetime counter fell: {:?} -> {:?}", last, now);
+            }
+            last = now;
         }
         // The run must have exercised what it claims to cover.
         prop_assert!(server.snapshot().frames_submitted() > 0);

@@ -216,49 +216,6 @@ fn projected_deadline_miss_sheds_at_ingress() {
     assert_eq!(snap.streams[0].deadline_shed, 1);
 }
 
-#[test]
-fn priority_lane_preserves_outputs_and_orders_dispatch() {
-    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
-    let streams: Vec<(u64, Vec<Vec<f32>>)> =
-        (0..3).map(|s| (s, walk(10, 12, 0.1, 60 + s))).collect();
-
-    // Reference: all-normal submissions.
-    let plain = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
-    let mut plain_out: Vec<Vec<Vec<f32>>> = streams.iter().map(|_| Vec::new()).collect();
-    // Priority run: stream 1 submits high-priority.
-    let prio = ShardedServer::new(Arc::clone(&model), ServerConfig::default(), 1).unwrap();
-    let mut prio_out: Vec<Vec<Vec<f32>>> = streams.iter().map(|_| Vec::new()).collect();
-
-    for t in 0..10 {
-        for (s, (id, stream)) in streams.iter().enumerate() {
-            plain.submit(*id, &stream[t]).unwrap();
-            let opts = if s == 1 {
-                SubmitOptions::default().high_priority()
-            } else {
-                SubmitOptions::default()
-            };
-            assert_eq!(
-                prio.submit_with(*id, &stream[t], opts).unwrap(),
-                SubmitResult::Accepted
-            );
-        }
-        plain.tick_all().unwrap();
-        prio.tick_all().unwrap();
-        for (s, (id, _)) in streams.iter().enumerate() {
-            plain.drain_outputs(*id, |out| plain_out[s].push(out.to_vec()));
-            prio.drain_outputs(*id, |out| prio_out[s].push(out.to_vec()));
-        }
-    }
-    // Scheduling order must never change results.
-    for (a, b) in plain_out.iter().zip(prio_out.iter()) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_bits_eq(x, y);
-        }
-    }
-    assert_eq!(prio.frames_completed(), 30);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
