@@ -3,8 +3,11 @@
 //! `reuse-serve-net` puts the [`reuse_serve::ShardedServer`] behind a
 //! TCP socket with a length-prefixed binary frame protocol — no external
 //! event-loop or serialization dependency (the build environment pins an
-//! offline registry), just `std::net` non-blocking sockets polled by one
-//! loop thread while per-shard workers execute frames.
+//! offline registry), just `std::net` non-blocking sockets served by one
+//! loop thread while per-shard workers execute frames. Between passes the
+//! loop blocks in `poll(2)` on its sockets and on a wake pipe the workers
+//! write to after every tick, so it runs when there is work and sleeps
+//! otherwise.
 //!
 //! * [`protocol`] — the wire format: preamble, request/response framing,
 //!   status codes.

@@ -1,10 +1,13 @@
 //! The network front-end: a non-blocking TCP event loop routing protocol
 //! frames to a [`ShardedServer`].
 //!
-//! One thread runs the poll loop (accept, read, submit, drain, write);
+//! One thread runs the event loop (accept, read, submit, drain, write);
 //! dedicated per-shard workers ([`reuse_serve::ShardWorkers`]) execute
 //! frames concurrently. No external event-loop dependency: sockets are
-//! `set_nonblocking` and the loop sleeps briefly when idle.
+//! `set_nonblocking`, and between passes the loop blocks in `poll(2)` on
+//! the listener, every connection and a wake pipe that each shard worker
+//! writes one byte to after a tick, so a pass runs when a socket is ready
+//! or a shard has results to drain — never on a timer.
 //!
 //! **Stream ownership.** The first connection to submit a stream id owns
 //! it; submits for a stream owned by another live connection are answered
@@ -16,8 +19,11 @@
 //! session and never receives an earlier owner's responses.
 
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,8 +41,25 @@ use crate::protocol::{
 /// Read chunk size per socket per poll iteration.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Idle poll sleep when no socket made progress.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// How long one `poll` blocks with nothing to do, in milliseconds. It
+/// bounds only how late [`NetServer::run`] sees its stop flag: sockets and
+/// shard completions end the wait as they happen.
+const POLL_TIMEOUT_MS: c_int = 20;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
 
 /// One accepted connection's buffers.
 struct Conn {
@@ -83,6 +106,11 @@ struct StreamRoute {
 pub struct NetServer {
     listener: TcpListener,
     workers: ShardWorkers,
+    /// Read end of the pipe the shard workers' completion waker writes to.
+    wake: UnixStream,
+    /// The `poll` set, rebuilt before every wait: the wake pipe, the
+    /// listener, then every live connection.
+    pollfds: Vec<PollFd>,
     input_len: usize,
     output_len: usize,
     conns: Vec<Option<Conn>>,
@@ -91,8 +119,9 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `addr` and builds a [`ShardedServer`] with `shards` shards
-    /// over `model`, spawning one worker thread per shard. Use port 0 for
-    /// an OS-assigned port ([`Self::local_addr`] reports it).
+    /// over `model`, spawning one worker thread per shard whose every tick
+    /// wakes [`Self::run`]. Use port 0 for an OS-assigned port
+    /// ([`Self::local_addr`] reports it).
     ///
     /// # Errors
     ///
@@ -110,9 +139,20 @@ impl NetServer {
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        // Non-blocking at both ends: a worker holding its shard lock never
+        // waits on a full pipe (a byte already queued wakes the loop all
+        // the same), and the loop drains it without blocking.
+        let (wake, signal) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        signal.set_nonblocking(true)?;
+        sharded.set_completion_waker(move || {
+            let _ = (&signal).write(&[1]);
+        });
         Ok(NetServer {
             listener,
             workers: ShardWorkers::start(Arc::new(sharded)),
+            wake,
+            pollfds: Vec::new(),
             input_len,
             output_len,
             conns: Vec::new(),
@@ -134,36 +174,90 @@ impl NetServer {
         self.workers.server()
     }
 
-    /// Runs the event loop until `stop` is set: accepts connections, reads
+    /// Runs the event loop until `stop` is set: waits until a socket is
+    /// ready or a shard worker has ticked, then accepts connections, reads
     /// and validates protocol frames, submits them to the owning shard,
     /// drains completions/expiries into responses, and writes them back.
+    /// `stop` is checked between passes, and an idle wait lasts at most
+    /// 20 ms, so a set `stop` returns within about that long.
     ///
     /// # Errors
     ///
-    /// Returns only listener-level I/O errors; per-connection errors close
-    /// that connection.
+    /// Returns only listener-level and `poll` I/O errors; per-connection
+    /// errors close that connection.
     pub fn run(&mut self, stop: &AtomicBool) -> std::io::Result<()> {
         while !stop.load(Ordering::SeqCst) {
-            let mut progressed = false;
-            progressed |= self.accept_new()?;
+            self.wait_for_events()?;
+            self.accept_new()?;
             for slot in 0..self.conns.len() {
-                progressed |= self.read_conn(slot);
+                self.read_conn(slot);
             }
-            progressed |= self.drain_completions();
+            self.drain_completions();
             for slot in 0..self.conns.len() {
-                progressed |= self.write_conn(slot);
+                self.write_conn(slot);
             }
             self.reap_closed();
-            if !progressed {
-                std::thread::sleep(IDLE_SLEEP);
+        }
+        Ok(())
+    }
+
+    /// Blocks in `poll` until the listener or a connection is readable, a
+    /// connection with queued output is writable, a shard worker has
+    /// written to the wake pipe, or [`POLL_TIMEOUT_MS`] passes; then empties
+    /// the wake pipe. A pass reads every socket until it would block and
+    /// drains every shard result, so what is left when the next wait starts
+    /// is exactly what this wait watches: nothing a socket or a tick makes
+    /// ready goes unseen. (A stream error injected from outside a tick, or
+    /// an eviction by another thread's submit, writes no byte; the pass
+    /// after the timeout answers it.)
+    fn wait_for_events(&mut self) -> std::io::Result<()> {
+        let watch = |fd: RawFd, events: c_short| PollFd {
+            fd,
+            events,
+            revents: 0,
+        };
+        self.pollfds.clear();
+        self.pollfds.push(watch(self.wake.as_raw_fd(), POLLIN));
+        self.pollfds.push(watch(self.listener.as_raw_fd(), POLLIN));
+        for conn in self.conns.iter().flatten() {
+            let events = if conn.woff < conn.wbuf.len() {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            };
+            self.pollfds.push(watch(conn.sock.as_raw_fd(), events));
+        }
+        // SAFETY: `pollfds` is an initialised array of `len` `#[repr(C)]`
+        // `struct pollfd`s, exclusively borrowed for the call; `poll` only
+        // writes their `revents` and keeps no pointer past its return.
+        let ready = unsafe {
+            poll(
+                self.pollfds.as_mut_ptr(),
+                self.pollfds.len() as c_ulong,
+                POLL_TIMEOUT_MS,
+            )
+        };
+        if ready < 0 {
+            let err = std::io::Error::last_os_error();
+            if err.kind() != ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+        if self.pollfds[0].revents & POLLIN != 0 {
+            let mut bytes = [0u8; 64];
+            loop {
+                match (&self.wake).read(&mut bytes) {
+                    Ok(n) if n == bytes.len() => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    _ => break,
+                }
             }
         }
         Ok(())
     }
 
-    /// Accepts all pending connections. Returns whether any arrived.
-    fn accept_new(&mut self) -> std::io::Result<bool> {
-        let mut any = false;
+    /// Accepts all pending connections.
+    fn accept_new(&mut self) -> std::io::Result<()> {
         loop {
             match self.listener.accept() {
                 Ok((sock, _)) => {
@@ -175,25 +269,22 @@ impl NetServer {
                         Some(s) => self.conns[s] = Some(conn),
                         None => self.conns.push(Some(conn)),
                     }
-                    any = true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(any),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Reads and parses everything available on one connection. Returns
-    /// whether any bytes were consumed.
-    fn read_conn(&mut self, slot: usize) -> bool {
+    /// Reads and parses everything available on one connection.
+    fn read_conn(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
-            return false;
+            return;
         };
         if conn.closed {
-            return false;
+            return;
         }
-        let mut any = false;
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match conn.sock.read(&mut chunk) {
@@ -201,10 +292,7 @@ impl NetServer {
                     conn.closed = true;
                     break;
                 }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    any = true;
-                }
+                Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -214,7 +302,6 @@ impl NetServer {
             }
         }
         self.parse_conn(slot);
-        any
     }
 
     /// Parses complete messages out of a connection's read buffer and
@@ -312,9 +399,8 @@ impl NetServer {
 
     /// Drains completed outputs and expiries for every routed stream
     /// straight into its connection's write buffer; fails pending frames
-    /// of dead streams. Returns whether any response was produced.
-    fn drain_completions(&mut self) -> bool {
-        let mut produced = false;
+    /// of dead streams.
+    fn drain_completions(&mut self) {
         let server = self.workers.server();
         let conns = &mut self.conns;
         self.routes.retain(|&id, route| {
@@ -333,23 +419,22 @@ impl NetServer {
                     route.pending.remove(at);
                 }
                 encode_response(&mut conn.wbuf, id, seq, status, payload);
-                produced = true;
             };
             server.drain_expired(id, |tag| answer(tag, Status::Expired, &[]));
             server.drain_outputs_tagged(id, |tag, out| answer(tag, Status::Ok, out));
             if !route.pending.is_empty() && (server.stream_failed(id) || !server.contains(id)) {
                 // Sticky stream error or LRU eviction: queued frames will
-                // never complete. Answer everything outstanding and drop
-                // the route so a resubmit starts fresh.
+                // never complete. Answer everything outstanding, close the
+                // stream (a failed one still holds its session) and drop
+                // the route, so a resubmit starts fresh.
                 for seq in route.pending.drain(..) {
                     encode_response(&mut conn.wbuf, id, seq, Status::Failed, &[]);
                 }
-                produced = true;
+                server.close_stream(id);
                 return false;
             }
             true
         });
-        produced
     }
 
     /// Queues one response on a connection's write buffer.
@@ -360,25 +445,21 @@ impl NetServer {
     }
 
     /// Flushes as much of one connection's write buffer as the socket
-    /// accepts. Returns whether any bytes moved.
-    fn write_conn(&mut self, slot: usize) -> bool {
+    /// accepts.
+    fn write_conn(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
-            return false;
+            return;
         };
         if conn.closed || conn.woff >= conn.wbuf.len() {
-            return false;
+            return;
         }
-        let mut any = false;
         while conn.woff < conn.wbuf.len() {
             match conn.sock.write(&conn.wbuf[conn.woff..]) {
                 Ok(0) => {
                     conn.closed = true;
                     break;
                 }
-                Ok(n) => {
-                    conn.woff += n;
-                    any = true;
-                }
+                Ok(n) => conn.woff += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -394,7 +475,6 @@ impl NetServer {
             conn.wbuf.drain(..conn.woff);
             conn.woff = 0;
         }
-        any
     }
 
     /// Drops closed connections and closes the streams they owned, so the

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reuse_core::{CompiledModel, ReuseConfig};
+use reuse_core::{CompiledModel, ReuseConfig, ReuseError};
 use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
 use reuse_serve::{ServerConfig, ShardedServer};
 use reuse_serve_net::protocol::FLAG_DEADLINE;
@@ -49,6 +49,15 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
 /// and a guard that holds the sharded server and stops the event loop on
 /// drop.
 fn start_server(model: Arc<CompiledModel>, shards: usize) -> (SocketAddr, ServerGuard) {
+    start_named_server(model, shards, "net-loop")
+}
+
+/// [`start_server`], running the event loop on a thread called `name`.
+fn start_named_server(
+    model: Arc<CompiledModel>,
+    shards: usize,
+    name: &str,
+) -> (SocketAddr, ServerGuard) {
     let mut server = NetServer::bind(
         "127.0.0.1:0".parse().unwrap(),
         model,
@@ -60,7 +69,10 @@ fn start_server(model: Arc<CompiledModel>, shards: usize) -> (SocketAddr, Server
     let sharded = Arc::clone(server.sharded());
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || server.run(&stop2).unwrap());
+    let handle = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || server.run(&stop2).unwrap())
+        .unwrap();
     (
         addr,
         ServerGuard {
@@ -322,4 +334,105 @@ fn a_frame_past_its_deadline_expires_and_later_frames_complete_in_order() {
         assert_bits_eq(&resp.payload, expect.as_slice());
     }
     assert_eq!(ok.len(), frames.len() - 1);
+}
+
+#[test]
+fn a_failed_stream_is_closed_and_its_next_frame_starts_fresh() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
+    let (addr, guard) = start_server(Arc::clone(&model), 1);
+    let mut client = NetClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let frames = walk(3, 12, 51);
+    let resp = client.roundtrip(6, 0, &frames[0]).unwrap();
+    assert_eq!(resp.status, Status::Ok);
+
+    let injected = ReuseError::Nn(reuse_nn::NnError::InputShape {
+        expected: 12,
+        actual: 11,
+    });
+    assert!(guard.sharded.inject_stream_error(6, injected));
+    // The failed stream accepts the next frame but will never run it: the
+    // loop answers it `Failed` and, in the same pass, drops the route and
+    // closes the stream, before the response is written.
+    let resp = client.roundtrip(6, 1, &frames[1]).unwrap();
+    assert_eq!((resp.seq, resp.status), (1, Status::Failed));
+    assert!(
+        !guard.sharded.contains(6),
+        "the failed stream outlived its route"
+    );
+
+    // So the owner's next frame runs on a fresh session.
+    let resp = client.roundtrip(6, 2, &frames[2]).unwrap();
+    assert_eq!((resp.seq, resp.status), (2, Status::Ok));
+    let expect = model.new_session().execute(&frames[2]).unwrap();
+    assert_bits_eq(&resp.payload, expect.as_slice());
+    assert!(!guard.sharded.stream_failed(6));
+}
+
+/// CPU time (`utime + stime`) a thread of this process has used so far.
+#[cfg(target_os = "linux")]
+fn thread_cpu_time(tid: &str) -> Duration {
+    extern "C" {
+        fn sysconf(name: std::ffi::c_int) -> std::ffi::c_long;
+    }
+    const SC_CLK_TCK: std::ffi::c_int = 2;
+    // SAFETY: `sysconf` reads a configuration value and touches no memory
+    // of ours.
+    let ticks_per_s = unsafe { sysconf(SC_CLK_TCK) };
+    assert!(ticks_per_s > 0, "sysconf(_SC_CLK_TCK) failed");
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+    // Fields after the parenthesised name, from field 3 (`state`) on;
+    // `utime` and `stime` are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    Duration::from_secs_f64(ticks as f64 / ticks_per_s as f64)
+}
+
+/// With every client connected and idle, the event loop sleeps in `poll`
+/// rather than spinning: over two seconds its thread uses at most 1% of a
+/// CPU.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_event_loop_uses_no_cpu() {
+    const NAME: &str = "idle-net-loop";
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(8)));
+    let (addr, _guard) = start_named_server(model, 1, NAME);
+    // One round trip each proves the server has taken the client's
+    // preamble; then all eight sit idle.
+    let frame = walk(1, 12, 8).pop().unwrap();
+    let clients: Vec<NetClient> = (0..8u64)
+        .map(|id| {
+            let mut client = NetClient::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            assert_eq!(client.roundtrip(id, 0, &frame).unwrap().status, Status::Ok);
+            client
+        })
+        .collect();
+    let tid = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .map(|task| task.unwrap().path())
+        .find(|task| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim_end() == NAME)
+        })
+        .expect("the event loop's thread")
+        .file_name()
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+
+    let window = Duration::from_secs(2);
+    let before = thread_cpu_time(&tid);
+    std::thread::sleep(window);
+    let used = thread_cpu_time(&tid) - before;
+    assert!(
+        used <= window / 100,
+        "the idle event loop used {used:?} of CPU in {window:?}"
+    );
+    drop(clients);
 }

@@ -25,11 +25,13 @@
 //!   thread per shard that ticks whenever the shard has ready work and
 //!   parks on a condvar otherwise. Submits and drains stay synchronous
 //!   and non-blocking (they take the shard lock briefly); this is what
-//!   `serve-net` and the open-loop benchmark run.
+//!   `serve-net` and the open-loop benchmark run. A caller that waits for
+//!   results on something other than the shard lock — the network event
+//!   loop, blocked in `poll(2)` — registers a completion waker
+//!   ([`ShardedServer::set_completion_waker`]) that every worker tick calls.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use reuse_core::{CompiledModel, ReuseError, ReuseSession};
 
@@ -82,6 +84,9 @@ impl Shard {
 /// snapshotting.
 pub struct ShardedServer {
     shards: Vec<Shard>,
+    /// Called by a shard worker after each of its ticks; unset unless a
+    /// caller waits for results off the shard lock.
+    completion_waker: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ShardedServer {
@@ -129,7 +134,21 @@ impl ShardedServer {
                 work: Condvar::new(),
             });
         }
-        Ok(ShardedServer { shards: vec })
+        Ok(ShardedServer {
+            shards: vec,
+            completion_waker: OnceLock::new(),
+        })
+    }
+
+    /// Registers `wake`, which every [`ShardWorkers`] tick calls once it
+    /// returns (with outputs, expiries or a stream error to drain), still
+    /// under the shard's lock — so it must be cheap and must not call back
+    /// into this server. The network front-end registers a one-byte write
+    /// to the pipe its event loop polls; passive ticks ([`Self::tick_all`])
+    /// never call it. At most one waker: returns `false`, leaving the first
+    /// in place, when one is already set.
+    pub fn set_completion_waker(&self, wake: impl Fn() + Send + Sync + 'static) -> bool {
+        self.completion_waker.set(Box::new(wake)).is_ok()
     }
 
     /// Number of shards.
@@ -342,9 +361,11 @@ impl ShardedServer {
 /// Dedicated per-shard worker threads driving a [`ShardedServer`].
 ///
 /// Each worker loops on its shard: tick while the shard has ready units,
-/// park on the shard's condvar (with a short timeout, so recurrent models
-/// whose sequences fill while the worker sleeps are still picked up)
-/// otherwise. Stream execution errors are sticky on their stream inside
+/// park on the shard's condvar otherwise. The worker holds the shard lock
+/// from its ready check into the wait, and every accepted submit takes that
+/// lock before it notifies, so no submit — including the one that completes
+/// a recurrent stream's sequence — can slip between the check and the park.
+/// Stream execution errors are sticky on their stream inside
 /// the shard; workers additionally collect the first few into a side
 /// buffer readable via [`ShardWorkers::take_errors`].
 ///
@@ -402,6 +423,10 @@ impl ShardWorkers {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for shard in &self.server.shards {
+            // Notify under the lock: a worker between its stop check and
+            // its wait holds the lock, so it is parked before this notify
+            // lands, or it checks the flag after this lock is released.
+            let _guard = shard.lock();
             shard.work.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -416,7 +441,8 @@ impl Drop for ShardWorkers {
     }
 }
 
-/// Body of one shard worker thread: tick while ready, park otherwise.
+/// Body of one shard worker thread: tick while ready (waking the
+/// completion waker after each tick), park otherwise.
 fn worker_loop(
     server: &ShardedServer,
     s: usize,
@@ -433,15 +459,14 @@ fn worker_loop(
                     buf.push(e);
                 }
             }
+            if let Some(wake) = server.completion_waker.get() {
+                wake();
+            }
         } else {
-            // Park until a submit signals work (or a short timeout — a
-            // recurrent stream's sequence can become ready without a fresh
-            // notify when frames arrived while we were ticking).
             guard = shard
                 .work
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }

@@ -2,8 +2,8 @@
 //! be bit-identical per stream to a single-shard one (and so to standalone
 //! sessions); deadline scheduling must survive sharding and LRU churn.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use reuse_core::{CompiledModel, ReuseConfig};
@@ -30,6 +30,15 @@ fn mlp() -> Network {
         .fully_connected(24, Activation::Relu)
         .fully_connected(16, Activation::Relu)
         .fully_connected(4, Activation::Identity)
+        .build()
+        .unwrap()
+}
+
+fn rnn() -> Network {
+    NetworkBuilder::new("shard-rnn", 10)
+        .seed(7)
+        .lstm(8)
+        .fully_connected(3, Activation::Identity)
         .build()
         .unwrap()
 }
@@ -158,6 +167,90 @@ fn worker_threads_drive_frames_to_completion() {
             assert_bits_eq(out, &reference);
         }
     }
+}
+
+/// A recurrent stream's sequence becomes ready on the submit of its last
+/// timestep. Two streams' frames, submitted one per call from another
+/// thread while the worker ticks, all complete: a worker parked on a plain
+/// condvar wait never misses the submit that completes a sequence.
+#[test]
+fn worker_completes_recurrent_sequences_filled_one_frame_per_submit() {
+    let seq_len = 4;
+    let model = Arc::new(CompiledModel::new(&rnn(), &ReuseConfig::uniform(16)));
+    let streams: Vec<(u64, Vec<Vec<f32>>)> = [(3u64, 61u64), (8, 62)]
+        .iter()
+        .map(|&(id, seed)| (id, walk(25 * seq_len, 10, 0.1, seed)))
+        .collect();
+    // Room for every frame and every output: nothing is rejected or dropped,
+    // so the only way to lose a frame is a worker that never wakes for it.
+    let config = ServerConfig::default()
+        .sequence_len(seq_len)
+        .queue_capacity(25 * seq_len);
+    let server = Arc::new(ShardedServer::new(Arc::clone(&model), config, 1).unwrap());
+    let workers = ShardWorkers::start(Arc::clone(&server));
+
+    let submitter = {
+        let server = Arc::clone(&server);
+        let streams = streams.clone();
+        std::thread::spawn(move || {
+            for t in 0..streams[0].1.len() {
+                for (id, frames) in &streams {
+                    let accepted = server.submit(*id, &frames[t]).unwrap();
+                    assert_eq!(accepted, SubmitResult::Accepted);
+                }
+            }
+        })
+    };
+    let mut collected: Vec<Vec<Vec<f32>>> = streams.iter().map(|_| Vec::new()).collect();
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while collected.iter().map(Vec::len).sum::<usize>() < 2 * 25 * seq_len {
+        for (s, (id, _)) in streams.iter().enumerate() {
+            server.drain_outputs(*id, |out| collected[s].push(out.to_vec()));
+        }
+        assert!(
+            Instant::now() < give_up,
+            "the worker stalled with {} of {} outputs",
+            collected.iter().map(Vec::len).sum::<usize>(),
+            2 * 25 * seq_len
+        );
+        std::thread::yield_now();
+    }
+    submitter.join().unwrap();
+    assert!(workers.take_errors().is_empty());
+    drop(workers);
+
+    for ((_, frames), outs) in streams.iter().zip(&collected) {
+        assert_eq!(outs.len(), frames.len());
+        let mut alone = model.new_session();
+        let reference: Vec<_> = frames
+            .chunks(seq_len)
+            .flat_map(|sequence| alone.execute_sequence(sequence).unwrap())
+            .collect();
+        for (out, want) in outs.iter().zip(&reference) {
+            assert_bits_eq(out, want.as_slice());
+        }
+    }
+}
+
+/// `stop` notifies each shard under its lock, so a worker caught between
+/// its stop check and its (untimed) wait cannot miss the stop: thousands of
+/// start/stop cycles of idle workers all finish. (With the notify outside
+/// the lock, about half of all runs of this test hang on some cycle.)
+#[test]
+fn idle_workers_never_miss_a_stop() {
+    let model = Arc::new(CompiledModel::new(&mlp(), &ReuseConfig::uniform(32)));
+    let server = Arc::new(ShardedServer::new(model, ServerConfig::default(), 2).unwrap());
+    let (done, finished) = mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for _ in 0..5000 {
+            ShardWorkers::start(Arc::clone(&server)).stop();
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a worker missed its stop and never joined");
+    cycles.join().unwrap();
 }
 
 #[test]
