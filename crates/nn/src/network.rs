@@ -216,7 +216,7 @@ impl Layer {
 
     /// Linear (pre-activation) forward pass of a weighted frame-wise layer
     /// over `rows` frames of flat row-major `in_shape` data back to back —
-    /// the exact baseline the reuse engine's drift watchdog adopts. Sizes
+    /// [`Self::forward_into`] before its activation. Sizes
     /// `out` to the outputs and overwrites it, reusing its capacity. A conv
     /// layer makes one `conv_forward_into` call for all `rows` frames, whose
     /// two allocations are the kernel's own: the segment table (sharing its

@@ -14,11 +14,10 @@
 //! Per-layer state chains only along one session's inputs to that layer, so
 //! a session's rows step in frame order and every session sees exactly what
 //! it would see alone. What chains across layers is cut out: a session's run
-//! of rows is whole units, ends at its last calibrating unit (the next one
-//! builds the quantizers from every layer's profile) and after a
-//! drift-watchdog check frame (a re-baseline rewrites every layer's state),
-//! and a recurrent unit, whose state resets at its start, is a run of its
-//! own; a session's later rows walk in a later wave of the same block.
+//! of rows is whole units and ends at its last calibrating unit (the next
+//! one builds the quantizers from every layer's profile), and a recurrent
+//! unit, whose state resets at its start, is a run of its own; a session's
+//! later rows walk in a later wave of the same block.
 //! [`ReuseSession::execute_into`] is the one-row block and
 //! [`ReuseSession::execute_sequence_into`] the one-sequence block.
 
@@ -205,15 +204,8 @@ impl Block {
                 for row in run.first..run.first + run.len {
                     if matches!(self.states[row], RowState::Running) {
                         let unit_end = self.units.get(row + 1).is_none_or(|&u| u > 0);
-                        let frame = &frames[row * in_width..][..in_width];
-                        let out = &mut self.outputs[row * out_width..][..out_width];
-                        let pool = &mut self.pool;
-                        self.states[row] =
-                            match session.finish_frame(run.calibrating, unit_end, frame, out, pool)
-                            {
-                                Ok(()) => RowState::Done,
-                                Err(e) => RowState::Failed(e),
-                            };
+                        session.finish_frame(run.calibrating, unit_end);
+                        self.states[row] = RowState::Done;
                     }
                 }
             }

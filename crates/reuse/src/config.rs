@@ -23,9 +23,6 @@ pub struct ReuseConfig {
     record_relative_difference: bool,
     record_trace: bool,
     telemetry: bool,
-    drift_check_every: u64,
-    drift_bound: f32,
-    drift_escalate_after: u64,
 }
 
 impl ReuseConfig {
@@ -38,9 +35,6 @@ impl ReuseConfig {
             record_relative_difference: false,
             record_trace: false,
             telemetry: false,
-            drift_check_every: 0,
-            drift_bound: 1e-3,
-            drift_escalate_after: 0,
         }
     }
 
@@ -110,29 +104,6 @@ impl ReuseConfig {
         self
     }
 
-    /// Arms the runtime drift watchdog: every `check_every` reuse frames the
-    /// session recomputes the output with [`crate::ReuseSession::reference_forward`]
-    /// and, if the max-abs deviation exceeds `bound`, re-baselines every
-    /// reuse layer's buffered state from full-precision values.
-    /// `check_every == 0` (the default) disables the watchdog. It checks
-    /// feed-forward networks only: a recurrent network's state resets with
-    /// every sequence, and its sessions never run a check.
-    pub fn drift_watchdog(mut self, check_every: u64, bound: f32) -> Self {
-        self.drift_check_every = check_every;
-        self.drift_bound = bound;
-        self
-    }
-
-    /// Escalation path: a layer whose own buffered outputs deviate beyond
-    /// the drift bound this many times is auto-disabled (falls back to
-    /// full-precision execution, joining
-    /// [`crate::ReuseSession::auto_disabled_layers`]). `0` (the default)
-    /// means re-baseline forever without disabling.
-    pub fn drift_escalate_after(mut self, strikes: u64) -> Self {
-        self.drift_escalate_after = strikes;
-        self
-    }
-
     /// Whether a layer takes part in quantization + reuse (paper Section
     /// III); a disabled layer runs from scratch in full precision.
     pub fn layer_enabled(&self, name: &str) -> bool {
@@ -167,21 +138,6 @@ impl ReuseConfig {
     /// Whether runtime telemetry is recorded.
     pub fn records_telemetry(&self) -> bool {
         self.telemetry
-    }
-
-    /// Watchdog check cadence in reuse frames (`0` = disabled).
-    pub fn drift_check_every(&self) -> u64 {
-        self.drift_check_every
-    }
-
-    /// Max-abs output deviation tolerated before a re-baseline.
-    pub fn drift_bound(&self) -> f32 {
-        self.drift_bound
-    }
-
-    /// Per-layer strike count that escalates to auto-disable (`0` = never).
-    pub fn escalate_after(&self) -> u64 {
-        self.drift_escalate_after
     }
 }
 
@@ -235,16 +191,7 @@ mod tests {
     fn telemetry_and_watchdog_knobs() {
         let c = ReuseConfig::uniform(16);
         assert!(!c.records_telemetry());
-        assert_eq!(c.drift_check_every(), 0);
-        assert_eq!(c.escalate_after(), 0);
-        let c = c
-            .telemetry(true)
-            .drift_watchdog(8, 0.5)
-            .drift_escalate_after(3);
-        assert!(c.records_telemetry());
-        assert_eq!(c.drift_check_every(), 8);
-        assert!((c.drift_bound() - 0.5).abs() < 1e-9);
-        assert_eq!(c.escalate_after(), 3);
+        assert!(c.telemetry(true).records_telemetry());
     }
 
     #[test]

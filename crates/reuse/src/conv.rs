@@ -550,8 +550,8 @@ impl ConvReuseState {
 
     /// Writes the buffered linear (pre-activation) outputs of the last
     /// execution into `out` from `start` on, in the layer-boundary `[out_c,
-    /// (od,) oh, ow]` layout (nothing before initialization). Read by the
-    /// drift watchdog; also every execution's write-out.
+    /// (od,) oh, ow]` layout (nothing before initialization): every
+    /// execution's write-out.
     pub(crate) fn write_linear(&self, out: &mut Vec<f32>, start: usize) {
         let out_c = self.geometry.out_channels();
         let positions = self.prev_linear.len() / out_c;
@@ -560,15 +560,10 @@ impl ConvReuseState {
         transpose_into(&self.prev_linear, positions, out_c, &mut out[start..]);
     }
 
-    /// Replaces the buffered state with externally computed values (codes
-    /// from quantizing `input`, linear outputs from the `[out_c, (od,) oh,
-    /// ow]` `linear`, transposed in); used by the drift watchdog to
-    /// re-baseline onto full-precision values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `linear` does not have the layer's output volume.
-    pub fn adopt_baseline(&mut self, quantizer: &LinearQuantizer, input: &[f32], linear: &[f32]) {
+    /// Sets the buffered state the first execution computed: codes from
+    /// quantizing `input`, linear outputs from the `[out_c, (od,) oh, ow]`
+    /// `linear`, transposed in.
+    fn adopt_baseline(&mut self, quantizer: &LinearQuantizer, input: &[f32], linear: &[f32]) {
         quantizer.quantize_slice_into(input, &mut self.prev_codes);
         let (out_c, positions) = (self.geometry.out_channels(), self.out_dhw.iter().product());
         self.prev_linear.resize(out_c * positions, 0.0);

@@ -33,8 +33,7 @@ impl DriftReport {
 }
 
 /// Maximum absolute element-wise difference between two equal-length
-/// slices — the drift measure shared by [`measure_fc_drift`] and the
-/// engine's runtime watchdog.
+/// slices — the drift measure [`measure_fc_drift`] reports.
 ///
 /// # Panics
 ///

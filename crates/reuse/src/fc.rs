@@ -68,24 +68,6 @@ impl FcReuseState {
         (layer.n_in() + 4 * layer.n_out()) as u64
     }
 
-    /// The buffered linear (pre-activation) outputs of the last execution
-    /// (empty before initialization). Read by the drift watchdog to measure
-    /// per-layer deviation.
-    pub fn buffered_linear(&self) -> &[f32] {
-        &self.prev_linear
-    }
-
-    /// Replaces the buffered state with externally computed values: codes
-    /// from quantizing `input`, linear outputs from `linear`. The drift
-    /// watchdog uses this to re-baseline a drifted layer onto exact
-    /// full-precision values without dropping reuse for subsequent frames.
-    pub fn adopt_baseline(&mut self, quantizer: &LinearQuantizer, input: &[f32], linear: &[f32]) {
-        quantizer.quantize_slice_into(input, &mut self.prev_codes);
-        self.prev_linear.clear();
-        self.prev_linear.extend_from_slice(linear);
-        self.initialized = true;
-    }
-
     /// Executes the layer on `input`, reusing the previous execution's
     /// results where the quantized inputs are unchanged: clears `out` and
     /// writes the `n_out` linear (pre-activation) outputs into it, reusing

@@ -3,8 +3,8 @@
 //! Every reuse-enabled layer family (fully-connected, conv2d/3d, LSTM,
 //! BiLSTM) exposes the same small surface to the execution engine through
 //! [`ReuseLayer`]: step a run of rows — frames, or one sequence's timesteps —
-//! correcting buffered outputs, adopt a fresh baseline after a watchdog
-//! re-baseline, reset between sequences, and report per-stream storage.
+//! correcting buffered outputs, reset between sequences, and report
+//! per-stream storage.
 //! The engine walks a plan of trait objects
 //! built once per session — no per-kind `match` remains on the execute
 //! path. Immutable inputs (the network layer, whose packed weights the
@@ -103,13 +103,6 @@ fn require_qh<'a>(ctx: &StepCtx<'a>) -> Result<&'a LinearQuantizer, ReuseError> 
     })
 }
 
-/// Infallible variant for `adopt_baseline`, whose signature cannot error:
-/// the watchdog only re-baselines quantizing slots.
-fn expect_qx<'a>(ctx: &StepCtx<'a>) -> &'a LinearQuantizer {
-    ctx.quantizer_x
-        .expect("frame-wise reuse layers carry an input quantizer")
-}
-
 /// The rows of a flat `[rows, width]` run, which must be whole.
 fn run_rows(xs: &[f32], width: usize) -> Result<std::slice::ChunksExact<'_, f32>, ReuseError> {
     if !xs.len().is_multiple_of(width) {
@@ -176,24 +169,6 @@ pub trait ReuseLayer: std::fmt::Debug + Send {
         steps: &mut Vec<(ExecStats, u64)>,
     ) -> Result<(), ReuseError>;
 
-    /// Re-baselines the buffered state onto exact full-precision values:
-    /// codes become the quantization of `input`, buffered outputs become
-    /// `linear` (the serial linear forward on `input`). Only the quantizing
-    /// frame-wise states implement it — the drift watchdog re-baselines
-    /// nothing else, and never runs on recurrent networks.
-    fn adopt_baseline(&mut self, _ctx: &StepCtx<'_>, _input: &[f32], _linear: &[f32]) {
-        debug_assert!(false, "only quantizing frame-wise states adopt a baseline");
-    }
-
-    /// Clears `out` and writes the buffered linear outputs into it, in the
-    /// layout [`Self::adopt_baseline`] takes them (nothing for a state
-    /// without one: a recurrent cell's baseline is the gate pre-activation
-    /// buffer the watchdog never inspects). A copy rather than a borrow
-    /// because conv states buffer channels-last and transpose on the way out.
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-    }
-
     /// Drops buffered state; the next execution recomputes from scratch
     /// (the between-sequence power-gate reset).
     fn reset(&mut self, layer: &Layer);
@@ -220,15 +195,6 @@ impl ReuseLayer for FcReuseState {
         step_rows(ctx, xs, fc.n_in(), timed, out, steps, |x, out| {
             self.append_into(fc, q, x, out, false)
         })
-    }
-
-    fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
-        FcReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
-    }
-
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(FcReuseState::buffered_linear(self));
     }
 
     fn reset(&mut self, _layer: &Layer) {
@@ -261,14 +227,6 @@ impl ReuseLayer for ConvReuseState {
                 _ => Err(wrong_layer("conv")),
             }
         })
-    }
-
-    fn adopt_baseline(&mut self, ctx: &StepCtx<'_>, input: &[f32], linear: &[f32]) {
-        ConvReuseState::adopt_baseline(self, expect_qx(ctx), input, linear);
-    }
-
-    fn buffered_linear_into(&self, out: &mut Vec<f32>) {
-        self.write_linear(out, 0);
     }
 
     fn reset(&mut self, _layer: &Layer) {

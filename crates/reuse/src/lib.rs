@@ -20,7 +20,7 @@
 //!
 //! * [`ReuseConfig`] — the paper's fixed per-network scheme (which layers
 //!   participate, one cluster count for all of them), plus the run-wide
-//!   knobs (calibration, watchdog, telemetry).
+//!   knobs (calibration, telemetry, traces).
 //! * [`CompiledModel`] — the immutable, `Sync` compile step: network and
 //!   execution plan, built once and shared behind an `Arc` by any number of
 //!   streams. The packed weights the corrections read are the ones the
@@ -44,7 +44,7 @@
 //! * [`metrics`] — input similarity, computation reuse (lifetime sums over
 //!   the step records) and the Fig. 4 relative-difference metric.
 //! * [`telemetry`] — the per-slot window of recent step records and the
-//!   snapshot that reports it beside the pool and watchdog counters.
+//!   snapshot that reports it beside the pool counters.
 //! * [`trace`] — the step record itself, and the per-execution, per-layer
 //!   activity traces materialised from a log of them for the accelerator
 //!   model in `reuse-accel`.
@@ -96,7 +96,5 @@ pub use layer::{ExecStats, ReuseLayer, StepCtx};
 pub use metrics::{relative_difference, EngineMetrics, LayerMetrics};
 pub use model::CompiledModel;
 pub use session::ReuseSession;
-pub use telemetry::{
-    LayerTelemetrySnapshot, PoolStats, TelemetrySnapshot, WatchdogStats, TELEMETRY_WINDOW,
-};
+pub use telemetry::{LayerTelemetrySnapshot, PoolStats, TelemetrySnapshot, TELEMETRY_WINDOW};
 pub use trace::{ExecutionTrace, LayerTrace, TraceKind};

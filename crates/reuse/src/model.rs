@@ -126,8 +126,7 @@ impl CompiledModel {
 
     /// Creates a fresh per-stream session against this shared model. Each
     /// session owns all mutable state — buffered indices and outputs,
-    /// quantizer calibration, metrics, telemetry, drift-watchdog counters,
-    /// buffer pool — and sessions never observe one another.
+    /// quantizer calibration, metrics, telemetry, buffer pool — and sessions never observe one another.
     pub fn new_session(self: &Arc<Self>) -> ReuseSession {
         ReuseSession::new(Arc::clone(self))
     }

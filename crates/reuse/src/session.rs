@@ -2,9 +2,9 @@
 //!
 //! A [`ReuseSession`] owns everything one input stream mutates — buffered
 //! quantized indices and outputs, quantizer calibration, metrics,
-//! telemetry windows, drift-watchdog counters and the recycling buffer pool
-//! — while reading the immutable network, plan and packed weights from a
-//! shared [`CompiledModel`]. Sessions are created, reset and dropped
+//! telemetry windows and the recycling buffer pool — while reading the
+//! immutable network, plan and packed weights from a shared
+//! [`CompiledModel`]. Sessions are created, reset and dropped
 //! independently: interleaving many sessions over one model is
 //! bit-identical to running each stream alone.
 //!
@@ -19,7 +19,6 @@ use reuse_quant::{LinearQuantizer, RangeProfiler};
 use reuse_tensor::Tensor;
 
 use crate::block::Block;
-use crate::drift::max_abs_diff;
 use crate::layer::{build_state, ExecStats, ReuseLayer, StepCtx};
 use crate::metrics::{relative_difference, EngineMetrics, LayerMetrics};
 use crate::model::CompiledModel;
@@ -31,9 +30,9 @@ use crate::{ReuseConfig, ReuseError};
 
 /// A recycling arena of `f32` buffers for a walk's intermediates.
 ///
-/// Every layer of a walk — stepped, re-baselined or run at full precision —
-/// writes into a buffer taken here and the buffer it read goes back, so the
-/// pool only ever holds buffers it issued: after the first walk it has one
+/// Every layer of a walk — stepped or run at full precision — writes into a
+/// buffer taken here and the buffer it read goes back, so the pool only
+/// ever holds buffers it issued: after the first walk it has one
 /// per distinct intermediate in flight and later walks of the same shape
 /// allocate nothing. Once `steady` is armed, a pool miss (which would
 /// allocate) trips a debug assertion — the zero-allocation contract of
@@ -89,13 +88,12 @@ impl BufferPool {
     }
 }
 
-/// Per-stream runtime state for one reuse slot: calibration, quantizers,
-/// drift counters and the layer's buffered state behind the
-/// [`ReuseLayer`] trait.
+/// Per-stream runtime state for one reuse slot: calibration, quantizers
+/// and the layer's buffered state behind the [`ReuseLayer`] trait.
 #[derive(Debug)]
 struct SlotRuntime {
-    /// Set when the profiled range was degenerate (or drift escalated) and
-    /// reuse was disabled for this stream.
+    /// Set when the profiled range was degenerate and reuse was disabled
+    /// for this stream.
     auto_disabled: bool,
     profiler_x: RangeProfiler,
     profiler_h: RangeProfiler,
@@ -104,11 +102,6 @@ struct SlotRuntime {
     /// Previous raw input (for the Fig. 4 relative-difference series);
     /// empty when there is none.
     prev_raw_input: Vec<f32>,
-    /// Times the drift watchdog re-baselined this layer's buffered outputs.
-    rebaselines: u64,
-    /// Re-baselines where this layer's own buffered outputs had drifted
-    /// beyond the bound (feeds the auto-disable escalation).
-    drift_strikes: u64,
     /// The layer's buffered reuse state, dispatched through the trait.
     state: Box<dyn ReuseLayer>,
 }
@@ -160,8 +153,7 @@ pub struct ReuseSession {
     executions_seen: u64,
     calibration_units_seen: u64,
     /// The block [`Self::execute_into`] (one row) and
-    /// [`Self::execute_sequence_into`] (one sequence) walk, whose pool also
-    /// recycles the watchdog's intermediates (zero-alloc steady state).
+    /// [`Self::execute_sequence_into`] (one sequence) walk.
     /// Boxed: inline, it read `c3d_stream` ~5% slower in twelve of twelve
     /// pairs without changing what a C3D window computes (placement, as in
     /// ROADMAP's findings); boxed, at par.
@@ -169,10 +161,8 @@ pub struct ReuseSession {
     /// Per-slot windows of recent incremental step records, preallocated
     /// when telemetry is enabled in the config.
     telemetry: Option<Vec<Window>>,
-    /// Drift-watchdog counters (maintained even without telemetry).
-    watchdog: WatchdogStats,
-    /// Reuse-phase executions seen (timesteps for recurrent networks):
-    /// drives the watchdog cadence and is what a snapshot reports as frames.
+    /// Reuse-phase executions seen (timesteps for recurrent networks): what
+    /// a snapshot reports as frames.
     reuse_frames: u64,
 }
 
@@ -206,8 +196,6 @@ impl ReuseSession {
                     quantizer_x: None,
                     quantizer_h: None,
                     prev_raw_input: Vec::new(),
-                    rebaselines: 0,
-                    drift_strikes: 0,
                     state: build_state(layer, in_shape).expect("slot layers have reuse states"),
                 }
             })
@@ -230,7 +218,6 @@ impl ReuseSession {
             calibration_units_seen: 0,
             block: Box::default(),
             telemetry,
-            watchdog: WatchdogStats::default(),
             reuse_frames: 0,
         }
     }
@@ -261,8 +248,8 @@ impl ReuseSession {
         self.calibrated
     }
 
-    /// Layers whose profiled range was degenerate (or whose drift
-    /// escalated), forcing full-precision execution for this stream.
+    /// Layers whose profiled range was degenerate, forcing full-precision
+    /// execution for this stream.
     /// Borrowed names — no allocation, safe to call per frame.
     pub fn auto_disabled_layers(&self) -> impl Iterator<Item = &str> + '_ {
         self.model
@@ -279,10 +266,10 @@ impl ReuseSession {
         materialise(std::mem::take(&mut self.log), &self.model)
     }
 
-    /// Drift-watchdog counters (zeroed when the watchdog is not armed).
-    /// Returned by value — `WatchdogStats` is `Copy`, no allocation.
+    /// Zero: there is no drift watchdog (see [`WatchdogStats`]).
+    #[doc(hidden)]
     pub fn watchdog_stats(&self) -> WatchdogStats {
-        self.watchdog
+        WatchdogStats::default()
     }
 
     /// Buffer-pool hit/miss counters.
@@ -311,7 +298,6 @@ impl ReuseSession {
                 corrections_total: m.inputs_total - m.inputs_unchanged,
                 macs_skipped_total: m.macs_total.saturating_sub(m.macs_performed),
                 span_ns_window: window.mean(|r| r.span_ns as f64),
-                rebaselines: rt.rebaselines,
                 auto_disabled: rt.auto_disabled,
             })
             .collect();
@@ -320,9 +306,6 @@ impl ReuseSession {
             frames: self.reuse_frames,
             window: TELEMETRY_WINDOW,
             pool: self.block.pool.stats,
-            watchdog: self.watchdog,
-            drift_check_every: self.model.config().drift_check_every(),
-            drift_bound: self.model.config().drift_bound(),
             layers,
         })
     }
@@ -398,8 +381,8 @@ impl ReuseSession {
     ///
     /// Accumulated statistics are cleared along with the buffers:
     /// [`EngineMetrics`], the per-layer relative-difference series, pending
-    /// traces, telemetry windows and watchdog counters all restart from zero —
-    /// a reset session must not report the previous sequence's numbers. If
+    /// traces and telemetry windows all restart from zero — a reset session
+    /// must not report the previous sequence's numbers. If
     /// calibration had not finished, it is re-armed from the beginning
     /// (profiled ranges are discarded). Built quantizers and auto-disable
     /// decisions are kept.
@@ -410,12 +393,7 @@ impl ReuseSession {
         if let Some(windows) = self.telemetry.as_mut() {
             windows.iter_mut().for_each(Window::clear);
         }
-        self.watchdog = WatchdogStats::default();
         self.reuse_frames = 0;
-        for rt in &mut self.runtimes {
-            rt.rebaselines = 0;
-            rt.drift_strikes = 0;
-        }
         if !self.calibrated {
             // A partial calibration must not mix pre- and post-reset frames:
             // discard the profiled ranges and start over.
@@ -482,9 +460,8 @@ impl ReuseSession {
     /// pipeline. What still allocates, by design: calibration frames (they
     /// prime the pool), the state-initializing first execution, the growth —
     /// amortised — of the trace log and of the relative-difference series
-    /// when those are recorded, a watchdog check frame's reference forward,
-    /// and — inside the kernel, not the session — the two scratch
-    /// allocations of a conv layer that runs at full precision (the segment
+    /// when those are recorded, and — inside the kernel, not the session —
+    /// the two scratch allocations of a conv layer that runs at full precision (the segment
     /// table, with the layer's zero-padded frame behind it when it pads, and
     /// the block of results).
     ///
@@ -533,8 +510,7 @@ impl ReuseSession {
     /// sequence — is a run of its own, and outside calibration it starts
     /// from fresh state. A feed-forward run of frames ends at the last
     /// calibrating one (the next one builds the quantizers from every
-    /// layer's profile), else at the next drift-watchdog check frame (its
-    /// re-baseline rewrites every layer's state).
+    /// layer's profile); outside calibration it takes every queued row.
     pub(crate) fn begin_run(&mut self, rows: usize, unit: usize) -> (bool, usize) {
         let calibrating = self.calibrating();
         if self.model.network().is_recurrent() {
@@ -546,49 +522,23 @@ impl ReuseSession {
             }
             return (calibrating, unit);
         }
-        let config = self.model.config();
-        let len = if calibrating {
-            config.calibration() as u64 - self.calibration_units_seen
-        } else {
-            match config.drift_check_every() {
-                0 => rows as u64,
-                every => every - self.reuse_frames % every,
-            }
-        };
-        (calibrating, len.min(rows as u64) as usize)
+        if !calibrating {
+            return (false, rows);
+        }
+        let left = self.model.config().calibration() as u64 - self.calibration_units_seen;
+        (true, left.min(rows as u64) as usize)
     }
 
-    /// Closes one frame of a run after its last layer, `out` holding its
-    /// output: counts it — and, calibrating, the unit it ends, if it does —
-    /// and runs the drift watchdog when it is due (a re-baseline replaces
-    /// `out` with the exact reference output). The watchdog checks
-    /// feed-forward frames only: a timestep's reference is its whole
-    /// sequence, not the frame.
-    pub(crate) fn finish_frame(
-        &mut self,
-        calibrating: bool,
-        unit_end: bool,
-        frame: &[f32],
-        out: &mut [f32],
-        pool: &mut BufferPool,
-    ) -> Result<(), ReuseError> {
+    /// Closes one frame of a run after its last layer: counts it — and,
+    /// calibrating, the unit it ends, if it does.
+    pub(crate) fn finish_frame(&mut self, calibrating: bool, unit_end: bool) {
         self.executions_seen += 1;
         self.metrics.executions += 1;
         if calibrating {
             self.calibration_units_seen += u64::from(unit_end);
-            return Ok(());
+        } else {
+            self.reuse_frames += 1;
         }
-        self.reuse_frames += 1;
-        let every = self.model.config().drift_check_every();
-        if every > 0
-            && !self.model.network().is_recurrent()
-            && self.reuse_frames.is_multiple_of(every)
-        {
-            // Outside the zero-alloc contract: the reference forward is a
-            // cold path by design.
-            self.watchdog_check(frame, out, pool)?;
-        }
-        Ok(())
     }
 
     /// Executes a whole temporal sequence. For feed-forward networks the
@@ -802,109 +752,6 @@ impl ReuseSession {
             self.note_relative_difference(slot_pos, x);
         }
         result
-    }
-
-    /// Recomputes a frame-wise slot exactly on its raw input: the linear
-    /// forward into `next` — the same code path [`Self::reference_forward`]
-    /// takes — adopted as the slot's baseline (codes become the
-    /// quantization of `raw`), then the activation in place: the watchdog's
-    /// re-baseline of one slot, costing what the forward costs — nothing is
-    /// allocated here.
-    fn refresh_slot(
-        &mut self,
-        model: &CompiledModel,
-        slot_pos: usize,
-        raw: &[f32],
-        next: &mut Vec<f32>,
-    ) -> Result<(), ReuseError> {
-        let layer_index = model.slots()[slot_pos].layer_index;
-        let in_shape = &model.network().layer_input_shapes()[layer_index];
-        let (ctx, state) = self.runtimes[slot_pos].split(model, slot_pos);
-        ctx.layer.forward_linear_into(in_shape, raw, 1, next)?;
-        state.adopt_baseline(&ctx, raw, next);
-        ctx.layer
-            .activation()
-            .expect("refreshed slots are weighted frame-wise layers")
-            .apply_in_place(next);
-        Ok(())
-    }
-
-    /// One drift-watchdog check: compares this frame's incremental output
-    /// against the full-precision reference and re-baselines every reuse
-    /// layer when the deviation exceeds the configured bound. `out` is
-    /// replaced with the exact reference output after a re-baseline, which
-    /// walks through `pool`.
-    fn watchdog_check(
-        &mut self,
-        frame: &[f32],
-        out: &mut [f32],
-        pool: &mut BufferPool,
-    ) -> Result<(), ReuseError> {
-        let reference = self.reference_forward(frame)?;
-        let drift = max_abs_diff(out, reference.as_slice());
-        self.watchdog.checks += 1;
-        self.watchdog.last_drift = drift;
-        self.watchdog.max_drift = self.watchdog.max_drift.max(drift);
-        if drift > self.model.config().drift_bound() {
-            self.rebaseline_frame(frame, out, pool)?;
-            self.watchdog.rebaselines += 1;
-        }
-        Ok(())
-    }
-
-    /// Re-baselines every enabled reuse layer onto full-precision values for
-    /// `frame` — the frame walk with [`Self::refresh_slot`] at every slot
-    /// that buffers a baseline — so this frame's output, written to `out`,
-    /// is bit-identical to [`Self::reference_forward`] and subsequent frames
-    /// correct from an exact baseline. Layers whose own buffered outputs had
-    /// drifted beyond the bound collect a strike; a layer reaching
-    /// [`crate::ReuseConfig::drift_escalate_after`] strikes is auto-disabled
-    /// (escalation into [`Self::auto_disabled_layers`]) and runs at full
-    /// precision from the next frame on.
-    fn rebaseline_frame(
-        &mut self,
-        frame: &[f32],
-        out: &mut [f32],
-        pool: &mut BufferPool,
-    ) -> Result<(), ReuseError> {
-        let model = Arc::clone(&self.model);
-        let bound = model.config().drift_bound();
-        let escalate_after = model.config().escalate_after();
-        let (mut drifted, mut exact) = (Vec::new(), Vec::new());
-        let mut cur = pool.take(frame.len());
-        cur.extend_from_slice(frame);
-        for (i, &slot_pos) in model.slot_of_layer().iter().enumerate() {
-            let mut next = pool.take(model.layer_out_volumes()[i]);
-            if slot_pos == usize::MAX || !self.slot_enabled(slot_pos) {
-                model.network().apply_layer_into(i, &cur, &mut next)?;
-            } else {
-                // Separating genuine accumulated drift from plain
-                // quantization error would need a second, quantized
-                // recomputation per layer; the strike heuristic instead
-                // compares the buffered values against the raw
-                // recomputation (read back from the refreshed state) using
-                // the engine-level bound — conservative, but consistent
-                // with what the watchdog just observed at the network
-                // output.
-                self.runtimes[slot_pos]
-                    .state
-                    .buffered_linear_into(&mut drifted);
-                self.refresh_slot(&model, slot_pos, &cur, &mut next)?;
-                let rt = &mut self.runtimes[slot_pos];
-                rt.state.buffered_linear_into(&mut exact);
-                rt.rebaselines += 1;
-                if drifted.len() == exact.len() && max_abs_diff(&drifted, &exact) > bound {
-                    rt.drift_strikes += 1;
-                    if escalate_after > 0 && rt.drift_strikes >= escalate_after {
-                        rt.auto_disabled = true;
-                    }
-                }
-            }
-            pool.give(std::mem::replace(&mut cur, next));
-        }
-        out.copy_from_slice(&cur);
-        pool.give(cur);
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Runtime observability for the reuse engine: the per-slot window of recent
-//! step records, buffer-pool and drift-watchdog statistics, and their JSON
-//! export ([`TelemetrySnapshot`]).
+//! step records, buffer-pool statistics, and their JSON export
+//! ([`TelemetrySnapshot`]).
 //!
 //! The paper's value proposition is statistical — hit rates and correction
 //! counts vary per layer and over time (Figs. 4/5) — so a long-running
@@ -14,7 +14,7 @@
 //! cold reporting paths only.
 
 // The module reports floating-point statistics; exact comparisons are
-// always a bug here (the watchdog compares against bounds, never equality).
+// always a bug here.
 #![deny(clippy::float_cmp)]
 
 use std::fmt::Write as _;
@@ -81,18 +81,14 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-/// Drift-watchdog activity (see `DESIGN.md`): reference comparisons run,
-/// re-baselines triggered, and the drift observed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Always zero: the sessions have no drift watchdog (DESIGN §15). Kept,
+/// with [`crate::ReuseSession::watchdog_stats`], for the benchmark's
+/// `reuse.rebaselines` row until that row goes.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WatchdogStats {
-    /// Reference-forward comparisons performed.
-    pub checks: u64,
-    /// Checks whose drift exceeded the bound, triggering a re-baseline.
+    /// Re-baselines run: none.
     pub rebaselines: u64,
-    /// Max-abs output deviation at the most recent check.
-    pub last_drift: f32,
-    /// Largest deviation seen across all checks.
-    pub max_drift: f32,
 }
 
 /// Owned, serializable snapshot of one engine's telemetry — what
@@ -107,12 +103,6 @@ pub struct TelemetrySnapshot {
     pub window: usize,
     /// Buffer-pool hits/misses.
     pub pool: PoolStats,
-    /// Watchdog counters.
-    pub watchdog: WatchdogStats,
-    /// Configured check cadence (0 = watchdog disabled).
-    pub drift_check_every: u64,
-    /// Configured drift bound.
-    pub drift_bound: f32,
     /// Per-layer records, in network order.
     pub layers: Vec<LayerTelemetrySnapshot>,
 }
@@ -134,9 +124,8 @@ pub struct LayerTelemetrySnapshot {
     pub macs_skipped_total: u64,
     /// Mean skip/correct span (ns) over the most recent window.
     pub span_ns_window: f64,
-    /// Times the watchdog re-baselined this layer's buffered outputs.
-    pub rebaselines: u64,
-    /// Whether the layer has been escalated to full-precision execution.
+    /// Whether the layer's profiled range was degenerate, so it runs at
+    /// full precision.
     pub auto_disabled: bool,
 }
 
@@ -154,17 +143,6 @@ impl TelemetrySnapshot {
             "  \"pool\": {{\"hits\": {}, \"misses\": {}}},",
             self.pool.hits, self.pool.misses
         );
-        let _ = writeln!(
-            s,
-            "  \"watchdog\": {{\"check_every\": {}, \"bound\": {}, \"checks\": {}, \
-             \"rebaselines\": {}, \"last_drift\": {}, \"max_drift\": {}}},",
-            self.drift_check_every,
-            json_num(f64::from(self.drift_bound)),
-            self.watchdog.checks,
-            self.watchdog.rebaselines,
-            json_num(f64::from(self.watchdog.last_drift)),
-            json_num(f64::from(self.watchdog.max_drift)),
-        );
         s.push_str("  \"layers\": [\n");
         for (i, l) in self.layers.iter().enumerate() {
             let _ = writeln!(
@@ -172,7 +150,7 @@ impl TelemetrySnapshot {
                 "    {{\"name\": {}, \"reuse_executions\": {}, \"hit_rate\": {}, \
                  \"hit_rate_window\": {}, \"corrections_total\": {}, \
                  \"macs_skipped_total\": {}, \"span_ns_window\": {}, \
-                 \"rebaselines\": {}, \"auto_disabled\": {}}}{}",
+                 \"auto_disabled\": {}}}{}",
                 json_str(&l.name),
                 l.reuse_executions,
                 json_num(l.hit_rate),
@@ -180,7 +158,6 @@ impl TelemetrySnapshot {
                 l.corrections_total,
                 l.macs_skipped_total,
                 json_num(l.span_ns_window),
-                l.rebaselines,
                 l.auto_disabled,
                 if i + 1 < self.layers.len() { "," } else { "" }
             );
@@ -248,14 +225,6 @@ mod tests {
                 hits: 30,
                 misses: 4,
             },
-            watchdog: WatchdogStats {
-                checks: 3,
-                rebaselines: 1,
-                last_drift: 0.5,
-                max_drift: f32::INFINITY,
-            },
-            drift_check_every: 4,
-            drift_bound: 1e-3,
             layers: vec![LayerTelemetrySnapshot {
                 name: hostile.to_string(),
                 reuse_executions: 10,
@@ -263,8 +232,7 @@ mod tests {
                 hit_rate_window: f64::NAN,
                 corrections_total: 42,
                 macs_skipped_total: 10_000,
-                span_ns_window: 1234.5,
-                rebaselines: 1,
+                span_ns_window: f64::INFINITY,
                 auto_disabled: false,
             }],
         };
@@ -275,15 +243,18 @@ mod tests {
         assert_eq!(row.get("name").unwrap().as_str(), Some(hostile));
         assert!(json.contains("\"hit_rate\": 0.875000"));
         assert!(json.contains("\"misses\": 4"));
-        // The retired cache and policy objects are gone from the schema.
+        // The retired cache, policy and watchdog entries are gone from the
+        // schema.
         assert!(!root.has_path("signature_cache"));
         assert!(!root.has_path("policy"));
         assert!(!root.has_path("policy_layers"));
         assert!(!root.has_path("layers.signature_lookups"));
         assert!(!root.has_path("layers.signature_hits"));
         assert!(!root.has_path("layers.signature_bailouts"));
+        assert!(!root.has_path("watchdog"));
+        assert!(!root.has_path("layers.rebaselines"));
         // Non-finite floats degrade to null, keeping the JSON parseable.
-        assert!(json.contains("\"max_drift\": null"));
+        assert!(json.contains("\"span_ns_window\": null"));
         assert!(json.contains("\"hit_rate_window\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -116,8 +116,6 @@ fn drift(frame: &mut [f32], rng: &mut Rng64) {
 fn steady_state_with_telemetry_is_allocation_free() {
     // Telemetry windows are preallocated when the session opens; recording
     // into them (and the span timing around each layer) must not allocate.
-    // The drift watchdog is left unarmed: its check frames recompute the
-    // reference output and are documented as off the zero-alloc contract.
     let net = three_slot_mlp("steady-tel");
     let config = ReuseConfig::uniform(16).telemetry(true);
     let mut engine = ReuseSession::from_network(&net, &config);
@@ -286,7 +284,6 @@ fn session_steady_state_execute_into_is_allocation_free() {
         // allocation-free (borrowed names / `Copy` stats, regression guard
         // against the old per-call `Vec<String>`).
         assert_eq!(a.auto_disabled_layers().count(), 0);
-        let _stats = a.watchdog_stats();
         let _pool = b.pool_stats();
     }
     let allocations = thread_allocations() - before;

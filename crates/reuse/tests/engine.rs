@@ -687,3 +687,111 @@ fn engine_metrics_weighted_by_layer_size() {
         (overall - fc2.input_similarity()).abs() <= (overall - fc1.input_similarity()).abs() + 0.05
     );
 }
+
+/// An auto-disabled conv layer runs at full precision through the same pool
+/// as every other layer, so the frames after it never miss the pool (in a
+/// debug build the pool's steady-miss assertion stays armed through all of
+/// them). A constant calibration frame gives conv1 a degenerate range.
+#[test]
+fn an_auto_disabled_conv_layer_keeps_the_pool_steady() {
+    let net = NetworkBuilder::with_input_shape("auto-disabled-cnn", Shape::d3(2, 8, 8))
+        .conv2d(4, 3, 1, 1, Activation::Relu)
+        .pool2d(2)
+        .flatten()
+        .fully_connected(6, Activation::Identity)
+        .build()
+        .unwrap();
+    let mut session = ReuseSession::from_network(&net, &ReuseConfig::uniform(16));
+    let mut out = Vec::new();
+    session.execute_into(&[0.5; 128], &mut out).unwrap();
+    let frames = walk(40, 128, 0.15, 5);
+    let (warm, after) = frames.split_at(10);
+    for frame in warm {
+        session.execute_into(frame, &mut out).unwrap();
+    }
+    assert!(
+        session.auto_disabled_layers().any(|l| l == "conv1"),
+        "a constant calibration frame must auto-disable conv1"
+    );
+    let misses = session.pool_stats().misses;
+    for frame in after {
+        session.execute_into(frame, &mut out).unwrap();
+    }
+    assert_eq!(session.pool_stats().misses, misses);
+}
+
+/// Telemetry must agree exactly with the offline metrics: lifetime hit rate
+/// per layer == `LayerMetrics::input_similarity` on the same run.
+#[test]
+fn telemetry_hit_rates_match_offline_metrics_exactly() {
+    let net = mlp();
+    let config = ReuseConfig::uniform(16).telemetry(true);
+    let mut engine = ReuseSession::from_network(&net, &config);
+    for frame in &walk(20, 12, 0.15, 5) {
+        engine.execute(frame).unwrap();
+    }
+    let snap = engine.telemetry_snapshot().unwrap();
+    assert_eq!(snap.layers.len(), engine.metrics().layers.len());
+    for layer in &snap.layers {
+        let m = engine.metrics().layer(&layer.name).unwrap();
+        assert!(
+            (layer.hit_rate - m.input_similarity()).abs() < f64::EPSILON,
+            "{}: telemetry {} vs metrics {}",
+            layer.name,
+            layer.hit_rate,
+            m.input_similarity()
+        );
+        assert_eq!(layer.reuse_executions, m.reuse_executions);
+        assert_eq!(
+            layer.macs_skipped_total,
+            m.macs_total - m.macs_performed,
+            "{}",
+            layer.name
+        );
+    }
+    // The JSON export round-trips the same hit rates.
+    let json = snap.to_json();
+    assert!(json.contains("\"network\": \"mlp\""));
+    for layer in &snap.layers {
+        assert!(json.contains(&format!("\"name\": \"{}\"", layer.name)));
+    }
+    // Pool provenance: steady-state frames hit the recycled buffers.
+    assert!(snap.pool.hits > snap.pool.misses);
+}
+
+/// `reset_state` clears accumulated statistics (metrics, relative
+/// differences, telemetry) but keeps quantizers, so the next execution is
+/// quantized-from-scratch with fresh numbers.
+#[test]
+fn reset_state_clears_statistics_but_keeps_quantizers() {
+    let net = mlp();
+    let config = ReuseConfig::uniform(16)
+        .telemetry(true)
+        .record_relative_difference(true);
+    let mut engine = ReuseSession::from_network(&net, &config);
+    for frame in &walk(8, 12, 0.15, 13) {
+        engine.execute(frame).unwrap();
+    }
+    assert!(engine.metrics().executions > 0);
+    assert!(engine
+        .layer_relative_differences("fc1")
+        .is_some_and(|r| !r.is_empty()));
+
+    engine.reset_state();
+
+    assert!(engine.is_calibrated(), "quantizers survive reset_state");
+    assert!(engine.quantizer_for("fc1").is_some());
+    assert_eq!(engine.metrics().executions, 0);
+    for m in &engine.metrics().layers {
+        assert_eq!(m.reuse_executions, 0);
+        assert_eq!(m.inputs_total, 0);
+        assert!(m.relative_differences.is_empty());
+    }
+    let snap = engine.telemetry_snapshot().unwrap();
+    assert_eq!(snap.frames, 0);
+    for l in &snap.layers {
+        assert_eq!(l.reuse_executions, 0);
+        assert_eq!(l.hit_rate_window, 0.0, "{}: window emptied", l.name);
+        assert_eq!(l.span_ns_window, 0.0, "{}: window emptied", l.name);
+    }
+}

@@ -23,9 +23,9 @@
 //!   most [`ServerConfig::queue_capacity`] frames; submits report
 //!   [`SubmitResult::QueueFull`] / [`SubmitResult::Shed`] instead of
 //!   blocking or growing without bound. Shedding kicks in when a stream's
-//!   drift watchdog has auto-disabled reuse (the stream runs at
-//!   full-precision cost) and its queue holds 16 frames (or is full, if
-//!   [`ServerConfig::queue_capacity`] is smaller).
+//!   session has auto-disabled reuse on a degenerate calibration range (the
+//!   stream runs at full-precision cost) and its queue holds 16 frames (or
+//!   is full, if [`ServerConfig::queue_capacity`] is smaller).
 //! * **Serial dispatch per shard** — a shard's tick runs its streams'
 //!   ready batches as one block on one thread, in pool order; sessions
 //!   share no mutable state, so per-stream results are bit-identical to

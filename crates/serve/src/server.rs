@@ -27,10 +27,11 @@ pub enum SubmitResult {
     Accepted,
     /// The stream's bounded ingress queue is full; retry after a tick.
     QueueFull,
-    /// The frame was load-shed: the stream is degraded (its session's drift
-    /// watchdog auto-disabled reuse layers, so it runs at full-precision
-    /// cost) and its queue is past the shed watermark. Dropping fresh
-    /// frames keeps a degraded stream from starving healthy ones.
+    /// The frame was load-shed: the stream is degraded (its session
+    /// auto-disabled reuse layers whose calibration range was degenerate, so
+    /// it runs at full-precision cost) and its queue is past the shed
+    /// watermark. Dropping fresh frames keeps a degraded stream from
+    /// starving healthy ones.
     Shed,
     /// The frame was load-shed because it is projected to miss its
     /// deadline: queued work × the observed per-frame service time
@@ -217,8 +218,8 @@ struct StreamEntry {
     expired_tags: VecDeque<u64>,
     /// Logical-clock value of the stream's last submit (LRU key).
     last_used: u64,
-    /// Whether the session's drift watchdog has auto-disabled any reuse
-    /// layer (recomputed after each tick; drives the shed policy).
+    /// Whether the session has auto-disabled any reuse layer (recomputed
+    /// after each tick; drives the shed policy).
     degraded: bool,
     /// Lifetime counters, folded into the shard's `retired` total when the
     /// stream leaves the pool.

@@ -257,7 +257,7 @@ impl ShardedServer {
     }
 
     /// Runs `f` on a stream's session under its shard's lock — metrics,
-    /// watchdog counters, auto-disabled layers. `None` when the stream
+    /// telemetry, auto-disabled layers. `None` when the stream
     /// holds no session.
     pub fn with_session<R>(&self, id: u64, f: impl FnOnce(&ReuseSession) -> R) -> Option<R> {
         self.shard_of(id).lock().session(id).map(f)

@@ -78,7 +78,7 @@ pub struct StreamSnapshot {
     /// This stream's queued frames dropped with an already-passed
     /// deadline.
     pub expired: u64,
-    /// Whether the stream's drift watchdog has auto-disabled reuse layers.
+    /// Whether the stream's session has auto-disabled reuse layers.
     pub degraded: bool,
     /// Whether the stream has a sticky execution error (skipped by ticks).
     pub failed: bool,

@@ -115,13 +115,15 @@ fn run_server(
 }
 
 /// Runs the same frames through standalone sessions and checks the server's
-/// outputs and per-stream metrics against them bit for bit.
+/// outputs and per-stream metrics against them bit for bit. Returns the
+/// streams whose session auto-disabled a layer.
 fn check_against_standalone(
     model: &Arc<CompiledModel>,
     server: &ShardedServer,
     streams: &[(u64, Vec<Vec<f32>>)],
     collected: &[Vec<Vec<f32>>],
-) {
+) -> Vec<u64> {
+    let mut degraded = Vec::new();
     for ((id, stream), outs) in streams.iter().zip(collected.iter()) {
         assert_eq!(outs.len(), stream.len(), "stream {id}: all frames served");
         let mut alone = model.new_session();
@@ -130,26 +132,29 @@ fn check_against_standalone(
             alone.execute_into(frame, &mut reference).unwrap();
             assert_bits_eq(out, &reference);
         }
-        let (metrics, watchdog) = server
-            .with_session(*id, |s| (s.metrics().clone(), s.watchdog_stats()))
+        let metrics = server
+            .with_session(*id, |s| s.metrics().clone())
             .expect("stream still resident");
         assert_eq!(
             &metrics,
             alone.metrics(),
             "stream {id}: EngineMetrics must match a standalone run"
         );
-        assert_eq!(watchdog, alone.watchdog_stats());
+        if alone.auto_disabled_layers().next().is_some() {
+            degraded.push(*id);
+        }
     }
+    degraded
 }
 
-/// The three models the block proptest serves, with the frame length each
+/// The four models the block proptest serves, with the frame length each
 /// takes: a Kaldi-shaped MLP (two reuse-disabled FCs, then group-max and
 /// FCs that reuse), its all-disabled twin (every row of every layer in one
-/// rows-forward), and a conv net whose reuse-disabled first conv layer runs
-/// its rows through one call while the second conv layer steps them. Each
-/// calibrates on two frames and checks drift every third reuse frame against
-/// a bound tight enough to re-baseline and escalate.
-fn block_models() -> [(Arc<CompiledModel>, usize); 3] {
+/// rows-forward), a conv net whose reuse-disabled first conv layer runs its
+/// rows through one call while the second conv layer steps them, and an MLP
+/// whose first layer reuses, so a stream that calibrates on one constant
+/// frame auto-disables it. Each calibrates on two frames.
+fn block_models() -> [(Arc<CompiledModel>, usize); 4] {
     let kaldi = NetworkBuilder::new("serve-kaldi", 12)
         .seed(9)
         .fully_connected(12, Activation::Relu)
@@ -169,21 +174,19 @@ fn block_models() -> [(Arc<CompiledModel>, usize); 3] {
         .fully_connected(5, Activation::Identity)
         .build()
         .unwrap();
-    let config = ReuseConfig::uniform(16)
-        .calibration_executions(2)
-        .drift_watchdog(3, 0.02)
-        .drift_escalate_after(3);
+    let config = ReuseConfig::uniform(16).calibration_executions(2);
     let kaldi_config = config.clone().disable_layer("fc1").disable_layer("fc2");
     let twin = kaldi_config
         .clone()
         .disable_layer("fc3")
         .disable_layer("fc4");
-    let conv_config = config.disable_layer("conv1");
+    let conv_config = config.clone().disable_layer("conv1");
     let model = |net, config| Arc::new(CompiledModel::new(net, config));
     [
         (model(&kaldi, &kaldi_config), 12),
         (model(&kaldi, &twin), 12),
         (model(&conv, &conv_config), 72),
+        (model(&mlp(), &config), 12),
     ]
 }
 
@@ -202,7 +205,8 @@ fn server_outputs_match_standalone_sessions() {
     )
     .unwrap();
     let collected = run_server(&server, &streams, 3);
-    check_against_standalone(&model, &server, &streams, &collected);
+    let degraded = check_against_standalone(&model, &server, &streams, &collected);
+    assert!(degraded.is_empty());
     assert_eq!(server.frames_completed(), 120);
     assert_eq!(server.merged_latency().count(), 120);
     let snap = server.snapshot();
@@ -285,31 +289,26 @@ fn lru_eviction_caps_the_pool_and_recreated_streams_start_fresh() {
 
 #[test]
 fn degraded_stream_sheds_past_the_watermark() {
-    // A coarse quantizer with a tight watchdog bound and fast escalation
-    // auto-disables reuse layers; the server then sheds that stream's
+    // Calibrating on one constant frame leaves fc1 a degenerate range, so
+    // the session auto-disables it; the server then sheds that stream's
     // submits once its queue reaches the watermark of 16 frames (the
     // default queue holds 32).
     let net = mlp();
-    let config = ReuseConfig::uniform(2)
-        .drift_watchdog(1, 1e-6)
-        .drift_escalate_after(2);
-    let model = Arc::new(CompiledModel::new(&net, &config));
+    let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
     let server = single_shard(model, ServerConfig::default()).unwrap();
 
-    for frame in &walk(30, 12, 0.15, 3) {
+    let calibration = vec![0.25; 12];
+    for frame in std::iter::once(&calibration).chain(&walk(6, 12, 0.15, 3)) {
         server.submit(9, frame).unwrap();
         server.tick_all().unwrap();
         server.drain_outputs(9, |_| {});
     }
-    let (escalated, watchdog) = server
+    let disabled = server
         .with_session(9, |s| {
-            (
-                s.auto_disabled_layers().next().is_some(),
-                s.watchdog_stats(),
-            )
+            s.auto_disabled_layers().collect::<Vec<_>>().join(",")
         })
         .unwrap();
-    assert!(escalated, "watchdog must have escalated: {watchdog:?}");
+    assert_eq!(disabled, "fc1");
 
     // Queue below the watermark: still accepted.
     let frame = vec![0.5; 12];
@@ -750,12 +749,11 @@ proptest! {
     }
 
     /// Property: however a tick's block is cut — the calibration →
-    /// reuse transition landing mid-tick, a drift check (with its
-    /// re-baseline) every third reuse frame, layers escalating to full
-    /// precision — and however many rows each of five streams puts into it,
-    /// every stream's outputs, `EngineMetrics` and watchdog counters are
-    /// bit-identical to a standalone session's, on all three
-    /// [`block_models`].
+    /// reuse transition landing mid-tick, one stream's auto-disabled layer
+    /// running at full precision beside the others' stepping rows — and
+    /// however many rows each of five streams puts into it, every stream's
+    /// outputs and `EngineMetrics` are bit-identical to a standalone
+    /// session's, on all four [`block_models`].
     #[test]
     fn block_ticks_match_standalone_sessions(
         seed in 0u64..1000,
@@ -764,9 +762,18 @@ proptest! {
         queue_capacity in 2usize..8,
     ) {
         for (model, dim) in block_models() {
-            let streams: Vec<(u64, Vec<Vec<f32>>)> = (0..5u64)
+            let mut streams: Vec<(u64, Vec<Vec<f32>>)> = (0..5u64)
                 .map(|s| (s * 7 + 1, walk(14, dim, 0.03 + 0.04 * s as f32, seed * 5 + s)))
                 .collect();
+            // The first stream calibrates on one constant frame, which
+            // auto-disables the first layer where that layer reuses.
+            streams[0].1[..model.config().calibration()].fill(vec![0.25; dim]);
+            let first = &model.network().layers()[0].0;
+            let want = if model.config().layer_enabled(first) {
+                vec![streams[0].0]
+            } else {
+                Vec::new()
+            };
             let server = single_shard(
                 Arc::clone(&model),
                 ServerConfig::default()
@@ -775,7 +782,8 @@ proptest! {
             )
             .unwrap();
             let collected = run_server(&server, &streams, chunk);
-            check_against_standalone(&model, &server, &streams, &collected);
+            let degraded = check_against_standalone(&model, &server, &streams, &collected);
+            prop_assert_eq!(degraded, want);
         }
     }
 

@@ -95,11 +95,6 @@ impl Tensor {
         &self.data
     }
 
-    /// A mutable flat, row-major view of the data.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Consumes the tensor and returns the underlying storage.
     pub fn into_vec(self) -> Vec<f32> {
         self.data

@@ -1,18 +1,17 @@
 //! The path that hands a conv state `[out_c, (od,) oh, ow]` linear outputs —
-//! the drift watchdog's re-baseline through `ReuseSession::refresh_slot` —
-//! on AutoPilot-tiny and C3D-tiny, followed by one corrected frame.
+//! the first execution of the reuse phase, which buffers the linear forward
+//! on the frame's quantized centroids — on AutoPilot-tiny and C3D-tiny,
+//! followed by one corrected frame.
 //!
 //! Conv states buffer their pre-activations channels-last and transpose at
 //! every boundary, and a stream-level self-check cannot see a wrong
 //! transposition (incremental and from-scratch runs would share it). So the
 //! corrected frame is compared with an oracle that never leaves the
-//! layer-boundary layout: per layer, the adopted full-precision baseline
-//! plus, per output, one fused `Δ·w` step for every changed input under its
+//! layer-boundary layout: per layer, the first execution's baseline plus,
+//! per output, one fused `Δ·w` step for every changed input under its
 //! receptive field in ascending input order — the additions the engine
 //! performs, written as a gather over raw `[out_c, in_c, …]` weights.
 //! Bit-identical at every SIMD level.
-
-use std::sync::Arc;
 
 use reuse_dnn::nn::{Layer, Network};
 use reuse_dnn::prelude::*;
@@ -85,31 +84,33 @@ fn corrected_conv(
     out
 }
 
-/// What a session whose every reuse layer holds the exact baseline of
-/// `event` (codes of its full-precision layer input, full-precision linear
-/// outputs) must produce for `next`.
-fn oracle_after_exact_baseline(
+/// What a session must produce for `event`, its first reuse-phase frame,
+/// and then for `next`. On `event` every reuse layer runs from scratch: its
+/// baseline is the layer-boundary linear forward on the quantized centroids
+/// of its input. On `next` that baseline is corrected for every input whose
+/// centroid moved.
+fn oracle_from_first_execution(
     net: &Network,
     session: &ReuseSession,
     event: &[f32],
     next: &[f32],
-) -> Vec<f32> {
+) -> (Vec<f32>, Vec<f32>) {
     let (mut raw, mut cur) = (event.to_vec(), next.to_vec());
-    let (mut raw_out, mut base) = (Vec::new(), Vec::new());
+    let mut base = Vec::new();
     for (i, (name, layer)) in net.layers().iter().enumerate() {
         let shape = &net.layer_input_shapes()[i];
-        net.apply_layer_into(i, &raw, &mut raw_out).unwrap();
         let Some(q) = session.quantizer_for(name) else {
             // Pooling, reshapes and reuse-disabled layers run as the network.
+            net.apply_layer_into(i, &raw, &mut base).unwrap();
+            std::mem::swap(&mut raw, &mut base);
             net.apply_layer_into(i, &cur, &mut base).unwrap();
             std::mem::swap(&mut cur, &mut base);
-            std::mem::swap(&mut raw, &mut raw_out);
             continue;
         };
-        layer
-            .forward_linear_into(shape, &raw, 1, &mut base)
-            .unwrap();
         let (old, new) = (q.quantized_values(&raw), q.quantized_values(&cur));
+        layer
+            .forward_linear_into(shape, &old, 1, &mut base)
+            .unwrap();
         let mut lin = match layer {
             Layer::Conv2d(c) => {
                 let w = c.weights().as_slice();
@@ -131,11 +132,13 @@ fn oracle_after_exact_baseline(
             }
             _ => unreachable!("only conv and fc layers carry a quantizer here"),
         };
-        layer.activation().unwrap().apply_in_place(&mut lin);
+        let act = layer.activation().unwrap();
+        act.apply_in_place(&mut base);
+        act.apply_in_place(&mut lin);
+        std::mem::swap(&mut raw, &mut base);
         cur = lin;
-        std::mem::swap(&mut raw, &mut raw_out);
     }
-    cur
+    (raw, cur)
 }
 
 fn assert_matches_oracle(got: &[f32], want: &[f32], what: &str) {
@@ -144,29 +147,27 @@ fn assert_matches_oracle(got: &[f32], want: &[f32], what: &str) {
 }
 
 #[test]
-fn watchdog_rebaseline_then_corrected_frame_matches_the_oracle() {
+fn first_execution_then_corrected_frame_matches_the_oracle() {
     for kind in KINDS {
         let w = Workload::build(kind, Scale::Tiny);
-        // Checked every third reuse frame against a bound nothing meets.
-        let config = w.reuse_config().clone().drift_watchdog(3, 1e-12);
-        let mut session = Arc::new(CompiledModel::new(w.network(), &config)).new_session();
-        let frames = w.generate_frames(4, 11);
-        for frame in &frames {
+        let mut session = ReuseSession::from_network(w.network(), w.reuse_config());
+        // The calibration frames, then the event frame: the first execution
+        // of the reuse phase.
+        let frames = w.generate_frames(w.reuse_config().calibration() + 1, 11);
+        let (event, calibration) = frames.split_last().unwrap();
+        for frame in calibration {
             session.execute(frame).unwrap();
         }
-        assert_eq!(session.watchdog_stats().rebaselines, 1, "{kind:?}");
-        let (event, next) = (&frames[3], nudged(&frames[3]));
+        let event_out = session.execute(event).unwrap();
+        assert!(session.is_calibrated(), "{kind:?}");
+        let next = nudged(event);
         let got = session.execute(&next).unwrap();
-        assert_eq!(
-            session.watchdog_stats().checks,
-            1,
-            "{kind:?}: unchecked frame"
-        );
-        let want = oracle_after_exact_baseline(w.network(), &session, event, &next);
+        let (want_event, want) = oracle_from_first_execution(w.network(), &session, event, &next);
         assert_matches_oracle(
-            got.as_slice(),
-            &want,
-            &format!("{kind:?} after re-baseline"),
+            event_out.as_slice(),
+            &want_event,
+            &format!("{kind:?} first execution"),
         );
+        assert_matches_oracle(got.as_slice(), &want, &format!("{kind:?} corrected frame"));
     }
 }
