@@ -23,10 +23,15 @@
 //! ratio to a host-aware floor, `0.9 × (hardware_threads − 1)` within
 //! `[1.0, 2.5]`: the closed-loop driver occupies one hardware thread
 //! itself, so a host of up to two threads only has to not lose throughput,
-//! a many-core host must scale. It then runs one open-loop point at half
-//! that capacity — frames submitted at a fixed arrival rate without waiting
-//! for completions, because a closed-loop driver hides queueing delay —
-//! against the [`MAX_P99_NS`] ceiling.
+//! a many-core host must scale. Three 64-stream rows on one shard with its
+//! worker must average at least [`MIN_FRAMES_PER_TICK`] frames per tick
+//! over their timed windows, in the median row: a worker that walks its
+//! block off the shard lock takes everything submitted during the walk
+//! into its next tick, one that held the lock across the walk kept the
+//! driver out and ticked a few frames at a time. It then runs one
+//! open-loop point at half that capacity — frames submitted at a fixed
+//! arrival rate without waiting for completions, because a closed-loop
+//! driver hides queueing delay — against the [`MAX_P99_NS`] ceiling.
 //!
 //! Usage: `cargo run --release -p reuse-bench --bin serve_bench --
 //! --perf-smoke | --open-loop --perf-smoke`; anything else prints this and
@@ -42,7 +47,7 @@ use reuse_bench::streams::{drive, OffsetStreams};
 use reuse_core::CompiledModel;
 use reuse_serve::{
     default_shards, hardware_threads, LatencyHistogram, ServeError, ServerConfig, ShardWorkers,
-    ShardedServer, SubmitOptions,
+    ShardedServer, ShardedSnapshot, SubmitOptions,
 };
 use reuse_workloads::{Scale, Workload, WorkloadKind};
 
@@ -63,6 +68,13 @@ const MIN_FPS: f64 = 1.0;
 /// `--open-loop --perf-smoke` ceiling on the p99 latency at half capacity
 /// (50 ms).
 const MAX_P99_NS: f64 = 50_000_000.0;
+
+/// `--open-loop --perf-smoke` floor on the median of three single-shard
+/// 64-stream worker rows' frames per tick (at most 256: 64 streams ×
+/// `batch_max`). At the tiny scale on a 2-vCPU AVX2 host, six runs each: a
+/// worker that held its shard lock across the block walk read medians of
+/// 7.0–13.4, one that walks off the lock 128–171.
+const MIN_FRAMES_PER_TICK: f64 = 48.0;
 
 /// Min/median/max aggregate throughput across the timed repeats.
 #[derive(Clone, Copy)]
@@ -111,6 +123,9 @@ struct Row {
     shards: usize,
     fps: FpsSpread,
     latency: Latency,
+    /// Frames completed per shard tick over the timed windows (from the
+    /// snapshot's `frames_completed` and `ticks`).
+    frames_per_tick: f64,
 }
 
 impl Row {
@@ -183,6 +198,7 @@ fn bench(
     };
     serve(0..WARM);
     server.clear_latency();
+    let warm = server.snapshot();
     let fps = (0..REPEATS)
         .map(|r| {
             let from = WARM + r * measure;
@@ -201,12 +217,17 @@ fn bench(
         server.frames_completed() as usize,
         (WARM + REPEATS * measure) * n
     );
+    let done = server.snapshot();
+    let ticks = |snap: &ShardedSnapshot| snap.shards.iter().map(|s| s.ticks).sum::<u64>();
+    let timed_ticks = ticks(&done) - ticks(&warm);
     Row {
         workload: w.kind().name(),
         streams: n,
         shards,
         fps: FpsSpread::from_repeats(fps),
         latency: Latency::of(&server.merged_latency()),
+        frames_per_tick: (done.frames_completed() - warm.frames_completed()) as f64
+            / timed_ticks.max(1) as f64,
     }
 }
 
@@ -425,16 +446,30 @@ fn perf_smoke_open_loop(scale: Scale) -> ExitCode {
             )
         })
         .collect();
+    // One shard, so the worker has a CPU of its own beside the driver on
+    // any host with two, and its ticks do not depend on the shard count.
+    // The median of three, because a driver that fills every queue before
+    // the worker wakes makes even a lock-holding worker tick 256 frames.
+    let mut ticks: Vec<f64> = (0..3)
+        .map(|_| bench(&w, &model, 64, 1, true, frames_for(64)).frames_per_tick)
+        .collect();
+    ticks.sort_by(f64::total_cmp);
+    let frames_per_tick = ticks[1];
     pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
     let (one, many) = &pairs[1];
     let scaling = ratio(&pairs[1]);
     eprintln!(
         "shard smoke ({} shards, {} threads): 1-stream {:.0} frames/s, 64-stream {:.0} frames/s, \
-         scaling {scaling:.3}x (floor {min_scaling:.3}x)",
+         scaling {scaling:.3}x (floor {min_scaling:.3}x); 64 streams on 1 shard \
+         {frames_per_tick:.1} frames/tick (floor {MIN_FRAMES_PER_TICK:.1})",
         shards, threads as usize, one.fps.max, many.fps.max
     );
     if scaling < min_scaling {
         eprintln!("64-stream sharded throughput is below the {min_scaling:.3}x scaling floor");
+        return ExitCode::FAILURE;
+    }
+    if frames_per_tick < MIN_FRAMES_PER_TICK {
+        eprintln!("1-shard ticks are below the {MIN_FRAMES_PER_TICK:.1} frames/tick floor");
         return ExitCode::FAILURE;
     }
     let offered = many.fps.max * 0.5;

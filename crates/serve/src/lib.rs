@@ -27,9 +27,10 @@
 //!   stream runs at full-precision cost) and its queue holds 16 frames (or
 //!   is full, if [`ServerConfig::queue_capacity`] is smaller).
 //! * **Serial dispatch per shard** — a shard's tick runs its streams'
-//!   ready batches as one block on one thread, in pool order; sessions
-//!   share no mutable state, so per-stream results are bit-identical to
-//!   standalone execution under any interleaving.
+//!   ready batches as one block on one thread, in pool order, with the
+//!   shard's lock released while the block walks; sessions share no
+//!   mutable state, so per-stream results are bit-identical to standalone
+//!   execution under any interleaving.
 //! * **Sharding + deadline scheduling** — streams hash across N
 //!   independent shards (each its own session pool, queues, and histogram
 //!   over one shared model), ticked by the caller

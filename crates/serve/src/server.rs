@@ -5,11 +5,17 @@
 //! a bounded ingress queue of pending frames, and a bounded queue of
 //! completed outputs. A scheduling tick walks every stream's ready frames
 //! through the network together, one layer at a time, on the calling thread
-//! (a [`Block`]). Sessions never share mutable state, so outputs are
+//! (a [`Block`]). A tick is three steps: [`StreamServer::begin_tick`] moves
+//! the ready rows and their streams' sessions into a [`TickJob`],
+//! [`TickJob::walk`] runs the block on the job alone, and
+//! [`StreamServer::finish_tick`] hands the sessions and outputs back. Only
+//! the first and last need the server, so a shard's lock is free while the
+//! block walks. Sessions never share mutable state, so outputs are
 //! bit-identical to running each stream alone through its own standalone
 //! session, under any interleaving and any shard count.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,13 +206,19 @@ impl std::ops::AddAssign<&Counters> for Counters {
 #[derive(Debug)]
 struct StreamEntry {
     id: u64,
-    session: ReuseSession,
+    /// Unique per entry, never reused: a tick hands a session back only to
+    /// the entry that lent it, not to a later owner of the same id.
+    serial: u64,
+    /// The stream's session; `None` while its rows are inside a tick, whose
+    /// [`TickJob`] holds it.
+    session: Option<ReuseSession>,
     /// Pending input frames, oldest first (capacity = `queue_capacity`).
     queue: VecDeque<QueuedFrame>,
-    /// The frames this tick took into its block, in order (capacity =
-    /// `batch_max` units).
+    /// The frames a tick took into its block, in order, until the tick
+    /// hands them back (capacity = `batch_max` units).
     taken: Vec<QueuedFrame>,
-    /// Recycled ingress frame buffers.
+    /// Recycled ingress frame buffers (queued and taken frames can all
+    /// come back at once).
     frame_free: Vec<Vec<f32>>,
     /// Completed outputs with their caller tags, oldest first (capacity =
     /// `queue_capacity`).
@@ -221,6 +233,9 @@ struct StreamEntry {
     /// Whether the session has auto-disabled any reuse layer (recomputed
     /// after each tick; drives the shed policy).
     degraded: bool,
+    /// The session's overall input similarity, read at each hand-back so a
+    /// snapshot needs no session.
+    input_similarity: f64,
     /// Lifetime counters, folded into the shard's `retired` total when the
     /// stream leaves the pool.
     counters: Counters,
@@ -234,13 +249,16 @@ struct StreamEntry {
 }
 
 impl StreamEntry {
-    fn new(id: u64, session: ReuseSession, config: &ServerConfig) -> Self {
+    fn new(id: u64, serial: u64, session: ReuseSession, config: &ServerConfig) -> Self {
+        let taken = config.batch_max * config.sequence_len.max(1);
         StreamEntry {
             id,
-            session,
+            serial,
+            input_similarity: session.metrics().overall_input_similarity(),
+            session: Some(session),
             queue: VecDeque::with_capacity(config.queue_capacity),
-            taken: Vec::with_capacity(config.batch_max * config.sequence_len.max(1)),
-            frame_free: Vec::with_capacity(config.queue_capacity),
+            taken: Vec::with_capacity(taken),
+            frame_free: Vec::with_capacity(config.queue_capacity + taken),
             outputs: VecDeque::with_capacity(config.queue_capacity),
             out_free: Vec::with_capacity(config.queue_capacity + 1),
             expired_tags: VecDeque::with_capacity(config.queue_capacity),
@@ -252,18 +270,33 @@ impl StreamEntry {
         }
     }
 
-    /// Frames ready to execute: every queued frame for feed-forward
-    /// streams, whole sequences only for recurrent ones. A failed stream
-    /// has no ready units — its queued frames stay parked so drain loops
-    /// spinning on [`StreamServer::ready_units`] terminate.
+    /// Units ready to execute or executing: the units inside a tick, plus
+    /// the queued ones — every queued frame for feed-forward streams, whole
+    /// sequences only for recurrent ones. A failed stream's queued frames
+    /// are not ready — they stay parked so drain loops spinning on
+    /// [`StreamServer::ready_units`] terminate.
     fn ready_units(&self, sequence_len: usize) -> usize {
-        if self.error.is_some() {
+        let queued = if self.error.is_some() {
+            0
+        } else {
+            self.queue.len()
+        };
+        (queued + self.taken.len()) / sequence_len.max(1)
+    }
+
+    /// Units a tick can take now: the queued ready ones, none while the
+    /// session is inside another tick.
+    fn takeable_units(&self, sequence_len: usize) -> usize {
+        if self.error.is_some() || self.session.is_none() {
             return 0;
         }
-        self.queue
-            .len()
-            .checked_div(sequence_len)
-            .unwrap_or(self.queue.len())
+        self.queue.len() / sequence_len.max(1)
+    }
+
+    /// Frames accepted and not yet completed, expired or failed: queued or
+    /// inside a tick.
+    fn pending(&self) -> usize {
+        self.queue.len() + self.taken.len()
     }
 
     /// Pushes one completed output, recycling the oldest if the bounded
@@ -280,7 +313,9 @@ impl StreamEntry {
 
     /// Moves up to `batch_max` ready units — frames, or whole sequences of
     /// `sequence_len` frames for a recurrent stream — into the tick's block
-    /// as units of the session at position `slot`, their data into `frames`.
+    /// as units of the session at position `slot`, their data into `frames`,
+    /// and returns the rows taken. A stream whose session is inside another
+    /// tick takes none.
     /// A feed-forward frame whose deadline already passed is dropped here
     /// instead, still counting as one of the `batch_max`: its result would
     /// arrive too late to matter, and the forward pass it saves goes to
@@ -293,9 +328,9 @@ impl StreamEntry {
         config: &ServerConfig,
         block: &mut Block,
         frames: &mut Vec<f32>,
-    ) {
-        if self.error.is_some() {
-            return;
+    ) -> usize {
+        if self.error.is_some() || self.session.is_none() {
+            return 0;
         }
         let unit = config.sequence_len.max(1);
         for _ in 0..config.batch_max {
@@ -320,25 +355,31 @@ impl StreamEntry {
                 block.push(slot, self.taken.len() - taken);
             }
         }
+        self.taken.len()
     }
 
-    /// Takes back this entry's rows of the walked block, the next
-    /// `self.taken.len()` rows from `first`, and returns the frames
-    /// completed: a finished row's output is queued, a failed one sets the
-    /// sticky error, and frames after a failure — which never finished — go
-    /// back to the head of the queue. Every latency is recorded here, at
-    /// block end: a drain cannot come earlier, the worker holds the shard
-    /// lock until the tick returns.
+    /// Takes back this entry's session and its rows of the walked block,
+    /// `rows`, and returns the frames completed: a finished row's output is
+    /// queued, a failed one sets the sticky error, and frames after a
+    /// failure — which never finished — go back to the head of the queue.
+    /// Every latency is recorded here, at hand-back: a row's output becomes
+    /// drainable only now, with the rest of its block.
     fn give_rows(
         &mut self,
+        session: ReuseSession,
         block: &Block,
-        first: usize,
+        rows: Range<usize>,
         config: &ServerConfig,
         latency: &LatencyHistogram,
     ) -> u64 {
+        debug_assert_eq!(
+            rows.len(),
+            self.taken.len(),
+            "a tick hands back what it took"
+        );
         let done = self.counters.frames_done;
         let mut taken = std::mem::take(&mut self.taken);
-        let outcomes = (first..first + taken.len()).map(|row| block.outcome(row));
+        let outcomes = rows.map(|row| block.outcome(row));
         let skipped = outcomes
             .clone()
             .filter(|o| matches!(o, RowOutcome::Skipped))
@@ -364,15 +405,56 @@ impl StreamEntry {
             self.frame_free.push(frame.data);
         }
         self.taken = taken;
-        self.degraded = self.session.auto_disabled_layers().next().is_some();
+        self.degraded = session.auto_disabled_layers().next().is_some();
+        self.input_similarity = session.metrics().overall_input_similarity();
+        self.session = Some(session);
         self.counters.frames_done - done
     }
 }
 
-/// A stream is its session's place in the tick's [`Block`] walk.
-impl AsMut<ReuseSession> for StreamEntry {
+/// A session lent to a tick: which entry it came from, how many of the
+/// block's rows are its, and the session itself, its place in the walk.
+#[derive(Debug)]
+struct Member {
+    id: u64,
+    /// The lending entry's [`StreamEntry::serial`].
+    serial: u64,
+    rows: usize,
+    session: ReuseSession,
+}
+
+impl AsMut<ReuseSession> for Member {
     fn as_mut(&mut self) -> &mut ReuseSession {
         &mut self.session
+    }
+}
+
+/// One tick's work, away from its server: the block, its rows' frames back
+/// to back, and the sessions of the streams that took rows, in pool order.
+/// [`StreamServer::begin_tick`] fills it, [`Self::walk`] runs it with no
+/// server in reach, [`StreamServer::finish_tick`] empties it and keeps it
+/// for the next tick, so its buffers are recycled like the streams' own.
+#[derive(Debug)]
+pub(crate) struct TickJob {
+    block: Block,
+    frames: Vec<f32>,
+    members: Vec<Member>,
+    started: Instant,
+}
+
+impl TickJob {
+    fn new() -> Self {
+        TickJob {
+            block: Block::default(),
+            frames: Vec::new(),
+            members: Vec::new(),
+            started: Instant::now(),
+        }
+    }
+
+    /// Walks the block: every lent session's rows through the network.
+    pub(crate) fn walk(&mut self) {
+        self.block.walk(&mut self.members, &self.frames);
     }
 }
 
@@ -413,9 +495,10 @@ pub struct StreamServer {
     retired: Counters,
     /// Streams retired by the LRU session-pool cap.
     evictions: u64,
-    /// Queued frames discarded when their stream was retired.
+    /// Queued frames and frames inside a tick discarded when their stream
+    /// was retired.
     evicted_frames: u64,
-    /// Total queued frames across streams (kept incrementally so
+    /// Total pending frames across streams, queued or inside a tick (kept so
     /// [`Self::pending`] and the per-submit deadline projection are O(1),
     /// not O(streams)).
     pending_total: usize,
@@ -423,10 +506,11 @@ pub struct StreamServer {
     /// recent ticks; `0` until the first frame completes. This is the
     /// `s̄` in the projected-deadline-miss formula (DESIGN.md §13).
     service_ewma_ns: f64,
-    /// The tick's block and its rows' frames back to back
-    /// (reused per tick).
-    block: Block,
-    block_frames: Vec<f32>,
+    /// The last finished tick's job, kept for the next one (`None` while
+    /// a tick is out).
+    spare_job: Option<TickJob>,
+    /// The next entry's [`StreamEntry::serial`].
+    next_serial: u64,
 }
 
 impl StreamServer {
@@ -472,8 +556,8 @@ impl StreamServer {
             evicted_frames: 0,
             pending_total: 0,
             service_ewma_ns: 0.0,
-            block: Block::default(),
-            block_frames: Vec::new(),
+            spare_job: Some(TickJob::new()),
+            next_serial: 0,
         })
     }
 
@@ -482,9 +566,19 @@ impl StreamServer {
         self.index.contains_key(&id)
     }
 
-    /// A stream's session, for introspection (metrics, telemetry).
+    /// A stream's session, for introspection (metrics, telemetry); `None`
+    /// when the stream holds no session or its session is inside a tick.
     pub(crate) fn session(&self, id: u64) -> Option<&ReuseSession> {
-        self.index.get(&id).map(|&slot| &self.entries[slot].session)
+        self.index
+            .get(&id)
+            .and_then(|&slot| self.entries[slot].session.as_ref())
+    }
+
+    /// Whether a stream's session is inside a tick.
+    pub(crate) fn in_tick(&self, id: u64) -> bool {
+        self.index
+            .get(&id)
+            .is_some_and(|&slot| self.entries[slot].session.is_none())
     }
 
     /// Whether a stream has failed (its sticky execution error is set). A
@@ -510,17 +604,27 @@ impl StreamServer {
         true
     }
 
-    /// Total queued frames across all streams.
+    /// Frames accepted and not yet finished across all streams: queued or
+    /// inside a tick.
     pub(crate) fn pending(&self) -> usize {
         self.pending_total
     }
 
     /// Execution units (frames, or whole sequences for recurrent models)
-    /// ready to run on the next tick.
+    /// ready to run or inside a tick.
     pub(crate) fn ready_units(&self) -> usize {
         self.entries
             .iter()
             .map(|e| e.ready_units(self.config.sequence_len))
+            .sum()
+    }
+
+    /// Execution units a tick begun now would take: [`Self::ready_units`]
+    /// less those inside a tick and those of streams whose session is.
+    pub(crate) fn takeable_units(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|e| e.takeable_units(self.config.sequence_len))
             .sum()
     }
 
@@ -624,8 +728,14 @@ impl StreamServer {
             self.evict_lru();
         }
         let slot = self.entries.len();
-        self.entries
-            .push(StreamEntry::new(id, self.model.new_session(), &self.config));
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        self.entries.push(StreamEntry::new(
+            id,
+            serial,
+            self.model.new_session(),
+            &self.config,
+        ));
         self.index.insert(id, slot);
         slot
     }
@@ -655,18 +765,22 @@ impl StreamServer {
 
     /// The one way a stream leaves the pool: resets the session's buffered
     /// state and drops the entry with its queues and buffer pools. Queued
-    /// frames are discarded (counted in `evicted_frames`), undrained outputs
-    /// and expiry tags go with them, and the stream's lifetime counters fold
-    /// into `retired`. The id's next submit starts a fresh session.
+    /// frames and frames inside a tick are discarded (counted in
+    /// `evicted_frames`), undrained outputs and expiry tags go with them,
+    /// and the stream's lifetime counters fold into `retired`. A session
+    /// inside a tick is dropped when the tick hands it back, which finds no
+    /// entry of its serial. The id's next submit starts a fresh session.
     fn retire(&mut self, slot: usize) {
         let mut entry = self.entries.swap_remove(slot);
         self.index.remove(&entry.id);
         // The session is about to be dropped; reset_state releases its
         // buffered per-layer state eagerly (and makes the session inert if
         // anything still holds it through shared introspection).
-        entry.session.reset_state();
-        self.evicted_frames += entry.queue.len() as u64;
-        self.pending_total -= entry.queue.len();
+        if let Some(session) = &mut entry.session {
+            session.reset_state();
+        }
+        self.evicted_frames += entry.pending() as u64;
+        self.pending_total -= entry.pending();
         self.retired += &entry.counters;
         // swap_remove moved the tail entry into `slot`: fix its index.
         if let Some(moved) = self.entries.get(slot) {
@@ -675,29 +789,84 @@ impl StreamServer {
     }
 
     /// Runs one scheduling tick of this shard on the calling thread, one
-    /// [`Block`] walk (see [`ShardedServer::tick_all`](crate::ShardedServer::tick_all)).
+    /// [`Block`] walk (see [`ShardedServer::tick_all`](crate::ShardedServer::tick_all)):
+    /// the tick's three steps — take the rows, walk them, hand the results
+    /// back — in a row.
     ///
     /// # Errors
     ///
     /// Returns the first not-yet-reported stream execution error.
     pub fn tick(&mut self) -> Result<TickStats, ServeError> {
+        let mut job = self.begin_tick();
+        job.walk();
+        self.finish_tick(job)
+    }
+
+    /// Starts a tick: checks expiry, takes every stream's ready rows and
+    /// lends the session of each stream that took some to the returned
+    /// job. Until [`Self::finish_tick`] those streams take no rows; they
+    /// still accept submits, drain finished outputs and can be retired.
+    pub(crate) fn begin_tick(&mut self) -> TickJob {
         self.ticks += 1;
-        let started = Instant::now();
-        self.block.clear();
-        self.block_frames.clear();
-        for (slot, entry) in self.entries.iter_mut().enumerate() {
-            entry.take_rows(slot, &self.config, &mut self.block, &mut self.block_frames);
+        let mut job = self.spare_job.take().unwrap_or_else(TickJob::new);
+        job.started = Instant::now();
+        job.block.clear();
+        job.frames.clear();
+        for entry in &mut self.entries {
+            let slot = job.members.len();
+            let rows = entry.take_rows(slot, &self.config, &mut job.block, &mut job.frames);
+            if rows > 0 {
+                job.members.push(Member {
+                    id: entry.id,
+                    serial: entry.serial,
+                    rows,
+                    session: entry
+                        .session
+                        .take()
+                        .expect("a stream that took rows has its session"),
+                });
+            }
         }
-        self.block.walk(&mut self.entries, &self.block_frames);
+        // Frames that expired as they were taken are no longer pending.
+        self.pending_total = self.entries.iter().map(StreamEntry::pending).sum();
+        job
+    }
+
+    /// Ends a tick begun by [`Self::begin_tick`]: hands each lent session
+    /// back with its rows' outcomes, to the entry that lent it — a stream
+    /// retired meanwhile has no entry of that serial, so its session and
+    /// outputs are dropped — and keeps the job for the next tick.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first not-yet-reported stream execution error, whether
+    /// or not its stream took rows.
+    pub(crate) fn finish_tick(&mut self, mut job: TickJob) -> Result<TickStats, ServeError> {
         let mut stats = TickStats::default();
         let mut first = 0;
-        let mut first_error = None;
-        for entry in &mut self.entries {
-            let rows = entry.taken.len();
-            let frames = entry.give_rows(&self.block, first, &self.config, &self.latency);
-            first += rows;
+        for member in job.members.drain(..) {
+            let rows = first..first + member.rows;
+            first = rows.end;
+            let lender = self
+                .index
+                .get(&member.id)
+                .map(|&slot| &mut self.entries[slot])
+                .filter(|entry| entry.serial == member.serial);
+            let Some(entry) = lender else {
+                continue;
+            };
+            let frames = entry.give_rows(
+                member.session,
+                &job.block,
+                rows,
+                &self.config,
+                &self.latency,
+            );
             stats.frames += frames;
             stats.streams += usize::from(frames > 0);
+        }
+        let mut first_error = None;
+        for entry in &mut self.entries {
             if first_error.is_none() && !entry.error_reported {
                 if let Some(e) = &entry.error {
                     first_error = Some(e.clone());
@@ -705,18 +874,19 @@ impl StreamServer {
                 }
             }
         }
-        self.pending_total = self.entries.iter().map(|e| e.queue.len()).sum();
+        self.pending_total = self.entries.iter().map(StreamEntry::pending).sum();
         if stats.frames > 0 {
             // Observed per-frame service time this tick, folded into the
             // EWMA the deadline projection reads (α = 0.25; the first
             // observation seeds the estimate directly).
-            let per_frame = started.elapsed().as_nanos() as f64 / stats.frames as f64;
+            let per_frame = job.started.elapsed().as_nanos() as f64 / stats.frames as f64;
             self.service_ewma_ns = if self.service_ewma_ns == 0.0 {
                 per_frame
             } else {
                 0.75 * self.service_ewma_ns + 0.25 * per_frame
             };
         }
+        self.spare_job = Some(job);
         match first_error {
             Some(e) => Err(ServeError::Reuse(e)),
             None => Ok(stats),
@@ -783,7 +953,7 @@ impl StreamServer {
                 expired: e.counters.expired,
                 degraded: e.degraded,
                 failed: e.error.is_some(),
-                input_similarity: e.session.metrics().overall_input_similarity(),
+                input_similarity: e.input_similarity,
             })
             .collect();
         ServerSnapshot {
@@ -808,5 +978,295 @@ impl StreamServer {
             service_ewma_ns: self.service_ewma_ns,
             streams,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reuse_core::ReuseConfig;
+    use reuse_nn::{init::Rng64, Activation, Network, NetworkBuilder};
+
+    fn mlp() -> Network {
+        NetworkBuilder::new("tick-mlp", 12)
+            .seed(5)
+            .fully_connected(24, Activation::Relu)
+            .fully_connected(4, Activation::Identity)
+            .build()
+            .unwrap()
+    }
+
+    fn rnn() -> Network {
+        NetworkBuilder::new("tick-rnn", 10)
+            .seed(7)
+            .lstm(8)
+            .fully_connected(3, Activation::Identity)
+            .build()
+            .unwrap()
+    }
+
+    fn server(net: &Network, config: ServerConfig) -> (Arc<CompiledModel>, StreamServer) {
+        let model = Arc::new(CompiledModel::new(net, &ReuseConfig::uniform(16)));
+        let server = StreamServer::new(Arc::clone(&model), config).unwrap();
+        (model, server)
+    }
+
+    /// A smooth random walk of `len` frames of `dim` values.
+    fn frames(len: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut rng = Rng64::new(seed);
+        let mut frame: Vec<f32> = (0..dim).map(|_| rng.uniform(0.5)).collect();
+        (0..len)
+            .map(|_| {
+                frame
+                    .iter_mut()
+                    .for_each(|v| *v = (*v + rng.uniform(0.05)).clamp(-1.0, 1.0));
+                frame.clone()
+            })
+            .collect()
+    }
+
+    /// `frames` through a fresh session, as sequences of `sequence_len`
+    /// when it is nonzero: the outputs and the session.
+    fn standalone(
+        model: &Arc<CompiledModel>,
+        frames: &[Vec<f32>],
+        sequence_len: usize,
+    ) -> (Vec<Vec<f32>>, ReuseSession) {
+        let mut session = model.new_session();
+        let outputs = if sequence_len > 0 {
+            frames
+                .chunks(sequence_len)
+                .flat_map(|seq| session.execute_sequence(seq).unwrap())
+                .map(|t| t.as_slice().to_vec())
+                .collect()
+        } else {
+            frames
+                .iter()
+                .map(|frame| {
+                    let mut out = Vec::new();
+                    session.execute_into(frame, &mut out).unwrap();
+                    out
+                })
+                .collect()
+        };
+        (outputs, session)
+    }
+
+    fn submit_all(server: &mut StreamServer, id: u64, frames: &[Vec<f32>]) {
+        for frame in frames {
+            assert_eq!(server.submit(id, frame).unwrap(), SubmitResult::Accepted);
+        }
+    }
+
+    fn drain(server: &mut StreamServer, id: u64) -> Vec<Vec<f32>> {
+        let mut outs = Vec::new();
+        server.drain_outputs(id, |out| outs.push(out.to_vec()));
+        outs
+    }
+
+    fn assert_bits_eq(a: &[Vec<f32>], b: &[Vec<f32>]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
+    /// Every accepted frame is completed, expired, evicted or pending.
+    fn assert_balanced(server: &StreamServer) {
+        let snap = server.snapshot();
+        assert_eq!(
+            snap.frames_submitted,
+            snap.frames_completed + snap.expired + snap.evicted_frames + server.pending() as u64
+        );
+    }
+
+    /// The stream `id`'s outputs and session match a fresh standalone
+    /// session fed `frames`, bit for bit.
+    fn assert_fresh(
+        server: &StreamServer,
+        model: &Arc<CompiledModel>,
+        id: u64,
+        outs: &[Vec<f32>],
+        frames: &[Vec<f32>],
+    ) {
+        let (expected, alone) = standalone(model, frames, 0);
+        assert_bits_eq(outs, &expected);
+        assert_eq!(server.session(id).unwrap().metrics(), alone.metrics());
+    }
+
+    #[test]
+    fn a_stream_closed_inside_a_tick_never_reaches_the_next_owner() {
+        let (model, mut server) = server(&mlp(), ServerConfig::default().batch_max(4));
+        let old = frames(3, 12, 1);
+        let other = frames(3, 12, 2);
+        let new = frames(2, 12, 3);
+        submit_all(&mut server, 1, &old);
+        submit_all(&mut server, 2, &other);
+
+        let mut job = server.begin_tick();
+        assert!(server.in_tick(1));
+        assert!(server.close_stream(1));
+        assert_eq!(
+            server.snapshot().evicted_frames,
+            3,
+            "its taken frames are evicted"
+        );
+        submit_all(&mut server, 1, &new);
+        assert!(!server.in_tick(1), "the new owner has a session of its own");
+        assert_eq!(server.pending(), 3 + 2);
+        assert_balanced(&server);
+        job.walk();
+        let stats = server.finish_tick(job).unwrap();
+        assert_eq!(
+            stats,
+            TickStats {
+                frames: 3,
+                streams: 1
+            }
+        );
+        assert!(
+            drain(&mut server, 1).is_empty(),
+            "the old owner's outputs are gone"
+        );
+        assert_balanced(&server);
+
+        server.tick().unwrap();
+        let outs = drain(&mut server, 1);
+        assert_fresh(&server, &model, 1, &outs, &new);
+        assert_bits_eq(&drain(&mut server, 2), &standalone(&model, &other, 0).0);
+        assert_eq!(server.pending(), 0);
+        assert_balanced(&server);
+    }
+
+    #[test]
+    fn a_stream_evicted_inside_a_tick_never_reaches_the_next_owner() {
+        let config = ServerConfig::default().batch_max(4).max_sessions(2);
+        let (model, mut server) = server(&mlp(), config);
+        submit_all(&mut server, 1, &frames(3, 12, 1));
+        submit_all(&mut server, 2, &frames(3, 12, 2));
+
+        let mut job = server.begin_tick();
+        // Each new stream evicts the least recently used one, both in
+        // the tick: 1 for 3, then 2 for 1's next owner.
+        let third = frames(2, 12, 3);
+        let new = frames(2, 12, 4);
+        submit_all(&mut server, 3, &third);
+        submit_all(&mut server, 1, &new);
+        let snap = server.snapshot();
+        assert_eq!((snap.evictions, snap.evicted_frames), (2, 6));
+        assert!(!server.contains(2));
+        job.walk();
+        let stats = server.finish_tick(job).unwrap();
+        assert_eq!(
+            stats,
+            TickStats::default(),
+            "both lent sessions are dropped"
+        );
+        assert!(drain(&mut server, 1).is_empty());
+        assert_balanced(&server);
+
+        server.tick().unwrap();
+        let outs = drain(&mut server, 1);
+        assert_fresh(&server, &model, 1, &outs, &new);
+        let outs = drain(&mut server, 3);
+        assert_fresh(&server, &model, 3, &outs, &third);
+        assert_balanced(&server);
+    }
+
+    #[test]
+    fn the_tier_keeps_serving_during_a_walk() {
+        let (model, mut server) = server(&mlp(), ServerConfig::default());
+        let streams: Vec<Vec<Vec<f32>>> = (1..=3).map(|s| frames(6, 12, s)).collect();
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[..2]);
+        }
+        server.tick().unwrap();
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[2..4]);
+        }
+
+        let mut job = server.begin_tick();
+        assert_eq!(server.takeable_units(), 0);
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[4..]);
+        }
+        assert_eq!(server.pending(), 12, "six frames in the tick, six queued");
+        assert_eq!(server.ready_units(), 12);
+        assert_eq!(server.takeable_units(), 0, "their sessions are in the tick");
+        let mut outs = drain(&mut server, 1);
+        assert_eq!(outs.len(), 2, "the first tick's outputs drain mid-walk");
+        let snap = server.snapshot();
+        assert_eq!((snap.frames_submitted, snap.frames_completed), (18, 6));
+        assert_eq!(snap.streams.iter().map(|s| s.queue_len).sum::<usize>(), 6);
+        let injected = reuse_core::ReuseError::Nn(reuse_nn::NnError::InputShape {
+            expected: 12,
+            actual: 11,
+        });
+        assert!(server.inject_stream_error(3, injected));
+        assert!(server.stream_failed(3));
+        job.walk();
+        let err = server.finish_tick(job).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Reuse(_)),
+            "the injected error surfaces once"
+        );
+        assert_eq!(
+            server.ready_units(),
+            4,
+            "stream 3's queued frames are parked"
+        );
+        assert_eq!(server.takeable_units(), 4);
+
+        let stats = server.tick().unwrap();
+        assert_eq!(
+            stats,
+            TickStats {
+                frames: 4,
+                streams: 2
+            },
+            "every frame that arrived"
+        );
+        outs.extend(drain(&mut server, 1));
+        assert_fresh(&server, &model, 1, &outs, &streams[0]);
+        let outs = drain(&mut server, 2);
+        assert_fresh(&server, &model, 2, &outs, &streams[1]);
+        assert_balanced(&server);
+    }
+
+    #[test]
+    fn recurrent_sequences_keep_their_order_across_a_walk() {
+        let config = ServerConfig::default().sequence_len(3).queue_capacity(12);
+        let (model, mut server) = server(&rnn(), config);
+        let streams: Vec<Vec<Vec<f32>>> = (1..=2).map(|s| frames(12, 10, s)).collect();
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[..6]);
+        }
+        let mut job = server.begin_tick();
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[6..11]);
+        }
+        assert_eq!(server.pending(), 12 + 10);
+        assert_eq!(
+            server.ready_units(),
+            4 + 2,
+            "two sequences each in the tick, one queued"
+        );
+        job.walk();
+        assert_eq!(server.finish_tick(job).unwrap().frames, 12);
+        assert_eq!(
+            server.tick().unwrap().frames,
+            6,
+            "every whole sequence that arrived"
+        );
+        for (id, f) in (1..).zip(&streams) {
+            submit_all(&mut server, id, &f[11..]);
+        }
+        server.tick().unwrap();
+        for (id, f) in (1..).zip(&streams) {
+            let (expected, alone) = standalone(&model, f, 3);
+            assert_bits_eq(&drain(&mut server, id), &expected);
+            assert_eq!(server.session(id).unwrap().metrics(), alone.metrics());
+        }
+        assert_balanced(&server);
     }
 }

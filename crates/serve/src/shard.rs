@@ -24,11 +24,14 @@
 //! * **Threaded** — [`ShardWorkers::start`] spawns one dedicated worker
 //!   thread per shard that ticks whenever the shard has ready work and
 //!   parks on a condvar otherwise. Submits and drains stay synchronous
-//!   and non-blocking (they take the shard lock briefly); this is what
-//!   `serve-net` and the open-loop benchmark run. A caller that waits for
-//!   results on something other than the shard lock — the network event
-//!   loop, blocked in `poll(2)` — registers a completion waker
-//!   ([`ShardedServer::set_completion_waker`]) that every worker tick calls.
+//!   and non-blocking: a tick holds the shard lock only while it takes its
+//!   rows and while it hands the results back, never across the block walk
+//!   between, so a submit or drain waits at most for one of those moves.
+//!   This is what `serve-net` and the open-loop benchmark run. A caller
+//!   that waits for results on something other than the shard lock — the
+//!   network event loop, blocked in `poll(2)` — registers a completion
+//!   waker ([`ShardedServer::set_completion_waker`]) that every worker tick
+//!   calls.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -40,12 +43,15 @@ use crate::histogram::LatencyHistogram;
 use crate::server::{ServerConfig, StreamServer, SubmitOptions, SubmitResult, TickStats};
 use crate::snapshot::{ServerSnapshot, ShardedSnapshot};
 
-/// One shard: a [`StreamServer`] behind a mutex, plus the condvar its
-/// dedicated worker parks on.
+/// One shard: a [`StreamServer`] behind a mutex, plus the condvars its
+/// dedicated worker and its session readers park on.
 struct Shard {
     server: Mutex<StreamServer>,
     /// Signalled on every accepted submit so a parked worker wakes.
     work: Condvar,
+    /// Signalled after every hand-back, so a [`ShardedServer::with_session`]
+    /// waiting for a session inside a tick wakes.
+    handed_back: Condvar,
 }
 
 impl Shard {
@@ -53,6 +59,23 @@ impl Shard {
     /// in one worker must not wedge every later submit into panics too).
     fn lock(&self) -> MutexGuard<'_, StreamServer> {
         self.server.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs one tick on the shard `guard` has locked: takes the rows under
+    /// it, walks them with the lock released, and relocks to hand the
+    /// results back, waking whoever waits on a hand-back. Returns the new
+    /// guard.
+    fn tick<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, StreamServer>,
+    ) -> (MutexGuard<'a, StreamServer>, Result<TickStats, ServeError>) {
+        let mut job = guard.begin_tick();
+        drop(guard);
+        job.walk();
+        let mut guard = self.lock();
+        let result = guard.finish_tick(job);
+        self.handed_back.notify_all();
+        (guard, result)
     }
 }
 
@@ -132,6 +155,7 @@ impl ShardedServer {
             vec.push(Shard {
                 server: Mutex::new(StreamServer::new(Arc::clone(&model), config.clone())?),
                 work: Condvar::new(),
+                handed_back: Condvar::new(),
             });
         }
         Ok(ShardedServer {
@@ -141,9 +165,9 @@ impl ShardedServer {
     }
 
     /// Registers `wake`, which every [`ShardWorkers`] tick calls once it
-    /// returns (with outputs, expiries or a stream error to drain), still
-    /// under the shard's lock — so it must be cheap and must not call back
-    /// into this server. The network front-end registers a one-byte write
+    /// has handed its results back (outputs, expiries or a stream error to
+    /// drain), still under the shard's lock — so it must be cheap and must
+    /// not call back into this server. The network front-end registers a one-byte write
     /// to the pipe its event loop polls; passive ticks ([`Self::tick_all`])
     /// never call it. At most one waker: returns `false`, leaving the first
     /// in place, when one is already set.
@@ -235,12 +259,13 @@ impl ShardedServer {
         self.shard_of(id).lock().drain_expired(id, f)
     }
 
-    /// Closes a stream: its session, queued frames (counted in the shard's
-    /// `evicted_frames`), undrained outputs and expiry tags are dropped, and
-    /// its lifetime counters stay in the shard's totals. The id's next
-    /// submit starts a fresh session. Returns `false` when the stream holds
-    /// no session. This is how the network front-end releases the streams
-    /// of a connection that closed.
+    /// Closes a stream: its session, queued frames and frames inside a tick
+    /// (counted in the shard's `evicted_frames`), undrained outputs and
+    /// expiry tags are dropped, and its lifetime counters stay in the
+    /// shard's totals. The id's next submit starts a fresh session, and
+    /// never receives the outputs of a tick that was walking the old one.
+    /// Returns `false` when the stream holds no session. This is how the
+    /// network front-end releases the streams of a connection that closed.
     pub fn close_stream(&self, id: u64) -> bool {
         self.shard_of(id).lock().close_stream(id)
     }
@@ -257,10 +282,19 @@ impl ShardedServer {
     }
 
     /// Runs `f` on a stream's session under its shard's lock — metrics,
-    /// telemetry, auto-disabled layers. `None` when the stream
-    /// holds no session.
+    /// telemetry, auto-disabled layers. A session inside a tick is waited
+    /// for: `f` runs once the tick hands it back. `None` when the stream
+    /// holds no session (never created, or retired meanwhile).
     pub fn with_session<R>(&self, id: u64, f: impl FnOnce(&ReuseSession) -> R) -> Option<R> {
-        self.shard_of(id).lock().session(id).map(f)
+        let shard = self.shard_of(id);
+        let mut guard = shard.lock();
+        while guard.in_tick(id) {
+            guard = shard
+                .handed_back
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        guard.session(id).map(f)
     }
 
     /// Marks a stream failed with `error`, as if one of its frames had
@@ -277,7 +311,8 @@ impl ShardedServer {
     /// through up to [`ServerConfig::batch_max`] of them, in submission
     /// order, streams in pool order; the frames it takes — whole sequences
     /// for a recurrent model — walk the network together as one block, one
-    /// layer at a time. Returns the summed stats.
+    /// layer at a time, with the shard's lock released. Returns the summed
+    /// stats.
     ///
     /// # Errors
     ///
@@ -289,7 +324,7 @@ impl ShardedServer {
         let mut stats = TickStats::default();
         let mut first_error = None;
         for shard in &self.shards {
-            match shard.lock().tick() {
+            match shard.tick(shard.lock()).1 {
                 Ok(t) => {
                     stats.frames += t.frames;
                     stats.streams += t.streams;
@@ -303,13 +338,15 @@ impl ShardedServer {
     }
 
     /// Execution units (frames, or whole sequences for recurrent models)
-    /// ready across all shards. A failed stream's parked frames are not
-    /// ready work.
+    /// ready across all shards, counting those inside a tick: `0` means
+    /// every accepted unit has finished, expired or failed. A failed
+    /// stream's parked frames are not ready work.
     pub fn ready_units(&self) -> usize {
         self.shards.iter().map(|s| s.lock().ready_units()).sum()
     }
 
-    /// Queued (not yet executed) frames across all shards.
+    /// Accepted frames not yet finished across all shards: queued, or
+    /// inside a tick.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.lock().pending()).sum()
     }
@@ -360,11 +397,15 @@ impl ShardedServer {
 
 /// Dedicated per-shard worker threads driving a [`ShardedServer`].
 ///
-/// Each worker loops on its shard: tick while the shard has ready units,
-/// park on the shard's condvar otherwise. The worker holds the shard lock
-/// from its ready check into the wait, and every accepted submit takes that
-/// lock before it notifies, so no submit — including the one that completes
-/// a recurrent stream's sequence — can slip between the check and the park.
+/// Each worker loops on its shard: tick while the shard has units a tick
+/// can take, park on the shard's condvar otherwise. A tick holds the shard
+/// lock while it takes its rows and while it hands the results back, not
+/// across the block walk between: what arrives during a walk is the next
+/// tick's, so ticks grow with the load. The worker holds the lock from the
+/// hand-back through its next check into the wait, and every accepted
+/// submit takes that lock before it notifies, so no submit — including the
+/// one that completes a recurrent stream's sequence, or one that landed
+/// mid-walk — can slip between the check and the park.
 /// Stream execution errors are sticky on their stream inside
 /// the shard; workers additionally collect the first few into a side
 /// buffer readable via [`ShardWorkers::take_errors`].
@@ -441,8 +482,8 @@ impl Drop for ShardWorkers {
     }
 }
 
-/// Body of one shard worker thread: tick while ready (waking the
-/// completion waker after each tick), park otherwise.
+/// Body of one shard worker thread: tick while there are units to take
+/// (waking the completion waker after each hand-back), park otherwise.
 fn worker_loop(
     server: &ShardedServer,
     s: usize,
@@ -452,8 +493,10 @@ fn worker_loop(
     let shard = &server.shards[s];
     let mut guard = shard.lock();
     while !stop.load(Ordering::SeqCst) {
-        if guard.ready_units() > 0 {
-            if let Err(e) = guard.tick() {
+        if guard.takeable_units() > 0 {
+            let result;
+            (guard, result) = shard.tick(guard);
+            if let Err(e) = result {
                 let mut buf = errors.lock().unwrap_or_else(PoisonError::into_inner);
                 if buf.len() < MAX_BUFFERED_ERRORS {
                     buf.push(e);
@@ -468,5 +511,52 @@ fn worker_loop(
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reuse_core::ReuseConfig;
+    use reuse_nn::{Activation, NetworkBuilder};
+
+    #[test]
+    fn with_session_waits_out_a_tick_and_returns_the_session() {
+        // Wide enough that a walk of a few dozen frames outlasts many lock
+        // round trips of this thread.
+        let net = NetworkBuilder::new("tick-wide", 256)
+            .seed(3)
+            .fully_connected(512, Activation::Relu)
+            .fully_connected(512, Activation::Relu)
+            .fully_connected(8, Activation::Identity)
+            .build()
+            .unwrap();
+        let model = Arc::new(CompiledModel::new(&net, &ReuseConfig::uniform(16)));
+        let server = Arc::new(ShardedServer::new(model, ServerConfig::default(), 1).unwrap());
+        let workers = ShardWorkers::start(Arc::clone(&server));
+        let frame: Vec<f32> = (0..256).map(|i| (i as f32 * 0.01).sin()).collect();
+        let mut seen_mid_tick = false;
+        for _ in 0..100 {
+            for id in 0..8 {
+                for _ in 0..8 {
+                    server.submit(id, &frame).unwrap();
+                }
+            }
+            while server.shards[0].lock().ready_units() > 0 {
+                if server.shards[0].lock().in_tick(0) {
+                    seen_mid_tick = true;
+                    let executions = server.with_session(0, ReuseSession::executions);
+                    assert!(executions.is_some_and(|n| n > 0), "{executions:?}");
+                }
+            }
+            for id in 0..8 {
+                server.drain_outputs(id, |_| {});
+            }
+            if seen_mid_tick {
+                break;
+            }
+        }
+        assert!(seen_mid_tick, "stream 0 was never seen inside a tick");
+        assert!(workers.take_errors().is_empty());
     }
 }

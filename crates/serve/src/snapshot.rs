@@ -36,7 +36,8 @@ pub struct ServerSnapshot {
     pub expired: u64,
     /// Streams evicted by the LRU session-pool cap.
     pub evictions: u64,
-    /// Queued frames discarded with their evicted or closed stream.
+    /// Queued frames, and frames inside a tick, discarded with their
+    /// evicted or closed stream.
     pub evicted_frames: u64,
     /// Completed outputs overwritten because callers stopped draining.
     pub outputs_dropped: u64,
