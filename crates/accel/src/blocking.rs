@@ -51,11 +51,6 @@ impl BlockedConv {
         (extent as u64).div_ceil(self.block as u64)
     }
 
-    /// Total input blocks per feature map.
-    pub fn blocks_per_map(&self) -> u64 {
-        self.blocks_along(self.h) * self.blocks_along(self.w)
-    }
-
     /// Computes the staging and traffic costs.
     pub fn costs(&self) -> BlockingCosts {
         let b = self.block as u64;
@@ -157,19 +152,5 @@ mod tests {
         let c = layer.costs();
         // No halo: output tiles equal input tiles.
         assert_eq!(c.io_buffer_bytes, (8 + 8) * 16 * 16 * 4);
-    }
-
-    #[test]
-    fn block_count_covers_partial_edges() {
-        let layer = BlockedConv {
-            in_channels: 1,
-            out_channels: 1,
-            h: 31,
-            w: 98,
-            k: 5,
-            block: 16,
-        };
-        // ceil(31/16)=2, ceil(98/16)=7.
-        assert_eq!(layer.blocks_per_map(), 14);
     }
 }

@@ -48,8 +48,8 @@
 //! * [`trace`] — the step record itself, and the per-execution, per-layer
 //!   activity traces materialised from a log of them for the accelerator
 //!   model in `reuse-accel`.
-//! * [`json`] — the strict JSON reader and the string/number helpers every
-//!   emitter in the workspace writes through.
+//! * [`json`] — the string/number helpers every JSON emitter in the
+//!   workspace writes through.
 //!
 //! # Example
 //!

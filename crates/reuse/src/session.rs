@@ -405,16 +405,6 @@ impl ReuseSession {
         }
     }
 
-    /// Full-precision from-scratch output for the same frame — the accuracy
-    /// oracle used by the workloads' accuracy proxy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network errors.
-    pub fn reference_forward(&self, frame: &[f32]) -> Result<Tensor, ReuseError> {
-        Ok(self.model.network().forward_flat(frame)?)
-    }
-
     pub(crate) fn slot_enabled(&self, slot_pos: usize) -> bool {
         self.model.slots()[slot_pos].enabled && !self.runtimes[slot_pos].auto_disabled
     }

@@ -214,9 +214,20 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_valid_shape() {
-        // Everything JSON must escape: a quote, a backslash, a control
-        // character, plus a non-BMP scalar that must survive as is.
-        let hostile = "demo\"net\\\u{1}\u{1F680}";
+        // Everything JSON must escape (a quote, a backslash, a newline, a
+        // control character) beside a non-ASCII scalar that stays as is;
+        // non-finite means degrade to null.
+        let hostile = "demo\"net\\\n\u{1}\u{e9}";
+        let layer = |name: &str, hit_rate_window: f64, auto_disabled| LayerTelemetrySnapshot {
+            name: name.to_string(),
+            reuse_executions: 10,
+            hit_rate: 0.875,
+            hit_rate_window,
+            corrections_total: 42,
+            macs_skipped_total: 10_000,
+            span_ns_window: f64::INFINITY,
+            auto_disabled,
+        };
         let snap = TelemetrySnapshot {
             network: hostile.to_string(),
             frames: 12,
@@ -225,37 +236,19 @@ mod tests {
                 hits: 30,
                 misses: 4,
             },
-            layers: vec![LayerTelemetrySnapshot {
-                name: hostile.to_string(),
-                reuse_executions: 10,
-                hit_rate: 0.875,
-                hit_rate_window: f64::NAN,
-                corrections_total: 42,
-                macs_skipped_total: 10_000,
-                span_ns_window: f64::INFINITY,
-                auto_disabled: false,
-            }],
+            layers: vec![layer(hostile, f64::NAN, false), layer("fc2", 0.25, true)],
         };
-        let json = snap.to_json();
-        let root = crate::json::parse(&json).expect("strict parser accepts the snapshot");
-        assert_eq!(root.get("network").unwrap().as_str(), Some(hostile));
-        let row = &root.get("layers").unwrap().as_array().unwrap()[0];
-        assert_eq!(row.get("name").unwrap().as_str(), Some(hostile));
-        assert!(json.contains("\"hit_rate\": 0.875000"));
-        assert!(json.contains("\"misses\": 4"));
-        // The retired cache, policy and watchdog entries are gone from the
-        // schema.
-        assert!(!root.has_path("signature_cache"));
-        assert!(!root.has_path("policy"));
-        assert!(!root.has_path("policy_layers"));
-        assert!(!root.has_path("layers.signature_lookups"));
-        assert!(!root.has_path("layers.signature_hits"));
-        assert!(!root.has_path("layers.signature_bailouts"));
-        assert!(!root.has_path("watchdog"));
-        assert!(!root.has_path("layers.rebaselines"));
-        // Non-finite floats degrade to null, keeping the JSON parseable.
-        assert!(json.contains("\"span_ns_window\": null"));
-        assert!(json.contains("\"hit_rate_window\": null"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let want = r#"{
+  "network": "demo\"net\\\u000a\u0001é",
+  "frames": 12,
+  "window": 64,
+  "pool": {"hits": 30, "misses": 4},
+  "layers": [
+    {"name": "demo\"net\\\u000a\u0001é", "reuse_executions": 10, "hit_rate": 0.875000, "hit_rate_window": null, "corrections_total": 42, "macs_skipped_total": 10000, "span_ns_window": null, "auto_disabled": false},
+    {"name": "fc2", "reuse_executions": 10, "hit_rate": 0.875000, "hit_rate_window": 0.250000, "corrections_total": 42, "macs_skipped_total": 10000, "span_ns_window": null, "auto_disabled": true}
+  ]
+}
+"#;
+        assert_eq!(snap.to_json(), want);
     }
 }

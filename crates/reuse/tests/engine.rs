@@ -19,6 +19,12 @@ fn walk(len: usize, dim: usize, step: f32, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// The largest magnitude in `v`, at least 1: the scale output errors are
+/// measured against.
+fn error_scale(v: &[f32]) -> f32 {
+    v.iter().fold(1.0f32, |m, &x| m.max(x.abs()))
+}
+
 fn mlp() -> Network {
     NetworkBuilder::new("mlp", 12)
         .seed(5)
@@ -62,7 +68,7 @@ fn mlp_outputs_close_to_fp32_reference() {
         // Quantization-bounded error: inputs deviate by at most half a step
         // per layer; with 32 clusters the output error stays small relative
         // to typical magnitudes.
-        let denom = reference.max_abs().max(1.0);
+        let denom = error_scale(reference.as_slice());
         for (a, b) in out.as_slice().iter().zip(reference.as_slice().iter()) {
             assert!((a - b).abs() / denom < 0.35, "reuse {a} vs fp32 {b}");
         }
@@ -148,7 +154,7 @@ fn cnn_outputs_track_reference_and_record_trace() {
         let reference = net
             .forward(&reuse_tensor::Tensor::from_vec(Shape::d3(2, 8, 8), frame.clone()).unwrap())
             .unwrap();
-        let denom = reference.max_abs().max(1.0);
+        let denom = error_scale(reference.as_slice());
         for (a, b) in out.as_slice().iter().zip(reference.as_slice().iter()) {
             assert!((a - b).abs() / denom < 0.4, "{a} vs {b}");
         }
@@ -205,11 +211,11 @@ fn disabled_layers_run_fp32_and_are_not_metered() {
 }
 
 /// With reuse disabled everywhere the engine runs full precision through the
-/// pooled pipeline, so `execute_sequence` must equal `reference_forward`
-/// bit-for-bit (the only configuration where exact equality is meaningful —
+/// pooled pipeline, so `execute_sequence` must equal the network's own
+/// forward bit-for-bit (the only configuration where exact equality is meaningful —
 /// quantized runs approximate by design).
 #[test]
-fn full_precision_sequence_matches_reference_forward_exactly() {
+fn full_precision_sequence_matches_the_network_forward_exactly() {
     let net = NetworkBuilder::new("fp", 12)
         .fully_connected(20, Activation::Relu)
         .fully_connected(6, Activation::Identity)
@@ -223,7 +229,7 @@ fn full_precision_sequence_matches_reference_forward_exactly() {
     let outs = engine.execute_sequence(&frames).unwrap();
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     for (frame, out) in frames.iter().zip(outs.iter()) {
-        let reference = engine.reference_forward(frame).unwrap();
+        let reference = net.forward_flat(frame).unwrap();
         assert_eq!(bits(reference.as_slice()), bits(out.as_slice()));
     }
 }
@@ -283,7 +289,7 @@ fn rnn_sequence_runs_and_reuses() {
     // Outputs stay close to the fp32 reference.
     let reference = net.forward_sequence(&seq2).unwrap();
     for (o, r) in out.iter().zip(reference.iter()) {
-        let denom = r.max_abs().max(1.0);
+        let denom = error_scale(r.as_slice());
         for (a, b) in o.as_slice().iter().zip(r.as_slice().iter()) {
             assert!((a - b).abs() / denom < 0.5, "{a} vs {b}");
         }
@@ -517,7 +523,7 @@ fn constant_input_layer_is_auto_disabled() {
     let out2 = engine.execute(&frame).unwrap();
     assert_eq!(out1.as_slice(), out2.as_slice());
     let reference = net.forward_flat(&frame).unwrap();
-    let denom = reference.max_abs().max(1.0);
+    let denom = error_scale(reference.as_slice());
     for (a, b) in out1.as_slice().iter().zip(reference.as_slice().iter()) {
         assert!((a - b).abs() / denom < 0.35, "{a} vs {b}");
     }
@@ -569,7 +575,7 @@ fn unidirectional_lstm_reuses_across_timesteps() {
     // Outputs track the fp32 reference.
     let reference = net.forward_sequence(&seq2).unwrap();
     for (o, r) in outs.iter().zip(reference.iter()) {
-        let denom = r.max_abs().max(1.0);
+        let denom = error_scale(r.as_slice());
         for (a, b) in o.as_slice().iter().zip(r.as_slice().iter()) {
             assert!((a - b).abs() / denom < 0.5, "{a} vs {b}");
         }
@@ -628,7 +634,7 @@ fn conv3d_network_through_engine_matches_reference() {
     for frame in &frames {
         let out = engine.execute(frame).unwrap();
         let reference = net.forward_flat(frame).unwrap();
-        let denom = reference.max_abs().max(1.0);
+        let denom = error_scale(reference.as_slice());
         for (a, b) in out.as_slice().iter().zip(reference.as_slice().iter()) {
             assert!((a - b).abs() / denom < 0.4, "{a} vs {b}");
         }

@@ -273,8 +273,9 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_well_formed() {
-        // A quote, a backslash, a control character and a non-BMP scalar.
-        let hostile = "kaldi\"test\"\\\u{2}\u{1F680}";
+        // A quote, a backslash, a newline, a control character and a
+        // non-BMP scalar; a NaN similarity and an infinite EWMA read null.
+        let hostile = "kaldi\"test\"\\\n\u{2}\u{1F680}";
         let snap = ServerSnapshot {
             network: hostile.to_string(),
             active_streams: 2,
@@ -324,46 +325,64 @@ mod tests {
                 },
             ],
         };
+        // Every stream of the second shard has closed: its lifetime counters
+        // stay, its stream list is empty.
+        let closed = ServerSnapshot {
+            network: "closed".to_string(),
+            active_streams: 0,
+            service_ewma_ns: f64::INFINITY,
+            streams: Vec::new(),
+            ..snap.clone()
+        };
         let sharded = ShardedSnapshot {
             p50_ns: snap.p50_ns,
             p99_ns: snap.p99_ns,
             p999_ns: snap.p999_ns,
             max_ns: snap.max_ns,
             latency_count: snap.latency_count,
-            shards: vec![snap],
+            shards: vec![snap, closed],
         };
-        let json = sharded.to_json();
-        let root = reuse_core::json::parse(&json).expect("strict parser accepts the snapshot");
-        let shard = root.get("per_shard").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(shard.len(), 1);
-        let shard = &shard[0];
-        assert_eq!(shard.get("network").unwrap().as_str(), Some(hostile));
-        assert!(root.has_path("per_shard.streams.input_similarity"));
-        // The retired cache and policy objects are gone from the schema.
-        assert!(!root.has_path("signature_cache"));
-        assert!(!root.has_path("policy"));
-        assert!(!root.has_path("policy_layers"));
-        assert!(!root.has_path("per_shard.signature_cache"));
-        assert!(!root.has_path("per_shard.policy"));
-        assert!(json.contains("\"p99\": 65535"));
-        assert!(json.contains("\"p999\": 65535"));
-        assert!(json.contains("\"deadline_shed\": 3"));
-        assert!(json.contains("\"expired\": 1"));
-        assert!(json.contains("\"service_ewma_ns\": 1234.5"));
-        assert!(json.contains("\"degraded\": true"));
-        assert!(json.contains("\"failed\": true"));
-        // Non-finite similarity serializes as null, not NaN.
-        assert!(json.contains("\"input_similarity\": null"));
-        assert!(!json.contains("NaN"));
-        // Balanced braces/brackets.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in {json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains(",\n      ]"));
+        let want = r#"{
+  "shards": 2,
+  "active_streams": 2,
+  "frames_submitted": 40,
+  "frames_completed": 36,
+  "backpressure": {"queue_full": 2, "shed": 0, "deadline_shed": 6, "expired": 2},
+  "latency_ns": {"count": 18, "p50": 4095, "p99": 65535, "p999": 65535, "max": 60000},
+  "per_shard": [
+    {
+      "network": "kaldi\"test\"\\\u000a\u0002🚀",
+      "active_streams": 2,
+      "max_sessions": 4,
+      "ticks": 10,
+      "frames_submitted": 20,
+      "frames_completed": 18,
+      "backpressure": {"queue_full": 1, "shed": 0, "deadline_shed": 3, "expired": 1, "outputs_dropped": 0},
+      "evictions": {"streams": 1, "frames": 2},
+      "latency_ns": {"count": 18, "p50": 4095, "p99": 65535, "p999": 65535, "max": 60000},
+      "service_ewma_ns": 1234.500000,
+      "streams": [
+        {"id": 0, "frames_in": 10, "frames_done": 9, "queue_len": 1, "queue_full": 0, "shed": 0, "deadline_shed": 2, "expired": 1, "degraded": false, "failed": false, "input_similarity": 0.750000},
+        {"id": 7, "frames_in": 10, "frames_done": 9, "queue_len": 0, "queue_full": 1, "shed": 0, "deadline_shed": 0, "expired": 0, "degraded": true, "failed": true, "input_similarity": null}
+      ]
+    },
+    {
+      "network": "closed",
+      "active_streams": 0,
+      "max_sessions": 4,
+      "ticks": 10,
+      "frames_submitted": 20,
+      "frames_completed": 18,
+      "backpressure": {"queue_full": 1, "shed": 0, "deadline_shed": 3, "expired": 1, "outputs_dropped": 0},
+      "evictions": {"streams": 1, "frames": 2},
+      "latency_ns": {"count": 18, "p50": 4095, "p99": 65535, "p999": 65535, "max": 60000},
+      "service_ewma_ns": null,
+      "streams": [
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(sharded.to_json(), want);
     }
 }

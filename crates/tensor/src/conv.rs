@@ -937,13 +937,15 @@ mod tests {
     fn conv2d_same_padding_preserves_size() {
         let spec = spec2(1, 1, 3, 1, 1);
         assert_eq!(spec.output_hw(5, 7).unwrap(), (5, 7));
-        let input = Tensor::full(Shape::d3(1, 3, 3), 1.0);
+        let input = Tensor::from_vec(Shape::d3(1, 3, 3), vec![1.0; 9]).unwrap();
         let w = Tensor::from_vec(spec.weight_shape(), vec![1.0; 9]).unwrap();
         let b = Tensor::from_slice_1d(&[0.0]).unwrap();
         let out = conv2d_forward(&spec, &input, &w, &b).unwrap();
-        // Center sees all 9 ones; corners see only 4.
-        assert_eq!(out.get(&[0, 1, 1]).unwrap(), 9.0);
-        assert_eq!(out.get(&[0, 0, 0]).unwrap(), 4.0);
+        // Center sees all 9 ones; corners see only 4, edges 6.
+        assert_eq!(
+            out.as_slice(),
+            &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors produced by tensor construction and access.
+/// Errors produced by tensor construction and the kernels' shape checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TensorError {
@@ -10,22 +10,6 @@ pub enum TensorError {
         expected: usize,
         /// Number of elements actually provided.
         actual: usize,
-    },
-    /// An index had the wrong number of dimensions for the tensor.
-    RankMismatch {
-        /// Rank of the tensor.
-        expected: usize,
-        /// Rank of the supplied index.
-        actual: usize,
-    },
-    /// An index was out of bounds in some dimension.
-    OutOfBounds {
-        /// Dimension in which the index was out of range.
-        dim: usize,
-        /// The offending index value.
-        index: usize,
-        /// The size of that dimension.
-        size: usize,
     },
     /// Two tensors had incompatible shapes for the requested operation.
     ShapeMismatch {
@@ -43,18 +27,6 @@ impl fmt::Display for TensorError {
                 write!(
                     f,
                     "data length {actual} does not match shape volume {expected}"
-                )
-            }
-            TensorError::RankMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "index rank {actual} does not match tensor rank {expected}"
-                )
-            }
-            TensorError::OutOfBounds { dim, index, size } => {
-                write!(
-                    f,
-                    "index {index} out of bounds for dimension {dim} of size {size}"
                 )
             }
             TensorError::ShapeMismatch { context } => {
@@ -86,16 +58,5 @@ mod tests {
     fn error_trait_is_implemented() {
         fn assert_error<E: std::error::Error + Send + Sync>() {}
         assert_error::<TensorError>();
-    }
-
-    #[test]
-    fn out_of_bounds_reports_all_fields() {
-        let err = TensorError::OutOfBounds {
-            dim: 1,
-            index: 9,
-            size: 4,
-        };
-        let msg = err.to_string();
-        assert!(msg.contains('9') && msg.contains('4') && msg.contains('1'));
     }
 }

@@ -3,11 +3,12 @@
 //! This crate provides the minimal-but-complete numeric foundation the rest
 //! of the workspace builds on:
 //!
-//! * [`Shape`] — dimension bookkeeping with row-major strides.
-//! * [`Tensor`] — an owned, row-major `f32` tensor with checked indexing.
-//! * [`ops`] — elementwise operations.
-//! * [`matmul`] — dense matrix multiply / matrix-vector kernels used by
-//!   fully-connected layers.
+//! * [`Shape`] — the dimension sizes of a row-major tensor.
+//! * [`Tensor`] — an owned, row-major `f32` tensor with checked
+//!   construction and a flat view of its data.
+//! * [`ops`] — the elementwise map the activations apply.
+//! * [`matmul`] — the multiply against packed weight panels, with the
+//!   naive matmul and FC forward that the blocked kernels are held to.
 //! * [`conv`] — 2D and 3D convolution over one rank-generic geometry: an
 //!   implicit GEMM on the packed panels, a naive oracle, transposes, pooling.
 //! * [`block`] — cache-blocked weight panels and the 16-lane FC microkernel
@@ -23,7 +24,7 @@
 //! use reuse_tensor::{Shape, Tensor};
 //!
 //! let t = Tensor::from_vec(Shape::d2(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])?;
-//! assert_eq!(t.get(&[1, 2])?, 6.0);
+//! assert_eq!(t.as_slice()[1 * 3 + 2], 6.0);
 //! # Ok::<(), reuse_tensor::TensorError>(())
 //! ```
 

@@ -68,23 +68,6 @@ pub fn fc_forward_naive(
     Tensor::from_vec(Shape::d1(n_out), out)
 }
 
-/// General dense matrix multiply `C = A · B` with `A: [m, k]`, `B: [k, n]`:
-/// packs `B` and runs [`matmul_packed_into`]. The layers do not call it (FC
-/// and LSTM gates run matvecs, convolution multiplies against panels packed
-/// once); same exactness against [`matmul_naive`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when inner dimensions disagree or
-/// either operand is not rank-2.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = matmul_dims(a, b)?;
-    let packed = PackedPanels::pack_slice(b.as_slice(), k, n);
-    let mut c = vec![0.0f32; m * n];
-    matmul_packed_into(&ParallelConfig::serial(), a.as_slice(), &packed, m, &mut c);
-    Tensor::from_vec(Shape::d2(m, n), c)
-}
-
 /// The blocked multiply against an already-packed `B`: `C += A · B` where
 /// `a` is row-major `[m, k]`, `packed` holds `B` (`k = packed.n_in()`,
 /// `n = packed.n_out()`), and `c` is the row-major `[m, n]` output, entering
@@ -127,9 +110,9 @@ pub fn matmul_packed_into(
     }
 }
 
-/// The unblocked oracle for [`matmul`]: a plain row walk with no weight
-/// repacking, one fused step per term. Kept public so proptests can compare
-/// the blocked kernel against it.
+/// The unblocked oracle for [`matmul_packed_into`]: a plain row walk with no
+/// weight repacking, one fused step per term. Kept public so proptests can
+/// compare the blocked kernel against it.
 ///
 /// # Errors
 ///
@@ -211,28 +194,39 @@ mod tests {
         assert!(fc_forward_naive(&w, &x2, &b2).is_err());
     }
 
+    /// `A · B` through the blocked kernel: `B` packed, `C` from zeros.
+    fn packed_product(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (k, n) = (b.shape().dims()[0], b.shape().dims()[1]);
+        let m = a.len() / k;
+        let mut c = vec![0.0; m * n];
+        let packed = PackedPanels::pack_slice(b.as_slice(), k, n);
+        matmul_packed_into(&ParallelConfig::serial(), a.as_slice(), &packed, m, &mut c);
+        c
+    }
+
     #[test]
     fn matmul_identity() {
         let i = Tensor::from_vec(Shape::d2(2, 2), vec![1., 0., 0., 1.]).unwrap();
         let a = Tensor::from_vec(Shape::d2(2, 2), vec![1., 2., 3., 4.]).unwrap();
-        assert_eq!(matmul(&i, &a).unwrap(), a);
-        assert_eq!(matmul(&a, &i).unwrap(), a);
+        assert_eq!(packed_product(&i, &a), a.as_slice());
+        assert_eq!(packed_product(&a, &i), a.as_slice());
     }
 
     #[test]
     fn matmul_rectangular() {
         let a = Tensor::from_vec(Shape::d2(1, 3), vec![1., 2., 3.]).unwrap();
         let b = Tensor::from_vec(Shape::d2(3, 2), vec![1., 0., 0., 1., 1., 1.]).unwrap();
-        let c = matmul(&a, &b).unwrap();
-        assert_eq!(c.shape().dims(), &[1, 2]);
-        assert_eq!(c.as_slice(), &[1. + 3., 2. + 3.]);
+        assert_eq!(packed_product(&a, &b), &[1. + 3., 2. + 3.]);
+        let naive = matmul_naive(&a, &b).unwrap();
+        assert_eq!(naive.shape().dims(), &[1, 2]);
+        assert_eq!(naive.as_slice(), &[1. + 3., 2. + 3.]);
     }
 
     #[test]
     fn matmul_rejects_mismatched_inner_dims() {
         let a = Tensor::zeros(Shape::d2(2, 3));
         let b = Tensor::zeros(Shape::d2(2, 2));
-        assert!(matmul(&a, &b).is_err());
+        assert!(matmul_naive(&a, &b).is_err());
     }
 
     #[test]
@@ -259,8 +253,8 @@ mod tests {
             let a = Tensor::from_vec(Shape::d2(m, k), av).unwrap();
             let b = Tensor::from_vec(Shape::d2(k, n), bv).unwrap();
             let naive = matmul_naive(&a, &b).unwrap();
-            let blocked = matmul(&a, &b).unwrap();
-            let mismatch = crate::simd::kernel_mismatch(blocked.as_slice(), naive.as_slice());
+            let blocked = packed_product(&a, &b);
+            let mismatch = crate::simd::kernel_mismatch(&blocked, naive.as_slice());
             assert!(mismatch.is_none(), "m={m} k={k} n={n}: {mismatch:?}");
         }
     }

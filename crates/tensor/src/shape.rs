@@ -11,7 +11,7 @@ use crate::TensorError;
 ///
 /// let s = Shape::d3(2, 3, 4);
 /// assert_eq!(s.volume(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// assert_eq!(s.dims(), &[2, 3, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -76,54 +76,9 @@ impl Shape {
         &self.dims
     }
 
-    /// The number of dimensions.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
-
     /// The total number of elements.
     pub fn volume(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Converts a multi-dimensional index to a flat row-major offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if `index` has the wrong rank and
-    /// [`TensorError::OutOfBounds`] if any coordinate exceeds its dimension.
-    pub fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
-        if index.len() != self.dims.len() {
-            return Err(TensorError::RankMismatch {
-                expected: self.dims.len(),
-                actual: index.len(),
-            });
-        }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for dim in (0..self.dims.len()).rev() {
-            let idx = index[dim];
-            let size = self.dims[dim];
-            if idx >= size {
-                return Err(TensorError::OutOfBounds {
-                    dim,
-                    index: idx,
-                    size,
-                });
-            }
-            off += idx * stride;
-            stride *= size;
-        }
-        Ok(off)
     }
 }
 
@@ -151,51 +106,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn volume_and_rank() {
+    fn volume_is_the_product_of_dims() {
         let s = Shape::d4(3, 16, 112, 112);
-        assert_eq!(s.rank(), 4);
+        assert_eq!(s.dims(), &[3, 16, 112, 112]);
         assert_eq!(s.volume(), 3 * 16 * 112 * 112);
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        let s = Shape::d3(2, 3, 4);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        let s1 = Shape::d1(7);
-        assert_eq!(s1.strides(), vec![1]);
-    }
-
-    #[test]
-    fn offset_round_trip() {
-        let s = Shape::d3(2, 3, 4);
-        let mut seen = std::collections::HashSet::new();
-        for c in 0..2 {
-            for h in 0..3 {
-                for w in 0..4 {
-                    let off = s.offset(&[c, h, w]).unwrap();
-                    assert!(off < s.volume());
-                    assert!(seen.insert(off), "offsets must be unique");
-                }
-            }
-        }
-        assert_eq!(seen.len(), s.volume());
-    }
-
-    #[test]
-    fn offset_rejects_bad_rank_and_bounds() {
-        let s = Shape::d2(2, 3);
-        assert!(matches!(
-            s.offset(&[0]),
-            Err(TensorError::RankMismatch { .. })
-        ));
-        assert!(matches!(
-            s.offset(&[0, 3]),
-            Err(TensorError::OutOfBounds { dim: 1, .. })
-        ));
-        assert!(matches!(
-            s.offset(&[2, 0]),
-            Err(TensorError::OutOfBounds { dim: 0, .. })
-        ));
     }
 
     #[test]

@@ -4,18 +4,17 @@ use crate::{Shape, TensorError};
 ///
 /// `Tensor` is the single data container used throughout the workspace for
 /// layer inputs, outputs, weights and intermediate buffers. It deliberately
-/// stays small: checked construction, checked/unchecked element access, and
-/// a flat view of the data for kernels that do their own indexing.
+/// stays small: checked construction and a flat view of the data for
+/// kernels that do their own indexing.
 ///
 /// # Example
 ///
 /// ```
 /// use reuse_tensor::{Shape, Tensor};
 ///
-/// let mut t = Tensor::zeros(Shape::d2(2, 2));
-/// t.set(&[0, 1], 3.5)?;
-/// assert_eq!(t.get(&[0, 1])?, 3.5);
-/// assert_eq!(t.as_slice(), &[0.0, 3.5, 0.0, 0.0]);
+/// let t = Tensor::from_vec(Shape::d2(2, 2), vec![0.0, 3.5, 0.0, 0.0])?;
+/// assert_eq!(t.as_slice()[1], 3.5);
+/// assert_eq!(t.argmax(), 1);
 /// # Ok::<(), reuse_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -31,15 +30,6 @@ impl Tensor {
         Tensor {
             shape,
             data: vec![0.0; volume],
-        }
-    }
-
-    /// Creates a tensor filled with a constant value.
-    pub fn full(shape: Shape, value: f32) -> Self {
-        let volume = shape.volume();
-        Tensor {
-            shape,
-            data: vec![value; volume],
         }
     }
 
@@ -100,54 +90,6 @@ impl Tensor {
         self.data
     }
 
-    /// Reads the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates indexing errors from [`Shape::offset`].
-    pub fn get(&self, index: &[usize]) -> Result<f32, TensorError> {
-        Ok(self.data[self.shape.offset(index)?])
-    }
-
-    /// Writes the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates indexing errors from [`Shape::offset`].
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
-        let off = self.shape.offset(index)?;
-        self.data[off] = value;
-        Ok(())
-    }
-
-    /// Reinterprets the tensor with a new shape of identical volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the volumes differ.
-    pub fn reshape(self, shape: Shape) -> Result<Self, TensorError> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "cannot reshape {} (volume {}) to {} (volume {})",
-                    self.shape,
-                    self.data.len(),
-                    shape,
-                    shape.volume()
-                ),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data,
-        })
-    }
-
-    /// The maximum absolute element, or 0.0 for all-zero tensors.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-
     /// Index of the maximum element (ties resolve to the first occurrence).
     ///
     /// This is the classification decision used by the accuracy-proxy
@@ -195,24 +137,6 @@ impl Tensor {
             .sum();
         Ok(sum.sqrt() as f32)
     }
-
-    /// Returns true when every element differs from `other` by at most `tol`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn approx_eq(&self, other: &Tensor, tol: f32) -> Result<bool, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("approx_eq between {} and {}", self.shape, other.shape),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .all(|(a, b)| (a - b).abs() <= tol))
-    }
 }
 
 impl AsRef<[f32]> for Tensor {
@@ -226,12 +150,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_full() {
+    fn zeros_fills_the_shape() {
         let z = Tensor::zeros(Shape::d2(2, 3));
         assert_eq!(z.len(), 6);
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
-        let f = Tensor::full(Shape::d1(4), 2.5);
-        assert!(f.as_slice().iter().all(|&v| v == 2.5));
     }
 
     #[test]
@@ -244,22 +166,6 @@ mod tests {
                 actual: 5
             })
         ));
-    }
-
-    #[test]
-    fn get_set_round_trip() {
-        let mut t = Tensor::zeros(Shape::d3(2, 2, 2));
-        t.set(&[1, 0, 1], -7.0).unwrap();
-        assert_eq!(t.get(&[1, 0, 1]).unwrap(), -7.0);
-        assert_eq!(t.get(&[0, 0, 0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(Shape::d2(2, 3), vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let r = t.clone().reshape(Shape::d2(3, 2)).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(Shape::d2(4, 2)).is_err());
     }
 
     #[test]
@@ -279,22 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn approx_eq_tolerance() {
-        let a = Tensor::from_slice_1d(&[1.0, 2.0]).unwrap();
-        let b = Tensor::from_slice_1d(&[1.0005, 2.0]).unwrap();
-        assert!(a.approx_eq(&b, 1e-3).unwrap());
-        assert!(!a.approx_eq(&b, 1e-4).unwrap());
-    }
-
-    #[test]
     fn from_fn_uses_flat_indices() {
         let t = Tensor::from_fn(Shape::d2(2, 2), |i| i as f32);
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn max_abs_handles_negatives() {
-        let t = Tensor::from_slice_1d(&[-3.0, 2.0, 1.0]).unwrap();
-        assert_eq!(t.max_abs(), 3.0);
     }
 }

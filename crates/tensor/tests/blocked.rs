@@ -17,7 +17,7 @@ use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
 use reuse_tensor::conv::{
     conv_forward_into, conv_forward_naive, transpose_into, Conv2dSpec, Conv3dSpec, ConvGeometry,
 };
-use reuse_tensor::matmul::{fc_forward_naive, matmul, matmul_naive};
+use reuse_tensor::matmul::{fc_forward_naive, matmul_naive, matmul_packed_into};
 use reuse_tensor::{simd, PackedPanels, ParallelConfig, Shape, Tensor};
 
 /// Filter counts around the 16-lane panel and the 8-lane vector: a lone
@@ -260,13 +260,15 @@ proptest! {
         // The last row of `A` all zeros: a `C` row of nothing but zero products.
         let av: Vec<f32> = (0..m * k).map(|e| if e / k == m - 1 { 0.0 } else { next() }).collect();
         let bv: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let packed = PackedPanels::pack_slice(&bv, k, n);
+        let mut blocked = vec![0.0; m * n];
+        matmul_packed_into(&ParallelConfig::serial(), &av, &packed, m, &mut blocked);
+
         let ta = Tensor::from_vec(Shape::d2(m, k), av).unwrap();
         let tb = Tensor::from_vec(Shape::d2(k, n), bv).unwrap();
-
         let naive = matmul_naive(&ta, &tb).unwrap();
-        let blocked = matmul(&ta, &tb).unwrap();
 
-        let mismatch = simd::kernel_mismatch(blocked.as_slice(), naive.as_slice());
+        let mismatch = simd::kernel_mismatch(&blocked, naive.as_slice());
         prop_assert!(mismatch.is_none(), "m={} k={} n={}: {:?}", m, k, n, mismatch);
     }
 
