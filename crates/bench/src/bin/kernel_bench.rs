@@ -3,23 +3,28 @@
 //!
 //! `kernel_bench --perf-smoke` times the production kernels and exits
 //! nonzero when one misses its floor. The floors are constants and hold at
-//! the AVX2 level, the one that ships; at the scalar level — a fallback and
-//! an oracle, an out-of-line `fmaf` call per multiply-add on a build without
-//! compile-time FMA — every row is printed and none is gated. Correctness is
+//! both vector levels — the AVX2 floors under `REUSE_SIMD=avx2` or on an
+//! AVX2 host, their own floors for the rows with 512-bit bodies at the
+//! AVX-512 level; at the scalar level — a fallback and an oracle, an
+//! out-of-line `fmaf` call per multiply-add on a build without compile-time
+//! FMA — every row is printed and none is gated. Correctness is
 //! not this binary's business: every kernel owes its naive oracle the same
 //! bits at every level (`reuse_tensor::simd`, DESIGN.md §9), and the test
 //! suites hold that.
 //!
-//! * the packed matmul at Kaldi-FC3 geometry, ≥ 48 GFLOP/s (≥ 4× the
-//!   pre-SIMD 11.98 GFLOP/s baseline);
-//! * four conv forwards, each to a per-geometry GFLOP/s floor: AutoPilot
-//!   CONV2, a C3D CONV3-style layer, C3D-small CONV1 (81 taps, padded on
-//!   every axis) and C3D-small CONV6 (3456 taps over 196 positions);
+//! * the packed matmul at Kaldi-FC3 geometry, ≥ 48 GFLOP/s under AVX2 (≥ 4×
+//!   the pre-SIMD 11.98 GFLOP/s baseline), ≥ 92 at the AVX-512 level;
+//! * four conv forwards, each to a per-geometry GFLOP/s floor per level:
+//!   AutoPilot CONV2, a C3D CONV3-style layer, C3D-small CONV1 (81 taps,
+//!   padded on every axis) and C3D-small CONV6 (3456 taps over 196
+//!   positions);
 //! * the conv *reuse* step, the paper's claim on one layer: on AutoPilot
 //!   CONV2 at ~15% changed inputs, detecting and correcting must beat the
-//!   layer's own forward by ≥ 1.1×. It reads 1.01–1.15× in a full
-//!   `--perf-smoke` run on the 2-vCPU AVX2 box, so this row fails there more
-//!   often than not;
+//!   layer's own forward by ≥ 1.1× at both vector levels. It reads
+//!   1.01–1.15× under AVX2 on the 2-vCPU reference box, so this row fails
+//!   there more often than not, and 0.55–0.59× at the AVX-512 level, where
+//!   it fails every run: the forward is ~2× faster there and the
+//!   correction is not (ROADMAP item 3);
 //! * the recurrent path's levers: one EESEN-shaped cell over a 40-step
 //!   sequence must run ≥ 1.15× faster as one `step_block` call than as forty
 //!   (the feed-forward weights fetched once per block instead of once per
@@ -52,7 +57,7 @@ use reuse_nn::{
 };
 use reuse_quant::{InputRange, LinearQuantizer};
 use reuse_tensor::conv::{conv_forward_into, Conv2dSpec, Conv3dSpec};
-use reuse_tensor::{matmul, Shape, Tensor};
+use reuse_tensor::{matmul, Shape, SimdLevel, Tensor};
 
 /// Times `f` until it has run for ~200 ms (at least 5 iterations) and
 /// returns ns/iter.
@@ -78,16 +83,34 @@ fn random_input(len: usize, rng: &mut Rng64) -> Vec<f32> {
 
 /// One GEMM-shaped kernel of the `--perf-smoke` CI gate — the matmul, or a
 /// conv forward (windows read from the frame × the weights packed at layer
-/// construction) — with the throughput floor it is held to under AVX2.
+/// construction) — with the throughput floors it is held to.
 struct GemmRow {
     name: &'static str,
     flops: u64,
+    floors: Floors,
+    run: Box<dyn FnMut()>,
+}
+
+/// A [`GemmRow`]'s GFLOP/s floors at the two vector levels.
+#[derive(Clone, Copy)]
+struct Floors {
     /// Matmul: ≥4× the pre-SIMD 11.98 GFLOP/s baseline. Conv: half the
     /// lowest reading of each row on the reference box (AutoPilot CONV2
     /// 38–56 GFLOP/s, the C3D CONV3-style layer 49–83, C3D CONV1 34–54, C3D
     /// CONV6 48–79): headroom for their 2x wander.
-    min_avx2_gflops: f64,
-    run: Box<dyn FnMut()>,
+    avx2: f64,
+    /// The rows with a 512-bit body (the matmul's four-row tiles, the conv
+    /// forward block): above the highest AVX2-level reading and at most
+    /// half-way to the lowest AVX-512-level one over 21 alternating runs on
+    /// the reference box, so the level losing its bodies fails the row.
+    /// AVX2 / AVX-512 readings, GFLOP/s: the matmul 73–91 / 109–131 (floor
+    /// 92), AutoPilot CONV2 58–71 / 108–138 (72), C3D CONV6 64–103 /
+    /// 122–184 (104); no AVX-512 reading fell below its floor. Two rows
+    /// cannot be separated and keep their AVX2 floor: the C3D CONV3-style
+    /// layer read 85–108 / 114–174 (the 108 from a `scripts/ci.sh` run), so
+    /// a floor between would sit within 4% of both ends, and C3D-small CONV1
+    /// (one panel, 81 taps) read 45–68 / 56–75.
+    avx512: f64,
 }
 
 /// C = A·B at Kaldi-FC3-like geometry with enough rows to keep the kernel
@@ -103,7 +126,10 @@ fn matmul_row() -> GemmRow {
     GemmRow {
         name: "matmul_64x400x2000",
         flops: 2 * (m * k * n) as u64,
-        min_avx2_gflops: 48.0,
+        floors: Floors {
+            avx2: 48.0,
+            avx512: 92.0,
+        },
         run: Box::new(move || {
             c.fill(0.0);
             matmul::matmul_packed_into(&SERIAL, black_box(&a), &packed, m, &mut c);
@@ -117,7 +143,7 @@ fn matmul_row() -> GemmRow {
 /// reused buffer as the session does.
 fn conv_row<L: ConvLayer + 'static>(
     name: &'static str,
-    min_avx2_gflops: f64,
+    floors: Floors,
     layer: L,
     in_shape: Shape,
     seed: u64,
@@ -129,7 +155,7 @@ fn conv_row<L: ConvLayer + 'static>(
     GemmRow {
         name,
         flops: layer.geometry().flops(dhw),
-        min_avx2_gflops,
+        floors,
         run: Box::new(move || {
             let (g, x) = (layer.geometry(), black_box(input.as_slice()));
             conv_forward_into(g, dhw, x, 1, layer.panels(), layer.bias(), &mut out).unwrap();
@@ -172,28 +198,40 @@ fn conv_rows() -> [GemmRow; 4] {
     [
         conv_row(
             "autopilot_conv2_24x31x98/forward",
-            19.0,
+            Floors {
+                avx2: 19.0,
+                avx512: 72.0,
+            },
             layer2,
             Shape::d3(24, 31, 98),
             4,
         ),
         conv_row(
             "c3d_conv3_32x4x14x14/forward",
-            24.0,
+            Floors {
+                avx2: 24.0,
+                avx512: 24.0,
+            },
             layer3,
             Shape::d4(32, 4, 14, 14),
             6,
         ),
         conv_row(
             "c3d_conv1_3x16x56x56/forward",
-            17.0,
+            Floors {
+                avx2: 17.0,
+                avx512: 17.0,
+            },
             conv1,
             Shape::d4(3, 16, 56, 56),
             8,
         ),
         conv_row(
             "c3d_conv6_128x4x7x7/forward",
-            24.0,
+            Floors {
+                avx2: 24.0,
+                avx512: 104.0,
+            },
             conv6,
             Shape::d4(128, 4, 7, 7),
             10,
@@ -492,12 +530,12 @@ fn bench_engine_pair() -> EngineBench {
     bench
 }
 
-/// Times the production kernels and exits nonzero when, under AVX2, one
-/// misses its floor; at the scalar level every row prints and none is held
+/// Times the production kernels and exits nonzero when, at a vector level,
+/// one misses its floor; at the scalar level every row prints and none is held
 /// (see the module docs).
 fn perf_smoke() -> ExitCode {
     let level = reuse_tensor::simd::level();
-    let gated = level == reuse_tensor::SimdLevel::Avx2;
+    let gated = level != SimdLevel::Scalar;
     let mut ok = true;
     // One printed row: `value` in `unit`, held to `floor` when gated.
     let mut row = |what: &str, value: f64, unit: &str, floor: f64| {
@@ -520,7 +558,14 @@ fn perf_smoke() -> ExitCode {
         let ns = time_ns(&mut kernel.run);
         let what = format!("{} {ns:.0} ns,", kernel.name);
         let gflops = kernel.flops as f64 / ns;
-        row(&what, gflops, " GFLOP/s", kernel.min_avx2_gflops);
+        let floor = match level {
+            SimdLevel::Scalar => 0.0, // not gated
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => kernel.floors.avx2,
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => kernel.floors.avx512,
+        };
+        row(&what, gflops, " GFLOP/s", floor);
     }
     // The paper's claim on one layer: correcting the changed inputs beats
     // recomputing.

@@ -137,9 +137,11 @@ impl LinearQuantizer {
     /// them reuse statistics, never depend on the active SIMD level.
     pub fn quantize_slice_into(&self, xs: &[f32], out: &mut Vec<QuantCode>) {
         match reuse_tensor::simd::level() {
+            reuse_tensor::SimdLevel::Scalar => self.quantize_slice_into_scalar(xs, out),
             #[cfg(target_arch = "x86_64")]
-            reuse_tensor::SimdLevel::Avx2 => self.quantize_slice_into_avx2(xs, out),
-            _ => self.quantize_slice_into_scalar(xs, out),
+            reuse_tensor::SimdLevel::Avx2 | reuse_tensor::SimdLevel::Avx512 => {
+                self.quantize_slice_into_avx2(xs, out)
+            }
         }
     }
 
@@ -173,10 +175,10 @@ impl LinearQuantizer {
     /// order. `changed` is replaced; once it has room for `xs.len()` pairs
     /// the pass is allocation-free.
     ///
-    /// Dispatched on the resolved SIMD level and bit-exact at both: codes
+    /// Dispatched on the resolved SIMD level and bit-exact at each: codes
     /// lane-match [`Self::quantize`], and the delta is
     /// `centroid(new) - centroid(old)` in f32 — two rounded products, then a
-    /// subtract — at either level, so which indices are reported and what
+    /// subtract — at every level, so which indices are reported and what
     /// they carry never depend on it.
     ///
     /// # Panics
@@ -184,9 +186,11 @@ impl LinearQuantizer {
     /// Panics when `xs` and `prev` have different lengths.
     pub fn diff_codes(&self, xs: &[f32], prev: &mut [QuantCode], changed: &mut Vec<(u32, f32)>) {
         match reuse_tensor::simd::level() {
+            reuse_tensor::SimdLevel::Scalar => self.diff_codes_scalar(xs, prev, changed),
             #[cfg(target_arch = "x86_64")]
-            reuse_tensor::SimdLevel::Avx2 => self.diff_codes_avx2(xs, prev, changed),
-            _ => self.diff_codes_scalar(xs, prev, changed),
+            reuse_tensor::SimdLevel::Avx2 | reuse_tensor::SimdLevel::Avx512 => {
+                self.diff_codes_avx2(xs, prev, changed)
+            }
         }
     }
 

@@ -16,11 +16,12 @@
 //! last panel are zero-padded). One panel of a Kaldi-sized layer
 //! (`n_in = 400`) is `400 × 16 × 4 B = 25 KiB` — it fits L1 and is
 //! streamed exactly once per forward pass while the accumulators sit in
-//! registers: two 256-bit vectors per panel on the AVX2 path, a fixed-width
-//! array the compiler auto-vectorizes on the scalar path.
+//! registers: two 256-bit vectors per panel on the AVX2 path, one 512-bit
+//! vector at the AVX-512 level, a fixed-width array the compiler
+//! auto-vectorizes on the scalar path.
 //!
 //! **Exactness.** The kernels dispatch on [`crate::simd::level`], and at
-//! either level each output `j` is one chain of fused multiply-adds — bias
+//! every level each output `j` is one chain of fused multiply-adds — bias
 //! first, then `x[i] · w[i][j]` for every `i` ascending, zeros included —
 //! which is [`crate::matmul::fc_forward_naive`]'s chain: results are
 //! **bit-identical** to the oracle and across levels (the [`crate::simd`]
@@ -30,9 +31,10 @@
 use crate::simd;
 use crate::{ParallelConfig, Tensor, TensorError};
 
-/// Number of output lanes per packed panel: 16 `f32` lanes fill two 256-bit
-/// vector registers (the AVX2 kernels' unroll unit); on narrower machines
-/// the compiler splits the fixed-width accumulator array further.
+/// Number of output lanes per packed panel: 16 `f32` lanes fill one 512-bit
+/// or two 256-bit vector registers (the AVX-512 and AVX2 kernels' unroll
+/// unit); on narrower machines the compiler splits the fixed-width
+/// accumulator array further.
 pub const PANEL_WIDTH: usize = 16;
 
 /// Panels walked together per microkernel pass. Each panel's 16-lane
@@ -156,7 +158,7 @@ impl PackedPanels {
     /// descending, on `counts[0]` output rows `outer_stride` floats apart
     /// through taps `stride · kw` apart; row `t` of a panel is 16 contiguous
     /// floats, so the forward pass's panels serve unchanged. Every step is
-    /// fused at either [`crate::simd::level`] (the [`crate::simd::row_axpy`]
+    /// fused at every [`crate::simd::level`] (the [`crate::simd::row_axpy`]
     /// shape). The level is resolved once per call and the iterator inlines:
     /// a grid is only a few dozen floats.
     ///
@@ -173,10 +175,10 @@ impl PackedPanels {
     ) {
         match simd::level() {
             #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 => {
+            simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => {
                 simd::avx2::axpy_row_grids(self, steps, outer_stride, grids, dst);
             }
-            _ => {
+            simd::SimdLevel::Scalar => {
                 for g in grids {
                     for i in 0..g.counts[0] {
                         for j in 0..g.counts[1] {
@@ -218,7 +220,7 @@ impl PackedPanels {
     /// Per output element the additions are fused `z ← z + Δ·w` steps in
     /// bucket order, which is the order an input-by-input walk over
     /// ascending changed inputs applies them in, so results are bit-identical
-    /// to that walk, at either [`crate::simd::level`].
+    /// to that walk, at every [`crate::simd::level`].
     ///
     /// Returns the number of `(tap, Δ)` entries applied.
     ///
@@ -238,11 +240,13 @@ impl PackedPanels {
         dst: &mut [f32],
     ) -> u64 {
         match simd::level() {
+            simd::SimdLevel::Scalar => {
+                gather_axpy_scalar(self, image, windows, lanes, step, bucket, dst)
+            }
             #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 => {
+            simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => {
                 simd::avx2::gather_axpy(self, image, windows, lanes, step, bucket, dst)
             }
-            _ => gather_axpy_scalar(self, image, windows, lanes, step, bucket, dst),
         }
     }
 
@@ -275,15 +279,17 @@ impl PackedPanels {
     /// tap falls outside `0 .. n_in`.
     pub fn axpy_buckets(&self, taps: &[u32], deltas: &[f32], ends: &[usize], dst: &mut [f32]) {
         match simd::level() {
+            simd::SimdLevel::Scalar => axpy_buckets_scalar(self, taps, deltas, ends, dst),
             #[cfg(target_arch = "x86_64")]
-            simd::SimdLevel::Avx2 => simd::avx2::axpy_buckets(self, taps, deltas, ends, dst),
-            _ => axpy_buckets_scalar(self, taps, deltas, ends, dst),
+            simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => {
+                simd::avx2::axpy_buckets(self, taps, deltas, ends, dst)
+            }
         }
     }
 }
 
 /// The bounds every access of [`PackedPanels::axpy_buckets`] stays inside,
-/// checked once per call at both SIMD levels (the AVX2 body indexes through
+/// checked once per call at every SIMD level (the AVX2 body indexes through
 /// raw pointers on the strength of these).
 pub(crate) fn check_buckets(
     packed: &PackedPanels,
@@ -386,7 +392,7 @@ impl TapBucket {
 }
 
 /// The bounds every access of [`PackedPanels::gather_axpy`] stays inside,
-/// checked once per call at both SIMD levels (the AVX2 body indexes through
+/// checked once per call at every SIMD level (the AVX2 body indexes through
 /// raw pointers on the strength of these). Returns the position count.
 pub(crate) fn check_gather(
     packed: &PackedPanels,
@@ -486,7 +492,7 @@ pub struct RowGrid {
 /// Blocked fully-connected forward pass: `out[j] = Σ_i w[i][j]·x[i] + b[j]`,
 /// the one-row case of [`crate::matmul::matmul_packed_into`] from a
 /// bias-seeded `out`. Bit-identical to [`crate::matmul::fc_forward_naive`]
-/// at either [`crate::simd::level`]: the same per-output chain — bias first,
+/// at every [`crate::simd::level`]: the same per-output chain — bias first,
 /// then every `i` ascending, each step fused (see the [`crate::simd`]
 /// contract).
 ///
@@ -613,7 +619,7 @@ pub const DELTA_BATCH: usize = 4;
 /// Per output `j` the additions are `Δ₀·w[i₀][j], Δ₁·w[i₁][j], …` in
 /// `deltas` order, each step fused — exactly the naive correction loop's
 /// chain — so the result is bit-identical to the unblocked path (paper
-/// Eq. 10) at either [`crate::simd::level`].
+/// Eq. 10) at every [`crate::simd::level`].
 ///
 /// # Panics
 ///
@@ -627,9 +633,9 @@ pub fn apply_deltas_rows(
 ) {
     assert_eq!(z.len(), n_out, "buffered outputs vs weight row width");
     match simd::level() {
+        simd::SimdLevel::Scalar => apply_deltas_scalar(w, deltas, z),
         #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => simd::avx2::apply_deltas(w, deltas, z),
-        _ => apply_deltas_scalar(w, deltas, z),
+        simd::SimdLevel::Avx2 | simd::SimdLevel::Avx512 => simd::avx2::apply_deltas(w, deltas, z),
     }
 }
 

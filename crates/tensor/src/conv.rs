@@ -32,7 +32,8 @@
 use core::ops::Range;
 
 use crate::block::{PackedPanels, PANEL_WIDTH};
-use crate::{simd, Shape, Tensor, TensorError};
+use crate::simd::{self, SimdLevel};
+use crate::{Shape, Tensor, TensorError};
 
 /// Geometry of a convolution of either rank, validated at construction:
 /// channels, kernel extents and stride are all non-zero. A 2D convolution is
@@ -424,16 +425,21 @@ pub fn conv_forward_into(
             for crow in c.chunks_exact_mut(width) {
                 crow[..out_c].copy_from_slice(bv);
             }
+            // SAFETY (both vector arms): the level resolved to AVX2 or
+            // AVX-512, so the host runs it; `panels` has `segs · kw` rows
+            // (checked on entry), `c` is `rows` rows of whole panels, and the
+            // reach assert bounds every window inside `x` (no origin is past
+            // the last position's).
             match level {
-                // SAFETY: the level resolved to AVX2, so the host runs it;
-                // `panels` has `segs · kw` rows (checked on entry), `c` is
-                // `rows` rows of whole panels, and the reach assert bounds every
-                // window inside `x` (no origin is past the last position's).
+                SimdLevel::Scalar => conv_block_scalar(x, segments, kw, origins, panels, c),
                 #[cfg(target_arch = "x86_64")]
-                simd::SimdLevel::Avx2 => unsafe {
+                SimdLevel::Avx2 => unsafe {
                     simd::avx2::conv_block(x, segments, kw, origins, panels, c);
                 },
-                _ => conv_block_scalar(x, segments, kw, origins, panels, c),
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx512 => unsafe {
+                    simd::avx512::conv_block(x, segments, kw, origins, panels, c);
+                },
             }
             transpose_strided(c, width, out_c, &mut out[first..], positions);
         }
@@ -493,11 +499,13 @@ fn transpose_strided(src: &[f32], width: usize, cols: usize, dst: &mut [f32], st
     let fits = cols <= width && rows <= stride && (cols - 1) * stride + rows <= dst.len();
     assert!(fits, "{rows}x{cols} transpose past {} floats", dst.len());
     match simd::level() {
-        // SAFETY: the level resolved to AVX2, so the host runs it; `fits`
-        // is the bounds the body relies on.
+        // SAFETY: the level resolved to AVX2 or above, so the host runs
+        // AVX2; `fits` is the bounds the body relies on.
         #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => unsafe { simd::avx2::transpose(src, width, cols, dst, stride) },
-        _ => {
+        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+            simd::avx2::transpose(src, width, cols, dst, stride)
+        },
+        SimdLevel::Scalar => {
             const TILE: usize = 32;
             for r0 in (0..rows).step_by(TILE) {
                 for c0 in (0..cols).step_by(TILE) {

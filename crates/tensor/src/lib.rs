@@ -13,9 +13,10 @@
 //!   implicit GEMM on the packed panels, a naive oracle, transposes, pooling.
 //! * [`block`] — cache-blocked weight panels and the 16-lane FC microkernel
 //!   shared by the forward and reuse-correction hot paths.
-//! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX2+FMA fast path,
-//!   portable scalar fallback) behind one accumulation contract — fused,
-//!   one chain per output, the same bits at every level; override with
+//! * [`simd`] — runtime-dispatched `std::arch` kernels (AVX-512F bodies for
+//!   the FMA-bound panel kernels, AVX2+FMA for the rest, a portable scalar
+//!   fallback) behind one accumulation contract — fused, one chain per
+//!   output, the same bits at every level; override with
 //!   `REUSE_SIMD=off|avx2`.
 //!
 //! # Example

@@ -75,10 +75,11 @@ pub fn fc_forward_naive(
 /// for a fully-connected layer — which heads that output's chain.
 ///
 /// Each `C[i][j]` is one fused chain over every `l` ascending: bit-identical
-/// to [`matmul_naive`] at either [`crate::simd::level`]. Under AVX2 the
+/// to [`matmul_naive`] at every [`crate::simd::level`]. Under AVX2 the
 /// panels are walked **outermost** with four `C` rows register-blocked per
 /// pass (eight accumulator chains), so every streamed panel row is reused
-/// fourfold from registers.
+/// fourfold from registers; at the AVX-512 level the four rows meet four
+/// panels at once (sixteen 512-bit chains).
 ///
 /// # Panics
 ///
@@ -98,15 +99,17 @@ pub fn matmul_packed_into(
         return;
     }
     match simd::level() {
-        #[cfg(target_arch = "x86_64")]
-        simd::SimdLevel::Avx2 => simd::avx2::matmul_rows(packed, a, c),
-        _ => {
+        simd::SimdLevel::Scalar => {
             for (r, crow) in c.chunks_exact_mut(n).enumerate() {
                 // The microkernels accumulate onto what crow holds: 0.0
                 // for a plain product, exactly like the naive loop.
                 forward_panels_scalar(packed, &a[r * k..(r + 1) * k], crow);
             }
         }
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdLevel::Avx2 => simd::avx2::matmul_rows(packed, a, c),
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdLevel::Avx512 => simd::avx512::matmul_rows(packed, a, c),
     }
 }
 

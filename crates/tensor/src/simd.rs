@@ -1,23 +1,40 @@
 //! Runtime-dispatched SIMD kernels for the forward and correction hot paths.
 //!
-//! Every hot kernel in this crate exists in two implementations:
+//! The kernels dispatch on three levels, ordered by width ([`SimdLevel`]):
 //!
-//! * a **scalar** path — portable cache-blocked loops, the fallback on hosts
+//! * **scalar** — portable cache-blocked loops, the fallback on hosts
 //!   without AVX2 and the body the naive serial oracles (`matmul_naive`,
 //!   `conv_forward_naive`, the scattered correction walk) are checked
 //!   against;
-//! * an **AVX2+FMA** path — explicit `std::arch` intrinsics that widen each
-//!   loop to 256-bit lanes. This is the production path.
+//! * **AVX2+FMA** ([`avx2`]) — explicit `std::arch` intrinsics that widen
+//!   every hot kernel to 256-bit lanes;
+//! * **AVX-512F** ([`avx512`]) — a 16-lane panel row is exactly one 512-bit
+//!   register, and the two kernels whose time is FMA throughput get 512-bit
+//!   bodies: the conv forward block (every conv layer's forward) and the
+//!   multi-row packed matmul (every tick's reuse-off GEMM, the reuse-disabled
+//!   layers of a served tick, the LSTM batched forward). Every other kernel
+//!   runs its AVX2 body at this level — every AVX-512F host runs AVX2 —
+//!   because a wider body bought nothing measurable there: a 512-bit
+//!   `gather_axpy` read flat to −3% on `autopilot_stream` (its time goes to
+//!   building the bucket, not to FMAs), `apply_deltas_rows` read flat on
+//!   `kaldi_stream` (bandwidth-bound), a 512-bit `axpy_row_grids` (C3D's
+//!   correction) read `c3d_stream` 1.01× over ten alternating pairs (6 won),
+//!   and a one-row 512-bit matmul tile with four chains read `kaldi_stream`
+//!   2–6% lower than the AVX2 tile's eight, so a lone row (the FC forward of
+//!   one frame) and the rows past the last group of four take the AVX2 walk.
+//!   `axpy_buckets`, `row_axpy`, the transposes, σ/φ and the `reuse-quant`
+//!   kernels were never shown to be FMA-bound.
 //!
-//! The active path is resolved **once per process** by [`level`] (a
-//! [`OnceLock`]): AVX2+FMA when the host supports both, scalar otherwise.
-//! The environment variable `REUSE_SIMD` overrides detection and accepts a
-//! closed set of values (anything else panics at first use, naming them):
+//! The active level is resolved **once per process** by [`level`] (a
+//! [`OnceLock`]): the widest one [`detected`] on the host. The environment
+//! variable `REUSE_SIMD` overrides detection and accepts a closed set of
+//! values (anything else panics at first use, naming them):
 //!
 //! * `REUSE_SIMD=off` (or `scalar`, or `0`) — force the scalar path
 //!   everywhere;
-//! * `REUSE_SIMD=avx2` — request the AVX2 path (falls back to scalar when
-//!   the host lacks AVX2/FMA, so test scripts stay portable).
+//! * `REUSE_SIMD=avx2` — cap the level at AVX2: an AVX-512 host runs its
+//!   AVX2 bodies, a host without AVX2/FMA its scalar ones (so test scripts
+//!   stay portable).
 //!
 //! # Accumulation contract
 //!
@@ -25,11 +42,12 @@
 //! step), every output element is **one chain** of them in ascending term
 //! order from the value the output enters with, and **no kernel skips a
 //! term on its data**: a `0.0` input is multiplied like any other. That
-//! holds for the AVX2 vector lanes, for their scalar tails, for the scalar
-//! level's bodies and for the naive oracles — the latter three all spell the
-//! step [`f32::mul_add`] — so dispatch decides how many outputs advance per
-//! instruction and nothing else: AVX2, scalar and naive produce the **same
-//! bits**, and the tests compare `to_bits()` ([`kernel_mismatch`]). Where
+//! holds for the AVX2 and AVX-512 vector lanes, for their scalar tails, for
+//! the scalar level's bodies and for the naive oracles — the latter three all
+//! spell the step [`f32::mul_add`] — so dispatch decides how many outputs
+//! advance per instruction and nothing else: AVX-512, AVX2, scalar and naive
+//! produce the **same bits**, and the tests compare `to_bits()`
+//! ([`kernel_mismatch`]). Where
 //! the build has no compile-time FMA `mul_add` is an out-of-line call to a
 //! correctly rounded `fmaf` per step: the scalar level is an oracle and a
 //! fallback, not a production path.
@@ -54,43 +72,64 @@
 
 use std::sync::OnceLock;
 
-/// The SIMD instruction level the kernels dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The SIMD instruction level the kernels dispatch to, ordered by width
+/// (`Scalar < Avx2 < Avx512`). The vector levels exist on x86-64 only, so a
+/// dispatch `match` lists every level without a wildcard arm on any target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loops: the fallback, and the oracles' reference body.
     Scalar,
-    /// 256-bit AVX2 lanes with fused multiply-add (x86-64 only).
+    /// 256-bit AVX2 lanes with fused multiply-add.
+    #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX-512F: 512-bit bodies for the FMA-bound panel kernels, the AVX2
+    /// bodies for every other kernel (see the module docs).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl SimdLevel {
     /// Short stable name for logs and benchmark provenance
-    /// (`"scalar"` / `"avx2+fma"`).
+    /// (`"scalar"` / `"avx2+fma"` / `"avx512f+fma"`).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => "avx512f+fma",
         }
     }
 }
 
 static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
 
-/// The level a `REUSE_SIMD` value asks for: `None` when unset (detect),
-/// the scalar level for `off` / `scalar` / `0`, AVX2 for `avx2`.
+/// The level `REUSE_SIMD=avx2` caps detection at: scalar off x86-64, where
+/// no vector level exists.
+#[cfg(target_arch = "x86_64")]
+const AVX2_CAP: SimdLevel = SimdLevel::Avx2;
+#[cfg(not(target_arch = "x86_64"))]
+const AVX2_CAP: SimdLevel = SimdLevel::Scalar;
+
+/// The level a process runs at, given its `REUSE_SIMD` value and the level
+/// the host supports: `detected` when unset, the scalar level for `off` /
+/// `scalar` / `0`, and for `avx2` the lower of `detected` and AVX2 — an
+/// AVX-512 host runs its AVX2 bodies, a host without AVX2 its scalar ones, so
+/// forced-level test runs stay portable.
 ///
 /// # Errors
 ///
 /// Any other value is a usage error whose message lists the accepted ones:
 /// a mistyped override must not silently run the detected level.
-fn parse_level(value: Option<&str>) -> Result<Option<SimdLevel>, String> {
+fn parse_level(value: Option<&str>, detected: SimdLevel) -> Result<SimdLevel, String> {
     match value {
-        None => Ok(None),
-        Some("off" | "scalar" | "0") => Ok(Some(SimdLevel::Scalar)),
-        Some("avx2") => Ok(Some(SimdLevel::Avx2)),
+        None => Ok(detected),
+        Some("off" | "scalar" | "0") => Ok(SimdLevel::Scalar),
+        Some("avx2") => Ok(detected.min(AVX2_CAP)),
         Some(other) => Err(format!(
             "REUSE_SIMD={other:?} is not a SIMD level: accepted values are \
-             `off`, `scalar`, `0` (force the scalar kernels) and `avx2`; unset detects"
+             `off`, `scalar`, `0` (force the scalar kernels) and `avx2` (cap at AVX2); \
+             unset detects"
         )),
     }
 }
@@ -105,13 +144,7 @@ fn parse_level(value: Option<&str>) -> Result<Option<SimdLevel>, String> {
 pub fn level() -> SimdLevel {
     *LEVEL.get_or_init(|| {
         let requested = std::env::var_os("REUSE_SIMD").map(|v| v.to_string_lossy().into_owned());
-        match parse_level(requested.as_deref()) {
-            Ok(Some(SimdLevel::Scalar)) => SimdLevel::Scalar,
-            // An explicit fast-path request still honors the hardware check so
-            // forced-env test runs stay portable to scalar-only hosts.
-            Ok(_) => detected(),
-            Err(usage) => panic!("{usage}"),
-        }
+        parse_level(requested.as_deref(), detected()).unwrap_or_else(|usage| panic!("{usage}"))
     })
 }
 
@@ -119,8 +152,13 @@ pub fn level() -> SimdLevel {
 /// Recorded in benchmark provenance alongside the active level.
 pub fn detected() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
-    if avx2::available() {
-        return SimdLevel::Avx2;
+    {
+        if avx512::available() {
+            return SimdLevel::Avx512;
+        }
+        if avx2::available() {
+            return SimdLevel::Avx2;
+        }
     }
     SimdLevel::Scalar
 }
@@ -177,10 +215,10 @@ pub static LEFT_PACK: LeftPack = {
 
 /// `dst[j] += scale · row[j]`, dispatched on [`level`].
 ///
-/// One fused step per element at either level (`mul_add` here, a vector
+/// One fused step per element at every level (`mul_add` here, a vector
 /// FMA with `mul_add` tails under AVX2): the same bits. Used by the LSTM
 /// from-scratch gate accumulation, whose caller passes only rows with a
-/// nonzero `scale` — a filter outside the kernel, the same at both levels.
+/// nonzero `scale` — a filter outside the kernel, the same at every level.
 ///
 /// # Panics
 ///
@@ -188,13 +226,13 @@ pub static LEFT_PACK: LeftPack = {
 pub fn row_axpy(dst: &mut [f32], row: &[f32], scale: f32) {
     assert_eq!(dst.len(), row.len(), "row_axpy operand lengths");
     match level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::row_axpy(dst, row, scale),
-        _ => {
+        SimdLevel::Scalar => {
             for (d, &r) in dst.iter_mut().zip(row.iter()) {
                 *d = scale.mul_add(r, *d);
             }
         }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 | SimdLevel::Avx512 => avx2::row_axpy(dst, row, scale),
     }
 }
 
@@ -294,23 +332,23 @@ pub fn tanh(x: f32) -> f32 {
     f32::from_bits(magnitude.to_bits() | sign)
 }
 
-/// `v ← σ(v)` over a slice, dispatched on [`level`]; both levels produce
+/// `v ← σ(v)` over a slice, dispatched on [`level`]; every level produces
 /// [`sigmoid`]'s bits.
 pub fn sigmoid_slice(values: &mut [f32]) {
     match level() {
+        SimdLevel::Scalar => values.iter_mut().for_each(|v| *v = sigmoid(*v)),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::sigmoid_slice(values),
-        _ => values.iter_mut().for_each(|v| *v = sigmoid(*v)),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => avx2::sigmoid_slice(values),
     }
 }
 
-/// `v ← φ(v)` over a slice, dispatched on [`level`]; both levels produce
+/// `v ← φ(v)` over a slice, dispatched on [`level`]; every level produces
 /// [`tanh`]'s bits.
 pub fn tanh_slice(values: &mut [f32]) {
     match level() {
+        SimdLevel::Scalar => values.iter_mut().for_each(|v| *v = tanh(*v)),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::tanh_slice(values),
-        _ => values.iter_mut().for_each(|v| *v = tanh(*v)),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => avx2::tanh_slice(values),
     }
 }
 
@@ -323,8 +361,8 @@ pub fn tanh_slice(values: &mut [f32]) {
 /// ```
 ///
 /// One fused pass — five [`sigmoid`]/[`tanh`] evaluations per unit with no
-/// intermediate buffer — dispatched on [`level`] and bit-identical at both
-/// (products and the sum are separate roundings at either level; only a
+/// intermediate buffer — dispatched on [`level`] and bit-identical at every
+/// level (products and the sum are separate roundings in every body; only a
 /// NaN's payload, where two NaN operands meet, is the instruction's choice).
 ///
 /// # Panics
@@ -335,13 +373,13 @@ pub fn lstm_gate_update(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
     assert_eq!(pre.len(), 4 * c.len(), "four gates per cell unit");
     assert_eq!(h.len(), c.len(), "hidden vs cell state length");
     match level() {
+        SimdLevel::Scalar => lstm_gate_update_body(pre, c, h),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::lstm_gate_update(pre, c, h),
-        _ => lstm_gate_update_body(pre, c, h),
+        SimdLevel::Avx2 | SimdLevel::Avx512 => avx2::lstm_gate_update(pre, c, h),
     }
 }
 
-/// The loop both levels of [`lstm_gate_update`] compile: as written for the
+/// The loop both bodies of [`lstm_gate_update`] compile: as written for the
 /// scalar level, and once more inside an AVX2 `target_feature` function,
 /// where the compiler widens it to eight lanes.
 #[inline(always)]
@@ -359,11 +397,14 @@ fn lstm_gate_update_body(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+pub mod avx512;
+
 /// AVX2+FMA kernel implementations (x86-64 only).
 ///
 /// Every function is a safe wrapper that panics when the host lacks
 /// AVX2/FMA; the dispatchers in `block`/`matmul`/`conv` only call them when
-/// [`level`] resolved to [`SimdLevel::Avx2`], and the SIMD==scalar
+/// [`level`] resolved to [`SimdLevel::Avx2`] or above, and the SIMD==scalar
 /// equivalence suites gate on `is_x86_feature_detected!` before calling
 /// them directly.
 #[cfg(target_arch = "x86_64")]
@@ -486,10 +527,19 @@ pub mod avx2 {
     /// 400×2000 `B` that cuts panel traffic from one full-matrix stream per
     /// row group to one per block. Purely a traversal-order change: each
     /// `C[r]` span is still produced by exactly one kernel call, so results
-    /// are independent of the block size. A block is rounded up to whole
-    /// tiles of [`TILE_PANELS`] so a remainder row never walks a tile's
-    /// panels one at a time.
+    /// are independent of the block size.
     const MATMUL_L2_BLOCK_BYTES: usize = 192 * 1024;
+
+    /// Panels per block of the matmul's panel-outer walk (see
+    /// [`MATMUL_L2_BLOCK_BYTES`]), rounded up to whole tiles of
+    /// [`TILE_PANELS`] so a remainder row never walks a tile's panels one at
+    /// a time. Shared with the AVX-512 body, whose tiles are four panels too.
+    pub(super) fn panel_block(packed: &PackedPanels) -> usize {
+        let panel_bytes = packed.n_in() * PANEL_WIDTH * core::mem::size_of::<f32>();
+        (MATMUL_L2_BLOCK_BYTES / panel_bytes.max(1))
+            .max(1)
+            .next_multiple_of(TILE_PANELS)
+    }
 
     #[target_feature(enable = "avx2,fma")]
     unsafe fn matmul_rows_impl(packed: &PackedPanels, a: &[f32], c: &mut [f32]) {
@@ -497,10 +547,7 @@ pub mod avx2 {
         let rows = c.len() / n;
         let cp = c.as_mut_ptr();
         let n_panels = packed.n_panels();
-        let panel_bytes = k * PANEL_WIDTH * core::mem::size_of::<f32>();
-        let block = (MATMUL_L2_BLOCK_BYTES / panel_bytes.max(1))
-            .max(1)
-            .next_multiple_of(TILE_PANELS);
+        let block = panel_block(packed);
         let mut pb = 0;
         while pb < n_panels {
             let pend = (pb + block).min(n_panels);
@@ -521,23 +568,43 @@ pub mod avx2 {
                 r += 4;
             }
             for r in r..rows {
-                let arow = &a[r * k..(r + 1) * k];
                 let crow = unsafe { core::slice::from_raw_parts_mut(cp.add(r * n), n) };
-                let mut p = pb;
-                while p < pend {
-                    let col0 = p * PANEL_WIDTH;
-                    if p + TILE_PANELS <= pend && col0 + TILE_LANES <= n {
-                        let tile = core::array::from_fn(|t| packed.panel(p + t));
-                        unsafe { tile4_kernel(tile, arow, &mut crow[col0..col0 + TILE_LANES]) };
-                        p += TILE_PANELS;
-                    } else {
-                        let lanes = (n - col0).min(PANEL_WIDTH);
-                        unsafe { panel_kernel(packed.panel(p), arow, &mut crow[col0..][..lanes]) };
-                        p += 1;
-                    }
-                }
+                unsafe { row_panels(packed, &a[r * k..(r + 1) * k], crow, pb..pend) };
             }
             pb = pend;
+        }
+    }
+
+    /// One `A` row onto one `n_out`-wide `C` row over `panels`: four panels
+    /// at a time while a whole tile fits, one at a time past it — eight
+    /// chains in flight either way.
+    ///
+    /// # Safety
+    ///
+    /// The host runs AVX2+FMA; `arow` is `n_in` long, `crow` `n_out` long,
+    /// and `panels` lies inside `0 .. n_panels`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn row_panels(
+        packed: &PackedPanels,
+        arow: &[f32],
+        crow: &mut [f32],
+        panels: core::ops::Range<usize>,
+    ) {
+        let (n, mut p) = (crow.len(), panels.start);
+        while p < panels.end {
+            let col0 = p * PANEL_WIDTH;
+            // SAFETY: the caller's contract; every `crow` slice is
+            // bounds-checked, and the kernels read `arow.len()` rows of each
+            // panel.
+            if p + TILE_PANELS <= panels.end && col0 + TILE_LANES <= n {
+                let tile = core::array::from_fn(|t| packed.panel(p + t));
+                unsafe { tile4_kernel(tile, arow, &mut crow[col0..col0 + TILE_LANES]) };
+                p += TILE_PANELS;
+            } else {
+                let lanes = (n - col0).min(PANEL_WIDTH);
+                unsafe { panel_kernel(packed.panel(p), arow, &mut crow[col0..][..lanes]) };
+                p += 1;
+            }
         }
     }
 
@@ -1269,27 +1336,46 @@ mod tests {
     #[test]
     fn level_name_is_stable() {
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
-        assert_eq!(SimdLevel::Avx2.name(), "avx2+fma");
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(SimdLevel::Avx2.name(), "avx2+fma");
+            assert_eq!(SimdLevel::Avx512.name(), "avx512f+fma");
+            assert!(SimdLevel::Scalar < SimdLevel::Avx2 && SimdLevel::Avx2 < SimdLevel::Avx512);
+        }
     }
 
     #[test]
     fn level_is_detected_or_overridden() {
         // Whatever the environment, the resolved level must be one the
         // hardware can actually run.
-        let l = level();
-        assert!(l == SimdLevel::Scalar || detected() == SimdLevel::Avx2);
+        assert!(level() <= detected());
     }
 
     #[test]
     fn reuse_simd_accepts_a_closed_set() {
-        assert_eq!(parse_level(None), Ok(None));
-        for off in ["off", "scalar", "0"] {
-            assert_eq!(parse_level(Some(off)), Ok(Some(SimdLevel::Scalar)));
+        #[cfg(target_arch = "x86_64")]
+        let hosts = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+        #[cfg(not(target_arch = "x86_64"))]
+        let hosts = [SimdLevel::Scalar];
+        for host in hosts {
+            // Unset detects; `avx2` caps the level at AVX2 and never raises it.
+            assert_eq!(parse_level(None, host), Ok(host));
+            assert_eq!(parse_level(Some("avx2"), host), Ok(host.min(AVX2_CAP)));
+            for off in ["off", "scalar", "0"] {
+                assert_eq!(parse_level(Some(off), host), Ok(SimdLevel::Scalar));
+            }
         }
-        assert_eq!(parse_level(Some("avx2")), Ok(Some(SimdLevel::Avx2)));
-        // A typo must not run the detected level under a "forced scalar" label.
-        for typo in ["OFF", "false", "scaler", "Scalar", "1", "avx", " off", ""] {
-            let usage = parse_level(Some(typo)).unwrap_err();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            parse_level(Some("avx2"), SimdLevel::Avx512),
+            Ok(SimdLevel::Avx2)
+        );
+        // A typo must not run the detected level under a "forced scalar"
+        // label, and no level beyond the closed set is accepted.
+        for typo in [
+            "OFF", "false", "scaler", "Scalar", "1", "avx", " off", "", "avx512", "avx512f",
+        ] {
+            let usage = parse_level(Some(typo), detected()).unwrap_err();
             for accepted in ["off", "scalar", "`0`", "avx2"] {
                 assert!(usage.contains(accepted), "{typo:?}: {usage}");
             }

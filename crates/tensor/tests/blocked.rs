@@ -9,8 +9,9 @@
 //! the values where a skipped or reordered term would show only in the sign
 //! of a zero: exact-zero inputs, all-zero frames, `−0.0` biases.
 //!
-//! `scripts/ci.sh` runs this suite under both `REUSE_SIMD=off` and the
-//! detected fast path.
+//! `scripts/ci.sh` runs this suite at the detected level, under
+//! `REUSE_SIMD=avx2` and under `REUSE_SIMD=off`, so each level's conv forward
+//! body (the AVX-512 one on an AVX-512 host) meets the oracle here.
 
 use proptest::prelude::*;
 use reuse_tensor::block::{apply_deltas_rows, fc_forward_packed_into};
@@ -77,12 +78,12 @@ fn conv3d_mismatch(spec: &Conv3dSpec, dhw: [usize; 3]) -> Option<String> {
     conv_mismatch(&spec.geometry().unwrap(), dhw, 2)
 }
 
-/// Position counts that are not multiples of the forward's six-position
-/// register group, of the transpose's eight-row tile, or of the block —
-/// where a kernel that reuses a block's rows without reseeding them, stores
-/// a row of a group moved back over finished rows, or mishandles the
-/// remainder rows goes wrong while every stream-level check still passes
-/// (they all share the kernel).
+/// Position counts that are not multiples of the forward's register group
+/// (six positions in the AVX2 body, eight in the AVX-512 one), of the
+/// transpose's eight-row tile, or of the block — where a kernel that reuses
+/// a block's rows without reseeding them, stores a row of a group moved back
+/// over finished rows, or mishandles the remainder rows goes wrong while
+/// every stream-level check still passes (they all share the kernel).
 #[test]
 fn conv_blocks_and_remainder_rows_match_naive() {
     let spec2 = |in_c, out_c, k, stride, pad| Conv2dSpec {
@@ -103,6 +104,13 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         (spec2(3, 36, 3, 1, 1), 43, 43),
         (spec2(2, 16, 5, 2, 2), 9, 21),
         (spec2(1, 1, 3, 2, 2), 6, 5),
+        // Padded, at every pass shape of the AVX-512 body (up to three
+        // panels a pass, positions in groups of eight): one panel, a partial
+        // one, three, and 64 filters as a pass of three then one.
+        (spec2(3, 16, 3, 1, 1), 7, 9),
+        (spec2(2, 7, 5, 2, 2), 11, 13),
+        (spec2(4, 36, 5, 2, 1), 17, 41),
+        (spec2(3, 64, 3, 1, 1), 5, 50),
     ] {
         let mismatch = conv2d_mismatch(&spec, h, w);
         assert!(mismatch.is_none(), "{spec:?} {h}x{w}: {mismatch:?}");
@@ -124,6 +132,11 @@ fn conv_blocks_and_remainder_rows_match_naive() {
         (spec3(2, 17, 2), [5, 7, 9]),
         // 6*13*13 = 1014 positions, the last block 54 = 6*9 = 8*6 + 6.
         (spec3(2, 36, 1), [6, 13, 13]),
+        // One panel, and three with a partial last one (eight lanes; one
+        // lane at stride 2).
+        (spec3(3, 16, 1), [4, 6, 7]),
+        (spec3(2, 40, 1), [3, 5, 11]),
+        (spec3(5, 33, 2), [4, 9, 9]),
     ] {
         let mismatch = conv3d_mismatch(&spec, dhw);
         assert!(mismatch.is_none(), "{spec:?} {dhw:?}: {mismatch:?}");

@@ -1,15 +1,20 @@
 //! Direct SIMD==scalar equivalence: every AVX2 kernel in
-//! `reuse_tensor::simd::avx2` is pinned against the scalar-level body it
-//! replaces, on the same inputs, regardless of which level the process
-//! resolved (the AVX2 side is invoked explicitly, gated only on hardware
-//! support). This is stronger than the dispatch-level suites in
+//! `reuse_tensor::simd::avx2`, and every public AVX-512 entry in
+//! `reuse_tensor::simd::avx512`, is pinned against the scalar-level body it
+//! replaces (or the naive oracle), on the same inputs, regardless of which
+//! level the process resolved (the vector side is invoked explicitly, gated
+//! only on hardware support). This is stronger than the dispatch-level suites in
 //! `tests/blocked.rs`: a bug that made `level()` resolve to the wrong
-//! branch would not hide a kernel divergence here.
+//! branch would not hide a kernel divergence here. The conv forward block has
+//! no public entry at either vector level; `tests/blocked.rs` pins the
+//! dispatched forward against the naive oracle, which `scripts/ci.sh` runs at
+//! every level.
 //!
 //! Every accumulation is fused, one chain per output, at both levels (the
 //! `reuse_tensor::simd` contract), so every comparison is on `to_bits()`;
 //! the σ/φ kernels fuse nothing and owe the scalar definitions' exact bits
-//! likewise. On non-AVX2 hosts the AVX2 halves pass vacuously.
+//! likewise. On hosts without AVX2 (AVX-512F) the AVX2 (AVX-512) halves pass
+//! vacuously.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -18,8 +23,8 @@ use reuse_tensor::block::{
     apply_deltas_scalar, axpy_buckets_scalar, fc_forward_packed_into, forward_panels_scalar,
     gather_axpy_scalar, RowGrid, TapBucket, TapWindow,
 };
-use reuse_tensor::matmul::fc_forward_naive;
-use reuse_tensor::simd::{self, avx2, kernel_mismatch};
+use reuse_tensor::matmul::{fc_forward_naive, matmul_naive};
+use reuse_tensor::simd::{self, avx2, avx512, kernel_mismatch};
 use reuse_tensor::{PackedPanels, ParallelConfig, Shape, Tensor};
 
 /// Values in ±8 on a grid of 1/125 000 — arbitrary, not dyadic, so a step
@@ -377,6 +382,49 @@ proptest! {
     }
 }
 
+/// `n_out` values whose last panel is `n_out % 16` lanes out of `tails`,
+/// over one to four panels (a `0` tail is a whole last panel).
+fn panel_tails(tails: Vec<usize>) -> impl Strategy<Value = usize> {
+    (0usize..4, proptest::sample::select(tails)).prop_map(|(q, r)| {
+        if r == 0 {
+            16 * (q + 1)
+        } else {
+            16 * q + r
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The 512-bit four-row tiles (four panels, then three, two, one, the
+    /// last masked) and the AVX2 walk of the rows past them, against the
+    /// scalar body row by row.
+    #[test]
+    fn avx512_matmul_rows_matches_per_row_scalar(
+        m in 1usize..10,
+        k in 1usize..20,
+        n in panel_tails(vec![0, 1, 8, 15]),
+        seed in 0u64..100_000,
+    ) {
+        if !avx512::available() {
+            return Ok(());
+        }
+        let mut next = seeded(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
+        let w: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let start: Vec<f32> = (0..m * n).map(|_| next()).collect();
+        let packed = PackedPanels::pack_slice(&w, k, n);
+        let mut fast = start.clone();
+        avx512::matmul_rows(&packed, &a, &mut fast);
+        let mut slow = start;
+        for (i, row) in slow.chunks_mut(n).enumerate() {
+            forward_panels_scalar(&packed, &a[i * k..(i + 1) * k], row);
+        }
+        prop_assert_eq!(kernel_mismatch(&fast, &slow), None);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -413,6 +461,32 @@ proptest! {
             avx2::matmul_rows(&packed, &x, &mut fast);
             prop_assert_eq!(kernel_mismatch(&fast, naive.as_slice()), None, "avx2 body vs naive");
         }
+    }
+
+    /// The same 2 000-term chains through the AVX-512 body's four-row tiles
+    /// and the AVX2 walk of the fifth row, against the naive matmul.
+    #[test]
+    fn a_two_thousand_term_chain_is_one_set_of_bits_in_the_avx512_tiles(
+        n_out in proptest::sample::select(vec![1usize, 13, 88]),
+        seed in 0u64..100_000,
+    ) {
+        const N_IN: usize = 2000;
+        const ROWS: usize = 5;
+        if !avx512::available() {
+            return Ok(());
+        }
+        let mut next = seeded(seed);
+        let w: Vec<f32> = (0..N_IN * n_out).map(|_| next() / 64.0).collect();
+        let a: Vec<f32> = (0..ROWS * N_IN).map(|_| next()).collect();
+        let naive = matmul_naive(
+            &Tensor::from_vec(Shape::d2(ROWS, N_IN), a.clone()).unwrap(),
+            &Tensor::from_vec(Shape::d2(N_IN, n_out), w.clone()).unwrap(),
+        )
+        .unwrap();
+        let packed = PackedPanels::pack_slice(&w, N_IN, n_out);
+        let mut fast = vec![0.0f32; ROWS * n_out];
+        avx512::matmul_rows(&packed, &a, &mut fast);
+        prop_assert_eq!(kernel_mismatch(&fast, naive.as_slice()), None, "avx512 body vs naive");
     }
 }
 
@@ -534,6 +608,30 @@ fn avx2_matmul_rows_rejects_a_short_lhs() {
     need_avx2("A rows vs C rows");
     let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
     avx2::matmul_rows(&packed, &[1.0; 3], &mut [0.0; 2 * 20]);
+}
+
+/// [`need_avx2`] for the AVX-512 entries.
+fn need_avx512(expected: &str) {
+    assert!(
+        avx512::available(),
+        "{expected} (unchecked: host lacks AVX-512F)"
+    );
+}
+
+#[test]
+#[should_panic(expected = "A rows vs C rows")]
+fn avx512_matmul_rows_rejects_a_short_lhs() {
+    need_avx512("A rows vs C rows");
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    avx512::matmul_rows(&packed, &[1.0; 3], &mut [0.0; 2 * 20]);
+}
+
+#[test]
+#[should_panic(expected = "C is not rows of 20")]
+fn avx512_matmul_rows_rejects_a_partial_output_row() {
+    need_avx512("C is not rows of 20");
+    let packed = PackedPanels::pack_slice(&[1.0; 3 * 20], 3, 20);
+    avx512::matmul_rows(&packed, &[1.0; 6], &mut [0.0; 2 * 20 - 1]);
 }
 
 // `axpy_buckets` checks the same bounds at both levels (the AVX2 body

@@ -13,11 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace, detected SIMD level) =="
 cargo test --workspace -q
 
+echo "== cargo test (workspace, REUSE_SIMD=avx2) =="
+# Every level owes the naive oracles the same bits, and every assertion is
+# the same at each; on an AVX-512 host this pass is what runs the AVX2
+# bodies of the conv forward and the multi-row matmul end to end (`avx2`
+# caps the level; on an AVX2 host it repeats the pass above).
+REUSE_SIMD=avx2 cargo test --workspace -q
+
 echo "== cargo test (workspace, forced REUSE_SIMD=off) =="
-# Both levels owe the naive oracles the same bits, and every assertion is
-# the same at both; this pass is what runs the scalar fallback bodies end to
-# end on an AVX2 host (a mistyped REUSE_SIMD value panics, it does not fall
-# back to the detected level).
+# This pass is what runs the scalar fallback bodies end to end on a vector
+# host (a mistyped REUSE_SIMD value panics, it does not fall back to the
+# detected level).
 REUSE_SIMD=off cargo test --workspace -q
 
 echo "== telemetry overhead smoke (budget 5%) =="
@@ -26,12 +32,18 @@ echo "== telemetry overhead smoke (budget 5%) =="
 # median on/off ratio, less what the rounds can resolve, exceeds the budget.
 cargo run --release -q -p reuse-bench --bin kernel_bench -- --telemetry-smoke
 
-echo "== kernel perf smoke (constant floors under AVX2) =="
-# Under AVX2 the packed matmul and the four conv forward rows (taps read
-# straight from the frame) must sustain their absolute GFLOP/s floors and the
-# reuse / recurrent rows their ratios; a host without AVX2/FMA prints every
-# row and gates none.
-cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke
+echo "== kernel perf smoke (constant floors at every vector level) =="
+# The packed matmul and the four conv forward rows (taps read straight from
+# the frame) must sustain their absolute GFLOP/s floors and the reuse /
+# recurrent rows their ratios, under REUSE_SIMD=avx2 (the AVX2 floors) and at
+# the detected level (the AVX-512 floors on an AVX-512 host; the same run
+# again on an AVX2 host); a host without AVX2/FMA prints every row and gates
+# none. A failing row here still fails CI, but only after the last gate below
+# has run: the bit-exactness gates after this one do not depend on the
+# floors, and a floor miss must not hide a lost bit.
+perf_rc=0
+REUSE_SIMD=avx2 cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke || perf_rc=$?
+cargo run --release -q -p reuse-bench --bin kernel_bench -- --perf-smoke || perf_rc=$?
 
 echo "== multi-session smoke (4 sessions, one compiled model) =="
 # Interleaves four ReuseSessions over one shared CompiledModel and checks
@@ -85,9 +97,9 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 # Then two checksum gates. Across commits: the smokes' `workload` and
 # `output checksum` lines must equal scripts/quick-checksums.txt (a change
 # that moves bits on purpose updates that file in the same diff). Across
-# levels: the same smokes under REUSE_SIMD=off must print the same lines —
-# one set of bits at every SIMD level, end to end through sessions, serving
-# and the wire.
+# levels: the same smokes under REUSE_SIMD=off — and, on an AVX-512 host,
+# under REUSE_SIMD=avx2 — must print the same lines: one set of bits at
+# every SIMD level, end to end through sessions, serving and the wire.
 quick_smokes() {
     for workload in kaldi_stream eesen_stream autopilot_stream c3d_stream net_closed_loop; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload "$workload" --quick
@@ -101,6 +113,10 @@ if grep -q 'detected scalar' target/quick-smokes-detected.txt; then
 else
     REUSE_SIMD=off quick_smokes > target/quick-smokes-scalar.txt
     diff scripts/quick-checksums.txt <(checksums target/quick-smokes-scalar.txt)
+fi
+if grep -q 'detected avx512f+fma' target/quick-smokes-detected.txt; then
+    REUSE_SIMD=avx2 quick_smokes > target/quick-smokes-avx2.txt
+    diff scripts/quick-checksums.txt <(checksums target/quick-smokes-avx2.txt)
 fi
 
 echo "== repro report smoke (all ten artifacts, tiny scale) =="
@@ -157,4 +173,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== non-test lines per crate (the counts ROADMAP.md quotes) =="
 ./scripts/loc.sh
 
+if [ "$perf_rc" -ne 0 ]; then
+    echo "kernel perf smoke failed (exit $perf_rc); every other gate passed" >&2
+    exit "$perf_rc"
+fi
 echo "CI OK"
